@@ -43,6 +43,7 @@ from .errors import (
     NoStrategySucceeded,
     NotADerivationError,
     NotClosedError,
+    SchemaError,
     SingularMatrixError,
     SingularOnDerivedError,
 )
@@ -50,6 +51,7 @@ from .liealg import (
     LieAlgebra,
     TwoForm,
     algebra_hash,
+    cyclic_terms,
     derived_subalgebra,
     dtheta_residual,
     nondegenerate,
@@ -61,14 +63,21 @@ from .linalg import (
     determinant,
     invert,
     nullspace,
-    span,
     unit_vector,
     vector,
 )
 
 NOT_A_PROOF = "search failure only; not a proof of non-existence"
 
-AUTO_STRATEGIES = ("regular", "derived-regular", "symplectic")
+# The checks a certificate of each strategy must pass, in the order
+# recorded. The verifier runs these itself and never trusts a document's
+# own list; the key order is the order ``auto`` tries the strategies.
+STRATEGY_CHECKS = {
+    "regular": ("is_derivation", "invertible", "torsion", "left_symmetry"),
+    "derived-regular": ("is_derivation", "restriction_invertible", "torsion",
+                        "left_symmetry"),
+    "symplectic": ("closed", "nondegenerate", "torsion", "left_symmetry"),
+}
 
 
 class AffineStructure:
@@ -306,23 +315,14 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0, trials: int = 32) -> Optiona
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: s for s, p in enumerate(pairs)}
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = [ZERO] * len(pairs)
-                for a, inner in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-                    for m, c in alg.bracket_basis(*inner).items():
-                        if m == a:
-                            continue
-                        lo, hi = (a, m) if a < m else (m, a)
-                        sign = ONE if a < m else -ONE
-                        row[index[(lo, hi)]] += sign * c
-                if any(row):
-                    rows.append(row)
-    if rows:
-        closed = nullspace(Matrix(rows, len(rows), len(pairs)))
-    else:
-        closed = span([unit_vector(len(pairs), s) for s in range(len(pairs))], len(pairs))
+    for _, terms in cyclic_terms(alg):
+        row = {}
+        for a, m, c in terms:
+            if a != m:
+                col = index[(min(a, m), max(a, m))]
+                row[col] = row.get(col, ZERO) + (c if a < m else -c)
+        rows.append(row)
+    closed = nullspace(rows, len(pairs))
     if closed.dim == 0:
         return None
     rng = random.Random(seed)
@@ -349,10 +349,6 @@ def _gram_strings(form: TwoForm) -> list:
     return _matrix_strings(form.gram)
 
 
-def _passing(names: Sequence[str]) -> List[CheckResult]:
-    return [CheckResult(name, "pass", 0) for name in names]
-
-
 def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
                trials: int = 32) -> Tuple[AffineStructure, Certificate]:
     """Construct and certify an affine structure on alg.
@@ -364,9 +360,9 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     attempted strategy; that exception reports a failed search and never a
     non-existence proof.
     """
-    wanted = AUTO_STRATEGIES if strategy == "auto" else (strategy,)
+    wanted = tuple(STRATEGY_CHECKS) if strategy == "auto" else (strategy,)
     for s in wanted:
-        if s not in AUTO_STRATEGIES:
+        if s not in STRATEGY_CHECKS:
             raise ValueError(f"unknown strategy {s!r}")
     reasons: Dict[str, str] = {}
     space: Optional[DerivationSpace] = None
@@ -381,11 +377,8 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
             )
         else:
             structure = from_regular_derivation(alg, f)
-            return _certify(
-                alg, structure, "regular", seed, trials,
-                checks=("is_derivation", "invertible", "torsion", "left_symmetry"),
-                witnesses={"derivation": f},
-            )
+            return _certify(alg, structure, "regular", seed, trials,
+                            witnesses={"derivation": f})
 
     if "derived-regular" in wanted:
         f = find_derived_regular_derivation(space, seed=seed, trials=trials)
@@ -396,12 +389,8 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
             )
         else:
             structure = from_derived_regular(alg, f)
-            return _certify(
-                alg, structure, "derived-regular", seed, trials,
-                checks=("is_derivation", "restriction_invertible", "torsion",
-                        "left_symmetry"),
-                witnesses={"derivation": f},
-            )
+            return _certify(alg, structure, "derived-regular", seed, trials,
+                            witnesses={"derivation": f})
 
     if "symplectic" in wanted:
         if alg.dim % 2:
@@ -414,16 +403,13 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
                 )
             else:
                 structure = from_symplectic(alg, form)
-                return _certify(
-                    alg, structure, "symplectic", seed, trials,
-                    checks=("closed", "nondegenerate", "torsion", "left_symmetry"),
-                    witnesses={"two_form": form},
-                )
+                return _certify(alg, structure, "symplectic", seed, trials,
+                                witnesses={"two_form": form})
 
     raise NoStrategySucceeded(reasons)
 
 
-def _certify(alg, structure, strategy, seed, trials, checks, witnesses):
+def _certify(alg, structure, strategy, seed, trials, witnesses):
     report = verify_affine(alg, structure)
     if not report.passed:
         raise AssertionError(
@@ -439,34 +425,40 @@ def _certify(alg, structure, strategy, seed, trials, checks, witnesses):
         seed=seed,
         trials=trials,
         version=__about__.__version__,
-        checks=_passing(checks),
+        checks=[CheckResult(name, "pass", 0) for name in STRATEGY_CHECKS[strategy]],
         witnesses=witnesses,
     )
     return structure, cert
 
 
 def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
-    """Re-run every named check in a certificate from its payloads alone."""
+    """Re-run the checks the certificate's strategy requires, from its payloads alone.
+
+    The checks come from ``STRATEGY_CHECKS``, never from the certificate's
+    own list, so a certificate that omits a check cannot pass; the recorded
+    list must match the recomputed one name for name and status for status.
+    """
+    required = STRATEGY_CHECKS.get(cert.strategy)
+    if required is None:
+        raise SchemaError(f"unknown strategy {cert.strategy!r}")
     hash_match = algebra_hash(alg) == cert.algebra_hash
     structure = cert.witnesses.get("affine_structure")
     affine_report = None
     if isinstance(structure, AffineStructure) and structure.dim == alg.dim:
         affine_report = verify_affine(alg, structure)
     results: List[CheckResult] = []
-    for recorded in cert.checks:
+    for name in required:
         try:
-            residuals = _recompute_check(alg, cert, recorded.name, affine_report)
+            residuals = _recompute_check(alg, cert, name, affine_report)
         except (DimensionMismatch, NotADerivationError):
             residuals = 1
         if residuals is None:
-            results.append(CheckResult(recorded.name, "unknown", -1))
+            results.append(CheckResult(name, "unknown", -1))
         else:
-            results.append(
-                CheckResult(recorded.name, "pass" if residuals == 0 else "fail", residuals)
-            )
-    matches = all(
-        new.status == old.status for new, old in zip(results, cert.checks)
-    )
+            results.append(CheckResult(name, "pass" if residuals == 0 else "fail", residuals))
+    matches = [(c.name, c.status) for c in cert.checks] == [
+        (c.name, c.status) for c in results
+    ]
     return ReverifyReport(hash_match=hash_match, checks=results, matches_recorded=matches)
 
 

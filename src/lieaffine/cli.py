@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 from . import catalog
 from .affine import NOT_A_PROOF, find_symplectic, reverify_certificate, synthesize
@@ -28,15 +29,7 @@ from .derivations import (
     verify_torus,
     verify_witness,
 )
-from .errors import (
-    BadDimension,
-    BadRange,
-    LieToolError,
-    NoStrategySucceeded,
-    SchemaError,
-    UnknownFamily,
-    WrongLambdaCount,
-)
+from .errors import BadRange, LieToolError, NoStrategySucceeded, SchemaError, UnknownFamily
 from .liealg import is_filiform, jacobi_report, lower_central_series
 from .serialize import (
     affine_from_json,
@@ -57,15 +50,6 @@ from .serialize import (
 _FAMILY_HELP = (
     "family id: Ln, Qn, QnZ (adapted basis), Ank, Bnk, Cn, Benoist; "
     "parameters via --n, --k, --lambda (repeatable), --t"
-)
-
-_USAGE_ERRORS = (
-    SchemaError,
-    BadDimension,
-    BadRange,
-    WrongLambdaCount,
-    UnknownFamily,
-    OSError,
 )
 
 
@@ -99,10 +83,17 @@ def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
                         help="parameter t for the Benoist family (default 0)")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--trials", type=int, default=32,
-                        help="random trial count (default 32)")
+    parser.add_argument("--trials", type=_positive_int, default=32,
+                        help="random trial count, at least 1 (default 32)")
 
 
 def _need(args, name: str):
@@ -245,24 +236,9 @@ def _cmd_der_diag(args):
     }, 0
 
 
-def _cmd_der_regular(args):
+def _cmd_der_search(search, args):
     alg = _load_algebra(args)
-    space = derivation_space(alg)
-    witness = find_regular_derivation(space, seed=args.seed, trials=args.trials)
-    payload = {
-        "name": alg.name,
-        "found": witness is not None,
-        "witness": matrix_to_json(witness) if witness is not None else None,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
-    return payload, 0 if witness is not None else 1
-
-
-def _cmd_der_derived_regular(args):
-    alg = _load_algebra(args)
-    space = derivation_space(alg)
-    witness = find_derived_regular_derivation(space, seed=args.seed, trials=args.trials)
+    witness = search(derivation_space(alg), seed=args.seed, trials=args.trials)
     payload = {
         "name": alg.name,
         "found": witness is not None,
@@ -332,6 +308,9 @@ def _cmd_der_verify_witness(args):
 
 def _cmd_affine_synth(args):
     alg = _load_algebra(args)
+    violations, jac = _jacobi_payload(alg)
+    if violations:
+        return jac, 1
     try:
         _, cert = synthesize(alg, strategy=args.strategy, seed=args.seed,
                              trials=args.trials)
@@ -443,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_algebra_source(p)
     _add_search(p)
-    p.set_defaults(handler=_cmd_der_regular)
+    p.set_defaults(handler=partial(_cmd_der_search, find_regular_derivation))
     p = der_sub.add_parser(
         "derived-regular",
         help="search for a derivation invertible on the derived subalgebra",
@@ -451,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_algebra_source(p)
     _add_search(p)
-    p.set_defaults(handler=_cmd_der_derived_regular)
+    p.set_defaults(handler=partial(_cmd_der_search, find_derived_regular_derivation))
     p = der_sub.add_parser("char-nilp", help="characteristic nilpotency verdict")
     _add_common(p)
     _add_algebra_source(p)
@@ -512,10 +491,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LieToolError as exc:
+    except (LieToolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.reproducible:

@@ -31,7 +31,6 @@ from .linalg import (
     is_nilpotent,
     nullspace,
     solve,
-    span,
     unit_vector,
 )
 
@@ -127,23 +126,20 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     Unknown (p, q) of the map sits at flat index p*n + q (row-major).
     """
     n = alg.dim
-    rows: List[list] = []
+    rows: List[dict] = []
     for i in range(n):
         for j in range(i + 1, n):
-            block = [[ZERO] * (n * n) for _ in range(n)]
+            block = [{} for _ in range(n)]
             for k, c in alg.bracket_basis(i, j).items():
                 for p in range(n):
-                    block[p][p * n + k] += c
+                    block[p][p * n + k] = c
             for q in range(n):
                 for p, c in alg.bracket_basis(q, j).items():
-                    block[p][q * n + i] -= c
+                    block[p][q * n + i] = block[p].get(q * n + i, ZERO) - c
                 for p, c in alg.bracket_basis(i, q).items():
-                    block[p][q * n + j] -= c
+                    block[p][q * n + j] = block[p].get(q * n + j, ZERO) - c
             rows.extend(block)
-    if rows:
-        flat = nullspace(Matrix(rows, len(rows), n * n))
-    else:
-        flat = span([unit_vector(n * n, i) for i in range(n * n)], n * n)
+    flat = nullspace(rows, n * n)
     basis = tuple(Matrix.unflatten(v, n) for v in flat.basis)
     return DerivationSpace(algebra=alg, basis=basis, flat=flat)
 
@@ -155,19 +151,13 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
     structure constant on ((i, j), k); the result is the RREF solution
     space of those equations.
     """
-    n = alg.dim
     rows = []
     for (i, j), coeffs in alg.structure.items():
         for k in coeffs:
-            row = [ZERO] * n
-            row[i] += ONE
-            row[j] += ONE
-            row[k] -= ONE
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return span([unit_vector(n, i) for i in range(n)], n)
-    return nullspace(Matrix(rows, len(rows), n))
+            row = {i: ONE, j: ONE}
+            row[k] = row.get(k, ZERO) - ONE
+            rows.append(row)
+    return nullspace(rows, alg.dim)
 
 
 def _random_combination(rng: random.Random, mats: Sequence[Matrix], n: int) -> Matrix:

@@ -26,9 +26,7 @@ from .linalg import (
     rat,
     span,
     unit_vector,
-    vec_is_zero,
     vector,
-    zero_vector,
 )
 
 SparseCoeffs = Dict[int, Fraction]
@@ -182,32 +180,46 @@ class TwoForm:
         return f"TwoForm(dim={self.dim})"
 
 
+def cyclic_terms(alg: LieAlgebra):
+    """Yield ((i, j, k), terms) for the basis triples i < j < k.
+
+    ``terms`` lists (a, m, c) over the cyclic sum (e_i, [e_j, e_k]),
+    (e_j, [e_k, e_i]), (e_k, [e_i, e_j]): c is the e_m coefficient of the
+    bracket paired with e_a. Triples whose three brackets all vanish are
+    skipped, since every cyclic sum over them is zero.
+    """
+    n = alg.dim
+    s = alg.structure
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = [(i, m, c) for m, c in s.get((j, k), {}).items()]
+                terms += [(j, m, -c) for m, c in s.get((i, k), {}).items()]
+                terms += [(k, m, c) for m, c in s.get((i, j), {}).items()]
+                if terms:
+                    yield (i, j, k), terms
+
+
 def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     """Exact residual of the Jacobi identity on every basis triple i < j < k.
 
     An empty list certifies that the structure constants define a Lie
     algebra (antisymmetry already holds by construction).
     """
-    n = alg.dim
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = [ZERO] * n
-                for a, inner in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-                    for m, c in alg.bracket_basis(*inner).items():
-                        if c:
-                            for p, d in alg.bracket_basis(a, m).items():
-                                acc[p] += c * d
-                if any(acc):
-                    out.append((i, j, k, tuple(acc)))
+    for (i, j, k), terms in cyclic_terms(alg):
+        acc = [ZERO] * alg.dim
+        for a, m, c in terms:
+            for p, d in alg.bracket_basis(a, m).items():
+                acc[p] += c * d
+        if any(acc):
+            out.append((i, j, k, tuple(acc)))
     return out
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     """Span of all brackets of basis pairs."""
     images = [alg.bracket_basis_vector(i, j) for (i, j) in alg.structure]
-    images = [v for v in images if not vec_is_zero(v)]
     return span(images, alg.dim)
 
 
@@ -223,13 +235,8 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     current = span([unit_vector(n, i) for i in range(n)], n)
     series = [current]
     while True:
-        images = []
-        for b in current.basis:
-            for i in range(n):
-                w = alg.bracket(unit_vector(n, i), b)
-                if not vec_is_zero(w):
-                    images.append(w)
-        nxt = span(images, n)
+        nxt = span([alg.bracket(unit_vector(n, i), b)
+                    for b in current.basis for i in range(n)], n)
         if nxt == current:
             break
         series.append(nxt)
@@ -259,20 +266,14 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
     """
     if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    n = alg.dim
     gram = form.gram
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = ZERO
-                for a, inner in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-                    row = gram.row(a)
-                    for m, c in alg.bracket_basis(*inner).items():
-                        if row[m]:
-                            acc += row[m] * c
-                if acc:
-                    out.append((i, j, k, acc))
+    for (i, j, k), terms in cyclic_terms(alg):
+        acc = ZERO
+        for a, m, c in terms:
+            acc += gram[a, m] * c
+        if acc:
+            out.append((i, j, k, acc))
     return out
 
 

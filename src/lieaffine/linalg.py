@@ -4,10 +4,16 @@ Every scalar is a ``fractions.Fraction``; nothing in this package touches
 floating point. Matrices act on column coordinate vectors, so column j of
 a map is the image of basis vector j.
 
-Row reduction is fraction-free: rows are rescaled to integers, elimination
-uses cross-multiplication with per-row content reduction, and only the
-final pivot normalization reintroduces fractions. This keeps intermediate
-entries small and the result exact and deterministic.
+Every linear system goes through one elimination kernel, ``_reduce``: it
+takes sparse rows ``{col: value}``, clears each row's denominators,
+eliminates fraction-free by cross-multiplication with per-row content
+reduction, back-substitutes, and only the final pivot normalization
+reintroduces fractions. The result is the canonical reduced row-echelon
+form, so it is exact and deterministic whatever the row order. ``rref``,
+``rank``, ``span``, ``nullspace``, ``solve`` and ``invert`` are thin callers;
+``nullspace`` also takes sparse equation rows directly, so the derivation
+and closed-form systems are never built as dense matrices. ``determinant``
+keeps its own elimination because it needs the exact value.
 """
 
 from __future__ import annotations
@@ -45,29 +51,8 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = rat(c)
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(not a for a in v)
 
 
 class Matrix:
@@ -299,37 +284,69 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _integer_rows(m: Matrix) -> list:
-    """Rescale each row to coprime integers (sign preserved)."""
-    out = []
-    for row in m.data:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = 0
-        for v in ints:
+def _primitive(row: dict) -> dict:
+    """Divide an integer row by the gcd of its entries (sign preserved)."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
+    """pv * row - v * prow with its content divided out; cancelled entries drop."""
+    new = {c: pv * x for c, x in row.items()}
+    for c, x in prow.items():
+        y = new.get(c, 0) - v * x
+        if y:
+            new[c] = y
+        else:
+            del new[c]
+    return _primitive(new)
+
+
+def _reduce(rows: Iterable[dict]) -> list:
+    """Canonical RREF of sparse rational rows {col: value}.
+
+    Each row is cleared of denominators and reduced against the pivot rows
+    found so far, fraction-free; zero entries and zero rows drop out. Back
+    substitution then clears every pivot column above its pivot, and the
+    final normalization reintroduces fractions. Returns the nonzero RREF
+    rows as (pivot, {col: Fraction}) pairs in increasing pivot order.
+    """
+    echelon = {}
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values()))
+        cur = _primitive(
+            {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        )
+        while cur:
+            p = min(cur)
+            prow = echelon.get(p)
+            if prow is None:
+                echelon[p] = cur
+                break
+            cur = _eliminate(prow[p], cur, cur[p], prow)
+    pivots = sorted(echelon)
+    for idx in range(len(pivots) - 1, 0, -1):
+        p = pivots[idx]
+        prow = echelon[p]
+        pv = prow[p]
+        for q in pivots[:idx]:
+            v = echelon[q].get(p)
             if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+                echelon[q] = _eliminate(pv, echelon[q], v, prow)
+    out = []
+    for p in pivots:
+        row = echelon[p]
+        pv = row[p]
+        out.append((p, {c: Fraction(x, pv) for c, x in row.items()}))
     return out
 
 
-def _eliminate(pv: int, row: list, v: int, prow: list) -> list:
-    new = [pv * a - v * b for a, b in zip(row, prow)]
-    g = 0
-    for x in new:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return new
-    if g > 1:
-        new = [x // g for x in new]
-    return new
+def _sparse(rows: Iterable[Sequence]) -> list:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(row: dict, n: int) -> list:
+    return [row.get(j, ZERO) for j in range(n)]
 
 
 def rref(m: Matrix) -> tuple:
@@ -338,50 +355,14 @@ def rref(m: Matrix) -> tuple:
     Returns (R, pivots) where R is the unique RREF of m and pivots is the
     strictly increasing list of pivot column indices (0-based).
     """
-    rows = _integer_rows(m)
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = -1
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(r + 1, nr):
-            v = rows[i][c]
-            if v:
-                rows[i] = _eliminate(pv, rows[i], v, prow)
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for pi in range(len(pivots) - 1, -1, -1):
-        c = pivots[pi]
-        prow = rows[pi]
-        pv = prow[c]
-        for i in range(pi):
-            v = rows[i][c]
-            if v:
-                rows[i] = _eliminate(pv, rows[i], v, prow)
-    out = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            pv = row[pivots[i]]
-            out.append([Fraction(x, pv) for x in row])
-        else:
-            out.append([ZERO] * nc)
-    return Matrix(out, nr, nc), pivots
+    reduced = _reduce(_sparse(m.data))
+    out = [_dense(row, m.cols) for _, row in reduced]
+    out += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
+    return Matrix(out, m.rows, m.cols), [p for p, _ in reduced]
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(_sparse(m.data)))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
@@ -393,27 +374,27 @@ def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subs
         ambient_dim = len(vecs[0])
     if any(len(v) != ambient_dim for v in vecs):
         raise DimensionMismatch("vectors of unequal dimension")
-    if not vecs:
-        return Subspace(ambient_dim, ())
-    reduced, pivots = rref(Matrix(vecs))
-    return Subspace(ambient_dim, [reduced.row(i) for i in range(len(pivots))])
+    reduced = _reduce(_sparse(vecs))
+    return Subspace(ambient_dim, [_dense(row, ambient_dim) for _, row in reduced])
 
 
-def nullspace(m: Matrix) -> Subspace:
-    """The exact solution space of m v = 0, with an RREF basis."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r_idx, pc in enumerate(pivots):
-            coeff = reduced[r_idx, f]
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
-    return span(basis, m.cols)
+def nullspace(system, ncols: Optional[int] = None) -> Subspace:
+    """The exact solution space of a homogeneous system, with an RREF basis.
+
+    ``system`` is a Matrix m (solving m v = 0), or sparse equation rows
+    {col: value} over ``ncols`` unknowns; zero rows and no rows are allowed.
+    """
+    if isinstance(system, Matrix):
+        system, ncols = _sparse(system.data), system.cols
+    reduced = _reduce(system)
+    pivots = {p for p, _ in reduced}
+    basis = {f: {f: ONE} for f in range(ncols) if f not in pivots}
+    for p, row in reduced:
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    spanned = _reduce(basis[f] for f in sorted(basis))
+    return Subspace(ncols, [_dense(row, ncols) for _, row in spanned])
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
@@ -421,15 +402,15 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     b = vector(b)
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side does not match the row count")
-    aug = Matrix(
-        [list(a.row(i)) + [b[i]] for i in range(a.rows)], a.rows, a.cols + 1
-    )
-    reduced, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
+    rows = _sparse(a.data)
+    for row, rhs in zip(rows, b):
+        if rhs:
+            row[a.cols] = rhs
     x = [ZERO] * a.cols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = reduced[r_idx, a.cols]
+    for p, row in _reduce(rows):
+        if p == a.cols:
+            return None
+        x[p] = row.get(a.cols, ZERO)
     return tuple(x)
 
 
@@ -438,17 +419,13 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    if n == 0:
-        return Matrix.zeros(0, 0)
-    aug = Matrix(
-        [list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)],
-        n,
-        2 * n,
-    )
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    rows = _sparse(m.data)
+    for i, row in enumerate(rows):
+        row[n + i] = ONE
+    reduced = _reduce(rows)
+    if [p for p, _ in reduced] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([reduced.row(i)[n:] for i in range(n)], n, n)
+    return Matrix([[row.get(n + j, ZERO) for j in range(n)] for _, row in reduced], n, n)
 
 
 def determinant(m: Matrix) -> Fraction:

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .affine import AffineStructure, Certificate, CheckResult
+from .affine import STRATEGY_CHECKS, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm
@@ -261,8 +261,11 @@ def certificate_from_json(doc) -> Certificate:
         doc,
         required=("algebra_hash", "strategy", "seed", "trials", "version",
                   "checks", "witnesses"),
-        optional=("name",),
+        optional=("name", "note"),
     )
+    strategy = _require_str(doc["strategy"], "strategy")
+    if strategy not in STRATEGY_CHECKS:
+        raise SchemaError(f"unknown strategy {strategy!r}")
     checks = []
     if not isinstance(doc["checks"], list):
         raise SchemaError("checks must be a list")
@@ -293,7 +296,7 @@ def certificate_from_json(doc) -> Certificate:
             raise SchemaError(f"unknown witness kind {key!r}")
     return Certificate(
         algebra_hash=_require_str(doc["algebra_hash"], "algebra_hash"),
-        strategy=_require_str(doc["strategy"], "strategy"),
+        strategy=strategy,
         seed=_require_int(doc["seed"], "seed"),
         trials=_require_int(doc["trials"], "trials"),
         version=_require_str(doc["version"], "version"),

@@ -140,6 +140,20 @@ def test_der_regular_found_and_not_found(capsys):
     assert payload["trials"] == 16
 
 
+def test_der_derived_regular_binds_its_own_search(capsys):
+    # Cn as tabulated has an invertible derivation, so both searches hit,
+    # but the diagonal first pass makes the derived-regular witness diagonal.
+    code, payload, _ = run_cli(
+        capsys,
+        ["der", "derived-regular", "--family", "Cn", "--n", "6", "--lambda", "1",
+         "--reproducible"],
+    )
+    assert code == 0
+    assert payload["found"] is True
+    witness = payload["witness"]
+    assert all(witness[i][j] == "0" for i in range(6) for j in range(6) if i != j)
+
+
 def test_der_torus(capsys):
     code, payload, _ = run_cli(
         capsys, ["der", "torus", "--family", "QnZ", "--n", "8", "--reproducible"]
@@ -222,6 +236,73 @@ def test_affine_verify_rejects_wrong_algebra(capsys, tmp_path):
     )
     assert code == 2
     assert "hash" in err
+
+
+def _ln6_certificate(capsys):
+    code, payload, _ = run_cli(
+        capsys, ["affine", "synth", "--family", "Ln", "--n", "6", "--reproducible"]
+    )
+    assert code == 0
+    return payload
+
+
+def _verify_ln6(capsys, cert_path, doc):
+    cert_path.write_text(json.dumps(doc))
+    return run_cli(
+        capsys,
+        ["affine", "verify", "--family", "Ln", "--n", "6",
+         "--cert", str(cert_path), "--reproducible"],
+    )
+
+
+def test_affine_verify_rejects_vacuous_certificate(capsys, tmp_path):
+    doc = dict(_ln6_certificate(capsys), checks=[], witnesses={})
+    code, payload, _ = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 1
+    assert payload["ok"] is False
+    assert [c["name"] for c in payload["checks"]] == [
+        "is_derivation", "invertible", "torsion", "left_symmetry"
+    ]
+    assert all(c["status"] == "unknown" for c in payload["checks"])
+
+
+def test_affine_verify_rejects_unknown_strategy(capsys, tmp_path):
+    doc = dict(_ln6_certificate(capsys), strategy="bogus")
+    code, payload, err = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 2
+    assert payload is None
+    assert "strategy" in err
+
+
+def test_affine_verify_accepts_note(capsys, tmp_path):
+    doc = dict(_ln6_certificate(capsys), note="reviewed by hand")
+    code, payload, _ = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 0
+    assert payload["ok"] is True
+
+
+def test_affine_synth_reports_jacobi_violations(capsys):
+    code, payload, err = run_cli(
+        capsys,
+        ["affine", "synth", "--family", "Ank", "--n", "9", "--k", "2",
+         "--lambda=1", "--lambda=2", "--lambda=1", "--reproducible"],
+    )
+    assert code == 1
+    assert payload["jacobi_ok"] is False
+    assert payload["violations"]
+    assert err == ""
+
+
+def test_trials_must_be_positive(capsys):
+    for value in ("0", "-1"):
+        code, payload, err = run_cli(
+            capsys,
+            ["affine", "synth", "--family", "Ln", "--n", "5", f"--trials={value}",
+             "--reproducible"],
+        )
+        assert code == 2
+        assert payload is None
+        assert "--trials" in err
 
 
 def test_affine_synth_cn_succeeds(capsys):

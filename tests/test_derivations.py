@@ -309,3 +309,10 @@ def test_random_derivation_combos_stay_derivations():
             if c:
                 combo = combo + c * m
         assert is_derivation(alg, combo) == []
+
+
+def test_diagonal_derivations_with_self_cancelling_equation():
+    # [e1, e2] = e1 gives the weight equation w1 + w2 = w1, whose w1 terms
+    # cancel: the only condition is w2 = 0.
+    alg = LieAlgebra(2, {(0, 1): {0: 1}})
+    assert diagonal_derivations(alg).basis == ((F(1), F(0)),)

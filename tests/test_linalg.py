@@ -99,6 +99,27 @@ def test_rref_idempotent_on_random_rationals():
         assert pivots2 == pivots
 
 
+def test_rref_invariant_under_invertible_row_operations():
+    # t * m has the row space of m whenever t is invertible, and the RREF
+    # depends on the row space alone.
+    rng = random.Random(5)
+    for _ in range(40):
+        nr = rng.randint(1, 5)
+        nc = rng.randint(1, 6)
+        m = Matrix(
+            [
+                [F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+                 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+        )
+        while True:
+            t = Matrix([[rng.randint(-3, 3) for _ in range(nr)] for _ in range(nr)])
+            if determinant(t) != 0:
+                break
+        assert rref(t * m) == rref(m)
+
+
 def test_rref_pivot_list_strictly_increasing():
     rng = random.Random(3)
     for _ in range(20):
