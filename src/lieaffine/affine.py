@@ -24,22 +24,24 @@ winner exhaustively, and wraps the outcome in a self-contained certificate.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __about__
 from .derivations import (
+    DEFAULT_TRIALS,
     DerivationSpace,
     derivation_space,
     find_derived_regular_derivation,
     find_regular_derivation,
     is_derivation,
     restrict_to_derived,
+    seeded_combinations,
 )
 from .errors import (
     DegenerateFormError,
     DimensionMismatch,
+    LieToolError,
     NoStrategySucceeded,
     NotADerivationError,
     NotClosedError,
@@ -252,8 +254,6 @@ def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     pivots; that choice never reaches the product because every ad image
     lies in the derived subalgebra.
     """
-    if is_derivation(alg, f):
-        raise NotADerivationError("f does not satisfy the derivation identity")
     restricted = restrict_to_derived(alg, f)
     try:
         rinv = invert(restricted)
@@ -302,12 +302,14 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     return AffineStructure.from_left_mults(mults, provenance)
 
 
-def find_symplectic(alg: LieAlgebra, seed: int = 0, trials: int = 32) -> Optional[TwoForm]:
+def find_symplectic(alg: LieAlgebra, seed: int = 0,
+                    trials: int = DEFAULT_TRIALS) -> Optional[TwoForm]:
     """Seeded search for a closed nondegenerate 2-form.
 
     Returns None immediately in odd dimension; otherwise computes the
-    linear space of closed forms exactly and samples random combinations
-    of its basis until one has nonzero Gram determinant.
+    linear space of closed forms exactly and draws ``seeded_combinations``
+    of its basis until one has nonzero Gram determinant. That determinant
+    is the square of the Pfaffian, of degree n/2 in the coefficients.
     """
     n = alg.dim
     if n % 2:
@@ -323,19 +325,8 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0, trials: int = 32) -> Optiona
                 row[col] = row.get(col, ZERO) + (c if a < m else -c)
         rows.append(row)
     closed = nullspace(rows, len(pairs))
-    if closed.dim == 0:
-        return None
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [rng.randint(-10, 10) for _ in range(closed.dim)]
-        entries = {}
-        for c, base in zip(coeffs, closed.basis):
-            if not c:
-                continue
-            for s, val in enumerate(base):
-                if val:
-                    entries[pairs[s]] = entries.get(pairs[s], ZERO) + c * val
-        form = TwoForm.from_entries(n, {p: v for p, v in entries.items() if v})
+    for v in seeded_combinations(closed, seed, trials):
+        form = TwoForm.from_entries(n, {pairs[s]: x for s, x in enumerate(v) if x})
         if nondegenerate(form):
             return form
     return None
@@ -350,7 +341,7 @@ def _gram_strings(form: TwoForm) -> list:
 
 
 def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
-               trials: int = 32) -> Tuple[AffineStructure, Certificate]:
+               trials: int = DEFAULT_TRIALS) -> Tuple[AffineStructure, Certificate]:
     """Construct and certify an affine structure on alg.
 
     ``auto`` tries regular, then derived-regular, then symplectic; the
@@ -450,7 +441,7 @@ def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
     for name in required:
         try:
             residuals = _recompute_check(alg, cert, name, affine_report)
-        except (DimensionMismatch, NotADerivationError):
+        except LieToolError:
             residuals = 1
         if residuals is None:
             results.append(CheckResult(name, "unknown", -1))
@@ -476,11 +467,7 @@ def _recompute_check(alg, cert, name, affine_report) -> Optional[int]:
     if name == "restriction_invertible":
         if not isinstance(derivation, Matrix):
             return None
-        try:
-            restricted = restrict_to_derived(alg, derivation)
-        except Exception:
-            return 1
-        return 0 if determinant(restricted) != 0 else 1
+        return 0 if determinant(restrict_to_derived(alg, derivation)) != 0 else 1
     if name == "closed":
         if not isinstance(form, TwoForm):
             return None

@@ -17,9 +17,16 @@ from datetime import datetime, timezone
 from functools import partial
 
 from . import catalog
-from .affine import NOT_A_PROOF, find_symplectic, reverify_certificate, synthesize
+from .affine import (
+    NOT_A_PROOF,
+    STRATEGY_CHECKS,
+    find_symplectic,
+    reverify_certificate,
+    synthesize,
+)
 from .derivations import (
     CHAR_NILPOTENT_LIKELY,
+    DEFAULT_TRIALS,
     NOT_CHAR_NILPOTENT,
     char_nilpotent_verdict,
     derivation_space,
@@ -92,8 +99,8 @@ def _positive_int(text: str) -> int:
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--trials", type=_positive_int, default=32,
-                        help="random trial count, at least 1 (default 32)")
+    parser.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
+                        help=f"random trial count, at least 1 (default {DEFAULT_TRIALS})")
 
 
 def _need(args, name: str):
@@ -270,8 +277,7 @@ def _cmd_der_torus(args):
             "distinguished diagonal torus)"
         )
     alg = _algebra_from_family(args)
-    torus_family = "QnAdapted" if family == "QnZ" else family
-    maps = catalog.standard_torus(torus_family, args.n)
+    maps = catalog.standard_torus(family, args.n)
     report = verify_torus(alg, maps)
     payload = {
         "name": alg.name,
@@ -378,6 +384,60 @@ def _cmd_io_validate(args):
     return {"kind": args.kind, "valid": True}, 0
 
 
+def _add_strategy(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strategy", choices=("auto", *STRATEGY_CHECKS), default="auto")
+
+
+def _add_cert(help_text: str, parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cert", required=True, metavar="FILE", help=help_text)
+
+
+def _add_document(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", required=True, choices=tuple(_VALIDATORS))
+    parser.add_argument("--in", dest="infile", metavar="FILE",
+                        help="document file ('-' or omitted reads stdin)")
+
+
+_GROUPS = {
+    "catalog": "algebra family constructors",
+    "verify": "axiom and shape checks",
+    "der": "derivation algebra analysis",
+    "affine": "affine structure synthesis and checks",
+    "io": "schema validation",
+}
+
+_SOURCE = (_add_algebra_source,)
+_SEARCH = (_add_algebra_source, _add_search)
+
+# (group, command, help or None, handler, argument adders after _add_common)
+_COMMANDS = (
+    ("catalog", "list", "list families and parameters", _cmd_catalog_list, ()),
+    ("catalog", "show", "print a family member as algebra JSON", _cmd_catalog_show,
+     _SOURCE),
+    ("verify", "jacobi", None, _cmd_verify_jacobi, _SOURCE),
+    ("verify", "filiform", None, _cmd_verify_filiform, _SOURCE),
+    ("verify", "nilpotent", None, _cmd_verify_nilpotent, _SOURCE),
+    ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
+    ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
+    ("der", "regular", "search for an invertible derivation",
+     partial(_cmd_der_search, find_regular_derivation), _SEARCH),
+    ("der", "derived-regular",
+     "search for a derivation invertible on the derived subalgebra",
+     partial(_cmd_der_search, find_derived_regular_derivation), _SEARCH),
+    ("der", "char-nilp", "characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
+    ("der", "torus", "verify the family's standard torus", _cmd_der_torus, _SOURCE),
+    ("der", "verify-witness", "re-check a char-nilp witness", _cmd_der_verify_witness,
+     _SOURCE + (partial(_add_cert, "verdict JSON from 'der char-nilp'"),)),
+    ("affine", "synth", "construct and certify an affine structure", _cmd_affine_synth,
+     _SEARCH + (_add_strategy,)),
+    ("affine", "verify", "re-verify a synthesis certificate", _cmd_affine_verify,
+     _SOURCE + (partial(_add_cert, "certificate JSON"),)),
+    ("affine", "symplectic-find", "search for a symplectic form",
+     _cmd_affine_symplectic_find, _SEARCH),
+    ("io", "validate", "validate a JSON document", _cmd_io_validate, (_add_document,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieaffine",
@@ -385,101 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
         "algebras and affine (left-symmetric) structures.",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    cat = sub.add_parser("catalog", help="algebra family constructors")
-    cat_sub = cat.add_subparsers(dest="cmd", required=True)
-    p = cat_sub.add_parser("list", help="list families and parameters")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_catalog_list)
-    p = cat_sub.add_parser("show", help="print a family member as algebra JSON")
-    _add_common(p)
-    _add_algebra_source(p)
-    p.set_defaults(handler=_cmd_catalog_show)
-
-    ver = sub.add_parser("verify", help="axiom and shape checks")
-    ver_sub = ver.add_subparsers(dest="cmd", required=True)
-    for name, handler in (
-        ("jacobi", _cmd_verify_jacobi),
-        ("filiform", _cmd_verify_filiform),
-        ("nilpotent", _cmd_verify_nilpotent),
-    ):
-        p = ver_sub.add_parser(name)
+    groups = {
+        name: sub.add_parser(name, help=text).add_subparsers(dest="cmd", required=True)
+        for name, text in _GROUPS.items()
+    }
+    for group, name, text, handler, adders in _COMMANDS:
+        # help=None would still list the command with an empty help line
+        p = groups[group].add_parser(name, **({"help": text} if text else {}))
         _add_common(p)
-        _add_algebra_source(p)
+        for add in adders:
+            add(p)
         p.set_defaults(handler=handler)
-
-    der = sub.add_parser("der", help="derivation algebra analysis")
-    der_sub = der.add_subparsers(dest="cmd", required=True)
-    p = der_sub.add_parser("space", help="basis of the derivation algebra")
-    _add_common(p)
-    _add_algebra_source(p)
-    p.set_defaults(handler=_cmd_der_space)
-    p = der_sub.add_parser("diag", help="diagonal derivation weight space")
-    _add_common(p)
-    _add_algebra_source(p)
-    p.set_defaults(handler=_cmd_der_diag)
-    p = der_sub.add_parser("regular", help="search for an invertible derivation")
-    _add_common(p)
-    _add_algebra_source(p)
-    _add_search(p)
-    p.set_defaults(handler=partial(_cmd_der_search, find_regular_derivation))
-    p = der_sub.add_parser(
-        "derived-regular",
-        help="search for a derivation invertible on the derived subalgebra",
-    )
-    _add_common(p)
-    _add_algebra_source(p)
-    _add_search(p)
-    p.set_defaults(handler=partial(_cmd_der_search, find_derived_regular_derivation))
-    p = der_sub.add_parser("char-nilp", help="characteristic nilpotency verdict")
-    _add_common(p)
-    _add_algebra_source(p)
-    _add_search(p)
-    p.set_defaults(handler=_cmd_der_char_nilp)
-    p = der_sub.add_parser("torus", help="verify the family's standard torus")
-    _add_common(p)
-    _add_algebra_source(p)
-    p.set_defaults(handler=_cmd_der_torus)
-    p = der_sub.add_parser("verify-witness", help="re-check a char-nilp witness")
-    _add_common(p)
-    _add_algebra_source(p)
-    p.add_argument("--cert", required=True, metavar="FILE",
-                   help="verdict JSON from 'der char-nilp'")
-    p.set_defaults(handler=_cmd_der_verify_witness)
-
-    aff = sub.add_parser("affine", help="affine structure synthesis and checks")
-    aff_sub = aff.add_subparsers(dest="cmd", required=True)
-    p = aff_sub.add_parser("synth", help="construct and certify an affine structure")
-    _add_common(p)
-    _add_algebra_source(p)
-    _add_search(p)
-    p.add_argument(
-        "--strategy",
-        choices=("auto", "regular", "derived-regular", "symplectic"),
-        default="auto",
-    )
-    p.set_defaults(handler=_cmd_affine_synth)
-    p = aff_sub.add_parser("verify", help="re-verify a synthesis certificate")
-    _add_common(p)
-    _add_algebra_source(p)
-    p.add_argument("--cert", required=True, metavar="FILE", help="certificate JSON")
-    p.set_defaults(handler=_cmd_affine_verify)
-    p = aff_sub.add_parser("symplectic-find", help="search for a symplectic form")
-    _add_common(p)
-    _add_algebra_source(p)
-    _add_search(p)
-    p.set_defaults(handler=_cmd_affine_symplectic_find)
-
-    io = sub.add_parser("io", help="schema validation")
-    io_sub = io.add_subparsers(dest="cmd", required=True)
-    p = io_sub.add_parser("validate", help="validate a JSON document")
-    _add_common(p)
-    p.add_argument("--kind", required=True,
-                   choices=("algebra", "twoform", "affine", "certificate"))
-    p.add_argument("--in", dest="infile", metavar="FILE",
-                   help="document file ('-' or omitted reads stdin)")
-    p.set_defaults(handler=_cmd_io_validate)
-
     return parser
 
 

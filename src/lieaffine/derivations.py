@@ -2,14 +2,15 @@
 
 ``derivation_space`` solves the linear system expressing
 D[x, y] = [Dx, y] + [x, Dy] on all basis pairs, over the n^2 matrix
-entries of D. Randomized searches (for invertible derivations, for
+entries of D. Every randomized search (for invertible derivations, for
 derivations whose restriction to the derived subalgebra is invertible,
-and for non-nilpotent derivations) draw combination coefficients
-uniformly from {-10, ..., 10} with an explicitly seeded generator, so
-every verdict is reproducible from (seed, trials). The determinant and
-the nilpotency defect are polynomials of low degree in those
-coefficients, which keeps the per-trial miss probability small whenever
-a good element exists.
+for non-nilpotent derivations, and for symplectic forms) draws its
+candidates from ``seeded_combinations``: coefficients uniform in
+{-10, ..., 10} from an explicitly seeded generator, so every verdict is
+reproducible from (seed, trials). When a good element exists, a trial
+misses it with probability at most d/21 by Schwartz-Zippel, d being the
+degree of the defect polynomial (d = n for an n x n determinant): a
+bound that is vacuous from n = 21 on.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotADerivationError, NotInvariantError
 from .liealg import LieAlgebra, derived_subalgebra
@@ -160,39 +162,49 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
     return nullspace(rows, alg.dim)
 
 
-def _random_combination(rng: random.Random, mats: Sequence[Matrix], n: int) -> Matrix:
-    acc = Matrix.zeros(n, n)
-    for m in mats:
-        c = rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
-        if c:
-            acc = acc + c * m
-    return acc
+def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[tuple]:
+    """``trials`` seeded vectors sum c_i v_i over the RREF basis v_i of space.
+
+    Each c_i is one ``randint(-10, 10)`` from ``random.Random(seed)``, drawn
+    per basis vector in basis order, so (seed, trials) replays a search
+    exactly; ``trials`` is checked before any candidate is drawn. By
+    Schwartz-Zippel a nonzero polynomial of degree d in the c_i vanishes on
+    a draw with probability at most d/21 (d = n for an n x n determinant),
+    which is vacuous from n = 21 on.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = random.Random(seed)
+
+    def stream():
+        for _ in range(trials):
+            acc = [ZERO] * space.ambient_dim
+            for base in space.basis:
+                c = rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
+                if c:
+                    for j, x in enumerate(base):
+                        if x:
+                            acc[j] += c * x
+            yield tuple(acc)
+
+    return stream()
+
+
+def _first_hit(space: DerivationSpace, fixed: Iterable[Matrix], seed: int, trials: int,
+               accept: Callable[[Matrix], bool]) -> Optional[Matrix]:
+    """First candidate passing ``accept``: the fixed ones, then the seeded stream."""
+    n = space.algebra.dim
+    drawn = (Matrix.unflatten(v, n) for v in seeded_combinations(space.flat, seed, trials))
+    return next((cand for cand in chain(fixed, drawn) if accept(cand)), None)
 
 
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Seeded random search for an invertible derivation; None if all fail."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    n = space.algebra.dim
-    rng = random.Random(seed)
-    for _ in range(trials):
-        cand = _random_combination(rng, space.basis, n)
-        if determinant(cand) != 0:
-            return cand
-    return None
+    return _first_hit(space, (), seed, trials, lambda f: determinant(f) != 0)
 
 
-def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
-    """Matrix of m on the RREF basis of the derived subalgebra.
-
-    Derivations always preserve the derived subalgebra; a map that is not
-    a derivation is rejected, and a defensive invariance check still
-    guards the coordinate extraction.
-    """
-    if is_derivation(alg, m):
-        raise NotADerivationError("map does not satisfy the derivation identity")
-    derived = derived_subalgebra(alg)
+def _restrict(derived: Subspace, m: Matrix) -> Matrix:
     cols = []
     for b in derived.basis:
         coords = derived.coordinates(m.apply(b))
@@ -204,32 +216,32 @@ def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
     return Matrix.from_columns(cols, rows=derived.dim)
 
 
+def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
+    """Matrix of m on the RREF basis of the derived subalgebra.
+
+    Derivations always preserve the derived subalgebra; a map that is not
+    a derivation is rejected, and a defensive invariance check still
+    guards the coordinate extraction.
+    """
+    if is_derivation(alg, m):
+        raise NotADerivationError("map does not satisfy the derivation identity")
+    return _restrict(derived_subalgebra(alg), m)
+
+
 def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
                                     trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for a derivation whose derived-subalgebra restriction is invertible.
 
     Deterministic first pass over the diagonal derivation weights, then the
     seeded random combinations. A zero-dimensional derived subalgebra makes
-    every candidate succeed (the empty matrix counts as invertible).
+    every candidate succeed (the empty matrix counts as invertible). Every
+    candidate lies in Der(g) by construction, so none is re-checked here.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     alg = space.algebra
-    n = alg.dim
-
-    def restriction_invertible(cand: Matrix) -> bool:
-        return determinant(restrict_to_derived(alg, cand)) != 0
-
-    for w in diagonal_derivations(alg).basis:
-        cand = Matrix.diagonal(w)
-        if restriction_invertible(cand):
-            return cand
-    rng = random.Random(seed)
-    for _ in range(trials):
-        cand = _random_combination(rng, space.basis, n)
-        if restriction_invertible(cand):
-            return cand
-    return None
+    derived = derived_subalgebra(alg)
+    diagonal = (Matrix.diagonal(w) for w in diagonal_derivations(alg).basis)
+    return _first_hit(space, diagonal, seed, trials,
+                      lambda f: determinant(_restrict(derived, f)) != 0)
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
@@ -241,15 +253,9 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     yields CharNilpotentLikely, which is probabilistic by design.
     """
     space = derivation_space(alg)
-    for cand in space.basis:
-        if not is_nilpotent(cand):
-            return CharNilpVerdict(NOT_CHAR_NILPOTENT, cand, seed, trials)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        cand = _random_combination(rng, space.basis, alg.dim)
-        if not is_nilpotent(cand):
-            return CharNilpVerdict(NOT_CHAR_NILPOTENT, cand, seed, trials)
-    return CharNilpVerdict(CHAR_NILPOTENT_LIKELY, None, seed, trials)
+    witness = _first_hit(space, space.basis, seed, trials, lambda f: not is_nilpotent(f))
+    kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
+    return CharNilpVerdict(kind, witness, seed, trials)
 
 
 def verify_witness(alg: LieAlgebra, witness: Matrix) -> dict:

@@ -70,9 +70,6 @@ class LieAlgebra:
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim}, pairs={len(self.structure)})"
 
-    def basis_vector(self, i: int):
-        return unit_vector(self.dim, i)
-
     def bracket_basis(self, i: int, j: int) -> SparseCoeffs:
         """Sparse coefficients of [e_i, e_j]; antisymmetry applied."""
         if i == j:
@@ -150,20 +147,6 @@ class TwoForm:
             grid[i][j] = val
             grid[j][i] = -val
         return cls(Matrix(grid, dim, dim))
-
-    def value(self, x: Sequence, y: Sequence) -> Fraction:
-        x = vector(x)
-        y = vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("form arguments must match the form dimension")
-        acc = ZERO
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram.row(i)
-                for j, yj in enumerate(y):
-                    if yj and row[j]:
-                        acc += xi * row[j] * yj
-        return acc
 
     def scaled(self, c) -> "TwoForm":
         return TwoForm(rat(c) * self.gram)

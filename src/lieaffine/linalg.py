@@ -112,17 +112,11 @@ class Matrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
 
     def flatten(self) -> Vector:
         return tuple(x for row in self.data for x in row)
-
-    def to_lists(self) -> list:
-        return [list(row) for row in self.data]
 
     @property
     def is_square(self) -> bool:

@@ -266,6 +266,27 @@ def test_affine_verify_rejects_vacuous_certificate(capsys, tmp_path):
     assert all(c["status"] == "unknown" for c in payload["checks"])
 
 
+def test_affine_verify_rejects_tampered_derived_regular_witness(capsys, tmp_path):
+    cn6 = ["--family", "Cn", "--n", "6", "--lambda", "1"]
+    code, doc, _ = run_cli(
+        capsys,
+        ["affine", "synth", *cn6, "--strategy", "derived-regular", "--reproducible"],
+    )
+    assert code == 0
+    doc["witnesses"]["derivation"] = [
+        ["1" if i == j else "0" for j in range(6)] for i in range(6)
+    ]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    code, payload, _ = run_cli(
+        capsys, ["affine", "verify", *cn6, "--cert", str(cert_path), "--reproducible"]
+    )
+    assert code == 1
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert status["is_derivation"] == "fail"
+    assert status["restriction_invertible"] == "fail"
+
+
 def test_affine_verify_rejects_unknown_strategy(capsys, tmp_path):
     doc = dict(_ln6_certificate(capsys), strategy="bogus")
     code, payload, err = _verify_ln6(capsys, tmp_path / "cert.json", doc)

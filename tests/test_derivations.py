@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine.affine import find_symplectic
 from lieaffine.catalog import (
     make_abelian,
     make_benoist,
@@ -24,6 +25,7 @@ from lieaffine.derivations import (
     is_derivation,
     minimal_polynomial,
     restrict_to_derived,
+    seeded_combinations,
     verify_torus,
     verify_witness,
 )
@@ -167,6 +169,36 @@ def test_find_regular_derivation_c6_finds_hidden_regular():
     assert determinant(f) != 0
 
 
+def test_find_regular_derivation_replays_the_documented_draw():
+    # (seed, trials) replay relies on this order: per trial, one
+    # randint(-10, 10) per Der(g) basis element, in basis order.
+    space = derivation_space(make_ln(6))
+    rng = random.Random(11)
+    expected = None
+    while expected is None:
+        cand = Matrix.zeros(6, 6)
+        for m in space.basis:
+            cand = cand + rng.randint(-10, 10) * m
+        if determinant(cand) != 0:
+            expected = cand
+    assert find_regular_derivation(space, seed=11, trials=32) == expected
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("search", [
+    # the fixed first candidates of the last three succeed, so only an
+    # eager trials check can raise
+    lambda trials: find_regular_derivation(derivation_space(make_ln(4)), trials=trials),
+    lambda trials: find_derived_regular_derivation(
+        derivation_space(make_cn(6, [1])[0]), trials=trials),
+    lambda trials: char_nilpotent_verdict(make_ln(8), trials=trials),
+    lambda trials: find_symplectic(make_ln(4), trials=trials),
+], ids=["regular", "derived-regular", "char-nilp", "symplectic"])
+def test_searches_reject_nonpositive_trials(search, trials):
+    with pytest.raises(ValueError, match="trials"):
+        search(trials)
+
+
 def test_find_regular_derivation_benoist_absent():
     space = derivation_space(make_benoist(1))
     assert find_regular_derivation(space, seed=0, trials=64) is None
@@ -302,12 +334,16 @@ def test_random_derivation_combos_stay_derivations():
     rng = random.Random(5)
     alg = make_qn(6)
     space = derivation_space(alg)
+    combos = []
     for _ in range(10):
         combo = Matrix.zeros(6, 6)
         for m in space.basis:
             c = rng.randint(-3, 3)
             if c:
                 combo = combo + c * m
+        combos.append(combo)
+    combos += [Matrix.unflatten(v, 6) for v in seeded_combinations(space.flat, 5, 10)]
+    for combo in combos:
         assert is_derivation(alg, combo) == []
 
 
