@@ -5,7 +5,9 @@ antisymmetrization is the bracket (x.y - y.x = [x, y]) and which satisfies
 the left-symmetry identity x.(y.z) - y.(x.z) = (x.y).z - (y.x).z. Both
 axioms are bilinear, so checking them on all basis tuples is a complete,
 finite certificate; ``verify_affine`` does exactly that and reports every
-violating tuple with its exact residual.
+violating tuple with its exact residual. The check stays exhaustive over
+basis tuples but reads the product tensor as sparse vectors, so its cost
+grows with the tensor's nonzeros rather than with dense matrix products.
 
 Three constructors are provided:
 
@@ -17,6 +19,10 @@ Three constructors are provided:
   irrelevant because ad images lie in the derived subalgebra).
 * ``from_symplectic``: the product defined against a closed nondegenerate
   2-form by th([x, u], v) = -th(u, x.v).
+
+All three build e_i.e_j as outer(M_i(inner e_j)) from sparse columns
+(``_product_tensor``); the tensor itself stays dense, so documents and
+certificates keep one format.
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -31,6 +37,8 @@ from . import __about__
 from .derivations import (
     DEFAULT_TRIALS,
     DerivationSpace,
+    _restrict,
+    check_trials,
     derivation_space,
     find_derived_regular_derivation,
     find_regular_derivation,
@@ -52,6 +60,7 @@ from .errors import (
 from .liealg import (
     LieAlgebra,
     TwoForm,
+    ad_columns,
     algebra_hash,
     cyclic_terms,
     derived_subalgebra,
@@ -62,10 +71,12 @@ from .linalg import (
     Matrix,
     ONE,
     ZERO,
+    dense_vector,
     determinant,
     invert,
     nullspace,
-    unit_vector,
+    sparse_apply,
+    sparse_columns,
     vector,
 )
 
@@ -99,15 +110,6 @@ class AffineStructure:
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineStructure is immutable")
-
-    @classmethod
-    def from_left_mults(cls, mats: Sequence[Matrix], provenance=None) -> "AffineStructure":
-        n = len(mats)
-        gamma = [[m.column(j) for j in range(n)] for m in mats]
-        return cls(n, gamma, provenance)
-
-    def left_mult(self, i: int) -> Matrix:
-        return Matrix.from_columns(self.gamma[i], rows=self.dim)
 
     def product(self, x: Sequence, y: Sequence):
         x = vector(x)
@@ -194,39 +196,56 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     triples (i, j, k, residual) with i < j where
     e_i.(e_j.e_k) - e_j.(e_i.e_k) - (e_i.e_j).e_k + (e_j.e_i).e_k is
     nonzero. Bilinearity makes these basis checks equivalent to the
-    universally quantified axioms.
+    universally quantified axioms. The tensor is read once into sparse
+    vectors, so each residual costs in proportion to the nonzeros it meets.
     """
     n = alg.dim
     if structure.dim != n:
         raise DimensionMismatch("structure dimension does not match the algebra")
-    mults = [structure.left_mult(i) for i in range(n)]
+    # left[i][j] = e_i.e_j, neg[i][j] = -(e_i.e_j), right[k][m] = e_m.e_k
+    left = [[{k: x for k, x in enumerate(col) if x} for col in row]
+            for row in structure.gamma]
+    neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
+    right = [[left[m][k] for m in range(n)] for k in range(n)]
     report = AffineReport()
     for i in range(n):
         for j in range(i + 1, n):
-            residual = tuple(
-                a - b - c
-                for a, b, c in zip(
-                    structure.gamma[i][j],
-                    structure.gamma[j][i],
-                    alg.bracket_basis_vector(i, j),
-                )
-            )
-            if any(residual):
-                report.torsion_violations.append((i, j, residual))
+            residual = _sparse_sum(left[i][j], neg[j][i], alg.bracket_basis(j, i))
+            if any(residual.values()):
+                report.torsion_violations.append((i, j, dense_vector(residual, n)))
     for i in range(n):
         for j in range(i + 1, n):
-            defect = mults[i] * mults[j] - mults[j] * mults[i]
-            u = structure.gamma[i][j]
-            v = structure.gamma[j][i]
-            for m in range(n):
-                c = v[m] - u[m]
-                if c:
-                    defect = defect + c * mults[m]
+            swapped = _sparse_sum(left[j][i], neg[i][j])
             for k in range(n):
-                col = defect.column(k)
-                if any(col):
-                    report.leftsym_violations.append((i, j, k, col))
+                residual = sparse_apply(left[i], left[j][k])
+                sparse_apply(left[j], neg[i][k], residual)
+                sparse_apply(right[k], swapped, residual)
+                if any(residual.values()):
+                    report.leftsym_violations.append((i, j, k, dense_vector(residual, n)))
     return report
+
+
+def _sparse_sum(*vectors: dict) -> dict:
+    out = {}
+    for v in vectors:
+        for k, x in v.items():
+            out[k] = out.get(k, ZERO) + x
+    return out
+
+
+def _product_tensor(outer: Matrix, maps: Sequence[list], inner: Matrix,
+                    provenance: dict) -> AffineStructure:
+    """The structure with e_i.e_j = outer(maps[i](inner e_j)).
+
+    ``maps[i]`` holds the sparse columns of a map; the three constructions
+    differ only in the three maps.
+    """
+    n = len(maps)
+    outer_cols = sparse_columns(outer)
+    inner_cols = sparse_columns(inner)
+    gamma = [[dense_vector(sparse_apply(outer_cols, sparse_apply(m, inner_cols[j])), n)
+              for j in range(n)] for m in maps]
+    return AffineStructure(n, gamma, provenance)
 
 
 def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -237,14 +256,12 @@ def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
         finv = invert(f)
     except SingularMatrixError:
         raise SingularMatrixError("f is singular; the conjugation product needs f^{-1}")
-    n = alg.dim
-    mults = [finv * alg.ad(unit_vector(n, i)) * f for i in range(n)]
     provenance = {
         "strategy": "regular",
         "inputs": {"derivation": _matrix_strings(f)},
         "seed": None,
     }
-    return AffineStructure.from_left_mults(mults, provenance)
+    return _product_tensor(finv, ad_columns(alg), f, provenance)
 
 
 def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -254,28 +271,27 @@ def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     pivots; that choice never reaches the product because every ad image
     lies in the derived subalgebra.
     """
-    restricted = restrict_to_derived(alg, f)
+    if is_derivation(alg, f):
+        raise NotADerivationError("map does not satisfy the derivation identity")
+    derived = derived_subalgebra(alg)
     try:
-        rinv = invert(restricted)
+        rinv = invert(_restrict(derived, f))
     except SingularMatrixError:
         raise SingularOnDerivedError(
             "restriction of f to the derived subalgebra is singular"
         )
-    derived = derived_subalgebra(alg)
     n = alg.dim
     r = derived.dim
     embed = Matrix.from_columns(derived.basis, rows=n) if r else Matrix.zeros(n, 0)
     picker = Matrix(
         [[ONE if c == p else ZERO for c in range(n)] for p in derived.pivots], r, n
     )
-    g = embed * rinv * picker
-    mults = [g * alg.ad(unit_vector(n, i)) * f for i in range(n)]
     provenance = {
         "strategy": "derived-regular",
         "inputs": {"derivation": _matrix_strings(f)},
         "seed": None,
     }
-    return AffineStructure.from_left_mults(mults, provenance)
+    return _product_tensor(embed * rinv * picker, ad_columns(alg), f, provenance)
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -291,26 +307,32 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     if not nondegenerate(form):
         raise DegenerateFormError("the 2-form is degenerate")
     th = form.gram
-    thinv = invert(th)
     n = alg.dim
-    mults = [-(thinv * alg.ad(unit_vector(n, i)).transpose() * th) for i in range(n)]
+    # column p of ad(e_i)^T is row p of ad(e_i)
+    transposed = [[{} for _ in range(n)] for _ in range(n)]
+    for i, cols in enumerate(ad_columns(alg)):
+        for q, col in enumerate(cols):
+            for p, c in col.items():
+                transposed[i][p][q] = c
     provenance = {
         "strategy": "symplectic",
         "inputs": {"two_form": _gram_strings(form)},
         "seed": None,
     }
-    return AffineStructure.from_left_mults(mults, provenance)
+    return _product_tensor(-invert(th), transposed, th, provenance)
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
                     trials: int = DEFAULT_TRIALS) -> Optional[TwoForm]:
     """Seeded search for a closed nondegenerate 2-form.
 
-    Returns None immediately in odd dimension; otherwise computes the
-    linear space of closed forms exactly and draws ``seeded_combinations``
-    of its basis until one has nonzero Gram determinant. That determinant
-    is the square of the Pfaffian, of degree n/2 in the coefficients.
+    Raises ValueError when ``trials`` < 1 and returns None in odd
+    dimension; otherwise computes the linear space of closed forms exactly
+    and draws ``seeded_combinations`` of its basis until one has nonzero
+    Gram determinant. That determinant is the square of the Pfaffian, of
+    degree n/2 in the coefficients.
     """
+    check_trials(trials)
     n = alg.dim
     if n % 2:
         return None

@@ -23,17 +23,19 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotADerivationError, NotInvariantError
-from .liealg import LieAlgebra, derived_subalgebra
+from .liealg import LieAlgebra, ad_columns, derived_subalgebra
 from .linalg import (
     Matrix,
     Subspace,
     ONE,
     ZERO,
+    dense_vector,
     determinant,
     is_nilpotent,
     nullspace,
     solve,
-    unit_vector,
+    sparse_apply,
+    sparse_columns,
 )
 
 NOT_CHAR_NILPOTENT = "NotCharNilpotent"
@@ -104,21 +106,23 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     """Violations of m[e_i, e_j] = [m e_i, e_j] + [e_i, m e_j], all i < j.
 
     Each entry is (i, j, residual vector); an empty list certifies that m
-    is a derivation.
+    is a derivation. The residual m[e_i, e_j] + [e_j, m e_i] - [e_i, m e_j]
+    is built from the sparse columns of m and of ad(e_i), ad(e_j).
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
+    cols = sparse_columns(m)
+    neg = [{r: -x for r, x in col.items()} for col in cols]
+    ad = ad_columns(alg)
     out = []
-    cols = [m.column(j) for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = m.apply(alg.bracket_basis_vector(i, j))
-            r1 = alg.bracket(cols[i], unit_vector(n, j))
-            r2 = alg.bracket(unit_vector(n, i), cols[j])
-            residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
-            if any(residual):
-                out.append((i, j, residual))
+            residual = sparse_apply(cols, alg.structure.get((i, j), {}))
+            sparse_apply(ad[j], cols[i], residual)
+            sparse_apply(ad[i], neg[j], residual)
+            if any(residual.values()):
+                out.append((i, j, dense_vector(residual, n)))
     return out
 
 
@@ -162,6 +166,12 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
     return nullspace(rows, alg.dim)
 
 
+def check_trials(trials: int) -> None:
+    """Reject a search budget below one trial, before any work is done."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[tuple]:
     """``trials`` seeded vectors sum c_i v_i over the RREF basis v_i of space.
 
@@ -172,8 +182,7 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[tup
     a draw with probability at most d/21 (d = n for an n x n determinant),
     which is vacuous from n = 21 on.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_trials(trials)
     rng = random.Random(seed)
 
     def stream():

@@ -163,6 +163,12 @@ class TwoForm:
         return f"TwoForm(dim={self.dim})"
 
 
+def ad_columns(alg: LieAlgebra) -> List[List[SparseCoeffs]]:
+    """ad(e_i) as sparse columns, for every i: entry [i][q] is [e_i, e_q]."""
+    n = alg.dim
+    return [[alg.bracket_basis(i, q) for q in range(n)] for i in range(n)]
+
+
 def cyclic_terms(alg: LieAlgebra):
     """Yield ((i, j, k), terms) for the basis triples i < j < k.
 

@@ -125,9 +125,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)], self.cols, self.rows)
-
     def trace(self) -> Fraction:
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")
@@ -339,8 +336,37 @@ def _sparse(rows: Iterable[Sequence]) -> list:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def _dense(row: dict, n: int) -> list:
-    return [row.get(j, ZERO) for j in range(n)]
+def sparse_columns(m: Matrix) -> list:
+    """Column j of m as a sparse vector {row: value}, for every j."""
+    cols = [{} for _ in range(m.cols)]
+    for r, row in enumerate(m.data):
+        for c, x in enumerate(row):
+            if x:
+                cols[c][r] = x
+    return cols
+
+
+def sparse_apply(columns: Sequence[dict], v: dict, out: Optional[dict] = None) -> dict:
+    """Add sum_a v[a] * columns[a] into ``out`` (a new dict by default).
+
+    ``columns`` are the sparse images {row: value} of the basis vectors and
+    ``v`` is a sparse vector {a: value}, so the work is proportional to the
+    nonzeros met. Entries that cancel stay in ``out`` as zeros.
+    """
+    if out is None:
+        out = {}
+    for a, x in v.items():
+        for b, y in columns[a].items():
+            out[b] = out.get(b, ZERO) + x * y
+    return out
+
+
+def dense_vector(row: dict, n: int) -> Vector:
+    """The length-n coordinate tuple of a sparse vector {index: value}."""
+    out = [ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def rref(m: Matrix) -> tuple:
@@ -350,7 +376,7 @@ def rref(m: Matrix) -> tuple:
     strictly increasing list of pivot column indices (0-based).
     """
     reduced = _reduce(_sparse(m.data))
-    out = [_dense(row, m.cols) for _, row in reduced]
+    out = [dense_vector(row, m.cols) for _, row in reduced]
     out += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
     return Matrix(out, m.rows, m.cols), [p for p, _ in reduced]
 
@@ -369,7 +395,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subs
     if any(len(v) != ambient_dim for v in vecs):
         raise DimensionMismatch("vectors of unequal dimension")
     reduced = _reduce(_sparse(vecs))
-    return Subspace(ambient_dim, [_dense(row, ambient_dim) for _, row in reduced])
+    return Subspace(ambient_dim, [dense_vector(row, ambient_dim) for _, row in reduced])
 
 
 def nullspace(system, ncols: Optional[int] = None) -> Subspace:
@@ -388,7 +414,7 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
             if c != p:
                 basis[c][p] = -x
     spanned = _reduce(basis[f] for f in sorted(basis))
-    return Subspace(ncols, [_dense(row, ncols) for _, row in spanned])
+    return Subspace(ncols, [dense_vector(row, ncols) for _, row in spanned])
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:

@@ -34,12 +34,16 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(text) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SchemaError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise SchemaError(f"zero denominator in rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # Python's limit on digits in an int string
+        raise SchemaError(
+            f"rational of {len(text)} characters exceeds the integer digit limit"
+        ) from exc
+    if den == 0:
+        raise SchemaError(f"zero denominator in rational {text!r}")
+    return Fraction(num, den)
 
 
 def _require_object(doc, required, optional=frozenset()):

@@ -55,6 +55,60 @@ def test_verify_affine_zero_product_fails_torsion_on_l4():
     assert residuals[(0, 1)] == tuple(-x for x in unit_vector(4, 2))
 
 
+def _naive_affine_report(alg, structure):
+    """Both axioms evaluated with AffineStructure.product on basis tuples."""
+    n = alg.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    dot = structure.product
+    torsion, leftsym = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = dot(e[i], e[j]), dot(e[j], e[i]), alg.bracket(e[i], e[j])
+            residual = tuple(a - b - c for a, b, c in zip(*terms))
+            if any(residual):
+                torsion.append((i, j, residual))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                terms = (dot(e[i], dot(e[j], e[k])), dot(e[j], dot(e[i], e[k])),
+                         dot(dot(e[i], e[j]), e[k]), dot(dot(e[j], e[i]), e[k]))
+                residual = tuple(a - b - c + d for a, b, c, d in zip(*terms))
+                if any(residual):
+                    leftsym.append((i, j, k, residual))
+    return torsion, leftsym
+
+
+def _tampered(structure, rng, changes):
+    n = structure.dim
+    gamma = [[list(col) for col in row] for row in structure.gamma]
+    for _ in range(changes):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        gamma[i][j][k] += F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return AffineStructure(n, gamma)
+
+
+def test_verify_affine_matches_naive_evaluation():
+    l6 = make_ln(6)
+    c6 = make_cn(6, [1])[0]
+    cases = [
+        (l6, synthesize(l6, strategy="regular")[0]),
+        (c6, synthesize(c6, strategy="derived-regular")[0]),
+        (l6, synthesize(l6, strategy="symplectic")[0]),
+    ]
+    rng = random.Random(2024)
+    for alg, structure in list(cases):
+        for changes in (1, 2, 5, 30):
+            cases.append((alg, _tampered(structure, rng, changes)))
+    failing = 0
+    for alg, structure in cases:
+        report = verify_affine(alg, structure)
+        torsion, leftsym = _naive_affine_report(alg, structure)
+        assert report.torsion_violations == torsion
+        assert report.leftsym_violations == leftsym
+        failing += not report.passed
+    assert failing == len(cases) - 3
+
+
 def test_from_regular_derivation_l4_hand_values():
     l4 = make_ln(4)
     f = Matrix.diagonal([1, 2, 3, 4])

@@ -1,7 +1,9 @@
 """CLI surface: exit codes, JSON payloads, piping, determinism."""
 
+import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +87,24 @@ def test_verify_jacobi_flags_violations(capsys, monkeypatch):
     assert payload["jacobi_ok"] is False
     triples = {(v["i"], v["j"], v["k"]) for v in payload["violations"]}
     assert (1, 2, 4) in triples
+
+
+def test_verify_jacobi_rejects_rational_past_digit_limit(capsys, tmp_path):
+    # Python refuses int strings past 4300 digits; that is an input error
+    doc = {
+        "name": "huge",
+        "dim": 3,
+        "basis": ["Y1", "Y2", "Y3"],
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1" + "0" * 5000}}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_cli(
+        capsys, ["verify", "jacobi", "--in", str(path), "--reproducible"]
+    )
+    assert code == 2
+    assert payload is None
+    assert "digit limit" in err
 
 
 def test_verify_filiform_and_nilpotent(capsys):
@@ -287,6 +307,25 @@ def test_affine_verify_rejects_tampered_derived_regular_witness(capsys, tmp_path
     assert status["restriction_invertible"] == "fail"
 
 
+def test_affine_verify_fails_left_symmetry_when_both_orders_shift(capsys, tmp_path):
+    # adding the same vector to e1.e2 and e2.e1 keeps their difference,
+    # so torsion still holds and only left-symmetry can catch it
+    doc = _ln6_certificate(capsys)
+    gamma = doc["witnesses"]["affine_structure"]["gamma"]
+    for i, j in ((1, 2), (2, 1)):
+        entry = next((e for e in gamma if (e["i"], e["j"]) == (i, j)), None)
+        if entry is None:
+            entry = {"i": i, "j": j, "coeffs": {}}
+            gamma.append(entry)
+        entry["coeffs"]["5"] = str(Fraction(entry["coeffs"].get("5", "0")) + 1)
+    code, payload, _ = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 1
+    assert payload["ok"] is False
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert status == {"is_derivation": "pass", "invertible": "pass",
+                      "torsion": "pass", "left_symmetry": "fail"}
+
+
 def test_affine_verify_rejects_unknown_strategy(capsys, tmp_path):
     doc = dict(_ln6_certificate(capsys), strategy="bogus")
     code, payload, err = _verify_ln6(capsys, tmp_path / "cert.json", doc)
@@ -448,6 +487,28 @@ def test_reproducible_outputs_are_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the --reproducible stdout, recorded before the sparse rewrite
+# of verify_affine, is_derivation and the constructions; the certificates
+# carry the package version, so a version bump needs a re-pin.
+PINNED_SYNTH_STDOUT = {
+    ("--family", "Ln", "--n", "12"):
+        "b0e1b6aefb60f65a88d3407690b5fbc725f60608971e468ab8b5bf2b3a05eeaf",
+    ("--family", "Ln", "--n", "12", "--strategy", "symplectic"):
+        "67bbc9ee05a1ec181112051f2824ff43d8e52316f1298f1d065b92a844b61d74",
+    ("--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1",
+     "--strategy", "derived-regular"):
+        "732ff6087b1460d650a457e2a1725fc379d2e987801a46d4fb4eba344c8870ec",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_SYNTH_STDOUT))
+def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
+    code = main(["affine", "synth", *args, "--reproducible"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SYNTH_STDOUT[args]
 
 
 def test_timestamp_present_without_reproducible(capsys):

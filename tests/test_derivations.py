@@ -61,6 +61,51 @@ def test_is_derivation_c6_torus():
     assert is_derivation(c6, Matrix.diagonal([0, 1, 1, 1, 1, 2])) == []
 
 
+def _naive_derivation_violations(alg, m):
+    """The derivation identity evaluated with Matrix.apply and LieAlgebra.bracket."""
+    n = alg.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = m.apply(alg.bracket(e[i], e[j]))
+            r1 = alg.bracket(m.apply(e[i]), e[j])
+            r2 = alg.bracket(e[i], m.apply(e[j]))
+            residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
+            if any(residual):
+                out.append((i, j, residual))
+    return out
+
+
+@pytest.mark.parametrize("alg", [
+    make_ln(7), make_qn(8), make_cn(6, [1])[0], make_benoist(1),
+], ids=["L7", "Q8", "C6", "Benoist1"])
+def test_is_derivation_matches_definition_on_random_maps(alg):
+    n = alg.dim
+    rng = random.Random(n)
+    basis = derivation_space(alg).basis
+    maps = []
+    for density in (0.1, 0.5, 1.0):
+        maps.append(Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                             if rng.random() < density else 0
+                             for _ in range(n)] for _ in range(n)]))
+    for _ in range(3):
+        d = Matrix.zeros(n, n)
+        for b in basis:
+            d = d + Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * b
+        maps.append(d)
+        # one entry off a derivation breaks only some pairs
+        bump = [[0] * n for _ in range(n)]
+        bump[rng.randrange(n)][rng.randrange(n)] = Fraction(1, rng.randint(1, 5))
+        maps.append(d + Matrix(bump))
+    seen_empty = False
+    for m in maps:
+        expected = _naive_derivation_violations(alg, m)
+        assert is_derivation(alg, m) == expected
+        seen_empty |= not expected
+    assert seen_empty
+
+
 def test_derivation_space_abelian_is_everything():
     assert derivation_space(make_abelian(3)).dim == 9
 
@@ -186,14 +231,16 @@ def test_find_regular_derivation_replays_the_documented_draw():
 
 @pytest.mark.parametrize("trials", [0, -1])
 @pytest.mark.parametrize("search", [
-    # the fixed first candidates of the last three succeed, so only an
-    # eager trials check can raise
+    # the fixed first candidates of derived-regular, char-nilp and
+    # symplectic succeed, and odd dimension answers None without a search,
+    # so only an eager trials check can raise
     lambda trials: find_regular_derivation(derivation_space(make_ln(4)), trials=trials),
     lambda trials: find_derived_regular_derivation(
         derivation_space(make_cn(6, [1])[0]), trials=trials),
     lambda trials: char_nilpotent_verdict(make_ln(8), trials=trials),
     lambda trials: find_symplectic(make_ln(4), trials=trials),
-], ids=["regular", "derived-regular", "char-nilp", "symplectic"])
+    lambda trials: find_symplectic(make_ln(5), trials=trials),
+], ids=["regular", "derived-regular", "char-nilp", "symplectic", "symplectic-odd"])
 def test_searches_reject_nonpositive_trials(search, trials):
     with pytest.raises(ValueError, match="trials"):
         search(trials)
