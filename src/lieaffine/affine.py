@@ -72,8 +72,8 @@ from .linalg import (
     ONE,
     ZERO,
     dense_vector,
-    determinant,
     invert,
+    nonsingular,
     nullspace,
     sparse_apply,
     sparse_columns,
@@ -304,9 +304,11 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
         raise DimensionMismatch("form dimension does not match the algebra")
     if dtheta_residual(alg, form):
         raise NotClosedError("the 2-form is not closed")
-    if not nondegenerate(form):
-        raise DegenerateFormError("the 2-form is degenerate")
     th = form.gram
+    try:
+        thinv = invert(th)
+    except SingularMatrixError:
+        raise DegenerateFormError("the 2-form is degenerate")
     n = alg.dim
     # column p of ad(e_i)^T is row p of ad(e_i)
     transposed = [[{} for _ in range(n)] for _ in range(n)]
@@ -319,7 +321,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
         "inputs": {"two_form": _gram_strings(form)},
         "seed": None,
     }
-    return _product_tensor(-invert(th), transposed, th, provenance)
+    return _product_tensor(-thinv, transposed, th, provenance)
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
@@ -485,11 +487,11 @@ def _recompute_check(alg, cert, name, affine_report) -> Optional[int]:
     if name == "invertible":
         if not isinstance(derivation, Matrix):
             return None
-        return 0 if determinant(derivation) != 0 else 1
+        return 0 if nonsingular(derivation) else 1
     if name == "restriction_invertible":
         if not isinstance(derivation, Matrix):
             return None
-        return 0 if determinant(restrict_to_derived(alg, derivation)) != 0 else 1
+        return 0 if nonsingular(restrict_to_derived(alg, derivation)) else 1
     if name == "closed":
         if not isinstance(form, TwoForm):
             return None

@@ -30,8 +30,8 @@ from .linalg import (
     ONE,
     ZERO,
     dense_vector,
-    determinant,
     is_nilpotent,
+    nonsingular,
     nullspace,
     solve,
     sparse_apply,
@@ -210,7 +210,7 @@ def _first_hit(space: DerivationSpace, fixed: Iterable[Matrix], seed: int, trial
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Seeded random search for an invertible derivation; None if all fail."""
-    return _first_hit(space, (), seed, trials, lambda f: determinant(f) != 0)
+    return _first_hit(space, (), seed, trials, nonsingular)
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
@@ -250,7 +250,7 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     derived = derived_subalgebra(alg)
     diagonal = (Matrix.diagonal(w) for w in diagonal_derivations(alg).basis)
     return _first_hit(space, diagonal, seed, trials,
-                      lambda f: determinant(_restrict(derived, f)) != 0)
+                      lambda f: nonsingular(_restrict(derived, f)))
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,

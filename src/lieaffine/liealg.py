@@ -22,7 +22,7 @@ from .linalg import (
     Matrix,
     Subspace,
     ZERO,
-    determinant,
+    nonsingular,
     rat,
     span,
     unit_vector,
@@ -267,10 +267,8 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
 
 
 def nondegenerate(form: TwoForm) -> bool:
-    """True iff the Gram determinant is nonzero (always false in odd dim)."""
-    if form.dim % 2:
-        return False
-    return determinant(form.gram) != 0
+    """True iff the Gram matrix is nonsingular (never in odd dimension)."""
+    return nonsingular(form.gram)
 
 
 def algebra_hash(alg: LieAlgebra) -> str:

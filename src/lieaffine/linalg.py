@@ -10,10 +10,10 @@ eliminates fraction-free by cross-multiplication with per-row content
 reduction, back-substitutes, and only the final pivot normalization
 reintroduces fractions. The result is the canonical reduced row-echelon
 form, so it is exact and deterministic whatever the row order. ``rref``,
-``rank``, ``span``, ``nullspace``, ``solve`` and ``invert`` are thin callers;
+``rank``, ``span``, ``nullspace``, ``solve``, ``invert``, ``nonsingular``
+and ``is_nilpotent`` are thin callers, and no other elimination exists;
 ``nullspace`` also takes sparse equation rows directly, so the derivation
-and closed-form systems are never built as dense matrices. ``determinant``
-keeps its own elimination because it needs the exact value.
+and closed-form systems are never built as dense matrices.
 """
 
 from __future__ import annotations
@@ -448,46 +448,28 @@ def invert(m: Matrix) -> Matrix:
     return Matrix([[row.get(n + j, ZERO) for j in range(n)] for _, row in reduced], n, n)
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination (empty matrix gives 1)."""
+def nonsingular(m: Matrix) -> bool:
+    """True iff the square matrix m is invertible (the empty matrix is)."""
     if not m.is_square:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.rows
-    rows = [list(r) for r in m.data]
-    det = ONE
-    for c in range(n):
-        pr = -1
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det *= pv
-        for i in range(c + 1, n):
-            v = rows[i][c]
-            if v:
-                f = v / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+        raise DimensionMismatch("nonsingularity of a non-square matrix")
+    return rank(m) == m.rows
 
 
 def is_nilpotent(m: Matrix) -> bool:
-    """True iff m^n = 0 exactly, tested by repeated squaring."""
+    """True iff some power of the square matrix m is zero.
+
+    Decided by the image chain on the kernel: W_0 = im m and
+    W_{k+1} = m(W_k) are nested, so their dimensions fall until the chain
+    reaches 0 (nilpotent) or stops at a nonzero W_k that m maps onto
+    itself, so m restricted to W_k is invertible (not nilpotent).
+    """
     if not m.is_square:
         raise DimensionMismatch("nilpotency of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return True
-    p = m
-    e = 1
-    while e < n:
-        if p.is_zero():
-            return True
-        p = p * p
-        e *= 2
-    return p.is_zero()
+    cols = sparse_columns(m)
+    image = _reduce(cols)
+    while image:
+        nxt = _reduce(sparse_apply(cols, w) for _, w in image)
+        if len(nxt) == len(image):
+            return False
+        image = nxt
+    return True

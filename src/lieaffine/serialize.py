@@ -18,7 +18,7 @@ from typing import Optional
 
 from .affine import STRATEGY_CHECKS, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
-from .errors import SchemaError
+from .errors import LieToolError, SchemaError
 from .liealg import LieAlgebra, TwoForm
 from .linalg import Matrix, ZERO
 
@@ -28,7 +28,10 @@ _META_FIELDS = {"generated_at"}
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # Python's limit on digits in an int string
+        raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
 def parse_rational(text) -> Fraction:

@@ -222,6 +222,10 @@ def test_from_symplectic_rejects_degenerate():
     alg = make_abelian(4)
     with pytest.raises(DegenerateFormError):
         from_symplectic(alg, TwoForm.from_entries(4, {(0, 1): 1}))
+    # odd dimension: the Gram matrix is singular however the form is chosen
+    odd = TwoForm.from_entries(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
+    with pytest.raises(DegenerateFormError):
+        from_symplectic(make_abelian(3), odd)
 
 
 def test_from_symplectic_scaling_invariance():

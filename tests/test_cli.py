@@ -107,6 +107,30 @@ def test_verify_jacobi_rejects_rational_past_digit_limit(capsys, tmp_path):
     assert "digit limit" in err
 
 
+def test_verify_jacobi_reports_residual_past_digit_limit(capsys, tmp_path):
+    # every coefficient is within the input limit, but the Jacobi residual
+    # is X^2, about 6000 digits: a diagnostic with exit 2, not a traceback
+    x = "1" + "0" * 3000
+    doc = {
+        "name": "huge-residual",
+        "dim": 4,
+        "basis": ["Y1", "Y2", "Y3", "Y4"],
+        "brackets": [
+            {"i": 1, "j": 2, "coeffs": {"3": x}},
+            {"i": 1, "j": 3, "coeffs": {"4": x}},
+            {"i": 2, "j": 4, "coeffs": {"1": x}},
+        ],
+    }
+    path = tmp_path / "huge-residual.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_cli(
+        capsys, ["verify", "jacobi", "--in", str(path), "--reproducible"]
+    )
+    assert code == 2
+    assert payload is None
+    assert "digit limit" in err
+
+
 def test_verify_filiform_and_nilpotent(capsys):
     code, payload, _ = run_cli(
         capsys,
@@ -489,26 +513,40 @@ def test_reproducible_outputs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-# sha256 of the --reproducible stdout, recorded before the sparse rewrite
-# of verify_affine, is_derivation and the constructions; the certificates
+# (argv, exit code, sha256 of stdout) for --reproducible runs; the first
+# three were recorded before the sparse rewrite of verify_affine,
+# is_derivation and the constructions, the rest before the nonsingularity
+# and nilpotency tests moved onto the elimination kernel. Certificates
 # carry the package version, so a version bump needs a re-pin.
-PINNED_SYNTH_STDOUT = {
-    ("--family", "Ln", "--n", "12"):
-        "b0e1b6aefb60f65a88d3407690b5fbc725f60608971e468ab8b5bf2b3a05eeaf",
-    ("--family", "Ln", "--n", "12", "--strategy", "symplectic"):
-        "67bbc9ee05a1ec181112051f2824ff43d8e52316f1298f1d065b92a844b61d74",
-    ("--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1",
-     "--strategy", "derived-regular"):
-        "732ff6087b1460d650a457e2a1725fc379d2e987801a46d4fb4eba344c8870ec",
-}
+PINNED_STDOUT = [
+    (("affine", "synth", "--family", "Ln", "--n", "12"), 0,
+     "b0e1b6aefb60f65a88d3407690b5fbc725f60608971e468ab8b5bf2b3a05eeaf"),
+    (("affine", "synth", "--family", "Ln", "--n", "12", "--strategy", "symplectic"), 0,
+     "67bbc9ee05a1ec181112051f2824ff43d8e52316f1298f1d065b92a844b61d74"),
+    (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1",
+      "--strategy", "derived-regular"), 0,
+     "732ff6087b1460d650a457e2a1725fc379d2e987801a46d4fb4eba344c8870ec"),
+    (("der", "regular", "--family", "Ln", "--n", "12"), 0,
+     "63515906549c17e8b953f0a9d1b3608e047a52def740f765a0f20ba0f92fbeea"),
+    (("der", "derived-regular", "--family", "Cn", "--n", "8", "--lambda=1",
+      "--lambda=1"), 0,
+     "582458e044eae2d8a64024648093e137cd22d5c1d323311c7b31ee7568bcd80f"),
+    (("der", "char-nilp", "--family", "Qn", "--n", "8"), 0,
+     "9cffd03e26797b41e3221ed4bd4f6121245a6eec51f661f7a559c82af252a74f"),
+    (("affine", "symplectic-find", "--family", "Ln", "--n", "12"), 0,
+     "d66c7ede8f67ad730b0ab1ad852733bb49d04782623c6ab67d793cfd58fade21"),
+    (("affine", "synth", "--family", "Benoist", "--t", "1"), 1,
+     "17707f3e3c7c53f945de6ab95631803431e58428a8bc9c00903a0cdd37a51069"),
+]
 
 
-@pytest.mark.parametrize("args", list(PINNED_SYNTH_STDOUT))
+@pytest.mark.parametrize("args", PINNED_STDOUT)
 def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
-    code = main(["affine", "synth", *args, "--reproducible"])
+    argv, expected_code, digest = args
+    code = main([*argv, "--reproducible"])
     out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SYNTH_STDOUT[args]
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_timestamp_present_without_reproducible(capsys):

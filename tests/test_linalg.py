@@ -15,9 +15,9 @@ from lieaffine.errors import DimensionMismatch, SingularMatrixError
 from lieaffine.linalg import (
     Matrix,
     Subspace,
-    determinant,
     invert,
     is_nilpotent,
+    nonsingular,
     nullspace,
     rat,
     rref,
@@ -115,7 +115,7 @@ def test_rref_invariant_under_invertible_row_operations():
         )
         while True:
             t = Matrix([[rng.randint(-3, 3) for _ in range(nr)] for _ in range(nr)])
-            if determinant(t) != 0:
+            if nonsingular(t):
                 break
         assert rref(t * m) == rref(m)
 
@@ -175,7 +175,7 @@ def test_invert_round_trip_random():
     while produced < 15:
         n = rng.randint(1, 4)
         m = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if determinant(m) == 0:
+        if not nonsingular(m):
             continue
         produced += 1
         inv = invert(m)
@@ -224,8 +224,11 @@ def _char_poly_coeffs(m):
 
 def test_is_nilpotent_matches_char_poly_oracle():
     # Oracle: nilpotent iff the characteristic polynomial is x^n, i.e. all
-    # n trailing coefficients vanish. Mix random dense matrices (almost
-    # never nilpotent) with conjugated strictly-triangular ones (always).
+    # n trailing coefficients vanish, and nonsingular iff its constant
+    # term (-1)^n det m is nonzero. Mix random dense matrices (almost
+    # never nilpotent, almost always nonsingular), rank-deficient products
+    # (always singular) and conjugated strictly-triangular ones (always
+    # nilpotent).
     rng = random.Random(4)
     cases = []
     for _ in range(60):
@@ -238,12 +241,26 @@ def test_is_nilpotent_matches_char_poly_oracle():
         nil = Matrix(upper)
         while True:
             t = Matrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
-            if determinant(t) != 0:
+            if nonsingular(t):
                 break
         cases.append(t * nil * invert(t))
+    for _ in range(20):
+        r = rng.randint(1, 3)
+        tall = Matrix([[rng.randint(-3, 3) for _ in range(r)] for _ in range(4)])
+        wide = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+                       for _ in range(r)])
+        cases.append(tall * wide)
     for m in cases:
-        oracle = all(c == 0 for c in _char_poly_coeffs(m))
-        assert is_nilpotent(m) == oracle
+        coeffs = _char_poly_coeffs(m)
+        assert is_nilpotent(m) == all(c == 0 for c in coeffs)
+        assert nonsingular(m) == (coeffs[-1] != 0)
+    assert {nonsingular(m) for m in cases} == {True, False}
+    assert {is_nilpotent(m) for m in cases} == {True, False}
+
+
+def test_nonsingular_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        nonsingular(Matrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_span_collapses_duplicates():
@@ -305,6 +322,6 @@ def test_matrix_immutable_and_exact_equality():
 
 def test_empty_matrix_conventions():
     empty = Matrix.zeros(0, 0)
-    assert determinant(empty) == 1
+    assert nonsingular(empty)
     assert invert(empty) == empty
     assert is_nilpotent(empty)
