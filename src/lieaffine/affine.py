@@ -72,6 +72,7 @@ from .linalg import (
     ONE,
     ZERO,
     dense_vector,
+    format_rational,
     invert,
     nonsingular,
     nullspace,
@@ -357,7 +358,7 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
 
 
 def _matrix_strings(m: Matrix) -> list:
-    return [[str(x) for x in row] for row in m.data]
+    return [[format_rational(x) for x in row] for row in m.data]
 
 
 def _gram_strings(form: TwoForm) -> list:

@@ -11,6 +11,13 @@ reproducible from (seed, trials). When a good element exists, a trial
 misses it with probability at most d/21 by Schwartz-Zippel, d being the
 degree of the defect polynomial (d = n for an n x n determinant): a
 bound that is vacuous from n = 21 on.
+
+The derivation searches first ask ``DerivationSpace.all_nilpotent``,
+which decides exactly (by Engel's theorem, on one image chain over the
+Der(g) basis) whether every derivation is nilpotent. When it is, every
+candidate fails, so the outcome is fixed without drawing any, and the
+cost no longer grows with ``trials``; otherwise the searches run as
+described.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -33,6 +41,7 @@ from .linalg import (
     is_nilpotent,
     nonsingular,
     nullspace,
+    products_vanish,
     solve,
     sparse_apply,
     sparse_columns,
@@ -59,6 +68,17 @@ class DerivationSpace:
 
     def contains(self, m: Matrix) -> bool:
         return self.flat.contains(m.flatten())
+
+    @cached_property
+    def all_nilpotent(self) -> bool:
+        """Exactly whether every derivation is nilpotent (Der(g) is nil).
+
+        A basis element with nonzero trace settles False at once; otherwise
+        the image chain of ``products_vanish`` decides, which by Engel's
+        theorem is the same as every element of the span being nilpotent.
+        """
+        return not any(b.trace() for b in self.basis) and products_vanish(
+            [sparse_columns(b) for b in self.basis])
 
 
 @dataclass(frozen=True)
@@ -184,16 +204,16 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[tup
     """
     check_trials(trials)
     rng = random.Random(seed)
+    basis = [[(j, x) for j, x in enumerate(base) if x] for base in space.basis]
 
     def stream():
         for _ in range(trials):
             acc = [ZERO] * space.ambient_dim
-            for base in space.basis:
+            for base in basis:
                 c = rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
                 if c:
-                    for j, x in enumerate(base):
-                        if x:
-                            acc[j] += c * x
+                    for j, x in base:
+                        acc[j] += c * x
             yield tuple(acc)
 
     return stream()
@@ -209,7 +229,14 @@ def _first_hit(space: DerivationSpace, fixed: Iterable[Matrix], seed: int, trial
 
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
-    """Seeded random search for an invertible derivation; None if all fail."""
+    """Seeded random search for an invertible derivation; None if all fail.
+
+    When Der(g) is nil (``all_nilpotent``), every candidate is singular,
+    so None is returned without drawing.
+    """
+    check_trials(trials)
+    if space.all_nilpotent:
+        return None
     return _first_hit(space, (), seed, trials, nonsingular)
 
 
@@ -243,9 +270,15 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
 
     Deterministic first pass over the diagonal derivation weights, then the
     seeded random combinations. A zero-dimensional derived subalgebra makes
-    every candidate succeed (the empty matrix counts as invertible). Every
+    every candidate succeed (the empty matrix counts as invertible). When
+    Der(g) is nil (``all_nilpotent``), g is not abelian (the identity is
+    not a derivation), so every restriction to the nonzero derived
+    subalgebra is singular and None is returned without drawing. Every
     candidate lies in Der(g) by construction, so none is re-checked here.
     """
+    check_trials(trials)
+    if space.all_nilpotent:
+        return None
     alg = space.algebra
     derived = derived_subalgebra(alg)
     diagonal = (Matrix.diagonal(w) for w in diagonal_derivations(alg).basis)
@@ -259,9 +292,14 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
 
     Basis elements are tried first, then seeded random combinations. A hit
     yields a certified NotCharNilpotent verdict; exhausting the trials
-    yields CharNilpotentLikely, which is probabilistic by design.
+    yields CharNilpotentLikely, which is one-sided by design. When Der(g)
+    is nil (``all_nilpotent``) no candidate can hit, so that verdict is
+    returned without drawing; the kind stays CharNilpotentLikely.
     """
+    check_trials(trials)
     space = derivation_space(alg)
+    if space.all_nilpotent:
+        return CharNilpVerdict(CHAR_NILPOTENT_LIKELY, None, seed, trials)
     witness = _first_hit(space, space.basis, seed, trials, lambda f: not is_nilpotent(f))
     kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
     return CharNilpVerdict(kind, witness, seed, trials)

@@ -10,10 +10,11 @@ eliminates fraction-free by cross-multiplication with per-row content
 reduction, back-substitutes, and only the final pivot normalization
 reintroduces fractions. The result is the canonical reduced row-echelon
 form, so it is exact and deterministic whatever the row order. ``rref``,
-``rank``, ``span``, ``nullspace``, ``solve``, ``invert``, ``nonsingular``
-and ``is_nilpotent`` are thin callers, and no other elimination exists;
-``nullspace`` also takes sparse equation rows directly, so the derivation
-and closed-form systems are never built as dense matrices.
+``rank``, ``span``, ``nullspace``, ``solve``, ``invert``, ``nonsingular``,
+``products_vanish`` and ``is_nilpotent`` are thin callers, and no other
+elimination exists; ``nullspace`` also takes sparse equation rows
+directly, so the derivation and closed-form systems are never built as
+dense matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, SingularMatrixError
+from .errors import DimensionMismatch, LieToolError, SingularMatrixError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +46,14 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def format_rational(x: Fraction) -> str:
+    """x as "p/q" (or "p"); Python's int-string digit limit becomes a LieToolError."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
 def vector(entries: Iterable) -> Vector:
@@ -455,21 +464,30 @@ def nonsingular(m: Matrix) -> bool:
     return rank(m) == m.rows
 
 
-def is_nilpotent(m: Matrix) -> bool:
-    """True iff some power of the square matrix m is zero.
+def products_vanish(maps: Sequence[list]) -> bool:
+    """True iff every long enough product of the given maps is zero.
 
-    Decided by the image chain on the kernel: W_0 = im m and
-    W_{k+1} = m(W_k) are nested, so their dimensions fall until the chain
-    reaches 0 (nilpotent) or stops at a nonzero W_k that m maps onto
-    itself, so m restricted to W_k is invertible (not nilpotent).
+    ``maps`` are square maps of one size, each as its sparse columns
+    (``sparse_columns``). Decided by the image chain on the kernel:
+    W_0 = sum of the images and W_{k+1} = sum of the m(W_k) are nested,
+    W_k being spanned by the images of all products of k + 1 maps. Their
+    dimensions fall until the chain reaches 0 (every product of that many
+    maps vanishes) or stops at a nonzero W_k that the maps together send
+    onto itself (products of every length survive). For one map this is
+    nilpotency; for a Lie algebra of maps such as Der(g), Engel's theorem
+    makes it equivalent to every element being nilpotent.
     """
-    if not m.is_square:
-        raise DimensionMismatch("nilpotency of a non-square matrix")
-    cols = sparse_columns(m)
-    image = _reduce(cols)
+    image = _reduce(col for cols in maps for col in cols)
     while image:
-        nxt = _reduce(sparse_apply(cols, w) for _, w in image)
+        nxt = _reduce(sparse_apply(cols, w) for cols in maps for _, w in image)
         if len(nxt) == len(image):
             return False
         image = nxt
     return True
+
+
+def is_nilpotent(m: Matrix) -> bool:
+    """True iff some power of the square matrix m is zero (``products_vanish``)."""
+    if not m.is_square:
+        raise DimensionMismatch("nilpotency of a non-square matrix")
+    return products_vanish([sparse_columns(m)])

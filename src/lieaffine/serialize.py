@@ -18,20 +18,13 @@ from typing import Optional
 
 from .affine import STRATEGY_CHECKS, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
-from .errors import LieToolError, SchemaError
+from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm
-from .linalg import Matrix, ZERO
+from .linalg import Matrix, ZERO, format_rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 _META_FIELDS = {"generated_at"}
-
-
-def format_rational(x: Fraction) -> str:
-    try:
-        return str(x)
-    except ValueError as exc:  # Python's limit on digits in an int string
-        raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
 def parse_rational(text) -> Fraction:

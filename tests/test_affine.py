@@ -22,9 +22,14 @@ from lieaffine.catalog import (
     make_ln,
     make_qn,
 )
-from lieaffine.derivations import restrict_to_derived
+from lieaffine.derivations import (
+    derivation_space,
+    find_regular_derivation,
+    restrict_to_derived,
+)
 from lieaffine.errors import (
     DegenerateFormError,
+    LieToolError,
     NoStrategySucceeded,
     NotADerivationError,
     NotClosedError,
@@ -132,6 +137,15 @@ def test_from_regular_derivation_rejects_bad_inputs():
     c6 = make_cn(6, [1])[0]
     with pytest.raises(SingularMatrixError):
         from_regular_derivation(c6, Matrix.diagonal([0, 1, 1, 1, 1, 2]))
+
+
+def test_witness_past_the_digit_limit_is_a_tool_error():
+    # the provenance strings of a 5001-digit witness exceed Python's
+    # int-string digit limit; that must surface as a package error
+    l4 = make_ln(4)
+    f = find_regular_derivation(derivation_space(l4)) * 10 ** 5000
+    with pytest.raises(LieToolError, match="digit limit"):
+        from_regular_derivation(l4, f)
 
 
 def test_from_regular_scaling_invariance():

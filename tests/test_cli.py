@@ -537,6 +537,16 @@ PINNED_STDOUT = [
      "d66c7ede8f67ad730b0ab1ad852733bb49d04782623c6ab67d793cfd58fade21"),
     (("affine", "synth", "--family", "Benoist", "--t", "1"), 1,
      "17707f3e3c7c53f945de6ab95631803431e58428a8bc9c00903a0cdd37a51069"),
+    # Der(Benoist) is nil, so these searches are settled without drawing;
+    # their output must stay that of the exhausted search
+    (("der", "char-nilp", "--family", "Benoist", "--t", "1"), 1,
+     "1614f74d701ed8f2a10feeb8c31a092066b3294352ca2a0caf97805ac73b17f5"),
+    (("der", "char-nilp", "--family", "Benoist", "--t=1/3", "--seed", "7", "--trials", "5"), 1,
+     "b0921a89cd77cfcef5623f4df7074204fe2e8472439b13d9819407b27d5ce15b"),
+    (("der", "regular", "--family", "Benoist", "--t", "1", "--trials", "64"), 1,
+     "34cbf6bd80d4ba665f8923caa9f9686d843e36268934a8ad6b03eec6e98ff229"),
+    (("der", "derived-regular", "--family", "Benoist", "--t=-1/2"), 1,
+     "5bc11ceb014d7b6f02d58a9b1f2d86dc4565d2cb96838ec1b094e7ed3cecdcba"),
 ]
 
 

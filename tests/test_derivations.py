@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine import derivations
 from lieaffine.affine import find_symplectic
 from lieaffine.catalog import (
     make_abelian,
@@ -240,7 +241,14 @@ def test_find_regular_derivation_replays_the_documented_draw():
     lambda trials: char_nilpotent_verdict(make_ln(8), trials=trials),
     lambda trials: find_symplectic(make_ln(4), trials=trials),
     lambda trials: find_symplectic(make_ln(5), trials=trials),
-], ids=["regular", "derived-regular", "char-nilp", "symplectic", "symplectic-odd"])
+    # Der(Benoist) is nil, which settles these three without a draw, so
+    # the trials check must come before that early return
+    lambda trials: find_regular_derivation(derivation_space(make_benoist(1)), trials=trials),
+    lambda trials: find_derived_regular_derivation(
+        derivation_space(make_benoist(1)), trials=trials),
+    lambda trials: char_nilpotent_verdict(make_benoist(1), trials=trials),
+], ids=["regular", "derived-regular", "char-nilp", "symplectic", "symplectic-odd",
+        "regular-nil", "derived-regular-nil", "char-nilp-nil"])
 def test_searches_reject_nonpositive_trials(search, trials):
     with pytest.raises(ValueError, match="trials"):
         search(trials)
@@ -324,6 +332,64 @@ def test_char_nilpotent_verdict_benoist_likely():
     assert verdict.kind == CHAR_NILPOTENT_LIKELY
     assert verdict.witness is None
     assert verdict.seed == 0 and verdict.trials == 32
+
+
+def _change_basis(alg, p):
+    # the same algebra on the basis P e_1, ..., P e_n: c' = P^-1 [P e_i, P e_j]
+    pinv = invert(p)
+    cols = [p.column(i) for i in range(alg.dim)]
+    structure = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            image = pinv.apply(alg.bracket(cols[i], cols[j]))
+            structure[(i, j)] = {k: c for k, c in enumerate(image) if c}
+    return LieAlgebra(alg.dim, structure)
+
+
+NIL_CASES = [(make_benoist(t), True) for t in (0, 1, -1, F(1, 3))] + [
+    (make_ln(8), False), (make_qn(8), False), (make_cn(6, [1])[0], False)]
+
+
+@pytest.mark.parametrize("alg, nil", NIL_CASES,
+                         ids=["B0", "B1", "B-1", "B1/3", "L8", "Q8", "C6"])
+def test_all_nilpotent_is_basis_free(alg, nil):
+    # a seeded invertible integer change of basis gives an isomorphic
+    # algebra whose Der(g) basis is not lower triangular, as it is in the
+    # catalog basis, so the decision must not rest on that shape. P is the
+    # identity plus four +-1 entries off the diagonal: a dense P makes
+    # Der(Benoist) cost seconds to solve.
+    n = alg.dim
+    space = derivation_space(alg)
+    assert space.all_nilpotent is nil
+    rng = random.Random(n)
+    while True:
+        grid = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4):
+            i, j = rng.sample(range(n), 2)
+            grid[i][j] = rng.choice((-1, 1))
+        p = Matrix(grid)
+        if nonsingular(p):
+            break
+    moved = derivation_space(_change_basis(alg, p))
+    assert moved.dim == space.dim
+    assert any(b[i, j] for b in moved.basis for i in range(n) for j in range(i + 1, n))
+    assert moved.all_nilpotent is nil
+
+
+def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a settled search drew a candidate")
+
+    monkeypatch.setattr(derivations, "seeded_combinations", no_draw)
+    b1 = make_benoist(1)
+    space = derivation_space(b1)
+    assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
+    assert find_derived_regular_derivation(space, seed=3, trials=10 ** 9) is None
+    verdict = char_nilpotent_verdict(b1, seed=3, trials=10 ** 9)
+    assert (verdict.kind, verdict.witness, verdict.seed, verdict.trials) == (
+        CHAR_NILPOTENT_LIKELY, None, 3, 10 ** 9)
+    with pytest.raises(AssertionError, match="drew"):
+        find_regular_derivation(derivation_space(make_ln(4)))
 
 
 def test_verify_torus_ln_pair():

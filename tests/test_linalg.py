@@ -19,8 +19,10 @@ from lieaffine.linalg import (
     is_nilpotent,
     nonsingular,
     nullspace,
+    products_vanish,
     rat,
     rref,
+    sparse_columns,
     solve,
     span,
     unit_vector,
@@ -256,6 +258,49 @@ def test_is_nilpotent_matches_char_poly_oracle():
         assert nonsingular(m) == (coeffs[-1] != 0)
     assert {nonsingular(m) for m in cases} == {True, False}
     assert {is_nilpotent(m) for m in cases} == {True, False}
+
+
+def _conjugated(maps, rng):
+    # t m t^-1 for one seeded invertible integer t shared by all maps
+    n = maps[0].rows
+    while True:
+        t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if nonsingular(t):
+            break
+    tinv = invert(t)
+    return [t * m * tinv for m in maps]
+
+
+def _all_products_vanish(maps):
+    # Brute force: n x n maps whose products of length n all vanish
+    # generate a nilpotent algebra, and a nonzero product of length n
+    # survives at every length (the image chain has at most n strict steps).
+    level = set(maps)
+    for _ in range(maps[0].rows - 1):
+        level = {a * b for a in level for b in maps}
+    return all(p.is_zero() for p in level)
+
+
+def test_products_vanish_matches_brute_force_products():
+    rng = random.Random(17)
+    n = 4
+    cases = []
+    for _ in range(8):
+        lower = [Matrix([[rng.randint(-3, 3) if j < i else 0 for j in range(n)]
+                         for i in range(n)]) for _ in range(3)]
+        eigen = Matrix([[rng.randint(-3, 3) if j < i else 0 for j in range(n)]
+                        for i in range(n)])
+        eigen = eigen + Matrix.diagonal([0, 0, rng.choice((-2, -1, 1, 2)), 0])
+        cases.append((_conjugated(lower, rng), True))
+        cases.append((_conjugated(lower + [eigen], rng), False))
+    # each map is nilpotent, but E12 E21 is an idempotent
+    e12 = Matrix([[0, 1], [0, 0]])
+    cases.append(([e12, Matrix([[0, 0], [1, 0]])], False))
+    cases.append(([e12], True))
+    for maps, expected in cases:
+        assert _all_products_vanish(maps) == expected
+        assert products_vanish([sparse_columns(m) for m in maps]) == expected
+    assert {expected for _, expected in cases} == {True, False}
 
 
 def test_nonsingular_rejects_non_square():
