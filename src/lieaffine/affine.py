@@ -21,8 +21,8 @@ Three constructors are provided:
   2-form by th([x, u], v) = -th(u, x.v).
 
 All three build e_i.e_j as outer(M_i(inner e_j)) from sparse columns
-(``_product_tensor``); the tensor itself stays dense, so documents and
-certificates keep one format.
+(``_product_tensor``) and keep the tensor sparse, in the algebra's
+{(i, j): {k: c}} form.
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -62,6 +62,7 @@ from .liealg import (
     TwoForm,
     ad_columns,
     algebra_hash,
+    coefficient_table,
     cyclic_terms,
     derived_subalgebra,
     dtheta_residual,
@@ -95,18 +96,18 @@ STRATEGY_CHECKS = {
 
 
 class AffineStructure:
-    """Product tensor: gamma[i][j] holds the coordinates of e_i . e_j."""
+    """Product tensor: gamma[(i, j)] = {k: c} holds the nonzero coordinates of e_i . e_j.
+
+    It is the canonical table of ``coefficient_table`` over all ordered
+    pairs, as ``LieAlgebra.structure`` is over i < j; ``product`` is the
+    dense read.
+    """
 
     __slots__ = ("dim", "gamma", "provenance")
 
     def __init__(self, dim: int, gamma, provenance: Optional[dict] = None):
-        grid = tuple(tuple(vector(col) for col in row) for row in gamma)
-        if len(grid) != dim or any(
-            len(row) != dim or any(len(col) != dim for col in row) for row in grid
-        ):
-            raise DimensionMismatch("gamma tensor must be dim x dim x dim")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gamma", grid)
+        object.__setattr__(self, "gamma", coefficient_table(dim, gamma, lambda i, j: True))
         object.__setattr__(self, "provenance", dict(provenance or {}))
 
     def __setattr__(self, name, value):
@@ -118,18 +119,11 @@ class AffineStructure:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("product arguments must match the dimension")
         acc = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.gamma[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                col = row[j]
-                c = xi * yj
-                for k, v in enumerate(col):
-                    if v:
-                        acc[k] += c * v
+        for (i, j), coeffs in self.gamma.items():
+            t = x[i] * y[j]
+            if t:
+                for k, c in coeffs.items():
+                    acc[k] += t * c
         return tuple(acc)
 
     def __repr__(self) -> str:
@@ -197,15 +191,15 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     triples (i, j, k, residual) with i < j where
     e_i.(e_j.e_k) - e_j.(e_i.e_k) - (e_i.e_j).e_k + (e_j.e_i).e_k is
     nonzero. Bilinearity makes these basis checks equivalent to the
-    universally quantified axioms. The tensor is read once into sparse
-    vectors, so each residual costs in proportion to the nonzeros it meets.
+    universally quantified axioms. The sparse table is read as is, so each
+    residual costs in proportion to the nonzeros it meets.
     """
     n = alg.dim
     if structure.dim != n:
         raise DimensionMismatch("structure dimension does not match the algebra")
     # left[i][j] = e_i.e_j, neg[i][j] = -(e_i.e_j), right[k][m] = e_m.e_k
-    left = [[{k: x for k, x in enumerate(col) if x} for col in row]
-            for row in structure.gamma]
+    gamma = structure.gamma
+    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
     neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
     right = [[left[m][k] for m in range(n)] for k in range(n)]
     report = AffineReport()
@@ -244,8 +238,8 @@ def _product_tensor(outer: Matrix, maps: Sequence[list], inner: Matrix,
     n = len(maps)
     outer_cols = sparse_columns(outer)
     inner_cols = sparse_columns(inner)
-    gamma = [[dense_vector(sparse_apply(outer_cols, sparse_apply(m, inner_cols[j])), n)
-              for j in range(n)] for m in maps]
+    gamma = {(i, j): sparse_apply(outer_cols, sparse_apply(m, inner_cols[j]))
+             for i, m in enumerate(maps) for j in range(n)}
     return AffineStructure(n, gamma, provenance)
 
 

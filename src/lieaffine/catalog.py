@@ -20,9 +20,6 @@ from .errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
 from .liealg import LieAlgebra, jacobi_report
 from .linalg import Matrix, ONE, rat
 
-FAMILY_IDS = ("Ln", "Qn", "QnZ", "Ank", "Bnk", "Cn", "Benoist")
-
-
 def _structure_from_display(pairs: Dict[Tuple[int, int], Dict[int, Fraction]]):
     """Convert a 1-based bracket table {(i, j): {k: c}} to 0-based storage."""
     return {

@@ -103,9 +103,10 @@ class TorusReport:
     ``derivation_failures`` holds (map index, violation list) pairs,
     ``commutation_failures`` holds non-commuting index pairs, and
     ``semisimplicity_failures`` holds (map index, reason) pairs for maps
-    that are not diagonalizable over the rationals. When the rational
-    eigenvalue test cannot rule out semisimplicity over a field extension,
-    a note says so.
+    not shown diagonalizable over the rationals; the reason "rational root
+    search incomplete" is one-sided, since a root may hide behind a factor
+    too large to split. When the rational eigenvalue test cannot rule out
+    semisimplicity over a field extension, a note says so.
     """
 
     derivation_failures: List[tuple] = field(default_factory=list)
@@ -441,15 +442,13 @@ def _divisors(x: int) -> Tuple[List[int], bool]:
     return sorted(divs), complete
 
 
-def _rational_roots_split(p: List[Fraction]) -> Tuple[List[Fraction], bool, bool]:
-    """Rational roots of p plus (splits over Q, search conclusive) flags."""
+def _rational_roots_split(p: List[Fraction]) -> Tuple[bool, bool]:
+    """(p splits into rational linear factors, the divisor search was complete)."""
     work = _poly_trim(p)
-    roots: List[Fraction] = []
     while len(work) > 1 and not work[0]:
-        roots.append(ZERO)
         work = work[1:]
     if len(work) == 1:
-        return roots, True, True
+        return True, True
     den = 1
     for c in work:
         den = lcm(den, c.denominator)
@@ -475,9 +474,8 @@ def _rational_roots_split(p: List[Fraction]) -> Tuple[List[Fraction], bool, bool
                 break
         if hit is None:
             break
-        roots.append(hit)
         work = _poly_deflate(work, hit)
-    return roots, len(work) == 1, conclusive
+    return len(work) == 1, conclusive
 
 
 def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
@@ -486,7 +484,9 @@ def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
     g = _poly_gcd(p, _poly_deriv(p))
     if len(g) > 1:
         return False, "minimal polynomial has a repeated root", False
-    roots, splits, conclusive = _rational_roots_split(p)
+    splits, conclusive = _rational_roots_split(p)
     if splits:
         return True, "", False
+    if not conclusive:
+        return False, "rational root search incomplete", True
     return False, "minimal polynomial does not split over the rationals", True

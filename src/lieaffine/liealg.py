@@ -32,6 +32,29 @@ from .linalg import (
 SparseCoeffs = Dict[int, Fraction]
 
 
+def coefficient_table(dim: int, table, pair_ok) -> Dict[Tuple[int, int], SparseCoeffs]:
+    """Canonical {(i, j): {k: c}} basis values of a bilinear map.
+
+    Pairs must lie in range and satisfy ``pair_ok(i, j)``, targets must lie
+    in range, and zero coefficients and empty pairs are dropped, so equal
+    tables mean equal maps.
+    """
+    clean = {}
+    for (i, j), coeffs in table.items():
+        if not (0 <= i < dim and 0 <= j < dim and pair_ok(i, j)):
+            raise ValueError(f"pair ({i}, {j}) is out of range or not admitted")
+        kept = {}
+        for k, c in coeffs.items():
+            if not 0 <= k < dim:
+                raise ValueError(f"target {k} of pair ({i}, {j}) out of range")
+            c = rat(c)
+            if c:
+                kept[k] = c
+        if kept:
+            clean[(i, j)] = kept
+    return clean
+
+
 class LieAlgebra:
     """A Lie algebra on a fixed basis with sparse structure constants."""
 
@@ -46,23 +69,10 @@ class LieAlgebra:
         basis_names = tuple(str(s) for s in basis_names)
         if len(basis_names) != dim:
             raise DimensionMismatch("basis name count does not match the dimension")
-        clean = {}
-        for (i, j), coeffs in structure.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-            kept = {}
-            for k, c in coeffs.items():
-                if not 0 <= k < dim:
-                    raise ValueError(f"bracket target {k} out of range")
-                c = rat(c)
-                if c:
-                    kept[k] = c
-            if kept:
-                clean[(i, j)] = kept
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "structure", clean)
+        object.__setattr__(self, "structure", coefficient_table(dim, structure, lambda i, j: i < j))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")

@@ -3,10 +3,13 @@
 All payloads use 1-based basis indices and rational strings "p/q" (or "p"
 when the denominator is 1). Parsers recanonicalize non-canonical fractions
 like "2/4" silently but reject anything that is not an integer fraction,
-along with unknown fields, bad index ranges and duplicate entries. Every
-document may carry one optional metadata field "generated_at" (emitted by
-the CLI unless --reproducible is set); certificates and verdicts also
-admit an informational "name"/"note". Metadata is ignored on input.
+along with unknown fields, bad index ranges and duplicate entries. A
+"dim" header outside 1..MAX_DIM is rejected before anything is allocated.
+Brackets and affine products share one {"i", "j", "coeffs"} table codec
+that differs only in the admitted pairs. Every document may carry one
+optional metadata field "generated_at" (emitted by the CLI unless
+--reproducible is set); certificates and verdicts also admit an
+informational "name"/"note". Metadata is ignored on input.
 """
 
 from __future__ import annotations
@@ -20,15 +23,18 @@ from .affine import STRATEGY_CHECKS, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm
-from .linalg import Matrix, ZERO, format_rational
+from .linalg import Matrix, format_rational
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
 _META_FIELDS = {"generated_at"}
 
+# Largest document "dim"; a 2-form parser allocates dim x dim from the header.
+MAX_DIM = 256
+
 
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
     num, _, den = text.partition("/")
     try:
@@ -66,6 +72,22 @@ def _require_str(value, what: str) -> str:
     return value
 
 
+def _require_dim(value) -> int:
+    dim = _require_int(value, "dim")
+    if not 1 <= dim <= MAX_DIM:
+        raise SchemaError(f"dim must lie between 1 and {MAX_DIM}")
+    return dim
+
+
+def _index_key(key, dim: int) -> int:
+    """The 0-based index named by a 1-based coefficient key such as "3"."""
+    digits = key.lstrip("0") if isinstance(key, str) and key.isascii() and key.isdigit() else ""
+    # the length test keeps int() away from keys of thousands of digits
+    if not digits or len(digits) > len(str(dim)) or int(digits) > dim:
+        raise SchemaError(f"coefficient key {str(key)[:20]!r} is not an index in 1..{dim}")
+    return int(digits) - 1
+
+
 # --- matrices -------------------------------------------------------------
 
 def matrix_to_json(m: Matrix) -> list:
@@ -85,62 +107,65 @@ def matrix_from_json(doc, rows: Optional[int] = None, cols: Optional[int] = None
     return Matrix(grid, len(grid), len(grid[0]) if grid else (cols or 0))
 
 
+# --- coefficient tables ------------------------------------------------------
+
+def _table_to_json(table) -> list:
+    """Entries {"i", "j", "coeffs"} of a canonical table, in (i, j) then k order."""
+    return [{"i": i + 1, "j": j + 1,
+             "coeffs": {str(k + 1): format_rational(c) for k, c in sorted(table[i, j].items())}}
+            for (i, j) in sorted(table)]
+
+
+def _table_from_json(entries, dim: int, what: str, ordered: bool) -> dict:
+    """The 0-based table {(i, j): {k: c}} of a list of {"i", "j", "coeffs"}.
+
+    Pairs must satisfy 1 <= i, j <= dim, and i < j when ``ordered``.
+    """
+    if not isinstance(entries, list):
+        raise SchemaError(f"{what} must be a list")
+    rule = "1 <= i < j <= dim" if ordered else "1 <= i, j <= dim"
+    table = {}
+    for entry in entries:
+        _require_object(entry, required=("i", "j", "coeffs"))
+        i = _require_int(entry["i"], f"{what} index i")
+        j = _require_int(entry["j"], f"{what} index j")
+        if not (1 <= i <= dim and 1 <= j <= dim and (i < j or not ordered)):
+            raise SchemaError(f"{what} pair ({i}, {j}) must satisfy {rule}")
+        if (i - 1, j - 1) in table:
+            raise SchemaError(f"duplicate {what} pair ({i}, {j})")
+        coeffs = entry["coeffs"]
+        if not isinstance(coeffs, dict):
+            raise SchemaError("coeffs must be an object")
+        parsed = {}
+        for key, val in coeffs.items():
+            k = _index_key(key, dim)
+            if k in parsed:
+                raise SchemaError(f"duplicate coefficient index {k + 1}")
+            parsed[k] = parse_rational(val)
+        table[(i - 1, j - 1)] = parsed
+    return table
+
+
 # --- Lie algebras ---------------------------------------------------------
 
 def algebra_to_json(alg: LieAlgebra) -> dict:
-    brackets = []
-    for (i, j) in sorted(alg.structure):
-        coeffs = alg.structure[(i, j)]
-        brackets.append(
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "coeffs": {str(k + 1): format_rational(coeffs[k]) for k in sorted(coeffs)},
-            }
-        )
     return {
         "name": alg.name,
         "dim": alg.dim,
         "basis": list(alg.basis_names),
-        "brackets": brackets,
+        "brackets": _table_to_json(alg.structure),
     }
 
 
 def algebra_from_json(doc) -> LieAlgebra:
     _require_object(doc, required=("name", "dim", "basis", "brackets"))
     name = _require_str(doc["name"], "name")
-    dim = _require_int(doc["dim"], "dim")
-    if dim < 1:
-        raise SchemaError("dim must be positive")
+    dim = _require_dim(doc["dim"])
     basis = doc["basis"]
     if not isinstance(basis, list) or len(basis) != dim:
         raise SchemaError("basis must be a list of dim names")
     basis = [_require_str(b, "basis name") for b in basis]
-    if not isinstance(doc["brackets"], list):
-        raise SchemaError("brackets must be a list")
-    structure = {}
-    for entry in doc["brackets"]:
-        _require_object(entry, required=("i", "j", "coeffs"))
-        i = _require_int(entry["i"], "bracket index i")
-        j = _require_int(entry["j"], "bracket index j")
-        if not 1 <= i < j <= dim:
-            raise SchemaError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= dim")
-        if (i - 1, j - 1) in structure:
-            raise SchemaError(f"duplicate bracket pair ({i}, {j})")
-        coeffs = entry["coeffs"]
-        if not isinstance(coeffs, dict):
-            raise SchemaError("coeffs must be an object")
-        parsed = {}
-        for key, val in coeffs.items():
-            if not isinstance(key, str) or not key.isdigit():
-                raise SchemaError(f"coefficient key {key!r} must be a 1-based index string")
-            k = int(key)
-            if not 1 <= k <= dim:
-                raise SchemaError(f"coefficient index {k} out of range")
-            if k - 1 in parsed:
-                raise SchemaError(f"duplicate coefficient index {k}")
-            parsed[k - 1] = parse_rational(val)
-        structure[(i - 1, j - 1)] = parsed
+    structure = _table_from_json(doc["brackets"], dim, "brackets", ordered=True)
     return LieAlgebra(dim, structure, name=name, basis_names=basis)
 
 
@@ -158,9 +183,7 @@ def twoform_to_json(form: TwoForm) -> dict:
 
 def twoform_from_json(doc) -> TwoForm:
     _require_object(doc, required=("dim", "entries"))
-    dim = _require_int(doc["dim"], "dim")
-    if dim < 1:
-        raise SchemaError("dim must be positive")
+    dim = _require_dim(doc["dim"])
     if not isinstance(doc["entries"], list):
         raise SchemaError("entries must be a list")
     seen = {}
@@ -179,69 +202,47 @@ def twoform_from_json(doc) -> TwoForm:
 # --- affine structures ------------------------------------------------------
 
 def affine_to_json(structure: AffineStructure) -> dict:
-    gamma = []
-    n = structure.dim
-    for i in range(n):
-        for j in range(n):
-            col = structure.gamma[i][j]
-            coeffs = {
-                str(k + 1): format_rational(v) for k, v in enumerate(col) if v
-            }
-            if coeffs:
-                gamma.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
-    return {"dim": n, "gamma": gamma, "provenance": structure.provenance}
+    return {"dim": structure.dim, "gamma": _table_to_json(structure.gamma),
+            "provenance": structure.provenance}
 
 
 def affine_from_json(doc) -> AffineStructure:
     _require_object(doc, required=("dim", "gamma"), optional=("provenance",))
-    dim = _require_int(doc["dim"], "dim")
-    if dim < 1:
-        raise SchemaError("dim must be positive")
-    if not isinstance(doc["gamma"], list):
-        raise SchemaError("gamma must be a list")
-    grid = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
-    for entry in doc["gamma"]:
-        _require_object(entry, required=("i", "j", "coeffs"))
-        i = _require_int(entry["i"], "gamma index i")
-        j = _require_int(entry["j"], "gamma index j")
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise SchemaError(f"gamma pair ({i}, {j}) out of range")
-        if (i, j) in seen:
-            raise SchemaError(f"duplicate gamma pair ({i}, {j})")
-        seen.add((i, j))
-        coeffs = entry["coeffs"]
-        if not isinstance(coeffs, dict):
-            raise SchemaError("coeffs must be an object")
-        for key, val in coeffs.items():
-            if not isinstance(key, str) or not key.isdigit():
-                raise SchemaError(f"coefficient key {key!r} must be a 1-based index string")
-            k = int(key)
-            if not 1 <= k <= dim:
-                raise SchemaError(f"coefficient index {k} out of range")
-            grid[i - 1][j - 1][k - 1] = parse_rational(val)
+    dim = _require_dim(doc["dim"])
+    gamma = _table_from_json(doc["gamma"], dim, "gamma", ordered=False)
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise SchemaError("provenance must be an object")
-    return AffineStructure(dim, grid, provenance)
+    return AffineStructure(dim, gamma, provenance)
 
 
 # --- certificates -----------------------------------------------------------
 
-_WITNESS_KEYS = ("derivation", "two_form", "affine_structure")
+def _square_matrix_from_json(doc, what: str) -> Matrix:
+    m = matrix_from_json(doc)
+    if not m.is_square:
+        raise SchemaError(f"{what} must be square")
+    return m
+
+
+# witness kind -> (to_json, from_json)
+_WITNESS_CODECS = {
+    "derivation": (matrix_to_json,
+                   lambda doc: _square_matrix_from_json(doc, "derivation witness")),
+    "two_form": (twoform_to_json, twoform_from_json),
+    "affine_structure": (affine_to_json, affine_from_json),
+}
+
+
+def _witness_codec(key):
+    codec = _WITNESS_CODECS.get(key)
+    if codec is None:
+        raise SchemaError(f"unknown witness kind {key!r}")
+    return codec
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    witnesses = {}
-    for key, value in cert.witnesses.items():
-        if key == "derivation":
-            witnesses[key] = matrix_to_json(value)
-        elif key == "two_form":
-            witnesses[key] = twoform_to_json(value)
-        elif key == "affine_structure":
-            witnesses[key] = affine_to_json(value)
-        else:
-            raise SchemaError(f"unknown witness kind {key!r}")
+    witnesses = {key: _witness_codec(key)[0](value) for key, value in cert.witnesses.items()}
     return {
         "algebra_hash": cert.algebra_hash,
         "strategy": cert.strategy,
@@ -281,19 +282,7 @@ def certificate_from_json(doc) -> Certificate:
     raw = doc["witnesses"]
     if not isinstance(raw, dict):
         raise SchemaError("witnesses must be an object")
-    witnesses = {}
-    for key, value in raw.items():
-        if key == "derivation":
-            m = matrix_from_json(value)
-            if not m.is_square:
-                raise SchemaError("derivation witness must be square")
-            witnesses[key] = m
-        elif key == "two_form":
-            witnesses[key] = twoform_from_json(value)
-        elif key == "affine_structure":
-            witnesses[key] = affine_from_json(value)
-        else:
-            raise SchemaError(f"unknown witness kind {key!r}")
+    witnesses = {key: _witness_codec(key)[1](value) for key, value in raw.items()}
     return Certificate(
         algebra_hash=_require_str(doc["algebra_hash"], "algebra_hash"),
         strategy=strategy,
@@ -324,9 +313,7 @@ def verdict_from_json(doc) -> CharNilpVerdict:
         raise SchemaError(f"unknown verdict kind {kind!r}")
     witness = doc["witness"]
     if witness is not None:
-        witness = matrix_from_json(witness)
-        if not witness.is_square:
-            raise SchemaError("witness must be a square matrix")
+        witness = _square_matrix_from_json(witness, "witness")
     if kind == NOT_CHAR_NILPOTENT and witness is None:
         raise SchemaError("NotCharNilpotent verdict requires a witness")
     if kind == CHAR_NILPOTENT_LIKELY and witness is not None:

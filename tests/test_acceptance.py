@@ -174,12 +174,13 @@ def test_criterion_05_construction_oracle_cross_check():
     with criterion("05", "hand-derived product values match exactly"):
         l4 = make_ln(4)
         ns = from_regular_derivation(l4, Matrix.diagonal([1, 2, 3, 4]))
-        assert ns.gamma[0][1] == vector((0, 0, F(2, 3), 0))
-        assert ns.gamma[1][0] == vector((0, 0, F(-1, 3), 0))
+        assert ns.product(unit_vector(4, 0), unit_vector(4, 1)) == vector((0, 0, F(2, 3), 0))
+        assert ns.product(unit_vector(4, 1), unit_vector(4, 0)) == vector((0, 0, F(-1, 3), 0))
         c6 = make_cn(6, [1])[0]
         f = standard_torus("Cn", 6)[0]
         nd = from_derived_regular(c6, f)
-        assert nd.gamma[1][4] == vector((0, 0, 0, 0, 0, F(-1, 2)))
+        assert nd.product(unit_vector(6, 1), unit_vector(6, 4)) == vector(
+            (0, 0, 0, 0, 0, F(-1, 2)))
 
 
 def test_criterion_06_symplectic_pathway():

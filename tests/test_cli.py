@@ -470,6 +470,18 @@ def test_io_validate(capsys, tmp_path):
     assert "junk" in err
 
 
+@pytest.mark.parametrize("key", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digits"])
+def test_io_validate_rejects_bad_coefficient_key(capsys, tmp_path, key):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"dim": 2, "gamma": [{"i": 1, "j": 1, "coeffs": {key: "1"}}]}))
+    code, payload, err = run_cli(
+        capsys, ["io", "validate", "--kind", "affine", "--in", str(path), "--reproducible"]
+    )
+    assert code == 2
+    assert payload is None
+    assert "coefficient key" in err and len(err) < 200
+
+
 def test_io_validate_other_kinds(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run_cli(

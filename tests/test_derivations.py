@@ -431,6 +431,15 @@ def test_verify_torus_notes_irrational_eigenvalues():
     assert report.notes
 
 
+def test_verify_torus_incomplete_root_search_is_one_sided():
+    # both eigenvalues are primes past the trial-division cap, so the
+    # divisor search cannot split their product; the map is diagonal and
+    # must not be reported as failing to split
+    report = verify_torus(make_abelian(2), [Matrix.diagonal([1000003, 1000033])])
+    assert report.semisimplicity_failures == [(0, "rational root search incomplete")]
+    assert "does not split" not in str(report.semisimplicity_failures)
+
+
 def test_minimal_polynomial_diagonal():
     m = Matrix.diagonal([1, 1, 2])
     # (x - 1)(x - 2) = x^2 - 3x + 2

@@ -10,8 +10,9 @@ from lieaffine.catalog import make_cn, make_ln, make_qn
 from lieaffine.derivations import CharNilpVerdict, char_nilpotent_verdict
 from lieaffine.errors import SchemaError
 from lieaffine.liealg import TwoForm, algebra_hash
-from lieaffine.linalg import Matrix
+from lieaffine.linalg import Matrix, unit_vector
 from lieaffine.serialize import (
+    MAX_DIM,
     affine_from_json,
     affine_to_json,
     algebra_from_json,
@@ -43,7 +44,8 @@ def test_rational_parsing_recanonicalizes():
     assert parse_rational("+7") == F(7)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "1/-2", "", "1/2/3", None, 3])
+@pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "1/-2", "", "1/2/3", None, 3,
+                                 "\u0661", "1\n"])
 def test_rational_parsing_rejects_malformed(bad):
     with pytest.raises(SchemaError):
         parse_rational(bad)
@@ -136,9 +138,21 @@ def test_matrix_rejects_ragged():
         matrix_from_json([["1", "2"], ["3"]])
 
 
-def test_affine_round_trip():
-    l4 = make_ln(4)
-    structure, _ = synthesize(l4, seed=0, trials=32)
+@pytest.mark.parametrize("build", [
+    lambda: synthesize(make_ln(4), seed=0, trials=32)[0],
+    lambda: synthesize(make_ln(6), strategy="regular")[0],
+    lambda: synthesize(make_cn(6, [1])[0], strategy="derived-regular")[0],
+    lambda: synthesize(make_ln(4), strategy="symplectic")[0],
+    # explicit zero coefficients and an all-zero pair are dropped on input
+    lambda: affine_from_json({"dim": 3, "gamma": [
+        {"i": 1, "j": 2, "coeffs": {"1": "0", "3": "2/4"}},
+        {"i": 2, "j": 2, "coeffs": {"1": "0", "3": "0/5"}},
+    ]}),
+], ids=["auto-L4", "regular-L6", "derived-regular-C6", "symplectic-L4", "json-zeros"])
+def test_affine_round_trip(build):
+    structure = build()
+    # canonical table: a stored zero would print as "0" and change the bytes
+    assert all(coeffs and all(coeffs.values()) for coeffs in structure.gamma.values())
     doc = affine_to_json(structure)
     back = affine_from_json(json.loads(json.dumps(doc)))
     assert back.dim == structure.dim
@@ -153,7 +167,48 @@ def test_affine_gamma_allows_equal_indices():
         "provenance": {},
     }
     ns = affine_from_json(doc)
-    assert ns.gamma[0][0] == (F(0), F(5))
+    assert ns.product(unit_vector(2, 0), unit_vector(2, 0)) == (F(0), F(5))
+
+
+def _algebra_doc(dim, coeffs):
+    return {"name": "g", "dim": dim, "basis": [f"e{k}" for k in range(dim)],
+            "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]}
+
+
+def _affine_doc(dim, coeffs):
+    return {"dim": dim, "gamma": [{"i": 2, "j": 1, "coeffs": coeffs}]}
+
+
+@pytest.mark.parametrize("parse,make_doc", [
+    (algebra_from_json, _algebra_doc),
+    (affine_from_json, _affine_doc),
+], ids=["brackets", "gamma"])
+def test_coefficient_keys_are_ascii_indices_in_range(parse, make_doc):
+    # superscript two, Arabic-Indic one, a 5000-digit key, zero, past dim
+    for key in ("\u00b2", "\u0661", "1" * 5000, "0", "00", "4", "x"):
+        with pytest.raises(SchemaError) as info:
+            parse(make_doc(3, {key: "1"}))
+        assert len(str(info.value)) < 100
+    # a leading zero names the same index, so it cannot hide a duplicate
+    with pytest.raises(SchemaError, match="duplicate coefficient index 1"):
+        parse(make_doc(10, {"1": "2", "01": "3"}))
+
+
+def test_affine_leading_zero_key_names_the_index():
+    assert affine_from_json(_affine_doc(3, {"003": "7"})).gamma == {(1, 0): {2: F(7)}}
+
+
+def test_dim_header_is_bounded():
+    docs = [
+        (algebra_from_json, {"name": "g", "dim": MAX_DIM + 1, "basis": [], "brackets": []}),
+        (twoform_from_json, {"dim": MAX_DIM + 1, "entries": []}),
+        (affine_from_json, {"dim": MAX_DIM + 1, "gamma": []}),
+        (affine_from_json, {"dim": 0, "gamma": []}),
+    ]
+    for parse, doc in docs:
+        with pytest.raises(SchemaError, match=f"dim must lie between 1 and {MAX_DIM}"):
+            parse(doc)
+    assert affine_from_json({"dim": MAX_DIM, "gamma": []}).gamma == {}
 
 
 def test_certificate_round_trip():
