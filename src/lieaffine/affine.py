@@ -70,11 +70,10 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
-    ONE,
     ZERO,
     dense_vector,
-    format_rational,
     invert,
+    matrix_to_json,
     nonsingular,
     nullspace,
     sparse_apply,
@@ -228,17 +227,15 @@ def _sparse_sum(*vectors: dict) -> dict:
     return out
 
 
-def _product_tensor(outer: Matrix, maps: Sequence[list], inner: Matrix,
+def _product_tensor(outer: list, maps: Sequence[list], inner: list,
                     provenance: dict) -> AffineStructure:
     """The structure with e_i.e_j = outer(maps[i](inner e_j)).
 
-    ``maps[i]`` holds the sparse columns of a map; the three constructions
-    differ only in the three maps.
+    ``outer``, ``inner`` and each ``maps[i]`` are the sparse columns of a
+    map; the three constructions differ only in the three maps.
     """
     n = len(maps)
-    outer_cols = sparse_columns(outer)
-    inner_cols = sparse_columns(inner)
-    gamma = {(i, j): sparse_apply(outer_cols, sparse_apply(m, inner_cols[j]))
+    gamma = {(i, j): sparse_apply(outer, sparse_apply(m, inner[j]))
              for i, m in enumerate(maps) for j in range(n)}
     return AffineStructure(n, gamma, provenance)
 
@@ -253,10 +250,11 @@ def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
         raise SingularMatrixError("f is singular; the conjugation product needs f^{-1}")
     provenance = {
         "strategy": "regular",
-        "inputs": {"derivation": _matrix_strings(f)},
+        "inputs": {"derivation": matrix_to_json(f)},
         "seed": None,
     }
-    return _product_tensor(finv, ad_columns(alg), f, provenance)
+    return _product_tensor(sparse_columns(finv), ad_columns(alg), sparse_columns(f),
+                           provenance)
 
 
 def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -264,7 +262,8 @@ def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
 
     g is zero on the coordinate complement of the derived subalgebra's RREF
     pivots; that choice never reaches the product because every ad image
-    lies in the derived subalgebra.
+    lies in the derived subalgebra. Column p_k of g, p_k the k-th pivot,
+    combines the RREF rows by column k of the inverted restriction.
     """
     if is_derivation(alg, f):
         raise NotADerivationError("map does not satisfy the derivation identity")
@@ -275,18 +274,16 @@ def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
         raise SingularOnDerivedError(
             "restriction of f to the derived subalgebra is singular"
         )
-    n = alg.dim
-    r = derived.dim
-    embed = Matrix.from_columns(derived.basis, rows=n) if r else Matrix.zeros(n, 0)
-    picker = Matrix(
-        [[ONE if c == p else ZERO for c in range(n)] for p in derived.pivots], r, n
-    )
+    basis = [row for _, row in derived.rows]
+    g = [{} for _ in range(alg.dim)]
+    for (p, _), col in zip(derived.rows, sparse_columns(rinv)):
+        g[p] = sparse_apply(basis, col)
     provenance = {
         "strategy": "derived-regular",
-        "inputs": {"derivation": _matrix_strings(f)},
+        "inputs": {"derivation": matrix_to_json(f)},
         "seed": None,
     }
-    return _product_tensor(embed * rinv * picker, ad_columns(alg), f, provenance)
+    return _product_tensor(g, ad_columns(alg), sparse_columns(f), provenance)
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -313,10 +310,11 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
                 transposed[i][p][q] = c
     provenance = {
         "strategy": "symplectic",
-        "inputs": {"two_form": _gram_strings(form)},
+        "inputs": {"two_form": matrix_to_json(th)},
         "seed": None,
     }
-    return _product_tensor(-thinv, transposed, th, provenance)
+    return _product_tensor(sparse_columns(-thinv), transposed, sparse_columns(th),
+                           provenance)
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
@@ -349,14 +347,6 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         if nondegenerate(form):
             return form
     return None
-
-
-def _matrix_strings(m: Matrix) -> list:
-    return [[format_rational(x) for x in row] for row in m.data]
-
-
-def _gram_strings(form: TwoForm) -> list:
-    return _matrix_strings(form.gram)
 
 
 def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,

@@ -39,6 +39,7 @@ from .derivations import (
 from .errors import BadRange, LieToolError, NoStrategySucceeded, SchemaError, UnknownFamily
 from .liealg import is_filiform, jacobi_report, lower_central_series
 from .serialize import (
+    MAX_DIM,
     affine_from_json,
     algebra_from_json,
     algebra_to_json,
@@ -77,7 +78,7 @@ def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
         help="algebra JSON file ('-' or omitted reads stdin when no --family)",
     )
     parser.add_argument("--family", help=_FAMILY_HELP)
-    parser.add_argument("--n", type=int, help="family dimension")
+    parser.add_argument("--n", type=_dimension, help=f"family dimension, 1..{MAX_DIM}")
     parser.add_argument("--k", type=int, help="shift parameter for Ank/Bnk")
     parser.add_argument(
         "--lambda",
@@ -94,6 +95,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _dimension(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"must lie between 1 and {MAX_DIM}, got {value}")
     return value
 
 

@@ -56,15 +56,18 @@ _COEFF_RANGE = 10
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Basis of Der(g), RREF-reduced as flattened n^2-vectors."""
+    """Der(g) as RREF rows of flattened n^2-vectors; ``basis`` is the matrix view."""
 
     algebra: LieAlgebra
-    basis: Tuple[Matrix, ...]
     flat: Subspace
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.flat.dim
+
+    @cached_property
+    def basis(self) -> Tuple[Matrix, ...]:
+        return tuple(Matrix.unflatten(v, self.algebra.dim) for v in self.flat.basis)
 
     def contains(self, m: Matrix) -> bool:
         return self.flat.contains(m.flatten())
@@ -77,8 +80,16 @@ class DerivationSpace:
         the image chain of ``products_vanish`` decides, which by Engel's
         theorem is the same as every element of the span being nilpotent.
         """
-        return not any(b.trace() for b in self.basis) and products_vanish(
-            [sparse_columns(b) for b in self.basis])
+        n = self.algebra.dim
+        maps = []
+        for _, row in self.flat.rows:
+            cols = [{} for _ in range(n)]
+            for idx, x in row.items():
+                cols[idx % n][idx // n] = x
+            if sum(cols[p].get(p, ZERO) for p in range(n)):
+                return False
+            maps.append(cols)
+        return products_vanish(maps)
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,7 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
-    """Exact nullspace of the derivation conditions, as a matrix basis.
+    """Exact nullspace of the derivation conditions.
 
     Unknown (p, q) of the map sits at flat index p*n + q (row-major).
     """
@@ -166,9 +177,7 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
                 for p, c in alg.bracket_basis(i, q).items():
                     block[p][q * n + j] = block[p].get(q * n + j, ZERO) - c
             rows.extend(block)
-    flat = nullspace(rows, n * n)
-    basis = tuple(Matrix.unflatten(v, n) for v in flat.basis)
-    return DerivationSpace(algebra=alg, basis=basis, flat=flat)
+    return DerivationSpace(algebra=alg, flat=nullspace(rows, n * n))
 
 
 def diagonal_derivations(alg: LieAlgebra) -> Subspace:
@@ -205,7 +214,7 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[tup
     """
     check_trials(trials)
     rng = random.Random(seed)
-    basis = [[(j, x) for j, x in enumerate(base) if x] for base in space.basis]
+    basis = [list(row.items()) for _, row in space.rows]
 
     def stream():
         for _ in range(trials):
@@ -242,15 +251,18 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
-    cols = []
-    for b in derived.basis:
-        coords = derived.coordinates(m.apply(b))
-        if coords is None:
+    """Matrix of m on the RREF rows; an image's coordinates are its pivot entries."""
+    cols = sparse_columns(m)
+    basis = [row for _, row in derived.rows]
+    out = []
+    for b in basis:
+        image = sparse_apply(cols, b)
+        coords = [image.get(p, ZERO) for p, _ in derived.rows]
+        sparse_apply(basis, {k: -c for k, c in enumerate(coords) if c}, image)
+        if any(image.values()):
             raise NotInvariantError("image of a derived-subalgebra vector escapes it")
-        cols.append(coords)
-    if not cols:
-        return Matrix.zeros(0, 0)
-    return Matrix.from_columns(cols, rows=derived.dim)
+        out.append(coords)
+    return Matrix(list(zip(*out)), derived.dim, derived.dim)
 
 
 def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:

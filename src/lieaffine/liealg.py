@@ -19,13 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .linalg import (
+    ONE,
     Matrix,
     Subspace,
     ZERO,
+    _reduce,
     nonsingular,
     rat,
-    span,
-    unit_vector,
+    sparse_apply,
     vector,
 )
 
@@ -87,12 +88,6 @@ class LieAlgebra:
         if i < j:
             return dict(self.structure.get((i, j), {}))
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
-
-    def bracket_basis_vector(self, i: int, j: int):
-        out = [ZERO] * self.dim
-        for k, c in self.bracket_basis(i, j).items():
-            out[k] = c
-        return tuple(out)
 
     def bracket(self, x: Sequence, y: Sequence):
         """Bilinear extension of the structure constants to vectors."""
@@ -217,9 +212,8 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """Span of all brackets of basis pairs."""
-    images = [alg.bracket_basis_vector(i, j) for (i, j) in alg.structure]
-    return span(images, alg.dim)
+    """Span of all brackets of basis pairs: the stored structure constants."""
+    return Subspace(alg.dim, _reduce(alg.structure.values()))
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
@@ -231,11 +225,12 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     when the last entry is zero.
     """
     n = alg.dim
-    current = span([unit_vector(n, i) for i in range(n)], n)
+    ad = ad_columns(alg)
+    current = Subspace(n, [(i, {i: ONE}) for i in range(n)])
     series = [current]
     while True:
-        nxt = span([alg.bracket(unit_vector(n, i), b)
-                    for b in current.basis for i in range(n)], n)
+        nxt = Subspace(n, _reduce(sparse_apply(cols, row)
+                                  for cols in ad for _, row in current.rows))
         if nxt == current:
             break
         series.append(nxt)

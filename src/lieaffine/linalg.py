@@ -14,7 +14,8 @@ form, so it is exact and deterministic whatever the row order. ``rref``,
 ``products_vanish`` and ``is_nilpotent`` are thin callers, and no other
 elimination exists; ``nullspace`` also takes sparse equation rows
 directly, so the derivation and closed-form systems are never built as
-dense matrices.
+dense matrices. A ``Subspace`` holds the kernel's RREF rows as returned,
+without re-validation; its ``basis`` is a dense view computed on access.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def format_rational(x: Fraction) -> str:
         return str(x)
     except ValueError as exc:
         raise LieToolError("a result exceeds the integer digit limit") from exc
+
+
+def matrix_to_json(m: Matrix) -> list:
+    return [[format_rational(x) for x in row] for row in m.data]
 
 
 def vector(entries: Iterable) -> Vector:
@@ -221,50 +226,44 @@ class Matrix:
 
 
 class Subspace:
-    """A linear subspace given by a reduced-row-echelon basis.
+    """A linear subspace held as the kernel's canonical RREF rows.
 
-    The RREF basis is canonical, so two subspaces are equal exactly when
-    their ``basis`` tuples coincide.
+    ``rows`` are the (pivot, {col: Fraction}) pairs ``_reduce`` returns, so
+    two subspaces are equal exactly when their rows coincide; ``basis`` is
+    their dense view.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis_rows: Sequence[Sequence]):
-        rows = tuple(vector(r) for r in basis_rows)
-        if any(len(r) != ambient_dim for r in rows):
-            raise DimensionMismatch("basis rows do not match the ambient dimension")
-        pivots = []
-        for r in rows:
-            lead = next((j for j, x in enumerate(r) if x), None)
-            if lead is None:
-                raise ValueError("zero row in a subspace basis")
-            pivots.append(lead)
+    def __init__(self, ambient_dim: int, rows: Sequence[tuple]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self) -> tuple:
+        return tuple(dense_vector(row, self.ambient_dim) for _, row in self.rows)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the RREF basis, or None if v lies outside."""
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector does not match the ambient dimension")
-        coeffs = tuple(v[p] for p in self.pivots)
+        coeffs = tuple(v[p] for p, _ in self.rows)
         residual = list(v)
-        for c, row in zip(coeffs, self.basis):
+        for c, (_, row) in zip(coeffs, self.rows):
             if c:
-                for j, x in enumerate(row):
-                    if x:
-                        residual[j] -= c * x
+                for j, x in row.items():
+                    residual[j] -= c * x
         if any(residual):
             return None
         return coeffs
@@ -275,7 +274,7 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
@@ -403,8 +402,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subs
         ambient_dim = len(vecs[0])
     if any(len(v) != ambient_dim for v in vecs):
         raise DimensionMismatch("vectors of unequal dimension")
-    reduced = _reduce(_sparse(vecs))
-    return Subspace(ambient_dim, [dense_vector(row, ambient_dim) for _, row in reduced])
+    return Subspace(ambient_dim, _reduce(_sparse(vecs)))
 
 
 def nullspace(system, ncols: Optional[int] = None) -> Subspace:
@@ -422,8 +420,7 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
         for c, x in row.items():
             if c != p:
                 basis[c][p] = -x
-    spanned = _reduce(basis[f] for f in sorted(basis))
-    return Subspace(ncols, [dense_vector(row, ncols) for _, row in spanned])
+    return Subspace(ncols, _reduce(basis[f] for f in sorted(basis)))
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:

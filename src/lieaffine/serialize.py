@@ -17,13 +17,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Optional
-
 from .affine import STRATEGY_CHECKS, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm
-from .linalg import Matrix, format_rational
+from .linalg import Matrix, format_rational, matrix_to_json
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
@@ -33,9 +31,14 @@ _META_FIELDS = {"generated_at"}
 MAX_DIM = 256
 
 
+def _echo(value) -> str:
+    """The first 20 characters of a document value, quoted, for a diagnostic."""
+    return repr(str(value)[:20])
+
+
 def parse_rational(text) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise SchemaError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
+        raise SchemaError(f"malformed rational {_echo(text)}; expected 'p' or 'p/q'")
     num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
@@ -44,7 +47,7 @@ def parse_rational(text) -> Fraction:
             f"rational of {len(text)} characters exceeds the integer digit limit"
         ) from exc
     if den == 0:
-        raise SchemaError(f"zero denominator in rational {text!r}")
+        raise SchemaError(f"zero denominator in rational {_echo(text)}")
     return Fraction(num, den)
 
 
@@ -54,7 +57,7 @@ def _require_object(doc, required, optional=frozenset()):
     keys = set(doc)
     unknown = keys - set(required) - set(optional) - _META_FIELDS
     if unknown:
-        raise SchemaError(f"unknown field(s): {sorted(unknown)}")
+        raise SchemaError(f"unknown field(s): {_echo(', '.join(sorted(unknown)))}")
     missing = set(required) - keys
     if missing:
         raise SchemaError(f"missing field(s): {sorted(missing)}")
@@ -84,27 +87,19 @@ def _index_key(key, dim: int) -> int:
     digits = key.lstrip("0") if isinstance(key, str) and key.isascii() and key.isdigit() else ""
     # the length test keeps int() away from keys of thousands of digits
     if not digits or len(digits) > len(str(dim)) or int(digits) > dim:
-        raise SchemaError(f"coefficient key {str(key)[:20]!r} is not an index in 1..{dim}")
+        raise SchemaError(f"coefficient key {_echo(key)} is not an index in 1..{dim}")
     return int(digits) - 1
 
 
 # --- matrices -------------------------------------------------------------
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[format_rational(x) for x in row] for row in m.data]
-
-
-def matrix_from_json(doc, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
+def matrix_from_json(doc) -> Matrix:
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
         raise SchemaError("matrix must be an array of row arrays")
     grid = [[parse_rational(x) for x in row] for row in doc]
     if grid and any(len(r) != len(grid[0]) for r in grid):
         raise SchemaError("matrix rows have unequal lengths")
-    if rows is not None and len(grid) != rows:
-        raise SchemaError(f"expected {rows} matrix rows, got {len(grid)}")
-    if cols is not None and grid and len(grid[0]) != cols:
-        raise SchemaError(f"expected {cols} matrix columns, got {len(grid[0])}")
-    return Matrix(grid, len(grid), len(grid[0]) if grid else (cols or 0))
+    return Matrix(grid, len(grid), len(grid[0]) if grid else 0)
 
 
 # --- coefficient tables ------------------------------------------------------
@@ -237,7 +232,7 @@ _WITNESS_CODECS = {
 def _witness_codec(key):
     codec = _WITNESS_CODECS.get(key)
     if codec is None:
-        raise SchemaError(f"unknown witness kind {key!r}")
+        raise SchemaError(f"unknown witness kind {_echo(key)}")
     return codec
 
 
@@ -266,7 +261,7 @@ def certificate_from_json(doc) -> Certificate:
     )
     strategy = _require_str(doc["strategy"], "strategy")
     if strategy not in STRATEGY_CHECKS:
-        raise SchemaError(f"unknown strategy {strategy!r}")
+        raise SchemaError(f"unknown strategy {_echo(strategy)}")
     checks = []
     if not isinstance(doc["checks"], list):
         raise SchemaError("checks must be a list")
@@ -310,7 +305,7 @@ def verdict_from_json(doc) -> CharNilpVerdict:
                     optional=("name", "note"))
     kind = _require_str(doc["kind"], "kind")
     if kind not in (NOT_CHAR_NILPOTENT, CHAR_NILPOTENT_LIKELY):
-        raise SchemaError(f"unknown verdict kind {kind!r}")
+        raise SchemaError(f"unknown verdict kind {_echo(kind)}")
     witness = doc["witness"]
     if witness is not None:
         witness = _square_matrix_from_json(witness, "witness")

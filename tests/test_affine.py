@@ -299,7 +299,7 @@ def test_torsion_identity_as_tensor_equation():
                 lhs = tuple(a - b for a, b in zip(
                     ns.product(unit_vector(n, i), unit_vector(n, j)),
                     ns.product(unit_vector(n, j), unit_vector(n, i))))
-                assert lhs == alg.bracket_basis_vector(i, j)
+                assert lhs == alg.bracket(unit_vector(n, i), unit_vector(n, j))
 
 
 def test_synthesize_l12_regular():

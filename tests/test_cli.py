@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lieaffine.cli import main
-from lieaffine.serialize import algebra_from_json, certificate_from_json
+from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -482,6 +482,34 @@ def test_io_validate_rejects_bad_coefficient_key(capsys, tmp_path, key):
     assert "coefficient key" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("kind, doc", [
+    ("algebra", {"name": "g", "dim": 2, "basis": ["a", "b"],
+                 "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "x" * 5000}}]}),
+    ("certificate", {"algebra_hash": "0", "strategy": "x" * 5000, "seed": 0, "trials": 1,
+                     "version": "0", "checks": [], "witnesses": {}}),
+], ids=["rational", "strategy"])
+def test_io_validate_cuts_long_strings(capsys, tmp_path, kind, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_cli(
+        capsys, ["io", "validate", "--kind", kind, "--in", str(path), "--reproducible"]
+    )
+    assert code == 2
+    assert payload is None
+    assert len(err) < 200
+
+
+def test_family_dimension_is_bounded(capsys):
+    # rejected while parsing, before any algebra is built
+    for argv in (["catalog", "show"], ["der", "space"]):
+        code, payload, err = run_cli(
+            capsys, [*argv, "--family", "Ln", "--n", str(MAX_DIM + 1)]
+        )
+        assert code == 2
+        assert payload is None
+        assert f"must lie between 1 and {MAX_DIM}" in err
+
+
 def test_io_validate_other_kinds(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run_cli(
@@ -559,6 +587,18 @@ PINNED_STDOUT = [
      "34cbf6bd80d4ba665f8923caa9f9686d843e36268934a8ad6b03eec6e98ff229"),
     (("der", "derived-regular", "--family", "Benoist", "--t=-1/2"), 1,
      "5bc11ceb014d7b6f02d58a9b1f2d86dc4565d2cb96838ec1b094e7ed3cecdcba"),
+    # Der(g), weight spaces and the lower central series, all read from
+    # the kernel's RREF rows
+    (("der", "space", "--family", "Ln", "--n", "8"), 0,
+     "05fb78155254baba610c7920944b31210cb1aa7aabebbf638f4b8feb2b07d8b5"),
+    (("der", "space", "--family", "Benoist", "--t", "1"), 0,
+     "1261b0f7969d3413e7b3f4fbcf6e2ef28407e7a75a8c7e47852b46a9460afc5c"),
+    (("der", "diag", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"), 0,
+     "328ce3c4da2568ca00b818eb63495d389eb65cd36d75fcdfa5aaf07bfbd51e6f"),
+    (("verify", "filiform", "--family", "Benoist", "--t", "1"), 0,
+     "5a3c66601a7af2008394dc1741c5ccae88bd290193b8702552f3e1c8372f1af2"),
+    (("verify", "nilpotent", "--family", "QnZ", "--n", "10"), 0,
+     "675b5cc1f02ca3946684496ea0e3ec479c5a7ca8660746997776a51afebad9a2"),
 ]
 
 

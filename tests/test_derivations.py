@@ -31,12 +31,13 @@ from lieaffine.derivations import (
     verify_witness,
 )
 from lieaffine.errors import NotADerivationError
-from lieaffine.liealg import LieAlgebra
+from lieaffine.liealg import LieAlgebra, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     invert,
     is_nilpotent,
     nonsingular,
+    span,
     unit_vector,
 )
 
@@ -346,6 +347,18 @@ def _change_basis(alg, p):
     return LieAlgebra(alg.dim, structure)
 
 
+def _sparse_basis_change(n, rng):
+    # an invertible P = I + four +-1 entries off the diagonal
+    while True:
+        grid = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4):
+            i, j = rng.sample(range(n), 2)
+            grid[i][j] = rng.choice((-1, 1))
+        p = Matrix(grid)
+        if nonsingular(p):
+            return p
+
+
 NIL_CASES = [(make_benoist(t), True) for t in (0, 1, -1, F(1, 3))] + [
     (make_ln(8), False), (make_qn(8), False), (make_cn(6, [1])[0], False)]
 
@@ -361,19 +374,51 @@ def test_all_nilpotent_is_basis_free(alg, nil):
     n = alg.dim
     space = derivation_space(alg)
     assert space.all_nilpotent is nil
-    rng = random.Random(n)
-    while True:
-        grid = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(4):
-            i, j = rng.sample(range(n), 2)
-            grid[i][j] = rng.choice((-1, 1))
-        p = Matrix(grid)
-        if nonsingular(p):
-            break
-    moved = derivation_space(_change_basis(alg, p))
+    moved = derivation_space(_change_basis(alg, _sparse_basis_change(n, random.Random(n))))
     assert moved.dim == space.dim
     assert any(b[i, j] for b in moved.basis for i in range(n) for j in range(i + 1, n))
     assert moved.all_nilpotent is nil
+
+
+def _dense_lower_central_series(alg):
+    n = alg.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    series = [span(e, n)]
+    while True:
+        nxt = span([alg.bracket(x, b) for b in series[-1].basis for x in e], n)
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+# Benoist(1) moved by a basis change under which [g, g] is not a coordinate
+# tail: one of its RREF rows has two nonzero entries
+_MOVED_BENOIST = _change_basis(make_benoist(1), _sparse_basis_change(11, random.Random(4)))
+
+
+@pytest.mark.parametrize("alg", [
+    make_ln(8), make_qn(8), make_cn(6, [1])[0], make_benoist(1), _MOVED_BENOIST,
+], ids=["L8", "Q8", "C6", "Benoist1", "Benoist1-moved"])
+def test_sparse_subspaces_match_dense_oracle(alg):
+    # the kernel-row paths against span of LieAlgebra.bracket images, and
+    # Matrix.apply + Subspace.coordinates for the restriction to [g, g]
+    n = alg.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    derived = derived_subalgebra(alg)
+    oracle = span([alg.bracket(e[i], e[j]) for i in range(n) for j in range(i + 1, n)], n)
+    assert derived == oracle and derived.basis == oracle.basis
+    series = lower_central_series(alg)
+    dense = _dense_lower_central_series(alg)
+    assert series == dense and [s.basis for s in series] == [s.basis for s in dense]
+    if alg is _MOVED_BENOIST:
+        assert any(len(row) > 1 for _, row in derived.rows)
+    space = derivation_space(alg)
+    candidates = list(space.basis)
+    candidates += [Matrix.unflatten(v, n) for v in seeded_combinations(space.flat, 3, 4)]
+    for d in candidates:
+        expected = Matrix.from_columns([derived.coordinates(d.apply(b)) for b in derived.basis],
+                                       rows=derived.dim)
+        assert derivations._restrict(derived, d) == expected
 
 
 def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):

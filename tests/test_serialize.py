@@ -211,6 +211,30 @@ def test_dim_header_is_bounded():
     assert affine_from_json({"dim": MAX_DIM, "gamma": []}).gamma == {}
 
 
+LONG = "x" * 5000
+
+
+def _certificate_doc(strategy="regular", witnesses=None):
+    return {"algebra_hash": "0", "strategy": strategy, "seed": 0, "trials": 1,
+            "version": "0", "checks": [], "witnesses": witnesses or {}}
+
+
+@pytest.mark.parametrize("parse, doc, what", [
+    (parse_rational, LONG, "malformed rational"),
+    (parse_rational, "0" * 2500 + "/" + "0" * 2499, "zero denominator"),
+    (algebra_from_json, {"name": "g", "dim": 1, "basis": ["e1"], "brackets": [], LONG: 1},
+     "unknown field"),
+    (certificate_from_json, _certificate_doc(witnesses={LONG: []}), "unknown witness kind"),
+    (certificate_from_json, _certificate_doc(strategy=LONG), "unknown strategy"),
+    (verdict_from_json, {"kind": LONG, "witness": None, "seed": 0, "trials": 1},
+     "unknown verdict kind"),
+], ids=["malformed", "zero-denominator", "field", "witness", "strategy", "verdict"])
+def test_diagnostics_cut_long_document_strings(parse, doc, what):
+    with pytest.raises(SchemaError, match=what) as info:
+        parse(doc)
+    assert len(str(info.value)) < 120
+
+
 def test_certificate_round_trip():
     l6 = make_ln(6)
     _, cert = synthesize(l6, seed=0, trials=32)
