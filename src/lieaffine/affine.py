@@ -11,12 +11,14 @@ grows with the tensor's nonzeros rather than with dense matrix products.
 
 Three constructors are provided:
 
-* ``from_regular_derivation``: x.y = f^{-1}([x, f(y)]) for an invertible
-  derivation f.
 * ``from_derived_regular``: x.y = g([x, f(y)]) where f is a derivation
   whose restriction to the derived subalgebra is invertible and g inverts
   f there (extended by zero off the pivot coordinates; the extension is
   irrelevant because ad images lie in the derived subalgebra).
+* ``from_regular_derivation``: x.y = f^{-1}([x, f(y)]) for an invertible
+  derivation f. This conjugation product is the derived-regular product
+  of an f that is invertible on all of g: f maps [g, g] onto itself, and
+  every [x, f(y)] lies there, so both constructors share one builder.
 * ``from_symplectic``: the product defined against a closed nondegenerate
   2-form by th([x, u], v) = -th(u, x.v).
 
@@ -31,12 +33,11 @@ winner exhaustively, and wraps the outcome in a self-contained certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __about__
 from .derivations import (
     DEFAULT_TRIALS,
-    DerivationSpace,
     _restrict,
     check_trials,
     derivation_space,
@@ -83,14 +84,52 @@ from .linalg import (
 
 NOT_A_PROOF = "search failure only; not a proof of non-existence"
 
-# The checks a certificate of each strategy must pass, in the order
-# recorded. The verifier runs these itself and never trusts a document's
-# own list; the key order is the order ``auto`` tries the strategies.
-STRATEGY_CHECKS = {
-    "regular": ("is_derivation", "invertible", "torsion", "left_symmetry"),
-    "derived-regular": ("is_derivation", "restriction_invertible", "torsion",
-                        "left_symmetry"),
-    "symplectic": ("closed", "nondegenerate", "torsion", "left_symmetry"),
+
+@dataclass(frozen=True)
+class _Strategy:
+    checks: Tuple[str, ...]
+    witness: str
+    search: Callable
+    construct: Callable
+    failure: Callable
+
+
+# How ``synthesize`` tries each strategy, in the order ``auto`` tries them.
+# ``checks`` are the checks its certificate must pass, in the order
+# recorded; the verifier runs them itself and never trusts a document's
+# own list. ``search(alg, space, seed, trials)`` returns a ``witness`` or
+# None (``space`` is Der(g) when the witness is a derivation), and
+# ``failure`` says why it came back empty. Searches and constructions are
+# called through the module's names, so a wrapper on those names sees them.
+STRATEGIES = {
+    "regular": _Strategy(
+        checks=("is_derivation", "invertible", "torsion", "left_symmetry"),
+        witness="derivation",
+        search=lambda alg, space, seed, trials: find_regular_derivation(
+            space, seed=seed, trials=trials),
+        construct=lambda alg, f: from_regular_derivation(alg, f),
+        failure=lambda alg, seed, trials: (
+            f"no invertible derivation found (seed={seed}, trials={trials})"),
+    ),
+    "derived-regular": _Strategy(
+        checks=("is_derivation", "restriction_invertible", "torsion", "left_symmetry"),
+        witness="derivation",
+        search=lambda alg, space, seed, trials: find_derived_regular_derivation(
+            space, seed=seed, trials=trials),
+        construct=lambda alg, f: from_derived_regular(alg, f),
+        failure=lambda alg, seed, trials: (
+            "no derivation with invertible restriction to the derived "
+            f"subalgebra found (seed={seed}, trials={trials})"),
+    ),
+    "symplectic": _Strategy(
+        checks=("closed", "nondegenerate", "torsion", "left_symmetry"),
+        witness="two_form",
+        search=lambda alg, space, seed, trials: find_symplectic(alg, seed=seed, trials=trials),
+        construct=lambda alg, form: from_symplectic(alg, form),
+        failure=lambda alg, seed, trials: (
+            "odd dimension admits no nondegenerate 2-form" if alg.dim % 2 else
+            f"no closed nondegenerate 2-form found (seed={seed}, trials={trials})"),
+    ),
 }
 
 
@@ -227,15 +266,19 @@ def _sparse_sum(*vectors: dict) -> dict:
     return out
 
 
-def _product_tensor(outer: list, maps: Sequence[list], inner: list,
-                    provenance: dict) -> AffineStructure:
-    """The structure with e_i.e_j = outer(maps[i](inner e_j)).
+def _product_tensor(outer: list, maps: Sequence[list], inner: Matrix,
+                    strategy: str, witness: str) -> AffineStructure:
+    """The structure with e_i.e_j = outer(maps[i](inner e_j)), recorded as ``strategy``.
 
-    ``outer``, ``inner`` and each ``maps[i]`` are the sparse columns of a
-    map; the three constructions differ only in the three maps.
+    ``outer`` and each ``maps[i]`` are the sparse columns of a map; the
+    three constructions differ only in the three maps. ``inner`` is the
+    construction's witness matrix, kept in the provenance under ``witness``.
     """
+    provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
+                  "seed": None}
     n = len(maps)
-    gamma = {(i, j): sparse_apply(outer, sparse_apply(m, inner[j]))
+    columns = sparse_columns(inner)
+    gamma = {(i, j): sparse_apply(outer, sparse_apply(m, columns[j]))
              for i, m in enumerate(maps) for j in range(n)}
     return AffineStructure(n, gamma, provenance)
 
@@ -244,29 +287,27 @@ def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     """Product e_i . y = f^{-1}([e_i, f(y)]) for an invertible derivation f."""
     if is_derivation(alg, f):
         raise NotADerivationError("f does not satisfy the derivation identity")
-    try:
-        finv = invert(f)
-    except SingularMatrixError:
+    if not nonsingular(f):
         raise SingularMatrixError("f is singular; the conjugation product needs f^{-1}")
-    provenance = {
-        "strategy": "regular",
-        "inputs": {"derivation": matrix_to_json(f)},
-        "seed": None,
-    }
-    return _product_tensor(sparse_columns(finv), ad_columns(alg), sparse_columns(f),
-                           provenance)
+    return _derived_product(alg, f, "regular")
 
 
 def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
-    """Product e_i . y = g([e_i, f(y)]) with g inverting f on the derived subalgebra.
-
-    g is zero on the coordinate complement of the derived subalgebra's RREF
-    pivots; that choice never reaches the product because every ad image
-    lies in the derived subalgebra. Column p_k of g, p_k the k-th pivot,
-    combines the RREF rows by column k of the inverted restriction.
-    """
+    """Product e_i . y = g([e_i, f(y)]) with g inverting f on the derived subalgebra."""
     if is_derivation(alg, f):
         raise NotADerivationError("map does not satisfy the derivation identity")
+    return _derived_product(alg, f, "derived-regular")
+
+
+def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructure:
+    """The structure e_i . y = g([e_i, f(y)]) of a derivation f, recorded as ``strategy``.
+
+    g inverts f on the derived subalgebra and is zero on the coordinate
+    complement of its RREF pivots; that choice never reaches the product
+    because every ad image lies in the derived subalgebra. Column p_k of g,
+    p_k the k-th pivot, combines the RREF rows by column k of the inverted
+    restriction.
+    """
     derived = derived_subalgebra(alg)
     try:
         rinv = invert(_restrict(derived, f))
@@ -278,12 +319,7 @@ def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, sparse_columns(rinv)):
         g[p] = sparse_apply(basis, col)
-    provenance = {
-        "strategy": "derived-regular",
-        "inputs": {"derivation": matrix_to_json(f)},
-        "seed": None,
-    }
-    return _product_tensor(g, ad_columns(alg), sparse_columns(f), provenance)
+    return _product_tensor(g, ad_columns(alg), f, strategy, "derivation")
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -308,13 +344,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
         for q, col in enumerate(cols):
             for p, c in col.items():
                 transposed[i][p][q] = c
-    provenance = {
-        "strategy": "symplectic",
-        "inputs": {"two_form": matrix_to_json(th)},
-        "seed": None,
-    }
-    return _product_tensor(sparse_columns(-thinv), transposed, sparse_columns(th),
-                           provenance)
+    return _product_tensor(sparse_columns(-thinv), transposed, th, "symplectic", "two_form")
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
@@ -360,137 +390,86 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     attempted strategy; that exception reports a failed search and never a
     non-existence proof.
     """
-    wanted = tuple(STRATEGY_CHECKS) if strategy == "auto" else (strategy,)
-    for s in wanted:
-        if s not in STRATEGY_CHECKS:
-            raise ValueError(f"unknown strategy {s!r}")
+    if strategy != "auto" and strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    wanted = tuple(STRATEGIES) if strategy == "auto" else (strategy,)
+    needs_space = any(STRATEGIES[name].witness == "derivation" for name in wanted)
+    space = derivation_space(alg) if needs_space else None
     reasons: Dict[str, str] = {}
-    space: Optional[DerivationSpace] = None
-    if "regular" in wanted or "derived-regular" in wanted:
-        space = derivation_space(alg)
-
-    if "regular" in wanted:
-        f = find_regular_derivation(space, seed=seed, trials=trials)
-        if f is None:
-            reasons["regular"] = (
-                f"no invertible derivation found (seed={seed}, trials={trials})"
+    for name in wanted:
+        entry = STRATEGIES[name]
+        witness = entry.search(alg, space, seed, trials)
+        if witness is None:
+            reasons[name] = entry.failure(alg, seed, trials)
+            continue
+        structure = entry.construct(alg, witness)
+        report = verify_affine(alg, structure)
+        if not report.passed:
+            raise AssertionError(
+                f"constructed {name} structure failed verification; "
+                f"{len(report.torsion_violations)} torsion and "
+                f"{len(report.leftsym_violations)} left-symmetry violations"
             )
-        else:
-            structure = from_regular_derivation(alg, f)
-            return _certify(alg, structure, "regular", seed, trials,
-                            witnesses={"derivation": f})
-
-    if "derived-regular" in wanted:
-        f = find_derived_regular_derivation(space, seed=seed, trials=trials)
-        if f is None:
-            reasons["derived-regular"] = (
-                "no derivation with invertible restriction to the derived "
-                f"subalgebra found (seed={seed}, trials={trials})"
-            )
-        else:
-            structure = from_derived_regular(alg, f)
-            return _certify(alg, structure, "derived-regular", seed, trials,
-                            witnesses={"derivation": f})
-
-    if "symplectic" in wanted:
-        if alg.dim % 2:
-            reasons["symplectic"] = "odd dimension admits no nondegenerate 2-form"
-        else:
-            form = find_symplectic(alg, seed=seed, trials=trials)
-            if form is None:
-                reasons["symplectic"] = (
-                    f"no closed nondegenerate 2-form found (seed={seed}, trials={trials})"
-                )
-            else:
-                structure = from_symplectic(alg, form)
-                return _certify(alg, structure, "symplectic", seed, trials,
-                                witnesses={"two_form": form})
-
-    raise NoStrategySucceeded(reasons)
-
-
-def _certify(alg, structure, strategy, seed, trials, witnesses):
-    report = verify_affine(alg, structure)
-    if not report.passed:
-        raise AssertionError(
-            f"constructed {strategy} structure failed verification; "
-            f"{len(report.torsion_violations)} torsion and "
-            f"{len(report.leftsym_violations)} left-symmetry violations"
+        cert = Certificate(
+            algebra_hash=algebra_hash(alg),
+            strategy=name,
+            seed=seed,
+            trials=trials,
+            version=__about__.__version__,
+            checks=[CheckResult(check, "pass", 0) for check in entry.checks],
+            witnesses={entry.witness: witness, "affine_structure": structure},
         )
-    witnesses = dict(witnesses)
-    witnesses["affine_structure"] = structure
-    cert = Certificate(
-        algebra_hash=algebra_hash(alg),
-        strategy=strategy,
-        seed=seed,
-        trials=trials,
-        version=__about__.__version__,
-        checks=[CheckResult(name, "pass", 0) for name in STRATEGY_CHECKS[strategy]],
-        witnesses=witnesses,
-    )
-    return structure, cert
+        return structure, cert
+    raise NoStrategySucceeded(reasons)
 
 
 def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
     """Re-run the checks the certificate's strategy requires, from its payloads alone.
 
-    The checks come from ``STRATEGY_CHECKS``, never from the certificate's
-    own list, so a certificate that omits a check cannot pass; the recorded
+    The checks come from ``STRATEGIES``, never from the certificate's own
+    list, so a certificate that omits a check cannot pass; the recorded
     list must match the recomputed one name for name and status for status.
+    A witness of the wrong type leaves its checks "unknown".
     """
-    required = STRATEGY_CHECKS.get(cert.strategy)
-    if required is None:
+    entry = STRATEGIES.get(cert.strategy)
+    if entry is None:
         raise SchemaError(f"unknown strategy {cert.strategy!r}")
     hash_match = algebra_hash(alg) == cert.algebra_hash
     structure = cert.witnesses.get("affine_structure")
     affine_report = None
     if isinstance(structure, AffineStructure) and structure.dim == alg.dim:
         affine_report = verify_affine(alg, structure)
+    witnesses = {**cert.witnesses, "affine_structure": affine_report}
     results: List[CheckResult] = []
-    for name in required:
+    for name in entry.checks:
+        key, kind, count = _CHECKS[name]
+        witness = witnesses.get(key)
+        if not isinstance(witness, kind):
+            results.append(CheckResult(name, "unknown", -1))
+            continue
         try:
-            residuals = _recompute_check(alg, cert, name, affine_report)
+            residuals = count(alg, witness)
         except LieToolError:
             residuals = 1
-        if residuals is None:
-            results.append(CheckResult(name, "unknown", -1))
-        else:
-            results.append(CheckResult(name, "pass" if residuals == 0 else "fail", residuals))
+        results.append(CheckResult(name, "pass" if residuals == 0 else "fail", residuals))
     matches = [(c.name, c.status) for c in cert.checks] == [
         (c.name, c.status) for c in results
     ]
     return ReverifyReport(hash_match=hash_match, checks=results, matches_recorded=matches)
 
 
-def _recompute_check(alg, cert, name, affine_report) -> Optional[int]:
-    derivation = cert.witnesses.get("derivation")
-    form = cert.witnesses.get("two_form")
-    if name == "is_derivation":
-        if not isinstance(derivation, Matrix):
-            return None
-        return len(is_derivation(alg, derivation))
-    if name == "invertible":
-        if not isinstance(derivation, Matrix):
-            return None
-        return 0 if nonsingular(derivation) else 1
-    if name == "restriction_invertible":
-        if not isinstance(derivation, Matrix):
-            return None
-        return 0 if nonsingular(restrict_to_derived(alg, derivation)) else 1
-    if name == "closed":
-        if not isinstance(form, TwoForm):
-            return None
-        return len(dtheta_residual(alg, form))
-    if name == "nondegenerate":
-        if not isinstance(form, TwoForm):
-            return None
-        return 0 if nondegenerate(form) else 1
-    if name == "torsion":
-        if affine_report is None:
-            return None
-        return len(affine_report.torsion_violations)
-    if name == "left_symmetry":
-        if affine_report is None:
-            return None
-        return len(affine_report.leftsym_violations)
-    return None
+# check name -> (witness key, witness type, residual count of alg and witness);
+# the "affine_structure" witness is read as its one verify_affine report
+_CHECKS = {
+    "is_derivation": ("derivation", Matrix, lambda alg, f: len(is_derivation(alg, f))),
+    "invertible": ("derivation", Matrix, lambda alg, f: 0 if nonsingular(f) else 1),
+    "restriction_invertible": (
+        "derivation", Matrix,
+        lambda alg, f: 0 if nonsingular(restrict_to_derived(alg, f)) else 1),
+    "closed": ("two_form", TwoForm, lambda alg, form: len(dtheta_residual(alg, form))),
+    "nondegenerate": ("two_form", TwoForm, lambda alg, form: 0 if nondegenerate(form) else 1),
+    "torsion": ("affine_structure", AffineReport,
+                lambda alg, report: len(report.torsion_violations)),
+    "left_symmetry": ("affine_structure", AffineReport,
+                      lambda alg, report: len(report.leftsym_violations)),
+}

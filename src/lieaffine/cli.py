@@ -19,7 +19,7 @@ from functools import partial
 from . import catalog
 from .affine import (
     NOT_A_PROOF,
-    STRATEGY_CHECKS,
+    STRATEGIES,
     find_symplectic,
     reverify_certificate,
     synthesize,
@@ -37,9 +37,10 @@ from .derivations import (
     verify_witness,
 )
 from .errors import BadRange, LieToolError, NoStrategySucceeded, SchemaError, UnknownFamily
-from .liealg import is_filiform, jacobi_report, lower_central_series
+from .liealg import _filiform_dims, jacobi_report, lower_central_series
 from .serialize import (
     MAX_DIM,
+    _echo,
     affine_from_json,
     algebra_from_json,
     algebra_to_json,
@@ -78,8 +79,10 @@ def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
         help="algebra JSON file ('-' or omitted reads stdin when no --family)",
     )
     parser.add_argument("--family", help=_FAMILY_HELP)
-    parser.add_argument("--n", type=_dimension, help=f"family dimension, 1..{MAX_DIM}")
-    parser.add_argument("--k", type=int, help="shift parameter for Ank/Bnk")
+    parser.add_argument("--n", type=_option_type(f"must lie between 1 and {MAX_DIM}", int,
+                                                 lambda n: 1 <= n <= MAX_DIM),
+                        help=f"family dimension, 1..{MAX_DIM}")
+    parser.add_argument("--k", type=_INTEGER, help="shift parameter for Ank/Bnk")
     parser.add_argument(
         "--lambda",
         dest="lambdas",
@@ -91,23 +94,37 @@ def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
                         help="parameter t for the Benoist family (default 0)")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _option_type(rule: str, convert=str, admit=lambda value: True):
+    """An argparse ``type`` rejecting what ``convert`` cannot read or ``admit`` refuses.
+
+    The diagnostic states ``rule`` and echoes at most 20 characters of the value.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if admit(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{rule}, got {_echo(text)}")
+    return parse
 
 
-def _dimension(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_DIM:
-        raise argparse.ArgumentTypeError(f"must lie between 1 and {MAX_DIM}, got {value}")
-    return value
+def _choice(options: tuple) -> dict:
+    """``type`` and ``metavar`` of an option that takes one of ``options``."""
+    return {"type": _option_type(f"must be one of {', '.join(options)}",
+                                 admit=options.__contains__),
+            "metavar": "{" + ",".join(options) + "}"}
+
+
+_INTEGER = _option_type("must be an integer", int)
 
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
+    parser.add_argument("--seed", type=_INTEGER, default=0, help="random seed (default 0)")
+    parser.add_argument("--trials", type=_option_type("must be at least 1", int, lambda t: t >= 1),
+                        default=DEFAULT_TRIALS,
                         help=f"random trial count, at least 1 (default {DEFAULT_TRIALS})")
 
 
@@ -137,7 +154,7 @@ def _algebra_from_family(args):
         return catalog.make_cn(_need(args, "n"), lams)[0]
     if family == "Benoist":
         return catalog.make_benoist(parse_rational(args.t_param or "0"))
-    raise UnknownFamily(f"unknown family {args.family!r}")
+    raise UnknownFamily(f"unknown family {_echo(family)}")
 
 
 def _load_algebra(args):
@@ -199,34 +216,19 @@ def _cmd_verify_jacobi(args):
     return payload, 0 if not violations else 1
 
 
-def _cmd_verify_filiform(args):
+def _cmd_verify_series(key, holds, args):
+    """Report ``key``: whether ``holds`` on the lower-central-series dimensions."""
     alg = _load_algebra(args)
     violations, jac = _jacobi_payload(alg)
     if violations:
         return jac, 1
-    series = lower_central_series(alg)
-    result = is_filiform(alg)
+    dims = [s.dim for s in lower_central_series(alg)]
+    result = holds(dims)
     payload = {
         "name": alg.name,
         "dim": alg.dim,
-        "filiform": result,
-        "series_dims": [s.dim for s in series],
-    }
-    return payload, 0 if result else 1
-
-
-def _cmd_verify_nilpotent(args):
-    alg = _load_algebra(args)
-    violations, jac = _jacobi_payload(alg)
-    if violations:
-        return jac, 1
-    series = lower_central_series(alg)
-    result = series[-1].is_zero()
-    payload = {
-        "name": alg.name,
-        "dim": alg.dim,
-        "nilpotent": result,
-        "series_dims": [s.dim for s in series],
+        key: result,
+        "series_dims": dims,
     }
     return payload, 0 if result else 1
 
@@ -393,7 +395,7 @@ def _cmd_io_validate(args):
 
 
 def _add_strategy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", choices=("auto", *STRATEGY_CHECKS), default="auto")
+    parser.add_argument("--strategy", default="auto", **_choice(("auto", *STRATEGIES)))
 
 
 def _add_cert(help_text: str, parser: argparse.ArgumentParser) -> None:
@@ -401,7 +403,7 @@ def _add_cert(help_text: str, parser: argparse.ArgumentParser) -> None:
 
 
 def _add_document(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", required=True, choices=tuple(_VALIDATORS))
+    parser.add_argument("--kind", required=True, **_choice(tuple(_VALIDATORS)))
     parser.add_argument("--in", dest="infile", metavar="FILE",
                         help="document file ('-' or omitted reads stdin)")
 
@@ -423,8 +425,10 @@ _COMMANDS = (
     ("catalog", "show", "print a family member as algebra JSON", _cmd_catalog_show,
      _SOURCE),
     ("verify", "jacobi", None, _cmd_verify_jacobi, _SOURCE),
-    ("verify", "filiform", None, _cmd_verify_filiform, _SOURCE),
-    ("verify", "nilpotent", None, _cmd_verify_nilpotent, _SOURCE),
+    ("verify", "filiform", None, partial(_cmd_verify_series, "filiform", _filiform_dims),
+     _SOURCE),
+    ("verify", "nilpotent", None,
+     partial(_cmd_verify_series, "nilpotent", lambda dims: dims[-1] == 0), _SOURCE),
     ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
     ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
     ("der", "regular", "search for an invertible derivation",
@@ -446,8 +450,15 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one line, as every other diagnostic is, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lieaffine",
         description="Exact toolkit for filiform Lie algebras, their derivation "
         "algebras and affine (left-symmetric) structures.",

@@ -244,11 +244,13 @@ def is_nilpotent_algebra(alg: LieAlgebra) -> bool:
 
 def is_filiform(alg: LieAlgebra) -> bool:
     """Nilpotent of maximal class: the i-th term has dimension n - i - 1."""
-    n = alg.dim
-    series = lower_central_series(alg)
-    dims = [s.dim for s in series]
-    expected = [n] + [n - i - 1 for i in range(1, n)]
-    return dims == expected
+    return _filiform_dims([s.dim for s in lower_central_series(alg)])
+
+
+def _filiform_dims(dims: List[int]) -> bool:
+    """Whether lower-central-series dimensions are n, n - 2, n - 3, ..., 0."""
+    n = dims[0]
+    return dims == [n] + [n - i - 1 for i in range(1, n)]
 
 
 def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int, Fraction]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from .affine import STRATEGY_CHECKS, AffineStructure, Certificate, CheckResult
+from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm
@@ -260,7 +260,7 @@ def certificate_from_json(doc) -> Certificate:
         optional=("name", "note"),
     )
     strategy = _require_str(doc["strategy"], "strategy")
-    if strategy not in STRATEGY_CHECKS:
+    if strategy not in STRATEGIES:
         raise SchemaError(f"unknown strategy {_echo(strategy)}")
     checks = []
     if not isinstance(doc["checks"], list):

@@ -1,5 +1,6 @@
 """Affine structure constructors, exact verification, synthesis pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from lieaffine.derivations import (
     derivation_space,
     find_regular_derivation,
     restrict_to_derived,
+    seeded_combinations,
 )
 from lieaffine.errors import (
     DegenerateFormError,
@@ -37,7 +39,7 @@ from lieaffine.errors import (
     SingularOnDerivedError,
 )
 from lieaffine.liealg import TwoForm, derived_subalgebra
-from lieaffine.linalg import Matrix, invert, unit_vector, vector
+from lieaffine.linalg import Matrix, invert, nonsingular, unit_vector, vector
 
 F = Fraction
 
@@ -201,6 +203,30 @@ def test_from_derived_regular_agrees_with_direct_definition():
                 assert tuple(embedded) == ns.product(unit_vector(n, i), unit_vector(n, j))
 
 
+@pytest.mark.parametrize("alg", [
+    make_ln(6), make_ln(10), make_qn(8), make_qn(8, adapted=True),
+    make_cn(6, [1])[0], make_cn(8, [1, 1])[0],
+], ids=["L6", "L10", "Q8", "QnZ8", "C6", "C8"])
+def test_regular_product_is_the_derived_regular_product(alg):
+    # An invertible derivation maps [g, g] onto itself and every [x, f(y)]
+    # lies there, so inverting f on [g, g] alone gives f^{-1}[x, f(y)].
+    n = alg.dim
+    space = derivation_space(alg)
+    witnesses = [find_regular_derivation(space, seed=seed) for seed in range(3)]
+    drawn = (Matrix.unflatten(v, n) for v in seeded_combinations(space.flat, 11, 12))
+    witnesses += [f for f in drawn if nonsingular(f)][:3]
+    assert len(witnesses) == 6 and None not in witnesses
+    for f in witnesses:
+        regular = from_regular_derivation(alg, f)
+        assert regular.gamma == from_derived_regular(alg, f).gamma
+        finv = invert(f)
+        for i in range(n):
+            conjugated = finv * alg.ad(unit_vector(n, i)) * f
+            for j in range(n):
+                e_j = unit_vector(n, j)
+                assert regular.product(unit_vector(n, i), e_j) == conjugated.column(j)
+
+
 def test_from_derived_regular_on_l4_passes():
     l4 = make_ln(4)
     ns = from_derived_regular(l4, Matrix.diagonal([1, 2, 3, 4]))
@@ -355,6 +381,26 @@ def test_certificate_embeds_witness_and_structure():
         "torsion",
         "left_symmetry",
     }
+
+
+@pytest.mark.parametrize("strategy, key, checks", [
+    ("regular", "derivation", ("is_derivation", "invertible")),
+    ("derived-regular", "derivation", ("is_derivation", "restriction_invertible")),
+    ("symplectic", "two_form", ("closed", "nondegenerate")),
+])
+def test_reverify_witness_of_the_wrong_type_is_unknown(strategy, key, checks):
+    # a library-built certificate can carry any object; a derivation that is
+    # a 2-form, or a 2-form that is a matrix, leaves its checks unknown
+    l4 = make_ln(4)
+    _, cert = synthesize(l4, strategy=strategy, seed=0, trials=32)
+    form = find_symplectic(l4)
+    wrong = {"derivation": form, "two_form": form.gram}[key]
+    report = reverify_certificate(
+        l4, dataclasses.replace(cert, witnesses={**cert.witnesses, key: wrong}))
+    statuses = {c.name: (c.status, c.residuals) for c in report.checks}
+    assert statuses == {**dict.fromkeys(checks, ("unknown", -1)),
+                        "torsion": ("pass", 0), "left_symmetry": ("pass", 0)}
+    assert not report.ok
 
 
 def test_reverify_detects_wrong_algebra():

@@ -510,6 +510,29 @@ def test_family_dimension_is_bounded(capsys):
         assert f"must lie between 1 and {MAX_DIM}" in err
 
 
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["catalog", "show", "--family", "Ln", "--n", _LONG], "argument --n"),
+    (["catalog", "show", "--family", "Ln", "--n", "9" * 4000], "argument --n"),
+    (["der", "regular", "--family", "Ln", "--n", "4", "--trials", _LONG], "argument --trials"),
+    (["der", "regular", "--family", "Ln", "--n", "4", "--seed", _LONG], "argument --seed"),
+    (["catalog", "show", "--family", "Ank", "--n", "5", "--k", _LONG, "--lambda", "1"],
+     "argument --k"),
+    (["catalog", "show", "--family", _LONG], "unknown family"),
+    (["affine", "synth", "--family", "Ln", "--n", "4", "--strategy", _LONG],
+     "argument --strategy"),
+    (["io", "validate", "--kind", _LONG], "argument --kind"),
+], ids=["n", "n-digits", "trials", "seed", "k", "family", "strategy", "kind"])
+def test_cli_cuts_long_argument_values(capsys, argv, expected):
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2
+    assert payload is None
+    assert expected in err
+    assert len(err.encode()) < 300
+
+
 def test_io_validate_other_kinds(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run_cli(
@@ -599,6 +622,16 @@ PINNED_STDOUT = [
      "5a3c66601a7af2008394dc1741c5ccae88bd290193b8702552f3e1c8372f1af2"),
     (("verify", "nilpotent", "--family", "QnZ", "--n", "10"), 0,
      "675b5cc1f02ca3946684496ea0e3ec479c5a7ca8660746997776a51afebad9a2"),
+    # the regular (conjugation) product beyond Ln
+    (("affine", "synth", "--family", "QnZ", "--n", "10", "--strategy", "regular"), 0,
+     "3c6b3e9d091f473bb9fb8c6bab0d099151e77ad8a8de66cbba8088aa8787cfc6"),
+    (("affine", "synth", "--family", "Cn", "--n", "6", "--lambda=1"), 0,
+     "2965fe461b461d21f6449c70f1f0179f3b3e1cb9a7c9d2bf6a42b658027f849b"),
+    (("affine", "synth", "--family", "Qn", "--n", "12", "--seed", "5"), 0,
+     "f5d527f294e37e8e6f31a797aad8d931abb34976216f200d4a55197eab20a9f1"),
+    (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=-1",
+      "--strategy", "regular", "--seed", "3"), 0,
+     "a452b309701b2a957b592984df3c3279f3e1f403035ac281317775a86f2b72af"),
 ]
 
 
