@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -121,11 +122,16 @@ def _choice(options: tuple) -> dict:
 _INTEGER = _option_type("must be an integer", int)
 
 
+# the largest --trials a search may be asked for, so its work stays bounded
+MAX_TRIALS = 10_000
+
+
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_INTEGER, default=0, help="random seed (default 0)")
-    parser.add_argument("--trials", type=_option_type("must be at least 1", int, lambda t: t >= 1),
+    parser.add_argument("--trials", type=_option_type(f"must lie between 1 and {MAX_TRIALS}", int,
+                                                      lambda t: 1 <= t <= MAX_TRIALS),
                         default=DEFAULT_TRIALS,
-                        help=f"random trial count, at least 1 (default {DEFAULT_TRIALS})")
+                        help=f"random trial count, 1..{MAX_TRIALS} (default {DEFAULT_TRIALS})")
 
 
 def _need(args, name: str):
@@ -450,10 +456,21 @@ _COMMANDS = (
 )
 
 
+# the argument values argparse echoes in its own usage errors
+_ARGPARSE_ECHO = re.compile(
+    r"(?<=unrecognized arguments: ).+|(?<=ignored explicit argument ).+"
+    r"|(?<=invalid choice: ).+(?= \(choose from )|(?<=ambiguous option: ).+(?= could match )",
+    re.S)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as one line, as every other diagnostic is, and exits 2."""
+    """Prints a usage error as one line, as every other diagnostic is, and exits 2.
+
+    An argument value that argparse echoes is cut as ``_echo`` cuts it.
+    """
 
     def error(self, message):
+        message = _ARGPARSE_ECHO.sub(lambda m: _echo(m.group()), message)
         self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
 
 

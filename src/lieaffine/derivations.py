@@ -114,10 +114,10 @@ class TorusReport:
     ``derivation_failures`` holds (map index, violation list) pairs,
     ``commutation_failures`` holds non-commuting index pairs, and
     ``semisimplicity_failures`` holds (map index, reason) pairs for maps
-    not shown diagonalizable over the rationals; the reason "rational root
-    search incomplete" is one-sided, since a root may hide behind a factor
-    too large to split. When the rational eigenvalue test cannot rule out
-    semisimplicity over a field extension, a note says so.
+    not diagonalizable over the rationals, a decision that is exact: the
+    minimal polynomial must have as many distinct rational roots as its
+    degree. When it is squarefree but does not split, the map may still be
+    semisimple over a field extension, and a note says so.
     """
 
     derivation_failures: List[tuple] = field(default_factory=list)
@@ -400,17 +400,6 @@ def _poly_mod(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    while any(b):
-        a, b = b, _poly_mod(a, b)
-    if any(a):
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def _poly_eval(p: List[Fraction], x: Fraction) -> Fraction:
     acc = ZERO
     for c in reversed(p):
@@ -418,87 +407,69 @@ def _poly_eval(p: List[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _poly_deflate(p: List[Fraction], root: Fraction) -> List[Fraction]:
-    """Divide p by (x - root); assumes root is exact."""
-    out = [ZERO] * (len(p) - 1)
-    carry = p[-1]
-    for i in range(len(p) - 2, -1, -1):
-        out[i] = carry
-        carry = p[i] + root * carry
-    return out
+def _sturm_chain(p: List[Fraction]) -> List[List[Fraction]]:
+    """p, p', then minus each remainder; the last term is gcd(p, p') up to a constant."""
+    chain = [p, _poly_deriv(p)]
+    while any(chain[-1]):
+        chain.append([-c for c in _poly_mod(chain[-2], chain[-1])])
+    chain.pop()
+    return chain
 
 
-_FACTOR_CAP = 10 ** 6
+def _rational_root_count(p: List[Fraction], chain: List[List[Fraction]]) -> int:
+    """Number of distinct rational roots of p, found exactly.
 
+    Every rational root lies on the grid (1/a)Z, a the leading coefficient
+    of p's primitive integer form, and every root lies within Fujiwara's
+    bound 2 max_k |c_(d-k)/c_d|^(1/k), rounded up to a power of two. The
+    Sturm chain counts the distinct real roots between two half-grid points
+    (2k -+ 1)/(2a), which are never roots; bisecting the grid indices drops
+    every interval that counts 0 and leaves single grid points to evaluate.
+    """
+    scale = lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    a = abs(ints[-1]) // gcd(*ints)
+    exponent = 0
+    for k in range(1, len(p)):
+        ratio = abs(p[-1 - k] / p[-1])
+        if ratio:  # 2**e >= ratio, so ratio**(1/k) <= 2**ceil(e/k)
+            e = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
+            exponent = max(exponent, -(-e // k))
+    reach = 2 ** (exponent + 1) * a
+    changes = {}
 
-def _divisors(x: int) -> Tuple[List[int], bool]:
-    """All positive divisors of |x|; the flag reports completeness."""
-    x = abs(x)
-    if x == 0:
-        return [1], True
-    factors = {}
-    complete = True
-    d = 2
-    while d <= _FACTOR_CAP and d * d <= x:
-        while x % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        if x > _FACTOR_CAP * _FACTOR_CAP:
-            complete = False
-        factors[x] = factors.get(x, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [dv * prime ** e for dv in divs for e in range(mult + 1)]
-    return sorted(divs), complete
+    def below(k: int) -> int:
+        """Sign changes of the chain at (2k - 1)/(2a), just below grid point k."""
+        if k not in changes:
+            x = Fraction(2 * k - 1, 2 * a)
+            signs = [v > 0 for v in (_poly_eval(q, x) for q in chain) if v]
+            changes[k] = sum(u != v for u, v in zip(signs, signs[1:]))
+        return changes[k]
 
-
-def _rational_roots_split(p: List[Fraction]) -> Tuple[bool, bool]:
-    """(p splits into rational linear factors, the divisor search was complete)."""
-    work = _poly_trim(p)
-    while len(work) > 1 and not work[0]:
-        work = work[1:]
-    if len(work) == 1:
-        return True, True
-    den = 1
-    for c in work:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in work]
-    content = 0
-    for v in ints:
-        if v:
-            content = gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    num_divs, num_ok = _divisors(ints[0])
-    den_divs, den_ok = _divisors(ints[-1])
-    conclusive = num_ok and den_ok
-    candidates = sorted(
-        {Fraction(s * u, v) for u in num_divs for v in den_divs for s in (1, -1)},
-        key=lambda q: (abs(q), q < 0),
-    )
-    while len(work) > 1:
-        hit = None
-        for cand in candidates:
-            if _poly_eval(work, cand) == 0:
-                hit = cand
-                break
-        if hit is None:
-            break
-        work = _poly_deflate(work, hit)
-    return len(work) == 1, conclusive
+    found = 0
+    todo = [(-reach, reach)]
+    while todo:
+        lo, hi = todo.pop()
+        if below(lo) == below(hi + 1):
+            continue
+        if lo == hi:
+            found += not _poly_eval(p, Fraction(lo, a))
+            continue
+        mid = (lo + hi) // 2
+        todo += [(lo, mid), (mid + 1, hi)]
+    return found
 
 
 def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
-    """(diagonalizable over Q, failure reason, inconclusive-over-extension)."""
+    """(diagonalizable over Q, failure reason, inconclusive-over-extension).
+
+    m is diagonalizable over Q iff its minimal polynomial p has deg p
+    distinct rational roots.
+    """
     p = minimal_polynomial(m)
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) > 1:
-        return False, "minimal polynomial has a repeated root", False
-    splits, conclusive = _rational_roots_split(p)
-    if splits:
+    chain = _sturm_chain(p)
+    if _rational_root_count(p, chain) == len(p) - 1:
         return True, "", False
-    if not conclusive:
-        return False, "rational root search incomplete", True
+    if len(chain[-1]) > 1:
+        return False, "minimal polynomial has a repeated root", False
     return False, "minimal polynomial does not split over the rationals", True

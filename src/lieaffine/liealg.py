@@ -23,10 +23,10 @@ from .linalg import (
     Matrix,
     Subspace,
     ZERO,
+    _image_chain,
     _reduce,
     nonsingular,
     rat,
-    sparse_apply,
     vector,
 )
 
@@ -225,17 +225,8 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     when the last entry is zero.
     """
     n = alg.dim
-    ad = ad_columns(alg)
-    current = Subspace(n, [(i, {i: ONE}) for i in range(n)])
-    series = [current]
-    while True:
-        nxt = Subspace(n, _reduce(sparse_apply(cols, row)
-                                  for cols in ad for _, row in current.rows))
-        if nxt == current:
-            break
-        series.append(nxt)
-        current = nxt
-    return series
+    whole = [(i, {i: ONE}) for i in range(n)]
+    return [Subspace(n, rows) for rows in _image_chain(ad_columns(alg), whole)]
 
 
 def is_nilpotent_algebra(alg: LieAlgebra) -> bool:

@@ -12,9 +12,10 @@ reintroduces fractions. The result is the canonical reduced row-echelon
 form, so it is exact and deterministic whatever the row order. ``rref``,
 ``rank``, ``span``, ``nullspace``, ``solve``, ``invert``, ``nonsingular``,
 ``products_vanish`` and ``is_nilpotent`` are thin callers, and no other
-elimination exists; ``nullspace`` also takes sparse equation rows
-directly, so the derivation and closed-form systems are never built as
-dense matrices. A ``Subspace`` holds the kernel's RREF rows as returned,
+elimination exists; ``_image_chain`` is the one image-chain loop, shared
+by ``products_vanish`` and ``liealg.lower_central_series``. ``nullspace``
+also takes sparse equation rows directly, so the derivation and
+closed-form systems are never built as dense matrices. A ``Subspace`` holds the kernel's RREF rows as returned,
 without re-validation; its ``basis`` is a dense view computed on access.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import DimensionMismatch, LieToolError, SingularMatrixError
 
@@ -474,13 +475,23 @@ def products_vanish(maps: Sequence[list]) -> bool:
     nilpotency; for a Lie algebra of maps such as Der(g), Engel's theorem
     makes it equivalent to every element being nilpotent.
     """
-    image = _reduce(col for cols in maps for col in cols)
-    while image:
-        nxt = _reduce(sparse_apply(cols, w) for cols in maps for _, w in image)
-        if len(nxt) == len(image):
-            return False
-        image = nxt
-    return True
+    return not _image_chain(maps, _reduce(col for cols in maps for col in cols))[-1]
+
+
+def _image_chain(maps: Sequence[list], rows: list) -> List[list]:
+    """W_0 = rows, W_(k+1) = sum of the m(W_k), as the kernel's RREF rows.
+
+    ``maps`` are sparse column lists and W_1 must lie in W_0, so the W_k are
+    nested. The list ends at the first W_k that is 0 or that the maps send
+    onto itself, which is where the dimension stops falling.
+    """
+    chain = [rows]
+    while chain[-1]:
+        nxt = _reduce(sparse_apply(cols, w) for cols in maps for _, w in chain[-1])
+        if len(nxt) == len(chain[-1]):
+            break
+        chain.append(nxt)
+    return chain
 
 
 def is_nilpotent(m: Matrix) -> bool:

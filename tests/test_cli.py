@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine.cli import main
+from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json
 
 
@@ -524,7 +524,18 @@ _LONG = "x" * 5000
     (["affine", "synth", "--family", "Ln", "--n", "4", "--strategy", _LONG],
      "argument --strategy"),
     (["io", "validate", "--kind", _LONG], "argument --kind"),
-], ids=["n", "n-digits", "trials", "seed", "k", "family", "strategy", "kind"])
+    (["der", "regular", "--family", "Ln", "--n", "4", "--trials", str(MAX_TRIALS + 1)],
+     f"must lie between 1 and {MAX_TRIALS}"),
+    (["der", "regular", "--family", "Ln", "--n", "4", "--trials", "9" * 4000],
+     f"must lie between 1 and {MAX_TRIALS}"),
+    (["catalog", "list", _LONG], "unrecognized arguments"),
+    ([_LONG], "invalid choice"),
+    (["catalog", _LONG], "invalid choice"),
+    (["catalog", "show", f"--reproducible={_LONG}"], "ignored explicit argument"),
+    (["catalog", "show", f"--={_LONG}"], "ambiguous option"),
+], ids=["n", "n-digits", "trials", "seed", "k", "family", "strategy", "kind",
+        "trials-max", "trials-digits", "extra-argument", "command", "subcommand",
+        "flag-value", "ambiguous"])
 def test_cli_cuts_long_argument_values(capsys, argv, expected):
     code, payload, err = run_cli(capsys, argv)
     assert code == 2
@@ -632,6 +643,13 @@ PINNED_STDOUT = [
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=-1",
       "--strategy", "regular", "--seed", "3"), 0,
      "a452b309701b2a957b592984df3c3279f3e1f403035ac281317775a86f2b72af"),
+    # the standard tori: derivation, commutation and rational diagonalizability
+    (("der", "torus", "--family", "Ln", "--n", "12"), 0,
+     "4546480f6c69734b094be0c1fc400ccc1a921ba8f9abfba80b501644b71719c8"),
+    (("der", "torus", "--family", "QnZ", "--n", "10"), 0,
+     "72534884df58f818f9674c387166b543fb30faad8092df39af28701d9c4ec0f2"),
+    (("der", "torus", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"), 0,
+     "a0194517d3bd4208148255fd388511096136ab988641e779db7fcc3e746d5d2b"),
 ]
 
 

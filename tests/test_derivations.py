@@ -476,13 +476,46 @@ def test_verify_torus_notes_irrational_eigenvalues():
     assert report.notes
 
 
-def test_verify_torus_incomplete_root_search_is_one_sided():
-    # both eigenvalues are primes past the trial-division cap, so the
-    # divisor search cannot split their product; the map is diagonal and
-    # must not be reported as failing to split
+def test_verify_torus_decides_large_prime_eigenvalues():
+    # both eigenvalues are primes above 10**6; the Sturm isolator finds
+    # them on the grid of the integer minimal polynomial, so the diagonal
+    # map passes
     report = verify_torus(make_abelian(2), [Matrix.diagonal([1000003, 1000033])])
-    assert report.semisimplicity_failures == [(0, "rational root search incomplete")]
-    assert "does not split" not in str(report.semisimplicity_failures)
+    assert report.passed
+    assert report.semisimplicity_failures == []
+    assert report.notes == []
+
+
+def _conjugate(rng, m):
+    """P m P^-1 for a seeded invertible integer P with entries in -2..2."""
+    n = m.rows
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], n, n)
+        if nonsingular(p):
+            return p * m * invert(p)
+
+
+def test_verify_torus_verdicts_known_by_construction():
+    rng = random.Random(1103)
+    eigenvalues = [F(1, 1000003), F(-7, 3), F(0), F(5), F(2, 9), F(1000003, 2)]
+    for size in range(1, 7):
+        d = Matrix.diagonal(rng.sample(eigenvalues, size))
+        for _ in range(3):
+            m = _conjugate(rng, d)
+            report = verify_torus(make_abelian(size), [m])
+            assert report.passed, (size, m)
+            assert report.notes == []
+    # x^2 - 2 beside a rational eigenvalue: squarefree, does not split
+    root2 = Matrix([[0, 2, 0], [1, 0, 0], [0, 0, F(1, 1000003)]])
+    report = verify_torus(make_abelian(3), [_conjugate(rng, root2)])
+    assert report.semisimplicity_failures == [
+        (0, "minimal polynomial does not split over the rationals")]
+    assert len(report.notes) == 1
+    # a Jordan block at a rational eigenvalue
+    jordan = Matrix([[F(-3, 5), 1, 0], [0, F(-3, 5), 0], [0, 0, 4]])
+    report = verify_torus(make_abelian(3), [_conjugate(rng, jordan)])
+    assert report.semisimplicity_failures == [(0, "minimal polynomial has a repeated root")]
+    assert report.notes == []
 
 
 def test_minimal_polynomial_diagonal():
