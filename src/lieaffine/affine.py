@@ -72,13 +72,13 @@ from .liealg import (
 from .linalg import (
     Matrix,
     ZERO,
+    _transpose,
     dense_vector,
     invert,
     matrix_to_json,
     nonsingular,
     nullspace,
     sparse_apply,
-    sparse_columns,
     vector,
 )
 
@@ -277,8 +277,7 @@ def _product_tensor(outer: list, maps: Sequence[list], inner: Matrix,
     provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
                   "seed": None}
     n = len(maps)
-    columns = sparse_columns(inner)
-    gamma = {(i, j): sparse_apply(outer, sparse_apply(m, columns[j]))
+    gamma = {(i, j): sparse_apply(outer, sparse_apply(m, inner.columns[j]))
              for i, m in enumerate(maps) for j in range(n)}
     return AffineStructure(n, gamma, provenance)
 
@@ -317,7 +316,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructu
         )
     basis = [row for _, row in derived.rows]
     g = [{} for _ in range(alg.dim)]
-    for (p, _), col in zip(derived.rows, sparse_columns(rinv)):
+    for (p, _), col in zip(derived.rows, rinv.columns):
         g[p] = sparse_apply(basis, col)
     return _product_tensor(g, ad_columns(alg), f, strategy, "derivation")
 
@@ -337,14 +336,8 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
         thinv = invert(th)
     except SingularMatrixError:
         raise DegenerateFormError("the 2-form is degenerate")
-    n = alg.dim
-    # column p of ad(e_i)^T is row p of ad(e_i)
-    transposed = [[{} for _ in range(n)] for _ in range(n)]
-    for i, cols in enumerate(ad_columns(alg)):
-        for q, col in enumerate(cols):
-            for p, c in col.items():
-                transposed[i][p][q] = c
-    return _product_tensor(sparse_columns(-thinv), transposed, th, "symplectic", "two_form")
+    transposed = [_transpose(cols, alg.dim) for cols in ad_columns(alg)]
+    return _product_tensor((-thinv).columns, transposed, th, "symplectic", "two_form")
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
@@ -429,17 +422,17 @@ def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
     The checks come from ``STRATEGIES``, never from the certificate's own
     list, so a certificate that omits a check cannot pass; the recorded
     list must match the recomputed one name for name and status for status.
-    A witness of the wrong type leaves its checks "unknown".
+    A witness of the wrong type, or of a size other than ``alg.dim``,
+    leaves its checks "unknown" and is never computed on.
     """
     entry = STRATEGIES.get(cert.strategy)
     if entry is None:
         raise SchemaError(f"unknown strategy {cert.strategy!r}")
     hash_match = algebra_hash(alg) == cert.algebra_hash
-    structure = cert.witnesses.get("affine_structure")
-    affine_report = None
-    if isinstance(structure, AffineStructure) and structure.dim == alg.dim:
-        affine_report = verify_affine(alg, structure)
-    witnesses = {**cert.witnesses, "affine_structure": affine_report}
+    witnesses = {key: w for key, w in cert.witnesses.items() if _witness_dim(w) == alg.dim}
+    structure = witnesses.get("affine_structure")
+    if isinstance(structure, AffineStructure):
+        witnesses["affine_structure"] = verify_affine(alg, structure)
     results: List[CheckResult] = []
     for name in entry.checks:
         key, kind, count = _CHECKS[name]
@@ -456,6 +449,13 @@ def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
         (c.name, c.status) for c in results
     ]
     return ReverifyReport(hash_match=hash_match, checks=results, matches_recorded=matches)
+
+
+def _witness_dim(witness) -> Optional[int]:
+    """n for an n x n matrix, else the witness's ``dim`` (None if it has none)."""
+    if isinstance(witness, Matrix):
+        return witness.rows if witness.is_square else None
+    return getattr(witness, "dim", None)
 
 
 # check name -> (witness key, witness type, residual count of alg and witness);

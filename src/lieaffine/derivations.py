@@ -37,14 +37,15 @@ from .linalg import (
     Subspace,
     ONE,
     ZERO,
+    _coordinates,
+    _flat_columns,
+    _reduce,
     dense_vector,
     is_nilpotent,
     nonsingular,
     nullspace,
     products_vanish,
-    solve,
     sparse_apply,
-    sparse_columns,
 )
 
 NOT_CHAR_NILPOTENT = "NotCharNilpotent"
@@ -67,10 +68,16 @@ class DerivationSpace:
 
     @cached_property
     def basis(self) -> Tuple[Matrix, ...]:
-        return tuple(Matrix.unflatten(v, self.algebra.dim) for v in self.flat.basis)
+        n = self.algebra.dim
+        return tuple(Matrix.from_sparse(n, _flat_columns(row.items(), n))
+                     for _, row in self.flat.rows)
 
     def contains(self, m: Matrix) -> bool:
-        return self.flat.contains(m.flatten())
+        n = self.algebra.dim
+        if m.rows != n or m.cols != n:
+            raise DimensionMismatch("map shape does not match the algebra dimension")
+        flat = {p * n + q: x for q, col in enumerate(m.columns) for p, x in col.items()}
+        return _coordinates(self.flat.rows, flat) is not None
 
     @cached_property
     def all_nilpotent(self) -> bool:
@@ -81,15 +88,9 @@ class DerivationSpace:
         theorem is the same as every element of the span being nilpotent.
         """
         n = self.algebra.dim
-        maps = []
-        for _, row in self.flat.rows:
-            cols = [{} for _ in range(n)]
-            for idx, x in row.items():
-                cols[idx % n][idx // n] = x
-            if sum(cols[p].get(p, ZERO) for p in range(n)):
-                return False
-            maps.append(cols)
-        return products_vanish(maps)
+        if any(sum(row.get(p * (n + 1), ZERO) for p in range(n)) for _, row in self.flat.rows):
+            return False
+        return products_vanish([_flat_columns(row.items(), n) for _, row in self.flat.rows])
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
-    cols = sparse_columns(m)
+    cols = m.columns
     neg = [{r: -x for r, x in col.items()} for col in cols]
     ad = ad_columns(alg)
     out = []
@@ -251,18 +252,11 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
-    """Matrix of m on the RREF rows; an image's coordinates are its pivot entries."""
-    cols = sparse_columns(m)
-    basis = [row for _, row in derived.rows]
-    out = []
-    for b in basis:
-        image = sparse_apply(cols, b)
-        coords = [image.get(p, ZERO) for p, _ in derived.rows]
-        sparse_apply(basis, {k: -c for k, c in enumerate(coords) if c}, image)
-        if any(image.values()):
-            raise NotInvariantError("image of a derived-subalgebra vector escapes it")
-        out.append(coords)
-    return Matrix(list(zip(*out)), derived.dim, derived.dim)
+    """Matrix of m on the RREF rows; column k holds the coordinates of m(row k)."""
+    out = [_coordinates(derived.rows, sparse_apply(m.columns, b)) for _, b in derived.rows]
+    if None in out:
+        raise NotInvariantError("image of a derived-subalgebra vector escapes it")
+    return Matrix.from_sparse(derived.dim, out)
 
 
 def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
@@ -358,22 +352,32 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
 # --- minimal polynomial and rational-root machinery ---------------------
 
 def minimal_polynomial(m: Matrix) -> List[Fraction]:
-    """Monic minimal polynomial of m, as ascending coefficients."""
+    """Monic minimal polynomial of m, as ascending coefficients.
+
+    The flattened powers I, m, m^2, ... go through the kernel with m^d
+    tagged in column n^2 + n - d, so the last RREF row, once it pivots on a
+    tag, is the monic relation of lowest degree. They are reduced after 1,
+    2, 4, ... powers (the RREF rows standing in for the earlier ones), and
+    by m^n at the latest (Cayley-Hamilton).
+    """
     if not m.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return [ONE]
-    flats = [Matrix.identity(n).flatten()]
-    cur = Matrix.identity(n)
-    for d in range(1, n + 1):
-        cur = cur * m
-        target = cur.flatten()
-        coeffs = solve(Matrix.from_columns(flats, rows=n * n), target)
-        if coeffs is not None:
-            return [-c for c in coeffs] + [ONE]
-        flats.append(target)
-    raise AssertionError("power sequence must become dependent by degree n")
+    top = n * n + n
+    rows, power = [], [{i: ONE} for i in range(n)]
+    for d in range(n + 1):
+        if d:
+            power = [sparse_apply(m.columns, col) for col in power]
+        row = {p * n + q: x for q, col in enumerate(power) for p, x in col.items() if x}
+        row[top - d] = ONE
+        rows.append(row)
+        if d & (d + 1) == 0 or d == n:
+            reduced = _reduce(rows)
+            pivot, relation = reduced[-1]
+            if pivot >= n * n:
+                return [relation.get(top - e, ZERO) for e in range(top - pivot + 1)]
+            rows = [r for _, r in reduced]
+    raise AssertionError("the powers up to m^n are dependent")
 
 
 def _poly_trim(p: List[Fraction]) -> List[Fraction]:

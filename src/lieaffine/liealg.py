@@ -27,6 +27,7 @@ from .linalg import (
     _reduce,
     nonsingular,
     rat,
+    sparse_apply,
     vector,
 )
 
@@ -108,16 +109,10 @@ class LieAlgebra:
         x = vector(x)
         if len(x) != self.dim:
             raise DimensionMismatch("ad argument must match the algebra dimension")
-        grid = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), coeffs in self.structure.items():
-            xi, xj = x[i], x[j]
-            if xi:
-                for k, c in coeffs.items():
-                    grid[k][j] += xi * c
-            if xj:
-                for k, c in coeffs.items():
-                    grid[k][i] -= xj * c
-        return Matrix(grid, self.dim, self.dim)
+        minus_x = {i: -c for i, c in enumerate(x) if c}
+        # column j is [x, e_j] = -ad(e_j) x
+        return Matrix.from_sparse(self.dim, (sparse_apply(cols, minus_x)
+                                             for cols in ad_columns(self)))
 
 
 class TwoForm:
@@ -128,14 +123,10 @@ class TwoForm:
     def __init__(self, gram: Matrix):
         if not gram.is_square:
             raise DimensionMismatch("a 2-form needs a square Gram matrix")
-        n = gram.rows
-        for i in range(n):
-            if gram[i, i]:
-                raise ValueError("Gram matrix must have zero diagonal")
-            for j in range(i + 1, n):
-                if gram[i, j] != -gram[j, i]:
-                    raise ValueError("Gram matrix must be antisymmetric")
-        object.__setattr__(self, "dim", n)
+        # over Q, antisymmetry forces a zero diagonal
+        if any(gram[j, i] != -x for j, col in enumerate(gram.columns) for i, x in col.items()):
+            raise ValueError("Gram matrix must be antisymmetric")
+        object.__setattr__(self, "dim", gram.rows)
         object.__setattr__(self, "gram", gram)
 
     def __setattr__(self, name, value):
@@ -144,14 +135,14 @@ class TwoForm:
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TwoForm":
         """Build from upper-triangular entries {(i, j): value} with i < j."""
-        grid = [[ZERO] * dim for _ in range(dim)]
+        columns = [{} for _ in range(dim)]
         for (i, j), val in entries.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"entry ({i}, {j}) must satisfy 0 <= i < j < dim")
             val = rat(val)
-            grid[i][j] = val
-            grid[j][i] = -val
-        return cls(Matrix(grid, dim, dim))
+            columns[j][i] = val
+            columns[i][j] = -val
+        return cls(Matrix.from_sparse(dim, columns))
 
     def scaled(self, c) -> "TwoForm":
         return TwoForm(rat(c) * self.gram)

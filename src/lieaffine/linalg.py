@@ -13,10 +13,12 @@ form, so it is exact and deterministic whatever the row order. ``rref``,
 ``rank``, ``span``, ``nullspace``, ``solve``, ``invert``, ``nonsingular``,
 ``products_vanish`` and ``is_nilpotent`` are thin callers, and no other
 elimination exists; ``_image_chain`` is the one image-chain loop, shared
-by ``products_vanish`` and ``liealg.lower_central_series``. ``nullspace``
-also takes sparse equation rows directly, so the derivation and
-closed-form systems are never built as dense matrices. A ``Subspace`` holds the kernel's RREF rows as returned,
-without re-validation; its ``basis`` is a dense view computed on access.
+by ``products_vanish`` and ``liealg.lower_central_series``.
+
+A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
+by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;
+``data`` is its dense view. A ``Subspace`` holds the kernel's RREF rows,
+read by ``_coordinates``. Kernel output is adopted without re-validation.
 """
 
 from __future__ import annotations
@@ -71,12 +73,18 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 class Matrix:
-    """Dense matrix of exact rationals, immutable after construction."""
+    """Matrix of exact rationals held as its sparse columns, immutable.
 
-    __slots__ = ("rows", "cols", "data")
+    ``columns[j]`` is column j as {row: Fraction} with its zeros dropped,
+    the form that ``sparse_apply`` and the kernel read; ``data`` is the
+    dense row view. ``Matrix(data)`` validates dense rows (JSON, catalog,
+    tests); ``from_sparse`` adopts kernel output without re-validating it.
+    """
+
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, data, rows: Optional[int] = None, cols: Optional[int] = None):
-        grid = tuple(tuple(rat(x) for x in row) for row in data)
+        grid = [[rat(x) for x in row] for row in data]
         if rows is None:
             rows = len(grid)
         if cols is None:
@@ -85,24 +93,33 @@ class Matrix:
             raise DimensionMismatch("ragged or mis-sized matrix data")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", grid)
+        object.__setattr__(self, "columns", tuple(_transpose(map(_sparse, grid), cols)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def from_sparse(cls, rows: int, columns: Iterable[dict]) -> "Matrix":
+        """Adopt sparse columns {row: Fraction} as they are, dropping explicit zeros."""
+        m = cls.__new__(cls)
+        cols = tuple({r: x for r, x in col.items() if x} for col in columns)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", len(cols))
+        object.__setattr__(m, "columns", cols)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)], rows, cols)
+        return cls.from_sparse(rows, [{}] * cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n, n)
+        return cls.from_sparse(n, ({i: ONE} for i in range(n)))
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
-        vals = [rat(x) for x in entries]
-        n = len(vals)
-        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)], n, n)
+        vals = vector(entries)
+        return cls.from_sparse(len(vals), ({i: x} for i, x in enumerate(vals)))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
@@ -113,7 +130,7 @@ class Matrix:
             rows = len(cols[0])
         if any(len(c) != rows for c in cols):
             raise DimensionMismatch("columns of unequal length")
-        return cls([[c[i] for c in cols] for i in range(rows)], rows, len(cols))
+        return cls.from_sparse(rows, map(_sparse, cols))
 
     @classmethod
     def unflatten(cls, flat: Sequence, n: int) -> "Matrix":
@@ -121,54 +138,44 @@ class Matrix:
         vals = vector(flat)
         if len(vals) != n * n:
             raise DimensionMismatch(f"expected {n * n} entries, got {len(vals)}")
-        return cls([vals[i * n:(i + 1) * n] for i in range(n)], n, n)
+        return cls.from_sparse(n, _flat_columns(enumerate(vals), n))
+
+    @property
+    def data(self) -> tuple:
+        return tuple(dense_vector(row, self.cols) for row in _transpose(self.columns, self.rows))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self.data[i][j]
+        return self.columns[j].get(i, ZERO)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
-
-    def flatten(self) -> Vector:
-        return tuple(x for row in self.data for x in row)
+        return dense_vector(self.columns[j], self.rows)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self.columns)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
+        return sum((col.get(j, ZERO) for j, col in enumerate(self.columns)), ZERO)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
+        return Matrix.from_sparse(self.rows, (sparse_apply(other.columns, {j: ONE}, dict(col))
+                                              for j, col in enumerate(self.columns)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
+        return self + -other if isinstance(other, Matrix) else NotImplemented
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.data], self.rows, self.cols)
+        return self._scaled(-ONE)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -176,18 +183,8 @@ class Matrix:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            odata = other.data
-            out = []
-            for arow in self.data:
-                acc = [ZERO] * other.cols
-                for j, a in enumerate(arow):
-                    if a:
-                        brow = odata[j]
-                        for c, b in enumerate(brow):
-                            if b:
-                                acc[c] += a * b
-                out.append(acc)
-            return Matrix(out, self.rows, other.cols)
+            return Matrix.from_sparse(self.rows, (sparse_apply(self.columns, col)
+                                                  for col in other.columns))
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -199,28 +196,22 @@ class Matrix:
 
     def _scaled(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix([[c * x for x in row] for row in self.data], self.rows, self.cols)
+        return Matrix.from_sparse(self.rows, ({r: c * x for r, x in col.items()}
+                                              for col in self.columns))
 
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
+        return dense_vector(sparse_apply(self.columns, _sparse(v)), self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self.columns)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {[list(map(str, r)) for r in self.data]})"
@@ -259,15 +250,8 @@ class Subspace:
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector does not match the ambient dimension")
-        coeffs = tuple(v[p] for p, _ in self.rows)
-        residual = list(v)
-        for c, (_, row) in zip(coeffs, self.rows):
-            if c:
-                for j, x in row.items():
-                    residual[j] -= c * x
-        if any(residual):
-            return None
-        return coeffs
+        coords = _coordinates(self.rows, _sparse(v))
+        return None if coords is None else dense_vector(coords, self.dim)
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
@@ -341,17 +325,24 @@ def _reduce(rows: Iterable[dict]) -> list:
     return out
 
 
-def _sparse(rows: Iterable[Sequence]) -> list:
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+def _sparse(v: Sequence) -> dict:
+    return {j: x for j, x in enumerate(v) if x}
 
 
-def sparse_columns(m: Matrix) -> list:
-    """Column j of m as a sparse vector {row: value}, for every j."""
-    cols = [{} for _ in range(m.cols)]
-    for r, row in enumerate(m.data):
-        for c, x in enumerate(row):
-            if x:
-                cols[c][r] = x
+def _transpose(vectors: Iterable[dict], n: int) -> list:
+    """The n sparse vectors out[i] = {j: vectors[j][i]}: rows of sparse columns, or back."""
+    out = [{} for _ in range(n)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
+
+
+def _flat_columns(entries: Iterable[tuple], n: int) -> list:
+    """Sparse columns of the n x n matrix given as (flat index p*n + q, entry (p, q)) pairs."""
+    cols = [{} for _ in range(n)]
+    for idx, x in entries:
+        cols[idx % n][idx // n] = x
     return cols
 
 
@@ -378,20 +369,30 @@ def dense_vector(row: dict, n: int) -> Vector:
     return tuple(out)
 
 
+def _coordinates(rows: Sequence[tuple], v: dict) -> Optional[dict]:
+    """Nonzero coordinates {k: c} of sparse v on the RREF rows, or None outside their span.
+
+    Coordinate k is v's entry at the k-th pivot; v is inside iff no residual is left.
+    """
+    coords = {k: v[p] for k, (p, _) in enumerate(rows) if v.get(p)}
+    residual = sparse_apply([row for _, row in rows], {k: -c for k, c in coords.items()}, dict(v))
+    return None if any(residual.values()) else coords
+
+
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form of m.
 
     Returns (R, pivots) where R is the unique RREF of m and pivots is the
     strictly increasing list of pivot column indices (0-based).
     """
-    reduced = _reduce(_sparse(m.data))
-    out = [dense_vector(row, m.cols) for _, row in reduced]
-    out += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
-    return Matrix(out, m.rows, m.cols), [p for p, _ in reduced]
+    reduced = _reduce(_transpose(m.columns, m.rows))
+    columns = _transpose([row for _, row in reduced], m.cols)
+    return Matrix.from_sparse(m.rows, columns), [p for p, _ in reduced]
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(_sparse(m.data)))
+    """rank m, as the rank of the columns (rank m = rank m^T)."""
+    return len(_reduce(m.columns))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
@@ -403,7 +404,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subs
         ambient_dim = len(vecs[0])
     if any(len(v) != ambient_dim for v in vecs):
         raise DimensionMismatch("vectors of unequal dimension")
-    return Subspace(ambient_dim, _reduce(_sparse(vecs)))
+    return Subspace(ambient_dim, _reduce(map(_sparse, vecs)))
 
 
 def nullspace(system, ncols: Optional[int] = None) -> Subspace:
@@ -413,7 +414,7 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
     {col: value} over ``ncols`` unknowns; zero rows and no rows are allowed.
     """
     if isinstance(system, Matrix):
-        system, ncols = _sparse(system.data), system.cols
+        system, ncols = _transpose(system.columns, system.rows), system.cols
     reduced = _reduce(system)
     pivots = {p for p, _ in reduced}
     basis = {f: {f: ONE} for f in range(ncols) if f not in pivots}
@@ -429,7 +430,7 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     b = vector(b)
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side does not match the row count")
-    rows = _sparse(a.data)
+    rows = _transpose(a.columns, a.rows)
     for row, rhs in zip(rows, b):
         if rhs:
             row[a.cols] = rhs
@@ -442,17 +443,18 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when det m = 0."""
+    """Exact inverse; raises SingularMatrixError when det m = 0.
+
+    The RREF of [m^T | I] is [I | (m^-1)^T]: its row p is column p of m^-1.
+    """
     if not m.is_square:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    rows = _sparse(m.data)
-    for i, row in enumerate(rows):
-        row[n + i] = ONE
-    reduced = _reduce(rows)
+    reduced = _reduce({**col, n + i: ONE} for i, col in enumerate(m.columns))
     if [p for p, _ in reduced] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([[row.get(n + j, ZERO) for j in range(n)] for _, row in reduced], n, n)
+    return Matrix.from_sparse(n, ({j - n: x for j, x in row.items() if j >= n}
+                                  for _, row in reduced))
 
 
 def nonsingular(m: Matrix) -> bool:
@@ -466,7 +468,7 @@ def products_vanish(maps: Sequence[list]) -> bool:
     """True iff every long enough product of the given maps is zero.
 
     ``maps`` are square maps of one size, each as its sparse columns
-    (``sparse_columns``). Decided by the image chain on the kernel:
+    (``Matrix.columns``). Decided by the image chain on the kernel:
     W_0 = sum of the images and W_{k+1} = sum of the m(W_k) are nested,
     W_k being spanned by the images of all products of k + 1 maps. Their
     dimensions fall until the chain reaches 0 (every product of that many
@@ -498,4 +500,4 @@ def is_nilpotent(m: Matrix) -> bool:
     """True iff some power of the square matrix m is zero (``products_vanish``)."""
     if not m.is_square:
         raise DimensionMismatch("nilpotency of a non-square matrix")
-    return products_vanish([sparse_columns(m)])
+    return products_vanish([m.columns])

@@ -167,12 +167,9 @@ def algebra_from_json(doc) -> LieAlgebra:
 # --- 2-forms ---------------------------------------------------------------
 
 def twoform_to_json(form: TwoForm) -> dict:
-    entries = []
-    for i in range(form.dim):
-        for j in range(i + 1, form.dim):
-            v = form.gram[i, j]
-            if v:
-                entries.append({"i": i + 1, "j": j + 1, "value": format_rational(v)})
+    upper = sorted((i, j, v) for j, col in enumerate(form.gram.columns)
+                   for i, v in col.items() if i < j)
+    entries = [{"i": i + 1, "j": j + 1, "value": format_rational(v)} for i, j, v in upper]
     return {"dim": form.dim, "entries": entries}
 
 
@@ -214,6 +211,9 @@ def affine_from_json(doc) -> AffineStructure:
 # --- certificates -----------------------------------------------------------
 
 def _square_matrix_from_json(doc, what: str) -> Matrix:
+    """A square matrix of at most MAX_DIM rows; the row count is bounded before parsing."""
+    if isinstance(doc, list) and len(doc) > MAX_DIM:
+        raise SchemaError(f"{what} must have at most {MAX_DIM} rows")
     m = matrix_from_json(doc)
     if not m.is_square:
         raise SchemaError(f"{what} must be square")

@@ -383,24 +383,39 @@ def test_certificate_embeds_witness_and_structure():
     }
 
 
+def _wrong_witnesses(key):
+    """Witnesses that do not fit Ln 4: of the wrong type, or sized for another algebra."""
+    form = find_symplectic(make_ln(4))
+    pm = Matrix([[(-1) ** (i * j + i) for j in range(80)] for i in range(80)])
+    return {
+        "derivation": [form, Matrix.zeros(0, 0), Matrix.identity(5), pm,
+                       Matrix([[1, 0, 0, 0]] * 3)],
+        "two_form": [form.gram, find_symplectic(make_ln(6)), TwoForm(Matrix.zeros(2, 2))],
+        "affine_structure": [form.gram, AffineStructure(5, {}), AffineStructure(3, {})],
+    }[key]
+
+
 @pytest.mark.parametrize("strategy, key, checks", [
     ("regular", "derivation", ("is_derivation", "invertible")),
     ("derived-regular", "derivation", ("is_derivation", "restriction_invertible")),
     ("symplectic", "two_form", ("closed", "nondegenerate")),
+    ("regular", "affine_structure", ("torsion", "left_symmetry")),
+    ("symplectic", "affine_structure", ("torsion", "left_symmetry")),
 ])
 def test_reverify_witness_of_the_wrong_type_is_unknown(strategy, key, checks):
     # a library-built certificate can carry any object; a derivation that is
-    # a 2-form, or a 2-form that is a matrix, leaves its checks unknown
+    # a 2-form, a 2-form that is a matrix, or any witness whose size is not
+    # the algebra's dimension leaves its checks unknown, and nothing is run
+    # on it (the 80 x 80 +-1 matrix would otherwise cost a rank)
     l4 = make_ln(4)
     _, cert = synthesize(l4, strategy=strategy, seed=0, trials=32)
-    form = find_symplectic(l4)
-    wrong = {"derivation": form, "two_form": form.gram}[key]
-    report = reverify_certificate(
-        l4, dataclasses.replace(cert, witnesses={**cert.witnesses, key: wrong}))
-    statuses = {c.name: (c.status, c.residuals) for c in report.checks}
-    assert statuses == {**dict.fromkeys(checks, ("unknown", -1)),
-                        "torsion": ("pass", 0), "left_symmetry": ("pass", 0)}
-    assert not report.ok
+    for wrong in _wrong_witnesses(key):
+        report = reverify_certificate(
+            l4, dataclasses.replace(cert, witnesses={**cert.witnesses, key: wrong}))
+        statuses = {c.name: (c.status, c.residuals) for c in report.checks}
+        assert statuses == {c.name: ("unknown", -1) if c.name in checks else ("pass", 0)
+                            for c in cert.checks}, wrong
+        assert not report.ok
 
 
 def test_reverify_detects_wrong_algebra():

@@ -310,6 +310,28 @@ def test_affine_verify_rejects_vacuous_certificate(capsys, tmp_path):
     assert all(c["status"] == "unknown" for c in payload["checks"])
 
 
+def test_affine_verify_leaves_an_empty_derivation_witness_unknown(capsys, tmp_path):
+    # the empty matrix is invertible, but it is no map on Ln 6: its checks
+    # are unknown, not "invertible: pass"
+    doc = _ln6_certificate(capsys)
+    doc["witnesses"]["derivation"] = []
+    code, payload, _ = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 1
+    assert payload["ok"] is False
+    assert {c["name"]: c["status"] for c in payload["checks"]} == {
+        "is_derivation": "unknown", "invertible": "unknown",
+        "torsion": "pass", "left_symmetry": "pass",
+    }
+
+
+def test_affine_verify_bounds_matrix_witnesses_by_max_dim(capsys, tmp_path):
+    doc = _ln6_certificate(capsys)
+    doc["witnesses"]["derivation"] = [[]] * (MAX_DIM + 1)
+    code, _, err = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 2
+    assert f"at most {MAX_DIM} rows" in err
+
+
 def test_affine_verify_rejects_tampered_derived_regular_witness(capsys, tmp_path):
     cn6 = ["--family", "Cn", "--n", "6", "--lambda", "1"]
     code, doc, _ = run_cli(
@@ -650,6 +672,22 @@ PINNED_STDOUT = [
      "72534884df58f818f9674c387166b543fb30faad8092df39af28701d9c4ec0f2"),
     (("der", "torus", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"), 0,
      "a0194517d3bd4208148255fd388511096136ab988641e779db7fcc3e746d5d2b"),
+    # Matrix kept as sparse columns: inverses, restrictions, minimal
+    # polynomials and the flat Der(g) basis all travel in it
+    (("der", "torus", "--family", "Ln", "--n", "24"), 0,
+     "76bb40324b5cca19375bdbc39f8512a910545bb4a6c141ad098a3bf48946f726"),
+    (("der", "char-nilp", "--family", "Ln", "--n", "9"), 0,
+     "e321e6a7533b5657a947b9ff09956efca9ce98c6ba3a863541f759f055c7847c"),
+    (("affine", "symplectic-find", "--family", "Qn", "--n", "8", "--trials", "3"), 1,
+     "2256fdc6d503078c6dc7b055fcfdd921fe5eafd46df13d9be2ff0c192ff18860"),
+    (("der", "regular", "--family", "Cn", "--n", "10", "--lambda=1", "--lambda=-1",
+      "--lambda=1", "--seed", "9"), 0,
+     "87e17dcd74574fd8832e087be815cfd57922d1fd5971fcf8be0d4b6d017f3817"),
+    (("affine", "synth", "--family", "Ln", "--n", "9", "--strategy", "derived-regular",
+      "--seed", "2"), 0,
+     "1aab224daf830e580a055efcc365648e658a90280e7df78c232dc6193a0bdfb1"),
+    (("der", "space", "--family", "QnZ", "--n", "10"), 0,
+     "b0e316d1e5f8b8dddc930cd0b7ed27923e01e4cfb858502b2a2dab6229a4ea3f"),
 ]
 
 

@@ -37,6 +37,7 @@ from lieaffine.linalg import (
     invert,
     is_nilpotent,
     nonsingular,
+    rank,
     span,
     unit_vector,
 )
@@ -528,6 +529,78 @@ def test_minimal_polynomial_nilpotent_jordan_block():
     l4 = make_ln(4)
     ad1 = l4.ad(unit_vector(4, 0))
     assert minimal_polynomial(ad1) == [F(0), F(0), F(0), F(1)]
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _minimal_polynomial_case(rng, kind):
+    """A seeded matrix of size 1-7 and its minimal polynomial, or None when unknown.
+
+    Diagonals repeat eigenvalues from a pool of at most three; Jordan
+    blocks mix sizes and eigenvalues (0 among them, so some are nilpotent);
+    both are conjugated by a seeded integer P. Random matrices have entries
+    in -2..2 and no known answer.
+    """
+    n = rng.randint(1, 7)
+    if kind == "random":
+        return Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), None
+    pool = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+    if kind == "diagonal":
+        eigen = [rng.choice(pool) for _ in range(n)]
+        blocks = [(x, 1) for x in eigen]
+    else:
+        pool[0] = F(0)
+        blocks, left = [], n
+        while left:
+            size = rng.randint(1, left)
+            blocks.append((rng.choice(pool), size))
+            left -= size
+    grid = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for x, size in blocks:
+        for k in range(start, start + size):
+            grid[k][k] = x
+            if k + 1 < start + size:
+                grid[k][k + 1] = F(1)
+        start += size
+    expected = [F(1)]
+    for x in {x for x, _ in blocks}:
+        for _ in range(max(size for y, size in blocks if y == x)):
+            expected = _poly_mul(expected, [-x, F(1)])
+    return _conjugate(rng, Matrix(grid)), expected
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "jordan", "random"])
+def test_minimal_polynomial_oracle_on_seeded_matrices(kind):
+    # mu is monic, mu(m) = 0 by Matrix arithmetic, and I, m, ..., m^(d-1)
+    # are independent (rank of their dense flattenings), so no lower degree
+    # annihilates m; known cases must match the product of (x - lambda)^k
+    rng = random.Random({"diagonal": 11, "jordan": 12, "random": 13}[kind])
+    nilpotent = 0
+    for _ in range(70):
+        m, expected = _minimal_polynomial_case(rng, kind)
+        n = m.rows
+        mu = minimal_polynomial(m)
+        d = len(mu) - 1
+        assert 1 <= d <= n and mu[-1] == 1
+        powers = [Matrix.identity(n)]
+        for _ in range(d):
+            powers.append(powers[-1] * m)
+        total = Matrix.zeros(n, n)
+        for c, p in zip(mu, powers):
+            total = total + c * p
+        assert total.is_zero(), m
+        assert rank(Matrix([[x for row in p.data for x in row] for p in powers[:d]])) == d
+        if expected is not None:
+            assert mu == expected, m
+        nilpotent += mu == [F(0)] * d + [F(1)]
+    assert kind != "jordan" or nilpotent > 0
 
 
 def test_random_derivation_combos_stay_derivations():

@@ -20,9 +20,9 @@ from lieaffine.linalg import (
     nonsingular,
     nullspace,
     products_vanish,
+    rank,
     rat,
     rref,
-    sparse_columns,
     solve,
     span,
     unit_vector,
@@ -172,17 +172,84 @@ def test_invert_singular_ad_of_nilpotent():
 
 
 def test_invert_round_trip_random():
+    # m m^-1 = m^-1 m = I, and invert raises exactly when rank m < n; small
+    # entries make about a third of the matrices singular
     rng = random.Random(2)
-    produced = 0
-    while produced < 15:
-        n = rng.randint(1, 4)
-        m = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if not nonsingular(m):
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = Matrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        if rank(m) < n:
+            singular += 1
+            assert not nonsingular(m)
+            with pytest.raises(SingularMatrixError):
+                invert(m)
             continue
-        produced += 1
+        assert nonsingular(m)
         inv = invert(m)
         assert inv * m == Matrix.identity(n)
         assert m * inv == Matrix.identity(n)
+    assert 0 < singular < 60
+
+
+def _transpose(m):
+    return Matrix([[m[i, j] for i in range(m.rows)] for j in range(m.cols)], m.cols, m.rows)
+
+
+def test_rank_equals_rank_of_transpose():
+    # rank reduces the columns; the rows (rref, nullspace) must agree
+    rng = random.Random(31)
+    for _ in range(60):
+        rows, cols, inner = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4)
+        a = Matrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)], rows, inner)
+        b = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
+                    for _ in range(inner)], inner, cols)
+        m = a * b
+        r = rank(m)
+        assert r <= min(rows, cols, inner)
+        assert r == rank(_transpose(m)) == len(rref(m)[1])
+        assert nullspace(m).dim == cols - r
+
+
+def test_matrix_arithmetic_matches_dense_lists():
+    # the sparse-column arithmetic against plain list computations on .data
+    rng = random.Random(41)
+
+    def rand(rows, cols):
+        return Matrix([[F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3))
+                        for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+    for _ in range(40):
+        p, q, r = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, a2, b = rand(p, q), rand(p, q), rand(q, r)
+        da, da2, db = a.data, a2.data, b.data
+        assert (a * b).data == tuple(
+            tuple(sum((da[i][k] * db[k][j] for k in range(q)), F(0)) for j in range(r))
+            for i in range(p))
+        assert (a + a2).data == tuple(tuple(x + y for x, y in zip(u, w)) for u, w in zip(da, da2))
+        assert (a - a2).data == tuple(tuple(x - y for x, y in zip(u, w)) for u, w in zip(da, da2))
+        assert (-a).data == (F(-3) * a * F(1, 3)).data == tuple(
+            tuple(-x for x in u) for u in da)
+        v = [F(rng.randint(-2, 2)) for _ in range(q)]
+        assert a.apply(v) == tuple(sum((x * y for x, y in zip(u, v)), F(0)) for u in da)
+        assert all(a[i, j] == da[i][j] for i in range(p) for j in range(q))
+        assert all(a.column(j) == tuple(u[j] for u in da) for j in range(q))
+        assert a.is_zero() == all(not x for u in da for x in u)
+        if p == q:
+            assert a.trace() == sum((da[i][i] for i in range(p)), F(0))
+
+
+def test_from_sparse_drops_explicit_zeros():
+    dense = Matrix([[0, 0, 5], [F(1, 2), 0, 0]])
+    sparse = Matrix.from_sparse(2, [{0: F(0), 1: F(1, 2)}, {1: F(0)}, {0: F(5)}])
+    assert sparse.columns == dense.columns == ({1: F(1, 2)}, {}, {0: F(5)})
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.data == ((0, 0, 5), (F(1, 2), 0, 0))
+    # cancellation inside the arithmetic leaves no zeros behind either
+    assert (dense - dense).columns == ({}, {}, {})
+    assert dense - dense == Matrix.zeros(2, 3) == Matrix([[0] * 3] * 2)
+    assert hash(dense - dense) == hash(Matrix([[0] * 3] * 2))
+    assert Matrix.from_sparse(3, []) == Matrix.zeros(3, 0)
 
 
 def test_is_nilpotent_strict_upper_triangular():
@@ -299,7 +366,7 @@ def test_products_vanish_matches_brute_force_products():
     cases.append(([e12], True))
     for maps, expected in cases:
         assert _all_products_vanish(maps) == expected
-        assert products_vanish([sparse_columns(m) for m in maps]) == expected
+        assert products_vanish([m.columns for m in maps]) == expected
     assert {expected for _, expected in cases} == {True, False}
 
 
