@@ -688,6 +688,17 @@ PINNED_STDOUT = [
      "1aab224daf830e580a055efcc365648e658a90280e7df78c232dc6193a0bdfb1"),
     (("der", "space", "--family", "QnZ", "--n", "10"), 0,
      "b0e316d1e5f8b8dddc930cd0b7ed27923e01e4cfb858502b2a2dab6229a4ea3f"),
+    # Der(g) from the nonzero structure constants on the sparse kernel, and
+    # the Sturm chain evaluated in integers
+    (("der", "space", "--family", "Ln", "--n", "40"), 0,
+     "45754729488575684b0eaf9ff6c16e228fc6f0d8901fd5cfcd6fee1688903643"),
+    (("der", "space", "--family", "Cn", "--n", "12", "--lambda=1", "--lambda=-1",
+      "--lambda=1", "--lambda=1"), 0,
+     "aea2d6c62b4d3158c20affe8e070a2fe537bdc673f03fb23f7c7acd8d70d9e5b"),
+    (("der", "space", "--family", "Benoist", "--t=7/5"), 0,
+     "1014cb0d2c889946e568c09fd6decf4571a652733182dbf54647757435e85823"),
+    (("der", "torus", "--family", "Ln", "--n", "64"), 0,
+     "9bf802aafcb0c71e4794568494a39e8482e8d4fcce2e8ba168e7607039977553"),
 ]
 
 
