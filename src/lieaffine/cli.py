@@ -142,28 +142,30 @@ def _need(args, name: str):
 
 
 def _algebra_from_family(args):
+    """(algebra, Jacobi report or None): make_ank, make_bnk and make_cn return their report."""
     family = args.family
     if family == "Ln":
-        return catalog.make_ln(_need(args, "n"))
+        return catalog.make_ln(_need(args, "n")), None
     if family == "Qn":
-        return catalog.make_qn(_need(args, "n"))
+        return catalog.make_qn(_need(args, "n")), None
     if family == "QnZ":
-        return catalog.make_qn(_need(args, "n"), adapted=True)
+        return catalog.make_qn(_need(args, "n"), adapted=True), None
     if family == "Ank":
         lams = [parse_rational(s) for s in _need(args, "lambda")]
-        return catalog.make_ank(_need(args, "n"), _need(args, "k"), lams)[0]
+        return catalog.make_ank(_need(args, "n"), _need(args, "k"), lams)
     if family == "Bnk":
         lams = [parse_rational(s) for s in (args.lambdas or [])]
-        return catalog.make_bnk(_need(args, "n"), _need(args, "k"), lams)[0]
+        return catalog.make_bnk(_need(args, "n"), _need(args, "k"), lams)
     if family == "Cn":
         lams = [parse_rational(s) for s in _need(args, "lambda")]
-        return catalog.make_cn(_need(args, "n"), lams)[0]
+        return catalog.make_cn(_need(args, "n"), lams)
     if family == "Benoist":
-        return catalog.make_benoist(parse_rational(args.t_param or "0"))
+        return catalog.make_benoist(parse_rational(args.t_param or "0")), None
     raise UnknownFamily(f"unknown family {_echo(family)}")
 
 
-def _load_algebra(args):
+def _load(args):
+    """(algebra, Jacobi report or None) from --family or from the --in document."""
     if getattr(args, "family", None):
         return _algebra_from_family(args)
     infile = getattr(args, "infile", None)
@@ -171,11 +173,17 @@ def _load_algebra(args):
         doc = load_json(sys.stdin.read(), from_file=False)
     else:
         doc = load_json(infile)
-    return algebra_from_json(doc)
+    return algebra_from_json(doc), None
 
 
-def _jacobi_payload(alg):
-    violations = jacobi_report(alg)
+def _load_algebra(args):
+    return _load(args)[0]
+
+
+def _jacobi_payload(alg, violations):
+    """The Jacobi payload of alg; ``violations`` is the catalog's report, or None to compute it."""
+    if violations is None:
+        violations = jacobi_report(alg)
     return violations, {
         "name": alg.name,
         "dim": alg.dim,
@@ -213,19 +221,18 @@ def _cmd_catalog_list(args):
 def _cmd_catalog_show(args):
     if not args.family:
         raise UnknownFamily("catalog show requires --family")
-    return algebra_to_json(_algebra_from_family(args)), 0
+    return algebra_to_json(_algebra_from_family(args)[0]), 0
 
 
 def _cmd_verify_jacobi(args):
-    alg = _load_algebra(args)
-    violations, payload = _jacobi_payload(alg)
+    violations, payload = _jacobi_payload(*_load(args))
     return payload, 0 if not violations else 1
 
 
 def _cmd_verify_series(key, holds, args):
     """Report ``key``: whether ``holds`` on the lower-central-series dimensions."""
-    alg = _load_algebra(args)
-    violations, jac = _jacobi_payload(alg)
+    alg, report = _load(args)
+    violations, jac = _jacobi_payload(alg, report)
     if violations:
         return jac, 1
     dims = [s.dim for s in lower_central_series(alg)]
@@ -292,7 +299,7 @@ def _cmd_der_torus(args):
             "der torus needs --family Ln, QnZ or Cn (the families with a "
             "distinguished diagonal torus)"
         )
-    alg = _algebra_from_family(args)
+    alg = _algebra_from_family(args)[0]
     maps = catalog.standard_torus(family, args.n)
     report = verify_torus(alg, maps)
     payload = {
@@ -329,8 +336,8 @@ def _cmd_der_verify_witness(args):
 
 
 def _cmd_affine_synth(args):
-    alg = _load_algebra(args)
-    violations, jac = _jacobi_payload(alg)
+    alg, report = _load(args)
+    violations, jac = _jacobi_payload(alg, report)
     if violations:
         return jac, 1
     try:

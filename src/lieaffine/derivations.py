@@ -2,7 +2,8 @@
 
 ``derivation_space`` solves the linear system expressing
 D[x, y] = [Dx, y] + [x, Dy] on all basis pairs, over the n^2 matrix
-entries of D. Every randomized search (for invertible derivations, for
+entries of D, with its equations built from the nonzero structure
+constants. Every randomized search (for invertible derivations, for
 derivations whose restriction to the derived subalgebra is invertible,
 for non-nilpotent derivations, and for symplectic forms) draws its
 candidates from ``seeded_combinations``: coefficients uniform in
@@ -162,22 +163,32 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     """Exact nullspace of the derivation conditions.
 
-    Unknown (p, q) of the map sits at flat index p*n + q (row-major).
+    Unknown (p, q) of the map sits at flat index p*n + q (row-major). The
+    equation of pair i < j on coordinate p reads
+    sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
+    so it is built from the nonzero structure constants alone, and only the
+    equations they touch are emitted.
     """
     n = alg.dim
+    # right[j]: the (q, p, c) with [e_q, e_j] = ... + c e_p + ...
+    right: List[List[tuple]] = [[] for _ in range(n)]
+    for (i, j), coeffs in alg.structure.items():
+        for p, c in coeffs.items():
+            right[j].append((i, p, c))
+            right[i].append((j, p, -c))
     rows: List[dict] = []
     for i in range(n):
         for j in range(i + 1, n):
-            block = [{} for _ in range(n)]
-            for k, c in alg.bracket_basis(i, j).items():
-                for p in range(n):
-                    block[p][p * n + k] = c
-            for q in range(n):
-                for p, c in alg.bracket_basis(q, j).items():
-                    block[p][q * n + i] = block[p].get(q * n + i, ZERO) - c
-                for p, c in alg.bracket_basis(i, q).items():
-                    block[p][q * n + j] = block[p].get(q * n + j, ZERO) - c
-            rows.extend(block)
+            bracket = alg.structure.get((i, j))
+            block = {p: {p * n + k: c for k, c in bracket.items()}
+                     for p in range(n)} if bracket else {}
+            for q, p, c in right[j]:
+                row = block.setdefault(p, {})
+                row[q * n + i] = row.get(q * n + i, ZERO) - c
+            for q, p, c in right[i]:
+                row = block.setdefault(p, {})
+                row[q * n + j] = row.get(q * n + j, ZERO) + c
+            rows.extend(block.values())
     return DerivationSpace(algebra=alg, flat=nullspace(rows, n * n))
 
 
@@ -404,10 +415,20 @@ def _poly_mod(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def _poly_eval(p: List[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
+def _integer_form(p: List[Fraction]) -> List[int]:
+    """p times a positive rational: coprime integers, every sign kept."""
+    scale = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (scale // c.denominator) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _homogeneous_eval(p: List[int], u: int, w: int) -> int:
+    """sum p_i u^i w^(d-i) (d = len(p) - 1): w^d p(u/w), of the sign of p(u/w) for w > 0."""
+    acc, scale = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * u + c * scale
+        scale *= w
     return acc
 
 
@@ -429,10 +450,13 @@ def _rational_root_count(p: List[Fraction], chain: List[List[Fraction]]) -> int:
     Sturm chain counts the distinct real roots between two half-grid points
     (2k -+ 1)/(2a), which are never roots; bisecting the grid indices drops
     every interval that counts 0 and leaves single grid points to evaluate.
+    Every evaluation is in integers: each polynomial is taken in its
+    integer form and evaluated homogenized at (2k - 1, 2a) or (k, a), which
+    scales its value by a positive integer and so keeps its sign.
     """
-    scale = lcm(*(c.denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    a = abs(ints[-1]) // gcd(*ints)
+    ints = _integer_form(p)
+    a = abs(ints[-1])
+    chain = [_integer_form(q) for q in chain]
     exponent = 0
     for k in range(1, len(p)):
         ratio = abs(p[-1 - k] / p[-1])
@@ -445,8 +469,7 @@ def _rational_root_count(p: List[Fraction], chain: List[List[Fraction]]) -> int:
     def below(k: int) -> int:
         """Sign changes of the chain at (2k - 1)/(2a), just below grid point k."""
         if k not in changes:
-            x = Fraction(2 * k - 1, 2 * a)
-            signs = [v > 0 for v in (_poly_eval(q, x) for q in chain) if v]
+            signs = [v > 0 for v in (_homogeneous_eval(q, 2 * k - 1, 2 * a) for q in chain) if v]
             changes[k] = sum(u != v for u, v in zip(signs, signs[1:]))
         return changes[k]
 
@@ -457,7 +480,7 @@ def _rational_root_count(p: List[Fraction], chain: List[List[Fraction]]) -> int:
         if below(lo) == below(hi + 1):
             continue
         if lo == hi:
-            found += not _poly_eval(p, Fraction(lo, a))
+            found += not _homogeneous_eval(ints, lo, a)
             continue
         mid = (lo + hi) // 2
         todo += [(lo, mid), (mid + 1, hi)]

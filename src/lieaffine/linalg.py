@@ -5,15 +5,18 @@ floating point. Matrices act on column coordinate vectors, so column j of
 a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel, ``_reduce``: it
-takes sparse rows ``{col: value}``, clears each row's denominators,
-eliminates fraction-free by cross-multiplication with per-row content
-reduction, back-substitutes, and only the final pivot normalization
-reintroduces fractions. The result is the canonical reduced row-echelon
-form, so it is exact and deterministic whatever the row order. ``rref``,
-``rank``, ``span``, ``nullspace``, ``solve``, ``invert``, ``nonsingular``,
-``products_vanish`` and ``is_nilpotent`` are thin callers, and no other
-elimination exists; ``_image_chain`` is the one image-chain loop, shared
-by ``products_vanish`` and ``liealg.lower_central_series``.
+takes sparse rows ``{col: value}``, sparsest first, clears each row's
+denominators, eliminates fraction-free by cross-multiplication with per-row
+content reduction, back-substitutes from the last pivot up, each row
+touching only the pivot columns it holds, and only the final pivot
+normalization reintroduces fractions. The result is the canonical reduced
+row-echelon form with each row's columns in ascending order, so it is
+exact and deterministic, iteration order included, whatever the row
+order. ``rref``, ``rank``, ``span``, ``nullspace``, ``solve``, ``invert``,
+``nonsingular``, ``products_vanish`` and ``is_nilpotent`` are thin
+callers, and no other elimination exists; ``_image_chain`` is the one
+image-chain loop, shared by ``products_vanish`` and
+``liealg.lower_central_series``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
 by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;
@@ -289,14 +292,20 @@ def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
 def _reduce(rows: Iterable[dict]) -> list:
     """Canonical RREF of sparse rational rows {col: value}.
 
-    Each row is cleared of denominators and reduced against the pivot rows
-    found so far, fraction-free; zero entries and zero rows drop out. Back
-    substitution then clears every pivot column above its pivot, and the
-    final normalization reintroduces fractions. Returns the nonzero RREF
-    rows as (pivot, {col: Fraction}) pairs in increasing pivot order.
+    The rows are taken sparsest first (a stable sort on their length), so
+    one-entry rows become pivots before longer rows are reduced against
+    them. Each row is cleared of denominators and reduced against the pivot
+    rows found so far, fraction-free; zero entries and zero rows drop out.
+    Back substitution walks the pivots from the last one up: each row
+    eliminates only the pivot columns it holds, against the rows below it,
+    which are already fully reduced, so it costs the nonzeros met rather
+    than rank^2 probes. The final normalization reintroduces fractions.
+    Returns the nonzero RREF rows as (pivot, {col: Fraction}) pairs in
+    increasing pivot order, each dict in ascending column order, so the
+    result and its iteration order do not depend on the order of the rows.
     """
     echelon = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         den = lcm(*(x.denominator for x in row.values()))
         cur = _primitive(
             {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
@@ -308,20 +317,16 @@ def _reduce(rows: Iterable[dict]) -> list:
                 echelon[p] = cur
                 break
             cur = _eliminate(prow[p], cur, cur[p], prow)
-    pivots = sorted(echelon)
-    for idx in range(len(pivots) - 1, 0, -1):
-        p = pivots[idx]
-        prow = echelon[p]
-        pv = prow[p]
-        for q in pivots[:idx]:
-            v = echelon[q].get(p)
-            if v:
-                echelon[q] = _eliminate(pv, echelon[q], v, prow)
     out = []
-    for p in pivots:
+    for p in sorted(echelon, reverse=True):
         row = echelon[p]
+        for q in [c for c in row if c != p and c in echelon]:
+            prow = echelon[q]
+            row = _eliminate(prow[q], row, row[q], prow)
+        echelon[p] = row
         pv = row[p]
-        out.append((p, {c: Fraction(x, pv) for c, x in row.items()}))
+        out.append((p, {c: Fraction(row[c], pv) for c in sorted(row)}))
+    out.reverse()
     return out
 
 
@@ -412,10 +417,17 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
 
     ``system`` is a Matrix m (solving m v = 0), or sparse equation rows
     {col: value} over ``ncols`` unknowns; zero rows and no rows are allowed.
+    A nonzero entry outside ``range(ncols)`` raises DimensionMismatch. It is
+    checked on the reduced rows, which hold a column exactly when some
+    equation does: their first pivot and each row's last column.
     """
     if isinstance(system, Matrix):
         system, ncols = _transpose(system.columns, system.rows), system.cols
+    elif ncols is None:
+        raise DimensionMismatch("sparse equation rows need the number of unknowns")
     reduced = _reduce(system)
+    if reduced and (reduced[0][0] < 0 or max(next(reversed(row)) for _, row in reduced) >= ncols):
+        raise DimensionMismatch(f"an equation holds a column outside range({ncols})")
     pivots = {p for p, _ in reduced}
     basis = {f: {f: ONE} for f in range(ncols) if f not in pivots}
     for p, row in reduced:

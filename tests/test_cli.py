@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine import catalog, cli, liealg
 from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json
 
@@ -709,6 +710,28 @@ def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"],
+    ["verify", "jacobi", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"],
+    ["verify", "nilpotent", "--family", "Ank", "--n", "5", "--k", "2", "--lambda=1"],
+    ["verify", "nilpotent", "--family", "Bnk", "--n", "6", "--k", "2", "--lambda=1"],
+    ["affine", "synth", "--family", "Ln", "--n", "8"],
+])
+def test_one_jacobi_report_per_command(capsys, monkeypatch, argv):
+    # the report make_ank, make_bnk and make_cn return is the one the payload uses
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return liealg.jacobi_report(alg)
+
+    monkeypatch.setattr(catalog, "jacobi_report", counted)
+    monkeypatch.setattr(cli, "jacobi_report", counted)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_timestamp_present_without_reproducible(capsys):

@@ -37,6 +37,7 @@ from lieaffine.linalg import (
     invert,
     is_nilpotent,
     nonsingular,
+    nullspace,
     rank,
     span,
     unit_vector,
@@ -390,6 +391,36 @@ def _dense_lower_central_series(alg):
         if nxt == series[-1]:
             return series
         series.append(nxt)
+
+
+def _bracket_basis_rows(alg):
+    # the equations on every pair (i, j) and coordinate p, one bracket_basis
+    # call per term: n^3 rows, most of them empty
+    n = alg.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            block = [{} for _ in range(n)]
+            for k, c in alg.bracket_basis(i, j).items():
+                for p in range(n):
+                    block[p][p * n + k] = c
+            for q in range(n):
+                for p, c in alg.bracket_basis(q, j).items():
+                    block[p][q * n + i] = block[p].get(q * n + i, F(0)) - c
+                for p, c in alg.bracket_basis(i, q).items():
+                    block[p][q * n + j] = block[p].get(q * n + j, F(0)) - c
+            rows.extend(block)
+    return rows
+
+
+@pytest.mark.parametrize("alg", [
+    make_ln(8), make_qn(8), make_qn(10, adapted=True), make_cn(6, [1])[0],
+    make_cn(12, [1, -1, 1, 1])[0], make_benoist(0), make_benoist(F(7, 5)),
+    _change_basis(make_benoist(1), _sparse_basis_change(11, random.Random(11))),
+], ids=["L8", "Q8", "QnZ10", "C6", "C12", "B0", "B7/5", "B1-moved"])
+def test_derivation_space_matches_per_pair_bracket_equations(alg):
+    n = alg.dim
+    assert derivation_space(alg).flat.rows == nullspace(_bracket_basis_rows(alg), n * n).rows
 
 
 # Benoist(1) moved by a basis change under which [g, g] is not a coordinate

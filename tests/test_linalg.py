@@ -15,6 +15,7 @@ from lieaffine.errors import DimensionMismatch, SingularMatrixError
 from lieaffine.linalg import (
     Matrix,
     Subspace,
+    _reduce,
     invert,
     is_nilpotent,
     nonsingular,
@@ -153,6 +154,68 @@ def test_nullspace_vectors_satisfy_system():
             assert all(x == 0 for x in m.apply(v))
         _, pivots = rref(m)
         assert len(pivots) + ns.dim == nc
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([{-1: 1}], 3),
+    ([{1: 1}], 0),
+    ([{0: 1, 5: 1}], 3),
+    ([{0: 1}], None),
+])
+def test_nullspace_rejects_columns_outside_the_unknowns(rows, ncols):
+    with pytest.raises(DimensionMismatch):
+        nullspace(rows, ncols)
+
+
+def _dense_gauss_jordan(rows, ncols):
+    # textbook Gauss-Jordan on the dense Fraction grid: (pivot, {col: value}) rows
+    grid = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(grid)) if grid[r][c]), None)
+        if pick is None:
+            continue
+        grid[top], grid[pick] = grid[pick], grid[top]
+        grid[top] = [x / grid[top][c] for x in grid[top]]
+        for r in range(len(grid)):
+            if r != top and grid[r][c]:
+                f = grid[r][c]
+                grid[r] = [x - f * y for x, y in zip(grid[r], grid[top])]
+        pivots.append(c)
+    return [(p, {c: x for c, x in enumerate(grid[k]) if x}) for k, p in enumerate(pivots)]
+
+
+def _sparse_system(rng):
+    # empty, one-entry, duplicated-and-scaled and fractional rows, with explicit zeros
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.35:
+            rows.append({rng.randrange(ncols): F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))})
+        elif kind < 0.55 and rows:
+            scale = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            rows.append({c: scale * x for c, x in rng.choice(rows).items()})
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, ncols))
+            rows.append({c: F(rng.randint(-5, 5), rng.randint(1, 6)) for c in cols})
+    return rows, ncols
+
+
+def test_reduce_matches_dense_gauss_jordan_for_any_row_order():
+    rng = random.Random(13)
+    for _ in range(100):
+        rows, ncols = _sparse_system(rng)
+        reduced = _reduce(rows)
+        assert reduced == _dense_gauss_jordan(rows, ncols)
+        ordered = [(p, list(row.items())) for p, row in reduced]
+        assert all(cols == sorted(cols) for _, cols in ordered)
+        for _ in range(3):
+            shuffled = rng.sample(rows, len(rows))
+            assert [(p, list(row.items())) for p, row in _reduce(shuffled)] == ordered
 
 
 def test_invert_diagonal():
