@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import __about__
 from .derivations import (
     DEFAULT_TRIALS,
+    _first_hit,
     _restrict,
     check_trials,
     derivation_space,
@@ -45,7 +46,6 @@ from .derivations import (
     find_regular_derivation,
     is_derivation,
     restrict_to_derived,
-    seeded_combinations,
 )
 from .errors import (
     DegenerateFormError,
@@ -346,8 +346,8 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
 
     Raises ValueError when ``trials`` < 1 and returns None in odd
     dimension; otherwise computes the linear space of closed forms exactly
-    and draws ``seeded_combinations`` of its basis until one has nonzero
-    Gram determinant. That determinant is the square of the Pfaffian, of
+    and draws seeded combinations of its basis until one has nonzero Gram
+    determinant. That determinant is the square of the Pfaffian, of
     degree n/2 in the coefficients.
     """
     check_trials(trials)
@@ -364,12 +364,9 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
                 col = index[(min(a, m), max(a, m))]
                 row[col] = row.get(col, ZERO) + (c if a < m else -c)
         rows.append(row)
-    closed = nullspace(rows, len(pairs))
-    for v in seeded_combinations(closed, seed, trials):
-        form = TwoForm.from_entries(n, {pairs[s]: x for s, x in enumerate(v) if x})
-        if nondegenerate(form):
-            return form
-    return None
+    return _first_hit(nullspace(rows, len(pairs)),
+                      lambda v: TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items() if x}),
+                      (), seed, trials, nondegenerate)
 
 
 def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,

@@ -176,8 +176,23 @@ def _load(args):
     return algebra_from_json(doc), None
 
 
+class _NotLie(Exception):
+    """Ends a command on a non-Lie algebra with exit 1; ``args[0]`` is its Jacobi payload."""
+
+
 def _load_algebra(args):
-    return _load(args)[0]
+    """The algebra of args; one that is not Lie raises ``_NotLie``.
+
+    Ln, Qn, QnZ and Benoist(t) are Lie for every parameter, make_ank,
+    make_bnk and make_cn return their report, so a report is computed only
+    for an --in document.
+    """
+    alg, violations = _load(args)
+    if violations is None and not getattr(args, "family", None):
+        violations = jacobi_report(alg)
+    if violations:
+        raise _NotLie(_jacobi_payload(alg, violations)[1])
+    return alg
 
 
 def _jacobi_payload(alg, violations):
@@ -266,17 +281,18 @@ def _cmd_der_diag(args):
     }, 0
 
 
-def _cmd_der_search(search, args):
+def _cmd_search(key, codec, search, args):
+    """Payload of a seeded search: ``search(alg, seed, trials)`` finds ``key`` or None."""
     alg = _load_algebra(args)
-    witness = search(derivation_space(alg), seed=args.seed, trials=args.trials)
+    found = search(alg, args.seed, args.trials)
     payload = {
         "name": alg.name,
-        "found": witness is not None,
-        "witness": matrix_to_json(witness) if witness is not None else None,
+        "found": found is not None,
+        key: codec(found) if found is not None else None,
         "seed": args.seed,
         "trials": args.trials,
     }
-    return payload, 0 if witness is not None else 1
+    return payload, 0 if found is not None else 1
 
 
 def _cmd_der_char_nilp(args):
@@ -299,7 +315,7 @@ def _cmd_der_torus(args):
             "der torus needs --family Ln, QnZ or Cn (the families with a "
             "distinguished diagonal torus)"
         )
-    alg = _algebra_from_family(args)[0]
+    alg = _load_algebra(args)
     maps = catalog.standard_torus(family, args.n)
     report = verify_torus(alg, maps)
     payload = {
@@ -359,7 +375,7 @@ def _cmd_affine_synth(args):
 
 
 def _cmd_affine_verify(args):
-    alg = _load_algebra(args)
+    alg = _load(args)[0]
     cert = certificate_from_json(load_json(args.cert))
     report = reverify_certificate(alg, cert)
     if not report.hash_match:
@@ -376,19 +392,6 @@ def _cmd_affine_verify(args):
         "ok": report.ok,
     }
     return payload, 0 if report.ok else 1
-
-
-def _cmd_affine_symplectic_find(args):
-    alg = _load_algebra(args)
-    form = find_symplectic(alg, seed=args.seed, trials=args.trials)
-    payload = {
-        "name": alg.name,
-        "found": form is not None,
-        "two_form": twoform_to_json(form) if form is not None else None,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
-    return payload, 0 if form is not None else 1
 
 
 _VALIDATORS = {
@@ -445,10 +448,12 @@ _COMMANDS = (
     ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
     ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
     ("der", "regular", "search for an invertible derivation",
-     partial(_cmd_der_search, find_regular_derivation), _SEARCH),
+     partial(_cmd_search, "witness", matrix_to_json, lambda alg, seed, trials:
+             find_regular_derivation(derivation_space(alg), seed, trials)), _SEARCH),
     ("der", "derived-regular",
      "search for a derivation invertible on the derived subalgebra",
-     partial(_cmd_der_search, find_derived_regular_derivation), _SEARCH),
+     partial(_cmd_search, "witness", matrix_to_json, lambda alg, seed, trials:
+             find_derived_regular_derivation(derivation_space(alg), seed, trials)), _SEARCH),
     ("der", "char-nilp", "characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
     ("der", "torus", "verify the family's standard torus", _cmd_der_torus, _SOURCE),
     ("der", "verify-witness", "re-check a char-nilp witness", _cmd_der_verify_witness,
@@ -458,7 +463,8 @@ _COMMANDS = (
     ("affine", "verify", "re-verify a synthesis certificate", _cmd_affine_verify,
      _SOURCE + (partial(_add_cert, "certificate JSON"),)),
     ("affine", "symplectic-find", "search for a symplectic form",
-     _cmd_affine_symplectic_find, _SEARCH),
+     partial(_cmd_search, "two_form", twoform_to_json, lambda alg, seed, trials:
+             find_symplectic(alg, seed, trials)), _SEARCH),
     ("io", "validate", "validate a JSON document", _cmd_io_validate, (_add_document,)),
 )
 
@@ -510,6 +516,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
+    except _NotLie as exc:
+        payload, code = exc.args[0], 1
     except (LieToolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -517,10 +525,15 @@ def main(argv=None) -> int:
         payload = {**payload,
                    "generated_at": datetime.now(timezone.utc).isoformat()}
     text = json.dumps(payload, indent=2)
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        # written before stdout, so a failed write prints no verdict
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    print(text)
     return code
 
 

@@ -5,13 +5,14 @@ D[x, y] = [Dx, y] + [x, Dy] on all basis pairs, over the n^2 matrix
 entries of D, with its equations built from the nonzero structure
 constants. Every randomized search (for invertible derivations, for
 derivations whose restriction to the derived subalgebra is invertible,
-for non-nilpotent derivations, and for symplectic forms) draws its
-candidates from ``seeded_combinations``: coefficients uniform in
-{-10, ..., 10} from an explicitly seeded generator, so every verdict is
-reproducible from (seed, trials). When a good element exists, a trial
-misses it with probability at most d/21 by Schwartz-Zippel, d being the
-degree of the defect polynomial (d = n for an n x n determinant): a
-bound that is vacuous from n = 21 on.
+for non-nilpotent derivations, and for symplectic forms) runs one loop,
+``_first_hit``, over its fixed candidates and then the sparse draws of
+``seeded_combinations``: coefficients uniform in {-10, ..., 10} from an
+explicitly seeded generator, so every verdict is reproducible from
+(seed, trials). When a good element exists, a trial misses it with
+probability at most d/21 by Schwartz-Zippel, d being the degree of the
+defect polynomial (d = n for an n x n determinant): a bound that is
+vacuous from n = 21 on.
 
 The derivation searches first ask ``DerivationSpace.all_nilpotent``,
 which decides exactly (by Engel's theorem, on one image chain over the
@@ -69,9 +70,12 @@ class DerivationSpace:
 
     @cached_property
     def basis(self) -> Tuple[Matrix, ...]:
+        return tuple(self.matrix(row) for _, row in self.flat.rows)
+
+    def matrix(self, flat: dict) -> Matrix:
+        """Adopt a sparse row-major vector {p*n + q: entry (p, q)} as an n x n matrix."""
         n = self.algebra.dim
-        return tuple(Matrix.from_sparse(n, _flat_columns(row.items(), n))
-                     for _, row in self.flat.rows)
+        return Matrix.from_sparse(n, _flat_columns(flat.items(), n))
 
     def contains(self, m: Matrix) -> bool:
         n = self.algebra.dim
@@ -214,38 +218,31 @@ def check_trials(trials: int) -> None:
         raise ValueError("trials must be at least 1")
 
 
-def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[tuple]:
-    """``trials`` seeded vectors sum c_i v_i over the RREF basis v_i of space.
+def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[dict]:
+    """``trials`` seeded sparse vectors sum c_k v_k over the RREF rows v_k of space.
 
-    Each c_i is one ``randint(-10, 10)`` from ``random.Random(seed)``, drawn
-    per basis vector in basis order, so (seed, trials) replays a search
-    exactly; ``trials`` is checked before any candidate is drawn. By
-    Schwartz-Zippel a nonzero polynomial of degree d in the c_i vanishes on
-    a draw with probability at most d/21 (d = n for an n x n determinant),
-    which is vacuous from n = 21 on.
+    Each c_k is one ``randint(-10, 10)`` from ``random.Random(seed)``, drawn
+    per row in row order, so (seed, trials) replays a search exactly; a zero
+    c_k is skipped, and entries that cancel stay as zeros. By Schwartz-Zippel
+    a nonzero polynomial of degree d in the c_k vanishes on a draw with
+    probability at most d/21 (d = n for an n x n determinant), which is
+    vacuous from n = 21 on. ``_first_hit`` is the one loop that reads them.
     """
-    check_trials(trials)
     rng = random.Random(seed)
-    basis = [list(row.items()) for _, row in space.rows]
-
-    def stream():
-        for _ in range(trials):
-            acc = [ZERO] * space.ambient_dim
-            for base in basis:
-                c = rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
-                if c:
-                    for j, x in base:
-                        acc[j] += c * x
-            yield tuple(acc)
-
-    return stream()
+    rows = [row for _, row in space.rows]
+    for _ in range(trials):
+        draw = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for _ in rows]
+        yield sparse_apply(rows, {k: c for k, c in enumerate(draw) if c})
 
 
-def _first_hit(space: DerivationSpace, fixed: Iterable[Matrix], seed: int, trials: int,
-               accept: Callable[[Matrix], bool]) -> Optional[Matrix]:
-    """First candidate passing ``accept``: the fixed ones, then the seeded stream."""
-    n = space.algebra.dim
-    drawn = (Matrix.unflatten(v, n) for v in seeded_combinations(space.flat, seed, trials))
+def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable, seed: int,
+               trials: int, accept: Callable[[object], bool]):
+    """First candidate passing ``accept``: the fixed ones, then ``build`` of each seeded draw.
+
+    The one candidate loop of every seeded search; each search checks
+    ``trials`` itself, before any other work.
+    """
+    drawn = map(build, seeded_combinations(space, seed, trials))
     return next((cand for cand in chain(fixed, drawn) if accept(cand)), None)
 
 
@@ -259,7 +256,7 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
     check_trials(trials)
     if space.all_nilpotent:
         return None
-    return _first_hit(space, (), seed, trials, nonsingular)
+    return _first_hit(space.flat, space.matrix, (), seed, trials, nonsingular)
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
@@ -300,7 +297,7 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     alg = space.algebra
     derived = derived_subalgebra(alg)
     diagonal = (Matrix.diagonal(w) for w in diagonal_derivations(alg).basis)
-    return _first_hit(space, diagonal, seed, trials,
+    return _first_hit(space.flat, space.matrix, diagonal, seed, trials,
                       lambda f: nonsingular(_restrict(derived, f)))
 
 
@@ -318,7 +315,8 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     space = derivation_space(alg)
     if space.all_nilpotent:
         return CharNilpVerdict(CHAR_NILPOTENT_LIKELY, None, seed, trials)
-    witness = _first_hit(space, space.basis, seed, trials, lambda f: not is_nilpotent(f))
+    witness = _first_hit(space.flat, space.matrix, space.basis, seed, trials,
+                         lambda f: not is_nilpotent(f))
     kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
     return CharNilpVerdict(kind, witness, seed, trials)
 

@@ -135,14 +135,6 @@ class Matrix:
             raise DimensionMismatch("columns of unequal length")
         return cls.from_sparse(rows, map(_sparse, cols))
 
-    @classmethod
-    def unflatten(cls, flat: Sequence, n: int) -> "Matrix":
-        """Rebuild an n x n matrix from a row-major flat vector."""
-        vals = vector(flat)
-        if len(vals) != n * n:
-            raise DimensionMismatch(f"expected {n * n} entries, got {len(vals)}")
-        return cls.from_sparse(n, _flat_columns(enumerate(vals), n))
-
     @property
     def data(self) -> tuple:
         return tuple(dense_vector(row, self.cols) for row in _transpose(self.columns, self.rows))

@@ -213,7 +213,7 @@ def test_regular_product_is_the_derived_regular_product(alg):
     n = alg.dim
     space = derivation_space(alg)
     witnesses = [find_regular_derivation(space, seed=seed) for seed in range(3)]
-    drawn = (Matrix.unflatten(v, n) for v in seeded_combinations(space.flat, 11, 12))
+    drawn = (space.matrix(v) for v in seeded_combinations(space.flat, 11, 12))
     witnesses += [f for f in drawn if nonsingular(f)][:3]
     assert len(witnesses) == 6 and None not in witnesses
     for f in witnesses:

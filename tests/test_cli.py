@@ -734,6 +734,54 @@ def test_one_jacobi_report_per_command(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+# Ank(9, 2) at lambda = (1, 1, 2) violates Jacobi on (2, 3, 4) with residual 3 Y9
+_NOT_LIE = ["--family", "Ank", "--n", "9", "--k", "2", "--lambda=1", "--lambda=1",
+            "--lambda=2"]
+
+
+@pytest.mark.parametrize("command", [
+    ["der", "space"], ["der", "diag"], ["der", "regular"], ["der", "derived-regular"],
+    ["der", "char-nilp"], ["der", "verify-witness"], ["affine", "symplectic-find"],
+], ids=lambda c: " ".join(c))
+@pytest.mark.parametrize("source", ["family", "in"])
+def test_non_lie_algebra_is_refused_with_its_jacobi_payload(capsys, tmp_path, command, source):
+    argv = _NOT_LIE
+    if source == "in":
+        shown = tmp_path / "alg.json"
+        assert main(["catalog", "show", "--reproducible", "--out", str(shown), *_NOT_LIE]) == 0
+        capsys.readouterr()
+        argv = ["--in", str(shown)]
+    code, expected, _ = run_cli(capsys, ["verify", "jacobi", "--reproducible", *argv])
+    assert code == 1 and len(expected["violations"]) == 1
+    if command[-1] == "verify-witness":
+        cert = tmp_path / "verdict.json"
+        assert main(["der", "char-nilp", "--family", "Ln", "--n", "9", "--reproducible",
+                     "--out", str(cert)]) == 0
+        capsys.readouterr()
+        argv = [*argv, "--cert", str(cert)]
+    code, payload, err = run_cli(capsys, [*command, "--reproducible", *argv])
+    assert (code, payload, err) == (1, expected, "")
+
+
+def test_der_torus_refuses_a_non_lie_family_member(capsys, monkeypatch):
+    # every Ln, QnZ and Cn member is Lie, so a Cn maker returning a non-Lie
+    # algebra and its report stands in for one that is not
+    monkeypatch.setattr(catalog, "make_cn", lambda n, lams: catalog.make_ank(9, 2, [1, 1, 2]))
+    code, expected, _ = run_cli(capsys, ["verify", "jacobi", "--reproducible", *_NOT_LIE])
+    code, payload, _ = run_cli(capsys, ["der", "torus", "--family", "Cn", "--n", "8",
+                                        "--lambda=1", "--lambda=1", "--reproducible"])
+    assert (code, payload) == (1, expected)
+
+
+def test_unwritable_out_path_prints_no_verdict(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["der", "char-nilp", "--family", "Ln", "--n", "9", "--reproducible",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not target.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_timestamp_present_without_reproducible(capsys):
     code, payload, _ = run_cli(capsys, ["catalog", "show", "--family", "Ln", "--n", "3"])
     assert code == 0

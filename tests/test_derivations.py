@@ -1,5 +1,7 @@
 """Derivation algebras: computation, classification, searches, tori."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -33,9 +35,13 @@ from lieaffine.derivations import (
 from lieaffine.errors import NotADerivationError
 from lieaffine.liealg import LieAlgebra, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
+    ZERO,
     Matrix,
+    Subspace,
+    dense_vector,
     invert,
     is_nilpotent,
+    matrix_to_json,
     nonsingular,
     nullspace,
     rank,
@@ -446,11 +452,63 @@ def test_sparse_subspaces_match_dense_oracle(alg):
         assert any(len(row) > 1 for _, row in derived.rows)
     space = derivation_space(alg)
     candidates = list(space.basis)
-    candidates += [Matrix.unflatten(v, n) for v in seeded_combinations(space.flat, 3, 4)]
+    candidates += [space.matrix(v) for v in seeded_combinations(space.flat, 3, 4)]
     for d in candidates:
         expected = Matrix.from_columns([derived.coordinates(d.apply(b)) for b in derived.basis],
                                        rows=derived.dim)
         assert derivations._restrict(derived, d) == expected
+
+
+@pytest.mark.parametrize("base, digest", [
+    (make_ln(8), "c512e0cdfc7af6c48393cb5a0ea1a02f7df9455c2b3487d93c80caa22b1f90e8"),
+    (make_cn(8, [1, 1])[0], "6ad980b18dcf41b1b9655db15c4af3b42d2419558df2a244c06938c3bc14977f"),
+], ids=["L8", "C8"])
+def test_derived_regular_witness_from_a_seeded_draw_is_pinned(base, digest):
+    # in the moved basis no diagonal weight is invertible on [g, g], so the
+    # witness is a seeded draw; every catalog member settles on a diagonal
+    # weight or a basis element and never reaches the draw
+    alg = _change_basis(base, _sparse_basis_change(base.dim, random.Random(0)))
+    derived = derived_subalgebra(alg)
+    for w in diagonal_derivations(alg).basis:
+        assert not nonsingular(derivations._restrict(derived, Matrix.diagonal(w)))
+    witness = find_derived_regular_derivation(derivation_space(alg), seed=5)
+    text = json.dumps(matrix_to_json(witness))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _dense_draws(space, seed, trials):
+    # the dense accumulator the sparse draws replaced: one randint(-10, 10)
+    # per RREF row, in row order, summed into a tuple of every entry
+    rng = random.Random(seed)
+    for _ in range(trials):
+        acc = [ZERO] * space.ambient_dim
+        for _, row in space.rows:
+            c = rng.randint(-10, 10)
+            if c:
+                for j, x in row.items():
+                    acc[j] += c * x
+        yield tuple(acc)
+
+
+def _rational_span():
+    # four seeded vectors with non-integer entries; their RREF rows are
+    # denser and carry larger denominators than a Der(g) basis
+    rng = random.Random(2)
+    return span([[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(9)]
+                 for _ in range(4)])
+
+
+@pytest.mark.parametrize("space", [
+    derivation_space(make_ln(8)).flat, derivation_space(make_qn(8)).flat, _rational_span(),
+    Subspace(7, ()),
+], ids=["Der-L8", "Der-Q8", "rational-span", "zero"])
+@pytest.mark.parametrize("seed", range(5))
+def test_sparse_draws_match_dense_oracle(space, seed):
+    drawn = list(seeded_combinations(space, seed, 6))
+    assert [dense_vector(v, space.ambient_dim) for v in drawn] == list(
+        _dense_draws(space, seed, 6))
+    if space.is_zero():
+        assert drawn == [{}] * 6
 
 
 def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
@@ -646,7 +704,7 @@ def test_random_derivation_combos_stay_derivations():
             if c:
                 combo = combo + c * m
         combos.append(combo)
-    combos += [Matrix.unflatten(v, 6) for v in seeded_combinations(space.flat, 5, 10)]
+    combos += [space.matrix(v) for v in seeded_combinations(space.flat, 5, 10)]
     for combo in combos:
         assert is_derivation(alg, combo) == []
 
