@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 from . import catalog
 from .affine import (
@@ -164,16 +164,16 @@ def _algebra_from_family(args):
     raise UnknownFamily(f"unknown family {_echo(family)}")
 
 
+def _read_document(infile):
+    """The JSON document in file ``infile``, or on stdin when it is None or '-'."""
+    return load_json(sys.stdin if infile in (None, "-") else infile)
+
+
 def _load(args):
     """(algebra, Jacobi report or None) from --family or from the --in document."""
     if getattr(args, "family", None):
         return _algebra_from_family(args)
-    infile = getattr(args, "infile", None)
-    if infile in (None, "-"):
-        doc = load_json(sys.stdin.read(), from_file=False)
-    else:
-        doc = load_json(infile)
-    return algebra_from_json(doc), None
+    return algebra_from_json(_read_document(getattr(args, "infile", None))), None
 
 
 class _NotLie(Exception):
@@ -191,15 +191,13 @@ def _load_algebra(args):
     if violations is None and not getattr(args, "family", None):
         violations = jacobi_report(alg)
     if violations:
-        raise _NotLie(_jacobi_payload(alg, violations)[1])
+        raise _NotLie(_jacobi_payload(alg, violations))
     return alg
 
 
 def _jacobi_payload(alg, violations):
-    """The Jacobi payload of alg; ``violations`` is the catalog's report, or None to compute it."""
-    if violations is None:
-        violations = jacobi_report(alg)
-    return violations, {
+    """The ``verify jacobi`` payload of alg with its report ``violations``."""
+    return {
         "name": alg.name,
         "dim": alg.dim,
         "jacobi_ok": not violations,
@@ -240,16 +238,15 @@ def _cmd_catalog_show(args):
 
 
 def _cmd_verify_jacobi(args):
-    violations, payload = _jacobi_payload(*_load(args))
-    return payload, 0 if not violations else 1
+    alg, violations = _load(args)
+    if violations is None:
+        violations = jacobi_report(alg)
+    return _jacobi_payload(alg, violations), 0 if not violations else 1
 
 
 def _cmd_verify_series(key, holds, args):
     """Report ``key``: whether ``holds`` on the lower-central-series dimensions."""
-    alg, report = _load(args)
-    violations, jac = _jacobi_payload(alg, report)
-    if violations:
-        return jac, 1
+    alg = _load_algebra(args)
     dims = [s.dim for s in lower_central_series(alg)]
     result = holds(dims)
     payload = {
@@ -352,10 +349,7 @@ def _cmd_der_verify_witness(args):
 
 
 def _cmd_affine_synth(args):
-    alg, report = _load(args)
-    violations, jac = _jacobi_payload(alg, report)
-    if violations:
-        return jac, 1
+    alg = _load_algebra(args)
     try:
         _, cert = synthesize(alg, strategy=args.strategy, seed=args.seed,
                              trials=args.trials)
@@ -403,10 +397,7 @@ _VALIDATORS = {
 
 
 def _cmd_io_validate(args):
-    doc = load_json(args.infile) if args.infile not in (None, "-") else load_json(
-        sys.stdin.read(), from_file=False
-    )
-    _VALIDATORS[args.kind](doc)
+    _VALIDATORS[args.kind](_read_document(args.infile))
     return {"kind": args.kind, "valid": True}, 0
 
 
@@ -487,7 +478,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and shared by every ``main`` call.
+
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace, and an ``append`` option copies its default.
+    """
     parser = _Parser(
         prog="lieaffine",
         description="Exact toolkit for filiform Lie algebras, their derivation "

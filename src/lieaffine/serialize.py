@@ -321,11 +321,20 @@ def verdict_from_json(doc) -> CharNilpVerdict:
     )
 
 
-def load_json(path_or_text: str, from_file: bool = True):
+def load_json(source):
+    """The JSON document in the file at path ``source``, or read from the text stream ``source``.
+
+    Text that is not UTF-8, not JSON or nested past the recursion limit is
+    a SchemaError.
+    """
     try:
-        if from_file:
-            with open(path_or_text, "r", encoding="utf-8") as fh:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        return json.loads(path_or_text)
+        return json.load(source)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc

@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -712,15 +716,17 @@ def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [
-    ["affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"],
-    ["verify", "jacobi", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"],
-    ["verify", "nilpotent", "--family", "Ank", "--n", "5", "--k", "2", "--lambda=1"],
-    ["verify", "nilpotent", "--family", "Bnk", "--n", "6", "--k", "2", "--lambda=1"],
-    ["affine", "synth", "--family", "Ln", "--n", "8"],
-])
-def test_one_jacobi_report_per_command(capsys, monkeypatch, argv):
-    # the report make_ank, make_bnk and make_cn return is the one the payload uses
+@pytest.mark.parametrize("argv, expected", [
+    (["affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"], 1),
+    (["verify", "jacobi", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"], 1),
+    (["verify", "nilpotent", "--family", "Ank", "--n", "5", "--k", "2", "--lambda=1"], 1),
+    (["verify", "nilpotent", "--family", "Bnk", "--n", "6", "--k", "2", "--lambda=1"], 1),
+    (["affine", "synth", "--family", "Ln", "--n", "8"], 0),
+    (["verify", "filiform", "--family", "Ln", "--n", "8"], 0),
+], ids=[f"argv{i}" for i in range(6)])
+def test_one_jacobi_report_per_command(capsys, monkeypatch, argv, expected):
+    # the report make_ank, make_bnk and make_cn return is the one the payload
+    # uses, and Ln is Lie for every n, so it is not checked at all
     calls = []
 
     def counted(alg):
@@ -731,7 +737,7 @@ def test_one_jacobi_report_per_command(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "jacobi_report", counted)
     code, _, _ = run_cli(capsys, argv)
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == expected
 
 
 # Ank(9, 2) at lambda = (1, 1, 2) violates Jacobi on (2, 3, 4) with residual 3 Y9
@@ -801,3 +807,103 @@ def test_usage_error_exit_codes(capsys):
         capsys, ["catalog", "show", "--family", "Cn", "--n", "6", "--lambda", "0"]
     )
     assert code == 2
+
+
+# an input that is not UTF-8, or nested past the recursion limit, is an input error
+_UNREADABLE = {"not-utf8": b"\xff\xfe", "deep": b"[" * 200_000}
+
+
+@pytest.mark.parametrize("data", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+@pytest.mark.parametrize("argv", [
+    ["io", "validate", "--kind", "algebra", "--in", "{doc}"],
+    ["io", "validate", "--kind", "algebra"],
+    ["verify", "jacobi", "--in", "{doc}"],
+    ["verify", "jacobi"],
+    ["affine", "verify", "--family", "Ln", "--n", "4", "--cert", "{doc}"],
+    ["der", "verify-witness", "--family", "Ln", "--n", "4", "--cert", "{doc}"],
+], ids=["validate-in", "validate-stdin", "jacobi-in", "jacobi-stdin", "affine-cert",
+        "witness-cert"])
+def test_unreadable_input_is_an_input_error(capsys, monkeypatch, tmp_path, argv, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    # a stdin that decodes strictly, as it does under a UTF-8 locale
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = main([arg.format(doc=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_main_reuses_one_parser_and_matches_fresh_processes(capsys, monkeypatch):
+    # help text wraps at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    bnk = ["catalog", "show", "--family", "Bnk", "--n", "6", "--k", "2", "--reproducible"]
+    pinned_argv, _, pinned_digest = PINNED_STDOUT[0]
+    sequence = [
+        (["catalog", "show", "--family", "Ln", "--n", "0"], 2),
+        (["--help"], 0),
+        (["affine", "synth", "--reproducible", *_NOT_LIE], 1),
+        ([*bnk, "--lambda", "1"], 0),
+        (bnk, 2),  # an --lambda left over from the call before would make this pass
+        ([*pinned_argv, "--reproducible"], 0),
+    ]
+    cli.build_parser.cache_clear()
+    for argv, expected_code in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "lieaffine.cli", *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert code == expected_code, argv
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == pinned_digest
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(sequence) - 1)
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """One seeded byte-level mutation of ``data``."""
+    at = rng.randrange(len(data))
+    op = rng.randrange(7)
+    if op == 0:  # overwrite one byte, often with one that is not UTF-8
+        return data[:at] + bytes([rng.randrange(256)]) + data[at + 1:]
+    if op == 1:  # insert one byte
+        return data[:at] + bytes([rng.randrange(256)]) + data[at:]
+    if op == 2:  # delete a short run
+        return data[:at] + data[at + rng.randrange(1, 16):]
+    if op == 3:  # repeat a chunk
+        chunk = data[at:at + rng.randrange(1, 64)]
+        return data[:at] + chunk * rng.randrange(2, 8) + data[at:]
+    if op == 4:  # truncate
+        return data[:at]
+    if op == 5:  # change one digit, which mostly keeps the document well-formed
+        at = rng.choice([i for i, b in enumerate(data) if chr(b).isdigit()])
+        return data[:at] + bytes([rng.choice(b"0123456789-")]) + data[at + 1:]
+    # insert a run of "[", up to far past the recursion limit
+    return data[:at] + b"[" * rng.choice((10, 1_000, 200_000)) + data[at:]
+
+
+def test_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
+    assert main(["catalog", "show", "--family", "Ln", "--n", "4", "--reproducible"]) == 0
+    algebra = capsys.readouterr().out.encode()
+    assert main(["affine", "synth", "--family", "Ln", "--n", "4", "--reproducible"]) == 0
+    certificate = capsys.readouterr().out.encode()
+    path = tmp_path / "doc.json"
+    commands = {
+        algebra: (["io", "validate", "--kind", "algebra", "--in", str(path)],
+                  ["verify", "jacobi", "--in", str(path)]),
+        certificate: (["io", "validate", "--kind", "certificate", "--in", str(path)],
+                      ["affine", "verify", "--family", "Ln", "--n", "4", "--cert", str(path)]),
+    }
+    rng = random.Random(20_001)
+    for trial in range(200):
+        base = algebra if trial % 2 else certificate
+        data = _mutate(rng, base)
+        path.write_bytes(data)
+        for argv in commands[base]:
+            code = main([*argv, "--reproducible"])
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, data[:200])
+            if code == 2:
+                assert captured.out == "" and captured.err.count("\n") == 1, (argv, data[:200])
