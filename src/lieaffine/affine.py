@@ -7,7 +7,10 @@ axioms are bilinear, so checking them on all basis tuples is a complete,
 finite certificate; ``verify_affine`` does exactly that and reports every
 violating tuple with its exact residual. The check stays exhaustive over
 basis tuples but reads the product tensor as sparse vectors, so its cost
-grows with the tensor's nonzeros rather than with dense matrix products.
+grows with the tensor's nonzeros rather than with dense matrix products,
+and it runs in Python ints: the stored tensor and the brackets are
+rescaled over common denominators, and only a nonzero residual becomes
+Fractions again.
 
 Three constructors are provided:
 
@@ -23,8 +26,9 @@ Three constructors are provided:
   2-form by th([x, u], v) = -th(u, x.v).
 
 All three build e_i.e_j as outer(M_i(inner e_j)) from sparse columns
-(``_product_tensor``) and keep the tensor sparse, in the algebra's
-{(i, j): {k: c}} form.
+(``_product_tensor``), composed in integers over the three maps' common
+denominators, and keep the tensor sparse, in the algebra's
+{(i, j): {k: c}} form of exact Fractions.
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -61,12 +65,13 @@ from .errors import (
 from .liealg import (
     LieAlgebra,
     TwoForm,
-    ad_columns,
     algebra_hash,
     coefficient_table,
     cyclic_terms,
     derived_subalgebra,
     dtheta_residual,
+    integer_ad_columns,
+    integer_structure,
     nondegenerate,
 )
 from .linalg import (
@@ -74,11 +79,13 @@ from .linalg import (
     ZERO,
     _transpose,
     dense_vector,
+    integer_scaled,
     invert,
     matrix_to_json,
     nonsingular,
     nullspace,
     sparse_apply,
+    unscaled,
     vector,
 )
 
@@ -231,54 +238,66 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     nonzero. Bilinearity makes these basis checks equivalent to the
     universally quantified axioms. The sparse table is read as is, so each
     residual costs in proportion to the nonzeros it meets.
+
+    The loops run in integers: the stored ``structure.gamma`` is rescaled
+    here over its common denominator D, and the brackets over theirs, D_c,
+    so the check never depends on how the structure was built. A torsion
+    residual is D * D_c times the rational one and a left-symmetry residual,
+    quadratic in the product, D^2 times; each nonzero one is reported as
+    the exact Fraction tuple.
     """
     n = alg.dim
     if structure.dim != n:
         raise DimensionMismatch("structure dimension does not match the algebra")
-    # left[i][j] = e_i.e_j, neg[i][j] = -(e_i.e_j), right[k][m] = e_m.e_k
-    gamma = structure.gamma
+    products, d = integer_scaled(structure.gamma.values())
+    gamma = dict(zip(structure.gamma, products))
+    brackets, dc = integer_structure(alg)
+    # left[i][j] = e_i.e_j, neg[i][j] = -(e_i.e_j), right[k][m] = e_m.e_k, all times D
     left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
     neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
     right = [[left[m][k] for m in range(n)] for k in range(n)]
+    # D * D_c (e_i.e_j - e_j.e_i - [e_i, e_j]) from the three integer columns
+    torsion = {0: dc, 1: -dc, 2: -d}
     report = AffineReport()
     for i in range(n):
         for j in range(i + 1, n):
-            residual = _sparse_sum(left[i][j], neg[j][i], alg.bracket_basis(j, i))
+            residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), {})), torsion)
             if any(residual.values()):
-                report.torsion_violations.append((i, j, dense_vector(residual, n)))
+                report.torsion_violations.append(
+                    (i, j, dense_vector(unscaled(residual, d * dc), n)))
     for i in range(n):
         for j in range(i + 1, n):
-            swapped = _sparse_sum(left[j][i], neg[i][j])
+            swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))  # D (e_j.e_i - e_i.e_j)
             for k in range(n):
                 residual = sparse_apply(left[i], left[j][k])
                 sparse_apply(left[j], neg[i][k], residual)
                 sparse_apply(right[k], swapped, residual)
                 if any(residual.values()):
-                    report.leftsym_violations.append((i, j, k, dense_vector(residual, n)))
+                    report.leftsym_violations.append(
+                        (i, j, k, dense_vector(unscaled(residual, d * d), n)))
     return report
 
 
-def _sparse_sum(*vectors: dict) -> dict:
-    out = {}
-    for v in vectors:
-        for k, x in v.items():
-            out[k] = out.get(k, ZERO) + x
-    return out
-
-
-def _product_tensor(outer: list, maps: Sequence[list], inner: Matrix,
+def _product_tensor(outer: list, maps: Sequence[list], d_maps: int, inner: Matrix,
                     strategy: str, witness: str) -> AffineStructure:
-    """The structure with e_i.e_j = outer(maps[i](inner e_j)), recorded as ``strategy``.
+    """The structure e_i.e_j = outer(maps[i](inner e_j)) / d_maps, recorded as ``strategy``.
 
-    ``outer`` and each ``maps[i]`` are the sparse columns of a map; the
-    three constructions differ only in the three maps. ``inner`` is the
-    construction's witness matrix, kept in the provenance under ``witness``.
+    ``outer`` is the sparse columns of a map, and each ``maps[i]`` the
+    integer sparse columns of d_maps times a map (ad(e_i) or its transpose,
+    from ``integer_ad_columns``); the three constructions differ only in the
+    three maps. ``inner`` is the construction's witness matrix, kept in the
+    provenance under ``witness``. The products run in integers: outer and
+    inner are scaled to O / d_o and V / d_v, and each entry of O M_i V is
+    divided once by d_o d_maps d_v.
     """
     provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
                   "seed": None}
     n = len(maps)
-    gamma = {(i, j): sparse_apply(outer, sparse_apply(m, inner.columns[j]))
-             for i, m in enumerate(maps) for j in range(n)}
+    outer, d_outer = integer_scaled(outer)
+    inner_cols, d_inner = integer_scaled(inner.columns)
+    den = d_outer * d_maps * d_inner
+    gamma = {(i, j): unscaled(sparse_apply(outer, sparse_apply(m, col)), den)
+             for i, m in enumerate(maps) for j, col in enumerate(inner_cols)}
     return AffineStructure(n, gamma, provenance)
 
 
@@ -318,7 +337,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructu
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, rinv.columns):
         g[p] = sparse_apply(basis, col)
-    return _product_tensor(g, ad_columns(alg), f, strategy, "derivation")
+    return _product_tensor(g, *integer_ad_columns(alg), f, strategy, "derivation")
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -336,8 +355,9 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
         thinv = invert(th)
     except SingularMatrixError:
         raise DegenerateFormError("the 2-form is degenerate")
-    transposed = [_transpose(cols, alg.dim) for cols in ad_columns(alg)]
-    return _product_tensor((-thinv).columns, transposed, th, "symplectic", "two_form")
+    ad, d_ad = integer_ad_columns(alg)
+    transposed = [_transpose(cols, alg.dim) for cols in ad]
+    return _product_tensor((-thinv).columns, transposed, d_ad, th, "symplectic", "two_form")
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,

@@ -3,16 +3,17 @@
 ``derivation_space`` solves the linear system expressing
 D[x, y] = [Dx, y] + [x, Dy] on all basis pairs, over the n^2 matrix
 entries of D, with its equations built from the nonzero structure
-constants. Every randomized search (for invertible derivations, for
-derivations whose restriction to the derived subalgebra is invertible,
-for non-nilpotent derivations, and for symplectic forms) runs one loop,
-``_first_hit``, over its fixed candidates and then the sparse draws of
-``seeded_combinations``: coefficients uniform in {-10, ..., 10} from an
-explicitly seeded generator, so every verdict is reproducible from
-(seed, trials). When a good element exists, a trial misses it with
-probability at most d/21 by Schwartz-Zippel, d being the degree of the
-defect polynomial (d = n for an n x n determinant): a bound that is
-vacuous from n = 21 on.
+constants, integer-scaled over their common denominator; ``is_derivation``
+checks the identity in integers the same way. Every randomized search
+(for invertible derivations, for derivations whose restriction to the
+derived subalgebra is invertible, for non-nilpotent derivations, and for
+symplectic forms) runs one loop, ``_first_hit``, over its fixed
+candidates and then the sparse draws of ``seeded_combinations``:
+coefficients uniform in {-10, ..., 10} from an explicitly seeded
+generator, so every verdict is reproducible from (seed, trials). When a
+good element exists, a trial misses it with probability at most d/21 by
+Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
+an n x n determinant): a bound that is vacuous from n = 21 on.
 
 The derivation searches first ask ``DerivationSpace.all_nilpotent``,
 which decides exactly (by Engel's theorem, on one image chain over the
@@ -33,7 +34,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotADerivationError, NotInvariantError
-from .liealg import LieAlgebra, ad_columns, derived_subalgebra
+from .liealg import LieAlgebra, derived_subalgebra, integer_ad_columns, integer_structure
 from .linalg import (
     Matrix,
     Subspace,
@@ -43,11 +44,13 @@ from .linalg import (
     _flat_columns,
     _reduce,
     dense_vector,
+    integer_scaled,
     is_nilpotent,
     nonsingular,
     nullspace,
     products_vanish,
     sparse_apply,
+    unscaled,
 )
 
 NOT_CHAR_NILPOTENT = "NotCharNilpotent"
@@ -145,23 +148,56 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
 
     Each entry is (i, j, residual vector); an empty list certifies that m
     is a derivation. The residual m[e_i, e_j] + [e_j, m e_i] - [e_i, m e_j]
-    is built from the sparse columns of m and of ad(e_i), ad(e_j).
+    is built from the sparse columns of m and of ad(e_i), ad(e_j), in
+    integers: m is rescaled over its common denominator d_m and the
+    brackets over theirs, d_c, so every residual is d_m d_c times the
+    rational one, and a nonzero one is reported as its exact Fractions.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
-    cols = m.columns
+    cols, dm = integer_scaled(m.columns)
+    ad, dc = integer_ad_columns(alg)
     neg = [{r: -x for r, x in col.items()} for col in cols]
-    ad = ad_columns(alg)
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            residual = sparse_apply(cols, alg.structure.get((i, j), {}))
+            residual = sparse_apply(cols, ad[i][j])
             sparse_apply(ad[j], cols[i], residual)
             sparse_apply(ad[i], neg[j], residual)
             if any(residual.values()):
-                out.append((i, j, dense_vector(residual, n)))
+                out.append((i, j, dense_vector(unscaled(residual, dm * dc), n)))
     return out
+
+
+def _derivation_equations(alg: LieAlgebra) -> List[dict]:
+    """The equations of ``derivation_space`` as integer rows over the n^2 unknowns.
+
+    The structure constants are rescaled over their common denominator;
+    the system is homogeneous, so that leaves its solutions unchanged.
+    """
+    n = alg.dim
+    structure, _ = integer_structure(alg)
+    # right[j]: the (q, p, c) with [e_q, e_j] = ... + c e_p + ...
+    right: List[List[tuple]] = [[] for _ in range(n)]
+    for (i, j), coeffs in structure.items():
+        for p, c in coeffs.items():
+            right[j].append((i, p, c))
+            right[i].append((j, p, -c))
+    rows: List[dict] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = structure.get((i, j))
+            block = {p: {p * n + k: c for k, c in bracket.items()}
+                     for p in range(n)} if bracket else {}
+            for q, p, c in right[j]:
+                row = block.setdefault(p, {})
+                row[q * n + i] = row.get(q * n + i, 0) - c
+            for q, p, c in right[i]:
+                row = block.setdefault(p, {})
+                row[q * n + j] = row.get(q * n + j, 0) + c
+            rows.extend(block.values())
+    return rows
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
@@ -171,29 +207,11 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     equation of pair i < j on coordinate p reads
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
     so it is built from the nonzero structure constants alone, and only the
-    equations they touch are emitted.
+    equations they touch are emitted. The constants are integer-scaled over
+    their common denominator (``_derivation_equations``), so the kernel
+    gets integer rows with the same solutions.
     """
-    n = alg.dim
-    # right[j]: the (q, p, c) with [e_q, e_j] = ... + c e_p + ...
-    right: List[List[tuple]] = [[] for _ in range(n)]
-    for (i, j), coeffs in alg.structure.items():
-        for p, c in coeffs.items():
-            right[j].append((i, p, c))
-            right[i].append((j, p, -c))
-    rows: List[dict] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = alg.structure.get((i, j))
-            block = {p: {p * n + k: c for k, c in bracket.items()}
-                     for p in range(n)} if bracket else {}
-            for q, p, c in right[j]:
-                row = block.setdefault(p, {})
-                row[q * n + i] = row.get(q * n + i, ZERO) - c
-            for q, p, c in right[i]:
-                row = block.setdefault(p, {})
-                row[q * n + j] = row.get(q * n + j, ZERO) + c
-            rows.extend(block.values())
-    return DerivationSpace(algebra=alg, flat=nullspace(rows, n * n))
+    return DerivationSpace(algebra=alg, flat=nullspace(_derivation_equations(alg), alg.dim ** 2))
 
 
 def diagonal_derivations(alg: LieAlgebra) -> Subspace:

@@ -25,6 +25,7 @@ from .linalg import (
     ZERO,
     _image_chain,
     _reduce,
+    integer_scaled,
     nonsingular,
     rat,
     sparse_apply,
@@ -161,8 +162,32 @@ class TwoForm:
 
 def ad_columns(alg: LieAlgebra) -> List[List[SparseCoeffs]]:
     """ad(e_i) as sparse columns, for every i: entry [i][q] is [e_i, e_q]."""
-    n = alg.dim
-    return [[alg.bracket_basis(i, q) for q in range(n)] for i in range(n)]
+    return _ad_table(alg.structure, alg.dim)
+
+
+def integer_structure(alg: LieAlgebra) -> Tuple[Dict[Tuple[int, int], dict], int]:
+    """(table, den): the structure constants times den, as ints.
+
+    den is their common denominator (``linalg.integer_scaled``), and the
+    table keeps the pairs and the order of ``alg.structure``.
+    """
+    consts, den = integer_scaled(alg.structure.values())
+    return dict(zip(alg.structure, consts)), den
+
+
+def integer_ad_columns(alg: LieAlgebra) -> Tuple[List[List[dict]], int]:
+    """(columns, den): ``ad_columns`` times den, as ints, over ``integer_structure``."""
+    structure, den = integer_structure(alg)
+    return _ad_table(structure, alg.dim), den
+
+
+def _ad_table(structure: dict, n: int) -> List[List[dict]]:
+    """ad(e_i) as sparse columns [i][q] = [e_i, e_q], read off a table over pairs i < j."""
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in structure.items():
+        out[i][j] = dict(coeffs)
+        out[j][i] = {k: -c for k, c in coeffs.items()}
+    return out
 
 
 def cyclic_terms(alg: LieAlgebra):
@@ -171,18 +196,28 @@ def cyclic_terms(alg: LieAlgebra):
     ``terms`` lists (a, m, c) over the cyclic sum (e_i, [e_j, e_k]),
     (e_j, [e_k, e_i]), (e_k, [e_i, e_j]): c is the e_m coefficient of the
     bracket paired with e_a. Triples whose three brackets all vanish are
-    skipped, since every cyclic sum over them is zero.
+    skipped, since every cyclic sum over them is zero: only the triples
+    holding a stored pair are visited, through each index's set of larger
+    partners, in ascending (i, j, k) order.
     """
     n = alg.dim
     s = alg.structure
+    above = [set() for _ in range(n)]
+    for i, j in s:
+        above[i].add(j)
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
+            if j in above[i]:
+                ks = range(j + 1, n)
+            elif above[i] or above[j]:
+                ks = sorted(k for k in above[i] | above[j] if k > j)
+            else:
+                continue
+            for k in ks:
                 terms = [(i, m, c) for m, c in s.get((j, k), {}).items()]
                 terms += [(j, m, -c) for m, c in s.get((i, k), {}).items()]
                 terms += [(k, m, c) for m, c in s.get((i, j), {}).items()]
-                if terms:
-                    yield (i, j, k), terms
+                yield (i, j, k), terms
 
 
 def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:

@@ -1,13 +1,17 @@
 """Exact rational linear algebra kernel.
 
-Every scalar is a ``fractions.Fraction``; nothing in this package touches
-floating point. Matrices act on column coordinate vectors, so column j of
-a map is the image of basis vector j.
+Every scalar a caller sees is a ``fractions.Fraction``; nothing in this
+package touches floating point. Hot loops run in Python ints instead:
+``integer_scaled`` puts a family of sparse vectors over one common
+denominator, the loop works on the integer numerators, and ``unscaled``
+turns a result back into Fractions at the boundary. Matrices act on column
+coordinate vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel, ``_reduce``: it
-takes sparse rows ``{col: value}``, sparsest first, clears each row's
-denominators, eliminates fraction-free by cross-multiplication with per-row
-content reduction, back-substitutes from the last pivot up, each row
+takes sparse rows ``{col: value}`` of ints or Fractions, sparsest first,
+clears each row's denominators, eliminates fraction-free by
+cross-multiplication with per-row content reduction (a one-entry pivot row
+just deletes its column), back-substitutes from the last pivot up, each row
 touching only the pivot columns it holds, and only the final pivot
 normalization reintroduces fractions. The result is the canonical reduced
 row-echelon form with each row's columns in ascending order, so it is
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, LieToolError, SingularMatrixError
 
@@ -288,6 +292,7 @@ def _reduce(rows: Iterable[dict]) -> list:
     one-entry rows become pivots before longer rows are reduced against
     them. Each row is cleared of denominators and reduced against the pivot
     rows found so far, fraction-free; zero entries and zero rows drop out.
+    Against a one-entry pivot row the reduction only deletes that column.
     Back substitution walks the pivots from the last one up: each row
     eliminates only the pivot columns it holds, against the rows below it,
     which are already fully reduced, so it costs the nonzeros met rather
@@ -308,7 +313,11 @@ def _reduce(rows: Iterable[dict]) -> list:
             if prow is None:
                 echelon[p] = cur
                 break
-            cur = _eliminate(prow[p], cur, cur[p], prow)
+            if len(prow) == 1:
+                del cur[p]
+                cur = _primitive(cur)
+            else:
+                cur = _eliminate(prow[p], cur, cur[p], prow)
     out = []
     for p in sorted(echelon, reverse=True):
         row = echelon[p]
@@ -348,14 +357,34 @@ def sparse_apply(columns: Sequence[dict], v: dict, out: Optional[dict] = None) -
 
     ``columns`` are the sparse images {row: value} of the basis vectors and
     ``v`` is a sparse vector {a: value}, so the work is proportional to the
-    nonzeros met. Entries that cancel stay in ``out`` as zeros.
+    nonzeros met. The arithmetic is that of the inputs: ints give ints and
+    Fractions give Fractions. Entries that cancel stay in ``out`` as zeros
+    of that type.
     """
     if out is None:
         out = {}
     for a, x in v.items():
         for b, y in columns[a].items():
-            out[b] = out.get(b, ZERO) + x * y
+            out[b] = out.get(b, 0) + x * y
     return out
+
+
+def integer_scaled(vectors: Iterable[dict]) -> Tuple[list, int]:
+    """(int_vectors, den): the sparse rational vectors times den, as ints.
+
+    den > 0 is the lcm of every denominator met, so v = int_v / den entry by
+    entry (``unscaled``), and an integer loop over the family computes the
+    rational one times a known power of den.
+    """
+    vectors = list(vectors)
+    den = lcm(*(x.denominator for v in vectors for x in v.values()))
+    return [{k: x.numerator * (den // x.denominator) for k, x in v.items()}
+            for v in vectors], den
+
+
+def unscaled(v: dict, den: int) -> dict:
+    """The integer sparse vector v over den, as nonzero Fractions: ``integer_scaled`` undone."""
+    return {k: Fraction(x, den) for k, x in v.items() if x}
 
 
 def dense_vector(row: dict, n: int) -> Vector:

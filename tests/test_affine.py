@@ -8,6 +8,7 @@ import pytest
 
 from lieaffine.affine import (
     AffineStructure,
+    _product_tensor,
     find_symplectic,
     from_derived_regular,
     from_regular_derivation,
@@ -38,8 +39,17 @@ from lieaffine.errors import (
     SingularMatrixError,
     SingularOnDerivedError,
 )
-from lieaffine.liealg import TwoForm, derived_subalgebra
-from lieaffine.linalg import Matrix, invert, nonsingular, unit_vector, vector
+from lieaffine.liealg import TwoForm, derived_subalgebra, integer_ad_columns
+from lieaffine.linalg import (
+    Matrix,
+    _transpose,
+    dense_vector,
+    invert,
+    nonsingular,
+    sparse_apply,
+    unit_vector,
+    vector,
+)
 
 F = Fraction
 
@@ -97,10 +107,13 @@ def _tampered(structure, rng, changes):
 def test_verify_affine_matches_naive_evaluation():
     l6 = make_ln(6)
     c6 = make_cn(6, [1])[0]
+    # brackets with denominators 2 and 3
+    c8 = make_cn(8, [F(2, 3), F(1, 2)])[0]
     cases = [
         (l6, synthesize(l6, strategy="regular")[0]),
         (c6, synthesize(c6, strategy="derived-regular")[0]),
         (l6, synthesize(l6, strategy="symplectic")[0]),
+        (c8, synthesize(c8, strategy="regular")[0]),
     ]
     rng = random.Random(2024)
     for alg, structure in list(cases):
@@ -113,7 +126,103 @@ def test_verify_affine_matches_naive_evaluation():
         assert report.torsion_violations == torsion
         assert report.leftsym_violations == leftsym
         failing += not report.passed
-    assert failing == len(cases) - 3
+    assert failing == len(cases) - 4
+
+
+def _fraction_verify_affine(alg, structure):
+    """verify_affine with every sum and product in Fractions: the oracle of its integer loops."""
+    n = alg.dim
+    gamma = structure.gamma
+    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
+    neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
+    right = [[left[m][k] for m in range(n)] for k in range(n)]
+    torsion, leftsym = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual = {}
+            for v in (left[i][j], neg[j][i], alg.bracket_basis(j, i)):
+                for k, x in v.items():
+                    residual[k] = residual.get(k, F(0)) + x
+            if any(residual.values()):
+                torsion.append((i, j, dense_vector(residual, n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            swapped = sparse_apply([left[j][i], neg[i][j]], {0: F(1), 1: F(1)})
+            for k in range(n):
+                residual = sparse_apply(left[i], left[j][k])
+                sparse_apply(left[j], neg[i][k], residual)
+                sparse_apply(right[k], swapped, residual)
+                if any(residual.values()):
+                    leftsym.append((i, j, k, dense_vector(residual, n)))
+    return torsion, leftsym
+
+
+def _fraction_product_tensor(outer, maps, inner):
+    """The gamma of ``_product_tensor`` composed in Fractions: its oracle."""
+    n = len(maps)
+    return AffineStructure(n, {(i, j): sparse_apply(outer, sparse_apply(m, inner.columns[j]))
+                               for i, m in enumerate(maps) for j in range(n)}).gamma
+
+
+# brackets with integer constants, with denominators 2 and 3, and with
+# denominators up to 2000
+_DIFFERENTIAL_ALGEBRAS = {
+    "L6": make_ln(6),
+    "C8": make_cn(8, [F(2, 3), F(1, 2)])[0],
+    "B7/5": make_benoist(F(7, 5)),
+}
+
+
+def _fraction_residuals_only(violations):
+    return all(type(x) is Fraction for *_, residual in violations for x in residual)
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
+def test_verify_affine_matches_fraction_oracle_on_tampered_structures(name):
+    alg = _DIFFERENTIAL_ALGEBRAS[name]
+    n = alg.dim
+    bases = [_zero_structure(n)]
+    for strategy in ("regular", "derived-regular", "symplectic"):
+        try:
+            bases.append(synthesize(alg, strategy=strategy)[0])
+        except NoStrategySucceeded:
+            pass
+    rng = random.Random(n)
+    passed = 0
+    for base in bases:
+        for changes in (0, 1, 3, 12, 60):
+            structure = _tampered(base, rng, changes)
+            report = verify_affine(alg, structure)
+            torsion, leftsym = _fraction_verify_affine(alg, structure)
+            assert report.torsion_violations == torsion
+            assert report.leftsym_violations == leftsym
+            assert _fraction_residuals_only(torsion + leftsym)
+            assert _fraction_residuals_only(report.torsion_violations + report.leftsym_violations)
+            passed += report.passed
+    assert passed == len(bases) - 1
+
+
+def _random_columns(rng, n, density):
+    return [{r: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 2000)))
+             for r in range(n) if rng.random() < density} for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
+def test_product_tensor_matches_fraction_oracle(name):
+    alg = _DIFFERENTIAL_ALGEBRAS[name]
+    n = alg.dim
+    rng = random.Random(n + 1)
+    ad = [[alg.bracket_basis(i, q) for q in range(n)] for i in range(n)]
+    int_ad, den = integer_ad_columns(alg)
+    for maps, int_maps in ((ad, int_ad), ([_transpose(cols, n) for cols in ad],
+                                          [_transpose(cols, n) for cols in int_ad])):
+        for density in (0.2, 0.6):
+            outer = _random_columns(rng, n, density)
+            inner = Matrix.from_sparse(n, _random_columns(rng, n, density))
+            structure = _product_tensor(outer, int_maps, den, inner, "test", "witness")
+            assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
+            assert structure.provenance["inputs"]["witness"] == [
+                [str(x) for x in row] for row in inner.data]
 
 
 def test_from_regular_derivation_l4_hand_values():

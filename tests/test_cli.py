@@ -704,6 +704,22 @@ PINNED_STDOUT = [
      "1014cb0d2c889946e568c09fd6decf4571a652733182dbf54647757435e85823"),
     (("der", "torus", "--family", "Ln", "--n", "64"), 0,
      "9bf802aafcb0c71e4794568494a39e8482e8d4fcce2e8ba168e7607039977553"),
+    # recorded before products, residuals and Der(g) equations moved to
+    # integers over a common denominator: brackets with denominators 2 and
+    # 3, and synths above n = 12
+    (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2"), 0,
+     "a1be965275a3d3abac1b25e11981ae0f4a147618ead54c767a869e2915e2671c"),
+    (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2",
+      "--strategy", "derived-regular"), 0,
+     "7f51b6cb454405b54b4f09d50f8f6f69b8c80a95b230ca83376dd3309a2a843a"),
+    (("der", "space", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2"), 0,
+     "abb620e381758b09b150dc9438854e698f27e17802f97197c8abdb6610d3439d"),
+    (("affine", "synth", "--family", "Ln", "--n", "24"), 0,
+     "9df32aea509cbd1b7fe115eed5af29264a19ac038f6e870c2844fc2deb4b3888"),
+    (("affine", "synth", "--family", "Ln", "--n", "24", "--strategy", "symplectic"), 0,
+     "1aaba4ea51b877abbf83d9799164b960227196f565ee16f98645fb5f708a9c59"),
+    (("affine", "synth", "--family", "QnZ", "--n", "16"), 0,
+     "37e2b7768f3c8ea23440193c58a2efd486c2cc14ff5014efd43036fc018f734f"),
 ]
 
 

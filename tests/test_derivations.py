@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from lieaffine.linalg import (
     Matrix,
     Subspace,
     dense_vector,
+    sparse_apply,
     invert,
     is_nilpotent,
     matrix_to_json,
@@ -114,6 +116,108 @@ def test_is_derivation_matches_definition_on_random_maps(alg):
         assert is_derivation(alg, m) == expected
         seen_empty |= not expected
     assert seen_empty
+
+
+def _fraction_is_derivation(alg, m):
+    """is_derivation with every sum and product in Fractions: the oracle of its integer loop."""
+    n = alg.dim
+    cols = m.columns
+    neg = [{r: -x for r, x in col.items()} for col in cols]
+    ad = [[alg.bracket_basis(i, q) for q in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual = sparse_apply(cols, alg.structure.get((i, j), {}))
+            sparse_apply(ad[j], cols[i], residual)
+            sparse_apply(ad[i], neg[j], residual)
+            if any(residual.values()):
+                out.append((i, j, dense_vector(residual, n)))
+    return out
+
+
+def _fraction_derivation_equations(alg):
+    """The Der(g) equation rows built from the Fraction structure constants: the oracle."""
+    n = alg.dim
+    right = [[] for _ in range(n)]
+    for (i, j), coeffs in alg.structure.items():
+        for p, c in coeffs.items():
+            right[j].append((i, p, c))
+            right[i].append((j, p, -c))
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = alg.structure.get((i, j))
+            block = {p: {p * n + k: c for k, c in bracket.items()}
+                     for p in range(n)} if bracket else {}
+            for q, p, c in right[j]:
+                row = block.setdefault(p, {})
+                row[q * n + i] = row.get(q * n + i, ZERO) - c
+            for q, p, c in right[i]:
+                row = block.setdefault(p, {})
+                row[q * n + j] = row.get(q * n + j, ZERO) + c
+            rows.extend(block.values())
+    return rows
+
+
+# brackets with integer constants, with denominators 2 and 3, and with
+# denominators up to 2000
+_DIFFERENTIAL_ALGEBRAS = {
+    "L6": make_ln(6),
+    "C8": make_cn(8, [F(2, 3), F(1, 2)])[0],
+    "B7/5": make_benoist(F(7, 5)),
+}
+
+
+def _tampered_map(m, rng, changes):
+    columns = [dict(col) for col in m.columns]
+    for _ in range(changes):
+        p, q = rng.randrange(m.rows), rng.randrange(m.cols)
+        bump = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7, 2000)))
+        columns[q][p] = columns[q].get(p, 0) + bump
+    return Matrix.from_sparse(m.rows, columns)
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
+def test_is_derivation_matches_fraction_oracle_on_tampered_maps(name):
+    alg = _DIFFERENTIAL_ALGEBRAS[name]
+    rng = random.Random(alg.dim)
+    space = derivation_space(alg)
+    bases = [Matrix.identity(alg.dim), *space.basis[:3]]
+    bases += [space.matrix(v) for v in seeded_combinations(space.flat, 1, 2)]
+    exact = 0
+    for base in bases:
+        for changes in (0, 1, 4, 20):
+            m = _tampered_map(base, rng, changes)
+            violations = is_derivation(alg, m)
+            assert violations == _fraction_is_derivation(alg, m)
+            assert all(type(x) is Fraction for *_, residual in violations for x in residual)
+            exact += not violations
+    assert exact >= len(bases) - 1
+
+
+def _tampered_algebra(alg, rng, changes):
+    structure = {pair: dict(coeffs) for pair, coeffs in alg.structure.items()}
+    for _ in range(changes):
+        i, j = sorted(rng.sample(range(alg.dim), 2))
+        col = structure.setdefault((i, j), {})
+        k = rng.randrange(alg.dim)
+        col[k] = col.get(k, 0) + F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 3, 8, 2000)))
+    return LieAlgebra(alg.dim, structure)
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
+def test_derivation_equations_match_fraction_oracle(name):
+    rng = random.Random(7)
+    base = _DIFFERENTIAL_ALGEBRAS[name]
+    for alg in [base] + [_tampered_algebra(base, rng, changes) for changes in (1, 3, 10)]:
+        n = alg.dim
+        rows = derivations._derivation_equations(alg)
+        oracle = _fraction_derivation_equations(alg)
+        den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
+        assert [list(row.items()) for row in rows] == [
+            [(k, x * den) for k, x in row.items()] for row in oracle]
+        assert all(type(x) is int for row in rows for x in row.values())
+        assert derivation_space(alg).flat == nullspace(oracle, n * n)
 
 
 def test_derivation_space_abelian_is_everything():

@@ -1,5 +1,6 @@
 """Lie algebra core: brackets, Jacobi certification, series, 2-forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,13 @@ from lieaffine.errors import DimensionMismatch
 from lieaffine.liealg import (
     LieAlgebra,
     TwoForm,
+    ad_columns,
     algebra_hash,
+    cyclic_terms,
     derived_subalgebra,
     dtheta_residual,
+    integer_ad_columns,
+    integer_structure,
     is_filiform,
     is_nilpotent_algebra,
     jacobi_report,
@@ -104,6 +109,54 @@ def test_jacobi_report_flags_corrupted_l4():
     triples = {(i, j, k): res for i, j, k, res in report}
     assert (0, 1, 3) in triples
     assert triples[(0, 1, 3)] == unit_vector(4, 3)
+
+
+@pytest.mark.parametrize("alg", [
+    make_ln(6), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(F(7, 5)),
+], ids=["L6", "C8", "B7/5"])
+def test_ad_columns_and_their_integer_scaling_read_the_brackets(alg):
+    n = alg.dim
+    table = [[alg.bracket_basis(i, q) for q in range(n)] for i in range(n)]
+    assert ad_columns(alg) == table
+    den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
+    structure, d = integer_structure(alg)
+    assert d == den and list(structure) == list(alg.structure)
+    assert structure == {pair: {k: c * den for k, c in col.items()}
+                         for pair, col in alg.structure.items()}
+    ints, d = integer_ad_columns(alg)
+    assert d == den
+    assert ints == [[{k: c * den for k, c in col.items()} for col in row] for row in table]
+    assert all(type(c) is int for row in ints for col in row for c in col.values())
+
+
+def _all_triples_cyclic_terms(alg):
+    # every triple i < j < k scanned, the ones whose three brackets vanish dropped
+    n, s = alg.dim, alg.structure
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = [(i, m, c) for m, c in s.get((j, k), {}).items()]
+                terms += [(j, m, -c) for m, c in s.get((i, k), {}).items()]
+                terms += [(k, m, c) for m, c in s.get((i, j), {}).items()]
+                if terms:
+                    yield (i, j, k), terms
+
+
+def _random_sparse_algebra(n, pairs, seed):
+    rng = random.Random(seed)
+    structure = {}
+    for _ in range(pairs):
+        i, j = sorted(rng.sample(range(n), 2))
+        structure[(i, j)] = {rng.randrange(n): F(rng.randint(1, 5), rng.randint(1, 3))}
+    return LieAlgebra(n, structure)
+
+
+@pytest.mark.parametrize("alg", [
+    make_abelian(5), make_ln(24), make_qn(24), make_cn(12, [1, -1, 1, 1])[0],
+    make_benoist(F(7, 5)), _random_sparse_algebra(9, 4, 1), _random_sparse_algebra(12, 30, 2),
+], ids=["abelian5", "L24", "Q24", "C12", "B7/5", "random9", "random12"])
+def test_cyclic_terms_match_the_all_triples_scan(alg):
+    assert list(cyclic_terms(alg)) == list(_all_triples_cyclic_terms(alg))
 
 
 def test_jacobi_report_benoist_all_three_points():

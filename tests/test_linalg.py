@@ -16,6 +16,7 @@ from lieaffine.linalg import (
     Matrix,
     Subspace,
     _reduce,
+    integer_scaled,
     invert,
     is_nilpotent,
     nonsingular,
@@ -26,7 +27,9 @@ from lieaffine.linalg import (
     rref,
     solve,
     span,
+    sparse_apply,
     unit_vector,
+    unscaled,
 )
 
 F = Fraction
@@ -205,17 +208,58 @@ def _sparse_system(rng):
     return rows, ncols
 
 
+def _singleton_heavy_system(rng):
+    # one-entry rows repeated on a few columns, between longer rows they cut down
+    ncols = rng.randint(1, 9)
+    hot = rng.sample(range(ncols), rng.randint(1, ncols))
+    rows = []
+    for _ in range(rng.randint(1, 16)):
+        if rng.random() < 0.6:
+            rows.append({rng.choice(hot): F(rng.choice((-4, -1, 1, 3)), rng.randint(1, 5))})
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, ncols))
+            rows.append({c: F(rng.choice((-6, -2, 0, 2, 4, 9)), rng.randint(1, 6)) for c in cols})
+    return rows, ncols
+
+
 def test_reduce_matches_dense_gauss_jordan_for_any_row_order():
     rng = random.Random(13)
-    for _ in range(100):
-        rows, ncols = _sparse_system(rng)
+    for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100:
+        rows, ncols = system(rng)
         reduced = _reduce(rows)
         assert reduced == _dense_gauss_jordan(rows, ncols)
+        assert _reduce(integer_scaled(rows)[0]) == reduced
         ordered = [(p, list(row.items())) for p, row in reduced]
         assert all(cols == sorted(cols) for _, cols in ordered)
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
             assert [(p, list(row.items())) for p, row in _reduce(shuffled)] == ordered
+
+
+def test_sparse_apply_keeps_the_type_of_its_inputs():
+    # ints give ints, Fractions give Fractions, and a cancelled entry stays
+    # in the result as a zero of that type
+    out = sparse_apply([{0: 2, 1: -3}, {1: 3, 2: 5}], {0: 1, 1: 1})
+    assert out == {0: 2, 1: 0, 2: 5}
+    assert all(type(x) is int for x in out.values())
+    out = sparse_apply([{0: F(2, 3), 1: F(-1, 2)}, {1: F(1, 2)}], {0: F(1), 1: F(1)})
+    assert out == {0: F(2, 3), 1: 0}
+    assert all(type(x) is Fraction for x in out.values())
+    acc = {1: 5}
+    assert sparse_apply([{}, {1: 2}], {1: -1}, acc) is acc and acc == {1: 3}
+    assert sparse_apply([{0: 1}], {}) == {}
+
+
+def test_integer_scaled_puts_vectors_over_the_lcm_of_their_denominators():
+    vecs = [{0: F(1, 6), 2: F(-3, 4)}, {}, {1: F(5)}]
+    ints, den = integer_scaled(vecs)
+    assert den == 12 and ints == [{0: 2, 2: -9}, {}, {1: 60}]
+    assert all(type(x) is int for v in ints for x in v.values())
+    assert [unscaled(v, den) for v in ints] == vecs
+    assert integer_scaled(iter([])) == ([], 1)
+    assert integer_scaled([{3: F(-2)}]) == ([{3: -2}], 1)
+    half = unscaled({0: 0, 1: 6}, 4)
+    assert half == {1: F(3, 2)} and type(half[1]) is Fraction
 
 
 def test_invert_diagonal():
