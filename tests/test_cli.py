@@ -720,6 +720,26 @@ PINNED_STDOUT = [
      "1aaba4ea51b877abbf83d9799164b960227196f565ee16f98645fb5f708a9c59"),
     (("affine", "synth", "--family", "QnZ", "--n", "16"), 0,
      "37e2b7768f3c8ea23440193c58a2efd486c2cc14ff5014efd43036fc018f734f"),
+    # the family list and one member of each family as algebra JSON: the
+    # bracket order and basis names of every catalog table
+    (("catalog", "list"), 0,
+     "b8ae03395eb97ddd86088cb3289155568a79a2b1e9ce7553e15c82144b99b792"),
+    (("catalog", "show", "--family", "Ln", "--n", "6"), 0,
+     "b9febb667a8b57a3322ed916d2843f5b526850155dee95e47931117446331555"),
+    (("catalog", "show", "--family", "Qn", "--n", "8"), 0,
+     "5180a74bd36e409659aee82a1b10d6c3651d5ef55141b41ece4c48c15df08427"),
+    (("catalog", "show", "--family", "QnZ", "--n", "8"), 0,
+     "4992a21a701a6388a6dc391b7dc633b65b647f5eaca6b542091f5a6fb87a9824"),
+    (("catalog", "show", "--family", "Ank", "--n", "9", "--k", "2", "--lambda=1",
+      "--lambda=1", "--lambda=2"), 0,
+     "e2ac762ea232bccf4eb5afc7eb5d25b6d810c277f020c515e98f12c2151da858"),
+    (("catalog", "show", "--family", "Bnk", "--n", "10", "--k", "3", "--lambda=1",
+      "--lambda=2"), 0,
+     "8fc362f392fc94b0bf76aeb0864184996dd30c072bf8554a6272e554f0c4e6ac"),
+    (("catalog", "show", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=0"), 0,
+     "8e8667d9544439957beb0051e286b5986dd755352aace6774db5093c947c0aee"),
+    (("catalog", "show", "--family", "Benoist", "--t=7/5"), 0,
+     "2d2833003f94fcf8eaea51118f98bb371915f6978fd978f0dc7838aeb517ce11"),
 ]
 
 
@@ -730,6 +750,20 @@ def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_der_verify_witness_stdout_matches_pinned_hash(capsys, tmp_path):
+    # the re-check of the verdict that `der char-nilp --out` writes
+    cert = tmp_path / "verdict.json"
+    assert main(["der", "char-nilp", "--family", "Ln", "--n", "9", "--reproducible",
+                 "--out", str(cert)]) == 0
+    capsys.readouterr()
+    code = main(["der", "verify-witness", "--family", "Ln", "--n", "9", "--cert", str(cert),
+                 "--reproducible"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "90d6247782d100b8cd9b5914dddba9c5e95a3a66dfe058338151e4d679f0cad2")
 
 
 @pytest.mark.parametrize("argv, expected", [
