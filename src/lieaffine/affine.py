@@ -140,6 +140,12 @@ STRATEGIES = {
 }
 
 
+def _space_for(alg: LieAlgebra, names):
+    """Der(g), solved once, when one of the strategies ``names`` searches it; else None."""
+    needed = any(STRATEGIES[name].witness == "derivation" for name in names)
+    return derivation_space(alg) if needed else None
+
+
 class AffineStructure:
     """Product tensor: gamma[(i, j)] = {k: c} holds the nonzero coordinates of e_i . e_j.
 
@@ -346,8 +352,6 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     The left multiplication by e_i is the unique solution of
     th([e_i, u], v) = -th(u, e_i . v), namely -Th^{-1} ad(e_i)^T Th.
     """
-    if form.dim != alg.dim:
-        raise DimensionMismatch("form dimension does not match the algebra")
     if dtheta_residual(alg, form):
         raise NotClosedError("the 2-form is not closed")
     th = form.gram
@@ -403,8 +407,7 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     if strategy != "auto" and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     wanted = tuple(STRATEGIES) if strategy == "auto" else (strategy,)
-    needs_space = any(STRATEGIES[name].witness == "derivation" for name in wanted)
-    space = derivation_space(alg) if needs_space else None
+    space = _space_for(alg, wanted)
     reasons: Dict[str, str] = {}
     for name in wanted:
         entry = STRATEGIES[name]

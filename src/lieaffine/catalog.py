@@ -20,25 +20,38 @@ from .errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
 from .liealg import LieAlgebra, jacobi_report
 from .linalg import Matrix, ONE, rat
 
-def _structure_from_display(pairs: Dict[Tuple[int, int], Dict[int, Fraction]]):
-    """Convert a 1-based bracket table {(i, j): {k: c}} to 0-based storage."""
-    return {
-        (i - 1, j - 1): {k - 1: c for k, c in coeffs.items()}
-        for (i, j), coeffs in pairs.items()
-    }
+
+_Table = Dict[Tuple[int, int], Dict[int, Fraction]]
+
+
+def _display_algebra(n: int, table: _Table, name: str, letter: str = "Y") -> LieAlgebra:
+    """The algebra of a 1-based table {(i, j): {k: c}}, stored 0-based in the table's order."""
+    structure = {(i - 1, j - 1): {k - 1: c for k, c in coeffs.items()}
+                 for (i, j), coeffs in table.items()}
+    return LieAlgebra(n, structure, name=name,
+                      basis_names=[f"{letter}{i}" for i in range(1, n + 1)])
+
+
+def _sign(i: int) -> Fraction:
+    """(-1)^(i+1)."""
+    return ONE if i % 2 else -ONE
+
+
+def _chain(top: int) -> _Table:
+    """The chain [Y1, Yj] = Y_{j+1} for j = 2..top."""
+    return {(1, j): {j + 1: ONE} for j in range(2, top + 1)}
+
+
+def _pairing(n: int) -> _Table:
+    """The pairing [Y_i, Y_{n-i+1}] = (-1)^(i+1) Y_n for i = 2..n/2."""
+    return {(i, n - i + 1): {n: _sign(i)} for i in range(2, n // 2 + 1)}
 
 
 def make_ln(n: int) -> LieAlgebra:
     """Filiform model algebra: [Y1, Yj] = Y_{j+1} for j = 2..n-1."""
     if n < 3:
         raise BadDimension(f"Ln requires n >= 3, got {n}")
-    table = {(1, j): {j + 1: ONE} for j in range(2, n)}
-    return LieAlgebra(
-        n,
-        _structure_from_display(table),
-        name=f"L{n}",
-        basis_names=[f"Y{i}" for i in range(1, n + 1)],
-    )
+    return _display_algebra(n, _chain(n - 1), f"L{n}")
 
 
 def make_qn(n: int, adapted: bool = False) -> LieAlgebra:
@@ -52,20 +65,10 @@ def make_qn(n: int, adapted: bool = False) -> LieAlgebra:
     """
     if n < 6 or n % 2:
         raise BadDimension(f"Qn requires even n >= 6, got {n}")
-    chain_top = n - 2 if adapted else n - 1
-    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {
-        (1, j): {j + 1: ONE} for j in range(2, chain_top + 1)
-    }
-    for i in range(2, n // 2 + 1):
-        sign = ONE if i % 2 else -ONE
-        table[(i, n - i + 1)] = {n: sign}
-    letter = "Z" if adapted else "Y"
-    return LieAlgebra(
-        n,
-        _structure_from_display(table),
-        name=f"Q{n}Z" if adapted else f"Q{n}",
-        basis_names=[f"{letter}{i}" for i in range(1, n + 1)],
-    )
+    table = {**_chain(n - 2 if adapted else n - 1), **_pairing(n)}
+    if adapted:
+        return _display_algebra(n, table, f"Q{n}Z", "Z")
+    return _display_algebra(n, table, f"Q{n}")
 
 
 def fill_aij(n: int, k: int, lambdas: Sequence) -> Dict[Tuple[int, int], Fraction]:
@@ -123,15 +126,10 @@ def make_ank(n: int, k: int, lambdas: Sequence):
     t = (n - k + 1) // 2
     lams = _check_lambdas(lambdas, t - 1)
     a = fill_aij(n, k, lams)
-    table = {(1, i): {i + 1: ONE} for i in range(2, n)}
+    table = _chain(n - 1)
     for (i, j), val in a.items():
         table[(i, j)] = {i + j + k - 2: val}
-    alg = LieAlgebra(
-        n,
-        _structure_from_display(table),
-        name=f"A{n}^{k}",
-        basis_names=[f"Y{i}" for i in range(1, n + 1)],
-    )
+    alg = _display_algebra(n, table, f"A{n}^{k}")
     return alg, jacobi_report(alg)
 
 
@@ -149,21 +147,11 @@ def make_bnk(n: int, k: int, lambdas: Sequence):
     t = (n - k) // 2
     lams = _check_lambdas(lambdas, max(t - 1, 0))
     a = fill_aij(n, k, lams)
-    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {
-        (1, i): {i + 1: ONE} for i in range(2, n - 1)
-    }
-    for i in range(2, n // 2 + 1):
-        sign = ONE if i % 2 else -ONE
-        table[(i, n - i + 1)] = {n: sign}
+    table = {**_chain(n - 2), **_pairing(n)}
     for (i, j), val in a.items():
         if j == i + 1 or i + j + k - 2 <= n - 2:
             table[(i, j)] = {i + j + k - 2: val}
-    alg = LieAlgebra(
-        n,
-        _structure_from_display(table),
-        name=f"B{n}^{k}",
-        basis_names=[f"Y{i}" for i in range(1, n + 1)],
-    )
+    alg = _display_algebra(n, table, f"B{n}^{k}")
     return alg, jacobi_report(alg)
 
 
@@ -180,12 +168,7 @@ def make_cn(n: int, lambdas: Sequence):
     m = (n - 2) // 2
     t = m - 1
     lams = _check_lambdas(lambdas, t)
-    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {
-        (1, i): {i + 1: ONE} for i in range(2, n - 1)
-    }
-    for i in range(2, m + 2):
-        sign = ONE if i % 2 else -ONE
-        table[(i, n - i + 1)] = {n: sign}
+    table = {**_chain(n - 2), **_pairing(n)}
     for s in range(1, t + 1):
         lam = lams[s - 1]
         if not lam:
@@ -195,14 +178,8 @@ def make_cn(n: int, lambdas: Sequence):
             j = total - i
             if j <= i:
                 break
-            sign = ONE if i % 2 else -ONE
-            table[(i, j)] = {n: sign * lam}
-    alg = LieAlgebra(
-        n,
-        _structure_from_display(table),
-        name=f"C{n}",
-        basis_names=[f"Y{i}" for i in range(1, n + 1)],
-    )
+            table[(i, j)] = {n: _sign(i) * lam}
+    alg = _display_algebra(n, table, f"C{n}")
     return alg, jacobi_report(alg)
 
 
@@ -215,9 +192,7 @@ def make_benoist(t) -> LieAlgebra:
     """
     t = rat(t)
     F = Fraction
-    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {
-        (1, j): {j + 1: ONE} for j in range(2, 11)
-    }
+    table = _chain(10)
     table.update(
         {
             (2, 3): {5: F(1)},
@@ -238,12 +213,7 @@ def make_benoist(t) -> LieAlgebra:
             (5, 6): {11: F(1377, 80)},
         }
     )
-    return LieAlgebra(
-        11,
-        _structure_from_display(table),
-        name=f"Benoist(t={t})",
-        basis_names=[f"X{i}" for i in range(1, 12)],
-    )
+    return _display_algebra(11, table, f"Benoist(t={t})", "X")
 
 
 def make_abelian(n: int) -> LieAlgebra:
@@ -267,14 +237,11 @@ def standard_torus(family: str, n: int) -> List[Matrix]:
         f1 = [0] + [1] * (n - 1)
         f2 = list(range(1, n + 1))
         return [Matrix.diagonal(f1), Matrix.diagonal(f2)]
-    if family in ("QnAdapted", "QnZ"):
+    if family in ("QnAdapted", "QnZ", "Cn"):
         if n < 6 or n % 2:
-            raise BadDimension(f"Qn requires even n >= 6, got {n}")
-        f1 = [0] + [1] * (n - 2) + [2]
-        f2 = [1] + [i - 2 for i in range(2, n)] + [n - 3]
-        return [Matrix.diagonal(f1), Matrix.diagonal(f2)]
-    if family == "Cn":
-        if n < 6 or n % 2:
-            raise BadDimension(f"Cn requires even n >= 6, got {n}")
-        return [Matrix.diagonal([0] + [1] * (n - 2) + [2])]
+            raise BadDimension(f"{family[:2]} requires even n >= 6, got {n}")
+        f1 = Matrix.diagonal([0] + [1] * (n - 2) + [2])
+        if family == "Cn":
+            return [f1]
+        return [f1, Matrix.diagonal([1] + [i - 2 for i in range(2, n)] + [n - 3])]
     raise UnknownFamily(f"no standard torus for family {family!r}")

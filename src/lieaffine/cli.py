@@ -18,13 +18,7 @@ from datetime import datetime, timezone
 from functools import cache, partial
 
 from . import catalog
-from .affine import (
-    NOT_A_PROOF,
-    STRATEGIES,
-    find_symplectic,
-    reverify_certificate,
-    synthesize,
-)
+from .affine import NOT_A_PROOF, STRATEGIES, _space_for, reverify_certificate, synthesize
 from .derivations import (
     CHAR_NILPOTENT_LIKELY,
     DEFAULT_TRIALS,
@@ -32,8 +26,6 @@ from .derivations import (
     char_nilpotent_verdict,
     derivation_space,
     diagonal_derivations,
-    find_derived_regular_derivation,
-    find_regular_derivation,
     verify_torus,
     verify_witness,
 )
@@ -278,10 +270,11 @@ def _cmd_der_diag(args):
     }, 0
 
 
-def _cmd_search(key, codec, search, args):
-    """Payload of a seeded search: ``search(alg, seed, trials)`` finds ``key`` or None."""
+def _cmd_search(key, codec, strategy, args):
+    """Payload of the seeded search of ``STRATEGIES[strategy]``: it finds ``key`` or None."""
     alg = _load_algebra(args)
-    found = search(alg, args.seed, args.trials)
+    found = STRATEGIES[strategy].search(alg, _space_for(alg, (strategy,)), args.seed,
+                                        args.trials)
     payload = {
         "name": alg.name,
         "found": found is not None,
@@ -338,14 +331,7 @@ def _cmd_der_verify_witness(args):
     if verdict.witness is None:
         raise SchemaError("the verdict carries no witness to verify")
     report = verify_witness(alg, verdict.witness)
-    payload = {
-        "name": alg.name,
-        "kind": verdict.kind,
-        "derivation_violations": report["derivation_violations"],
-        "nilpotent": report["nilpotent"],
-        "sound": report["sound"],
-    }
-    return payload, 0 if report["sound"] else 1
+    return {"name": alg.name, "kind": verdict.kind, **report}, 0 if report["sound"] else 1
 
 
 def _cmd_affine_synth(args):
@@ -439,12 +425,10 @@ _COMMANDS = (
     ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
     ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
     ("der", "regular", "search for an invertible derivation",
-     partial(_cmd_search, "witness", matrix_to_json, lambda alg, seed, trials:
-             find_regular_derivation(derivation_space(alg), seed, trials)), _SEARCH),
+     partial(_cmd_search, "witness", matrix_to_json, "regular"), _SEARCH),
     ("der", "derived-regular",
      "search for a derivation invertible on the derived subalgebra",
-     partial(_cmd_search, "witness", matrix_to_json, lambda alg, seed, trials:
-             find_derived_regular_derivation(derivation_space(alg), seed, trials)), _SEARCH),
+     partial(_cmd_search, "witness", matrix_to_json, "derived-regular"), _SEARCH),
     ("der", "char-nilp", "characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
     ("der", "torus", "verify the family's standard torus", _cmd_der_torus, _SOURCE),
     ("der", "verify-witness", "re-check a char-nilp witness", _cmd_der_verify_witness,
@@ -454,8 +438,7 @@ _COMMANDS = (
     ("affine", "verify", "re-verify a synthesis certificate", _cmd_affine_verify,
      _SOURCE + (partial(_add_cert, "certificate JSON"),)),
     ("affine", "symplectic-find", "search for a symplectic form",
-     partial(_cmd_search, "two_form", twoform_to_json, lambda alg, seed, trials:
-             find_symplectic(alg, seed, trials)), _SEARCH),
+     partial(_cmd_search, "two_form", twoform_to_json, "symplectic"), _SEARCH),
     ("io", "validate", "validate a JSON document", _cmd_io_validate, (_add_document,)),
 )
 

@@ -15,12 +15,13 @@ good element exists, a trial misses it with probability at most d/21 by
 Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
 an n x n determinant): a bound that is vacuous from n = 21 on.
 
-The derivation searches first ask ``DerivationSpace.all_nilpotent``,
-which decides exactly (by Engel's theorem, on one image chain over the
-Der(g) basis) whether every derivation is nilpotent. When it is, every
-candidate fails, so the outcome is fixed without drawing any, and the
-cost no longer grows with ``trials``; otherwise the searches run as
-described.
+The three derivation searches pass one gate, ``_derivation_search``: it
+checks ``trials``, then asks ``DerivationSpace.all_nilpotent``, which
+decides exactly (by Engel's theorem, on one image chain over the Der(g)
+basis) whether every derivation is nilpotent. When it is, every
+candidate fails, so the outcome is fixed without drawing any, or
+building a search's own candidates, and the cost no longer grows with
+``trials``; otherwise the searches run as described.
 """
 
 from __future__ import annotations
@@ -81,11 +82,7 @@ class DerivationSpace:
         return Matrix.from_sparse(n, _flat_columns(flat.items(), n))
 
     def contains(self, m: Matrix) -> bool:
-        n = self.algebra.dim
-        if m.rows != n or m.cols != n:
-            raise DimensionMismatch("map shape does not match the algebra dimension")
-        flat = {p * n + q: x for q, col in enumerate(m.columns) for p, x in col.items()}
-        return _coordinates(self.flat.rows, flat) is not None
+        return not is_derivation(self.algebra, m)
 
     @cached_property
     def all_nilpotent(self) -> bool:
@@ -264,6 +261,19 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
     return next((cand for cand in chain(fixed, drawn) if accept(cand)), None)
 
 
+def _derivation_search(space: DerivationSpace, fixed, seed: int, trials: int, accept):
+    """The one gate of the derivation searches: ``trials``, then ``all_nilpotent``, then a search.
+
+    Each search accepts only non-nilpotent derivations, so a nil Der(g)
+    returns None before ``fixed()`` and ``accept()`` build its candidates
+    and test; otherwise ``_first_hit`` runs them over Der(g).
+    """
+    check_trials(trials)
+    if space.all_nilpotent:
+        return None
+    return _first_hit(space.flat, space.matrix, fixed(), seed, trials, accept())
+
+
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Seeded random search for an invertible derivation; None if all fail.
@@ -271,10 +281,7 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
     When Der(g) is nil (``all_nilpotent``), every candidate is singular,
     so None is returned without drawing.
     """
-    check_trials(trials)
-    if space.all_nilpotent:
-        return None
-    return _first_hit(space.flat, space.matrix, (), seed, trials, nonsingular)
+    return _derivation_search(space, lambda: (), seed, trials, lambda: nonsingular)
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
@@ -309,14 +316,15 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     subalgebra is singular and None is returned without drawing. Every
     candidate lies in Der(g) by construction, so none is re-checked here.
     """
-    check_trials(trials)
-    if space.all_nilpotent:
-        return None
     alg = space.algebra
-    derived = derived_subalgebra(alg)
-    diagonal = (Matrix.diagonal(w) for w in diagonal_derivations(alg).basis)
-    return _first_hit(space.flat, space.matrix, diagonal, seed, trials,
-                      lambda f: nonsingular(_restrict(derived, f)))
+
+    def restriction_nonsingular():
+        derived = derived_subalgebra(alg)
+        return lambda f: nonsingular(_restrict(derived, f))
+
+    return _derivation_search(
+        space, lambda: map(Matrix.diagonal, diagonal_derivations(alg).basis), seed, trials,
+        restriction_nonsingular)
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
@@ -329,12 +337,10 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     is nil (``all_nilpotent``) no candidate can hit, so that verdict is
     returned without drawing; the kind stays CharNilpotentLikely.
     """
-    check_trials(trials)
+    check_trials(trials)  # before Der(g) is solved
     space = derivation_space(alg)
-    if space.all_nilpotent:
-        return CharNilpVerdict(CHAR_NILPOTENT_LIKELY, None, seed, trials)
-    witness = _first_hit(space.flat, space.matrix, space.basis, seed, trials,
-                         lambda f: not is_nilpotent(f))
+    witness = _derivation_search(space, lambda: space.basis, seed, trials,
+                                 lambda: lambda f: not is_nilpotent(f))
     kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
     return CharNilpVerdict(kind, witness, seed, trials)
 

@@ -33,7 +33,7 @@ from lieaffine.derivations import (
     verify_torus,
     verify_witness,
 )
-from lieaffine.errors import NotADerivationError
+from lieaffine.errors import DimensionMismatch, NotADerivationError
 from lieaffine.liealg import LieAlgebra, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
     ZERO,
@@ -243,6 +243,10 @@ def test_inner_derivations_lie_in_the_space():
         space = derivation_space(alg)
         for i in range(alg.dim):
             assert space.contains(alg.ad(unit_vector(alg.dim, i)))
+    l4 = derivation_space(make_ln(4))
+    assert not l4.contains(Matrix.diagonal([1] * 4))
+    with pytest.raises(DimensionMismatch):
+        l4.contains(Matrix.diagonal([1] * 3))
 
 
 def test_derivation_space_closed_under_commutator():
@@ -620,7 +624,20 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
         raise AssertionError("a settled search drew a candidate")
 
     monkeypatch.setattr(derivations, "seeded_combinations", no_draw)
+
+    def no_build(*args):
+        raise AssertionError("a settled search built its candidates")
+
+    # the weight space, the basis and [g, g] are built only past the gate
+    monkeypatch.setattr(derivations, "diagonal_derivations", no_build)
+    monkeypatch.setattr(derivations, "derived_subalgebra", no_build)
+    monkeypatch.setattr(derivations.DerivationSpace, "basis", property(no_build))
     b1 = make_benoist(1)
+    # and a bad budget is refused before Der(g) is solved
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "derivation_space", no_build)
+        with pytest.raises(ValueError, match="trials"):
+            char_nilpotent_verdict(b1, trials=0)
     space = derivation_space(b1)
     assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
     assert find_derived_regular_derivation(space, seed=3, trials=10 ** 9) is None
