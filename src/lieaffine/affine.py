@@ -6,9 +6,10 @@ the left-symmetry identity x.(y.z) - y.(x.z) = (x.y).z - (y.x).z. Both
 axioms are bilinear, so checking them on all basis tuples is a complete,
 finite certificate; ``verify_affine`` does exactly that and reports every
 violating tuple with its exact residual. The check stays exhaustive over
-basis tuples but reads the product tensor as sparse vectors, so its cost
-grows with the tensor's nonzeros rather than with dense matrix products,
-and it runs in Python ints: the stored tensor and the brackets are
+basis tuples, but sums each left-symmetry residual from the nonzero
+products alone: a triple that no nonzero product reaches has residual
+exactly 0, so the cost grows as the nonzero products times n rather than
+as n^3. It runs in Python ints: the stored tensor and the brackets are
 rescaled over common denominators, and only a nonzero residual becomes
 Fractions again.
 
@@ -105,7 +106,7 @@ class _Strategy:
 # ``checks`` are the checks its certificate must pass, in the order
 # recorded; the verifier runs them itself and never trusts a document's
 # own list. ``search(alg, space, seed, trials)`` returns a ``witness`` or
-# None (``space`` is Der(g) when the witness is a derivation), and
+# None (``space`` is ``derivation_space(alg)``, solved only if read), and
 # ``failure`` says why it came back empty. Searches and constructions are
 # called through the module's names, so a wrapper on those names sees them.
 STRATEGIES = {
@@ -138,12 +139,6 @@ STRATEGIES = {
             f"no closed nondegenerate 2-form found (seed={seed}, trials={trials})"),
     ),
 }
-
-
-def _space_for(alg: LieAlgebra, names):
-    """Der(g), solved once, when one of the strategies ``names`` searches it; else None."""
-    needed = any(STRATEGIES[name].witness == "derivation" for name in names)
-    return derivation_space(alg) if needed else None
 
 
 class AffineStructure:
@@ -241,11 +236,22 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     e_i.e_j - e_j.e_i - [e_i, e_j] is nonzero; left-symmetry violations are
     triples (i, j, k, residual) with i < j where
     e_i.(e_j.e_k) - e_j.(e_i.e_k) - (e_i.e_j).e_k + (e_j.e_i).e_k is
-    nonzero. Bilinearity makes these basis checks equivalent to the
-    universally quantified axioms. The sparse table is read as is, so each
-    residual costs in proportion to the nonzeros it meets.
+    nonzero, in ascending (i, j, k) order. Bilinearity makes these basis
+    checks equivalent to the universally quantified axioms.
 
-    The loops run in integers: the stored ``structure.gamma`` is rescaled
+    The left-symmetry residual of (i, j, k) is
+    L_i(e_j.e_k) - L_j(e_i.e_k) + R_k(e_j.e_i - e_i.e_j), with L_b = e_b.(-)
+    and R_k = (-).e_k, so it is summed from the nonzero products alone:
+    each nonzero e_a.e_k adds L_b(e_a.e_k) to (b, a, k) for b < a and
+    subtracts it from (a, b, k) for b > a, and each nonzero
+    e_j.e_i - e_i.e_j adds its R_k image to (i, j, k). Only the b whose
+    L_b meets the product's support, and only the k whose R_k meets the
+    difference's, are visited. A triple that none of these touches has a
+    residual of exactly 0, so the check stays exhaustive while its cost
+    grows as the nonzero products times n rather than as n^3. The torsion
+    pairs are all visited.
+
+    The sums run in integers: the stored ``structure.gamma`` is rescaled
     here over its common denominator D, and the brackets over theirs, D_c,
     so the check never depends on how the structure was built. A torsion
     residual is D * D_c times the rational one and a left-symmetry residual,
@@ -258,9 +264,8 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     products, d = integer_scaled(structure.gamma.values())
     gamma = dict(zip(structure.gamma, products))
     brackets, dc = integer_structure(alg)
-    # left[i][j] = e_i.e_j, neg[i][j] = -(e_i.e_j), right[k][m] = e_m.e_k, all times D
+    # left[i][j] = e_i.e_j and right[k][m] = e_m.e_k, both times D
     left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
-    neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
     right = [[left[m][k] for m in range(n)] for k in range(n)]
     # D * D_c (e_i.e_j - e_j.e_i - [e_i, e_j]) from the three integer columns
     torsion = {0: dc, 1: -dc, 2: -d}
@@ -271,16 +276,27 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
             if any(residual.values()):
                 report.torsion_violations.append(
                     (i, j, dense_vector(unscaled(residual, d * dc), n)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))  # D (e_j.e_i - e_i.e_j)
-            for k in range(n):
-                residual = sparse_apply(left[i], left[j][k])
-                sparse_apply(left[j], neg[i][k], residual)
-                sparse_apply(right[k], swapped, residual)
-                if any(residual.values()):
-                    report.leftsym_violations.append(
-                        (i, j, k, dense_vector(unscaled(residual, d * d), n)))
+    # acting[c]: the b with e_b.e_c != 0; reaching[m]: the k with e_m.e_k != 0
+    acting = [set() for _ in range(n)]
+    reaching = [set() for _ in range(n)]
+    for a, c in gamma:
+        acting[c].add(a)
+        reaching[a].add(c)
+    residuals: Dict[tuple, dict] = {}
+    for (a, k), prod in gamma.items():
+        minus = {c: -x for c, x in prod.items()}
+        for b in set().union(*(acting[c] for c in prod)) - {a}:
+            key, v = ((b, a, k), prod) if b < a else ((a, b, k), minus)
+            sparse_apply(left[b], v, residuals.setdefault(key, {}))
+    for i, j in {(min(a, k), max(a, k)) for a, k in gamma if a != k}:
+        swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))  # D (e_j.e_i - e_i.e_j)
+        if any(swapped.values()):
+            for k in set().union(*(reaching[m] for m, x in swapped.items() if x)):
+                sparse_apply(right[k], swapped, residuals.setdefault((i, j, k), {}))
+    for key in sorted(residuals):
+        residual = residuals[key]
+        if any(residual.values()):
+            report.leftsym_violations.append((*key, dense_vector(unscaled(residual, d * d), n)))
     return report
 
 
@@ -407,7 +423,7 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     if strategy != "auto" and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     wanted = tuple(STRATEGIES) if strategy == "auto" else (strategy,)
-    space = _space_for(alg, wanted)
+    space = derivation_space(alg)
     reasons: Dict[str, str] = {}
     for name in wanted:
         entry = STRATEGIES[name]

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from functools import cache, partial
 
 from . import catalog
-from .affine import NOT_A_PROOF, STRATEGIES, _space_for, reverify_certificate, synthesize
+from .affine import NOT_A_PROOF, STRATEGIES, reverify_certificate, synthesize
 from .derivations import (
     CHAR_NILPOTENT_LIKELY,
     DEFAULT_TRIALS,
@@ -273,8 +273,7 @@ def _cmd_der_diag(args):
 def _cmd_search(key, codec, strategy, args):
     """Payload of the seeded search of ``STRATEGIES[strategy]``: it finds ``key`` or None."""
     alg = _load_algebra(args)
-    found = STRATEGIES[strategy].search(alg, _space_for(alg, (strategy,)), args.seed,
-                                        args.trials)
+    found = STRATEGIES[strategy].search(alg, derivation_space(alg), args.seed, args.trials)
     payload = {
         "name": alg.name,
         "found": found is not None,

@@ -15,13 +15,19 @@ good element exists, a trial misses it with probability at most d/21 by
 Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
 an n x n determinant): a bound that is vacuous from n = 21 on.
 
-The three derivation searches pass one gate, ``_derivation_search``: it
-checks ``trials``, then asks ``DerivationSpace.all_nilpotent``, which
-decides exactly (by Engel's theorem, on one image chain over the Der(g)
-basis) whether every derivation is nilpotent. When it is, every
-candidate fails, so the outcome is fixed without drawing any, or
-building a search's own candidates, and the cost no longer grows with
-``trials``; otherwise the searches run as described.
+``derivation_space`` returns at once: Der(g) is solved the first time
+``DerivationSpace.flat`` is read, so a verdict that never reads it never
+pays for it. Each derivation search checks ``trials`` first. The
+derived-regular search then tries its diagonal weight candidates, which
+need only the weight equations, and a hit there never solves Der(g).
+After that the three searches pass one nil gate, ``_derivation_search``:
+it asks ``DerivationSpace.all_nilpotent``, which decides exactly (by
+Engel's theorem, on one image chain over the Der(g) basis) whether every
+derivation is nilpotent. When it is, every candidate fails, so the
+outcome is fixed without drawing any, or building the regular and
+char-nilp searches' own candidates, and the cost no longer grows with
+``trials``; otherwise the searches draw as described. The weight pass
+cannot change that outcome: on a nil Der(g) the weight space is 0.
 """
 
 from __future__ import annotations
@@ -63,10 +69,20 @@ _COEFF_RANGE = 10
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Der(g) as RREF rows of flattened n^2-vectors; ``basis`` is the matrix view."""
+    """Der(g) of ``algebra``, solved the first time ``flat`` is read.
+
+    ``flat`` holds Der(g) as RREF rows of flattened n^2-vectors and
+    ``basis`` is the matrix view; a search that settles without them never
+    solves the system.
+    """
 
     algebra: LieAlgebra
-    flat: Subspace
+
+    @cached_property
+    def flat(self) -> Subspace:
+        """Der(g) as the RREF rows of the solutions of ``_derivation_equations``."""
+        n = self.algebra.dim
+        return nullspace(_derivation_equations(self.algebra), n * n)
 
     @property
     def dim(self) -> int:
@@ -198,17 +214,19 @@ def _derivation_equations(alg: LieAlgebra) -> List[dict]:
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
-    """Exact nullspace of the derivation conditions.
+    """Der(g) as the exact nullspace of the derivation conditions, solved on first use.
 
-    Unknown (p, q) of the map sits at flat index p*n + q (row-major). The
-    equation of pair i < j on coordinate p reads
+    Returns at once: the system is built and solved the first time
+    ``DerivationSpace.flat`` is read. Unknown (p, q) of the map sits at flat
+    index p*n + q (row-major). The equation of pair i < j on coordinate p
+    reads
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
     so it is built from the nonzero structure constants alone, and only the
     equations they touch are emitted. The constants are integer-scaled over
     their common denominator (``_derivation_equations``), so the kernel
     gets integer rows with the same solutions.
     """
-    return DerivationSpace(algebra=alg, flat=nullspace(_derivation_equations(alg), alg.dim ** 2))
+    return DerivationSpace(algebra=alg)
 
 
 def diagonal_derivations(alg: LieAlgebra) -> Subspace:
@@ -216,13 +234,13 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
 
     diag(w) is a derivation exactly when w_i + w_j = w_k for every nonzero
     structure constant on ((i, j), k); the result is the RREF solution
-    space of those equations.
+    space of those equations, given to the kernel as integer rows.
     """
     rows = []
     for (i, j), coeffs in alg.structure.items():
         for k in coeffs:
-            row = {i: ONE, j: ONE}
-            row[k] = row.get(k, ZERO) - ONE
+            row = {i: 1, j: 1}
+            row[k] = row.get(k, 0) - 1
             rows.append(row)
     return nullspace(rows, alg.dim)
 
@@ -262,16 +280,17 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
 
 
 def _derivation_search(space: DerivationSpace, fixed, seed: int, trials: int, accept):
-    """The one gate of the derivation searches: ``trials``, then ``all_nilpotent``, then a search.
+    """The one nil gate of the derivation searches: ``all_nilpotent``, then ``_first_hit``.
 
     Each search accepts only non-nilpotent derivations, so a nil Der(g)
-    returns None before ``fixed()`` and ``accept()`` build its candidates
-    and test; otherwise ``_first_hit`` runs them over Der(g).
+    returns None before ``fixed()`` builds its fixed candidates and before
+    any draw; otherwise ``_first_hit`` runs them and the seeded draws over
+    Der(g) through ``accept``. Each search checks ``trials`` before it
+    gets here.
     """
-    check_trials(trials)
     if space.all_nilpotent:
         return None
-    return _first_hit(space.flat, space.matrix, fixed(), seed, trials, accept())
+    return _first_hit(space.flat, space.matrix, fixed(), seed, trials, accept)
 
 
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
@@ -281,7 +300,8 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
     When Der(g) is nil (``all_nilpotent``), every candidate is singular,
     so None is returned without drawing.
     """
-    return _derivation_search(space, lambda: (), seed, trials, lambda: nonsingular)
+    check_trials(trials)
+    return _derivation_search(space, lambda: (), seed, trials, nonsingular)
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
@@ -308,23 +328,30 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
                                     trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for a derivation whose derived-subalgebra restriction is invertible.
 
-    Deterministic first pass over the diagonal derivation weights, then the
-    seeded random combinations. A zero-dimensional derived subalgebra makes
-    every candidate succeed (the empty matrix counts as invertible). When
-    Der(g) is nil (``all_nilpotent``), g is not abelian (the identity is
-    not a derivation), so every restriction to the nonzero derived
-    subalgebra is singular and None is returned without drawing. Every
-    candidate lies in Der(g) by construction, so none is re-checked here.
+    After the ``trials`` check comes a deterministic first pass over the
+    diagonal derivation weights, which needs no Der(g): a hit there returns
+    before the system is solved. Only then does the nil gate run, and then
+    the seeded random combinations. The pass cannot change the outcome of
+    the gate: a nonzero diagonal derivation is not nilpotent, so when
+    Der(g) is nil (``all_nilpotent``) the weight space is 0 and the pass
+    tries nothing. In that case g is not abelian (the identity is not a
+    derivation), so every restriction to the nonzero derived subalgebra is
+    singular and None is returned without drawing. A zero-dimensional
+    derived subalgebra makes every candidate succeed (the empty matrix
+    counts as invertible). Every candidate lies in Der(g) by construction,
+    so none is re-checked here.
     """
+    check_trials(trials)
     alg = space.algebra
+    derived = derived_subalgebra(alg)
 
-    def restriction_nonsingular():
-        derived = derived_subalgebra(alg)
-        return lambda f: nonsingular(_restrict(derived, f))
+    def accept(f: Matrix) -> bool:
+        return nonsingular(_restrict(derived, f))
 
-    return _derivation_search(
-        space, lambda: map(Matrix.diagonal, diagonal_derivations(alg).basis), seed, trials,
-        restriction_nonsingular)
+    hit = next(filter(accept, map(Matrix.diagonal, diagonal_derivations(alg).basis)), None)
+    if hit is not None:
+        return hit
+    return _derivation_search(space, lambda: (), seed, trials, accept)
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
@@ -337,10 +364,10 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     is nil (``all_nilpotent``) no candidate can hit, so that verdict is
     returned without drawing; the kind stays CharNilpotentLikely.
     """
-    check_trials(trials)  # before Der(g) is solved
+    check_trials(trials)
     space = derivation_space(alg)
     witness = _derivation_search(space, lambda: space.basis, seed, trials,
-                                 lambda: lambda f: not is_nilpotent(f))
+                                 lambda f: not is_nilpotent(f))
     kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
     return CharNilpVerdict(kind, witness, seed, trials)
 

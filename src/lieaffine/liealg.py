@@ -248,11 +248,13 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     The first entry is the whole algebra; each later term is the span of
     brackets of basis vectors with the previous term. The list stops right
     before the first repeated subspace, so the algebra is nilpotent exactly
-    when the last entry is zero.
+    when the last entry is zero. The terms come from the one image chain
+    (``linalg._image_chain``) and each is put in canonical RREF with
+    ``_reduce``.
     """
     n = alg.dim
-    whole = [(i, {i: ONE}) for i in range(n)]
-    return [Subspace(n, rows) for rows in _image_chain(ad_columns(alg), whole)]
+    whole = ({i: ONE} for i in range(n))
+    return [Subspace(n, _reduce(rows.values())) for rows in _image_chain(ad_columns(alg), whole)]
 
 
 def is_nilpotent_algebra(alg: LieAlgebra) -> bool:

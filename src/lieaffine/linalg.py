@@ -7,20 +7,24 @@ denominator, the loop works on the integer numerators, and ``unscaled``
 turns a result back into Fractions at the boundary. Matrices act on column
 coordinate vectors, so column j of a map is the image of basis vector j.
 
-Every linear system goes through one elimination kernel, ``_reduce``: it
-takes sparse rows ``{col: value}`` of ints or Fractions, sparsest first,
-clears each row's denominators, eliminates fraction-free by
-cross-multiplication with per-row content reduction (a one-entry pivot row
-just deletes its column), back-substitutes from the last pivot up, each row
-touching only the pivot columns it holds, and only the final pivot
-normalization reintroduces fractions. The result is the canonical reduced
-row-echelon form with each row's columns in ascending order, so it is
-exact and deterministic, iteration order included, whatever the row
-order. ``rref``, ``rank``, ``span``, ``nullspace``, ``solve``, ``invert``,
-``nonsingular``, ``products_vanish`` and ``is_nilpotent`` are thin
-callers, and no other elimination exists; ``_image_chain`` is the one
-image-chain loop, shared by ``products_vanish`` and
-``liealg.lower_central_series``.
+Every linear system goes through one elimination kernel in three steps.
+``_echelon`` takes sparse rows ``{col: value}`` of ints or Fractions,
+sparsest first, clears each row's denominators and eliminates
+fraction-free by cross-multiplication with per-row content reduction (a
+one-entry pivot row just deletes its column); its {pivot: primitive int
+row} is enough for a caller that only counts. ``_back_substitute`` clears
+the pivot columns from the last pivot up, each row touching only the pivot
+columns it holds, and ``_reduce`` adds the one pivot normalization that
+reintroduces fractions. Its result is the canonical reduced row-echelon
+form with each row's columns in ascending order, so it is exact and
+deterministic, iteration order included, whatever the row order.
+``rref``, ``span``, ``solve`` and ``invert`` read ``_reduce``;
+``nullspace`` reads the back-substituted integer rows; ``rank``,
+``nonsingular``, ``products_vanish`` and ``is_nilpotent`` read only the
+forward pass. No other elimination exists. ``_image_chain`` is the one
+image-chain loop, forward-only over integer-scaled maps, shared by
+``products_vanish`` and ``liealg.lower_central_series``, which puts its
+terms in canonical form with ``_reduce``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
 by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;
@@ -285,21 +289,17 @@ def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
     return _primitive(new)
 
 
-def _reduce(rows: Iterable[dict]) -> list:
-    """Canonical RREF of sparse rational rows {col: value}.
+def _echelon(rows: Iterable[dict]) -> dict:
+    """Forward elimination of sparse rational rows {col: value}: {pivot: primitive int row}.
 
     The rows are taken sparsest first (a stable sort on their length), so
     one-entry rows become pivots before longer rows are reduced against
     them. Each row is cleared of denominators and reduced against the pivot
     rows found so far, fraction-free; zero entries and zero rows drop out.
     Against a one-entry pivot row the reduction only deletes that column.
-    Back substitution walks the pivots from the last one up: each row
-    eliminates only the pivot columns it holds, against the rows below it,
-    which are already fully reduced, so it costs the nonzeros met rather
-    than rank^2 probes. The final normalization reintroduces fractions.
-    Returns the nonzero RREF rows as (pivot, {col: Fraction}) pairs in
-    increasing pivot order, each dict in ascending column order, so the
-    result and its iteration order do not depend on the order of the rows.
+    Each row's pivot is its least column. The rows span the input and their
+    number is its rank, which is all that ``rank``, ``nonsingular`` and
+    ``_image_chain`` read; the rows themselves depend on the input order.
     """
     echelon = {}
     for row in sorted(rows, key=len):
@@ -318,17 +318,38 @@ def _reduce(rows: Iterable[dict]) -> list:
                 cur = _primitive(cur)
             else:
                 cur = _eliminate(prow[p], cur, cur[p], prow)
-    out = []
+    return echelon
+
+
+def _back_substitute(echelon: dict) -> dict:
+    """The ``_echelon`` rows, in place, with every pivot column cleared from the other rows.
+
+    Walks the pivots from the last one up: each row eliminates only the
+    pivot columns it holds, against the rows below it, which are already
+    fully reduced, so it costs the nonzeros met rather than rank^2 probes.
+    Each row stays a primitive int row, a multiple of its canonical RREF row.
+    """
     for p in sorted(echelon, reverse=True):
         row = echelon[p]
         for q in [c for c in row if c != p and c in echelon]:
             prow = echelon[q]
             row = _eliminate(prow[q], row, row[q], prow)
         echelon[p] = row
-        pv = row[p]
-        out.append((p, {c: Fraction(row[c], pv) for c in sorted(row)}))
-    out.reverse()
-    return out
+    return echelon
+
+
+def _reduce(rows: Iterable[dict]) -> list:
+    """Canonical RREF of sparse rational rows {col: value}.
+
+    ``_echelon``, then ``_back_substitute``, then the one normalization that
+    reintroduces fractions. Returns the nonzero RREF rows as
+    (pivot, {col: Fraction}) pairs in increasing pivot order, each dict in
+    ascending column order, so the result and its iteration order do not
+    depend on the order of the rows.
+    """
+    reduced = _back_substitute(_echelon(rows))
+    return [(p, {c: Fraction(row[c], row[p]) for c in sorted(row)})
+            for p, row in sorted(reduced.items())]
 
 
 def _sparse(v: Sequence) -> dict:
@@ -417,8 +438,8 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    """rank m, as the rank of the columns (rank m = rank m^T)."""
-    return len(_reduce(m.columns))
+    """rank m, as the rank of the columns (rank m = rank m^T): forward elimination only."""
+    return len(_echelon(m.columns))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
@@ -440,22 +461,33 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
     {col: value} over ``ncols`` unknowns; zero rows and no rows are allowed.
     A nonzero entry outside ``range(ncols)`` raises DimensionMismatch. It is
     checked on the reduced rows, which hold a column exactly when some
-    equation does: their first pivot and each row's last column.
+    equation does: their least pivot and each row's largest column.
+
+    The solution for free column f is read off the back-substituted integer
+    rows, before any normalization: it is s at f and -s r[f] / r[p] at the
+    pivot p of each row r that holds f, s being the lcm of those pivot
+    entries r[p], so it is an integer vector. One more ``_reduce`` makes
+    these vectors the canonical RREF basis.
     """
     if isinstance(system, Matrix):
         system, ncols = _transpose(system.columns, system.rows), system.cols
     elif ncols is None:
         raise DimensionMismatch("sparse equation rows need the number of unknowns")
-    reduced = _reduce(system)
-    if reduced and (reduced[0][0] < 0 or max(next(reversed(row)) for _, row in reduced) >= ncols):
+    reduced = _back_substitute(_echelon(system))
+    if reduced and (min(reduced) < 0 or max(max(row) for row in reduced.values()) >= ncols):
         raise DimensionMismatch(f"an equation holds a column outside range({ncols})")
-    pivots = {p for p, _ in reduced}
-    basis = {f: {f: ONE} for f in range(ncols) if f not in pivots}
-    for p, row in reduced:
-        for c, x in row.items():
+    holders = {f: [] for f in range(ncols) if f not in reduced}
+    for p, row in reduced.items():
+        for c in row:
             if c != p:
-                basis[c][p] = -x
-    return Subspace(ncols, _reduce(basis[f] for f in sorted(basis)))
+                holders[c].append(p)
+    basis = []
+    for f, ps in holders.items():
+        scale = lcm(*(reduced[p][p] for p in ps))
+        vec = {p: -reduced[p][f] * (scale // reduced[p][p]) for p in ps}
+        vec[f] = scale
+        basis.append(vec)
+    return Subspace(ncols, _reduce(basis))
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
@@ -510,19 +542,22 @@ def products_vanish(maps: Sequence[list]) -> bool:
     nilpotency; for a Lie algebra of maps such as Der(g), Engel's theorem
     makes it equivalent to every element being nilpotent.
     """
-    return not _image_chain(maps, _reduce(col for cols in maps for col in cols))[-1]
+    return not _image_chain(maps, (col for cols in maps for col in cols))[-1]
 
 
-def _image_chain(maps: Sequence[list], rows: list) -> List[list]:
-    """W_0 = rows, W_(k+1) = sum of the m(W_k), as the kernel's RREF rows.
+def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> List[dict]:
+    """W_0 = span of rows, W_(k+1) = sum of the m(W_k), each as ``_echelon`` rows.
 
     ``maps`` are sparse column lists and W_1 must lie in W_0, so the W_k are
-    nested. The list ends at the first W_k that is 0 or that the maps send
-    onto itself, which is where the dimension stops falling.
+    nested. Each map is integer-scaled first, which leaves every image span
+    unchanged, so the loop runs in ints on forward elimination alone. The
+    list ends at the first W_k that is 0 or that the maps send onto itself,
+    which is where the dimension stops falling.
     """
-    chain = [rows]
+    maps = [integer_scaled(cols)[0] for cols in maps]
+    chain = [_echelon(rows)]
     while chain[-1]:
-        nxt = _reduce(sparse_apply(cols, w) for cols in maps for _, w in chain[-1])
+        nxt = _echelon(sparse_apply(cols, w) for cols in maps for w in chain[-1].values())
         if len(nxt) == len(chain[-1]):
             break
         chain.append(nxt)

@@ -39,15 +39,17 @@ from lieaffine.errors import (
     SingularMatrixError,
     SingularOnDerivedError,
 )
-from lieaffine.liealg import TwoForm, derived_subalgebra, integer_ad_columns
+from lieaffine.liealg import TwoForm, derived_subalgebra, integer_ad_columns, integer_structure
 from lieaffine.linalg import (
     Matrix,
     _transpose,
     dense_vector,
+    integer_scaled,
     invert,
     nonsingular,
     sparse_apply,
     unit_vector,
+    unscaled,
     vector,
 )
 
@@ -200,6 +202,61 @@ def test_verify_affine_matches_fraction_oracle_on_tampered_structures(name):
             assert _fraction_residuals_only(report.torsion_violations + report.leftsym_violations)
             passed += report.passed
     assert passed == len(bases) - 1
+
+
+def _triple_loop_verify_affine(alg, structure):
+    """verify_affine as an integer loop over all n^3 / 2 triples: the oracle of the sparse sums."""
+    n = alg.dim
+    products, d = integer_scaled(structure.gamma.values())
+    gamma = dict(zip(structure.gamma, products))
+    brackets, dc = integer_structure(alg)
+    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
+    neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
+    right = [[left[m][k] for m in range(n)] for k in range(n)]
+    torsion, leftsym = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), {})),
+                                    {0: dc, 1: -dc, 2: -d})
+            if any(residual.values()):
+                torsion.append((i, j, dense_vector(unscaled(residual, d * dc), n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))
+            for k in range(n):
+                residual = sparse_apply(left[i], left[j][k])
+                sparse_apply(left[j], neg[i][k], residual)
+                sparse_apply(right[k], swapped, residual)
+                if any(residual.values()):
+                    leftsym.append((i, j, k, dense_vector(unscaled(residual, d * d), n)))
+    return torsion, leftsym
+
+
+_SYNTHESIZED = {
+    "L12-regular": (make_ln(12), "regular"),
+    "L12-symplectic": (make_ln(12), "symplectic"),
+    "Q10-derived-regular": (make_qn(10), "derived-regular"),
+    "C8-derived-regular": (make_cn(8, [1, -1])[0], "derived-regular"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYNTHESIZED))
+def test_verify_affine_matches_triple_loop_on_perturbed_structures(name):
+    alg, strategy = _SYNTHESIZED[name]
+    base = synthesize(alg, strategy=strategy)[0]
+    structures = [base] + [_tampered(base, random.Random(f"{name}/{s}"), 1) for s in range(4)]
+    failing = twisted = 0
+    for structure in structures:
+        report = verify_affine(alg, structure)
+        torsion, leftsym = _triple_loop_verify_affine(alg, structure)
+        assert report.torsion_violations == torsion
+        assert report.leftsym_violations == leftsym
+        failing += not report.passed
+        twisted += bool(torsion)
+    # a perturbation off the diagonal breaks torsion, so e_j.e_i - e_i.e_j
+    # leaves the bracket and the swapped-pair sums meet new triples
+    assert failing == 4
+    assert twisted >= 3
 
 
 def _random_columns(rng, n, density):

@@ -912,6 +912,14 @@ def test_main_reuses_one_parser_and_matches_fresh_processes(capsys, monkeypatch)
     assert (info.misses, info.hits) == (1, len(sequence) - 1)
 
 
+def test_package_runs_as_a_module(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "lieaffine", "catalog", "list"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert isinstance(json.loads(done.stdout), dict)
+
+
 def _mutate(rng: random.Random, data: bytes) -> bytes:
     """One seeded byte-level mutation of ``data``."""
     at = rng.randrange(len(data))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lieaffine import derivations
-from lieaffine.affine import find_symplectic
+from lieaffine.affine import find_symplectic, synthesize
 from lieaffine.catalog import (
     make_abelian,
     make_benoist,
@@ -628,24 +628,43 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
     def no_build(*args):
         raise AssertionError("a settled search built its candidates")
 
-    # the weight space, the basis and [g, g] are built only past the gate
-    monkeypatch.setattr(derivations, "diagonal_derivations", no_build)
-    monkeypatch.setattr(derivations, "derived_subalgebra", no_build)
-    monkeypatch.setattr(derivations.DerivationSpace, "basis", property(no_build))
     b1 = make_benoist(1)
-    # and a bad budget is refused before Der(g) is solved
-    with monkeypatch.context() as patch:
-        patch.setattr(derivations, "derivation_space", no_build)
-        with pytest.raises(ValueError, match="trials"):
-            char_nilpotent_verdict(b1, trials=0)
     space = derivation_space(b1)
-    assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
+    with monkeypatch.context() as patch:
+        # regular and char-nilp build the weight space, the basis and
+        # [g, g] only past the gate
+        patch.setattr(derivations, "diagonal_derivations", no_build)
+        patch.setattr(derivations, "derived_subalgebra", no_build)
+        patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
+        # and a bad budget is refused before Der(g) is solved
+        with monkeypatch.context() as inner:
+            inner.setattr(derivations, "derivation_space", no_build)
+            with pytest.raises(ValueError, match="trials"):
+                char_nilpotent_verdict(b1, trials=0)
+        assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
+        verdict = char_nilpotent_verdict(b1, seed=3, trials=10 ** 9)
+        assert (verdict.kind, verdict.witness, verdict.seed, verdict.trials) == (
+            CHAR_NILPOTENT_LIKELY, None, 3, 10 ** 9)
+    # derived-regular tries the diagonal weights before the gate; on a nil
+    # Der(g) they span 0, so the gate still settles it without a draw
+    assert diagonal_derivations(b1).is_zero()
     assert find_derived_regular_derivation(space, seed=3, trials=10 ** 9) is None
-    verdict = char_nilpotent_verdict(b1, seed=3, trials=10 ** 9)
-    assert (verdict.kind, verdict.witness, verdict.seed, verdict.trials) == (
-        CHAR_NILPOTENT_LIKELY, None, 3, 10 ** 9)
     with pytest.raises(AssertionError, match="drew"):
         find_regular_derivation(derivation_space(make_ln(4)))
+
+
+def test_diagonal_hit_never_solves_der_g(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("Der(g) was solved")
+
+    monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
+    c12 = make_cn(12, [1, -1, 1, 1])[0]
+    _, cert = synthesize(c12, "derived-regular")
+    witness = cert.witnesses["derivation"]
+    assert cert.strategy == "derived-regular"
+    assert all(set(col) <= {j} for j, col in enumerate(witness.columns))
+    with pytest.raises(AssertionError, match="solved"):
+        derivation_space(c12).dim
 
 
 def test_verify_torus_ln_pair():

@@ -5,16 +5,20 @@ enumeration (not via the derivations module) so they can serve as oracles
 for rank/nullity claims used elsewhere.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from lieaffine.catalog import make_ln
+from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
+from lieaffine.derivations import derivation_space
 from lieaffine.errors import DimensionMismatch, SingularMatrixError
+from lieaffine.liealg import ad_columns, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     Subspace,
+    _flat_columns,
     _reduce,
     integer_scaled,
     invert,
@@ -475,6 +479,95 @@ def test_products_vanish_matches_brute_force_products():
         assert _all_products_vanish(maps) == expected
         assert products_vanish([m.columns for m in maps]) == expected
     assert {expected for _, expected in cases} == {True, False}
+
+
+def _fraction_image_chain(maps, rows):
+    """The image chain on canonical Fraction RREF rows, back-substituted at every step.
+
+    The oracle of the forward-only chain: the same W_k, reduced in full.
+    """
+    chain = [rows]
+    while chain[-1]:
+        nxt = _reduce(sparse_apply(cols, w) for cols in maps for _, w in chain[-1])
+        if len(nxt) == len(chain[-1]):
+            break
+        chain.append(nxt)
+    return chain
+
+
+def _fraction_products_vanish(maps):
+    return not _fraction_image_chain(maps, _reduce(col for cols in maps for col in cols))[-1]
+
+
+def _count_only_matrices(rng, n, entry):
+    """(singular, nonsingular, strictly triangular, conjugated nilpotent) seeded sparse n x n maps."""
+    def sparse(rows_of, density):
+        return Matrix.from_sparse(n, [{r: entry() for r in rows_of(j) if rng.random() < density}
+                                      for j in range(n)])
+
+    lower = sparse(lambda j: range(j + 1, n), 0.5) + Matrix.identity(n)
+    upper = sparse(lambda j: range(j), 0.5) + Matrix.diagonal([entry() for _ in range(n)])
+    strict = sparse(lambda j: range(j), 0.6)
+    dense = sparse(lambda j: range(n), 0.5)
+    cols = list(dense.columns)
+    cols[-1] = sparse_apply(cols[:2], {0: entry(), 1: entry()}) if n > 1 else {}
+    return [Matrix.from_sparse(n, cols), lower * upper, strict,
+            lower * strict * invert(lower)]
+
+
+def test_count_only_callers_match_full_reduction():
+    rng = random.Random(31)
+    integer = lambda: F(rng.choice((-3, -2, -1, 1, 2, 5)))  # noqa: E731
+    rational = lambda: F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 7))  # noqa: E731
+    seen = set()
+    for n in (1, 2, 5, 9):
+        for entry in (integer, rational):
+            maps = _count_only_matrices(rng, n, entry)
+            for m in maps:
+                full = len(_reduce(m.columns))
+                assert rank(m) == full
+                assert nonsingular(m) == (full == n)
+                assert is_nilpotent(m) == _fraction_products_vanish([m.columns])
+                seen.add((nonsingular(m), is_nilpotent(m)))
+            for a in maps:
+                for b in maps:
+                    pair = [a.columns, b.columns]
+                    assert products_vanish(pair) == _fraction_products_vanish(pair)
+    # singular and nonsingular maps, nilpotent ones among the singular
+    assert seen == {(False, False), (True, False), (False, True)}
+
+
+def test_products_vanish_matches_full_chain_on_der_g():
+    for alg, nil in ((make_benoist(1), True), (make_cn(8, [1, -1])[0], False)):
+        n = alg.dim
+        space = derivation_space(alg)
+        maps = [_flat_columns(row.items(), n) for _, row in space.flat.rows]
+        assert products_vanish(maps) == _fraction_products_vanish(maps) == nil
+        assert space.all_nilpotent == nil
+        for m in space.basis:
+            assert rank(m) == len(_reduce(m.columns))
+            assert nonsingular(m) == (len(_reduce(m.columns)) == n)
+            assert is_nilpotent(m) == _fraction_products_vanish([m.columns])
+
+
+def _series_text(series):
+    return ";".join("|".join(f"{p}:" + ",".join(f"{c}={x}" for c, x in row.items())
+                             for p, row in term.rows) for term in series)
+
+
+@pytest.mark.parametrize("alg, digest", [
+    (make_ln(12), "11701cad5ec158df13b8886e40eb5eb1f563e3c64dae8d4a62aefec0bbf3bc31"),
+    (make_qn(10), "70391d26d4a288d9d3a3b28022be3650953b4b1f535873bd3edf3ca4af3ee8d8"),
+    (make_benoist(1), "dd7a9ae4b977964d72dee750d1f8f1dd52d765adeab9f5a93001948b7222022d"),
+], ids=["L12", "Q10", "Benoist1"])
+def test_lower_central_series_rows_are_pinned(alg, digest):
+    n = alg.dim
+    series = lower_central_series(alg)
+    oracle = _fraction_image_chain(ad_columns(alg), [(i, {i: F(1)}) for i in range(n)])
+    assert [term.rows for term in series] == [tuple(rows) for rows in oracle]
+    assert all(type(x) is Fraction for term in series for _, row in term.rows
+               for x in row.values())
+    assert hashlib.sha256(_series_text(series).encode()).hexdigest() == digest
 
 
 def test_nonsingular_rejects_non_square():
