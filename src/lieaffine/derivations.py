@@ -16,17 +16,19 @@ Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
 an n x n determinant): a bound that is vacuous from n = 21 on.
 
 ``derivation_space`` returns at once: Der(g) is solved the first time
-``DerivationSpace.flat`` is read, so a verdict that never reads it never
-pays for it. Each derivation search checks ``trials`` first. The
-derived-regular search then tries its diagonal weight candidates, which
-need only the weight equations, and a hit there never solves Der(g).
+``DerivationSpace.flat`` is read, by ``nullspace``'s Gauss-Jordan pass, so
+a verdict that never reads it never pays for it. Each derivation search
+checks ``trials`` first. The derived-regular search then tries its
+diagonal weight candidates, which need only the weight equations, and a
+hit there never solves Der(g).
 After that the three searches pass one nil gate, ``_derivation_search``:
 it asks ``DerivationSpace.all_nilpotent``, which decides exactly (by
-Engel's theorem, on one image chain over the Der(g) basis) whether every
-derivation is nilpotent. When it is, every candidate fails, so the
-outcome is fixed without drawing any, or building the regular and
-char-nilp searches' own candidates, and the cost no longer grows with
-``trials``; otherwise the searches draw as described. The weight pass
+Engel's theorem, on one image chain over the Der(g) basis, or at once when
+every basis map is strictly lower triangular) whether every derivation is
+nilpotent. When it is, every candidate fails, so the outcome is fixed
+without drawing any, or building the regular and char-nilp searches' own
+candidates, and the cost no longer grows with ``trials``; otherwise the
+searches draw as described. The weight pass
 cannot change that outcome: on a nil Der(g) the weight space is 0.
 """
 
@@ -105,8 +107,11 @@ class DerivationSpace:
         """Exactly whether every derivation is nilpotent (Der(g) is nil).
 
         A basis element with nonzero trace settles False at once; otherwise
-        the image chain of ``products_vanish`` decides, which by Engel's
-        theorem is the same as every element of the span being nilpotent.
+        ``products_vanish`` decides, which by Engel's theorem is the same
+        as every element of the span being nilpotent. When every basis map
+        is strictly lower triangular, as for Benoist(t) in the catalog
+        basis, it answers True from that shape alone; in any other basis
+        its image chain decides.
         """
         n = self.algebra.dim
         if any(sum(row.get(p * (n + 1), ZERO) for p in range(n)) for _, row in self.flat.rows):

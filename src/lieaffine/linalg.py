@@ -7,21 +7,28 @@ denominator, the loop works on the integer numerators, and ``unscaled``
 turns a result back into Fractions at the boundary. Matrices act on column
 coordinate vectors, so column j of a map is the image of basis vector j.
 
-Every linear system goes through one elimination kernel in three steps.
-``_echelon`` takes sparse rows ``{col: value}`` of ints or Fractions,
-sparsest first, clears each row's denominators and eliminates
-fraction-free by cross-multiplication with per-row content reduction (a
-one-entry pivot row just deletes its column); its {pivot: primitive int
-row} is enough for a caller that only counts. ``_back_substitute`` clears
-the pivot columns from the last pivot up, each row touching only the pivot
-columns it holds, and ``_reduce`` adds the one pivot normalization that
-reintroduces fractions. Its result is the canonical reduced row-echelon
-form with each row's columns in ascending order, so it is exact and
-deterministic, iteration order included, whatever the row order.
+Every linear system goes through one elimination kernel on sparse rows
+``{col: value}`` of ints or Fractions: each row is taken sparsest first,
+cleared of denominators and eliminated fraction-free by
+cross-multiplication with per-row content reduction (``_eliminate``; a
+one-entry pivot row just deletes its column). It comes in two orders.
+``_echelon`` is the forward pass, each row's pivot its least column; its
+{pivot: primitive int row} is enough for a caller that only counts.
+``_back_substitute`` then clears the pivot columns from the last pivot
+up, each row touching only the pivot columns it holds, and ``_reduce``
+adds the one pivot normalization that reintroduces fractions. Its result
+is the canonical reduced row-echelon form with each row's columns in
+ascending order, so it is exact and deterministic, iteration order
+included, whatever the row order. ``_gauss_jordan`` keeps its rows fully
+reduced as it goes, each pivot the row's largest column, so a redundant
+row is reduced once against each pivot column it holds instead of through
+a chain of forward eliminations; it serves the tall systems of
+``nullspace`` (Der(g) has several equations per unknown).
 ``rref``, ``span``, ``solve`` and ``invert`` read ``_reduce``;
-``nullspace`` reads the back-substituted integer rows; ``rank``,
-``nonsingular``, ``products_vanish`` and ``is_nilpotent`` read only the
-forward pass. No other elimination exists. ``_image_chain`` is the one
+``nullspace`` reads its canonical basis straight off the
+``_gauss_jordan`` integer rows; ``rank``, ``nonsingular``,
+``products_vanish`` and ``is_nilpotent`` read only the forward pass. No
+elimination exists outside these two orders. ``_image_chain`` is the one
 image-chain loop, forward-only over integer-scaled maps, shared by
 ``products_vanish`` and ``liealg.lower_central_series``, which puts its
 terms in canonical form with ``_reduce``.
@@ -278,7 +285,14 @@ def _primitive(row: dict) -> dict:
 
 
 def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
-    """pv * row - v * prow with its content divided out; cancelled entries drop."""
+    """pv * row - v * prow with its content divided out; cancelled entries drop.
+
+    pv and v are divided by their gcd first, which leaves the primitive
+    result unchanged and keeps the products small.
+    """
+    g = gcd(pv, v)
+    if g > 1:
+        pv, v = pv // g, v // g
     new = {c: pv * x for c, x in row.items()}
     for c, x in prow.items():
         y = new.get(c, 0) - v * x
@@ -336,6 +350,53 @@ def _back_substitute(echelon: dict) -> dict:
             row = _eliminate(prow[q], row, row[q], prow)
         echelon[p] = row
     return echelon
+
+
+def _gauss_jordan(rows: Iterable[dict]) -> dict:
+    """Fraction-free Gauss-Jordan of sparse rational rows {col: value}: {pivot: primitive int row}.
+
+    The rows are taken sparsest first, as in ``_echelon``, and every pivot
+    row is kept free of the other pivot columns. A new row is therefore
+    reduced once against each pivot column it holds (a one-entry pivot row
+    just deletes its column), so a redundant row costs at most its length.
+    A nonzero remainder pivots on its largest column, which is then cleared
+    from the rows that hold it, found through a column -> pivots index of
+    plain lists whose stale entries (the column since cancelled) are
+    skipped. Clearing a column below a row's pivot adds only columns below
+    the new pivot, so each row's pivot stays its largest column. The rows
+    span the input, their number is its rank, and each is a multiple of a
+    row of the reduced row-echelon form for the reversed column order.
+    """
+    reduced = {}
+    holders = {}
+    for row in sorted(rows, key=len):
+        den = lcm(*(x.denominator for x in row.values()))
+        cur = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        for q in [c for c in cur if c in reduced]:
+            prow = reduced[q]
+            if len(prow) == 1:
+                del cur[q]
+            else:
+                cur = _eliminate(prow[q], cur, cur[q], prow)
+        if not cur:
+            continue
+        cur = _primitive(cur)
+        p = max(cur)
+        pv = cur[p]
+        for r in holders.pop(p, ()):
+            held = reduced[r]
+            x = held.get(p)
+            if not x:
+                continue
+            reduced[r] = _eliminate(pv, held, x, cur)
+            for c in cur:
+                if c not in held:
+                    holders.setdefault(c, []).append(r)
+        for c in cur:
+            if c != p:
+                holders.setdefault(c, []).append(p)
+        reduced[p] = cur
+    return reduced
 
 
 def _reduce(rows: Iterable[dict]) -> list:
@@ -461,33 +522,35 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
     {col: value} over ``ncols`` unknowns; zero rows and no rows are allowed.
     A nonzero entry outside ``range(ncols)`` raises DimensionMismatch. It is
     checked on the reduced rows, which hold a column exactly when some
-    equation does: their least pivot and each row's largest column.
+    equation does: their largest pivot and each row's least column.
 
-    The solution for free column f is read off the back-substituted integer
-    rows, before any normalization: it is s at f and -s r[f] / r[p] at the
-    pivot p of each row r that holds f, s being the lcm of those pivot
-    entries r[p], so it is an integer vector. One more ``_reduce`` makes
-    these vectors the canonical RREF basis.
+    The system is solved by ``_gauss_jordan``, whose rows each hold their
+    pivot p, their largest column, and free columns only. The solution for
+    free column f is 1 at f and -r[f] / r[p] at the pivot p of each row r
+    that holds f, every such p lying above f. So f is the least column of
+    its vector and no other vector holds it: these vectors, with their
+    columns in ascending order, already are the canonical RREF basis that
+    ``_reduce`` would return, and need no second elimination.
     """
     if isinstance(system, Matrix):
         system, ncols = _transpose(system.columns, system.rows), system.cols
     elif ncols is None:
         raise DimensionMismatch("sparse equation rows need the number of unknowns")
-    reduced = _back_substitute(_echelon(system))
-    if reduced and (min(reduced) < 0 or max(max(row) for row in reduced.values()) >= ncols):
+    reduced = _gauss_jordan(system)
+    if reduced and (max(reduced) >= ncols or min(min(row) for row in reduced.values()) < 0):
         raise DimensionMismatch(f"an equation holds a column outside range({ncols})")
     holders = {f: [] for f in range(ncols) if f not in reduced}
-    for p, row in reduced.items():
-        for c in row:
+    for p in sorted(reduced):
+        for c in reduced[p]:
             if c != p:
                 holders[c].append(p)
     basis = []
     for f, ps in holders.items():
-        scale = lcm(*(reduced[p][p] for p in ps))
-        vec = {p: -reduced[p][f] * (scale // reduced[p][p]) for p in ps}
-        vec[f] = scale
-        basis.append(vec)
-    return Subspace(ncols, _reduce(basis))
+        vec = {f: ONE}
+        for p in ps:
+            vec[p] = Fraction(-reduced[p][f], reduced[p][p])
+        basis.append((f, vec))
+    return Subspace(ncols, basis)
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
@@ -533,8 +596,12 @@ def products_vanish(maps: Sequence[list]) -> bool:
     """True iff every long enough product of the given maps is zero.
 
     ``maps`` are square maps of one size, each as its sparse columns
-    (``Matrix.columns``). Decided by the image chain on the kernel:
-    W_0 = sum of the images and W_{k+1} = sum of the m(W_k) are nested,
+    (``Matrix.columns``). When every map sends each e_j into
+    span(e_r : r > j), i.e. is strictly lower triangular (the Der(g) basis
+    of Benoist(t) is, in the catalog basis), every product of n maps is 0,
+    and that exact O(nonzeros) check answers True at once. Otherwise the
+    image chain on the kernel decides: W_0 = sum of the images and
+    W_{k+1} = sum of the m(W_k) are nested,
     W_k being spanned by the images of all products of k + 1 maps. Their
     dimensions fall until the chain reaches 0 (every product of that many
     maps vanishes) or stops at a nonzero W_k that the maps together send
@@ -542,6 +609,8 @@ def products_vanish(maps: Sequence[list]) -> bool:
     nilpotency; for a Lie algebra of maps such as Der(g), Engel's theorem
     makes it equivalent to every element being nilpotent.
     """
+    if all(r > j for cols in maps for j, col in enumerate(cols) for r in col):
+        return True
     return not _image_chain(maps, (col for cols in maps for col in cols))[-1]
 
 

@@ -475,25 +475,39 @@ def _sparse_basis_change(n, rng):
             return p
 
 
-NIL_CASES = [(make_benoist(t), True) for t in (0, 1, -1, F(1, 3))] + [
-    (make_ln(8), False), (make_qn(8), False), (make_cn(6, [1])[0], False)]
+def _dense_basis_change(n, rng):
+    # an invertible P with unit diagonal and a seeded +-1 everywhere off it
+    while True:
+        p = Matrix([[1 if i == j else rng.choice((-1, 1)) for j in range(n)]
+                    for i in range(n)])
+        if nonsingular(p):
+            return p
 
 
-@pytest.mark.parametrize("alg, nil", NIL_CASES,
+NIL_CASES = [(make_benoist(t), True, t == 1) for t in (0, 1, -1, F(1, 3))] + [
+    (make_ln(8), False, True), (make_qn(8), False, True), (make_cn(6, [1])[0], False, False)]
+
+
+@pytest.mark.parametrize("alg, nil, dense", NIL_CASES,
                          ids=["B0", "B1", "B-1", "B1/3", "L8", "Q8", "C6"])
-def test_all_nilpotent_is_basis_free(alg, nil):
+def test_all_nilpotent_is_basis_free(alg, nil, dense):
     # a seeded invertible integer change of basis gives an isomorphic
     # algebra whose Der(g) basis is not lower triangular, as it is in the
     # catalog basis, so the decision must not rest on that shape. P is the
-    # identity plus four +-1 entries off the diagonal: a dense P makes
-    # Der(Benoist) cost seconds to solve.
+    # identity plus four +-1 entries off the diagonal and, for three of the
+    # algebras, a dense +-1 P as well (Der(Benoist(1)) then has 605
+    # equations over 121 unknowns, and is solved in about a second).
     n = alg.dim
     space = derivation_space(alg)
     assert space.all_nilpotent is nil
-    moved = derivation_space(_change_basis(alg, _sparse_basis_change(n, random.Random(n))))
-    assert moved.dim == space.dim
-    assert any(b[i, j] for b in moved.basis for i in range(n) for j in range(i + 1, n))
-    assert moved.all_nilpotent is nil
+    changes = [_sparse_basis_change(n, random.Random(n))]
+    if dense:
+        changes.append(_dense_basis_change(n, random.Random(n)))
+    for p in changes:
+        moved = derivation_space(_change_basis(alg, p))
+        assert moved.dim == space.dim
+        assert any(b[i, j] for b in moved.basis for i in range(n) for j in range(i + 1, n))
+        assert moved.all_nilpotent is nil
 
 
 def _dense_lower_central_series(alg):

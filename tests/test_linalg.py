@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine import linalg
 from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
 from lieaffine.derivations import derivation_space
 from lieaffine.errors import DimensionMismatch, SingularMatrixError
@@ -18,7 +19,9 @@ from lieaffine.liealg import ad_columns, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     Subspace,
+    _echelon,
     _flat_columns,
+    _gauss_jordan,
     _reduce,
     integer_scaled,
     invert,
@@ -168,6 +171,8 @@ def test_nullspace_vectors_satisfy_system():
     ([{1: 1}], 0),
     ([{0: 1, 5: 1}], 3),
     ([{0: 1}], None),
+    ([{3: 1}], 3),
+    ([{0: 1, -2: 3, 1: 2, 2: -1}], 3),
 ])
 def test_nullspace_rejects_columns_outside_the_unknowns(rows, ncols):
     with pytest.raises(DimensionMismatch):
@@ -238,6 +243,55 @@ def test_reduce_matches_dense_gauss_jordan_for_any_row_order():
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
             assert [(p, list(row.items())) for p, row in _reduce(shuffled)] == ordered
+
+
+def _dense_nullspace(rows, ncols):
+    # the free-column basis of the textbook Gauss-Jordan rows, in canonical form
+    reduced = _dense_gauss_jordan(rows, ncols)
+    pivots = {p for p, _ in reduced}
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {p: -row[f] for p, row in reduced if f in row}
+            vec[f] = F(1)
+            basis.append(vec)
+    return _reduce(basis)
+
+
+def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
+    rng = random.Random(29)
+    for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100:
+        rows, ncols = system(rng)
+        # compared with each row's column order, which Subspace output follows
+        expected = [(f, list(row.items())) for f, row in _dense_nullspace(rows, ncols)]
+        flip = lambda row: {ncols - 1 - c: x for c, x in row.items()}  # noqa: E731
+        for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
+            assert [(f, list(row.items())) for f, row in nullspace(order, ncols).rows] == expected
+            reduced = _gauss_jordan(order)
+            assert len(reduced) == len(_echelon(order))
+            assert all(p == max(row) for p, row in reduced.items())
+            assert all(c == p or c not in reduced for p, row in reduced.items() for c in row)
+            # rescaled, the rows are the RREF for the reversed column order
+            assert (sorted((ncols - 1 - p, {c: F(x, row[p]) for c, x in flip(row).items()})
+                           for p, row in reduced.items())
+                    == [(q, dict(sorted(row.items())))
+                        for q, row in _dense_gauss_jordan([flip(r) for r in order], ncols)])
+
+
+def test_der_g_is_solved_with_one_pass_per_redundant_row(monkeypatch):
+    # Benoist(1)'s Der(g) system has 434 rows of rank 108 over 121 unknowns:
+    # reduced once against each pivot column it holds, no redundant row
+    # drives a chain of eliminations (over 1000 calls with the forward pass)
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert derivation_space(make_benoist(1)).flat.dim == 13
+    assert len(calls) < 300
 
 
 def test_sparse_apply_keeps_the_type_of_its_inputs():
@@ -479,6 +533,32 @@ def test_products_vanish_matches_brute_force_products():
         assert _all_products_vanish(maps) == expected
         assert products_vanish([m.columns for m in maps]) == expected
     assert {expected for _, expected in cases} == {True, False}
+
+
+def test_strictly_lower_triangular_maps_skip_the_image_chain(monkeypatch):
+    image_chain = linalg._image_chain
+    reached = []
+
+    def refused(*args):
+        raise AssertionError("the image chain ran")
+
+    def spied(*args):
+        reached.append(1)
+        return image_chain(*args)
+
+    rng = random.Random(23)
+    lower = [Matrix([[rng.randint(-3, 3) if j < i else 0 for j in range(5)]
+                     for i in range(5)]) for _ in range(3)]
+    monkeypatch.setattr(linalg, "_image_chain", refused)
+    assert products_vanish([m.columns for m in lower])
+    assert products_vanish([Matrix.zeros(3, 3).columns])
+    monkeypatch.setattr(linalg, "_image_chain", spied)
+    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    assert not products_vanish([e21.columns, e12.columns])
+    assert len(reached) == 1
+    upper = [Matrix([[m[j, i] for j in range(5)] for i in range(5)]) for m in lower]
+    assert products_vanish([m.columns for m in upper])
+    assert len(reached) == 2
 
 
 def _fraction_image_chain(maps, rows):
