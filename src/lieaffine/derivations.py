@@ -51,7 +51,7 @@ from .linalg import (
     ZERO,
     _coordinates,
     _flat_columns,
-    _reduce,
+    _gauss_jordan,
     dense_vector,
     integer_scaled,
     is_nilpotent,
@@ -419,29 +419,31 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
 def minimal_polynomial(m: Matrix) -> List[Fraction]:
     """Monic minimal polynomial of m, as ascending coefficients.
 
-    The flattened powers I, m, m^2, ... go through the kernel with m^d
-    tagged in column n^2 + n - d, so the last RREF row, once it pivots on a
-    tag, is the monic relation of lowest degree. They are reduced after 1,
-    2, 4, ... powers (the RREF rows standing in for the earlier ones), and
+    The powers I, m, m^2, ... go through the kernel with m^d tagged in
+    column d and flattened into the columns above n. ``_gauss_jordan``
+    pivots each row on its largest column, so a row pivoting on a tag holds
+    tags only, a relation among the powers, and the least pivot, once it is
+    a tag, is the relation of lowest degree. They are reduced after 1, 2,
+    4, ... powers (the kernel rows standing in for the earlier ones), and
     by m^n at the latest (Cayley-Hamilton).
     """
     if not m.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = m.rows
-    top = n * n + n
     rows, power = [], [{i: ONE} for i in range(n)]
     for d in range(n + 1):
         if d:
             power = [sparse_apply(m.columns, col) for col in power]
-        row = {p * n + q: x for q, col in enumerate(power) for p, x in col.items() if x}
-        row[top - d] = ONE
+        row = {n + 1 + p * n + q: x for q, col in enumerate(power) for p, x in col.items() if x}
+        row[d] = ONE
         rows.append(row)
         if d & (d + 1) == 0 or d == n:
-            reduced = _reduce(rows)
-            pivot, relation = reduced[-1]
-            if pivot >= n * n:
-                return [relation.get(top - e, ZERO) for e in range(top - pivot + 1)]
-            rows = [r for _, r in reduced]
+            reduced = _gauss_jordan(rows)
+            degree = min(reduced)
+            if degree <= n:
+                relation = reduced[degree]
+                return [Fraction(relation.get(e, 0), relation[degree]) for e in range(degree + 1)]
+            rows = list(reduced.values())
     raise AssertionError("the powers up to m^n are dependent")
 
 

@@ -226,11 +226,12 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     An empty list certifies that the structure constants define a Lie
     algebra (antisymmetry already holds by construction).
     """
+    ad = ad_columns(alg)
     out = []
     for (i, j, k), terms in cyclic_terms(alg):
         acc = [ZERO] * alg.dim
         for a, m, c in terms:
-            for p, d in alg.bracket_basis(a, m).items():
+            for p, d in ad[a][m].items():
                 acc[p] += c * d
         if any(acc):
             out.append((i, j, k, tuple(acc)))
@@ -281,12 +282,12 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
     """
     if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    gram = form.gram
+    columns = form.gram.columns
     out = []
     for (i, j, k), terms in cyclic_terms(alg):
         acc = ZERO
         for a, m, c in terms:
-            acc += gram[a, m] * c
+            acc += columns[m].get(a, ZERO) * c
         if acc:
             out.append((i, j, k, acc))
     return out

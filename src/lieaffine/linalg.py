@@ -7,29 +7,22 @@ denominator, the loop works on the integer numerators, and ``unscaled``
 turns a result back into Fractions at the boundary. Matrices act on column
 coordinate vectors, so column j of a map is the image of basis vector j.
 
-Every linear system goes through one elimination kernel on sparse rows
-``{col: value}`` of ints or Fractions: each row is taken sparsest first,
-cleared of denominators and eliminated fraction-free by
-cross-multiplication with per-row content reduction (``_eliminate``; a
-one-entry pivot row just deletes its column). It comes in two orders.
-``_echelon`` is the forward pass, each row's pivot its least column; its
-{pivot: primitive int row} is enough for a caller that only counts.
-``_back_substitute`` then clears the pivot columns from the last pivot
-up, each row touching only the pivot columns it holds, and ``_reduce``
-adds the one pivot normalization that reintroduces fractions. Its result
-is the canonical reduced row-echelon form with each row's columns in
-ascending order, so it is exact and deterministic, iteration order
-included, whatever the row order. ``_gauss_jordan`` keeps its rows fully
-reduced as it goes, each pivot the row's largest column, so a redundant
-row is reduced once against each pivot column it holds instead of through
-a chain of forward eliminations; it serves the tall systems of
-``nullspace`` (Der(g) has several equations per unknown).
-``rref``, ``span``, ``solve`` and ``invert`` read ``_reduce``;
-``nullspace`` reads its canonical basis straight off the
-``_gauss_jordan`` integer rows; ``rank``, ``nonsingular``,
-``products_vanish`` and ``is_nilpotent`` read only the forward pass. No
-elimination exists outside these two orders. ``_image_chain`` is the one
-image-chain loop, forward-only over integer-scaled maps, shared by
+Every linear system goes through one elimination kernel,
+``_gauss_jordan``, on sparse rows ``{col: value}`` of ints or Fractions:
+each row is taken sparsest first, cleared of denominators, eliminated
+fraction-free by cross-multiplication with per-row content reduction
+(``_eliminate``; a one-entry pivot row just deletes its column) and kept
+free of every other pivot column, each pivot the row's largest column.
+Its {pivot: primitive int row} is enough for a caller that only counts
+(``rank``, ``nonsingular``, ``products_vanish``, ``is_nilpotent``).
+``nullspace`` reads its canonical basis straight off those rows, and
+``_reduce`` runs the kernel on negated columns, so each pivot is the
+row's least column, and adds the one pivot normalization that
+reintroduces fractions. Its result is the canonical reduced row-echelon
+form with each row's columns in ascending order, so it is exact and
+deterministic, iteration order included, whatever the row order;
+``rref``, ``span``, ``solve`` and ``invert`` read it. ``_image_chain`` is
+the one image-chain loop, over integer-scaled maps, shared by
 ``products_vanish`` and ``liealg.lower_central_series``, which puts its
 terms in canonical form with ``_reduce``.
 
@@ -303,69 +296,21 @@ def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
     return _primitive(new)
 
 
-def _echelon(rows: Iterable[dict]) -> dict:
-    """Forward elimination of sparse rational rows {col: value}: {pivot: primitive int row}.
-
-    The rows are taken sparsest first (a stable sort on their length), so
-    one-entry rows become pivots before longer rows are reduced against
-    them. Each row is cleared of denominators and reduced against the pivot
-    rows found so far, fraction-free; zero entries and zero rows drop out.
-    Against a one-entry pivot row the reduction only deletes that column.
-    Each row's pivot is its least column. The rows span the input and their
-    number is its rank, which is all that ``rank``, ``nonsingular`` and
-    ``_image_chain`` read; the rows themselves depend on the input order.
-    """
-    echelon = {}
-    for row in sorted(rows, key=len):
-        den = lcm(*(x.denominator for x in row.values()))
-        cur = _primitive(
-            {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
-        )
-        while cur:
-            p = min(cur)
-            prow = echelon.get(p)
-            if prow is None:
-                echelon[p] = cur
-                break
-            if len(prow) == 1:
-                del cur[p]
-                cur = _primitive(cur)
-            else:
-                cur = _eliminate(prow[p], cur, cur[p], prow)
-    return echelon
-
-
-def _back_substitute(echelon: dict) -> dict:
-    """The ``_echelon`` rows, in place, with every pivot column cleared from the other rows.
-
-    Walks the pivots from the last one up: each row eliminates only the
-    pivot columns it holds, against the rows below it, which are already
-    fully reduced, so it costs the nonzeros met rather than rank^2 probes.
-    Each row stays a primitive int row, a multiple of its canonical RREF row.
-    """
-    for p in sorted(echelon, reverse=True):
-        row = echelon[p]
-        for q in [c for c in row if c != p and c in echelon]:
-            prow = echelon[q]
-            row = _eliminate(prow[q], row, row[q], prow)
-        echelon[p] = row
-    return echelon
-
-
 def _gauss_jordan(rows: Iterable[dict]) -> dict:
     """Fraction-free Gauss-Jordan of sparse rational rows {col: value}: {pivot: primitive int row}.
 
-    The rows are taken sparsest first, as in ``_echelon``, and every pivot
-    row is kept free of the other pivot columns. A new row is therefore
-    reduced once against each pivot column it holds (a one-entry pivot row
-    just deletes its column), so a redundant row costs at most its length.
-    A nonzero remainder pivots on its largest column, which is then cleared
-    from the rows that hold it, found through a column -> pivots index of
-    plain lists whose stale entries (the column since cancelled) are
-    skipped. Clearing a column below a row's pivot adds only columns below
-    the new pivot, so each row's pivot stays its largest column. The rows
-    span the input, their number is its rank, and each is a multiple of a
-    row of the reduced row-echelon form for the reversed column order.
+    The one elimination loop of the package. The rows are taken sparsest
+    first, and every pivot row is kept free of the other pivot columns. A
+    new row is therefore reduced once against each pivot column it holds (a
+    one-entry pivot row just deletes its column), so a redundant row costs
+    at most its length. A nonzero remainder pivots on its largest column,
+    which is then cleared from the rows that hold it, found through a
+    column -> pivots index of plain lists whose stale entries (the column
+    since cancelled) are skipped. Clearing a column below a row's pivot
+    adds only columns below the new pivot, so each row's pivot stays its
+    largest column. The rows span the input, their number is its rank, and
+    each is a multiple of a row of the reduced row-echelon form for the
+    reversed column order.
     """
     reduced = {}
     holders = {}
@@ -402,15 +347,16 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
 def _reduce(rows: Iterable[dict]) -> list:
     """Canonical RREF of sparse rational rows {col: value}.
 
-    ``_echelon``, then ``_back_substitute``, then the one normalization that
-    reintroduces fractions. Returns the nonzero RREF rows as
-    (pivot, {col: Fraction}) pairs in increasing pivot order, each dict in
-    ascending column order, so the result and its iteration order do not
-    depend on the order of the rows.
+    ``_gauss_jordan`` on the negated columns, whose pivots are then each
+    row's least column, then the one normalization that reintroduces
+    fractions. Returns the nonzero RREF rows as (pivot, {col: Fraction})
+    pairs in increasing pivot order, each dict in ascending column order,
+    so the result and its iteration order do not depend on the order of
+    the rows.
     """
-    reduced = _back_substitute(_echelon(rows))
-    return [(p, {c: Fraction(row[c], row[p]) for c in sorted(row)})
-            for p, row in sorted(reduced.items())]
+    reduced = _gauss_jordan({-c: x for c, x in row.items()} for row in rows)
+    return [(-p, {-c: Fraction(row[c], row[p]) for c in sorted(row, reverse=True)})
+            for p, row in sorted(reduced.items(), reverse=True)]
 
 
 def _sparse(v: Sequence) -> dict:
@@ -499,8 +445,8 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    """rank m, as the rank of the columns (rank m = rank m^T): forward elimination only."""
-    return len(_echelon(m.columns))
+    """rank m, as the rank of the columns (rank m = rank m^T): the kernel's row count."""
+    return len(_gauss_jordan(m.columns))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
@@ -524,13 +470,14 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
     checked on the reduced rows, which hold a column exactly when some
     equation does: their largest pivot and each row's least column.
 
-    The system is solved by ``_gauss_jordan``, whose rows each hold their
-    pivot p, their largest column, and free columns only. The solution for
+    The system is solved by the kernel in its own column order, unlike
+    ``_reduce``, which negates the columns: each ``_gauss_jordan`` row holds
+    its pivot p, its largest column, and free columns only. The solution for
     free column f is 1 at f and -r[f] / r[p] at the pivot p of each row r
     that holds f, every such p lying above f. So f is the least column of
     its vector and no other vector holds it: these vectors, with their
     columns in ascending order, already are the canonical RREF basis that
-    ``_reduce`` would return, and need no second elimination.
+    ``_reduce`` would return, and need no second pass through the kernel.
     """
     if isinstance(system, Matrix):
         system, ncols = _transpose(system.columns, system.rows), system.cols
@@ -615,18 +562,18 @@ def products_vanish(maps: Sequence[list]) -> bool:
 
 
 def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> List[dict]:
-    """W_0 = span of rows, W_(k+1) = sum of the m(W_k), each as ``_echelon`` rows.
+    """W_0 = span of rows, W_(k+1) = sum of the m(W_k), each as ``_gauss_jordan`` rows.
 
     ``maps`` are sparse column lists and W_1 must lie in W_0, so the W_k are
     nested. Each map is integer-scaled first, which leaves every image span
-    unchanged, so the loop runs in ints on forward elimination alone. The
+    unchanged, so the loop runs in ints and never normalizes a row. The
     list ends at the first W_k that is 0 or that the maps send onto itself,
     which is where the dimension stops falling.
     """
     maps = [integer_scaled(cols)[0] for cols in maps]
-    chain = [_echelon(rows)]
+    chain = [_gauss_jordan(rows)]
     while chain[-1]:
-        nxt = _echelon(sparse_apply(cols, w) for cols in maps for w in chain[-1].values())
+        nxt = _gauss_jordan(sparse_apply(cols, w) for cols in maps for w in chain[-1].values())
         if len(nxt) == len(chain[-1]):
             break
         chain.append(nxt)

@@ -947,16 +947,30 @@ def test_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
     algebra = capsys.readouterr().out.encode()
     assert main(["affine", "synth", "--family", "Ln", "--n", "4", "--reproducible"]) == 0
     certificate = capsys.readouterr().out.encode()
+    assert main(["der", "char-nilp", "--family", "Ln", "--n", "4", "--reproducible"]) == 0
+    verdict = capsys.readouterr().out.encode()
+    assert main(["affine", "symplectic-find", "--family", "Ln", "--n", "4", "--reproducible"]) == 0
+    form = json.dumps(json.loads(capsys.readouterr().out)["two_form"], indent=2).encode()
+    structure = json.loads(certificate)["witnesses"]["affine_structure"]
+    structure = json.dumps(structure, indent=2).encode()
     path = tmp_path / "doc.json"
     commands = {
         algebra: (["io", "validate", "--kind", "algebra", "--in", str(path)],
                   ["verify", "jacobi", "--in", str(path)]),
         certificate: (["io", "validate", "--kind", "certificate", "--in", str(path)],
                       ["affine", "verify", "--family", "Ln", "--n", "4", "--cert", str(path)]),
+        verdict: (["der", "verify-witness", "--family", "Ln", "--n", "4", "--cert", str(path)],),
+        form: (["io", "validate", "--kind", "twoform", "--in", str(path)],),
+        structure: (["io", "validate", "--kind", "affine", "--in", str(path)],),
     }
+    for base, argvs in commands.items():  # every unmutated document passes
+        path.write_bytes(base)
+        assert [main([*argv, "--reproducible"]) for argv in argvs] == [0] * len(argvs)
+    capsys.readouterr()
+    bases = list(commands)
     rng = random.Random(20_001)
-    for trial in range(200):
-        base = algebra if trial % 2 else certificate
+    for trial in range(100 * len(bases)):
+        base = bases[trial % len(bases)]
         data = _mutate(rng, base)
         path.write_bytes(data)
         for argv in commands[base]:

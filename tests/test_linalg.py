@@ -19,7 +19,6 @@ from lieaffine.liealg import ad_columns, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     Subspace,
-    _echelon,
     _flat_columns,
     _gauss_jordan,
     _reduce,
@@ -268,7 +267,7 @@ def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
         for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
             assert [(f, list(row.items())) for f, row in nullspace(order, ncols).rows] == expected
             reduced = _gauss_jordan(order)
-            assert len(reduced) == len(_echelon(order))
+            assert len(reduced) == len(_dense_gauss_jordan(order, ncols))
             assert all(p == max(row) for p, row in reduced.items())
             assert all(c == p or c not in reduced for p, row in reduced.items() for c in row)
             # rescaled, the rows are the RREF for the reversed column order
@@ -562,13 +561,14 @@ def test_strictly_lower_triangular_maps_skip_the_image_chain(monkeypatch):
 
 
 def _fraction_image_chain(maps, rows):
-    """The image chain on canonical Fraction RREF rows, back-substituted at every step.
+    """The image chain on textbook dense Fraction RREF rows, independent of the kernel.
 
-    The oracle of the forward-only chain: the same W_k, reduced in full.
+    The oracle of the integer chain: the same W_k, in canonical form.
     """
+    n = len(maps[0])
     chain = [rows]
     while chain[-1]:
-        nxt = _reduce(sparse_apply(cols, w) for cols in maps for _, w in chain[-1])
+        nxt = _dense_gauss_jordan([sparse_apply(cols, w) for cols in maps for _, w in chain[-1]], n)
         if len(nxt) == len(chain[-1]):
             break
         chain.append(nxt)
@@ -576,7 +576,8 @@ def _fraction_image_chain(maps, rows):
 
 
 def _fraction_products_vanish(maps):
-    return not _fraction_image_chain(maps, _reduce(col for cols in maps for col in cols))[-1]
+    rows = _dense_gauss_jordan([col for cols in maps for col in cols], len(maps[0]))
+    return not _fraction_image_chain(maps, rows)[-1]
 
 
 def _count_only_matrices(rng, n, entry):
@@ -604,7 +605,7 @@ def test_count_only_callers_match_full_reduction():
         for entry in (integer, rational):
             maps = _count_only_matrices(rng, n, entry)
             for m in maps:
-                full = len(_reduce(m.columns))
+                full = len(_dense_gauss_jordan(m.columns, n))
                 assert rank(m) == full
                 assert nonsingular(m) == (full == n)
                 assert is_nilpotent(m) == _fraction_products_vanish([m.columns])
@@ -625,8 +626,9 @@ def test_products_vanish_matches_full_chain_on_der_g():
         assert products_vanish(maps) == _fraction_products_vanish(maps) == nil
         assert space.all_nilpotent == nil
         for m in space.basis:
-            assert rank(m) == len(_reduce(m.columns))
-            assert nonsingular(m) == (len(_reduce(m.columns)) == n)
+            full = len(_dense_gauss_jordan(m.columns, n))
+            assert rank(m) == full
+            assert nonsingular(m) == (full == n)
             assert is_nilpotent(m) == _fraction_products_vanish([m.columns])
 
 
