@@ -740,6 +740,14 @@ PINNED_STDOUT = [
      "8e8667d9544439957beb0051e286b5986dd755352aace6774db5093c947c0aee"),
     (("catalog", "show", "--family", "Benoist", "--t=7/5"), 0,
      "2d2833003f94fcf8eaea51118f98bb371915f6978fd978f0dc7838aeb517ce11"),
+    # the Jacobi residuals of non-Lie members, one with fractional lambda,
+    # recorded while jacobi_report still summed Fractions per term
+    (("verify", "jacobi", "--family", "Ank", "--n", "9", "--k", "2", "--lambda=1",
+      "--lambda=1", "--lambda=2"), 1,
+     "65718a76f59ff60ef3e35882d7417e5bbf41f2494d04a859702296d342a8388a"),
+    (("verify", "jacobi", "--family", "Bnk", "--n", "10", "--k", "3", "--lambda=1/2",
+      "--lambda=3/4"), 1,
+     "333b671f7277a28a4004da416b4a1e0ba0eaa0c0dc1541e947d0b7e9139f0f39"),
 ]
 
 
