@@ -9,9 +9,10 @@ violating tuple with its exact residual. The check stays exhaustive over
 basis tuples, but sums each left-symmetry residual from the nonzero
 products alone: a triple that no nonzero product reaches has residual
 exactly 0, so the cost grows as the nonzero products times n rather than
-as n^3. It runs in Python ints: the stored tensor and the brackets are
-rescaled over common denominators, and only a nonzero residual becomes
-Fractions again.
+as n^3; torsion is checked on the pairs that hold a product or a bracket,
+every other pair having residual exactly 0. It runs in Python ints: the
+stored tensor and the brackets are rescaled over common denominators, and
+only a nonzero residual becomes Fractions again.
 
 Three constructors are provided:
 
@@ -59,6 +60,7 @@ from .errors import (
     NoStrategySucceeded,
     NotADerivationError,
     NotClosedError,
+    NotLieAlgebraError,
     SchemaError,
     SingularMatrixError,
     SingularOnDerivedError,
@@ -73,18 +75,19 @@ from .liealg import (
     dtheta_residual,
     integer_ad_columns,
     integer_structure,
+    jacobi_report,
     nondegenerate,
 )
 from .linalg import (
     Matrix,
     ZERO,
+    _nullspace,
     _transpose,
     dense_vector,
     integer_scaled,
     invert,
     matrix_to_json,
     nonsingular,
-    nullspace,
     sparse_apply,
     unscaled,
     vector,
@@ -248,8 +251,10 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     L_b meets the product's support, and only the k whose R_k meets the
     difference's, are visited. A triple that none of these touches has a
     residual of exactly 0, so the check stays exhaustive while its cost
-    grows as the nonzero products times n rather than as n^3. The torsion
-    pairs are all visited.
+    grows as the nonzero products times n rather than as n^3. Likewise the
+    torsion residual of a pair i < j that holds neither a product (e_i.e_j
+    or e_j.e_i) nor a bracket is exactly 0, so only the pairs that hold one
+    are visited, in ascending order.
 
     The sums run in integers: the stored ``structure.gamma`` is rescaled
     here over its common denominator D, and the brackets over theirs, D_c,
@@ -264,31 +269,34 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     products, d = integer_scaled(structure.gamma.values())
     gamma = dict(zip(structure.gamma, products))
     brackets, dc = integer_structure(alg)
-    # left[i][j] = e_i.e_j and right[k][m] = e_m.e_k, both times D
-    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
-    right = [[left[m][k] for m in range(n)] for k in range(n)]
+    # left[i][j] = e_i.e_j and right[k][m] = e_m.e_k, both times D, their
+    # empty entries sharing one dict that is only read; acting[c]: the b
+    # with e_b.e_c != 0; reaching[m]: the k with e_m.e_k != 0
+    empty: dict = {}
+    left = [[empty] * n for _ in range(n)]
+    right = [[empty] * n for _ in range(n)]
+    acting = [set() for _ in range(n)]
+    reaching = [set() for _ in range(n)]
+    for (a, c), prod in gamma.items():
+        left[a][c] = right[c][a] = prod
+        acting[c].add(a)
+        reaching[a].add(c)
+    # the pairs i < j with a nonzero e_i.e_j or e_j.e_i
+    product_pairs = {(min(a, c), max(a, c)) for a, c in gamma if a != c}
     # D * D_c (e_i.e_j - e_j.e_i - [e_i, e_j]) from the three integer columns
     torsion = {0: dc, 1: -dc, 2: -d}
     report = AffineReport()
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), {})), torsion)
-            if any(residual.values()):
-                report.torsion_violations.append(
-                    (i, j, dense_vector(unscaled(residual, d * dc), n)))
-    # acting[c]: the b with e_b.e_c != 0; reaching[m]: the k with e_m.e_k != 0
-    acting = [set() for _ in range(n)]
-    reaching = [set() for _ in range(n)]
-    for a, c in gamma:
-        acting[c].add(a)
-        reaching[a].add(c)
+    for i, j in sorted(product_pairs.union(brackets)):
+        residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), empty)), torsion)
+        if any(residual.values()):
+            report.torsion_violations.append((i, j, dense_vector(unscaled(residual, d * dc), n)))
     residuals: Dict[tuple, dict] = {}
     for (a, k), prod in gamma.items():
         minus = {c: -x for c, x in prod.items()}
         for b in set().union(*(acting[c] for c in prod)) - {a}:
             key, v = ((b, a, k), prod) if b < a else ((a, b, k), minus)
             sparse_apply(left[b], v, residuals.setdefault(key, {}))
-    for i, j in {(min(a, k), max(a, k)) for a, k in gamma if a != k}:
+    for i, j in product_pairs:
         swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))  # D (e_j.e_i - e_i.e_j)
         if any(swapped.values()):
             for k in set().union(*(reaching[m] for m, x in swapped.items() if x)):
@@ -311,6 +319,11 @@ def _product_tensor(outer: list, maps: Sequence[list], d_maps: int, inner: Matri
     provenance under ``witness``. The products run in integers: outer and
     inner are scaled to O / d_o and V / d_v, and each entry of O M_i V is
     divided once by d_o d_maps d_v.
+
+    Only nonzero terms are visited: O M_i e_m is formed once for each
+    nonzero column M_i e_m, and e_i.e_j sums V[m, j] O M_i e_m over the
+    support of column j of V and the i whose image of e_m is nonzero. The
+    tensor is kept in ascending (i, j) order.
     """
     provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
                   "seed": None}
@@ -318,8 +331,22 @@ def _product_tensor(outer: list, maps: Sequence[list], d_maps: int, inner: Matri
     outer, d_outer = integer_scaled(outer)
     inner_cols, d_inner = integer_scaled(inner.columns)
     den = d_outer * d_maps * d_inner
-    gamma = {(i, j): unscaled(sparse_apply(outer, sparse_apply(m, col)), den)
-             for i, m in enumerate(maps) for j, col in enumerate(inner_cols)}
+    # images[m]: the (i, O M_i e_m) with a nonzero image, in ascending i
+    images = [[] for _ in range(n)]
+    for i, cols in enumerate(maps):
+        for m, col in enumerate(cols):
+            if col:
+                image = {k: x for k, x in sparse_apply(outer, col).items() if x}
+                if image:
+                    images[m].append((i, image))
+    sums: Dict[tuple, dict] = {}
+    for j, col in enumerate(inner_cols):
+        for m, v in col.items():
+            for i, image in images[m]:
+                acc = sums.setdefault((i, j), {})
+                for k, x in image.items():
+                    acc[k] = acc.get(k, 0) + v * x
+    gamma = {key: unscaled(sums[key], den) for key in sorted(sums)}
     return AffineStructure(n, gamma, provenance)
 
 
@@ -346,7 +373,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructu
     complement of its RREF pivots; that choice never reaches the product
     because every ad image lies in the derived subalgebra. Column p_k of g,
     p_k the k-th pivot, combines the RREF rows by column k of the inverted
-    restriction.
+    restriction, in ints over the two common denominators.
     """
     derived = derived_subalgebra(alg)
     try:
@@ -355,10 +382,11 @@ def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructu
         raise SingularOnDerivedError(
             "restriction of f to the derived subalgebra is singular"
         )
-    basis = [row for _, row in derived.rows]
+    basis, d_basis = integer_scaled(row for _, row in derived.rows)
+    columns, d_rinv = integer_scaled(rinv.columns)
     g = [{} for _ in range(alg.dim)]
-    for (p, _), col in zip(derived.rows, rinv.columns):
-        g[p] = sparse_apply(basis, col)
+    for (p, _), col in zip(derived.rows, columns):
+        g[p] = unscaled(sparse_apply(basis, col), d_basis * d_rinv)
     return _product_tensor(g, *integer_ad_columns(alg), f, strategy, "derivation")
 
 
@@ -388,7 +416,9 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     dimension; otherwise computes the linear space of closed forms exactly
     and draws seeded combinations of its basis until one has nonzero Gram
     determinant. That determinant is the square of the Pfaffian, of
-    degree n/2 in the coefficients.
+    degree n/2 in the coefficients. The closedness equations are integer
+    rows over the integer-scaled structure constants, which leaves their
+    solutions unchanged.
     """
     check_trials(trials)
     n = alg.dim
@@ -397,14 +427,14 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: s for s, p in enumerate(pairs)}
     rows = []
-    for _, terms in cyclic_terms(alg):
+    for _, terms in cyclic_terms(integer_structure(alg)[0], n):
         row = {}
         for a, m, c in terms:
             if a != m:
                 col = index[(min(a, m), max(a, m))]
-                row[col] = row.get(col, ZERO) + (c if a < m else -c)
+                row[col] = row.get(col, 0) + (c if a < m else -c)
         rows.append(row)
-    return _first_hit(nullspace(rows, len(pairs)),
+    return _first_hit(_nullspace(rows, len(pairs)),
                       lambda v: TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items() if x}),
                       (), seed, trials, nondegenerate)
 
@@ -418,7 +448,9 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     before it is returned, and the certificate embeds the witness and the
     product tensor. Failure raises NoStrategySucceeded with one reason per
     attempted strategy; that exception reports a failed search and never a
-    non-existence proof.
+    non-existence proof. When the winner fails verification on an algebra
+    that is not Lie, NotLieAlgebraError names the Jacobi violations; on a
+    Lie algebra that failure is a bug and raises AssertionError.
     """
     if strategy != "auto" and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -434,6 +466,11 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
         structure = entry.construct(alg, witness)
         report = verify_affine(alg, structure)
         if not report.passed:
+            violations = len(jacobi_report(alg))
+            if violations:
+                raise NotLieAlgebraError(
+                    f"constructed {name} structure failed verification: the structure "
+                    f"constants violate the Jacobi identity on {violations} basis triple(s)")
             raise AssertionError(
                 f"constructed {name} structure failed verification; "
                 f"{len(report.torsion_violations)} torsion and "

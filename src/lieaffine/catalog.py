@@ -3,7 +3,7 @@
 Bracket tables are written below in the 1-based indexing of the printed
 displays and converted to the package's 0-based storage at construction.
 
-The rank-1 families A_n^k, B_n^k and C_n carry parameters (lambda_1, ...)
+The families A_n^k, B_n^k (rank 1) and C_n carry parameters (lambda_1, ...)
 that are subject to polynomial constraints coming from the Jacobi
 identity. Those constraints are never solved symbolically here: the
 constructors build the bracket table for the given parameters and hand

@@ -16,8 +16,9 @@ Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
 an n x n determinant): a bound that is vacuous from n = 21 on.
 
 ``derivation_space`` returns at once: Der(g) is solved the first time
-``DerivationSpace.flat`` is read, by ``nullspace``'s Gauss-Jordan pass, so
-a verdict that never reads it never pays for it. Each derivation search
+``DerivationSpace.flat`` is read, by the Gauss-Jordan pass of
+``linalg._nullspace`` on the integer equations, so a verdict that never
+reads it never pays for it. Each derivation search
 checks ``trials`` first. The derived-regular search then tries its
 diagonal weight candidates, which need only the weight equations, and a
 hit there never solves Der(g).
@@ -52,11 +53,12 @@ from .linalg import (
     _coordinates,
     _flat_columns,
     _gauss_jordan,
+    _integer_row,
+    _nullspace,
     dense_vector,
     integer_scaled,
     is_nilpotent,
     nonsingular,
-    nullspace,
     products_vanish,
     sparse_apply,
     unscaled,
@@ -84,7 +86,7 @@ class DerivationSpace:
     def flat(self) -> Subspace:
         """Der(g) as the RREF rows of the solutions of ``_derivation_equations``."""
         n = self.algebra.dim
-        return nullspace(_derivation_equations(self.algebra), n * n)
+        return _nullspace(_derivation_equations(self.algebra), n * n)
 
     @property
     def dim(self) -> int:
@@ -106,7 +108,8 @@ class DerivationSpace:
     def all_nilpotent(self) -> bool:
         """Exactly whether every derivation is nilpotent (Der(g) is nil).
 
-        A basis element with nonzero trace settles False at once; otherwise
+        A basis element with nonzero trace, summed over the diagonal entries
+        its sparse row stores, settles False at once; otherwise
         ``products_vanish`` decides, which by Engel's theorem is the same
         as every element of the span being nilpotent. When every basis map
         is strictly lower triangular, as for Benoist(t) in the catalog
@@ -114,7 +117,8 @@ class DerivationSpace:
         its image chain decides.
         """
         n = self.algebra.dim
-        if any(sum(row.get(p * (n + 1), ZERO) for p in range(n)) for _, row in self.flat.rows):
+        # flat index c < n^2 is diagonal entry (p, p) exactly when c = p * (n + 1)
+        if any(sum(x for c, x in row.items() if not c % (n + 1)) for _, row in self.flat.rows):
             return False
         return products_vanish([_flat_columns(row.items(), n) for _, row in self.flat.rows])
 
@@ -170,21 +174,33 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     integers: m is rescaled over its common denominator d_m and the
     brackets over theirs, d_c, so every residual is d_m d_c times the
     rational one, and a nonzero one is reported as its exact Fractions.
+
+    The residual of (i, j) is exactly 0 unless [e_i, e_j] != 0, or
+    [e_j, e_q] != 0 for some q in the support of m e_i, or [e_i, e_q] != 0
+    for some q in that of m e_j, so only those pairs are visited, in
+    ascending order; the check stays exhaustive.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
     cols, dm = integer_scaled(m.columns)
     ad, dc = integer_ad_columns(alg)
+    # partners[q]: the p with [e_p, e_q] != 0
+    partners = [[] for _ in range(n)]
+    for p, q in alg.structure:
+        partners[p].append(q)
+        partners[q].append(p)
+    pairs = set(alg.structure)
+    for i, col in enumerate(cols):
+        pairs.update((min(i, j), max(i, j)) for q in col for j in partners[q] if j != i)
     neg = [{r: -x for r, x in col.items()} for col in cols]
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = sparse_apply(cols, ad[i][j])
-            sparse_apply(ad[j], cols[i], residual)
-            sparse_apply(ad[i], neg[j], residual)
-            if any(residual.values()):
-                out.append((i, j, dense_vector(unscaled(residual, dm * dc), n)))
+    for i, j in sorted(pairs):
+        residual = sparse_apply(cols, ad[i][j])
+        sparse_apply(ad[j], cols[i], residual)
+        sparse_apply(ad[i], neg[j], residual)
+        if any(residual.values()):
+            out.append((i, j, dense_vector(unscaled(residual, dm * dc), n)))
     return out
 
 
@@ -247,7 +263,7 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
             row = {i: 1, j: 1}
             row[k] = row.get(k, 0) - 1
             rows.append(row)
-    return nullspace(rows, alg.dim)
+    return _nullspace(rows, alg.dim)
 
 
 def check_trials(trials: int) -> None:
@@ -261,16 +277,17 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[dic
 
     Each c_k is one ``randint(-10, 10)`` from ``random.Random(seed)``, drawn
     per row in row order, so (seed, trials) replays a search exactly; a zero
-    c_k is skipped, and entries that cancel stay as zeros. By Schwartz-Zippel
+    c_k is skipped. The sums run in ints over the rows scaled to one common
+    denominator, and entries that cancel are dropped. By Schwartz-Zippel
     a nonzero polynomial of degree d in the c_k vanishes on a draw with
     probability at most d/21 (d = n for an n x n determinant), which is
     vacuous from n = 21 on. ``_first_hit`` is the one loop that reads them.
     """
     rng = random.Random(seed)
-    rows = [row for _, row in space.rows]
+    rows, den = integer_scaled(row for _, row in space.rows)
     for _ in range(trials):
         draw = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for _ in rows]
-        yield sparse_apply(rows, {k: c for k, c in enumerate(draw) if c})
+        yield unscaled(sparse_apply(rows, {k: c for k, c in enumerate(draw) if c}), den)
 
 
 def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable, seed: int,
@@ -310,11 +327,18 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
-    """Matrix of m on the RREF rows; column k holds the coordinates of m(row k)."""
-    out = [_coordinates(derived.rows, sparse_apply(m.columns, b)) for _, b in derived.rows]
+    """Matrix of m on the RREF rows; column k holds the coordinates of m(row k).
+
+    The images run in ints: m and the rows are scaled over their common
+    denominators d_m and d_b, so each image and its coordinates are
+    d_m d_b times the rational ones, and each coordinate is divided once.
+    """
+    cols, dm = integer_scaled(m.columns)
+    rows, db = integer_scaled(row for _, row in derived.rows)
+    out = [_coordinates(derived.rows, sparse_apply(cols, b)) for b in rows]
     if None in out:
         raise NotInvariantError("image of a derived-subalgebra vector escapes it")
-    return Matrix.from_sparse(derived.dim, out)
+    return Matrix.from_sparse(derived.dim, (unscaled(c, dm * db) for c in out))
 
 
 def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
@@ -436,7 +460,7 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
             power = [sparse_apply(m.columns, col) for col in power]
         row = {n + 1 + p * n + q: x for q, col in enumerate(power) for p, x in col.items() if x}
         row[d] = ONE
-        rows.append(row)
+        rows.append(_integer_row(row))
         if d & (d + 1) == 0 or d == n:
             reduced = _gauss_jordan(rows)
             degree = min(reduced)

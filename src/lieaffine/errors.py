@@ -25,6 +25,10 @@ class SingularOnDerivedError(LieToolError):
     """The restriction of a map to the derived subalgebra is singular."""
 
 
+class NotLieAlgebraError(LieToolError):
+    """Structure constants that violate the Jacobi identity on some basis triple."""
+
+
 class NotClosedError(LieToolError):
     """A 2-form fails the cocycle condition."""
 

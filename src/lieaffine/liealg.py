@@ -25,10 +25,12 @@ from .linalg import (
     ZERO,
     _image_chain,
     _reduce,
+    dense_vector,
     integer_scaled,
     nonsingular,
     rat,
     sparse_apply,
+    unscaled,
     vector,
 )
 
@@ -190,18 +192,19 @@ def _ad_table(structure: dict, n: int) -> List[List[dict]]:
     return out
 
 
-def cyclic_terms(alg: LieAlgebra):
-    """Yield ((i, j, k), terms) for the basis triples i < j < k.
+def cyclic_terms(structure: dict, n: int):
+    """Yield ((i, j, k), terms) for the basis triples i < j < k of a bracket table.
 
-    ``terms`` lists (a, m, c) over the cyclic sum (e_i, [e_j, e_k]),
-    (e_j, [e_k, e_i]), (e_k, [e_i, e_j]): c is the e_m coefficient of the
-    bracket paired with e_a. Triples whose three brackets all vanish are
-    skipped, since every cyclic sum over them is zero: only the triples
-    holding a stored pair are visited, through each index's set of larger
-    partners, in ascending (i, j, k) order.
+    ``structure`` is a table {(i, j): {m: c}} over pairs i < j of an
+    n-dimensional algebra; the callers pass ``integer_structure``, so every
+    c is an int, den times the structure constant. ``terms`` lists (a, m, c)
+    over the cyclic sum (e_i, [e_j, e_k]), (e_j, [e_k, e_i]), (e_k, [e_i, e_j]):
+    c is the e_m coefficient of the bracket paired with e_a. Triples whose
+    three brackets all vanish are skipped, since every cyclic sum over them
+    is zero: only the triples holding a stored pair are visited, through
+    each index's set of larger partners, in ascending (i, j, k) order.
     """
-    n = alg.dim
-    s = alg.structure
+    s = structure
     above = [set() for _ in range(n)]
     for i, j in s:
         above[i].add(j)
@@ -224,17 +227,22 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     """Exact residual of the Jacobi identity on every basis triple i < j < k.
 
     An empty list certifies that the structure constants define a Lie
-    algebra (antisymmetry already holds by construction).
+    algebra (antisymmetry already holds by construction). The sums run in
+    ints over ``integer_structure`` and its ad table, both den times the
+    rational ones, so each residual is den^2 times the rational one and is
+    divided once.
     """
-    ad = ad_columns(alg)
+    n = alg.dim
+    structure, den = integer_structure(alg)
+    ad = _ad_table(structure, n)
     out = []
-    for (i, j, k), terms in cyclic_terms(alg):
-        acc = [ZERO] * alg.dim
+    for (i, j, k), terms in cyclic_terms(structure, n):
+        acc = {}
         for a, m, c in terms:
             for p, d in ad[a][m].items():
-                acc[p] += c * d
-        if any(acc):
-            out.append((i, j, k, tuple(acc)))
+                acc[p] = acc.get(p, 0) + c * d
+        if any(acc.values()):
+            out.append((i, j, k, dense_vector(unscaled(acc, den * den), n)))
     return out
 
 
@@ -278,18 +286,23 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
 
     The residual on (i, j, k) is
     th(e_i, [e_j, e_k]) + th(e_j, [e_k, e_i]) + th(e_k, [e_i, e_j]);
-    an empty list means the form is closed.
+    an empty list means the form is closed. The sums run in ints over
+    ``integer_structure`` and the Gram matrix scaled over its own common
+    denominator d_form, and each nonzero one is divided once, by
+    den * d_form.
     """
-    if form.dim != alg.dim:
+    n = alg.dim
+    if form.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
-    columns = form.gram.columns
+    structure, den = integer_structure(alg)
+    columns, d_form = integer_scaled(form.gram.columns)
     out = []
-    for (i, j, k), terms in cyclic_terms(alg):
-        acc = ZERO
+    for (i, j, k), terms in cyclic_terms(structure, n):
+        acc = 0
         for a, m, c in terms:
-            acc += columns[m].get(a, ZERO) * c
+            acc += columns[m].get(a, 0) * c
         if acc:
-            out.append((i, j, k, acc))
+            out.append((i, j, k, Fraction(acc, den * d_form)))
     return out
 
 

@@ -8,23 +8,27 @@ turns a result back into Fractions at the boundary. Matrices act on column
 coordinate vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel,
-``_gauss_jordan``, on sparse rows ``{col: value}`` of ints or Fractions:
-each row is taken sparsest first, cleared of denominators, eliminated
-fraction-free by cross-multiplication with per-row content reduction
-(``_eliminate``; a one-entry pivot row just deletes its column) and kept
-free of every other pivot column, each pivot the row's largest column.
-Its {pivot: primitive int row} is enough for a caller that only counts
+``_gauss_jordan``, on sparse integer rows ``{col: int}``. Callers scale at
+the boundary: ``_integer_row`` clears one Fraction row of its
+denominators, and integer producers (the Der(g), weight and closed-form
+equations, and the image-chain steps) feed the kernel as they are. Each
+row is taken sparsest first, eliminated fraction-free by
+cross-multiplication with per-row content reduction (``_eliminate``; a
+one-entry pivot row just deletes its column) and kept free of every other
+pivot column, each pivot the row's largest column. Its
+{pivot: primitive int row} is enough for a caller that only counts
 (``rank``, ``nonsingular``, ``products_vanish``, ``is_nilpotent``).
-``nullspace`` reads its canonical basis straight off those rows, and
-``_reduce`` runs the kernel on negated columns, so each pivot is the
-row's least column, and adds the one pivot normalization that
-reintroduces fractions. Its result is the canonical reduced row-echelon
-form with each row's columns in ascending order, so it is exact and
-deterministic, iteration order included, whatever the row order;
-``rref``, ``span``, ``solve`` and ``invert`` read it. ``_image_chain`` is
-the one image-chain loop, over integer-scaled maps, shared by
-``products_vanish`` and ``liealg.lower_central_series``, which puts its
-terms in canonical form with ``_reduce``.
+``_nullspace`` reads its canonical basis straight off those rows, for
+integer rows, and ``nullspace`` wraps it for rational ones. ``_reduce``
+runs the kernel on negated columns, so each pivot is the row's least
+column, and adds the one pivot normalization that reintroduces
+fractions. Its result is the canonical reduced row-echelon form with each
+row's columns in ascending order, so it is exact and deterministic,
+iteration order included, whatever the row order; ``rref``, ``span``,
+``solve`` and ``invert`` read it. ``_image_chain`` is the one image-chain
+loop, over integer-scaled maps, shared by ``products_vanish`` and
+``liealg.lower_central_series``, which puts its terms in canonical form
+with ``_reduce``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
 by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;
@@ -178,7 +182,8 @@ class Matrix:
         return self + -other if isinstance(other, Matrix) else NotImplemented
 
     def __neg__(self) -> "Matrix":
-        return self._scaled(-ONE)
+        return Matrix.from_sparse(self.rows, ({r: -x for r, x in col.items()}
+                                              for col in self.columns))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -296,14 +301,25 @@ def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
     return _primitive(new)
 
 
-def _gauss_jordan(rows: Iterable[dict]) -> dict:
-    """Fraction-free Gauss-Jordan of sparse rational rows {col: value}: {pivot: primitive int row}.
+def _integer_row(row: dict) -> dict:
+    """The sparse rational row times the lcm of its denominators, as nonzero ints.
 
-    The one elimination loop of the package. The rows are taken sparsest
-    first, and every pivot row is kept free of the other pivot columns. A
-    new row is therefore reduced once against each pivot column it holds (a
-    one-entry pivot row just deletes its column), so a redundant row costs
-    at most its length. A nonzero remainder pivots on its largest column,
+    The kernel's boundary: it scales each row by a positive constant, which
+    leaves every row space and solution set unchanged.
+    """
+    den = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+
+
+def _gauss_jordan(rows: Iterable[dict]) -> dict:
+    """Fraction-free Gauss-Jordan of sparse integer rows {col: int}: {pivot: primitive int row}.
+
+    The one elimination loop of the package; zero entries are dropped, and
+    rational rows go through ``_integer_row`` first. The rows are taken
+    sparsest first, and every pivot row is kept free of the other pivot
+    columns. A new row is therefore reduced once against each pivot column
+    it holds (a one-entry pivot row just deletes its column), so a
+    redundant row costs at most its length. A nonzero remainder pivots on its largest column,
     which is then cleared from the rows that hold it, found through a
     column -> pivots index of plain lists whose stale entries (the column
     since cancelled) are skipped. Clearing a column below a row's pivot
@@ -315,8 +331,7 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
     reduced = {}
     holders = {}
     for row in sorted(rows, key=len):
-        den = lcm(*(x.denominator for x in row.values()))
-        cur = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        cur = {c: x for c, x in row.items() if x}
         for q in [c for c in cur if c in reduced]:
             prow = reduced[q]
             if len(prow) == 1:
@@ -354,7 +369,7 @@ def _reduce(rows: Iterable[dict]) -> list:
     so the result and its iteration order do not depend on the order of
     the rows.
     """
-    reduced = _gauss_jordan({-c: x for c, x in row.items()} for row in rows)
+    reduced = _gauss_jordan(_integer_row({-c: x for c, x in row.items()}) for row in rows)
     return [(-p, {-c: Fraction(row[c], row[p]) for c in sorted(row, reverse=True)})
             for p, row in sorted(reduced.items(), reverse=True)]
 
@@ -427,9 +442,19 @@ def _coordinates(rows: Sequence[tuple], v: dict) -> Optional[dict]:
     """Nonzero coordinates {k: c} of sparse v on the RREF rows, or None outside their span.
 
     Coordinate k is v's entry at the k-th pivot; v is inside iff no residual is left.
+    An RREF row is 1 at its own pivot and 0 at every other pivot column, so
+    the residual is exactly 0 on the pivot columns and is summed on the
+    others only.
     """
-    coords = {k: v[p] for k, (p, _) in enumerate(rows) if v.get(p)}
-    residual = sparse_apply([row for _, row in rows], {k: -c for k, c in coords.items()}, dict(v))
+    residual = dict(v)
+    coords = {}
+    for k, (p, row) in enumerate(rows):
+        c = residual.pop(p, None)
+        if c:
+            coords[k] = c
+            for col, x in row.items():
+                if col != p:
+                    residual[col] = residual.get(col, 0) - c * x
     return None if any(residual.values()) else coords
 
 
@@ -446,7 +471,7 @@ def rref(m: Matrix) -> tuple:
 
 def rank(m: Matrix) -> int:
     """rank m, as the rank of the columns (rank m = rank m^T): the kernel's row count."""
-    return len(_gauss_jordan(m.columns))
+    return len(_gauss_jordan(map(_integer_row, m.columns)))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
@@ -478,12 +503,23 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
     its vector and no other vector holds it: these vectors, with their
     columns in ascending order, already are the canonical RREF basis that
     ``_reduce`` would return, and need no second pass through the kernel.
+    Each row is scaled to integers (``_integer_row``) and solved by
+    ``_nullspace``.
     """
     if isinstance(system, Matrix):
         system, ncols = _transpose(system.columns, system.rows), system.cols
     elif ncols is None:
         raise DimensionMismatch("sparse equation rows need the number of unknowns")
-    reduced = _gauss_jordan(system)
+    return _nullspace(map(_integer_row, system), ncols)
+
+
+def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
+    """``nullspace`` of sparse integer rows {col: int} over ``ncols`` unknowns.
+
+    The one solve behind ``nullspace``, which integer producers (the Der(g),
+    weight and closed-form equations) call directly.
+    """
+    reduced = _gauss_jordan(rows)
     if reduced and (max(reduced) >= ncols or min(min(row) for row in reduced.values()) < 0):
         raise DimensionMismatch(f"an equation holds a column outside range({ncols})")
     holders = {f: [] for f in range(ncols) if f not in reduced}
@@ -571,7 +607,7 @@ def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> List[dict]:
     which is where the dimension stops falling.
     """
     maps = [integer_scaled(cols)[0] for cols in maps]
-    chain = [_gauss_jordan(rows)]
+    chain = [_gauss_jordan(map(_integer_row, rows))]
     while chain[-1]:
         nxt = _gauss_jordan(sparse_apply(cols, w) for cols in maps for w in chain[-1].values())
         if len(nxt) == len(chain[-1]):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine import affine
 from lieaffine.affine import (
+    AffineReport,
     AffineStructure,
     _product_tensor,
     find_symplectic,
@@ -19,7 +21,9 @@ from lieaffine.affine import (
 )
 from lieaffine.catalog import (
     make_abelian,
+    make_ank,
     make_benoist,
+    make_bnk,
     make_cn,
     make_ln,
     make_qn,
@@ -36,6 +40,7 @@ from lieaffine.errors import (
     NoStrategySucceeded,
     NotADerivationError,
     NotClosedError,
+    NotLieAlgebraError,
     SingularMatrixError,
     SingularOnDerivedError,
 )
@@ -280,6 +285,78 @@ def test_product_tensor_matches_fraction_oracle(name):
             assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
             assert structure.provenance["inputs"]["witness"] == [
                 [str(x) for x in row] for row in inner.data]
+
+
+def _all_pairs_product_tensor(outer, maps, d_maps, inner):
+    # the loop over all n^2 pairs (i, j), two sparse_apply calls each: the
+    # oracle of the sums over nonzero (i, M_i e_m) pairs
+    n = len(maps)
+    outer, d_outer = integer_scaled(outer)
+    inner_cols, d_inner = integer_scaled(inner.columns)
+    den = d_outer * d_maps * d_inner
+    return AffineStructure(n, {(i, j): unscaled(sparse_apply(outer, sparse_apply(m, col)), den)
+                               for i, m in enumerate(maps)
+                               for j, col in enumerate(inner_cols)}).gamma
+
+
+_CONSTRUCTIONS = {
+    "L12-regular": (make_ln(12), "regular"),
+    "L12-symplectic": (make_ln(12), "symplectic"),
+    "Q10-derived-regular": (make_qn(10), "derived-regular"),
+    "C8-fractional-regular": (make_cn(8, [F(2, 3), F(1, 2)])[0], "regular"),
+    "C8-fractional-derived-regular": (make_cn(8, [F(2, 3), F(1, 2)])[0], "derived-regular"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTIONS))
+def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch, name):
+    alg, strategy = _CONSTRUCTIONS[name]
+    calls = []
+    product_tensor = affine._product_tensor
+
+    def recorded(outer, maps, d_maps, inner, *rest):
+        structure = product_tensor(outer, maps, d_maps, inner, *rest)
+        calls.append((outer, maps, d_maps, inner, structure))
+        return structure
+
+    monkeypatch.setattr(affine, "_product_tensor", recorded)
+    built, _ = synthesize(alg, strategy=strategy)
+    [(outer, maps, d_maps, inner, structure)] = calls
+    assert structure is built and structure.gamma
+    assert structure.gamma == _all_pairs_product_tensor(outer, maps, d_maps, inner)
+    assert list(structure.gamma) == sorted(structure.gamma)
+    fraction_maps = [[unscaled(col, d_maps) for col in cols] for cols in maps]
+    assert structure.gamma == _fraction_product_tensor(outer, fraction_maps, inner)
+
+
+@pytest.mark.parametrize("member", [
+    (make_ank, (9, 2, [1, 1, 2]), 1),
+    (make_bnk, (10, 3, [1, 2]), 3),
+], ids=["A9^2(1,1,2)", "B10^3(1,2)"])
+def test_synthesize_on_a_non_lie_table_names_its_jacobi_violations(member):
+    make, args, count = member
+    alg, report = make(*args)
+    assert len(report) == count
+    with pytest.raises(NotLieAlgebraError, match=f"Jacobi identity on {count} basis triple"):
+        synthesize(alg)
+    assert issubclass(NotLieAlgebraError, LieToolError)
+
+
+def test_failed_verification_on_a_lie_algebra_stays_an_assertion(monkeypatch):
+    # the Jacobi report is empty, so a failed re-verification is a bug
+    monkeypatch.setattr(affine, "verify_affine",
+                        lambda alg, structure: AffineReport(leftsym_violations=[(0, 1, 2, ())]))
+    with pytest.raises(AssertionError, match="failed verification"):
+        synthesize(make_ln(6))
+
+
+def test_successful_synthesis_runs_no_jacobi_report(monkeypatch):
+    def no_report(alg):
+        raise AssertionError("jacobi_report ran on the success path")
+
+    monkeypatch.setattr(affine, "jacobi_report", no_report)
+    for strategy in ("regular", "derived-regular", "symplectic"):
+        assert synthesize(make_ln(8), strategy=strategy)[1].strategy == strategy
 
 
 def test_from_regular_derivation_l4_hand_values():

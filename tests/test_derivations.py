@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 from lieaffine import derivations
-from lieaffine.affine import find_symplectic, synthesize
+from lieaffine.affine import (
+    AffineStructure,
+    find_symplectic,
+    from_derived_regular,
+    from_regular_derivation,
+    synthesize,
+    verify_affine,
+)
 from lieaffine.catalog import (
     make_abelian,
     make_benoist,
@@ -33,7 +40,7 @@ from lieaffine.derivations import (
     verify_torus,
     verify_witness,
 )
-from lieaffine.errors import DimensionMismatch, NotADerivationError
+from lieaffine.errors import DimensionMismatch, NotADerivationError, NotInvariantError
 from lieaffine.liealg import LieAlgebra, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
     ZERO,
@@ -47,6 +54,7 @@ from lieaffine.linalg import (
     nonsingular,
     nullspace,
     rank,
+    solve,
     span,
     unit_vector,
 )
@@ -482,6 +490,77 @@ def _dense_basis_change(n, rng):
                     for i in range(n)])
         if nonsingular(p):
             return p
+
+
+def _rational_basis_change(n, rng):
+    # an invertible P with unit diagonal and seeded p/q entries (q = 2, 3) on
+    # about 30% of the places off it, so the RREF rows of [g, g] carry
+    # denominators
+    while True:
+        p = Matrix([[1 if i == j else F(rng.choice((-2, -1, 1, 3)), rng.choice((2, 3)))
+                     if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)])
+        if nonsingular(p):
+            return p
+
+
+def _fraction_restrict(derived, m):
+    # the images of the rows and their coordinates in Fractions: the oracle
+    # of the integer restriction
+    rows = [row for _, row in derived.rows]
+    out = []
+    for b in rows:
+        v = sparse_apply(m.columns, b)
+        coords = {k: v[p] for k, (p, _) in enumerate(derived.rows) if v.get(p)}
+        residual = sparse_apply(rows, {k: -c for k, c in coords.items()}, dict(v))
+        assert not any(residual.values())
+        out.append(coords)
+    return Matrix.from_sparse(derived.dim, out)
+
+
+RATIONAL_BASIS_ALGEBRAS = [make_ln(7), make_qn(8), make_cn(8, [1, 1])[0]]
+
+
+@pytest.mark.parametrize("alg", RATIONAL_BASIS_ALGEBRAS, ids=["L7", "Q8", "C8"])
+def test_restriction_matches_fraction_oracle_in_a_rational_basis(alg):
+    moved = _change_basis(alg, _rational_basis_change(alg.dim, random.Random(alg.dim)))
+    derived = derived_subalgebra(moved)
+    assert any(x.denominator > 1 for _, row in derived.rows for x in row.values())
+    space = derivation_space(moved)
+    maps = [*space.basis[:4], *(space.matrix(v) for v in seeded_combinations(space.flat, 3, 3))]
+    for f in maps:
+        assert restrict_to_derived(moved, f) == _fraction_restrict(derived, f)
+    # a map that moves [g, g] off itself is still caught
+    leak = Matrix.from_sparse(moved.dim, [{0: F(1, 2)} for _ in range(moved.dim)])
+    with pytest.raises(NotInvariantError):
+        derivations._restrict(derived, leak)
+
+
+def _solved_derived_product(alg, f):
+    # e_i.e_j = the x in [g, g] with f(x) = [e_i, f(e_j)], solved densely in
+    # Fractions: the oracle of the integer composition g = (f on [g, g])^-1
+    n = alg.dim
+    basis = derived_subalgebra(alg).basis
+    images = Matrix.from_columns([f.apply(b) for b in basis], n)
+    e = [unit_vector(n, i) for i in range(n)]
+    gamma = {}
+    for i in range(n):
+        for j in range(n):
+            coeffs = solve(images, alg.bracket(e[i], f.apply(e[j])))
+            gamma[(i, j)] = {k: sum((c * b[k] for c, b in zip(coeffs, basis)), F(0))
+                             for k in range(n)}
+    return AffineStructure(n, gamma).gamma
+
+
+@pytest.mark.parametrize("alg", RATIONAL_BASIS_ALGEBRAS, ids=["L7", "Q8", "C8"])
+def test_derived_products_match_dense_solve_in_a_rational_basis(alg):
+    moved = _change_basis(alg, _rational_basis_change(alg.dim, random.Random(alg.dim)))
+    space = derivation_space(moved)
+    for f in (find_regular_derivation(space, seed=1),
+              find_derived_regular_derivation(space, seed=2)):
+        built = from_derived_regular(moved, f)
+        assert built.gamma == _solved_derived_product(moved, f)
+        assert verify_affine(moved, built).passed
+    assert from_regular_derivation(moved, f).gamma == built.gamma
 
 
 NIL_CASES = [(make_benoist(t), True, t == 1) for t in (0, 1, -1, F(1, 3))] + [

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine.affine import find_symplectic
 from lieaffine.catalog import make_abelian, make_benoist, make_cn, make_ln, make_qn
 from lieaffine.errors import DimensionMismatch
 from lieaffine.liealg import (
@@ -156,7 +157,11 @@ def _random_sparse_algebra(n, pairs, seed):
     make_benoist(F(7, 5)), _random_sparse_algebra(9, 4, 1), _random_sparse_algebra(12, 30, 2),
 ], ids=["abelian5", "L24", "Q24", "C12", "B7/5", "random9", "random12"])
 def test_cyclic_terms_match_the_all_triples_scan(alg):
-    assert list(cyclic_terms(alg)) == list(_all_triples_cyclic_terms(alg))
+    assert list(cyclic_terms(alg.structure, alg.dim)) == list(_all_triples_cyclic_terms(alg))
+    # the integer-scaled table that the callers pass
+    structure, _ = integer_structure(alg)
+    scaled = LieAlgebra(alg.dim, structure)
+    assert list(cyclic_terms(structure, alg.dim)) == list(_all_triples_cyclic_terms(scaled))
 
 
 def test_jacobi_report_benoist_all_three_points():
@@ -300,3 +305,80 @@ def test_algebra_hash_ignores_labels():
     b = LieAlgebra(5, dict(a.structure), name="renamed", basis_names=list("abcde"))
     assert algebra_hash(a) == algebra_hash(b)
     assert algebra_hash(a) != algebra_hash(make_ln(6))
+
+
+def _fraction_jacobi_report(alg):
+    # the Jacobi sums as one Fraction loop per cyclic term: the oracle of the integer sums
+    n = alg.dim
+    ad = ad_columns(alg)
+    out = []
+    for (i, j, k), terms in cyclic_terms(alg.structure, n):
+        acc = [F(0)] * n
+        for a, m, c in terms:
+            for p, d in ad[a][m].items():
+                acc[p] += c * d
+        if any(acc):
+            out.append((i, j, k, tuple(acc)))
+    return out
+
+
+def _fraction_dtheta_residual(alg, form):
+    # the cocycle sums as one Fraction loop per cyclic term: the oracle of the integer sums
+    columns = form.gram.columns
+    out = []
+    for (i, j, k), terms in cyclic_terms(alg.structure, alg.dim):
+        acc = F(0)
+        for a, m, c in terms:
+            acc += columns[m].get(a, F(0)) * c
+        if acc:
+            out.append((i, j, k, acc))
+    return out
+
+
+def _perturbed(alg, rng):
+    # one structure constant set to a seeded rational (a new one, or one replaced)
+    n = alg.dim
+    i, j = sorted(rng.sample(range(n), 2))
+    k = rng.randrange(n)
+    structure = {pair: dict(coeffs) for pair, coeffs in alg.structure.items()}
+    structure.setdefault((i, j), {})[k] = F(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 9)))
+    return LieAlgebra(n, structure)
+
+
+def _random_form(rng, n):
+    entries = {(i, j): F(rng.randint(-6, 6), rng.choice((1, 4, 15)))
+               for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return TwoForm.from_entries(n, entries)
+
+
+_PERTURBED_BASES = {
+    "B7/5": make_benoist(F(7, 5)),
+    "C12": make_cn(12, [1, -1, 1, 1])[0],
+    "L12": make_ln(12),
+}
+
+
+@pytest.mark.parametrize("name", list(_PERTURBED_BASES))
+def test_integer_jacobi_and_dtheta_sums_match_fraction_oracles(name):
+    base = _PERTURBED_BASES[name]
+    n = base.dim
+    algebras = [base] + [_perturbed(base, random.Random(f"{name}/{s}")) for s in range(8)]
+    rng = random.Random(name)
+    broken = nonclosed = 0
+    for alg in algebras:
+        report = jacobi_report(alg)
+        assert report == _fraction_jacobi_report(alg)
+        assert all(type(x) is Fraction for *_, residual in report for x in residual)
+        broken += bool(report)
+        forms = [_random_form(rng, n) for _ in range(3)]
+        if alg is base:
+            # with a closed one where the base has one (L12)
+            forms.append(find_symplectic(alg))
+        for form in filter(None, forms):
+            residual = dtheta_residual(alg, form)
+            assert residual == _fraction_dtheta_residual(alg, form)
+            assert all(type(x) is Fraction for *_, x in residual)
+            nonclosed += bool(residual)
+    assert not jacobi_report(base)
+    assert broken >= 4
+    assert nonclosed >= 20

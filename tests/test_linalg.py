@@ -19,8 +19,10 @@ from lieaffine.liealg import ad_columns, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     Subspace,
+    _coordinates,
     _flat_columns,
     _gauss_jordan,
+    _integer_row,
     _reduce,
     integer_scaled,
     invert,
@@ -266,7 +268,7 @@ def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
         flip = lambda row: {ncols - 1 - c: x for c, x in row.items()}  # noqa: E731
         for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
             assert [(f, list(row.items())) for f, row in nullspace(order, ncols).rows] == expected
-            reduced = _gauss_jordan(order)
+            reduced = _gauss_jordan(map(_integer_row, order))
             assert len(reduced) == len(_dense_gauss_jordan(order, ncols))
             assert all(p == max(row) for p, row in reduced.items())
             assert all(c == p or c not in reduced for p, row in reduced.items() for c in row)
@@ -682,6 +684,38 @@ def test_span_l4_bracket_images():
     s = span(images, 4)
     assert s.dim == 2
     assert s.basis == (unit_vector(4, 2), unit_vector(4, 3))
+
+
+def _fraction_coordinates(rows, v):
+    # the full Fraction residual over every column: the oracle of the non-pivot check
+    coords = {k: v[p] for k, (p, _) in enumerate(rows) if v.get(p)}
+    residual = sparse_apply([row for _, row in rows], {k: -c for k, c in coords.items()}, dict(v))
+    return None if any(residual.values()) else coords
+
+
+def test_coordinates_match_full_residual_oracle():
+    rng = random.Random(41)
+    inside = outside = 0
+    for system in [_sparse_system] * 60 + [_singleton_heavy_system] * 60:
+        rows, ncols = system(rng)
+        reduced = _reduce(rows)
+        for _ in range(4):
+            # a seeded combination of the rows, with explicit zeros, then
+            # perhaps moved off the span by one entry
+            draw = {k: F(rng.randint(-4, 4), rng.randint(1, 5)) for k in range(len(reduced))}
+            v = sparse_apply([row for _, row in reduced], draw)
+            v.setdefault(rng.randrange(ncols), F(0))
+            if rng.random() < 0.5:
+                c = rng.randrange(ncols)
+                v[c] = v.get(c, F(0)) + F(rng.choice((-3, 1, 2)), rng.randint(1, 3))
+            coords = _coordinates(reduced, v)
+            assert coords == _fraction_coordinates(reduced, v)
+            if coords is None:
+                outside += 1
+            else:
+                inside += 1
+                assert list(coords) == sorted(coords) and all(coords.values())
+    assert inside > 300 and outside > 80
 
 
 def test_subspace_coordinates_and_membership():
