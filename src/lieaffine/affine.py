@@ -30,7 +30,10 @@ Three constructors are provided:
 All three build e_i.e_j as outer(M_i(inner e_j)) from sparse columns
 (``_product_tensor``), composed in integers over the three maps' common
 denominators, and keep the tensor sparse, in the algebra's
-{(i, j): {k: c}} form of exact Fractions.
+{(i, j): {k: c}} form of exact Fractions. The outer map comes straight
+from the kernel's integer inverse (``linalg._integer_inverse``) of the
+restriction to [g, g] or of the Gram matrix, so no Fraction inverse is
+built; the tensor's entries are the first Fractions formed.
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -45,7 +48,7 @@ from . import __about__
 from .derivations import (
     DEFAULT_TRIALS,
     _first_hit,
-    _restrict,
+    _integer_restrict,
     check_trials,
     derivation_space,
     find_derived_regular_derivation,
@@ -81,11 +84,11 @@ from .liealg import (
 from .linalg import (
     Matrix,
     ZERO,
+    _integer_inverse,
     _nullspace,
     _transpose,
     dense_vector,
     integer_scaled,
-    invert,
     matrix_to_json,
     nonsingular,
     sparse_apply,
@@ -308,17 +311,17 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     return report
 
 
-def _product_tensor(outer: list, maps: Sequence[list], d_maps: int, inner: Matrix,
+def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int, inner: Matrix,
                     strategy: str, witness: str) -> AffineStructure:
     """The structure e_i.e_j = outer(maps[i](inner e_j)) / d_maps, recorded as ``strategy``.
 
-    ``outer`` is the sparse columns of a map, and each ``maps[i]`` the
-    integer sparse columns of d_maps times a map (ad(e_i) or its transpose,
-    from ``integer_ad_columns``); the three constructions differ only in the
-    three maps. ``inner`` is the construction's witness matrix, kept in the
-    provenance under ``witness``. The products run in integers: outer and
-    inner are scaled to O / d_o and V / d_v, and each entry of O M_i V is
-    divided once by d_o d_maps d_v.
+    ``outer`` is (O, d_o): the integer sparse columns of d_o times a map.
+    Each ``maps[i]`` is the integer sparse columns of d_maps times a map
+    (ad(e_i) or its transpose, from ``integer_ad_columns``); the three
+    constructions differ only in the three maps. ``inner`` is the
+    construction's witness matrix, kept in the provenance under ``witness``.
+    The products run in integers: inner is scaled to V / d_v, and each entry
+    of O M_i V is divided once by d_o d_maps d_v.
 
     Only nonzero terms are visited: O M_i e_m is formed once for each
     nonzero column M_i e_m, and e_i.e_j sums V[m, j] O M_i e_m over the
@@ -328,7 +331,7 @@ def _product_tensor(outer: list, maps: Sequence[list], d_maps: int, inner: Matri
     provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
                   "seed": None}
     n = len(maps)
-    outer, d_outer = integer_scaled(outer)
+    outer, d_outer = outer
     inner_cols, d_inner = integer_scaled(inner.columns)
     den = d_outer * d_maps * d_inner
     # images[m]: the (i, O M_i e_m) with a nonzero image, in ascending i
@@ -373,21 +376,22 @@ def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructu
     complement of its RREF pivots; that choice never reaches the product
     because every ad image lies in the derived subalgebra. Column p_k of g,
     p_k the k-th pivot, combines the RREF rows by column k of the inverted
-    restriction, in ints over the two common denominators.
+    restriction. The restriction, its inverse and g stay integer columns
+    over one denominator each, and no Fraction is formed before the tensor.
     """
     derived = derived_subalgebra(alg)
-    try:
-        rinv = invert(_restrict(derived, f))
-    except SingularMatrixError:
+    inverse = _integer_inverse(*_integer_restrict(derived, f))
+    if inverse is None:
         raise SingularOnDerivedError(
             "restriction of f to the derived subalgebra is singular"
         )
+    columns, d_inverse = inverse
     basis, d_basis = integer_scaled(row for _, row in derived.rows)
-    columns, d_rinv = integer_scaled(rinv.columns)
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, columns):
-        g[p] = unscaled(sparse_apply(basis, col), d_basis * d_rinv)
-    return _product_tensor(g, *integer_ad_columns(alg), f, strategy, "derivation")
+        g[p] = sparse_apply(basis, col)
+    return _product_tensor((g, d_basis * d_inverse), *integer_ad_columns(alg), f, strategy,
+                           "derivation")
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -399,13 +403,14 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     if dtheta_residual(alg, form):
         raise NotClosedError("the 2-form is not closed")
     th = form.gram
-    try:
-        thinv = invert(th)
-    except SingularMatrixError:
+    inverse = _integer_inverse(*integer_scaled(th.columns))
+    if inverse is None:
         raise DegenerateFormError("the 2-form is degenerate")
+    columns, den = inverse
     ad, d_ad = integer_ad_columns(alg)
     transposed = [_transpose(cols, alg.dim) for cols in ad]
-    return _product_tensor((-thinv).columns, transposed, d_ad, th, "symplectic", "two_form")
+    return _product_tensor(([{k: -x for k, x in col.items()} for col in columns], den),
+                           transposed, d_ad, th, "symplectic", "two_form")
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,

@@ -3,15 +3,21 @@
 Every invocation prints exactly one JSON document on stdout. Exit code 0
 means pass/success, 1 is reserved for mathematically meaningful negative
 verdicts (Jacobi violation, failed searches, NoStrategySucceeded, torus
-failure), and 2 means a usage or input error (diagnostic on stderr).
+failure), and 2 means a usage or input error (diagnostic on stderr),
+including a failed write to stdout (a closed pipe, a full device).
 Payloads carry a "generated_at" timestamp unless --reproducible is given;
 otherwise identical argv produce byte-identical output.
+
+The stdout format is a contract, and ``--out`` files hold the same bytes:
+a 2-space indent, ASCII escapes for every other character, keys in the
+order the payload builds them and one final newline, which is exactly
+``json.dumps(payload, indent=2)`` plus a newline (``serialize.json_text``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -40,6 +46,7 @@ from .serialize import (
     certificate_from_json,
     certificate_to_json,
     format_rational,
+    json_text,
     load_json,
     matrix_to_json,
     parse_rational,
@@ -503,17 +510,40 @@ def main(argv=None) -> int:
     if not args.reproducible:
         payload = {**payload,
                    "generated_at": datetime.now(timezone.utc).isoformat()}
-    text = json.dumps(payload, indent=2)
+    text = json_text(payload) + "\n"
     if args.out:
         # written before stdout, so a failed write prints no verdict
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    print(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _silence_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
+
+
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at the null device after a failed write.
+
+    The unwritten bytes stay in the stream's buffer, and the interpreter
+    flushes it once more at exit; on the null device that flush succeeds
+    instead of printing a second error. A stdout without a descriptor is
+    left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def entrypoint() -> None:

@@ -327,18 +327,24 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
 
 
 def _restrict(derived: Subspace, m: Matrix) -> Matrix:
-    """Matrix of m on the RREF rows; column k holds the coordinates of m(row k).
+    """Matrix of m on the RREF rows; column k holds the coordinates of m(row k)."""
+    columns, den = _integer_restrict(derived, m)
+    return Matrix.from_sparse(derived.dim, (unscaled(c, den) for c in columns))
+
+
+def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
+    """(int columns, den) of ``_restrict``: the matrix of m on the RREF rows is columns / den.
 
     The images run in ints: m and the rows are scaled over their common
     denominators d_m and d_b, so each image and its coordinates are
-    d_m d_b times the rational ones, and each coordinate is divided once.
+    d_m d_b times the rational ones, and den = d_m d_b.
     """
     cols, dm = integer_scaled(m.columns)
     rows, db = integer_scaled(row for _, row in derived.rows)
     out = [_coordinates(derived.rows, sparse_apply(cols, b)) for b in rows]
     if None in out:
         raise NotInvariantError("image of a derived-subalgebra vector escapes it")
-    return Matrix.from_sparse(derived.dim, (unscaled(c, dm * db) for c in out))
+    return out, dm * db
 
 
 def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:

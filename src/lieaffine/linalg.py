@@ -24,11 +24,14 @@ runs the kernel on negated columns, so each pivot is the row's least
 column, and adds the one pivot normalization that reintroduces
 fractions. Its result is the canonical reduced row-echelon form with each
 row's columns in ascending order, so it is exact and deterministic,
-iteration order included, whatever the row order; ``rref``, ``span``,
-``solve`` and ``invert`` read it. ``_image_chain`` is the one image-chain
-loop, over integer-scaled maps, shared by ``products_vanish`` and
-``liealg.lower_central_series``, which puts its terms in canonical form
-with ``_reduce``.
+iteration order included, whatever the row order; ``rref``, ``span``
+and ``solve`` read it. ``_integer_inverse`` reads the integer columns of
+an inverse over one denominator straight off the kernel's rows of
+[m^T | I], with no normalization; ``invert`` unscales them once, and the
+constructions in ``affine`` keep them in ints. ``_image_chain`` is the
+one image-chain loop, over integer-scaled maps, shared by
+``products_vanish`` and ``liealg.lower_central_series``, which puts its
+terms in canonical form with ``_reduce``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
 by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;
@@ -76,7 +79,12 @@ def format_rational(x: Fraction) -> str:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[format_rational(x) for x in row] for row in m.data]
+    """The rows of m as rational strings; only the stored nonzeros are formatted, the rest is "0"."""
+    rows = [["0"] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            rows[i][j] = format_rational(x)
+    return rows
 
 
 def vector(entries: Iterable) -> Vector:
@@ -554,18 +562,40 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when det m = 0.
-
-    The RREF of [m^T | I] is [I | (m^-1)^T]: its row p is column p of m^-1.
-    """
+    """Exact inverse; raises SingularMatrixError when det m = 0 (``_integer_inverse``, unscaled)."""
     if not m.is_square:
         raise DimensionMismatch("only square matrices can be inverted")
-    n = m.rows
-    reduced = _reduce({**col, n + i: ONE} for i, col in enumerate(m.columns))
-    if [p for p, _ in reduced] != list(range(n)):
+    inverse = _integer_inverse(*integer_scaled(m.columns))
+    if inverse is None:
         raise SingularMatrixError("matrix is singular")
-    return Matrix.from_sparse(n, ({j - n: x for j, x in row.items() if j >= n}
-                                  for _, row in reduced))
+    columns, den = inverse
+    return Matrix.from_sparse(m.rows, (unscaled(col, den) for col in columns))
+
+
+def _integer_inverse(columns: Sequence[dict], den: int) -> Optional[Tuple[list, int]]:
+    """(int columns, den') of the inverse of the square map m = columns / den, or None if singular.
+
+    ``columns`` are m's sparse integer columns {row: int} and den > 0, as
+    ``integer_scaled`` gives them; m^-1 = int columns / den', den' > 0. The
+    kernel runs on the rows of [m^T | I] with the identity block first, in
+    columns 0..n-1, and the block of m^T in columns n..2n-1. Each pivot is
+    its row's largest column, so m is invertible exactly when every pivot
+    lies in the m^T block. A row with pivot n + r and pivot entry pv is
+    then y [m^T | I] for the y with y m^T = pv e_r, so its identity block is
+    pv times column r of m^-1.
+    """
+    n = len(columns)
+    reduced = _gauss_jordan({**{n + r: x for r, x in col.items()}, i: 1}
+                            for i, col in enumerate(columns))
+    if min(reduced, default=n) < n:
+        return None
+    pivots = [reduced[n + r][n + r] for r in range(n)]
+    d = lcm(*pivots)
+    inverse = []
+    for r, pv in enumerate(pivots):
+        scale = den * (d // pv)
+        inverse.append({i: scale * x for i, x in reduced[n + r].items() if i < n})
+    return inverse, d
 
 
 def nonsingular(m: Matrix) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import SchemaError
@@ -319,6 +320,63 @@ def verdict_from_json(doc) -> CharNilpVerdict:
         seed=_require_int(doc["seed"], "seed"),
         trials=_require_int(doc["trials"], "trials"),
     )
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the types a payload holds.
+
+    Those are dicts with str keys, lists, str, int, bool and None; any other
+    value or key raises TypeError. The stdout and ``--out`` format: a
+    2-space indent, ASCII escapes (the stdlib's C ``encode_basestring_ascii``)
+    and keys in the order the dict was built. A list of strings only, such
+    as a matrix row, is written with one join.
+    """
+    out: list = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append ``value`` to ``out``; ``newline`` is the line break and indent of its level."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is str for item in value):
+            out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def load_json(source):

@@ -281,7 +281,8 @@ def test_product_tensor_matches_fraction_oracle(name):
         for density in (0.2, 0.6):
             outer = _random_columns(rng, n, density)
             inner = Matrix.from_sparse(n, _random_columns(rng, n, density))
-            structure = _product_tensor(outer, int_maps, den, inner, "test", "witness")
+            structure = _product_tensor(integer_scaled(outer), int_maps, den, inner, "test",
+                                        "witness")
             assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
             assert structure.provenance["inputs"]["witness"] == [
                 [str(x) for x in row] for row in inner.data]
@@ -316,7 +317,9 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
 
     def recorded(outer, maps, d_maps, inner, *rest):
         structure = product_tensor(outer, maps, d_maps, inner, *rest)
-        calls.append((outer, maps, d_maps, inner, structure))
+        columns, d_outer = outer  # the outer map as integer columns over d_outer
+        calls.append(([unscaled(col, d_outer) for col in columns], maps, d_maps, inner,
+                      structure))
         return structure
 
     monkeypatch.setattr(affine, "_product_tensor", recorded)
@@ -417,7 +420,8 @@ def test_from_derived_regular_rejects_singular_restriction():
     # subalgebra, so its restriction is singular.
     c6 = make_cn(6, [1])[0]
     bad = c6.ad(unit_vector(6, 0))
-    with pytest.raises(SingularOnDerivedError):
+    with pytest.raises(SingularOnDerivedError,
+                       match="^restriction of f to the derived subalgebra is singular$"):
         from_derived_regular(c6, bad)
 
 
@@ -505,11 +509,11 @@ def test_from_symplectic_rejects_nonclosed():
 
 def test_from_symplectic_rejects_degenerate():
     alg = make_abelian(4)
-    with pytest.raises(DegenerateFormError):
+    with pytest.raises(DegenerateFormError, match="^the 2-form is degenerate$"):
         from_symplectic(alg, TwoForm.from_entries(4, {(0, 1): 1}))
     # odd dimension: the Gram matrix is singular however the form is chosen
     odd = TwoForm.from_entries(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
-    with pytest.raises(DegenerateFormError):
+    with pytest.raises(DegenerateFormError, match="^the 2-form is degenerate$"):
         from_symplectic(make_abelian(3), odd)
 
 

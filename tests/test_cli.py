@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from lieaffine import catalog, cli, liealg
 from lieaffine.cli import MAX_TRIALS, main
-from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json
+from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json, json_text
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -844,6 +845,128 @@ def test_unwritable_out_path_prints_no_verdict(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and not target.exists()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _module_run(monkeypatch, argv, stdout):
+    """``python -m lieaffine argv`` with stdout on ``stdout``, stderr captured as text.
+
+    stdout is block-buffered, as in a shell by default, so a short document
+    still sits in the buffer when the interpreter flushes it at exit.
+    """
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    return subprocess.run([sys.executable, "-m", "lieaffine", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def _one_error_line(done):
+    return (done.returncode == 2 and done.stderr.startswith("error: ")
+            and done.stderr.count("\n") == 1 and "Traceback" not in done.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"],
+    ["affine", "synth", "--family", "Ln", "--n", "12"],
+], ids=["short", "long"])
+def test_stdout_write_to_a_closed_pipe_exits_2(monkeypatch, argv):
+    # the read end is closed before the child starts, so its write meets
+    # EPIPE whatever the timing; the flush at exit must not report again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _module_run(monkeypatch, argv, write_end)
+    finally:
+        os.close(write_end)
+    assert _one_error_line(done), done.stderr
+    assert "Broken pipe" in done.stderr
+
+
+def test_stdout_write_to_a_full_device_exits_2(monkeypatch):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        done = _module_run(monkeypatch, ["catalog", "list"], full)
+    assert _one_error_line(done), done.stderr
+    assert "No space left on device" in done.stderr
+
+
+def test_failed_stdout_write_in_process_exits_2(capsys, monkeypatch):
+    # a stream without a file descriptor is left in place after the failure
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["catalog", "list"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+def test_out_file_bytes_equal_stdout_bytes(monkeypatch, tmp_path):
+    target = tmp_path / "cert.json"
+    done = _module_run(monkeypatch, ["affine", "synth", "--family", "Cn", "--n", "8",
+                                     "--lambda=2/3", "--lambda=1/2", "--reproducible",
+                                     "--out", str(target)], subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    assert target.read_text(encoding="utf-8") == done.stdout
+    assert target.read_bytes() == done.stdout.encode("ascii")
+
+
+def test_json_text_matches_json_dumps_on_every_pinned_payload(capsys, monkeypatch):
+    payloads = []
+
+    def recorded(payload):
+        payloads.append(payload)
+        return json_text(payload)
+
+    monkeypatch.setattr(cli, "json_text", recorded)
+    for argv, expected_code, _ in PINNED_STDOUT:
+        assert main([*argv, "--reproducible"]) == expected_code
+        out = capsys.readouterr().out
+        assert out == json.dumps(payloads[-1], indent=2) + "\n"
+    assert len(payloads) == len(PINNED_STDOUT)
+
+
+# characters json.dumps escapes in every way it knows: quote, backslash,
+# control characters, DEL, non-ASCII, line separators and astral code points
+_AWKWARD = "a\"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u20ac\u2028\U0001f600 "
+_INTS = (0, 1, -1, 2 ** 63, -(10 ** 40), 7 ** 300)
+
+
+def _random_document(rng, depth):
+    roll = rng.randrange(8 if depth < 5 else 4)
+    if roll == 0:
+        return "".join(rng.choice(_AWKWARD) for _ in range(rng.randrange(6)))
+    if roll == 1:
+        return rng.choice(_INTS + (rng.randint(-10 ** 6, 10 ** 6),))
+    if roll == 2:
+        return rng.choice((True, False, None))
+    if roll == 3:
+        return str(rng.randint(-99, 99))
+    if roll == 4:  # a list of strings only, written with one join
+        return [str(rng.randint(-9, 9)) for _ in range(rng.randrange(4))]
+    if roll < 7:
+        return [_random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {"".join(rng.choice(_AWKWARD) for _ in range(rng.randrange(4))):
+            _random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_text_matches_json_dumps_on_seeded_documents():
+    rng = random.Random(22)
+    documents = [[], {}, [[]], [{}], {"": {}}, _AWKWARD, list(_AWKWARD), *_INTS,
+                 True, False, None, [True, None, "x"], {"k": [1, "1"]}]
+    documents += [_random_document(rng, 0) for _ in range(400)]
+    for doc in documents:
+        assert json_text(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: "a"}, {"a": {None: 1}}, (1, 2),
+    Fraction(1, 2), {"a": b"bytes"},
+], ids=["float", "nested-float", "nan", "int-key", "none-key", "tuple", "Fraction", "bytes"])
+def test_json_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
 
 
 def test_timestamp_present_without_reproducible(capsys):

@@ -14,6 +14,7 @@ from lieaffine.affine import (
     find_symplectic,
     from_derived_regular,
     from_regular_derivation,
+    from_symplectic,
     synthesize,
     verify_affine,
 )
@@ -517,10 +518,12 @@ def _fraction_restrict(derived, m):
     return Matrix.from_sparse(derived.dim, out)
 
 
-RATIONAL_BASIS_ALGEBRAS = [make_ln(7), make_qn(8), make_cn(8, [1, 1])[0]]
+RATIONAL_BASIS_ALGEBRAS = [make_ln(7), make_qn(8), make_cn(8, [1, 1])[0],
+                           make_cn(8, [F(2, 3), F(1, 2)])[0]]
+RATIONAL_BASIS_IDS = ["L7", "Q8", "C8", "C8(2/3,1/2)"]
 
 
-@pytest.mark.parametrize("alg", RATIONAL_BASIS_ALGEBRAS, ids=["L7", "Q8", "C8"])
+@pytest.mark.parametrize("alg", RATIONAL_BASIS_ALGEBRAS, ids=RATIONAL_BASIS_IDS)
 def test_restriction_matches_fraction_oracle_in_a_rational_basis(alg):
     moved = _change_basis(alg, _rational_basis_change(alg.dim, random.Random(alg.dim)))
     derived = derived_subalgebra(moved)
@@ -551,7 +554,7 @@ def _solved_derived_product(alg, f):
     return AffineStructure(n, gamma).gamma
 
 
-@pytest.mark.parametrize("alg", RATIONAL_BASIS_ALGEBRAS, ids=["L7", "Q8", "C8"])
+@pytest.mark.parametrize("alg", RATIONAL_BASIS_ALGEBRAS, ids=RATIONAL_BASIS_IDS)
 def test_derived_products_match_dense_solve_in_a_rational_basis(alg):
     moved = _change_basis(alg, _rational_basis_change(alg.dim, random.Random(alg.dim)))
     space = derivation_space(moved)
@@ -561,6 +564,32 @@ def test_derived_products_match_dense_solve_in_a_rational_basis(alg):
         assert built.gamma == _solved_derived_product(moved, f)
         assert verify_affine(moved, built).passed
     assert from_regular_derivation(moved, f).gamma == built.gamma
+
+
+def _solved_symplectic_product(alg, gram):
+    # e_i.e_j = the x with Th x = -ad(e_i)^T Th e_j, solved densely in
+    # Fractions: the oracle of the integer inverse of the Gram matrix
+    n = alg.dim
+    gamma = {}
+    for i in range(n):
+        ad_t = [alg.ad(unit_vector(n, i)).column(k) for k in range(n)]
+        for j in range(n):
+            th_j = gram.column(j)
+            rhs = [-sum((a * t for a, t in zip(row, th_j)), F(0)) for row in ad_t]
+            gamma[(i, j)] = dict(enumerate(solve(gram, rhs)))
+    return AffineStructure(n, gamma).gamma
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_symplectic_product_matches_dense_solve_in_a_rational_basis(n):
+    # in the moved basis the Gram matrix of the closed form found carries
+    # denominators, so the integer inverse is scaled on both sides
+    moved = _change_basis(make_ln(n), _rational_basis_change(n, random.Random(n)))
+    form = find_symplectic(moved)
+    assert any(x.denominator > 1 for col in form.gram.columns for x in col.values())
+    built = from_symplectic(moved, form)
+    assert built.gamma == _solved_symplectic_product(moved, form.gram)
+    assert verify_affine(moved, built).passed
 
 
 NIL_CASES = [(make_benoist(t), True, t == 1) for t in (0, 1, -1, F(1, 3))] + [

@@ -22,6 +22,7 @@ from lieaffine.linalg import (
     _coordinates,
     _flat_columns,
     _gauss_jordan,
+    _integer_inverse,
     _integer_row,
     _reduce,
     integer_scaled,
@@ -746,6 +747,46 @@ def test_matrix_immutable_and_exact_equality():
         m.rows = 5
     assert m == Matrix([["1", "2"], ["3", "4"]])
     assert m != Matrix([[1, 2], [3, 5]])
+
+
+def _dense_fraction_inverse(grid):
+    # the dense RREF of [m | I] is [I | m^-1] when m is invertible: the
+    # oracle of the integer inverse, as dense rows, or None when m is singular
+    n = len(grid)
+    reduced = _dense_gauss_jordan([{**dict(enumerate(row)), n + i: 1}
+                                   for i, row in enumerate(grid)], 2 * n)
+    if [p for p, _ in reduced] != list(range(n)):
+        return None
+    return [[row.get(n + j, 0) for j in range(n)] for _, row in reduced]
+
+
+@pytest.mark.parametrize("denominators", [(1,), (1, 2, 3, 7, 2000)], ids=["int", "rational"])
+def test_integer_inverse_matches_dense_fraction_oracle(denominators):
+    # seeded square matrices from 0 x 0 up; entries in -2..2 make a good
+    # share of them singular
+    rng = random.Random(len(denominators))
+    singular = 0
+    for trial in range(150):
+        n = trial % 7
+        grid = [[F(rng.randint(-2, 2), rng.choice(denominators)) if rng.random() < 0.6 else 0
+                 for _ in range(n)] for _ in range(n)]
+        m = Matrix(grid, n, n)
+        expected = _dense_fraction_inverse(grid)
+        found = _integer_inverse(*integer_scaled(m.columns))
+        if expected is None:
+            singular += 1
+            assert found is None
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                invert(m)
+            continue
+        columns, den = found
+        assert den > 0 and len(columns) == n
+        assert all(type(x) is int for col in columns for x in col.values())
+        assert [unscaled(col, den) for col in columns] == list(Matrix(expected, n, n).columns)
+        inverse = invert(m)
+        assert inverse == Matrix(expected, n, n)
+        assert all(type(x) is F and x for col in inverse.columns for x in col.values())
+    assert 10 < singular < 140
 
 
 def test_empty_matrix_conventions():
