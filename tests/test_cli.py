@@ -703,6 +703,9 @@ PINNED_STDOUT = [
      "aea2d6c62b4d3158c20affe8e070a2fe537bdc673f03fb23f7c7acd8d70d9e5b"),
     (("der", "space", "--family", "Benoist", "--t=7/5"), 0,
      "1014cb0d2c889946e568c09fd6decf4571a652733182dbf54647757435e85823"),
+    # Der(g) of plain Qn, whose full chain [Y1, Yj] reaches Y_n
+    (("der", "space", "--family", "Qn", "--n", "14"), 0,
+     "3e3da7f456bc165c46ee163d47924f6f3347b28e27e43408354eb631d27e8bc5"),
     (("der", "torus", "--family", "Ln", "--n", "64"), 0,
      "9bf802aafcb0c71e4794568494a39e8482e8d4fcce2e8ba168e7607039977553"),
     # recorded before products, residuals and Der(g) equations moved to

@@ -26,6 +26,7 @@ from lieaffine.catalog import (
     make_qn,
     standard_torus,
 )
+from lieaffine.cli import main
 from lieaffine.derivations import (
     CHAR_NILPOTENT_LIKELY,
     NOT_CHAR_NILPOTENT,
@@ -59,6 +60,7 @@ from lieaffine.linalg import (
     span,
     unit_vector,
 )
+from lieaffine.serialize import algebra_to_json
 
 F = Fraction
 
@@ -704,6 +706,18 @@ def test_derived_regular_witness_from_a_seeded_draw_is_pinned(base, digest):
     witness = find_derived_regular_derivation(derivation_space(alg), seed=5)
     text = json.dumps(matrix_to_json(witness))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_der_space_stdout_of_a_moved_benoist_is_pinned(capsys, tmp_path):
+    # Benoist(1) moved off its adapted basis and read back through --in: the
+    # Der(g) of the full n^2 system, as ``der space`` prints it
+    moved = _change_basis(make_benoist(1), _sparse_basis_change(11, random.Random(1)))
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(algebra_to_json(moved)))
+    assert main(["der", "space", "--in", str(path), "--reproducible"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "023840289a386b3258fd688192cd2c0243ab21cab97ab6baac4c072eb1d5afd3")
 
 
 def _dense_draws(space, seed, trials):
