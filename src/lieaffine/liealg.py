@@ -246,9 +246,40 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     return out
 
 
+def tail_filtered(alg: LieAlgebra) -> bool:
+    """Whether the basis is adapted to the lower central series: C^k g = span(e_(k+1), ...).
+
+    Two conditions on the stored table, read in O(nonzeros) (0-based, with
+    V_m = span(e_m, ..., e_(n-1))):
+    (a) every stored [e_i, e_j], i < j, lies in V_(j+1);
+    (b) for each m in 1..n-2, some stored [e_i, e_m] has a nonzero e_(m+1)
+    coefficient.
+    (a) gives [g, V_m] in V_(m+1), so C^k g lies in V_(k+1). With V_k in
+    C^(k-1) g, (b) and downward induction on m put e_(m+1) in C^k g for
+    every m >= k >= 1, so C^k g = V_(k+1) for k >= 1. Only bilinearity is
+    used, so this also holds for tables that fail Jacobi. Every catalog
+    family passes; a moved basis in general does not.
+    """
+    steps = set()
+    for (i, j), coeffs in alg.structure.items():
+        if min(coeffs) <= j:
+            return False
+        if j + 1 in coeffs:
+            steps.add(j)
+    # steps lies in 1..n-2, since i < j and j + 1 < n
+    return len(steps) == max(alg.dim - 2, 0)
+
+
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """Span of all brackets of basis pairs: the stored structure constants."""
-    return Subspace(alg.dim, _reduce(alg.structure.values()))
+    """Span of all brackets of basis pairs: the stored structure constants.
+
+    On a ``tail_filtered`` table [g, g] = C^1 g is span(e_2, ..., e_(n-1)),
+    whose canonical RREF rows are the unit rows, returned without the kernel.
+    """
+    n = alg.dim
+    if tail_filtered(alg):
+        return Subspace(n, [(k, {k: ONE}) for k in range(2, n)])
+    return Subspace(n, _reduce(alg.structure.values()))
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:

@@ -20,7 +20,9 @@ from lieaffine.affine import (
 )
 from lieaffine.catalog import (
     make_abelian,
+    make_ank,
     make_benoist,
+    make_bnk,
     make_cn,
     make_ln,
     make_qn,
@@ -43,7 +45,13 @@ from lieaffine.derivations import (
     verify_witness,
 )
 from lieaffine.errors import DimensionMismatch, NotADerivationError, NotInvariantError
-from lieaffine.liealg import LieAlgebra, derived_subalgebra, lower_central_series
+from lieaffine.liealg import (
+    LieAlgebra,
+    derived_subalgebra,
+    jacobi_report,
+    lower_central_series,
+    tail_filtered,
+)
 from lieaffine.linalg import (
     ZERO,
     Matrix,
@@ -206,14 +214,22 @@ def test_is_derivation_matches_fraction_oracle_on_tampered_maps(name):
     assert exact >= len(bases) - 1
 
 
-def _tampered_algebra(alg, rng, changes):
+def _tampered_algebra(alg, rng, changes, filtered=False):
+    # filtered: bump only targets k > j of pairs (i, j), which keeps (a) of
+    # tail_filtered, and (b) stays true on a table that met it
     structure = {pair: dict(coeffs) for pair, coeffs in alg.structure.items()}
+    top = alg.dim - 1 if filtered else alg.dim
     for _ in range(changes):
-        i, j = sorted(rng.sample(range(alg.dim), 2))
+        i, j = sorted(rng.sample(range(top), 2))
         col = structure.setdefault((i, j), {})
-        k = rng.randrange(alg.dim)
+        k = rng.randrange(j + 1, alg.dim) if filtered else rng.randrange(alg.dim)
         col[k] = col.get(k, 0) + F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 3, 8, 2000)))
     return LieAlgebra(alg.dim, structure)
+
+
+def _forced_zeros(n):
+    # D[p][q] for q >= 2 and p < q, at flat index p * n + q
+    return {p * n + q for q in range(2, n) for p in range(q)}
 
 
 @pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
@@ -222,13 +238,15 @@ def test_derivation_equations_match_fraction_oracle(name):
     base = _DIFFERENTIAL_ALGEBRAS[name]
     for alg in [base] + [_tampered_algebra(base, rng, changes) for changes in (1, 3, 10)]:
         n = alg.dim
-        rows = derivations._derivation_equations(alg)
+        rows, pinned = derivations._derivation_equations(alg)
         oracle = _fraction_derivation_equations(alg)
         den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
-        assert [list(row.items()) for row in rows] == [
-            [(k, x * den) for k, x in row.items()] for row in oracle]
+        assert pinned == (_forced_zeros(n) if tail_filtered(alg) else set())
+        live = [[(k, x * den) for k, x in row.items() if k not in pinned] for row in oracle]
+        assert [list(row.items()) for row in rows] == [row for row in live if row]
         assert all(type(x) is int for row in rows for x in row.values())
         assert derivation_space(alg).flat == nullspace(oracle, n * n)
+    assert tail_filtered(base)
 
 
 def test_derivation_space_abelian_is_everything():
@@ -718,6 +736,91 @@ def test_der_space_stdout_of_a_moved_benoist_is_pinned(capsys, tmp_path):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "023840289a386b3258fd688192cd2c0243ab21cab97ab6baac4c072eb1d5afd3")
+
+
+# one member of every catalog family, the non-Lie Ank and Bnk members and
+# fractional Cn and Benoist included
+CATALOG_MEMBERS = {
+    "L3": make_ln(3),
+    "L16": make_ln(16),
+    "Q14": make_qn(14),
+    "Q8Z": make_qn(8, adapted=True),
+    "C8(2/3,1/2)": make_cn(8, [F(2, 3), F(1, 2)])[0],
+    "C12": make_cn(12, [1, -1, 1, 1])[0],
+    "A9^2": make_ank(9, 2, [1, 1, 2])[0],
+    "B10^3": make_bnk(10, 3, [F(1, 2), F(3, 4)])[0],
+    "Benoist(1)": make_benoist(1),
+    "Benoist(7/5)": make_benoist(F(7, 5)),
+}
+
+
+def _unitriangular_basis_change(n, rng):
+    # P = I plus seeded +-1 entries below the diagonal: each P e_j is e_j
+    # plus later vectors, so every V_m = span(e_m, ...) is kept
+    return Matrix([[int(i == j) if i <= j else rng.choice((-1, 0, 1)) for j in range(n)]
+                   for i in range(n)])
+
+
+def _assert_flat_matches_full_system(alg):
+    # the canonical rows of the full n^2 system in Fractions, in the same
+    # order and with the same dict insertion order, which the seeded draws read
+    flat = derivation_space(alg).flat
+    oracle = nullspace(_fraction_derivation_equations(alg), alg.dim ** 2)
+    assert flat == oracle
+    assert [(p, list(row.items())) for p, row in flat.rows] == [
+        (p, list(row.items())) for p, row in oracle.rows]
+
+
+@pytest.mark.parametrize("name", list(CATALOG_MEMBERS))
+def test_catalog_members_pin_the_forced_zeros_of_der_g(name):
+    alg = CATALOG_MEMBERS[name]
+    rng = random.Random(alg.dim)
+    kept = _change_basis(alg, _unitriangular_basis_change(alg.dim, rng))
+    tampered = [_tampered_algebra(alg, rng, changes, filtered=True) for changes in (1, 4)]
+    for table in [alg, kept, *tampered]:
+        assert tail_filtered(table)
+        _, pinned = derivations._derivation_equations(table)
+        assert pinned == _forced_zeros(alg.dim)
+        _assert_flat_matches_full_system(table)
+
+
+def test_catalog_members_include_non_lie_tables():
+    assert jacobi_report(CATALOG_MEMBERS["A9^2"]) and jacobi_report(CATALOG_MEMBERS["B10^3"])
+
+
+# (algebra, basis change): seeded moves off the adapted basis
+MOVED_CASES = [("Q8Z", "sparse"), ("Q8Z", "dense"), ("C8(2/3,1/2)", "rational"),
+               ("A9^2", "sparse"), ("B10^3", "sparse"), ("Benoist(1)", "sparse")]
+_BASIS_CHANGES = {"sparse": _sparse_basis_change, "dense": _dense_basis_change,
+                  "rational": _rational_basis_change}
+
+
+@pytest.mark.parametrize("name, move", MOVED_CASES, ids=["-".join(c) for c in MOVED_CASES])
+def test_moved_tables_solve_the_full_system(name, move):
+    base = CATALOG_MEMBERS[name]
+    alg = _change_basis(base, _BASIS_CHANGES[move](base.dim, random.Random(base.dim)))
+    rng = random.Random(3)
+    for table in [alg, *(_tampered_algebra(alg, rng, changes) for changes in (1, 4))]:
+        assert not tail_filtered(table)
+        rows, pinned = derivations._derivation_equations(table)
+        assert pinned == frozenset()
+        assert len(rows) == len(_fraction_derivation_equations(table))
+        _assert_flat_matches_full_system(table)
+
+
+def test_tables_that_miss_a_step_bracket_pin_nothing():
+    # [e1, e3] = e4 with e2 central (1-based) meets (a) but not (b): [g, g]
+    # is span(e4), not span(e3, e4), and D e3 = e2, at a place the adapted
+    # case pins, is a derivation
+    alg = LieAlgebra(4, {(0, 2): {3: 1}})
+    assert not tail_filtered(alg)
+    assert not tail_filtered(make_abelian(3))
+    assert 1 * 4 + 2 in _forced_zeros(4)
+    assert is_derivation(alg, Matrix.from_sparse(4, [{}, {}, {1: 1}, {}])) == []
+    assert derivation_space(alg).flat.contains(dense_vector({1 * 4 + 2: F(1)}, 16))
+    for table in (alg, make_abelian(3)):
+        assert derivations._derivation_equations(table)[1] == frozenset()
+        _assert_flat_matches_full_system(table)
 
 
 def _dense_draws(space, seed, trials):

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from lieaffine.affine import find_symplectic
-from lieaffine.catalog import make_abelian, make_benoist, make_cn, make_ln, make_qn
+from lieaffine.catalog import (
+    make_abelian,
+    make_ank,
+    make_benoist,
+    make_bnk,
+    make_cn,
+    make_ln,
+    make_qn,
+)
 from lieaffine.errors import DimensionMismatch
 from lieaffine.liealg import (
     LieAlgebra,
@@ -24,8 +32,9 @@ from lieaffine.liealg import (
     jacobi_report,
     lower_central_series,
     nondegenerate,
+    tail_filtered,
 )
-from lieaffine.linalg import Matrix, unit_vector
+from lieaffine.linalg import Matrix, Subspace, _reduce, unit_vector
 
 F = Fraction
 
@@ -209,6 +218,40 @@ def test_derived_subalgebra_c6():
     d = derived_subalgebra(make_cn(6, [1])[0])
     assert d.dim == 4
     assert d.basis == tuple(unit_vector(6, i) for i in range(2, 6))
+
+
+FILTERED_TABLES = [make_abelian(1), make_abelian(2), make_ln(3), make_ln(12), make_qn(10),
+                   make_qn(10, adapted=True), make_cn(8, [F(2, 3), F(1, 2)])[0],
+                   make_ank(9, 2, [1, 1, 2])[0], make_bnk(10, 3, [F(1, 2), F(3, 4)])[0],
+                   make_benoist(F(7, 5))]
+
+
+@pytest.mark.parametrize("alg", FILTERED_TABLES, ids=[a.name for a in FILTERED_TABLES])
+def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
+    # C^k g = span(e_(k+1), ..., e_(n-1)) for k >= 1, so [g, g] is read off
+    # without the kernel, and equals what the kernel gives, Fraction types
+    # included; the non-Lie Ank and Bnk members pass too
+    n = alg.dim
+    assert tail_filtered(alg)
+    derived = derived_subalgebra(alg)
+    assert derived == Subspace(n, _reduce(alg.structure.values()))
+    assert [(p, list(row.items())) for p, row in derived.rows] == [
+        (k, [(k, F(1))]) for k in range(2, n)]
+    assert all(type(x) is Fraction for _, row in derived.rows for x in row.values())
+    series = lower_central_series(alg)
+    assert series[1:] == [Subspace(n, [(m, {m: F(1)}) for m in range(k + 1, n)])
+                          for k in range(1, len(series))]
+
+
+def test_tables_off_the_filtration_reduce_their_brackets():
+    # e2 central in [e1, e3] = e4 (1-based): (a) holds, (b) fails at e3
+    missing_step = LieAlgebra(4, {(0, 2): {3: 1}})
+    # both step brackets, and [e1, e4] = e2 landing below its pair: (a) fails
+    low_target = LieAlgebra(4, {(0, 1): {2: 1}, (1, 2): {3: 1}, (0, 3): {1: 1}})
+    for alg in (missing_step, low_target, make_abelian(3)):
+        assert not tail_filtered(alg)
+        assert derived_subalgebra(alg) == Subspace(alg.dim, _reduce(alg.structure.values()))
+    assert derived_subalgebra(missing_step).rows == ((3, {3: F(1)}),)
 
 
 def test_is_filiform_families():
