@@ -987,6 +987,76 @@ def test_verify_torus_verdicts_known_by_construction():
     assert report.notes == []
 
 
+# rational roots for the by-construction polynomials: the extremes named in
+# the torus tests and small p/q; factors with no rational root, ascending
+# coefficients: x^2 - 2, x^2 + 1, x^2 - 3x + 5, x^3 - 2, x^2 + 7/2 x + 1/3
+_ROOT_POOL = [F(0), F(1000003), F(-1000003), F(1, 997),
+              *{F(p, q) for p in range(-6, 7) for q in range(1, 5)}]
+_IRREDUCIBLE = [[F(-2), F(0), F(1)], [F(1), F(0), F(1)], [F(5), F(-3), F(1)],
+                [F(-2), F(0), F(0), F(1)], [F(1, 3), F(7, 2), F(1)]]
+
+
+def _polynomial_case(rng, size, repeated, factor):
+    """(ascending coefficients, distinct rational roots) of a seeded product.
+
+    ``size`` distinct roots from ``_ROOT_POOL``, opposite pairs +-r drawn
+    often so that coefficients vanish and remainder degrees skip; one
+    of them doubled when ``repeated``; times ``factor`` (or 1) and a seeded
+    nonzero scale, negative ones included.
+    """
+    roots = []
+    while len(roots) < size:
+        r = rng.choice(_ROOT_POOL)
+        for x in ([r, -r] if rng.random() < 0.4 else [r]):
+            if x not in roots and len(roots) < size:
+                roots.append(x)
+    p = [F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 5))]
+    for x in roots + roots[:1] * repeated:
+        p = _poly_mul(p, [-x, F(1)])
+    return _poly_mul(p, factor or [F(1)]), set(roots)
+
+
+def _companion(p):
+    # the companion matrix of p / lc(p): its minimal polynomial is p / lc(p)
+    d = len(p) - 1
+    grid = [[F(int(i == j + 1)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        grid[i][d - 1] = -p[i] / p[-1]
+    return Matrix(grid)
+
+
+def test_diagonalizable_over_q_on_companion_matrices_known_by_construction():
+    # verdict, reason and inconclusive flag follow from how p was built:
+    # a repeated root is reported first, then a factor with no rational root
+    rng = random.Random(2411)
+    cases = [([F(0), F(-2), F(0), F(0), F(1)], False, True)]  # x^4 - 2x
+    for i in range(300):
+        repeated, factor = (i // 6) % 2 == 1, ([None] + _IRREDUCIBLE)[i % 6]
+        p, _ = _polynomial_case(rng, rng.randint(0 if factor and not repeated else 1, 4),
+                                repeated, factor)
+        cases.append((p, repeated, factor is not None))
+    for p, repeated, irreducible in cases:
+        got = derivations._diagonalizable_over_q(_companion(p))
+        if repeated:
+            assert got == (False, "minimal polynomial has a repeated root", False), p
+        elif irreducible:
+            assert got == (False, "minimal polynomial does not split over the rationals",
+                           True), p
+        else:
+            assert got == (True, "", False), p
+
+
+def test_rational_root_count_matches_known_roots():
+    # the Sturm bisection counts each distinct rational root once, whatever
+    # the multiplicities, the scale and its sign, and the irrational factors
+    rng = random.Random(2412)
+    for i in range(3000):
+        factor = rng.choice([None, None] + _IRREDUCIBLE)
+        p, roots = _polynomial_case(rng, rng.randint(0 if factor else 1, 5), i % 3 == 0, factor)
+        count = derivations._rational_root_count(p, derivations._sturm_chain(p))
+        assert count == len(roots), p
+
+
 def test_minimal_polynomial_diagonal():
     m = Matrix.diagonal([1, 1, 2])
     # (x - 1)(x - 2) = x^2 - 3x + 2
