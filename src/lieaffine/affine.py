@@ -71,6 +71,7 @@ from .errors import (
 from .liealg import (
     LieAlgebra,
     TwoForm,
+    _dense_bilinear,
     algebra_hash,
     coefficient_table,
     cyclic_terms,
@@ -83,7 +84,6 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
-    ZERO,
     _integer_inverse,
     _nullspace,
     _transpose,
@@ -93,7 +93,6 @@ from .linalg import (
     nonsingular,
     sparse_apply,
     unscaled,
-    vector,
 )
 
 NOT_A_PROOF = "search failure only; not a proof of non-existence"
@@ -166,17 +165,8 @@ class AffineStructure:
         raise AttributeError("AffineStructure is immutable")
 
     def product(self, x: Sequence, y: Sequence):
-        x = vector(x)
-        y = vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("product arguments must match the dimension")
-        acc = [ZERO] * self.dim
-        for (i, j), coeffs in self.gamma.items():
-            t = x[i] * y[j]
-            if t:
-                for k, c in coeffs.items():
-                    acc[k] += t * c
-        return tuple(acc)
+        return _dense_bilinear(self.dim, self.gamma, x, y, False,
+                               "product arguments must match the dimension")
 
     def __repr__(self) -> str:
         strategy = self.provenance.get("strategy", "?")

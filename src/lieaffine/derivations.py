@@ -36,6 +36,8 @@ without drawing any, or building the regular and char-nilp searches' own
 candidates, and the cost no longer grows with ``trials``; otherwise the
 searches draw as described. The weight pass
 cannot change that outcome: on a nil Der(g) the weight space is 0.
+``verify_torus`` decides rational diagonalizability in integers, on the
+minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``).
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .linalg import (
     Matrix,
     Subspace,
     ONE,
-    ZERO,
     _coordinates,
     _flat_columns,
     _gauss_jordan,
@@ -372,14 +373,8 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
     return _derivation_search(space, lambda: (), seed, trials, nonsingular)
 
 
-def _restrict(derived: Subspace, m: Matrix) -> Matrix:
-    """Matrix of m on the RREF rows; column k holds the coordinates of m(row k)."""
-    columns, den = _integer_restrict(derived, m)
-    return Matrix.from_sparse(derived.dim, (unscaled(c, den) for c in columns))
-
-
 def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
-    """(int columns, den) of ``_restrict``: the matrix of m on the RREF rows is columns / den.
+    """(int columns, den): column k / den holds the coordinates of m(row k) on the RREF rows.
 
     The images run in ints: m and the rows are scaled over their common
     denominators d_m and d_b, so each image and its coordinates are
@@ -402,7 +397,9 @@ def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
     """
     if is_derivation(alg, m):
         raise NotADerivationError("map does not satisfy the derivation identity")
-    return _restrict(derived_subalgebra(alg), m)
+    derived = derived_subalgebra(alg)
+    columns, den = _integer_restrict(derived, m)
+    return Matrix.from_sparse(derived.dim, (unscaled(c, den) for c in columns))
 
 
 def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
@@ -417,17 +414,17 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     Der(g) is nil (``all_nilpotent``) the weight space is 0 and the pass
     tries nothing. In that case g is not abelian (the identity is not a
     derivation), so every restriction to the nonzero derived subalgebra is
-    singular and None is returned without drawing. A zero-dimensional
-    derived subalgebra makes every candidate succeed (the empty matrix
-    counts as invertible). Every candidate lies in Der(g) by construction,
-    so none is re-checked here.
+    singular and None is returned without drawing. A candidate passes when
+    the kernel's rank of ``_integer_restrict`` is dim [g, g], which every
+    candidate meets on a zero-dimensional derived subalgebra. Every
+    candidate lies in Der(g) by construction, so none is re-checked here.
     """
     check_trials(trials)
     alg = space.algebra
     derived = derived_subalgebra(alg)
 
     def accept(f: Matrix) -> bool:
-        return nonsingular(_restrict(derived, f))
+        return len(_gauss_jordan(_integer_restrict(derived, f)[0])) == derived.dim
 
     hit = next(filter(accept, map(Matrix.diagonal, diagonal_derivations(alg).basis)), None)
     if hit is not None:
@@ -523,36 +520,10 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
     raise AssertionError("the powers up to m^n are dependent")
 
 
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
-    out = list(p)
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_deriv(p: List[Fraction]) -> List[Fraction]:
-    return _poly_trim([i * p[i] for i in range(1, len(p))] or [ZERO])
-
-
-def _poly_mod(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    while len(a) >= len(b) and any(a):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        a = [c - f * b[i - shift] if i >= shift else c for i, c in enumerate(a)]
-        a = _poly_trim(a[:-1] or [ZERO])
-        if not any(a):
-            break
-    return a
-
-
 def _integer_form(p: List[Fraction]) -> List[int]:
-    """p times a positive rational: coprime integers, every sign kept."""
+    """p times the lcm of its denominators, every sign kept: coprime integers when p is monic."""
     scale = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (scale // c.denominator) for c in p]
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
+    return [c.numerator * (scale // c.denominator) for c in p]
 
 
 def _homogeneous_eval(p: List[int], u: int, w: int) -> int:
@@ -564,36 +535,48 @@ def _homogeneous_eval(p: List[int], u: int, w: int) -> int:
     return acc
 
 
-def _sturm_chain(p: List[Fraction]) -> List[List[Fraction]]:
-    """p, p', then minus each remainder; the last term is gcd(p, p') up to a constant."""
-    chain = [p, _poly_deriv(p)]
+def _sturm_chain(p: List[int]) -> List[List[int]]:
+    """The Sturm chain of the integer polynomial p: p, p', then minus each pseudo-remainder.
+
+    Each step scales the dividend by |lc(b)| before it cancels the top
+    coefficient, and each remainder is divided by its content, so every term
+    is a positive multiple of the rational one; the last is gcd(p, p') up to a constant.
+    """
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
     while any(chain[-1]):
-        chain.append([-c for c in _poly_mod(chain[-2], chain[-1])])
+        a, b = chain[-2], chain[-1]
+        lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(a) >= len(b):
+            top, shift = sign * a[-1], len(a) - len(b)
+            a = [lead * c - top * b[k - shift] if k >= shift else lead * c
+                 for k, c in enumerate(a[:-1])]
+            while a and not a[-1]:
+                a.pop()
+        g = gcd(*a)
+        chain.append([-c // g for c in a])
     chain.pop()
     return chain
 
 
-def _rational_root_count(p: List[Fraction], chain: List[List[Fraction]]) -> int:
-    """Number of distinct rational roots of p, found exactly.
+def _rational_root_count(chain: List[List[int]]) -> int:
+    """Number of distinct rational roots of p = chain[0], found exactly from its Sturm chain.
 
     Every rational root lies on the grid (1/a)Z, a the leading coefficient
-    of p's primitive integer form, and every root lies within Fujiwara's
-    bound 2 max_k |c_(d-k)/c_d|^(1/k), rounded up to a power of two. The
-    Sturm chain counts the distinct real roots between two half-grid points
-    (2k -+ 1)/(2a), which are never roots; bisecting the grid indices drops
-    every interval that counts 0 and leaves single grid points to evaluate.
-    Every evaluation is in integers: each polynomial is taken in its
-    integer form and evaluated homogenized at (2k - 1, 2a) or (k, a), which
-    scales its value by a positive integer and so keeps its sign.
+    of the integer polynomial p (rational root theorem), and every root
+    lies within Fujiwara's bound 2 max_k |c_(d-k)/c_d|^(1/k), rounded up to
+    a power of two. The Sturm chain counts the distinct real roots between
+    two half-grid points (2k -+ 1)/(2a), which are never roots; bisecting
+    the grid indices drops every interval that counts 0 and leaves single
+    grid points to evaluate. Every evaluation is in integers, each term
+    homogenized at (2k - 1, 2a) or (k, a), which scales its value by a
+    positive integer and so keeps its sign.
     """
-    ints = _integer_form(p)
-    a = abs(ints[-1])
-    chain = [_integer_form(q) for q in chain]
+    p = chain[0]
+    a = abs(p[-1])
     exponent = 0
     for k in range(1, len(p)):
-        ratio = abs(p[-1 - k] / p[-1])
-        if ratio:  # 2**e >= ratio, so ratio**(1/k) <= 2**ceil(e/k)
-            e = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
+        if p[-1 - k]:  # 2**e > |c_(d-k)| / a, so that ratio**(1/k) <= 2**ceil(e/k)
+            e = abs(p[-1 - k]).bit_length() - a.bit_length() + 1
             exponent = max(exponent, -(-e // k))
     reach = 2 ** (exponent + 1) * a
     changes = {}
@@ -612,7 +595,7 @@ def _rational_root_count(p: List[Fraction], chain: List[List[Fraction]]) -> int:
         if below(lo) == below(hi + 1):
             continue
         if lo == hi:
-            found += not _homogeneous_eval(ints, lo, a)
+            found += not _homogeneous_eval(p, lo, a)
             continue
         mid = (lo + hi) // 2
         todo += [(lo, mid), (mid + 1, hi)]
@@ -625,9 +608,8 @@ def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
     m is diagonalizable over Q iff its minimal polynomial p has deg p
     distinct rational roots.
     """
-    p = minimal_polynomial(m)
-    chain = _sturm_chain(p)
-    if _rational_root_count(p, chain) == len(p) - 1:
+    chain = _sturm_chain(_integer_form(minimal_polynomial(m)))
+    if _rational_root_count(chain) == len(chain[0]) - 1:
         return True, "", False
     if len(chain[-1]) > 1:
         return False, "minimal polynomial has a repeated root", False

@@ -60,6 +60,25 @@ def coefficient_table(dim: int, table, pair_ok) -> Dict[Tuple[int, int], SparseC
     return clean
 
 
+def _dense_bilinear(dim: int, table, x, y, antisymmetric: bool, message: str) -> tuple:
+    """The dense value at (x, y) of the bilinear map with basis values ``table``.
+
+    Pair (i, j): {k: c} adds x_i y_j c e_k, minus x_j y_i c e_k when ``antisymmetric``
+    (a table over i < j); arguments not of length ``dim`` raise DimensionMismatch(message).
+    """
+    x = vector(x)
+    y = vector(y)
+    if len(x) != dim or len(y) != dim:
+        raise DimensionMismatch(message)
+    acc = [ZERO] * dim
+    for (i, j), coeffs in table.items():
+        t = x[i] * y[j] - x[j] * y[i] if antisymmetric else x[i] * y[j]
+        if t:
+            for k, c in coeffs.items():
+                acc[k] += t * c
+    return tuple(acc)
+
+
 class LieAlgebra:
     """A Lie algebra on a fixed basis with sparse structure constants."""
 
@@ -95,17 +114,8 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence):
         """Bilinear extension of the structure constants to vectors."""
-        x = vector(x)
-        y = vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("bracket arguments must match the algebra dimension")
-        acc = [ZERO] * self.dim
-        for (i, j), coeffs in self.structure.items():
-            t = x[i] * y[j] - x[j] * y[i]
-            if t:
-                for k, c in coeffs.items():
-                    acc[k] += t * c
-        return tuple(acc)
+        return _dense_bilinear(self.dim, self.structure, x, y, True,
+                               "bracket arguments must match the algebra dimension")
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of [x, .]; column j is [x, e_j]."""

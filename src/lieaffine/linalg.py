@@ -63,9 +63,7 @@ def rat(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -190,8 +188,7 @@ class Matrix:
         return self + -other if isinstance(other, Matrix) else NotImplemented
 
     def __neg__(self) -> "Matrix":
-        return Matrix.from_sparse(self.rows, ({r: -x for r, x in col.items()}
-                                              for col in self.columns))
+        return self._scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):

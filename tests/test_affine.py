@@ -41,6 +41,7 @@ from lieaffine.errors import (
     NotADerivationError,
     NotClosedError,
     NotLieAlgebraError,
+    SchemaError,
     SingularMatrixError,
     SingularOnDerivedError,
 )
@@ -423,6 +424,21 @@ def test_from_derived_regular_rejects_singular_restriction():
     with pytest.raises(SingularOnDerivedError,
                        match="^restriction of f to the derived subalgebra is singular$"):
         from_derived_regular(c6, bad)
+
+
+def test_from_derived_regular_rejects_a_non_derivation():
+    with pytest.raises(NotADerivationError,
+                       match="^map does not satisfy the derivation identity$"):
+        from_derived_regular(make_ln(4), Matrix.identity(4))
+
+
+def test_unknown_strategy_is_refused():
+    l4 = make_ln(4)
+    with pytest.raises(ValueError, match="^unknown strategy 'nope'$"):
+        synthesize(l4, strategy="nope")
+    _, cert = synthesize(l4)
+    with pytest.raises(SchemaError, match="^unknown strategy 'nope'$"):
+        reverify_certificate(l4, dataclasses.replace(cert, strategy="nope"))
 
 
 def test_from_derived_regular_agrees_with_direct_definition():

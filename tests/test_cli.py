@@ -237,16 +237,25 @@ def test_der_char_nilp_and_verify_witness(capsys, tmp_path):
     assert payload["sound"] is True
 
 
-def test_der_char_nilp_likely_on_benoist(capsys):
+def test_der_char_nilp_likely_on_benoist(capsys, tmp_path):
+    verdict_path = tmp_path / "verdict.json"
     code, payload, _ = run_cli(
         capsys,
         ["der", "char-nilp", "--family", "Benoist", "--t", "0", "--trials", "8",
-         "--reproducible"],
+         "--reproducible", "--out", str(verdict_path)],
     )
     assert code == 1
     assert payload["kind"] == "CharNilpotentLikely"
     assert payload["witness"] is None
     assert "note" in payload
+    # a one-sided verdict has no witness to re-check: an input error
+    code, payload, err = run_cli(
+        capsys,
+        ["der", "verify-witness", "--family", "Benoist", "--t", "0",
+         "--cert", str(verdict_path), "--reproducible"],
+    )
+    assert code == 2 and payload is None
+    assert err == "error: the verdict carries no witness to verify\n"
 
 
 def test_affine_synth_and_verify_round_trip(capsys, tmp_path):
@@ -525,6 +534,34 @@ def test_io_validate_cuts_long_strings(capsys, tmp_path, kind, doc):
     assert code == 2
     assert payload is None
     assert len(err) < 200
+
+
+_CERTIFICATE = {"algebra_hash": "0", "strategy": "regular", "seed": 0, "trials": 1,
+                "version": "0", "checks": [], "witnesses": {}}
+_ALGEBRA = {"name": "g", "dim": 2, "basis": ["a", "b"], "brackets": []}
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("algebra", [_ALGEBRA], "expected a JSON object"),
+    ("certificate", {**_CERTIFICATE, "checks": {}}, "checks must be a list"),
+    ("certificate", {**_CERTIFICATE, "witnesses": []}, "witnesses must be an object"),
+    ("affine", {"dim": 2, "gamma": [], "provenance": []}, "provenance must be an object"),
+    ("algebra", {**_ALGEBRA, "brackets": {}}, "brackets must be a list"),
+    ("twoform", {"dim": 2, "entries": {}}, "entries must be a list"),
+    ("algebra", {**_ALGEBRA, "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]},
+     "coeffs must be an object"),
+    ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": ["1", "0"]}},
+     "matrix must be an array of row arrays"),
+], ids=["not-an-object", "checks", "witnesses", "provenance", "brackets", "entries", "coeffs",
+        "witness-rows"])
+def test_io_validate_rejects_malformed_documents(capsys, tmp_path, kind, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_cli(
+        capsys, ["io", "validate", "--kind", kind, "--in", str(path), "--reproducible"]
+    )
+    assert code == 2 and payload is None
+    assert err == f"error: {message}\n"
 
 
 def test_family_dimension_is_bounded(capsys):
@@ -991,6 +1028,9 @@ def test_usage_error_exit_codes(capsys):
         capsys, ["catalog", "show", "--family", "Cn", "--n", "6", "--lambda", "0"]
     )
     assert code == 2
+    code, payload, err = run_cli(capsys, ["catalog", "show", "--family", "Ln"])
+    assert code == 2 and payload is None
+    assert err == "error: --n is required for family Ln\n"
 
 
 # an input that is not UTF-8, or nested past the recursion limit, is an input error

@@ -67,6 +67,7 @@ from lieaffine.linalg import (
     solve,
     span,
     unit_vector,
+    unscaled,
 )
 from lieaffine.serialize import algebra_to_json
 
@@ -538,6 +539,12 @@ def _fraction_restrict(derived, m):
     return Matrix.from_sparse(derived.dim, out)
 
 
+def _unscaled_restrict(derived, m):
+    # the Fraction matrix of the integer restriction: columns / den
+    columns, den = derivations._integer_restrict(derived, m)
+    return Matrix.from_sparse(derived.dim, (unscaled(c, den) for c in columns))
+
+
 RATIONAL_BASIS_ALGEBRAS = [make_ln(7), make_qn(8), make_cn(8, [1, 1])[0],
                            make_cn(8, [F(2, 3), F(1, 2)])[0]]
 RATIONAL_BASIS_IDS = ["L7", "Q8", "C8", "C8(2/3,1/2)"]
@@ -555,7 +562,7 @@ def test_restriction_matches_fraction_oracle_in_a_rational_basis(alg):
     # a map that moves [g, g] off itself is still caught
     leak = Matrix.from_sparse(moved.dim, [{0: F(1, 2)} for _ in range(moved.dim)])
     with pytest.raises(NotInvariantError):
-        derivations._restrict(derived, leak)
+        derivations._integer_restrict(derived, leak)
 
 
 def _solved_derived_product(alg, f):
@@ -706,7 +713,7 @@ def test_sparse_subspaces_match_dense_oracle(alg):
     for d in candidates:
         expected = Matrix.from_columns([derived.coordinates(d.apply(b)) for b in derived.basis],
                                        rows=derived.dim)
-        assert derivations._restrict(derived, d) == expected
+        assert _unscaled_restrict(derived, d) == expected
 
 
 @pytest.mark.parametrize("base, digest", [
@@ -720,7 +727,7 @@ def test_derived_regular_witness_from_a_seeded_draw_is_pinned(base, digest):
     alg = _change_basis(base, _sparse_basis_change(base.dim, random.Random(0)))
     derived = derived_subalgebra(alg)
     for w in diagonal_derivations(alg).basis:
-        assert not nonsingular(derivations._restrict(derived, Matrix.diagonal(w)))
+        assert not nonsingular(_unscaled_restrict(derived, Matrix.diagonal(w)))
     witness = find_derived_regular_derivation(derivation_space(alg), seed=5)
     text = json.dumps(matrix_to_json(witness))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -935,6 +942,18 @@ def test_verify_torus_flags_noncommuting_pair():
     assert (0, 1) in report.commutation_failures
 
 
+def test_verify_torus_reports_non_derivations_and_refuses_wrong_sizes():
+    # the identity of L4 commutes and is diagonal, but is no derivation
+    l4 = make_ln(4)
+    report = verify_torus(l4, [Matrix.identity(4)])
+    assert report.derivation_failures == [(0, is_derivation(l4, Matrix.identity(4)))]
+    assert report.derivation_failures[0][1]
+    assert not report.commutation_failures and not report.semisimplicity_failures
+    assert not report.passed
+    with pytest.raises(DimensionMismatch, match="^map 1 does not match the algebra dimension$"):
+        verify_torus(l4, [Matrix.identity(4), Matrix.identity(3)])
+
+
 def test_verify_torus_notes_irrational_eigenvalues():
     # x^2 - 2 is squarefree but has no rational roots: the rational test
     # fails with a note that extensions were not ruled out.
@@ -1053,7 +1072,8 @@ def test_rational_root_count_matches_known_roots():
     for i in range(3000):
         factor = rng.choice([None, None] + _IRREDUCIBLE)
         p, roots = _polynomial_case(rng, rng.randint(0 if factor else 1, 5), i % 3 == 0, factor)
-        count = derivations._rational_root_count(p, derivations._sturm_chain(p))
+        count = derivations._rational_root_count(
+            derivations._sturm_chain(derivations._integer_form(p)))
         assert count == len(roots), p
 
 
