@@ -49,12 +49,12 @@ from .derivations import (
     DEFAULT_TRIALS,
     _first_hit,
     _integer_restrict,
+    _restriction_invertible,
     check_trials,
     derivation_space,
     find_derived_regular_derivation,
     find_regular_derivation,
     is_derivation,
-    restrict_to_derived,
 )
 from .errors import (
     DegenerateFormError,
@@ -533,7 +533,8 @@ _CHECKS = {
     "invertible": ("derivation", Matrix, lambda alg, f: 0 if nonsingular(f) else 1),
     "restriction_invertible": (
         "derivation", Matrix,
-        lambda alg, f: 0 if nonsingular(restrict_to_derived(alg, f)) else 1),
+        lambda alg, f: 0 if not is_derivation(alg, f) and _restriction_invertible(
+            derived_subalgebra(alg), f) else 1),
     "closed": ("two_form", TwoForm, lambda alg, form: len(dtheta_residual(alg, form))),
     "nondegenerate": ("two_form", TwoForm, lambda alg, form: 0 if nondegenerate(form) else 1),
     "torsion": ("affine_structure", AffineReport,

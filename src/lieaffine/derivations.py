@@ -24,18 +24,22 @@ an n x n determinant): a bound that is vacuous from n = 21 on.
 ``DerivationSpace.flat`` is read, by the Gauss-Jordan pass of
 ``linalg._nullspace`` on the integer equations, so a verdict that never
 reads it never pays for it. Each derivation search
-checks ``trials`` first. The derived-regular search then tries its
-diagonal weight candidates, which need only the weight equations, and a
-hit there never solves Der(g).
+checks ``trials`` first. The regular and derived-regular searches then
+try their diagonal weight candidates (``_weight_candidates`` over
+``DerivationSpace.weights``, which needs only the weight equations and is
+solved once for both), and a hit there never solves Der(g) and does not
+depend on the seed. For the regular search the pass is exact: it finds an
+invertible diagonal derivation whenever the given basis has one, as the
+catalog bases of Ln, Qn and QnZ do.
 After that the three searches pass one nil gate, ``_derivation_search``:
 it asks ``DerivationSpace.all_nilpotent``, which decides exactly (by
 Engel's theorem, on one image chain over the Der(g) basis, or at once when
 every basis map is strictly lower triangular) whether every derivation is
 nilpotent. When it is, every candidate fails, so the outcome is fixed
-without drawing any, or building the regular and char-nilp searches' own
-candidates, and the cost no longer grows with ``trials``; otherwise the
-searches draw as described. The weight pass
-cannot change that outcome: on a nil Der(g) the weight space is 0.
+without drawing any, or building the char-nilp search's own candidates,
+and the cost no longer grows with ``trials``; otherwise the searches draw
+as described. The weight pass cannot change that outcome: on a nil Der(g)
+the weight space is 0.
 ``verify_torus`` decides rational diagonalizability in integers, on the
 minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``).
 """
@@ -89,10 +93,17 @@ class DerivationSpace:
 
     ``flat`` holds Der(g) as RREF rows of flattened n^2-vectors and
     ``basis`` is the matrix view; a search that settles without them never
-    solves the system.
+    solves the system. ``weights`` is the space of diagonal derivation
+    weights, solved once and read by both searches for an invertible map:
+    they try its ``_weight_candidates`` before they read ``flat``.
     """
 
     algebra: LieAlgebra
+
+    @cached_property
+    def weights(self) -> Subspace:
+        """``diagonal_derivations`` of the algebra, from the weight equations alone."""
+        return diagonal_derivations(self.algebra)
 
     @cached_property
     def flat(self) -> Subspace:
@@ -348,15 +359,47 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
     return next((cand for cand in chain(fixed, drawn) if accept(cand)), None)
 
 
-def _derivation_search(space: DerivationSpace, fixed, seed: int, trials: int, accept):
+def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
+    """The diagonal weights the searches try before Der(g): the basis, then a moment curve.
+
+    First the RREF basis vectors b_1, ..., b_d of ``weights``, in order;
+    then, when d >= 2, w(s) = sum_k s^k b_(k+1) for s = 1, 2, ..., up to
+    the first w(s) that is nonzero on every coordinate some b_k reaches.
+    Such a coordinate is a nonzero polynomial of degree < d in s, so it
+    vanishes at fewer than d values, and the n coordinates rule out at most
+    n(d - 1): the curve stops by s = n(d - 1) + 1. No weight in the span is
+    nonzero off those coordinates, so the last candidate has the largest
+    support any weight has, and an invertible diagonal derivation exists in
+    this basis exactly when a candidate is one.
+    """
+    basis = weights.basis
+    yield from basis
+    if len(basis) < 2:
+        return
+    reached = len({c for _, row in weights.rows for c in row})
+    for s in range(1, weights.ambient_dim * (len(basis) - 1) + 2):
+        w = tuple(sum(s ** k * x for k, x in enumerate(coords)) for coords in zip(*basis))
+        yield w
+        if sum(1 for x in w if x) == reached:
+            return
+
+
+def _derivation_search(space: DerivationSpace, diagonal_first: bool, fixed, seed: int,
+                       trials: int, accept):
     """The one nil gate of the derivation searches: ``all_nilpotent``, then ``_first_hit``.
 
-    Each search accepts only non-nilpotent derivations, so a nil Der(g)
-    returns None before ``fixed()`` builds its fixed candidates and before
-    any draw; otherwise ``_first_hit`` runs them and the seeded draws over
-    Der(g) through ``accept``. Each search checks ``trials`` before it
-    gets here.
+    When ``diagonal_first``, the diagonal maps of ``_weight_candidates`` are
+    tried first, and the first that passes ``accept`` is returned before
+    Der(g) is solved. Each search accepts only non-nilpotent derivations,
+    so a nil Der(g), whose weight space is 0, returns None before
+    ``fixed()`` builds its fixed candidates and before any draw; otherwise
+    ``_first_hit`` runs them and the seeded draws over Der(g) through
+    ``accept``. Each search checks ``trials`` before it gets here.
     """
+    if diagonal_first:
+        hit = next(filter(accept, map(Matrix.diagonal, _weight_candidates(space.weights))), None)
+        if hit is not None:
+            return hit
     if space.all_nilpotent:
         return None
     return _first_hit(space.flat, space.matrix, fixed(), seed, trials, accept)
@@ -364,13 +407,18 @@ def _derivation_search(space: DerivationSpace, fixed, seed: int, trials: int, ac
 
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
-    """Seeded random search for an invertible derivation; None if all fail.
+    """Search for an invertible derivation: diagonal weights, then seeded draws; None if all fail.
 
-    When Der(g) is nil (``all_nilpotent``), every candidate is singular,
-    so None is returned without drawing.
+    After the ``trials`` check, the diagonal weight candidates
+    (``_weight_candidates``) decide exactly whether an invertible diagonal
+    derivation exists in the given basis; the first is returned without
+    solving Der(g), and it does not depend on ``seed``. Otherwise the nil
+    gate runs: when Der(g) is nil (``all_nilpotent``), every candidate is
+    singular, so None is returned without drawing; else the seeded draws
+    over Der(g) are tried.
     """
     check_trials(trials)
-    return _derivation_search(space, lambda: (), seed, trials, nonsingular)
+    return _derivation_search(space, True, lambda: (), seed, trials, nonsingular)
 
 
 def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
@@ -402,34 +450,36 @@ def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
     return Matrix.from_sparse(derived.dim, (unscaled(c, den) for c in columns))
 
 
+def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:
+    """Whether f is invertible on ``derived``: the kernel's rank of ``_integer_restrict``.
+
+    True on a zero-dimensional ``derived``; f must preserve it
+    (``NotInvariantError`` otherwise), which every derivation does.
+    """
+    return len(_gauss_jordan(_integer_restrict(derived, f)[0])) == derived.dim
+
+
 def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
                                     trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for a derivation whose derived-subalgebra restriction is invertible.
 
     After the ``trials`` check comes a deterministic first pass over the
-    diagonal derivation weights, which needs no Der(g): a hit there returns
-    before the system is solved. Only then does the nil gate run, and then
-    the seeded random combinations. The pass cannot change the outcome of
-    the gate: a nonzero diagonal derivation is not nilpotent, so when
-    Der(g) is nil (``all_nilpotent``) the weight space is 0 and the pass
-    tries nothing. In that case g is not abelian (the identity is not a
-    derivation), so every restriction to the nonzero derived subalgebra is
-    singular and None is returned without drawing. A candidate passes when
-    the kernel's rank of ``_integer_restrict`` is dim [g, g], which every
-    candidate meets on a zero-dimensional derived subalgebra. Every
-    candidate lies in Der(g) by construction, so none is re-checked here.
+    diagonal weight candidates (``_weight_candidates``), which needs no
+    Der(g): a hit there returns before the system is solved. Only then does
+    the nil gate run, and then the seeded random combinations. The pass
+    cannot change the outcome of the gate: a nonzero diagonal derivation is
+    not nilpotent, so when Der(g) is nil (``all_nilpotent``) the weight
+    space is 0 and the pass tries nothing. In that case g is not abelian
+    (the identity is not a derivation), so every restriction to the nonzero
+    derived subalgebra is singular and None is returned without drawing. A
+    candidate passes ``_restriction_invertible``, which every candidate
+    meets on a zero-dimensional derived subalgebra. Every candidate lies in
+    Der(g) by construction, so none is re-checked here.
     """
     check_trials(trials)
-    alg = space.algebra
-    derived = derived_subalgebra(alg)
-
-    def accept(f: Matrix) -> bool:
-        return len(_gauss_jordan(_integer_restrict(derived, f)[0])) == derived.dim
-
-    hit = next(filter(accept, map(Matrix.diagonal, diagonal_derivations(alg).basis)), None)
-    if hit is not None:
-        return hit
-    return _derivation_search(space, lambda: (), seed, trials, accept)
+    derived = derived_subalgebra(space.algebra)
+    return _derivation_search(space, True, lambda: (), seed, trials,
+                              lambda f: _restriction_invertible(derived, f))
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
@@ -444,7 +494,7 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     """
     check_trials(trials)
     space = derivation_space(alg)
-    witness = _derivation_search(space, lambda: space.basis, seed, trials,
+    witness = _derivation_search(space, False, lambda: space.basis, seed, trials,
                                  lambda f: not is_nilpotent(f))
     kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
     return CharNilpVerdict(kind, witness, seed, trials)

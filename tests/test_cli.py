@@ -14,6 +14,8 @@ import pytest
 
 from lieaffine import catalog, cli, liealg
 from lieaffine.cli import MAX_TRIALS, main
+from lieaffine.derivations import is_derivation
+from lieaffine.linalg import Matrix, nonsingular
 from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json, json_text
 
 
@@ -656,17 +658,19 @@ def test_reproducible_outputs_are_byte_identical(capsys):
 # three were recorded before the sparse rewrite of verify_affine,
 # is_derivation and the constructions, the rest before the nonsingularity
 # and nilpotency tests moved onto the elimination kernel. Certificates
-# carry the package version, so a version bump needs a re-pin.
+# carry the package version, so a version bump needs a re-pin. Entries 0,
+# 3, 17, 19, 38 and 40 were re-recorded when the regular search began
+# with the diagonal weights: their witness is a torus element.
 PINNED_STDOUT = [
     (("affine", "synth", "--family", "Ln", "--n", "12"), 0,
-     "b0e1b6aefb60f65a88d3407690b5fbc725f60608971e468ab8b5bf2b3a05eeaf"),
+     "4319e07cdb398402d0bfe41ed667d049937b2be395c33fa47859add27b208674"),
     (("affine", "synth", "--family", "Ln", "--n", "12", "--strategy", "symplectic"), 0,
      "67bbc9ee05a1ec181112051f2824ff43d8e52316f1298f1d065b92a844b61d74"),
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1",
       "--strategy", "derived-regular"), 0,
      "732ff6087b1460d650a457e2a1725fc379d2e987801a46d4fb4eba344c8870ec"),
     (("der", "regular", "--family", "Ln", "--n", "12"), 0,
-     "63515906549c17e8b953f0a9d1b3608e047a52def740f765a0f20ba0f92fbeea"),
+     "3501bb571dd40ae8a352662143e57c92b5cca39bf313e04e35090b72d8e90b75"),
     (("der", "derived-regular", "--family", "Cn", "--n", "8", "--lambda=1",
       "--lambda=1"), 0,
      "582458e044eae2d8a64024648093e137cd22d5c1d323311c7b31ee7568bcd80f"),
@@ -700,11 +704,11 @@ PINNED_STDOUT = [
      "675b5cc1f02ca3946684496ea0e3ec479c5a7ca8660746997776a51afebad9a2"),
     # the regular (conjugation) product beyond Ln
     (("affine", "synth", "--family", "QnZ", "--n", "10", "--strategy", "regular"), 0,
-     "3c6b3e9d091f473bb9fb8c6bab0d099151e77ad8a8de66cbba8088aa8787cfc6"),
+     "d94372f1a06dc363015b33124cd70743c5ee9f510569c8a082806e58aad6b69c"),
     (("affine", "synth", "--family", "Cn", "--n", "6", "--lambda=1"), 0,
      "2965fe461b461d21f6449c70f1f0179f3b3e1cb9a7c9d2bf6a42b658027f849b"),
     (("affine", "synth", "--family", "Qn", "--n", "12", "--seed", "5"), 0,
-     "f5d527f294e37e8e6f31a797aad8d931abb34976216f200d4a55197eab20a9f1"),
+     "116c18f58163f5e064ed4251dfb5787e83cb28ede9c77e2f38686a3fd1f8cb7a"),
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=-1",
       "--strategy", "regular", "--seed", "3"), 0,
      "a452b309701b2a957b592984df3c3279f3e1f403035ac281317775a86f2b72af"),
@@ -756,11 +760,11 @@ PINNED_STDOUT = [
     (("der", "space", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2"), 0,
      "abb620e381758b09b150dc9438854e698f27e17802f97197c8abdb6610d3439d"),
     (("affine", "synth", "--family", "Ln", "--n", "24"), 0,
-     "9df32aea509cbd1b7fe115eed5af29264a19ac038f6e870c2844fc2deb4b3888"),
+     "61ea29ba3ada7dd9a196afa8628733fd3ae2ae77cfe4e96ac4f6194e180d4247"),
     (("affine", "synth", "--family", "Ln", "--n", "24", "--strategy", "symplectic"), 0,
      "1aaba4ea51b877abbf83d9799164b960227196f565ee16f98645fb5f708a9c59"),
     (("affine", "synth", "--family", "QnZ", "--n", "16"), 0,
-     "37e2b7768f3c8ea23440193c58a2efd486c2cc14ff5014efd43036fc018f734f"),
+     "3bb0dd502bed6045f0b8404476440c93a76dfd8a8c5e9819479c632bd54c30bf"),
     # the family list and one member of each family as algebra JSON: the
     # bracket order and basis names of every catalog table
     (("catalog", "list"), 0,
@@ -799,6 +803,30 @@ def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("index", [0, 3, 17, 19, 38, 40])
+def test_diagonal_regular_pins_are_certified(capsys, tmp_path, index):
+    # the regular witness of these pins is diagonal: each certificate passes
+    # `affine verify`, and the `der regular` witness is an invertible derivation
+    argv = list(PINNED_STDOUT[index][0])
+    family = argv[2:6]
+    code, doc, _ = run_cli(capsys, [*argv, "--reproducible"])
+    assert code == 0
+    if argv[0] == "der":
+        _, shown, _ = run_cli(capsys, ["catalog", "show", *family, "--reproducible"])
+        witness = Matrix(doc["witness"])
+        assert is_derivation(algebra_from_json(shown), witness) == []
+        assert nonsingular(witness)
+    else:
+        assert doc["strategy"] == "regular"
+        witness = Matrix(doc["witnesses"]["derivation"])
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, report, _ = run_cli(capsys, ["affine", "verify", *family, "--cert", str(cert),
+                                           "--reproducible"])
+        assert code == 0, report
+    assert all(set(col) == {j} for j, col in enumerate(witness.columns))
 
 
 def test_der_verify_witness_stdout_matches_pinned_hash(capsys, tmp_path):

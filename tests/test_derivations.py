@@ -1,6 +1,7 @@
 """Derivation algebras: computation, classification, searches, tori."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -364,12 +365,15 @@ def test_find_regular_derivation_c6_finds_hidden_regular():
 
 def test_find_regular_derivation_replays_the_documented_draw():
     # (seed, trials) replay relies on this order: per trial, one
-    # randint(-10, 10) per Der(g) basis element, in basis order.
-    space = derivation_space(make_ln(6))
+    # randint(-10, 10) per Der(g) basis element, in basis order. Every
+    # diagonal weight of C8 (1, -1) vanishes on e1, so the search draws.
+    c8 = make_cn(8, [1, -1])[0]
+    assert all(w[0] == 0 for w in diagonal_derivations(c8).basis)
+    space = derivation_space(c8)
     rng = random.Random(11)
     expected = None
     while expected is None:
-        cand = Matrix.zeros(6, 6)
+        cand = Matrix.zeros(8, 8)
         for m in space.basis:
             cand = cand + rng.randint(-10, 10) * m
         if nonsingular(cand):
@@ -877,8 +881,8 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
     b1 = make_benoist(1)
     space = derivation_space(b1)
     with monkeypatch.context() as patch:
-        # regular and char-nilp build the weight space, the basis and
-        # [g, g] only past the gate
+        # char-nilp builds neither the weight space nor [g, g], and its
+        # basis only past the gate
         patch.setattr(derivations, "diagonal_derivations", no_build)
         patch.setattr(derivations, "derived_subalgebra", no_build)
         patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
@@ -887,30 +891,71 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
             inner.setattr(derivations, "derivation_space", no_build)
             with pytest.raises(ValueError, match="trials"):
                 char_nilpotent_verdict(b1, trials=0)
-        assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
         verdict = char_nilpotent_verdict(b1, seed=3, trials=10 ** 9)
         assert (verdict.kind, verdict.witness, verdict.seed, verdict.trials) == (
             CHAR_NILPOTENT_LIKELY, None, 3, 10 ** 9)
-    # derived-regular tries the diagonal weights before the gate; on a nil
-    # Der(g) they span 0, so the gate still settles it without a draw
-    assert diagonal_derivations(b1).is_zero()
-    assert find_derived_regular_derivation(space, seed=3, trials=10 ** 9) is None
+    # regular and derived-regular try the diagonal weights before the gate;
+    # on a nil Der(g) they span 0, so the gate still settles both without a
+    # draw, and they share one weight solve
+    with monkeypatch.context() as patch:
+        solves = []
+        patch.setattr(derivations, "diagonal_derivations",
+                      lambda alg: solves.append(alg) or diagonal_derivations(alg))
+        patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
+        with monkeypatch.context() as inner:
+            inner.setattr(derivations, "derived_subalgebra", no_build)
+            assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
+        assert find_derived_regular_derivation(space, seed=3, trials=10 ** 9) is None
+        assert solves == [b1]
+    assert space.weights.is_zero()
+    # C8 (1, -1) has no invertible diagonal derivation, so its search draws
     with pytest.raises(AssertionError, match="drew"):
-        find_regular_derivation(derivation_space(make_ln(4)))
+        find_regular_derivation(derivation_space(make_cn(8, [1, -1])[0]))
 
 
 def test_diagonal_hit_never_solves_der_g(monkeypatch):
+    # the witness is a diagonal weight, found before Der(g) is solved, so
+    # it does not depend on the seed
     def no_solve(*args):
         raise AssertionError("Der(g) was solved")
 
     monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
-    c12 = make_cn(12, [1, -1, 1, 1])[0]
-    _, cert = synthesize(c12, "derived-regular")
-    witness = cert.witnesses["derivation"]
-    assert cert.strategy == "derived-regular"
-    assert all(set(col) <= {j} for j, col in enumerate(witness.columns))
-    with pytest.raises(AssertionError, match="solved"):
-        derivation_space(c12).dim
+    cases = [(make_cn(12, [1, -1, 1, 1])[0], "derived-regular")] + [
+        (alg, strategy)
+        for alg in (make_ln(12), make_qn(10), make_qn(12, adapted=True),
+                    make_ank(11, 3, [1, 2, F(16, 9)])[0])
+        for strategy in ("auto", "regular")]
+    for alg, strategy in cases:
+        _, cert = synthesize(alg, strategy)
+        witness = cert.witnesses["derivation"]
+        assert cert.strategy == ("derived-regular" if strategy == "derived-regular"
+                                 else "regular"), alg.name
+        assert all(set(col) <= {j} for j, col in enumerate(witness.columns)), alg.name
+        assert synthesize(alg, strategy, seed=7)[1].witnesses["derivation"] == witness
+        with pytest.raises(AssertionError, match="solved"):
+            derivation_space(alg).dim
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_weight_candidates_find_an_invertible_weight_exactly_when_one_exists(seed):
+    # random small integer bases, some with coordinates forced to 0 on every
+    # vector; the oracle tries every combination with coefficients in
+    # -3..3, a grid wider than n >= the degree of the product of the
+    # coordinates, so it finds an all-nonzero weight whenever one exists
+    rng = random.Random(seed)
+    n, d = rng.randint(1, 5), rng.randint(1, 3)
+    dead = {i for i in range(n) if rng.random() < 0.15}
+    weights = span([[0 if i in dead else rng.randint(-2, 2) for i in range(n)]
+                    for _ in range(d)], n)
+    d = weights.dim
+    exists = d > 0 and any(
+        all(sum(c * x for c, x in zip(cs, coords)) for coords in zip(*weights.basis))
+        for cs in itertools.product(range(-3, 4), repeat=d))
+    candidates = list(derivations._weight_candidates(weights))
+    assert candidates[:d] == list(weights.basis)
+    assert len(candidates) - d <= (n * (d - 1) + 1 if d > 1 else 0)
+    assert all(weights.contains(w) for w in candidates)
+    assert any(all(w) for w in candidates) == exists
 
 
 def test_verify_torus_ln_pair():
