@@ -363,25 +363,19 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     """The diagonal weights the searches try before Der(g): the basis, then a moment curve.
 
     First the RREF basis vectors b_1, ..., b_d of ``weights``, in order;
-    then, when d >= 2, w(s) = sum_k s^k b_(k+1) for s = 1, 2, ..., up to
-    the first w(s) that is nonzero on every coordinate some b_k reaches.
-    Such a coordinate is a nonzero polynomial of degree < d in s, so it
-    vanishes at fewer than d values, and the n coordinates rule out at most
-    n(d - 1): the curve stops by s = n(d - 1) + 1. No weight in the span is
-    nonzero off those coordinates, so the last candidate has the largest
-    support any weight has, and an invertible diagonal derivation exists in
-    this basis exactly when a candidate is one.
+    then, when d >= 2, w(s) = sum_k s^k b_(k+1) for s = 1, ..., n(d - 1) + 1.
+    On a coordinate some b_k reaches, w(s) is a nonzero polynomial of
+    degree < d in s, so it vanishes at fewer than d values, and the n
+    coordinates rule out at most n(d - 1) of the values of s: some w(s) is
+    nonzero wherever any weight in the span is. So an invertible diagonal
+    derivation exists in this basis exactly when a candidate is one.
     """
     basis = weights.basis
     yield from basis
     if len(basis) < 2:
         return
-    reached = len({c for _, row in weights.rows for c in row})
     for s in range(1, weights.ambient_dim * (len(basis) - 1) + 2):
-        w = tuple(sum(s ** k * x for k, x in enumerate(coords)) for coords in zip(*basis))
-        yield w
-        if sum(1 for x in w if x) == reached:
-            return
+        yield tuple(sum(s ** k * x for k, x in enumerate(coords)) for coords in zip(*basis))
 
 
 def _derivation_search(space: DerivationSpace, diagonal_first: bool, fixed, seed: int,
@@ -475,6 +469,12 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     candidate passes ``_restriction_invertible``, which every candidate
     meets on a zero-dimensional derived subalgebra. Every candidate lies in
     Der(g) by construction, so none is re-checked here.
+
+    The pass tries the moment-curve points of ``_weight_candidates`` after
+    the weight basis. So on a table where no single basis weight passes but
+    a combination does (h3 + h3, two Heisenberg algebras, is one), the
+    witness is a curve point that does not depend on ``seed``, not a seeded
+    draw over Der(g).
     """
     check_trials(trials)
     derived = derived_subalgebra(space.algebra)

@@ -280,20 +280,16 @@ def tail_filtered(alg: LieAlgebra) -> bool:
     return len(steps) == max(alg.dim - 2, 0)
 
 
-def _unit_rows(n: int, start: int) -> Subspace:
-    """span(e_start, ..., e_(n-1)) as its canonical RREF rows, the unit rows."""
-    return Subspace(n, [(k, {k: ONE}) for k in range(start, n)])
-
-
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     """Span of all brackets of basis pairs: the stored structure constants.
 
     On a ``tail_filtered`` table [g, g] = C^1 g is span(e_2, ..., e_(n-1)),
     whose canonical RREF rows are the unit rows, returned without the kernel.
     """
+    n = alg.dim
     if tail_filtered(alg):
-        return _unit_rows(alg.dim, 2)
-    return Subspace(alg.dim, _reduce(alg.structure.values()))
+        return Subspace(n, [(k, {k: ONE}) for k in range(2, n)])
+    return Subspace(n, _reduce(alg.structure.values()))
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
@@ -302,15 +298,11 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     The first entry is the whole algebra; each later term is the span of
     brackets of basis vectors with the previous term. The list stops right
     before the first repeated subspace, so the algebra is nilpotent exactly
-    when the last entry is zero. On a ``tail_filtered`` table the terms are
-    g and C^k g = span(e_(k+1), ..., e_(n-1)) for k >= 1, down to 0, read
-    off as unit rows. Otherwise they come from the one image chain
+    when the last entry is zero. The terms come from the one image chain
     (``linalg._image_chain``) and each is put in canonical RREF with
     ``_reduce``.
     """
     n = alg.dim
-    if tail_filtered(alg):
-        return [_unit_rows(n, start) for start in (0, *range(2, max(n, 2) + 1))]
     whole = ({i: ONE} for i in range(n))
     return [Subspace(n, _reduce(rows.values())) for rows in _image_chain(ad_columns(alg), whole)]
 

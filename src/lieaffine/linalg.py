@@ -30,8 +30,8 @@ an inverse over one denominator straight off the kernel's rows of
 [m^T | I], with no normalization; ``invert`` unscales them once, and the
 constructions in ``affine`` keep them in ints. ``_image_chain`` is the
 one image-chain loop, over integer-scaled maps, shared by
-``products_vanish`` and ``liealg.lower_central_series`` (on a table not
-``tail_filtered``), which puts its terms in canonical form with ``_reduce``.
+``products_vanish`` and ``liealg.lower_central_series``, which puts its
+terms in canonical form with ``_reduce``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
 by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;

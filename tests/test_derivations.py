@@ -936,6 +936,26 @@ def test_diagonal_hit_never_solves_der_g(monkeypatch):
             derivation_space(alg).dim
 
 
+def test_derived_regular_hits_a_curve_point_when_no_basis_weight_passes(monkeypatch):
+    # h3 + h3: each RREF weight vanishes on one of [g, g] = span(e3, e6),
+    # so no basis weight passes; the first curve point b1 + b2 + b3 + b4
+    # does, before Der(g) is solved and whatever the seed
+    alg = LieAlgebra(6, {(0, 1): {2: 1}, (3, 4): {5: 1}})
+    derived = derived_subalgebra(alg)
+    assert not any(derivations._restriction_invertible(derived, Matrix.diagonal(w))
+                   for w in diagonal_derivations(alg).basis)
+
+    def no_solve(*args):
+        raise AssertionError("Der(g) was solved")
+
+    monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
+    expected = Matrix.diagonal([1, 1, 2, 1, 1, 2])
+    for seed in (0, 7):
+        assert find_derived_regular_derivation(derivation_space(alg), seed=seed) == expected
+        _, cert = synthesize(alg, "derived-regular", seed=seed)
+        assert cert.witnesses["derivation"] == expected
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_weight_candidates_find_an_invertible_weight_exactly_when_one_exists(seed):
     # random small integer bases, some with coordinates forced to 0 on every
@@ -953,7 +973,7 @@ def test_weight_candidates_find_an_invertible_weight_exactly_when_one_exists(see
         for cs in itertools.product(range(-3, 4), repeat=d))
     candidates = list(derivations._weight_candidates(weights))
     assert candidates[:d] == list(weights.basis)
-    assert len(candidates) - d <= (n * (d - 1) + 1 if d > 1 else 0)
+    assert len(candidates) - d == (n * (d - 1) + 1 if d > 1 else 0)
     assert all(weights.contains(w) for w in candidates)
     assert any(all(w) for w in candidates) == exists
 
