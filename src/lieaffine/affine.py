@@ -74,7 +74,7 @@ from .liealg import (
     _dense_bilinear,
     algebra_hash,
     coefficient_table,
-    cyclic_terms,
+    cyclic_sum_terms,
     derived_subalgebra,
     dtheta_residual,
     integer_ad_columns,
@@ -412,8 +412,9 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     and draws seeded combinations of its basis until one has nonzero Gram
     determinant. That determinant is the square of the Pfaffian, of
     degree n/2 in the coefficients. The closedness equations are integer
-    rows over the integer-scaled structure constants, which leaves their
-    solutions unchanged.
+    rows over the integer-scaled structure constants, one per basis triple
+    that a stored bracket reaches, summed over ``cyclic_sum_terms`` with
+    every a != m a partner of e_m (th(e_a, e_m) an unknown).
     """
     check_trials(trials)
     n = alg.dim
@@ -421,15 +422,13 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         return None
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: s for s, p in enumerate(pairs)}
-    rows = []
-    for _, terms in cyclic_terms(integer_structure(alg)[0], n):
-        row = {}
-        for a, m, c in terms:
-            if a != m:
-                col = index[(min(a, m), max(a, m))]
-                row[col] = row.get(col, 0) + (c if a < m else -c)
-        rows.append(row)
-    return _first_hit(_nullspace(rows, len(pairs)),
+    others = [[a for a in range(n) if a != m] for m in range(n)]
+    rows: Dict[tuple, dict] = {}
+    for triple, a, m, c in cyclic_sum_terms(integer_structure(alg)[0], others):
+        row = rows.setdefault(triple, {})
+        col = index[(a, m) if a < m else (m, a)]
+        row[col] = row.get(col, 0) + (c if a < m else -c)
+    return _first_hit(_nullspace(rows.values(), len(pairs)),
                       lambda v: TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items() if x}),
                       (), seed, trials, nondegenerate)
 
@@ -501,6 +500,9 @@ def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
     structure = witnesses.get("affine_structure")
     if isinstance(structure, AffineStructure):
         witnesses["affine_structure"] = verify_affine(alg, structure)
+    f = witnesses.get("derivation")
+    if isinstance(f, Matrix):
+        witnesses["derivation"] = _CheckedMap(f, is_derivation(alg, f))
     results: List[CheckResult] = []
     for name in entry.checks:
         key, kind, count = _CHECKS[name]
@@ -526,15 +528,22 @@ def _witness_dim(witness) -> Optional[int]:
     return getattr(witness, "dim", None)
 
 
+@dataclass(frozen=True)
+class _CheckedMap:
+    """A derivation witness with its ``is_derivation`` violations, found once per certificate."""
+    map: Matrix
+    violations: List[tuple]
+
+
 # check name -> (witness key, witness type, residual count of alg and witness);
-# the "affine_structure" witness is read as its one verify_affine report
+# "affine_structure" is read as its verify_affine report, "derivation" as a _CheckedMap
 _CHECKS = {
-    "is_derivation": ("derivation", Matrix, lambda alg, f: len(is_derivation(alg, f))),
-    "invertible": ("derivation", Matrix, lambda alg, f: 0 if nonsingular(f) else 1),
+    "is_derivation": ("derivation", _CheckedMap, lambda alg, w: len(w.violations)),
+    "invertible": ("derivation", _CheckedMap, lambda alg, w: 0 if nonsingular(w.map) else 1),
     "restriction_invertible": (
-        "derivation", Matrix,
-        lambda alg, f: 0 if not is_derivation(alg, f) and _restriction_invertible(
-            derived_subalgebra(alg), f) else 1),
+        "derivation", _CheckedMap,
+        lambda alg, w: 0 if not w.violations and _restriction_invertible(
+            derived_subalgebra(alg), w.map) else 1),
     "closed": ("two_form", TwoForm, lambda alg, form: len(dtheta_residual(alg, form))),
     "nondegenerate": ("two_form", TwoForm, lambda alg, form: 0 if nondegenerate(form) else 1),
     "torsion": ("affine_structure", AffineReport,

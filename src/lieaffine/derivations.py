@@ -2,14 +2,14 @@
 
 ``derivation_space`` solves the linear system expressing
 D[x, y] = [Dx, y] + [x, Dy] on all basis pairs, over the n^2 matrix
-entries of D, with its equations built from the nonzero structure
+entries of D, with its equations built by walking the nonzero structure
 constants, integer-scaled over their common denominator; ``is_derivation``
 checks the identity in integers the same way. When the table is in a
 basis adapted to its lower central series (``liealg.tail_filtered``, true
 for every catalog family), the n(n-1)/2 - 1 entries D[p, q] with q >= 2,
-p < q vanish in every derivation, so they are left out of the system
-before it is solved (``_pinned_unknowns``); any other table solves the
-full system. Both give the same canonical basis. Every randomized search
+p < q vanish in every derivation (``_pinned_unknowns``), and the builder
+never visits them; any other table solves the full system. Both give
+the same canonical basis. Every randomized search
 (for invertible derivations, for derivations whose restriction to the
 derived subalgebra is invertible, for non-nilpotent derivations, and for
 symplectic forms) runs one loop, ``_first_hit``, over its fixed
@@ -57,6 +57,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, NotADerivationError, NotInvariantError
 from .liealg import (
     LieAlgebra,
+    bracket_partners,
     derived_subalgebra,
     integer_ad_columns,
     integer_structure,
@@ -216,11 +217,7 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
         raise DimensionMismatch("map shape does not match the algebra dimension")
     cols, dm = integer_scaled(m.columns)
     ad, dc = integer_ad_columns(alg)
-    # partners[q]: the p with [e_p, e_q] != 0
-    partners = [[] for _ in range(n)]
-    for p, q in alg.structure:
-        partners[p].append(q)
-        partners[q].append(p)
+    partners = bracket_partners(alg.structure, n)
     pairs = set(alg.structure)
     for i, col in enumerate(cols):
         pairs.update((min(i, j), max(i, j)) for q in col for j in partners[q] if j != i)
@@ -254,37 +251,35 @@ def _pinned_unknowns(alg: LieAlgebra) -> frozenset:
 def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
     """(rows, pinned): the equations of ``derivation_space`` as integer rows.
 
-    The structure constants are rescaled over their common denominator;
-    the system is homogeneous, so that leaves its solutions unchanged.
-    The rows are over the n^2 unknowns; the ``_pinned_unknowns`` are 0 in
-    every derivation, so their terms are left out and a row left empty is
-    dropped.
+    The structure constants are rescaled over their common denominator,
+    which leaves the solutions unchanged, and the rows are built by walking
+    them: c of [e_i, e_j] on e_k adds c D[p, k] to row (i, j, p) for every p,
+    and c of [e_q, e_x] on e_p adds -c D[q, y] to row (y, x, p) for y < x
+    and c D[q, y] to row (x, y, p) for y > x. On a ``tail_filtered`` table
+    the terms on the ``_pinned_unknowns`` are never visited: D[p, k] is met
+    for p >= k only and D[q, y] for y <= max(q, 1). A row is made by its
+    first term, so none is empty; a sum that cancels stays as a 0 entry.
     """
     n = alg.dim
     pinned = _pinned_unknowns(alg)
     structure, _ = integer_structure(alg)
-    # right[j]: the (q, p, c) with [e_q, e_j] = ... + c e_p + ...
-    right: List[List[tuple]] = [[] for _ in range(n)]
+    rows: dict = {}
     for (i, j), coeffs in structure.items():
-        for p, c in coeffs.items():
-            right[j].append((i, p, c))
-            right[i].append((j, p, -c))
-    rows: List[dict] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = structure.get((i, j))
-            block = {p: {p * n + k: c for k, c in bracket.items() if p * n + k not in pinned}
-                     for p in range(n)} if bracket else {}
-            for q, p, c in right[j]:
-                row = block.setdefault(p, {})
-                if q * n + i not in pinned:
-                    row[q * n + i] = row.get(q * n + i, 0) - c
-            for q, p, c in right[i]:
-                row = block.setdefault(p, {})
-                if q * n + j not in pinned:
-                    row[q * n + j] = row.get(q * n + j, 0) + c
-            rows.extend(filter(None, block.values()))
-    return rows, pinned
+        for k, c in coeffs.items():
+            for p in range(k if pinned else 0, n):
+                row = rows.setdefault((i, j, p), {})
+                row[p * n + k] = row.get(p * n + k, 0) + c
+        for q, x, sign in ((i, j, 1), (j, i, -1)):
+            top = max(q, 1) + 1 if pinned else n  # D[q, y] is free for y < top
+            for p, c in coeffs.items():
+                c *= sign
+                for y in range(min(x, top)):
+                    row = rows.setdefault((y, x, p), {})
+                    row[q * n + y] = row.get(q * n + y, 0) - c
+                for y in range(x + 1, top):
+                    row = rows.setdefault((x, y, p), {})
+                    row[q * n + y] = row.get(q * n + y, 0) + c
+    return list(rows.values()), pinned
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
@@ -295,15 +290,13 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     index p*n + q (row-major). The equation of pair i < j on coordinate p
     reads
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
-    so it is built from the nonzero structure constants alone, and only the
-    equations they touch are emitted. The constants are integer-scaled over
-    their common denominator (``_derivation_equations``), so the kernel
-    gets integer rows with the same solutions. On a ``tail_filtered`` table
-    the entries that every derivation sets to 0 (``_pinned_unknowns``) are
-    left out of the rows, and rows left empty are dropped: Benoist(1) solves
-    103 equations instead of 434, L24 274 instead of 1034. Any other table,
-    such as a catalog algebra in a moved basis, solves the full system; the
-    canonical RREF of the solutions is the same either way.
+    and ``_derivation_equations`` builds it in integers from the nonzero
+    structure constants alone. On a ``tail_filtered`` table the entries
+    that every derivation sets to 0 (``_pinned_unknowns``) are left out:
+    Benoist(1) solves 103 equations instead of 434, L24 274 instead of
+    1034. Any other table, such as a catalog algebra in a moved basis,
+    solves the full system; the canonical RREF of the solutions is the
+    same either way.
     """
     return DerivationSpace(algebra=alg)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .linalg import (
@@ -202,58 +202,57 @@ def _ad_table(structure: dict, n: int) -> List[List[dict]]:
     return out
 
 
-def cyclic_terms(structure: dict, n: int):
-    """Yield ((i, j, k), terms) for the basis triples i < j < k of a bracket table.
+def bracket_partners(structure: dict, n: int) -> List[List[int]]:
+    """partners[m]: the a with [e_a, e_m] stored in ``structure`` (either order)."""
+    partners: List[List[int]] = [[] for _ in range(n)]
+    for i, j in structure:
+        partners[i].append(j)
+        partners[j].append(i)
+    return partners
 
-    ``structure`` is a table {(i, j): {m: c}} over pairs i < j of an
-    n-dimensional algebra; the callers pass ``integer_structure``, so every
-    c is an int, den times the structure constant. ``terms`` lists (a, m, c)
-    over the cyclic sum (e_i, [e_j, e_k]), (e_j, [e_k, e_i]), (e_k, [e_i, e_j]):
-    c is the e_m coefficient of the bracket paired with e_a. Triples whose
-    three brackets all vanish are skipped, since every cyclic sum over them
-    is zero: only the triples holding a stored pair are visited, through
-    each index's set of larger partners, in ascending (i, j, k) order.
+
+def cyclic_sum_terms(structure: dict, partners: Sequence[Iterable[int]]):
+    """Yield (triple, a, m, c): the nonzero terms c X(e_a, e_m) of the cyclic sums of X.
+
+    On i < j < k the sum is X(e_i, [e_j, e_k]) + X(e_j, [e_k, e_i]) + X(e_k, [e_i, e_j]).
+    ``structure`` is a bracket table over pairs p < q (the callers pass
+    ``integer_structure``) and ``partners[m]`` every a with X(e_a, e_m)
+    possibly nonzero. Each coefficient c of [e_p, e_q] on e_m and each
+    partner a outside {p, q} give one term on the sorted triple of
+    (a, p, q), c negated when p < a < q. Triples no stored bracket reaches
+    are never visited, and a triple's terms come in no fixed order.
     """
-    s = structure
-    above = [set() for _ in range(n)]
-    for i, j in s:
-        above[i].add(j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j in above[i]:
-                ks = range(j + 1, n)
-            elif above[i] or above[j]:
-                ks = sorted(k for k in above[i] | above[j] if k > j)
-            else:
-                continue
-            for k in ks:
-                terms = [(i, m, c) for m, c in s.get((j, k), {}).items()]
-                terms += [(j, m, -c) for m, c in s.get((i, k), {}).items()]
-                terms += [(k, m, c) for m, c in s.get((i, j), {}).items()]
-                yield (i, j, k), terms
+    for (p, q), coeffs in structure.items():
+        for m, c in coeffs.items():
+            for a in partners[m]:
+                if a < p:
+                    yield (a, p, q), a, m, c
+                elif p < a < q:
+                    yield (p, a, q), a, m, -c
+                elif a > q:
+                    yield (p, q, a), a, m, c
 
 
 def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     """Exact residual of the Jacobi identity on every basis triple i < j < k.
 
     An empty list certifies that the structure constants define a Lie
-    algebra (antisymmetry already holds by construction). The sums run in
-    ints over ``integer_structure`` and its ad table, both den times the
-    rational ones, so each residual is den^2 times the rational one and is
-    divided once.
+    algebra (antisymmetry already holds by construction). Each residual is
+    the cyclic sum of X(e_a, e_m) = [e_a, e_m] over ``cyclic_sum_terms``,
+    in ascending order. The sums run in ints over ``integer_structure``
+    and its ad table, both den times the rational ones, so each residual
+    is den^2 times the rational one and is divided once.
     """
     n = alg.dim
     structure, den = integer_structure(alg)
     ad = _ad_table(structure, n)
-    out = []
-    for (i, j, k), terms in cyclic_terms(structure, n):
-        acc = {}
-        for a, m, c in terms:
-            for p, d in ad[a][m].items():
-                acc[p] = acc.get(p, 0) + c * d
-        if any(acc.values()):
-            out.append((i, j, k, dense_vector(unscaled(acc, den * den), n)))
-    return out
+    sums: Dict[tuple, dict] = {}
+    for triple, a, m, c in cyclic_sum_terms(structure, bracket_partners(structure, n)):
+        acc = sums.setdefault(triple, {})
+        for p, d in ad[a][m].items():
+            acc[p] = acc.get(p, 0) + c * d
+    return [(*triple, dense_vector(unscaled(sums[triple], den * den), n))
+            for triple in sorted(sums) if any(sums[triple].values())]
 
 
 def tail_filtered(alg: LieAlgebra) -> bool:
@@ -323,28 +322,25 @@ def _filiform_dims(dims: List[int]) -> bool:
 
 
 def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int, Fraction]]:
-    """Nonzero values of the 2-form cocycle sum on basis triples.
+    """Nonzero values of the 2-form cocycle sum on basis triples, in ascending order.
 
     The residual on (i, j, k) is
-    th(e_i, [e_j, e_k]) + th(e_j, [e_k, e_i]) + th(e_k, [e_i, e_j]);
-    an empty list means the form is closed. The sums run in ints over
-    ``integer_structure`` and the Gram matrix scaled over its own common
-    denominator d_form, and each nonzero one is divided once, by
-    den * d_form.
+    th(e_i, [e_j, e_k]) + th(e_j, [e_k, e_i]) + th(e_k, [e_i, e_j]),
+    summed over the terms of ``cyclic_sum_terms`` with the support of each
+    Gram column as the partners; an empty list means the form is closed.
+    The sums run in ints over ``integer_structure`` and the Gram matrix
+    scaled over its own common denominator d_form, and each nonzero one is
+    divided once, by den * d_form.
     """
-    n = alg.dim
-    if form.dim != n:
+    if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
     structure, den = integer_structure(alg)
     columns, d_form = integer_scaled(form.gram.columns)
-    out = []
-    for (i, j, k), terms in cyclic_terms(structure, n):
-        acc = 0
-        for a, m, c in terms:
-            acc += columns[m].get(a, 0) * c
-        if acc:
-            out.append((i, j, k, Fraction(acc, den * d_form)))
-    return out
+    sums: Dict[tuple, int] = {}
+    for triple, a, m, c in cyclic_sum_terms(structure, columns):
+        sums[triple] = sums.get(triple, 0) + columns[m][a] * c
+    return [(*triple, Fraction(sums[triple], den * d_form)) for triple in sorted(sums)
+            if sums[triple]]
 
 
 def nondegenerate(form: TwoForm) -> bool:

@@ -13,9 +13,9 @@ the boundary: ``_integer_row`` clears one Fraction row of its
 denominators, and integer producers (the Der(g), weight and closed-form
 equations, and the image-chain steps) feed the kernel as they are. Each
 row is taken sparsest first, eliminated fraction-free by
-cross-multiplication with per-row content reduction (``_eliminate``; a
-one-entry pivot row just deletes its column) and kept free of every other
-pivot column, each pivot the row's largest column. Its
+cross-multiplication (``_eliminate``; a one-entry pivot row just deletes
+its column), made primitive once, and kept free of every other pivot
+column, each pivot the row's largest column. Its
 {pivot: primitive int row} is enough for a caller that only counts
 (``rank``, ``nonsingular``, ``products_vanish``, ``is_nilpotent``).
 ``_nullspace`` reads its canonical basis straight off those rows, for
@@ -288,22 +288,22 @@ def _primitive(row: dict) -> dict:
 
 
 def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
-    """pv * row - v * prow with its content divided out; cancelled entries drop.
+    """pv * row - v * prow, pv and v first divided by their gcd; cancelled entries drop.
 
-    pv and v are divided by their gcd first, which leaves the primitive
-    result unchanged and keeps the products small.
+    The content stays in (``_gauss_jordan`` divides it out once per row), and
+    a multiplier pv of 1 after the gcd copies the row instead of scaling it.
     """
     g = gcd(pv, v)
     if g > 1:
         pv, v = pv // g, v // g
-    new = {c: pv * x for c, x in row.items()}
+    new = dict(row) if pv == 1 else {c: pv * x for c, x in row.items()}
     for c, x in prow.items():
         y = new.get(c, 0) - v * x
         if y:
             new[c] = y
         else:
             del new[c]
-    return _primitive(new)
+    return new
 
 
 def _integer_row(row: dict) -> dict:
@@ -324,14 +324,16 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
     sparsest first, and every pivot row is kept free of the other pivot
     columns. A new row is therefore reduced once against each pivot column
     it holds (a one-entry pivot row just deletes its column), so a
-    redundant row costs at most its length. A nonzero remainder pivots on its largest column,
-    which is then cleared from the rows that hold it, found through a
-    column -> pivots index of plain lists whose stale entries (the column
-    since cancelled) are skipped. Clearing a column below a row's pivot
-    adds only columns below the new pivot, so each row's pivot stays its
-    largest column. The rows span the input, their number is its rank, and
-    each is a multiple of a row of the reduced row-echelon form for the
-    reversed column order.
+    redundant row costs at most its length. A nonzero remainder is made
+    primitive once (a division at every step would only scale it by a
+    positive factor) and pivots on its largest column, which is then
+    cleared from the rows that hold it, found through a column -> pivots
+    index of plain lists whose stale entries (the column since cancelled)
+    are skipped; each row cleared is made primitive again. Clearing a
+    column below a row's pivot adds only columns below the new pivot, so
+    each row's pivot stays its largest column. The rows span the input,
+    their number is its rank, and each is a multiple of a row of the
+    reduced row-echelon form for the reversed column order.
     """
     reduced = {}
     holders = {}
@@ -353,7 +355,7 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
             x = held.get(p)
             if not x:
                 continue
-            reduced[r] = _eliminate(pv, held, x, cur)
+            reduced[r] = _primitive(_eliminate(pv, held, x, cur))
             for c in cur:
                 if c not in held:
                     holders.setdefault(c, []).append(r)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lieaffine import catalog, cli, liealg
+from lieaffine import affine, catalog, cli, liealg
 from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.derivations import is_derivation
 from lieaffine.linalg import Matrix, nonsingular
@@ -368,6 +368,33 @@ def test_affine_verify_rejects_tampered_derived_regular_witness(capsys, tmp_path
     status = {c["name"]: c["status"] for c in payload["checks"]}
     assert status["is_derivation"] == "fail"
     assert status["restriction_invertible"] == "fail"
+
+
+def test_affine_verify_runs_the_derivation_test_once_per_certificate(capsys, tmp_path,
+                                                                     monkeypatch):
+    # is_derivation and restriction_invertible read one is_derivation run
+    cn6 = ["--family", "Cn", "--n", "6", "--lambda", "1"]
+    code, doc, _ = run_cli(
+        capsys,
+        ["affine", "synth", *cn6, "--strategy", "derived-regular", "--reproducible"],
+    )
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    calls = []
+
+    def counted(alg, m):
+        calls.append(1)
+        return is_derivation(alg, m)
+
+    monkeypatch.setattr(affine, "is_derivation", counted)
+    code, payload, _ = run_cli(
+        capsys, ["affine", "verify", *cn6, "--cert", str(cert_path), "--reproducible"]
+    )
+    assert code == 0
+    assert [c["name"] for c in payload["checks"]] == [
+        "is_derivation", "restriction_invertible", "torsion", "left_symmetry"]
+    assert len(calls) == 1
 
 
 def test_affine_verify_fails_left_symmetry_when_both_orders_shift(capsys, tmp_path):

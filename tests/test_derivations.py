@@ -234,21 +234,31 @@ def _forced_zeros(n):
     return {p * n + q for q in range(2, n) for p in range(q)}
 
 
+def _row_multiset(rows):
+    # each row as its sorted nonzero entries, the rows sorted: the system up to row order
+    return sorted(sorted((k, x) for k, x in row.items() if x) for row in rows)
+
+
 @pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
 def test_derivation_equations_match_fraction_oracle(name):
+    # the same rows as the pair-by-pair oracle, as a multiset: the builder
+    # walks the structure constants, so its row order is its own
     rng = random.Random(7)
     base = _DIFFERENTIAL_ALGEBRAS[name]
-    for alg in [base] + [_tampered_algebra(base, rng, changes) for changes in (1, 3, 10)]:
+    moved = _change_basis(base, _sparse_basis_change(base.dim, random.Random(base.dim)))
+    tables = [base] + [_tampered_algebra(base, rng, changes) for changes in (1, 3, 10)]
+    tables += [_tampered_algebra(base, rng, changes, filtered=True) for changes in (1, 4)]
+    for alg in tables + [moved]:
         n = alg.dim
         rows, pinned = derivations._derivation_equations(alg)
         oracle = _fraction_derivation_equations(alg)
         den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
         assert pinned == (_forced_zeros(n) if tail_filtered(alg) else set())
-        live = [[(k, x * den) for k, x in row.items() if k not in pinned] for row in oracle]
-        assert [list(row.items()) for row in rows] == [row for row in live if row]
-        assert all(type(x) is int for row in rows for x in row.values())
+        live = [{k: x * den for k, x in row.items() if k not in pinned} for row in oracle]
+        assert all(rows) and all(type(x) is int for row in rows for x in row.values())
+        assert _row_multiset(rows) == _row_multiset(filter(None, live))
         assert derivation_space(alg).flat == nullspace(oracle, n * n)
-    assert tail_filtered(base)
+    assert all(map(tail_filtered, [base, *tables[-2:]])) and not tail_filtered(moved)
 
 
 def test_derivation_space_abelian_is_everything():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine import affine
 from lieaffine.affine import find_symplectic
 from lieaffine.catalog import (
     make_abelian,
@@ -22,7 +23,7 @@ from lieaffine.liealg import (
     TwoForm,
     ad_columns,
     algebra_hash,
-    cyclic_terms,
+    cyclic_sum_terms,
     derived_subalgebra,
     dtheta_residual,
     integer_ad_columns,
@@ -34,7 +35,7 @@ from lieaffine.liealg import (
     nondegenerate,
     tail_filtered,
 )
-from lieaffine.linalg import Matrix, Subspace, _reduce, unit_vector
+from lieaffine.linalg import Matrix, Subspace, _reduce, nullspace, unit_vector
 
 F = Fraction
 
@@ -161,16 +162,97 @@ def _random_sparse_algebra(n, pairs, seed):
     return LieAlgebra(n, structure)
 
 
-@pytest.mark.parametrize("alg", [
+def _perturbed(alg, rng):
+    # one structure constant set to a seeded rational (a new one, or one replaced)
+    n = alg.dim
+    i, j = sorted(rng.sample(range(n), 2))
+    k = rng.randrange(n)
+    structure = {pair: dict(coeffs) for pair, coeffs in alg.structure.items()}
+    structure.setdefault((i, j), {})[k] = F(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 9)))
+    return LieAlgebra(n, structure)
+
+
+def _random_form(rng, n):
+    entries = {(i, j): F(rng.randint(-6, 6), rng.choice((1, 4, 15)))
+               for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return TwoForm.from_entries(n, entries)
+
+
+def _summed_per_triple(terms):
+    # {triple: sorted (a, m, c)} with equal (a, m) summed and zero sums dropped
+    sums = {}
+    for triple, a, m, c in terms:
+        acc = sums.setdefault(triple, {})
+        acc[a, m] = acc.get((a, m), 0) + c
+    return {t: sorted((a, m, c) for (a, m), c in acc.items() if c)
+            for t, acc in sums.items() if any(acc.values())}
+
+
+_CYCLIC_ALGEBRAS = [
     make_abelian(5), make_ln(24), make_qn(24), make_cn(12, [1, -1, 1, 1])[0],
     make_benoist(F(7, 5)), _random_sparse_algebra(9, 4, 1), _random_sparse_algebra(12, 30, 2),
-], ids=["abelian5", "L24", "Q24", "C12", "B7/5", "random9", "random12"])
+]
+_CYCLIC_IDS = ["abelian5", "L24", "Q24", "C12", "B7/5", "random9", "random12"]
+
+
+@pytest.mark.parametrize("alg", _CYCLIC_ALGEBRAS, ids=_CYCLIC_IDS)
 def test_cyclic_terms_match_the_all_triples_scan(alg):
-    assert list(cyclic_terms(alg.structure, alg.dim)) == list(_all_triples_cyclic_terms(alg))
-    # the integer-scaled table that the callers pass
+    # with every index a partner of every target, the helper's terms summed
+    # per triple are the scan's; the integer-scaled table the callers pass too
+    everyone = [range(alg.dim)] * alg.dim
     structure, _ = integer_structure(alg)
     scaled = LieAlgebra(alg.dim, structure)
-    assert list(cyclic_terms(structure, alg.dim)) == list(_all_triples_cyclic_terms(scaled))
+    for table, oracle in ((alg.structure, alg), (structure, scaled)):
+        expected = {t: sorted(terms) for t, terms in _all_triples_cyclic_terms(oracle)}
+        assert _summed_per_triple(cyclic_sum_terms(table, everyone)) == expected
+
+
+def test_cyclic_sums_match_all_triples_oracles_on_non_lie_tables_and_open_forms():
+    broken = nonclosed = 0
+    for alg in _CYCLIC_ALGEBRAS:
+        rng = random.Random(alg.dim)
+        tables = [alg] + [_perturbed(alg, rng) for _ in range(3)]
+        forms = [_random_form(rng, alg.dim) for _ in range(3)]
+        for table in tables:
+            report = jacobi_report(table)
+            assert report == _fraction_jacobi_report(table)
+            broken += bool(report)
+            for form in forms:
+                residual = dtheta_residual(table, form)
+                assert residual == _fraction_dtheta_residual(table, form)
+                nonclosed += bool(residual)
+    assert broken >= 14 and nonclosed >= 60
+
+
+def _fraction_closed_forms(alg, pairs):
+    # one Fraction row per scanned triple, the unknowns th(e_a, e_m) at their pair
+    index = {p: s for s, p in enumerate(pairs)}
+    rows = []
+    for _, terms in _all_triples_cyclic_terms(alg):
+        row = {}
+        for a, m, c in terms:
+            if a != m:
+                col = index[(min(a, m), max(a, m))]
+                row[col] = row.get(col, F(0)) + (c if a < m else -c)
+        rows.append(row)
+    return nullspace(rows, len(pairs))
+
+
+@pytest.mark.parametrize("alg", [
+    make_qn(8), make_ln(12), make_abelian(4), _random_sparse_algebra(8, 6, 3),
+    _random_sparse_algebra(10, 25, 4), _perturbed(make_ln(12), random.Random(5)),
+], ids=["Q8", "L12", "abelian4", "random8", "random10", "L12-perturbed"])
+def test_closed_forms_match_the_all_triples_scan(alg, monkeypatch):
+    # the space find_symplectic draws from: the same canonical rows, dict
+    # order included, which the seeded draws read
+    n = alg.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    spaces = []
+    monkeypatch.setattr(affine, "_first_hit", lambda space, *rest: spaces.append(space))
+    find_symplectic(alg)
+    expected = _fraction_closed_forms(alg, pairs)
+    assert [(p, list(row.items())) for p, row in spaces[0].rows] == [
+        (p, list(row.items())) for p, row in expected.rows]
 
 
 def test_jacobi_report_benoist_all_three_points():
@@ -355,7 +437,7 @@ def _fraction_jacobi_report(alg):
     n = alg.dim
     ad = ad_columns(alg)
     out = []
-    for (i, j, k), terms in cyclic_terms(alg.structure, n):
+    for (i, j, k), terms in _all_triples_cyclic_terms(alg):
         acc = [F(0)] * n
         for a, m, c in terms:
             for p, d in ad[a][m].items():
@@ -369,29 +451,13 @@ def _fraction_dtheta_residual(alg, form):
     # the cocycle sums as one Fraction loop per cyclic term: the oracle of the integer sums
     columns = form.gram.columns
     out = []
-    for (i, j, k), terms in cyclic_terms(alg.structure, alg.dim):
+    for (i, j, k), terms in _all_triples_cyclic_terms(alg):
         acc = F(0)
         for a, m, c in terms:
             acc += columns[m].get(a, F(0)) * c
         if acc:
             out.append((i, j, k, acc))
     return out
-
-
-def _perturbed(alg, rng):
-    # one structure constant set to a seeded rational (a new one, or one replaced)
-    n = alg.dim
-    i, j = sorted(rng.sample(range(n), 2))
-    k = rng.randrange(n)
-    structure = {pair: dict(coeffs) for pair, coeffs in alg.structure.items()}
-    structure.setdefault((i, j), {})[k] = F(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 9)))
-    return LieAlgebra(n, structure)
-
-
-def _random_form(rng, n):
-    entries = {(i, j): F(rng.randint(-6, 6), rng.choice((1, 4, 15)))
-               for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
-    return TwoForm.from_entries(n, entries)
 
 
 _PERTURBED_BASES = {

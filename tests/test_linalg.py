@@ -6,6 +6,7 @@ for rank/nullity claims used elsewhere.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -278,6 +279,81 @@ def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
                            for p, row in reduced.items())
                     == [(q, dict(sorted(row.items())))
                         for q, row in _dense_gauss_jordan([flip(r) for r in order], ncols)])
+
+
+def _content_per_step_eliminate(pv, row, v, prow):
+    # the kernel's elimination step as it was when every step divided out
+    # the row's content: the oracle of the one division per row
+    g = math.gcd(pv, v)
+    if g > 1:
+        pv, v = pv // g, v // g
+    new = {c: pv * x for c, x in row.items()}
+    for c, x in prow.items():
+        y = new.get(c, 0) - v * x
+        if y:
+            new[c] = y
+        else:
+            del new[c]
+    return _primitive(new)
+
+
+def _primitive(row):
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _content_per_step_gauss_jordan(rows):
+    # ``_gauss_jordan`` with ``_content_per_step_eliminate`` at every step
+    reduced = {}
+    holders = {}
+    for row in sorted(rows, key=len):
+        cur = {c: x for c, x in row.items() if x}
+        for q in [c for c in cur if c in reduced]:
+            prow = reduced[q]
+            if len(prow) == 1:
+                del cur[q]
+            else:
+                cur = _content_per_step_eliminate(prow[q], cur, cur[q], prow)
+        if not cur:
+            continue
+        cur = _primitive(cur)
+        p = max(cur)
+        pv = cur[p]
+        for r in holders.pop(p, ()):
+            held = reduced[r]
+            x = held.get(p)
+            if not x:
+                continue
+            reduced[r] = _content_per_step_eliminate(pv, held, x, cur)
+            for c in cur:
+                if c not in held:
+                    holders.setdefault(c, []).append(r)
+        for c in cur:
+            if c != p:
+                holders.setdefault(c, []).append(p)
+        reduced[p] = cur
+    return reduced
+
+
+def _dense_integer_system(rng, rank):
+    # 20 x 30 integer rows with entries up to 10^6 in size, of the given rank
+    base = [{c: rng.randint(-10 ** 6, 10 ** 6) for c in range(30)} for _ in range(rank)]
+    return [sparse_apply(base, {k: rng.randint(-3, 3) for k in range(rank)}) if r >= rank
+            else base[r] for r in range(20)]
+
+
+def test_one_content_division_per_row_matches_division_at_every_step():
+    rng = random.Random(31)
+    systems = [[_integer_row(row) for row in system(rng)[0]]
+               for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100]
+    systems += [_dense_integer_system(rng, rank) for rank in (20, 20, 12, 5)]
+    for rows in systems:
+        reduced = _gauss_jordan(rows)
+        expected = _content_per_step_gauss_jordan(rows)
+        assert [(p, list(row.items())) for p, row in reduced.items()] == [
+            (p, list(row.items())) for p, row in expected.items()]
+        assert all(math.gcd(*row.values()) == 1 for row in reduced.values())
+    assert [len(_gauss_jordan(rows)) for rows in systems[-4:]] == [20, 20, 12, 5]
 
 
 def test_der_g_is_solved_with_one_pass_per_redundant_row(monkeypatch):
