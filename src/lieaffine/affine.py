@@ -531,7 +531,7 @@ def _witness_dim(witness) -> Optional[int]:
 @dataclass(frozen=True)
 class _CheckedMap:
     """A derivation witness with its ``is_derivation`` violations, found once per certificate."""
-    map: Matrix
+    matrix: Matrix
     violations: List[tuple]
 
 
@@ -539,11 +539,11 @@ class _CheckedMap:
 # "affine_structure" is read as its verify_affine report, "derivation" as a _CheckedMap
 _CHECKS = {
     "is_derivation": ("derivation", _CheckedMap, lambda alg, w: len(w.violations)),
-    "invertible": ("derivation", _CheckedMap, lambda alg, w: 0 if nonsingular(w.map) else 1),
+    "invertible": ("derivation", _CheckedMap, lambda alg, w: 0 if nonsingular(w.matrix) else 1),
     "restriction_invertible": (
         "derivation", _CheckedMap,
         lambda alg, w: 0 if not w.violations and _restriction_invertible(
-            derived_subalgebra(alg), w.map) else 1),
+            derived_subalgebra(alg), w.matrix) else 1),
     "closed": ("two_form", TwoForm, lambda alg, form: len(dtheta_residual(alg, form))),
     "nondegenerate": ("two_form", TwoForm, lambda alg, form: 0 if nondegenerate(form) else 1),
     "torsion": ("affine_structure", AffineReport,
