@@ -54,7 +54,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, NotADerivationError, NotInvariantError
+from .errors import DimensionMismatch, NotInvariantError
 from .liealg import (
     LieAlgebra,
     bracket_partners,
@@ -132,9 +132,6 @@ class DerivationSpace:
         """Adopt a sparse row-major vector {p*n + q: entry (p, q)} as an n x n matrix."""
         n = self.algebra.dim
         return Matrix.from_sparse(n, _flat_columns(flat.items(), n))
-
-    def contains(self, m: Matrix) -> bool:
-        return not is_derivation(self.algebra, m)
 
     @cached_property
     def all_nilpotent(self) -> bool:
@@ -421,20 +418,6 @@ def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
     if None in out:
         raise NotInvariantError("image of a derived-subalgebra vector escapes it")
     return out, dm * db
-
-
-def restrict_to_derived(alg: LieAlgebra, m: Matrix) -> Matrix:
-    """Matrix of m on the RREF basis of the derived subalgebra.
-
-    Derivations always preserve the derived subalgebra; a map that is not
-    a derivation is rejected, and a defensive invariance check still
-    guards the coordinate extraction.
-    """
-    if is_derivation(alg, m):
-        raise NotADerivationError("map does not satisfy the derivation identity")
-    derived = derived_subalgebra(alg)
-    columns, den = _integer_restrict(derived, m)
-    return Matrix.from_sparse(derived.dim, (unscaled(c, den) for c in columns))
 
 
 def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:

@@ -104,14 +104,6 @@ class LieAlgebra:
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim}, pairs={len(self.structure)})"
 
-    def bracket_basis(self, i: int, j: int) -> SparseCoeffs:
-        """Sparse coefficients of [e_i, e_j]; antisymmetry applied."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.structure.get((i, j), {}))
-        return {k: -c for k, c in self.structure.get((j, i), {}).items()}
-
     def bracket(self, x: Sequence, y: Sequence):
         """Bilinear extension of the structure constants to vectors."""
         return _dense_bilinear(self.dim, self.structure, x, y, True,
@@ -156,9 +148,6 @@ class TwoForm:
             columns[j][i] = val
             columns[i][j] = -val
         return cls(Matrix.from_sparse(dim, columns))
-
-    def scaled(self, c) -> "TwoForm":
-        return TwoForm(rat(c) * self.gram)
 
     def __eq__(self, other):
         if not isinstance(other, TwoForm):

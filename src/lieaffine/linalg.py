@@ -18,25 +18,25 @@ its column), made primitive once, and kept free of every other pivot
 column, each pivot the row's largest column. Its
 {pivot: primitive int row} is enough for a caller that only counts
 (``rank``, ``nonsingular``, ``products_vanish``, ``is_nilpotent``).
-``_nullspace`` reads its canonical basis straight off those rows, for
-integer rows, and ``nullspace`` wraps it for rational ones. ``_reduce``
-runs the kernel on negated columns, so each pivot is the row's least
-column, and adds the one pivot normalization that reintroduces
-fractions. Its result is the canonical reduced row-echelon form with each
-row's columns in ascending order, so it is exact and deterministic,
-iteration order included, whatever the row order; ``rref``, ``span``
-and ``solve`` read it. ``_integer_inverse`` reads the integer columns of
-an inverse over one denominator straight off the kernel's rows of
-[m^T | I], with no normalization; ``invert`` unscales them once, and the
-constructions in ``affine`` keep them in ints. ``_image_chain`` is the
-one image-chain loop, over integer-scaled maps, shared by
-``products_vanish`` and ``liealg.lower_central_series``, which puts its
-terms in canonical form with ``_reduce``.
+``_nullspace`` reads the canonical basis of the solutions straight off
+those rows; it solves Der(g) and the weight and closed-form equations.
+``_reduce`` runs the kernel on negated columns, so each pivot is the
+row's least column, and adds the one pivot normalization that
+reintroduces fractions. Its result is the canonical reduced row-echelon
+form with each row's columns in ascending order, so it is exact and
+deterministic, iteration order included, whatever the row order;
+``liealg`` reads [g, g] and the lower central series off it.
+``_integer_inverse`` reads the integer columns of an inverse over one
+denominator straight off the kernel's rows of [m^T | I], with no
+normalization, and the constructions in ``affine`` keep them in ints.
+``_image_chain`` is the one image-chain loop, over integer-scaled
+maps, shared by ``products_vanish`` and ``liealg.lower_central_series``,
+which puts its terms in canonical form with ``_reduce``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
-by the kernel (``rank`` and ``invert`` reduce columns) and ``sparse_apply``;
-``data`` is its dense view. A ``Subspace`` holds the kernel's RREF rows,
-read by ``_coordinates``. Kernel output is adopted without re-validation.
+by the kernel (``rank`` reduces columns) and ``sparse_apply``; ``data``
+is its dense view. A ``Subspace`` holds the kernel's RREF rows, read by
+``_coordinates``. Kernel output is adopted without re-validation.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, LieToolError, SingularMatrixError
+from .errors import DimensionMismatch, LieToolError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,10 +89,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 class Matrix:
     """Matrix of exact rationals held as its sparse columns, immutable.
 
@@ -130,28 +126,9 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls.from_sparse(rows, [{}] * cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.from_sparse(n, ({i: ONE} for i in range(n)))
-
-    @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
         vals = vector(entries)
         return cls.from_sparse(len(vals), ({i: x} for i, x in enumerate(vals)))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
-        cols = [vector(c) for c in columns]
-        if rows is None:
-            if not cols:
-                raise DimensionMismatch("row count required for a matrix with no columns")
-            rows = len(cols[0])
-        if any(len(c) != rows for c in cols):
-            raise DimensionMismatch("columns of unequal length")
-        return cls.from_sparse(rows, map(_sparse, cols))
 
     @property
     def data(self) -> tuple:
@@ -161,20 +138,12 @@ class Matrix:
         i, j = key
         return self.columns[j].get(i, ZERO)
 
-    def column(self, j: int) -> Vector:
-        return dense_vector(self.columns[j], self.rows)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
         return not any(self.columns)
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum((col.get(j, ZERO) for j, col in enumerate(self.columns)), ZERO)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -211,12 +180,6 @@ class Matrix:
         c = rat(c)
         return Matrix.from_sparse(self.rows, ({r: c * x for r, x in col.items()}
                                               for col in self.columns))
-
-    def apply(self, v: Sequence) -> Vector:
-        v = vector(v)
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        return dense_vector(sparse_apply(self.columns, _sparse(v)), self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -257,17 +220,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Coordinates of v in the RREF basis, or None if v lies outside."""
-        v = vector(v)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector does not match the ambient dimension")
-        coords = _coordinates(self.rows, _sparse(v))
-        return None if coords is None else dense_vector(coords, self.dim)
-
-    def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -465,42 +417,20 @@ def _coordinates(rows: Sequence[tuple], v: dict) -> Optional[dict]:
     return None if any(residual.values()) else coords
 
 
-def rref(m: Matrix) -> tuple:
-    """Reduced row-echelon form of m.
-
-    Returns (R, pivots) where R is the unique RREF of m and pivots is the
-    strictly increasing list of pivot column indices (0-based).
-    """
-    reduced = _reduce(_transpose(m.columns, m.rows))
-    columns = _transpose([row for _, row in reduced], m.cols)
-    return Matrix.from_sparse(m.rows, columns), [p for p, _ in reduced]
-
-
 def rank(m: Matrix) -> int:
     """rank m, as the rank of the columns (rank m = rank m^T): the kernel's row count."""
     return len(_gauss_jordan(map(_integer_row, m.columns)))
 
 
-def span(vectors: Iterable[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
-    """RREF basis of the linear span of the given coordinate vectors."""
-    vecs = [vector(v) for v in vectors]
-    if ambient_dim is None:
-        if not vecs:
-            raise DimensionMismatch("ambient dimension required for an empty span")
-        ambient_dim = len(vecs[0])
-    if any(len(v) != ambient_dim for v in vecs):
-        raise DimensionMismatch("vectors of unequal dimension")
-    return Subspace(ambient_dim, _reduce(map(_sparse, vecs)))
+def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
+    """The exact solution space of sparse integer rows {col: int} over ``ncols`` unknowns.
 
-
-def nullspace(system, ncols: Optional[int] = None) -> Subspace:
-    """The exact solution space of a homogeneous system, with an RREF basis.
-
-    ``system`` is a Matrix m (solving m v = 0), or sparse equation rows
-    {col: value} over ``ncols`` unknowns; zero rows and no rows are allowed.
-    A nonzero entry outside ``range(ncols)`` raises DimensionMismatch. It is
-    checked on the reduced rows, which hold a column exactly when some
-    equation does: their largest pivot and each row's least column.
+    The one homogeneous solve of the package (the Der(g), weight and
+    closed-form equations); a rational row goes through ``_integer_row``
+    first, and zero rows and no rows are allowed. A nonzero entry outside
+    ``range(ncols)`` raises DimensionMismatch. It is checked on the reduced
+    rows, which hold a column exactly when some equation does: their largest
+    pivot and each row's least column.
 
     The system is solved by the kernel in its own column order, unlike
     ``_reduce``, which negates the columns: each ``_gauss_jordan`` row holds
@@ -510,21 +440,6 @@ def nullspace(system, ncols: Optional[int] = None) -> Subspace:
     its vector and no other vector holds it: these vectors, with their
     columns in ascending order, already are the canonical RREF basis that
     ``_reduce`` would return, and need no second pass through the kernel.
-    Each row is scaled to integers (``_integer_row``) and solved by
-    ``_nullspace``.
-    """
-    if isinstance(system, Matrix):
-        system, ncols = _transpose(system.columns, system.rows), system.cols
-    elif ncols is None:
-        raise DimensionMismatch("sparse equation rows need the number of unknowns")
-    return _nullspace(map(_integer_row, system), ncols)
-
-
-def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
-    """``nullspace`` of sparse integer rows {col: int} over ``ncols`` unknowns.
-
-    The one solve behind ``nullspace``, which integer producers (the Der(g),
-    weight and closed-form equations) call directly.
     """
     reduced = _gauss_jordan(rows)
     if reduced and (max(reduced) >= ncols or min(min(row) for row in reduced.values()) < 0):
@@ -541,34 +456,6 @@ def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
             vec[p] = Fraction(-reduced[p][f], reduced[p][p])
         basis.append((f, vec))
     return Subspace(ncols, basis)
-
-
-def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
-    """One exact solution of a x = b (free variables set to 0), or None."""
-    b = vector(b)
-    if len(b) != a.rows:
-        raise DimensionMismatch("right-hand side does not match the row count")
-    rows = _transpose(a.columns, a.rows)
-    for row, rhs in zip(rows, b):
-        if rhs:
-            row[a.cols] = rhs
-    x = [ZERO] * a.cols
-    for p, row in _reduce(rows):
-        if p == a.cols:
-            return None
-        x[p] = row.get(a.cols, ZERO)
-    return tuple(x)
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when det m = 0 (``_integer_inverse``, unscaled)."""
-    if not m.is_square:
-        raise DimensionMismatch("only square matrices can be inverted")
-    inverse = _integer_inverse(*integer_scaled(m.columns))
-    if inverse is None:
-        raise SingularMatrixError("matrix is singular")
-    columns, den = inverse
-    return Matrix.from_sparse(m.rows, (unscaled(col, den) for col in columns))
 
 
 def _integer_inverse(columns: Sequence[dict], den: int) -> Optional[Tuple[list, int]]:

@@ -1,0 +1,131 @@
+"""Dense Fraction oracles for the tests, independent of the elimination kernel.
+
+A textbook Gauss-Jordan on dense lists of Fractions gives the reduced
+row-echelon form, a solve, an inverse and a nullspace; nothing here calls
+``lieaffine.linalg``'s elimination, so the kernel can be checked against
+it. Vectors are tuples of Fractions and a ``Matrix`` acts on column
+vectors, as in the package; the constructors below build a ``Matrix``
+from dense rows.
+"""
+
+from fractions import Fraction
+
+from lieaffine.linalg import Matrix, Subspace
+
+F = Fraction
+
+
+def unit_vector(n, i):
+    return tuple(F(1) if j == i else F(0) for j in range(n))
+
+
+def identity(n):
+    return Matrix([unit_vector(n, i) for i in range(n)], n, n)
+
+
+def zeros(rows, cols):
+    return Matrix([[0] * cols for _ in range(rows)], rows, cols)
+
+
+def from_columns(columns, rows):
+    return Matrix([[col[i] for col in columns] for i in range(rows)], rows, len(columns))
+
+
+def column(m, j):
+    return tuple(row[j] for row in m.data)
+
+
+def apply(m, v):
+    """m v for a dense vector v, summed over the nonzero entries of v."""
+    out = [F(0)] * m.rows
+    for j, x in enumerate(v):
+        if x:
+            for i, y in m.columns[j].items():
+                out[i] += x * y
+    return tuple(out)
+
+
+def bracket_basis(alg, i, j):
+    """Sparse coefficients of [e_i, e_j] read off the stored pairs, antisymmetry applied."""
+    if i < j:
+        return dict(alg.structure.get((i, j), {}))
+    return {k: -c for k, c in alg.structure.get((j, i), {}).items()}
+
+
+def gauss_jordan(rows, ncols):
+    """Textbook Gauss-Jordan of sparse rows {col: value}: the RREF as (pivot, {col: value}) rows."""
+    grid = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(grid)) if grid[r][c]), None)
+        if pick is None:
+            continue
+        grid[top], grid[pick] = grid[pick], grid[top]
+        grid[top] = [x / grid[top][c] for x in grid[top]]
+        for r in range(len(grid)):
+            if r != top and grid[r][c]:
+                f = grid[r][c]
+                grid[r] = [x - f * y for x, y in zip(grid[r], grid[top])]
+        pivots.append(c)
+    return [(p, {c: x for c, x in enumerate(grid[k]) if x}) for k, p in enumerate(pivots)]
+
+
+def span(vectors, n):
+    """The span of dense vectors of length n, as a ``Subspace`` on its RREF rows."""
+    return Subspace(n, gauss_jordan([dict(enumerate(v)) for v in vectors], n))
+
+
+def nullspace(rows, ncols):
+    """The canonical RREF basis of the solutions of sparse rows, as (pivot, {col: value}) rows."""
+    reduced = gauss_jordan(rows, ncols)
+    pivots = {p for p, _ in reduced}
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {p: -row[f] for p, row in reduced if f in row}
+            vec[f] = F(1)
+            basis.append(vec)
+    return gauss_jordan(basis, ncols)
+
+
+def solve(a, b):
+    """One solution of a x = b with the free unknowns 0, or None when there is none."""
+    rows = [{**dict(enumerate(row)), a.cols: rhs} for row, rhs in zip(a.data, b)]
+    x = [F(0)] * a.cols
+    for p, row in gauss_jordan(rows, a.cols + 1):
+        if p == a.cols:
+            return None
+        x[p] = row.get(a.cols, F(0))
+    return tuple(x)
+
+
+def inverse(grid):
+    """m^-1 as dense rows, or None when the square m given by its rows is singular.
+
+    The RREF of [m | I] is [I | m^-1] exactly when m is invertible.
+    """
+    n = len(grid)
+    reduced = gauss_jordan([{**dict(enumerate(row)), n + i: 1}
+                            for i, row in enumerate(grid)], 2 * n)
+    if [p for p, _ in reduced] != list(range(n)):
+        return None
+    return [[row.get(n + j, 0) for j in range(n)] for _, row in reduced]
+
+
+def invert(m):
+    """The inverse of an invertible ``Matrix``; a singular one is a bug in the caller."""
+    rows = inverse(m.data)
+    assert rows is not None, "singular matrix"
+    return Matrix(rows, m.rows, m.cols)
+
+
+def contains(subspace, v):
+    """Whether the dense vector v lies in the subspace, by a solve on its basis."""
+    return solve(from_columns(subspace.basis, subspace.ambient_dim), v) is not None
+
+
+def restrict(subspace, m):
+    """The matrix of m on the basis of an m-invariant subspace, one dense solve per column."""
+    basis = from_columns(subspace.basis, subspace.ambient_dim)
+    return from_columns([solve(basis, apply(m, b)) for b in subspace.basis], subspace.dim)

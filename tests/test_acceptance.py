@@ -49,19 +49,22 @@ from lieaffine.derivations import (
 )
 from lieaffine.errors import NoStrategySucceeded
 from lieaffine.liealg import (
+    TwoForm,
     dtheta_residual,
     is_filiform,
     jacobi_report,
     lower_central_series,
     nondegenerate,
 )
-from lieaffine.linalg import Matrix, is_nilpotent, unit_vector, vector
+from lieaffine.linalg import Matrix, is_nilpotent, vector
 from lieaffine.serialize import (
     certificate_from_json,
     certificate_to_json,
     verdict_from_json,
     verdict_to_json,
 )
+
+from dense import unit_vector
 
 F = Fraction
 
@@ -193,7 +196,7 @@ def test_criterion_06_symplectic_pathway():
         base = from_symplectic(l4, form)
         assert verify_affine(l4, base).passed
         for c in (F(2), F(-3, 5)):
-            scaled = from_symplectic(l4, form.scaled(c))
+            scaled = from_symplectic(l4, TwoForm(c * form.gram))
             assert scaled.gamma == base.gamma
 
 

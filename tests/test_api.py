@@ -39,3 +39,11 @@ def test_cli_imports_only_the_standard_library():
     foreign = [name for name in loaded if name.partition(".")[0] != "lieaffine"
                and name.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_readme_library_example_runs():
+    # the python block under the README's "## Library" heading, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (Library)", "exec"), {})

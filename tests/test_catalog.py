@@ -18,7 +18,9 @@ from lieaffine.catalog import (
 from lieaffine.derivations import is_derivation
 from lieaffine.errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
 from lieaffine.liealg import is_filiform, jacobi_report
-from lieaffine.linalg import Matrix, unit_vector
+from lieaffine.linalg import Matrix
+
+from dense import unit_vector
 
 F = Fraction
 

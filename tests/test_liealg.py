@@ -35,7 +35,9 @@ from lieaffine.liealg import (
     nondegenerate,
     tail_filtered,
 )
-from lieaffine.linalg import Matrix, Subspace, _reduce, nullspace, unit_vector
+from lieaffine.linalg import Matrix, Subspace, _integer_row, _nullspace, _reduce
+
+from dense import bracket_basis, column, unit_vector
 
 F = Fraction
 
@@ -87,10 +89,10 @@ def test_bracket_dimension_mismatch():
 def test_ad_l4_matrix():
     l4 = make_ln(4)
     ad1 = l4.ad(unit_vector(4, 0))
-    assert ad1.column(1) == unit_vector(4, 2)
-    assert ad1.column(2) == unit_vector(4, 3)
-    assert ad1.column(0) == (F(0),) * 4
-    assert ad1.column(3) == (F(0),) * 4
+    assert column(ad1, 1) == unit_vector(4, 2)
+    assert column(ad1, 2) == unit_vector(4, 3)
+    assert column(ad1, 0) == (F(0),) * 4
+    assert column(ad1, 3) == (F(0),) * 4
 
 
 def test_ad_of_central_element_is_zero():
@@ -127,7 +129,7 @@ def test_jacobi_report_flags_corrupted_l4():
 ], ids=["L6", "C8", "B7/5"])
 def test_ad_columns_and_their_integer_scaling_read_the_brackets(alg):
     n = alg.dim
-    table = [[alg.bracket_basis(i, q) for q in range(n)] for i in range(n)]
+    table = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
     assert ad_columns(alg) == table
     den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
     structure, d = integer_structure(alg)
@@ -235,7 +237,7 @@ def _fraction_closed_forms(alg, pairs):
                 col = index[(min(a, m), max(a, m))]
                 row[col] = row.get(col, F(0)) + (c if a < m else -c)
         rows.append(row)
-    return nullspace(rows, len(pairs))
+    return _nullspace(map(_integer_row, rows), len(pairs))
 
 
 @pytest.mark.parametrize("alg", [

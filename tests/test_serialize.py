@@ -10,7 +10,7 @@ from lieaffine.catalog import make_cn, make_ln, make_qn
 from lieaffine.derivations import CharNilpVerdict, char_nilpotent_verdict
 from lieaffine.errors import SchemaError
 from lieaffine.liealg import TwoForm, algebra_hash
-from lieaffine.linalg import Matrix, unit_vector
+from lieaffine.linalg import Matrix
 from lieaffine.serialize import (
     MAX_DIM,
     affine_from_json,
@@ -28,6 +28,8 @@ from lieaffine.serialize import (
     verdict_from_json,
     verdict_to_json,
 )
+
+from dense import unit_vector
 
 F = Fraction
 
