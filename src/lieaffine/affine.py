@@ -86,6 +86,7 @@ from .linalg import (
     Matrix,
     _integer_inverse,
     _nullspace,
+    _set_fields,
     _transpose,
     dense_vector,
     integer_scaled,
@@ -151,15 +152,14 @@ class AffineStructure:
 
     It is the canonical table of ``coefficient_table`` over all ordered
     pairs, as ``LieAlgebra.structure`` is over i < j; ``product`` is the
-    dense read.
+    dense read. It validates caller and JSON input; ``_product_tensor`` adopts its table.
     """
 
     __slots__ = ("dim", "gamma", "provenance")
 
     def __init__(self, dim: int, gamma, provenance: Optional[dict] = None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gamma", coefficient_table(dim, gamma, lambda i, j: True))
-        object.__setattr__(self, "provenance", dict(provenance or {}))
+        _set_fields(self, dim=dim, gamma=coefficient_table(dim, gamma, lambda i, j: True),
+                    provenance=dict(provenance or {}))
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineStructure is immutable")
@@ -316,13 +316,14 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int, 
     Only nonzero terms are visited: O M_i e_m is formed once for each
     nonzero column M_i e_m, and e_i.e_j sums V[m, j] O M_i e_m over the
     support of column j of V and the i whose image of e_m is nonzero. The
-    tensor is kept in ascending (i, j) order.
+    tensor, in ascending (i, j) order with zeros and cancelled pairs
+    dropped, is already canonical and is adopted as it is.
     """
     provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
                   "seed": None}
     n = len(maps)
     outer, d_outer = outer
-    inner_cols, d_inner = integer_scaled(inner.columns)
+    inner_cols, d_inner = inner.integer_columns
     den = d_outer * d_maps * d_inner
     # images[m]: the (i, O M_i e_m) with a nonzero image, in ascending i
     images = [[] for _ in range(n)]
@@ -339,8 +340,9 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int, 
                 acc = sums.setdefault((i, j), {})
                 for k, x in image.items():
                     acc[k] = acc.get(k, 0) + v * x
-    gamma = {key: unscaled(sums[key], den) for key in sorted(sums)}
-    return AffineStructure(n, gamma, provenance)
+    gamma = {key: coeffs for key in sorted(sums) if (coeffs := unscaled(sums[key], den))}
+    return _set_fields(AffineStructure.__new__(AffineStructure), dim=n, gamma=gamma,
+                       provenance=provenance)
 
 
 def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -393,7 +395,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     if dtheta_residual(alg, form):
         raise NotClosedError("the 2-form is not closed")
     th = form.gram
-    inverse = _integer_inverse(*integer_scaled(th.columns))
+    inverse = _integer_inverse(*th.integer_columns)
     if inverse is None:
         raise DegenerateFormError("the 2-form is degenerate")
     columns, den = inverse

@@ -57,7 +57,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, NotInvariantError
 from .liealg import (
     LieAlgebra,
-    bracket_partners,
     derived_subalgebra,
     integer_ad_columns,
     integer_structure,
@@ -200,9 +199,10 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     Each entry is (i, j, residual vector); an empty list certifies that m
     is a derivation. The residual m[e_i, e_j] + [e_j, m e_i] - [e_i, m e_j]
     is built from the sparse columns of m and of ad(e_i), ad(e_j), in
-    integers: m is rescaled over its common denominator d_m and the
-    brackets over theirs, d_c, so every residual is d_m d_c times the
-    rational one, and a nonzero one is reported as its exact Fractions.
+    integers, over the views kept on m and alg: m is rescaled over its
+    common denominator d_m and the brackets over theirs, d_c, so every
+    residual is d_m d_c times the rational one, and a nonzero one is
+    reported as its exact Fractions.
 
     The residual of (i, j) is exactly 0 unless [e_i, e_j] != 0, or
     [e_j, e_q] != 0 for some q in the support of m e_i, or [e_i, e_q] != 0
@@ -212,9 +212,9 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
-    cols, dm = integer_scaled(m.columns)
+    cols, dm = m.integer_columns
     ad, dc = integer_ad_columns(alg)
-    partners = bracket_partners(alg.structure, n)
+    partners = alg._partners
     pairs = set(alg.structure)
     for i, col in enumerate(cols):
         pairs.update((min(i, j), max(i, j)) for q in col for j in partners[q] if j != i)
@@ -412,7 +412,7 @@ def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
     denominators d_m and d_b, so each image and its coordinates are
     d_m d_b times the rational ones, and den = d_m d_b.
     """
-    cols, dm = integer_scaled(m.columns)
+    cols, dm = m.integer_columns
     rows, db = integer_scaled(row for _, row in derived.rows)
     out = [_coordinates(derived.rows, sparse_apply(cols, b)) for b in rows]
     if None in out:

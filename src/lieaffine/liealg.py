@@ -9,12 +9,20 @@ convention used in documents.
 Construction does not enforce the Jacobi identity: ``jacobi_report`` checks
 it exhaustively and returns the exact residual of every violating triple,
 which makes the empty report a certificate.
+
+An algebra computes on first use and keeps the views that
+``integer_structure``, ``integer_ad_columns``, ``tail_filtered`` and
+``derived_subalgebra`` return, and its bracket partners: every caller
+shares them, so they are read-only. ``jacobi_report`` reads them, so a
+catalog constructor's Jacobi check warms them for the checks that follow.
+``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -25,6 +33,7 @@ from .linalg import (
     ZERO,
     _image_chain,
     _reduce,
+    _set_fields,
     dense_vector,
     integer_scaled,
     nonsingular,
@@ -80,9 +89,9 @@ def _dense_bilinear(dim: int, table, x, y, antisymmetric: bool, message: str) ->
 
 
 class LieAlgebra:
-    """A Lie algebra on a fixed basis with sparse structure constants."""
+    """A Lie algebra on a fixed basis with sparse structure constants and kept views."""
 
-    __slots__ = ("dim", "name", "basis_names", "structure")
+    __slots__ = ("dim", "name", "basis_names", "structure", "__dict__")
 
     def __init__(self, dim: int, structure, name: str = "g",
                  basis_names: Optional[Sequence[str]] = None):
@@ -93,10 +102,8 @@ class LieAlgebra:
         basis_names = tuple(str(s) for s in basis_names)
         if len(basis_names) != dim:
             raise DimensionMismatch("basis name count does not match the dimension")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "structure", coefficient_table(dim, structure, lambda i, j: i < j))
+        _set_fields(self, dim=dim, name=str(name), basis_names=basis_names,
+                    structure=coefficient_table(dim, structure, lambda i, j: i < j))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -119,6 +126,42 @@ class LieAlgebra:
         return Matrix.from_sparse(self.dim, (sparse_apply(cols, minus_x)
                                              for cols in ad_columns(self)))
 
+    @cached_property
+    def _integer_structure(self) -> Tuple[Dict[Tuple[int, int], dict], int]:
+        consts, den = integer_scaled(self.structure.values())
+        return dict(zip(self.structure, consts)), den
+
+    @cached_property
+    def _integer_ad_columns(self) -> Tuple[List[List[dict]], int]:
+        structure, den = self._integer_structure
+        return _ad_table(structure, self.dim), den
+
+    @cached_property
+    def _partners(self) -> List[List[int]]:
+        """partners[m]: the a with [e_a, e_m] stored (either order)."""
+        partners: List[List[int]] = [[] for _ in range(self.dim)]
+        for i, j in self.structure:
+            partners[i].append(j)
+            partners[j].append(i)
+        return partners
+
+    @cached_property
+    def _tail_filtered(self) -> bool:
+        steps = set()
+        for (i, j), coeffs in self.structure.items():
+            if min(coeffs) <= j:
+                return False
+            if j + 1 in coeffs:
+                steps.add(j)
+        # steps lies in 1..n-2, since i < j and j + 1 < n
+        return len(steps) == max(self.dim - 2, 0)
+
+    @cached_property
+    def _derived_subalgebra(self) -> Subspace:
+        if self._tail_filtered:
+            return Subspace(self.dim, [(k, {k: ONE}) for k in range(2, self.dim)])
+        return Subspace(self.dim, _reduce(self.structure.values()))
+
 
 class TwoForm:
     """Antisymmetric bilinear form given by its Gram matrix."""
@@ -131,15 +174,14 @@ class TwoForm:
         # over Q, antisymmetry forces a zero diagonal
         if any(gram[j, i] != -x for j, col in enumerate(gram.columns) for i, x in col.items()):
             raise ValueError("Gram matrix must be antisymmetric")
-        object.__setattr__(self, "dim", gram.rows)
-        object.__setattr__(self, "gram", gram)
+        _set_fields(self, dim=gram.rows, gram=gram)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoForm is immutable")
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TwoForm":
-        """Build from upper-triangular entries {(i, j): value} with i < j."""
+        """Adopt upper-triangular entries {(i, j): value}, i < j: antisymmetric by construction."""
         columns = [{} for _ in range(dim)]
         for (i, j), val in entries.items():
             if not (0 <= i < j < dim):
@@ -147,7 +189,7 @@ class TwoForm:
             val = rat(val)
             columns[j][i] = val
             columns[i][j] = -val
-        return cls(Matrix.from_sparse(dim, columns))
+        return _set_fields(cls.__new__(cls), dim=dim, gram=Matrix.from_sparse(dim, columns))
 
     def __eq__(self, other):
         if not isinstance(other, TwoForm):
@@ -167,19 +209,17 @@ def ad_columns(alg: LieAlgebra) -> List[List[SparseCoeffs]]:
 
 
 def integer_structure(alg: LieAlgebra) -> Tuple[Dict[Tuple[int, int], dict], int]:
-    """(table, den): the structure constants times den, as ints.
+    """(table, den): the structure constants times den, as ints; kept on ``alg``.
 
     den is their common denominator (``linalg.integer_scaled``), and the
     table keeps the pairs and the order of ``alg.structure``.
     """
-    consts, den = integer_scaled(alg.structure.values())
-    return dict(zip(alg.structure, consts)), den
+    return alg._integer_structure
 
 
 def integer_ad_columns(alg: LieAlgebra) -> Tuple[List[List[dict]], int]:
-    """(columns, den): ``ad_columns`` times den, as ints, over ``integer_structure``."""
-    structure, den = integer_structure(alg)
-    return _ad_table(structure, alg.dim), den
+    """(columns, den): ``ad_columns`` times den, as ints, over ``integer_structure``; kept."""
+    return alg._integer_ad_columns
 
 
 def _ad_table(structure: dict, n: int) -> List[List[dict]]:
@@ -189,15 +229,6 @@ def _ad_table(structure: dict, n: int) -> List[List[dict]]:
         out[i][j] = dict(coeffs)
         out[j][i] = {k: -c for k, c in coeffs.items()}
     return out
-
-
-def bracket_partners(structure: dict, n: int) -> List[List[int]]:
-    """partners[m]: the a with [e_a, e_m] stored in ``structure`` (either order)."""
-    partners: List[List[int]] = [[] for _ in range(n)]
-    for i, j in structure:
-        partners[i].append(j)
-        partners[j].append(i)
-    return partners
 
 
 def cyclic_sum_terms(structure: dict, partners: Sequence[Iterable[int]]):
@@ -229,14 +260,15 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     algebra (antisymmetry already holds by construction). Each residual is
     the cyclic sum of X(e_a, e_m) = [e_a, e_m] over ``cyclic_sum_terms``,
     in ascending order. The sums run in ints over ``integer_structure``
-    and its ad table, both den times the rational ones, so each residual
-    is den^2 times the rational one and is divided once.
+    and its ad table (``integer_ad_columns``), both den times the rational
+    ones, so each residual is den^2 times the rational one and is divided
+    once. Reading the kept views warms them for later checks on ``alg``.
     """
     n = alg.dim
     structure, den = integer_structure(alg)
-    ad = _ad_table(structure, n)
+    ad, _ = integer_ad_columns(alg)
     sums: Dict[tuple, dict] = {}
-    for triple, a, m, c in cyclic_sum_terms(structure, bracket_partners(structure, n)):
+    for triple, a, m, c in cyclic_sum_terms(structure, alg._partners):
         acc = sums.setdefault(triple, {})
         for p, d in ad[a][m].items():
             acc[p] = acc.get(p, 0) + c * d
@@ -256,28 +288,18 @@ def tail_filtered(alg: LieAlgebra) -> bool:
     C^(k-1) g, (b) and downward induction on m put e_(m+1) in C^k g for
     every m >= k >= 1, so C^k g = V_(k+1) for k >= 1. Only bilinearity is
     used, so this also holds for tables that fail Jacobi. Every catalog
-    family passes; a moved basis in general does not.
+    family passes; a moved basis in general does not. Kept on ``alg``.
     """
-    steps = set()
-    for (i, j), coeffs in alg.structure.items():
-        if min(coeffs) <= j:
-            return False
-        if j + 1 in coeffs:
-            steps.add(j)
-    # steps lies in 1..n-2, since i < j and j + 1 < n
-    return len(steps) == max(alg.dim - 2, 0)
+    return alg._tail_filtered
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     """Span of all brackets of basis pairs: the stored structure constants.
 
     On a ``tail_filtered`` table [g, g] = C^1 g is span(e_2, ..., e_(n-1)),
-    whose canonical RREF rows are the unit rows, returned without the kernel.
+    whose canonical RREF rows are the unit rows, returned without the kernel; kept.
     """
-    n = alg.dim
-    if tail_filtered(alg):
-        return Subspace(n, [(k, {k: ONE}) for k in range(2, n)])
-    return Subspace(n, _reduce(alg.structure.values()))
+    return alg._derived_subalgebra
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
@@ -324,7 +346,7 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
     if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
     structure, den = integer_structure(alg)
-    columns, d_form = integer_scaled(form.gram.columns)
+    columns, d_form = form.gram.integer_columns
     sums: Dict[tuple, int] = {}
     for triple, a, m, c in cyclic_sum_terms(structure, columns):
         sums[triple] = sums.get(triple, 0) + columns[m][a] * c

@@ -34,14 +34,18 @@ maps, shared by ``products_vanish`` and ``liealg.lower_central_series``,
 which puts its terms in canonical form with ``_reduce``.
 
 A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
-by the kernel (``rank`` reduces columns) and ``sparse_apply``; ``data``
-is its dense view. A ``Subspace`` holds the kernel's RREF rows, read by
-``_coordinates``. Kernel output is adopted without re-validation.
+by ``sparse_apply``; ``data`` is its dense view. Its ``integer_columns``
+(``integer_scaled`` of the columns, read by ``rank``, the derivation
+check and the constructions) and its rank are computed on first use and
+kept: every caller shares them, so they are read-only. A ``Subspace``
+holds the kernel's RREF rows, read by ``_coordinates``. Kernel output is
+adopted without re-validation (``Matrix.from_sparse``, ``_set_fields``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -96,9 +100,10 @@ class Matrix:
     the form that ``sparse_apply`` and the kernel read; ``data`` is the
     dense row view. ``Matrix(data)`` validates dense rows (JSON, catalog,
     tests); ``from_sparse`` adopts kernel output without re-validating it.
+    ``integer_columns`` and the rank are kept once computed, read-only.
     """
 
-    __slots__ = ("rows", "cols", "columns")
+    __slots__ = ("rows", "cols", "columns", "__dict__")
 
     def __init__(self, data, rows: Optional[int] = None, cols: Optional[int] = None):
         grid = [[rat(x) for x in row] for row in data]
@@ -108,9 +113,7 @@ class Matrix:
             cols = len(grid[0]) if grid else 0
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise DimensionMismatch("ragged or mis-sized matrix data")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "columns", tuple(_transpose(map(_sparse, grid), cols)))
+        _set_fields(self, rows=rows, cols=cols, columns=tuple(_transpose(map(_sparse, grid), cols)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -118,12 +121,8 @@ class Matrix:
     @classmethod
     def from_sparse(cls, rows: int, columns: Iterable[dict]) -> "Matrix":
         """Adopt sparse columns {row: Fraction} as they are, dropping explicit zeros."""
-        m = cls.__new__(cls)
         cols = tuple({r: x for r, x in col.items() if x} for col in columns)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", len(cols))
-        object.__setattr__(m, "columns", cols)
-        return m
+        return _set_fields(cls.__new__(cls), rows=rows, cols=len(cols), columns=cols)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
@@ -133,6 +132,15 @@ class Matrix:
     @property
     def data(self) -> tuple:
         return tuple(dense_vector(row, self.cols) for row in _transpose(self.columns, self.rows))
+
+    @cached_property
+    def integer_columns(self) -> Tuple[list, int]:
+        """``integer_scaled(columns)``: the int columns over one common denominator."""
+        return integer_scaled(self.columns)
+
+    @cached_property
+    def _rank(self) -> int:
+        return len(_gauss_jordan(self.integer_columns[0]))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -193,6 +201,13 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {[list(map(str, r)) for r in self.data]})"
 
 
+def _set_fields(obj, **fields):
+    """obj with ``fields`` set past its ``__setattr__``; on ``cls.__new__(cls)``, adopted as is."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Subspace:
     """A linear subspace held as the kernel's canonical RREF rows.
 
@@ -204,8 +219,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, rows: Sequence[tuple]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(rows))
+        _set_fields(self, ambient_dim=ambient_dim, rows=tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -418,8 +432,8 @@ def _coordinates(rows: Sequence[tuple], v: dict) -> Optional[dict]:
 
 
 def rank(m: Matrix) -> int:
-    """rank m, as the rank of the columns (rank m = rank m^T): the kernel's row count."""
-    return len(_gauss_jordan(map(_integer_row, m.columns)))
+    """rank m (= rank m^T): the kernel's row count on the kept ``integer_columns``; kept."""
+    return m._rank
 
 
 def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:

@@ -212,13 +212,13 @@ def affine_from_json(doc) -> AffineStructure:
 # --- certificates -----------------------------------------------------------
 
 def _square_matrix_from_json(doc, what: str) -> Matrix:
-    """A square matrix of at most MAX_DIM rows; the row count is bounded before parsing."""
-    if isinstance(doc, list) and len(doc) > MAX_DIM:
-        raise SchemaError(f"{what} must have at most {MAX_DIM} rows")
-    m = matrix_from_json(doc)
-    if not m.is_square:
-        raise SchemaError(f"{what} must be square")
-    return m
+    """A square matrix of at most MAX_DIM rows; the shape is checked before any entry is parsed."""
+    if isinstance(doc, list):
+        if len(doc) > MAX_DIM:
+            raise SchemaError(f"{what} must have at most {MAX_DIM} rows")
+        if any(isinstance(row, list) and len(row) != len(doc) for row in doc):
+            raise SchemaError(f"{what} must be square")
+    return matrix_from_json(doc)
 
 
 # witness kind -> (to_json, from_json)

@@ -8,6 +8,7 @@ import pytest
 
 from lieaffine import affine
 from lieaffine.affine import (
+    STRATEGIES,
     AffineReport,
     AffineStructure,
     _product_tensor,
@@ -31,6 +32,7 @@ from lieaffine.catalog import (
 from lieaffine.derivations import (
     derivation_space,
     find_regular_derivation,
+    is_derivation,
     seeded_combinations,
 )
 from lieaffine.errors import (
@@ -44,13 +46,24 @@ from lieaffine.errors import (
     SingularMatrixError,
     SingularOnDerivedError,
 )
-from lieaffine.liealg import TwoForm, derived_subalgebra, integer_ad_columns, integer_structure
+from lieaffine.liealg import (
+    LieAlgebra,
+    TwoForm,
+    coefficient_table,
+    derived_subalgebra,
+    dtheta_residual,
+    integer_ad_columns,
+    integer_structure,
+    jacobi_report,
+    tail_filtered,
+)
 from lieaffine.linalg import (
     Matrix,
     _transpose,
     dense_vector,
     integer_scaled,
     nonsingular,
+    rank,
     sparse_apply,
     unscaled,
     vector,
@@ -275,6 +288,14 @@ def test_verify_affine_matches_triple_loop_on_perturbed_structures(name):
     assert twisted >= 3
 
 
+def _assert_canonical(structure):
+    # the constructions adopt their table: it must be the one that
+    # AffineStructure(...) would make of it, with its pairs in ascending order
+    gamma = structure.gamma
+    assert gamma == coefficient_table(structure.dim, gamma, lambda i, j: True)
+    assert list(gamma) == sorted(gamma)
+
+
 def _random_columns(rng, n, density):
     return [{r: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 2000)))
              for r in range(n) if rng.random() < density} for _ in range(n)]
@@ -294,6 +315,7 @@ def test_product_tensor_matches_fraction_oracle(name):
             inner = Matrix.from_sparse(n, _random_columns(rng, n, density))
             structure = _product_tensor(integer_scaled(outer), int_maps, den, inner, "test",
                                         "witness")
+            _assert_canonical(structure)
             assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
             assert structure.provenance["inputs"]["witness"] == [
                 [str(x) for x in row] for row in inner.data]
@@ -338,9 +360,68 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
     [(outer, maps, d_maps, inner, structure)] = calls
     assert structure is built and structure.gamma
     assert structure.gamma == _all_pairs_product_tensor(outer, maps, d_maps, inner)
-    assert list(structure.gamma) == sorted(structure.gamma)
+    _assert_canonical(structure)
     fraction_maps = [[unscaled(col, d_maps) for col in cols] for cols in maps]
     assert structure.gamma == _fraction_product_tensor(outer, fraction_maps, inner)
+
+
+def test_product_tensor_drops_a_pair_whose_sum_cancels():
+    # e_0.e_0 = M_0(e_0 - e_1) = e_0 - e_0: two nonzero terms that cancel
+    maps = [[{0: 1}, {0: 1}], [{}, {}]]
+    inner = Matrix([[1, 0], [-1, 1]])
+    structure = _product_tensor(([{0: 1}, {1: 1}], 1), maps, 1, inner, "test", "witness")
+    assert structure.gamma == {(0, 1): {0: F(1)}}
+    _assert_canonical(structure)
+
+
+# views that the module functions and the checks keep on a LieAlgebra
+_KEPT_VIEWS = ("_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
+               "_derived_subalgebra")
+
+_SHARED_VIEW_ALGEBRAS = {
+    "L12": lambda: make_ln(12),
+    "C8-fractional": lambda: make_cn(8, [F(2, 3), F(1, 2)])[0],
+    # two Heisenberg algebras: off the lower-central-series filtration
+    "h3+h3": lambda: LieAlgebra(6, {(0, 1): {2: F(1, 2)}, (3, 4): {5: 1}}),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARED_VIEW_ALGEBRAS))
+def test_kept_views_equal_fresh_ones_after_every_caller(name):
+    # every caller reads the same kept views; none may mutate them
+    alg = _SHARED_VIEW_ALGEBRAS[name]()
+    n = alg.dim
+    certs = []
+    for strategy in STRATEGIES:
+        try:
+            certs.append(synthesize(alg, strategy=strategy)[1])
+        except NoStrategySucceeded:
+            pass
+    assert len(certs) >= 2
+    derivations = [c.witnesses["derivation"] for c in certs if "derivation" in c.witnesses]
+    maps = derivations + [c.witnesses["two_form"].gram for c in certs
+                          if "two_form" in c.witnesses]
+    fresh_maps = [Matrix(m.data) for m in maps]
+    assert not jacobi_report(alg)
+    assert not any(is_derivation(alg, f) for f in derivations)
+    assert derivation_space(alg).flat.dim
+    form = find_symplectic(alg) or TwoForm.from_entries(n, {(0, n - 1): 1})
+    dtheta_residual(alg, form)
+    maps.append(form.gram)
+    fresh_maps.append(Matrix(form.gram.data))
+    assert all(reverify_certificate(alg, cert).ok for cert in certs)
+    fresh = _SHARED_VIEW_ALGEBRAS[name]()
+    assert set(vars(alg)) == set(_KEPT_VIEWS)
+    for view in _KEPT_VIEWS:
+        assert vars(alg)[view] == getattr(fresh, view), view
+    assert integer_structure(alg) is vars(alg)["_integer_structure"]
+    assert integer_ad_columns(alg) is vars(alg)["_integer_ad_columns"]
+    assert derived_subalgebra(alg) is vars(alg)["_derived_subalgebra"]
+    assert tail_filtered(alg) == (name != "h3+h3")
+    for m, fresh_m in zip(maps, fresh_maps):
+        assert "integer_columns" in vars(m)
+        assert m.integer_columns == fresh_m.integer_columns
+        assert rank(m) == rank(fresh_m)
 
 
 @pytest.mark.parametrize("member", [

@@ -349,6 +349,16 @@ def test_affine_verify_bounds_matrix_witnesses_by_max_dim(capsys, tmp_path):
     assert f"at most {MAX_DIM} rows" in err
 
 
+def test_affine_verify_rejects_a_non_square_witness_before_parsing_it(capsys, tmp_path):
+    # one row of 100 000 entries that are not rationals: the shape is
+    # rejected first, with no entry parsed
+    doc = _ln6_certificate(capsys)
+    doc["witnesses"]["derivation"] = [["not a rational"] * 100_000]
+    code, payload, err = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 2 and payload is None
+    assert err == "error: derivation witness must be square\n"
+
+
 def test_affine_verify_rejects_tampered_derived_regular_witness(capsys, tmp_path):
     cn6 = ["--family", "Cn", "--n", "6", "--lambda", "1"]
     code, doc, _ = run_cli(

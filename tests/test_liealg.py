@@ -415,6 +415,27 @@ def test_twoform_rejects_non_antisymmetric():
         TwoForm(Matrix([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         TwoForm(Matrix([[1, 0], [0, 0]]))
+    # one entry off antisymmetry in a larger form
+    with pytest.raises(ValueError):
+        TwoForm(Matrix([[0, 1, 2], [-1, 0, F(1, 3)], [-2, F(-1, 4), 0]]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_twoform_from_entries_equals_the_validated_form(seed):
+    # from_entries adopts its Gram columns, antisymmetric by construction,
+    # zero values included: the form equals the one TwoForm(gram) checks
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    entries = {(i, j): F(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+               for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+    gram = [[F(0)] * n for _ in range(n)]
+    for (i, j), x in entries.items():
+        gram[i][j], gram[j][i] = x, -x
+    adopted = TwoForm.from_entries(n, entries)
+    checked = TwoForm(Matrix(gram))
+    assert adopted == checked and adopted.dim == checked.dim == n
+    assert adopted.gram.columns == checked.gram.columns
+    assert all(x for col in adopted.gram.columns for x in col.values())
 
 
 def test_structure_validation():

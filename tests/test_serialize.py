@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieaffine import serialize
 from lieaffine.affine import synthesize
 from lieaffine.catalog import make_cn, make_ln, make_qn
 from lieaffine.derivations import CharNilpVerdict, char_nilpotent_verdict
@@ -285,6 +286,16 @@ def test_verdict_schema_consistency():
         )
     with pytest.raises(SchemaError):
         verdict_from_json({"kind": "Maybe", "witness": None, "seed": 0, "trials": 1})
+
+
+def test_square_witness_shape_is_checked_before_any_entry_is_parsed(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(serialize, "parse_rational", parsed.append)
+    for rows in ([["1"] * 1000], [["1", "0"], ["0"]], [["x"] * 3, ["0"] * 3]):
+        doc = {"kind": "NotCharNilpotent", "witness": rows, "seed": 0, "trials": 1}
+        with pytest.raises(SchemaError, match="^witness must be square$"):
+            verdict_from_json(doc)
+    assert parsed == []
 
 
 def test_hash_is_stable_across_runs():
