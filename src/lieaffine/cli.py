@@ -45,7 +45,9 @@ from .serialize import (
     algebra_to_json,
     certificate_from_json,
     certificate_to_json,
+    checks_to_json,
     format_rational,
+    jacobi_to_json,
     json_text,
     load_json,
     matrix_to_json,
@@ -190,28 +192,8 @@ def _load_algebra(args):
     if violations is None and not getattr(args, "family", None):
         violations = jacobi_report(alg)
     if violations:
-        raise _NotLie(_jacobi_payload(alg, violations))
+        raise _NotLie(jacobi_to_json(alg, violations))
     return alg
-
-
-def _jacobi_payload(alg, violations):
-    """The ``verify jacobi`` payload of alg with its report ``violations``."""
-    return {
-        "name": alg.name,
-        "dim": alg.dim,
-        "jacobi_ok": not violations,
-        "violations": [
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "k": k + 1,
-                "residual": {
-                    str(m + 1): format_rational(c) for m, c in enumerate(res) if c
-                },
-            }
-            for i, j, k, res in violations
-        ],
-    }
 
 
 # --- handlers ----------------------------------------------------------------
@@ -240,7 +222,7 @@ def _cmd_verify_jacobi(args):
     alg, violations = _load(args)
     if violations is None:
         violations = jacobi_report(alg)
-    return _jacobi_payload(alg, violations), 0 if not violations else 1
+    return jacobi_to_json(alg, violations), 0 if not violations else 1
 
 
 def _cmd_verify_series(key, holds, args):
@@ -371,10 +353,7 @@ def _cmd_affine_verify(args):
     payload = {
         "name": alg.name,
         "hash_match": report.hash_match,
-        "checks": [
-            {"name": c.name, "status": c.status, "residuals": c.residuals}
-            for c in report.checks
-        ],
+        "checks": checks_to_json(report.checks),
         "ok": report.ok,
     }
     return payload, 0 if report.ok else 1

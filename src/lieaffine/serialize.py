@@ -5,8 +5,9 @@ when the denominator is 1). Parsers recanonicalize non-canonical fractions
 like "2/4" silently but reject anything that is not an integer fraction,
 along with unknown fields, bad index ranges and duplicate entries. A
 "dim" header outside 1..MAX_DIM is rejected before anything is allocated.
-Brackets and affine products share one {"i", "j", "coeffs"} table codec
-that differs only in the admitted pairs. Every document may carry one
+Brackets, affine products and 2-form entries share one {"i", "j", value}
+pair-entry codec, and every matrix is read by one square reader; a JSON
+object that repeats a key is rejected. Every document may carry one
 optional metadata field "generated_at" (emitted by the CLI unless
 --reproducible is set); certificates and verdicts also admit an
 informational "name"/"note". Metadata is ignored on input.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
@@ -94,52 +96,64 @@ def _index_key(key, dim: int) -> int:
 
 # --- matrices -------------------------------------------------------------
 
-def matrix_from_json(doc) -> Matrix:
+def matrix_from_json(doc, what: str = "matrix") -> Matrix:
+    """A square matrix of at most MAX_DIM rows; the shape is checked before any entry is parsed."""
+    if isinstance(doc, list):
+        if len(doc) > MAX_DIM:
+            raise SchemaError(f"{what} must have at most {MAX_DIM} rows")
+        if any(isinstance(row, list) and len(row) != len(doc) for row in doc):
+            raise SchemaError(f"{what} must be square")
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
         raise SchemaError("matrix must be an array of row arrays")
-    grid = [[parse_rational(x) for x in row] for row in doc]
-    if grid and any(len(r) != len(grid[0]) for r in grid):
-        raise SchemaError("matrix rows have unequal lengths")
-    return Matrix(grid, len(grid), len(grid[0]) if grid else 0)
+    return Matrix([[parse_rational(x) for x in row] for row in doc], len(doc), len(doc))
 
 
-# --- coefficient tables ------------------------------------------------------
+# --- pair entries and coefficient maps --------------------------------------
 
-def _table_to_json(table) -> list:
-    """Entries {"i", "j", "coeffs"} of a canonical table, in (i, j) then k order."""
-    return [{"i": i + 1, "j": j + 1,
-             "coeffs": {str(k + 1): format_rational(c) for k, c in sorted(table[i, j].items())}}
-            for (i, j) in sorted(table)]
+def _coeffs_to_json(coeffs) -> dict:
+    """The 1-based map {"k": "p/q"} of the nonzero coefficients {k: c}, in k order."""
+    return {str(k + 1): format_rational(c) for k, c in sorted(coeffs.items()) if c}
 
 
-def _table_from_json(entries, dim: int, what: str, ordered: bool) -> dict:
-    """The 0-based table {(i, j): {k: c}} of a list of {"i", "j", "coeffs"}.
+def _coeffs_from_json(coeffs, dim: int) -> dict:
+    """The 0-based coefficients {k: c} of a map {"k": "p/q"} with keys in 1..dim."""
+    if not isinstance(coeffs, dict):
+        raise SchemaError("coeffs must be an object")
+    parsed = {}
+    for key, val in coeffs.items():
+        k = _index_key(key, dim)
+        if k in parsed:
+            raise SchemaError(f"duplicate coefficient index {k + 1}")
+        parsed[k] = parse_rational(val)
+    return parsed
+
+
+def _pairs_to_json(pairs, field: str, encode) -> list:
+    """Entries {"i", "j", field: encode(value)} of a 0-based {(i, j): value}, in (i, j) order."""
+    return [{"i": i + 1, "j": j + 1, field: encode(pairs[i, j])} for i, j in sorted(pairs)]
+
+
+def _pairs_from_json(entries, dim: int, field: str, parse, *, ordered: bool,
+                     listed: str, item: str) -> dict:
+    """The 0-based {(i, j): parse(entry[field])} of a list of {"i", "j", field} entries.
 
     Pairs must satisfy 1 <= i, j <= dim, and i < j when ``ordered``.
+    Diagnostics name the list ``listed`` and each entry ``item``.
     """
     if not isinstance(entries, list):
-        raise SchemaError(f"{what} must be a list")
+        raise SchemaError(f"{listed} must be a list")
     rule = "1 <= i < j <= dim" if ordered else "1 <= i, j <= dim"
-    table = {}
+    pairs = {}
     for entry in entries:
-        _require_object(entry, required=("i", "j", "coeffs"))
-        i = _require_int(entry["i"], f"{what} index i")
-        j = _require_int(entry["j"], f"{what} index j")
+        _require_object(entry, required=("i", "j", field))
+        i = _require_int(entry["i"], f"{item} index i")
+        j = _require_int(entry["j"], f"{item} index j")
         if not (1 <= i <= dim and 1 <= j <= dim and (i < j or not ordered)):
-            raise SchemaError(f"{what} pair ({i}, {j}) must satisfy {rule}")
-        if (i - 1, j - 1) in table:
-            raise SchemaError(f"duplicate {what} pair ({i}, {j})")
-        coeffs = entry["coeffs"]
-        if not isinstance(coeffs, dict):
-            raise SchemaError("coeffs must be an object")
-        parsed = {}
-        for key, val in coeffs.items():
-            k = _index_key(key, dim)
-            if k in parsed:
-                raise SchemaError(f"duplicate coefficient index {k + 1}")
-            parsed[k] = parse_rational(val)
-        table[(i - 1, j - 1)] = parsed
-    return table
+            raise SchemaError(f"{item} pair ({i}, {j}) must satisfy {rule}")
+        if (i - 1, j - 1) in pairs:
+            raise SchemaError(f"duplicate {item} pair ({i}, {j})")
+        pairs[(i - 1, j - 1)] = parse(entry[field])
+    return pairs
 
 
 # --- Lie algebras ---------------------------------------------------------
@@ -149,7 +163,7 @@ def algebra_to_json(alg: LieAlgebra) -> dict:
         "name": alg.name,
         "dim": alg.dim,
         "basis": list(alg.basis_names),
-        "brackets": _table_to_json(alg.structure),
+        "brackets": _pairs_to_json(alg.structure, "coeffs", _coeffs_to_json),
     }
 
 
@@ -161,48 +175,51 @@ def algebra_from_json(doc) -> LieAlgebra:
     if not isinstance(basis, list) or len(basis) != dim:
         raise SchemaError("basis must be a list of dim names")
     basis = [_require_str(b, "basis name") for b in basis]
-    structure = _table_from_json(doc["brackets"], dim, "brackets", ordered=True)
+    structure = _pairs_from_json(doc["brackets"], dim, "coeffs",
+                                 partial(_coeffs_from_json, dim=dim), ordered=True,
+                                 listed="brackets", item="brackets")
     return LieAlgebra(dim, structure, name=name, basis_names=basis)
+
+
+def jacobi_to_json(alg: LieAlgebra, violations) -> dict:
+    """The ``verify jacobi`` document of alg and its ``jacobi_report`` ``violations``."""
+    return {
+        "name": alg.name,
+        "dim": alg.dim,
+        "jacobi_ok": not violations,
+        "violations": [{"i": i + 1, "j": j + 1, "k": k + 1,
+                        "residual": _coeffs_to_json(dict(enumerate(res)))}
+                       for i, j, k, res in violations],
+    }
 
 
 # --- 2-forms ---------------------------------------------------------------
 
 def twoform_to_json(form: TwoForm) -> dict:
-    upper = sorted((i, j, v) for j, col in enumerate(form.gram.columns)
-                   for i, v in col.items() if i < j)
-    entries = [{"i": i + 1, "j": j + 1, "value": format_rational(v)} for i, j, v in upper]
-    return {"dim": form.dim, "entries": entries}
+    upper = {(i, j): v for j, col in enumerate(form.gram.columns) for i, v in col.items() if i < j}
+    return {"dim": form.dim, "entries": _pairs_to_json(upper, "value", format_rational)}
 
 
 def twoform_from_json(doc) -> TwoForm:
     _require_object(doc, required=("dim", "entries"))
     dim = _require_dim(doc["dim"])
-    if not isinstance(doc["entries"], list):
-        raise SchemaError("entries must be a list")
-    seen = {}
-    for entry in doc["entries"]:
-        _require_object(entry, required=("i", "j", "value"))
-        i = _require_int(entry["i"], "entry index i")
-        j = _require_int(entry["j"], "entry index j")
-        if not 1 <= i < j <= dim:
-            raise SchemaError(f"entry pair ({i}, {j}) must satisfy 1 <= i < j <= dim")
-        if (i - 1, j - 1) in seen:
-            raise SchemaError(f"duplicate entry pair ({i}, {j})")
-        seen[(i - 1, j - 1)] = parse_rational(entry["value"])
-    return TwoForm.from_entries(dim, seen)
+    entries = _pairs_from_json(doc["entries"], dim, "value", parse_rational,
+                               ordered=True, listed="entries", item="entry")
+    return TwoForm.from_entries(dim, entries)
 
 
 # --- affine structures ------------------------------------------------------
 
 def affine_to_json(structure: AffineStructure) -> dict:
-    return {"dim": structure.dim, "gamma": _table_to_json(structure.gamma),
-            "provenance": structure.provenance}
+    gamma = _pairs_to_json(structure.gamma, "coeffs", _coeffs_to_json)
+    return {"dim": structure.dim, "gamma": gamma, "provenance": structure.provenance}
 
 
 def affine_from_json(doc) -> AffineStructure:
     _require_object(doc, required=("dim", "gamma"), optional=("provenance",))
     dim = _require_dim(doc["dim"])
-    gamma = _table_from_json(doc["gamma"], dim, "gamma", ordered=False)
+    gamma = _pairs_from_json(doc["gamma"], dim, "coeffs", partial(_coeffs_from_json, dim=dim),
+                             ordered=False, listed="gamma", item="gamma")
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise SchemaError("provenance must be an object")
@@ -211,20 +228,9 @@ def affine_from_json(doc) -> AffineStructure:
 
 # --- certificates -----------------------------------------------------------
 
-def _square_matrix_from_json(doc, what: str) -> Matrix:
-    """A square matrix of at most MAX_DIM rows; the shape is checked before any entry is parsed."""
-    if isinstance(doc, list):
-        if len(doc) > MAX_DIM:
-            raise SchemaError(f"{what} must have at most {MAX_DIM} rows")
-        if any(isinstance(row, list) and len(row) != len(doc) for row in doc):
-            raise SchemaError(f"{what} must be square")
-    return matrix_from_json(doc)
-
-
 # witness kind -> (to_json, from_json)
 _WITNESS_CODECS = {
-    "derivation": (matrix_to_json,
-                   lambda doc: _square_matrix_from_json(doc, "derivation witness")),
+    "derivation": (matrix_to_json, partial(matrix_from_json, what="derivation witness")),
     "two_form": (twoform_to_json, twoform_from_json),
     "affine_structure": (affine_to_json, affine_from_json),
 }
@@ -237,6 +243,11 @@ def _witness_codec(key):
     return codec
 
 
+def checks_to_json(checks) -> list:
+    """The {"name", "status", "residuals"} entries of a list of CheckResult."""
+    return [{"name": c.name, "status": c.status, "residuals": c.residuals} for c in checks]
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     witnesses = {key: _witness_codec(key)[0](value) for key, value in cert.witnesses.items()}
     return {
@@ -245,10 +256,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "seed": cert.seed,
         "trials": cert.trials,
         "version": cert.version,
-        "checks": [
-            {"name": c.name, "status": c.status, "residuals": c.residuals}
-            for c in cert.checks
-        ],
+        "checks": checks_to_json(cert.checks),
         "witnesses": witnesses,
     }
 
@@ -309,7 +317,7 @@ def verdict_from_json(doc) -> CharNilpVerdict:
         raise SchemaError(f"unknown verdict kind {_echo(kind)}")
     witness = doc["witness"]
     if witness is not None:
-        witness = _square_matrix_from_json(witness, "witness")
+        witness = matrix_from_json(witness, "witness")
     if kind == NOT_CHAR_NILPOTENT and witness is None:
         raise SchemaError("NotCharNilpotent verdict requires a witness")
     if kind == CHAR_NILPOTENT_LIKELY and witness is not None:
@@ -379,17 +387,29 @@ def _write_json(value, newline: str, out: list) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _unique_keys(members: list) -> dict:
+    """The JSON object of ``members``, its (key, value) pairs; a repeated key is a SchemaError."""
+    doc = dict(members)
+    if len(doc) < len(members):
+        seen = set()
+        for key, _ in members:
+            if key in seen:
+                raise SchemaError(f"repeated JSON key {_echo(key)}")
+            seen.add(key)
+    return doc
+
+
 def load_json(source):
     """The JSON document in the file at path ``source``, or read from the text stream ``source``.
 
-    Text that is not UTF-8, not JSON or nested past the recursion limit is
-    a SchemaError.
+    Text that is not UTF-8, not JSON, nested past the recursion limit or
+    with a key repeated in one object is a SchemaError.
     """
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.load(source)
+                return json.load(fh, object_pairs_hook=_unique_keys)
+        return json.load(source, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -1,12 +1,16 @@
 """The package's public API: what ``lieaffine`` exports."""
 
 import ast
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import lieaffine
+from lieaffine import cli
 
 
 def test_all_lists_every_import_of_the_package_once():
@@ -47,3 +51,25 @@ def test_readme_library_example_runs():
     section = readme.split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md (Library)", "exec"), {})
+
+
+def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
+    # each `lieaffine ...` line of the sh block under "## Command line", in
+    # order and in one directory, so its --out and --cert files chain; a
+    # pipe feeds the left side's stdout to the right side's stdin
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in block.splitlines() if line.startswith("lieaffine ")]
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        exits = re.match(r"\s*exits (\d+)", comment)
+        *left, right = [shlex.split(stage) for stage in command.split("|")]
+        for argv in left:
+            assert argv[0] == "lieaffine" and cli.main(argv[1:]) == 0, line
+            monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert right[0] == "lieaffine", line
+        assert cli.main(right[1:]) == (int(exits.group(1)) if exits else 0), line
+        capsys.readouterr()

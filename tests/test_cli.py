@@ -591,8 +591,26 @@ _ALGEBRA = {"name": "g", "dim": 2, "basis": ["a", "b"], "brackets": []}
      "coeffs must be an object"),
     ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": ["1", "0"]}},
      "matrix must be an array of row arrays"),
+    ("twoform", {"dim": 2, "entries": [1]}, "expected a JSON object"),
+    ("twoform", {"dim": 2, "entries": [{"i": 1, "j": 2}]}, "missing field(s): ['value']"),
+    ("twoform", {"dim": 2, "entries": [{"i": True, "j": 2, "value": "1"}]},
+     "entry index i must be an integer"),
+    ("twoform", {"dim": 2, "entries": [{"i": 2, "j": 1, "value": "1"}]},
+     "entry pair (2, 1) must satisfy 1 <= i < j <= dim"),
+    ("twoform", {"dim": 2, "entries": [{"i": 1, "j": 2, "value": "1"}] * 2},
+     "duplicate entry pair (1, 2)"),
+    ("twoform", {"dim": 2, "entries": [{"i": 1, "j": 2, "value": "1.5"}]},
+     "malformed rational '1.5'; expected 'p' or 'p/q'"),
+    ("affine", {"dim": 2, "gamma": [{"i": 1, "j": 1, "coeffs": {"2": "1"}}] * 2},
+     "duplicate gamma pair (1, 1)"),
+    ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": [["1", "0"]]}},
+     "derivation witness must be square"),
+    ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": [[]] * (MAX_DIM + 1)}},
+     f"derivation witness must have at most {MAX_DIM} rows"),
 ], ids=["not-an-object", "checks", "witnesses", "provenance", "brackets", "entries", "coeffs",
-        "witness-rows"])
+        "witness-rows", "entry-object", "entry-value", "entry-index", "entry-pair",
+        "entry-duplicate", "entry-rational", "gamma-duplicate", "witness-square",
+        "witness-row-cap"])
 def test_io_validate_rejects_malformed_documents(capsys, tmp_path, kind, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -601,6 +619,50 @@ def test_io_validate_rejects_malformed_documents(capsys, tmp_path, kind, doc, me
     )
     assert code == 2 and payload is None
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("witness, message", [
+    ([["1", "0"]], "witness must be square"),
+    ([[]] * (MAX_DIM + 1), f"witness must have at most {MAX_DIM} rows"),
+], ids=["square", "row-cap"])
+def test_der_verify_witness_rejects_malformed_verdicts(capsys, tmp_path, witness, message):
+    path = tmp_path / "verdict.json"
+    path.write_text(json.dumps({"kind": "NotCharNilpotent", "witness": witness,
+                                "seed": 0, "trials": 1}))
+    code, payload, err = run_cli(
+        capsys, ["der", "verify-witness", "--family", "Ln", "--n", "4", "--cert", str(path)]
+    )
+    assert code == 2 and payload is None
+    assert err == f"error: {message}\n"
+
+
+# a key repeated in one object: a parser keeping the first value would read another document
+_REPEATED_KEYS = {
+    "dim": ("algebra", '{"name": "g", "dim": 3, "dim": 2, "basis": ["a", "b"], "brackets": []}',
+            "dim"),
+    "coeffs-key": ("algebra", '{"name": "g", "dim": 2, "basis": ["a", "b"], "brackets": '
+                   '[{"i": 1, "j": 2, "coeffs": {"2": "1", "2": "0"}}]}', "2"),
+    "strategy": ("certificate", '{"algebra_hash": "0", "strategy": "regular", "strategy": '
+                 '"symplectic", "seed": 0, "trials": 1, "version": "0", "checks": [], '
+                 '"witnesses": {}}', "strategy"),
+    "witness": ("certificate", '{"algebra_hash": "0", "strategy": "symplectic", "seed": 0, '
+                '"trials": 1, "version": "0", "checks": [], "witnesses": {"two_form": '
+                '{"dim": 2, "entries": [{"i": 1, "j": 2, "value": "1", "value": "0"}]}}}',
+                "value"),
+}
+
+
+@pytest.mark.parametrize("kind, text, key", _REPEATED_KEYS.values(), ids=_REPEATED_KEYS.keys())
+def test_repeated_json_keys_are_an_input_error(capsys, tmp_path, kind, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argvs = [["io", "validate", "--kind", kind, "--in", str(path)]]
+    if kind == "algebra":
+        argvs.append(["verify", "jacobi", "--in", str(path)])
+    for argv in argvs:
+        code, payload, err = run_cli(capsys, [*argv, "--reproducible"])
+        assert code == 2 and payload is None
+        assert err == f"error: repeated JSON key '{key}'\n"
 
 
 def test_family_dimension_is_bounded(capsys):
