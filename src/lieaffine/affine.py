@@ -90,7 +90,6 @@ from .linalg import (
     _transpose,
     dense_vector,
     integer_scaled,
-    matrix_to_json,
     nonsingular,
     sparse_apply,
     unscaled,
@@ -155,11 +154,10 @@ class AffineStructure:
     dense read. It validates caller and JSON input; ``_product_tensor`` adopts its table.
     """
 
-    __slots__ = ("dim", "gamma", "provenance")
+    __slots__ = ("dim", "gamma")
 
-    def __init__(self, dim: int, gamma, provenance: Optional[dict] = None):
-        _set_fields(self, dim=dim, gamma=coefficient_table(dim, gamma, lambda i, j: True),
-                    provenance=dict(provenance or {}))
+    def __init__(self, dim: int, gamma):
+        _set_fields(self, dim=dim, gamma=coefficient_table(dim, gamma, lambda i, j: True))
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineStructure is immutable")
@@ -169,8 +167,7 @@ class AffineStructure:
                                "product arguments must match the dimension")
 
     def __repr__(self) -> str:
-        strategy = self.provenance.get("strategy", "?")
-        return f"AffineStructure(dim={self.dim}, strategy={strategy!r})"
+        return f"AffineStructure(dim={self.dim}, pairs={len(self.gamma)})"
 
 
 @dataclass
@@ -301,15 +298,15 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     return report
 
 
-def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int, inner: Matrix,
-                    strategy: str, witness: str) -> AffineStructure:
-    """The structure e_i.e_j = outer(maps[i](inner e_j)) / d_maps, recorded as ``strategy``.
+def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
+                    inner: Matrix) -> AffineStructure:
+    """The structure e_i.e_j = outer(maps[i](inner e_j)) / d_maps.
 
     ``outer`` is (O, d_o): the integer sparse columns of d_o times a map.
     Each ``maps[i]`` is the integer sparse columns of d_maps times a map
     (ad(e_i) or its transpose, from ``integer_ad_columns``); the three
     constructions differ only in the three maps. ``inner`` is the
-    construction's witness matrix, kept in the provenance under ``witness``.
+    construction's witness matrix (the derivation f or the Gram matrix).
     The products run in integers: inner is scaled to V / d_v, and each entry
     of O M_i V is divided once by d_o d_maps d_v.
 
@@ -319,8 +316,6 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int, 
     tensor, in ascending (i, j) order with zeros and cancelled pairs
     dropped, is already canonical and is adopted as it is.
     """
-    provenance = {"strategy": strategy, "inputs": {witness: matrix_to_json(inner)},
-                  "seed": None}
     n = len(maps)
     outer, d_outer = outer
     inner_cols, d_inner = inner.integer_columns
@@ -341,8 +336,7 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int, 
                 for k, x in image.items():
                     acc[k] = acc.get(k, 0) + v * x
     gamma = {key: coeffs for key in sorted(sums) if (coeffs := unscaled(sums[key], den))}
-    return _set_fields(AffineStructure.__new__(AffineStructure), dim=n, gamma=gamma,
-                       provenance=provenance)
+    return _set_fields(AffineStructure.__new__(AffineStructure), dim=n, gamma=gamma)
 
 
 def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -351,18 +345,18 @@ def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
         raise NotADerivationError("f does not satisfy the derivation identity")
     if not nonsingular(f):
         raise SingularMatrixError("f is singular; the conjugation product needs f^{-1}")
-    return _derived_product(alg, f, "regular")
+    return _derived_product(alg, f)
 
 
 def from_derived_regular(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     """Product e_i . y = g([e_i, f(y)]) with g inverting f on the derived subalgebra."""
     if is_derivation(alg, f):
         raise NotADerivationError("map does not satisfy the derivation identity")
-    return _derived_product(alg, f, "derived-regular")
+    return _derived_product(alg, f)
 
 
-def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructure:
-    """The structure e_i . y = g([e_i, f(y)]) of a derivation f, recorded as ``strategy``.
+def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
+    """The structure e_i . y = g([e_i, f(y)]) of a derivation f.
 
     g inverts f on the derived subalgebra and is zero on the coordinate
     complement of its RREF pivots; that choice never reaches the product
@@ -382,8 +376,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix, strategy: str) -> AffineStructu
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, columns):
         g[p] = sparse_apply(basis, col)
-    return _product_tensor((g, d_basis * d_inverse), *integer_ad_columns(alg), f, strategy,
-                           "derivation")
+    return _product_tensor((g, d_basis * d_inverse), *integer_ad_columns(alg), f)
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -402,7 +395,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     ad, d_ad = integer_ad_columns(alg)
     transposed = [_transpose(cols, alg.dim) for cols in ad]
     return _product_tensor(([{k: -x for k, x in col.items()} for col in columns], den),
-                           transposed, d_ad, th, "symplectic", "two_form")
+                           transposed, d_ad, th)
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,

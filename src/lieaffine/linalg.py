@@ -40,6 +40,7 @@ check and the constructions) and its rank are computed on first use and
 kept: every caller shares them, so they are read-only. A ``Subspace``
 holds the kernel's RREF rows, read by ``_coordinates``. Kernel output is
 adopted without re-validation (``Matrix.from_sparse``, ``_set_fields``).
+A matrix's JSON form, read and written, belongs to ``serialize``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, LieToolError
+from .errors import DimensionMismatch
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,23 +71,6 @@ def rat(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(x: Fraction) -> str:
-    """x as "p/q" (or "p"); Python's int-string digit limit becomes a LieToolError."""
-    try:
-        return str(x)
-    except ValueError as exc:
-        raise LieToolError("a result exceeds the integer digit limit") from exc
-
-
-def matrix_to_json(m: Matrix) -> list:
-    """The rows of m as rational strings; only the stored nonzeros are formatted, the rest is "0"."""
-    rows = [["0"] * m.cols for _ in range(m.rows)]
-    for j, col in enumerate(m.columns):
-        for i, x in col.items():
-            rows[i][j] = format_rational(x)
-    return rows
 
 
 def vector(entries: Iterable) -> Vector:

@@ -6,11 +6,12 @@ like "2/4" silently but reject anything that is not an integer fraction,
 along with unknown fields, bad index ranges and duplicate entries. A
 "dim" header outside 1..MAX_DIM is rejected before anything is allocated.
 Brackets, affine products and 2-form entries share one {"i", "j", value}
-pair-entry codec, and every matrix is read by one square reader; a JSON
-object that repeats a key is rejected. Every document may carry one
-optional metadata field "generated_at" (emitted by the CLI unless
---reproducible is set); certificates and verdicts also admit an
-informational "name"/"note". Metadata is ignored on input.
+pair-entry codec; matrices have their one square reader and one writer
+here. A JSON object that repeats a key is rejected. Every document may
+carry one optional metadata field "generated_at" (emitted by the CLI
+unless --reproducible is set); certificates and verdicts also admit an
+informational "name"/"note". Metadata, and an affine structure's legacy
+"provenance" once checked to be an object, are ignored on input.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
-from .errors import SchemaError
+from .errors import LieToolError, SchemaError
 from .liealg import LieAlgebra, TwoForm
-from .linalg import Matrix, format_rational, matrix_to_json
+from .linalg import Matrix
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
@@ -52,6 +53,14 @@ def parse_rational(text) -> Fraction:
     if den == 0:
         raise SchemaError(f"zero denominator in rational {_echo(text)}")
     return Fraction(num, den)
+
+
+def format_rational(x: Fraction) -> str:
+    """x as "p/q" (or "p"); Python's int-string digit limit becomes a LieToolError."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
 def _require_object(doc, required, optional=frozenset()):
@@ -95,6 +104,15 @@ def _index_key(key, dim: int) -> int:
 
 
 # --- matrices -------------------------------------------------------------
+
+def matrix_to_json(m: Matrix) -> list:
+    """The rows of m as rational strings; only the stored nonzeros are formatted, the rest is "0"."""
+    rows = [["0"] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            rows[i][j] = format_rational(x)
+    return rows
+
 
 def matrix_from_json(doc, what: str = "matrix") -> Matrix:
     """A square matrix of at most MAX_DIM rows; the shape is checked before any entry is parsed."""
@@ -212,7 +230,7 @@ def twoform_from_json(doc) -> TwoForm:
 
 def affine_to_json(structure: AffineStructure) -> dict:
     gamma = _pairs_to_json(structure.gamma, "coeffs", _coeffs_to_json)
-    return {"dim": structure.dim, "gamma": gamma, "provenance": structure.provenance}
+    return {"dim": structure.dim, "gamma": gamma}
 
 
 def affine_from_json(doc) -> AffineStructure:
@@ -220,10 +238,9 @@ def affine_from_json(doc) -> AffineStructure:
     dim = _require_dim(doc["dim"])
     gamma = _pairs_from_json(doc["gamma"], dim, "coeffs", partial(_coeffs_from_json, dim=dim),
                              ordered=False, listed="gamma", item="gamma")
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
+    if not isinstance(doc.get("provenance", {}), dict):
         raise SchemaError("provenance must be an object")
-    return AffineStructure(dim, gamma, provenance)
+    return AffineStructure(dim, gamma)
 
 
 # --- certificates -----------------------------------------------------------

@@ -11,6 +11,7 @@ from lieaffine.affine import (
     STRATEGIES,
     AffineReport,
     AffineStructure,
+    Certificate,
     _product_tensor,
     find_symplectic,
     from_derived_regular,
@@ -49,6 +50,7 @@ from lieaffine.errors import (
 from lieaffine.liealg import (
     LieAlgebra,
     TwoForm,
+    algebra_hash,
     coefficient_table,
     derived_subalgebra,
     dtheta_residual,
@@ -68,6 +70,7 @@ from lieaffine.linalg import (
     unscaled,
     vector,
 )
+from lieaffine.serialize import certificate_to_json, matrix_to_json
 
 from dense import (
     apply,
@@ -86,7 +89,7 @@ F = Fraction
 
 
 def _zero_structure(n):
-    return AffineStructure(n, {}, {"strategy": "zero"})
+    return AffineStructure(n, {})
 
 
 def test_verify_affine_zero_product_on_abelian():
@@ -313,12 +316,9 @@ def test_product_tensor_matches_fraction_oracle(name):
         for density in (0.2, 0.6):
             outer = _random_columns(rng, n, density)
             inner = Matrix.from_sparse(n, _random_columns(rng, n, density))
-            structure = _product_tensor(integer_scaled(outer), int_maps, den, inner, "test",
-                                        "witness")
+            structure = _product_tensor(integer_scaled(outer), int_maps, den, inner)
             _assert_canonical(structure)
             assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
-            assert structure.provenance["inputs"]["witness"] == [
-                [str(x) for x in row] for row in inner.data]
 
 
 def _all_pairs_product_tensor(outer, maps, d_maps, inner):
@@ -348,8 +348,8 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
     calls = []
     product_tensor = affine._product_tensor
 
-    def recorded(outer, maps, d_maps, inner, *rest):
-        structure = product_tensor(outer, maps, d_maps, inner, *rest)
+    def recorded(outer, maps, d_maps, inner):
+        structure = product_tensor(outer, maps, d_maps, inner)
         columns, d_outer = outer  # the outer map as integer columns over d_outer
         calls.append(([unscaled(col, d_outer) for col in columns], maps, d_maps, inner,
                       structure))
@@ -369,7 +369,7 @@ def test_product_tensor_drops_a_pair_whose_sum_cancels():
     # e_0.e_0 = M_0(e_0 - e_1) = e_0 - e_0: two nonzero terms that cancel
     maps = [[{0: 1}, {0: 1}], [{}, {}]]
     inner = Matrix([[1, 0], [-1, 1]])
-    structure = _product_tensor(([{0: 1}, {1: 1}], 1), maps, 1, inner, "test", "witness")
+    structure = _product_tensor(([{0: 1}, {1: 1}], 1), maps, 1, inner)
     assert structure.gamma == {(0, 1): {0: F(1)}}
     _assert_canonical(structure)
 
@@ -481,12 +481,19 @@ def test_from_regular_derivation_rejects_bad_inputs():
 
 
 def test_witness_past_the_digit_limit_is_a_tool_error():
-    # the provenance strings of a 5001-digit witness exceed Python's
-    # int-string digit limit; that must surface as a package error
+    # the product is invariant under scaling f, so a 5001-digit witness
+    # builds; its strings exceed Python's int-string digit limit, so writing
+    # it must surface as a package error
     l4 = make_ln(4)
-    f = find_regular_derivation(derivation_space(l4)) * 10 ** 5000
-    with pytest.raises(LieToolError, match="digit limit"):
-        from_regular_derivation(l4, f)
+    f = find_regular_derivation(derivation_space(l4))
+    big = f * 10 ** 5000
+    structure = from_regular_derivation(l4, big)
+    assert structure.gamma == from_regular_derivation(l4, f).gamma
+    cert = Certificate(algebra_hash(l4), "regular", 0, 1, "0", [],
+                       {"derivation": big, "affine_structure": structure})
+    for write in (lambda: matrix_to_json(big), lambda: certificate_to_json(cert)):
+        with pytest.raises(LieToolError, match="digit limit"):
+            write()
 
 
 def test_from_regular_scaling_invariance():

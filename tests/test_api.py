@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lieaffine
 from lieaffine import cli
 
@@ -73,3 +75,11 @@ def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
         assert right[0] == "lieaffine", line
         assert cli.main(right[1:]) == (int(exits.group(1)) if exits else 0), line
         capsys.readouterr()
+
+
+def test_package_version_matches_pyproject():
+    # certificates record lieaffine.__version__; the build reads pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert meta["project"]["version"] == lieaffine.__version__

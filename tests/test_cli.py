@@ -762,12 +762,12 @@ def test_reproducible_outputs_are_byte_identical(capsys):
 # with the diagonal weights: their witness is a torus element.
 PINNED_STDOUT = [
     (("affine", "synth", "--family", "Ln", "--n", "12"), 0,
-     "4319e07cdb398402d0bfe41ed667d049937b2be395c33fa47859add27b208674"),
+     "73c77f9d60489f6a3214c384dcb73dd63414962154ebd7178213fbb9fe02a7c3"),
     (("affine", "synth", "--family", "Ln", "--n", "12", "--strategy", "symplectic"), 0,
-     "67bbc9ee05a1ec181112051f2824ff43d8e52316f1298f1d065b92a844b61d74"),
+     "7fa04a4bf08707cb39765c59b455455fa6a144d1ac96058fb852acf3210d40e3"),
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1",
       "--strategy", "derived-regular"), 0,
-     "732ff6087b1460d650a457e2a1725fc379d2e987801a46d4fb4eba344c8870ec"),
+     "225850d53bc5bc88f6562497fd508e8b126e24e350f5cd7a3f6c355c84778f73"),
     (("der", "regular", "--family", "Ln", "--n", "12"), 0,
      "3501bb571dd40ae8a352662143e57c92b5cca39bf313e04e35090b72d8e90b75"),
     (("der", "derived-regular", "--family", "Cn", "--n", "8", "--lambda=1",
@@ -803,14 +803,14 @@ PINNED_STDOUT = [
      "675b5cc1f02ca3946684496ea0e3ec479c5a7ca8660746997776a51afebad9a2"),
     # the regular (conjugation) product beyond Ln
     (("affine", "synth", "--family", "QnZ", "--n", "10", "--strategy", "regular"), 0,
-     "d94372f1a06dc363015b33124cd70743c5ee9f510569c8a082806e58aad6b69c"),
+     "c4d065b307aded7cb0d8b47f895d39f404c54f9f00f592bb6dfa296af5dc40c8"),
     (("affine", "synth", "--family", "Cn", "--n", "6", "--lambda=1"), 0,
-     "2965fe461b461d21f6449c70f1f0179f3b3e1cb9a7c9d2bf6a42b658027f849b"),
+     "4415771ea8c609f86b352015f1b2b27a888d5206757fcd5d60881025e20cf5e8"),
     (("affine", "synth", "--family", "Qn", "--n", "12", "--seed", "5"), 0,
-     "116c18f58163f5e064ed4251dfb5787e83cb28ede9c77e2f38686a3fd1f8cb7a"),
+     "1b3565948a80783f485b801bc853f1bc3637f704a10cdb3f20a8457d748dd52e"),
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=-1",
       "--strategy", "regular", "--seed", "3"), 0,
-     "a452b309701b2a957b592984df3c3279f3e1f403035ac281317775a86f2b72af"),
+     "df111aa4bfdbc095a5f9431cd6d78faa92489292bff63edb1a4f83281301cc6d"),
     # the standard tori: derivation, commutation and rational diagonalizability
     (("der", "torus", "--family", "Ln", "--n", "12"), 0,
      "4546480f6c69734b094be0c1fc400ccc1a921ba8f9abfba80b501644b71719c8"),
@@ -831,7 +831,7 @@ PINNED_STDOUT = [
      "87e17dcd74574fd8832e087be815cfd57922d1fd5971fcf8be0d4b6d017f3817"),
     (("affine", "synth", "--family", "Ln", "--n", "9", "--strategy", "derived-regular",
       "--seed", "2"), 0,
-     "1aab224daf830e580a055efcc365648e658a90280e7df78c232dc6193a0bdfb1"),
+     "33e5e3b6c45d3133056eb186e5f55f5f6c2fd62794bbafce22f097287a46ca52"),
     (("der", "space", "--family", "QnZ", "--n", "10"), 0,
      "b0e316d1e5f8b8dddc930cd0b7ed27923e01e4cfb858502b2a2dab6229a4ea3f"),
     # Der(g) from the nonzero structure constants on the sparse kernel, and
@@ -852,18 +852,18 @@ PINNED_STDOUT = [
     # integers over a common denominator: brackets with denominators 2 and
     # 3, and synths above n = 12
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2"), 0,
-     "a1be965275a3d3abac1b25e11981ae0f4a147618ead54c767a869e2915e2671c"),
+     "099603646d1be8b375b935820816ca81097c52951448c1a0add43ddbf2501496"),
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2",
       "--strategy", "derived-regular"), 0,
-     "7f51b6cb454405b54b4f09d50f8f6f69b8c80a95b230ca83376dd3309a2a843a"),
+     "77e7982cf669438b79d3b7cc92e13c6d660a601d86598335a707b9a7131abd9c"),
     (("der", "space", "--family", "Cn", "--n", "8", "--lambda=2/3", "--lambda=1/2"), 0,
      "abb620e381758b09b150dc9438854e698f27e17802f97197c8abdb6610d3439d"),
     (("affine", "synth", "--family", "Ln", "--n", "24"), 0,
-     "61ea29ba3ada7dd9a196afa8628733fd3ae2ae77cfe4e96ac4f6194e180d4247"),
+     "e5f93cbf1330dc772826657cba2d8768992f7a486a9b1c548c8a6f5a2a27c197"),
     (("affine", "synth", "--family", "Ln", "--n", "24", "--strategy", "symplectic"), 0,
-     "1aaba4ea51b877abbf83d9799164b960227196f565ee16f98645fb5f708a9c59"),
+     "54b20765c32d51b3111c15b093f1a88434c8cc1dfeb1fa873c2fd672d844dc3a"),
     (("affine", "synth", "--family", "QnZ", "--n", "16"), 0,
-     "3bb0dd502bed6045f0b8404476440c93a76dfd8a8c5e9819479c632bd54c30bf"),
+     "95bb85e5d1f490dad5cf4b7adc99e9010256e4acca325aad482bb14ba7cc32bb"),
     # the family list and one member of each family as algebra JSON: the
     # bracket order and basis names of every catalog table
     (("catalog", "list"), 0,

@@ -61,12 +61,11 @@ from lieaffine.linalg import (
     dense_vector,
     sparse_apply,
     is_nilpotent,
-    matrix_to_json,
     nonsingular,
     rank,
     unscaled,
 )
-from lieaffine.serialize import algebra_to_json
+from lieaffine.serialize import algebra_to_json, matrix_to_json
 
 from dense import (
     apply,

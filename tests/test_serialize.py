@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from lieaffine import serialize
-from lieaffine.affine import synthesize
+from lieaffine.affine import reverify_certificate, synthesize
 from lieaffine.catalog import make_cn, make_ln, make_qn
+from lieaffine.cli import main
 from lieaffine.derivations import CharNilpVerdict, char_nilpotent_verdict
 from lieaffine.errors import SchemaError
 from lieaffine.liealg import TwoForm, algebra_hash
@@ -21,6 +22,7 @@ from lieaffine.serialize import (
     certificate_from_json,
     certificate_to_json,
     format_rational,
+    json_text,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
@@ -160,7 +162,6 @@ def test_affine_round_trip(build):
     back = affine_from_json(json.loads(json.dumps(doc)))
     assert back.dim == structure.dim
     assert back.gamma == structure.gamma
-    assert back.provenance == structure.provenance
 
 
 def test_affine_gamma_allows_equal_indices():
@@ -251,6 +252,53 @@ def test_certificate_round_trip():
     assert back.witnesses["affine_structure"].gamma == cert.witnesses[
         "affine_structure"
     ].gamma
+
+
+# one `affine synth` certificate per strategy: (algebra, family arguments, strategy arguments)
+_SYNTH = {
+    "auto-L8": (lambda: make_ln(8), ["--family", "Ln", "--n", "8"], []),
+    "derived-regular-C8": (lambda: make_cn(8, [1, 1])[0],
+                           ["--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"],
+                           ["--strategy", "derived-regular"]),
+    "symplectic-L8": (lambda: make_ln(8), ["--family", "Ln", "--n", "8"],
+                      ["--strategy", "symplectic"]),
+}
+
+
+def _synth_stdout(capsys, name):
+    _, family, strategy = _SYNTH[name]
+    assert main(["affine", "synth", *family, *strategy, "--reproducible"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(_SYNTH))
+def test_certificate_bytes_survive_a_round_trip(capsys, name):
+    out = _synth_stdout(capsys, name)
+    doc = json.loads(out)
+    label = doc.pop("name")
+    back = certificate_to_json(certificate_from_json(doc))
+    assert json_text({**back, "name": label}) + "\n" == out
+
+
+@pytest.mark.parametrize("name", list(_SYNTH))
+def test_certificate_with_a_legacy_provenance_verifies(capsys, tmp_path, name):
+    # earlier versions also wrote the witness under the product tensor's
+    # "provenance"; such a certificate still parses and verifies
+    doc = json.loads(_synth_stdout(capsys, name))
+    witnesses = doc["witnesses"]
+    if "two_form" in witnesses:
+        inputs = {"two_form": matrix_to_json(twoform_from_json(witnesses["two_form"]).gram)}
+    else:
+        inputs = {"derivation": witnesses["derivation"]}
+    witnesses["affine_structure"]["provenance"] = {
+        "strategy": doc["strategy"], "inputs": inputs, "seed": None}
+    build, family, _ = _SYNTH[name]
+    assert reverify_certificate(build(), certificate_from_json(doc)).ok
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main(["affine", "verify", *family, "--cert", str(path), "--reproducible"]) == 0
+    assert main(["io", "validate", "--kind", "certificate", "--in", str(path),
+                 "--reproducible"]) == 0
 
 
 def test_certificate_rejects_unknown_witness():
