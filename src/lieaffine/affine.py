@@ -42,6 +42,8 @@ winner exhaustively, and wraps the outcome in a self-contained certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __about__
@@ -50,8 +52,10 @@ from .derivations import (
     _first_hit,
     _integer_restrict,
     _restriction_invertible,
+    _weight_candidates,
     check_trials,
     derivation_space,
+    diagonal_derivations,
     find_derived_regular_derivation,
     find_regular_derivation,
     is_derivation,
@@ -84,6 +88,7 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
+    Subspace,
     _integer_inverse,
     _nullspace,
     _set_fields,
@@ -96,6 +101,12 @@ from .linalg import (
 )
 
 NOT_A_PROOF = "search failure only; not a proof of non-existence"
+
+# The moment-curve points ``find_symplectic`` tries as weights after the
+# RREF basis of the diagonal derivations (Ln hits at the second). Nothing
+# makes a later point likelier to be symmetric, so the pass stops here:
+# with d basis weights it builds at most d + 3 candidates of n entries.
+SYMPLECTIC_CURVE_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -400,32 +411,98 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
                     trials: int = DEFAULT_TRIALS) -> Optional[TwoForm]:
-    """Seeded search for a closed nondegenerate 2-form.
+    """Search for a closed nondegenerate 2-form: torus-homogeneous forms, then seeded draws.
 
     Raises ValueError when ``trials`` < 1 and returns None in odd
-    dimension; otherwise computes the linear space of closed forms exactly
-    and draws seeded combinations of its basis until one has nonzero Gram
-    determinant. That determinant is the square of the Pfaffian, of
-    degree n/2 in the coefficients. The closedness equations are integer
-    rows over the integer-scaled structure constants, one per basis triple
-    that a stored bracket reaches, summed over ``cyclic_sum_terms`` with
-    every a != m a partner of e_m (th(e_a, e_m) an unknown).
+    dimension, before any other work. Then come the diagonal weight
+    candidates w of ``_weight_candidates`` over ``diagonal_derivations``,
+    the weights the derivation searches read: the RREF basis and the first
+    ``SYMPLECTIC_CURVE_POINTS`` moment-curve points, so the pass builds a
+    bounded number of weights whatever ``trials`` is. diag(w) is a
+    derivation, so d maps the forms homogeneous of weight c (th(e_a, e_m)
+    nonzero only where w_a + w_m = c) into themselves, and the closed ones
+    are the kernel of the closedness rows on those unknowns alone
+    (``_closed_forms``). Only c = ``_matching_class(w)`` can hold a
+    nondegenerate one, and only a w with pairwise distinct entries is
+    solved: its class pairs are then the n/2 pairs of one perfect matching,
+    a form on them is nondegenerate exactly when each of its n/2 entries is
+    nonzero. A class whose closed forms all leave some pair 0 is skipped;
+    otherwise the class space's own ``_weight_candidates``, tried through
+    ``nondegenerate``, reach such a form before their list ends. A hit
+    does not depend on ``seed``; on Ln, w = (1, 2, ..., n) gives one +-1
+    entry on each pair (i, n + 1 - i).
+
+    When no candidate hits, it computes the linear space of all closed
+    forms exactly and draws seeded combinations of its basis until one has
+    nonzero Gram determinant, the square of the Pfaffian, of degree n/2 in
+    the coefficients; its outcome is the one the weight pass never ran
+    for, and None after ``trials`` misses is one-sided.
     """
     check_trials(trials)
     n = alg.dim
     if n % 2:
         return None
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def form(pairs, entries):
+        return TwoForm.from_entries(n, {pairs[s]: x for s, x in entries if x})
+
+    weights = diagonal_derivations(alg)
+    for w in islice(_weight_candidates(weights), weights.dim + SYMPLECTIC_CURVE_POINTS):
+        at = {x: a for a, x in enumerate(w)}
+        # a repeated weight makes the class wider than a matching: no
+        # candidate list decides it, and on QnZ 8-16 and Cn 8-12 a miss
+        # there took 5 to 370 times as long as the seeded search
+        if len(at) < n:
+            continue
+        c = _matching_class(w)
+        if c is None:
+            continue
+        pairs, space = _closed_forms(alg, [[at[c - x]] for x in w])
+        # on a matching the Gram determinant is the square of the entries'
+        # product: a pair every closed class form leaves 0 rules the class
+        # out, and otherwise some class candidate has no zero entry
+        if len(set().union(*(row for _, row in space.rows))) < len(pairs):
+            continue
+        hit = next(filter(nondegenerate, (form(pairs, enumerate(v))
+                                          for v in _weight_candidates(space) if all(v))), None)
+        if hit is not None:
+            return hit
+    pairs, space = _closed_forms(alg, [[a for a in range(n) if a != m] for m in range(n)])
+    return _first_hit(space, lambda v: form(pairs, v.items()), (), seed, trials, nondegenerate)
+
+
+def _matching_class(w: Sequence[Fraction]) -> Optional[Fraction]:
+    """c = min(w) + max(w) when w_(k) + w_(n-1-k) = c for every k of the sorted w, else None.
+
+    A form homogeneous for diag(w), nonzero only where w_a + w_m = c, is
+    nondegenerate only if its Pfaffian has a nonzero term: a perfect
+    matching of the indices into pairs of weight sum c. Such a matching maps
+    the multiset of weights onto itself by x -> c - x, so it is symmetric
+    about c / 2 and c is its min plus its max; conversely, pairing the k-th
+    smallest with the k-th largest is one. So c is the only class worth solving.
+    """
+    ws = sorted(w)
+    c = ws[0] + ws[-1]
+    return c if all(ws[k] + ws[-1 - k] == c for k in range(len(ws) // 2)) else None
+
+
+def _closed_forms(alg: LieAlgebra, partners: Sequence[Sequence[int]]) -> Tuple[list, Subspace]:
+    """(pairs, space): the closed 2-forms with th(e_a, e_m) free for a in ``partners[m]``.
+
+    ``partners`` is symmetric and ``pairs`` lists its pairs a < m in
+    ascending order; the closedness equations are integer rows over the
+    integer-scaled structure constants, one per basis triple that a stored
+    bracket reaches, summed over ``cyclic_sum_terms``, and ``space`` is their
+    kernel on the unknowns th(pairs[s]). Every other entry of the forms is 0.
+    """
+    pairs = sorted((a, m) for m, others in enumerate(partners) for a in others if a < m)
     index = {p: s for s, p in enumerate(pairs)}
-    others = [[a for a in range(n) if a != m] for m in range(n)]
     rows: Dict[tuple, dict] = {}
-    for triple, a, m, c in cyclic_sum_terms(integer_structure(alg)[0], others):
+    for triple, a, m, c in cyclic_sum_terms(integer_structure(alg)[0], partners):
         row = rows.setdefault(triple, {})
         col = index[(a, m) if a < m else (m, a)]
         row[col] = row.get(col, 0) + (c if a < m else -c)
-    return _first_hit(_nullspace(rows.values(), len(pairs)),
-                      lambda v: TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items() if x}),
-                      (), seed, trials, nondegenerate)
+    return pairs, _nullspace(rows.values(), len(pairs))
 
 
 def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,

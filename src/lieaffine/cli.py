@@ -364,6 +364,7 @@ _VALIDATORS = {
     "twoform": twoform_from_json,
     "affine": affine_from_json,
     "certificate": certificate_from_json,
+    "verdict": verdict_from_json,
 }
 
 

@@ -30,7 +30,12 @@ try their diagonal weight candidates (``_weight_candidates`` over
 solved once for both), and a hit there never solves Der(g) and does not
 depend on the seed. For the regular search the pass is exact: it finds an
 invertible diagonal derivation whenever the given basis has one, as the
-catalog bases of Ln, Qn and QnZ do.
+catalog bases of Ln, Qn and QnZ do. The symplectic search
+(``affine.find_symplectic``) reads the basis and the first curve points
+of the same candidates, of ``diagonal_derivations``, before its seeded
+draws: for each such weight w it solves the closed forms homogeneous for
+diag(w) on the one weight class that can hold a nondegenerate form, and
+on Ln its witness no longer depends on the seed either.
 After that the three searches pass one nil gate, ``_derivation_search``:
 it asks ``DerivationSpace.all_nilpotent``, which decides exactly (by
 Engel's theorem, on one image chain over the Der(g) basis, or at once when
@@ -95,7 +100,10 @@ class DerivationSpace:
     ``basis`` is the matrix view; a search that settles without them never
     solves the system. ``weights`` is the space of diagonal derivation
     weights, solved once and read by both searches for an invertible map:
-    they try its ``_weight_candidates`` before they read ``flat``.
+    they try its ``_weight_candidates`` before they read ``flat``. The
+    symplectic search, the third, tries the basis and the first curve
+    points of the same candidates of ``diagonal_derivations`` before its
+    seeded draws over the closed forms.
     """
 
     algebra: LieAlgebra
@@ -350,7 +358,7 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
 
 
 def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
-    """The diagonal weights the searches try before Der(g): the basis, then a moment curve.
+    """The diagonal weights tried before Der(g) or the closed forms: basis, then a moment curve.
 
     First the RREF basis vectors b_1, ..., b_d of ``weights``, in order;
     then, when d >= 2, w(s) = sum_k s^k b_(k+1) for s = 1, ..., n(d - 1) + 1.
@@ -358,14 +366,25 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     degree < d in s, so it vanishes at fewer than d values, and the n
     coordinates rule out at most n(d - 1) of the values of s: some w(s) is
     nonzero wherever any weight in the span is. So an invertible diagonal
-    derivation exists in this basis exactly when a candidate is one.
+    derivation exists in this basis exactly when a candidate is one. The
+    symplectic search (``affine.find_symplectic``) reads the basis and the
+    first curve points as weights, and the whole list over the closed forms
+    of one weight class, where the same argument finds a form with every
+    entry nonzero whenever the class holds one. Each w(s) is summed in ints
+    over the sparse rows scaled to one denominator, which on the unit-vector
+    basis of an abelian algebra touches n entries instead of n d Fractions.
     """
-    basis = weights.basis
-    yield from basis
-    if len(basis) < 2:
+    yield from weights.basis
+    if weights.dim < 2:
         return
-    for s in range(1, weights.ambient_dim * (len(basis) - 1) + 2):
-        yield tuple(sum(s ** k * x for k, x in enumerate(coords)) for coords in zip(*basis))
+    n = weights.ambient_dim
+    rows, den = integer_scaled(row for _, row in weights.rows)
+    for s in range(1, n * (len(rows) - 1) + 2):
+        point = [0] * n
+        for k, row in enumerate(rows):
+            for j, x in row.items():
+                point[j] += s ** k * x
+        yield tuple(Fraction(x, den) for x in point)
 
 
 def _derivation_search(space: DerivationSpace, diagonal_first: bool, fixed, seed: int,

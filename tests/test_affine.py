@@ -57,6 +57,7 @@ from lieaffine.liealg import (
     integer_ad_columns,
     integer_structure,
     jacobi_report,
+    nondegenerate,
     tail_filtered,
 )
 from lieaffine.linalg import (
@@ -645,8 +646,6 @@ def test_find_symplectic_l4():
     l4 = make_ln(4)
     th = find_symplectic(l4, seed=0, trials=32)
     assert th is not None
-    from lieaffine.liealg import dtheta_residual, nondegenerate
-
     assert dtheta_residual(l4, th) == []
     assert nondegenerate(th)
     # the closed-form space on L4 forces these two entries to vanish
@@ -661,6 +660,43 @@ def test_find_symplectic_odd_dimension_absent():
 def test_find_symplectic_abelian():
     th = find_symplectic(make_abelian(4), seed=0, trials=32)
     assert th is not None
+
+
+def test_symplectic_weight_pass_is_bounded_on_a_miss(monkeypatch):
+    # every curve point (1, s, ..., s^63) of abelian64 has distinct entries
+    # and none is symmetric: the pass reads the 64 basis weights and
+    # SYMPLECTIC_CURVE_POINTS curve points, then the seeded search runs
+    drawn = []
+    real = affine._weight_candidates
+
+    def counted(space):
+        for w in real(space):
+            drawn.append(w)
+            yield w
+
+    monkeypatch.setattr(affine, "_weight_candidates", counted)
+    th = find_symplectic(make_abelian(64), trials=1)
+    assert th is not None and nondegenerate(th)
+    assert len(drawn) == 64 + affine.SYMPLECTIC_CURVE_POINTS
+
+
+def _has_matching(w, c):
+    # brute force: the indices split into pairs of weight sum c
+    if not w:
+        return True
+    return any(w[0] + w[k] == c and _has_matching(w[1:k] + w[k + 1:], c)
+               for k in range(1, len(w)))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_matching_class_is_the_only_class_with_a_perfect_matching(seed):
+    # small random weights, repeats and negative entries included
+    rng = random.Random(seed)
+    w = [rng.randint(-2, 3) for _ in range(2 * rng.randint(1, 4))]
+    matched = {c for c in {x + y for x in w for y in w} if _has_matching(w, c)}
+    c = affine._matching_class(w)
+    assert matched == (set() if c is None else {c})
+    assert (c is not None) == (sorted(w) == sorted(min(w) + max(w) - x for x in w))
 
 
 def test_construction_soundness_across_catalog():

@@ -578,6 +578,7 @@ def test_io_validate_cuts_long_strings(capsys, tmp_path, kind, doc):
 _CERTIFICATE = {"algebra_hash": "0", "strategy": "regular", "seed": 0, "trials": 1,
                 "version": "0", "checks": [], "witnesses": {}}
 _ALGEBRA = {"name": "g", "dim": 2, "basis": ["a", "b"], "brackets": []}
+_VERDICT = {"kind": "NotCharNilpotent", "witness": [["1"]], "seed": 0, "trials": 1}
 
 
 @pytest.mark.parametrize("kind, doc, message", [
@@ -607,10 +608,13 @@ _ALGEBRA = {"name": "g", "dim": 2, "basis": ["a", "b"], "brackets": []}
      "derivation witness must be square"),
     ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": [[]] * (MAX_DIM + 1)}},
      f"derivation witness must have at most {MAX_DIM} rows"),
+    ("verdict", {**_VERDICT, "witness": [["1", "0"]]}, "witness must be square"),
+    ("verdict", {**_VERDICT, "witness": [[]] * (MAX_DIM + 1)},
+     f"witness must have at most {MAX_DIM} rows"),
 ], ids=["not-an-object", "checks", "witnesses", "provenance", "brackets", "entries", "coeffs",
         "witness-rows", "entry-object", "entry-value", "entry-index", "entry-pair",
         "entry-duplicate", "entry-rational", "gamma-duplicate", "witness-square",
-        "witness-row-cap"])
+        "witness-row-cap", "verdict-square", "verdict-row-cap"])
 def test_io_validate_rejects_malformed_documents(capsys, tmp_path, kind, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -759,12 +763,15 @@ def test_reproducible_outputs_are_byte_identical(capsys):
 # and nilpotency tests moved onto the elimination kernel. Certificates
 # carry the package version, so a version bump needs a re-pin. Entries 0,
 # 3, 17, 19, 38 and 40 were re-recorded when the regular search began
-# with the diagonal weights: their witness is a torus element.
+# with the diagonal weights: their witness is a torus element. Entries 1,
+# 6 and 39 were re-recorded when the symplectic search began with the
+# forms homogeneous for a diagonal derivation: their witness is the +-1
+# form on the pairs (i, n + 1 - i).
 PINNED_STDOUT = [
     (("affine", "synth", "--family", "Ln", "--n", "12"), 0,
      "73c77f9d60489f6a3214c384dcb73dd63414962154ebd7178213fbb9fe02a7c3"),
     (("affine", "synth", "--family", "Ln", "--n", "12", "--strategy", "symplectic"), 0,
-     "7fa04a4bf08707cb39765c59b455455fa6a144d1ac96058fb852acf3210d40e3"),
+     "5eaaf20062b82b3829f4a90b2d0cb2da16cabade6e98b446af34fe01eb846581"),
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1",
       "--strategy", "derived-regular"), 0,
      "225850d53bc5bc88f6562497fd508e8b126e24e350f5cd7a3f6c355c84778f73"),
@@ -776,7 +783,7 @@ PINNED_STDOUT = [
     (("der", "char-nilp", "--family", "Qn", "--n", "8"), 0,
      "9cffd03e26797b41e3221ed4bd4f6121245a6eec51f661f7a559c82af252a74f"),
     (("affine", "symplectic-find", "--family", "Ln", "--n", "12"), 0,
-     "d66c7ede8f67ad730b0ab1ad852733bb49d04782623c6ab67d793cfd58fade21"),
+     "37558da892f40cde5e69c3ecfcd3d0979bcc6f588200b9616c71a785bc12487b"),
     (("affine", "synth", "--family", "Benoist", "--t", "1"), 1,
      "17707f3e3c7c53f945de6ab95631803431e58428a8bc9c00903a0cdd37a51069"),
     # Der(Benoist) is nil, so these searches are settled without drawing;
@@ -861,7 +868,7 @@ PINNED_STDOUT = [
     (("affine", "synth", "--family", "Ln", "--n", "24"), 0,
      "e5f93cbf1330dc772826657cba2d8768992f7a486a9b1c548c8a6f5a2a27c197"),
     (("affine", "synth", "--family", "Ln", "--n", "24", "--strategy", "symplectic"), 0,
-     "54b20765c32d51b3111c15b093f1a88434c8cc1dfeb1fa873c2fd672d844dc3a"),
+     "6ec2f0f48b1ec18b09f132b32b80bb0398d38e006b7fbe8fde0ded07c0757089"),
     (("affine", "synth", "--family", "QnZ", "--n", "16"), 0,
      "95bb85e5d1f490dad5cf4b7adc99e9010256e4acca325aad482bb14ba7cc32bb"),
     # the family list and one member of each family as algebra JSON: the
@@ -928,6 +935,35 @@ def test_diagonal_regular_pins_are_certified(capsys, tmp_path, index):
     assert all(set(col) == {j} for j, col in enumerate(witness.columns))
 
 
+@pytest.mark.parametrize("n", range(4, 25, 2))
+def test_ln_symplectic_witness_is_the_matching_form_at_every_seed(capsys, tmp_path, n):
+    # the weight pass finds the form with one +-1 entry on each pair
+    # (i, n + 1 - i): n Gram entries, the same at two seeds, closed and
+    # nondegenerate, and its certificate passes `affine verify`
+    alg = catalog.make_ln(n)
+    form = affine.find_symplectic(alg, seed=0)
+    assert form == affine.find_symplectic(alg, seed=7)
+    entries = [(i, j, x) for j, col in enumerate(form.gram.columns) for i, x in col.items()]
+    assert len(entries) == n
+    assert all(i + j == n - 1 and x in (1, -1) for i, j, x in entries)
+    assert liealg.dtheta_residual(alg, form) == []
+    assert liealg.nondegenerate(form)
+    family = ["--family", "Ln", "--n", str(n)]
+    witnesses = []
+    for seed in ("0", "7"):
+        code, doc, _ = run_cli(capsys, ["affine", "synth", *family, "--strategy", "symplectic",
+                                        "--seed", seed, "--reproducible"])
+        assert code == 0 and doc["strategy"] == "symplectic"
+        witnesses.append(doc["witnesses"]["two_form"])
+    assert witnesses[0] == witnesses[1]
+    assert len(witnesses[0]["entries"]) == n // 2
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, report, _ = run_cli(capsys, ["affine", "verify", *family, "--cert", str(cert),
+                                       "--reproducible"])
+    assert code == 0, report
+
+
 def test_der_verify_witness_stdout_matches_pinned_hash(capsys, tmp_path):
     # the re-check of the verdict that `der char-nilp --out` writes
     cert = tmp_path / "verdict.json"
@@ -940,6 +976,10 @@ def test_der_verify_witness_stdout_matches_pinned_hash(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "90d6247782d100b8cd9b5914dddba9c5e95a3a66dfe058338151e4d679f0cad2")
+    # the same document passes the schema check alone, without an algebra
+    code, payload, _ = run_cli(capsys, ["io", "validate", "--kind", "verdict", "--in", str(cert),
+                                        "--reproducible"])
+    assert code == 0 and payload == {"kind": "verdict", "valid": True}
 
 
 @pytest.mark.parametrize("argv, expected", [

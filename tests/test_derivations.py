@@ -47,9 +47,11 @@ from lieaffine.derivations import (
 from lieaffine.errors import DimensionMismatch, NotInvariantError
 from lieaffine.liealg import (
     LieAlgebra,
+    TwoForm,
     derived_subalgebra,
     jacobi_report,
     lower_central_series,
+    nondegenerate,
     tail_filtered,
 )
 from lieaffine.linalg import (
@@ -75,6 +77,7 @@ from dense import (
     from_columns,
     identity,
     invert,
+    nullspace,
     restrict,
     solve,
     span,
@@ -637,6 +640,39 @@ def test_symplectic_product_matches_dense_solve_in_a_rational_basis(n):
     assert verify_affine(moved, built).passed
 
 
+def _seeded_symplectic_search(alg, seed, trials):
+    # the search over all closed forms alone, as it ran before the weight
+    # pass: th(e_x, [e_y, e_z]) summed over the rotations of every triple
+    # from dense brackets, the textbook nullspace, then the seeded draws
+    n = alg.dim
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        row = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in enumerate(alg.bracket(unit_vector(n, y), unit_vector(n, z))):
+                if c and m != x:
+                    col = pairs.index((min(x, m), max(x, m)))
+                    row[col] = row.get(col, 0) + (c if x < m else -c)
+        rows.append(row)
+    space = Subspace(len(pairs), nullspace(rows, len(pairs)))
+    forms = (TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items()})
+             for v in seeded_combinations(space, seed, trials))
+    return next(filter(nondegenerate, forms), None)
+
+
+@pytest.mark.parametrize("alg", [
+    _change_basis(make_ln(8), _dense_basis_change(8, random.Random(8))),
+    make_abelian(4), make_ank(8, 3, [1, 1])[0], make_ank(8, 2, [1, 1])[0],
+], ids=["L8-moved", "abelian4", "A8^3", "A8^2"])
+def test_symplectic_weight_miss_returns_the_seeded_witness(alg):
+    # no weight (moved L8), repeated weights (abelian4), no symmetric weight
+    # (A8^3), and a class solved without a nondegenerate form (A8^2, whose
+    # draws find none either): each returns what the seeded search alone does
+    for seed in (0, 5):
+        assert find_symplectic(alg, seed=seed, trials=8) == _seeded_symplectic_search(alg, seed, 8)
+
+
 NIL_CASES = [(make_benoist(t), True, t == 1) for t in (0, 1, -1, F(1, 3))] + [
     (make_ln(8), False, True), (make_qn(8), False, True), (make_cn(6, [1])[0], False, False)]
 
@@ -987,6 +1023,11 @@ def test_weight_candidates_find_an_invertible_weight_exactly_when_one_exists(see
     candidates = list(derivations._weight_candidates(weights))
     assert candidates[:d] == list(weights.basis)
     assert len(candidates) - d == (n * (d - 1) + 1 if d > 1 else 0)
+    # the curve points, summed in ints over one denominator, are the
+    # Fraction sums of the basis
+    assert candidates[d:] == [
+        tuple(sum(s ** k * x for k, x in enumerate(coords)) for coords in zip(*weights.basis))
+        for s in range(1, len(candidates) - d + 1)]
     assert all(contains(weights, w) for w in candidates)
     assert any(all(w) for w in candidates) == exists
 

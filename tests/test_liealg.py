@@ -227,14 +227,15 @@ def test_cyclic_sums_match_all_triples_oracles_on_non_lie_tables_and_open_forms(
 
 
 def _fraction_closed_forms(alg, pairs):
-    # one Fraction row per scanned triple, the unknowns th(e_a, e_m) at their pair
+    # one Fraction row per scanned triple, the unknowns th(e_a, e_m) at their
+    # pair; a term on a pair outside ``pairs`` has th = 0 and drops
     index = {p: s for s, p in enumerate(pairs)}
     rows = []
     for _, terms in _all_triples_cyclic_terms(alg):
         row = {}
         for a, m, c in terms:
-            if a != m:
-                col = index[(min(a, m), max(a, m))]
+            col = index.get((min(a, m), max(a, m)))
+            if a != m and col is not None:
                 row[col] = row.get(col, F(0)) + (c if a < m else -c)
         rows.append(row)
     return _nullspace(map(_integer_row, rows), len(pairs))
@@ -244,17 +245,22 @@ def _fraction_closed_forms(alg, pairs):
     make_qn(8), make_ln(12), make_abelian(4), _random_sparse_algebra(8, 6, 3),
     _random_sparse_algebra(10, 25, 4), _perturbed(make_ln(12), random.Random(5)),
 ], ids=["Q8", "L12", "abelian4", "random8", "random10", "L12-perturbed"])
-def test_closed_forms_match_the_all_triples_scan(alg, monkeypatch):
-    # the space find_symplectic draws from: the same canonical rows, dict
-    # order included, which the seeded draws read
+def test_closed_forms_match_the_all_triples_scan(alg):
+    # the two spaces find_symplectic solves: every closed form, which the
+    # seeded draws read, and the closed forms of one weight class, here of a
+    # seeded w with repeated entries; the same canonical rows, dict order
+    # included, and the pairs in ascending order
     n = alg.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    spaces = []
-    monkeypatch.setattr(affine, "_first_hit", lambda space, *rest: spaces.append(space))
-    find_symplectic(alg)
-    expected = _fraction_closed_forms(alg, pairs)
-    assert [(p, list(row.items())) for p, row in spaces[0].rows] == [
-        (p, list(row.items())) for p, row in expected.rows]
+    rng = random.Random(n)
+    w = [rng.randint(0, 2) for _ in range(n)]
+    c = min(w) + max(w)
+    for in_class in (lambda i, j: True, lambda i, j: w[i] + w[j] == c):
+        pairs, space = affine._closed_forms(
+            alg, [[a for a in range(n) if a != m and in_class(a, m)] for m in range(n)])
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n) if in_class(i, j)]
+        expected = _fraction_closed_forms(alg, pairs)
+        assert [(p, list(row.items())) for p, row in space.rows] == [
+            (p, list(row.items())) for p, row in expected.rows]
 
 
 def test_jacobi_report_benoist_all_three_points():
