@@ -75,7 +75,6 @@ from .errors import (
 from .liealg import (
     LieAlgebra,
     TwoForm,
-    _dense_bilinear,
     algebra_hash,
     coefficient_table,
     cyclic_sum_terms,
@@ -161,8 +160,8 @@ class AffineStructure:
     """Product tensor: gamma[(i, j)] = {k: c} holds the nonzero coordinates of e_i . e_j.
 
     It is the canonical table of ``coefficient_table`` over all ordered
-    pairs, as ``LieAlgebra.structure`` is over i < j; ``product`` is the
-    dense read. It validates caller and JSON input; ``_product_tensor`` adopts its table.
+    pairs, as ``LieAlgebra.structure`` is over i < j. It validates caller
+    and JSON input; ``_product_tensor`` adopts its table.
     """
 
     __slots__ = ("dim", "gamma")
@@ -172,10 +171,6 @@ class AffineStructure:
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineStructure is immutable")
-
-    def product(self, x: Sequence, y: Sequence):
-        return _dense_bilinear(self.dim, self.gamma, x, y, False,
-                               "product arguments must match the dimension")
 
     def __repr__(self) -> str:
         return f"AffineStructure(dim={self.dim}, pairs={len(self.gamma)})"

@@ -518,7 +518,7 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
             report.derivation_failures.append((idx, violations))
     for a in range(len(maps)):
         for b in range(a + 1, len(maps)):
-            if not (maps[a] * maps[b] - maps[b] * maps[a]).is_zero():
+            if not _commute(maps[a].columns, maps[b].columns):
                 report.commutation_failures.append((a, b))
     for idx, m in enumerate(maps):
         ok, reason, inconclusive = _diagonalizable_over_q(m)
@@ -530,6 +530,18 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
                     "semisimplicity over a field extension"
                 )
     return report
+
+
+def _commute(a: Sequence[dict], b: Sequence[dict]) -> bool:
+    """Whether the square maps given by their sparse columns commute: a(b e_j) = b(a e_j).
+
+    Each column of ab - ba is summed into one dict, where cancelled entries stay as zeros.
+    """
+    for a_j, b_j in zip(a, b):
+        diff = sparse_apply(a, b_j)
+        if any(sparse_apply(b, {k: -x for k, x in a_j.items()}, diff).values()):
+            return False
+    return True
 
 
 # --- minimal polynomial and rational-root machinery ---------------------

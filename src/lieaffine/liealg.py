@@ -10,6 +10,9 @@ Construction does not enforce the Jacobi identity: ``jacobi_report`` checks
 it exhaustively and returns the exact residual of every violating triple,
 which makes the empty report a certificate.
 
+There is no dense bracket: every check reads the sparse table or the
+integer views below.
+
 An algebra computes on first use and keeps the views that
 ``integer_structure``, ``integer_ad_columns``, ``tail_filtered`` and
 ``derived_subalgebra`` return, and its bracket partners: every caller
@@ -30,7 +33,6 @@ from .linalg import (
     ONE,
     Matrix,
     Subspace,
-    ZERO,
     _image_chain,
     _reduce,
     _set_fields,
@@ -38,9 +40,7 @@ from .linalg import (
     integer_scaled,
     nonsingular,
     rat,
-    sparse_apply,
     unscaled,
-    vector,
 )
 
 SparseCoeffs = Dict[int, Fraction]
@@ -69,25 +69,6 @@ def coefficient_table(dim: int, table, pair_ok) -> Dict[Tuple[int, int], SparseC
     return clean
 
 
-def _dense_bilinear(dim: int, table, x, y, antisymmetric: bool, message: str) -> tuple:
-    """The dense value at (x, y) of the bilinear map with basis values ``table``.
-
-    Pair (i, j): {k: c} adds x_i y_j c e_k, minus x_j y_i c e_k when ``antisymmetric``
-    (a table over i < j); arguments not of length ``dim`` raise DimensionMismatch(message).
-    """
-    x = vector(x)
-    y = vector(y)
-    if len(x) != dim or len(y) != dim:
-        raise DimensionMismatch(message)
-    acc = [ZERO] * dim
-    for (i, j), coeffs in table.items():
-        t = x[i] * y[j] - x[j] * y[i] if antisymmetric else x[i] * y[j]
-        if t:
-            for k, c in coeffs.items():
-                acc[k] += t * c
-    return tuple(acc)
-
-
 class LieAlgebra:
     """A Lie algebra on a fixed basis with sparse structure constants and kept views."""
 
@@ -110,21 +91,6 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim}, pairs={len(self.structure)})"
-
-    def bracket(self, x: Sequence, y: Sequence):
-        """Bilinear extension of the structure constants to vectors."""
-        return _dense_bilinear(self.dim, self.structure, x, y, True,
-                               "bracket arguments must match the algebra dimension")
-
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of [x, .]; column j is [x, e_j]."""
-        x = vector(x)
-        if len(x) != self.dim:
-            raise DimensionMismatch("ad argument must match the algebra dimension")
-        minus_x = {i: -c for i, c in enumerate(x) if c}
-        # column j is [x, e_j] = -ad(e_j) x
-        return Matrix.from_sparse(self.dim, (sparse_apply(cols, minus_x)
-                                             for cols in ad_columns(self)))
 
     @cached_property
     def _integer_structure(self) -> Tuple[Dict[Tuple[int, int], dict], int]:
@@ -203,11 +169,6 @@ class TwoForm:
         return f"TwoForm(dim={self.dim})"
 
 
-def ad_columns(alg: LieAlgebra) -> List[List[SparseCoeffs]]:
-    """ad(e_i) as sparse columns, for every i: entry [i][q] is [e_i, e_q]."""
-    return _ad_table(alg.structure, alg.dim)
-
-
 def integer_structure(alg: LieAlgebra) -> Tuple[Dict[Tuple[int, int], dict], int]:
     """(table, den): the structure constants times den, as ints; kept on ``alg``.
 
@@ -218,7 +179,10 @@ def integer_structure(alg: LieAlgebra) -> Tuple[Dict[Tuple[int, int], dict], int
 
 
 def integer_ad_columns(alg: LieAlgebra) -> Tuple[List[List[dict]], int]:
-    """(columns, den): ``ad_columns`` times den, as ints, over ``integer_structure``; kept."""
+    """(columns, den): ad(e_i) as sparse int columns, [i][q] = den [e_i, e_q]; kept.
+
+    den is that of ``integer_structure``, whose table the columns read.
+    """
     return alg._integer_ad_columns
 
 
@@ -309,12 +273,14 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     brackets of basis vectors with the previous term. The list stops right
     before the first repeated subspace, so the algebra is nilpotent exactly
     when the last entry is zero. The terms come from the one image chain
-    (``linalg._image_chain``) and each is put in canonical RREF with
-    ``_reduce``.
+    (``linalg._image_chain``) over the kept ``integer_ad_columns``, whose
+    positive scaling leaves every image span unchanged, and each is put in
+    canonical RREF with ``_reduce``.
     """
     n = alg.dim
     whole = ({i: ONE} for i in range(n))
-    return [Subspace(n, _reduce(rows.values())) for rows in _image_chain(ad_columns(alg), whole)]
+    ad, _ = integer_ad_columns(alg)
+    return [Subspace(n, _reduce(rows.values())) for rows in _image_chain(ad, whole)]
 
 
 def is_nilpotent_algebra(alg: LieAlgebra) -> bool:

@@ -33,12 +33,14 @@ normalization, and the constructions in ``affine`` keep them in ints.
 maps, shared by ``products_vanish`` and ``liealg.lower_central_series``,
 which puts its terms in canonical form with ``_reduce``.
 
-A ``Matrix`` holds its sparse columns ``{row: value}``, read as they are
-by ``sparse_apply``; ``data`` is its dense view. Its ``integer_columns``
+A ``Matrix`` holds its sparse columns ``{row: value}`` and has no
+arithmetic: a product or sum is ``sparse_apply`` on the columns, and
+``data`` is the dense view for output. Its ``integer_columns``
 (``integer_scaled`` of the columns, read by ``rank``, the derivation
 check and the constructions) and its rank are computed on first use and
 kept: every caller shares them, so they are read-only. A ``Subspace``
-holds the kernel's RREF rows, read by ``_coordinates``. Kernel output is
+holds the kernel's RREF rows, read by ``_coordinates`` and by its hash;
+``basis`` is its dense view. Kernel output is
 adopted without re-validation (``Matrix.from_sparse``, ``_set_fields``).
 A matrix's JSON form, read and written, belongs to ``serialize``.
 """
@@ -134,45 +136,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix.from_sparse(self.rows, (sparse_apply(other.columns, {j: ONE}, dict(col))
-                                              for j, col in enumerate(self.columns)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other if isinstance(other, Matrix) else NotImplemented
-
-    def __neg__(self) -> "Matrix":
-        return self._scaled(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            return Matrix.from_sparse(self.rows, (sparse_apply(self.columns, col)
-                                                  for col in other.columns))
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def _scaled(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix.from_sparse(self.rows, ({r: c * x for r, x in col.items()}
-                                              for col in self.columns))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -225,7 +188,7 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for _, row in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -1,11 +1,14 @@
-"""Dense Fraction oracles for the tests, independent of the elimination kernel.
+"""Dense Fraction oracles for the tests, independent of the code they check.
 
 A textbook Gauss-Jordan on dense lists of Fractions gives the reduced
-row-echelon form, a solve, an inverse and a nullspace; nothing here calls
-``lieaffine.linalg``'s elimination, so the kernel can be checked against
-it. Vectors are tuples of Fractions and a ``Matrix`` acts on column
-vectors, as in the package; the constructors below build a ``Matrix``
-from dense rows.
+row-echelon form, a solve, an inverse and a nullspace. The bracket, ad,
+an affine product and matrix sums, scalings and products are plain loops
+over the stored tables (``structure``, ``gamma``) and the dense rows
+(``data``). Only the ``Matrix`` and ``Subspace`` containers come from the
+package (``test_dense_oracles_import_only_containers`` keeps it so), so
+the kernel and the sparse tables can be checked against these. Vectors
+are tuples of Fractions and a ``Matrix`` acts on column vectors, as in
+the package; the constructors below build a ``Matrix`` from dense rows.
 """
 
 from fractions import Fraction
@@ -50,6 +53,52 @@ def bracket_basis(alg, i, j):
     if i < j:
         return dict(alg.structure.get((i, j), {}))
     return {k: -c for k, c in alg.structure.get((j, i), {}).items()}
+
+
+def bracket(alg, x, y):
+    """[x, y] of dense vectors: (x_i y_j - x_j y_i) [e_i, e_j] summed over the stored pairs."""
+    out = [F(0)] * alg.dim
+    for (i, j), coeffs in alg.structure.items():
+        t = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
+        for k, c in coeffs.items():
+            out[k] += t * c
+    return tuple(out)
+
+
+def ad(alg, x):
+    """The matrix of [x, .]: column j is [x, e_j]."""
+    n = alg.dim
+    return from_columns([bracket(alg, x, unit_vector(n, j)) for j in range(n)], n)
+
+
+def product(structure, x, y):
+    """x.y for dense vectors: x_i y_j times e_i.e_j, summed over the stored pairs of ``gamma``."""
+    out = [F(0)] * structure.dim
+    for (i, j), coeffs in structure.gamma.items():
+        t = F(x[i]) * F(y[j])
+        for k, c in coeffs.items():
+            out[k] += t * c
+    return tuple(out)
+
+
+def matmul(a, b):
+    """The matrix product a b, entry by entry over the dense rows."""
+    assert a.cols == b.rows, "shape mismatch"
+    rows, cols = a.data, b.data
+    return Matrix([[sum((rows[i][k] * cols[k][j] for k in range(a.cols)), F(0))
+                    for j in range(b.cols)] for i in range(a.rows)], a.rows, b.cols)
+
+
+def add(a, b):
+    """The matrix sum a + b, entry by entry over the dense rows."""
+    assert (a.rows, a.cols) == (b.rows, b.cols), "shape mismatch"
+    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)],
+                  a.rows, a.cols)
+
+
+def scaled(m, c):
+    """The matrix c m, entry by entry over the dense rows."""
+    return Matrix([[F(c) * x for x in row] for row in m.data], m.rows, m.cols)
 
 
 def gauss_jordan(rows, ncols):

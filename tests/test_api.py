@@ -25,6 +25,22 @@ def test_all_lists_every_import_of_the_package_once():
         assert hasattr(lieaffine, name), name
 
 
+def test_dense_oracles_import_only_containers():
+    # tests/dense.py is the oracle of the code under test, so the only
+    # package names it may import are the Matrix and Subspace containers
+    tree = ast.parse((Path(__file__).parent / "dense.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            taken |= {(node.module or "", alias.name) for alias in node.names}
+    package = {(module, name) for module, name in taken
+               if module.partition(".")[0] == "lieaffine"}
+    assert package <= {(module, name) for module in ("lieaffine", "lieaffine.linalg")
+                       for name in ("Matrix", "Subspace")}
+
+
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)

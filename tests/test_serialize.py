@@ -32,7 +32,7 @@ from lieaffine.serialize import (
     verdict_to_json,
 )
 
-from dense import unit_vector
+from dense import product, unit_vector
 
 F = Fraction
 
@@ -171,7 +171,7 @@ def test_affine_gamma_allows_equal_indices():
         "provenance": {},
     }
     ns = affine_from_json(doc)
-    assert ns.product(unit_vector(2, 0), unit_vector(2, 0)) == (F(0), F(5))
+    assert product(ns, unit_vector(2, 0), unit_vector(2, 0)) == (F(0), F(5))
 
 
 def _algebra_doc(dim, coeffs):
