@@ -36,10 +36,10 @@ of the same candidates, of ``diagonal_derivations``, before its seeded
 draws: for each such weight w it solves the closed forms homogeneous for
 diag(w) on the one weight class that can hold a nondegenerate form, and
 on Ln its witness no longer depends on the seed either.
-After that the three searches pass one nil gate, ``_derivation_search``:
-it asks ``DerivationSpace.all_nilpotent``, which decides exactly (by
-Engel's theorem, on one image chain over the Der(g) basis, or at once when
-every basis map is strictly lower triangular) whether every derivation is
+After that the three searches pass one nil gate,
+``DerivationSpace.all_nilpotent``, which decides exactly (by Engel's
+theorem, on one image chain over the Der(g) basis, or at once when every
+basis map is strictly lower triangular) whether every derivation is
 nilpotent. When it is, every candidate fails, so the outcome is fixed
 without drawing any, or building the char-nilp search's own candidates,
 and the cost no longer grows with ``trials``; otherwise the searches draw
@@ -387,25 +387,22 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
         yield tuple(Fraction(x, den) for x in point)
 
 
-def _derivation_search(space: DerivationSpace, diagonal_first: bool, fixed, seed: int,
-                       trials: int, accept):
-    """The one nil gate of the derivation searches: ``all_nilpotent``, then ``_first_hit``.
+def _derivation_search(space: DerivationSpace, seed: int, trials: int, accept):
+    """The regular and derived-regular searches: diagonal weights, the nil gate, then draws.
 
-    When ``diagonal_first``, the diagonal maps of ``_weight_candidates`` are
-    tried first, and the first that passes ``accept`` is returned before
-    Der(g) is solved. Each search accepts only non-nilpotent derivations,
-    so a nil Der(g), whose weight space is 0, returns None before
-    ``fixed()`` builds its fixed candidates and before any draw; otherwise
-    ``_first_hit`` runs them and the seeded draws over Der(g) through
+    The diagonal maps of ``_weight_candidates`` are tried first, and the
+    first that passes ``accept`` is returned before Der(g) is solved. Each
+    search accepts only non-nilpotent derivations, so a nil Der(g)
+    (``all_nilpotent``), whose weight space is 0, returns None before any
+    draw; otherwise ``_first_hit`` runs the seeded draws over Der(g) through
     ``accept``. Each search checks ``trials`` before it gets here.
     """
-    if diagonal_first:
-        hit = next(filter(accept, map(Matrix.diagonal, _weight_candidates(space.weights))), None)
-        if hit is not None:
-            return hit
+    hit = next(filter(accept, map(Matrix.diagonal, _weight_candidates(space.weights))), None)
+    if hit is not None:
+        return hit
     if space.all_nilpotent:
         return None
-    return _first_hit(space.flat, space.matrix, fixed(), seed, trials, accept)
+    return _first_hit(space.flat, space.matrix, (), seed, trials, accept)
 
 
 def find_regular_derivation(space: DerivationSpace, seed: int = 0,
@@ -421,7 +418,7 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
     over Der(g) are tried.
     """
     check_trials(trials)
-    return _derivation_search(space, True, lambda: (), seed, trials, nonsingular)
+    return _derivation_search(space, seed, trials, nonsingular)
 
 
 def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
@@ -473,8 +470,7 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     """
     check_trials(trials)
     derived = derived_subalgebra(space.algebra)
-    return _derivation_search(space, True, lambda: (), seed, trials,
-                              lambda f: _restriction_invertible(derived, f))
+    return _derivation_search(space, seed, trials, lambda f: _restriction_invertible(derived, f))
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
@@ -489,8 +485,8 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     """
     check_trials(trials)
     space = derivation_space(alg)
-    witness = _derivation_search(space, False, lambda: space.basis, seed, trials,
-                                 lambda f: not is_nilpotent(f))
+    witness = None if space.all_nilpotent else _first_hit(
+        space.flat, space.matrix, space.basis, seed, trials, lambda f: not is_nilpotent(f))
     kind = NOT_CHAR_NILPOTENT if witness is not None else CHAR_NILPOTENT_LIKELY
     return CharNilpVerdict(kind, witness, seed, trials)
 

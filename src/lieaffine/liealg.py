@@ -14,10 +14,11 @@ There is no dense bracket: every check reads the sparse table or the
 integer views below.
 
 An algebra computes on first use and keeps the views that
-``integer_structure``, ``integer_ad_columns``, ``tail_filtered`` and
-``derived_subalgebra`` return, and its bracket partners: every caller
-shares them, so they are read-only. ``jacobi_report`` reads them, so a
-catalog constructor's Jacobi check warms them for the checks that follow.
+``integer_structure``, ``integer_ad_columns`` and ``tail_filtered``
+return, its lower central series (``derived_subalgebra`` is its second
+term) and its bracket partners: every caller shares them, so they are
+read-only. ``jacobi_report`` reads the integer views, so a catalog
+constructor's Jacobi check warms them for the checks that follow.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
 
@@ -123,10 +124,14 @@ class LieAlgebra:
         return len(steps) == max(self.dim - 2, 0)
 
     @cached_property
-    def _derived_subalgebra(self) -> Subspace:
+    def _lower_central_series(self) -> Tuple[Subspace, ...]:
+        n = self.dim
         if self._tail_filtered:
-            return Subspace(self.dim, [(k, {k: ONE}) for k in range(2, self.dim)])
-        return Subspace(self.dim, _reduce(self.structure.values()))
+            # C^0 g = g, then C^k g = span(e_(k+1), ...) (0-based) for k >= 1, down to 0
+            units = [(k, {k: ONE}) for k in range(n)]
+            return tuple(Subspace(n, units[m:]) for m in (0, *range(2, max(n, 2) + 1)))
+        chain = _image_chain(self._integer_ad_columns[0], ({i: 1} for i in range(n)))
+        return tuple(Subspace(n, _reduce(rows.values())) for rows in chain)
 
 
 class TwoForm:
@@ -258,29 +263,26 @@ def tail_filtered(alg: LieAlgebra) -> bool:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """Span of all brackets of basis pairs: the stored structure constants.
+    """[g, g], the span of all brackets: the second term of the series kept on ``alg``.
 
-    On a ``tail_filtered`` table [g, g] = C^1 g is span(e_2, ..., e_(n-1)),
-    whose canonical RREF rows are the unit rows, returned without the kernel; kept.
+    On a perfect algebra the series is [g], and [g, g] is g.
     """
-    return alg._derived_subalgebra
+    return alg._lower_central_series[:2][-1]
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
-    """Descending series [g, [g, g], [g, [g, g]], ...].
+    """Descending series [g, [g, g], [g, [g, g]], ...], a new list of the terms kept on ``alg``.
 
     The first entry is the whole algebra; each later term is the span of
     brackets of basis vectors with the previous term. The list stops right
     before the first repeated subspace, so the algebra is nilpotent exactly
-    when the last entry is zero. The terms come from the one image chain
-    (``linalg._image_chain``) over the kept ``integer_ad_columns``, whose
-    positive scaling leaves every image span unchanged, and each is put in
-    canonical RREF with ``_reduce``.
+    when the last entry is zero. On a ``tail_filtered`` table the terms are
+    the unit rows g, span(e_3, ..., e_n), ..., 0 (two terms when n <= 2),
+    with no elimination; on any other they come from the image chain
+    (``linalg._image_chain``) over the kept ``integer_ad_columns``, each put
+    in canonical RREF with ``_reduce``.
     """
-    n = alg.dim
-    whole = ({i: ONE} for i in range(n))
-    ad, _ = integer_ad_columns(alg)
-    return [Subspace(n, _reduce(rows.values())) for rows in _image_chain(ad, whole)]
+    return list(alg._lower_central_series)
 
 
 def is_nilpotent_algebra(alg: LieAlgebra) -> bool:

@@ -25,13 +25,13 @@ row's least column, and adds the one pivot normalization that
 reintroduces fractions. Its result is the canonical reduced row-echelon
 form with each row's columns in ascending order, so it is exact and
 deterministic, iteration order included, whatever the row order;
-``liealg`` reads [g, g] and the lower central series off it.
+``liealg`` reads the lower central series off it, [g, g] included.
 ``_integer_inverse`` reads the integer columns of an inverse over one
 denominator straight off the kernel's rows of [m^T | I], with no
 normalization, and the constructions in ``affine`` keep them in ints.
-``_image_chain`` is the one image-chain loop, over integer-scaled
-maps, shared by ``products_vanish`` and ``liealg.lower_central_series``,
-which puts its terms in canonical form with ``_reduce``.
+``_image_chain`` is the one image-chain loop, on integer maps and rows,
+shared by ``products_vanish``, which scales its maps, and ``liealg``'s
+lower central series, whose terms ``_reduce`` puts in canonical form.
 
 A ``Matrix`` holds its sparse columns ``{row: value}`` and has no
 arithmetic: a product or sum is ``sparse_apply`` on the columns, and
@@ -471,20 +471,21 @@ def products_vanish(maps: Sequence[list]) -> bool:
     """
     if all(r > j for cols in maps for j, col in enumerate(cols) for r in col):
         return True
+    maps = [integer_scaled(cols)[0] for cols in maps]
     return not _image_chain(maps, (col for cols in maps for col in cols))[-1]
 
 
 def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> List[dict]:
     """W_0 = span of rows, W_(k+1) = sum of the m(W_k), each as ``_gauss_jordan`` rows.
 
-    ``maps`` are sparse column lists and W_1 must lie in W_0, so the W_k are
-    nested. Each map is integer-scaled first, which leaves every image span
-    unchanged, so the loop runs in ints and never normalizes a row. The
-    list ends at the first W_k that is 0 or that the maps send onto itself,
-    which is where the dimension stops falling.
+    ``maps`` are lists of sparse integer columns and ``rows`` sparse integer
+    rows; a caller with rational maps scales each over its own denominator
+    first, which leaves every image span unchanged. W_1 must lie in W_0, so
+    the W_k are nested, and the loop runs in ints and never normalizes a
+    row. The list ends at the first W_k that is 0 or that the maps send
+    onto itself, which is where the dimension stops falling.
     """
-    maps = [integer_scaled(cols)[0] for cols in maps]
-    chain = [_gauss_jordan(map(_integer_row, rows))]
+    chain = [_gauss_jordan(rows)]
     while chain[-1]:
         nxt = _gauss_jordan(sparse_apply(cols, w) for cols in maps for w in chain[-1].values())
         if len(nxt) == len(chain[-1]):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lieaffine import affine, catalog, cli, liealg
+from lieaffine import affine, catalog, cli, liealg, linalg
 from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.derivations import is_derivation
 from lieaffine.linalg import Matrix, nonsingular
@@ -909,6 +909,41 @@ def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (family arguments, sha256 of `verify filiform`, of `verify nilpotent`),
+# recorded while both still ran the image chain on the kernel
+_SERIES_PINS = [
+    (("--family", "Ln", "--n", "64"),
+     "73a9013da62d8185bcb1dce083e20407d7b7658c4d5be043602da79283ff5f97",
+     "096144bf67c8ec6175c9f34d44bf83796563931b84653eac0a5a98aa4f8b1d57"),
+    (("--family", "QnZ", "--n", "16"),
+     "e03520b242de3004561e497731b96101505de17b2ef39d459aaf809fe7c3a508",
+     "5e49bd5113d6e4fa2be890b8689388aacd02396fceda4c58f3f36b1b866167ab"),
+    (("--family", "Cn", "--n", "14", "--lambda=1", "--lambda=-1", "--lambda=1",
+      "--lambda=-1", "--lambda=1"),
+     "92c50c892a106da41ea954791c8aa14ca3e748540adb37eefe92941eacfe911b",
+     "214bcabc1f956f1d3890022c5f27dfc77416ecd52397ff2ebb551a879fe825de"),
+    (("--family", "Benoist", "--t", "1"),
+     "5a3c66601a7af2008394dc1741c5ccae88bd290193b8702552f3e1c8372f1af2",
+     "78679b90aeeedf1700256cf2563b9a6281c34f542791773fdd7ce34a9eb260bd"),
+]
+
+
+@pytest.mark.parametrize("family, filiform, nilpotent", _SERIES_PINS,
+                         ids=["L64", "QnZ16", "C14", "Benoist1"])
+def test_series_verdicts_on_catalog_tables_run_no_elimination(capsys, monkeypatch, family,
+                                                              filiform, nilpotent):
+    # a catalog table is tail-filtered, so its series is the unit-row chain
+    def no_kernel(rows):
+        raise AssertionError("the elimination kernel ran")
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", no_kernel)
+    for command, digest in (("filiform", filiform), ("nilpotent", nilpotent)):
+        code = main(["verify", command, *family, "--reproducible"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("index", [0, 3, 17, 19, 38, 40])

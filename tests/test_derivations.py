@@ -60,6 +60,7 @@ from lieaffine.linalg import (
     Subspace,
     _integer_row,
     _nullspace,
+    _reduce,
     dense_vector,
     sparse_apply,
     is_nilpotent,
@@ -753,7 +754,9 @@ _MOVED_BENOIST = _change_basis(make_benoist(1), _sparse_basis_change(11, random.
 
 @pytest.mark.parametrize("alg", [
     make_ln(8), make_qn(8), make_cn(6, [1])[0], make_benoist(1), _MOVED_BENOIST,
-], ids=["L8", "Q8", "C6", "Benoist1", "Benoist1-moved"])
+    _change_basis(make_ln(8), _dense_basis_change(8, random.Random(8))),
+    _change_basis(make_benoist(1), _dense_basis_change(11, random.Random(11))),
+], ids=["L8", "Q8", "C6", "Benoist1", "Benoist1-moved", "L8-dense", "Benoist1-dense"])
 def test_sparse_subspaces_match_dense_oracle(alg):
     # the kernel-row paths against span of the dense bracket oracle's images, and
     # a dense solve for the coordinates of the restriction to [g, g]
@@ -762,9 +765,11 @@ def test_sparse_subspaces_match_dense_oracle(alg):
     derived = derived_subalgebra(alg)
     oracle = span([bracket(alg, e[i], e[j]) for i in range(n) for j in range(i + 1, n)], n)
     assert derived == oracle and derived.basis == oracle.basis
+    assert derived == Subspace(n, _reduce(alg.structure.values()))
     series = lower_central_series(alg)
     dense = _dense_lower_central_series(alg)
     assert series == dense and [s.basis for s in series] == [s.basis for s in dense]
+    assert derived is series[1]
     if alg is _MOVED_BENOIST:
         assert any(len(row) > 1 for _, row in derived.rows)
     space = derivation_space(alg)

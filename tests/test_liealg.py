@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine import affine
+from lieaffine import affine, linalg
 from lieaffine.affine import find_symplectic
 from lieaffine.catalog import (
     make_abelian,
@@ -33,7 +33,7 @@ from lieaffine.liealg import (
     nondegenerate,
     tail_filtered,
 )
-from lieaffine.linalg import Matrix, Subspace, _integer_row, _nullspace, _reduce
+from lieaffine.linalg import Matrix, Subspace, _image_chain, _integer_row, _nullspace, _reduce
 
 from dense import ad, add, bracket, bracket_basis, column, scaled, unit_vector, zeros
 
@@ -313,16 +313,59 @@ def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
     series = lower_central_series(alg)
     assert series[1:] == [Subspace(n, [(m, {m: F(1)}) for m in range(k + 1, n)])
                           for k in range(1, len(series))]
+    assert derived is series[1]
+    ad, _ = integer_ad_columns(alg)
+    chain = _image_chain(ad, ({i: 1} for i in range(n)))
+    assert series == [Subspace(n, _reduce(rows.values())) for rows in chain]
+
+
+@pytest.mark.parametrize("alg", FILTERED_TABLES, ids=[a.name for a in FILTERED_TABLES])
+def test_tail_filtered_series_runs_no_elimination(alg, monkeypatch):
+    # the unit-row chain decides filiformity and nilpotency on its own; a
+    # fresh copy keeps no series from an earlier test
+    def no_kernel(rows):
+        raise AssertionError("the elimination kernel ran")
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", no_kernel)
+    fresh = LieAlgebra(alg.dim, alg.structure)
+    n = alg.dim
+    assert [s.dim for s in lower_central_series(fresh)] == [n, *range(max(n - 2, 0), -1, -1)]
+    assert is_nilpotent_algebra(fresh)
+    assert is_filiform(fresh) is (n >= 2)
+
+
+# (table, lower-central-series dimensions) off the filtration
+OFF_FILTRATION_TABLES = {
+    # e2 central in [e1, e3] = e4 (1-based): (a) holds, (b) fails at e3
+    "missing-step": (LieAlgebra(4, {(0, 2): {3: 1}}), [4, 1, 0]),
+    # both step brackets, and [e1, e4] = e2 landing below its pair: (a) fails
+    "low-target": (LieAlgebra(4, {(0, 1): {2: 1}, (1, 2): {3: 1}, (0, 3): {1: 1}}),
+                   [4, 3]),
+    "abelian3": (make_abelian(3), [3, 0]),
+    # sl2 on (h, e, f): perfect, so the series is [g] and [g, g] is g
+    "sl2": (LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}), [3]),
+    # [e1, e2] = e2: the series stops at span(e2), which [g, -] maps onto itself
+    "affine-line": (LieAlgebra(2, {(0, 1): {1: 1}}), [2, 1]),
+    "h3+h3": (LieAlgebra(6, {(0, 1): {2: F(1, 2)}, (3, 4): {5: 1}}), [6, 2, 0]),
+}
 
 
 def test_tables_off_the_filtration_reduce_their_brackets():
-    # e2 central in [e1, e3] = e4 (1-based): (a) holds, (b) fails at e3
-    missing_step = LieAlgebra(4, {(0, 2): {3: 1}})
-    # both step brackets, and [e1, e4] = e2 landing below its pair: (a) fails
-    low_target = LieAlgebra(4, {(0, 1): {2: 1}, (1, 2): {3: 1}, (0, 3): {1: 1}})
-    for alg in (missing_step, low_target, make_abelian(3)):
-        assert not tail_filtered(alg)
-        assert derived_subalgebra(alg) == Subspace(alg.dim, _reduce(alg.structure.values()))
+    # [g, g] is the second term of the kept series (g itself on a perfect
+    # algebra), equal to the canonical span of the stored brackets, and the
+    # kept series is the image chain over the integer ad table
+    for name, (alg, dims) in OFF_FILTRATION_TABLES.items():
+        n = alg.dim
+        assert not tail_filtered(alg), name
+        series = lower_central_series(alg)
+        assert [s.dim for s in series] == dims, name
+        derived = derived_subalgebra(alg)
+        assert derived == Subspace(n, _reduce(alg.structure.values())), name
+        assert derived is alg._lower_central_series[min(1, len(dims) - 1)], name
+        ad, _ = integer_ad_columns(alg)
+        chain = _image_chain(ad, ({i: 1} for i in range(n)))
+        assert series == [Subspace(n, _reduce(rows.values())) for rows in chain], name
+    missing_step = OFF_FILTRATION_TABLES["missing-step"][0]
     assert derived_subalgebra(missing_step).rows == ((3, {3: F(1)}),)
 
 
