@@ -41,10 +41,9 @@ winner exhaustively, and wraps the outcome in a self-contained certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __about__
 from .derivations import (
@@ -108,8 +107,7 @@ NOT_A_PROOF = "search failure only; not a proof of non-existence"
 SYMPLECTIC_CURVE_POINTS = 3
 
 
-@dataclass(frozen=True)
-class _Strategy:
+class _Strategy(NamedTuple):
     checks: Tuple[str, ...]
     witness: str
     search: Callable
@@ -176,32 +174,35 @@ class AffineStructure:
         return f"AffineStructure(dim={self.dim}, pairs={len(self.gamma)})"
 
 
-@dataclass
-class AffineReport:
-    """Exact residuals of the two affine axioms on basis tuples."""
+class AffineReport(NamedTuple):
+    """Exact residuals of the two affine axioms on basis tuples.
 
-    torsion_violations: List[tuple] = field(default_factory=list)
-    leftsym_violations: List[tuple] = field(default_factory=list)
+    An immutable record; ``verify_affine`` fills a fresh list for each
+    field, and a report built with no arguments has none and passes.
+    """
+
+    torsion_violations: Sequence[tuple] = ()
+    leftsym_violations: Sequence[tuple] = ()
 
     @property
     def passed(self) -> bool:
         return not self.torsion_violations and not self.leftsym_violations
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     residuals: int
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Self-contained record of a synthesis verdict.
 
     Embeds the witnesses (the derivation or 2-form that drove the
     construction, and the resulting product tensor), so a third party can
     re-run every named check from the certificate and the algebra alone.
+    It is an immutable record: ``cert._replace(strategy=...)`` makes a
+    changed copy, and two certificates are equal when their fields are.
     """
 
     algebra_hash: str
@@ -213,8 +214,9 @@ class Certificate:
     witnesses: Dict[str, object]
 
 
-@dataclass
-class ReverifyReport:
+class ReverifyReport(NamedTuple):
+    """The outcome of ``reverify_certificate``, one immutable record."""
+
     hash_match: bool
     checks: List[CheckResult]
     matches_recorded: bool
@@ -281,7 +283,7 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     product_pairs = {(min(a, c), max(a, c)) for a, c in gamma if a != c}
     # D * D_c (e_i.e_j - e_j.e_i - [e_i, e_j]) from the three integer columns
     torsion = {0: dc, 1: -dc, 2: -d}
-    report = AffineReport()
+    report = AffineReport([], [])
     for i, j in sorted(product_pairs.union(brackets)):
         residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), empty)), torsion)
         if any(residual.values()):
@@ -595,8 +597,7 @@ def _witness_dim(witness) -> Optional[int]:
     return getattr(witness, "dim", None)
 
 
-@dataclass(frozen=True)
-class _CheckedMap:
+class _CheckedMap(NamedTuple):
     """A derivation witness with its ``is_derivation`` violations, found once per certificate."""
     matrix: Matrix
     violations: List[tuple]

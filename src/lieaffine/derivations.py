@@ -52,12 +52,11 @@ minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvariantError
 from .liealg import (
@@ -76,6 +75,7 @@ from .linalg import (
     _gauss_jordan,
     _integer_row,
     _nullspace,
+    _set_fields,
     dense_vector,
     integer_scaled,
     is_nilpotent,
@@ -92,7 +92,6 @@ DEFAULT_TRIALS = 32
 _COEFF_RANGE = 10
 
 
-@dataclass(frozen=True)
 class DerivationSpace:
     """Der(g) of ``algebra``, solved the first time ``flat`` is read.
 
@@ -103,10 +102,21 @@ class DerivationSpace:
     they try its ``_weight_candidates`` before they read ``flat``. The
     symplectic search, the third, tries the basis and the first curve
     points of the same candidates of ``diagonal_derivations`` before its
-    seeded draws over the closed forms.
+    seeded draws over the closed forms. Immutable, like ``LieAlgebra``:
+    ``algebra`` is fixed, and each instance keeps its own views in its
+    ``__dict__``, each computed once.
     """
 
-    algebra: LieAlgebra
+    __slots__ = ("algebra", "__dict__")
+
+    def __init__(self, algebra: LieAlgebra):
+        _set_fields(self, algebra=algebra)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DerivationSpace is immutable")
+
+    def __repr__(self) -> str:
+        return f"DerivationSpace(algebra={self.algebra!r})"
 
     @cached_property
     def weights(self) -> Subspace:
@@ -159,8 +169,7 @@ class DerivationSpace:
         return products_vanish([_flat_columns(row.items(), n) for _, row in self.flat.rows])
 
 
-@dataclass(frozen=True)
-class CharNilpVerdict:
+class CharNilpVerdict(NamedTuple):
     """Verdict on whether every derivation is nilpotent.
 
     ``NotCharNilpotent`` is certified by the non-nilpotent witness;
@@ -174,8 +183,7 @@ class CharNilpVerdict:
     trials: int
 
 
-@dataclass
-class TorusReport:
+class TorusReport(NamedTuple):
     """Outcome of the three torus checks, all exact.
 
     ``derivation_failures`` holds (map index, violation list) pairs,
@@ -184,13 +192,15 @@ class TorusReport:
     not diagonalizable over the rationals, a decision that is exact: the
     minimal polynomial must have as many distinct rational roots as its
     degree. When it is squarefree but does not split, the map may still be
-    semisimple over a field extension, and a note says so.
+    semisimple over a field extension, and a note says so. An immutable
+    record: ``verify_torus`` fills a fresh list for each field, and a
+    report built with no arguments has none and passes.
     """
 
-    derivation_failures: List[tuple] = field(default_factory=list)
-    commutation_failures: List[tuple] = field(default_factory=list)
-    semisimplicity_failures: List[tuple] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    derivation_failures: Sequence[tuple] = ()
+    commutation_failures: Sequence[tuple] = ()
+    semisimplicity_failures: Sequence[tuple] = ()
+    notes: Sequence[str] = ()
 
     @property
     def passed(self) -> bool:
@@ -505,7 +515,7 @@ def verify_witness(alg: LieAlgebra, witness: Matrix) -> dict:
 def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
     """Check a candidate torus: derivations, commuting, Q-diagonalizable."""
     n = alg.dim
-    report = TorusReport()
+    report = TorusReport([], [], [], [])
     for idx, m in enumerate(maps):
         if m.rows != n or m.cols != n:
             raise DimensionMismatch(f"map {idx} does not match the algebra dimension")

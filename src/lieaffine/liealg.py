@@ -16,9 +16,10 @@ integer views below.
 An algebra computes on first use and keeps the views that
 ``integer_structure``, ``integer_ad_columns`` and ``tail_filtered``
 return, its lower central series (``derived_subalgebra`` is its second
-term) and its bracket partners: every caller shares them, so they are
-read-only. ``jacobi_report`` reads the integer views, so a catalog
-constructor's Jacobi check warms them for the checks that follow.
+term; each term is computed when first read) and its bracket partners:
+every caller shares them, so they are read-only. ``jacobi_report``
+reads the integer views, so a catalog constructor's Jacobi check warms
+them for the checks that follow.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
 
@@ -27,7 +28,8 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .linalg import (
@@ -124,14 +126,50 @@ class LieAlgebra:
         return len(steps) == max(self.dim - 2, 0)
 
     @cached_property
-    def _lower_central_series(self) -> Tuple[Subspace, ...]:
+    def _lower_central_series(self) -> "_Drawn":
         n = self.dim
+        units = [(k, {k: ONE}) for k in range(n)]
         if self._tail_filtered:
             # C^0 g = g, then C^k g = span(e_(k+1), ...) (0-based) for k >= 1, down to 0
-            units = [(k, {k: ONE}) for k in range(n)]
-            return tuple(Subspace(n, units[m:]) for m in (0, *range(2, max(n, 2) + 1)))
-        chain = _image_chain(self._integer_ad_columns[0], ({i: 1} for i in range(n)))
-        return tuple(Subspace(n, _reduce(rows.values())) for rows in chain)
+            return _Drawn(Subspace(n, units[m:]) for m in (0, *range(2, max(n, 2) + 1)))
+        # the image chain from [g, g], the span of the brackets; no term is
+        # eliminated before it is read
+        chain = _image_chain(self._integer_ad_columns[0], self._integer_structure[0].values())
+
+        def terms():
+            yield Subspace(n, units)
+            for rows in chain:
+                if len(rows) == n:  # [g, g] is g: a perfect algebra's series is [g]
+                    return
+                yield Subspace(n, _reduce(rows.values()))
+
+        return _Drawn(terms())
+
+
+class _Drawn:
+    """The items of an iterator as a sequence, each drawn the first time an index reaches it.
+
+    Drawn items are kept, so the iterator runs once, and only as far as the
+    largest index asked for; iteration, a negative index and ``==`` draw
+    every item.
+    """
+
+    __slots__ = ("_items", "_rest")
+
+    def __init__(self, items: Iterator):
+        self._items, self._rest = [], items
+
+    def __getitem__(self, k: int):
+        items = self._items
+        items.extend(self._rest if k < 0 else islice(self._rest, max(k + 1 - len(items), 0)))
+        return items[k]
+
+    def __iter__(self):
+        self._items.extend(self._rest)
+        return iter(self._items)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, _Drawn) else NotImplemented
 
 
 class TwoForm:
@@ -265,9 +303,14 @@ def tail_filtered(alg: LieAlgebra) -> bool:
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     """[g, g], the span of all brackets: the second term of the series kept on ``alg``.
 
-    On a perfect algebra the series is [g], and [g, g] is g.
+    On a perfect algebra the series is [g], and [g, g] is g. Only the first
+    two terms are computed: the series draws a later one when it is read.
     """
-    return alg._lower_central_series[:2][-1]
+    series = alg._lower_central_series
+    try:
+        return series[1]
+    except IndexError:
+        return series[0]
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
@@ -278,9 +321,11 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     before the first repeated subspace, so the algebra is nilpotent exactly
     when the last entry is zero. On a ``tail_filtered`` table the terms are
     the unit rows g, span(e_3, ..., e_n), ..., 0 (two terms when n <= 2),
-    with no elimination; on any other they come from the image chain
-    (``linalg._image_chain``) over the kept ``integer_ad_columns``, each put
-    in canonical RREF with ``_reduce``.
+    with no elimination; on any other they are g and then the image chain
+    (``linalg._image_chain``) over the kept ``integer_ad_columns`` from the
+    span of the brackets, each put in canonical RREF with ``_reduce``. The
+    kept series computes each term the first time it is read, so
+    ``derived_subalgebra`` alone eliminates only [g, g].
     """
     return list(alg._lower_central_series)
 

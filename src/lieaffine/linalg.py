@@ -31,7 +31,9 @@ denominator straight off the kernel's rows of [m^T | I], with no
 normalization, and the constructions in ``affine`` keep them in ints.
 ``_image_chain`` is the one image-chain loop, on integer maps and rows,
 shared by ``products_vanish``, which scales its maps, and ``liealg``'s
-lower central series, whose terms ``_reduce`` puts in canonical form.
+lower central series, whose terms ``_reduce`` puts in canonical form; it
+yields one term at a time, so a reader of [g, g] never eliminates the
+terms below it.
 
 A ``Matrix`` holds its sparse columns ``{row: value}`` and has no
 arithmetic: a product or sum is ``sparse_apply`` on the columns, and
@@ -50,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
@@ -472,26 +474,29 @@ def products_vanish(maps: Sequence[list]) -> bool:
     if all(r > j for cols in maps for j, col in enumerate(cols) for r in col):
         return True
     maps = [integer_scaled(cols)[0] for cols in maps]
-    return not _image_chain(maps, (col for cols in maps for col in cols))[-1]
+    *_, last = _image_chain(maps, (col for cols in maps for col in cols))
+    return not last
 
 
-def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> List[dict]:
-    """W_0 = span of rows, W_(k+1) = sum of the m(W_k), each as ``_gauss_jordan`` rows.
+def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> Iterator[dict]:
+    """Yield W_0 = span of rows, then W_(k+1) = sum of the m(W_k), each as ``_gauss_jordan`` rows.
 
     ``maps`` are lists of sparse integer columns and ``rows`` sparse integer
     rows; a caller with rational maps scales each over its own denominator
     first, which leaves every image span unchanged. W_1 must lie in W_0, so
     the W_k are nested, and the loop runs in ints and never normalizes a
-    row. The list ends at the first W_k that is 0 or that the maps send
-    onto itself, which is where the dimension stops falling.
+    row. W_(k+1) is eliminated only when it is asked for after W_k; the
+    chain ends at the first W_k that is 0 or that the maps send onto itself,
+    which is where the dimension stops falling.
     """
-    chain = [_gauss_jordan(rows)]
-    while chain[-1]:
-        nxt = _gauss_jordan(sparse_apply(cols, w) for cols in maps for w in chain[-1].values())
-        if len(nxt) == len(chain[-1]):
-            break
-        chain.append(nxt)
-    return chain
+    w = _gauss_jordan(rows)
+    yield w
+    while w:
+        nxt = _gauss_jordan(sparse_apply(cols, v) for cols in maps for v in w.values())
+        if len(nxt) == len(w):
+            return
+        yield nxt
+        w = nxt
 
 
 def is_nilpotent(m: Matrix) -> bool:

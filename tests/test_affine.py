@@ -1,6 +1,5 @@
 """Affine structure constructors, exact verification, synthesis pipeline."""
 
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -13,6 +12,7 @@ from lieaffine.affine import (
     AffineReport,
     AffineStructure,
     Certificate,
+    CheckResult,
     _product_tensor,
     find_symplectic,
     from_derived_regular,
@@ -32,6 +32,7 @@ from lieaffine.catalog import (
     make_qn,
 )
 from lieaffine.derivations import (
+    TorusReport,
     derivation_space,
     find_regular_derivation,
     is_derivation,
@@ -543,7 +544,7 @@ def test_unknown_strategy_is_refused():
         synthesize(l4, strategy="nope")
     _, cert = synthesize(l4)
     with pytest.raises(SchemaError, match="^unknown strategy 'nope'$"):
-        reverify_certificate(l4, dataclasses.replace(cert, strategy="nope"))
+        reverify_certificate(l4, cert._replace(strategy="nope"))
 
 
 def test_from_derived_regular_agrees_with_direct_definition():
@@ -814,7 +815,7 @@ def test_reverify_witness_of_the_wrong_type_is_unknown(strategy, key, checks):
     _, cert = synthesize(l4, strategy=strategy, seed=0, trials=32)
     for wrong in _wrong_witnesses(key):
         report = reverify_certificate(
-            l4, dataclasses.replace(cert, witnesses={**cert.witnesses, key: wrong}))
+            l4, cert._replace(witnesses={**cert.witnesses, key: wrong}))
         statuses = {c.name: (c.status, c.residuals) for c in report.checks}
         assert statuses == {c.name: ("unknown", -1) if c.name in checks else ("pass", 0)
                             for c in cert.checks}, wrong
@@ -827,3 +828,38 @@ def test_reverify_detects_wrong_algebra():
     report = reverify_certificate(make_ln(7), cert)
     assert not report.hash_match
     assert not report.ok
+
+
+# --- the records are immutable tuples -------------------------------------
+
+def test_reports_built_with_no_arguments_pass():
+    assert AffineReport().passed
+    assert TorusReport().passed
+    assert not AffineReport(leftsym_violations=[(0, 1, 2, ())]).passed
+
+
+def test_verify_affine_builds_fresh_lists_for_each_report():
+    l4, zero = make_ln(4), AffineStructure(4, {})
+    first, second = verify_affine(l4, zero), verify_affine(l4, zero)
+    lists = [*first, *second]
+    assert len({id(x) for x in lists}) == 4 and all(type(x) is list for x in lists)
+    assert first == second and first.torsion_violations
+    first.torsion_violations.clear()
+    assert second.torsion_violations and not AffineReport().torsion_violations
+
+
+def test_certificate_replace_makes_a_changed_copy():
+    _, cert = synthesize(make_ln(4))
+    changed = cert._replace(seed=7)
+    assert (changed.seed, cert.seed) == (7, 0)
+    assert changed != cert and changed._replace(seed=0) == cert
+    with pytest.raises(AttributeError):
+        cert.seed = 7
+
+
+def test_check_result_is_immutable_and_its_repr_pinned():
+    result = CheckResult("torsion", "pass", 0)
+    assert repr(result) == "CheckResult(name='torsion', status='pass', residuals=0)"
+    assert result == CheckResult(name="torsion", status="pass", residuals=0)
+    with pytest.raises(AttributeError):
+        result.status = "fail"

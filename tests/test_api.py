@@ -49,18 +49,30 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_imports_only_the_standard_library():
-    # -S skips site, so no site-packages directory is on the path
+def _modules_loaded_by_cli_import(*flags):
     src = str(Path(lieaffine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-S", "-c", _NEW_MODULES], env=env,
+    run = subprocess.run([sys.executable, *flags, "-c", _NEW_MODULES], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     loaded = run.stdout.split()
     assert "lieaffine.cli" in loaded
+    return loaded
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S skips site, so no site-packages directory is on the path
+    loaded = _modules_loaded_by_cli_import("-S")
     foreign = [name for name in loaded if name.partition(".")[0] != "lieaffine"
                and name.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for the modules the package loads: dataclasses
+    # alone pulls in inspect, ast, dis and tokenize
+    loaded = _modules_loaded_by_cli_import()
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(loaded)
 
 
 def test_readme_library_example_runs():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine import derivations
+from lieaffine import derivations, linalg
 from lieaffine.affine import (
     AffineStructure,
     find_symplectic,
@@ -779,6 +779,31 @@ def test_sparse_subspaces_match_dense_oracle(alg):
         assert _unscaled_restrict(derived, d) == restrict(derived, d)
 
 
+@pytest.mark.parametrize("base, seed", [(make_ln(8), 8), (make_ln(16), 16), (make_benoist(1), 11)],
+                         ids=["L8", "L16", "Benoist1"])
+def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, monkeypatch):
+    # on a moved table [g, g] costs one elimination of the brackets and its
+    # canonical form; each later term is eliminated only when the series is read
+    alg = _change_basis(base, _dense_basis_change(base.dim, random.Random(seed)))
+    n = alg.dim
+    assert not tail_filtered(alg)
+    calls = []
+    gauss_jordan = linalg._gauss_jordan
+
+    def counted(rows):
+        calls.append(1)
+        return gauss_jordan(rows)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    derived = derived_subalgebra(alg)
+    assert len(calls) == 2
+    series = lower_central_series(alg)
+    assert [s.dim for s in series] == [n, *range(n - 2, -1, -1)]
+    assert len(calls) == 2 * (len(series) - 1)
+    assert derived is series[1] and derived is derived_subalgebra(alg)
+    assert derived == Subspace(n, _reduce(alg.structure.values()))
+
+
 @pytest.mark.parametrize("base, digest", [
     (make_ln(8), "c512e0cdfc7af6c48393cb5a0ea1a02f7df9455c2b3487d93c80caa22b1f90e8"),
     (make_cn(8, [1, 1])[0], "6ad980b18dcf41b1b9655db15c4af3b42d2419558df2a244c06938c3bc14977f"),
@@ -1318,3 +1343,43 @@ def test_diagonal_derivations_with_self_cancelling_equation():
     # cancel: the only condition is w2 = 0.
     alg = LieAlgebra(2, {(0, 1): {0: 1}})
     assert diagonal_derivations(alg).basis == ((F(1), F(0)),)
+
+
+def test_derivation_space_is_immutable_and_solves_each_view_once(monkeypatch):
+    calls = []
+    nullspace = derivations._nullspace
+
+    def counted(rows, n):
+        calls.append(n)
+        return nullspace(rows, n)
+
+    monkeypatch.setattr(derivations, "_nullspace", counted)
+    alg = make_ln(6)
+    first, second = derivation_space(alg), derivation_space(alg)
+    assert first.flat is first.flat and first.weights is first.weights
+    assert sorted(calls) == [6, 36]
+    assert second.flat is not first.flat and second.flat.rows == first.flat.rows
+    assert second.weights is not first.weights and second.weights == first.weights
+    assert sorted(calls) == [6, 6, 36, 36]
+    for name in ("algebra", "flat", "weights", "other"):
+        with pytest.raises(AttributeError):
+            setattr(first, name, None)
+    assert first.algebra is alg and first.flat is vars(first)["flat"]
+    assert repr(first) == f"DerivationSpace(algebra={alg!r})"
+
+
+def test_char_nilp_verdict_is_immutable_and_its_repr_pinned():
+    verdict = char_nilpotent_verdict(make_benoist(1))
+    assert repr(verdict) == (
+        "CharNilpVerdict(kind='CharNilpotentLikely', witness=None, seed=0, trials=32)")
+    with pytest.raises(AttributeError):
+        verdict.kind = NOT_CHAR_NILPOTENT
+
+
+def test_verify_torus_builds_fresh_lists_for_each_report():
+    alg = make_ln(6)
+    maps = standard_torus("Ln", 6)
+    first, second = verify_torus(alg, maps), verify_torus(alg, maps)
+    lists = [*first, *second]
+    assert len({id(x) for x in lists}) == 8 and all(type(x) is list for x in lists)
+    assert first == second and first.passed
