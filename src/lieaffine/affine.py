@@ -87,6 +87,7 @@ from .liealg import (
 from .linalg import (
     Matrix,
     Subspace,
+    _Frozen,
     _integer_inverse,
     _nullspace,
     _set_fields,
@@ -154,7 +155,7 @@ STRATEGIES = {
 }
 
 
-class AffineStructure:
+class AffineStructure(_Frozen):
     """Product tensor: gamma[(i, j)] = {k: c} holds the nonzero coordinates of e_i . e_j.
 
     It is the canonical table of ``coefficient_table`` over all ordered
@@ -166,9 +167,6 @@ class AffineStructure:
 
     def __init__(self, dim: int, gamma):
         _set_fields(self, dim=dim, gamma=coefficient_table(dim, gamma, lambda i, j: True))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineStructure is immutable")
 
     def __repr__(self) -> str:
         return f"AffineStructure(dim={self.dim}, pairs={len(self.gamma)})"
@@ -380,7 +378,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
             "restriction of f to the derived subalgebra is singular"
         )
     columns, d_inverse = inverse
-    basis, d_basis = integer_scaled(row for _, row in derived.rows)
+    basis, d_basis = derived.integer_rows
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, columns):
         g[p] = sparse_apply(basis, col)

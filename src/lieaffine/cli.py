@@ -12,6 +12,11 @@ The stdout format is a contract, and ``--out`` files hold the same bytes:
 a 2-space indent, ASCII escapes for every other character, keys in the
 order the payload builds them and one final newline, which is exactly
 ``json.dumps(payload, indent=2)`` plus a newline (``serialize.json_text``).
+
+Each catalog family is listed once, in ``_FAMILIES``: ``catalog list``,
+the ``--family`` help and the dispatch all read it. Options that take one
+of a fixed set of values use argparse ``choices``; every usage error is
+one line on stderr, with any echoed argument value cut to 20 characters.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .derivations import (
     verify_witness,
 )
 from .errors import BadRange, LieToolError, NoStrategySucceeded, SchemaError, UnknownFamily
-from .liealg import _filiform_dims, jacobi_report, lower_central_series
+from .liealg import is_filiform, is_nilpotent_algebra, jacobi_report, lower_central_series
 from .serialize import (
     MAX_DIM,
     _echo,
@@ -58,12 +63,6 @@ from .serialize import (
     verdict_to_json,
 )
 
-_FAMILY_HELP = (
-    "family id: Ln, Qn, QnZ (adapted basis), Ank, Bnk, Cn, Benoist; "
-    "parameters via --n, --k, --lambda (repeatable), --t"
-)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", help="also write the payload to FILE")
     parser.add_argument(
@@ -80,7 +79,8 @@ def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="algebra JSON file ('-' or omitted reads stdin when no --family)",
     )
-    parser.add_argument("--family", help=_FAMILY_HELP)
+    parser.add_argument("--family", help=f"family id: {', '.join(_FAMILIES)}; "
+                        "parameters via --n, --k, --lambda (repeatable), --t")
     parser.add_argument("--n", type=_option_type(f"must lie between 1 and {MAX_DIM}", int,
                                                  lambda n: 1 <= n <= MAX_DIM),
                         help=f"family dimension, 1..{MAX_DIM}")
@@ -113,13 +113,6 @@ def _option_type(rule: str, convert=str, admit=lambda value: True):
     return parse
 
 
-def _choice(options: tuple) -> dict:
-    """``type`` and ``metavar`` of an option that takes one of ``options``."""
-    return {"type": _option_type(f"must be one of {', '.join(options)}",
-                                 admit=options.__contains__),
-            "metavar": "{" + ",".join(options) + "}"}
-
-
 _INTEGER = _option_type("must be an integer", int)
 
 
@@ -142,27 +135,39 @@ def _need(args, name: str):
     return value
 
 
+def _lambda_family(make: str, names: tuple, required: bool, args):
+    """``catalog.<make>`` of the ``names`` parameters and the --lambda values, parsed first.
+
+    --lambda may be omitted only where ``required`` is false (Bnk).
+    """
+    texts = _need(args, "lambda") if required else args.lambdas or ()
+    lams = [parse_rational(s) for s in texts]
+    return getattr(catalog, make)(*(_need(args, name) for name in names), lams)
+
+
+# id -> (the parameters `catalog list` shows, the builder of (algebra, Jacobi
+# report or None)); the order is the order of `catalog list`
+_FAMILIES = {
+    "Ln": ("--n N (N >= 3)", lambda a: (catalog.make_ln(_need(a, "n")), None)),
+    "Qn": ("--n N (even N >= 6)", lambda a: (catalog.make_qn(_need(a, "n")), None)),
+    "QnZ": ("--n N (even N >= 6), adapted basis",
+            lambda a: (catalog.make_qn(_need(a, "n"), adapted=True), None)),
+    "Ank": ("--n N --k K --lambda ... (t-1 values)",
+            partial(_lambda_family, "make_ank", ("n", "k"), True)),
+    "Bnk": ("--n N --k K --lambda ... (t-1 values, even N)",
+            partial(_lambda_family, "make_bnk", ("n", "k"), False)),
+    "Cn": ("--n N --lambda ... (m-1 values, N = 2m+2)",
+           partial(_lambda_family, "make_cn", ("n",), True)),
+    "Benoist": ("--t RAT (dimension 11)",
+                lambda a: (catalog.make_benoist(parse_rational(a.t_param or "0")), None)),
+}
+
+
 def _algebra_from_family(args):
-    """(algebra, Jacobi report or None): make_ank, make_bnk and make_cn return their report."""
-    family = args.family
-    if family == "Ln":
-        return catalog.make_ln(_need(args, "n")), None
-    if family == "Qn":
-        return catalog.make_qn(_need(args, "n")), None
-    if family == "QnZ":
-        return catalog.make_qn(_need(args, "n"), adapted=True), None
-    if family == "Ank":
-        lams = [parse_rational(s) for s in _need(args, "lambda")]
-        return catalog.make_ank(_need(args, "n"), _need(args, "k"), lams)
-    if family == "Bnk":
-        lams = [parse_rational(s) for s in (args.lambdas or [])]
-        return catalog.make_bnk(_need(args, "n"), _need(args, "k"), lams)
-    if family == "Cn":
-        lams = [parse_rational(s) for s in _need(args, "lambda")]
-        return catalog.make_cn(_need(args, "n"), lams)
-    if family == "Benoist":
-        return catalog.make_benoist(parse_rational(args.t_param or "0")), None
-    raise UnknownFamily(f"unknown family {_echo(family)}")
+    """(algebra, Jacobi report or None) from the ``_FAMILIES`` builder of --family."""
+    if args.family not in _FAMILIES:
+        raise UnknownFamily(f"unknown family {_echo(args.family)}")
+    return _FAMILIES[args.family][1](args)
 
 
 def _read_document(infile):
@@ -199,17 +204,8 @@ def _load_algebra(args):
 # --- handlers ----------------------------------------------------------------
 
 def _cmd_catalog_list(args):
-    return {
-        "families": [
-            {"id": "Ln", "params": "--n N (N >= 3)"},
-            {"id": "Qn", "params": "--n N (even N >= 6)"},
-            {"id": "QnZ", "params": "--n N (even N >= 6), adapted basis"},
-            {"id": "Ank", "params": "--n N --k K --lambda ... (t-1 values)"},
-            {"id": "Bnk", "params": "--n N --k K --lambda ... (t-1 values, even N)"},
-            {"id": "Cn", "params": "--n N --lambda ... (m-1 values, N = 2m+2)"},
-            {"id": "Benoist", "params": "--t RAT (dimension 11)"},
-        ]
-    }, 0
+    return {"families": [{"id": family, "params": params}
+                         for family, (params, _) in _FAMILIES.items()]}, 0
 
 
 def _cmd_catalog_show(args):
@@ -226,15 +222,14 @@ def _cmd_verify_jacobi(args):
 
 
 def _cmd_verify_series(key, holds, args):
-    """Report ``key``: whether ``holds`` on the lower-central-series dimensions."""
+    """Report ``key``, the verdict of the predicate ``holds``, with the series dimensions."""
     alg = _load_algebra(args)
-    dims = [s.dim for s in lower_central_series(alg)]
-    result = holds(dims)
+    result = holds(alg)
     payload = {
         "name": alg.name,
         "dim": alg.dim,
         key: result,
-        "series_dims": dims,
+        "series_dims": [s.dim for s in lower_central_series(alg)],
     }
     return payload, 0 if result else 1
 
@@ -374,7 +369,7 @@ def _cmd_io_validate(args):
 
 
 def _add_strategy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", default="auto", **_choice(("auto", *STRATEGIES)))
+    parser.add_argument("--strategy", default="auto", choices=("auto", *STRATEGIES))
 
 
 def _add_cert(help_text: str, parser: argparse.ArgumentParser) -> None:
@@ -382,7 +377,7 @@ def _add_cert(help_text: str, parser: argparse.ArgumentParser) -> None:
 
 
 def _add_document(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", required=True, **_choice(tuple(_VALIDATORS)))
+    parser.add_argument("--kind", required=True, choices=_VALIDATORS)
     parser.add_argument("--in", dest="infile", metavar="FILE",
                         help="document file ('-' or omitted reads stdin)")
 
@@ -404,10 +399,10 @@ _COMMANDS = (
     ("catalog", "show", "print a family member as algebra JSON", _cmd_catalog_show,
      _SOURCE),
     ("verify", "jacobi", None, _cmd_verify_jacobi, _SOURCE),
-    ("verify", "filiform", None, partial(_cmd_verify_series, "filiform", _filiform_dims),
+    ("verify", "filiform", None, partial(_cmd_verify_series, "filiform", is_filiform),
      _SOURCE),
     ("verify", "nilpotent", None,
-     partial(_cmd_verify_series, "nilpotent", lambda dims: dims[-1] == 0), _SOURCE),
+     partial(_cmd_verify_series, "nilpotent", is_nilpotent_algebra), _SOURCE),
     ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
     ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
     ("der", "regular", "search for an invertible derivation",

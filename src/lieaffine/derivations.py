@@ -35,14 +35,14 @@ catalog bases of Ln, Qn and QnZ do. The symplectic search
 of the same candidates, of ``diagonal_derivations``, before its seeded
 draws: for each such weight w it solves the closed forms homogeneous for
 diag(w) on the one weight class that can hold a nondegenerate form, and
-on Ln its witness no longer depends on the seed either.
+on Ln its witness does not depend on the seed either.
 After that the three searches pass one nil gate,
 ``DerivationSpace.all_nilpotent``, which decides exactly (by Engel's
 theorem, on one image chain over the Der(g) basis, or at once when every
 basis map is strictly lower triangular) whether every derivation is
 nilpotent. When it is, every candidate fails, so the outcome is fixed
 without drawing any, or building the char-nilp search's own candidates,
-and the cost no longer grows with ``trials``; otherwise the searches draw
+and the cost does not grow with ``trials``; otherwise the searches draw
 as described. The weight pass cannot change that outcome: on a nil Der(g)
 the weight space is 0.
 ``verify_torus`` decides rational diagonalizability in integers, on the
@@ -70,6 +70,7 @@ from .linalg import (
     Matrix,
     Subspace,
     ONE,
+    _Frozen,
     _coordinates,
     _flat_columns,
     _gauss_jordan,
@@ -77,7 +78,6 @@ from .linalg import (
     _nullspace,
     _set_fields,
     dense_vector,
-    integer_scaled,
     is_nilpotent,
     nonsingular,
     products_vanish,
@@ -92,7 +92,7 @@ DEFAULT_TRIALS = 32
 _COEFF_RANGE = 10
 
 
-class DerivationSpace:
+class DerivationSpace(_Frozen):
     """Der(g) of ``algebra``, solved the first time ``flat`` is read.
 
     ``flat`` holds Der(g) as RREF rows of flattened n^2-vectors and
@@ -102,7 +102,7 @@ class DerivationSpace:
     they try its ``_weight_candidates`` before they read ``flat``. The
     symplectic search, the third, tries the basis and the first curve
     points of the same candidates of ``diagonal_derivations`` before its
-    seeded draws over the closed forms. Immutable, like ``LieAlgebra``:
+    seeded draws over the closed forms. Immutable (``linalg._Frozen``):
     ``algebra`` is fixed, and each instance keeps its own views in its
     ``__dict__``, each computed once.
     """
@@ -111,9 +111,6 @@ class DerivationSpace:
 
     def __init__(self, algebra: LieAlgebra):
         _set_fields(self, algebra=algebra)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DerivationSpace is immutable")
 
     def __repr__(self) -> str:
         return f"DerivationSpace(algebra={self.algebra!r})"
@@ -350,7 +347,7 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[dic
     vacuous from n = 21 on. ``_first_hit`` is the one loop that reads them.
     """
     rng = random.Random(seed)
-    rows, den = integer_scaled(row for _, row in space.rows)
+    rows, den = space.integer_rows
     for _ in range(trials):
         draw = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for _ in rows]
         yield unscaled(sparse_apply(rows, {k: c for k, c in enumerate(draw) if c}), den)
@@ -388,7 +385,7 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     if weights.dim < 2:
         return
     n = weights.ambient_dim
-    rows, den = integer_scaled(row for _, row in weights.rows)
+    rows, den = weights.integer_rows
     for s in range(1, n * (len(rows) - 1) + 2):
         point = [0] * n
         for k, row in enumerate(rows):
@@ -439,7 +436,7 @@ def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
     d_m d_b times the rational ones, and den = d_m d_b.
     """
     cols, dm = m.integer_columns
-    rows, db = integer_scaled(row for _, row in derived.rows)
+    rows, db = derived.integer_rows
     out = [_coordinates(derived.rows, sparse_apply(cols, b)) for b in rows]
     if None in out:
         raise NotInvariantError("image of a derived-subalgebra vector escapes it")

@@ -19,7 +19,8 @@ return, its lower central series (``derived_subalgebra`` is its second
 term; each term is computed when first read) and its bracket partners:
 every caller shares them, so they are read-only. ``jacobi_report``
 reads the integer views, so a catalog constructor's Jacobi check warms
-them for the checks that follow.
+them for the checks that follow. ``LieAlgebra`` and ``TwoForm`` take
+their immutability from ``linalg._Frozen``.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
 
@@ -36,6 +37,7 @@ from .linalg import (
     ONE,
     Matrix,
     Subspace,
+    _Frozen,
     _image_chain,
     _reduce,
     _set_fields,
@@ -72,7 +74,7 @@ def coefficient_table(dim: int, table, pair_ok) -> Dict[Tuple[int, int], SparseC
     return clean
 
 
-class LieAlgebra:
+class LieAlgebra(_Frozen):
     """A Lie algebra on a fixed basis with sparse structure constants and kept views."""
 
     __slots__ = ("dim", "name", "basis_names", "structure", "__dict__")
@@ -88,9 +90,6 @@ class LieAlgebra:
             raise DimensionMismatch("basis name count does not match the dimension")
         _set_fields(self, dim=dim, name=str(name), basis_names=basis_names,
                     structure=coefficient_table(dim, structure, lambda i, j: i < j))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim}, pairs={len(self.structure)})"
@@ -172,7 +171,7 @@ class _Drawn:
         return list(self) == list(other) if isinstance(other, _Drawn) else NotImplemented
 
 
-class TwoForm:
+class TwoForm(_Frozen):
     """Antisymmetric bilinear form given by its Gram matrix."""
 
     __slots__ = ("dim", "gram")
@@ -184,9 +183,6 @@ class TwoForm:
         if any(gram[j, i] != -x for j, col in enumerate(gram.columns) for i, x in col.items()):
             raise ValueError("Gram matrix must be antisymmetric")
         _set_fields(self, dim=gram.rows, gram=gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoForm is immutable")
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TwoForm":
@@ -335,14 +331,9 @@ def is_nilpotent_algebra(alg: LieAlgebra) -> bool:
 
 
 def is_filiform(alg: LieAlgebra) -> bool:
-    """Nilpotent of maximal class: the i-th term has dimension n - i - 1."""
-    return _filiform_dims([s.dim for s in lower_central_series(alg)])
-
-
-def _filiform_dims(dims: List[int]) -> bool:
-    """Whether lower-central-series dimensions are n, n - 2, n - 3, ..., 0."""
-    n = dims[0]
-    return dims == [n] + [n - i - 1 for i in range(1, n)]
+    """Nilpotent of maximal class: the series dimensions are n, n - 2, n - 3, ..., 0."""
+    n = alg.dim
+    return [s.dim for s in lower_central_series(alg)] == [n] + [n - i - 1 for i in range(1, n)]
 
 
 def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int, Fraction]]:

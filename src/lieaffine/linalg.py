@@ -42,8 +42,12 @@ arithmetic: a product or sum is ``sparse_apply`` on the columns, and
 check and the constructions) and its rank are computed on first use and
 kept: every caller shares them, so they are read-only. A ``Subspace``
 holds the kernel's RREF rows, read by ``_coordinates`` and by its hash;
-``basis`` is its dense view. Kernel output is
-adopted without re-validation (``Matrix.from_sparse``, ``_set_fields``).
+``basis`` is its dense view, and its kept ``integer_rows``, the rows'
+``integer_scaled``, mirror ``integer_columns`` for the searches and the
+derived-regular construction. The package's value types share one
+immutable base, ``_Frozen``, and set their fields once with
+``_set_fields``, which also adopts kernel output without re-validation
+(``Matrix.from_sparse``).
 A matrix's JSON form, read and written, belongs to ``serialize``.
 """
 
@@ -81,7 +85,23 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
-class Matrix:
+class _Frozen:
+    """Base of the immutable value types: each sets its fields once, through ``_set_fields``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _set_fields(obj, **fields):
+    """obj with ``fields`` set past its ``__setattr__``; on ``cls.__new__(cls)``, adopted as is."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Matrix(_Frozen):
     """Matrix of exact rationals held as its sparse columns, immutable.
 
     ``columns[j]`` is column j as {row: Fraction} with its zeros dropped,
@@ -102,9 +122,6 @@ class Matrix:
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise DimensionMismatch("ragged or mis-sized matrix data")
         _set_fields(self, rows=rows, cols=cols, columns=tuple(_transpose(map(_sparse, grid), cols)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_sparse(cls, rows: int, columns: Iterable[dict]) -> "Matrix":
@@ -150,28 +167,23 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {[list(map(str, r)) for r in self.data]})"
 
 
-def _set_fields(obj, **fields):
-    """obj with ``fields`` set past its ``__setattr__``; on ``cls.__new__(cls)``, adopted as is."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-class Subspace:
+class Subspace(_Frozen):
     """A linear subspace held as the kernel's canonical RREF rows.
 
     ``rows`` are the (pivot, {col: Fraction}) pairs ``_reduce`` returns, so
     two subspaces are equal exactly when their rows coincide; ``basis`` is
-    their dense view.
+    their dense view. ``integer_rows`` is kept once computed, read-only.
     """
 
-    __slots__ = ("ambient_dim", "rows")
+    __slots__ = ("ambient_dim", "rows", "__dict__")
 
     def __init__(self, ambient_dim: int, rows: Sequence[tuple]):
         _set_fields(self, ambient_dim=ambient_dim, rows=tuple(rows))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+    @cached_property
+    def integer_rows(self) -> Tuple[list, int]:
+        """``integer_scaled`` of the rows: their int vectors over one common denominator."""
+        return integer_scaled(row for _, row in self.rows)
 
     @property
     def basis(self) -> tuple:

@@ -41,6 +41,18 @@ def test_dense_oracles_import_only_containers():
                        for name in ("Matrix", "Subspace")}
 
 
+def test_only_the_frozen_base_defines_setattr():
+    # a value type takes its immutability from linalg._Frozen, never its own copy
+    package = Path(lieaffine.__file__).parent
+    owners = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        owners += [(path.stem, getattr(parents[node], "name", None)) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "__setattr__"]
+    assert owners == [("linalg", "_Frozen")]
+
+
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)

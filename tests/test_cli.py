@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -1233,6 +1234,69 @@ def test_usage_error_exit_codes(capsys):
     code, payload, err = run_cli(capsys, ["catalog", "show", "--family", "Ln"])
     assert code == 2 and payload is None
     assert err == "error: --n is required for family Ln\n"
+
+
+def test_family_table_lists_helps_and_dispatches_the_same_ids(capsys, monkeypatch):
+    _, payload, _ = run_cli(capsys, ["catalog", "list", "--reproducible"])
+    listed = [family["id"] for family in payload["families"]]
+    monkeypatch.setenv("COLUMNS", "1000")
+    assert main(["catalog", "show", "--help"]) == 0
+    helped = re.search(r"family id: ([^;]*);", " ".join(capsys.readouterr().out.split()))
+    assert helped.group(1).split(", ") == listed
+    assert list(cli._FAMILIES) == listed
+
+
+# the parameter each family reports missing first, with none given
+_FIRST_MISSING = {"Ln": "n", "Qn": "n", "QnZ": "n", "Ank": "lambda", "Bnk": "n",
+                  "Cn": "lambda", "Benoist": None}
+
+
+@pytest.mark.parametrize("family", list(_FIRST_MISSING))
+def test_family_without_parameters_names_the_missing_one(capsys, family):
+    code, payload, err = run_cli(capsys, ["catalog", "show", "--family", family])
+    missing = _FIRST_MISSING[family]
+    if missing is None:  # Benoist's t defaults to 0
+        assert code == 0 and payload["dim"] == 11
+    else:
+        assert (code, payload) == (2, None)
+        assert err == f"error: --{missing} is required for family {family}\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--family", "Ank", "--lambda=1"], "--n is required for family Ank"),
+    (["--family", "Ank", "--lambda=1", "--n", "5"], "--k is required for family Ank"),
+    (["--family", "Ank", "--lambda=x"], "malformed rational 'x'"),
+    (["--family", "Bnk", "--k", "2"], "--n is required for family Bnk"),
+    (["--family", "Bnk", "--n", "6"], "--k is required for family Bnk"),
+    (["--family", "Bnk", "--lambda=x"], "malformed rational 'x'"),
+    (["--family", "Cn", "--lambda=1"], "--n is required for family Cn"),
+    (["--family", "Cn", "--lambda=x"], "malformed rational 'x'"),
+    (["--family", "Nope", "--n", "4"], "unknown family 'Nope'"),
+], ids=["ank-n", "ank-k", "ank-lambda", "bnk-n", "bnk-k", "bnk-lambda", "cn-n", "cn-lambda",
+        "unknown"])
+def test_family_parameters_are_checked_in_a_fixed_order(capsys, argv, expected):
+    # --lambda is parsed before --n for Ank, Bnk and Cn; --n before --k
+    code, payload, err = run_cli(capsys, ["catalog", "show", *argv])
+    assert (code, payload) == (2, None)
+    assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option, allowed", [
+    (["affine", "synth", "--family", "Ln", "--n", "4", "--strategy"], "--strategy",
+     ["auto", "regular", "derived-regular", "symplectic"]),
+    (["io", "validate", "--kind"], "--kind",
+     ["algebra", "twoform", "affine", "certificate", "verdict"]),
+], ids=["strategy", "kind"])
+@pytest.mark.parametrize("value", ["nope", "x" * 5000], ids=["short", "long"])
+def test_bad_choice_names_the_option_and_every_allowed_value(capsys, argv, option, allowed,
+                                                             value):
+    code, payload, err = run_cli(capsys, [*argv, value])
+    assert (code, payload) == (2, None)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert f"argument {option}: invalid choice" in err
+    named = re.search(r"choose from (.*?)\)", err).group(1)
+    assert [choice.strip("'") for choice in named.split(", ")] == allowed
 
 
 # an input that is not UTF-8, or nested past the recursion limit, is an input error

@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 
 from lieaffine import linalg
+from lieaffine.affine import AffineStructure, synthesize
 from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
 from lieaffine.derivations import derivation_space
 from lieaffine.errors import DimensionMismatch
-from lieaffine.liealg import lower_central_series
+from lieaffine.liealg import TwoForm, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     Subspace,
@@ -766,6 +767,46 @@ def test_matrix_immutable_and_exact_equality():
         m.rows = 5
     assert m == Matrix([["1", "2"], ["3", "4"]])
     assert m != Matrix([[1, 2], [3, 5]])
+
+
+# the six value types, each by a builder of one instance
+_VALUE_TYPES = {
+    "Matrix": lambda: Matrix([[1, 2], [3, 4]]),
+    "Subspace": lambda: derived_subalgebra(make_ln(6)),
+    "LieAlgebra": lambda: make_ln(6),
+    "TwoForm": lambda: TwoForm.from_entries(2, {(0, 1): 1}),
+    "AffineStructure": lambda: AffineStructure(2, {(0, 0): {1: 1}}),
+    "DerivationSpace": lambda: derivation_space(make_ln(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_TYPES))
+def test_value_types_refuse_every_attribute(name):
+    value = _VALUE_TYPES[name]()
+    assert type(value).__name__ == name
+    # every stored field, a kept view's name and a new name alike
+    for attr in (*type(value).__slots__, "integer_rows", "new_field"):
+        with pytest.raises(AttributeError) as caught:
+            setattr(value, attr, None)
+        assert str(caught.value) == f"{name} is immutable"
+
+
+@pytest.mark.parametrize("space", [
+    lambda: derivation_space(make_ln(8)).flat,
+    lambda: derived_subalgebra(make_benoist(1)),
+    lambda: Subspace(4, []),
+], ids=["der-L8", "benoist-derived", "zero"])
+def test_subspace_keeps_its_integer_rows(space):
+    space = space()
+    rows = space.integer_rows
+    assert space.integer_rows is rows
+    assert rows == integer_scaled(row for _, row in space.rows)
+
+
+def test_derived_regular_synthesis_scales_the_derived_subalgebra_once():
+    alg = make_cn(8, [1, -1])[0]
+    synthesize(alg, "derived-regular")
+    assert "integer_rows" in derived_subalgebra(alg).__dict__
 
 
 @pytest.mark.parametrize("denominators", [(1,), (1, 2, 3, 7, 2000)], ids=["int", "rational"])
