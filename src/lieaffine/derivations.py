@@ -1,15 +1,20 @@
 """Derivation algebras: exact computation, classification and searches.
 
 ``derivation_space`` solves the linear system expressing
-D[x, y] = [Dx, y] + [x, Dy] on all basis pairs, over the n^2 matrix
+D[x, y] = [Dx, y] + [x, Dy] on the basis pairs, over the n^2 matrix
 entries of D, with its equations built by walking the nonzero structure
 constants, integer-scaled over their common denominator; ``is_derivation``
 checks the identity in integers the same way. When the table is in a
 basis adapted to its lower central series (``liealg.tail_filtered``, true
 for every catalog family), the n(n-1)/2 - 1 entries D[p, q] with q >= 2,
 p < q vanish in every derivation (``_pinned_unknowns``), and the builder
-never visits them; any other table solves the full system. Both give
-the same canonical basis. Every randomized search
+never visits them. If the table also satisfies Jacobi, e_1 and e_2
+generate g, and a map is a derivation as soon as the identity holds on
+the pairs (i, j) with i <= 1 (0-based; ``_generator_pairs_suffice``), so
+only those equations are built, for Der(g) and for the diagonal weights
+alike. Any other table solves the full system; every path gives the
+same canonical basis. ``is_derivation`` and the certificate checks still
+test every pair. Every randomized search
 (for invertible derivations, for derivations whose restriction to the
 derived subalgebra is invertible, for non-nilpotent derivations, and for
 symplectic forms) runs one loop, ``_first_hit``, over its fixed
@@ -21,9 +26,10 @@ Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
 an n x n determinant): a bound that is vacuous from n = 21 on.
 
 ``derivation_space`` returns at once: Der(g) is solved the first time
-``DerivationSpace.flat`` is read, by the Gauss-Jordan pass of
-``linalg._nullspace`` on the integer equations, so a verdict that never
-reads it never pays for it. Each derivation search
+``DerivationSpace.flat`` or ``all_nilpotent`` is read, by one
+``_gauss_jordan`` pass on the integer equations whose rows the space
+keeps; ``flat`` reads its basis off them (``linalg._solution_basis``), so
+a verdict that never reads it never pays for it. Each derivation search
 checks ``trials`` first. The regular and derived-regular searches then
 try their diagonal weight candidates (``_weight_candidates`` over
 ``DerivationSpace.weights``, which needs only the weight equations and is
@@ -37,13 +43,14 @@ draws: for each such weight w it solves the closed forms homogeneous for
 diag(w) on the one weight class that can hold a nondegenerate form, and
 on Ln its witness does not depend on the seed either.
 After that the three searches pass one nil gate,
-``DerivationSpace.all_nilpotent``, which decides exactly (by Engel's
-theorem, on one image chain over the Der(g) basis, or at once when every
-basis map is strictly lower triangular) whether every derivation is
-nilpotent. When it is, every candidate fails, so the outcome is fixed
-without drawing any, or building the char-nilp search's own candidates,
-and the cost does not grow with ``trials``; otherwise the searches draw
-as described. The weight pass cannot change that outcome: on a nil Der(g)
+``DerivationSpace.all_nilpotent``, which decides exactly whether every
+derivation is nilpotent: at once from the kept kernel rows when they set
+every entry on and above the diagonal to 0, without the Der(g) basis,
+and otherwise by Engel's theorem, on one image chain over that basis.
+When it is, every candidate fails, so the outcome is fixed without
+drawing any, or building the char-nilp search's own candidates, and the
+cost does not grow with ``trials``; otherwise the searches draw as
+described. The weight pass cannot change that outcome: on a nil Der(g)
 the weight space is 0.
 ``verify_torus`` decides rational diagonalizability in integers, on the
 minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``).
@@ -77,6 +84,7 @@ from .linalg import (
     _integer_row,
     _nullspace,
     _set_fields,
+    _solution_basis,
     dense_vector,
     is_nilpotent,
     nonsingular,
@@ -93,13 +101,17 @@ _COEFF_RANGE = 10
 
 
 class DerivationSpace(_Frozen):
-    """Der(g) of ``algebra``, solved the first time ``flat`` is read.
+    """Der(g) of ``algebra``, solved the first time ``flat`` or ``all_nilpotent`` is read.
 
-    ``flat`` holds Der(g) as RREF rows of flattened n^2-vectors and
-    ``basis`` is the matrix view; a search that settles without them never
-    solves the system. ``weights`` is the space of diagonal derivation
-    weights, solved once and read by both searches for an invertible map:
-    they try its ``_weight_candidates`` before they read ``flat``. The
+    The kernel rows of the system (``_gauss_jordan`` of
+    ``_derivation_equations``) are kept; ``flat`` reads Der(g) off them as
+    RREF rows of flattened n^2-vectors, and ``basis`` is the matrix view.
+    ``all_nilpotent`` reads the kernel rows first, so a nil Der(g) whose
+    maps are all strictly lower triangular is decided without ``flat``; a
+    search that settles without either never solves the system.
+    ``weights`` is the space of diagonal derivation weights, solved once
+    and read by both searches for an invertible map: they try its
+    ``_weight_candidates`` before they read ``flat``. The
     symplectic search, the third, tries the basis and the first curve
     points of the same candidates of ``diagonal_derivations`` before its
     seeded draws over the closed forms. Immutable (``linalg._Frozen``):
@@ -121,17 +133,24 @@ class DerivationSpace(_Frozen):
         return diagonal_derivations(self.algebra)
 
     @cached_property
+    def _kernel(self) -> Tuple[dict, frozenset]:
+        """(reduced, pinned): the ``_gauss_jordan`` rows of ``_derivation_equations``."""
+        rows, pinned = _derivation_equations(self.algebra)
+        return _gauss_jordan(rows), pinned
+
+    @cached_property
     def flat(self) -> Subspace:
         """Der(g) as the RREF rows of the solutions of ``_derivation_equations``.
 
-        The equations leave out the ``_pinned_unknowns``, which are 0 in every
-        derivation, so the kernel would return each of them as a free unit
-        vector; those vectors are dropped, and the rest are the canonical rows
-        of the full system.
+        Read off the kept kernel rows by ``linalg._solution_basis``, with no
+        second elimination. The equations leave out the ``_pinned_unknowns``,
+        which are 0 in every derivation, so the kernel would return each of
+        them as a free unit vector; those vectors are dropped, and the rest
+        are the canonical rows of the full system.
         """
         n = self.algebra.dim
-        rows, pinned = _derivation_equations(self.algebra)
-        solved = _nullspace(rows, n * n)
+        reduced, pinned = self._kernel
+        solved = _solution_basis(reduced, n * n)
         return Subspace(n * n, [row for row in solved.rows if row[0] not in pinned])
 
     @property
@@ -151,15 +170,25 @@ class DerivationSpace(_Frozen):
     def all_nilpotent(self) -> bool:
         """Exactly whether every derivation is nilpotent (Der(g) is nil).
 
-        A basis element with nonzero trace, summed over the diagonal entries
-        its sparse row stores, settles False at once; otherwise
-        ``products_vanish`` decides, which by Engel's theorem is the same
-        as every element of the span being nilpotent. When every basis map
-        is strictly lower triangular, as for Benoist(t) in the catalog
-        basis, it answers True from that shape alone; in any other basis
-        its image chain decides.
+        First the kept kernel rows: when every unknown D[r, j] with r <= j
+        that is not pinned is a pivot whose row holds only that unknown,
+        every solution has D[r, j] = 0 on and above the diagonal, so every
+        derivation is strictly lower triangular, hence nilpotent, and the
+        answer is True without building ``flat``. This is the same test as
+        every basis map being strictly lower triangular, and it holds for
+        Benoist(t) in the catalog basis. Otherwise a basis element with
+        nonzero trace, summed over the diagonal entries its sparse row
+        stores, settles False at once, and then ``products_vanish`` decides
+        on ``flat``: by Engel's theorem that is the same as every element
+        of the span being nilpotent, and in a basis where the shape test
+        fails, its image chain decides.
         """
         n = self.algebra.dim
+        reduced, pinned = self._kernel
+        # flat index r*n + j holds D[r, j]; a one-entry kernel row sets its pivot to 0
+        upper = (r * n + j for j in range(n) for r in range(j + 1))
+        if all(len(reduced.get(c, ())) == 1 for c in upper if c not in pinned):
+            return True
         # flat index c < n^2 is diagonal entry (p, p) exactly when c = p * (n + 1)
         if any(sum(x for c, x in row.items() if not c % (n + 1)) for _, row in self.flat.rows):
             return False
@@ -260,6 +289,28 @@ def _pinned_unknowns(alg: LieAlgebra) -> frozenset:
     return frozenset(p * n + q for q in range(2, n) for p in range(q))
 
 
+def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
+    """Whether the identity on the pairs (i, j) with i <= 1 makes a map a derivation.
+
+    Let phi(x, y) = D[x, y] - [Dx, y] - [x, Dy] for a linear map D. If g is
+    Lie and phi(s, .) = 0, three Jacobi identities give
+    phi([s, x], y) = [s, phi(x, y)] - phi(x, [s, y]). So
+    K = {x : phi(x, .) = 0} is a subspace that contains S and is closed
+    under every ad(s) with s in S, hence contains the subalgebra that S
+    generates: a map is a derivation iff the identity holds on generators
+    (Jacobson, Lie Algebras, Ch. I). On a ``tail_filtered`` table
+    [g, g] = span(e_3, ..., e_n) (1-based) and g is nilpotent, so e_1 and
+    e_2 generate g, and the pairs (i, j), i < j, with i <= 1 (0-based)
+    suffice. The argument needs Jacobi: on a table that fails it, the
+    other pairs can cut the solutions further, so they are kept. The kept
+    Jacobi report is read only when some stored pair has i >= 2, since
+    otherwise there is no equation to drop; so Ln, with brackets [e_1, .]
+    only, never pays for it.
+    """
+    return (tail_filtered(alg) and any(i > 1 for i, _ in alg.structure)
+            and not alg._jacobi_report)
+
+
 def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
     """(rows, pinned): the equations of ``derivation_space`` as integer rows.
 
@@ -269,28 +320,34 @@ def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
     and c of [e_q, e_x] on e_p adds -c D[q, y] to row (y, x, p) for y < x
     and c D[q, y] to row (x, y, p) for y > x. On a ``tail_filtered`` table
     the terms on the ``_pinned_unknowns`` are never visited: D[p, k] is met
-    for p >= k only and D[q, y] for y <= max(q, 1). A row is made by its
-    first term, so none is empty; a sum that cancels stays as a 0 entry.
+    for p >= k only and D[q, y] for y <= max(q, 1). When, in addition,
+    ``_generator_pairs_suffice``, only the rows (a, b, p) with a <= 1 are
+    built: the others follow from them by Jacobi, and are never visited
+    (Benoist(1): 81 rows instead of 103). A row is made by its first term,
+    so none is empty; a sum that cancels stays as a 0 entry.
     """
     n = alg.dim
     pinned = _pinned_unknowns(alg)
+    lead = 2 if _generator_pairs_suffice(alg) else n  # rows (a, b, p) with a < lead
     structure, _ = integer_structure(alg)
     rows: dict = {}
     for (i, j), coeffs in structure.items():
-        for k, c in coeffs.items():
-            for p in range(k if pinned else 0, n):
-                row = rows.setdefault((i, j, p), {})
-                row[p * n + k] = row.get(p * n + k, 0) + c
+        if i < lead:
+            for k, c in coeffs.items():
+                for p in range(k if pinned else 0, n):
+                    row = rows.setdefault((i, j, p), {})
+                    row[p * n + k] = row.get(p * n + k, 0) + c
         for q, x, sign in ((i, j, 1), (j, i, -1)):
             top = max(q, 1) + 1 if pinned else n  # D[q, y] is free for y < top
             for p, c in coeffs.items():
                 c *= sign
-                for y in range(min(x, top)):
+                for y in range(min(x, top, lead)):
                     row = rows.setdefault((y, x, p), {})
                     row[q * n + y] = row.get(q * n + y, 0) - c
-                for y in range(x + 1, top):
-                    row = rows.setdefault((x, y, p), {})
-                    row[q * n + y] = row.get(q * n + y, 0) + c
+                if x < lead:
+                    for y in range(x + 1, top):
+                        row = rows.setdefault((x, y, p), {})
+                        row[q * n + y] = row.get(q * n + y, 0) + c
     return list(rows.values()), pinned
 
 
@@ -304,11 +361,13 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
     and ``_derivation_equations`` builds it in integers from the nonzero
     structure constants alone. On a ``tail_filtered`` table the entries
-    that every derivation sets to 0 (``_pinned_unknowns``) are left out:
-    Benoist(1) solves 103 equations instead of 434, L24 274 instead of
-    1034. Any other table, such as a catalog algebra in a moved basis,
-    solves the full system; the canonical RREF of the solutions is the
-    same either way.
+    that every derivation sets to 0 (``_pinned_unknowns``) are left out,
+    and on a Lie one only the pairs with i <= 1 are solved
+    (``_generator_pairs_suffice``): Benoist(1) solves 81 equations instead
+    of 434, L24 274 instead of 1034. Any other table, such as a catalog
+    algebra in a moved basis, solves the full system; the canonical RREF
+    of the solutions is the same either way. ``is_derivation`` and the
+    certificate checks still test every pair.
     """
     return DerivationSpace(algebra=alg)
 
@@ -318,10 +377,16 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
 
     diag(w) is a derivation exactly when w_i + w_j = w_k for every nonzero
     structure constant on ((i, j), k); the result is the RREF solution
-    space of those equations, given to the kernel as integer rows.
+    space of those equations, given to the kernel as integer rows. diag(w)
+    is a linear map too, so where ``_generator_pairs_suffice`` the pairs
+    with i <= 1 are enough, and only their equations are built (Benoist:
+    23 rows instead of 42).
     """
+    lead = 2 if _generator_pairs_suffice(alg) else alg.dim
     rows = []
     for (i, j), coeffs in alg.structure.items():
+        if i >= lead:
+            continue
         for k in coeffs:
             row = {i: 1, j: 1}
             row[k] = row.get(k, 0) - 1

@@ -16,10 +16,13 @@ integer views below.
 An algebra computes on first use and keeps the views that
 ``integer_structure``, ``integer_ad_columns`` and ``tail_filtered``
 return, its lower central series (``derived_subalgebra`` is its second
-term; each term is computed when first read) and its bracket partners:
-every caller shares them, so they are read-only. ``jacobi_report``
-reads the integer views, so a catalog constructor's Jacobi check warms
-them for the checks that follow. ``LieAlgebra`` and ``TwoForm`` take
+term; each term is computed when first read), its bracket partners and
+its Jacobi report (``jacobi_report`` returns a new list of it): every
+caller shares them, so they are read-only. The report reads the integer
+views, so a catalog constructor's Jacobi check warms them for the checks
+that follow, and the Der(g) and weight solves of ``derivations``, which
+need Jacobi to drop their redundant equations, read it for free on
+those families. ``LieAlgebra`` and ``TwoForm`` take
 their immutability from ``linalg._Frozen``.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
@@ -123,6 +126,19 @@ class LieAlgebra(_Frozen):
                 steps.add(j)
         # steps lies in 1..n-2, since i < j and j + 1 < n
         return len(steps) == max(self.dim - 2, 0)
+
+    @cached_property
+    def _jacobi_report(self) -> Tuple[Tuple[int, int, int, tuple], ...]:
+        n = self.dim
+        structure, den = self._integer_structure
+        ad, _ = self._integer_ad_columns
+        sums: Dict[tuple, dict] = {}
+        for triple, a, m, c in cyclic_sum_terms(structure, self._partners):
+            acc = sums.setdefault(triple, {})
+            for p, d in ad[a][m].items():
+                acc[p] = acc.get(p, 0) + c * d
+        return tuple((*triple, dense_vector(unscaled(sums[triple], den * den), n))
+                     for triple in sorted(sums) if any(sums[triple].values()))
 
     @cached_property
     def _lower_central_series(self) -> "_Drawn":
@@ -265,18 +281,10 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     in ascending order. The sums run in ints over ``integer_structure``
     and its ad table (``integer_ad_columns``), both den times the rational
     ones, so each residual is den^2 times the rational one and is divided
-    once. Reading the kept views warms them for later checks on ``alg``.
+    once. The report is kept on ``alg`` as a tuple and each call returns a
+    new list of it; reading the kept views warms them for later checks.
     """
-    n = alg.dim
-    structure, den = integer_structure(alg)
-    ad, _ = integer_ad_columns(alg)
-    sums: Dict[tuple, dict] = {}
-    for triple, a, m, c in cyclic_sum_terms(structure, alg._partners):
-        acc = sums.setdefault(triple, {})
-        for p, d in ad[a][m].items():
-            acc[p] = acc.get(p, 0) + c * d
-    return [(*triple, dense_vector(unscaled(sums[triple], den * den), n))
-            for triple in sorted(sums) if any(sums[triple].values())]
+    return list(alg._jacobi_report)
 
 
 def tail_filtered(alg: LieAlgebra) -> bool:

@@ -18,8 +18,10 @@ its column), made primitive once, and kept free of every other pivot
 column, each pivot the row's largest column. Its
 {pivot: primitive int row} is enough for a caller that only counts
 (``rank``, ``nonsingular``, ``products_vanish``, ``is_nilpotent``).
-``_nullspace`` reads the canonical basis of the solutions straight off
-those rows; it solves Der(g) and the weight and closed-form equations.
+``_solution_basis`` reads the canonical basis of the solutions straight
+off those rows, and ``_nullspace``, the kernel and then that reading,
+solves the weight and closed-form equations; Der(g) keeps its rows and
+reads its basis off them only when it is asked for.
 ``_reduce`` runs the kernel on negated columns, so each pivot is the
 row's least column, and adds the one pivot normalization that
 reintroduces fractions. Its result is the canonical reduced row-echelon
@@ -400,14 +402,24 @@ def rank(m: Matrix) -> int:
 def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
     """The exact solution space of sparse integer rows {col: int} over ``ncols`` unknowns.
 
-    The one homogeneous solve of the package (the Der(g), weight and
-    closed-form equations); a rational row goes through ``_integer_row``
-    first, and zero rows and no rows are allowed. A nonzero entry outside
-    ``range(ncols)`` raises DimensionMismatch. It is checked on the reduced
-    rows, which hold a column exactly when some equation does: their largest
-    pivot and each row's least column.
+    The homogeneous solve of the weight and closed-form equations; a
+    rational row goes through ``_integer_row`` first, and zero rows and no
+    rows are allowed. It is ``_gauss_jordan`` and then ``_solution_basis``
+    on the rows it leaves. Der(g) runs the same two steps apart:
+    ``derivations.DerivationSpace`` keeps the rows and reads the basis off
+    them only when it is asked for, with no second elimination.
+    """
+    return _solution_basis(_gauss_jordan(rows), ncols)
 
-    The system is solved by the kernel in its own column order, unlike
+
+def _solution_basis(reduced: dict, ncols: int) -> Subspace:
+    """The canonical RREF basis of the solutions of the ``_gauss_jordan`` rows ``reduced``.
+
+    A nonzero entry outside ``range(ncols)`` raises DimensionMismatch. It
+    is checked on the reduced rows, which hold a column exactly when some
+    equation does: their largest pivot and each row's least column.
+
+    The system is solved in the kernel's own column order, unlike
     ``_reduce``, which negates the columns: each ``_gauss_jordan`` row holds
     its pivot p, its largest column, and free columns only. The solution for
     free column f is 1 at f and -r[f] / r[p] at the pivot p of each row r
@@ -416,7 +428,6 @@ def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
     columns in ascending order, already are the canonical RREF basis that
     ``_reduce`` would return, and need no second pass through the kernel.
     """
-    reduced = _gauss_jordan(rows)
     if reduced and (max(reduced) >= ncols or min(min(row) for row in reduced.values()) < 0):
         raise DimensionMismatch(f"an equation holds a column outside range({ncols})")
     holders = {f: [] for f in range(ncols) if f not in reduced}
@@ -471,9 +482,8 @@ def products_vanish(maps: Sequence[list]) -> bool:
 
     ``maps`` are square maps of one size, each as its sparse columns
     (``Matrix.columns``). When every map sends each e_j into
-    span(e_r : r > j), i.e. is strictly lower triangular (the Der(g) basis
-    of Benoist(t) is, in the catalog basis), every product of n maps is 0,
-    and that exact O(nonzeros) check answers True at once. Otherwise the
+    span(e_r : r > j), i.e. is strictly lower triangular, every product of
+    n maps is 0, and that exact O(nonzeros) check answers True at once. Otherwise the
     image chain on the kernel decides: W_0 = sum of the images and
     W_{k+1} = sum of the m(W_k) are nested,
     W_k being spanned by the images of all products of k + 1 maps. Their

@@ -384,7 +384,7 @@ def test_product_tensor_drops_a_pair_whose_sum_cancels():
 
 # views that the module functions and the checks keep on a LieAlgebra
 _KEPT_VIEWS = ("_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
-               "_lower_central_series")
+               "_lower_central_series", "_jacobi_report")
 
 _SHARED_VIEW_ALGEBRAS = {
     "L12": lambda: make_ln(12),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lieaffine import affine, catalog, cli, liealg, linalg
+from lieaffine import affine, catalog, cli, derivations, liealg, linalg
 from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.derivations import is_derivation
 from lieaffine.linalg import Matrix, nonsingular
@@ -910,6 +910,25 @@ def test_affine_synth_stdout_matches_pinned_hash(capsys, args):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_benoist_nil_verdicts_never_read_the_der_g_basis(capsys, monkeypatch):
+    # the nil gate reads the kernel rows of Der(Benoist(1)), whose maps are
+    # all strictly lower triangular, so the failing synth and char-nilp
+    # keep their pinned bytes without the basis being read off those rows
+    def no_basis(*args):
+        raise AssertionError("the Der(g) basis was built")
+
+    monkeypatch.setattr(derivations, "_solution_basis", no_basis)
+    wanted = {("affine", "synth", "--family", "Benoist", "--t", "1"),
+              ("der", "char-nilp", "--family", "Benoist", "--t", "1")}
+    pins = [pin for pin in PINNED_STDOUT if pin[0] in wanted]
+    assert len(pins) == 2
+    for argv, expected_code, digest in pins:
+        code = main([*argv, "--reproducible"])
+        out = capsys.readouterr().out
+        assert code == expected_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # (family arguments, sha256 of `verify filiform`, of `verify nilpotent`),

@@ -65,6 +65,7 @@ from lieaffine.linalg import (
     sparse_apply,
     is_nilpotent,
     nonsingular,
+    products_vanish,
     rank,
     unscaled,
 )
@@ -175,8 +176,11 @@ def _fraction_is_derivation(alg, m):
     return out
 
 
-def _fraction_derivation_equations(alg):
-    """The Der(g) equation rows built from the Fraction structure constants: the oracle."""
+def _fraction_derivation_equations(alg, lead=None):
+    """The Der(g) equation rows built from the Fraction structure constants: the oracle.
+
+    Only the pairs (i, j) with i < lead, when lead is given.
+    """
     n = alg.dim
     right = [[] for _ in range(n)]
     for (i, j), coeffs in alg.structure.items():
@@ -184,7 +188,7 @@ def _fraction_derivation_equations(alg):
             right[j].append((i, p, c))
             right[i].append((j, p, -c))
     rows = []
-    for i in range(n):
+    for i in range(n if lead is None else lead):
         for j in range(i + 1, n):
             bracket = alg.structure.get((i, j))
             block = {p: {p * n + k: c for k, c in bracket.items()}
@@ -258,26 +262,42 @@ def _row_multiset(rows):
     return sorted(sorted((k, x) for k, x in row.items() if x) for row in rows)
 
 
-@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
-def test_derivation_equations_match_fraction_oracle(name):
-    # the same rows as the pair-by-pair oracle, as a multiset: the builder
-    # walks the structure constants, so its row order is its own
+def _differential_tables(name):
+    # the base table, three tampered ones, two tampered inside the
+    # filtration, and the base moved off its adapted basis
     rng = random.Random(7)
     base = _DIFFERENTIAL_ALGEBRAS[name]
     moved = _change_basis(base, _sparse_basis_change(base.dim, random.Random(base.dim)))
     tables = [base] + [_tampered_algebra(base, rng, changes) for changes in (1, 3, 10)]
     tables += [_tampered_algebra(base, rng, changes, filtered=True) for changes in (1, 4)]
-    for alg in tables + [moved]:
+    return tables + [moved]
+
+
+def _generator_lead(alg):
+    # on a tail-filtered Lie table e1 and e2 generate g, so the pairs (i, j)
+    # with i <= 1 (0-based) decide; on any other table every pair does
+    return 2 if tail_filtered(alg) and not jacobi_report(alg) else None
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
+def test_derivation_equations_match_fraction_oracle(name):
+    # the same rows as the pair-by-pair oracle on the pairs that decide, as
+    # a multiset: the builder walks the structure constants, so its row
+    # order is its own; the solutions are those of the oracle on every pair
+    tables = _differential_tables(name)
+    for alg in tables:
         n = alg.dim
         rows, pinned = derivations._derivation_equations(alg)
         oracle = _fraction_derivation_equations(alg)
         den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
         assert pinned == (_forced_zeros(n) if tail_filtered(alg) else set())
-        live = [{k: x * den for k, x in row.items() if k not in pinned} for row in oracle]
+        deciding = _fraction_derivation_equations(alg, _generator_lead(alg))
+        live = [{k: x * den for k, x in row.items() if k not in pinned} for row in deciding]
         assert all(rows) and all(type(x) is int for row in rows for x in row.values())
         assert _row_multiset(rows) == _row_multiset(filter(None, live))
         assert derivation_space(alg).flat == _nullspace(map(_integer_row, oracle), n * n)
-    assert all(map(tail_filtered, [base, *tables[-2:]])) and not tail_filtered(moved)
+    base, moved = tables[0], tables[-1]
+    assert all(map(tail_filtered, [base, *tables[-3:-1]])) and not tail_filtered(moved)
 
 
 def test_derivation_space_abelian_is_everything():
@@ -918,6 +938,114 @@ def test_tables_that_miss_a_step_bracket_pin_nothing():
         _assert_flat_matches_full_system(table)
 
 
+# the Lie members of every catalog family up to n = 16, Benoist's seven t
+# of the obstruction workload included
+_LIE_CATALOG = {
+    **{f"L{n}": make_ln(n) for n in range(3, 17)},
+    **{f"Q{n}": make_qn(n) for n in range(6, 17, 2)},
+    **{f"Q{n}Z": make_qn(n, adapted=True) for n in range(6, 17, 2)},
+    **{f"C{n}": make_cn(n, [1] * ((n - 4) // 2))[0] for n in range(6, 17, 2)},
+    "C8(2/3,1/2)": make_cn(8, [F(2, 3), F(1, 2)])[0],
+    "A5^2(1)": make_ank(5, 2, [1])[0],
+    "A9^2(1,1,1)": make_ank(9, 2, [1, 1, 1])[0],
+    "A11^3(1,2,16/9)": make_ank(11, 3, [1, 2, F(16, 9)])[0],
+    "A16^8(1,1,1)": make_ank(16, 8, [1, 1, 1])[0],
+    "B6^2(1)": make_bnk(6, 2, [1])[0],
+    "B10^6(1)": make_bnk(10, 6, [1])[0],
+    "B16^12(1)": make_bnk(16, 12, [1])[0],
+    **{f"Benoist({t})": make_benoist(F(t)) for t in ("0", "1", "-1", "2", "1/3", "-1/2", "7/5")},
+}
+
+
+def _fraction_weight_space(alg):
+    # diag(w) lies in Der(g) exactly when w solves the full Fraction system
+    # with every off-diagonal unknown set to 0: each row cut to its diagonal
+    n = alg.dim
+    rows = [{c // (n + 1): x for c, x in row.items() if not c % (n + 1)}
+            for row in _fraction_derivation_equations(alg)]
+    return _nullspace(map(_integer_row, rows), n)
+
+
+_REDUCED_CASES = [("differential", name) for name in _DIFFERENTIAL_ALGEBRAS] + [
+    ("catalog", name) for name in _LIE_CATALOG]
+
+
+@pytest.mark.parametrize("kind, name", _REDUCED_CASES, ids=["-".join(c) for c in _REDUCED_CASES])
+def test_generator_pair_systems_equal_the_full_ones(kind, name):
+    # Der(g) and the weights solved on the pairs (i, j) with i <= 1 where
+    # Jacobi lets them decide, against the full systems on every pair
+    if kind == "differential":
+        tables = _differential_tables(name)
+    else:
+        tables = [_LIE_CATALOG[name]]
+        assert tail_filtered(tables[0]) and not jacobi_report(tables[0])
+    for alg in tables:
+        _assert_flat_matches_full_system(alg)
+        weights = diagonal_derivations(alg)
+        oracle = _fraction_weight_space(alg)
+        assert weights == oracle and weights.rows == oracle.rows
+
+
+def _nil_gate_tables():
+    # every catalog member, Benoist(1) moved so that no Der(g) basis map is
+    # lower triangular (the image chain decides), and the tampered tables
+    tables = list(_LIE_CATALOG.values())
+    tables += list(CATALOG_MEMBERS.values())
+    tables.append(_change_basis(make_benoist(1), _sparse_basis_change(11, random.Random(11))))
+    tables += [alg for name in _DIFFERENTIAL_ALGEBRAS for alg in _differential_tables(name)[1:6]]
+    return tables
+
+
+def test_nil_gate_on_the_kernel_rows_matches_the_flat_decision():
+    # the kernel-row shape test settles exactly the spaces whose basis maps
+    # are all strictly lower triangular; every answer is that of
+    # ``products_vanish`` on the basis
+    settled = chain_decided = 0
+    for alg in _nil_gate_tables():
+        space = derivation_space(alg)
+        nil = space.all_nilpotent
+        read_flat = "flat" in vars(space)
+        maps = [m.columns for m in derivation_space(alg).basis]
+        lower = all(r > j for cols in maps for j, col in enumerate(cols) for r in col)
+        assert nil is products_vanish(maps)
+        assert read_flat is not lower
+        settled += not read_flat
+        chain_decided += nil and read_flat
+    assert settled >= 7 and chain_decided >= 1
+
+
+def test_benoist_operation_counts(monkeypatch):
+    # the Der(g) system of Benoist(1) on the generator pairs: 81 rows (103
+    # on every pair, 434 with the pinned entries as unknowns too), 23 weight
+    # rows (42 on every pair), and at most 186 eliminations to decide that
+    # Der(g) is nil; a builder that brings back the redundant rows fails here
+    alg = make_benoist(1)
+    rows, pinned = derivations._derivation_equations(alg)
+    assert len(rows) == 81 and len(pinned) == 54
+    sizes = []
+    nullspace = derivations._nullspace
+
+    def counted(rows, n):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return nullspace(rows, n)
+
+    monkeypatch.setattr(derivations, "_nullspace", counted)
+    assert diagonal_derivations(alg).is_zero()
+    assert sizes == [23]
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted_eliminate(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    space = derivations.DerivationSpace(alg)
+    assert space.all_nilpotent
+    assert len(calls) <= 186 and "flat" not in vars(space)
+
+
 def _dense_draws(space, seed, trials):
     # the dense accumulator the sparse draws replaced: one randint(-10, 10)
     # per RREF row, in row order, summed into a tuple of every entry
@@ -1346,21 +1474,29 @@ def test_diagonal_derivations_with_self_cancelling_equation():
 
 
 def test_derivation_space_is_immutable_and_solves_each_view_once(monkeypatch):
+    # one weight solve (``_nullspace``) and one Der(g) kernel pass (the
+    # ``_gauss_jordan`` of ``_derivation_equations``) per space, each kept
     calls = []
-    nullspace = derivations._nullspace
+    nullspace, gauss_jordan = derivations._nullspace, derivations._gauss_jordan
 
-    def counted(rows, n):
+    def counted_weights(rows, n):
         calls.append(n)
         return nullspace(rows, n)
 
-    monkeypatch.setattr(derivations, "_nullspace", counted)
+    def counted_kernel(rows):
+        calls.append("Der")
+        return gauss_jordan(rows)
+
+    monkeypatch.setattr(derivations, "_nullspace", counted_weights)
+    monkeypatch.setattr(derivations, "_gauss_jordan", counted_kernel)
     alg = make_ln(6)
     first, second = derivation_space(alg), derivation_space(alg)
     assert first.flat is first.flat and first.weights is first.weights
-    assert sorted(calls) == [6, 36]
+    assert first.all_nilpotent is first.all_nilpotent and first.dim == len(first.basis)
+    assert sorted(calls, key=str) == [6, "Der"]
     assert second.flat is not first.flat and second.flat.rows == first.flat.rows
     assert second.weights is not first.weights and second.weights == first.weights
-    assert sorted(calls) == [6, 6, 36, 36]
+    assert sorted(calls, key=str) == [6, 6, "Der", "Der"]
     for name in ("algebra", "flat", "weights", "other"):
         with pytest.raises(AttributeError):
             setattr(first, name, None)

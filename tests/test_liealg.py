@@ -107,6 +107,27 @@ def test_jacobi_report_flags_corrupted_l4():
     assert triples[(0, 1, 3)] == unit_vector(4, 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_ank(9, 2, [1, 1, 2]), lambda: make_cn(8, [1, 1]),
+    lambda: (make_ln(6), None),
+], ids=["A9^2(1,1,2)", "C8", "L6"])
+def test_jacobi_report_is_kept_and_each_call_returns_a_new_list(make):
+    # the constructors that return a report keep it on the algebra; every
+    # call hands out an equal list of its own, so mutating one changes no other
+    alg, report = make()
+    kept = "_jacobi_report" in vars(alg)
+    assert kept is (report is not None)
+    first, second = jacobi_report(alg), jacobi_report(alg)
+    assert type(first) is list and first == second and first is not second
+    assert report is None or (report == first and report is not first)
+    first.append("mutated")
+    first[:0] = [None]
+    third = jacobi_report(alg)
+    assert third == second and third is not second
+    assert type(vars(alg)["_jacobi_report"]) is tuple
+    assert list(vars(alg)["_jacobi_report"]) == second
+
+
 @pytest.mark.parametrize("alg", [
     make_ln(6), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(F(7, 5)),
 ], ids=["L6", "C8", "B7/5"])
