@@ -53,7 +53,6 @@ from .derivations import (
     _restriction_invertible,
     _weight_candidates,
     check_trials,
-    derivation_space,
     diagonal_derivations,
     find_derived_regular_derivation,
     find_regular_derivation,
@@ -119,16 +118,16 @@ class _Strategy(NamedTuple):
 # How ``synthesize`` tries each strategy, in the order ``auto`` tries them.
 # ``checks`` are the checks its certificate must pass, in the order
 # recorded; the verifier runs them itself and never trusts a document's
-# own list. ``search(alg, space, seed, trials)`` returns a ``witness`` or
-# None (``space`` is ``derivation_space(alg)``, solved only if read), and
+# own list. ``search(alg, seed, trials)`` returns a ``witness`` or None,
+# every search reading the Der(g) and weights kept on ``alg``, and
 # ``failure`` says why it came back empty. Searches and constructions are
 # called through the module's names, so a wrapper on those names sees them.
 STRATEGIES = {
     "regular": _Strategy(
         checks=("is_derivation", "invertible", "torsion", "left_symmetry"),
         witness="derivation",
-        search=lambda alg, space, seed, trials: find_regular_derivation(
-            space, seed=seed, trials=trials),
+        search=lambda alg, seed, trials: find_regular_derivation(
+            alg, seed=seed, trials=trials),
         construct=lambda alg, f: from_regular_derivation(alg, f),
         failure=lambda alg, seed, trials: (
             f"no invertible derivation found (seed={seed}, trials={trials})"),
@@ -136,8 +135,8 @@ STRATEGIES = {
     "derived-regular": _Strategy(
         checks=("is_derivation", "restriction_invertible", "torsion", "left_symmetry"),
         witness="derivation",
-        search=lambda alg, space, seed, trials: find_derived_regular_derivation(
-            space, seed=seed, trials=trials),
+        search=lambda alg, seed, trials: find_derived_regular_derivation(
+            alg, seed=seed, trials=trials),
         construct=lambda alg, f: from_derived_regular(alg, f),
         failure=lambda alg, seed, trials: (
             "no derivation with invertible restriction to the derived "
@@ -146,7 +145,7 @@ STRATEGIES = {
     "symplectic": _Strategy(
         checks=("closed", "nondegenerate", "torsion", "left_symmetry"),
         witness="two_form",
-        search=lambda alg, space, seed, trials: find_symplectic(alg, seed=seed, trials=trials),
+        search=lambda alg, seed, trials: find_symplectic(alg, seed=seed, trials=trials),
         construct=lambda alg, form: from_symplectic(alg, form),
         failure=lambda alg, seed, trials: (
             "odd dimension admits no nondegenerate 2-form" if alg.dim % 2 else
@@ -516,11 +515,10 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     if strategy != "auto" and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     wanted = tuple(STRATEGIES) if strategy == "auto" else (strategy,)
-    space = derivation_space(alg)
     reasons: Dict[str, str] = {}
     for name in wanted:
         entry = STRATEGIES[name]
-        witness = entry.search(alg, space, seed, trials)
+        witness = entry.search(alg, seed, trials)
         if witness is None:
             reasons[name] = entry.failure(alg, seed, trials)
             continue

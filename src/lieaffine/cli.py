@@ -136,22 +136,25 @@ def _need(args, name: str):
 
 
 def _lambda_family(make: str, names: tuple, required: bool, args):
-    """``catalog.<make>`` of the ``names`` parameters and the --lambda values, parsed first.
+    """The algebra of ``catalog.<make>`` of the ``names`` parameters and the --lambda values.
 
-    --lambda may be omitted only where ``required`` is false (Bnk).
+    The values are parsed first, and --lambda may be omitted only where
+    ``required`` is false (Bnk). The Jacobi report the constructor returns
+    is the one kept on the algebra, so it is dropped here.
     """
     texts = _need(args, "lambda") if required else args.lambdas or ()
     lams = [parse_rational(s) for s in texts]
-    return getattr(catalog, make)(*(_need(args, name) for name in names), lams)
+    return getattr(catalog, make)(*(_need(args, name) for name in names), lams)[0]
 
 
-# id -> (the parameters `catalog list` shows, the builder of (algebra, Jacobi
-# report or None)); the order is the order of `catalog list`
+# id -> (the parameters `catalog list` shows, the builder of the algebra);
+# the order is the order of `catalog list`. No family is trusted to be Lie:
+# every command reads the Jacobi report kept on the algebra it builds.
 _FAMILIES = {
-    "Ln": ("--n N (N >= 3)", lambda a: (catalog.make_ln(_need(a, "n")), None)),
-    "Qn": ("--n N (even N >= 6)", lambda a: (catalog.make_qn(_need(a, "n")), None)),
+    "Ln": ("--n N (N >= 3)", lambda a: catalog.make_ln(_need(a, "n"))),
+    "Qn": ("--n N (even N >= 6)", lambda a: catalog.make_qn(_need(a, "n"))),
     "QnZ": ("--n N (even N >= 6), adapted basis",
-            lambda a: (catalog.make_qn(_need(a, "n"), adapted=True), None)),
+            lambda a: catalog.make_qn(_need(a, "n"), adapted=True)),
     "Ank": ("--n N --k K --lambda ... (t-1 values)",
             partial(_lambda_family, "make_ank", ("n", "k"), True)),
     "Bnk": ("--n N --k K --lambda ... (t-1 values, even N)",
@@ -159,12 +162,12 @@ _FAMILIES = {
     "Cn": ("--n N --lambda ... (m-1 values, N = 2m+2)",
            partial(_lambda_family, "make_cn", ("n",), True)),
     "Benoist": ("--t RAT (dimension 11)",
-                lambda a: (catalog.make_benoist(parse_rational(a.t_param or "0")), None)),
+                lambda a: catalog.make_benoist(parse_rational(a.t_param or "0"))),
 }
 
 
 def _algebra_from_family(args):
-    """(algebra, Jacobi report or None) from the ``_FAMILIES`` builder of --family."""
+    """The algebra that the ``_FAMILIES`` builder of --family makes."""
     if args.family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {_echo(args.family)}")
     return _FAMILIES[args.family][1](args)
@@ -176,10 +179,10 @@ def _read_document(infile):
 
 
 def _load(args):
-    """(algebra, Jacobi report or None) from --family or from the --in document."""
+    """The algebra of --family or of the --in document."""
     if getattr(args, "family", None):
         return _algebra_from_family(args)
-    return algebra_from_json(_read_document(getattr(args, "infile", None))), None
+    return algebra_from_json(_read_document(getattr(args, "infile", None)))
 
 
 class _NotLie(Exception):
@@ -189,15 +192,14 @@ class _NotLie(Exception):
 def _load_algebra(args):
     """The algebra of args; one that is not Lie raises ``_NotLie``.
 
-    Ln, Qn, QnZ and Benoist(t) are Lie for every parameter, make_ank,
-    make_bnk and make_cn return their report, so a report is computed only
-    for an --in document.
+    Every algebra, of a family or of an --in document, is checked through
+    the Jacobi report kept on it (``jacobi_report``), computed once: a
+    constructor that already checked it, and the Der(g) solves that read
+    it, share that report.
     """
-    alg, violations = _load(args)
-    if violations is None and not getattr(args, "family", None):
-        violations = jacobi_report(alg)
-    if violations:
-        raise _NotLie(jacobi_to_json(alg, violations))
+    alg = _load(args)
+    if jacobi_report(alg):
+        raise _NotLie(jacobi_to_json(alg))
     return alg
 
 
@@ -211,14 +213,12 @@ def _cmd_catalog_list(args):
 def _cmd_catalog_show(args):
     if not args.family:
         raise UnknownFamily("catalog show requires --family")
-    return algebra_to_json(_algebra_from_family(args)[0]), 0
+    return algebra_to_json(_algebra_from_family(args)), 0
 
 
 def _cmd_verify_jacobi(args):
-    alg, violations = _load(args)
-    if violations is None:
-        violations = jacobi_report(alg)
-    return jacobi_to_json(alg, violations), 0 if not violations else 1
+    payload = jacobi_to_json(_load(args))
+    return payload, 0 if payload["jacobi_ok"] else 1
 
 
 def _cmd_verify_series(key, holds, args):
@@ -257,7 +257,7 @@ def _cmd_der_diag(args):
 def _cmd_search(key, codec, strategy, args):
     """Payload of the seeded search of ``STRATEGIES[strategy]``: it finds ``key`` or None."""
     alg = _load_algebra(args)
-    found = STRATEGIES[strategy].search(alg, derivation_space(alg), args.seed, args.trials)
+    found = STRATEGIES[strategy].search(alg, args.seed, args.trials)
     payload = {
         "name": alg.name,
         "found": found is not None,
@@ -338,7 +338,7 @@ def _cmd_affine_synth(args):
 
 
 def _cmd_affine_verify(args):
-    alg = _load(args)[0]
+    alg = _load(args)
     cert = certificate_from_json(load_json(args.cert))
     report = reverify_certificate(alg, cert)
     if not report.hash_match:

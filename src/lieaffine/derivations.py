@@ -25,20 +25,23 @@ good element exists, a trial misses it with probability at most d/21 by
 Schwartz-Zippel, d being the degree of the defect polynomial (d = n for
 an n x n determinant): a bound that is vacuous from n = 21 on.
 
-``derivation_space`` returns at once: Der(g) is solved the first time
+``derivation_space(alg)`` returns the one ``DerivationSpace`` kept on
+``alg`` and solves nothing: Der(g) is solved the first time
 ``DerivationSpace.flat`` or ``all_nilpotent`` is read, by one
 ``_gauss_jordan`` pass on the integer equations whose rows the space
 keeps; ``flat`` reads its basis off them (``linalg._solution_basis``), so
-a verdict that never reads it never pays for it. Each derivation search
-checks ``trials`` first. The regular and derived-regular searches then
-try their diagonal weight candidates (``_weight_candidates`` over
-``DerivationSpace.weights``, which needs only the weight equations and is
-solved once for both), and a hit there never solves Der(g) and does not
-depend on the seed. For the regular search the pass is exact: it finds an
-invertible diagonal derivation whenever the given basis has one, as the
-catalog bases of Ln, Qn and QnZ do. The symplectic search
-(``affine.find_symplectic``) reads the basis and the first curve points
-of the same candidates, of ``diagonal_derivations``, before its seeded
+a verdict that never reads it never pays for it. Every search takes the
+algebra, as ``(alg, seed, trials)``, and checks ``trials`` first. The
+regular and derived-regular searches then try their diagonal weight
+candidates (``_weight_candidates`` over the kept space's ``weights``,
+which needs only the weight equations and is solved once per algebra:
+``diagonal_derivations`` and every search read the same subspace), and a
+hit there never solves Der(g) and does not depend on the seed. For the
+regular search the pass is exact: it finds an invertible diagonal
+derivation whenever the given basis has one, as the catalog bases of Ln,
+Qn and QnZ do. The symplectic search (``affine.find_symplectic``) reads
+the basis and the first curve points of the same candidates, through
+``diagonal_derivations``, before its seeded
 draws: for each such weight w it solves the closed forms homogeneous for
 diag(w) on the one weight class that can hold a nondegenerate form, and
 on Ln its witness does not depend on the seed either.
@@ -103,17 +106,19 @@ _COEFF_RANGE = 10
 class DerivationSpace(_Frozen):
     """Der(g) of ``algebra``, solved the first time ``flat`` or ``all_nilpotent`` is read.
 
-    The kernel rows of the system (``_gauss_jordan`` of
-    ``_derivation_equations``) are kept; ``flat`` reads Der(g) off them as
-    RREF rows of flattened n^2-vectors, and ``basis`` is the matrix view.
+    ``derivation_space`` keeps one instance on each algebra, so every
+    caller shares its views. The kernel rows of the system
+    (``_gauss_jordan`` of ``_derivation_equations``) are kept; ``flat``
+    reads Der(g) off them as RREF rows of flattened n^2-vectors, and
+    ``basis`` is the matrix view.
     ``all_nilpotent`` reads the kernel rows first, so a nil Der(g) whose
     maps are all strictly lower triangular is decided without ``flat``; a
     search that settles without either never solves the system.
-    ``weights`` is the space of diagonal derivation weights, solved once
-    and read by both searches for an invertible map: they try its
-    ``_weight_candidates`` before they read ``flat``. The
-    symplectic search, the third, tries the basis and the first curve
-    points of the same candidates of ``diagonal_derivations`` before its
+    ``weights`` is the space of diagonal derivation weights, the one
+    weight solve of the algebra: ``diagonal_derivations`` returns it, and
+    both searches for an invertible map try its ``_weight_candidates``
+    before they read ``flat``. The symplectic search, the third, tries the
+    basis and the first curve points of the same candidates before its
     seeded draws over the closed forms. Immutable (``linalg._Frozen``):
     ``algebra`` is fixed, and each instance keeps its own views in its
     ``__dict__``, each computed once.
@@ -129,8 +134,26 @@ class DerivationSpace(_Frozen):
 
     @cached_property
     def weights(self) -> Subspace:
-        """``diagonal_derivations`` of the algebra, from the weight equations alone."""
-        return diagonal_derivations(self.algebra)
+        """The weights w with diag(w) a derivation, from the weight equations alone.
+
+        diag(w) is a derivation exactly when w_i + w_j = w_k for every
+        nonzero structure constant on ((i, j), k); this is the RREF solution
+        space of those equations, given to the kernel as integer rows.
+        diag(w) is a linear map too, so where ``_generator_pairs_suffice``
+        the pairs with i <= 1 are enough, and only their equations are
+        built (Benoist: 23 rows instead of 42).
+        """
+        alg = self.algebra
+        lead = 2 if _generator_pairs_suffice(alg) else alg.dim
+        rows = []
+        for (i, j), coeffs in alg.structure.items():
+            if i >= lead:
+                continue
+            for k in coeffs:
+                row = {i: 1, j: 1}
+                row[k] = row.get(k, 0) - 1
+                rows.append(row)
+        return _nullspace(rows, alg.dim)
 
     @cached_property
     def _kernel(self) -> Tuple[dict, frozenset]:
@@ -352,12 +375,16 @@ def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
-    """Der(g) as the exact nullspace of the derivation conditions, solved on first use.
+    """Der(g) as the exact nullspace of the derivation conditions, kept on ``alg``.
 
-    Returns at once: the system is built and solved the first time
-    ``DerivationSpace.flat`` is read. Unknown (p, q) of the map sits at flat
-    index p*n + q (row-major). The equation of pair i < j on coordinate p
-    reads
+    The first call makes the one ``DerivationSpace`` of ``alg`` and keeps
+    it in the algebra's ``__dict__``, as ``liealg`` keeps its other views;
+    every later call returns that object, so its Der(g) kernel pass and
+    its weight solve run at most once per algebra. Nothing is solved
+    before a view is read: the system is built and solved the first time
+    ``DerivationSpace.flat`` or ``all_nilpotent`` is read. Unknown (p, q)
+    of the map sits at flat index p*n + q (row-major). The equation of
+    pair i < j on coordinate p reads
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
     and ``_derivation_equations`` builds it in integers from the nonzero
     structure constants alone. On a ``tail_filtered`` table the entries
@@ -369,29 +396,19 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     of the solutions is the same either way. ``is_derivation`` and the
     certificate checks still test every pair.
     """
-    return DerivationSpace(algebra=alg)
+    kept = vars(alg)
+    if "_derivation_space" not in kept:
+        kept["_derivation_space"] = DerivationSpace(alg)
+    return kept["_derivation_space"]
 
 
 def diagonal_derivations(alg: LieAlgebra) -> Subspace:
-    """Weight vectors w with diag(w) a derivation.
+    """Weight vectors w with diag(w) a derivation: ``DerivationSpace.weights`` of the kept space.
 
-    diag(w) is a derivation exactly when w_i + w_j = w_k for every nonzero
-    structure constant on ((i, j), k); the result is the RREF solution
-    space of those equations, given to the kernel as integer rows. diag(w)
-    is a linear map too, so where ``_generator_pairs_suffice`` the pairs
-    with i <= 1 are enough, and only their equations are built (Benoist:
-    23 rows instead of 42).
+    Solved once per algebra; both derivation searches, the symplectic
+    search and ``der diag`` read the same subspace.
     """
-    lead = 2 if _generator_pairs_suffice(alg) else alg.dim
-    rows = []
-    for (i, j), coeffs in alg.structure.items():
-        if i >= lead:
-            continue
-        for k in coeffs:
-            row = {i: 1, j: 1}
-            row[k] = row.get(k, 0) - 1
-            rows.append(row)
-    return _nullspace(rows, alg.dim)
+    return derivation_space(alg).weights
 
 
 def check_trials(trials: int) -> None:
@@ -459,16 +476,18 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
         yield tuple(Fraction(x, den) for x in point)
 
 
-def _derivation_search(space: DerivationSpace, seed: int, trials: int, accept):
+def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
     """The regular and derived-regular searches: diagonal weights, the nil gate, then draws.
 
-    The diagonal maps of ``_weight_candidates`` are tried first, and the
+    Both read the kept ``derivation_space(alg)``. The diagonal maps of
+    ``_weight_candidates`` over its ``weights`` are tried first, and the
     first that passes ``accept`` is returned before Der(g) is solved. Each
     search accepts only non-nilpotent derivations, so a nil Der(g)
     (``all_nilpotent``), whose weight space is 0, returns None before any
     draw; otherwise ``_first_hit`` runs the seeded draws over Der(g) through
     ``accept``. Each search checks ``trials`` before it gets here.
     """
+    space = derivation_space(alg)
     hit = next(filter(accept, map(Matrix.diagonal, _weight_candidates(space.weights))), None)
     if hit is not None:
         return hit
@@ -477,7 +496,7 @@ def _derivation_search(space: DerivationSpace, seed: int, trials: int, accept):
     return _first_hit(space.flat, space.matrix, (), seed, trials, accept)
 
 
-def find_regular_derivation(space: DerivationSpace, seed: int = 0,
+def find_regular_derivation(alg: LieAlgebra, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for an invertible derivation: diagonal weights, then seeded draws; None if all fail.
 
@@ -490,7 +509,7 @@ def find_regular_derivation(space: DerivationSpace, seed: int = 0,
     over Der(g) are tried.
     """
     check_trials(trials)
-    return _derivation_search(space, seed, trials, nonsingular)
+    return _derivation_search(alg, seed, trials, nonsingular)
 
 
 def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
@@ -517,7 +536,7 @@ def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:
     return len(_gauss_jordan(_integer_restrict(derived, f)[0])) == derived.dim
 
 
-def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
+def find_derived_regular_derivation(alg: LieAlgebra, seed: int = 0,
                                     trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for a derivation whose derived-subalgebra restriction is invertible.
 
@@ -541,8 +560,8 @@ def find_derived_regular_derivation(space: DerivationSpace, seed: int = 0,
     draw over Der(g).
     """
     check_trials(trials)
-    derived = derived_subalgebra(space.algebra)
-    return _derivation_search(space, seed, trials, lambda f: _restriction_invertible(derived, f))
+    derived = derived_subalgebra(alg)
+    return _derivation_search(alg, seed, trials, lambda f: _restriction_invertible(derived, f))
 
 
 def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,

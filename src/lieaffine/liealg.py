@@ -16,13 +16,15 @@ integer views below.
 An algebra computes on first use and keeps the views that
 ``integer_structure``, ``integer_ad_columns`` and ``tail_filtered``
 return, its lower central series (``derived_subalgebra`` is its second
-term; each term is computed when first read), its bracket partners and
-its Jacobi report (``jacobi_report`` returns a new list of it): every
-caller shares them, so they are read-only. The report reads the integer
-views, so a catalog constructor's Jacobi check warms them for the checks
-that follow, and the Der(g) and weight solves of ``derivations``, which
-need Jacobi to drop their redundant equations, read it for free on
-those families. ``LieAlgebra`` and ``TwoForm`` take
+term; each term is computed when first read), its bracket partners,
+its Jacobi report (``jacobi_report`` returns a new list of it) and its
+derivation algebra (``derivations.derivation_space``, whose Der(g) and
+weights are solved when first read): every caller shares them, so they
+are read-only. The report reads the integer views, so a catalog
+constructor's Jacobi check warms them for the checks that follow, and
+the Der(g) and weight solves, which need Jacobi to drop their redundant
+equations, and the command line's Lie check read the same report.
+``LieAlgebra`` and ``TwoForm`` take
 their immutability from ``linalg._Frozen``.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """

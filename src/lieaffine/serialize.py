@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import LieToolError, SchemaError
-from .liealg import LieAlgebra, TwoForm
+from .liealg import LieAlgebra, TwoForm, jacobi_report
 from .linalg import Matrix
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
@@ -199,8 +199,9 @@ def algebra_from_json(doc) -> LieAlgebra:
     return LieAlgebra(dim, structure, name=name, basis_names=basis)
 
 
-def jacobi_to_json(alg: LieAlgebra, violations) -> dict:
-    """The ``verify jacobi`` document of alg and its ``jacobi_report`` ``violations``."""
+def jacobi_to_json(alg: LieAlgebra) -> dict:
+    """The ``verify jacobi`` document of alg, read off the report kept on it (``jacobi_report``)."""
+    violations = jacobi_report(alg)
     return {
         "name": alg.name,
         "dim": alg.dim,

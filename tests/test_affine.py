@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine import affine
+from lieaffine import affine, derivations
 from lieaffine.affine import (
     STRATEGIES,
     AffineReport,
@@ -382,9 +382,10 @@ def test_product_tensor_drops_a_pair_whose_sum_cancels():
     _assert_canonical(structure)
 
 
-# views that the module functions and the checks keep on a LieAlgebra
+# views that the module functions and the checks keep on a LieAlgebra; the
+# last is the DerivationSpace that derivations.derivation_space keeps there
 _KEPT_VIEWS = ("_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
-               "_lower_central_series", "_jacobi_report")
+               "_lower_central_series", "_jacobi_report", "_derivation_space")
 
 _SHARED_VIEW_ALGEBRAS = {
     "L12": lambda: make_ln(12),
@@ -420,8 +421,12 @@ def test_kept_views_equal_fresh_ones_after_every_caller(name):
     assert all(reverify_certificate(alg, cert).ok for cert in certs)
     fresh = _SHARED_VIEW_ALGEBRAS[name]()
     assert set(vars(alg)) == set(_KEPT_VIEWS)
-    for view in _KEPT_VIEWS:
+    for view in _KEPT_VIEWS[:-1]:
         assert vars(alg)[view] == getattr(fresh, view), view
+    space, fresh_space = vars(alg)["_derivation_space"], derivation_space(fresh)
+    assert derivation_space(alg) is space and space.algebra is alg
+    for view in ("flat", "weights", "all_nilpotent"):
+        assert getattr(space, view) == getattr(fresh_space, view), view
     assert integer_structure(alg) is vars(alg)["_integer_structure"]
     assert integer_ad_columns(alg) is vars(alg)["_integer_ad_columns"]
     assert derived_subalgebra(alg) is vars(alg)["_lower_central_series"][1]
@@ -462,6 +467,21 @@ def test_successful_synthesis_runs_no_jacobi_report(monkeypatch):
         assert synthesize(make_ln(8), strategy=strategy)[1].strategy == strategy
 
 
+def test_synthesize_solves_the_weight_equations_once(monkeypatch):
+    # on sl2 + Q every strategy fails, so all three run; the two derivation
+    # searches and the symplectic weight pass read the one weight space kept
+    # on the algebra, the only solve of width 4 (the closed forms have 2 or 6)
+    widths = []
+    for module in (derivations, affine):
+        monkeypatch.setattr(module, "_nullspace", functools.partial(
+            lambda solve, rows, n: widths.append(n) or solve(rows, n), module._nullspace))
+    alg = LieAlgebra(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}, name="sl2+Q")
+    with pytest.raises(NoStrategySucceeded) as failed:
+        synthesize(alg)
+    assert list(failed.value.reasons) == list(STRATEGIES)
+    assert widths.count(4) == 1
+
+
 def test_from_regular_derivation_l4_hand_values():
     l4 = make_ln(4)
     f = Matrix.diagonal([1, 2, 3, 4])
@@ -493,7 +513,7 @@ def test_witness_past_the_digit_limit_is_a_tool_error():
     # builds; its strings exceed Python's int-string digit limit, so writing
     # it must surface as a package error
     l4 = make_ln(4)
-    f = find_regular_derivation(derivation_space(l4))
+    f = find_regular_derivation(l4)
     big = dense.scaled(f, 10 ** 5000)
     structure = from_regular_derivation(l4, big)
     assert structure.gamma == from_regular_derivation(l4, f).gamma
@@ -582,7 +602,7 @@ def test_regular_product_is_the_derived_regular_product(alg):
     # lies there, so inverting f on [g, g] alone gives f^{-1}[x, f(y)].
     n = alg.dim
     space = derivation_space(alg)
-    witnesses = [find_regular_derivation(space, seed=seed) for seed in range(3)]
+    witnesses = [find_regular_derivation(space.algebra, seed=seed) for seed in range(3)]
     drawn = (space.matrix(v) for v in seeded_combinations(space.flat, 11, 12))
     witnesses += [f for f in drawn if nonsingular(f)][:3]
     assert len(witnesses) == 6 and None not in witnesses

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON payloads, piping, determinism."""
 
+import functools
 import hashlib
 import io
 import json
@@ -17,7 +18,13 @@ from lieaffine import affine, catalog, cli, derivations, liealg, linalg
 from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.derivations import is_derivation
 from lieaffine.linalg import Matrix, nonsingular
-from lieaffine.serialize import MAX_DIM, algebra_from_json, certificate_from_json, json_text
+from lieaffine.serialize import (
+    MAX_DIM,
+    algebra_from_json,
+    algebra_to_json,
+    certificate_from_json,
+    json_text,
+)
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -1037,28 +1044,56 @@ def test_der_verify_witness_stdout_matches_pinned_hash(capsys, tmp_path):
     assert code == 0 and payload == {"kind": "verdict", "valid": True}
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"], 1),
-    (["verify", "jacobi", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"], 1),
-    (["verify", "nilpotent", "--family", "Ank", "--n", "5", "--k", "2", "--lambda=1"], 1),
-    (["verify", "nilpotent", "--family", "Bnk", "--n", "6", "--k", "2", "--lambda=1"], 1),
-    (["affine", "synth", "--family", "Ln", "--n", "8"], 0),
-    (["verify", "filiform", "--family", "Ln", "--n", "8"], 0),
-], ids=[f"argv{i}" for i in range(6)])
-def test_one_jacobi_report_per_command(capsys, monkeypatch, argv, expected):
-    # the report make_ank, make_bnk and make_cn return is the one the payload
-    # uses, and Ln is Lie for every n, so it is not checked at all
-    calls = []
+# two Heisenberg algebras and sl2 + Q, given to the commands as --in documents
+_H3_H3 = liealg.LieAlgebra(6, {(0, 1): {2: 1}, (3, 4): {5: 1}}, name="h3+h3")
+_SL2_Q = liealg.LieAlgebra(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}, name="sl2+Q")
+
+
+@pytest.mark.parametrize("argv, stdin_alg, code", [
+    (["affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"], None, 0),
+    (["verify", "jacobi", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"], None, 0),
+    (["verify", "nilpotent", "--family", "Ank", "--n", "5", "--k", "2", "--lambda=1"], None, 0),
+    (["verify", "nilpotent", "--family", "Bnk", "--n", "6", "--k", "2", "--lambda=1"], None, 0),
+    (["affine", "synth", "--family", "Ln", "--n", "8"], None, 0),
+    (["verify", "filiform", "--family", "Ln", "--n", "8"], None, 0),
+    (["affine", "synth", "--family", "Qn", "--n", "10"], None, 0),
+    (["der", "char-nilp", "--family", "QnZ", "--n", "10"], None, 0),
+    (["affine", "synth", "--family", "Benoist", "--t", "1"], None, 1),
+    (["der", "char-nilp", "--family", "Benoist", "--t", "1"], None, 1),
+    (["verify", "jacobi", "--family", "Benoist", "--t", "7/5"], None, 0),
+    (["affine", "synth", "--family", "Ank", "--n", "9", "--k", "2", "--lambda=1", "--lambda=1",
+      "--lambda=2"], None, 1),
+    (["verify", "jacobi", "--family", "Bnk", "--n", "10", "--k", "3", "--lambda=1",
+      "--lambda=2"], None, 1),
+    (["affine", "synth", "--strategy", "derived-regular"], _H3_H3, 0),
+    (["affine", "synth"], _SL2_Q, 1),
+    (["verify", "jacobi"], _SL2_Q, 0),
+], ids=[f"argv{i}" for i in range(16)])
+def test_one_jacobi_report_per_command(capsys, monkeypatch, argv, stdin_alg, code):
+    # every family and every --in document is checked through the report
+    # kept on the algebra, computed once: the report make_ank, make_bnk and
+    # make_cn return, the CLI's Lie check, the payload and the Der(g) and
+    # weight solves all read it; the weights and Der(g), kept on the
+    # algebra too, are solved at most once each
+    computed = []
+    compute = liealg.LieAlgebra._jacobi_report.func
 
     def counted(alg):
-        calls.append(alg)
-        return liealg.jacobi_report(alg)
+        computed.append(alg)
+        return compute(alg)
 
-    monkeypatch.setattr(catalog, "jacobi_report", counted)
-    monkeypatch.setattr(cli, "jacobi_report", counted)
-    code, _, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert len(calls) == expected
+    kept = functools.cached_property(counted)
+    kept.__set_name__(liealg.LieAlgebra, "_jacobi_report")
+    monkeypatch.setattr(liealg.LieAlgebra, "_jacobi_report", kept)
+    solves = []
+    for name in ("_nullspace", "_derivation_equations"):
+        monkeypatch.setattr(derivations, name, functools.partial(
+            lambda name, solve, *args: solves.append(name) or solve(*args),
+            name, getattr(derivations, name)))
+    stdin_text = None if stdin_alg is None else json_text(algebra_to_json(stdin_alg))
+    assert run_cli(capsys, argv, stdin_text, monkeypatch)[0] == code
+    assert len(computed) == 1
+    assert max(map(solves.count, set(solves)), default=0) <= 1
 
 
 # Ank(9, 2) at lambda = (1, 1, 2) violates Jacobi on (2, 3, 4) with residual 3 Y9

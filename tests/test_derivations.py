@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine import derivations, linalg
+from lieaffine import affine, derivations, linalg
 from lieaffine.affine import (
     AffineStructure,
     find_symplectic,
@@ -384,7 +384,7 @@ def test_diagonal_dimension_bounded_by_two_on_catalog_filiforms():
 
 def test_find_regular_derivation_l4():
     space = derivation_space(make_ln(4))
-    f = find_regular_derivation(space, seed=0, trials=32)
+    f = find_regular_derivation(space.algebra, seed=0, trials=32)
     assert f is not None
     assert nonsingular(f)
     assert is_derivation(make_ln(4), f) == []
@@ -392,7 +392,7 @@ def test_find_regular_derivation_l4():
 
 def test_find_regular_derivation_abelian_plane():
     space = derivation_space(make_abelian(2))
-    f = find_regular_derivation(space, seed=0, trials=32)
+    f = find_regular_derivation(space.algebra, seed=0, trials=32)
     assert f is not None
     assert nonsingular(f)
 
@@ -405,7 +405,7 @@ def test_find_regular_derivation_c6_finds_hidden_regular():
     # seeded search certifies one exactly.
     c6 = make_cn(6, [1])[0]
     space = derivation_space(c6)
-    f = find_regular_derivation(space, seed=0, trials=32)
+    f = find_regular_derivation(space.algebra, seed=0, trials=32)
     assert f is not None
     assert is_derivation(c6, f) == []
     assert nonsingular(f)
@@ -426,7 +426,18 @@ def test_find_regular_derivation_replays_the_documented_draw():
             cand = add(cand, scaled(m, rng.randint(-10, 10)))
         if nonsingular(cand):
             expected = cand
-    assert find_regular_derivation(space, seed=11, trials=32) == expected
+    assert find_regular_derivation(space.algebra, seed=11, trials=32) == expected
+
+
+# every search runs as f(alg, seed=..., trials=...): the three strategies
+# of synthesize and the four public searches
+_SEARCHES = {
+    **{f"strategy-{name}": entry.search for name, entry in affine.STRATEGIES.items()},
+    "find_regular_derivation": find_regular_derivation,
+    "find_derived_regular_derivation": find_derived_regular_derivation,
+    "find_symplectic": find_symplectic,
+    "char_nilpotent_verdict": char_nilpotent_verdict,
+}
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -434,28 +445,38 @@ def test_find_regular_derivation_replays_the_documented_draw():
     # the fixed first candidates of derived-regular, char-nilp and
     # symplectic succeed, and odd dimension answers None without a search,
     # so only an eager trials check can raise
-    lambda trials: find_regular_derivation(derivation_space(make_ln(4)), trials=trials),
+    lambda trials: find_regular_derivation(make_ln(4), trials=trials),
     lambda trials: find_derived_regular_derivation(
-        derivation_space(make_cn(6, [1])[0]), trials=trials),
+        make_cn(6, [1])[0], trials=trials),
     lambda trials: char_nilpotent_verdict(make_ln(8), trials=trials),
     lambda trials: find_symplectic(make_ln(4), trials=trials),
     lambda trials: find_symplectic(make_ln(5), trials=trials),
     # Der(Benoist) is nil, which settles these three without a draw, so
     # the trials check must come before that early return
-    lambda trials: find_regular_derivation(derivation_space(make_benoist(1)), trials=trials),
+    lambda trials: find_regular_derivation(make_benoist(1), trials=trials),
     lambda trials: find_derived_regular_derivation(
-        derivation_space(make_benoist(1)), trials=trials),
+        make_benoist(1), trials=trials),
     lambda trials: char_nilpotent_verdict(make_benoist(1), trials=trials),
+    *(lambda trials, f=f, make=make: f(make(), seed=5, trials=trials)
+      for f in _SEARCHES.values() for make in (lambda: make_ln(6), lambda: make_benoist(1))),
 ], ids=["regular", "derived-regular", "char-nilp", "symplectic", "symplectic-odd",
-        "regular-nil", "derived-regular-nil", "char-nilp-nil"])
-def test_searches_reject_nonpositive_trials(search, trials):
+        "regular-nil", "derived-regular-nil", "char-nilp-nil",
+        *(f"{name}-{alg}" for name in _SEARCHES for alg in ("L6", "Benoist1"))])
+def test_searches_reject_nonpositive_trials(monkeypatch, search, trials):
+    # the budget is refused before Der(g), the weights or a closed form is solved
+    def no_solve(*args):
+        raise AssertionError("a search solved a system before it checked trials")
+
+    monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
+    monkeypatch.setattr(derivations, "_nullspace", no_solve)
+    monkeypatch.setattr(affine, "_nullspace", no_solve)
     with pytest.raises(ValueError, match="trials"):
         search(trials)
 
 
 def test_find_regular_derivation_benoist_absent():
     space = derivation_space(make_benoist(1))
-    assert find_regular_derivation(space, seed=0, trials=64) is None
+    assert find_regular_derivation(space.algebra, seed=0, trials=64) is None
 
 
 def _unscaled_restrict(derived, m):
@@ -484,13 +505,13 @@ def test_restrict_to_derived_zero_map():
 def test_find_derived_regular_c6_deterministic_first_pass():
     c6 = make_cn(6, [1])[0]
     space = derivation_space(c6)
-    f = find_derived_regular_derivation(space, seed=0, trials=32)
+    f = find_derived_regular_derivation(space.algebra, seed=0, trials=32)
     assert f == Matrix.diagonal([0, 1, 1, 1, 1, 2])
 
 
 def test_find_derived_regular_l4():
     space = derivation_space(make_ln(4))
-    f = find_derived_regular_derivation(space, seed=0, trials=32)
+    f = find_derived_regular_derivation(space.algebra, seed=0, trials=32)
     assert f is not None
     assert nonsingular(_unscaled_restrict(derived_subalgebra(make_ln(4)), f))
 
@@ -499,12 +520,12 @@ def test_find_derived_regular_abelian_vacuous():
     # The derived subalgebra is zero, so the empty restriction counts as
     # invertible and the first candidate wins.
     space = derivation_space(make_abelian(3))
-    assert find_derived_regular_derivation(space, seed=0, trials=4) is not None
+    assert find_derived_regular_derivation(space.algebra, seed=0, trials=4) is not None
 
 
 def test_find_derived_regular_benoist_absent():
     space = derivation_space(make_benoist(0))
-    assert find_derived_regular_derivation(space, seed=0, trials=64) is None
+    assert find_derived_regular_derivation(space.algebra, seed=0, trials=64) is None
 
 
 def test_char_nilpotent_verdict_l9():
@@ -632,8 +653,8 @@ def _solved_derived_product(alg, f):
 def test_derived_products_match_dense_solve_in_a_rational_basis(alg):
     moved = _change_basis(alg, _rational_basis_change(alg.dim, random.Random(alg.dim)))
     space = derivation_space(moved)
-    for f in (find_regular_derivation(space, seed=1),
-              find_derived_regular_derivation(space, seed=2)):
+    for f in (find_regular_derivation(space.algebra, seed=1),
+              find_derived_regular_derivation(space.algebra, seed=2)):
         built = from_derived_regular(moved, f)
         assert built.gamma == _solved_derived_product(moved, f)
         assert verify_affine(moved, built).passed
@@ -836,7 +857,7 @@ def test_derived_regular_witness_from_a_seeded_draw_is_pinned(base, digest):
     derived = derived_subalgebra(alg)
     for w in diagonal_derivations(alg).basis:
         assert not nonsingular(_unscaled_restrict(derived, Matrix.diagonal(w)))
-    witness = find_derived_regular_derivation(derivation_space(alg), seed=5)
+    witness = find_derived_regular_derivation(alg, seed=5)
     text = json.dumps(matrix_to_json(witness))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -1002,7 +1023,8 @@ def test_nil_gate_on_the_kernel_rows_matches_the_flat_decision():
     # ``products_vanish`` on the basis
     settled = chain_decided = 0
     for alg in _nil_gate_tables():
-        space = derivation_space(alg)
+        # a space of its own: the one kept on a shared table may have read flat
+        space = derivations.DerivationSpace(alg)
         nil = space.all_nilpotent
         read_flat = "flat" in vars(space)
         maps = [m.columns for m in derivation_space(alg).basis]
@@ -1093,9 +1115,10 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
     b1 = make_benoist(1)
     space = derivation_space(b1)
     with monkeypatch.context() as patch:
-        # char-nilp builds neither the weight space nor [g, g], and its
+        # char-nilp builds neither the weight space (its one solve is the
+        # ``_nullspace`` of ``DerivationSpace.weights``) nor [g, g], and its
         # basis only past the gate
-        patch.setattr(derivations, "diagonal_derivations", no_build)
+        patch.setattr(derivations, "_nullspace", no_build)
         patch.setattr(derivations, "derived_subalgebra", no_build)
         patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
         # and a bad budget is refused before Der(g) is solved
@@ -1108,21 +1131,21 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
             CHAR_NILPOTENT_LIKELY, None, 3, 10 ** 9)
     # regular and derived-regular try the diagonal weights before the gate;
     # on a nil Der(g) they span 0, so the gate still settles both without a
-    # draw, and they share one weight solve
+    # draw, and they share one weight solve, that of the space kept on b1
     with monkeypatch.context() as patch:
         solves = []
-        patch.setattr(derivations, "diagonal_derivations",
-                      lambda alg: solves.append(alg) or diagonal_derivations(alg))
+        patch.setattr(derivations, "_nullspace",
+                      lambda rows, n: solves.append(n) or _nullspace(rows, n))
         patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
         with monkeypatch.context() as inner:
             inner.setattr(derivations, "derived_subalgebra", no_build)
-            assert find_regular_derivation(space, seed=3, trials=10 ** 9) is None
-        assert find_derived_regular_derivation(space, seed=3, trials=10 ** 9) is None
-        assert solves == [b1]
+            assert find_regular_derivation(space.algebra, seed=3, trials=10 ** 9) is None
+        assert find_derived_regular_derivation(space.algebra, seed=3, trials=10 ** 9) is None
+        assert solves == [11]
     assert space.weights.is_zero()
     # C8 (1, -1) has no invertible diagonal derivation, so its search draws
     with pytest.raises(AssertionError, match="drew"):
-        find_regular_derivation(derivation_space(make_cn(8, [1, -1])[0]))
+        find_regular_derivation(make_cn(8, [1, -1])[0])
 
 
 def test_diagonal_hit_never_solves_der_g(monkeypatch):
@@ -1163,7 +1186,7 @@ def test_derived_regular_hits_a_curve_point_when_no_basis_weight_passes(monkeypa
     monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
     expected = Matrix.diagonal([1, 1, 2, 1, 1, 2])
     for seed in (0, 7):
-        assert find_derived_regular_derivation(derivation_space(alg), seed=seed) == expected
+        assert find_derived_regular_derivation(alg, seed=seed) == expected
         _, cert = synthesize(alg, "derived-regular", seed=seed)
         assert cert.witnesses["derivation"] == expected
 
@@ -1490,7 +1513,10 @@ def test_derivation_space_is_immutable_and_solves_each_view_once(monkeypatch):
     monkeypatch.setattr(derivations, "_nullspace", counted_weights)
     monkeypatch.setattr(derivations, "_gauss_jordan", counted_kernel)
     alg = make_ln(6)
-    first, second = derivation_space(alg), derivation_space(alg)
+    # derivation_space keeps one space on the algebra; two built directly
+    # keep their views apart
+    assert derivation_space(alg) is derivation_space(alg)
+    first, second = derivations.DerivationSpace(alg), derivations.DerivationSpace(alg)
     assert first.flat is first.flat and first.weights is first.weights
     assert first.all_nilpotent is first.all_nilpotent and first.dim == len(first.basis)
     assert sorted(calls, key=str) == [6, "Der"]
