@@ -78,8 +78,6 @@ from .liealg import (
     cyclic_sum_terms,
     derived_subalgebra,
     dtheta_residual,
-    integer_ad_columns,
-    integer_structure,
     jacobi_report,
     nondegenerate,
 )
@@ -263,7 +261,7 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
         raise DimensionMismatch("structure dimension does not match the algebra")
     products, d = integer_scaled(structure.gamma.values())
     gamma = dict(zip(structure.gamma, products))
-    brackets, dc = integer_structure(alg)
+    brackets, dc = alg.integer_structure
     # left[i][j] = e_i.e_j and right[k][m] = e_m.e_k, both times D, their
     # empty entries sharing one dict that is only read; acting[c]: the b
     # with e_b.e_c != 0; reaching[m]: the k with e_m.e_k != 0
@@ -381,7 +379,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, columns):
         g[p] = sparse_apply(basis, col)
-    return _product_tensor((g, d_basis * d_inverse), *integer_ad_columns(alg), f)
+    return _product_tensor((g, d_basis * d_inverse), *alg.integer_ad_columns, f)
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -397,7 +395,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     if inverse is None:
         raise DegenerateFormError("the 2-form is degenerate")
     columns, den = inverse
-    ad, d_ad = integer_ad_columns(alg)
+    ad, d_ad = alg.integer_ad_columns
     transposed = [_transpose(cols, alg.dim) for cols in ad]
     return _product_tensor(([{k: -x for k, x in col.items()} for col in columns], den),
                            transposed, d_ad, th)
@@ -492,7 +490,7 @@ def _closed_forms(alg: LieAlgebra, partners: Sequence[Sequence[int]]) -> Tuple[l
     pairs = sorted((a, m) for m, others in enumerate(partners) for a in others if a < m)
     index = {p: s for s, p in enumerate(pairs)}
     rows: Dict[tuple, dict] = {}
-    for triple, a, m, c in cyclic_sum_terms(integer_structure(alg)[0], partners):
+    for triple, a, m, c in cyclic_sum_terms(alg.integer_structure[0], partners):
         row = rows.setdefault(triple, {})
         col = index[(a, m) if a < m else (m, a)]
         row[col] = row.get(col, 0) + (c if a < m else -c)
@@ -508,12 +506,18 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
     before it is returned, and the certificate embeds the witness and the
     product tensor. Failure raises NoStrategySucceeded with one reason per
     attempted strategy; that exception reports a failed search and never a
-    non-existence proof. When the winner fails verification on an algebra
-    that is not Lie, NotLieAlgebraError names the Jacobi violations; on a
-    Lie algebra that failure is a bug and raises AssertionError.
+    non-existence proof. Before any search, the Jacobi report kept on alg
+    is read once: a table that is not Lie raises NotLieAlgebraError,
+    naming its violations, so a failed re-verification is a bug and
+    raises AssertionError.
     """
     if strategy != "auto" and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    violations = len(jacobi_report(alg))
+    if violations:
+        raise NotLieAlgebraError(
+            f"the structure constants violate the Jacobi identity on {violations} "
+            f"basis triple(s)")
     wanted = tuple(STRATEGIES) if strategy == "auto" else (strategy,)
     reasons: Dict[str, str] = {}
     for name in wanted:
@@ -525,11 +529,6 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
         structure = entry.construct(alg, witness)
         report = verify_affine(alg, structure)
         if not report.passed:
-            violations = len(jacobi_report(alg))
-            if violations:
-                raise NotLieAlgebraError(
-                    f"constructed {name} structure failed verification: the structure "
-                    f"constants violate the Jacobi identity on {violations} basis triple(s)")
             raise AssertionError(
                 f"constructed {name} structure failed verification; "
                 f"{len(report.torsion_violations)} torsion and "

@@ -194,8 +194,9 @@ def _load_algebra(args):
 
     Every algebra, of a family or of an --in document, is checked through
     the Jacobi report kept on it (``jacobi_report``), computed once: a
-    constructor that already checked it, and the Der(g) solves that read
-    it, share that report.
+    constructor that already checked it, the Lie gate of ``synthesize``
+    and the Der(g) solves that read it share that report. ``verify
+    jacobi`` prints the same payload, with exit 0 on a Lie algebra.
     """
     alg = _load(args)
     if jacobi_report(alg):
@@ -217,8 +218,7 @@ def _cmd_catalog_show(args):
 
 
 def _cmd_verify_jacobi(args):
-    payload = jacobi_to_json(_load(args))
-    return payload, 0 if payload["jacobi_ok"] else 1
+    return jacobi_to_json(_load_algebra(args)), 0
 
 
 def _cmd_verify_series(key, holds, args):

@@ -5,10 +5,10 @@ D[x, y] = [Dx, y] + [x, Dy] on the basis pairs, over the n^2 matrix
 entries of D, with its equations built by walking the nonzero structure
 constants, integer-scaled over their common denominator; ``is_derivation``
 checks the identity in integers the same way. When the table is in a
-basis adapted to its lower central series (``liealg.tail_filtered``, true
-for every catalog family), the n(n-1)/2 - 1 entries D[p, q] with q >= 2,
-p < q vanish in every derivation (``_pinned_unknowns``), and the builder
-never visits them. If the table also satisfies Jacobi, e_1 and e_2
+basis adapted to its lower central series (``LieAlgebra.tail_filtered``,
+true for every catalog family), the n(n-1)/2 - 1 entries D[p, q] with
+q >= 2, p < q vanish in every derivation (``_pinned_unknowns``), and the
+builder never visits them. If the table also satisfies Jacobi, e_1 and e_2
 generate g, and a map is a derivation as soon as the identity holds on
 the pairs (i, j) with i <= 1 (0-based; ``_generator_pairs_suffice``), so
 only those equations are built, for Der(g) and for the diagonal weights
@@ -69,13 +69,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvariantError
-from .liealg import (
-    LieAlgebra,
-    derived_subalgebra,
-    integer_ad_columns,
-    integer_structure,
-    tail_filtered,
-)
+from .liealg import LieAlgebra, derived_subalgebra, jacobi_report
 from .linalg import (
     Matrix,
     Subspace,
@@ -280,8 +274,8 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
     cols, dm = m.integer_columns
-    ad, dc = integer_ad_columns(alg)
-    partners = alg._partners
+    ad, dc = alg.integer_ad_columns
+    partners = alg.partners
     pairs = set(alg.structure)
     for i, col in enumerate(cols):
         pairs.update((min(i, j), max(i, j)) for q in col for j in partners[q] if j != i)
@@ -306,7 +300,7 @@ def _pinned_unknowns(alg: LieAlgebra) -> frozenset:
     in those columns (n >= 2) are 0. On any other table nothing is known
     and the set is empty.
     """
-    if not tail_filtered(alg):
+    if not alg.tail_filtered:
         return frozenset()
     n = alg.dim
     return frozenset(p * n + q for q in range(2, n) for p in range(q))
@@ -325,13 +319,13 @@ def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
     [g, g] = span(e_3, ..., e_n) (1-based) and g is nilpotent, so e_1 and
     e_2 generate g, and the pairs (i, j), i < j, with i <= 1 (0-based)
     suffice. The argument needs Jacobi: on a table that fails it, the
-    other pairs can cut the solutions further, so they are kept. The kept
-    Jacobi report is read only when some stored pair has i >= 2, since
-    otherwise there is no equation to drop; so Ln, with brackets [e_1, .]
-    only, never pays for it.
+    other pairs can cut the solutions further, so they are kept. The
+    Jacobi report kept on ``alg`` is read, through ``jacobi_report``, only
+    when some stored pair has i >= 2, since otherwise there is no equation
+    to drop; so Ln, with brackets [e_1, .] only, never reads it here.
     """
-    return (tail_filtered(alg) and any(i > 1 for i, _ in alg.structure)
-            and not alg._jacobi_report)
+    return (alg.tail_filtered and any(i > 1 for i, _ in alg.structure)
+            and not jacobi_report(alg))
 
 
 def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
@@ -352,7 +346,7 @@ def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
     n = alg.dim
     pinned = _pinned_unknowns(alg)
     lead = 2 if _generator_pairs_suffice(alg) else n  # rows (a, b, p) with a < lead
-    structure, _ = integer_structure(alg)
+    structure, _ = alg.integer_structure
     rows: dict = {}
     for (i, j), coeffs in structure.items():
         if i < lead:

@@ -13,19 +13,20 @@ which makes the empty report a certificate.
 There is no dense bracket: every check reads the sparse table or the
 integer views below.
 
-An algebra computes on first use and keeps the views that
-``integer_structure``, ``integer_ad_columns`` and ``tail_filtered``
-return, its lower central series (``derived_subalgebra`` is its second
-term; each term is computed when first read), its bracket partners,
-its Jacobi report (``jacobi_report`` returns a new list of it) and its
-derivation algebra (``derivations.derivation_space``, whose Der(g) and
-weights are solved when first read): every caller shares them, so they
-are read-only. The report reads the integer views, so a catalog
-constructor's Jacobi check warms them for the checks that follow, and
-the Der(g) and weight solves, which need Jacobi to drop their redundant
-equations, and the command line's Lie check read the same report.
-``LieAlgebra`` and ``TwoForm`` take
-their immutability from ``linalg._Frozen``.
+An algebra computes on first use and keeps, as read-only attributes,
+its views ``integer_structure``, ``integer_ad_columns``, ``partners``
+(its bracket partners) and ``tail_filtered``. It keeps likewise its
+lower central series (``derived_subalgebra`` is its second term; each
+term is computed when first read), its Jacobi report (``jacobi_report``
+returns a new list of it) and its derivation algebra
+(``derivations.derivation_space``, whose Der(g) and weights are solved
+when first read): every caller shares them, so they are read-only. The
+report reads the integer views, so a catalog constructor's Jacobi check
+warms them for the checks that follow; the Der(g) and weight solves,
+which need Jacobi to drop their redundant equations, the Lie gate of
+``affine.synthesize`` and the command line's Lie check read the same
+report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
+``linalg._Frozen``.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
 
@@ -37,7 +38,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, LieToolError
 from .linalg import (
     ONE,
     Matrix,
@@ -100,17 +101,26 @@ class LieAlgebra(_Frozen):
         return f"LieAlgebra({self.name!r}, dim={self.dim}, pairs={len(self.structure)})"
 
     @cached_property
-    def _integer_structure(self) -> Tuple[Dict[Tuple[int, int], dict], int]:
+    def integer_structure(self) -> Tuple[Dict[Tuple[int, int], dict], int]:
+        """(table, den): the structure constants times den, as ints.
+
+        den is their common denominator (``linalg.integer_scaled``), and the
+        table keeps the pairs and the order of ``structure``.
+        """
         consts, den = integer_scaled(self.structure.values())
         return dict(zip(self.structure, consts)), den
 
     @cached_property
-    def _integer_ad_columns(self) -> Tuple[List[List[dict]], int]:
-        structure, den = self._integer_structure
+    def integer_ad_columns(self) -> Tuple[List[List[dict]], int]:
+        """(columns, den): ad(e_i) as sparse int columns, [i][q] = den [e_i, e_q].
+
+        den is that of ``integer_structure``, whose table the columns read.
+        """
+        structure, den = self.integer_structure
         return _ad_table(structure, self.dim), den
 
     @cached_property
-    def _partners(self) -> List[List[int]]:
+    def partners(self) -> List[List[int]]:
         """partners[m]: the a with [e_a, e_m] stored (either order)."""
         partners: List[List[int]] = [[] for _ in range(self.dim)]
         for i, j in self.structure:
@@ -119,7 +129,20 @@ class LieAlgebra(_Frozen):
         return partners
 
     @cached_property
-    def _tail_filtered(self) -> bool:
+    def tail_filtered(self) -> bool:
+        """Whether the basis is adapted to the lower central series: C^k g = span(e_(k+1), ...).
+
+        Two conditions on the stored table, read in O(nonzeros) (0-based, with
+        V_m = span(e_m, ..., e_(n-1))):
+        (a) every stored [e_i, e_j], i < j, lies in V_(j+1);
+        (b) for each m in 1..n-2, some stored [e_i, e_m] has a nonzero e_(m+1)
+        coefficient.
+        (a) gives [g, V_m] in V_(m+1), so C^k g lies in V_(k+1). With V_k in
+        C^(k-1) g, (b) and downward induction on m put e_(m+1) in C^k g for
+        every m >= k >= 1, so C^k g = V_(k+1) for k >= 1. Only bilinearity is
+        used, so this also holds for tables that fail Jacobi. Every catalog
+        family passes; a moved basis in general does not.
+        """
         steps = set()
         for (i, j), coeffs in self.structure.items():
             if min(coeffs) <= j:
@@ -132,10 +155,10 @@ class LieAlgebra(_Frozen):
     @cached_property
     def _jacobi_report(self) -> Tuple[Tuple[int, int, int, tuple], ...]:
         n = self.dim
-        structure, den = self._integer_structure
-        ad, _ = self._integer_ad_columns
+        structure, den = self.integer_structure
+        ad, _ = self.integer_ad_columns
         sums: Dict[tuple, dict] = {}
-        for triple, a, m, c in cyclic_sum_terms(structure, self._partners):
+        for triple, a, m, c in cyclic_sum_terms(structure, self.partners):
             acc = sums.setdefault(triple, {})
             for p, d in ad[a][m].items():
                 acc[p] = acc.get(p, 0) + c * d
@@ -146,12 +169,12 @@ class LieAlgebra(_Frozen):
     def _lower_central_series(self) -> "_Drawn":
         n = self.dim
         units = [(k, {k: ONE}) for k in range(n)]
-        if self._tail_filtered:
+        if self.tail_filtered:
             # C^0 g = g, then C^k g = span(e_(k+1), ...) (0-based) for k >= 1, down to 0
             return _Drawn(Subspace(n, units[m:]) for m in (0, *range(2, max(n, 2) + 1)))
         # the image chain from [g, g], the span of the brackets; no term is
         # eliminated before it is read
-        chain = _image_chain(self._integer_ad_columns[0], self._integer_structure[0].values())
+        chain = _image_chain(self.integer_ad_columns[0], self.integer_structure[0].values())
 
         def terms():
             yield Subspace(n, units)
@@ -226,23 +249,6 @@ class TwoForm(_Frozen):
         return f"TwoForm(dim={self.dim})"
 
 
-def integer_structure(alg: LieAlgebra) -> Tuple[Dict[Tuple[int, int], dict], int]:
-    """(table, den): the structure constants times den, as ints; kept on ``alg``.
-
-    den is their common denominator (``linalg.integer_scaled``), and the
-    table keeps the pairs and the order of ``alg.structure``.
-    """
-    return alg._integer_structure
-
-
-def integer_ad_columns(alg: LieAlgebra) -> Tuple[List[List[dict]], int]:
-    """(columns, den): ad(e_i) as sparse int columns, [i][q] = den [e_i, e_q]; kept.
-
-    den is that of ``integer_structure``, whose table the columns read.
-    """
-    return alg._integer_ad_columns
-
-
 def _ad_table(structure: dict, n: int) -> List[List[dict]]:
     """ad(e_i) as sparse columns [i][q] = [e_i, e_q], read off a table over pairs i < j."""
     out = [[{} for _ in range(n)] for _ in range(n)]
@@ -287,23 +293,6 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     new list of it; reading the kept views warms them for later checks.
     """
     return list(alg._jacobi_report)
-
-
-def tail_filtered(alg: LieAlgebra) -> bool:
-    """Whether the basis is adapted to the lower central series: C^k g = span(e_(k+1), ...).
-
-    Two conditions on the stored table, read in O(nonzeros) (0-based, with
-    V_m = span(e_m, ..., e_(n-1))):
-    (a) every stored [e_i, e_j], i < j, lies in V_(j+1);
-    (b) for each m in 1..n-2, some stored [e_i, e_m] has a nonzero e_(m+1)
-    coefficient.
-    (a) gives [g, V_m] in V_(m+1), so C^k g lies in V_(k+1). With V_k in
-    C^(k-1) g, (b) and downward induction on m put e_(m+1) in C^k g for
-    every m >= k >= 1, so C^k g = V_(k+1) for k >= 1. Only bilinearity is
-    used, so this also holds for tables that fail Jacobi. Every catalog
-    family passes; a moved basis in general does not. Kept on ``alg``.
-    """
-    return alg._tail_filtered
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
@@ -359,7 +348,7 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
     """
     if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    structure, den = integer_structure(alg)
+    structure, den = alg.integer_structure
     columns, d_form = form.gram.integer_columns
     sums: Dict[tuple, int] = {}
     for triple, a, m, c in cyclic_sum_terms(structure, columns):
@@ -377,11 +366,16 @@ def algebra_hash(alg: LieAlgebra) -> str:
     """Stable hash of the mathematical content (dimension and brackets).
 
     Names and basis labels are presentation only and deliberately excluded,
-    so renaming an algebra does not break certificates bound to it.
+    so renaming an algebra does not break certificates bound to it. A
+    constant past Python's int-string digit limit is a LieToolError, as in
+    ``serialize.format_rational``.
     """
     parts = [f"dim={alg.dim}"]
-    for (i, j) in sorted(alg.structure):
-        coeffs = alg.structure[(i, j)]
-        body = ",".join(f"{k}:{coeffs[k]}" for k in sorted(coeffs))
-        parts.append(f"[{i},{j}]={body}")
+    try:
+        for (i, j) in sorted(alg.structure):
+            coeffs = alg.structure[(i, j)]
+            body = ",".join(f"{k}:{coeffs[k]}" for k in sorted(coeffs))
+            parts.append(f"[{i},{j}]={body}")
+    except ValueError as exc:
+        raise LieToolError("a result exceeds the integer digit limit") from exc
     return hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()

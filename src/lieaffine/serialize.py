@@ -420,8 +420,9 @@ def _unique_keys(members: list) -> dict:
 def load_json(source):
     """The JSON document in the file at path ``source``, or read from the text stream ``source``.
 
-    Text that is not UTF-8, not JSON, nested past the recursion limit or
-    with a key repeated in one object is a SchemaError.
+    Text that is not UTF-8, not JSON, nested past the recursion limit,
+    with a key repeated in one object or with an integer literal past
+    Python's int-string digit limit is a SchemaError.
     """
     try:
         if isinstance(source, str):
@@ -432,5 +433,7 @@ def load_json(source):
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not UTF-8 text ({exc.reason})") from exc
+    except ValueError as exc:  # an int literal past the digit limit
+        raise SchemaError("invalid JSON: an integer exceeds the integer digit limit") from exc
     except RecursionError as exc:
         raise SchemaError("invalid JSON: nested too deeply") from exc

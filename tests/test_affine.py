@@ -56,11 +56,8 @@ from lieaffine.liealg import (
     coefficient_table,
     derived_subalgebra,
     dtheta_residual,
-    integer_ad_columns,
-    integer_structure,
     jacobi_report,
     nondegenerate,
-    tail_filtered,
 )
 from lieaffine.linalg import (
     Matrix,
@@ -249,7 +246,7 @@ def _triple_loop_verify_affine(alg, structure):
     n = alg.dim
     products, d = integer_scaled(structure.gamma.values())
     gamma = dict(zip(structure.gamma, products))
-    brackets, dc = integer_structure(alg)
+    brackets, dc = alg.integer_structure
     left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
     neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
     right = [[left[m][k] for m in range(n)] for k in range(n)]
@@ -318,7 +315,7 @@ def test_product_tensor_matches_fraction_oracle(name):
     n = alg.dim
     rng = random.Random(n + 1)
     ad = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
-    int_ad, den = integer_ad_columns(alg)
+    int_ad, den = alg.integer_ad_columns
     for maps, int_maps in ((ad, int_ad), ([_transpose(cols, n) for cols in ad],
                                           [_transpose(cols, n) for cols in int_ad])):
         for density in (0.2, 0.6):
@@ -384,7 +381,7 @@ def test_product_tensor_drops_a_pair_whose_sum_cancels():
 
 # views that the module functions and the checks keep on a LieAlgebra; the
 # last is the DerivationSpace that derivations.derivation_space keeps there
-_KEPT_VIEWS = ("_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
+_KEPT_VIEWS = ("integer_structure", "integer_ad_columns", "partners", "tail_filtered",
                "_lower_central_series", "_jacobi_report", "_derivation_space")
 
 _SHARED_VIEW_ALGEBRAS = {
@@ -427,20 +424,25 @@ def test_kept_views_equal_fresh_ones_after_every_caller(name):
     assert derivation_space(alg) is space and space.algebra is alg
     for view in ("flat", "weights", "all_nilpotent"):
         assert getattr(space, view) == getattr(fresh_space, view), view
-    assert integer_structure(alg) is vars(alg)["_integer_structure"]
-    assert integer_ad_columns(alg) is vars(alg)["_integer_ad_columns"]
+    assert alg.integer_structure is vars(alg)["integer_structure"]
+    assert alg.integer_ad_columns is vars(alg)["integer_ad_columns"]
     assert derived_subalgebra(alg) is vars(alg)["_lower_central_series"][1]
-    assert tail_filtered(alg) == (name != "h3+h3")
+    assert alg.tail_filtered == (name != "h3+h3")
     for m, fresh_m in zip(maps, fresh_maps):
         assert "integer_columns" in vars(m)
         assert m.integer_columns == fresh_m.integer_columns
         assert rank(m) == rank(fresh_m)
 
 
-@pytest.mark.parametrize("member", [
+_NON_LIE_MEMBERS = pytest.mark.parametrize("member", [
     (make_ank, (9, 2, [1, 1, 2]), 1),
     (make_bnk, (10, 3, [1, 2]), 3),
 ], ids=["A9^2(1,1,2)", "B10^3(1,2)"])
+
+_SEARCHES = ("find_regular_derivation", "find_derived_regular_derivation", "find_symplectic")
+
+
+@_NON_LIE_MEMBERS
 def test_synthesize_on_a_non_lie_table_names_its_jacobi_violations(member):
     make, args, count = member
     alg, report = make(*args)
@@ -458,13 +460,32 @@ def test_failed_verification_on_a_lie_algebra_stays_an_assertion(monkeypatch):
         synthesize(make_ln(6))
 
 
-def test_successful_synthesis_runs_no_jacobi_report(monkeypatch):
-    def no_report(alg):
-        raise AssertionError("jacobi_report ran on the success path")
+@_NON_LIE_MEMBERS
+def test_synthesize_refuses_a_non_lie_table_before_any_search(member, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran on a table that is not Lie")
 
-    monkeypatch.setattr(affine, "jacobi_report", no_report)
+    for name in _SEARCHES:
+        monkeypatch.setattr(affine, name, no_search)
+    make, args, count = member
+    alg, _ = make(*args)
+    for strategy in ("auto", *STRATEGIES):
+        with pytest.raises(NotLieAlgebraError, match=f"Jacobi identity on {count} basis triple"):
+            synthesize(alg, strategy=strategy)
+
+
+def test_synthesize_reads_the_jacobi_report_once_before_searching(monkeypatch):
+    events = []
+    monkeypatch.setattr(affine, "jacobi_report",
+                        lambda alg: events.append("report") or jacobi_report(alg))
+    for name in _SEARCHES:
+        monkeypatch.setattr(affine, name, functools.partial(
+            lambda search, *args, **kwargs: events.append("search") or search(*args, **kwargs),
+            getattr(affine, name)))
     for strategy in ("regular", "derived-regular", "symplectic"):
+        events.clear()
         assert synthesize(make_ln(8), strategy=strategy)[1].strategy == strategy
+        assert events == ["report", "search"]
 
 
 def test_synthesize_solves_the_weight_equations_once(monkeypatch):

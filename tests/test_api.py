@@ -53,6 +53,27 @@ def test_only_the_frozen_base_defines_setattr():
     assert owners == [("linalg", "_Frozen")]
 
 
+_PRIVATE_VIEWS = {"_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
+                  "_jacobi_report", "_lower_central_series"}
+
+
+def test_algebra_views_are_read_one_way_outside_liealg():
+    # the kept views of a LieAlgebra are read through its public attributes
+    # and liealg's functions, never under the private names that keep them
+    package = Path(lieaffine.__file__).parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "liealg":
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert defined.isdisjoint({"integer_structure", "integer_ad_columns",
+                                       "tail_filtered"})
+            continue
+        reads += [(path.stem, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_VIEWS]
+    assert reads == []
+
+
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)

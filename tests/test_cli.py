@@ -147,6 +147,40 @@ def test_verify_jacobi_reports_residual_past_digit_limit(capsys, tmp_path):
     assert "digit limit" in err
 
 
+def _assert_one_line_input_error(code, payload, err):
+    assert code == 2 and payload is None
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert "digit limit" in err
+
+
+@pytest.mark.parametrize("command", ["io validate", "affine verify"])
+def test_integer_literal_past_digit_limit_is_an_input_error(capsys, tmp_path, command):
+    # json.load refuses an int literal past 4300 digits with a bare ValueError
+    huge = "1" + "0" * 4999
+    path = tmp_path / "huge.json"
+    if command == "io validate":
+        path.write_text('{"name": "g", "dim": %s, "basis": [], "brackets": []}' % huge)
+        argv = ["io", "validate", "--kind", "algebra", "--in", str(path)]
+    else:
+        doc = json.dumps(dict(_ln6_certificate(capsys), seed="SEED"))
+        path.write_text(doc.replace('"SEED"', huge))
+        argv = ["affine", "verify", "--family", "Ln", "--n", "6", "--cert", str(path)]
+    _assert_one_line_input_error(*run_cli(capsys, argv + ["--reproducible"]))
+
+
+@pytest.mark.parametrize("argv", [
+    # Lie for any λ; a_ij = λ1 - λ2 has 4301 digits
+    ["affine", "synth", "--family", "Ank", "--n", "8", "--k", "2",
+     "--lambda=" + "9" * 4300, "--lambda=-" + "9" * 4300],
+    ["affine", "verify", "--family", "Benoist", "--t=" + "9" * 4300, "--cert", "CERT"],
+], ids=["Ank-synth", "Benoist-verify"])
+def test_algebra_hash_past_digit_limit_is_an_input_error(capsys, tmp_path, argv):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(_ln6_certificate(capsys)))
+    argv = [str(cert_path) if a == "CERT" else a for a in argv]
+    _assert_one_line_input_error(*run_cli(capsys, argv + ["--reproducible"]))
+
+
 def test_verify_filiform_and_nilpotent(capsys):
     code, payload, _ = run_cli(
         capsys,

@@ -52,7 +52,6 @@ from lieaffine.liealg import (
     jacobi_report,
     lower_central_series,
     nondegenerate,
-    tail_filtered,
 )
 from lieaffine.linalg import (
     ZERO,
@@ -276,7 +275,7 @@ def _differential_tables(name):
 def _generator_lead(alg):
     # on a tail-filtered Lie table e1 and e2 generate g, so the pairs (i, j)
     # with i <= 1 (0-based) decide; on any other table every pair does
-    return 2 if tail_filtered(alg) and not jacobi_report(alg) else None
+    return 2 if alg.tail_filtered and not jacobi_report(alg) else None
 
 
 @pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
@@ -290,14 +289,14 @@ def test_derivation_equations_match_fraction_oracle(name):
         rows, pinned = derivations._derivation_equations(alg)
         oracle = _fraction_derivation_equations(alg)
         den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
-        assert pinned == (_forced_zeros(n) if tail_filtered(alg) else set())
+        assert pinned == (_forced_zeros(n) if alg.tail_filtered else set())
         deciding = _fraction_derivation_equations(alg, _generator_lead(alg))
         live = [{k: x * den for k, x in row.items() if k not in pinned} for row in deciding]
         assert all(rows) and all(type(x) is int for row in rows for x in row.values())
         assert _row_multiset(rows) == _row_multiset(filter(None, live))
         assert derivation_space(alg).flat == _nullspace(map(_integer_row, oracle), n * n)
     base, moved = tables[0], tables[-1]
-    assert all(map(tail_filtered, [base, *tables[-3:-1]])) and not tail_filtered(moved)
+    assert all(t.tail_filtered for t in [base, *tables[-3:-1]]) and not moved.tail_filtered
 
 
 def test_derivation_space_abelian_is_everything():
@@ -827,7 +826,7 @@ def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, m
     # canonical form; each later term is eliminated only when the series is read
     alg = _change_basis(base, _dense_basis_change(base.dim, random.Random(seed)))
     n = alg.dim
-    assert not tail_filtered(alg)
+    assert not alg.tail_filtered
     calls = []
     gauss_jordan = linalg._gauss_jordan
 
@@ -914,7 +913,7 @@ def test_catalog_members_pin_the_forced_zeros_of_der_g(name):
     kept = _change_basis(alg, _unitriangular_basis_change(alg.dim, rng))
     tampered = [_tampered_algebra(alg, rng, changes, filtered=True) for changes in (1, 4)]
     for table in [alg, kept, *tampered]:
-        assert tail_filtered(table)
+        assert table.tail_filtered
         _, pinned = derivations._derivation_equations(table)
         assert pinned == _forced_zeros(alg.dim)
         _assert_flat_matches_full_system(table)
@@ -937,7 +936,7 @@ def test_moved_tables_solve_the_full_system(name, move):
     alg = _change_basis(base, _BASIS_CHANGES[move](base.dim, random.Random(base.dim)))
     rng = random.Random(3)
     for table in [alg, *(_tampered_algebra(alg, rng, changes) for changes in (1, 4))]:
-        assert not tail_filtered(table)
+        assert not table.tail_filtered
         rows, pinned = derivations._derivation_equations(table)
         assert pinned == frozenset()
         assert len(rows) == len(_fraction_derivation_equations(table))
@@ -949,8 +948,8 @@ def test_tables_that_miss_a_step_bracket_pin_nothing():
     # is span(e4), not span(e3, e4), and D e3 = e2, at a place the adapted
     # case pins, is a derivation
     alg = LieAlgebra(4, {(0, 2): {3: 1}})
-    assert not tail_filtered(alg)
-    assert not tail_filtered(make_abelian(3))
+    assert not alg.tail_filtered
+    assert not make_abelian(3).tail_filtered
     assert 1 * 4 + 2 in _forced_zeros(4)
     assert is_derivation(alg, Matrix.from_sparse(4, [{}, {}, {1: 1}, {}])) == []
     assert contains(derivation_space(alg).flat, dense_vector({1 * 4 + 2: F(1)}, 16))
@@ -999,7 +998,7 @@ def test_generator_pair_systems_equal_the_full_ones(kind, name):
         tables = _differential_tables(name)
     else:
         tables = [_LIE_CATALOG[name]]
-        assert tail_filtered(tables[0]) and not jacobi_report(tables[0])
+        assert tables[0].tail_filtered and not jacobi_report(tables[0])
     for alg in tables:
         _assert_flat_matches_full_system(alg)
         weights = diagonal_derivations(alg)

@@ -24,14 +24,11 @@ from lieaffine.liealg import (
     cyclic_sum_terms,
     derived_subalgebra,
     dtheta_residual,
-    integer_ad_columns,
-    integer_structure,
     is_filiform,
     is_nilpotent_algebra,
     jacobi_report,
     lower_central_series,
     nondegenerate,
-    tail_filtered,
 )
 from lieaffine.linalg import Matrix, Subspace, _image_chain, _integer_row, _nullspace, _reduce
 
@@ -135,11 +132,11 @@ def test_ad_columns_and_their_integer_scaling_read_the_brackets(alg):
     n = alg.dim
     table = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
     den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
-    structure, d = integer_structure(alg)
+    structure, d = alg.integer_structure
     assert d == den and list(structure) == list(alg.structure)
     assert structure == {pair: {k: c * den for k, c in col.items()}
                          for pair, col in alg.structure.items()}
-    ints, d = integer_ad_columns(alg)
+    ints, d = alg.integer_ad_columns
     assert d == den
     assert ints == [[{k: c * den for k, c in col.items()} for col in row] for row in table]
     assert all(type(c) is int for row in ints for col in row for c in col.values())
@@ -205,7 +202,7 @@ def test_cyclic_terms_match_the_all_triples_scan(alg):
     # with every index a partner of every target, the helper's terms summed
     # per triple are the scan's; the integer-scaled table the callers pass too
     everyone = [range(alg.dim)] * alg.dim
-    structure, _ = integer_structure(alg)
+    structure, _ = alg.integer_structure
     scaled = LieAlgebra(alg.dim, structure)
     for table, oracle in ((alg.structure, alg), (structure, scaled)):
         expected = {t: sorted(terms) for t, terms in _all_triples_cyclic_terms(oracle)}
@@ -325,7 +322,7 @@ def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
     # without the kernel, and equals what the kernel gives, Fraction types
     # included; the non-Lie Ank and Bnk members pass too
     n = alg.dim
-    assert tail_filtered(alg)
+    assert alg.tail_filtered
     derived = derived_subalgebra(alg)
     assert derived == Subspace(n, _reduce(alg.structure.values()))
     assert [(p, list(row.items())) for p, row in derived.rows] == [
@@ -335,7 +332,7 @@ def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
     assert series[1:] == [Subspace(n, [(m, {m: F(1)}) for m in range(k + 1, n)])
                           for k in range(1, len(series))]
     assert derived is series[1]
-    ad, _ = integer_ad_columns(alg)
+    ad, _ = alg.integer_ad_columns
     chain = _image_chain(ad, ({i: 1} for i in range(n)))
     assert series == [Subspace(n, _reduce(rows.values())) for rows in chain]
 
@@ -377,13 +374,13 @@ def test_tables_off_the_filtration_reduce_their_brackets():
     # kept series is the image chain over the integer ad table
     for name, (alg, dims) in OFF_FILTRATION_TABLES.items():
         n = alg.dim
-        assert not tail_filtered(alg), name
+        assert not alg.tail_filtered, name
         series = lower_central_series(alg)
         assert [s.dim for s in series] == dims, name
         derived = derived_subalgebra(alg)
         assert derived == Subspace(n, _reduce(alg.structure.values())), name
         assert derived is alg._lower_central_series[min(1, len(dims) - 1)], name
-        ad, _ = integer_ad_columns(alg)
+        ad, _ = alg.integer_ad_columns
         chain = _image_chain(ad, ({i: 1} for i in range(n)))
         assert series == [Subspace(n, _reduce(rows.values())) for rows in chain], name
     missing_step = OFF_FILTRATION_TABLES["missing-step"][0]
