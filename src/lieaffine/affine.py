@@ -27,13 +27,30 @@ Three constructors are provided:
 * ``from_symplectic``: the product defined against a closed nondegenerate
   2-form by th([x, u], v) = -th(u, x.v).
 
-All three build e_i.e_j as outer(M_i(inner e_j)) from sparse columns
-(``_product_tensor``), composed in integers over the three maps' common
-denominators, and keep the tensor sparse, in the algebra's
-{(i, j): {k: c}} form of exact Fractions. The outer map comes straight
-from the kernel's integer inverse (``linalg._integer_inverse``) of the
-restriction to [g, g] or of the Gram matrix, so no Fraction inverse is
-built; the tensor's entries are the first Fractions formed.
+The paper builds every affine structure from one diagonal derivation f:
+x.y = f^{-1}([x, f(y)]) on L_n, Q_n, A^n and B^n, and x.y = g([x, f(y)])
+on C^n, where f = diag(0, 1, ..., 1, 2) and g inverts f on [g, g]. The
+witnesses the searches return are mostly of that kind, monomial maps
+(``linalg._monomial_rows``: at most one entry per column), and those
+take closed forms that visit each stored bracket once:
+
+* a diagonal derivation f = diag(w), in both derivation constructors
+  (``_diagonal_product``): e_i.e_j = sum_k c_ij^k (w_j / w_k) e_k, with
+  the support of the bracket, and SingularOnDerivedError exactly when
+  some stored bracket has a nonzero coefficient on an e_k with w_k = 0;
+* a 2-form whose Gram columns each hold one entry, pairing e_p with
+  e_sigma(p) (``_matching_product``): each coefficient c of [e_a, e_b]
+  on e_p gives -c Th[p, sigma p] / Th[b, sigma b] as the e_(sigma b)
+  coefficient of e_a.e_(sigma p).
+
+Every other witness (the seeded draws, Cn's regular witness, any witness
+in a moved basis) takes the kernel route: e_i.e_j = outer(M_i(inner e_j))
+from sparse columns (``_product_tensor``), composed in integers over the
+three maps' common denominators. Its outer map comes straight from the
+kernel's integer inverse (``linalg._integer_inverse``) of the restriction
+to [g, g] or of the Gram matrix, so no Fraction inverse is built. Both
+routes give the same tensor, sparse, in the algebra's {(i, j): {k: c}}
+form of exact Fractions, whose entries are the first Fractions formed.
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -48,6 +65,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import __about__
 from .derivations import (
     DEFAULT_TRIALS,
+    _diagonal_weights,
     _first_hit,
     _integer_restrict,
     _restriction_invertible,
@@ -86,6 +104,7 @@ from .linalg import (
     Subspace,
     _Frozen,
     _integer_inverse,
+    _monomial_rows,
     _nullspace,
     _set_fields,
     _transpose,
@@ -157,7 +176,7 @@ class AffineStructure(_Frozen):
 
     It is the canonical table of ``coefficient_table`` over all ordered
     pairs, as ``LieAlgebra.structure`` is over i < j. It validates caller
-    and JSON input; ``_product_tensor`` adopts its table.
+    and JSON input; the constructions adopt their tables (``_adopted``).
     """
 
     __slots__ = ("dim", "gamma")
@@ -316,8 +335,8 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
     Only nonzero terms are visited: O M_i e_m is formed once for each
     nonzero column M_i e_m, and e_i.e_j sums V[m, j] O M_i e_m over the
     support of column j of V and the i whose image of e_m is nonzero. The
-    tensor, in ascending (i, j) order with zeros and cancelled pairs
-    dropped, is already canonical and is adopted as it is.
+    tensor, with zeros and cancelled pairs dropped, is canonical once
+    ``_adopted`` puts its pairs in ascending (i, j) order.
     """
     n = len(maps)
     outer, d_outer = outer
@@ -338,8 +357,13 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
                 acc = sums.setdefault((i, j), {})
                 for k, x in image.items():
                     acc[k] = acc.get(k, 0) + v * x
-    gamma = {key: coeffs for key in sorted(sums) if (coeffs := unscaled(sums[key], den))}
-    return _set_fields(AffineStructure.__new__(AffineStructure), dim=n, gamma=gamma)
+    return _adopted(n, {key: coeffs for key, acc in sums.items() if (coeffs := unscaled(acc, den))})
+
+
+def _adopted(dim: int, gamma: dict) -> AffineStructure:
+    """The structure of a built table of nonzero coefficients, its pairs put in order."""
+    return _set_fields(AffineStructure.__new__(AffineStructure), dim=dim,
+                       gamma={key: gamma[key] for key in sorted(gamma)})
 
 
 def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -367,7 +391,11 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     p_k the k-th pivot, combines the RREF rows by column k of the inverted
     restriction. The restriction, its inverse and g stay integer columns
     over one denominator each, and no Fraction is formed before the tensor.
+    A diagonal f goes to the closed form of ``_diagonal_product`` instead.
     """
+    diagonal = _diagonal_weights(f)
+    if diagonal is not None:
+        return _diagonal_product(alg, diagonal[0])
     derived = derived_subalgebra(alg)
     inverse = _integer_inverse(*_integer_restrict(derived, f))
     if inverse is None:
@@ -382,15 +410,46 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     return _product_tensor((g, d_basis * d_inverse), *alg.integer_ad_columns, f)
 
 
+def _diagonal_product(alg: LieAlgebra, w: Sequence[int]) -> AffineStructure:
+    """The structure of the derivation diag(w): e_i . e_j = sum_k c_ij^k (w_j / w_k) e_k.
+
+    The derivation diag(w) preserves the derived subalgebra D and is
+    diagonal, so D is the sum of its parts in the weight spaces, and g, the
+    inverse of diag(w) on D, divides the e_k coordinate by w_k. D holds a
+    weight-0 vector, and the
+    restriction is singular, exactly when some stored bracket has a nonzero
+    coefficient on an e_k with w_k = 0: the coordinate projection onto
+    those e_k maps D onto its weight-0 part and the brackets span D. Each
+    entry is one Fraction over ``integer_structure`` and the integer
+    weights (any common scale of w cancels), and a pair with w_j = 0 has
+    no product; the support is that of the bracket.
+    """
+    structure, den = alg.integer_structure
+    if any(not w[k] for coeffs in structure.values() for k in coeffs):
+        raise SingularOnDerivedError("restriction of f to the derived subalgebra is singular")
+    gamma: Dict[tuple, dict] = {}
+    for (i, j), coeffs in structure.items():
+        if w[j]:
+            gamma[i, j] = {k: Fraction(c * w[j], den * w[k]) for k, c in coeffs.items()}
+        if w[i]:
+            gamma[j, i] = {k: Fraction(-c * w[i], den * w[k]) for k, c in coeffs.items()}
+    return _adopted(alg.dim, gamma)
+
+
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     """Product defined against a closed nondegenerate 2-form.
 
     The left multiplication by e_i is the unique solution of
     th([e_i, u], v) = -th(u, e_i . v), namely -Th^{-1} ad(e_i)^T Th.
+    A form whose Gram columns each hold one entry goes to the closed form
+    of ``_matching_product`` instead.
     """
     if dtheta_residual(alg, form):
         raise NotClosedError("the 2-form is not closed")
     th = form.gram
+    sigma = _monomial_rows(th)
+    if sigma is not None and None not in sigma:
+        return _matching_product(alg, th, sigma)
     inverse = _integer_inverse(*th.integer_columns)
     if inverse is None:
         raise DegenerateFormError("the 2-form is degenerate")
@@ -399,6 +458,28 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     transposed = [_transpose(cols, alg.dim) for cols in ad]
     return _product_tensor(([{k: -x for k, x in col.items()} for col in columns], den),
                            transposed, d_ad, th)
+
+
+def _matching_product(alg: LieAlgebra, th: Matrix, sigma: Sequence[int]) -> AffineStructure:
+    """The structure -Th^{-1} ad(e_a)^T Th of a form that pairs each e_p with e_sigma(p) only.
+
+    Th e_p = Th[sigma p, p] e_(sigma p), and Th^{-1} e_b = e_(sigma b) / Th[b, sigma b],
+    so each coefficient c of [e_a, e_b] on e_p adds
+    -c Th[p, sigma p] / Th[b, sigma b] to the e_(sigma b) coefficient of
+    e_a . e_(sigma p). An entry (a, sigma p, sigma b) fixes a, p and b, and
+    one stored pair holds {a, b}, so each entry is met once and none
+    cancels. The Gram entries are read over their kept ``integer_columns``,
+    whose common scale cancels.
+    """
+    structure, den = alg.integer_structure
+    cols, _ = th.integer_columns
+    t = [cols[sigma[p]][p] for p in range(alg.dim)]  # d Th[p, sigma p]
+    gamma: Dict[tuple, dict] = {}
+    for (a, b), coeffs in structure.items():
+        for p, c in coeffs.items():
+            gamma.setdefault((a, sigma[p]), {})[sigma[b]] = Fraction(-c * t[p], den * t[b])
+            gamma.setdefault((b, sigma[p]), {})[sigma[a]] = Fraction(c * t[p], den * t[a])
+    return _adopted(alg.dim, gamma)
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,

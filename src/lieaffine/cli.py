@@ -25,7 +25,6 @@ import argparse
 import os
 import re
 import sys
-from datetime import datetime, timezone
 from functools import cache, partial
 
 from . import catalog
@@ -41,7 +40,13 @@ from .derivations import (
     verify_witness,
 )
 from .errors import BadRange, LieToolError, NoStrategySucceeded, SchemaError, UnknownFamily
-from .liealg import is_filiform, is_nilpotent_algebra, jacobi_report, lower_central_series
+from .liealg import (
+    algebra_hash,
+    is_filiform,
+    is_nilpotent_algebra,
+    jacobi_report,
+    lower_central_series,
+)
 from .serialize import (
     MAX_DIM,
     _echo,
@@ -338,13 +343,18 @@ def _cmd_affine_synth(args):
 
 
 def _cmd_affine_verify(args):
+    """Re-verify the certificate, once its algebra hash is that of the supplied algebra.
+
+    A certificate for another algebra is a usage error (exit 2), found before
+    any of its checks runs.
+    """
     alg = _load(args)
     cert = certificate_from_json(load_json(args.cert))
-    report = reverify_certificate(alg, cert)
-    if not report.hash_match:
+    if algebra_hash(alg) != cert.algebra_hash:
         raise SchemaError(
             "certificate algebra hash does not match the supplied algebra"
         )
+    report = reverify_certificate(alg, cert)
     payload = {
         "name": alg.name,
         "hash_match": report.hash_match,
@@ -483,6 +493,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.reproducible:
+        # imported here only: the timestamp is its one use, and a
+        # --reproducible run then never loads the module
+        from datetime import datetime, timezone
         payload = {**payload,
                    "generated_at": datetime.now(timezone.utc).isoformat()}
     text = json_text(payload) + "\n"

@@ -4,8 +4,10 @@
 D[x, y] = [Dx, y] + [x, Dy] on the basis pairs, over the n^2 matrix
 entries of D, with its equations built by walking the nonzero structure
 constants, integer-scaled over their common denominator; ``is_derivation``
-checks the identity in integers the same way. When the table is in a
-basis adapted to its lower central series (``LieAlgebra.tail_filtered``,
+checks the identity in integers the same way, and a diagonal map, the
+witness of every weight hit, by comparing weights on the stored brackets
+alone. When the table is in a basis adapted to its lower central series
+(``LieAlgebra.tail_filtered``,
 true for every catalog family), the n(n-1)/2 - 1 entries D[p, q] with
 q >= 2, p < q vanish in every derivation (``_pinned_unknowns``), and the
 builder never visits them. If the table also satisfies Jacobi, e_1 and e_2
@@ -56,7 +58,9 @@ cost does not grow with ``trials``; otherwise the searches draw as
 described. The weight pass cannot change that outcome: on a nil Der(g)
 the weight space is 0.
 ``verify_torus`` decides rational diagonalizability in integers, on the
-minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``).
+minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``);
+a diagonal map, such as every map of a catalog torus, is diagonal
+already and forms no polynomial.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from .linalg import (
     _flat_columns,
     _gauss_jordan,
     _integer_row,
+    _monomial_rows,
     _nullspace,
     _set_fields,
     _solution_basis,
@@ -269,10 +274,19 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     [e_j, e_q] != 0 for some q in the support of m e_i, or [e_i, e_q] != 0
     for some q in that of m e_j, so only those pairs are visited, in
     ascending order; the check stays exhaustive.
+
+    A diagonal m = diag(w) is decided in closed form: the residual of a
+    stored pair is sum_k c_ij^k (w_k - w_i - w_j) e_k, and every other pair
+    has residual 0. So w_k is compared with w_i + w_j, over the integer
+    weights of ``_diagonal_weights``, and a residual vector is built only
+    for a pair that violates it.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
+    diagonal = _diagonal_weights(m)
+    if diagonal is not None:
+        return _diagonal_violations(alg, *diagonal)
     cols, dm = m.integer_columns
     ad, dc = alg.integer_ad_columns
     partners = alg.partners
@@ -288,6 +302,34 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
         if any(residual.values()):
             out.append((i, j, dense_vector(unscaled(residual, dm * dc), n)))
     return out
+
+
+def _diagonal_weights(m: Matrix) -> Optional[Tuple[List[int], int]]:
+    """(w, den) with m = diag(w) / den and each w_j an int when m is diagonal, else None.
+
+    Diagonal is the monomial test of ``linalg._monomial_rows`` with every
+    entry on the diagonal; the weights are read off the kept
+    ``integer_columns``.
+    """
+    rows = _monomial_rows(m)
+    if rows is None or any(r is not None and r != j for j, r in enumerate(rows)):
+        return None
+    cols, den = m.integer_columns
+    return [col.get(j, 0) for j, col in enumerate(cols)], den
+
+
+def _diagonal_violations(alg: LieAlgebra, w: Sequence[int], dw: int) -> List[tuple]:
+    """``is_derivation`` of diag(w) / dw: each stored pair with some w_k != w_i + w_j."""
+    n = alg.dim
+    structure, dc = alg.integer_structure
+    out = []
+    for (i, j), coeffs in structure.items():
+        s = w[i] + w[j]
+        if any(w[k] != s for k in coeffs):
+            residual = {k: Fraction(c * (w[k] - s), dc * dw) for k, c in coeffs.items()
+                        if w[k] != s}
+            out.append((i, j, dense_vector(residual, n)))
+    return sorted(out)
 
 
 def _pinned_unknowns(alg: LieAlgebra) -> frozenset:
@@ -526,7 +568,20 @@ def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:
 
     True on a zero-dimensional ``derived``; f must preserve it
     (``NotInvariantError`` otherwise), which every derivation does.
+
+    A diagonal f = diag(w) is read off the RREF rows. It maps a row onto
+    sum_c r_c w_c e_c, whose coordinate on the RREF rows is w_p at the
+    row's own pivot p and 0 at every other, so diag(w) preserves
+    ``derived`` exactly when each row holds the one weight w_p at every
+    column it holds; the restriction is then diag(w_p) on the rows, and
+    invertible iff no pivot weight is 0. A diagonal f that moves some row
+    out takes the route above, which raises ``NotInvariantError``.
     """
+    diagonal = _diagonal_weights(f)
+    if diagonal is not None:
+        w = diagonal[0]
+        if all(w[c] == w[p] for p, row in derived.rows for c in row):
+            return all(w[p] for p, _ in derived.rows)
     return len(_gauss_jordan(_integer_restrict(derived, f)[0])) == derived.dim
 
 
@@ -744,8 +799,11 @@ def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
     """(diagonalizable over Q, failure reason, inconclusive-over-extension).
 
     m is diagonalizable over Q iff its minimal polynomial p has deg p
-    distinct rational roots.
+    distinct rational roots. A diagonal m (``_diagonal_weights``) already
+    is, and no polynomial is formed.
     """
+    if _diagonal_weights(m) is not None:
+        return True, "", False
     chain = _sturm_chain(_integer_form(minimal_polynomial(m)))
     if _rational_root_count(chain) == len(chain[0]) - 1:
         return True, "", False

@@ -42,7 +42,10 @@ arithmetic: a product or sum is ``sparse_apply`` on the columns, and
 ``data`` is the dense view for output. Its ``integer_columns``
 (``integer_scaled`` of the columns, read by ``rank``, the derivation
 check and the constructions) and its rank are computed on first use and
-kept: every caller shares them, so they are read-only. A ``Subspace``
+kept: every caller shares them, so they are read-only. A monomial matrix
+(``_monomial_rows``: at most one entry per column, such as a diagonal
+derivation or a matching Gram matrix) has its rank read off its entries,
+with no elimination. A ``Subspace``
 holds the kernel's RREF rows, read by ``_coordinates`` and by its hash;
 ``basis`` is its dense view, and its kept ``integer_rows``, the rows'
 ``integer_scaled``, mirror ``integer_columns`` for the searches and the
@@ -147,6 +150,18 @@ class Matrix(_Frozen):
 
     @cached_property
     def _rank(self) -> int:
+        """The rank, kept: read off the entries of a monomial map, else the kernel's row count.
+
+        A monomial map (``_monomial_rows``: at most one entry per column,
+        such as a diagonal derivation or the Gram matrix of a matching
+        2-form) has its nonzero columns on unit vectors e_r, so its rank is
+        the number of distinct rows r its entries lie in; no elimination
+        runs. Every other map goes through ``_gauss_jordan`` on its kept
+        ``integer_columns``.
+        """
+        rows = _monomial_rows(self)
+        if rows is not None:
+            return len(set(rows) - {None})
         return len(_gauss_jordan(self.integer_columns[0]))
 
     def __getitem__(self, key) -> Fraction:
@@ -208,6 +223,20 @@ class Subspace(_Frozen):
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _monomial_rows(m: Matrix) -> Optional[list]:
+    """The row of each column's one entry (None for a zero column), or None when a column holds two.
+
+    The test of a monomial map, at most one entry per column, that the rank,
+    the diagonal derivation checks and the matching-form product share.
+    """
+    rows = []
+    for col in m.columns:
+        if len(col) > 1:
+            return None
+        rows.append(next(iter(col), None))
+    return rows
 
 
 def _primitive(row: dict) -> dict:
@@ -395,7 +424,7 @@ def _coordinates(rows: Sequence[tuple], v: dict) -> Optional[dict]:
 
 
 def rank(m: Matrix) -> int:
-    """rank m (= rank m^T): the kernel's row count on the kept ``integer_columns``; kept."""
+    """rank m (= rank m^T): ``Matrix._rank``, read off a monomial m, else the kernel's; kept."""
     return m._rank
 
 

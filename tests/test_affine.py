@@ -34,6 +34,7 @@ from lieaffine.catalog import (
 from lieaffine.derivations import (
     TorusReport,
     derivation_space,
+    diagonal_derivations,
     find_regular_derivation,
     is_derivation,
     seeded_combinations,
@@ -61,6 +62,7 @@ from lieaffine.liealg import (
 )
 from lieaffine.linalg import (
     Matrix,
+    _monomial_rows,
     _transpose,
     dense_vector,
     integer_scaled,
@@ -347,9 +349,17 @@ _CONSTRUCTIONS = {
 }
 
 
+def _without_weight_pass(patch):
+    # the searches skip their diagonal weight candidates, so each witness is
+    # a seeded draw with dense columns, which no closed form takes
+    for module in (derivations, affine):
+        patch.setattr(module, "_weight_candidates", lambda weights: iter(()))
+
+
 @pytest.mark.parametrize("name", list(_CONSTRUCTIONS))
 def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch, name):
     alg, strategy = _CONSTRUCTIONS[name]
+    _without_weight_pass(monkeypatch)
     calls = []
     product_tensor = affine._product_tensor
 
@@ -363,6 +373,7 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
     monkeypatch.setattr(affine, "_product_tensor", recorded)
     built, _ = synthesize(alg, strategy=strategy)
     [(outer, maps, d_maps, inner, structure)] = calls
+    assert _monomial_rows(inner) is None
     assert structure is built and structure.gamma
     assert structure.gamma == _all_pairs_product_tensor(outer, maps, d_maps, inner)
     _assert_canonical(structure)
@@ -379,6 +390,66 @@ def test_product_tensor_drops_a_pair_whose_sum_cancels():
     _assert_canonical(structure)
 
 
+def _closed_form_algebras():
+    algebras = {f"L{n}": lambda n=n: make_ln(n) for n in range(3, 25)}
+    for n in range(6, 17, 2):
+        algebras[f"Q{n}"] = lambda n=n: make_qn(n)
+        algebras[f"Q{n}Z"] = lambda n=n: make_qn(n, adapted=True)
+    rng = random.Random(39)
+    for n in range(6, 15, 2):
+        lams = [rng.choice((1, -1, 2, F(1, 2), F(-3, 2))) for _ in range(n // 2 - 2)]
+        algebras[f"C{n}-seeded"] = lambda n=n, lams=lams: make_cn(n, lams)[0]
+    algebras["C8-fractional"] = lambda: make_cn(8, [F(2, 3), F(1, 2)])[0]
+    algebras["h3+h3"] = lambda: LieAlgebra(6, {(0, 1): {2: F(1, 2)}, (3, 4): {5: 1}})
+    # one shared centre vector: [g, g] = span(e3 + e6), a non-unit RREF row
+    algebras["h3+h3-shared"] = lambda: LieAlgebra(6, {(0, 1): {2: 1, 5: 1}, (3, 4): {2: 1, 5: 1}})
+    return algebras
+
+
+_CLOSED_FORM_ALGEBRAS = _closed_form_algebras()
+
+
+def _built(construct, alg, witness):
+    try:
+        return construct(alg, witness)
+    except LieToolError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_FORM_ALGEBRAS))
+def test_closed_form_products_match_the_generic_product_tensor(monkeypatch, name):
+    # each search's witness, and the diagonal derivations of the weight
+    # candidates and of seeded small combinations of them, some of which are
+    # singular on g or on [g, g]; the generic route, with the monomial tests
+    # patched off, is the oracle of the products and of the errors
+    alg = _CLOSED_FORM_ALGEBRAS[name]()
+    n = alg.dim
+    cases = []
+    for entry in STRATEGIES.values():
+        witness = entry.search(alg, 0, 32)
+        if witness is not None:
+            cases.append((entry.construct, witness))
+    weights = diagonal_derivations(alg)
+    rows, _ = weights.integer_rows
+    rng = random.Random(name)
+    draws = list(affine._weight_candidates(weights))[:6] + [
+        dense_vector(sparse_apply(rows, {k: rng.choice((-1, 0, 1, 2)) for k in range(len(rows))}),
+                     n) for _ in range(6)]
+    for w in draws:
+        f = Matrix.diagonal(w)
+        cases += [(from_regular_derivation, f), (from_derived_regular, f)]
+    closed = [_built(construct, alg, witness) for construct, witness in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(affine, "_diagonal_weights", lambda f: None)
+        patch.setattr(affine, "_monomial_rows", lambda m: None)
+        generic = [_built(construct, alg, witness) for construct, witness in cases]
+    built = [x for x in closed if isinstance(x, AffineStructure)]
+    assert built and any(x.gamma for x in built)
+    for x in built:
+        _assert_canonical(x)
+    assert [getattr(x, "gamma", x) for x in closed] == [getattr(x, "gamma", x) for x in generic]
+
+
 # views that the module functions and the checks keep on a LieAlgebra; the
 # last is the DerivationSpace that derivations.derivation_space keeps there
 _KEPT_VIEWS = ("integer_structure", "integer_ad_columns", "partners", "tail_filtered",
@@ -393,20 +464,27 @@ _SHARED_VIEW_ALGEBRAS = {
 
 
 @pytest.mark.parametrize("name", list(_SHARED_VIEW_ALGEBRAS))
-def test_kept_views_equal_fresh_ones_after_every_caller(name):
-    # every caller reads the same kept views; none may mutate them
+def test_kept_views_equal_fresh_ones_after_every_caller(monkeypatch, name):
+    # every caller reads the same kept views; none may mutate them. Each
+    # strategy runs on the weight witnesses, which the closed forms take,
+    # and on dense seeded ones, which the kernel routes take
     alg = _SHARED_VIEW_ALGEBRAS[name]()
     n = alg.dim
     certs = []
-    for strategy in STRATEGIES:
-        try:
-            certs.append(synthesize(alg, strategy=strategy)[1])
-        except NoStrategySucceeded:
-            pass
-    assert len(certs) >= 2
+    for weight_pass in (True, False):
+        with monkeypatch.context() as patch:
+            if not weight_pass:
+                _without_weight_pass(patch)
+            for strategy in STRATEGIES:
+                try:
+                    certs.append(synthesize(alg, strategy=strategy)[1])
+                except NoStrategySucceeded:
+                    pass
+    assert len(certs) >= 4
     derivations = [c.witnesses["derivation"] for c in certs if "derivation" in c.witnesses]
     maps = derivations + [c.witnesses["two_form"].gram for c in certs
                           if "two_form" in c.witnesses]
+    assert any(_monomial_rows(m) is None for m in maps)
     fresh_maps = [Matrix(m.data) for m in maps]
     assert not jacobi_report(alg)
     assert not any(is_derivation(alg, f) for f in derivations)

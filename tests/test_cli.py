@@ -341,6 +341,27 @@ def test_affine_verify_rejects_wrong_algebra(capsys, tmp_path):
     assert "hash" in err
 
 
+def test_affine_verify_compares_the_hash_before_any_check(capsys, monkeypatch, tmp_path):
+    # Benoist(1) and L11 share their dimension: the L11 certificate is
+    # refused on its hash, before a single check is re-run
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, ["affine", "synth", "--family", "Ln", "--n", "11",
+                                  "--reproducible", "--out", str(cert_path)])
+    assert code == 0
+    calls = []
+    verify = affine.verify_affine
+    monkeypatch.setattr(affine, "verify_affine",
+                        lambda alg, structure: calls.append(alg.name) or verify(alg, structure))
+    for family, expected_code in ((["Benoist", "--t", "1"], 2), (["Ln", "--n", "11"], 0)):
+        code, payload, err = run_cli(capsys, ["affine", "verify", "--family", *family,
+                                              "--cert", str(cert_path), "--reproducible"])
+        assert code == expected_code
+        if code == 2:
+            assert payload is None and calls == []
+            assert err == "error: certificate algebra hash does not match the supplied algebra\n"
+    assert calls == ["L11"]
+
+
 def _ln6_certificate(capsys):
     code, payload, _ = run_cli(
         capsys, ["affine", "synth", "--family", "Ln", "--n", "6", "--reproducible"]
@@ -941,6 +962,12 @@ PINNED_STDOUT = [
     (("verify", "jacobi", "--family", "Bnk", "--n", "10", "--k", "3", "--lambda=1/2",
       "--lambda=3/4"), 1,
      "333b671f7277a28a4004da416b4a1e0ba0eaa0c0dc1541e947d0b7e9139f0f39"),
+    # recorded before diagonal and matching witnesses took closed forms:
+    # `auto` on C8 certifies a dense regular witness, which keeps the
+    # kernel route (the diagonal QnZ16 and matching Ln24 symplectic pins
+    # are above)
+    (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"), 0,
+     "d21031d6dd87105a5c3df02274c9ee6d6c0d66bc366448662c63fb3bb295a357"),
 ]
 
 
@@ -1081,6 +1108,32 @@ def test_der_verify_witness_stdout_matches_pinned_hash(capsys, tmp_path):
 # two Heisenberg algebras and sl2 + Q, given to the commands as --in documents
 _H3_H3 = liealg.LieAlgebra(6, {(0, 1): {2: 1}, (3, 4): {5: 1}}, name="h3+h3")
 _SL2_Q = liealg.LieAlgebra(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}, name="sl2+Q")
+
+
+# h3 + h3 with one shared centre vector: [g, g] = span(e3 + e6), a non-unit RREF row
+_H3_H3_SHARED = liealg.LieAlgebra(6, {(0, 1): {2: 1, 5: 1}, (3, 4): {2: 1, 5: 1}},
+                                  name="h3+h3 shared")
+
+
+@pytest.mark.parametrize("alg", [_H3_H3, _H3_H3_SHARED], ids=["h3+h3", "h3+h3-shared"])
+@pytest.mark.parametrize("strategy", ["auto", *affine.STRATEGIES])
+def test_closed_forms_print_the_kernel_route_bytes_from_in(capsys, monkeypatch, tmp_path,
+                                                          alg, strategy):
+    # the same synth with the monomial tests of the constructions patched
+    # off, so every witness takes the kernel route: the oracle of the bytes
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra_to_json(alg)))
+    argv = ["affine", "synth", "--in", str(path), "--strategy", strategy, "--reproducible"]
+    closed = main(argv), capsys.readouterr()
+    monkeypatch.setattr(affine, "_diagonal_weights", lambda f: None)
+    monkeypatch.setattr(affine, "_monomial_rows", lambda m: None)
+    assert (main(argv), capsys.readouterr()) == closed
+    # every derivation witness found here is diagonal, so the closed form ran
+    derivation = json.loads(closed[1].out).get("witnesses", {}).get("derivation")
+    assert strategy == "symplectic" or derivation is not None
+    if derivation is not None:
+        assert all(x == "0" for i, row in enumerate(derivation) for j, x in enumerate(row)
+                   if i != j)
 
 
 @pytest.mark.parametrize("argv, stdin_alg, code", [
@@ -1438,6 +1491,28 @@ def test_main_reuses_one_parser_and_matches_fresh_processes(capsys, monkeypatch)
     assert hashlib.sha256(captured.out.encode()).hexdigest() == pinned_digest
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(sequence) - 1)
+
+
+def test_only_a_timestamped_run_imports_datetime(monkeypatch):
+    # importing the command line and a --reproducible run leave datetime
+    # unloaded; a run without the flag still stamps its payload
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    script = ("import json, sys\n"
+              "from lieaffine import cli\n"
+              "loaded = ['datetime' in sys.modules]\n"
+              "cli.main(['catalog', 'list', '--reproducible'])\n"
+              "loaded.append('datetime' in sys.modules)\n"
+              "cli.main(['catalog', 'list'])\n"
+              "print(json.dumps(loaded), file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == [False, False]
+    decoder = json.JSONDecoder()
+    plain, end = decoder.raw_decode(done.stdout)
+    stamped, _ = decoder.raw_decode(done.stdout[end:].lstrip())
+    assert "generated_at" not in plain
+    assert stamped == {**plain, "generated_at": stamped["generated_at"]}
 
 
 def test_package_runs_as_a_module(monkeypatch):

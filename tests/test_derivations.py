@@ -632,6 +632,85 @@ def test_restriction_matches_fraction_oracle_in_a_rational_basis(alg):
         derivations._integer_restrict(derived, leak)
 
 
+# the shared-centre h3 + h3: [g, g] = span(e3 + e6), a non-unit RREF row
+_H3_SHARED = LieAlgebra(6, {(0, 1): {2: 1, 5: 1}, (3, 4): {2: 1, 5: 1}})
+
+# diagonal maps in catalog bases, on a non-unit derived row, and in a
+# rational basis, where few diagonal maps preserve [g, g]
+_DIAGONAL_ALGEBRAS = {
+    **_DIFFERENTIAL_ALGEBRAS,
+    "Q10": make_qn(10),
+    "Q10Z": make_qn(10, adapted=True),
+    "h3+h3-shared": _H3_SHARED,
+    "L6-moved": _change_basis(make_ln(6), _rational_basis_change(6, random.Random(6))),
+}
+
+
+def _seeded_diagonals(alg, rng, count):
+    # seeded diagonal derivations, each also with one weight bumped, and
+    # diagonal maps with seeded entries: most of the latter two are no derivation
+    n = alg.dim
+    maps = []
+    for v in seeded_combinations(diagonal_derivations(alg), rng.randrange(100), count):
+        w = list(dense_vector(v, n))
+        maps.append(Matrix.diagonal(w))
+        w[rng.randrange(n)] += F(1, rng.choice((1, 2, 7)))
+        maps.append(Matrix.diagonal(w))
+    maps += [Matrix.diagonal([F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)])
+             for _ in range(count)]
+    return maps
+
+
+def _kernel_routes(patch):
+    # today's routes for every map: no map is taken for diagonal
+    patch.setattr(derivations, "_diagonal_weights", lambda m: None)
+
+
+@pytest.mark.parametrize("name", list(_DIAGONAL_ALGEBRAS))
+def test_is_derivation_of_diagonal_maps_matches_the_oracles(monkeypatch, name):
+    alg = _DIAGONAL_ALGEBRAS[name]
+    maps = _seeded_diagonals(alg, random.Random(name), 4)
+    closed = [is_derivation(alg, m) for m in maps]
+    with monkeypatch.context() as patch:
+        _kernel_routes(patch)
+        assert [is_derivation(alg, m) for m in maps] == closed
+    assert closed == [_fraction_is_derivation(alg, m) for m in maps]
+    assert any(closed) and not all(closed)
+
+
+def _restriction_outcome(derived, f):
+    try:
+        return derivations._restriction_invertible(derived, f)
+    except NotInvariantError:
+        return NotInvariantError
+
+
+@pytest.mark.parametrize("name", list(_DIAGONAL_ALGEBRAS))
+def test_restriction_invertible_of_diagonal_maps_matches_the_kernel_route(monkeypatch, name):
+    alg = _DIAGONAL_ALGEBRAS[name]
+    derived = derived_subalgebra(alg)
+    maps = _seeded_diagonals(alg, random.Random(name), 4)
+    closed = [_restriction_outcome(derived, f) for f in maps]
+    with monkeypatch.context() as patch:
+        _kernel_routes(patch)
+        assert [_restriction_outcome(derived, f) for f in maps] == closed
+    if alg.tail_filtered:  # [g, g] has unit rows, which every diagonal map preserves
+        assert NotInvariantError not in closed
+    else:
+        assert NotInvariantError in closed
+
+
+def test_diagonal_restriction_reads_the_weight_of_each_derived_row():
+    derived = derived_subalgebra(_H3_SHARED)
+    assert derived.rows == ((2, {2: 1, 5: 1}),)
+    invertible = derivations._restriction_invertible
+    assert invertible(derived, Matrix.diagonal([1, 1, 2, 1, 1, 2]))
+    assert not invertible(derived, Matrix.diagonal([1, -1, 0, 1, -1, 0]))
+    # e3 + e6 goes to 2 e3 + 3 e6, outside [g, g]
+    with pytest.raises(NotInvariantError):
+        invertible(derived, Matrix.diagonal([1, 1, 2, 1, 1, 3]))
+
+
 def _solved_derived_product(alg, f):
     # e_i.e_j = the x in [g, g] with f(x) = [e_i, f(e_j)], solved densely in
     # Fractions: the oracle of the integer composition g = (f on [g, g])^-1
@@ -1373,6 +1452,31 @@ def test_diagonalizable_over_q_on_companion_matrices_known_by_construction():
                            True), p
         else:
             assert got == (True, "", False), p
+
+
+def test_diagonalizable_over_q_of_diagonal_maps_matches_the_minimal_polynomial_route(
+        monkeypatch):
+    # seeded diagonal maps, with repeated and zero entries; permutation maps,
+    # monomial but not diagonal; and a diagonal map plus one entry off it
+    rng = random.Random(39)
+    maps = []
+    for trial in range(120):
+        n = 1 + trial % 6
+        entries = [F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(n)]
+        maps.append(Matrix.diagonal(entries))
+        order = rng.sample(range(n), n)
+        maps.append(Matrix.from_sparse(n, [{order[j]: F(rng.choice((-1, 1, 2)))}
+                                           for j in range(n)]))
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            columns = [{k: x} for k, x in enumerate(entries)]
+            columns[j][i] = F(1)
+            maps.append(Matrix.from_sparse(n, columns))
+    closed = [derivations._diagonalizable_over_q(m) for m in maps]
+    with monkeypatch.context() as patch:
+        _kernel_routes(patch)
+        assert [derivations._diagonalizable_over_q(m) for m in maps] == closed
+    assert len(set(closed)) == 3
 
 
 def test_rational_root_count_matches_known_roots():

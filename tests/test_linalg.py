@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine import linalg
+from lieaffine import affine, derivations, linalg
 from lieaffine.affine import AffineStructure, synthesize
 from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
 from lieaffine.derivations import derivation_space
@@ -444,6 +444,23 @@ def test_rank_equals_rank_of_transpose():
         assert _solve(_rows(m), cols).dim == cols - r
 
 
+def test_monomial_rank_matches_the_kernel_rank():
+    # seeded partial permutations with scaled entries: at most one entry per
+    # column, zero columns and several columns on one row among them
+    rng = random.Random(39)
+    monomial = 0
+    for _ in range(200):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        columns = [{rng.randrange(rows): F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))}
+                   if rows and rng.random() < 0.7 else {} for _ in range(cols)]
+        m = Matrix.from_sparse(rows, columns)
+        assert linalg._monomial_rows(m) == [next(iter(col), None) for col in columns]
+        assert rank(m) == len(_gauss_jordan(integer_scaled(m.columns)[0]))
+        assert "integer_columns" not in vars(m)
+        monomial += 0 < rank(m) < min(rows, cols)
+    assert monomial > 20
+
+
 def test_from_sparse_drops_explicit_zeros():
     dense = Matrix([[0, 0, 5], [F(1, 2), 0, 0]])
     sparse = Matrix.from_sparse(2, [{0: F(0), 1: F(1, 2)}, {1: F(0)}, {0: F(5)}])
@@ -803,9 +820,14 @@ def test_subspace_keeps_its_integer_rows(space):
     assert rows == integer_scaled(row for _, row in space.rows)
 
 
-def test_derived_regular_synthesis_scales_the_derived_subalgebra_once():
+def test_derived_regular_synthesis_scales_the_derived_subalgebra_once(monkeypatch):
+    # with no weight candidates the witness is a dense seeded draw, which
+    # the kernel restricts to [g, g]; a diagonal one takes the closed form
+    for module in (derivations, affine):
+        monkeypatch.setattr(module, "_weight_candidates", lambda weights: iter(()))
     alg = make_cn(8, [1, -1])[0]
-    synthesize(alg, "derived-regular")
+    witness = synthesize(alg, "derived-regular")[1].witnesses["derivation"]
+    assert linalg._monomial_rows(witness) is None
     assert "integer_rows" in derived_subalgebra(alg).__dict__
 
 
