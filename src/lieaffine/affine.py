@@ -31,17 +31,19 @@ The paper builds every affine structure from one diagonal derivation f:
 x.y = f^{-1}([x, f(y)]) on L_n, Q_n, A^n and B^n, and x.y = g([x, f(y)])
 on C^n, where f = diag(0, 1, ..., 1, 2) and g inverts f on [g, g]. The
 witnesses the searches return are mostly of that kind, monomial maps
-(``linalg._monomial_rows``: at most one entry per column), and those
-take closed forms that visit each stored bracket once:
+(at most one entry per column), and those take closed forms that visit
+each stored bracket once. The route is read off the witness's kept shape
+in ``linalg``, which the search and ``is_derivation`` have already found:
 
-* a diagonal derivation f = diag(w), in both derivation constructors
-  (``_diagonal_product``): e_i.e_j = sum_k c_ij^k (w_j / w_k) e_k, with
-  the support of the bracket, and SingularOnDerivedError exactly when
-  some stored bracket has a nonzero coefficient on an e_k with w_k = 0;
-* a 2-form whose Gram columns each hold one entry, pairing e_p with
-  e_sigma(p) (``_matching_product``): each coefficient c of [e_a, e_b]
-  on e_p gives -c Th[p, sigma p] / Th[b, sigma b] as the e_(sigma b)
-  coefficient of e_a.e_(sigma p).
+* a diagonal derivation f = diag(w) (``Matrix.diagonal_weights``), in
+  both derivation constructors (``_diagonal_product``):
+  e_i.e_j = sum_k c_ij^k (w_j / w_k) e_k, with the support of the
+  bracket, and SingularOnDerivedError when ``derivations``'s
+  ``_restriction_invertible`` finds f singular on [g, g];
+* a 2-form whose Gram columns each hold one entry (``Matrix.monomial``),
+  pairing e_p with e_sigma(p) (``_matching_product``): each coefficient
+  c of [e_a, e_b] on e_p gives -c Th[p, sigma p] / Th[b, sigma b] as the
+  e_(sigma b) coefficient of e_a.e_(sigma p).
 
 Every other witness (the seeded draws, Cn's regular witness, any witness
 in a moved basis) takes the kernel route: e_i.e_j = outer(M_i(inner e_j))
@@ -65,7 +67,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import __about__
 from .derivations import (
     DEFAULT_TRIALS,
-    _diagonal_weights,
     _first_hit,
     _integer_restrict,
     _restriction_invertible,
@@ -104,7 +105,6 @@ from .linalg import (
     Subspace,
     _Frozen,
     _integer_inverse,
-    _monomial_rows,
     _nullspace,
     _set_fields,
     _transpose,
@@ -391,13 +391,14 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     p_k the k-th pivot, combines the RREF rows by column k of the inverted
     restriction. The restriction, its inverse and g stay integer columns
     over one denominator each, and no Fraction is formed before the tensor.
-    A diagonal f goes to the closed form of ``_diagonal_product`` instead.
+    A diagonal f goes to the closed form of ``_diagonal_product`` instead,
+    once ``_restriction_invertible`` has found it invertible on [g, g].
     """
-    diagonal = _diagonal_weights(f)
-    if diagonal is not None:
-        return _diagonal_product(alg, diagonal[0])
     derived = derived_subalgebra(alg)
-    inverse = _integer_inverse(*_integer_restrict(derived, f))
+    diagonal = f.diagonal_weights
+    if diagonal is not None and _restriction_invertible(derived, f):
+        return _diagonal_product(alg, diagonal[0])
+    inverse = None if diagonal is not None else _integer_inverse(*_integer_restrict(derived, f))
     if inverse is None:
         raise SingularOnDerivedError(
             "restriction of f to the derived subalgebra is singular"
@@ -415,18 +416,13 @@ def _diagonal_product(alg: LieAlgebra, w: Sequence[int]) -> AffineStructure:
 
     The derivation diag(w) preserves the derived subalgebra D and is
     diagonal, so D is the sum of its parts in the weight spaces, and g, the
-    inverse of diag(w) on D, divides the e_k coordinate by w_k. D holds a
-    weight-0 vector, and the
-    restriction is singular, exactly when some stored bracket has a nonzero
-    coefficient on an e_k with w_k = 0: the coordinate projection onto
-    those e_k maps D onto its weight-0 part and the brackets span D. Each
-    entry is one Fraction over ``integer_structure`` and the integer
-    weights (any common scale of w cancels), and a pair with w_j = 0 has
-    no product; the support is that of the bracket.
+    inverse of diag(w) on D, divides the e_k coordinate by w_k; the caller
+    has checked that diag(w) is invertible on D, so every w_k met is
+    nonzero. Each entry is one Fraction over ``integer_structure`` and the
+    integer weights (any common scale of w cancels), and a pair with
+    w_j = 0 has no product; the support is that of the bracket.
     """
     structure, den = alg.integer_structure
-    if any(not w[k] for coeffs in structure.values() for k in coeffs):
-        raise SingularOnDerivedError("restriction of f to the derived subalgebra is singular")
     gamma: Dict[tuple, dict] = {}
     for (i, j), coeffs in structure.items():
         if w[j]:
@@ -447,7 +443,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     if dtheta_residual(alg, form):
         raise NotClosedError("the 2-form is not closed")
     th = form.gram
-    sigma = _monomial_rows(th)
+    sigma = th.monomial
     if sigma is not None and None not in sigma:
         return _matching_product(alg, th, sigma)
     inverse = _integer_inverse(*th.integer_columns)

@@ -6,11 +6,14 @@ entries of D, with its equations built by walking the nonzero structure
 constants, integer-scaled over their common denominator; ``is_derivation``
 checks the identity in integers the same way, and a diagonal map, the
 witness of every weight hit, by comparing weights on the stored brackets
-alone. When the table is in a basis adapted to its lower central series
-(``LieAlgebra.tail_filtered``,
-true for every catalog family), the n(n-1)/2 - 1 entries D[p, q] with
-q >= 2, p < q vanish in every derivation (``_pinned_unknowns``), and the
-builder never visits them. If the table also satisfies Jacobi, e_1 and e_2
+alone. Which route a map takes is read off its kept shape,
+``Matrix.diagonal_weights``, which ``is_derivation``,
+``_restriction_invertible`` and ``verify_torus`` share with the
+constructions in ``affine``: a witness's shape is found once. When the
+table is in a basis adapted to its lower central series
+(``LieAlgebra.tail_filtered``, true for every catalog family), the
+n(n-1)/2 - 1 entries D[p, q] with q >= 2, p < q vanish in every
+derivation (``_pinned_unknowns``), and the builder never visits them. If the table also satisfies Jacobi, e_1 and e_2
 generate g, and a map is a derivation as soon as the identity holds on
 the pairs (i, j) with i <= 1 (0-based; ``_generator_pairs_suffice``), so
 only those equations are built, for Der(g) and for the diagonal weights
@@ -83,7 +86,6 @@ from .linalg import (
     _flat_columns,
     _gauss_jordan,
     _integer_row,
-    _monomial_rows,
     _nullspace,
     _set_fields,
     _solution_basis,
@@ -278,13 +280,13 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     A diagonal m = diag(w) is decided in closed form: the residual of a
     stored pair is sum_k c_ij^k (w_k - w_i - w_j) e_k, and every other pair
     has residual 0. So w_k is compared with w_i + w_j, over the integer
-    weights of ``_diagonal_weights``, and a residual vector is built only
-    for a pair that violates it.
+    weights of the kept ``Matrix.diagonal_weights``, and a residual vector
+    is built only for a pair that violates it.
     """
     n = alg.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
-    diagonal = _diagonal_weights(m)
+    diagonal = m.diagonal_weights
     if diagonal is not None:
         return _diagonal_violations(alg, *diagonal)
     cols, dm = m.integer_columns
@@ -302,20 +304,6 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
         if any(residual.values()):
             out.append((i, j, dense_vector(unscaled(residual, dm * dc), n)))
     return out
-
-
-def _diagonal_weights(m: Matrix) -> Optional[Tuple[List[int], int]]:
-    """(w, den) with m = diag(w) / den and each w_j an int when m is diagonal, else None.
-
-    Diagonal is the monomial test of ``linalg._monomial_rows`` with every
-    entry on the diagonal; the weights are read off the kept
-    ``integer_columns``.
-    """
-    rows = _monomial_rows(m)
-    if rows is None or any(r is not None and r != j for j, r in enumerate(rows)):
-        return None
-    cols, den = m.integer_columns
-    return [col.get(j, 0) for j, col in enumerate(cols)], den
 
 
 def _diagonal_violations(alg: LieAlgebra, w: Sequence[int], dw: int) -> List[tuple]:
@@ -569,15 +557,15 @@ def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:
     True on a zero-dimensional ``derived``; f must preserve it
     (``NotInvariantError`` otherwise), which every derivation does.
 
-    A diagonal f = diag(w) is read off the RREF rows. It maps a row onto
-    sum_c r_c w_c e_c, whose coordinate on the RREF rows is w_p at the
-    row's own pivot p and 0 at every other, so diag(w) preserves
-    ``derived`` exactly when each row holds the one weight w_p at every
-    column it holds; the restriction is then diag(w_p) on the rows, and
-    invertible iff no pivot weight is 0. A diagonal f that moves some row
+    A diagonal f = diag(w) (``Matrix.diagonal_weights``) is read off the
+    RREF rows. It maps a row onto sum_c r_c w_c e_c, whose coordinate on
+    the RREF rows is w_p at the row's own pivot p and 0 at every other, so
+    diag(w) preserves ``derived`` exactly when each row holds the one
+    weight w_p at every column it holds; the restriction is then diag(w_p)
+    on the rows, and invertible iff no pivot weight is 0. A diagonal f that moves some row
     out takes the route above, which raises ``NotInvariantError``.
     """
-    diagonal = _diagonal_weights(f)
+    diagonal = f.diagonal_weights
     if diagonal is not None:
         w = diagonal[0]
         if all(w[c] == w[p] for p, row in derived.rows for c in row):
@@ -799,10 +787,10 @@ def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
     """(diagonalizable over Q, failure reason, inconclusive-over-extension).
 
     m is diagonalizable over Q iff its minimal polynomial p has deg p
-    distinct rational roots. A diagonal m (``_diagonal_weights``) already
-    is, and no polynomial is formed.
+    distinct rational roots. A diagonal m (``Matrix.diagonal_weights``)
+    already is, and no polynomial is formed.
     """
-    if _diagonal_weights(m) is not None:
+    if m.diagonal_weights is not None:
         return True, "", False
     chain = _sturm_chain(_integer_form(minimal_polynomial(m)))
     if _rational_root_count(chain) == len(chain[0]) - 1:

@@ -15,10 +15,11 @@ integer views below.
 
 An algebra computes on first use and keeps, as read-only attributes,
 its views ``integer_structure``, ``integer_ad_columns``, ``partners``
-(its bracket partners) and ``tail_filtered``. It keeps likewise its
-lower central series (``derived_subalgebra`` is its second term; each
-term is computed when first read), its Jacobi report (``jacobi_report``
-returns a new list of it) and its derivation algebra
+(its bracket partners) and ``tail_filtered``. It keeps likewise [g, g]
+(``derived_subalgebra``, unit rows on a ``tail_filtered`` table), its
+lower central series (a list built on [g, g] the first time it is read,
+so a reader of [g, g] alone never builds it), its Jacobi report
+(``jacobi_report`` returns a new list of it) and its derivation algebra
 (``derivations.derivation_space``, whose Der(g) and weights are solved
 when first read): every caller shares them, so they are read-only. The
 report reads the integer views, so a catalog constructor's Jacobi check
@@ -32,11 +33,9 @@ report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, LieToolError
 from .linalg import (
@@ -44,6 +43,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _Frozen,
+    _gauss_jordan,
     _image_chain,
     _reduce,
     _set_fields,
@@ -166,50 +166,28 @@ class LieAlgebra(_Frozen):
                      for triple in sorted(sums) if any(sums[triple].values()))
 
     @cached_property
-    def _lower_central_series(self) -> "_Drawn":
+    def _derived_subalgebra(self) -> Subspace:
         n = self.dim
-        units = [(k, {k: ONE}) for k in range(n)]
+        if self.tail_filtered:  # [g, g] = span(e_3, ..., e_n) (1-based)
+            return Subspace(n, [(k, {k: ONE}) for k in range(2, n)])
+        # the span of the brackets, eliminated and then put in canonical form
+        return Subspace(n, _reduce(_gauss_jordan(self.integer_structure[0].values()).values()))
+
+    @cached_property
+    def _lower_central_series(self) -> List[Subspace]:
+        n = self.dim
+        derived = self._derived_subalgebra
+        if derived.dim == n:  # [g, g] is g: a perfect algebra's series is [g]
+            return [derived]
+        series = [Subspace(n, [(k, {k: ONE}) for k in range(n)]), derived]
         if self.tail_filtered:
-            # C^0 g = g, then C^k g = span(e_(k+1), ...) (0-based) for k >= 1, down to 0
-            return _Drawn(Subspace(n, units[m:]) for m in (0, *range(2, max(n, 2) + 1)))
-        # the image chain from [g, g], the span of the brackets; no term is
-        # eliminated before it is read
-        chain = _image_chain(self.integer_ad_columns[0], self.integer_structure[0].values())
-
-        def terms():
-            yield Subspace(n, units)
-            for rows in chain:
-                if len(rows) == n:  # [g, g] is g: a perfect algebra's series is [g]
-                    return
-                yield Subspace(n, _reduce(rows.values()))
-
-        return _Drawn(terms())
-
-
-class _Drawn:
-    """The items of an iterator as a sequence, each drawn the first time an index reaches it.
-
-    Drawn items are kept, so the iterator runs once, and only as far as the
-    largest index asked for; iteration, a negative index and ``==`` draw
-    every item.
-    """
-
-    __slots__ = ("_items", "_rest")
-
-    def __init__(self, items: Iterator):
-        self._items, self._rest = [], items
-
-    def __getitem__(self, k: int):
-        items = self._items
-        items.extend(self._rest if k < 0 else islice(self._rest, max(k + 1 - len(items), 0)))
-        return items[k]
-
-    def __iter__(self):
-        self._items.extend(self._rest)
-        return iter(self._items)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, _Drawn) else NotImplemented
+            # C^k g = span(e_(k+2), ...) (1-based) for k >= 1, down to 0
+            series += (Subspace(n, derived.rows[m:]) for m in range(1, n - 1))
+            return series
+        chain = _image_chain(self.integer_ad_columns[0], derived.integer_rows[0])
+        next(chain)  # [g, g] again, from its own reduced rows
+        series += (Subspace(n, _reduce(rows.values())) for rows in chain)
+        return series
 
 
 class TwoForm(_Frozen):
@@ -296,16 +274,14 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """[g, g], the span of all brackets: the second term of the series kept on ``alg``.
+    """[g, g], the span of all brackets, kept on ``alg``; no other term of the series is built.
 
-    On a perfect algebra the series is [g], and [g, g] is g. Only the first
-    two terms are computed: the series draws a later one when it is read.
+    On a ``tail_filtered`` table it is the unit rows of e_3, ..., e_n; on
+    any other, the ``_gauss_jordan`` rows of the stored brackets put in
+    canonical RREF with ``_reduce``. It is the second term of
+    ``lower_central_series`` (the first and only one of a perfect algebra).
     """
-    series = alg._lower_central_series
-    try:
-        return series[1]
-    except IndexError:
-        return series[0]
+    return alg._derived_subalgebra
 
 
 def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
@@ -316,11 +292,11 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     before the first repeated subspace, so the algebra is nilpotent exactly
     when the last entry is zero. On a ``tail_filtered`` table the terms are
     the unit rows g, span(e_3, ..., e_n), ..., 0 (two terms when n <= 2),
-    with no elimination; on any other they are g and then the image chain
-    (``linalg._image_chain``) over the kept ``integer_ad_columns`` from the
-    span of the brackets, each put in canonical RREF with ``_reduce``. The
-    kept series computes each term the first time it is read, so
-    ``derived_subalgebra`` alone eliminates only [g, g].
+    with no elimination; on any other they are g, the kept [g, g] of
+    ``derived_subalgebra``, and then the image chain (``linalg._image_chain``)
+    over the kept ``integer_ad_columns`` seeded from [g, g]'s rows, each
+    term put in canonical RREF with ``_reduce``. The series is built the
+    first time it is read, so ``derived_subalgebra`` alone never builds it.
     """
     return list(alg._lower_central_series)
 
@@ -378,4 +354,7 @@ def algebra_hash(alg: LieAlgebra) -> str:
             parts.append(f"[{i},{j}]={body}")
     except ValueError as exc:
         raise LieToolError("a result exceeds the integer digit limit") from exc
+    # imported here only: the digest is its one use, and a command that
+    # never hashes (a failing synth, ``der char-nilp``) never loads it
+    import hashlib
     return hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()

@@ -33,19 +33,20 @@ denominator straight off the kernel's rows of [m^T | I], with no
 normalization, and the constructions in ``affine`` keep them in ints.
 ``_image_chain`` is the one image-chain loop, on integer maps and rows,
 shared by ``products_vanish``, which scales its maps, and ``liealg``'s
-lower central series, whose terms ``_reduce`` puts in canonical form; it
-yields one term at a time, so a reader of [g, g] never eliminates the
-terms below it.
+lower central series, whose terms ``_reduce`` puts in canonical form.
 
 A ``Matrix`` holds its sparse columns ``{row: value}`` and has no
 arithmetic: a product or sum is ``sparse_apply`` on the columns, and
 ``data`` is the dense view for output. Its ``integer_columns``
 (``integer_scaled`` of the columns, read by ``rank``, the derivation
-check and the constructions) and its rank are computed on first use and
-kept: every caller shares them, so they are read-only. A monomial matrix
-(``_monomial_rows``: at most one entry per column, such as a diagonal
-derivation or a matching Gram matrix) has its rank read off its entries,
-with no elimination. A ``Subspace``
+check and the constructions), its rank and its shape are computed on
+first use and kept: every caller shares them, so they are read-only. The
+shape is two views. ``monomial`` is the row of each column's one entry,
+or None when some column holds two: such a map (a diagonal derivation or
+a matching Gram matrix) has its rank read off its entries, with no
+elimination. ``diagonal_weights`` is (w, den) for diag(w) / den, which
+``derivations`` and ``affine`` read to take their closed forms, so a
+witness's shape is found once however many checks read it. A ``Subspace``
 holds the kernel's RREF rows, read by ``_coordinates`` and by its hash;
 ``basis`` is its dense view, and its kept ``integer_rows``, the rows'
 ``integer_scaled``, mirror ``integer_columns`` for the searches and the
@@ -113,7 +114,8 @@ class Matrix(_Frozen):
     the form that ``sparse_apply`` and the kernel read; ``data`` is the
     dense row view. ``Matrix(data)`` validates dense rows (JSON, catalog,
     tests); ``from_sparse`` adopts kernel output without re-validating it.
-    ``integer_columns`` and the rank are kept once computed, read-only.
+    ``integer_columns``, the rank and the shape views ``monomial`` and
+    ``diagonal_weights`` are kept once computed, read-only.
     """
 
     __slots__ = ("rows", "cols", "columns", "__dict__")
@@ -149,17 +151,43 @@ class Matrix(_Frozen):
         return integer_scaled(self.columns)
 
     @cached_property
-    def _rank(self) -> int:
-        """The rank, kept: read off the entries of a monomial map, else the kernel's row count.
+    def monomial(self) -> Optional[Tuple[Optional[int], ...]]:
+        """The row of each column's one entry (None for an empty column), or None if one holds two.
 
-        A monomial map (``_monomial_rows``: at most one entry per column,
-        such as a diagonal derivation or the Gram matrix of a matching
-        2-form) has its nonzero columns on unit vectors e_r, so its rank is
-        the number of distinct rows r its entries lie in; no elimination
-        runs. Every other map goes through ``_gauss_jordan`` on its kept
-        ``integer_columns``.
+        The shape of a monomial map, at most one entry per column, such as a
+        diagonal derivation or the Gram matrix of a matching 2-form: the
+        rank, ``diagonal_weights`` and the matching-form product read it.
         """
-        rows = _monomial_rows(self)
+        rows = []
+        for col in self.columns:
+            if len(col) > 1:
+                return None
+            rows.append(next(iter(col), None))
+        return tuple(rows)
+
+    @cached_property
+    def diagonal_weights(self) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """(w, den) with integer w when the map is diag(w) / den, else None.
+
+        Diagonal is ``monomial`` with every entry on the diagonal; the
+        weights are read off the kept ``integer_columns``.
+        """
+        rows = self.monomial
+        if rows is None or any(r is not None and r != j for j, r in enumerate(rows)):
+            return None
+        cols, den = self.integer_columns
+        return tuple(col.get(j, 0) for j, col in enumerate(cols)), den
+
+    @cached_property
+    def _rank(self) -> int:
+        """The rank, kept: read off the entries of a ``monomial`` map, else the kernel's row count.
+
+        A monomial map has its nonzero columns on unit vectors e_r, so its
+        rank is the number of distinct rows r its entries lie in; no
+        elimination runs. Every other map goes through ``_gauss_jordan`` on
+        its kept ``integer_columns``.
+        """
+        rows = self.monomial
         if rows is not None:
             return len(set(rows) - {None})
         return len(_gauss_jordan(self.integer_columns[0]))
@@ -223,20 +251,6 @@ class Subspace(_Frozen):
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _monomial_rows(m: Matrix) -> Optional[list]:
-    """The row of each column's one entry (None for a zero column), or None when a column holds two.
-
-    The test of a monomial map, at most one entry per column, that the rank,
-    the diagonal derivation checks and the matching-form product share.
-    """
-    rows = []
-    for col in m.columns:
-        if len(col) > 1:
-            return None
-        rows.append(next(iter(col), None))
-    return rows
 
 
 def _primitive(row: dict) -> dict:

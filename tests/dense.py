@@ -9,6 +9,8 @@ package (``test_dense_oracles_import_only_containers`` keeps it so), so
 the kernel and the sparse tables can be checked against these. Vectors
 are tuples of Fractions and a ``Matrix`` acts on column vectors, as in
 the package; the constructors below build a ``Matrix`` from dense rows.
+``kernel_routes`` patches the package's shape views off, so the generic
+kernel routes serve as oracles of the closed forms that read them.
 """
 
 from fractions import Fraction
@@ -16,6 +18,17 @@ from fractions import Fraction
 from lieaffine.linalg import Matrix, Subspace
 
 F = Fraction
+
+
+def kernel_routes(patch):
+    """Patch the kept shape views of ``Matrix`` to None, so every map takes the kernel route.
+
+    ``patch`` is a pytest monkeypatch; the closed forms that read
+    ``monomial`` or ``diagonal_weights`` are then checked against the
+    generic routes, with every other oracle unchanged.
+    """
+    for view in ("monomial", "diagonal_weights"):
+        patch.setattr(Matrix, view, property(lambda m: None))
 
 
 def unit_vector(n, i):

@@ -62,7 +62,6 @@ from lieaffine.liealg import (
 )
 from lieaffine.linalg import (
     Matrix,
-    _monomial_rows,
     _transpose,
     dense_vector,
     integer_scaled,
@@ -84,6 +83,7 @@ from dense import (
     from_columns,
     identity,
     invert,
+    kernel_routes,
     matmul,
     product,
     restrict,
@@ -373,7 +373,7 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
     monkeypatch.setattr(affine, "_product_tensor", recorded)
     built, _ = synthesize(alg, strategy=strategy)
     [(outer, maps, d_maps, inner, structure)] = calls
-    assert _monomial_rows(inner) is None
+    assert inner.monomial is None
     assert structure is built and structure.gamma
     assert structure.gamma == _all_pairs_product_tensor(outer, maps, d_maps, inner)
     _assert_canonical(structure)
@@ -440,8 +440,7 @@ def test_closed_form_products_match_the_generic_product_tensor(monkeypatch, name
         cases += [(from_regular_derivation, f), (from_derived_regular, f)]
     closed = [_built(construct, alg, witness) for construct, witness in cases]
     with monkeypatch.context() as patch:
-        patch.setattr(affine, "_diagonal_weights", lambda f: None)
-        patch.setattr(affine, "_monomial_rows", lambda m: None)
+        kernel_routes(patch)
         generic = [_built(construct, alg, witness) for construct, witness in cases]
     built = [x for x in closed if isinstance(x, AffineStructure)]
     assert built and any(x.gamma for x in built)
@@ -453,7 +452,7 @@ def test_closed_form_products_match_the_generic_product_tensor(monkeypatch, name
 # views that the module functions and the checks keep on a LieAlgebra; the
 # last is the DerivationSpace that derivations.derivation_space keeps there
 _KEPT_VIEWS = ("integer_structure", "integer_ad_columns", "partners", "tail_filtered",
-               "_lower_central_series", "_jacobi_report", "_derivation_space")
+               "_derived_subalgebra", "_jacobi_report", "_derivation_space")
 
 _SHARED_VIEW_ALGEBRAS = {
     "L12": lambda: make_ln(12),
@@ -484,7 +483,7 @@ def test_kept_views_equal_fresh_ones_after_every_caller(monkeypatch, name):
     derivations = [c.witnesses["derivation"] for c in certs if "derivation" in c.witnesses]
     maps = derivations + [c.witnesses["two_form"].gram for c in certs
                           if "two_form" in c.witnesses]
-    assert any(_monomial_rows(m) is None for m in maps)
+    assert any(m.monomial is None for m in maps)
     fresh_maps = [Matrix(m.data) for m in maps]
     assert not jacobi_report(alg)
     assert not any(is_derivation(alg, f) for f in derivations)
@@ -504,12 +503,49 @@ def test_kept_views_equal_fresh_ones_after_every_caller(monkeypatch, name):
         assert getattr(space, view) == getattr(fresh_space, view), view
     assert alg.integer_structure is vars(alg)["integer_structure"]
     assert alg.integer_ad_columns is vars(alg)["integer_ad_columns"]
-    assert derived_subalgebra(alg) is vars(alg)["_lower_central_series"][1]
+    assert derived_subalgebra(alg) is vars(alg)["_derived_subalgebra"]
     assert alg.tail_filtered == (name != "h3+h3")
     for m, fresh_m in zip(maps, fresh_maps):
         assert "integer_columns" in vars(m)
         assert m.integer_columns == fresh_m.integer_columns
         assert rank(m) == rank(fresh_m)
+
+
+_SHAPE_SYNTHESES = {
+    "L16-auto": (lambda: make_ln(16), "auto"),
+    "QnZ12-auto": (lambda: make_qn(12, adapted=True), "auto"),
+    "C12-derived-regular": (lambda: make_cn(12, [1, -1, 1, 1])[0], "derived-regular"),
+    "L16-symplectic": (lambda: make_ln(16), "symplectic"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPE_SYNTHESES))
+def test_each_map_finds_its_shape_once_per_synthesis(monkeypatch, name):
+    # the search, is_derivation and the construction all read the witness's
+    # kept shape: the views' functions, wrapped, run once per map at most
+    make, strategy = _SHAPE_SYNTHESES[name]
+    alg = make()
+    calls = {}
+    seen = []  # keeps every map alive, so no id is reused during the run
+
+    for view in ("monomial", "diagonal_weights"):
+        kept = vars(Matrix)[view]
+
+        def counted(m, func=kept.func, view=view):
+            seen.append(m)
+            calls[view, id(m)] = calls.get((view, id(m)), 0) + 1
+            return func(m)
+
+        monkeypatch.setattr(kept, "func", counted)
+    witnesses = synthesize(alg, strategy=strategy)[1].witnesses
+    witness = witnesses["derivation"] if "derivation" in witnesses else witnesses["two_form"].gram
+    assert calls[("monomial", id(witness))] == 1
+    assert set(calls.values()) == {1}
+    if "derivation" in witnesses:  # a diagonal weight hit: its closed forms ran
+        assert calls[("diagonal_weights", id(witness))] == 1
+        assert witness.diagonal_weights is not None
+    else:  # a matching form: its closed form ran
+        assert None not in witness.monomial
 
 
 _NON_LIE_MEMBERS = pytest.mark.parametrize("member", [

@@ -54,7 +54,7 @@ def test_only_the_frozen_base_defines_setattr():
 
 
 _PRIVATE_VIEWS = {"_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
-                  "_jacobi_report", "_lower_central_series"}
+                  "_jacobi_report", "_derived_subalgebra", "_lower_central_series"}
 
 
 def test_algebra_views_are_read_one_way_outside_liealg():
@@ -72,6 +72,19 @@ def test_algebra_views_are_read_one_way_outside_liealg():
         reads += [(path.stem, node.attr) for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_VIEWS]
     assert reads == []
+
+
+def test_no_module_defines_a_deleted_shape_or_series_helper():
+    # a map's shape is read off Matrix.monomial and Matrix.diagonal_weights,
+    # and [g, g] off its own kept view: none of the helpers they replaced returns
+    package = Path(lieaffine.__file__).parent
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, node.name) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in {"_Drawn", "_monomial_rows", "_diagonal_weights"}]
+    assert defined == []
 
 
 _NEW_MODULES = """
@@ -106,6 +119,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # alone pulls in inspect, ast, dis and tokenize
     loaded = _modules_loaded_by_cli_import()
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(loaded)
+
+
+def test_cli_import_loads_no_hashlib():
+    # algebra_hash imports it when it first hashes, so a command that never
+    # hashes (a failing synth, der char-nilp) never loads OpenSSL
+    loaded = _modules_loaded_by_cli_import()
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
 
 
 def test_readme_library_example_runs():

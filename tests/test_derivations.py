@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieaffine import affine, derivations, linalg
+from lieaffine import affine, derivations, liealg, linalg
 from lieaffine.affine import (
     AffineStructure,
     find_symplectic,
@@ -81,6 +81,7 @@ from dense import (
     from_columns,
     identity,
     invert,
+    kernel_routes,
     matmul,
     nullspace,
     restrict,
@@ -661,18 +662,13 @@ def _seeded_diagonals(alg, rng, count):
     return maps
 
 
-def _kernel_routes(patch):
-    # today's routes for every map: no map is taken for diagonal
-    patch.setattr(derivations, "_diagonal_weights", lambda m: None)
-
-
 @pytest.mark.parametrize("name", list(_DIAGONAL_ALGEBRAS))
 def test_is_derivation_of_diagonal_maps_matches_the_oracles(monkeypatch, name):
     alg = _DIAGONAL_ALGEBRAS[name]
     maps = _seeded_diagonals(alg, random.Random(name), 4)
     closed = [is_derivation(alg, m) for m in maps]
     with monkeypatch.context() as patch:
-        _kernel_routes(patch)
+        kernel_routes(patch)
         assert [is_derivation(alg, m) for m in maps] == closed
     assert closed == [_fraction_is_derivation(alg, m) for m in maps]
     assert any(closed) and not all(closed)
@@ -692,7 +688,7 @@ def test_restriction_invertible_of_diagonal_maps_matches_the_kernel_route(monkey
     maps = _seeded_diagonals(alg, random.Random(name), 4)
     closed = [_restriction_outcome(derived, f) for f in maps]
     with monkeypatch.context() as patch:
-        _kernel_routes(patch)
+        kernel_routes(patch)
         assert [_restriction_outcome(derived, f) for f in maps] == closed
     if alg.tail_filtered:  # [g, g] has unit rows, which every diagonal map preserves
         assert NotInvariantError not in closed
@@ -902,7 +898,8 @@ def test_sparse_subspaces_match_dense_oracle(alg):
                          ids=["L8", "L16", "Benoist1"])
 def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, monkeypatch):
     # on a moved table [g, g] costs one elimination of the brackets and its
-    # canonical form; each later term is eliminated only when the series is read
+    # canonical form, and leaves the series unbuilt; reading the series adds
+    # one pass over [g, g]'s reduced rows, then two eliminations a term
     alg = _change_basis(base, _dense_basis_change(base.dim, random.Random(seed)))
     n = alg.dim
     assert not alg.tail_filtered
@@ -913,12 +910,14 @@ def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, m
         calls.append(1)
         return gauss_jordan(rows)
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    for module in (linalg, liealg):  # liealg eliminates the brackets itself
+        monkeypatch.setattr(module, "_gauss_jordan", counted)
     derived = derived_subalgebra(alg)
     assert len(calls) == 2
+    assert "_lower_central_series" not in vars(alg)
     series = lower_central_series(alg)
     assert [s.dim for s in series] == [n, *range(n - 2, -1, -1)]
-    assert len(calls) == 2 * (len(series) - 1)
+    assert len(calls) == 2 * (len(series) - 1) + 1
     assert derived is series[1] and derived is derived_subalgebra(alg)
     assert derived == Subspace(n, _reduce(alg.structure.values()))
 
@@ -1474,7 +1473,7 @@ def test_diagonalizable_over_q_of_diagonal_maps_matches_the_minimal_polynomial_r
             maps.append(Matrix.from_sparse(n, columns))
     closed = [derivations._diagonalizable_over_q(m) for m in maps]
     with monkeypatch.context() as patch:
-        _kernel_routes(patch)
+        kernel_routes(patch)
         assert [derivations._diagonalizable_over_q(m) for m in maps] == closed
     assert len(set(closed)) == 3
 

@@ -454,7 +454,7 @@ def test_monomial_rank_matches_the_kernel_rank():
         columns = [{rng.randrange(rows): F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))}
                    if rows and rng.random() < 0.7 else {} for _ in range(cols)]
         m = Matrix.from_sparse(rows, columns)
-        assert linalg._monomial_rows(m) == [next(iter(col), None) for col in columns]
+        assert m.monomial == tuple(next(iter(col), None) for col in columns)
         assert rank(m) == len(_gauss_jordan(integer_scaled(m.columns)[0]))
         assert "integer_columns" not in vars(m)
         monomial += 0 < rank(m) < min(rows, cols)
@@ -827,7 +827,7 @@ def test_derived_regular_synthesis_scales_the_derived_subalgebra_once(monkeypatc
         monkeypatch.setattr(module, "_weight_candidates", lambda weights: iter(()))
     alg = make_cn(8, [1, -1])[0]
     witness = synthesize(alg, "derived-regular")[1].witnesses["derivation"]
-    assert linalg._monomial_rows(witness) is None
+    assert witness.monomial is None
     assert "integer_rows" in derived_subalgebra(alg).__dict__
 
 
