@@ -491,15 +491,17 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     derivation, so d maps the forms homogeneous of weight c (th(e_a, e_m)
     nonzero only where w_a + w_m = c) into themselves, and the closed ones
     are the kernel of the closedness rows on those unknowns alone
-    (``_closed_forms``). Only c = ``_matching_class(w)`` can hold a
+    (``_closed_forms``). Only c = min(w) + max(w) can hold a
     nondegenerate one, and only a w with pairwise distinct entries is
-    solved: its class pairs are then the n/2 pairs of one perfect matching,
-    a form on them is nondegenerate exactly when each of its n/2 entries is
-    nonzero. A class whose closed forms all leave some pair 0 is skipped;
-    otherwise the class space's own ``_weight_candidates``, tried through
-    ``nondegenerate``, reach such a form before their list ends. A hit
-    does not depend on ``seed``; on Ln, w = (1, 2, ..., n) gives one +-1
-    entry on each pair (i, n + 1 - i).
+    solved: its class pairs are then the n/2 pairs of one perfect matching
+    (``_matching``), and a form on them is nondegenerate exactly when each
+    of its n/2 entries is nonzero. Every weight and class test runs on the
+    integer candidates. A class whose closed forms all leave some pair 0 is
+    skipped; otherwise the class space's own integer ``_weight_candidates``
+    are read for one with no zero entry, and its form, over the space's
+    den, is tried through ``nondegenerate``; one is reached before the list
+    ends. A hit does not depend on ``seed``; on Ln, w = (1, 2, ..., n)
+    gives one +-1 entry on each pair (i, n + 1 - i).
 
     When no candidate hits, it computes the linear space of all closed
     forms exactly and draws seeded combinations of its basis until one has
@@ -512,47 +514,49 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     if n % 2:
         return None
 
-    def form(pairs, entries):
-        return TwoForm.from_entries(n, {pairs[s]: x for s, x in entries if x})
+    def form(pairs, v):
+        return TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items()})
 
     weights = diagonal_derivations(alg)
     for w in islice(_weight_candidates(weights), weights.dim + SYMPLECTIC_CURVE_POINTS):
-        at = {x: a for a, x in enumerate(w)}
-        # a repeated weight makes the class wider than a matching: no
-        # candidate list decides it, and on QnZ 8-16 and Cn 8-12 a miss
-        # there took 5 to 370 times as long as the seeded search
-        if len(at) < n:
+        partners = _matching(w)
+        if partners is None:
             continue
-        c = _matching_class(w)
-        if c is None:
-            continue
-        pairs, space = _closed_forms(alg, [[at[c - x]] for x in w])
+        pairs, space = _closed_forms(alg, partners)
         # on a matching the Gram determinant is the square of the entries'
         # product: a pair every closed class form leaves 0 rules the class
         # out, and otherwise some class candidate has no zero entry
         if len(set().union(*(row for _, row in space.rows))) < len(pairs):
             continue
-        hit = next(filter(nondegenerate, (form(pairs, enumerate(v))
+        den = space.integer_rows[1]
+        hit = next(filter(nondegenerate, (form(pairs, unscaled(dict(enumerate(v)), den))
                                           for v in _weight_candidates(space) if all(v))), None)
         if hit is not None:
             return hit
     pairs, space = _closed_forms(alg, [[a for a in range(n) if a != m] for m in range(n)])
-    return _first_hit(space, lambda v: form(pairs, v.items()), (), seed, trials, nondegenerate)
+    return _first_hit(space, lambda v: form(pairs, v), (), seed, trials, nondegenerate)
 
 
-def _matching_class(w: Sequence[Fraction]) -> Optional[Fraction]:
-    """c = min(w) + max(w) when w_(k) + w_(n-1-k) = c for every k of the sorted w, else None.
+def _matching(w: Sequence[int]) -> Optional[List[List[int]]]:
+    """The partners [[sigma(a)] for each a] with w_a + w_sigma(a) = min(w) + max(w), or None.
 
     A form homogeneous for diag(w), nonzero only where w_a + w_m = c, is
     nondegenerate only if its Pfaffian has a nonzero term: a perfect
     matching of the indices into pairs of weight sum c. Such a matching maps
     the multiset of weights onto itself by x -> c - x, so it is symmetric
     about c / 2 and c is its min plus its max; conversely, pairing the k-th
-    smallest with the k-th largest is one. So c is the only class worth solving.
+    smallest with the k-th largest is one. So c is the only class worth
+    solving. Only pairwise distinct weights are matched, and then the class
+    pairs are that one matching sigma. A repeated weight gives None: it
+    makes the class wider than a matching, no candidate list decides it,
+    and on QnZ 8-16 and Cn 8-12 a miss there took 5 to 370 times as long as
+    the seeded search.
     """
-    ws = sorted(w)
-    c = ws[0] + ws[-1]
-    return c if all(ws[k] + ws[-1 - k] == c for k in range(len(ws) // 2)) else None
+    at = {x: a for a, x in enumerate(w)}
+    c = min(w) + max(w)
+    if len(at) < len(w) or any(c - x not in at for x in w):
+        return None
+    return [[at[c - x]] for x in w]
 
 
 def _closed_forms(alg: LieAlgebra, partners: Sequence[Sequence[int]]) -> Tuple[list, Subspace]:

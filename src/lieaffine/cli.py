@@ -78,14 +78,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    """--in or --family, never both, and the family parameters."""
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument(
         "--in",
         dest="infile",
         metavar="FILE",
         help="algebra JSON file ('-' or omitted reads stdin when no --family)",
     )
-    parser.add_argument("--family", help=f"family id: {', '.join(_FAMILIES)}; "
-                        "parameters via --n, --k, --lambda (repeatable), --t")
+    _add_family(parser, source)
+
+
+def _add_family(parser: argparse.ArgumentParser, source=None) -> None:
+    """--family, on the group ``source`` when given, and its parameter options."""
+    (source or parser).add_argument("--family", help=f"family id: {', '.join(_FAMILIES)}; "
+                                    "parameters via --n, --k, --lambda (repeatable), --t")
     parser.add_argument("--n", type=_option_type(f"must lie between 1 and {MAX_DIM}", int,
                                                  lambda n: 1 <= n <= MAX_DIM),
                         help=f"family dimension, 1..{MAX_DIM}")
@@ -185,9 +192,9 @@ def _read_document(infile):
 
 def _load(args):
     """The algebra of --family or of the --in document."""
-    if getattr(args, "family", None):
+    if args.family:
         return _algebra_from_family(args)
-    return algebra_from_json(_read_document(getattr(args, "infile", None)))
+    return algebra_from_json(_read_document(args.infile))
 
 
 class _NotLie(Exception):
@@ -407,7 +414,7 @@ _SEARCH = (_add_algebra_source, _add_search)
 _COMMANDS = (
     ("catalog", "list", "list families and parameters", _cmd_catalog_list, ()),
     ("catalog", "show", "print a family member as algebra JSON", _cmd_catalog_show,
-     _SOURCE),
+     (_add_family,)),
     ("verify", "jacobi", None, _cmd_verify_jacobi, _SOURCE),
     ("verify", "filiform", None, partial(_cmd_verify_series, "filiform", is_filiform),
      _SOURCE),
@@ -421,7 +428,7 @@ _COMMANDS = (
      "search for a derivation invertible on the derived subalgebra",
      partial(_cmd_search, "witness", matrix_to_json, "derived-regular"), _SEARCH),
     ("der", "char-nilp", "characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
-    ("der", "torus", "verify the family's standard torus", _cmd_der_torus, _SOURCE),
+    ("der", "torus", "verify the family's standard torus", _cmd_der_torus, (_add_family,)),
     ("der", "verify-witness", "re-check a char-nilp witness", _cmd_der_verify_witness,
      _SOURCE + (partial(_add_cert, "verdict JSON from 'der char-nilp'"),)),
     ("affine", "synth", "construct and certify an affine structure", _cmd_affine_synth,

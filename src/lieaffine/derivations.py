@@ -41,13 +41,15 @@ regular and derived-regular searches then try their diagonal weight
 candidates (``_weight_candidates`` over the kept space's ``weights``,
 which needs only the weight equations and is solved once per algebra:
 ``diagonal_derivations`` and every search read the same subspace), and a
-hit there never solves Der(g) and does not depend on the seed. For the
-regular search the pass is exact: it finds an invertible diagonal
-derivation whenever the given basis has one, as the catalog bases of Ln,
-Qn and QnZ do. The symplectic search (``affine.find_symplectic``) reads
-the basis and the first curve points of the same candidates, through
-``diagonal_derivations``, before its seeded
-draws: for each such weight w it solves the closed forms homogeneous for
+hit there never solves Der(g) and does not depend on the seed. The
+candidates are integer tuples over the weight rows' one denominator; a
+search turns one into Fractions only to build the diagonal map it tries.
+For the regular search the pass is exact: it finds an invertible
+diagonal derivation whenever the given basis has one, as the catalog
+bases of Ln, Qn and QnZ do. The symplectic search
+(``affine.find_symplectic``) reads the basis and the first curve points
+of the same candidates, through ``diagonal_derivations``, before its
+seeded draws: for each such weight w it solves the closed forms homogeneous for
 diag(w) on the one weight class that can hold a nondegenerate form, and
 on Ln its witness does not depend on the seed either.
 After that the three searches pass one nil gate,
@@ -61,9 +63,10 @@ cost does not grow with ``trials``; otherwise the searches draw as
 described. The weight pass cannot change that outcome: on a nil Der(g)
 the weight space is 0.
 ``verify_torus`` decides rational diagonalizability in integers, on the
-minimal polynomial's Sturm chain of pseudo-remainders (``_sturm_chain``);
-a diagonal map, such as every map of a catalog torus, is diagonal
-already and forms no polynomial.
+Sturm chain of pseudo-remainders (``_sturm_chain``) of the kernel's
+primitive integer relation among a map's powers (``_minimal_relation``,
+which ``minimal_polynomial`` makes monic); a diagonal map, such as every
+map of a catalog torus, is diagonal already and forms no polynomial.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvariantError
@@ -80,12 +83,10 @@ from .liealg import LieAlgebra, derived_subalgebra, jacobi_report
 from .linalg import (
     Matrix,
     Subspace,
-    ONE,
     _Frozen,
     _coordinates,
     _flat_columns,
     _gauss_jordan,
-    _integer_row,
     _nullspace,
     _set_fields,
     _solution_basis,
@@ -473,8 +474,11 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
 def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     """The diagonal weights tried before Der(g) or the closed forms: basis, then a moment curve.
 
-    First the RREF basis vectors b_1, ..., b_d of ``weights``, in order;
-    then, when d >= 2, w(s) = sum_k s^k b_(k+1) for s = 1, ..., n(d - 1) + 1.
+    Each is an integer tuple, den times the weight, den and the rows being
+    the kept ``integer_rows`` of ``weights``; a caller forms the Fractions
+    of the one candidate it builds a witness from. First the RREF basis
+    vectors b_1, ..., b_d of ``weights``, in order; then, when d >= 2,
+    w(s) = sum_k s^k b_(k+1) for s = 1, ..., n(d - 1) + 1.
     On a coordinate some b_k reaches, w(s) is a nonzero polynomial of
     degree < d in s, so it vanishes at fewer than d values, and the n
     coordinates rule out at most n(d - 1) of the values of s: some w(s) is
@@ -483,36 +487,34 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     symplectic search (``affine.find_symplectic``) reads the basis and the
     first curve points as weights, and the whole list over the closed forms
     of one weight class, where the same argument finds a form with every
-    entry nonzero whenever the class holds one. Each w(s) is summed in ints
-    over the sparse rows scaled to one denominator, which on the unit-vector
-    basis of an abelian algebra touches n entries instead of n d Fractions.
+    entry nonzero whenever the class holds one. Each w(s) is summed by
+    ``sparse_apply`` over the sparse integer rows, which on the unit-vector
+    basis of an abelian algebra touches n entries.
     """
-    yield from weights.basis
-    if weights.dim < 2:
-        return
     n = weights.ambient_dim
-    rows, den = weights.integer_rows
-    for s in range(1, n * (len(rows) - 1) + 2):
-        point = [0] * n
-        for k, row in enumerate(rows):
-            for j, x in row.items():
-                point[j] += s ** k * x
-        yield tuple(Fraction(x, den) for x in point)
+    rows, _ = weights.integer_rows
+    curve = range(1, n * (len(rows) - 1) + 2) if len(rows) > 1 else ()
+    points = chain(rows, (sparse_apply(rows, {k: s ** k for k in range(len(rows))})
+                          for s in curve))
+    return (tuple(point.get(j, 0) for j in range(n)) for point in points)
 
 
 def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
     """The regular and derived-regular searches: diagonal weights, the nil gate, then draws.
 
     Both read the kept ``derivation_space(alg)``. The diagonal maps of
-    ``_weight_candidates`` over its ``weights`` are tried first, and the
-    first that passes ``accept`` is returned before Der(g) is solved. Each
+    ``_weight_candidates`` over its ``weights``, each integer candidate over
+    the rows' den, are tried first, and the first that passes ``accept`` is
+    returned before Der(g) is solved. Each
     search accepts only non-nilpotent derivations, so a nil Der(g)
     (``all_nilpotent``), whose weight space is 0, returns None before any
     draw; otherwise ``_first_hit`` runs the seeded draws over Der(g) through
     ``accept``. Each search checks ``trials`` before it gets here.
     """
     space = derivation_space(alg)
-    hit = next(filter(accept, map(Matrix.diagonal, _weight_candidates(space.weights))), None)
+    den = space.weights.integer_rows[1]
+    hit = next(filter(accept, (Matrix.diagonal(Fraction(x, den) for x in w)
+                               for w in _weight_candidates(space.weights))), None)
     if hit is not None:
         return hit
     if space.all_nilpotent:
@@ -671,40 +673,44 @@ def _commute(a: Sequence[dict], b: Sequence[dict]) -> bool:
 # --- minimal polynomial and rational-root machinery ---------------------
 
 def minimal_polynomial(m: Matrix) -> List[Fraction]:
-    """Monic minimal polynomial of m, as ascending coefficients.
+    """Monic minimal polynomial of m, ascending: ``_minimal_relation`` made monic."""
+    relation = _minimal_relation(m)
+    return [Fraction(c, relation[-1]) for c in relation]
 
-    The powers I, m, m^2, ... go through the kernel with m^d tagged in
-    column d and flattened into the columns above n. ``_gauss_jordan``
-    pivots each row on its largest column, so a row pivoting on a tag holds
-    tags only, a relation among the powers, and the least pivot, once it is
-    a tag, is the relation of lowest degree. They are reduced after 1, 2,
-    4, ... powers (the kernel rows standing in for the earlier ones), and
-    by m^n at the latest (Cayley-Hamilton).
+
+def _minimal_relation(m: Matrix) -> List[int]:
+    """The primitive integer relation of least degree among I, m, m^2, ..., ascending.
+
+    The powers are those of m's kept ``integer_columns`` (c, den), so the
+    d-th is den^d m^d; it goes through the kernel tagged den^d in column d
+    and flattened into the columns above n, a positive multiple of the row
+    of m^d tagged 1, which leaves every relation among the powers as it is.
+    ``_gauss_jordan`` pivots each row on its largest column, so a row
+    pivoting on a tag holds tags only, a relation among the powers, and the
+    least pivot, once it is a tag, is the relation of lowest degree. They
+    are reduced after 1, 2, 4, ... powers (the kernel rows standing in for
+    the earlier ones), and by m^n at the latest (Cayley-Hamilton). Its sign
+    is the kernel's.
     """
     if not m.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = m.rows
-    rows, power = [], [{i: ONE} for i in range(n)]
+    cols, den = m.integer_columns
+    rows, power = [], [{i: 1} for i in range(n)]
     for d in range(n + 1):
         if d:
-            power = [sparse_apply(m.columns, col) for col in power]
+            power = [sparse_apply(cols, col) for col in power]
         row = {n + 1 + p * n + q: x for q, col in enumerate(power) for p, x in col.items() if x}
-        row[d] = ONE
-        rows.append(_integer_row(row))
+        row[d] = den ** d
+        rows.append(row)
         if d & (d + 1) == 0 or d == n:
             reduced = _gauss_jordan(rows)
             degree = min(reduced)
             if degree <= n:
                 relation = reduced[degree]
-                return [Fraction(relation.get(e, 0), relation[degree]) for e in range(degree + 1)]
+                return [relation.get(e, 0) for e in range(degree + 1)]
             rows = list(reduced.values())
     raise AssertionError("the powers up to m^n are dependent")
-
-
-def _integer_form(p: List[Fraction]) -> List[int]:
-    """p times the lcm of its denominators, every sign kept: coprime integers when p is monic."""
-    scale = lcm(*(c.denominator for c in p))
-    return [c.numerator * (scale // c.denominator) for c in p]
 
 
 def _homogeneous_eval(p: List[int], u: int, w: int) -> int:
@@ -788,11 +794,15 @@ def _diagonalizable_over_q(m: Matrix) -> Tuple[bool, str, bool]:
 
     m is diagonalizable over Q iff its minimal polynomial p has deg p
     distinct rational roots. A diagonal m (``Matrix.diagonal_weights``)
-    already is, and no polynomial is formed.
+    already is, and no polynomial is formed. The Sturm chain is that of the
+    kernel's integer relation ``_minimal_relation``, a multiple of p of
+    either sign: negating a polynomial negates its whole chain, so the sign
+    changes, the rational-root count and the degree of the last term, gcd(p,
+    p'), are those of p.
     """
     if m.diagonal_weights is not None:
         return True, "", False
-    chain = _sturm_chain(_integer_form(minimal_polynomial(m)))
+    chain = _sturm_chain(_minimal_relation(m))
     if _rational_root_count(chain) == len(chain[0]) - 1:
         return True, "", False
     if len(chain[-1]) > 1:

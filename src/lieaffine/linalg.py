@@ -8,10 +8,12 @@ turns a result back into Fractions at the boundary. Matrices act on column
 coordinate vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel,
-``_gauss_jordan``, on sparse integer rows ``{col: int}``. Callers scale at
-the boundary: ``_integer_row`` clears one Fraction row of its
-denominators, and integer producers (the Der(g), weight and closed-form
-equations, and the image-chain steps) feed the kernel as they are. Each
+``_gauss_jordan``, on sparse integer rows ``{col: int}``, and every entry
+to it (``_reduce``, ``_nullspace``, ``_image_chain``, ``_integer_inverse``)
+takes integer rows too. Callers scale at the boundary, with
+``integer_scaled``, the one scaler, and integer producers (the Der(g),
+weight and closed-form equations, the image-chain steps and the powers of
+a map's ``integer_columns``) feed the kernel as they are. Each
 row is taken sparsest first, eliminated fraction-free by
 cross-multiplication (``_eliminate``; a one-entry pivot row just deletes
 its column), made primitive once, and kept free of every other pivot
@@ -278,33 +280,23 @@ def _eliminate(pv: int, row: dict, v: int, prow: dict) -> dict:
     return new
 
 
-def _integer_row(row: dict) -> dict:
-    """The sparse rational row times the lcm of its denominators, as nonzero ints.
-
-    The kernel's boundary: it scales each row by a positive constant, which
-    leaves every row space and solution set unchanged.
-    """
-    den = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
-
-
 def _gauss_jordan(rows: Iterable[dict]) -> dict:
     """Fraction-free Gauss-Jordan of sparse integer rows {col: int}: {pivot: primitive int row}.
 
-    The one elimination loop of the package; zero entries are dropped, and
-    rational rows go through ``_integer_row`` first. The rows are taken
-    sparsest first, and every pivot row is kept free of the other pivot
-    columns. A new row is therefore reduced once against each pivot column
-    it holds (a one-entry pivot row just deletes its column), so a
-    redundant row costs at most its length. A nonzero remainder is made
-    primitive once (a division at every step would only scale it by a
-    positive factor) and pivots on its largest column, which is then
-    cleared from the rows that hold it, found through a column -> pivots
-    index of plain lists whose stale entries (the column since cancelled)
-    are skipped; each row cleared is made primitive again. Clearing a
-    column below a row's pivot adds only columns below the new pivot, so
-    each row's pivot stays its largest column. The rows span the input,
-    their number is its rank, and each is a multiple of a row of the
+    The one elimination loop of the package; zero entries are dropped, and a
+    caller with rational rows scales them at the boundary
+    (``integer_scaled``). The rows are taken sparsest first, and every pivot
+    row is kept free of the other pivot columns. A new row is therefore
+    reduced once against each pivot column it holds (a one-entry pivot row
+    just deletes its column), so a redundant row costs at most its length. A
+    nonzero remainder is made primitive once (a division at every step would
+    only scale it by a positive factor) and pivots on its largest column,
+    which is then cleared from the rows that hold it, found through a
+    column -> pivots index of plain lists whose stale entries (the column since
+    cancelled) are skipped; each row cleared is made primitive again.
+    Clearing a column below a row's pivot adds only columns below the new
+    pivot, so each row's pivot stays its largest column. The rows span the
+    input, their number is its rank, and each is a multiple of a row of the
     reduced row-echelon form for the reversed column order.
     """
     reduced = {}
@@ -339,7 +331,7 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
 
 
 def _reduce(rows: Iterable[dict]) -> list:
-    """Canonical RREF of sparse rational rows {col: value}.
+    """Canonical RREF of the span of sparse integer rows {col: int}.
 
     ``_gauss_jordan`` on the negated columns, whose pivots are then each
     row's least column, then the one normalization that reintroduces
@@ -348,7 +340,7 @@ def _reduce(rows: Iterable[dict]) -> list:
     so the result and its iteration order do not depend on the order of
     the rows.
     """
-    reduced = _gauss_jordan(_integer_row({-c: x for c, x in row.items()}) for row in rows)
+    reduced = _gauss_jordan({-c: x for c, x in row.items()} for row in rows)
     return [(-p, {-c: Fraction(row[c], row[p]) for c in sorted(row, reverse=True)})
             for p, row in sorted(reduced.items(), reverse=True)]
 
@@ -445,12 +437,12 @@ def rank(m: Matrix) -> int:
 def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
     """The exact solution space of sparse integer rows {col: int} over ``ncols`` unknowns.
 
-    The homogeneous solve of the weight and closed-form equations; a
-    rational row goes through ``_integer_row`` first, and zero rows and no
-    rows are allowed. It is ``_gauss_jordan`` and then ``_solution_basis``
-    on the rows it leaves. Der(g) runs the same two steps apart:
-    ``derivations.DerivationSpace`` keeps the rows and reads the basis off
-    them only when it is asked for, with no second elimination.
+    The homogeneous solve of the weight and closed-form equations, which are
+    built in integers; zero rows and no rows are allowed. It is
+    ``_gauss_jordan`` and then ``_solution_basis`` on the rows it leaves.
+    Der(g) runs the same two steps apart: ``derivations.DerivationSpace``
+    keeps the rows and reads the basis off them only when it is asked for,
+    with no second elimination.
     """
     return _solution_basis(_gauss_jordan(rows), ncols)
 

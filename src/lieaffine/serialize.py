@@ -115,8 +115,10 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(doc, what: str = "matrix") -> Matrix:
-    """A square matrix of at most MAX_DIM rows; the shape is checked before any entry is parsed."""
+    """A square matrix of 1 to MAX_DIM rows; the shape is checked before any entry is parsed."""
     if isinstance(doc, list):
+        if not doc:
+            raise SchemaError(f"{what} must have at least one row")
         if len(doc) > MAX_DIM:
             raise SchemaError(f"{what} must have at most {MAX_DIM} rows")
         if any(isinstance(row, list) and len(row) != len(doc) for row in doc):

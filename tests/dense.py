@@ -11,9 +11,12 @@ are tuples of Fractions and a ``Matrix`` acts on column vectors, as in
 the package; the constructors below build a ``Matrix`` from dense rows.
 ``kernel_routes`` patches the package's shape views off, so the generic
 kernel routes serve as oracles of the closed forms that read them.
+``integer_row`` scales a rational row for the kernel, which takes
+integer rows only.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from lieaffine.linalg import Matrix, Subspace
 
@@ -29,6 +32,12 @@ def kernel_routes(patch):
     """
     for view in ("monomial", "diagonal_weights"):
         patch.setattr(Matrix, view, property(lambda m: None))
+
+
+def integer_row(row):
+    """The sparse rational row {col: value} times the lcm of its denominators, as nonzero ints."""
+    den = lcm(*(F(x).denominator for x in row.values()))
+    return {c: int(F(x) * den) for c, x in row.items() if x}
 
 
 def unit_vector(n, i):

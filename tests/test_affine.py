@@ -852,13 +852,24 @@ def _has_matching(w, c):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_matching_class_is_the_only_class_with_a_perfect_matching(seed):
-    # small random weights, repeats and negative entries included
+    # small random weights, repeats and negative entries included, then
+    # pairwise distinct ones: min + max is the only class that can hold a
+    # perfect matching, and _matching returns its pairs exactly when it
+    # does and the weights are distinct
     rng = random.Random(seed)
-    w = [rng.randint(-2, 3) for _ in range(2 * rng.randint(1, 4))]
-    matched = {c for c in {x + y for x in w for y in w} if _has_matching(w, c)}
-    c = affine._matching_class(w)
-    assert matched == (set() if c is None else {c})
-    assert (c is not None) == (sorted(w) == sorted(min(w) + max(w) - x for x in w))
+    size = 2 * rng.randint(1, 4)
+    for w in ([rng.randint(-2, 3) for _ in range(size)], rng.sample(range(-4, 6), size)):
+        c = min(w) + max(w)
+        matched = {s for s in {x + y for x in w for y in w} if _has_matching(w, s)}
+        assert matched <= {c}
+        partners = affine._matching(w)
+        if len(set(w)) < len(w):
+            assert partners is None
+            continue
+        assert (partners is not None) == (matched == {c})
+        if partners is not None:
+            sigma = [a for [a] in partners]
+            assert all(w[a] + w[sigma[a]] == c and sigma[sigma[a]] == a for a in range(size))
 
 
 def test_construction_soundness_across_catalog():

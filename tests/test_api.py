@@ -74,17 +74,27 @@ def test_algebra_views_are_read_one_way_outside_liealg():
     assert reads == []
 
 
-def test_no_module_defines_a_deleted_shape_or_series_helper():
-    # a map's shape is read off Matrix.monomial and Matrix.diagonal_weights,
-    # and [g, g] off its own kept view: none of the helpers they replaced returns
+def _package_definitions(names):
+    """The (module, name) of every function or class of the package named in ``names``."""
     package = Path(lieaffine.__file__).parent
     defined = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.stem, node.name) for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name in {"_Drawn", "_monomial_rows", "_diagonal_weights"}]
-    assert defined == []
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
+    return defined
+
+
+def test_no_module_defines_a_deleted_shape_or_series_helper():
+    # a map's shape is read off Matrix.monomial and Matrix.diagonal_weights,
+    # and [g, g] off its own kept view: none of the helpers they replaced returns
+    assert _package_definitions({"_Drawn", "_monomial_rows", "_diagonal_weights"}) == []
+
+
+def test_no_module_defines_a_deleted_converter():
+    # the kernel takes integer rows and the weights stay integers until a
+    # witness is built: no converter from Fractions and back returns
+    assert _package_definitions({"_integer_row", "_integer_form", "_matching_class"}) == []
 
 
 _NEW_MODULES = """

@@ -55,6 +55,25 @@ def test_catalog_show_requires_family(capsys):
     assert "family" in err
 
 
+@pytest.mark.parametrize("command", [("catalog", "show"), ("der", "torus")])
+def test_family_only_commands_take_no_in(capsys, command):
+    # both read --family alone, so an --in document is refused, not ignored
+    code, payload, err = run_cli(capsys, [*command, "--family", "Ln", "--n", "4",
+                                          "--in", "alg.json"])
+    assert code == 2 and payload is None
+    assert "unrecognized arguments: '--in alg.json'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [("affine", "synth"), ("der", "char-nilp")])
+def test_in_with_family_is_a_usage_error(capsys, command):
+    # the document would go unread behind the family, so the pair is refused
+    code, payload, err = run_cli(capsys, [*command, "--family", "Ln", "--n", "4",
+                                          "--in", "alg.json"])
+    assert code == 2 and payload is None
+    assert "argument --in: not allowed with argument --family" in err
+    assert err.count("\n") == 1
+
+
 def test_catalog_list(capsys):
     code, payload, _ = run_cli(capsys, ["catalog", "list", "--reproducible"])
     assert code == 0
@@ -392,18 +411,14 @@ def test_affine_verify_rejects_vacuous_certificate(capsys, tmp_path):
     assert all(c["status"] == "unknown" for c in payload["checks"])
 
 
-def test_affine_verify_leaves_an_empty_derivation_witness_unknown(capsys, tmp_path):
-    # the empty matrix is invertible, but it is no map on Ln 6: its checks
-    # are unknown, not "invertible: pass"
+def test_affine_verify_rejects_an_empty_derivation_witness(capsys, tmp_path):
+    # the empty matrix is invertible, but it is no map on any algebra: the
+    # document is refused before any check, not reported "invertible: pass"
     doc = _ln6_certificate(capsys)
     doc["witnesses"]["derivation"] = []
-    code, payload, _ = _verify_ln6(capsys, tmp_path / "cert.json", doc)
-    assert code == 1
-    assert payload["ok"] is False
-    assert {c["name"]: c["status"] for c in payload["checks"]} == {
-        "is_derivation": "unknown", "invertible": "unknown",
-        "torsion": "pass", "left_symmetry": "pass",
-    }
+    code, payload, err = _verify_ln6(capsys, tmp_path / "cert.json", doc)
+    assert code == 2 and payload is None
+    assert err == "error: derivation witness must have at least one row\n"
 
 
 def test_affine_verify_bounds_matrix_witnesses_by_max_dim(capsys, tmp_path):
@@ -676,10 +691,15 @@ _VERDICT = {"kind": "NotCharNilpotent", "witness": [["1"]], "seed": 0, "trials":
     ("verdict", {**_VERDICT, "witness": [["1", "0"]]}, "witness must be square"),
     ("verdict", {**_VERDICT, "witness": [[]] * (MAX_DIM + 1)},
      f"witness must have at most {MAX_DIM} rows"),
+    # a 0 x 0 map would pass as a nilpotent witness or an empty derivation
+    ("verdict", {**_VERDICT, "witness": []}, "witness must have at least one row"),
+    ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": []}},
+     "derivation witness must have at least one row"),
 ], ids=["not-an-object", "checks", "witnesses", "provenance", "brackets", "entries", "coeffs",
         "witness-rows", "entry-object", "entry-value", "entry-index", "entry-pair",
         "entry-duplicate", "entry-rational", "gamma-duplicate", "witness-square",
-        "witness-row-cap", "verdict-square", "verdict-row-cap"])
+        "witness-row-cap", "verdict-square", "verdict-row-cap", "verdict-empty",
+        "witness-empty"])
 def test_io_validate_rejects_malformed_documents(capsys, tmp_path, kind, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -832,6 +852,11 @@ def test_reproducible_outputs_are_byte_identical(capsys):
 # 6 and 39 were re-recorded when the symplectic search began with the
 # forms homogeneous for a diagonal derivation: their witness is the +-1
 # form on the pairs (i, n + 1 - i).
+# T: [e1, e3] = e4, [e3, e4] = e2 (1-based), whose diagonal derivation
+# weights (1, 0, -1/2, 1/2), (0, 1, 1/2, 1/2) are not integers; S: a table
+# whose symplectic weight pass solves a class space with denominator 2
+_HALF_WEIGHTS = str(Path(__file__).with_name("half_weights.json"))
+_HALF_FORM = str(Path(__file__).with_name("half_form.json"))
 PINNED_STDOUT = [
     (("affine", "synth", "--family", "Ln", "--n", "12"), 0,
      "73c77f9d60489f6a3214c384dcb73dd63414962154ebd7178213fbb9fe02a7c3"),
@@ -970,6 +995,24 @@ PINNED_STDOUT = [
     # are above)
     (("affine", "synth", "--family", "Cn", "--n", "8", "--lambda=1", "--lambda=1"), 0,
      "d21031d6dd87105a5c3df02274c9ee6d6c0d66bc366448662c63fb3bb295a357"),
+    # recorded while the weight candidates were still Fractions: the weight
+    # basis of _HALF_WEIGHTS has denominator 2. Its regular witness
+    # diag(1, 2, 1/2, 3/2) is a curve point, its derived-regular witness
+    # diag(0, 1, 1/2, 1/2) a basis row, and its symplectic form comes from
+    # the weight pass: the basis weight passes the class test and its class
+    # is ruled out, then the curve point hits
+    (("affine", "synth", "--in", _HALF_WEIGHTS), 0,
+     "ae51984ee4ad82b0571a5d6431e28deb112a3d5b4fa98a413979bc49c7da4522"),
+    (("affine", "synth", "--in", _HALF_WEIGHTS, "--strategy", "derived-regular"), 0,
+     "5c2c82fd82fd79b3d5d7e4d45d513aa82c3c1bb347ef5631e0e1406a3a37a25f"),
+    (("affine", "synth", "--in", _HALF_WEIGHTS, "--strategy", "symplectic"), 0,
+     "9674f2c0bc082b7ca3d0d60429d62a7965580eba4351ecac39d5a7830767aeb7"),
+    (("der", "regular", "--in", _HALF_WEIGHTS), 0,
+     "0e975cd05e77e4cd651a7c8d8ce44c4624fc8baefaa36224cfd99e3b5317e445"),
+    # the same weight pass on S, whose form th(e1, e2) = 1, th(e3, e4) = 3/2
+    # is built over the class space's denominator 2
+    (("affine", "synth", "--in", _HALF_FORM, "--strategy", "symplectic"), 0,
+     "5d4f792339e9686a8f4c32ac9a1a3b01dd5e4902ebdec4e046bd255b82a3c06d"),
 ]
 
 

@@ -57,7 +57,6 @@ from lieaffine.linalg import (
     ZERO,
     Matrix,
     Subspace,
-    _integer_row,
     _nullspace,
     _reduce,
     dense_vector,
@@ -80,6 +79,7 @@ from dense import (
     contains,
     from_columns,
     identity,
+    integer_row,
     invert,
     kernel_routes,
     matmul,
@@ -295,7 +295,7 @@ def test_derivation_equations_match_fraction_oracle(name):
         live = [{k: x * den for k, x in row.items() if k not in pinned} for row in deciding]
         assert all(rows) and all(type(x) is int for row in rows for x in row.values())
         assert _row_multiset(rows) == _row_multiset(filter(None, live))
-        assert derivation_space(alg).flat == _nullspace(map(_integer_row, oracle), n * n)
+        assert derivation_space(alg).flat == _nullspace(map(integer_row, oracle), n * n)
     base, moved = tables[0], tables[-1]
     assert all(t.tail_filtered for t in [base, *tables[-3:-1]]) and not moved.tail_filtered
 
@@ -858,7 +858,7 @@ def _bracket_basis_rows(alg):
 ], ids=["L8", "Q8", "QnZ10", "C6", "C12", "B0", "B7/5", "B1-moved"])
 def test_derivation_space_matches_per_pair_bracket_equations(alg):
     n = alg.dim
-    rows = map(_integer_row, _bracket_basis_rows(alg))
+    rows = map(integer_row, _bracket_basis_rows(alg))
     assert derivation_space(alg).flat.rows == _nullspace(rows, n * n).rows
 
 
@@ -880,7 +880,7 @@ def test_sparse_subspaces_match_dense_oracle(alg):
     derived = derived_subalgebra(alg)
     oracle = span([bracket(alg, e[i], e[j]) for i in range(n) for j in range(i + 1, n)], n)
     assert derived == oracle and derived.basis == oracle.basis
-    assert derived == Subspace(n, _reduce(alg.structure.values()))
+    assert derived == Subspace(n, _reduce(map(integer_row, alg.structure.values())))
     series = lower_central_series(alg)
     dense = _dense_lower_central_series(alg)
     assert series == dense and [s.basis for s in series] == [s.basis for s in dense]
@@ -919,7 +919,7 @@ def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, m
     assert [s.dim for s in series] == [n, *range(n - 2, -1, -1)]
     assert len(calls) == 2 * (len(series) - 1) + 1
     assert derived is series[1] and derived is derived_subalgebra(alg)
-    assert derived == Subspace(n, _reduce(alg.structure.values()))
+    assert derived == Subspace(n, _reduce(map(integer_row, alg.structure.values())))
 
 
 @pytest.mark.parametrize("base, digest", [
@@ -978,7 +978,7 @@ def _assert_flat_matches_full_system(alg):
     # the canonical rows of the full n^2 system in Fractions, in the same
     # order and with the same dict insertion order, which the seeded draws read
     flat = derivation_space(alg).flat
-    oracle = _nullspace(map(_integer_row, _fraction_derivation_equations(alg)), alg.dim ** 2)
+    oracle = _nullspace(map(integer_row, _fraction_derivation_equations(alg)), alg.dim ** 2)
     assert flat == oracle
     assert [(p, list(row.items())) for p, row in flat.rows] == [
         (p, list(row.items())) for p, row in oracle.rows]
@@ -1061,7 +1061,7 @@ def _fraction_weight_space(alg):
     n = alg.dim
     rows = [{c // (n + 1): x for c, x in row.items() if not c % (n + 1)}
             for row in _fraction_derivation_equations(alg)]
-    return _nullspace(map(_integer_row, rows), n)
+    return _nullspace(map(integer_row, rows), n)
 
 
 _REDUCED_CASES = [("differential", name) for name in _DIFFERENTIAL_ALGEBRAS] + [
@@ -1284,14 +1284,18 @@ def test_weight_candidates_find_an_invertible_weight_exactly_when_one_exists(see
         all(sum(c * x for c, x in zip(cs, coords)) for coords in zip(*weights.basis))
         for cs in itertools.product(range(-3, 4), repeat=d))
     candidates = list(derivations._weight_candidates(weights))
-    assert candidates[:d] == list(weights.basis)
+    assert all(type(x) is int for w in candidates for x in w)
+    # each candidate is den times a weight, den that of the kept integer rows
+    den = weights.integer_rows[1]
+    rational = [tuple(F(x, den) for x in w) for w in candidates]
+    assert rational[:d] == list(weights.basis)
     assert len(candidates) - d == (n * (d - 1) + 1 if d > 1 else 0)
     # the curve points, summed in ints over one denominator, are the
     # Fraction sums of the basis
-    assert candidates[d:] == [
+    assert rational[d:] == [
         tuple(sum(s ** k * x for k, x in enumerate(coords)) for coords in zip(*weights.basis))
         for s in range(1, len(candidates) - d + 1)]
-    assert all(contains(weights, w) for w in candidates)
+    assert all(contains(weights, w) for w in rational)
     assert any(all(w) for w in candidates) == exists
 
 
@@ -1485,8 +1489,9 @@ def test_rational_root_count_matches_known_roots():
     for i in range(3000):
         factor = rng.choice([None, None] + _IRREDUCIBLE)
         p, roots = _polynomial_case(rng, rng.randint(0 if factor else 1, 5), i % 3 == 0, factor)
+        scale = math.lcm(*(c.denominator for c in p))
         count = derivations._rational_root_count(
-            derivations._sturm_chain(derivations._integer_form(p)))
+            derivations._sturm_chain([int(c * scale) for c in p]))
         assert count == len(roots), p
 
 

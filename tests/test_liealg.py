@@ -30,9 +30,19 @@ from lieaffine.liealg import (
     lower_central_series,
     nondegenerate,
 )
-from lieaffine.linalg import Matrix, Subspace, _image_chain, _integer_row, _nullspace, _reduce
+from lieaffine.linalg import Matrix, Subspace, _image_chain, _nullspace, _reduce
 
-from dense import ad, add, bracket, bracket_basis, column, scaled, unit_vector, zeros
+from dense import (
+    ad,
+    add,
+    bracket,
+    bracket_basis,
+    column,
+    integer_row,
+    scaled,
+    unit_vector,
+    zeros,
+)
 
 F = Fraction
 
@@ -238,7 +248,7 @@ def _fraction_closed_forms(alg, pairs):
             if a != m and col is not None:
                 row[col] = row.get(col, F(0)) + (c if a < m else -c)
         rows.append(row)
-    return _nullspace(map(_integer_row, rows), len(pairs))
+    return _nullspace(map(integer_row, rows), len(pairs))
 
 
 @pytest.mark.parametrize("alg", [
@@ -324,7 +334,7 @@ def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
     n = alg.dim
     assert alg.tail_filtered
     derived = derived_subalgebra(alg)
-    assert derived == Subspace(n, _reduce(alg.structure.values()))
+    assert derived == Subspace(n, _reduce(map(integer_row, alg.structure.values())))
     assert [(p, list(row.items())) for p, row in derived.rows] == [
         (k, [(k, F(1))]) for k in range(2, n)]
     assert all(type(x) is Fraction for _, row in derived.rows for x in row.values())
@@ -378,7 +388,7 @@ def test_tables_off_the_filtration_reduce_their_brackets():
         series = lower_central_series(alg)
         assert [s.dim for s in series] == dims, name
         derived = derived_subalgebra(alg)
-        assert derived == Subspace(n, _reduce(alg.structure.values())), name
+        assert derived == Subspace(n, _reduce(map(integer_row, alg.structure.values()))), name
         assert derived is alg._lower_central_series[min(1, len(dims) - 1)], name
         ad, _ = alg.integer_ad_columns
         chain = _image_chain(ad, ({i: 1} for i in range(n)))

@@ -25,7 +25,6 @@ from lieaffine.linalg import (
     _flat_columns,
     _gauss_jordan,
     _integer_inverse,
-    _integer_row,
     _nullspace,
     _reduce,
     integer_scaled,
@@ -46,6 +45,7 @@ from dense import (
     bracket_basis,
     gauss_jordan,
     identity,
+    integer_row,
     inverse,
     invert,
     matmul,
@@ -59,13 +59,13 @@ F = Fraction
 
 
 def _rows(m):
-    # the rows of m as sparse dicts, the kernel's input
-    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    # the rows of m as sparse integer dicts, the kernel's input
+    return [integer_row(dict(enumerate(row))) for row in m.data]
 
 
 def _solve(rows, ncols):
     # the kernel's homogeneous solve of rational rows
-    return _nullspace(map(_integer_row, rows), ncols)
+    return _nullspace(map(integer_row, rows), ncols)
 
 
 def _inverse(m):
@@ -137,7 +137,7 @@ def test_rref_idempotent_on_random_rationals():
             ]
         )
         reduced = _reduce(_rows(m))
-        assert _reduce(row for _, row in reduced) == reduced
+        assert _reduce(integer_row(row) for _, row in reduced) == reduced
 
 
 def test_rref_invariant_under_invertible_row_operations():
@@ -243,13 +243,13 @@ def test_reduce_matches_dense_gauss_jordan_for_any_row_order():
     rng = random.Random(13)
     for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100:
         rows, ncols = system(rng)
-        reduced = _reduce(rows)
+        reduced = _reduce(map(integer_row, rows))
         assert reduced == gauss_jordan(rows, ncols)
         assert _reduce(integer_scaled(rows)[0]) == reduced
         ordered = [(p, list(row.items())) for p, row in reduced]
         assert all(cols == sorted(cols) for _, cols in ordered)
         for _ in range(3):
-            shuffled = rng.sample(rows, len(rows))
+            shuffled = map(integer_row, rng.sample(rows, len(rows)))
             assert [(p, list(row.items())) for p, row in _reduce(shuffled)] == ordered
 
 
@@ -262,7 +262,7 @@ def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
         flip = lambda row: {ncols - 1 - c: x for c, x in row.items()}  # noqa: E731
         for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
             assert [(f, list(row.items())) for f, row in _solve(order, ncols).rows] == expected
-            reduced = _gauss_jordan(map(_integer_row, order))
+            reduced = _gauss_jordan(map(integer_row, order))
             assert len(reduced) == len(gauss_jordan(order, ncols))
             assert all(p == max(row) for p, row in reduced.items())
             assert all(c == p or c not in reduced for p, row in reduced.items() for c in row)
@@ -336,7 +336,7 @@ def _dense_integer_system(rng, rank):
 
 def test_one_content_division_per_row_matches_division_at_every_step():
     rng = random.Random(31)
-    systems = [[_integer_row(row) for row in system(rng)[0]]
+    systems = [[integer_row(row) for row in system(rng)[0]]
                for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100]
     systems += [_dense_integer_system(rng, rank) for rank in (20, 20, 12, 5)]
     for rows in systems:
@@ -717,7 +717,7 @@ def test_nonsingular_rejects_non_square():
 
 
 def test_span_collapses_duplicates():
-    s = Subspace(2, _reduce([{0: F(1)}, {0: F(1)}]))
+    s = Subspace(2, _reduce([{0: 1}, {0: 1}]))
     assert s.dim == 1
     assert s.basis[0] == (F(1), F(0))
 
@@ -730,7 +730,7 @@ def test_span_l4_bracket_images():
         for i in range(4)
         for j in range(i + 1, 4)
     ]
-    s = Subspace(4, _reduce(dict(enumerate(v)) for v in images))
+    s = Subspace(4, _reduce(integer_row(dict(enumerate(v))) for v in images))
     assert s.dim == 2
     assert s.basis == (unit_vector(4, 2), unit_vector(4, 3))
 
@@ -747,7 +747,7 @@ def test_coordinates_match_full_residual_oracle():
     inside = outside = 0
     for system in [_sparse_system] * 60 + [_singleton_heavy_system] * 60:
         rows, ncols = system(rng)
-        reduced = _reduce(rows)
+        reduced = _reduce(map(integer_row, rows))
         for _ in range(4):
             # a seeded combination of the rows, with explicit zeros, then
             # perhaps moved off the span by one entry
@@ -768,7 +768,7 @@ def test_coordinates_match_full_residual_oracle():
 
 
 def test_subspace_coordinates_and_membership():
-    rows = _reduce([{0: F(1), 2: F(2)}, {1: F(1), 2: F(-1)}])
+    rows = _reduce([{0: 1, 2: 2}, {1: 1, 2: -1}])
     assert _coordinates(rows, {0: F(1), 1: F(1), 2: F(1)}) == {0: F(1), 1: F(1)}
     assert _coordinates(rows, {2: F(1)}) is None
 
