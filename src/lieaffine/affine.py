@@ -404,11 +404,11 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
             "restriction of f to the derived subalgebra is singular"
         )
     columns, d_inverse = inverse
-    basis, d_basis = derived.integer_rows
+    basis = [row for _, row in derived.rows]
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, columns):
         g[p] = sparse_apply(basis, col)
-    return _product_tensor((g, d_basis * d_inverse), *alg.integer_ad_columns, f)
+    return _product_tensor((g, derived.den * d_inverse), *alg.integer_ad_columns, f)
 
 
 def _diagonal_product(alg: LieAlgebra, w: Sequence[int]) -> AffineStructure:
@@ -528,8 +528,7 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         # out, and otherwise some class candidate has no zero entry
         if len(set().union(*(row for _, row in space.rows))) < len(pairs):
             continue
-        den = space.integer_rows[1]
-        hit = next(filter(nondegenerate, (form(pairs, unscaled(dict(enumerate(v)), den))
+        hit = next(filter(nondegenerate, (form(pairs, unscaled(dict(enumerate(v)), space.den))
                                           for v in _weight_candidates(space) if all(v))), None)
         if hit is not None:
             return hit

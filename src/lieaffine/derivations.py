@@ -111,8 +111,9 @@ class DerivationSpace(_Frozen):
     ``derivation_space`` keeps one instance on each algebra, so every
     caller shares its views. The kernel rows of the system
     (``_gauss_jordan`` of ``_derivation_equations``) are kept; ``flat``
-    reads Der(g) off them as RREF rows of flattened n^2-vectors, and
-    ``basis`` is the matrix view.
+    reads Der(g) off them as the integer RREF rows, over one ``den``, of
+    flattened n^2-vectors, and ``basis`` is the matrix view, where the
+    Fractions of Der(g) are formed, for output.
     ``all_nilpotent`` reads the kernel rows first, so a nil Der(g) whose
     maps are all strictly lower triangular is decided without ``flat``; a
     search that settles without either never solves the system.
@@ -165,18 +166,18 @@ class DerivationSpace(_Frozen):
 
     @cached_property
     def flat(self) -> Subspace:
-        """Der(g) as the RREF rows of the solutions of ``_derivation_equations``.
+        """Der(g) as the integer RREF rows of the solutions of ``_derivation_equations``.
 
         Read off the kept kernel rows by ``linalg._solution_basis``, with no
         second elimination. The equations leave out the ``_pinned_unknowns``,
         which are 0 in every derivation, so the kernel would return each of
-        them as a free unit vector; those vectors are dropped, and the rest
-        are the canonical rows of the full system.
+        them as a free unit vector; those vectors are dropped, and the rest,
+        over the same den, are the canonical rows of the full system.
         """
         n = self.algebra.dim
         reduced, pinned = self._kernel
         solved = _solution_basis(reduced, n * n)
-        return Subspace(n * n, [row for row in solved.rows if row[0] not in pinned])
+        return Subspace(n * n, [row for row in solved.rows if row[0] not in pinned], solved.den)
 
     @property
     def dim(self) -> int:
@@ -184,7 +185,7 @@ class DerivationSpace(_Frozen):
 
     @cached_property
     def basis(self) -> Tuple[Matrix, ...]:
-        return tuple(self.matrix(row) for _, row in self.flat.rows)
+        return tuple(self.matrix(unscaled(row, self.flat.den)) for _, row in self.flat.rows)
 
     def matrix(self, flat: dict) -> Matrix:
         """Adopt a sparse row-major vector {p*n + q: entry (p, q)} as an n x n matrix."""
@@ -447,17 +448,18 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[dic
 
     Each c_k is one ``randint(-10, 10)`` from ``random.Random(seed)``, drawn
     per row in row order, so (seed, trials) replays a search exactly; a zero
-    c_k is skipped. The sums run in ints over the rows scaled to one common
-    denominator, and entries that cancel are dropped. By Schwartz-Zippel
+    c_k is skipped. The sums run in ints over the space's integer rows,
+    and only each sum over ``den`` is a Fraction vector; entries that
+    cancel are dropped. By Schwartz-Zippel
     a nonzero polynomial of degree d in the c_k vanishes on a draw with
     probability at most d/21 (d = n for an n x n determinant), which is
     vacuous from n = 21 on. ``_first_hit`` is the one loop that reads them.
     """
     rng = random.Random(seed)
-    rows, den = space.integer_rows
+    rows = [row for _, row in space.rows]
     for _ in range(trials):
         draw = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for _ in rows]
-        yield unscaled(sparse_apply(rows, {k: c for k, c in enumerate(draw) if c}), den)
+        yield unscaled(sparse_apply(rows, {k: c for k, c in enumerate(draw) if c}), space.den)
 
 
 def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable, seed: int,
@@ -474,9 +476,9 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
 def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     """The diagonal weights tried before Der(g) or the closed forms: basis, then a moment curve.
 
-    Each is an integer tuple, den times the weight, den and the rows being
-    the kept ``integer_rows`` of ``weights``; a caller forms the Fractions
-    of the one candidate it builds a witness from. First the RREF basis
+    Each is an integer tuple, ``weights.den`` times the weight, read off
+    the space's integer rows; a caller forms the Fractions of the one
+    candidate it builds a witness from. First the RREF basis
     vectors b_1, ..., b_d of ``weights``, in order; then, when d >= 2,
     w(s) = sum_k s^k b_(k+1) for s = 1, ..., n(d - 1) + 1.
     On a coordinate some b_k reaches, w(s) is a nonzero polynomial of
@@ -492,7 +494,7 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     basis of an abelian algebra touches n entries.
     """
     n = weights.ambient_dim
-    rows, _ = weights.integer_rows
+    rows = [row for _, row in weights.rows]
     curve = range(1, n * (len(rows) - 1) + 2) if len(rows) > 1 else ()
     points = chain(rows, (sparse_apply(rows, {k: s ** k for k in range(len(rows))})
                           for s in curve))
@@ -504,7 +506,7 @@ def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
 
     Both read the kept ``derivation_space(alg)``. The diagonal maps of
     ``_weight_candidates`` over its ``weights``, each integer candidate over
-    the rows' den, are tried first, and the first that passes ``accept`` is
+    the space's den, are tried first, and the first that passes ``accept`` is
     returned before Der(g) is solved. Each
     search accepts only non-nilpotent derivations, so a nil Der(g)
     (``all_nilpotent``), whose weight space is 0, returns None before any
@@ -512,7 +514,7 @@ def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
     ``accept``. Each search checks ``trials`` before it gets here.
     """
     space = derivation_space(alg)
-    den = space.weights.integer_rows[1]
+    den = space.weights.den
     hit = next(filter(accept, (Matrix.diagonal(Fraction(x, den) for x in w)
                                for w in _weight_candidates(space.weights))), None)
     if hit is not None:
@@ -541,16 +543,16 @@ def find_regular_derivation(alg: LieAlgebra, seed: int = 0,
 def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
     """(int columns, den): column k / den holds the coordinates of m(row k) on the RREF rows.
 
-    The images run in ints: m and the rows are scaled over their common
-    denominators d_m and d_b, so each image and its coordinates are
-    d_m d_b times the rational ones, and den = d_m d_b.
+    The images run in ints: m is scaled over its common denominator d_m,
+    and the rows are the space's, over its den d_b, so each image and its
+    coordinates (``_coordinates``, read in ints) are d_m d_b times the
+    rational ones, and den = d_m d_b.
     """
     cols, dm = m.integer_columns
-    rows, db = derived.integer_rows
-    out = [_coordinates(derived.rows, sparse_apply(cols, b)) for b in rows]
+    out = [_coordinates(derived, sparse_apply(cols, b)) for _, b in derived.rows]
     if None in out:
         raise NotInvariantError("image of a derived-subalgebra vector escapes it")
-    return out, dm * db
+    return out, dm * derived.den
 
 
 def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:
@@ -644,7 +646,7 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
             report.derivation_failures.append((idx, violations))
     for a in range(len(maps)):
         for b in range(a + 1, len(maps)):
-            if not _commute(maps[a].columns, maps[b].columns):
+            if not _commute(maps[a].integer_columns[0], maps[b].integer_columns[0]):
                 report.commutation_failures.append((a, b))
     for idx, m in enumerate(maps):
         ok, reason, inconclusive = _diagonalizable_over_q(m)
@@ -659,9 +661,11 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
 
 
 def _commute(a: Sequence[dict], b: Sequence[dict]) -> bool:
-    """Whether the square maps given by their sparse columns commute: a(b e_j) = b(a e_j).
+    """Whether the square maps given by their sparse integer columns commute: a(b e_j) = b(a e_j).
 
-    Each column of ab - ba is summed into one dict, where cancelled entries stay as zeros.
+    ``verify_torus`` passes each map's ``integer_columns``: scaling a map
+    does not change whether it commutes. Each column of ab - ba is summed
+    into one dict, where cancelled entries stay as zeros.
     """
     for a_j, b_j in zip(a, b):
         diff = sparse_apply(a, b_j)

@@ -39,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, LieToolError
 from .linalg import (
-    ONE,
     Matrix,
     Subspace,
     _Frozen,
@@ -169,9 +168,9 @@ class LieAlgebra(_Frozen):
     def _derived_subalgebra(self) -> Subspace:
         n = self.dim
         if self.tail_filtered:  # [g, g] = span(e_3, ..., e_n) (1-based)
-            return Subspace(n, [(k, {k: ONE}) for k in range(2, n)])
+            return Subspace(n, [(k, {k: 1}) for k in range(2, n)])
         # the span of the brackets, eliminated and then put in canonical form
-        return Subspace(n, _reduce(_gauss_jordan(self.integer_structure[0].values()).values()))
+        return _reduce(_gauss_jordan(self.integer_structure[0].values()).values(), n)
 
     @cached_property
     def _lower_central_series(self) -> List[Subspace]:
@@ -179,14 +178,14 @@ class LieAlgebra(_Frozen):
         derived = self._derived_subalgebra
         if derived.dim == n:  # [g, g] is g: a perfect algebra's series is [g]
             return [derived]
-        series = [Subspace(n, [(k, {k: ONE}) for k in range(n)]), derived]
+        series = [Subspace(n, [(k, {k: 1}) for k in range(n)]), derived]
         if self.tail_filtered:
             # C^k g = span(e_(k+2), ...) (1-based) for k >= 1, down to 0
             series += (Subspace(n, derived.rows[m:]) for m in range(1, n - 1))
             return series
-        chain = _image_chain(self.integer_ad_columns[0], derived.integer_rows[0])
+        chain = _image_chain(self.integer_ad_columns[0], (row for _, row in derived.rows))
         next(chain)  # [g, g] again, from its own reduced rows
-        series += (Subspace(n, _reduce(rows.values())) for rows in chain)
+        series += (_reduce(rows.values(), n) for rows in chain)
         return series
 
 

@@ -1,7 +1,7 @@
 """Exact rational linear algebra kernel.
 
-Every scalar a caller sees is a ``fractions.Fraction``; nothing in this
-package touches floating point. Hot loops run in Python ints instead:
+Every scalar of a ``Matrix`` or of a dense view is a ``fractions.Fraction``;
+nothing in this package touches floating point. Hot loops run in Python ints instead:
 ``integer_scaled`` puts a family of sparse vectors over one common
 denominator, the loop works on the integer numerators, and ``unscaled``
 turns a result back into Fractions at the boundary. Matrices act on column
@@ -9,33 +9,34 @@ coordinate vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel,
 ``_gauss_jordan``, on sparse integer rows ``{col: int}``, and every entry
-to it (``_reduce``, ``_nullspace``, ``_image_chain``, ``_integer_inverse``)
-takes integer rows too. Callers scale at the boundary, with
-``integer_scaled``, the one scaler, and integer producers (the Der(g),
-weight and closed-form equations, the image-chain steps and the powers of
-a map's ``integer_columns``) feed the kernel as they are. Each
-row is taken sparsest first, eliminated fraction-free by
+to it (``_reduce``, ``_nullspace``, ``_image_chain``, ``_integer_inverse``,
+``products_vanish``) takes integer rows too. Callers scale at the
+boundary, with ``integer_scaled``, the one scaler, and integer producers
+(the Der(g), weight and closed-form equations, the image-chain steps and
+the powers of a map's ``integer_columns``) feed the kernel as they are.
+Each row is taken sparsest first, eliminated fraction-free by
 cross-multiplication (``_eliminate``; a one-entry pivot row just deletes
 its column), made primitive once, and kept free of every other pivot
 column, each pivot the row's largest column. Its
 {pivot: primitive int row} is enough for a caller that only counts
 (``rank``, ``nonsingular``, ``products_vanish``, ``is_nilpotent``).
+Every exit that is a subspace is a ``Subspace`` in integers too.
 ``_solution_basis`` reads the canonical basis of the solutions straight
 off those rows, and ``_nullspace``, the kernel and then that reading,
 solves the weight and closed-form equations; Der(g) keeps its rows and
-reads its basis off them only when it is asked for.
-``_reduce`` runs the kernel on negated columns, so each pivot is the
-row's least column, and adds the one pivot normalization that
-reintroduces fractions. Its result is the canonical reduced row-echelon
-form with each row's columns in ascending order, so it is exact and
-deterministic, iteration order included, whatever the row order;
-``liealg`` reads the lower central series off it, [g, g] included.
-``_integer_inverse`` reads the integer columns of an inverse over one
-denominator straight off the kernel's rows of [m^T | I], with no
-normalization, and the constructions in ``affine`` keep them in ints.
-``_image_chain`` is the one image-chain loop, on integer maps and rows,
-shared by ``products_vanish``, which scales its maps, and ``liealg``'s
-lower central series, whose terms ``_reduce`` puts in canonical form.
+reads its basis off them only when it is asked for. ``_reduce(rows,
+ncols)`` runs the kernel on negated columns, so each pivot is the row's
+least column, and scales the rows over one denominator. Its result is
+the canonical reduced row-echelon form, over that denominator, with each
+row's columns in ascending order, so it is exact and deterministic,
+iteration order included, whatever the row order; ``liealg`` reads the
+lower central series off it, [g, g] included. ``_integer_inverse`` reads
+the integer columns of an inverse over one denominator straight off the
+kernel's rows of [m^T | I], with no normalization, and the constructions
+in ``affine`` keep them in ints. ``_image_chain`` is the one image-chain
+loop, on integer maps and rows, shared by ``products_vanish`` and
+``liealg``'s lower central series, whose terms ``_reduce`` puts in
+canonical form.
 
 A ``Matrix`` holds its sparse columns ``{row: value}`` and has no
 arithmetic: a product or sum is ``sparse_apply`` on the columns, and
@@ -49,13 +50,14 @@ a matching Gram matrix) has its rank read off its entries, with no
 elimination. ``diagonal_weights`` is (w, den) for diag(w) / den, which
 ``derivations`` and ``affine`` read to take their closed forms, so a
 witness's shape is found once however many checks read it. A ``Subspace``
-holds the kernel's RREF rows, read by ``_coordinates`` and by its hash;
-``basis`` is its dense view, and its kept ``integer_rows``, the rows'
-``integer_scaled``, mirror ``integer_columns`` for the searches and the
-derived-regular construction. The package's value types share one
-immutable base, ``_Frozen``, and set their fields once with
-``_set_fields``, which also adopts kernel output without re-validation
-(``Matrix.from_sparse``).
+holds one form, the kernel's: integer RREF rows (pivot, {col: int}) and
+one ``den``, each row / den the canonical RREF row, read as they are by
+``_coordinates``, its hash, the searches and the derived-regular
+construction, as ``integer_columns`` is for a map; ``basis``, its dense
+view, is where its Fractions are formed, for output. The package's value
+types share one immutable base, ``_Frozen``, and set their fields once
+with ``_set_fields``, which also adopts kernel output without
+re-validation (``Matrix.from_sparse``).
 A matrix's JSON form, read and written, belongs to ``serialize``.
 """
 
@@ -215,26 +217,23 @@ class Matrix(_Frozen):
 
 
 class Subspace(_Frozen):
-    """A linear subspace held as the kernel's canonical RREF rows.
+    """A linear subspace held as the kernel's canonical RREF rows, in integers over one denominator.
 
-    ``rows`` are the (pivot, {col: Fraction}) pairs ``_reduce`` returns, so
-    two subspaces are equal exactly when their rows coincide; ``basis`` is
-    their dense view. ``integer_rows`` is kept once computed, read-only.
+    ``rows`` are (pivot, {col: int}) pairs and ``den`` > 0 is one int, so
+    row / den is the canonical RREF row and ``den`` the lcm of its
+    denominators: two subspaces are equal exactly when their rows and
+    ``den`` coincide. ``basis`` is their dense view, as Fractions.
     """
 
-    __slots__ = ("ambient_dim", "rows", "__dict__")
+    __slots__ = ("ambient_dim", "rows", "den")
 
-    def __init__(self, ambient_dim: int, rows: Sequence[tuple]):
-        _set_fields(self, ambient_dim=ambient_dim, rows=tuple(rows))
-
-    @cached_property
-    def integer_rows(self) -> Tuple[list, int]:
-        """``integer_scaled`` of the rows: their int vectors over one common denominator."""
-        return integer_scaled(row for _, row in self.rows)
+    def __init__(self, ambient_dim: int, rows: Sequence[tuple], den: int = 1):
+        _set_fields(self, ambient_dim=ambient_dim, rows=tuple(rows), den=den)
 
     @property
     def basis(self) -> tuple:
-        return tuple(dense_vector(row, self.ambient_dim) for _, row in self.rows)
+        n, den = self.ambient_dim, self.den
+        return tuple(dense_vector(unscaled(row, den), n) for _, row in self.rows)
 
     @property
     def dim(self) -> int:
@@ -246,10 +245,11 @@ class Subspace(_Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
+        return (self.ambient_dim, self.den, self.rows) == (other.ambient_dim, other.den, other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, tuple(frozenset(row.items()) for _, row in self.rows)))
+        return hash((self.ambient_dim, self.den,
+                     tuple(frozenset(row.items()) for _, row in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -330,19 +330,21 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
     return reduced
 
 
-def _reduce(rows: Iterable[dict]) -> list:
-    """Canonical RREF of the span of sparse integer rows {col: int}.
+def _reduce(rows: Iterable[dict], ncols: int) -> Subspace:
+    """The span of sparse integer rows {col: int} in ``ncols`` columns, as its canonical Subspace.
 
     ``_gauss_jordan`` on the negated columns, whose pivots are then each
-    row's least column, then the one normalization that reintroduces
-    fractions. Returns the nonzero RREF rows as (pivot, {col: Fraction})
-    pairs in increasing pivot order, each dict in ascending column order,
-    so the result and its iteration order do not depend on the order of
-    the rows.
+    row's least column. A primitive row v with pivot entry pv has |pv| as
+    the lcm of the denominators of the RREF row v / pv, so den, the lcm of
+    the pivot entries, is that of the whole RREF, and each row is scaled by
+    den / pv, a whole number: no Fraction is formed. The rows come in
+    increasing pivot order, each dict in ascending column order, so the
+    result and its iteration order do not depend on the order of the rows.
     """
     reduced = _gauss_jordan({-c: x for c, x in row.items()} for row in rows)
-    return [(-p, {-c: Fraction(row[c], row[p]) for c in sorted(row, reverse=True)})
-            for p, row in sorted(reduced.items(), reverse=True)]
+    den = lcm(*(row[p] for p, row in reduced.items()))
+    return Subspace(ncols, [(-p, {-c: row[c] * (den // row[p]) for c in sorted(row, reverse=True)})
+                            for p, row in sorted(reduced.items(), reverse=True)], den)
 
 
 def _sparse(v: Sequence) -> dict:
@@ -409,23 +411,23 @@ def dense_vector(row: dict, n: int) -> Vector:
     return tuple(out)
 
 
-def _coordinates(rows: Sequence[tuple], v: dict) -> Optional[dict]:
-    """Nonzero coordinates {k: c} of sparse v on the RREF rows, or None outside their span.
+def _coordinates(space: Subspace, v: dict) -> Optional[dict]:
+    """Nonzero coordinates {k: c} of sparse v on the RREF rows of space, or None outside it.
 
     Coordinate k is v's entry at the k-th pivot; v is inside iff no residual is left.
     An RREF row is 1 at its own pivot and 0 at every other pivot column, so
-    the residual is exactly 0 on the pivot columns and is summed on the
-    others only.
+    taking each row, den times its coordinate, off den v (den the space's)
+    leaves 0 on every pivot column; the residual is summed in the
+    arithmetic of v, so an integer v forms no Fraction.
     """
-    residual = dict(v)
+    residual = {col: space.den * x for col, x in v.items()}
     coords = {}
-    for k, (p, row) in enumerate(rows):
-        c = residual.pop(p, None)
+    for k, (p, row) in enumerate(space.rows):
+        c = v.get(p)
         if c:
             coords[k] = c
             for col, x in row.items():
-                if col != p:
-                    residual[col] = residual.get(col, 0) - c * x
+                residual[col] = residual.get(col, 0) - c * x
     return None if any(residual.values()) else coords
 
 
@@ -462,9 +464,14 @@ def _solution_basis(reduced: dict, ncols: int) -> Subspace:
     its vector and no other vector holds it: these vectors, with their
     columns in ascending order, already are the canonical RREF basis that
     ``_reduce`` would return, and need no second pass through the kernel.
+    Each r is primitive and holds its pivot and the free columns only, so
+    the lcm of the denominators of its -r[f] / r[p] is |r[p]|: den, the lcm
+    of the pivot entries, puts the basis over one denominator in ints, and
+    no Fraction is formed.
     """
     if reduced and (max(reduced) >= ncols or min(min(row) for row in reduced.values()) < 0):
         raise DimensionMismatch(f"an equation holds a column outside range({ncols})")
+    den = lcm(*(row[p] for p, row in reduced.items()))
     holders = {f: [] for f in range(ncols) if f not in reduced}
     for p in sorted(reduced):
         for c in reduced[p]:
@@ -472,11 +479,11 @@ def _solution_basis(reduced: dict, ncols: int) -> Subspace:
                 holders[c].append(p)
     basis = []
     for f, ps in holders.items():
-        vec = {f: ONE}
+        vec = {f: den}
         for p in ps:
-            vec[p] = Fraction(-reduced[p][f], reduced[p][p])
+            vec[p] = -reduced[p][f] * (den // reduced[p][p])
         basis.append((f, vec))
-    return Subspace(ncols, basis)
+    return Subspace(ncols, basis, den)
 
 
 def _integer_inverse(columns: Sequence[dict], den: int) -> Optional[Tuple[list, int]]:
@@ -515,8 +522,9 @@ def nonsingular(m: Matrix) -> bool:
 def products_vanish(maps: Sequence[list]) -> bool:
     """True iff every long enough product of the given maps is zero.
 
-    ``maps`` are square maps of one size, each as its sparse columns
-    (``Matrix.columns``). When every map sends each e_j into
+    ``maps`` are square maps of one size, each as its sparse integer
+    columns (``Matrix.integer_columns``; a map's scale changes no product's
+    vanishing), like every other kernel entry. When every map sends each e_j into
     span(e_r : r > j), i.e. is strictly lower triangular, every product of
     n maps is 0, and that exact O(nonzeros) check answers True at once. Otherwise the
     image chain on the kernel decides: W_0 = sum of the images and
@@ -530,7 +538,6 @@ def products_vanish(maps: Sequence[list]) -> bool:
     """
     if all(r > j for cols in maps for j, col in enumerate(cols) for r in col):
         return True
-    maps = [integer_scaled(cols)[0] for cols in maps]
     *_, last = _image_chain(maps, (col for cols in maps for col in cols))
     return not last
 
@@ -539,8 +546,8 @@ def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> Iterator[dict]:
     """Yield W_0 = span of rows, then W_(k+1) = sum of the m(W_k), each as ``_gauss_jordan`` rows.
 
     ``maps`` are lists of sparse integer columns and ``rows`` sparse integer
-    rows; a caller with rational maps scales each over its own denominator
-    first, which leaves every image span unchanged. W_1 must lie in W_0, so
+    rows; a rational map scaled over its own denominator leaves every
+    image span unchanged. W_1 must lie in W_0, so
     the W_k are nested, and the loop runs in ints and never normalizes a
     row. W_(k+1) is eliminated only when it is asked for after W_k; the
     chain ends at the first W_k that is 0 or that the maps send onto itself,
@@ -560,4 +567,4 @@ def is_nilpotent(m: Matrix) -> bool:
     """True iff some power of the square matrix m is zero (``products_vanish``)."""
     if not m.is_square:
         raise DimensionMismatch("nilpotency of a non-square matrix")
-    return products_vanish([m.columns])
+    return products_vanish([m.integer_columns[0]])

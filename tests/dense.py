@@ -12,7 +12,10 @@ the package; the constructors below build a ``Matrix`` from dense rows.
 ``kernel_routes`` patches the package's shape views off, so the generic
 kernel routes serve as oracles of the closed forms that read them.
 ``integer_row`` scales a rational row for the kernel, which takes
-integer rows only.
+integer rows only, and ``integer_form`` puts dense RREF rows in the
+kernel's one form of a subspace: integer rows over the lcm of their
+denominators, in pure Python, so ``span`` and ``nullspace`` build their
+``Subspace`` oracles with nothing of the package but the container.
 """
 
 from fractions import Fraction
@@ -142,12 +145,23 @@ def gauss_jordan(rows, ncols):
     return [(p, {c: x for c, x in enumerate(grid[k]) if x}) for k, p in enumerate(pivots)]
 
 
+def integer_form(reduced):
+    """(rows, den) of RREF rows (pivot, {col: Fraction}): den their lcm denominator, rows * den."""
+    den = lcm(*(F(x).denominator for _, row in reduced for x in row.values()))
+    return [(p, {c: int(F(x) * den) for c, x in row.items()}) for p, row in reduced], den
+
+
 def span(vectors, n):
-    """The span of dense vectors of length n, as a ``Subspace`` on its RREF rows."""
-    return Subspace(n, gauss_jordan([dict(enumerate(v)) for v in vectors], n))
+    """The span of dense vectors of length n, as a ``Subspace`` on its RREF rows in integer form."""
+    return Subspace(n, *integer_form(gauss_jordan([dict(enumerate(v)) for v in vectors], n)))
 
 
 def nullspace(rows, ncols):
+    """The solutions of sparse rows, as a ``Subspace`` on their RREF basis in integer form."""
+    return Subspace(ncols, *integer_form(solutions(rows, ncols)))
+
+
+def solutions(rows, ncols):
     """The canonical RREF basis of the solutions of sparse rows, as (pivot, {col: value}) rows."""
     reduced = gauss_jordan(rows, ncols)
     pivots = {p for p, _ in reduced}

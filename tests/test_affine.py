@@ -430,7 +430,7 @@ def test_closed_form_products_match_the_generic_product_tensor(monkeypatch, name
         if witness is not None:
             cases.append((entry.construct, witness))
     weights = diagonal_derivations(alg)
-    rows, _ = weights.integer_rows
+    rows = [row for _, row in weights.rows]
     rng = random.Random(name)
     draws = list(affine._weight_candidates(weights))[:6] + [
         dense_vector(sparse_apply(rows, {k: rng.choice((-1, 0, 1, 2)) for k in range(len(rows))}),

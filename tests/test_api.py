@@ -74,6 +74,20 @@ def test_algebra_views_are_read_one_way_outside_liealg():
     assert reads == []
 
 
+def test_no_module_reads_a_second_subspace_form():
+    # a Subspace holds one form, integer rows over ``den``: no module of the
+    # package, its tests or its benchmark reads the deleted ``integer_rows``
+    tests = Path(__file__).parent
+    paths = [*Path(lieaffine.__file__).parent.glob("*.py"), *tests.glob("*.py"),
+             *(tests.parent / "perfbench").glob("*.py")]
+    reads = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [(path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "integer_rows"]
+    assert len(paths) > 20 and reads == []
+
+
 def _package_definitions(names):
     """The (module, name) of every function or class of the package named in ``names``."""
     package = Path(lieaffine.__file__).parent

@@ -602,7 +602,7 @@ def _rational_basis_change(n, rng):
 def _fraction_restrict(derived, m):
     # the images of the rows and their coordinates in Fractions: the oracle
     # of the integer restriction
-    rows = [row for _, row in derived.rows]
+    rows = [{c: F(x, derived.den) for c, x in row.items()} for _, row in derived.rows]
     out = []
     for b in rows:
         v = sparse_apply(m.columns, b)
@@ -622,7 +622,7 @@ RATIONAL_BASIS_IDS = ["L7", "Q8", "C8", "C8(2/3,1/2)"]
 def test_restriction_matches_fraction_oracle_in_a_rational_basis(alg):
     moved = _change_basis(alg, _rational_basis_change(alg.dim, random.Random(alg.dim)))
     derived = derived_subalgebra(moved)
-    assert any(x.denominator > 1 for _, row in derived.rows for x in row.values())
+    assert derived.den > 1
     space = derivation_space(moved)
     maps = [*space.basis[:4], *(space.matrix(v) for v in seeded_combinations(space.flat, 3, 3))]
     for f in maps:
@@ -776,7 +776,7 @@ def _seeded_symplectic_search(alg, seed, trials):
                     col = pairs.index((min(x, m), max(x, m)))
                     row[col] = row.get(col, 0) + (c if x < m else -c)
         rows.append(row)
-    space = Subspace(len(pairs), nullspace(rows, len(pairs)))
+    space = nullspace(rows, len(pairs))
     forms = (TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items()})
              for v in seeded_combinations(space, seed, trials))
     return next(filter(nondegenerate, forms), None)
@@ -880,7 +880,7 @@ def test_sparse_subspaces_match_dense_oracle(alg):
     derived = derived_subalgebra(alg)
     oracle = span([bracket(alg, e[i], e[j]) for i in range(n) for j in range(i + 1, n)], n)
     assert derived == oracle and derived.basis == oracle.basis
-    assert derived == Subspace(n, _reduce(map(integer_row, alg.structure.values())))
+    assert derived == _reduce(map(integer_row, alg.structure.values()), n)
     series = lower_central_series(alg)
     dense = _dense_lower_central_series(alg)
     assert series == dense and [s.basis for s in series] == [s.basis for s in dense]
@@ -919,7 +919,7 @@ def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, m
     assert [s.dim for s in series] == [n, *range(n - 2, -1, -1)]
     assert len(calls) == 2 * (len(series) - 1) + 1
     assert derived is series[1] and derived is derived_subalgebra(alg)
-    assert derived == Subspace(n, _reduce(map(integer_row, alg.structure.values())))
+    assert derived == _reduce(map(integer_row, alg.structure.values()), n)
 
 
 @pytest.mark.parametrize("base, digest", [
@@ -1104,7 +1104,7 @@ def test_nil_gate_on_the_kernel_rows_matches_the_flat_decision():
         space = derivations.DerivationSpace(alg)
         nil = space.all_nilpotent
         read_flat = "flat" in vars(space)
-        maps = [m.columns for m in derivation_space(alg).basis]
+        maps = [m.integer_columns[0] for m in derivation_space(alg).basis]
         lower = all(r > j for cols in maps for j, col in enumerate(cols) for r in col)
         assert nil is products_vanish(maps)
         assert read_flat is not lower
@@ -1155,7 +1155,7 @@ def _dense_draws(space, seed, trials):
             c = rng.randint(-10, 10)
             if c:
                 for j, x in row.items():
-                    acc[j] += c * x
+                    acc[j] += c * F(x, space.den)
         yield tuple(acc)
 
 
@@ -1285,8 +1285,8 @@ def test_weight_candidates_find_an_invertible_weight_exactly_when_one_exists(see
         for cs in itertools.product(range(-3, 4), repeat=d))
     candidates = list(derivations._weight_candidates(weights))
     assert all(type(x) is int for w in candidates for x in w)
-    # each candidate is den times a weight, den that of the kept integer rows
-    den = weights.integer_rows[1]
+    # each candidate is den times a weight, den that of the space's integer rows
+    den = weights.den
     rational = [tuple(F(x, den) for x in w) for w in candidates]
     assert rational[:d] == list(weights.basis)
     assert len(candidates) - d == (n * (d - 1) + 1 if d > 1 else 0)

@@ -6,9 +6,11 @@ for rank/nullity claims used elsewhere.
 """
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,8 @@ from lieaffine.affine import AffineStructure, synthesize
 from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
 from lieaffine.derivations import derivation_space
 from lieaffine.errors import DimensionMismatch
-from lieaffine.liealg import TwoForm, derived_subalgebra, lower_central_series
+from lieaffine.serialize import algebra_from_json
+from lieaffine.liealg import LieAlgebra, TwoForm, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
     Matrix,
     Subspace,
@@ -45,12 +48,14 @@ from dense import (
     bracket_basis,
     gauss_jordan,
     identity,
+    integer_form,
     integer_row,
     inverse,
     invert,
     matmul,
     nullspace,
     scaled,
+    solutions,
     unit_vector,
     zeros,
 )
@@ -109,11 +114,11 @@ def _l4_derivation_system():
 
 
 def test_rref_identity():
-    assert _reduce(_rows(identity(3))) == [(i, {i: 1}) for i in range(3)]
+    assert _reduce(_rows(identity(3)), 3) == Subspace(3, [(i, {i: 1}) for i in range(3)])
 
 
 def test_rref_rank_one_duplicate_row():
-    assert _reduce(_rows(Matrix([[1, 2], [2, 4]]))) == [(0, {0: 1, 1: 2})]
+    assert _reduce(_rows(Matrix([[1, 2], [2, 4]])), 2) == Subspace(2, [(0, {0: 1, 1: 2})])
 
 
 def test_rref_l4_derivation_system_rank():
@@ -121,7 +126,7 @@ def test_rref_l4_derivation_system_rank():
     # d42 (with d12 forced to 0 and the images of e3, e4 determined), so
     # the 16-unknown system has rank 9 and nullity 7.
     rows = _rows(_l4_derivation_system())
-    assert len(_reduce(rows)) == 9
+    assert _reduce(rows, 16).dim == 9
     assert _solve(rows, 16).dim == 7
 
 
@@ -136,8 +141,8 @@ def test_rref_idempotent_on_random_rationals():
                 for _ in range(nr)
             ]
         )
-        reduced = _reduce(_rows(m))
-        assert _reduce(integer_row(row) for _, row in reduced) == reduced
+        reduced = _reduce(_rows(m), nc)
+        assert _reduce((row for _, row in reduced.rows), nc) == reduced
 
 
 def test_rref_invariant_under_invertible_row_operations():
@@ -158,14 +163,14 @@ def test_rref_invariant_under_invertible_row_operations():
             t = Matrix([[rng.randint(-3, 3) for _ in range(nr)] for _ in range(nr)])
             if nonsingular(t):
                 break
-        assert _reduce(_rows(matmul(t, m))) == _reduce(_rows(m))
+        assert _reduce(_rows(matmul(t, m)), nc) == _reduce(_rows(m), nc)
 
 
 def test_rref_pivot_list_strictly_increasing():
     rng = random.Random(3)
     for _ in range(20):
         m = Matrix([[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)])
-        pivots = [p for p, _ in _reduce(_rows(m))]
+        pivots = [p for p, _ in _reduce(_rows(m), 6).rows]
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
 
 
@@ -190,7 +195,7 @@ def test_nullspace_vectors_satisfy_system():
         ns = _solve(_rows(m), nc)
         for v in ns.basis:
             assert all(x == 0 for x in apply(m, v))
-        assert len(_reduce(_rows(m))) + ns.dim == nc
+        assert _reduce(_rows(m), nc).dim + ns.dim == nc
 
 
 @pytest.mark.parametrize("rows, ncols", [
@@ -243,14 +248,14 @@ def test_reduce_matches_dense_gauss_jordan_for_any_row_order():
     rng = random.Random(13)
     for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100:
         rows, ncols = system(rng)
-        reduced = _reduce(map(integer_row, rows))
-        assert reduced == gauss_jordan(rows, ncols)
-        assert _reduce(integer_scaled(rows)[0]) == reduced
-        ordered = [(p, list(row.items())) for p, row in reduced]
+        reduced = _reduce(map(integer_row, rows), ncols)
+        assert reduced == Subspace(ncols, *integer_form(gauss_jordan(rows, ncols)))
+        assert _reduce(integer_scaled(rows)[0], ncols) == reduced
+        ordered = [(p, list(row.items())) for p, row in reduced.rows]
         assert all(cols == sorted(cols) for _, cols in ordered)
         for _ in range(3):
-            shuffled = map(integer_row, rng.sample(rows, len(rows)))
-            assert [(p, list(row.items())) for p, row in _reduce(shuffled)] == ordered
+            shuffled = _reduce(map(integer_row, rng.sample(rows, len(rows))), ncols)
+            assert [(p, list(row.items())) for p, row in shuffled.rows] == ordered
 
 
 def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
@@ -258,10 +263,13 @@ def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
     for system in [_sparse_system] * 100 + [_singleton_heavy_system] * 100:
         rows, ncols = system(rng)
         # compared with each row's column order, which Subspace output follows
-        expected = [(f, list(row.items())) for f, row in nullspace(rows, ncols)]
+        oracle = nullspace(rows, ncols)
+        expected = [(f, list(row.items())) for f, row in oracle.rows]
         flip = lambda row: {ncols - 1 - c: x for c, x in row.items()}  # noqa: E731
         for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
-            assert [(f, list(row.items())) for f, row in _solve(order, ncols).rows] == expected
+            solved = _solve(order, ncols)
+            assert [(f, list(row.items())) for f, row in solved.rows] == expected
+            assert solved.den == oracle.den
             reduced = _gauss_jordan(map(integer_row, order))
             assert len(reduced) == len(gauss_jordan(order, ncols))
             assert all(p == max(row) for p, row in reduced.items())
@@ -271,6 +279,90 @@ def test_nullspace_matches_dense_gauss_jordan_for_any_row_order():
                            for p, row in reduced.items())
                     == [(q, dict(sorted(row.items())))
                         for q, row in gauss_jordan([flip(r) for r in order], ncols)])
+
+
+def _weight_rows(alg):
+    # w_i + w_j = w_k for each structure constant on ((i, j), k), as integer rows
+    rows = []
+    for (i, j), coeffs in alg.structure.items():
+        for k in coeffs:
+            row = {i: 1, j: 1}
+            row[k] = row.get(k, 0) - 1
+            rows.append(row)
+    return rows
+
+
+# T of tests/half_weights.json: its weight space has RREF denominator 2
+_HALF_WEIGHTS = algebra_from_json(json.loads(
+    Path(__file__).with_name("half_weights.json").read_text(encoding="utf-8")))
+# two Heisenberg algebras sharing the centre 2 e3 + e6: [g, g] has RREF row e3 + e6 / 2
+_SHARED_HALF_CENTRE = LieAlgebra(6, {(0, 1): {2: 2, 5: 1}, (3, 4): {2: 2, 5: 1}})
+
+
+def _assert_dense_rref_over_lcm(space, fraction_rref, ncols):
+    # the Fraction RREF scaled by the lcm of its denominators, rows and their
+    # column order included, and a Subspace equal to that form hashes equal
+    den = math.lcm(*(F(x).denominator for _, row in fraction_rref for x in row.values()))
+    assert space.den == den and space.ambient_dim == ncols
+    assert [(p, list(row.items())) for p, row in space.rows] == [
+        (p, [(c, int(F(x) * den)) for c, x in sorted(row.items())]) for p, row in fraction_rref]
+    oracle = Subspace(ncols, *integer_form(fraction_rref))
+    assert space == oracle and hash(space) == hash(oracle)
+
+
+def test_kernel_subspaces_are_the_dense_rref_over_its_lcm_denominator():
+    # _reduce and _nullspace against the dense Fraction RREF scaled by the
+    # lcm of its denominators, for any row order, on seeded rational
+    # systems and on the weight equations of T, whose den is 2
+    rng = random.Random(43)
+    systems = [(_weight_rows(_HALF_WEIGHTS), 4)]
+    systems += [system(rng) for system in [_sparse_system] * 80 + [_singleton_heavy_system] * 80]
+    dens = []
+    for rows, ncols in systems:
+        spans, solved = [], []
+        for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
+            spans.append(_reduce(map(integer_row, order), ncols))
+            solved.append(_nullspace(map(integer_row, order), ncols))
+            _assert_dense_rref_over_lcm(spans[-1], gauss_jordan(rows, ncols), ncols)
+            _assert_dense_rref_over_lcm(solved[-1], solutions(rows, ncols), ncols)
+        assert len({*spans}) == len({*solved}) == 1
+        # the kernel's rows span the same space again, over the same den
+        assert _reduce((row for _, row in solved[0].rows), ncols) == solved[0]
+        dens += [spans[0].den, solved[0].den]
+    assert _nullspace(_weight_rows(_HALF_WEIGHTS), 4).den == 2
+    assert sum(d > 1 for d in dens) > 100
+
+
+def _kernel_exits(alg):
+    # the kernel on a table's integer systems: Der(g) and the weights by
+    # _nullspace, [g, g] by _reduce, the coordinates of the brackets and of
+    # each e_j on [g, g], and the image chains of Der(g) and of ad
+    n = alg.dim
+    der_rows, _ = derivations._derivation_equations(alg)
+    brackets = list(alg.integer_structure[0].values())
+    ad_columns = alg.integer_ad_columns[0]
+    flat = _nullspace(der_rows, n * n)
+    weights = _nullspace(_weight_rows(alg), n)
+    derived = _reduce(brackets, n)
+    coords = [_coordinates(derived, v) for v in brackets + [{j: 1} for j in range(n)]]
+    maps = [_flat_columns(row.items(), n) for _, row in flat.rows]
+    return flat, weights, derived, coords, products_vanish(maps), products_vanish(ad_columns)
+
+
+def test_no_fraction_is_formed_inside_the_kernel(monkeypatch):
+    # with linalg.Fraction patched to raise, every entry-to-exit run of the
+    # kernel on catalog systems, rational ones among them, gives what it
+    # gives unpatched
+    algs = [make_ln(8), make_qn(8), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(1),
+            _HALF_WEIGHTS, _SHARED_HALF_CENTRE]
+    expected = [_kernel_exits(alg) for alg in algs]
+    assert any(space.den > 1 for exits in expected for space in exits[:3])
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was formed inside the kernel")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert [_kernel_exits(alg) for alg in algs] == expected
 
 
 def _content_per_step_eliminate(pv, row, v, prow):
@@ -440,7 +532,7 @@ def test_rank_equals_rank_of_transpose():
         m = matmul(a, b)
         r = rank(m)
         assert r <= min(rows, cols, inner)
-        assert r == rank(_transpose(m)) == len(_reduce(_rows(m)))
+        assert r == rank(_transpose(m)) == _reduce(_rows(m), cols).dim
         assert _solve(_rows(m), cols).dim == cols - r
 
 
@@ -588,7 +680,7 @@ def test_products_vanish_matches_brute_force_products():
     cases.append(([e12], True))
     for maps, expected in cases:
         assert _all_products_vanish(maps) == expected
-        assert products_vanish([m.columns for m in maps]) == expected
+        assert products_vanish([m.integer_columns[0] for m in maps]) == expected
     assert {expected for _, expected in cases} == {True, False}
 
 
@@ -607,14 +699,14 @@ def test_strictly_lower_triangular_maps_skip_the_image_chain(monkeypatch):
     lower = [Matrix([[rng.randint(-3, 3) if j < i else 0 for j in range(5)]
                      for i in range(5)]) for _ in range(3)]
     monkeypatch.setattr(linalg, "_image_chain", refused)
-    assert products_vanish([m.columns for m in lower])
-    assert products_vanish([zeros(3, 3).columns])
+    assert products_vanish([m.integer_columns[0] for m in lower])
+    assert products_vanish([zeros(3, 3).integer_columns[0]])
     monkeypatch.setattr(linalg, "_image_chain", spied)
     e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
-    assert not products_vanish([e21.columns, e12.columns])
+    assert not products_vanish([e21.integer_columns[0], e12.integer_columns[0]])
     assert len(reached) == 1
     upper = [Matrix([[m[j, i] for j in range(5)] for i in range(5)]) for m in lower]
-    assert products_vanish([m.columns for m in upper])
+    assert products_vanish([m.integer_columns[0] for m in upper])
     assert len(reached) == 2
 
 
@@ -671,7 +763,8 @@ def test_count_only_callers_match_full_reduction():
             for a in maps:
                 for b in maps:
                     pair = [a.columns, b.columns]
-                    assert products_vanish(pair) == _fraction_products_vanish(pair)
+                    scaled_pair = [a.integer_columns[0], b.integer_columns[0]]
+                    assert products_vanish(scaled_pair) == _fraction_products_vanish(pair)
     # singular and nonsingular maps, nilpotent ones among the singular
     assert seen == {(False, False), (True, False), (False, True)}
 
@@ -691,7 +784,8 @@ def test_products_vanish_matches_full_chain_on_der_g():
 
 
 def _series_text(series):
-    return ";".join("|".join(f"{p}:" + ",".join(f"{c}={x}" for c, x in row.items())
+    # each RREF row as row / den, so the text is that of the canonical RREF
+    return ";".join("|".join(f"{p}:" + ",".join(f"{c}={F(x, term.den)}" for c, x in row.items())
                              for p, row in term.rows) for term in series)
 
 
@@ -705,9 +799,9 @@ def test_lower_central_series_rows_are_pinned(alg, digest):
     series = lower_central_series(alg)
     ad_table = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
     oracle = _fraction_image_chain(ad_table, [(i, {i: F(1)}) for i in range(n)])
-    assert [term.rows for term in series] == [tuple(rows) for rows in oracle]
-    assert all(type(x) is Fraction for term in series for _, row in term.rows
-               for x in row.values())
+    assert [(term.rows, term.den) for term in series] == [
+        (tuple(rows), den) for rows, den in map(integer_form, oracle)]
+    assert all(type(x) is int for term in series for _, row in term.rows for x in row.values())
     assert hashlib.sha256(_series_text(series).encode()).hexdigest() == digest
 
 
@@ -717,7 +811,7 @@ def test_nonsingular_rejects_non_square():
 
 
 def test_span_collapses_duplicates():
-    s = Subspace(2, _reduce([{0: 1}, {0: 1}]))
+    s = _reduce([{0: 1}, {0: 1}], 2)
     assert s.dim == 1
     assert s.basis[0] == (F(1), F(0))
 
@@ -730,7 +824,7 @@ def test_span_l4_bracket_images():
         for i in range(4)
         for j in range(i + 1, 4)
     ]
-    s = Subspace(4, _reduce(integer_row(dict(enumerate(v))) for v in images))
+    s = _reduce((integer_row(dict(enumerate(v))) for v in images), 4)
     assert s.dim == 2
     assert s.basis == (unit_vector(4, 2), unit_vector(4, 3))
 
@@ -747,7 +841,8 @@ def test_coordinates_match_full_residual_oracle():
     inside = outside = 0
     for system in [_sparse_system] * 60 + [_singleton_heavy_system] * 60:
         rows, ncols = system(rng)
-        reduced = _reduce(map(integer_row, rows))
+        space = _reduce(map(integer_row, rows), ncols)
+        reduced = gauss_jordan(rows, ncols)
         for _ in range(4):
             # a seeded combination of the rows, with explicit zeros, then
             # perhaps moved off the span by one entry
@@ -757,7 +852,7 @@ def test_coordinates_match_full_residual_oracle():
             if rng.random() < 0.5:
                 c = rng.randrange(ncols)
                 v[c] = v.get(c, F(0)) + F(rng.choice((-3, 1, 2)), rng.randint(1, 3))
-            coords = _coordinates(reduced, v)
+            coords = _coordinates(space, v)
             assert coords == _fraction_coordinates(reduced, v)
             if coords is None:
                 outside += 1
@@ -768,9 +863,11 @@ def test_coordinates_match_full_residual_oracle():
 
 
 def test_subspace_coordinates_and_membership():
-    rows = _reduce([{0: 1, 2: 2}, {1: 1, 2: -1}])
-    assert _coordinates(rows, {0: F(1), 1: F(1), 2: F(1)}) == {0: F(1), 1: F(1)}
-    assert _coordinates(rows, {2: F(1)}) is None
+    space = _reduce([{0: 2, 2: 1}, {1: 2, 2: -1}], 3)
+    assert space.den == 2
+    assert _coordinates(space, {0: F(1), 1: F(1), 2: F(0)}) == {0: F(1), 1: F(1)}
+    assert _coordinates(space, {0: 2, 1: -4, 2: 3}) == {0: 2, 1: -4}
+    assert _coordinates(space, {2: F(1)}) is None
 
 
 def test_rat_rejects_floats():
@@ -802,7 +899,7 @@ def test_value_types_refuse_every_attribute(name):
     value = _VALUE_TYPES[name]()
     assert type(value).__name__ == name
     # every stored field, a kept view's name and a new name alike
-    for attr in (*type(value).__slots__, "integer_rows", "new_field"):
+    for attr in (*type(value).__slots__, "integer_columns", "new_field"):
         with pytest.raises(AttributeError) as caught:
             setattr(value, attr, None)
         assert str(caught.value) == f"{name} is immutable"
@@ -813,22 +910,38 @@ def test_value_types_refuse_every_attribute(name):
     lambda: derived_subalgebra(make_benoist(1)),
     lambda: Subspace(4, []),
 ], ids=["der-L8", "benoist-derived", "zero"])
-def test_subspace_keeps_its_integer_rows(space):
+def test_subspace_holds_ints_and_no_dict(space):
+    # one form: integer rows and den, and no __dict__ to keep a second one in
     space = space()
-    rows = space.integer_rows
-    assert space.integer_rows is rows
-    assert rows == integer_scaled(row for _, row in space.rows)
+    assert not hasattr(space, "__dict__")
+    assert type(space.den) is int and space.den > 0
+    assert all(type(p) is int and type(x) is int and row[p] == space.den
+               for p, row in space.rows for x in row.values())
+    assert space.basis == tuple(tuple(F(x, space.den) for x in v) for v in _dense_rows(space))
 
 
-def test_derived_regular_synthesis_scales_the_derived_subalgebra_once(monkeypatch):
+def _dense_rows(space):
+    return [[row.get(c, 0) for c in range(space.ambient_dim)] for _, row in space.rows]
+
+
+def test_derived_regular_synthesis_restricts_a_dense_draw_in_ints(monkeypatch):
     # with no weight candidates the witness is a dense seeded draw, which
-    # the kernel restricts to [g, g]; a diagonal one takes the closed form
+    # the kernel restricts to [g, g] in ints; a diagonal one takes the closed form
     for module in (derivations, affine):
         monkeypatch.setattr(module, "_weight_candidates", lambda weights: iter(()))
+    restricted, restrict = [], derivations._integer_restrict
+
+    def spied(derived, m):
+        restricted.append(restrict(derived, m))
+        return restricted[-1]
+
+    for module in (derivations, affine):
+        monkeypatch.setattr(module, "_integer_restrict", spied)
     alg = make_cn(8, [1, -1])[0]
     witness = synthesize(alg, "derived-regular")[1].witnesses["derivation"]
     assert witness.monomial is None
-    assert "integer_rows" in derived_subalgebra(alg).__dict__
+    assert restricted and all(type(x) is int for cols, den in restricted
+                              for col in cols for x in (den, *col.values()))
 
 
 @pytest.mark.parametrize("denominators", [(1,), (1, 2, 3, 7, 2000)], ids=["int", "rational"])
