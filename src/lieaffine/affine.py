@@ -640,7 +640,7 @@ def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
     if entry is None:
         raise SchemaError(f"unknown strategy {cert.strategy!r}")
     hash_match = algebra_hash(alg) == cert.algebra_hash
-    witnesses = {key: w for key, w in cert.witnesses.items() if _witness_dim(w) == alg.dim}
+    witnesses = {key: w for key, w in cert.witnesses.items() if getattr(w, "dim", None) == alg.dim}
     structure = witnesses.get("affine_structure")
     if isinstance(structure, AffineStructure):
         witnesses["affine_structure"] = verify_affine(alg, structure)
@@ -663,13 +663,6 @@ def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
         (c.name, c.status) for c in results
     ]
     return ReverifyReport(hash_match=hash_match, checks=results, matches_recorded=matches)
-
-
-def _witness_dim(witness) -> Optional[int]:
-    """n for an n x n matrix, else the witness's ``dim`` (None if it has none)."""
-    if isinstance(witness, Matrix):
-        return witness.rows if witness.is_square else None
-    return getattr(witness, "dim", None)
 
 
 class _CheckedMap(NamedTuple):

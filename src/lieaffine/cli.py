@@ -14,9 +14,11 @@ order the payload builds them and one final newline, which is exactly
 ``json.dumps(payload, indent=2)`` plus a newline (``serialize.json_text``).
 
 Each catalog family is listed once, in ``_FAMILIES``: ``catalog list``,
-the ``--family`` help and the dispatch all read it. Options that take one
-of a fixed set of values use argparse ``choices``; every usage error is
-one line on stderr, with any echoed argument value cut to 20 characters.
+the ``--family`` help, the dispatch and the check that refuses a
+parameter option the family does not take all read it. Options that
+take one of a fixed set of values use argparse ``choices``; every usage
+error is one line on stderr, with any echoed argument value cut to 20
+characters.
 """
 
 from __future__ import annotations
@@ -140,10 +142,14 @@ def _add_search(parser: argparse.ArgumentParser) -> None:
                         help=f"random trial count, 1..{MAX_TRIALS} (default {DEFAULT_TRIALS})")
 
 
+# each family parameter option -> the args field that holds it
+_PARAMETERS = {"n": "n", "k": "k", "lambda": "lambdas", "t": "t_param"}
+
+
 def _need(args, name: str):
-    value = getattr(args, name if name != "lambda" else "lambdas")
+    value = getattr(args, _PARAMETERS[name])
     if value is None:
-        raise BadRange(f"--{name.replace('_', '-')} is required for family {args.family}")
+        raise BadRange(f"--{name} is required for family {args.family}")
     return value
 
 
@@ -159,7 +165,8 @@ def _lambda_family(make: str, names: tuple, required: bool, args):
     return getattr(catalog, make)(*(_need(args, name) for name in names), lams)[0]
 
 
-# id -> (the parameters `catalog list` shows, the builder of the algebra);
+# id -> (the parameters `catalog list` shows, the only ones the family takes,
+# the builder of the algebra);
 # the order is the order of `catalog list`. No family is trusted to be Lie:
 # every command reads the Jacobi report kept on the algebra it builds.
 _FAMILIES = {
@@ -179,10 +186,18 @@ _FAMILIES = {
 
 
 def _algebra_from_family(args):
-    """The algebra that the ``_FAMILIES`` builder of --family makes."""
+    """The algebra that the ``_FAMILIES`` builder of --family makes.
+
+    A parameter option that the family does not take is refused, not
+    dropped: the ones it takes are those its ``catalog list`` entry names.
+    """
     if args.family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {_echo(args.family)}")
-    return _FAMILIES[args.family][1](args)
+    params, build = _FAMILIES[args.family]
+    for name, field in _PARAMETERS.items():
+        if getattr(args, field) is not None and f"--{name} " not in params:
+            raise BadRange(f"--{name} is not a parameter of family {args.family}")
+    return build(args)
 
 
 def _read_document(infile):

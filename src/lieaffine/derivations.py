@@ -190,7 +190,7 @@ class DerivationSpace(_Frozen):
     def matrix(self, flat: dict) -> Matrix:
         """Adopt a sparse row-major vector {p*n + q: entry (p, q)} as an n x n matrix."""
         n = self.algebra.dim
-        return Matrix.from_sparse(n, _flat_columns(flat.items(), n))
+        return Matrix.from_sparse(_flat_columns(flat.items(), n))
 
     @cached_property
     def all_nilpotent(self) -> bool:
@@ -286,7 +286,7 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     is built only for a pair that violates it.
     """
     n = alg.dim
-    if m.rows != n or m.cols != n:
+    if m.dim != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
     diagonal = m.diagonal_weights
     if diagonal is not None:
@@ -639,7 +639,7 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
     n = alg.dim
     report = TorusReport([], [], [], [])
     for idx, m in enumerate(maps):
-        if m.rows != n or m.cols != n:
+        if m.dim != n:
             raise DimensionMismatch(f"map {idx} does not match the algebra dimension")
         violations = is_derivation(alg, m)
         if violations:
@@ -696,9 +696,7 @@ def _minimal_relation(m: Matrix) -> List[int]:
     the earlier ones), and by m^n at the latest (Cayley-Hamilton). Its sign
     is the kernel's.
     """
-    if not m.is_square:
-        raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    n = m.rows
+    n = m.dim
     cols, den = m.integer_columns
     rows, power = [], [{i: 1} for i in range(n)]
     for d in range(n + 1):

@@ -190,17 +190,15 @@ class LieAlgebra(_Frozen):
 
 
 class TwoForm(_Frozen):
-    """Antisymmetric bilinear form given by its Gram matrix."""
+    """Antisymmetric bilinear form on g given by its n x n Gram matrix; ``dim`` is n."""
 
     __slots__ = ("dim", "gram")
 
     def __init__(self, gram: Matrix):
-        if not gram.is_square:
-            raise DimensionMismatch("a 2-form needs a square Gram matrix")
         # over Q, antisymmetry forces a zero diagonal
         if any(gram[j, i] != -x for j, col in enumerate(gram.columns) for i, x in col.items()):
             raise ValueError("Gram matrix must be antisymmetric")
-        _set_fields(self, dim=gram.rows, gram=gram)
+        _set_fields(self, dim=gram.dim, gram=gram)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TwoForm":
@@ -212,7 +210,7 @@ class TwoForm(_Frozen):
             val = rat(val)
             columns[j][i] = val
             columns[i][j] = -val
-        return _set_fields(cls.__new__(cls), dim=dim, gram=Matrix.from_sparse(dim, columns))
+        return _set_fields(cls.__new__(cls), dim=dim, gram=Matrix.from_sparse(columns))
 
     def __eq__(self, other):
         if not isinstance(other, TwoForm):

@@ -38,9 +38,12 @@ loop, on integer maps and rows, shared by ``products_vanish`` and
 ``liealg``'s lower central series, whose terms ``_reduce`` puts in
 canonical form.
 
-A ``Matrix`` holds its sparse columns ``{row: value}`` and has no
-arithmetic: a product or sum is ``sparse_apply`` on the columns, and
-``data`` is the dense view for output. Its ``integer_columns``
+A ``Matrix`` is an n x n map, as every matrix of the package is a map
+of g to itself. It holds its size ``dim`` and its n sparse columns
+``{row: value}``; ``Matrix(data)`` checks once, where it is built, that
+the data is square. It has no arithmetic: a product or sum is
+``sparse_apply`` on the columns, and ``data`` is the dense view for
+output. Its ``integer_columns``
 (``integer_scaled`` of the columns, read by ``rank``, the derivation
 check and the constructions), its rank and its shape are computed on
 first use and kept: every caller shares them, so they are read-only. The
@@ -112,42 +115,42 @@ def _set_fields(obj, **fields):
 
 
 class Matrix(_Frozen):
-    """Matrix of exact rationals held as its sparse columns, immutable.
+    """An n x n map of exact rationals held as its n sparse columns, immutable.
 
-    ``columns[j]`` is column j as {row: Fraction} with its zeros dropped,
-    the form that ``sparse_apply`` and the kernel read; ``data`` is the
-    dense row view. ``Matrix(data)`` validates dense rows (JSON, catalog,
-    tests); ``from_sparse`` adopts kernel output without re-validating it.
+    ``dim`` is n, and ``columns[j]`` is column j, the image of e_j, as
+    {row: Fraction} with its zeros dropped, the form that ``sparse_apply``
+    and the kernel read; ``data`` is the dense row view. ``Matrix(data)``
+    takes n dense rows of n entries and raises DimensionMismatch on any
+    other shape, the one squareness check of the package (``Matrix([])``
+    is the 0 x 0 map); ``from_sparse(columns)`` adopts the n columns of
+    kernel output without re-validating them.
     ``integer_columns``, the rank and the shape views ``monomial`` and
     ``diagonal_weights`` are kept once computed, read-only.
     """
 
-    __slots__ = ("rows", "cols", "columns", "__dict__")
+    __slots__ = ("dim", "columns", "__dict__")
 
-    def __init__(self, data, rows: Optional[int] = None, cols: Optional[int] = None):
+    def __init__(self, data):
         grid = [[rat(x) for x in row] for row in data]
-        if rows is None:
-            rows = len(grid)
-        if cols is None:
-            cols = len(grid[0]) if grid else 0
-        if len(grid) != rows or any(len(r) != cols for r in grid):
-            raise DimensionMismatch("ragged or mis-sized matrix data")
-        _set_fields(self, rows=rows, cols=cols, columns=tuple(_transpose(map(_sparse, grid), cols)))
+        n = len(grid)
+        if any(len(r) != n for r in grid):
+            raise DimensionMismatch("matrix data must be n rows of n entries")
+        _set_fields(self, dim=n, columns=tuple(_transpose(map(_sparse, grid), n)))
 
     @classmethod
-    def from_sparse(cls, rows: int, columns: Iterable[dict]) -> "Matrix":
-        """Adopt sparse columns {row: Fraction} as they are, dropping explicit zeros."""
+    def from_sparse(cls, columns: Iterable[dict]) -> "Matrix":
+        """Adopt the n sparse columns {row: Fraction} of an n x n map, dropping explicit zeros."""
         cols = tuple({r: x for r, x in col.items() if x} for col in columns)
-        return _set_fields(cls.__new__(cls), rows=rows, cols=len(cols), columns=cols)
+        return _set_fields(cls.__new__(cls), dim=len(cols), columns=cols)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
         vals = vector(entries)
-        return cls.from_sparse(len(vals), ({i: x} for i, x in enumerate(vals)))
+        return cls.from_sparse({i: x} for i, x in enumerate(vals))
 
     @property
     def data(self) -> tuple:
-        return tuple(dense_vector(row, self.cols) for row in _transpose(self.columns, self.rows))
+        return tuple(dense_vector(row, self.dim) for row in _transpose(self.columns, self.dim))
 
     @cached_property
     def integer_columns(self) -> Tuple[list, int]:
@@ -200,20 +203,16 @@ class Matrix(_Frozen):
         i, j = key
         return self.columns[j].get(i, ZERO)
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
+        return self.columns == other.columns
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self.columns)))
+        return hash(tuple(frozenset(c.items()) for c in self.columns))
 
     def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols}, {[list(map(str, r)) for r in self.data]})"
+        return f"Matrix({self.dim}x{self.dim}, {[list(map(str, r)) for r in self.data]})"
 
 
 class Subspace(_Frozen):
@@ -432,7 +431,7 @@ def _coordinates(space: Subspace, v: dict) -> Optional[dict]:
 
 
 def rank(m: Matrix) -> int:
-    """rank m (= rank m^T): ``Matrix._rank``, read off a monomial m, else the kernel's; kept."""
+    """rank m: ``Matrix._rank``, read off a monomial m, else the kernel's, kept on m."""
     return m._rank
 
 
@@ -513,10 +512,8 @@ def _integer_inverse(columns: Sequence[dict], den: int) -> Optional[Tuple[list, 
 
 
 def nonsingular(m: Matrix) -> bool:
-    """True iff the square matrix m is invertible (the empty matrix is)."""
-    if not m.is_square:
-        raise DimensionMismatch("nonsingularity of a non-square matrix")
-    return rank(m) == m.rows
+    """True iff m is invertible (the 0 x 0 map is)."""
+    return rank(m) == m.dim
 
 
 def products_vanish(maps: Sequence[list]) -> bool:
@@ -564,7 +561,5 @@ def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> Iterator[dict]:
 
 
 def is_nilpotent(m: Matrix) -> bool:
-    """True iff some power of the square matrix m is zero (``products_vanish``)."""
-    if not m.is_square:
-        raise DimensionMismatch("nilpotency of a non-square matrix")
+    """True iff some power of m is zero (``products_vanish``)."""
     return products_vanish([m.integer_columns[0]])

@@ -107,7 +107,7 @@ def _index_key(key, dim: int) -> int:
 
 def matrix_to_json(m: Matrix) -> list:
     """The rows of m as rational strings; only the stored nonzeros are formatted, the rest is "0"."""
-    rows = [["0"] * m.cols for _ in range(m.rows)]
+    rows = [["0"] * m.dim for _ in range(m.dim)]
     for j, col in enumerate(m.columns):
         for i, x in col.items():
             rows[i][j] = format_rational(x)
@@ -124,8 +124,8 @@ def matrix_from_json(doc, what: str = "matrix") -> Matrix:
         if any(isinstance(row, list) and len(row) != len(doc) for row in doc):
             raise SchemaError(f"{what} must be square")
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise SchemaError("matrix must be an array of row arrays")
-    return Matrix([[parse_rational(x) for x in row] for row in doc], len(doc), len(doc))
+        raise SchemaError(f"{what} must be an array of row arrays")
+    return Matrix([[parse_rational(x) for x in row] for row in doc])
 
 
 # --- pair entries and coefficient maps --------------------------------------

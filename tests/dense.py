@@ -8,7 +8,10 @@ over the stored tables (``structure``, ``gamma``) and the dense rows
 package (``test_dense_oracles_import_only_containers`` keeps it so), so
 the kernel and the sparse tables can be checked against these. Vectors
 are tuples of Fractions and a ``Matrix`` acts on column vectors, as in
-the package; the constructors below build a ``Matrix`` from dense rows.
+the package; the constructors below build an n x n ``Matrix`` from dense
+rows or columns. Rectangular data stays in plain lists: ``solve`` takes
+the columns of its coefficient matrix, and a basis laid out as columns is
+the tuple of its dense vectors.
 ``kernel_routes`` patches the package's shape views off, so the generic
 kernel routes serve as oracles of the closed forms that read them.
 ``integer_row`` scales a rational row for the kernel, which takes
@@ -48,15 +51,16 @@ def unit_vector(n, i):
 
 
 def identity(n):
-    return Matrix([unit_vector(n, i) for i in range(n)], n, n)
+    return Matrix([unit_vector(n, i) for i in range(n)])
 
 
-def zeros(rows, cols):
-    return Matrix([[0] * cols for _ in range(rows)], rows, cols)
+def zeros(n):
+    return Matrix([[0] * n for _ in range(n)])
 
 
-def from_columns(columns, rows):
-    return Matrix([[col[i] for col in columns] for i in range(rows)], rows, len(columns))
+def from_columns(columns):
+    """The n x n ``Matrix`` whose column j is the dense vector columns[j]."""
+    return Matrix([[col[i] for col in columns] for i in range(len(columns))])
 
 
 def column(m, j):
@@ -65,7 +69,7 @@ def column(m, j):
 
 def apply(m, v):
     """m v for a dense vector v, summed over the nonzero entries of v."""
-    out = [F(0)] * m.rows
+    out = [F(0)] * m.dim
     for j, x in enumerate(v):
         if x:
             for i, y in m.columns[j].items():
@@ -93,7 +97,7 @@ def bracket(alg, x, y):
 def ad(alg, x):
     """The matrix of [x, .]: column j is [x, e_j]."""
     n = alg.dim
-    return from_columns([bracket(alg, x, unit_vector(n, j)) for j in range(n)], n)
+    return from_columns([bracket(alg, x, unit_vector(n, j)) for j in range(n)])
 
 
 def product(structure, x, y):
@@ -108,22 +112,21 @@ def product(structure, x, y):
 
 def matmul(a, b):
     """The matrix product a b, entry by entry over the dense rows."""
-    assert a.cols == b.rows, "shape mismatch"
-    rows, cols = a.data, b.data
-    return Matrix([[sum((rows[i][k] * cols[k][j] for k in range(a.cols)), F(0))
-                    for j in range(b.cols)] for i in range(a.rows)], a.rows, b.cols)
+    assert a.dim == b.dim, "size mismatch"
+    n, rows, cols = a.dim, a.data, b.data
+    return Matrix([[sum((rows[i][k] * cols[k][j] for k in range(n)), F(0))
+                    for j in range(n)] for i in range(n)])
 
 
 def add(a, b):
     """The matrix sum a + b, entry by entry over the dense rows."""
-    assert (a.rows, a.cols) == (b.rows, b.cols), "shape mismatch"
-    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)],
-                  a.rows, a.cols)
+    assert a.dim == b.dim, "size mismatch"
+    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)])
 
 
 def scaled(m, c):
     """The matrix c m, entry by entry over the dense rows."""
-    return Matrix([[F(c) * x for x in row] for row in m.data], m.rows, m.cols)
+    return Matrix([[F(c) * x for x in row] for row in m.data])
 
 
 def gauss_jordan(rows, ncols):
@@ -174,14 +177,19 @@ def solutions(rows, ncols):
     return gauss_jordan(basis, ncols)
 
 
-def solve(a, b):
-    """One solution of a x = b with the free unknowns 0, or None when there is none."""
-    rows = [{**dict(enumerate(row)), a.cols: rhs} for row, rhs in zip(a.data, b)]
-    x = [F(0)] * a.cols
-    for p, row in gauss_jordan(rows, a.cols + 1):
-        if p == a.cols:
+def solve(columns, b):
+    """One x with sum_j x_j columns[j] = b, the free unknowns 0, or None when there is none.
+
+    ``columns`` are the dense columns of the coefficient matrix, one per
+    unknown, each as long as b, so the system may be rectangular.
+    """
+    k = len(columns)
+    rows = [{**{j: col[i] for j, col in enumerate(columns)}, k: rhs} for i, rhs in enumerate(b)]
+    x = [F(0)] * k
+    for p, row in gauss_jordan(rows, k + 1):
+        if p == k:
             return None
-        x[p] = row.get(a.cols, F(0))
+        x[p] = row.get(k, F(0))
     return tuple(x)
 
 
@@ -202,15 +210,14 @@ def invert(m):
     """The inverse of an invertible ``Matrix``; a singular one is a bug in the caller."""
     rows = inverse(m.data)
     assert rows is not None, "singular matrix"
-    return Matrix(rows, m.rows, m.cols)
+    return Matrix(rows)
 
 
 def contains(subspace, v):
     """Whether the dense vector v lies in the subspace, by a solve on its basis."""
-    return solve(from_columns(subspace.basis, subspace.ambient_dim), v) is not None
+    return solve(subspace.basis, v) is not None
 
 
 def restrict(subspace, m):
     """The matrix of m on the basis of an m-invariant subspace, one dense solve per column."""
-    basis = from_columns(subspace.basis, subspace.ambient_dim)
-    return from_columns([solve(basis, apply(m, b)) for b in subspace.basis], subspace.dim)
+    return from_columns([solve(subspace.basis, apply(m, b)) for b in subspace.basis])

@@ -285,4 +285,4 @@ def test_criterion_10_linear_algebra_oracle():
                 [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
             )
             power = matmul(matmul(matmul(m, m), m), m)
-            assert is_nilpotent(m) == (power == zeros(4, 4))
+            assert is_nilpotent(m) == (power == zeros(4))

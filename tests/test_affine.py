@@ -322,7 +322,7 @@ def test_product_tensor_matches_fraction_oracle(name):
                                           [_transpose(cols, n) for cols in int_ad])):
         for density in (0.2, 0.6):
             outer = _random_columns(rng, n, density)
-            inner = Matrix.from_sparse(n, _random_columns(rng, n, density))
+            inner = Matrix.from_sparse(_random_columns(rng, n, density))
             structure = _product_tensor(integer_scaled(outer), int_maps, den, inner)
             _assert_canonical(structure)
             assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
@@ -713,12 +713,11 @@ def test_from_derived_regular_agrees_with_direct_definition():
         n = alg.dim
         ns = from_derived_regular(alg, f)
         derived = derived_subalgebra(alg)
-        basis = from_columns(derived.basis, n)
         rinv = invert(restrict(derived, f))
         for i in range(n):
             for j in range(n):
                 image = bracket(alg, unit_vector(n, i), apply(f, unit_vector(n, j)))
-                coords = solve(basis, image)
+                coords = solve(derived.basis, image)
                 assert coords is not None
                 direct = apply(rinv, coords)
                 embedded = [F(0)] * n
@@ -955,13 +954,19 @@ def test_certificate_embeds_witness_and_structure():
 
 
 def _wrong_witnesses(key):
-    """Witnesses that do not fit Ln 4: of the wrong type, or sized for another algebra."""
+    """Witnesses that do not fit Ln 4: of the wrong type, or of the right type and another size.
+
+    Each right-typed one has a ``dim`` other than 4; a regular derivation,
+    a symplectic form and an affine structure of L5 or L6 are among them.
+    """
     form = find_symplectic(make_ln(4))
     pm = Matrix([[(-1) ** (i * j + i) for j in range(80)] for i in range(80)])
     return {
-        "derivation": [form, zeros(0, 0), identity(5), pm, Matrix([[1, 0, 0, 0]] * 3)],
-        "two_form": [form.gram, find_symplectic(make_ln(6)), TwoForm(zeros(2, 2))],
-        "affine_structure": [form.gram, AffineStructure(5, {}), AffineStructure(3, {})],
+        "derivation": [form, zeros(0), identity(5), pm, Matrix.diagonal([1, 1, 2, 3, 4]),
+                       Matrix([[1, 0, 0]] * 3)],
+        "two_form": [form.gram, find_symplectic(make_ln(6)), TwoForm(zeros(2))],
+        "affine_structure": [form.gram, AffineStructure(5, {}), AffineStructure(3, {}),
+                             synthesize(make_ln(5), seed=0, trials=32)[0]],
     }[key]
 
 
@@ -979,13 +984,19 @@ def test_reverify_witness_of_the_wrong_type_is_unknown(strategy, key, checks):
     # on it (the 80 x 80 +-1 matrix would otherwise cost a rank)
     l4 = make_ln(4)
     _, cert = synthesize(l4, strategy=strategy, seed=0, trials=32)
+    kind = type(cert.witnesses[key])
+    wrong_size = 0
     for wrong in _wrong_witnesses(key):
+        if isinstance(wrong, kind):
+            assert wrong.dim != l4.dim
+            wrong_size += 1
         report = reverify_certificate(
             l4, cert._replace(witnesses={**cert.witnesses, key: wrong}))
         statuses = {c.name: (c.status, c.residuals) for c in report.checks}
         assert statuses == {c.name: ("unknown", -1) if c.name in checks else ("pass", 0)
                             for c in cert.checks}, wrong
         assert not report.ok
+    assert wrong_size >= 2
 
 
 def test_reverify_detects_wrong_algebra():

@@ -105,6 +105,56 @@ def test_no_module_defines_a_deleted_shape_or_series_helper():
     assert _package_definitions({"_Drawn", "_monomial_rows", "_diagonal_weights"}) == []
 
 
+def test_every_matrix_is_square_with_one_dim():
+    # a Matrix is an n x n map with one size, ``dim``, checked where it is
+    # built: no module of the package or its tests reads a second size or
+    # asks whether a map is square, and the witness-size helper is gone.
+    # perfbench/ is left out: its tracer still reads the old fields
+    tests = Path(__file__).parent
+    paths = [*Path(lieaffine.__file__).parent.glob("*.py"), *tests.glob("*.py")]
+    reads = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [(path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("cols", "is_square")]
+    assert len(paths) > 15 and reads == []
+    assert _package_definitions({"_witness_dim"}) == []
+
+
+def test_each_witness_type_and_the_algebra_expose_dim():
+    # reverify_certificate compares ``dim`` with the algebra's for every witness
+    cases = [(lieaffine.Matrix.diagonal([1, 2, 3]), 3),
+             (lieaffine.TwoForm.from_entries(4, {(0, 1): 1, (2, 3): 1}), 4),
+             (lieaffine.AffineStructure(5, {}), 5), (lieaffine.make_ln(6), 6)]
+    for value, dim in cases:
+        assert "dim" in type(value).__slots__ and value.dim == dim
+
+
+_CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+
+def _code_lines(directory):
+    out = subprocess.run([sys.executable, str(_CODE_LINES), str(directory)], check=True,
+                         capture_output=True, text=True).stdout
+    return {name: int(count) for count, name in map(str.split, out.splitlines())}
+
+
+def test_code_line_count_totals_its_modules():
+    counts = _code_lines(Path(lieaffine.__file__).parent)
+    total = counts.pop("total")
+    assert total == sum(counts.values()) > 0
+    assert {"linalg", "cli", "affine"} <= set(counts)
+
+
+def test_code_line_count_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "prose.py").write_text(
+        '"""A module docstring,\n\nover three lines."""\n\n# a comment\n\n    # another\n')
+    (tmp_path / "small.py").write_text(
+        'def f():\n    """A docstring."""\n    # a comment\n\n    return ("two",  # c\n'
+        '            "lines")\n')
+    assert _code_lines(tmp_path) == {"prose": 0, "small": 3, "total": 3}
+
+
 def test_no_module_defines_a_deleted_converter():
     # the kernel takes integer rows and the weights stay integers until a
     # witness is built: no converter from Fractions and back returns

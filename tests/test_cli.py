@@ -671,7 +671,7 @@ _VERDICT = {"kind": "NotCharNilpotent", "witness": [["1"]], "seed": 0, "trials":
     ("algebra", {**_ALGEBRA, "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]},
      "coeffs must be an object"),
     ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": ["1", "0"]}},
-     "matrix must be an array of row arrays"),
+     "derivation witness must be an array of row arrays"),
     ("twoform", {"dim": 2, "entries": [1]}, "expected a JSON object"),
     ("twoform", {"dim": 2, "entries": [{"i": 1, "j": 2}]}, "missing field(s): ['value']"),
     ("twoform", {"dim": 2, "entries": [{"i": True, "j": 2, "value": "1"}]},
@@ -695,11 +695,12 @@ _VERDICT = {"kind": "NotCharNilpotent", "witness": [["1"]], "seed": 0, "trials":
     ("verdict", {**_VERDICT, "witness": []}, "witness must have at least one row"),
     ("certificate", {**_CERTIFICATE, "witnesses": {"derivation": []}},
      "derivation witness must have at least one row"),
+    ("verdict", {**_VERDICT, "witness": [1, 2]}, "witness must be an array of row arrays"),
 ], ids=["not-an-object", "checks", "witnesses", "provenance", "brackets", "entries", "coeffs",
         "witness-rows", "entry-object", "entry-value", "entry-index", "entry-pair",
         "entry-duplicate", "entry-rational", "gamma-duplicate", "witness-square",
         "witness-row-cap", "verdict-square", "verdict-row-cap", "verdict-empty",
-        "witness-empty"])
+        "witness-empty", "verdict-rows"])
 def test_io_validate_rejects_malformed_documents(capsys, tmp_path, kind, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -1464,6 +1465,37 @@ def test_family_parameters_are_checked_in_a_fixed_order(capsys, argv, expected):
     code, payload, err = run_cli(capsys, ["catalog", "show", *argv])
     assert (code, payload) == (2, None)
     assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option, family", [
+    (["catalog", "show", "--family", "Benoist", "--n", "5"], "n", "Benoist"),
+    (["affine", "synth", "--family", "QnZ", "--n", "8", "--lambda", "1"], "lambda", "QnZ"),
+    (["verify", "jacobi", "--family", "Ln", "--n", "5", "--k", "3"], "k", "Ln"),
+    (["catalog", "show", "--family", "Cn", "--n", "6", "--lambda", "1", "--t", "2"], "t", "Cn"),
+    (["der", "torus", "--family", "Ln", "--n", "4", "--lambda", "1"], "lambda", "Ln"),
+], ids=["benoist-n", "qnz-lambda", "ln-k", "cn-t", "torus-ln-lambda"])
+def test_family_refuses_a_parameter_it_does_not_take(capsys, argv, option, family):
+    # each of these once built the family, dropped the option and exited 0
+    code, payload, err = run_cli(capsys, [*argv, "--reproducible"])
+    assert (code, payload) == (2, None)
+    assert err == f"error: --{option} is not a parameter of family {family}\n"
+
+
+_OPTION_ARGV = {"n": ["--n", "6"], "k": ["--k", "1"], "lambda": ["--lambda=1"], "t": ["--t=1"]}
+
+
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_family_takes_exactly_the_parameters_catalog_list_names(capsys, family):
+    # the one table decides: an option named in the family's `catalog list`
+    # entry is read, every other one is refused before anything is built
+    params = cli._FAMILIES[family][0]
+    taken = {name for name in _OPTION_ARGV if f"--{name} " in params}
+    assert taken == set(re.findall(r"--(\w+)", params))
+    for name, option in _OPTION_ARGV.items():
+        code, _, err = run_cli(capsys, ["catalog", "show", "--family", family, *option])
+        refused = f"error: --{name} is not a parameter of family {family}\n"
+        assert (err == refused) == (name not in taken), (name, err)
+        assert name in taken or code == 2
 
 
 @pytest.mark.parametrize("argv, option, allowed", [

@@ -97,7 +97,7 @@ def test_ad_l4_matrix():
 
 def test_ad_of_central_element_is_zero():
     l4 = make_ln(4)
-    assert ad(l4, unit_vector(4, 3)) == zeros(4, 4)
+    assert ad(l4, unit_vector(4, 3)) == zeros(4)
 
 
 def test_jacobi_report_l12_empty():

@@ -43,7 +43,6 @@ from lieaffine.linalg import (
 from dense import (
     ad,
     add,
-    apply,
     bracket,
     bracket_basis,
     gauss_jordan,
@@ -63,9 +62,15 @@ from dense import (
 F = Fraction
 
 
-def _rows(m):
-    # the rows of m as sparse integer dicts, the kernel's input
-    return [integer_row(dict(enumerate(row))) for row in m.data]
+def _rows(grid):
+    # dense rows as sparse integer dicts, the kernel's input
+    return [integer_row(dict(enumerate(row))) for row in grid]
+
+
+def _times(t, grid):
+    # the dense rows of t grid, for the n x n Matrix t and n dense rows
+    return [[sum((a * row[j] for a, row in zip(trow, grid)), F(0)) for j in range(len(grid[0]))]
+            for trow in t.data]
 
 
 def _solve(rows, ncols):
@@ -79,7 +84,7 @@ def _inverse(m):
     if found is None:
         return None
     columns, den = found
-    return Matrix.from_sparse(m.rows, (unscaled(col, den) for col in columns))
+    return Matrix.from_sparse(unscaled(col, den) for col in columns)
 
 
 def _l4_bracket_basis(a, b):
@@ -110,15 +115,15 @@ def _l4_derivation_system():
                         if pp == p:
                             row[q * 4 + j] -= c
                 rows.append(row)
-    return Matrix(rows, 24, 16)
+    return rows
 
 
 def test_rref_identity():
-    assert _reduce(_rows(identity(3)), 3) == Subspace(3, [(i, {i: 1}) for i in range(3)])
+    assert _reduce(_rows(identity(3).data), 3) == Subspace(3, [(i, {i: 1}) for i in range(3)])
 
 
 def test_rref_rank_one_duplicate_row():
-    assert _reduce(_rows(Matrix([[1, 2], [2, 4]])), 2) == Subspace(2, [(0, {0: 1, 1: 2})])
+    assert _reduce(_rows([[1, 2], [2, 4]]), 2) == Subspace(2, [(0, {0: 1, 1: 2})])
 
 
 def test_rref_l4_derivation_system_rank():
@@ -135,12 +140,7 @@ def test_rref_idempotent_on_random_rationals():
     for _ in range(25):
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
-        m = Matrix(
-            [
-                [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(nc)]
-                for _ in range(nr)
-            ]
-        )
+        m = [[F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(nc)] for _ in range(nr)]
         reduced = _reduce(_rows(m), nc)
         assert _reduce((row for _, row in reduced.rows), nc) == reduced
 
@@ -152,30 +152,25 @@ def test_rref_invariant_under_invertible_row_operations():
     for _ in range(40):
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 6)
-        m = Matrix(
-            [
-                [F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
-                 for _ in range(nc)]
-                for _ in range(nr)
-            ]
-        )
+        m = [[F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+              for _ in range(nc)] for _ in range(nr)]
         while True:
             t = Matrix([[rng.randint(-3, 3) for _ in range(nr)] for _ in range(nr)])
             if nonsingular(t):
                 break
-        assert _reduce(_rows(matmul(t, m)), nc) == _reduce(_rows(m), nc)
+        assert _reduce(_rows(_times(t, m)), nc) == _reduce(_rows(m), nc)
 
 
 def test_rref_pivot_list_strictly_increasing():
     rng = random.Random(3)
     for _ in range(20):
-        m = Matrix([[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)])
+        m = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
         pivots = [p for p, _ in _reduce(_rows(m), 6).rows]
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
 
 
 def test_nullspace_zero_matrix():
-    ns = _solve(_rows(zeros(3, 3)), 3)
+    ns = _solve(_rows(zeros(3).data), 3)
     assert ns.dim == 3
     assert ns.ambient_dim == 3
 
@@ -191,10 +186,10 @@ def test_nullspace_vectors_satisfy_system():
     for _ in range(20):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 5)
-        m = Matrix([[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)])
+        m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         ns = _solve(_rows(m), nc)
         for v in ns.basis:
-            assert all(x == 0 for x in apply(m, v))
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
         assert _reduce(_rows(m), nc).dim + ns.dim == nc
 
 
@@ -518,22 +513,23 @@ def test_invert_round_trip_random():
 
 
 def _transpose(m):
-    return Matrix([[m[i, j] for i in range(m.rows)] for j in range(m.cols)], m.cols, m.rows)
+    return Matrix([[m[i, j] for i in range(m.dim)] for j in range(m.dim)])
 
 
 def test_rank_equals_rank_of_transpose():
-    # rank reduces the columns; the rows (_reduce, _nullspace) must agree
+    # rank reduces the columns; the rows (_reduce, _nullspace) must agree.
+    # a has its columns past ``inner`` zero, so rank(a b) <= inner
     rng = random.Random(31)
     for _ in range(60):
-        rows, cols, inner = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 4)
-        a = Matrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)], rows, inner)
-        b = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
-                    for _ in range(inner)], inner, cols)
+        n, inner = rng.randint(0, 6), rng.randint(0, 4)
+        a = Matrix([[rng.randint(-3, 3) if k < inner else 0 for k in range(n)] for _ in range(n)])
+        b = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)])
         m = matmul(a, b)
         r = rank(m)
-        assert r <= min(rows, cols, inner)
-        assert r == rank(_transpose(m)) == _reduce(_rows(m), cols).dim
-        assert _solve(_rows(m), cols).dim == cols - r
+        assert r <= min(n, inner)
+        assert r == rank(_transpose(m)) == _reduce(_rows(m.data), n).dim
+        assert _solve(_rows(m.data), n).dim == n - r
 
 
 def test_monomial_rank_matches_the_kernel_rank():
@@ -542,28 +538,29 @@ def test_monomial_rank_matches_the_kernel_rank():
     rng = random.Random(39)
     monomial = 0
     for _ in range(200):
-        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
-        columns = [{rng.randrange(rows): F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))}
-                   if rows and rng.random() < 0.7 else {} for _ in range(cols)]
-        m = Matrix.from_sparse(rows, columns)
+        n = rng.randint(0, 7)
+        columns = [{rng.randrange(n): F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))}
+                   if rng.random() < 0.7 else {} for _ in range(n)]
+        m = Matrix.from_sparse(columns)
         assert m.monomial == tuple(next(iter(col), None) for col in columns)
         assert rank(m) == len(_gauss_jordan(integer_scaled(m.columns)[0]))
         assert "integer_columns" not in vars(m)
-        monomial += 0 < rank(m) < min(rows, cols)
+        monomial += 0 < rank(m) < n
     assert monomial > 20
 
 
 def test_from_sparse_drops_explicit_zeros():
-    dense = Matrix([[0, 0, 5], [F(1, 2), 0, 0]])
-    sparse = Matrix.from_sparse(2, [{0: F(0), 1: F(1, 2)}, {1: F(0)}, {0: F(5)}])
+    dense = Matrix([[0, 0, 5], [F(1, 2), 0, 0], [0, 0, 0]])
+    sparse = Matrix.from_sparse([{0: F(0), 1: F(1, 2)}, {1: F(0)}, {0: F(5)}])
     assert sparse.columns == dense.columns == ({1: F(1, 2)}, {}, {0: F(5)})
     assert sparse == dense and hash(sparse) == hash(dense)
-    assert sparse.data == ((0, 0, 5), (F(1, 2), 0, 0))
+    assert sparse.dim == dense.dim == 3
+    assert sparse.data == ((0, 0, 5), (F(1, 2), 0, 0), (0, 0, 0))
     # entries that cancel in a sum leave no zeros behind either
     assert add(dense, scaled(dense, -1)).columns == ({}, {}, {})
-    assert add(dense, scaled(dense, -1)) == zeros(2, 3) == Matrix.from_sparse(2, [{}] * 3)
-    assert hash(add(dense, scaled(dense, -1))) == hash(Matrix([[0] * 3] * 2))
-    assert Matrix.from_sparse(3, []) == zeros(3, 0)
+    assert add(dense, scaled(dense, -1)) == zeros(3) == Matrix.from_sparse([{}] * 3)
+    assert hash(add(dense, scaled(dense, -1))) == hash(Matrix([[0] * 3] * 3))
+    assert Matrix.from_sparse([]) == zeros(0) == Matrix([])
 
 
 def test_is_nilpotent_strict_upper_triangular():
@@ -588,13 +585,13 @@ def test_is_nilpotent_ad_on_l4():
     ad1 = ad(l4, unit_vector(4, 0))
     assert is_nilpotent(ad1)
     p = matmul(ad1, ad1)
-    assert p != zeros(4, 4)
-    assert matmul(p, ad1) == zeros(4, 4)
+    assert p != zeros(4)
+    assert matmul(p, ad1) == zeros(4)
 
 
 def _char_poly_coeffs(m):
     # Faddeev-LeVerrier: x^n + c1 x^(n-1) + ... + cn, exact over Fraction.
-    n = m.rows
+    n = m.dim
     coeffs = []
     acc = identity(n)
     for k in range(1, n + 1):
@@ -628,10 +625,11 @@ def test_is_nilpotent_matches_char_poly_oracle():
                 break
         cases.append(matmul(matmul(t, nil), invert(t)))
     for _ in range(20):
+        # 4 x 4 factors whose columns, then rows, past r are zero: rank <= r < 4
         r = rng.randint(1, 3)
-        tall = Matrix([[rng.randint(-3, 3) for _ in range(r)] for _ in range(4)])
-        wide = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
-                       for _ in range(r)])
+        tall = Matrix([[rng.randint(-3, 3) if k < r else 0 for k in range(4)] for _ in range(4)])
+        wide = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)] if i < r
+                       else [0] * 4 for i in range(4)])
         cases.append(matmul(tall, wide))
     for m in cases:
         coeffs = _char_poly_coeffs(m)
@@ -643,7 +641,7 @@ def test_is_nilpotent_matches_char_poly_oracle():
 
 def _conjugated(maps, rng):
     # t m t^-1 for one seeded invertible integer t shared by all maps
-    n = maps[0].rows
+    n = maps[0].dim
     while True:
         t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if nonsingular(t):
@@ -657,9 +655,9 @@ def _all_products_vanish(maps):
     # generate a nilpotent algebra, and a nonzero product of length n
     # survives at every length (the image chain has at most n strict steps).
     level = set(maps)
-    for _ in range(maps[0].rows - 1):
+    for _ in range(maps[0].dim - 1):
         level = {matmul(a, b) for a in level for b in maps}
-    return all(p == zeros(p.rows, p.cols) for p in level)
+    return all(p == zeros(p.dim) for p in level)
 
 
 def test_products_vanish_matches_brute_force_products():
@@ -700,7 +698,7 @@ def test_strictly_lower_triangular_maps_skip_the_image_chain(monkeypatch):
                      for i in range(5)]) for _ in range(3)]
     monkeypatch.setattr(linalg, "_image_chain", refused)
     assert products_vanish([m.integer_columns[0] for m in lower])
-    assert products_vanish([zeros(3, 3).integer_columns[0]])
+    assert products_vanish([zeros(3).integer_columns[0]])
     monkeypatch.setattr(linalg, "_image_chain", spied)
     e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
     assert not products_vanish([e21.integer_columns[0], e12.integer_columns[0]])
@@ -733,8 +731,8 @@ def _fraction_products_vanish(maps):
 def _count_only_matrices(rng, n, entry):
     """(singular, nonsingular, strictly triangular, conjugated nilpotent) seeded sparse n x n maps."""
     def sparse(rows_of, density):
-        return Matrix.from_sparse(n, [{r: entry() for r in rows_of(j) if rng.random() < density}
-                                      for j in range(n)])
+        return Matrix.from_sparse([{r: entry() for r in rows_of(j) if rng.random() < density}
+                                   for j in range(n)])
 
     lower = add(sparse(lambda j: range(j + 1, n), 0.5), identity(n))
     upper = add(sparse(lambda j: range(j), 0.5), Matrix.diagonal([entry() for _ in range(n)]))
@@ -742,7 +740,7 @@ def _count_only_matrices(rng, n, entry):
     dense = sparse(lambda j: range(n), 0.5)
     cols = list(dense.columns)
     cols[-1] = sparse_apply(cols[:2], {0: entry(), 1: entry()}) if n > 1 else {}
-    return [Matrix.from_sparse(n, cols), matmul(lower, upper), strict,
+    return [Matrix.from_sparse(cols), matmul(lower, upper), strict,
             matmul(matmul(lower, strict), invert(lower))]
 
 
@@ -805,9 +803,27 @@ def test_lower_central_series_rows_are_pinned(alg, digest):
     assert hashlib.sha256(_series_text(series).encode()).hexdigest() == digest
 
 
-def test_nonsingular_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        nonsingular(Matrix([[1, 0, 0], [0, 1, 0]]))
+@pytest.mark.parametrize("data", [
+    [[1, 0, 0], [0, 1, 0]],
+    [[1, 0], [0, 1], [1, 1]],
+    [[1, 0], [0]],
+    [[1, 2, 3], [4, 5], [6]],
+    [[]],
+    [[1], []],
+], ids=["wide", "tall", "ragged", "staircase", "one-empty-row", "short-row"])
+def test_matrix_rejects_data_that_is_not_n_rows_of_n_entries(data):
+    # the one squareness check of the package: every Matrix is an n x n map,
+    # so nonsingular, is_nilpotent, the minimal polynomial and TwoForm never
+    # meet another shape
+    with pytest.raises(DimensionMismatch, match="^matrix data must be n rows of n entries$"):
+        Matrix(data)
+
+
+def test_matrix_dim_is_its_size():
+    assert Matrix([]).dim == 0 and Matrix([]).columns == () and Matrix([]).data == ()
+    assert Matrix([[1, 2], [3, 4]]).dim == 2
+    assert Matrix.diagonal([1, 2, 3]).dim == Matrix.from_sparse([{}] * 3).dim == 3
+    assert not hasattr(Matrix([[1]]), "rows") and not hasattr(Matrix([[1]]), "cols")
 
 
 def test_span_collapses_duplicates():
@@ -878,7 +894,7 @@ def test_rat_rejects_floats():
 def test_matrix_immutable_and_exact_equality():
     m = Matrix([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
-        m.rows = 5
+        m.dim = 5
     assert m == Matrix([["1", "2"], ["3", "4"]])
     assert m != Matrix([[1, 2], [3, 5]])
 
@@ -954,7 +970,7 @@ def test_integer_inverse_matches_dense_fraction_oracle(denominators):
         n = trial % 7
         grid = [[F(rng.randint(-2, 2), rng.choice(denominators)) if rng.random() < 0.6 else 0
                  for _ in range(n)] for _ in range(n)]
-        m = Matrix(grid, n, n)
+        m = Matrix(grid)
         expected = inverse(grid)
         found = _integer_inverse(*integer_scaled(m.columns))
         if expected is None:
@@ -965,13 +981,13 @@ def test_integer_inverse_matches_dense_fraction_oracle(denominators):
         assert den > 0 and len(columns) == n
         assert all(type(x) is int for col in columns for x in col.values())
         fractions = [unscaled(col, den) for col in columns]
-        assert fractions == list(Matrix(expected, n, n).columns)
+        assert fractions == list(Matrix(expected).columns)
         assert all(type(x) is F and x for col in fractions for x in col.values())
     assert 10 < singular < 140
 
 
 def test_empty_matrix_conventions():
-    empty = zeros(0, 0)
+    empty = zeros(0)
     assert nonsingular(empty)
     assert _inverse(empty) == empty
     assert is_nilpotent(empty)
