@@ -48,11 +48,15 @@ in ``linalg``, which the search and ``is_derivation`` have already found:
 Every other witness (the seeded draws, Cn's regular witness, any witness
 in a moved basis) takes the kernel route: e_i.e_j = outer(M_i(inner e_j))
 from sparse columns (``_product_tensor``), composed in integers over the
-three maps' common denominators. Its outer map comes straight from the
-kernel's integer inverse (``linalg._integer_inverse``) of the restriction
-to [g, g] or of the Gram matrix, so no Fraction inverse is built. Both
-routes give the same tensor, sparse, in the algebra's {(i, j): {k: c}}
-form of exact Fractions, whose entries are the first Fractions formed.
+three maps' denominators. A witness is read in the one form a ``Matrix``
+holds, integer columns over one ``den``, and its outer map comes straight
+from the kernel's integer inverse (``linalg._integer_inverse``) of the
+restriction to [g, g] or of the Gram matrix, so no Fraction inverse is
+built. Both routes give the same tensor, sparse, in the algebra's
+{(i, j): {k: c}} form of exact Fractions, whose entries are the first
+Fractions formed. The symplectic search forms a Fraction only for the
+at most n(n - 1)/2 entries of each 2-form it tries
+(``TwoForm.from_entries``).
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -328,9 +332,9 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
     Each ``maps[i]`` is the integer sparse columns of d_maps times a map
     (ad(e_i) or its transpose, from ``integer_ad_columns``); the three
     constructions differ only in the three maps. ``inner`` is the
-    construction's witness matrix (the derivation f or the Gram matrix).
-    The products run in integers: inner is scaled to V / d_v, and each entry
-    of O M_i V is divided once by d_o d_maps d_v.
+    construction's witness matrix (the derivation f or the Gram matrix),
+    read as it is held, V / d_v. The products run in integers, and each
+    entry of O M_i V is divided once by d_o d_maps d_v.
 
     Only nonzero terms are visited: O M_i e_m is formed once for each
     nonzero column M_i e_m, and e_i.e_j sums V[m, j] O M_i e_m over the
@@ -340,7 +344,7 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
     """
     n = len(maps)
     outer, d_outer = outer
-    inner_cols, d_inner = inner.integer_columns
+    inner_cols, d_inner = inner.columns, inner.den
     den = d_outer * d_maps * d_inner
     # images[m]: the (i, O M_i e_m) with a nonzero image, in ascending i
     images = [[] for _ in range(n)]
@@ -395,10 +399,10 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     once ``_restriction_invertible`` has found it invertible on [g, g].
     """
     derived = derived_subalgebra(alg)
-    diagonal = f.diagonal_weights
-    if diagonal is not None and _restriction_invertible(derived, f):
-        return _diagonal_product(alg, diagonal[0])
-    inverse = None if diagonal is not None else _integer_inverse(*_integer_restrict(derived, f))
+    w = f.diagonal_weights
+    if w is not None and _restriction_invertible(derived, f):
+        return _diagonal_product(alg, w)
+    inverse = None if w is not None else _integer_inverse(*_integer_restrict(derived, f))
     if inverse is None:
         raise SingularOnDerivedError(
             "restriction of f to the derived subalgebra is singular"
@@ -446,7 +450,7 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     sigma = th.monomial
     if sigma is not None and None not in sigma:
         return _matching_product(alg, th, sigma)
-    inverse = _integer_inverse(*th.integer_columns)
+    inverse = _integer_inverse(th.columns, th.den)
     if inverse is None:
         raise DegenerateFormError("the 2-form is degenerate")
     columns, den = inverse
@@ -464,11 +468,11 @@ def _matching_product(alg: LieAlgebra, th: Matrix, sigma: Sequence[int]) -> Affi
     -c Th[p, sigma p] / Th[b, sigma b] to the e_(sigma b) coefficient of
     e_a . e_(sigma p). An entry (a, sigma p, sigma b) fixes a, p and b, and
     one stored pair holds {a, b}, so each entry is met once and none
-    cancels. The Gram entries are read over their kept ``integer_columns``,
-    whose common scale cancels.
+    cancels. The Gram entries are read as the integer ``columns`` they are
+    held in, whose common scale ``den`` cancels.
     """
     structure, den = alg.integer_structure
-    cols, _ = th.integer_columns
+    cols = th.columns
     t = [cols[sigma[p]][p] for p in range(alg.dim)]  # d Th[p, sigma p]
     gamma: Dict[tuple, dict] = {}
     for (a, b), coeffs in structure.items():
@@ -514,8 +518,8 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     if n % 2:
         return None
 
-    def form(pairs, v):
-        return TwoForm.from_entries(n, {pairs[s]: x for s, x in v.items()})
+    def form(pairs, v, den):
+        return TwoForm.from_entries(n, {pairs[s]: Fraction(x, den) for s, x in v.items()})
 
     weights = diagonal_derivations(alg)
     for w in islice(_weight_candidates(weights), weights.dim + SYMPLECTIC_CURVE_POINTS):
@@ -528,12 +532,12 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         # out, and otherwise some class candidate has no zero entry
         if len(set().union(*(row for _, row in space.rows))) < len(pairs):
             continue
-        hit = next(filter(nondegenerate, (form(pairs, unscaled(dict(enumerate(v)), space.den))
+        hit = next(filter(nondegenerate, (form(pairs, dict(enumerate(v)), space.den)
                                           for v in _weight_candidates(space) if all(v))), None)
         if hit is not None:
             return hit
     pairs, space = _closed_forms(alg, [[a for a in range(n) if a != m] for m in range(n)])
-    return _first_hit(space, lambda v: form(pairs, v), (), seed, trials, nondegenerate)
+    return _first_hit(space, lambda v: form(pairs, v, space.den), (), seed, trials, nondegenerate)
 
 
 def _matching(w: Sequence[int]) -> Optional[List[List[int]]]:

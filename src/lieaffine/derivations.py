@@ -42,8 +42,11 @@ candidates (``_weight_candidates`` over the kept space's ``weights``,
 which needs only the weight equations and is solved once per algebra:
 ``diagonal_derivations`` and every search read the same subspace), and a
 hit there never solves Der(g) and does not depend on the seed. The
-candidates are integer tuples over the weight rows' one denominator; a
-search turns one into Fractions only to build the diagonal map it tries.
+candidates are integer tuples over the weight rows' one denominator, and
+a search adopts each as it is, as the integer columns of the diagonal
+map it tries, as it adopts each seeded draw over Der(g) (``Matrix`` holds
+a map in integers over one denominator): neither derivation search nor
+char-nilp forms a Fraction.
 For the regular search the pass is exact: it finds an invertible
 diagonal derivation whenever the given basis has one, as the catalog
 bases of Ln, Qn and QnZ do. The symplectic search
@@ -112,8 +115,9 @@ class DerivationSpace(_Frozen):
     caller shares its views. The kernel rows of the system
     (``_gauss_jordan`` of ``_derivation_equations``) are kept; ``flat``
     reads Der(g) off them as the integer RREF rows, over one ``den``, of
-    flattened n^2-vectors, and ``basis`` is the matrix view, where the
-    Fractions of Der(g) are formed, for output.
+    flattened n^2-vectors, and ``basis`` and ``matrix`` adopt those rows,
+    and the seeded draws over them, as maps over the same ``den``, so no
+    Fraction of Der(g) is formed before output.
     ``all_nilpotent`` reads the kernel rows first, so a nil Der(g) whose
     maps are all strictly lower triangular is decided without ``flat``; a
     search that settles without either never solves the system.
@@ -185,12 +189,12 @@ class DerivationSpace(_Frozen):
 
     @cached_property
     def basis(self) -> Tuple[Matrix, ...]:
-        return tuple(self.matrix(unscaled(row, self.flat.den)) for _, row in self.flat.rows)
+        return tuple(self.matrix(row) for _, row in self.flat.rows)
 
     def matrix(self, flat: dict) -> Matrix:
-        """Adopt a sparse row-major vector {p*n + q: entry (p, q)} as an n x n matrix."""
+        """Adopt a sparse row-major integer vector {p*n + q: int} over ``flat.den`` as a matrix."""
         n = self.algebra.dim
-        return Matrix.from_sparse(_flat_columns(flat.items(), n))
+        return Matrix.from_sparse(_flat_columns(flat.items(), n), self.flat.den)
 
     @cached_property
     def all_nilpotent(self) -> bool:
@@ -269,10 +273,9 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     Each entry is (i, j, residual vector); an empty list certifies that m
     is a derivation. The residual m[e_i, e_j] + [e_j, m e_i] - [e_i, m e_j]
     is built from the sparse columns of m and of ad(e_i), ad(e_j), in
-    integers, over the views kept on m and alg: m is rescaled over its
-    common denominator d_m and the brackets over theirs, d_c, so every
-    residual is d_m d_c times the rational one, and a nonzero one is
-    reported as its exact Fractions.
+    integers: m's integer columns over its ``den``, d_m, and the brackets
+    kept on alg over theirs, d_c, so every residual is d_m d_c times the
+    rational one, and a nonzero one is reported as its exact Fractions.
 
     The residual of (i, j) is exactly 0 unless [e_i, e_j] != 0, or
     [e_j, e_q] != 0 for some q in the support of m e_i, or [e_i, e_q] != 0
@@ -288,10 +291,10 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     n = alg.dim
     if m.dim != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
-    diagonal = m.diagonal_weights
-    if diagonal is not None:
-        return _diagonal_violations(alg, *diagonal)
-    cols, dm = m.integer_columns
+    w = m.diagonal_weights
+    if w is not None:
+        return _diagonal_violations(alg, w, m.den)
+    cols, dm = m.columns, m.den
     ad, dc = alg.integer_ad_columns
     partners = alg.partners
     pairs = set(alg.structure)
@@ -448,9 +451,10 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[dic
 
     Each c_k is one ``randint(-10, 10)`` from ``random.Random(seed)``, drawn
     per row in row order, so (seed, trials) replays a search exactly; a zero
-    c_k is skipped. The sums run in ints over the space's integer rows,
-    and only each sum over ``den`` is a Fraction vector; entries that
-    cancel are dropped. By Schwartz-Zippel
+    c_k is skipped. Each is an integer vector over ``space.den``, summed in
+    ints over the space's integer rows, so no Fraction is formed; entries
+    that cancel stay as zeros, which ``Matrix.from_sparse`` drops. By
+    Schwartz-Zippel
     a nonzero polynomial of degree d in the c_k vanishes on a draw with
     probability at most d/21 (d = n for an n x n determinant), which is
     vacuous from n = 21 on. ``_first_hit`` is the one loop that reads them.
@@ -459,7 +463,7 @@ def seeded_combinations(space: Subspace, seed: int, trials: int) -> Iterator[dic
     rows = [row for _, row in space.rows]
     for _ in range(trials):
         draw = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for _ in rows]
-        yield unscaled(sparse_apply(rows, {k: c for k, c in enumerate(draw) if c}), space.den)
+        yield sparse_apply(rows, {k: c for k, c in enumerate(draw) if c})
 
 
 def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable, seed: int,
@@ -477,8 +481,8 @@ def _weight_candidates(weights: Subspace) -> Iterator[tuple]:
     """The diagonal weights tried before Der(g) or the closed forms: basis, then a moment curve.
 
     Each is an integer tuple, ``weights.den`` times the weight, read off
-    the space's integer rows; a caller forms the Fractions of the one
-    candidate it builds a witness from. First the RREF basis
+    the space's integer rows, which a caller adopts over that den with no
+    Fraction formed. First the RREF basis
     vectors b_1, ..., b_d of ``weights``, in order; then, when d >= 2,
     w(s) = sum_k s^k b_(k+1) for s = 1, ..., n(d - 1) + 1.
     On a coordinate some b_k reaches, w(s) is a nonzero polynomial of
@@ -505,8 +509,9 @@ def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
     """The regular and derived-regular searches: diagonal weights, the nil gate, then draws.
 
     Both read the kept ``derivation_space(alg)``. The diagonal maps of
-    ``_weight_candidates`` over its ``weights``, each integer candidate over
-    the space's den, are tried first, and the first that passes ``accept`` is
+    ``_weight_candidates`` over its ``weights``, each integer candidate
+    adopted over the space's den by ``Matrix.from_sparse`` with no Fraction
+    formed, are tried first, and the first that passes ``accept`` is
     returned before Der(g) is solved. Each
     search accepts only non-nilpotent derivations, so a nil Der(g)
     (``all_nilpotent``), whose weight space is 0, returns None before any
@@ -515,7 +520,7 @@ def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
     """
     space = derivation_space(alg)
     den = space.weights.den
-    hit = next(filter(accept, (Matrix.diagonal(Fraction(x, den) for x in w)
+    hit = next(filter(accept, (Matrix.from_sparse(({j: x} for j, x in enumerate(w)), den)
                                for w in _weight_candidates(space.weights))), None)
     if hit is not None:
         return hit
@@ -543,12 +548,12 @@ def find_regular_derivation(alg: LieAlgebra, seed: int = 0,
 def _integer_restrict(derived: Subspace, m: Matrix) -> Tuple[list, int]:
     """(int columns, den): column k / den holds the coordinates of m(row k) on the RREF rows.
 
-    The images run in ints: m is scaled over its common denominator d_m,
+    The images run in ints: m's integer columns over its ``den``, d_m,
     and the rows are the space's, over its den d_b, so each image and its
     coordinates (``_coordinates``, read in ints) are d_m d_b times the
     rational ones, and den = d_m d_b.
     """
-    cols, dm = m.integer_columns
+    cols, dm = m.columns, m.den
     out = [_coordinates(derived, sparse_apply(cols, b)) for _, b in derived.rows]
     if None in out:
         raise NotInvariantError("image of a derived-subalgebra vector escapes it")
@@ -569,9 +574,8 @@ def _restriction_invertible(derived: Subspace, f: Matrix) -> bool:
     on the rows, and invertible iff no pivot weight is 0. A diagonal f that moves some row
     out takes the route above, which raises ``NotInvariantError``.
     """
-    diagonal = f.diagonal_weights
-    if diagonal is not None:
-        w = diagonal[0]
+    w = f.diagonal_weights
+    if w is not None:
         if all(w[c] == w[p] for p, row in derived.rows for c in row):
             return all(w[p] for p, _ in derived.rows)
     return len(_gauss_jordan(_integer_restrict(derived, f)[0])) == derived.dim
@@ -646,7 +650,7 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
             report.derivation_failures.append((idx, violations))
     for a in range(len(maps)):
         for b in range(a + 1, len(maps)):
-            if not _commute(maps[a].integer_columns[0], maps[b].integer_columns[0]):
+            if not _commute(maps[a].columns, maps[b].columns):
                 report.commutation_failures.append((a, b))
     for idx, m in enumerate(maps):
         ok, reason, inconclusive = _diagonalizable_over_q(m)
@@ -663,7 +667,7 @@ def verify_torus(alg: LieAlgebra, maps: Sequence[Matrix]) -> TorusReport:
 def _commute(a: Sequence[dict], b: Sequence[dict]) -> bool:
     """Whether the square maps given by their sparse integer columns commute: a(b e_j) = b(a e_j).
 
-    ``verify_torus`` passes each map's ``integer_columns``: scaling a map
+    ``verify_torus`` passes each map's integer ``columns``: scaling a map
     does not change whether it commutes. Each column of ab - ba is summed
     into one dict, where cancelled entries stay as zeros.
     """
@@ -685,7 +689,7 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
 def _minimal_relation(m: Matrix) -> List[int]:
     """The primitive integer relation of least degree among I, m, m^2, ..., ascending.
 
-    The powers are those of m's kept ``integer_columns`` (c, den), so the
+    The powers are those of m's integer ``columns`` c over its ``den``, so the
     d-th is den^d m^d; it goes through the kernel tagged den^d in column d
     and flattened into the columns above n, a positive multiple of the row
     of m^d tagged 1, which leaves every relation among the powers as it is.
@@ -697,7 +701,7 @@ def _minimal_relation(m: Matrix) -> List[int]:
     is the kernel's.
     """
     n = m.dim
-    cols, den = m.integer_columns
+    cols, den = m.columns, m.den
     rows, power = [], [{i: 1} for i in range(n)]
     for d in range(n + 1):
         if d:

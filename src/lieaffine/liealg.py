@@ -195,8 +195,9 @@ class TwoForm(_Frozen):
     __slots__ = ("dim", "gram")
 
     def __init__(self, gram: Matrix):
-        # over Q, antisymmetry forces a zero diagonal
-        if any(gram[j, i] != -x for j, col in enumerate(gram.columns) for i, x in col.items()):
+        # over Q, antisymmetry forces a zero diagonal; the entries share one den
+        cols = gram.columns
+        if any(cols[i].get(j, 0) != -x for j, col in enumerate(cols) for i, x in col.items()):
             raise ValueError("Gram matrix must be antisymmetric")
         _set_fields(self, dim=gram.dim, gram=gram)
 
@@ -210,7 +211,8 @@ class TwoForm(_Frozen):
             val = rat(val)
             columns[j][i] = val
             columns[i][j] = -val
-        return _set_fields(cls.__new__(cls), dim=dim, gram=Matrix.from_sparse(columns))
+        gram = Matrix.from_sparse(*integer_scaled(columns))
+        return _set_fields(cls.__new__(cls), dim=dim, gram=gram)
 
     def __eq__(self, other):
         if not isinstance(other, TwoForm):
@@ -315,14 +317,14 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
     th(e_i, [e_j, e_k]) + th(e_j, [e_k, e_i]) + th(e_k, [e_i, e_j]),
     summed over the terms of ``cyclic_sum_terms`` with the support of each
     Gram column as the partners; an empty list means the form is closed.
-    The sums run in ints over ``integer_structure`` and the Gram matrix
-    scaled over its own common denominator d_form, and each nonzero one is
+    The sums run in ints over ``integer_structure`` and the Gram matrix's
+    integer columns over its ``den``, d_form, and each nonzero one is
     divided once, by den * d_form.
     """
     if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
     structure, den = alg.integer_structure
-    columns, d_form = form.gram.integer_columns
+    columns, d_form = form.gram.columns, form.gram.den
     sums: Dict[tuple, int] = {}
     for triple, a, m, c in cyclic_sum_terms(structure, columns):
         sums[triple] = sums.get(triple, 0) + columns[m][a] * c

@@ -1,11 +1,12 @@
 """Exact rational linear algebra kernel.
 
-Every scalar of a ``Matrix`` or of a dense view is a ``fractions.Fraction``;
-nothing in this package touches floating point. Hot loops run in Python ints instead:
-``integer_scaled`` puts a family of sparse vectors over one common
-denominator, the loop works on the integer numerators, and ``unscaled``
-turns a result back into Fractions at the boundary. Matrices act on column
-coordinate vectors, so column j of a map is the image of basis vector j.
+Every scalar is exact: a ``Matrix`` or a ``Subspace`` holds Python ints
+over one denominator, and every dense view is ``fractions.Fraction``;
+nothing in this package touches floating point. ``integer_scaled`` puts
+a family of sparse rational vectors over one common denominator, the
+loops work on the integer numerators, and ``unscaled`` turns a result
+back into Fractions at the boundary. Matrices act on column coordinate
+vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel,
 ``_gauss_jordan``, on sparse integer rows ``{col: int}``, and every entry
@@ -13,7 +14,7 @@ to it (``_reduce``, ``_nullspace``, ``_image_chain``, ``_integer_inverse``,
 ``products_vanish``) takes integer rows too. Callers scale at the
 boundary, with ``integer_scaled``, the one scaler, and integer producers
 (the Der(g), weight and closed-form equations, the image-chain steps and
-the powers of a map's ``integer_columns``) feed the kernel as they are.
+the powers of a map's integer ``columns``) feed the kernel as they are.
 Each row is taken sparsest first, eliminated fraction-free by
 cross-multiplication (``_eliminate``; a one-entry pivot row just deletes
 its column), made primitive once, and kept free of every other pivot
@@ -39,28 +40,31 @@ loop, on integer maps and rows, shared by ``products_vanish`` and
 canonical form.
 
 A ``Matrix`` is an n x n map, as every matrix of the package is a map
-of g to itself. It holds its size ``dim`` and its n sparse columns
-``{row: value}``; ``Matrix(data)`` checks once, where it is built, that
-the data is square. It has no arithmetic: a product or sum is
-``sparse_apply`` on the columns, and ``data`` is the dense view for
-output. Its ``integer_columns``
-(``integer_scaled`` of the columns, read by ``rank``, the derivation
-check and the constructions), its rank and its shape are computed on
-first use and kept: every caller shares them, so they are read-only. The
-shape is two views. ``monomial`` is the row of each column's one entry,
-or None when some column holds two: such a map (a diagonal derivation or
-a matching Gram matrix) has its rank read off its entries, with no
-elimination. ``diagonal_weights`` is (w, den) for diag(w) / den, which
+of g to itself. It holds one form, the kernel's, as a ``Subspace`` holds
+its rows: its size ``dim``, its n sparse integer columns ``{row: int}``
+and one ``den`` > 0 with gcd(den, every entry) = 1, so column j / den is
+the image of e_j and equal maps have equal fields. The builders hand
+their kernel integers to ``Matrix.from_sparse(columns, den)`` as they
+are, and ``Matrix(data)``, which checks once that the data is square,
+scales rational rows through ``integer_scaled``; the Fractions of a map
+are formed only for output (``data``, ``m[i, j]``). It has no
+arithmetic: a product or sum is ``sparse_apply`` on the columns. Its
+rank and its shape are computed on first use and kept: every caller
+shares them, so they are read-only. The shape is two views.
+``monomial`` is the row of each column's one entry, or None when some
+column holds two: such a map (a diagonal derivation or a matching Gram
+matrix) has its rank read off its entries, with no elimination.
+``diagonal_weights`` is the integer w of diag(w) / den, which
 ``derivations`` and ``affine`` read to take their closed forms, so a
-witness's shape is found once however many checks read it. A ``Subspace``
-holds one form, the kernel's: integer RREF rows (pivot, {col: int}) and
-one ``den``, each row / den the canonical RREF row, read as they are by
-``_coordinates``, its hash, the searches and the derived-regular
-construction, as ``integer_columns`` is for a map; ``basis``, its dense
-view, is where its Fractions are formed, for output. The package's value
-types share one immutable base, ``_Frozen``, and set their fields once
-with ``_set_fields``, which also adopts kernel output without
-re-validation (``Matrix.from_sparse``).
+witness's shape is found once however many checks read it. A
+``Subspace`` holds the same kind of form: integer RREF rows (pivot,
+{col: int}) and one ``den``, each row / den the canonical RREF row, read
+as they are by ``_coordinates``, its hash, the searches and the
+derived-regular construction; ``basis``, its dense view, is where its
+Fractions are formed, for output. The package's value types share one
+immutable base, ``_Frozen``, and set their fields once with
+``_set_fields``, which also adopts kernel output without re-validation
+(``Matrix.from_sparse``).
 A matrix's JSON form, read and written, belongs to ``serialize``.
 """
 
@@ -115,47 +119,52 @@ def _set_fields(obj, **fields):
 
 
 class Matrix(_Frozen):
-    """An n x n map of exact rationals held as its n sparse columns, immutable.
+    """An n x n map of exact rationals held as n sparse integer columns over one ``den``, immutable.
 
-    ``dim`` is n, and ``columns[j]`` is column j, the image of e_j, as
-    {row: Fraction} with its zeros dropped, the form that ``sparse_apply``
-    and the kernel read; ``data`` is the dense row view. ``Matrix(data)``
-    takes n dense rows of n entries and raises DimensionMismatch on any
-    other shape, the one squareness check of the package (``Matrix([])``
-    is the 0 x 0 map); ``from_sparse(columns)`` adopts the n columns of
-    kernel output without re-validating them.
-    ``integer_columns``, the rank and the shape views ``monomial`` and
-    ``diagonal_weights`` are kept once computed, read-only.
+    ``dim`` is n, ``columns[j]`` is {row: int} with its zeros dropped and
+    ``den`` > 0 one int, so column j / ``den`` is the image of e_j, and
+    gcd(den, every entry) is 1: equal maps have equal fields. This is the
+    form that ``sparse_apply`` and the kernel read; ``data`` and
+    ``m[i, j]`` are the Fraction views, for output. ``Matrix(data)`` takes
+    n dense rows of n rationals and raises DimensionMismatch on any other
+    shape, the one squareness check of the package (``Matrix([])`` is the
+    0 x 0 map); ``from_sparse(columns, den)`` adopts the integer columns of
+    kernel output without re-validating them. The rank and the shape views
+    ``monomial`` and ``diagonal_weights`` are kept once computed, read-only.
     """
 
-    __slots__ = ("dim", "columns", "__dict__")
+    __slots__ = ("dim", "columns", "den", "__dict__")
 
     def __init__(self, data):
         grid = [[rat(x) for x in row] for row in data]
         n = len(grid)
         if any(len(r) != n for r in grid):
             raise DimensionMismatch("matrix data must be n rows of n entries")
-        _set_fields(self, dim=n, columns=tuple(_transpose(map(_sparse, grid), n)))
+        # canonical already: p does not divide den / q for the entry whose
+        # denominator q carries the top power of p in den
+        columns, den = integer_scaled(_transpose(map(_sparse, grid), n))
+        _set_fields(self, dim=n, columns=tuple(columns), den=den)
 
     @classmethod
-    def from_sparse(cls, columns: Iterable[dict]) -> "Matrix":
-        """Adopt the n sparse columns {row: Fraction} of an n x n map, dropping explicit zeros."""
-        cols = tuple({r: x for r, x in col.items() if x} for col in columns)
-        return _set_fields(cls.__new__(cls), dim=len(cols), columns=cols)
+    def from_sparse(cls, columns: Iterable[dict], den: int) -> "Matrix":
+        """Adopt the n sparse integer columns {row: int} over den > 0 of an n x n map.
+
+        Explicit zeros are dropped and gcd(den, every entry) is divided out
+        once, so the zero map has ``den`` 1.
+        """
+        columns = list(columns)
+        g = gcd(den, *(x for col in columns for x in col.values()))
+        cols = tuple({r: x // g for r, x in col.items() if x} for col in columns)
+        return _set_fields(cls.__new__(cls), dim=len(cols), columns=cols, den=den // g)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
-        vals = vector(entries)
-        return cls.from_sparse({i: x} for i, x in enumerate(vals))
+        return cls.from_sparse(*integer_scaled({i: x} for i, x in enumerate(vector(entries))))
 
     @property
     def data(self) -> tuple:
-        return tuple(dense_vector(row, self.dim) for row in _transpose(self.columns, self.dim))
-
-    @cached_property
-    def integer_columns(self) -> Tuple[list, int]:
-        """``integer_scaled(columns)``: the int columns over one common denominator."""
-        return integer_scaled(self.columns)
+        n, den = self.dim, self.den
+        return tuple(dense_vector(unscaled(row, den), n) for row in _transpose(self.columns, n))
 
     @cached_property
     def monomial(self) -> Optional[Tuple[Optional[int], ...]]:
@@ -173,17 +182,15 @@ class Matrix(_Frozen):
         return tuple(rows)
 
     @cached_property
-    def diagonal_weights(self) -> Optional[Tuple[Tuple[int, ...], int]]:
-        """(w, den) with integer w when the map is diag(w) / den, else None.
+    def diagonal_weights(self) -> Optional[Tuple[int, ...]]:
+        """The integer weights w when the map is diag(w) / ``den``, else None.
 
-        Diagonal is ``monomial`` with every entry on the diagonal; the
-        weights are read off the kept ``integer_columns``.
+        Diagonal is ``monomial`` with every entry on the diagonal.
         """
         rows = self.monomial
         if rows is None or any(r is not None and r != j for j, r in enumerate(rows)):
             return None
-        cols, den = self.integer_columns
-        return tuple(col.get(j, 0) for j, col in enumerate(cols)), den
+        return tuple(col.get(j, 0) for j, col in enumerate(self.columns))
 
     @cached_property
     def _rank(self) -> int:
@@ -192,24 +199,24 @@ class Matrix(_Frozen):
         A monomial map has its nonzero columns on unit vectors e_r, so its
         rank is the number of distinct rows r its entries lie in; no
         elimination runs. Every other map goes through ``_gauss_jordan`` on
-        its kept ``integer_columns``.
+        its integer columns.
         """
         rows = self.monomial
         if rows is not None:
             return len(set(rows) - {None})
-        return len(_gauss_jordan(self.integer_columns[0]))
+        return len(_gauss_jordan(self.columns))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self.columns[j].get(i, ZERO)
+        return Fraction(self.columns[j].get(i, 0), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.columns == other.columns
+        return (self.den, self.columns) == (other.den, other.columns)
 
     def __hash__(self):
-        return hash(tuple(frozenset(c.items()) for c in self.columns))
+        return hash((self.den, tuple(frozenset(c.items()) for c in self.columns)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.dim}x{self.dim}, {[list(map(str, r)) for r in self.data]})"
@@ -489,7 +496,7 @@ def _integer_inverse(columns: Sequence[dict], den: int) -> Optional[Tuple[list, 
     """(int columns, den') of the inverse of the square map m = columns / den, or None if singular.
 
     ``columns`` are m's sparse integer columns {row: int} and den > 0, as
-    ``integer_scaled`` gives them; m^-1 = int columns / den', den' > 0. The
+    a ``Matrix`` holds them; m^-1 = int columns / den', den' > 0. The
     kernel runs on the rows of [m^T | I] with the identity block first, in
     columns 0..n-1, and the block of m^T in columns n..2n-1. Each pivot is
     its row's largest column, so m is invertible exactly when every pivot
@@ -520,7 +527,7 @@ def products_vanish(maps: Sequence[list]) -> bool:
     """True iff every long enough product of the given maps is zero.
 
     ``maps`` are square maps of one size, each as its sparse integer
-    columns (``Matrix.integer_columns``; a map's scale changes no product's
+    columns (``Matrix.columns``; a map's scale changes no product's
     vanishing), like every other kernel entry. When every map sends each e_j into
     span(e_r : r > j), i.e. is strictly lower triangular, every product of
     n maps is 0, and that exact O(nonzeros) check answers True at once. Otherwise the
@@ -562,4 +569,4 @@ def _image_chain(maps: Sequence[list], rows: Iterable[dict]) -> Iterator[dict]:
 
 def is_nilpotent(m: Matrix) -> bool:
     """True iff some power of m is zero (``products_vanish``)."""
-    return products_vanish([m.integer_columns[0]])
+    return products_vanish([m.columns])

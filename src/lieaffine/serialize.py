@@ -110,7 +110,7 @@ def matrix_to_json(m: Matrix) -> list:
     rows = [["0"] * m.dim for _ in range(m.dim)]
     for j, col in enumerate(m.columns):
         for i, x in col.items():
-            rows[i][j] = format_rational(x)
+            rows[i][j] = format_rational(m[i, j])
     return rows
 
 
@@ -217,7 +217,7 @@ def jacobi_to_json(alg: LieAlgebra) -> dict:
 # --- 2-forms ---------------------------------------------------------------
 
 def twoform_to_json(form: TwoForm) -> dict:
-    upper = {(i, j): v for j, col in enumerate(form.gram.columns) for i, v in col.items() if i < j}
+    upper = {(i, j): form.gram[i, j] for j, c in enumerate(form.gram.columns) for i in c if i < j}
     return {"dim": form.dim, "entries": _pairs_to_json(upper, "value", format_rational)}
 
 

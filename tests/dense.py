@@ -2,11 +2,15 @@
 
 A textbook Gauss-Jordan on dense lists of Fractions gives the reduced
 row-echelon form, a solve, an inverse and a nullspace. The bracket, ad,
-an affine product and matrix sums, scalings and products are plain loops
-over the stored tables (``structure``, ``gamma``) and the dense rows
-(``data``). Only the ``Matrix`` and ``Subspace`` containers come from the
-package (``test_dense_oracles_import_only_containers`` keeps it so), so
-the kernel and the sparse tables can be checked against these. Vectors
+an affine product and matrix sums, scalings, products and images are
+plain loops over the stored tables (``structure``, ``gamma``) and the
+dense rows (``data``): a map is read only through its Fraction view,
+never through the integer ``columns`` over ``den`` that the code under
+test reads, so the oracles share no form with it (``fraction_columns``
+gives its columns as Fractions, from ``data``). Only the ``Matrix`` and
+``Subspace`` containers come from the package
+(``test_dense_oracles_import_only_containers`` keeps it so), so the
+kernel and the sparse tables can be checked against these. Vectors
 are tuples of Fractions and a ``Matrix`` acts on column vectors, as in
 the package; the constructors below build an n x n ``Matrix`` from dense
 rows or columns. Rectangular data stays in plain lists: ``solve`` takes
@@ -19,6 +23,10 @@ integer rows only, and ``integer_form`` puts dense RREF rows in the
 kernel's one form of a subspace: integer rows over the lcm of their
 denominators, in pure Python, so ``span`` and ``nullspace`` build their
 ``Subspace`` oracles with nothing of the package but the container.
+``change_basis`` moves an algebra onto the basis P e_1, ..., P e_n, for
+the seeded P of ``sparse_basis_change``, ``dense_basis_change`` and
+``rational_basis_change``, each drawn until the dense ``inverse`` finds
+it invertible.
 """
 
 from fractions import Fraction
@@ -67,14 +75,20 @@ def column(m, j):
     return tuple(row[j] for row in m.data)
 
 
+def from_fraction_columns(columns):
+    """The n x n ``Matrix`` whose column j is the sparse vector columns[j] {row: value}."""
+    n = len(columns)
+    return Matrix([[F(col.get(i, 0)) for col in columns] for i in range(n)])
+
+
+def fraction_columns(m):
+    """The columns of m as sparse Fraction vectors {row: value}, read off the dense rows."""
+    return [{i: row[j] for i, row in enumerate(m.data) if row[j]} for j in range(m.dim)]
+
+
 def apply(m, v):
-    """m v for a dense vector v, summed over the nonzero entries of v."""
-    out = [F(0)] * m.dim
-    for j, x in enumerate(v):
-        if x:
-            for i, y in m.columns[j].items():
-                out[i] += x * y
-    return tuple(out)
+    """m v for a dense vector v, each entry summed along a dense row."""
+    return tuple(sum((y * x for y, x in zip(row, v) if x), F(0)) for row in m.data)
 
 
 def bracket_basis(alg, i, j):
@@ -221,3 +235,54 @@ def contains(subspace, v):
 def restrict(subspace, m):
     """The matrix of m on the basis of an m-invariant subspace, one dense solve per column."""
     return from_columns([solve(subspace.basis, apply(m, b)) for b in subspace.basis])
+
+
+def change_basis(alg, p):
+    """The same algebra on the basis P e_1, ..., P e_n: c' = P^-1 [P e_i, P e_j], of alg's type."""
+    pinv = invert(p)
+    cols = [column(p, i) for i in range(alg.dim)]
+    structure = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            image = apply(pinv, bracket(alg, cols[i], cols[j]))
+            structure[(i, j)] = {k: c for k, c in enumerate(image) if c}
+    return type(alg)(alg.dim, structure)
+
+
+def _invertible(grid):
+    """The ``Matrix`` of the dense rows, or None when the dense ``inverse`` finds it singular."""
+    return Matrix(grid) if inverse(grid) is not None else None
+
+
+def sparse_basis_change(n, rng):
+    """An invertible P = I + four seeded +-1 entries off the diagonal."""
+    while True:
+        grid = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4):
+            i, j = rng.sample(range(n), 2)
+            grid[i][j] = rng.choice((-1, 1))
+        p = _invertible(grid)
+        if p is not None:
+            return p
+
+
+def dense_basis_change(n, rng):
+    """An invertible P with unit diagonal and a seeded +-1 everywhere off it."""
+    while True:
+        p = _invertible([[1 if i == j else rng.choice((-1, 1)) for j in range(n)]
+                         for i in range(n)])
+        if p is not None:
+            return p
+
+
+def rational_basis_change(n, rng):
+    """An invertible P with unit diagonal and seeded p/q entries (q = 2, 3) off it.
+
+    About 30% of the places off the diagonal are filled, so the RREF rows
+    of [g, g] in the moved basis carry denominators.
+    """
+    while True:
+        p = _invertible([[1 if i == j else F(rng.choice((-2, -1, 1, 3)), rng.choice((2, 3)))
+                          if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)])
+        if p is not None:
+            return p

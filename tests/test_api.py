@@ -1,6 +1,7 @@
 """The package's public API: what ``lieaffine`` exports."""
 
 import ast
+import importlib.util
 import io
 import os
 import re
@@ -75,16 +76,19 @@ def test_algebra_views_are_read_one_way_outside_liealg():
 
 
 def test_no_module_reads_a_second_subspace_form():
-    # a Subspace holds one form, integer rows over ``den``: no module of the
-    # package, its tests or its benchmark reads the deleted ``integer_rows``
+    # a Subspace holds one form, integer rows over ``den``, and a Matrix
+    # one too, integer columns over ``den``: no module of the package, its
+    # tests or its benchmark reads the deleted ``integer_rows`` or
+    # ``integer_columns``
     tests = Path(__file__).parent
     paths = [*Path(lieaffine.__file__).parent.glob("*.py"), *tests.glob("*.py"),
              *(tests.parent / "perfbench").glob("*.py")]
     reads = []
     for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        reads += [(path.stem, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "integer_rows"]
+        reads += [(path.stem, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("integer_rows", "integer_columns")]
     assert len(paths) > 20 and reads == []
 
 
@@ -153,6 +157,24 @@ def test_code_line_count_leaves_out_docstrings_comments_and_blank_lines(tmp_path
         'def f():\n    """A docstring."""\n    # a comment\n\n    return ("two",  # c\n'
         '            "lines")\n')
     assert _code_lines(tmp_path) == {"prose": 0, "small": 3, "total": 3}
+
+
+def _digest_sweep():
+    path = Path(__file__).resolve().parents[1] / "tools" / "digest_sweep.py"
+    spec = importlib.util.spec_from_file_location("digest_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_sweep_is_deterministic_on_a_prefix():
+    # the first 40 calls (catalog list, then Ln 3 and Ln 4) and the
+    # re-checks of the certificates and verdicts they write, run twice
+    sweep = _digest_sweep().sweep
+    first = sweep(40)
+    assert first == sweep(40)
+    count, codes, digest = first
+    assert count > 40 and sum(codes.values()) == count and len(digest) == 64
 
 
 def test_no_module_defines_a_deleted_converter():

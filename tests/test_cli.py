@@ -1112,7 +1112,7 @@ def test_ln_symplectic_witness_is_the_matching_form_at_every_seed(capsys, tmp_pa
     alg = catalog.make_ln(n)
     form = affine.find_symplectic(alg, seed=0)
     assert form == affine.find_symplectic(alg, seed=7)
-    entries = [(i, j, x) for j, col in enumerate(form.gram.columns) for i, x in col.items()]
+    entries = [(i, j, x) for i, row in enumerate(form.gram.data) for j, x in enumerate(row) if x]
     assert len(entries) == n
     assert all(i + j == n - 1 and x in (1, -1) for i, j, x in entries)
     assert liealg.dtheta_residual(alg, form) == []

@@ -17,7 +17,7 @@ import pytest
 from lieaffine import affine, derivations, linalg
 from lieaffine.affine import AffineStructure, synthesize
 from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
-from lieaffine.derivations import derivation_space
+from lieaffine.derivations import char_nilpotent_verdict, derivation_space, find_regular_derivation
 from lieaffine.errors import DimensionMismatch
 from lieaffine.serialize import algebra_from_json
 from lieaffine.liealg import LieAlgebra, TwoForm, derived_subalgebra, lower_central_series
@@ -45,6 +45,8 @@ from dense import (
     add,
     bracket,
     bracket_basis,
+    fraction_columns,
+    from_fraction_columns,
     gauss_jordan,
     identity,
     integer_form,
@@ -79,12 +81,9 @@ def _solve(rows, ncols):
 
 
 def _inverse(m):
-    # the kernel's inverse of m unscaled to Fractions, or None when m is singular
-    found = _integer_inverse(*integer_scaled(m.columns))
-    if found is None:
-        return None
-    columns, den = found
-    return Matrix.from_sparse(unscaled(col, den) for col in columns)
+    # the kernel's inverse of m, its int columns adopted over their den, or None when m is singular
+    found = _integer_inverse(m.columns, m.den)
+    return None if found is None else Matrix.from_sparse(*found)
 
 
 def _l4_bracket_basis(a, b):
@@ -345,9 +344,9 @@ def _kernel_exits(alg):
 
 
 def test_no_fraction_is_formed_inside_the_kernel(monkeypatch):
-    # with linalg.Fraction patched to raise, every entry-to-exit run of the
-    # kernel on catalog systems, rational ones among them, gives what it
-    # gives unpatched
+    # with linalg.Fraction and derivations.Fraction patched to raise, every
+    # entry-to-exit run of the kernel on catalog systems, rational ones
+    # among them, and every search over Der(g) gives what it gives unpatched
     algs = [make_ln(8), make_qn(8), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(1),
             _HALF_WEIGHTS, _SHARED_HALF_CENTRE]
     expected = [_kernel_exits(alg) for alg in algs]
@@ -356,8 +355,27 @@ def test_no_fraction_is_formed_inside_the_kernel(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("a Fraction was formed inside the kernel")
 
+    searched = _search_exits(*_search_algebras())
+    # C8's weight pass misses, so its witness is a seeded draw over Der(g)
+    assert searched[0].monomial is None and searched[1].witness is not None
+    fresh = _search_algebras()
     monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    monkeypatch.setattr(derivations, "Fraction", no_fraction)
     assert [_kernel_exits(alg) for alg in algs] == expected
+    assert _search_exits(*fresh) == searched
+
+
+def _search_algebras():
+    return make_cn(8, [1, 1])[0], make_ln(8), make_benoist(1)
+
+
+def _search_exits(c8, l8, benoist):
+    # the searches over Der(g) on fresh tables, whose maps are adopted as
+    # kernel integers: C8's regular search (the weight pass, then the draws
+    # and a kernel ``nonsingular``), L8's char-nilp verdict and the Der(g)
+    # basis of Benoist(1)
+    return (find_regular_derivation(c8), char_nilpotent_verdict(l8),
+            derivation_space(benoist).basis)
 
 
 def _content_per_step_eliminate(pv, row, v, prow):
@@ -541,26 +559,59 @@ def test_monomial_rank_matches_the_kernel_rank():
         n = rng.randint(0, 7)
         columns = [{rng.randrange(n): F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))}
                    if rng.random() < 0.7 else {} for _ in range(n)]
-        m = Matrix.from_sparse(columns)
+        m = from_fraction_columns(columns)
         assert m.monomial == tuple(next(iter(col), None) for col in columns)
-        assert rank(m) == len(_gauss_jordan(integer_scaled(m.columns)[0]))
-        assert "integer_columns" not in vars(m)
+        assert rank(m) == len(_gauss_jordan(m.columns))
         monomial += 0 < rank(m) < n
     assert monomial > 20
 
 
-def test_from_sparse_drops_explicit_zeros():
+def _canonical(m):
+    # one form: int entries with no stored zero, den > 0, gcd(den, every entry) = 1
+    entries = [x for col in m.columns for x in col.values()]
+    return (type(m.den) is int and m.den > 0 and all(type(x) is int and x for x in entries)
+            and math.gcd(m.den, *entries) == 1)
+
+
+def test_matrix_holds_one_canonical_form():
+    # the same seeded rational maps built from dense rows, from integer
+    # columns (explicit zeros included) over a den that shares a common
+    # factor k with them and, when diagonal, from their diagonal: equal
+    # fields whatever the builder, so equal maps and equal hashes
+    assert Matrix.__slots__ == ("dim", "columns", "den", "__dict__")
+    rng = random.Random(47)
+    diagonals = 0
+    for trial in range(120):
+        n, diagonal = trial % 6, trial % 4 == 0
+        grid = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6)))
+                 if (i == j or not diagonal) and rng.random() < 0.7 else F(0)
+                 for j in range(n)] for i in range(n)]
+        den = math.lcm(*(x.denominator for row in grid for x in row))
+        for k in (1, 2, 6):
+            columns = [{i: int(grid[i][j] * den * k) for i in range(n)} for j in range(n)]
+            maps = [Matrix(grid), Matrix.from_sparse(columns, den * k)]
+            if diagonal:
+                maps.append(Matrix.diagonal(grid[i][i] for i in range(n)))
+            for m in maps:
+                assert m == maps[0] and hash(m) == hash(maps[0]) and _canonical(m)
+                assert (m.den, m.columns) == (maps[0].den, maps[0].columns)
+                assert m.data == tuple(map(tuple, grid)) and m.dim == n
+                assert all(m[i, j] == grid[i][j] for i in range(n) for j in range(n))
+        diagonals += diagonal and den > 1
+    assert diagonals > 5
     dense = Matrix([[0, 0, 5], [F(1, 2), 0, 0], [0, 0, 0]])
-    sparse = Matrix.from_sparse([{0: F(0), 1: F(1, 2)}, {1: F(0)}, {0: F(5)}])
-    assert sparse.columns == dense.columns == ({1: F(1, 2)}, {}, {0: F(5)})
+    sparse = Matrix.from_sparse([{0: 0, 1: 3}, {1: 0}, {0: 30}], 6)
+    assert (sparse.columns, sparse.den) == (dense.columns, dense.den) == (({1: 1}, {}, {0: 10}), 2)
     assert sparse == dense and hash(sparse) == hash(dense)
-    assert sparse.dim == dense.dim == 3
     assert sparse.data == ((0, 0, 5), (F(1, 2), 0, 0), (0, 0, 0))
-    # entries that cancel in a sum leave no zeros behind either
-    assert add(dense, scaled(dense, -1)).columns == ({}, {}, {})
-    assert add(dense, scaled(dense, -1)) == zeros(3) == Matrix.from_sparse([{}] * 3)
-    assert hash(add(dense, scaled(dense, -1))) == hash(Matrix([[0] * 3] * 3))
-    assert Matrix.from_sparse([]) == zeros(0) == Matrix([])
+    # entries that cancel in a sum leave no zeros behind, and the zero map has den 1
+    cancelled = add(dense, scaled(dense, -1))
+    assert cancelled.columns == ({}, {}, {}) and cancelled.den == 1
+    assert cancelled == zeros(3) == Matrix.from_sparse([{0: 0}, {}, {2: 0}], 5)
+    assert Matrix.from_sparse([{}] * 3, 5).den == zeros(3).den == 1
+    assert hash(cancelled) == hash(Matrix([[0] * 3] * 3))
+    assert Matrix.from_sparse([], 4) == zeros(0) == Matrix([])
+    assert Matrix([]).den == Matrix.from_sparse([], 4).den == 1
 
 
 def test_is_nilpotent_strict_upper_triangular():
@@ -678,7 +729,7 @@ def test_products_vanish_matches_brute_force_products():
     cases.append(([e12], True))
     for maps, expected in cases:
         assert _all_products_vanish(maps) == expected
-        assert products_vanish([m.integer_columns[0] for m in maps]) == expected
+        assert products_vanish([m.columns for m in maps]) == expected
     assert {expected for _, expected in cases} == {True, False}
 
 
@@ -697,14 +748,14 @@ def test_strictly_lower_triangular_maps_skip_the_image_chain(monkeypatch):
     lower = [Matrix([[rng.randint(-3, 3) if j < i else 0 for j in range(5)]
                      for i in range(5)]) for _ in range(3)]
     monkeypatch.setattr(linalg, "_image_chain", refused)
-    assert products_vanish([m.integer_columns[0] for m in lower])
-    assert products_vanish([zeros(3).integer_columns[0]])
+    assert products_vanish([m.columns for m in lower])
+    assert products_vanish([zeros(3).columns])
     monkeypatch.setattr(linalg, "_image_chain", spied)
     e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
-    assert not products_vanish([e21.integer_columns[0], e12.integer_columns[0]])
+    assert not products_vanish([e21.columns, e12.columns])
     assert len(reached) == 1
     upper = [Matrix([[m[j, i] for j in range(5)] for i in range(5)]) for m in lower]
-    assert products_vanish([m.integer_columns[0] for m in upper])
+    assert products_vanish([m.columns for m in upper])
     assert len(reached) == 2
 
 
@@ -731,16 +782,16 @@ def _fraction_products_vanish(maps):
 def _count_only_matrices(rng, n, entry):
     """(singular, nonsingular, strictly triangular, conjugated nilpotent) seeded sparse n x n maps."""
     def sparse(rows_of, density):
-        return Matrix.from_sparse([{r: entry() for r in rows_of(j) if rng.random() < density}
-                                   for j in range(n)])
+        return from_fraction_columns([{r: entry() for r in rows_of(j) if rng.random() < density}
+                                      for j in range(n)])
 
     lower = add(sparse(lambda j: range(j + 1, n), 0.5), identity(n))
     upper = add(sparse(lambda j: range(j), 0.5), Matrix.diagonal([entry() for _ in range(n)]))
     strict = sparse(lambda j: range(j), 0.6)
     dense = sparse(lambda j: range(n), 0.5)
-    cols = list(dense.columns)
+    cols = fraction_columns(dense)
     cols[-1] = sparse_apply(cols[:2], {0: entry(), 1: entry()}) if n > 1 else {}
-    return [Matrix.from_sparse(cols), matmul(lower, upper), strict,
+    return [from_fraction_columns(cols), matmul(lower, upper), strict,
             matmul(matmul(lower, strict), invert(lower))]
 
 
@@ -753,16 +804,15 @@ def test_count_only_callers_match_full_reduction():
         for entry in (integer, rational):
             maps = _count_only_matrices(rng, n, entry)
             for m in maps:
-                full = len(gauss_jordan(m.columns, n))
+                full = len(gauss_jordan(fraction_columns(m), n))
                 assert rank(m) == full
                 assert nonsingular(m) == (full == n)
-                assert is_nilpotent(m) == _fraction_products_vanish([m.columns])
+                assert is_nilpotent(m) == _fraction_products_vanish([fraction_columns(m)])
                 seen.add((nonsingular(m), is_nilpotent(m)))
             for a in maps:
                 for b in maps:
-                    pair = [a.columns, b.columns]
-                    scaled_pair = [a.integer_columns[0], b.integer_columns[0]]
-                    assert products_vanish(scaled_pair) == _fraction_products_vanish(pair)
+                    pair = [fraction_columns(a), fraction_columns(b)]
+                    assert products_vanish([a.columns, b.columns]) == _fraction_products_vanish(pair)
     # singular and nonsingular maps, nilpotent ones among the singular
     assert seen == {(False, False), (True, False), (False, True)}
 
@@ -775,10 +825,10 @@ def test_products_vanish_matches_full_chain_on_der_g():
         assert products_vanish(maps) == _fraction_products_vanish(maps) == nil
         assert space.all_nilpotent == nil
         for m in space.basis:
-            full = len(gauss_jordan(m.columns, n))
+            full = len(gauss_jordan(fraction_columns(m), n))
             assert rank(m) == full
             assert nonsingular(m) == (full == n)
-            assert is_nilpotent(m) == _fraction_products_vanish([m.columns])
+            assert is_nilpotent(m) == _fraction_products_vanish([fraction_columns(m)])
 
 
 def _series_text(series):
@@ -822,7 +872,7 @@ def test_matrix_rejects_data_that_is_not_n_rows_of_n_entries(data):
 def test_matrix_dim_is_its_size():
     assert Matrix([]).dim == 0 and Matrix([]).columns == () and Matrix([]).data == ()
     assert Matrix([[1, 2], [3, 4]]).dim == 2
-    assert Matrix.diagonal([1, 2, 3]).dim == Matrix.from_sparse([{}] * 3).dim == 3
+    assert Matrix.diagonal([1, 2, 3]).dim == Matrix.from_sparse([{}] * 3, 1).dim == 3
     assert not hasattr(Matrix([[1]]), "rows") and not hasattr(Matrix([[1]]), "cols")
 
 
@@ -915,7 +965,7 @@ def test_value_types_refuse_every_attribute(name):
     value = _VALUE_TYPES[name]()
     assert type(value).__name__ == name
     # every stored field, a kept view's name and a new name alike
-    for attr in (*type(value).__slots__, "integer_columns", "new_field"):
+    for attr in (*type(value).__slots__, "monomial", "new_field"):
         with pytest.raises(AttributeError) as caught:
             setattr(value, attr, None)
         assert str(caught.value) == f"{name} is immutable"
@@ -972,7 +1022,7 @@ def test_integer_inverse_matches_dense_fraction_oracle(denominators):
                  for _ in range(n)] for _ in range(n)]
         m = Matrix(grid)
         expected = inverse(grid)
-        found = _integer_inverse(*integer_scaled(m.columns))
+        found = _integer_inverse(m.columns, m.den)
         if expected is None:
             singular += 1
             assert found is None
@@ -981,7 +1031,7 @@ def test_integer_inverse_matches_dense_fraction_oracle(denominators):
         assert den > 0 and len(columns) == n
         assert all(type(x) is int for col in columns for x in col.values())
         fractions = [unscaled(col, den) for col in columns]
-        assert fractions == list(Matrix(expected).columns)
+        assert fractions == fraction_columns(Matrix(expected))
         assert all(type(x) is F and x for col in fractions for x in col.values())
     assert 10 < singular < 140
 

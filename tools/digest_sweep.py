@@ -1,0 +1,163 @@
+"""Digest the output of a fixed sweep of command-line calls, to compare two trees.
+
+Runs a fixed list of in-process ``lieaffine.cli.main`` calls, every one
+with ``--reproducible``, and prints the number of calls, the count of
+each exit code and one sha256 over the (argv, stdout, stderr, exit code)
+of every call. Two trees that print the same lines give the same
+bytes on every call of the sweep. Standard library only, plus
+``lieaffine`` from ``PYTHONPATH`` and the dense helpers of
+``tests/dense.py``; it has no options. From the repository root:
+
+    PYTHONPATH=src python3 tools/digest_sweep.py
+    PYTHONPATH=/path/to/other/tree/src python3 tools/digest_sweep.py
+
+The calls, in order:
+
+* ``catalog list``, then every subcommand that reads an algebra (each
+  search at its defaults and at ``--seed 5 --trials 3``, ``affine synth``
+  under every strategy), ``catalog show`` and ``der torus`` on Ln 3-16,
+  Qn and QnZ 6-12, Cn 6-12 (two seeded draws of lambda from {1, -1,
+  2/3, 1/2} per size) and Benoist with t = 0, 1 and 7/5;
+* the same subcommands with ``--in`` on ``tests/half_weights.json`` and
+  ``tests/half_form.json``, and on L8, Q8, C8 (1, -1) and Benoist(1)
+  moved by the seeded sparse +-1, dense +-1 and rational changes of basis
+  of ``tests/dense.py``, written to a temporary directory;
+* ``affine verify`` and ``io validate`` on every certificate that
+  ``affine synth --out`` wrote, and ``der verify-witness`` and
+  ``io validate`` on every verdict that ``der char-nilp --out`` wrote.
+
+The temporary directory and the repository root are replaced by fixed
+names before hashing, so the digest does not depend on where either lives.
+"""
+
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+import dense  # noqa: E402
+from lieaffine import catalog, cli  # noqa: E402
+from lieaffine.serialize import algebra_to_json, json_text  # noqa: E402
+
+LAMBDAS = ("1", "-1", "2/3", "1/2")
+SEARCH = (["--seed", "5", "--trials", "3"],)
+# (command, extra argv variants, what an --out file of it holds)
+READERS = [
+    (["verify", "jacobi"], (), None),
+    (["verify", "filiform"], (), None),
+    (["verify", "nilpotent"], (), None),
+    (["der", "space"], (), None),
+    (["der", "diag"], (), None),
+    (["der", "regular"], SEARCH, None),
+    (["der", "derived-regular"], SEARCH, None),
+    (["der", "char-nilp"], SEARCH, "verdict"),
+    (["affine", "symplectic-find"], SEARCH, None),
+    *((["affine", "synth", "--strategy", s], (), "certificate")
+      for s in ("auto", "regular", "derived-regular", "symplectic")),
+]
+MOVES = {"sparse": dense.sparse_basis_change, "dense": dense.dense_basis_change,
+         "rational": dense.rational_basis_change}
+
+
+def _families():
+    """The --family argv of every catalog member the sweep reads."""
+    out = [["--family", "Ln", "--n", str(n)] for n in range(3, 17)]
+    out += [["--family", f, "--n", str(n)] for f in ("Qn", "QnZ") for n in range(6, 13, 2)]
+    rng = random.Random(44)
+    for n in range(6, 13, 2):
+        for _ in range(2):
+            out.append(["--family", "Cn", "--n", str(n)]
+                       + [f"--lambda={rng.choice(LAMBDAS)}" for _ in range(n // 2 - 2)])
+    return out + [["--family", "Benoist", f"--t={t}"] for t in ("0", "1", "7/5")]
+
+
+def _moved_inputs(tmp):
+    """Write the moved algebras to ``tmp`` and return their --in argv."""
+    bases = {"L8": catalog.make_ln(8), "Q8": catalog.make_qn(8),
+             "C8": catalog.make_cn(8, [1, -1])[0], "Benoist1": catalog.make_benoist(Fraction(1))}
+    out = []
+    for name, alg in bases.items():
+        for kind, move in MOVES.items():
+            path = Path(tmp) / f"{name}-{kind}.json"
+            moved = dense.change_basis(alg, move(alg.dim, random.Random(alg.dim)))
+            path.write_text(json_text(algebra_to_json(moved)) + "\n", encoding="utf-8")
+            out.append(["--in", str(path)])
+    return out
+
+
+def calls(tmp):
+    """The fixed (argv, source argv, --out kind) list, before the re-checks of the files written."""
+    out = [(["catalog", "list"], None, None)]
+    fixtures = [["--in", str(ROOT / "tests" / name)]
+                for name in ("half_weights.json", "half_form.json")]
+    for source in _families() + fixtures + _moved_inputs(tmp):
+        for command, variants, kind in READERS:
+            for extra in ([], *variants):
+                out.append((command + source + extra, source, kind))
+        if source[0] == "--family":
+            out += [(["catalog", "show", *source], None, None),
+                    (["der", "torus", *source], None, None)]
+    return out
+
+
+def _recheck(source, kind, path):
+    """The calls that re-check a certificate or verdict written at ``path``."""
+    check = (["affine", "verify"] if kind == "certificate" else ["der", "verify-witness"])
+    return [check + source + ["--cert", path], ["io", "validate", "--kind", kind, "--in", path]]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv + ["--reproducible"])
+    return out.getvalue(), err.getvalue(), code
+
+
+def sweep(limit=None):
+    """(calls, exit-code counts, sha256) of the first ``limit`` calls and their re-checks."""
+    digest, codes = hashlib.sha256(), Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {tmp: "<tmp>", str(ROOT): "<repo>"}
+
+        def record(argv):
+            stdout, stderr, code = _run(argv)
+            text = json.dumps([argv, stdout, stderr, code])
+            for path, name in names.items():
+                text = text.replace(path, name)
+            digest.update(text.encode() + b"\n")
+            codes[code] += 1
+            return code
+
+        rechecks = []
+        for k, (argv, source, kind) in enumerate(calls(tmp)[:limit]):
+            if kind is None:
+                record(argv)
+                continue
+            path = str(Path(tmp) / f"out-{k}.json")
+            code = record(argv + ["--out", path])
+            if kind == "verdict" or code == 0:
+                rechecks += _recheck(source, kind, path)
+        for argv in rechecks:
+            record(argv)
+    return sum(codes.values()), codes, digest.hexdigest()
+
+
+def main():
+    count, codes, digest = sweep()
+    print(f"calls {count}")
+    for code in sorted(codes):
+        print(f"exit {code}: {codes[code]}")
+    print(f"sha256 {digest}")
+
+
+if __name__ == "__main__":
+    main()
