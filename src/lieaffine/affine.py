@@ -10,9 +10,9 @@ basis tuples, but sums each left-symmetry residual from the nonzero
 products alone: a triple that no nonzero product reaches has residual
 exactly 0, so the cost grows as the nonzero products times n rather than
 as n^3; torsion is checked on the pairs that hold a product or a bracket,
-every other pair having residual exactly 0. It runs in Python ints: the
-stored tensor and the brackets are rescaled over common denominators, and
-only a nonzero residual becomes Fractions again.
+every other pair having residual exactly 0. It runs in Python ints, on
+the tensor and the brackets as they are held, and only a nonzero
+residual becomes Fractions.
 
 Three constructors are provided:
 
@@ -52,11 +52,12 @@ three maps' denominators. A witness is read in the one form a ``Matrix``
 holds, integer columns over one ``den``, and its outer map comes straight
 from the kernel's integer inverse (``linalg._integer_inverse``) of the
 restriction to [g, g] or of the Gram matrix, so no Fraction inverse is
-built. Both routes give the same tensor, sparse, in the algebra's
-{(i, j): {k: c}} form of exact Fractions, whose entries are the first
-Fractions formed. The symplectic search forms a Fraction only for the
-at most n(n - 1)/2 entries of each 2-form it tries
-(``TwoForm.from_entries``).
+built. Both routes give the same tensor, sparse, in the one form that
+``AffineStructure`` shares with ``LieAlgebra.structure``: {(i, j): {k: c}}
+of ints over one ``den``, which ``_adopted`` puts in lowest terms. The
+symplectic search builds each 2-form it tries as integer Gram columns
+over its class space's den. So no construction, search or check forms a
+Fraction unless it reports a nonzero residual.
 
 ``synthesize`` tries the strategies in a fixed order, re-verifies the
 winner exhaustively, and wraps the outcome in a self-contained certificate.
@@ -64,8 +65,8 @@ winner exhaustively, and wraps the outcome in a self-contained certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __about__
@@ -109,11 +110,11 @@ from .linalg import (
     Subspace,
     _Frozen,
     _integer_inverse,
+    _lowest_terms,
     _nullspace,
     _set_fields,
     _transpose,
     dense_vector,
-    integer_scaled,
     nonsingular,
     sparse_apply,
     unscaled,
@@ -176,17 +177,29 @@ STRATEGIES = {
 
 
 class AffineStructure(_Frozen):
-    """Product tensor: gamma[(i, j)] = {k: c} holds the nonzero coordinates of e_i . e_j.
+    """Product tensor: gamma[(i, j)] = {k: c}, over ``den``, holds the coordinates of e_i . e_j.
 
     It is the canonical table of ``coefficient_table`` over all ordered
-    pairs, as ``LieAlgebra.structure`` is over i < j. It validates caller
-    and JSON input; the constructions adopt their tables (``_adopted``).
+    pairs, as ``LieAlgebra.structure`` is over i < j: ints c over one
+    ``den`` > 0 with gcd(den, every c) = 1, so equal products have equal
+    fields, and compare and hash equal. It validates caller and JSON
+    input; the constructions adopt their tables (``_adopted``).
     """
 
-    __slots__ = ("dim", "gamma")
+    __slots__ = ("dim", "gamma", "den")
 
     def __init__(self, dim: int, gamma):
-        _set_fields(self, dim=dim, gamma=coefficient_table(dim, gamma, lambda i, j: True))
+        gamma, den = coefficient_table(dim, gamma, lambda i, j: True)
+        _set_fields(self, dim=dim, gamma=gamma, den=den)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineStructure):
+            return NotImplemented
+        return (self.dim, self.den, self.gamma) == (other.dim, other.den, other.gamma)
+
+    def __hash__(self):
+        return hash((self.dim, self.den,
+                     frozenset((key, frozenset(c.items())) for key, c in self.gamma.items())))
 
     def __repr__(self) -> str:
         return f"AffineStructure(dim={self.dim}, pairs={len(self.gamma)})"
@@ -272,19 +285,17 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     or e_j.e_i) nor a bracket is exactly 0, so only the pairs that hold one
     are visited, in ascending order.
 
-    The sums run in integers: the stored ``structure.gamma`` is rescaled
-    here over its common denominator D, and the brackets over theirs, D_c,
-    so the check never depends on how the structure was built. A torsion
-    residual is D * D_c times the rational one and a left-symmetry residual,
-    quadratic in the product, D^2 times; each nonzero one is reported as
-    the exact Fraction tuple.
+    The sums run in integers, on the tables as they are held: the
+    products ``structure.gamma`` over their ``den``, D, and the brackets
+    over theirs, D_c. A torsion residual is D * D_c times the rational one
+    and a left-symmetry residual, quadratic in the product, D^2 times; each
+    nonzero one is reported as the exact Fraction tuple.
     """
     n = alg.dim
     if structure.dim != n:
         raise DimensionMismatch("structure dimension does not match the algebra")
-    products, d = integer_scaled(structure.gamma.values())
-    gamma = dict(zip(structure.gamma, products))
-    brackets, dc = alg.integer_structure
+    gamma, d = structure.gamma, structure.den
+    brackets, dc = alg.structure, alg.den
     # left[i][j] = e_i.e_j and right[k][m] = e_m.e_k, both times D, their
     # empty entries sharing one dict that is only read; acting[c]: the b
     # with e_b.e_c != 0; reaching[m]: the k with e_m.e_k != 0
@@ -330,17 +341,17 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
 
     ``outer`` is (O, d_o): the integer sparse columns of d_o times a map.
     Each ``maps[i]`` is the integer sparse columns of d_maps times a map
-    (ad(e_i) or its transpose, from ``integer_ad_columns``); the three
-    constructions differ only in the three maps. ``inner`` is the
-    construction's witness matrix (the derivation f or the Gram matrix),
-    read as it is held, V / d_v. The products run in integers, and each
-    entry of O M_i V is divided once by d_o d_maps d_v.
+    (ad(e_i) or its transpose, from ``LieAlgebra.ad_columns`` over
+    ``den``); the three constructions differ only in the three maps.
+    ``inner`` is the construction's witness matrix (the derivation f or the
+    Gram matrix), read as it is held, V / d_v. The products run in
+    integers, and the sums O M_i V are adopted over d_o d_maps d_v.
 
     Only nonzero terms are visited: O M_i e_m is formed once for each
     nonzero column M_i e_m, and e_i.e_j sums V[m, j] O M_i e_m over the
     support of column j of V and the i whose image of e_m is nonzero. The
-    tensor, with zeros and cancelled pairs dropped, is canonical once
-    ``_adopted`` puts its pairs in ascending (i, j) order.
+    tensor is canonical once ``_adopted`` drops its zeros and cancelled
+    pairs, divides out the gcd and puts its pairs in ascending (i, j) order.
     """
     n = len(maps)
     outer, d_outer = outer
@@ -361,13 +372,19 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
                 acc = sums.setdefault((i, j), {})
                 for k, x in image.items():
                     acc[k] = acc.get(k, 0) + v * x
-    return _adopted(n, {key: coeffs for key, acc in sums.items() if (coeffs := unscaled(acc, den))})
+    return _adopted(n, sums, den)
 
 
-def _adopted(dim: int, gamma: dict) -> AffineStructure:
-    """The structure of a built table of nonzero coefficients, its pairs put in order."""
-    return _set_fields(AffineStructure.__new__(AffineStructure), dim=dim,
-                       gamma={key: gamma[key] for key in sorted(gamma)})
+def _adopted(dim: int, gamma: dict, den: int) -> AffineStructure:
+    """The structure of a built table of int coefficients over den > 0, put in canonical form.
+
+    ``linalg._lowest_terms`` drops the zeros and divides out the gcd, the
+    pairs left empty are dropped, and the rest are put in (i, j) order.
+    """
+    keys = sorted(gamma)
+    coeffs, den = _lowest_terms((gamma[key] for key in keys), den)
+    return _set_fields(AffineStructure.__new__(AffineStructure), dim=dim, den=den,
+                       gamma={key: c for key, c in zip(keys, coeffs) if c})
 
 
 def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -412,7 +429,7 @@ def _derived_product(alg: LieAlgebra, f: Matrix) -> AffineStructure:
     g = [{} for _ in range(alg.dim)]
     for (p, _), col in zip(derived.rows, columns):
         g[p] = sparse_apply(basis, col)
-    return _product_tensor((g, derived.den * d_inverse), *alg.integer_ad_columns, f)
+    return _product_tensor((g, derived.den * d_inverse), alg.ad_columns, alg.den, f)
 
 
 def _diagonal_product(alg: LieAlgebra, w: Sequence[int]) -> AffineStructure:
@@ -422,18 +439,19 @@ def _diagonal_product(alg: LieAlgebra, w: Sequence[int]) -> AffineStructure:
     diagonal, so D is the sum of its parts in the weight spaces, and g, the
     inverse of diag(w) on D, divides the e_k coordinate by w_k; the caller
     has checked that diag(w) is invertible on D, so every w_k met is
-    nonzero. Each entry is one Fraction over ``integer_structure`` and the
-    integer weights (any common scale of w cancels), and a pair with
+    nonzero. The entries are ints over den * L, den the structure's and L
+    the lcm of the w_k met (any common scale of w cancels), and a pair with
     w_j = 0 has no product; the support is that of the bracket.
     """
-    structure, den = alg.integer_structure
+    structure = alg.structure
+    scale = lcm(*(w[k] for coeffs in structure.values() for k in coeffs))
     gamma: Dict[tuple, dict] = {}
     for (i, j), coeffs in structure.items():
         if w[j]:
-            gamma[i, j] = {k: Fraction(c * w[j], den * w[k]) for k, c in coeffs.items()}
+            gamma[i, j] = {k: c * w[j] * (scale // w[k]) for k, c in coeffs.items()}
         if w[i]:
-            gamma[j, i] = {k: Fraction(-c * w[i], den * w[k]) for k, c in coeffs.items()}
-    return _adopted(alg.dim, gamma)
+            gamma[j, i] = {k: -c * w[i] * (scale // w[k]) for k, c in coeffs.items()}
+    return _adopted(alg.dim, gamma, alg.den * scale)
 
 
 def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
@@ -454,10 +472,9 @@ def from_symplectic(alg: LieAlgebra, form: TwoForm) -> AffineStructure:
     if inverse is None:
         raise DegenerateFormError("the 2-form is degenerate")
     columns, den = inverse
-    ad, d_ad = alg.integer_ad_columns
-    transposed = [_transpose(cols, alg.dim) for cols in ad]
+    transposed = [_transpose(cols, alg.dim) for cols in alg.ad_columns]
     return _product_tensor(([{k: -x for k, x in col.items()} for col in columns], den),
-                           transposed, d_ad, th)
+                           transposed, alg.den, th)
 
 
 def _matching_product(alg: LieAlgebra, th: Matrix, sigma: Sequence[int]) -> AffineStructure:
@@ -469,17 +486,18 @@ def _matching_product(alg: LieAlgebra, th: Matrix, sigma: Sequence[int]) -> Affi
     e_a . e_(sigma p). An entry (a, sigma p, sigma b) fixes a, p and b, and
     one stored pair holds {a, b}, so each entry is met once and none
     cancels. The Gram entries are read as the integer ``columns`` they are
-    held in, whose common scale ``den`` cancels.
+    held in, whose common scale ``den`` cancels, and the entries are ints
+    over the structure's den times the lcm L of those Gram entries.
     """
-    structure, den = alg.integer_structure
     cols = th.columns
     t = [cols[sigma[p]][p] for p in range(alg.dim)]  # d Th[p, sigma p]
+    scale = lcm(*t)
     gamma: Dict[tuple, dict] = {}
-    for (a, b), coeffs in structure.items():
+    for (a, b), coeffs in alg.structure.items():
         for p, c in coeffs.items():
-            gamma.setdefault((a, sigma[p]), {})[sigma[b]] = Fraction(-c * t[p], den * t[b])
-            gamma.setdefault((b, sigma[p]), {})[sigma[a]] = Fraction(c * t[p], den * t[a])
-    return _adopted(alg.dim, gamma)
+            gamma.setdefault((a, sigma[p]), {})[sigma[b]] = -c * t[p] * (scale // t[b])
+            gamma.setdefault((b, sigma[p]), {})[sigma[a]] = c * t[p] * (scale // t[a])
+    return _adopted(alg.dim, gamma, alg.den * scale)
 
 
 def find_symplectic(alg: LieAlgebra, seed: int = 0,
@@ -519,7 +537,11 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         return None
 
     def form(pairs, v, den):
-        return TwoForm.from_entries(n, {pairs[s]: Fraction(x, den) for s, x in v.items()})
+        cols = [{} for _ in range(n)]
+        for s, x in v.items():
+            i, j = pairs[s]
+            cols[j][i], cols[i][j] = x, -x
+        return TwoForm(Matrix.from_sparse(cols, den))
 
     weights = diagonal_derivations(alg)
     for w in islice(_weight_candidates(weights), weights.dim + SYMPLECTIC_CURVE_POINTS):
@@ -574,7 +596,7 @@ def _closed_forms(alg: LieAlgebra, partners: Sequence[Sequence[int]]) -> Tuple[l
     pairs = sorted((a, m) for m, others in enumerate(partners) for a in others if a < m)
     index = {p: s for s, p in enumerate(pairs)}
     rows: Dict[tuple, dict] = {}
-    for triple, a, m, c in cyclic_sum_terms(alg.integer_structure[0], partners):
+    for triple, a, m, c in cyclic_sum_terms(alg.structure, partners):
         row = rows.setdefault(triple, {})
         col = index[(a, m) if a < m else (m, a)]
         row[col] = row.get(col, 0) + (c if a < m else -c)

@@ -3,11 +3,11 @@
 ``derivation_space`` solves the linear system expressing
 D[x, y] = [Dx, y] + [x, Dy] on the basis pairs, over the n^2 matrix
 entries of D, with its equations built by walking the nonzero structure
-constants, integer-scaled over their common denominator; ``is_derivation``
-checks the identity in integers the same way, and a diagonal map, the
-witness of every weight hit, by comparing weights on the stored brackets
-alone. Which route a map takes is read off its kept shape,
-``Matrix.diagonal_weights``, which ``is_derivation``,
+constants, the integers over one denominator that ``LieAlgebra`` holds;
+``is_derivation`` checks the identity in integers the same way, and a
+diagonal map, the witness of every weight hit, by comparing weights on
+the stored brackets alone. Which route a map takes is read off its kept
+shape, ``Matrix.diagonal_weights``, which ``is_derivation``,
 ``_restriction_invertible`` and ``verify_torus`` share with the
 constructions in ``affine``: a witness's shape is found once. When the
 table is in a basis adapted to its lower central series
@@ -273,8 +273,8 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     Each entry is (i, j, residual vector); an empty list certifies that m
     is a derivation. The residual m[e_i, e_j] + [e_j, m e_i] - [e_i, m e_j]
     is built from the sparse columns of m and of ad(e_i), ad(e_j), in
-    integers: m's integer columns over its ``den``, d_m, and the brackets
-    kept on alg over theirs, d_c, so every residual is d_m d_c times the
+    integers: m's integer columns over its ``den``, d_m, and the ad table
+    kept on alg over its ``den``, d_c, so every residual is d_m d_c times the
     rational one, and a nonzero one is reported as its exact Fractions.
 
     The residual of (i, j) is exactly 0 unless [e_i, e_j] != 0, or
@@ -295,7 +295,7 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     if w is not None:
         return _diagonal_violations(alg, w, m.den)
     cols, dm = m.columns, m.den
-    ad, dc = alg.integer_ad_columns
+    ad, dc = alg.ad_columns, alg.den
     partners = alg.partners
     pairs = set(alg.structure)
     for i, col in enumerate(cols):
@@ -314,9 +314,9 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
 def _diagonal_violations(alg: LieAlgebra, w: Sequence[int], dw: int) -> List[tuple]:
     """``is_derivation`` of diag(w) / dw: each stored pair with some w_k != w_i + w_j."""
     n = alg.dim
-    structure, dc = alg.integer_structure
+    dc = alg.den
     out = []
-    for (i, j), coeffs in structure.items():
+    for (i, j), coeffs in alg.structure.items():
         s = w[i] + w[j]
         if any(w[k] != s for k in coeffs):
             residual = {k: Fraction(c * (w[k] - s), dc * dw) for k, c in coeffs.items()
@@ -366,12 +366,13 @@ def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
 def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
     """(rows, pinned): the equations of ``derivation_space`` as integer rows.
 
-    The structure constants are rescaled over their common denominator,
-    which leaves the solutions unchanged, and the rows are built by walking
-    them: c of [e_i, e_j] on e_k adds c D[p, k] to row (i, j, p) for every p,
-    and c of [e_q, e_x] on e_p adds -c D[q, y] to row (y, x, p) for y < x
-    and c D[q, y] to row (x, y, p) for y > x. On a ``tail_filtered`` table
-    the terms on the ``_pinned_unknowns`` are never visited: D[p, k] is met
+    The structure constants are read as the algebra holds them, ints over
+    its ``den``, which leaves the solutions unchanged, and the rows are
+    built by walking them: c of [e_i, e_j] on e_k adds c D[p, k] to row
+    (i, j, p) for every p, and c of [e_q, e_x] on e_p adds -c D[q, y] to
+    row (y, x, p) for y < x and c D[q, y] to row (x, y, p) for y > x. On
+    a ``tail_filtered`` table the terms on the ``_pinned_unknowns`` are
+    never visited: D[p, k] is met
     for p >= k only and D[q, y] for y <= max(q, 1). When, in addition,
     ``_generator_pairs_suffice``, only the rows (a, b, p) with a <= 1 are
     built: the others follow from them by Jacobi, and are never visited
@@ -381,9 +382,8 @@ def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
     n = alg.dim
     pinned = _pinned_unknowns(alg)
     lead = 2 if _generator_pairs_suffice(alg) else n  # rows (a, b, p) with a < lead
-    structure, _ = alg.integer_structure
     rows: dict = {}
-    for (i, j), coeffs in structure.items():
+    for (i, j), coeffs in alg.structure.items():
         if i < lead:
             for k, c in coeffs.items():
                 for p in range(k if pinned else 0, n):

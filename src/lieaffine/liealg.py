@@ -10,20 +10,27 @@ Construction does not enforce the Jacobi identity: ``jacobi_report`` checks
 it exhaustively and returns the exact residual of every violating triple,
 which makes the empty report a certificate.
 
-There is no dense bracket: every check reads the sparse table or the
-integer views below.
+The table holds one form, the kernel's, as a ``Matrix`` holds its
+columns: ``structure`` maps each stored pair to its sparse integer
+coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
+= 1, so equal tables have equal fields. ``coefficient_table`` is the one
+rational boundary, shared with ``affine.AffineStructure``: it validates a
+rational table and scales it once. There is no dense bracket: every
+check reads the integer table or the views below, and Fractions are
+formed only for a nonzero residual.
 
 An algebra computes on first use and keeps, as read-only attributes,
-its views ``integer_structure``, ``integer_ad_columns``, ``partners``
-(its bracket partners) and ``tail_filtered``. It keeps likewise [g, g]
-(``derived_subalgebra``, unit rows on a ``tail_filtered`` table), its
+its views ``ad_columns`` (the integer ad table over ``den``),
+``partners`` (its bracket partners) and ``tail_filtered``. It keeps
+likewise [g, g] (``derived_subalgebra``, unit rows on a
+``tail_filtered`` table), its
 lower central series (a list built on [g, g] the first time it is read,
 so a reader of [g, g] alone never builds it), its Jacobi report
 (``jacobi_report`` returns a new list of it) and its derivation algebra
 (``derivations.derivation_space``, whose Der(g) and weights are solved
 when first read): every caller shares them, so they are read-only. The
-report reads the integer views, so a catalog constructor's Jacobi check
-warms them for the checks that follow; the Der(g) and weight solves,
+report reads the ad table, so a catalog constructor's Jacobi check
+warms it for the checks that follow; the Der(g) and weight solves,
 which need Jacobi to drop their redundant equations, the Lie gate of
 ``affine.synthesize`` and the command line's Lie check read the same
 report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
@@ -37,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, LieToolError
+from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
     Subspace,
@@ -47,21 +54,24 @@ from .linalg import (
     _reduce,
     _set_fields,
     dense_vector,
+    format_rational,
     integer_scaled,
     nonsingular,
     rat,
     unscaled,
 )
 
-SparseCoeffs = Dict[int, Fraction]
+SparseCoeffs = Dict[int, int]
 
 
-def coefficient_table(dim: int, table, pair_ok) -> Dict[Tuple[int, int], SparseCoeffs]:
-    """Canonical {(i, j): {k: c}} basis values of a bilinear map.
+def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], SparseCoeffs], int]:
+    """(table, den): the canonical {(i, j): {k: int}} basis values of a bilinear map, over den.
 
     Pairs must lie in range and satisfy ``pair_ok(i, j)``, targets must lie
-    in range, and zero coefficients and empty pairs are dropped, so equal
-    tables mean equal maps.
+    in range, and zero coefficients and empty pairs are dropped. The
+    rational values are put over one den > 0 by ``integer_scaled``, whose
+    output is already canonical, as ``Matrix(data)``'s is: gcd(den, every
+    entry) = 1, so equal tables mean equal maps.
     """
     clean = {}
     for (i, j), coeffs in table.items():
@@ -76,13 +86,14 @@ def coefficient_table(dim: int, table, pair_ok) -> Dict[Tuple[int, int], SparseC
                 kept[k] = c
         if kept:
             clean[(i, j)] = kept
-    return clean
+    consts, den = integer_scaled(clean.values())
+    return dict(zip(clean, consts)), den
 
 
 class LieAlgebra(_Frozen):
-    """A Lie algebra on a fixed basis with sparse structure constants and kept views."""
+    """A Lie algebra on a fixed basis: sparse int structure constants over ``den``, kept views."""
 
-    __slots__ = ("dim", "name", "basis_names", "structure", "__dict__")
+    __slots__ = ("dim", "name", "basis_names", "structure", "den", "__dict__")
 
     def __init__(self, dim: int, structure, name: str = "g",
                  basis_names: Optional[Sequence[str]] = None):
@@ -93,30 +104,17 @@ class LieAlgebra(_Frozen):
         basis_names = tuple(str(s) for s in basis_names)
         if len(basis_names) != dim:
             raise DimensionMismatch("basis name count does not match the dimension")
+        structure, den = coefficient_table(dim, structure, lambda i, j: i < j)
         _set_fields(self, dim=dim, name=str(name), basis_names=basis_names,
-                    structure=coefficient_table(dim, structure, lambda i, j: i < j))
+                    structure=structure, den=den)
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim}, pairs={len(self.structure)})"
 
     @cached_property
-    def integer_structure(self) -> Tuple[Dict[Tuple[int, int], dict], int]:
-        """(table, den): the structure constants times den, as ints.
-
-        den is their common denominator (``linalg.integer_scaled``), and the
-        table keeps the pairs and the order of ``structure``.
-        """
-        consts, den = integer_scaled(self.structure.values())
-        return dict(zip(self.structure, consts)), den
-
-    @cached_property
-    def integer_ad_columns(self) -> Tuple[List[List[dict]], int]:
-        """(columns, den): ad(e_i) as sparse int columns, [i][q] = den [e_i, e_q].
-
-        den is that of ``integer_structure``, whose table the columns read.
-        """
-        structure, den = self.integer_structure
-        return _ad_table(structure, self.dim), den
+    def ad_columns(self) -> List[List[dict]]:
+        """ad(e_i) as sparse int columns over ``den``, [i][q] = den [e_i, e_q]: ``structure``'s."""
+        return _ad_table(self.structure, self.dim)
 
     @cached_property
     def partners(self) -> List[List[int]]:
@@ -153,11 +151,9 @@ class LieAlgebra(_Frozen):
 
     @cached_property
     def _jacobi_report(self) -> Tuple[Tuple[int, int, int, tuple], ...]:
-        n = self.dim
-        structure, den = self.integer_structure
-        ad, _ = self.integer_ad_columns
+        n, den, ad = self.dim, self.den, self.ad_columns
         sums: Dict[tuple, dict] = {}
-        for triple, a, m, c in cyclic_sum_terms(structure, self.partners):
+        for triple, a, m, c in cyclic_sum_terms(self.structure, self.partners):
             acc = sums.setdefault(triple, {})
             for p, d in ad[a][m].items():
                 acc[p] = acc.get(p, 0) + c * d
@@ -170,7 +166,7 @@ class LieAlgebra(_Frozen):
         if self.tail_filtered:  # [g, g] = span(e_3, ..., e_n) (1-based)
             return Subspace(n, [(k, {k: 1}) for k in range(2, n)])
         # the span of the brackets, eliminated and then put in canonical form
-        return _reduce(_gauss_jordan(self.integer_structure[0].values()).values(), n)
+        return _reduce(_gauss_jordan(self.structure.values()).values(), n)
 
     @cached_property
     def _lower_central_series(self) -> List[Subspace]:
@@ -183,7 +179,7 @@ class LieAlgebra(_Frozen):
             # C^k g = span(e_(k+2), ...) (1-based) for k >= 1, down to 0
             series += (Subspace(n, derived.rows[m:]) for m in range(1, n - 1))
             return series
-        chain = _image_chain(self.integer_ad_columns[0], (row for _, row in derived.rows))
+        chain = _image_chain(self.ad_columns, (row for _, row in derived.rows))
         next(chain)  # [g, g] again, from its own reduced rows
         series += (_reduce(rows.values(), n) for rows in chain)
         return series
@@ -240,7 +236,7 @@ def cyclic_sum_terms(structure: dict, partners: Sequence[Iterable[int]]):
 
     On i < j < k the sum is X(e_i, [e_j, e_k]) + X(e_j, [e_k, e_i]) + X(e_k, [e_i, e_j]).
     ``structure`` is a bracket table over pairs p < q (the callers pass
-    ``integer_structure``) and ``partners[m]`` every a with X(e_a, e_m)
+    ``LieAlgebra.structure``, in ints over its ``den``) and ``partners[m]`` every a with X(e_a, e_m)
     possibly nonzero. Each coefficient c of [e_p, e_q] on e_m and each
     partner a outside {p, q} give one term on the sorted triple of
     (a, p, q), c negated when p < a < q. Triples no stored bracket reaches
@@ -263,11 +259,11 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     An empty list certifies that the structure constants define a Lie
     algebra (antisymmetry already holds by construction). Each residual is
     the cyclic sum of X(e_a, e_m) = [e_a, e_m] over ``cyclic_sum_terms``,
-    in ascending order. The sums run in ints over ``integer_structure``
-    and its ad table (``integer_ad_columns``), both den times the rational
-    ones, so each residual is den^2 times the rational one and is divided
-    once. The report is kept on ``alg`` as a tuple and each call returns a
-    new list of it; reading the kept views warms them for later checks.
+    in ascending order. The sums run in ints over ``structure`` and its
+    ad table (``ad_columns``), both den times the rational ones, so each
+    residual is den^2 times the rational one and is divided once. The
+    report is kept on ``alg`` as a tuple and each call returns a new list
+    of it; reading the kept views warms them for later checks.
     """
     return list(alg._jacobi_report)
 
@@ -293,7 +289,7 @@ def lower_central_series(alg: LieAlgebra) -> List[Subspace]:
     the unit rows g, span(e_3, ..., e_n), ..., 0 (two terms when n <= 2),
     with no elimination; on any other they are g, the kept [g, g] of
     ``derived_subalgebra``, and then the image chain (``linalg._image_chain``)
-    over the kept ``integer_ad_columns`` seeded from [g, g]'s rows, each
+    over the kept ``ad_columns`` seeded from [g, g]'s rows, each
     term put in canonical RREF with ``_reduce``. The series is built the
     first time it is read, so ``derived_subalgebra`` alone never builds it.
     """
@@ -317,18 +313,17 @@ def dtheta_residual(alg: LieAlgebra, form: TwoForm) -> List[Tuple[int, int, int,
     th(e_i, [e_j, e_k]) + th(e_j, [e_k, e_i]) + th(e_k, [e_i, e_j]),
     summed over the terms of ``cyclic_sum_terms`` with the support of each
     Gram column as the partners; an empty list means the form is closed.
-    The sums run in ints over ``integer_structure`` and the Gram matrix's
+    The sums run in ints over ``structure``, over den, and the Gram matrix's
     integer columns over its ``den``, d_form, and each nonzero one is
     divided once, by den * d_form.
     """
     if form.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    structure, den = alg.integer_structure
     columns, d_form = form.gram.columns, form.gram.den
     sums: Dict[tuple, int] = {}
-    for triple, a, m, c in cyclic_sum_terms(structure, columns):
+    for triple, a, m, c in cyclic_sum_terms(alg.structure, columns):
         sums[triple] = sums.get(triple, 0) + columns[m][a] * c
-    return [(*triple, Fraction(sums[triple], den * d_form)) for triple in sorted(sums)
+    return [(*triple, Fraction(sums[triple], alg.den * d_form)) for triple in sorted(sums)
             if sums[triple]]
 
 
@@ -341,18 +336,15 @@ def algebra_hash(alg: LieAlgebra) -> str:
     """Stable hash of the mathematical content (dimension and brackets).
 
     Names and basis labels are presentation only and deliberately excluded,
-    so renaming an algebra does not break certificates bound to it. A
-    constant past Python's int-string digit limit is a LieToolError, as in
-    ``serialize.format_rational``.
+    so renaming an algebra does not break certificates bound to it. Each
+    constant is written by ``format_rational`` over ``alg.den``, so one past
+    Python's int-string digit limit is a LieToolError.
     """
     parts = [f"dim={alg.dim}"]
-    try:
-        for (i, j) in sorted(alg.structure):
-            coeffs = alg.structure[(i, j)]
-            body = ",".join(f"{k}:{coeffs[k]}" for k in sorted(coeffs))
-            parts.append(f"[{i},{j}]={body}")
-    except ValueError as exc:
-        raise LieToolError("a result exceeds the integer digit limit") from exc
+    for (i, j) in sorted(alg.structure):
+        coeffs = alg.structure[(i, j)]
+        body = ",".join(f"{k}:{format_rational(coeffs[k], alg.den)}" for k in sorted(coeffs))
+        parts.append(f"[{i},{j}]={body}")
     # imported here only: the digest is its one use, and a command that
     # never hashes (a failing synth, ``der char-nilp``) never loads it
     import hashlib

@@ -5,7 +5,12 @@ over one denominator, and every dense view is ``fractions.Fraction``;
 nothing in this package touches floating point. ``integer_scaled`` puts
 a family of sparse rational vectors over one common denominator, the
 loops work on the integer numerators, and ``unscaled`` turns a result
-back into Fractions at the boundary. Matrices act on column coordinate
+back into Fractions at the boundary. Every table of the package holds
+that form, ints over one den > 0 with gcd(den, every entry) = 1: a
+``Matrix``'s columns, a ``Subspace``'s rows, a ``LieAlgebra``'s brackets
+and an ``AffineStructure``'s products. ``_lowest_terms`` puts built
+integer vectors in it, and ``format_rational`` writes an int over its den
+as "p/q" with no Fraction formed. Matrices act on column coordinate
 vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel,
@@ -75,7 +80,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, LieToolError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -149,13 +154,11 @@ class Matrix(_Frozen):
     def from_sparse(cls, columns: Iterable[dict], den: int) -> "Matrix":
         """Adopt the n sparse integer columns {row: int} over den > 0 of an n x n map.
 
-        Explicit zeros are dropped and gcd(den, every entry) is divided out
-        once, so the zero map has ``den`` 1.
+        ``_lowest_terms`` drops explicit zeros and divides out
+        gcd(den, every entry) once, so the zero map has ``den`` 1.
         """
-        columns = list(columns)
-        g = gcd(den, *(x for col in columns for x in col.values()))
-        cols = tuple({r: x // g for r, x in col.items() if x} for col in columns)
-        return _set_fields(cls.__new__(cls), dim=len(cols), columns=cols, den=den // g)
+        columns, den = _lowest_terms(columns, den)
+        return _set_fields(cls.__new__(cls), dim=len(columns), columns=tuple(columns), den=den)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
@@ -402,6 +405,32 @@ def integer_scaled(vectors: Iterable[dict]) -> Tuple[list, int]:
     den = lcm(*(x.denominator for v in vectors for x in v.values()))
     return [{k: x.numerator * (den // x.denominator) for k, x in v.items()}
             for v in vectors], den
+
+
+def _lowest_terms(vectors: Iterable[dict], den: int) -> Tuple[list, int]:
+    """(vectors, den) of sparse integer vectors over den > 0, zeros dropped and gcd divided out.
+
+    g = gcd(den, every entry) divides each entry and den once, so equal
+    rational families give equal results and the zero family has den 1.
+    """
+    vectors = list(vectors)
+    g = gcd(den, *(x for v in vectors for x in v.values()))
+    return [{k: x // g for k, x in v.items() if x} for v in vectors], den // g
+
+
+def format_rational(x, den: int = 1) -> str:
+    """x / den as "p/q", or "p" when it is whole: x an int over den > 0, or a Fraction and den 1.
+
+    An int is put in lowest terms by one gcd, with no Fraction formed.
+    Python's int-string digit limit becomes a LieToolError.
+    """
+    if isinstance(x, int):
+        g = gcd(x, den)
+        x, den = x // g, den // g
+    try:
+        return str(x) if den == 1 else f"{x}/{den}"
+    except ValueError as exc:
+        raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
 def unscaled(v: dict, den: int) -> dict:

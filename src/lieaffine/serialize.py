@@ -23,9 +23,9 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
-from .errors import LieToolError, SchemaError
+from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm, jacobi_report
-from .linalg import Matrix
+from .linalg import Matrix, format_rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
@@ -53,14 +53,6 @@ def parse_rational(text) -> Fraction:
     if den == 0:
         raise SchemaError(f"zero denominator in rational {_echo(text)}")
     return Fraction(num, den)
-
-
-def format_rational(x: Fraction) -> str:
-    """x as "p/q" (or "p"); Python's int-string digit limit becomes a LieToolError."""
-    try:
-        return str(x)
-    except ValueError as exc:
-        raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
 def _require_object(doc, required, optional=frozenset()):
@@ -110,7 +102,7 @@ def matrix_to_json(m: Matrix) -> list:
     rows = [["0"] * m.dim for _ in range(m.dim)]
     for j, col in enumerate(m.columns):
         for i, x in col.items():
-            rows[i][j] = format_rational(m[i, j])
+            rows[i][j] = format_rational(x, m.den)
     return rows
 
 
@@ -130,9 +122,9 @@ def matrix_from_json(doc, what: str = "matrix") -> Matrix:
 
 # --- pair entries and coefficient maps --------------------------------------
 
-def _coeffs_to_json(coeffs) -> dict:
-    """The 1-based map {"k": "p/q"} of the nonzero coefficients {k: c}, in k order."""
-    return {str(k + 1): format_rational(c) for k, c in sorted(coeffs.items()) if c}
+def _coeffs_to_json(coeffs, den: int) -> dict:
+    """The 1-based map {"k": "p/q"} of the nonzero coefficients {k: c / den}, in k order."""
+    return {str(k + 1): format_rational(c, den) for k, c in sorted(coeffs.items()) if c}
 
 
 def _coeffs_from_json(coeffs, dim: int) -> dict:
@@ -148,9 +140,9 @@ def _coeffs_from_json(coeffs, dim: int) -> dict:
     return parsed
 
 
-def _pairs_to_json(pairs, field: str, encode) -> list:
-    """Entries {"i", "j", field: encode(value)} of a 0-based {(i, j): value}, in (i, j) order."""
-    return [{"i": i + 1, "j": j + 1, field: encode(pairs[i, j])} for i, j in sorted(pairs)]
+def _pairs_to_json(pairs, field: str, encode, den: int) -> list:
+    """Entries {"i", "j", field: encode(value, den)} of 0-based {(i, j): value}, in (i, j) order."""
+    return [{"i": i + 1, "j": j + 1, field: encode(pairs[i, j], den)} for i, j in sorted(pairs)]
 
 
 def _pairs_from_json(entries, dim: int, field: str, parse, *, ordered: bool,
@@ -183,7 +175,7 @@ def algebra_to_json(alg: LieAlgebra) -> dict:
         "name": alg.name,
         "dim": alg.dim,
         "basis": list(alg.basis_names),
-        "brackets": _pairs_to_json(alg.structure, "coeffs", _coeffs_to_json),
+        "brackets": _pairs_to_json(alg.structure, "coeffs", _coeffs_to_json, alg.den),
     }
 
 
@@ -209,7 +201,7 @@ def jacobi_to_json(alg: LieAlgebra) -> dict:
         "dim": alg.dim,
         "jacobi_ok": not violations,
         "violations": [{"i": i + 1, "j": j + 1, "k": k + 1,
-                        "residual": _coeffs_to_json(dict(enumerate(res)))}
+                        "residual": _coeffs_to_json(dict(enumerate(res)), 1)}
                        for i, j, k, res in violations],
     }
 
@@ -217,8 +209,9 @@ def jacobi_to_json(alg: LieAlgebra) -> dict:
 # --- 2-forms ---------------------------------------------------------------
 
 def twoform_to_json(form: TwoForm) -> dict:
-    upper = {(i, j): form.gram[i, j] for j, c in enumerate(form.gram.columns) for i in c if i < j}
-    return {"dim": form.dim, "entries": _pairs_to_json(upper, "value", format_rational)}
+    gram = form.gram
+    upper = {(i, j): x for j, col in enumerate(gram.columns) for i, x in col.items() if i < j}
+    return {"dim": form.dim, "entries": _pairs_to_json(upper, "value", format_rational, gram.den)}
 
 
 def twoform_from_json(doc) -> TwoForm:
@@ -232,7 +225,7 @@ def twoform_from_json(doc) -> TwoForm:
 # --- affine structures ------------------------------------------------------
 
 def affine_to_json(structure: AffineStructure) -> dict:
-    gamma = _pairs_to_json(structure.gamma, "coeffs", _coeffs_to_json)
+    gamma = _pairs_to_json(structure.gamma, "coeffs", _coeffs_to_json, structure.den)
     return {"dim": structure.dim, "gamma": gamma}
 
 

@@ -3,11 +3,12 @@
 A textbook Gauss-Jordan on dense lists of Fractions gives the reduced
 row-echelon form, a solve, an inverse and a nullspace. The bracket, ad,
 an affine product and matrix sums, scalings, products and images are
-plain loops over the stored tables (``structure``, ``gamma``) and the
-dense rows (``data``): a map is read only through its Fraction view,
-never through the integer ``columns`` over ``den`` that the code under
-test reads, so the oracles share no form with it (``fraction_columns``
-gives its columns as Fractions, from ``data``). Only the ``Matrix`` and
+plain loops over the Fraction views of the stored tables (``structure``,
+``gamma``, through ``rational_table``) and the dense rows (``data``): a
+map is read only through its Fraction view, never through the integer
+``columns`` over ``den`` that the code under test reads, so the oracles
+share no form with it (``fraction_columns`` gives its columns as
+Fractions, from ``data``). Only the ``Matrix`` and
 ``Subspace`` containers come from the package
 (``test_dense_oracles_import_only_containers`` keeps it so), so the
 kernel and the sparse tables can be checked against these. Vectors
@@ -91,17 +92,23 @@ def apply(m, v):
     return tuple(sum((y * x for y, x in zip(row, v) if x), F(0)) for row in m.data)
 
 
+def rational_table(table, den):
+    """The Fraction view {(i, j): {k: c / den}} of a table of ints over den."""
+    return {pair: {k: F(c, den) for k, c in coeffs.items()} for pair, coeffs in table.items()}
+
+
 def bracket_basis(alg, i, j):
     """Sparse coefficients of [e_i, e_j] read off the stored pairs, antisymmetry applied."""
+    structure = rational_table(alg.structure, alg.den)
     if i < j:
-        return dict(alg.structure.get((i, j), {}))
-    return {k: -c for k, c in alg.structure.get((j, i), {}).items()}
+        return structure.get((i, j), {})
+    return {k: -c for k, c in structure.get((j, i), {}).items()}
 
 
 def bracket(alg, x, y):
     """[x, y] of dense vectors: (x_i y_j - x_j y_i) [e_i, e_j] summed over the stored pairs."""
     out = [F(0)] * alg.dim
-    for (i, j), coeffs in alg.structure.items():
+    for (i, j), coeffs in rational_table(alg.structure, alg.den).items():
         t = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
         for k, c in coeffs.items():
             out[k] += t * c
@@ -117,7 +124,7 @@ def ad(alg, x):
 def product(structure, x, y):
     """x.y for dense vectors: x_i y_j times e_i.e_j, summed over the stored pairs of ``gamma``."""
     out = [F(0)] * structure.dim
-    for (i, j), coeffs in structure.gamma.items():
+    for (i, j), coeffs in rational_table(structure.gamma, structure.den).items():
         t = F(x[i]) * F(y[j])
         for k, c in coeffs.items():
             out[k] += t * c

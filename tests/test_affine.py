@@ -1,6 +1,7 @@
 """Affine structure constructors, exact verification, synthesis pipeline."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ from lieaffine.linalg import (
     unscaled,
     vector,
 )
-from lieaffine.serialize import certificate_to_json, matrix_to_json
+from lieaffine.serialize import certificate_to_json, json_text, matrix_to_json
 
 import dense
 from dense import (
@@ -84,6 +85,7 @@ from dense import (
     from_columns,
     from_fraction_columns,
     identity,
+    rational_table,
     invert,
     kernel_routes,
     matmul,
@@ -139,7 +141,7 @@ def _naive_affine_report(alg, structure):
 
 def _tampered(structure, rng, changes):
     n = structure.dim
-    gamma = {pair: dict(coeffs) for pair, coeffs in structure.gamma.items()}
+    gamma = rational_table(structure.gamma, structure.den)
     for _ in range(changes):
         i, j, k = (rng.randrange(n) for _ in range(3))
         col = gamma.setdefault((i, j), {})
@@ -175,7 +177,7 @@ def test_verify_affine_matches_naive_evaluation():
 def _fraction_verify_affine(alg, structure):
     """verify_affine with every sum and product in Fractions: the oracle of its integer loops."""
     n = alg.dim
-    gamma = structure.gamma
+    gamma = rational_table(structure.gamma, structure.den)
     left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
     neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
     right = [[left[m][k] for m in range(n)] for k in range(n)]
@@ -201,11 +203,11 @@ def _fraction_verify_affine(alg, structure):
 
 
 def _fraction_product_tensor(outer, maps, inner):
-    """The gamma of ``_product_tensor`` composed in Fractions: its oracle."""
+    """The structure of ``_product_tensor`` composed in Fractions: its oracle."""
     n = len(maps)
     inner_cols = fraction_columns(inner)
     return AffineStructure(n, {(i, j): sparse_apply(outer, sparse_apply(m, inner_cols[j]))
-                               for i, m in enumerate(maps) for j in range(n)}).gamma
+                               for i, m in enumerate(maps) for j in range(n)})
 
 
 # brackets with integer constants, with denominators 2 and 3, and with
@@ -249,9 +251,8 @@ def test_verify_affine_matches_fraction_oracle_on_tampered_structures(name):
 def _triple_loop_verify_affine(alg, structure):
     """verify_affine as an integer loop over all n^3 / 2 triples: the oracle of the sparse sums."""
     n = alg.dim
-    products, d = integer_scaled(structure.gamma.values())
-    gamma = dict(zip(structure.gamma, products))
-    brackets, dc = alg.integer_structure
+    gamma, d = structure.gamma, structure.den
+    brackets, dc = alg.structure, alg.den
     left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
     neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
     right = [[left[m][k] for m in range(n)] for k in range(n)]
@@ -303,9 +304,12 @@ def test_verify_affine_matches_triple_loop_on_perturbed_structures(name):
 
 def _assert_canonical(structure):
     # the constructions adopt their table: it must be the one that
-    # AffineStructure(...) would make of it, with its pairs in ascending order
-    gamma = structure.gamma
-    assert gamma == coefficient_table(structure.dim, gamma, lambda i, j: True)
+    # AffineStructure(...) makes of its Fraction view, field for field, int
+    # coefficients over den > 0 with gcd 1, its pairs in ascending order
+    gamma, den = structure.gamma, structure.den
+    checked = AffineStructure(structure.dim, rational_table(gamma, den))
+    assert (structure.dim, den, gamma) == (checked.dim, checked.den, checked.gamma)
+    _assert_lowest_terms(gamma, den)
     assert list(gamma) == sorted(gamma)
 
 
@@ -320,7 +324,7 @@ def test_product_tensor_matches_fraction_oracle(name):
     n = alg.dim
     rng = random.Random(n + 1)
     ad = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
-    int_ad, den = alg.integer_ad_columns
+    int_ad, den = alg.ad_columns, alg.den
     for maps, int_maps in ((ad, int_ad), ([_transpose(cols, n) for cols in ad],
                                           [_transpose(cols, n) for cols in int_ad])):
         for density in (0.2, 0.6):
@@ -328,7 +332,7 @@ def test_product_tensor_matches_fraction_oracle(name):
             inner = from_fraction_columns(_random_columns(rng, n, density))
             structure = _product_tensor(integer_scaled(outer), int_maps, den, inner)
             _assert_canonical(structure)
-            assert structure.gamma == _fraction_product_tensor(outer, maps, inner)
+            assert structure == _fraction_product_tensor(outer, maps, inner)
 
 
 def _all_pairs_product_tensor(outer, maps, d_maps, inner):
@@ -340,7 +344,7 @@ def _all_pairs_product_tensor(outer, maps, d_maps, inner):
     den = d_outer * d_maps * d_inner
     return AffineStructure(n, {(i, j): unscaled(sparse_apply(outer, sparse_apply(m, col)), den)
                                for i, m in enumerate(maps)
-                               for j, col in enumerate(inner_cols)}).gamma
+                               for j, col in enumerate(inner_cols)})
 
 
 _CONSTRUCTIONS = {
@@ -378,10 +382,10 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
     [(outer, maps, d_maps, inner, structure)] = calls
     assert inner.monomial is None
     assert structure is built and structure.gamma
-    assert structure.gamma == _all_pairs_product_tensor(outer, maps, d_maps, inner)
+    assert structure == _all_pairs_product_tensor(outer, maps, d_maps, inner)
     _assert_canonical(structure)
     fraction_maps = [[unscaled(col, d_maps) for col in cols] for cols in maps]
-    assert structure.gamma == _fraction_product_tensor(outer, fraction_maps, inner)
+    assert structure == _fraction_product_tensor(outer, fraction_maps, inner)
 
 
 def test_product_tensor_drops_a_pair_whose_sum_cancels():
@@ -389,7 +393,7 @@ def test_product_tensor_drops_a_pair_whose_sum_cancels():
     maps = [[{0: 1}, {0: 1}], [{}, {}]]
     inner = Matrix([[1, 0], [-1, 1]])
     structure = _product_tensor(([{0: 1}, {1: 1}], 1), maps, 1, inner)
-    assert structure.gamma == {(0, 1): {0: F(1)}}
+    assert (structure.gamma, structure.den) == ({(0, 1): {0: 1}}, 1)
     _assert_canonical(structure)
 
 
@@ -449,12 +453,83 @@ def test_closed_form_products_match_the_generic_product_tensor(monkeypatch, name
     assert built and any(x.gamma for x in built)
     for x in built:
         _assert_canonical(x)
-    assert [getattr(x, "gamma", x) for x in closed] == [getattr(x, "gamma", x) for x in generic]
+    assert closed == generic
+
+
+def _assert_lowest_terms(table, den):
+    # int coefficients, zeros dropped, over den > 0 with gcd(den, every entry) = 1
+    entries = [c for coeffs in table.values() for c in coeffs.values()]
+    assert all(type(c) is int and c for c in entries) and all(table.values())
+    assert den > 0 and math.gcd(den, *entries) == 1
+
+
+def test_every_table_holds_one_canonical_form():
+    # one algebra given as a Fraction, an int or a "p/q" table, unreduced
+    # strings included, holds one (structure, den), and so does one product
+    whole = [{(0, 1): {2: 2}, (0, 2): {3: -4}},
+             {(0, 1): {2: F(2)}, (0, 2): {3: F(-8, 2)}},
+             {(0, 1): {2: "4/2"}, (0, 2): {3: "-12/3", 1: "0/5"}, (1, 2): {3: 0}}]
+    rational = [{(0, 1): {2: F(1, 2)}, (0, 2): {3: F(3, 4)}, (1, 2): {3: F(-1, 6)}},
+                {(0, 1): {2: "2/4"}, (0, 2): {3: "6/8"}, (1, 2): {3: "-2/12"}}]
+    for tables, expected in ((whole, ({(0, 1): {2: 2}, (0, 2): {3: -4}}, 1)),
+                             (rational, ({(0, 1): {2: 6}, (0, 2): {3: 9}, (1, 2): {3: -2}}, 12))):
+        algebras = [LieAlgebra(4, table) for table in tables]
+        assert {(repr(a.structure), a.den) for a in algebras} == {(repr(expected[0]), expected[1])}
+        products = [AffineStructure(4, table) for table in tables]
+        assert all(x == products[0] and hash(x) == hash(products[0]) for x in products)
+        assert (products[0].gamma, products[0].den) == expected
+        _assert_lowest_terms(*expected)
+    # the same ints over another den are another product
+    assert AffineStructure(4, rational[0]) != AffineStructure(4, {(0, 1): {2: 6}, (0, 2): {3: 9},
+                                                                  (1, 2): {3: -2}})
+    for alg in (make_ln(12), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(F(7, 5))):
+        _assert_lowest_terms(alg.structure, alg.den)
+        view = rational_table(alg.structure, alg.den)
+        assert (alg.structure, alg.den) == coefficient_table(alg.dim, view, lambda i, j: i < j)
+
+
+def _synthesis_outputs(alg, strategy):
+    """(structure, certificate, its JSON text) of a synthesis, or the reasons it failed."""
+    try:
+        structure, cert = synthesize(alg, strategy=strategy)
+    except NoStrategySucceeded as exc:
+        return exc.reasons
+    return structure, cert, json_text(certificate_to_json(cert))
+
+
+_NO_FRACTION_RUNS = {
+    "L8-auto": (lambda: make_ln(8), "auto"),
+    # C8 (1, 1) is regular through a dense witness: the kernel route
+    "C8-auto": (lambda: make_cn(8, [1, 1])[0], "auto"),
+    "C8-fractional-derived-regular": (lambda: make_cn(8, [F(2, 3), F(1, 2)])[0],
+                                      "derived-regular"),
+    "L8-symplectic": (lambda: make_ln(8), "symplectic"),
+    "Q8-symplectic-miss": (lambda: make_qn(8), "symplectic"),
+}
+
+
+def test_no_fraction_is_formed_from_table_to_certificate(monkeypatch):
+    # on fresh tables, built before the patch, with Fraction.__new__ patched
+    # to raise, the synthesis, the certificate writer and json_text give
+    # what they give unpatched, a symplectic miss included
+    expected = {name: _synthesis_outputs(make(), strategy)
+                for name, (make, strategy) in _NO_FRACTION_RUNS.items()}
+    assert expected["C8-auto"][1].witnesses["derivation"].monomial is None
+    assert set(expected["Q8-symplectic-miss"]) == {"symplectic"}
+    fresh = {name: (make(), strategy) for name, (make, strategy) in _NO_FRACTION_RUNS.items()}
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was formed")
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    got = {name: _synthesis_outputs(*run) for name, run in fresh.items()}
+    monkeypatch.undo()
+    assert got == expected
 
 
 # views that the module functions and the checks keep on a LieAlgebra; the
 # last is the DerivationSpace that derivations.derivation_space keeps there
-_KEPT_VIEWS = ("integer_structure", "integer_ad_columns", "partners", "tail_filtered",
+_KEPT_VIEWS = ("ad_columns", "partners", "tail_filtered",
                "_derived_subalgebra", "_jacobi_report", "_derivation_space")
 
 _SHARED_VIEW_ALGEBRAS = {
@@ -498,14 +573,14 @@ def test_kept_views_equal_fresh_ones_after_every_caller(monkeypatch, name):
     assert all(reverify_certificate(alg, cert).ok for cert in certs)
     fresh = _SHARED_VIEW_ALGEBRAS[name]()
     assert set(vars(alg)) == set(_KEPT_VIEWS)
+    assert (alg.structure, alg.den) == (fresh.structure, fresh.den)
     for view in _KEPT_VIEWS[:-1]:
         assert vars(alg)[view] == getattr(fresh, view), view
     space, fresh_space = vars(alg)["_derivation_space"], derivation_space(fresh)
     assert derivation_space(alg) is space and space.algebra is alg
     for view in ("flat", "weights", "all_nilpotent"):
         assert getattr(space, view) == getattr(fresh_space, view), view
-    assert alg.integer_structure is vars(alg)["integer_structure"]
-    assert alg.integer_ad_columns is vars(alg)["integer_ad_columns"]
+    assert alg.ad_columns is vars(alg)["ad_columns"]
     assert derived_subalgebra(alg) is vars(alg)["_derived_subalgebra"]
     assert alg.tail_filtered == (name != "h3+h3")
     for m, fresh_m in zip(maps, fresh_maps):

@@ -54,7 +54,7 @@ def test_only_the_frozen_base_defines_setattr():
     assert owners == [("linalg", "_Frozen")]
 
 
-_PRIVATE_VIEWS = {"_integer_structure", "_integer_ad_columns", "_partners", "_tail_filtered",
+_PRIVATE_VIEWS = {"_ad_columns", "_partners", "_tail_filtered",
                   "_jacobi_report", "_derived_subalgebra", "_lower_central_series"}
 
 
@@ -67,8 +67,7 @@ def test_algebra_views_are_read_one_way_outside_liealg():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.stem == "liealg":
             defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-            assert defined.isdisjoint({"integer_structure", "integer_ad_columns",
-                                       "tail_filtered"})
+            assert defined.isdisjoint({"ad_columns", "partners", "tail_filtered"})
             continue
         reads += [(path.stem, node.attr) for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_VIEWS]
@@ -76,19 +75,21 @@ def test_algebra_views_are_read_one_way_outside_liealg():
 
 
 def test_no_module_reads_a_second_subspace_form():
-    # a Subspace holds one form, integer rows over ``den``, and a Matrix
-    # one too, integer columns over ``den``: no module of the package, its
-    # tests or its benchmark reads the deleted ``integer_rows`` or
-    # ``integer_columns``
+    # a Subspace holds one form, integer rows over ``den``, a Matrix one
+    # too, integer columns over ``den``, and so do a LieAlgebra's bracket
+    # table and an AffineStructure's products: no module of the package,
+    # its tests, its tools or its benchmark reads the deleted
+    # ``integer_rows``, ``integer_columns``, ``integer_structure`` or
+    # ``integer_ad_columns``
     tests = Path(__file__).parent
     paths = [*Path(lieaffine.__file__).parent.glob("*.py"), *tests.glob("*.py"),
-             *(tests.parent / "perfbench").glob("*.py")]
+             *(tests.parent / "perfbench").glob("*.py"), *(tests.parent / "tools").glob("*.py")]
+    deleted = ("integer_rows", "integer_columns", "integer_structure", "integer_ad_columns")
     reads = []
     for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         reads += [(path.stem, node.lineno, node.attr) for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)
-                  and node.attr in ("integer_rows", "integer_columns")]
+                  if isinstance(node, ast.Attribute) and node.attr in deleted]
     assert len(paths) > 20 and reads == []
 
 
@@ -159,9 +160,9 @@ def test_code_line_count_leaves_out_docstrings_comments_and_blank_lines(tmp_path
     assert _code_lines(tmp_path) == {"prose": 0, "small": 3, "total": 3}
 
 
-def _digest_sweep():
-    path = Path(__file__).resolve().parents[1] / "tools" / "digest_sweep.py"
-    spec = importlib.util.spec_from_file_location("digest_sweep", path)
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -170,11 +171,21 @@ def _digest_sweep():
 def test_digest_sweep_is_deterministic_on_a_prefix():
     # the first 40 calls (catalog list, then Ln 3 and Ln 4) and the
     # re-checks of the certificates and verdicts they write, run twice
-    sweep = _digest_sweep().sweep
+    sweep = _tool("digest_sweep").sweep
     first = sweep(40)
     assert first == sweep(40)
     count, codes, digest = first
     assert count > 40 and sum(codes.values()) == count and len(digest) == 64
+
+
+def test_fraction_count_is_deterministic_on_a_prefix():
+    # the first jobs of each workload's list, counted twice, give one count
+    tool = _tool("fraction_count")
+    lists = tool.job_lists()
+    assert [len(jobs) for jobs in lists.values()] == [66, 28]
+    prefix = lists["synth-sweep"][:6] + lists["obstruction"][:4]
+    first = tool.count_fractions(prefix)
+    assert first == tool.count_fractions(prefix) and first > 0
 
 
 def test_no_module_defines_a_deleted_converter():

@@ -20,7 +20,7 @@ from lieaffine.errors import BadDimension, BadRange, UnknownFamily, WrongLambdaC
 from lieaffine.liealg import is_filiform, jacobi_report
 from lieaffine.linalg import Matrix
 
-from dense import unit_vector
+from dense import rational_table, unit_vector
 
 F = Fraction
 
@@ -28,7 +28,7 @@ F = Fraction
 def _table(alg):
     return {
         (i + 1, j + 1): {k + 1: c for k, c in coeffs.items()}
-        for (i, j), coeffs in alg.structure.items()
+        for (i, j), coeffs in rational_table(alg.structure, alg.den).items()
     }
 
 

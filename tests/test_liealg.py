@@ -40,6 +40,7 @@ from dense import (
     column,
     fraction_columns,
     integer_row,
+    rational_table,
     scaled,
     unit_vector,
     zeros,
@@ -140,22 +141,23 @@ def test_jacobi_report_is_kept_and_each_call_returns_a_new_list(make):
     make_ln(6), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(F(7, 5)),
 ], ids=["L6", "C8", "B7/5"])
 def test_ad_columns_and_their_integer_scaling_read_the_brackets(alg):
+    # the table is held over the lcm of its Fraction view's denominators,
+    # and ad_columns are its ints over that den, antisymmetry applied
     n = alg.dim
     table = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
-    den = math.lcm(*(c.denominator for col in alg.structure.values() for c in col.values()))
-    structure, d = alg.integer_structure
-    assert d == den and list(structure) == list(alg.structure)
-    assert structure == {pair: {k: c * den for k, c in col.items()}
-                         for pair, col in alg.structure.items()}
-    ints, d = alg.integer_ad_columns
-    assert d == den
-    assert ints == [[{k: c * den for k, c in col.items()} for col in row] for row in table]
+    view = rational_table(alg.structure, alg.den)
+    assert alg.den == math.lcm(*(c.denominator for col in view.values() for c in col.values()))
+    assert alg.structure == {pair: {k: c * alg.den for k, c in col.items()}
+                             for pair, col in view.items()}
+    ints = alg.ad_columns
+    assert ints == [[{k: c * alg.den for k, c in col.items()} for col in row] for row in table]
     assert all(type(c) is int for row in ints for col in row for c in col.values())
 
 
 def _all_triples_cyclic_terms(alg):
-    # every triple i < j < k scanned, the ones whose three brackets vanish dropped
-    n, s = alg.dim, alg.structure
+    # every triple i < j < k of the Fraction view scanned, the ones whose
+    # three brackets vanish dropped
+    n, s = alg.dim, rational_table(alg.structure, alg.den)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -180,7 +182,7 @@ def _perturbed(alg, rng):
     n = alg.dim
     i, j = sorted(rng.sample(range(n), 2))
     k = rng.randrange(n)
-    structure = {pair: dict(coeffs) for pair, coeffs in alg.structure.items()}
+    structure = rational_table(alg.structure, alg.den)
     structure.setdefault((i, j), {})[k] = F(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 9)))
     return LieAlgebra(n, structure)
 
@@ -211,11 +213,12 @@ _CYCLIC_IDS = ["abelian5", "L24", "Q24", "C12", "B7/5", "random9", "random12"]
 @pytest.mark.parametrize("alg", _CYCLIC_ALGEBRAS, ids=_CYCLIC_IDS)
 def test_cyclic_terms_match_the_all_triples_scan(alg):
     # with every index a partner of every target, the helper's terms summed
-    # per triple are the scan's; the integer-scaled table the callers pass too
+    # per triple are the scan's, on the Fraction view and on the integer
+    # table the callers pass, read as an algebra scaled by its den
     everyone = [range(alg.dim)] * alg.dim
-    structure, _ = alg.integer_structure
-    scaled = LieAlgebra(alg.dim, structure)
-    for table, oracle in ((alg.structure, alg), (structure, scaled)):
+    scaled = LieAlgebra(alg.dim, alg.structure)
+    for table, oracle in ((rational_table(alg.structure, alg.den), alg),
+                          (alg.structure, scaled)):
         expected = {t: sorted(terms) for t, terms in _all_triples_cyclic_terms(oracle)}
         assert _summed_per_triple(cyclic_sum_terms(table, everyone)) == expected
 
@@ -335,7 +338,7 @@ def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
     n = alg.dim
     assert alg.tail_filtered
     derived = derived_subalgebra(alg)
-    assert derived == _reduce(map(integer_row, alg.structure.values()), n)
+    assert derived == _reduce(alg.structure.values(), n)
     assert [(p, list(row.items())) for p, row in derived.rows] == [
         (k, [(k, 1)]) for k in range(2, n)]
     assert all(type(x) is int for _, row in derived.rows for x in (derived.den, *row.values()))
@@ -343,8 +346,7 @@ def test_tail_filtered_tables_have_the_unit_rows_as_their_series(alg):
     assert series[1:] == [Subspace(n, [(m, {m: 1}) for m in range(k + 1, n)])
                           for k in range(1, len(series))]
     assert derived is series[1]
-    ad, _ = alg.integer_ad_columns
-    chain = _image_chain(ad, ({i: 1} for i in range(n)))
+    chain = _image_chain(alg.ad_columns, ({i: 1} for i in range(n)))
     assert series == [_reduce(rows.values(), n) for rows in chain]
 
 
@@ -356,7 +358,7 @@ def test_tail_filtered_series_runs_no_elimination(alg, monkeypatch):
         raise AssertionError("the elimination kernel ran")
 
     monkeypatch.setattr(linalg, "_gauss_jordan", no_kernel)
-    fresh = LieAlgebra(alg.dim, alg.structure)
+    fresh = LieAlgebra(alg.dim, rational_table(alg.structure, alg.den))
     n = alg.dim
     assert [s.dim for s in lower_central_series(fresh)] == [n, *range(max(n - 2, 0), -1, -1)]
     assert is_nilpotent_algebra(fresh)
@@ -389,10 +391,9 @@ def test_tables_off_the_filtration_reduce_their_brackets():
         series = lower_central_series(alg)
         assert [s.dim for s in series] == dims, name
         derived = derived_subalgebra(alg)
-        assert derived == _reduce(map(integer_row, alg.structure.values()), n), name
+        assert derived == _reduce(alg.structure.values(), n), name
         assert derived is alg._lower_central_series[min(1, len(dims) - 1)], name
-        ad, _ = alg.integer_ad_columns
-        chain = _image_chain(ad, ({i: 1} for i in range(n)))
+        chain = _image_chain(alg.ad_columns, ({i: 1} for i in range(n)))
         assert series == [_reduce(rows.values(), n) for rows in chain], name
     missing_step = OFF_FILTRATION_TABLES["missing-step"][0]
     assert derived_subalgebra(missing_step).rows == ((3, {3: 1}),)

@@ -333,8 +333,8 @@ def _kernel_exits(alg):
     # each e_j on [g, g], and the image chains of Der(g) and of ad
     n = alg.dim
     der_rows, _ = derivations._derivation_equations(alg)
-    brackets = list(alg.integer_structure[0].values())
-    ad_columns = alg.integer_ad_columns[0]
+    brackets = list(alg.structure.values())
+    ad_columns = alg.ad_columns
     flat = _nullspace(der_rows, n * n)
     weights = _nullspace(_weight_rows(alg), n)
     derived = _reduce(brackets, n)

@@ -6,10 +6,12 @@ each exit code and one sha256 over the (argv, stdout, stderr, exit code)
 of every call. Two trees that print the same lines give the same
 bytes on every call of the sweep. Standard library only, plus
 ``lieaffine`` from ``PYTHONPATH`` and the dense helpers of
-``tests/dense.py``; it has no options. From the repository root:
+``tests/dense.py``; it has no options. Those helpers read the package's
+tables in the form their own tree holds them, so each tree runs its own
+copy of the script, from its root:
 
     PYTHONPATH=src python3 tools/digest_sweep.py
-    PYTHONPATH=/path/to/other/tree/src python3 tools/digest_sweep.py
+    cd /path/to/other/tree && PYTHONPATH=src python3 tools/digest_sweep.py
 
 The calls, in order:
 
