@@ -1,36 +1,28 @@
 """Dense Fraction oracles for the tests, independent of the code they check.
 
-A textbook Gauss-Jordan on dense lists of Fractions gives the reduced
-row-echelon form, a solve, an inverse and a nullspace. The bracket, ad,
-an affine product and matrix sums, scalings, products and images are
-plain loops over the Fraction views of the stored tables (``structure``,
-``gamma``, through ``rational_table``) and the dense rows (``data``): a
-map is read only through its Fraction view, never through the integer
-``columns`` over ``den`` that the code under test reads, so the oracles
-share no form with it (``fraction_columns`` gives its columns as
-Fractions, from ``data``). Only the ``Matrix`` and
-``Subspace`` containers come from the package
-(``test_dense_oracles_import_only_containers`` keeps it so), so the
-kernel and the sparse tables can be checked against these. Vectors
-are tuples of Fractions and a ``Matrix`` acts on column vectors, as in
-the package; the constructors below build an n x n ``Matrix`` from dense
-rows or columns. Rectangular data stays in plain lists: ``solve`` takes
-the columns of its coefficient matrix, and a basis laid out as columns is
-the tuple of its dense vectors.
-``kernel_routes`` patches the package's shape views off, so the generic
-kernel routes serve as oracles of the closed forms that read them.
-``integer_row`` scales a rational row for the kernel, which takes
-integer rows only, and ``integer_form`` puts dense RREF rows in the
-kernel's one form of a subspace: integer rows over the lcm of their
-denominators, in pure Python, so ``span`` and ``nullspace`` build their
-``Subspace`` oracles with nothing of the package but the container.
+Only the ``Matrix`` and ``Subspace`` containers come from the package
+(``test_dense_oracles_import_only_containers`` keeps it so). A textbook
+Gauss-Jordan on dense Fraction lists gives the RREF, a solve, an inverse
+and a nullspace; ``span`` and ``nullspace`` scale it by the lcm of its
+denominators into the ``Subspace`` form (``integer_form``). The rest are
+plain loops over Fraction views: ``rational_table`` of an algebra or a
+product, the one reader of their held tables, and a map's dense rows
+``data`` (``fraction_columns`` reads its columns off them), never the
+integer forms that the code under test reads. Each checked result has
+one oracle, worked from its definition on every basis pair or triple:
+``affine_violations``, ``derivation_violations``, ``jacobi_violations``,
+``dtheta_violations``, ``product_tensor`` (O M_i V) and ``restrict`` (a
+map on [g, g]). Vectors are tuples of Fractions and a ``Matrix`` acts on
+column vectors; rectangular data stays in plain lists (``solve`` takes
+the columns of its coefficient matrix). ``kernel_routes`` patches the
+package's shape views off, so its generic routes serve as oracles of the
+closed forms; ``integer_row`` scales a rational row for the kernel.
 ``change_basis`` moves an algebra onto the basis P e_1, ..., P e_n, for
-the seeded P of ``sparse_basis_change``, ``dense_basis_change`` and
-``rational_basis_change``, each drawn until the dense ``inverse`` finds
-it invertible.
+the seeded P of the three ``*_basis_change`` draws.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from lieaffine.linalg import Matrix, Subspace
@@ -92,23 +84,26 @@ def apply(m, v):
     return tuple(sum((y * x for y, x in zip(row, v) if x), F(0)) for row in m.data)
 
 
-def rational_table(table, den):
-    """The Fraction view {(i, j): {k: c / den}} of a table of ints over den."""
-    return {pair: {k: F(c, den) for k, c in coeffs.items()} for pair, coeffs in table.items()}
+def rational_table(x):
+    """The Fraction view {(i, j): {k: c}} of an algebra's brackets or a product's ``gamma``."""
+    table = x.gamma if hasattr(x, "gamma") else x.structure
+    return {pair: {k: F(c, x.den) for k, c in coeffs.items()} for pair, coeffs in table.items()}
 
 
-def bracket_basis(alg, i, j):
-    """Sparse coefficients of [e_i, e_j] read off the stored pairs, antisymmetry applied."""
-    structure = rational_table(alg.structure, alg.den)
-    if i < j:
-        return structure.get((i, j), {})
-    return {k: -c for k, c in structure.get((j, i), {}).items()}
+def bracket_table(alg):
+    """The n x n table of sparse [e_i, e_j], antisymmetry applied: row i, column j."""
+    n = alg.dim
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in rational_table(alg).items():
+        table[i][j] = coeffs
+        table[j][i] = {k: -c for k, c in coeffs.items()}
+    return table
 
 
 def bracket(alg, x, y):
     """[x, y] of dense vectors: (x_i y_j - x_j y_i) [e_i, e_j] summed over the stored pairs."""
     out = [F(0)] * alg.dim
-    for (i, j), coeffs in rational_table(alg.structure, alg.den).items():
+    for (i, j), coeffs in rational_table(alg).items():
         t = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
         for k, c in coeffs.items():
             out[k] += t * c
@@ -124,11 +119,116 @@ def ad(alg, x):
 def product(structure, x, y):
     """x.y for dense vectors: x_i y_j times e_i.e_j, summed over the stored pairs of ``gamma``."""
     out = [F(0)] * structure.dim
-    for (i, j), coeffs in rational_table(structure.gamma, structure.den).items():
+    for (i, j), coeffs in rational_table(structure).items():
         t = F(x[i]) * F(y[j])
         for k, c in coeffs.items():
             out[k] += t * c
     return tuple(out)
+
+
+def _image(columns, v):
+    """sum_q v_q columns[q] for a sparse vector v and sparse Fraction columns, zeros dropped."""
+    out = {}
+    for q, x in v.items():
+        for k, y in columns[q].items():
+            out[k] = out.get(k, F(0)) + x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def _summed(n, *terms):
+    """The dense Fraction tuple of the sum of sign * v over the (sign, sparse v) terms."""
+    out = [F(0)] * n
+    for sign, v in terms:
+        for k, x in v.items():
+            out[k] += sign * x
+    return tuple(out)
+
+
+def affine_violations(alg, structure):
+    """(torsion, leftsym) of ``verify_affine``, both axioms on every basis pair and triple.
+
+    Torsion lists (i, j, e_i.e_j - e_j.e_i - [e_i, e_j]) for i < j, left
+    symmetry (i, j, k, e_i.(e_j.e_k) - e_j.(e_i.e_k) - (e_i.e_j).e_k +
+    (e_j.e_i).e_k) for i < j and every k, each where it is nonzero.
+    """
+    n = alg.dim
+    gamma = rational_table(structure)
+    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]  # e_i.e_j
+    right = [[left[m][k] for m in range(n)] for k in range(n)]  # e_m.e_k
+    brackets = bracket_table(alg)
+    torsion, leftsym = [], []
+    for i, j in combinations(range(n), 2):
+        residual = _summed(n, (1, left[i][j]), (-1, left[j][i]), (-1, brackets[i][j]))
+        if any(residual):
+            torsion.append((i, j, residual))
+        for k in range(n):
+            residual = _summed(n, (1, _image(left[i], left[j][k])),
+                               (-1, _image(left[j], left[i][k])),
+                               (-1, _image(right[k], left[i][j])),
+                               (1, _image(right[k], left[j][i])))
+            if any(residual):
+                leftsym.append((i, j, k, residual))
+    return torsion, leftsym
+
+
+def derivation_violations(alg, m):
+    """``is_derivation``'s list: (i, j, m[e_i, e_j] - [m e_i, e_j] - [e_i, m e_j]) where nonzero."""
+    n = alg.dim
+    cols = fraction_columns(m)
+    brackets = bracket_table(alg)
+    out = []
+    for i, j in combinations(range(n), 2):
+        terms = [(1, _image(cols, brackets[i][j]))]
+        terms += [(-x, brackets[p][j]) for p, x in cols[i].items()]
+        terms += [(-x, brackets[i][q]) for q, x in cols[j].items()]
+        residual = _summed(n, *terms)
+        if any(residual):
+            out.append((i, j, residual))
+    return out
+
+
+def _cyclic(i, j, k):
+    return (i, j, k), (j, k, i), (k, i, j)
+
+
+def jacobi_violations(alg):
+    """``jacobi_report``'s list: (i, j, k, [e_i, [e_j, e_k]] + cyclic) where nonzero, i < j < k."""
+    n = alg.dim
+    brackets = bracket_table(alg)
+    out = []
+    for triple in combinations(range(n), 3):
+        terms = [(x, brackets[a][m]) for a, b, c in _cyclic(*triple)
+                 for m, x in brackets[b][c].items()]
+        residual = _summed(n, *terms)
+        if any(residual):
+            out.append((*triple, residual))
+    return out
+
+
+def dtheta_violations(alg, form):
+    """``dtheta_residual``'s list: (i, j, k, th(e_i, [e_j, e_k]) + cyclic) where nonzero."""
+    gram = form.gram.data
+    brackets = bracket_table(alg)
+    out = []
+    for triple in combinations(range(alg.dim), 3):
+        residual = sum((x * gram[a][m] for a, b, c in _cyclic(*triple)
+                        for m, x in brackets[b][c].items()), F(0))
+        if residual:
+            out.append((*triple, residual))
+    return out
+
+
+def product_tensor(outer, maps, inner):
+    """The Fraction table {(i, j): {k: c}} of e_i.e_j = O M_i V e_j for ``Matrix`` O, M_i, V."""
+    table = {}
+    outer_cols = fraction_columns(outer)
+    for i, m in enumerate(maps):
+        cols = fraction_columns(m)
+        for j, v in enumerate(fraction_columns(inner)):
+            coeffs = _image(outer_cols, _image(cols, v))
+            if coeffs:
+                table[i, j] = coeffs
+    return table
 
 
 def matmul(a, b):

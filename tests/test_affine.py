@@ -69,7 +69,6 @@ from lieaffine.linalg import (
     nonsingular,
     rank,
     sparse_apply,
-    unscaled,
     vector,
 )
 from lieaffine.serialize import certificate_to_json, json_text, matrix_to_json
@@ -77,11 +76,11 @@ from lieaffine.serialize import certificate_to_json, json_text, matrix_to_json
 import dense
 from dense import (
     ad,
+    affine_violations,
     apply,
     bracket,
-    bracket_basis,
+    bracket_table,
     column,
-    fraction_columns,
     from_columns,
     from_fraction_columns,
     identity,
@@ -90,6 +89,7 @@ from dense import (
     kernel_routes,
     matmul,
     product,
+    product_tensor,
     restrict,
     solve,
     unit_vector,
@@ -116,98 +116,14 @@ def test_verify_affine_zero_product_fails_torsion_on_l4():
     assert residuals[(0, 1)] == tuple(-x for x in unit_vector(4, 2))
 
 
-def _naive_affine_report(alg, structure):
-    """Both axioms evaluated with the dense product oracle on basis tuples."""
-    n = alg.dim
-    e = [unit_vector(n, i) for i in range(n)]
-    dot = functools.partial(product, structure)
-    torsion, leftsym = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = dot(e[i], e[j]), dot(e[j], e[i]), bracket(alg, e[i], e[j])
-            residual = tuple(a - b - c for a, b, c in zip(*terms))
-            if any(residual):
-                torsion.append((i, j, residual))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                terms = (dot(e[i], dot(e[j], e[k])), dot(e[j], dot(e[i], e[k])),
-                         dot(dot(e[i], e[j]), e[k]), dot(dot(e[j], e[i]), e[k]))
-                residual = tuple(a - b - c + d for a, b, c, d in zip(*terms))
-                if any(residual):
-                    leftsym.append((i, j, k, residual))
-    return torsion, leftsym
-
-
 def _tampered(structure, rng, changes):
     n = structure.dim
-    gamma = rational_table(structure.gamma, structure.den)
+    gamma = rational_table(structure)
     for _ in range(changes):
         i, j, k = (rng.randrange(n) for _ in range(3))
         col = gamma.setdefault((i, j), {})
         col[k] = col.get(k, 0) + F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
     return AffineStructure(n, gamma)
-
-
-def test_verify_affine_matches_naive_evaluation():
-    l6 = make_ln(6)
-    c6 = make_cn(6, [1])[0]
-    # brackets with denominators 2 and 3
-    c8 = make_cn(8, [F(2, 3), F(1, 2)])[0]
-    cases = [
-        (l6, synthesize(l6, strategy="regular")[0]),
-        (c6, synthesize(c6, strategy="derived-regular")[0]),
-        (l6, synthesize(l6, strategy="symplectic")[0]),
-        (c8, synthesize(c8, strategy="regular")[0]),
-    ]
-    rng = random.Random(2024)
-    for alg, structure in list(cases):
-        for changes in (1, 2, 5, 30):
-            cases.append((alg, _tampered(structure, rng, changes)))
-    failing = 0
-    for alg, structure in cases:
-        report = verify_affine(alg, structure)
-        torsion, leftsym = _naive_affine_report(alg, structure)
-        assert report.torsion_violations == torsion
-        assert report.leftsym_violations == leftsym
-        failing += not report.passed
-    assert failing == len(cases) - 4
-
-
-def _fraction_verify_affine(alg, structure):
-    """verify_affine with every sum and product in Fractions: the oracle of its integer loops."""
-    n = alg.dim
-    gamma = rational_table(structure.gamma, structure.den)
-    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
-    neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
-    right = [[left[m][k] for m in range(n)] for k in range(n)]
-    torsion, leftsym = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = {}
-            for v in (left[i][j], neg[j][i], bracket_basis(alg, j, i)):
-                for k, x in v.items():
-                    residual[k] = residual.get(k, F(0)) + x
-            if any(residual.values()):
-                torsion.append((i, j, dense_vector(residual, n)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            swapped = sparse_apply([left[j][i], neg[i][j]], {0: F(1), 1: F(1)})
-            for k in range(n):
-                residual = sparse_apply(left[i], left[j][k])
-                sparse_apply(left[j], neg[i][k], residual)
-                sparse_apply(right[k], swapped, residual)
-                if any(residual.values()):
-                    leftsym.append((i, j, k, dense_vector(residual, n)))
-    return torsion, leftsym
-
-
-def _fraction_product_tensor(outer, maps, inner):
-    """The structure of ``_product_tensor`` composed in Fractions: its oracle."""
-    n = len(maps)
-    inner_cols = fraction_columns(inner)
-    return AffineStructure(n, {(i, j): sparse_apply(outer, sparse_apply(m, inner_cols[j]))
-                               for i, m in enumerate(maps) for j in range(n)})
 
 
 # brackets with integer constants, with denominators 2 and 3, and with
@@ -219,60 +135,20 @@ _DIFFERENTIAL_ALGEBRAS = {
 }
 
 
-def _fraction_residuals_only(violations):
-    return all(type(x) is Fraction for *_, residual in violations for x in residual)
-
-
-@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
-def test_verify_affine_matches_fraction_oracle_on_tampered_structures(name):
-    alg = _DIFFERENTIAL_ALGEBRAS[name]
-    n = alg.dim
-    bases = [_zero_structure(n)]
-    for strategy in ("regular", "derived-regular", "symplectic"):
-        try:
-            bases.append(synthesize(alg, strategy=strategy)[0])
-        except NoStrategySucceeded:
-            pass
-    rng = random.Random(n)
-    passed = 0
-    for base in bases:
-        for changes in (0, 1, 3, 12, 60):
-            structure = _tampered(base, rng, changes)
-            report = verify_affine(alg, structure)
-            torsion, leftsym = _fraction_verify_affine(alg, structure)
-            assert report.torsion_violations == torsion
-            assert report.leftsym_violations == leftsym
-            assert _fraction_residuals_only(torsion + leftsym)
-            assert _fraction_residuals_only(report.torsion_violations + report.leftsym_violations)
-            passed += report.passed
-    assert passed == len(bases) - 1
-
-
-def _triple_loop_verify_affine(alg, structure):
-    """verify_affine as an integer loop over all n^3 / 2 triples: the oracle of the sparse sums."""
-    n = alg.dim
-    gamma, d = structure.gamma, structure.den
-    brackets, dc = alg.structure, alg.den
-    left = [[gamma.get((i, j), {}) for j in range(n)] for i in range(n)]
-    neg = [[{k: -x for k, x in col.items()} for col in row] for row in left]
-    right = [[left[m][k] for m in range(n)] for k in range(n)]
-    torsion, leftsym = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), {})),
-                                    {0: dc, 1: -dc, 2: -d})
-            if any(residual.values()):
-                torsion.append((i, j, dense_vector(unscaled(residual, d * dc), n)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))
-            for k in range(n):
-                residual = sparse_apply(left[i], left[j][k])
-                sparse_apply(left[j], neg[i][k], residual)
-                sparse_apply(right[k], swapped, residual)
-                if any(residual.values()):
-                    leftsym.append((i, j, k, dense_vector(unscaled(residual, d * d), n)))
-    return torsion, leftsym
+def _affine_counts(cases):
+    """(failing, twisted) over the (alg, structure) cases, each checked against the oracle."""
+    failing = twisted = 0
+    for alg, structure in cases:
+        report = verify_affine(alg, structure)
+        torsion, leftsym = affine_violations(alg, structure)
+        assert report.torsion_violations == torsion
+        assert report.leftsym_violations == leftsym
+        residuals = [r for *_, r in torsion + leftsym + report.torsion_violations
+                     + report.leftsym_violations]
+        assert all(type(x) is Fraction for residual in residuals for x in residual)
+        failing += not report.passed
+        twisted += bool(torsion)
+    return failing, twisted
 
 
 _SYNTHESIZED = {
@@ -283,23 +159,43 @@ _SYNTHESIZED = {
 }
 
 
-@pytest.mark.parametrize("name", list(_SYNTHESIZED))
-def test_verify_affine_matches_triple_loop_on_perturbed_structures(name):
-    alg, strategy = _SYNTHESIZED[name]
-    base = synthesize(alg, strategy=strategy)[0]
-    structures = [base] + [_tampered(base, random.Random(f"{name}/{s}"), 1) for s in range(4)]
-    failing = twisted = 0
-    for structure in structures:
-        report = verify_affine(alg, structure)
-        torsion, leftsym = _triple_loop_verify_affine(alg, structure)
-        assert report.torsion_violations == torsion
-        assert report.leftsym_violations == leftsym
-        failing += not report.passed
-        twisted += bool(torsion)
-    # a perturbation off the diagonal breaks torsion, so e_j.e_i - e_i.e_j
-    # leaves the bracket and the swapped-pair sums meet new triples
-    assert failing == 4
-    assert twisted >= 3
+def test_verify_affine_matches_both_axioms_on_every_pair_and_triple():
+    # a product of each strategy, then tampered 1, 2, 5 and 30 times
+    l6, c6, c8 = make_ln(6), make_cn(6, [1])[0], _DIFFERENTIAL_ALGEBRAS["C8"]
+    cases = [(l6, synthesize(l6, strategy="regular")[0]),
+             (c6, synthesize(c6, strategy="derived-regular")[0]),
+             (l6, synthesize(l6, strategy="symplectic")[0]),
+             (c8, synthesize(c8, strategy="regular")[0])]
+    rng = random.Random(2024)
+    for alg, structure in list(cases):
+        for changes in (1, 2, 5, 30):
+            cases.append((alg, _tampered(structure, rng, changes)))
+    failing, _ = _affine_counts(cases)
+    assert failing == len(cases) - 4
+    # the zero product and each synthesized one, tampered 0 to 60 times,
+    # on brackets with integer constants and denominators up to 2000
+    for alg in _DIFFERENTIAL_ALGEBRAS.values():
+        n = alg.dim
+        bases = [_zero_structure(n)]
+        for strategy in ("regular", "derived-regular", "symplectic"):
+            try:
+                bases.append(synthesize(alg, strategy=strategy)[0])
+            except NoStrategySucceeded:
+                pass
+        rng = random.Random(n)
+        cases = [(alg, _tampered(base, rng, changes))
+                 for base in bases for changes in (0, 1, 3, 12, 60)]
+        passed = len(cases) - _affine_counts(cases)[0]
+        assert passed == len(bases) - 1
+    # one perturbed product per case: a perturbation off the diagonal breaks
+    # torsion, so e_j.e_i - e_i.e_j leaves the bracket and the swapped-pair
+    # sums meet new triples
+    for name, (alg, strategy) in _SYNTHESIZED.items():
+        base = synthesize(alg, strategy=strategy)[0]
+        structures = [base] + [_tampered(base, random.Random(f"{name}/{s}"), 1) for s in range(4)]
+        failing, twisted = _affine_counts([(alg, structure) for structure in structures])
+        assert failing == 4
+        assert twisted >= 3
 
 
 def _assert_canonical(structure):
@@ -307,7 +203,7 @@ def _assert_canonical(structure):
     # AffineStructure(...) makes of its Fraction view, field for field, int
     # coefficients over den > 0 with gcd 1, its pairs in ascending order
     gamma, den = structure.gamma, structure.den
-    checked = AffineStructure(structure.dim, rational_table(gamma, den))
+    checked = AffineStructure(structure.dim, rational_table(structure))
     assert (structure.dim, den, gamma) == (checked.dim, checked.den, checked.gamma)
     _assert_lowest_terms(gamma, den)
     assert list(gamma) == sorted(gamma)
@@ -323,28 +219,17 @@ def test_product_tensor_matches_fraction_oracle(name):
     alg = _DIFFERENTIAL_ALGEBRAS[name]
     n = alg.dim
     rng = random.Random(n + 1)
-    ad = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
+    ad_maps = [from_fraction_columns(cols) for cols in bracket_table(alg)]
     int_ad, den = alg.ad_columns, alg.den
-    for maps, int_maps in ((ad, int_ad), ([_transpose(cols, n) for cols in ad],
-                                          [_transpose(cols, n) for cols in int_ad])):
+    for maps, int_maps in ((ad_maps, int_ad), ([from_columns(m.data) for m in ad_maps],
+                                               [_transpose(cols, n) for cols in int_ad])):
         for density in (0.2, 0.6):
             outer = _random_columns(rng, n, density)
             inner = from_fraction_columns(_random_columns(rng, n, density))
             structure = _product_tensor(integer_scaled(outer), int_maps, den, inner)
             _assert_canonical(structure)
-            assert structure == _fraction_product_tensor(outer, maps, inner)
-
-
-def _all_pairs_product_tensor(outer, maps, d_maps, inner):
-    # the loop over all n^2 pairs (i, j), two sparse_apply calls each: the
-    # oracle of the sums over nonzero (i, M_i e_m) pairs
-    n = len(maps)
-    outer, d_outer = integer_scaled(outer)
-    inner_cols, d_inner = integer_scaled(fraction_columns(inner))
-    den = d_outer * d_maps * d_inner
-    return AffineStructure(n, {(i, j): unscaled(sparse_apply(outer, sparse_apply(m, col)), den)
-                               for i, m in enumerate(maps)
-                               for j, col in enumerate(inner_cols)})
+            oracle = product_tensor(from_fraction_columns(outer), maps, inner)
+            assert rational_table(structure) == oracle
 
 
 _CONSTRUCTIONS = {
@@ -368,24 +253,23 @@ def test_product_tensor_of_each_construction_matches_all_pairs_loop(monkeypatch,
     alg, strategy = _CONSTRUCTIONS[name]
     _without_weight_pass(monkeypatch)
     calls = []
-    product_tensor = affine._product_tensor
+    package_tensor = affine._product_tensor
 
     def recorded(outer, maps, d_maps, inner):
-        structure = product_tensor(outer, maps, d_maps, inner)
-        columns, d_outer = outer  # the outer map as integer columns over d_outer
-        calls.append(([unscaled(col, d_outer) for col in columns], maps, d_maps, inner,
-                      structure))
+        structure = package_tensor(outer, maps, d_maps, inner)
+        calls.append((outer, maps, d_maps, inner, structure))
         return structure
 
     monkeypatch.setattr(affine, "_product_tensor", recorded)
     built, _ = synthesize(alg, strategy=strategy)
-    [(outer, maps, d_maps, inner, structure)] = calls
+    # the outer map as integer columns over d_outer, the maps over d_maps
+    [((columns, d_outer), maps, d_maps, inner, structure)] = calls
     assert inner.monomial is None
     assert structure is built and structure.gamma
-    assert structure == _all_pairs_product_tensor(outer, maps, d_maps, inner)
     _assert_canonical(structure)
-    fraction_maps = [[unscaled(col, d_maps) for col in cols] for cols in maps]
-    assert structure == _fraction_product_tensor(outer, fraction_maps, inner)
+    oracle = product_tensor(Matrix.from_sparse(columns, d_outer),
+                            [Matrix.from_sparse(cols, d_maps) for cols in maps], inner)
+    assert rational_table(structure) == oracle
 
 
 def test_product_tensor_drops_a_pair_whose_sum_cancels():
@@ -484,7 +368,7 @@ def test_every_table_holds_one_canonical_form():
                                                                   (1, 2): {3: -2}})
     for alg in (make_ln(12), make_cn(8, [F(2, 3), F(1, 2)])[0], make_benoist(F(7, 5))):
         _assert_lowest_terms(alg.structure, alg.den)
-        view = rational_table(alg.structure, alg.den)
+        view = rational_table(alg)
         assert (alg.structure, alg.den) == coefficient_table(alg.dim, view, lambda i, j: i < j)
 
 

@@ -160,6 +160,25 @@ def test_code_line_count_leaves_out_docstrings_comments_and_blank_lines(tmp_path
     assert _code_lines(tmp_path) == {"prose": 0, "small": 3, "total": 3}
 
 
+def test_no_tool_imports_the_tests():
+    # one copy of a tool runs against any tree's src, so no tool imports a
+    # test module (dense.py reads the package's internal forms) or puts
+    # tests/ on sys.path
+    tests = Path(__file__).parent
+    modules = {"tests", *(path.stem for path in tests.glob("*.py"))}
+    reaches = []
+    for path in sorted((tests.parent / "tools").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            on_path = (isinstance(node, (ast.Expr, ast.Assign, ast.AugAssign))
+                       and "sys.path" in ast.unparse(node)
+                       and any(getattr(n, "value", None) == "tests" for n in ast.walk(node)))
+            if on_path or any(name.partition(".")[0] in modules for name in names):
+                reaches.append((path.name, node.lineno))
+    assert reaches == []
+
+
 def _tool(name):
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -176,16 +195,6 @@ def test_digest_sweep_is_deterministic_on_a_prefix():
     assert first == sweep(40)
     count, codes, digest = first
     assert count > 40 and sum(codes.values()) == count and len(digest) == 64
-
-
-def test_fraction_count_is_deterministic_on_a_prefix():
-    # the first jobs of each workload's list, counted twice, give one count
-    tool = _tool("fraction_count")
-    lists = tool.job_lists()
-    assert [len(jobs) for jobs in lists.values()] == [66, 28]
-    prefix = lists["synth-sweep"][:6] + lists["obstruction"][:4]
-    first = tool.count_fractions(prefix)
-    assert first == tool.count_fractions(prefix) and first > 0
 
 
 def test_no_module_defines_a_deleted_converter():

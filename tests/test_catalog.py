@@ -28,7 +28,7 @@ F = Fraction
 def _table(alg):
     return {
         (i + 1, j + 1): {k + 1: c for k, c in coeffs.items()}
-        for (i, j), coeffs in rational_table(alg.structure, alg.den).items()
+        for (i, j), coeffs in rational_table(alg).items()
     }
 
 

@@ -60,7 +60,6 @@ from lieaffine.linalg import (
     _nullspace,
     _reduce,
     dense_vector,
-    sparse_apply,
     is_nilpotent,
     nonsingular,
     products_vanish,
@@ -73,11 +72,12 @@ from dense import (
     add,
     apply,
     bracket,
-    bracket_basis,
+    bracket_table,
     change_basis,
     column,
     contains,
     dense_basis_change,
+    derivation_violations,
     fraction_columns,
     from_fraction_columns,
     identity,
@@ -119,75 +119,13 @@ def test_is_derivation_c6_torus():
     assert is_derivation(c6, Matrix.diagonal([0, 1, 1, 1, 1, 2])) == []
 
 
-def _naive_derivation_violations(alg, m):
-    """The derivation identity evaluated with dense products and the dense bracket oracle."""
-    n = alg.dim
-    e = [unit_vector(n, i) for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = apply(m, bracket(alg, e[i], e[j]))
-            r1 = bracket(alg, apply(m, e[i]), e[j])
-            r2 = bracket(alg, e[i], apply(m, e[j]))
-            residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
-            if any(residual):
-                out.append((i, j, residual))
-    return out
-
-
-@pytest.mark.parametrize("alg", [
-    make_ln(7), make_qn(8), make_cn(6, [1])[0], make_benoist(1),
-], ids=["L7", "Q8", "C6", "Benoist1"])
-def test_is_derivation_matches_definition_on_random_maps(alg):
-    n = alg.dim
-    rng = random.Random(n)
-    basis = derivation_space(alg).basis
-    maps = []
-    for density in (0.1, 0.5, 1.0):
-        maps.append(Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                             if rng.random() < density else 0
-                             for _ in range(n)] for _ in range(n)]))
-    for _ in range(3):
-        d = zeros(n)
-        for b in basis:
-            d = add(d, scaled(b, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
-        maps.append(d)
-        # one entry off a derivation breaks only some pairs
-        bump = [[0] * n for _ in range(n)]
-        bump[rng.randrange(n)][rng.randrange(n)] = Fraction(1, rng.randint(1, 5))
-        maps.append(add(d, Matrix(bump)))
-    seen_empty = False
-    for m in maps:
-        expected = _naive_derivation_violations(alg, m)
-        assert is_derivation(alg, m) == expected
-        seen_empty |= not expected
-    assert seen_empty
-
-
-def _fraction_is_derivation(alg, m):
-    """is_derivation with every sum and product in Fractions: the oracle of its integer loop."""
-    n = alg.dim
-    cols = fraction_columns(m)
-    neg = [{r: -x for r, x in col.items()} for col in cols]
-    ad = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = sparse_apply(cols, ad[i][j])
-            sparse_apply(ad[j], cols[i], residual)
-            sparse_apply(ad[i], neg[j], residual)
-            if any(residual.values()):
-                out.append((i, j, dense_vector(residual, n)))
-    return out
-
-
 def _fraction_derivation_equations(alg, lead=None):
     """The Der(g) equation rows built from the Fraction structure constants: the oracle.
 
     Only the pairs (i, j) with i < lead, when lead is given.
     """
     n = alg.dim
-    structure = rational_table(alg.structure, alg.den)
+    structure = rational_table(alg)
     right = [[] for _ in range(n)]
     for (i, j), coeffs in structure.items():
         for p, c in coeffs.items():
@@ -227,28 +165,48 @@ def _tampered_map(m, rng, changes):
     return from_fraction_columns(columns)
 
 
-@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
-def test_is_derivation_matches_fraction_oracle_on_tampered_maps(name):
-    alg = _DIFFERENTIAL_ALGEBRAS[name]
-    rng = random.Random(alg.dim)
+_DERIVATION_ALGEBRAS = {"L7": make_ln(7), "Q8": make_qn(8), "C6": make_cn(6, [1])[0],
+                        "Benoist1": make_benoist(1), **_DIFFERENTIAL_ALGEBRAS}
+
+
+@pytest.mark.parametrize("name", list(_DERIVATION_ALGEBRAS))
+def test_is_derivation_matches_definition_on_random_maps(name):
+    alg = _DERIVATION_ALGEBRAS[name]
+    n = alg.dim
+    rng = random.Random(n)
     space = derivation_space(alg)
-    bases = [identity(alg.dim), *space.basis[:3]]
+    maps = [Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
+                     else 0 for _ in range(n)] for _ in range(n)]) for density in (0.1, 0.5, 1.0)]
+    for _ in range(3):
+        d = zeros(n)
+        for b in space.basis:
+            d = add(d, scaled(b, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        maps.append(d)
+        # one entry off a derivation breaks only some pairs
+        bump = [[0] * n for _ in range(n)]
+        bump[rng.randrange(n)][rng.randrange(n)] = Fraction(1, rng.randint(1, 5))
+        maps.append(add(d, Matrix(bump)))
+    expected = [derivation_violations(alg, m) for m in maps]
+    assert [is_derivation(alg, m) for m in maps] == expected
+    seen_empty = [] in expected
+    assert seen_empty
+    # the identity and derivations, tampered 0, 1, 4 and 20 times with
+    # bumps over denominators up to 2000
+    rng = random.Random(n)
+    bases = [identity(n), *space.basis[:3]]
     bases += [space.matrix(v) for v in seeded_combinations(space.flat, 1, 2)]
-    exact = 0
-    for base in bases:
-        for changes in (0, 1, 4, 20):
-            m = _tampered_map(base, rng, changes)
-            violations = is_derivation(alg, m)
-            assert violations == _fraction_is_derivation(alg, m)
-            assert all(type(x) is Fraction for *_, residual in violations for x in residual)
-            exact += not violations
+    maps = [_tampered_map(base, rng, changes) for base in bases for changes in (0, 1, 4, 20)]
+    violations = [is_derivation(alg, m) for m in maps]
+    assert violations == [derivation_violations(alg, m) for m in maps]
+    assert all(type(x) is Fraction for v in violations for *_, residual in v for x in residual)
+    exact = violations.count([])
     assert exact >= len(bases) - 1
 
 
 def _tampered_algebra(alg, rng, changes, filtered=False):
     # filtered: bump only targets k > j of pairs (i, j), which keeps (a) of
     # tail_filtered, and (b) stays true on a table that met it
-    structure = rational_table(alg.structure, alg.den)
+    structure = rational_table(alg)
     top = alg.dim - 1 if filtered else alg.dim
     for _ in range(changes):
         i, j = sorted(rng.sample(range(top), 2))
@@ -295,7 +253,7 @@ def test_derivation_equations_match_fraction_oracle(name):
         n = alg.dim
         rows, pinned = derivations._derivation_equations(alg)
         oracle = _fraction_derivation_equations(alg)
-        view = rational_table(alg.structure, alg.den).values()
+        view = rational_table(alg).values()
         den = math.lcm(*(c.denominator for col in view for c in col.values()))
         assert pinned == (_forced_zeros(n) if alg.tail_filtered else set())
         deciding = _fraction_derivation_equations(alg, _generator_lead(alg))
@@ -561,21 +519,6 @@ def test_char_nilpotent_verdict_benoist_likely():
     assert verdict.seed == 0 and verdict.trials == 32
 
 
-def _fraction_restrict(derived, m):
-    # the images of the rows and their coordinates in Fractions: the oracle
-    # of the integer restriction
-    rows = [{c: F(x, derived.den) for c, x in row.items()} for _, row in derived.rows]
-    out = []
-    columns = fraction_columns(m)
-    for b in rows:
-        v = sparse_apply(columns, b)
-        coords = {k: v[p] for k, (p, _) in enumerate(derived.rows) if v.get(p)}
-        residual = sparse_apply(rows, {k: -c for k, c in coords.items()}, dict(v))
-        assert not any(residual.values())
-        out.append(coords)
-    return from_fraction_columns(out)
-
-
 RATIONAL_BASIS_ALGEBRAS = [make_ln(7), make_qn(8), make_cn(8, [1, 1])[0],
                            make_cn(8, [F(2, 3), F(1, 2)])[0]]
 RATIONAL_BASIS_IDS = ["L7", "Q8", "C8", "C8(2/3,1/2)"]
@@ -589,7 +532,7 @@ def test_restriction_matches_fraction_oracle_in_a_rational_basis(alg):
     space = derivation_space(moved)
     maps = [*space.basis[:4], *(space.matrix(v) for v in seeded_combinations(space.flat, 3, 3))]
     for f in maps:
-        assert _restricted(derived, f) == _fraction_restrict(derived, f)
+        assert _restricted(derived, f) == restrict(derived, f)
     # a map that moves [g, g] off itself is still caught
     leak = Matrix.from_sparse([{0: 1} for _ in range(moved.dim)], 2)
     with pytest.raises(NotInvariantError):
@@ -634,7 +577,7 @@ def test_is_derivation_of_diagonal_maps_matches_the_oracles(monkeypatch, name):
     with monkeypatch.context() as patch:
         kernel_routes(patch)
         assert [is_derivation(alg, m) for m in maps] == closed
-    assert closed == [_fraction_is_derivation(alg, m) for m in maps]
+    assert closed == [derivation_violations(alg, m) for m in maps]
     assert any(closed) and not all(closed)
 
 
@@ -796,20 +739,21 @@ def _dense_lower_central_series(alg):
 
 
 def _bracket_basis_rows(alg):
-    # the equations on every pair (i, j) and coordinate p, one bracket_basis
-    # call per term: n^3 rows, most of them empty
+    # the equations on every pair (i, j) and coordinate p, one bracket of
+    # basis vectors per term: n^3 rows, most of them empty
     n = alg.dim
+    brackets = bracket_table(alg)
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             block = [{} for _ in range(n)]
-            for k, c in bracket_basis(alg, i, j).items():
+            for k, c in brackets[i][j].items():
                 for p in range(n):
                     block[p][p * n + k] = c
             for q in range(n):
-                for p, c in bracket_basis(alg, q, j).items():
+                for p, c in brackets[q][j].items():
                     block[p][q * n + i] = block[p].get(q * n + i, F(0)) - c
-                for p, c in bracket_basis(alg, i, q).items():
+                for p, c in brackets[i][q].items():
                     block[p][q * n + j] = block[p].get(q * n + j, F(0)) - c
             rows.extend(block)
     return rows

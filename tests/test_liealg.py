@@ -36,10 +36,11 @@ from dense import (
     ad,
     add,
     bracket,
-    bracket_basis,
+    bracket_table,
     column,
-    fraction_columns,
+    dtheta_violations,
     integer_row,
+    jacobi_violations,
     rational_table,
     scaled,
     unit_vector,
@@ -144,8 +145,8 @@ def test_ad_columns_and_their_integer_scaling_read_the_brackets(alg):
     # the table is held over the lcm of its Fraction view's denominators,
     # and ad_columns are its ints over that den, antisymmetry applied
     n = alg.dim
-    table = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
-    view = rational_table(alg.structure, alg.den)
+    table = bracket_table(alg)
+    view = rational_table(alg)
     assert alg.den == math.lcm(*(c.denominator for col in view.values() for c in col.values()))
     assert alg.structure == {pair: {k: c * alg.den for k, c in col.items()}
                              for pair, col in view.items()}
@@ -157,7 +158,7 @@ def test_ad_columns_and_their_integer_scaling_read_the_brackets(alg):
 def _all_triples_cyclic_terms(alg):
     # every triple i < j < k of the Fraction view scanned, the ones whose
     # three brackets vanish dropped
-    n, s = alg.dim, rational_table(alg.structure, alg.den)
+    n, s = alg.dim, rational_table(alg)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -182,7 +183,7 @@ def _perturbed(alg, rng):
     n = alg.dim
     i, j = sorted(rng.sample(range(n), 2))
     k = rng.randrange(n)
-    structure = rational_table(alg.structure, alg.den)
+    structure = rational_table(alg)
     structure.setdefault((i, j), {})[k] = F(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 9)))
     return LieAlgebra(n, structure)
 
@@ -217,27 +218,49 @@ def test_cyclic_terms_match_the_all_triples_scan(alg):
     # table the callers pass, read as an algebra scaled by its den
     everyone = [range(alg.dim)] * alg.dim
     scaled = LieAlgebra(alg.dim, alg.structure)
-    for table, oracle in ((rational_table(alg.structure, alg.den), alg),
+    for table, oracle in ((rational_table(alg), alg),
                           (alg.structure, scaled)):
         expected = {t: sorted(terms) for t, terms in _all_triples_cyclic_terms(oracle)}
         assert _summed_per_triple(cyclic_sum_terms(table, everyone)) == expected
 
 
+def _cyclic_counts(alg, forms):
+    """(Jacobi fails, open forms): jacobi_report and dtheta_residual checked on alg and each form."""
+    report = jacobi_report(alg)
+    assert report == jacobi_violations(alg)
+    residuals = [dtheta_residual(alg, form) for form in forms]
+    assert residuals == [dtheta_violations(alg, form) for form in forms]
+    assert all(type(x) is Fraction for *_, residual in report for x in residual)
+    assert all(type(x) is Fraction for residual in residuals for *_, x in residual)
+    return bool(report), sum(map(bool, residuals))
+
+
 def test_cyclic_sums_match_all_triples_oracles_on_non_lie_tables_and_open_forms():
-    broken = nonclosed = 0
+    # each algebra and three perturbed tables, with three random forms
+    counts = []
     for alg in _CYCLIC_ALGEBRAS:
         rng = random.Random(alg.dim)
         tables = [alg] + [_perturbed(alg, rng) for _ in range(3)]
         forms = [_random_form(rng, alg.dim) for _ in range(3)]
-        for table in tables:
-            report = jacobi_report(table)
-            assert report == _fraction_jacobi_report(table)
-            broken += bool(report)
-            for form in forms:
-                residual = dtheta_residual(table, form)
-                assert residual == _fraction_dtheta_residual(table, form)
-                nonclosed += bool(residual)
+        counts += [_cyclic_counts(table, forms) for table in tables]
+    broken, nonclosed = map(sum, zip(*counts))
     assert broken >= 14 and nonclosed >= 60
+    # a Lie base and eight perturbed tables, three random forms for each,
+    # and on the base a closed one where it has one (L12)
+    for name, base in (("B7/5", make_benoist(F(7, 5))), ("C12", make_cn(12, [1, -1, 1, 1])[0]),
+                       ("L12", make_ln(12))):
+        algebras = [base] + [_perturbed(base, random.Random(f"{name}/{s}")) for s in range(8)]
+        rng = random.Random(name)
+        counts = []
+        for alg in algebras:
+            forms = [_random_form(rng, base.dim) for _ in range(3)]
+            if alg is base:
+                forms.append(find_symplectic(alg))
+            counts.append(_cyclic_counts(alg, list(filter(None, forms))))
+        broken, nonclosed = map(sum, zip(*counts))
+        assert not jacobi_report(base)
+        assert broken >= 4
+        assert nonclosed >= 20
 
 
 def _fraction_closed_forms(alg, pairs):
@@ -358,7 +381,7 @@ def test_tail_filtered_series_runs_no_elimination(alg, monkeypatch):
         raise AssertionError("the elimination kernel ran")
 
     monkeypatch.setattr(linalg, "_gauss_jordan", no_kernel)
-    fresh = LieAlgebra(alg.dim, rational_table(alg.structure, alg.den))
+    fresh = LieAlgebra(alg.dim, rational_table(alg))
     n = alg.dim
     assert [s.dim for s in lower_central_series(fresh)] == [n, *range(max(n - 2, 0), -1, -1)]
     assert is_nilpotent_algebra(fresh)
@@ -514,63 +537,3 @@ def test_algebra_hash_ignores_labels():
     b = LieAlgebra(5, dict(a.structure), name="renamed", basis_names=list("abcde"))
     assert algebra_hash(a) == algebra_hash(b)
     assert algebra_hash(a) != algebra_hash(make_ln(6))
-
-
-def _fraction_jacobi_report(alg):
-    # the Jacobi sums as one Fraction loop per cyclic term: the oracle of the integer sums
-    n = alg.dim
-    out = []
-    for (i, j, k), terms in _all_triples_cyclic_terms(alg):
-        acc = [F(0)] * n
-        for a, m, c in terms:
-            for p, d in bracket_basis(alg, a, m).items():
-                acc[p] += c * d
-        if any(acc):
-            out.append((i, j, k, tuple(acc)))
-    return out
-
-
-def _fraction_dtheta_residual(alg, form):
-    # the cocycle sums as one Fraction loop per cyclic term: the oracle of the integer sums
-    columns = fraction_columns(form.gram)
-    out = []
-    for (i, j, k), terms in _all_triples_cyclic_terms(alg):
-        acc = F(0)
-        for a, m, c in terms:
-            acc += columns[m].get(a, F(0)) * c
-        if acc:
-            out.append((i, j, k, acc))
-    return out
-
-
-_PERTURBED_BASES = {
-    "B7/5": make_benoist(F(7, 5)),
-    "C12": make_cn(12, [1, -1, 1, 1])[0],
-    "L12": make_ln(12),
-}
-
-
-@pytest.mark.parametrize("name", list(_PERTURBED_BASES))
-def test_integer_jacobi_and_dtheta_sums_match_fraction_oracles(name):
-    base = _PERTURBED_BASES[name]
-    n = base.dim
-    algebras = [base] + [_perturbed(base, random.Random(f"{name}/{s}")) for s in range(8)]
-    rng = random.Random(name)
-    broken = nonclosed = 0
-    for alg in algebras:
-        report = jacobi_report(alg)
-        assert report == _fraction_jacobi_report(alg)
-        assert all(type(x) is Fraction for *_, residual in report for x in residual)
-        broken += bool(report)
-        forms = [_random_form(rng, n) for _ in range(3)]
-        if alg is base:
-            # with a closed one where the base has one (L12)
-            forms.append(find_symplectic(alg))
-        for form in filter(None, forms):
-            residual = dtheta_residual(alg, form)
-            assert residual == _fraction_dtheta_residual(alg, form)
-            assert all(type(x) is Fraction for *_, x in residual)
-            nonclosed += bool(residual)
-    assert not jacobi_report(base)
-    assert broken >= 4
-    assert nonclosed >= 20

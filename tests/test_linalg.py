@@ -44,7 +44,7 @@ from dense import (
     ad,
     add,
     bracket,
-    bracket_basis,
+    bracket_table,
     fraction_columns,
     from_fraction_columns,
     gauss_jordan,
@@ -853,8 +853,7 @@ def _series_text(series):
 def test_lower_central_series_rows_are_pinned(alg, digest):
     n = alg.dim
     series = lower_central_series(alg)
-    ad_table = [[bracket_basis(alg, i, q) for q in range(n)] for i in range(n)]
-    oracle = _fraction_image_chain(ad_table, [(i, {i: F(1)}) for i in range(n)])
+    oracle = _fraction_image_chain(bracket_table(alg), [(i, {i: F(1)}) for i in range(n)])
     assert [(term.rows, term.den) for term in series] == [
         (tuple(rows), den) for rows, den in map(integer_form, oracle)]
     assert all(type(x) is int for term in series for _, row in term.rows for x in row.values())

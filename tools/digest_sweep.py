@@ -5,13 +5,12 @@ with ``--reproducible``, and prints the number of calls, the count of
 each exit code and one sha256 over the (argv, stdout, stderr, exit code)
 of every call. Two trees that print the same lines give the same
 bytes on every call of the sweep. Standard library only, plus
-``lieaffine`` from ``PYTHONPATH`` and the dense helpers of
-``tests/dense.py``; it has no options. Those helpers read the package's
-tables in the form their own tree holds them, so each tree runs its own
-copy of the script, from its root:
+``lieaffine`` from ``PYTHONPATH``, through its public names; it has no
+options and imports nothing from ``tests/``, so one copy digests any
+tree. From the repository root:
 
     PYTHONPATH=src python3 tools/digest_sweep.py
-    cd /path/to/other/tree && PYTHONPATH=src python3 tools/digest_sweep.py
+    PYTHONPATH=/path/to/other/tree/src python3 tools/digest_sweep.py
 
 The calls, in order:
 
@@ -22,8 +21,11 @@ The calls, in order:
   2/3, 1/2} per size) and Benoist with t = 0, 1 and 7/5;
 * the same subcommands with ``--in`` on ``tests/half_weights.json`` and
   ``tests/half_form.json``, and on L8, Q8, C8 (1, -1) and Benoist(1)
-  moved by the seeded sparse +-1, dense +-1 and rational changes of basis
-  of ``tests/dense.py``, written to a temporary directory;
+  moved onto the basis P e_1, ..., P e_n: P is a seeded sparse +-1,
+  dense +-1 or rational change of basis, drawn from ``random.Random(n)``
+  until it is invertible, and the brackets of the algebra's JSON document
+  are moved in Fractions, c' = P^-1 [P e_i, P e_j], and written to a
+  temporary directory;
 * ``affine verify`` and ``io validate`` on every certificate that
   ``affine synth --out`` wrote, and ``der verify-witness`` and
   ``io validate`` on every verdict that ``der char-nilp --out`` wrote.
@@ -36,19 +38,16 @@ import hashlib
 import io
 import json
 import random
-import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+from lieaffine import LieAlgebra, catalog, cli
+from lieaffine.serialize import algebra_to_json, json_text
 
-import dense  # noqa: E402
-from lieaffine import catalog, cli  # noqa: E402
-from lieaffine.serialize import algebra_to_json, json_text  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 LAMBDAS = ("1", "-1", "2/3", "1/2")
 SEARCH = (["--seed", "5", "--trials", "3"],)
@@ -66,10 +65,6 @@ READERS = [
     *((["affine", "synth", "--strategy", s], (), "certificate")
       for s in ("auto", "regular", "derived-regular", "symplectic")),
 ]
-MOVES = {"sparse": dense.sparse_basis_change, "dense": dense.dense_basis_change,
-         "rational": dense.rational_basis_change}
-
-
 def _families():
     """The --family argv of every catalog member the sweep reads."""
     out = [["--family", "Ln", "--n", str(n)] for n in range(3, 17)]
@@ -82,15 +77,84 @@ def _families():
     return out + [["--family", "Benoist", f"--t={t}"] for t in ("0", "1", "7/5")]
 
 
+def _sparse_change(n, rng):
+    """I plus four seeded +-1 entries off the diagonal."""
+    grid = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        i, j = rng.sample(range(n), 2)
+        grid[i][j] = rng.choice((-1, 1))
+    return grid
+
+
+def _dense_change(n, rng):
+    """A unit diagonal and a seeded +-1 everywhere off it."""
+    return [[1 if i == j else rng.choice((-1, 1)) for j in range(n)] for i in range(n)]
+
+
+def _rational_change(n, rng):
+    """A unit diagonal and seeded p/q entries (q = 2, 3) at about 30% of the places off it."""
+    return [[1 if i == j else Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((2, 3)))
+             if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)]
+
+
+MOVES = {"sparse": _sparse_change, "dense": _dense_change, "rational": _rational_change}
+
+
+def _inverse(grid):
+    """The inverse rows of a square grid, by Gauss-Jordan in Fractions, or None if singular."""
+    n = len(grid)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(grid)]
+    for c in range(n):
+        pick = next((r for r in range(c, n) if rows[r][c]), None)
+        if pick is None:
+            return None
+        rows[c], rows[pick] = rows[pick], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _moved(doc, change, rng):
+    """The brackets {(i, j): {k: c}} of an algebra document on the basis P e_1, ..., P e_n.
+
+    P = change(n, rng), drawn again until it is invertible; the new
+    constants are c' = P^-1 [P e_i, P e_j], in Fractions.
+    """
+    n = doc["dim"]
+    brackets = {(b["i"] - 1, b["j"] - 1): {int(k) - 1: Fraction(c) for k, c in b["coeffs"].items()}
+                for b in doc["brackets"]}
+    while True:
+        p = change(n, rng)
+        pinv = _inverse(p)
+        if pinv is not None:
+            break
+    cols = [[row[i] for row in p] for i in range(n)]
+    moved = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = [Fraction(0)] * n
+            for (a, b), coeffs in brackets.items():
+                t = cols[i][a] * cols[j][b] - cols[i][b] * cols[j][a]
+                for k, c in coeffs.items():
+                    image[k] += t * c
+            moved[i, j] = {k: sum(x * y for x, y in zip(row, image)) for k, row in enumerate(pinv)}
+    return moved
+
+
 def _moved_inputs(tmp):
     """Write the moved algebras to ``tmp`` and return their --in argv."""
     bases = {"L8": catalog.make_ln(8), "Q8": catalog.make_qn(8),
              "C8": catalog.make_cn(8, [1, -1])[0], "Benoist1": catalog.make_benoist(Fraction(1))}
     out = []
     for name, alg in bases.items():
-        for kind, move in MOVES.items():
+        doc = algebra_to_json(alg)
+        for kind, change in MOVES.items():
             path = Path(tmp) / f"{name}-{kind}.json"
-            moved = dense.change_basis(alg, move(alg.dim, random.Random(alg.dim)))
+            moved = LieAlgebra(alg.dim, _moved(doc, change, random.Random(alg.dim)))
             path.write_text(json_text(algebra_to_json(moved)) + "\n", encoding="utf-8")
             out.append(["--in", str(path)])
     return out
