@@ -187,21 +187,17 @@ def derivation_violations(alg, m):
     return out
 
 
-def _cyclic(i, j, k):
-    return (i, j, k), (j, k, i), (k, i, j)
-
-
 def jacobi_violations(alg):
     """``jacobi_report``'s list: (i, j, k, [e_i, [e_j, e_k]] + cyclic) where nonzero, i < j < k."""
     n = alg.dim
     brackets = bracket_table(alg)
     out = []
-    for triple in combinations(range(n), 3):
-        terms = [(x, brackets[a][m]) for a, b, c in _cyclic(*triple)
+    for i, j, k in combinations(range(n), 3):
+        terms = [(x, brackets[a][m]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
                  for m, x in brackets[b][c].items()]
         residual = _summed(n, *terms)
         if any(residual):
-            out.append((*triple, residual))
+            out.append((i, j, k, residual))
     return out
 
 
@@ -210,11 +206,11 @@ def dtheta_violations(alg, form):
     gram = form.gram.data
     brackets = bracket_table(alg)
     out = []
-    for triple in combinations(range(alg.dim), 3):
-        residual = sum((x * gram[a][m] for a, b, c in _cyclic(*triple)
+    for i, j, k in combinations(range(alg.dim), 3):
+        residual = sum((x * gram[a][m] for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
                         for m, x in brackets[b][c].items()), F(0))
         if residual:
-            out.append((*triple, residual))
+            out.append((i, j, k, residual))
     return out
 
 

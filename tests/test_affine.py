@@ -159,7 +159,7 @@ _SYNTHESIZED = {
 }
 
 
-def test_verify_affine_matches_both_axioms_on_every_pair_and_triple():
+def test_verify_affine_matches_naive_evaluation():
     # a product of each strategy, then tampered 1, 2, 5 and 30 times
     l6, c6, c8 = make_ln(6), make_cn(6, [1])[0], _DIFFERENTIAL_ALGEBRAS["C8"]
     cases = [(l6, synthesize(l6, strategy="regular")[0]),
@@ -167,35 +167,39 @@ def test_verify_affine_matches_both_axioms_on_every_pair_and_triple():
              (l6, synthesize(l6, strategy="symplectic")[0]),
              (c8, synthesize(c8, strategy="regular")[0])]
     rng = random.Random(2024)
-    for alg, structure in list(cases):
-        for changes in (1, 2, 5, 30):
-            cases.append((alg, _tampered(structure, rng, changes)))
+    cases += [(alg, _tampered(structure, rng, changes))
+              for alg, structure in list(cases) for changes in (1, 2, 5, 30)]
     failing, _ = _affine_counts(cases)
     assert failing == len(cases) - 4
-    # the zero product and each synthesized one, tampered 0 to 60 times,
-    # on brackets with integer constants and denominators up to 2000
-    for alg in _DIFFERENTIAL_ALGEBRAS.values():
-        n = alg.dim
-        bases = [_zero_structure(n)]
-        for strategy in ("regular", "derived-regular", "symplectic"):
-            try:
-                bases.append(synthesize(alg, strategy=strategy)[0])
-            except NoStrategySucceeded:
-                pass
-        rng = random.Random(n)
-        cases = [(alg, _tampered(base, rng, changes))
-                 for base in bases for changes in (0, 1, 3, 12, 60)]
-        passed = len(cases) - _affine_counts(cases)[0]
-        assert passed == len(bases) - 1
-    # one perturbed product per case: a perturbation off the diagonal breaks
-    # torsion, so e_j.e_i - e_i.e_j leaves the bracket and the swapped-pair
-    # sums meet new triples
-    for name, (alg, strategy) in _SYNTHESIZED.items():
-        base = synthesize(alg, strategy=strategy)[0]
-        structures = [base] + [_tampered(base, random.Random(f"{name}/{s}"), 1) for s in range(4)]
-        failing, twisted = _affine_counts([(alg, structure) for structure in structures])
-        assert failing == 4
-        assert twisted >= 3
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
+def test_verify_affine_matches_fraction_oracle_on_tampered_structures(name):
+    # the zero product and each synthesized one, tampered 0 to 60 times
+    alg = _DIFFERENTIAL_ALGEBRAS[name]
+    bases = [_zero_structure(alg.dim)]
+    for strategy in ("regular", "derived-regular", "symplectic"):
+        try:
+            bases.append(synthesize(alg, strategy=strategy)[0])
+        except NoStrategySucceeded:
+            pass
+    rng = random.Random(alg.dim)
+    cases = [(alg, _tampered(base, rng, changes))
+             for base in bases for changes in (0, 1, 3, 12, 60)]
+    passed = len(cases) - _affine_counts(cases)[0]
+    assert passed == len(bases) - 1
+
+
+@pytest.mark.parametrize("name", list(_SYNTHESIZED))
+def test_verify_affine_matches_triple_loop_on_perturbed_structures(name):
+    # a perturbation off the diagonal breaks torsion, so e_j.e_i - e_i.e_j
+    # leaves the bracket and the swapped-pair sums meet new triples
+    alg, strategy = _SYNTHESIZED[name]
+    base = synthesize(alg, strategy=strategy)[0]
+    structures = [base] + [_tampered(base, random.Random(f"{name}/{s}"), 1) for s in range(4)]
+    failing, twisted = _affine_counts([(alg, structure) for structure in structures])
+    assert failing == 4
+    assert twisted >= 3
 
 
 def _assert_canonical(structure):

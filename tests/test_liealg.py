@@ -245,22 +245,23 @@ def test_cyclic_sums_match_all_triples_oracles_on_non_lie_tables_and_open_forms(
         counts += [_cyclic_counts(table, forms) for table in tables]
     broken, nonclosed = map(sum, zip(*counts))
     assert broken >= 14 and nonclosed >= 60
+
+
+@pytest.mark.parametrize("name", ["B7/5", "C12", "L12"])
+def test_integer_jacobi_and_dtheta_sums_match_fraction_oracles(name):
     # a Lie base and eight perturbed tables, three random forms for each,
     # and on the base a closed one where it has one (L12)
-    for name, base in (("B7/5", make_benoist(F(7, 5))), ("C12", make_cn(12, [1, -1, 1, 1])[0]),
-                       ("L12", make_ln(12))):
-        algebras = [base] + [_perturbed(base, random.Random(f"{name}/{s}")) for s in range(8)]
-        rng = random.Random(name)
-        counts = []
-        for alg in algebras:
-            forms = [_random_form(rng, base.dim) for _ in range(3)]
-            if alg is base:
-                forms.append(find_symplectic(alg))
-            counts.append(_cyclic_counts(alg, list(filter(None, forms))))
-        broken, nonclosed = map(sum, zip(*counts))
-        assert not jacobi_report(base)
-        assert broken >= 4
-        assert nonclosed >= 20
+    base = {"B7/5": make_benoist(F(7, 5)), "C12": make_cn(12, [1, -1, 1, 1])[0],
+            "L12": make_ln(12)}[name]
+    algebras = [base] + [_perturbed(base, random.Random(f"{name}/{s}")) for s in range(8)]
+    rng = random.Random(name)
+    forms = [[_random_form(rng, base.dim) for _ in range(3)] for _ in algebras]
+    forms[0].append(find_symplectic(base))
+    counts = [_cyclic_counts(alg, list(filter(None, f))) for alg, f in zip(algebras, forms)]
+    broken, nonclosed = map(sum, zip(*counts))
+    assert not jacobi_report(base)
+    assert broken >= 4
+    assert nonclosed >= 20
 
 
 def _fraction_closed_forms(alg, pairs):
