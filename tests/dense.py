@@ -10,15 +10,19 @@ product, the one reader of their held tables, and a map's dense rows
 ``data`` (``fraction_columns`` reads its columns off them), never the
 integer forms that the code under test reads. Each checked result has
 one oracle, worked from its definition on every basis pair or triple:
-``affine_violations``, ``derivation_violations``, ``jacobi_violations``,
+``affine_violations``, ``derivation_violations``, ``derivation_equations``
+(the Der(g) rows in n^2 unknowns), ``jacobi_violations``,
 ``dtheta_violations``, ``product_tensor`` (O M_i V) and ``restrict`` (a
-map on [g, g]). Vectors are tuples of Fractions and a ``Matrix`` acts on
-column vectors; rectangular data stays in plain lists (``solve`` takes
-the columns of its coefficient matrix). ``kernel_routes`` patches the
-package's shape views off, so its generic routes serve as oracles of the
-closed forms; ``integer_row`` scales a rational row for the kernel.
-``change_basis`` moves an algebra onto the basis P e_1, ..., P e_n, for
-the seeded P of the three ``*_basis_change`` draws.
+map on [g, g]). One dense image chain gives ``lower_central_series``
+([g, g] is its second term) and ``products_vanish`` (Engel's gate), and
+``coordinates`` reads a vector off RREF rows. Vectors are tuples of
+Fractions and a ``Matrix`` acts on column vectors; rectangular data
+stays in plain lists (``solve`` takes the columns of its coefficient
+matrix). ``kernel_routes`` patches the package's shape views off, so its
+generic routes serve as oracles of the closed forms; ``integer_row``
+scales a rational row for the kernel. ``change_basis`` moves an algebra
+onto the basis P e_1, ..., P e_n, for the seeded P of the three
+``*_basis_change`` draws.
 """
 
 from fractions import Fraction
@@ -187,6 +191,37 @@ def derivation_violations(alg, m):
     return out
 
 
+def derivation_equations(alg, lead=None):
+    """The Der(g) rows in D's n^2 flat unknowns (p * n + q is D[p][q]), pair by pair.
+
+    For each pair i < j (only i < lead, when lead is given) the row of
+    (D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j])_p for each coordinate p
+    that one of its terms reaches, built from ``rational_table``; an entry
+    that cancels stays as a 0.
+    """
+    n = alg.dim
+    structure = rational_table(alg)
+    right = [[] for _ in range(n)]
+    for (i, j), coeffs in structure.items():
+        for p, c in coeffs.items():
+            right[j].append((i, p, c))
+            right[i].append((j, p, -c))
+    rows = []
+    for i in range(n if lead is None else lead):
+        for j in range(i + 1, n):
+            bracket = structure.get((i, j))
+            block = {p: {p * n + k: c for k, c in bracket.items()}
+                     for p in range(n)} if bracket else {}
+            for q, p, c in right[j]:
+                row = block.setdefault(p, {})
+                row[q * n + i] = row.get(q * n + i, F(0)) - c
+            for q, p, c in right[i]:
+                row = block.setdefault(p, {})
+                row[q * n + j] = row.get(q * n + j, F(0)) + c
+            rows.extend(block.values())
+    return rows
+
+
 def jacobi_violations(alg):
     """``jacobi_report``'s list: (i, j, k, [e_i, [e_j, e_k]] + cyclic) where nonzero, i < j < k."""
     n = alg.dim
@@ -338,6 +373,56 @@ def contains(subspace, v):
 def restrict(subspace, m):
     """The matrix of m on the basis of an m-invariant subspace, one dense solve per column."""
     return from_columns([solve(subspace.basis, apply(m, b)) for b in subspace.basis])
+
+
+def _descending_spans(maps, vectors, n):
+    """W_0 = span(vectors), then W_(k+1) = span of m(W_k) over the maps, as dense spans.
+
+    Each map is a list of sparse Fraction columns. Every m(W_0) lies in W_0
+    here, so the W_k are nested, and the list stops right before the first
+    term whose dimension does not fall: a 0, or a W_k the maps send onto
+    itself.
+    """
+    chain = [span(vectors, n)]
+    while chain[-1].dim:
+        basis = [{q: x for q, x in enumerate(b) if x} for b in chain[-1].basis]
+        nxt = span([_summed(n, (1, _image(m, b))) for m in maps for b in basis], n)
+        if nxt.dim == chain[-1].dim:
+            break
+        chain.append(nxt)
+    return chain
+
+
+def lower_central_series(alg):
+    """g, [g, g], [g, [g, g]], ...: W_(k+1) is the sum of the ad e_i (W_k), up to the first repeat."""
+    n = alg.dim
+    return _descending_spans(bracket_table(alg), [unit_vector(n, i) for i in range(n)], n)
+
+
+def products_vanish(maps):
+    """Whether every product of n of the n x n ``Matrix`` maps is 0: the image chain ends at 0.
+
+    W_0 is the sum of the images of the maps; a product of k + 1 maps
+    sends g into W_k, and the chain has at most n steps.
+    """
+    n = maps[0].dim
+    cols = [fraction_columns(m) for m in maps]
+    images = [_summed(n, (1, col)) for m in cols for col in m]
+    return not _descending_spans(cols, images, n)[-1].dim
+
+
+def coordinates(reduced, v):
+    """The coordinates {k: c} of the sparse vector v on the RREF rows (pivot, row), or None.
+
+    Row k's coordinate is v at its pivot; v lies in the span exactly when
+    v minus that combination is 0 in every column.
+    """
+    coords = {k: v[p] for k, (p, _) in enumerate(reduced) if v.get(p)}
+    residual = dict(v)
+    for k, c in coords.items():
+        for col, x in reduced[k][1].items():
+            residual[col] = residual.get(col, 0) - c * x
+    return None if any(residual.values()) else coords
 
 
 def change_basis(alg, p):

@@ -275,7 +275,7 @@ def test_criterion_10_linear_algebra_oracle():
         # Hand parameterization oracle: a derivation of L4 is determined by
         # the images of Y1 and Y2 subject to d12 = 0 (7 free entries:
         # d11, d21, d31, d41, d22, d32, d42); see test_linalg for the
-        # independent 24x16 system enumeration giving rank 9.
+        # independent 16-unknown system of tests/dense.py, of rank 9.
         assert derivation_space(make_ln(4)).dim == 7
         # Power oracle: multiply out m^4 naively and compare on 100 random
         # 4x4 integer matrices.

@@ -58,7 +58,6 @@ from lieaffine.linalg import (
     Matrix,
     Subspace,
     _nullspace,
-    _reduce,
     dense_vector,
     is_nilpotent,
     nonsingular,
@@ -67,12 +66,12 @@ from lieaffine.linalg import (
 )
 from lieaffine.serialize import algebra_to_json, matrix_to_json
 
+import dense
 from dense import (
     ad,
     add,
     apply,
     bracket,
-    bracket_table,
     change_basis,
     column,
     contains,
@@ -117,34 +116,6 @@ def test_is_derivation_identity_fails_with_exact_residual():
 def test_is_derivation_c6_torus():
     c6 = make_cn(6, [1])[0]
     assert is_derivation(c6, Matrix.diagonal([0, 1, 1, 1, 1, 2])) == []
-
-
-def _fraction_derivation_equations(alg, lead=None):
-    """The Der(g) equation rows built from the Fraction structure constants: the oracle.
-
-    Only the pairs (i, j) with i < lead, when lead is given.
-    """
-    n = alg.dim
-    structure = rational_table(alg)
-    right = [[] for _ in range(n)]
-    for (i, j), coeffs in structure.items():
-        for p, c in coeffs.items():
-            right[j].append((i, p, c))
-            right[i].append((j, p, -c))
-    rows = []
-    for i in range(n if lead is None else lead):
-        for j in range(i + 1, n):
-            bracket = structure.get((i, j))
-            block = {p: {p * n + k: c for k, c in bracket.items()}
-                     for p in range(n)} if bracket else {}
-            for q, p, c in right[j]:
-                row = block.setdefault(p, {})
-                row[q * n + i] = row.get(q * n + i, ZERO) - c
-            for q, p, c in right[i]:
-                row = block.setdefault(p, {})
-                row[q * n + j] = row.get(q * n + j, ZERO) + c
-            rows.extend(block.values())
-    return rows
 
 
 # brackets with integer constants, with denominators 2 and 3, and with
@@ -247,20 +218,19 @@ def _generator_lead(alg):
 def test_derivation_equations_match_fraction_oracle(name):
     # the same rows as the pair-by-pair oracle on the pairs that decide, as
     # a multiset: the builder walks the structure constants, so its row
-    # order is its own; the solutions are those of the oracle on every pair
+    # order is its own; test_generator_pair_systems_equal_the_full_ones
+    # checks the solutions against the oracle on every pair
     tables = _differential_tables(name)
     for alg in tables:
         n = alg.dim
         rows, pinned = derivations._derivation_equations(alg)
-        oracle = _fraction_derivation_equations(alg)
         view = rational_table(alg).values()
         den = math.lcm(*(c.denominator for col in view for c in col.values()))
         assert pinned == (_forced_zeros(n) if alg.tail_filtered else set())
-        deciding = _fraction_derivation_equations(alg, _generator_lead(alg))
+        deciding = dense.derivation_equations(alg, _generator_lead(alg))
         live = [{k: x * den for k, x in row.items() if k not in pinned} for row in deciding]
         assert all(rows) and all(type(x) is int for row in rows for x in row.values())
         assert _row_multiset(rows) == _row_multiset(filter(None, live))
-        assert derivation_space(alg).flat == _nullspace(map(integer_row, oracle), n * n)
     base, moved = tables[0], tables[-1]
     assert all(t.tail_filtered for t in [base, *tables[-3:-1]]) and not moved.tail_filtered
 
@@ -270,7 +240,7 @@ def test_derivation_space_abelian_is_everything():
 
 
 def test_derivation_space_l4_dimension():
-    # Hand parameterization (see test_linalg for the 24x16 system): free
+    # Hand parameterization (see test_linalg for the rank-9 system): free
     # entries d11, d21, d31, d41, d22, d32, d42; d12 forced to zero and
     # the images of Y3, Y4 determined by those of Y1, Y2.
     assert derivation_space(make_ln(4)).dim == 7
@@ -705,9 +675,9 @@ NIL_CASES = [(make_benoist(t), True, t == 1) for t in (0, 1, -1, F(1, 3))] + [
     (make_ln(8), False, True), (make_qn(8), False, True), (make_cn(6, [1])[0], False, False)]
 
 
-@pytest.mark.parametrize("alg, nil, dense", NIL_CASES,
+@pytest.mark.parametrize("alg, nil, dense_move", NIL_CASES,
                          ids=["B0", "B1", "B-1", "B1/3", "L8", "Q8", "C6"])
-def test_all_nilpotent_is_basis_free(alg, nil, dense):
+def test_all_nilpotent_is_basis_free(alg, nil, dense_move):
     # a seeded invertible integer change of basis gives an isomorphic
     # algebra whose Der(g) basis is not lower triangular, as it is in the
     # catalog basis, so the decision must not rest on that shape. P is the
@@ -718,7 +688,7 @@ def test_all_nilpotent_is_basis_free(alg, nil, dense):
     space = derivation_space(alg)
     assert space.all_nilpotent is nil
     changes = [sparse_basis_change(n, random.Random(n))]
-    if dense:
+    if dense_move:
         changes.append(dense_basis_change(n, random.Random(n)))
     for p in changes:
         moved = derivation_space(change_basis(alg, p))
@@ -727,47 +697,13 @@ def test_all_nilpotent_is_basis_free(alg, nil, dense):
         assert moved.all_nilpotent is nil
 
 
-def _dense_lower_central_series(alg):
-    n = alg.dim
-    e = [unit_vector(n, i) for i in range(n)]
-    series = [span(e, n)]
-    while True:
-        nxt = span([bracket(alg, x, b) for b in series[-1].basis for x in e], n)
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
-
-
-def _bracket_basis_rows(alg):
-    # the equations on every pair (i, j) and coordinate p, one bracket of
-    # basis vectors per term: n^3 rows, most of them empty
-    n = alg.dim
-    brackets = bracket_table(alg)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            block = [{} for _ in range(n)]
-            for k, c in brackets[i][j].items():
-                for p in range(n):
-                    block[p][p * n + k] = c
-            for q in range(n):
-                for p, c in brackets[q][j].items():
-                    block[p][q * n + i] = block[p].get(q * n + i, F(0)) - c
-                for p, c in brackets[i][q].items():
-                    block[p][q * n + j] = block[p].get(q * n + j, F(0)) - c
-            rows.extend(block)
-    return rows
-
-
 @pytest.mark.parametrize("alg", [
     make_ln(8), make_qn(8), make_qn(10, adapted=True), make_cn(6, [1])[0],
     make_cn(12, [1, -1, 1, 1])[0], make_benoist(0), make_benoist(F(7, 5)),
     change_basis(make_benoist(1), sparse_basis_change(11, random.Random(11))),
 ], ids=["L8", "Q8", "QnZ10", "C6", "C12", "B0", "B7/5", "B1-moved"])
 def test_derivation_space_matches_per_pair_bracket_equations(alg):
-    n = alg.dim
-    rows = map(integer_row, _bracket_basis_rows(alg))
-    assert derivation_space(alg).flat.rows == _nullspace(rows, n * n).rows
+    _assert_flat_matches_full_system(alg)
 
 
 # Benoist(1) moved by a basis change under which [g, g] is not a coordinate
@@ -781,17 +717,12 @@ _MOVED_BENOIST = change_basis(make_benoist(1), sparse_basis_change(11, random.Ra
     change_basis(make_benoist(1), dense_basis_change(11, random.Random(11))),
 ], ids=["L8", "Q8", "C6", "Benoist1", "Benoist1-moved", "L8-dense", "Benoist1-dense"])
 def test_sparse_subspaces_match_dense_oracle(alg):
-    # the kernel-row paths against span of the dense bracket oracle's images, and
-    # a dense solve for the coordinates of the restriction to [g, g]
-    n = alg.dim
-    e = [unit_vector(n, i) for i in range(n)]
+    # the kernel-row paths against the dense series, [g, g] its second term,
+    # and a dense solve for the coordinates of the restriction to [g, g]
     derived = derived_subalgebra(alg)
-    oracle = span([bracket(alg, e[i], e[j]) for i in range(n) for j in range(i + 1, n)], n)
-    assert derived == oracle and derived.basis == oracle.basis
-    assert derived == _reduce(map(integer_row, alg.structure.values()), n)
     series = lower_central_series(alg)
-    dense = _dense_lower_central_series(alg)
-    assert series == dense and [s.basis for s in series] == [s.basis for s in dense]
+    oracle = dense.lower_central_series(alg)
+    assert series == oracle and [s.basis for s in series] == [s.basis for s in oracle]
     assert derived is series[1]
     if alg is _MOVED_BENOIST:
         assert any(len(row) > 1 for _, row in derived.rows)
@@ -827,7 +758,7 @@ def test_derived_subalgebra_off_the_filtration_eliminates_one_term(base, seed, m
     assert [s.dim for s in series] == [n, *range(n - 2, -1, -1)]
     assert len(calls) == 2 * (len(series) - 1) + 1
     assert derived is series[1] and derived is derived_subalgebra(alg)
-    assert derived == _reduce(map(integer_row, alg.structure.values()), n)
+    assert derived == dense.lower_central_series(alg)[1]
 
 
 @pytest.mark.parametrize("base, digest", [
@@ -886,7 +817,7 @@ def _assert_flat_matches_full_system(alg):
     # the canonical rows of the full n^2 system in Fractions, in the same
     # order and with the same dict insertion order, which the seeded draws read
     flat = derivation_space(alg).flat
-    oracle = _nullspace(map(integer_row, _fraction_derivation_equations(alg)), alg.dim ** 2)
+    oracle = _nullspace(map(integer_row, dense.derivation_equations(alg)), alg.dim ** 2)
     assert flat == oracle
     assert [(p, list(row.items())) for p, row in flat.rows] == [
         (p, list(row.items())) for p, row in oracle.rows]
@@ -925,7 +856,7 @@ def test_moved_tables_solve_the_full_system(name, move):
         assert not table.tail_filtered
         rows, pinned = derivations._derivation_equations(table)
         assert pinned == frozenset()
-        assert len(rows) == len(_fraction_derivation_equations(table))
+        assert len(rows) == len(dense.derivation_equations(table))
         _assert_flat_matches_full_system(table)
 
 
@@ -968,7 +899,7 @@ def _fraction_weight_space(alg):
     # with every off-diagonal unknown set to 0: each row cut to its diagonal
     n = alg.dim
     rows = [{c // (n + 1): x for c, x in row.items() if not c % (n + 1)}
-            for row in _fraction_derivation_equations(alg)]
+            for row in dense.derivation_equations(alg)]
     return _nullspace(map(integer_row, rows), n)
 
 

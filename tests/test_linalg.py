@@ -1,8 +1,8 @@
 """Exact linear algebra kernel tests.
 
-The derivation-system fixtures here are built by independent hand
-enumeration (not via the derivations module) so they can serve as oracles
-for rank/nullity claims used elsewhere.
+The derivation systems here come from ``tests/dense.py``'s
+``derivation_equations`` (not via the derivations module), so they can
+serve as oracles for rank/nullity claims used elsewhere.
 """
 
 import hashlib
@@ -40,11 +40,11 @@ from lieaffine.linalg import (
     unscaled,
 )
 
+import dense
 from dense import (
     ad,
     add,
     bracket,
-    bracket_table,
     fraction_columns,
     from_fraction_columns,
     gauss_jordan,
@@ -86,37 +86,6 @@ def _inverse(m):
     return None if found is None else Matrix.from_sparse(*found)
 
 
-def _l4_bracket_basis(a, b):
-    # L4 brackets, 0-based: [e0, e1] = e2, [e0, e2] = e3.
-    table = {(0, 1): {2: 1}, (0, 2): {3: 1}}
-    if a == b:
-        return {}
-    if a < b:
-        return table.get((a, b), {})
-    return {k: -c for k, c in table.get((b, a), {}).items()}
-
-
-def _l4_derivation_system():
-    # Hand enumeration of D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over the 16
-    # unknowns d_pq (flat index p*4 + q), one equation per (pair, coord).
-    rows = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for p in range(4):
-                row = [F(0)] * 16
-                for k, c in _l4_bracket_basis(i, j).items():
-                    row[p * 4 + k] += c
-                for q in range(4):
-                    for pp, c in _l4_bracket_basis(q, j).items():
-                        if pp == p:
-                            row[q * 4 + i] -= c
-                    for pp, c in _l4_bracket_basis(i, q).items():
-                        if pp == p:
-                            row[q * 4 + j] -= c
-                rows.append(row)
-    return rows
-
-
 def test_rref_identity():
     assert _reduce(_rows(identity(3).data), 3) == Subspace(3, [(i, {i: 1}) for i in range(3)])
 
@@ -129,7 +98,7 @@ def test_rref_l4_derivation_system_rank():
     # Free parameters of a derivation of L4: d11, d21, d31, d41, d22, d32,
     # d42 (with d12 forced to 0 and the images of e3, e4 determined), so
     # the 16-unknown system has rank 9 and nullity 7.
-    rows = _rows(_l4_derivation_system())
+    rows = [integer_row(row) for row in dense.derivation_equations(make_ln(4))]
     assert _reduce(rows, 16).dim == 9
     assert _solve(rows, 16).dim == 7
 
@@ -607,13 +576,13 @@ def test_matrix_holds_one_canonical_form():
                 assert all(m[i, j] == grid[i][j] for i in range(n) for j in range(n))
         diagonals += diagonal and den > 1
     assert diagonals > 5
-    dense = Matrix([[0, 0, 5], [F(1, 2), 0, 0], [0, 0, 0]])
+    full = Matrix([[0, 0, 5], [F(1, 2), 0, 0], [0, 0, 0]])
     sparse = Matrix.from_sparse([{0: 0, 1: 3}, {1: 0}, {0: 30}], 6)
-    assert (sparse.columns, sparse.den) == (dense.columns, dense.den) == (({1: 1}, {}, {0: 10}), 2)
-    assert sparse == dense and hash(sparse) == hash(dense)
+    assert (sparse.columns, sparse.den) == (full.columns, full.den) == (({1: 1}, {}, {0: 10}), 2)
+    assert sparse == full and hash(sparse) == hash(full)
     assert sparse.data == ((0, 0, 5), (F(1, 2), 0, 0), (0, 0, 0))
     # entries that cancel in a sum leave no zeros behind, and the zero map has den 1
-    cancelled = add(dense, scaled(dense, -1))
+    cancelled = add(full, scaled(full, -1))
     assert cancelled.columns == ({}, {}, {}) and cancelled.den == 1
     assert cancelled == zeros(3) == Matrix.from_sparse([{0: 0}, {}, {2: 0}], 5)
     assert Matrix.from_sparse([{}] * 3, 5).den == zeros(3).den == 1
@@ -709,16 +678,6 @@ def _conjugated(maps, rng):
     return [matmul(matmul(t, m), tinv) for m in maps]
 
 
-def _all_products_vanish(maps):
-    # Brute force: n x n maps whose products of length n all vanish
-    # generate a nilpotent algebra, and a nonzero product of length n
-    # survives at every length (the image chain has at most n strict steps).
-    level = set(maps)
-    for _ in range(maps[0].dim - 1):
-        level = {matmul(a, b) for a in level for b in maps}
-    return all(p == zeros(p.dim) for p in level)
-
-
 def test_products_vanish_matches_brute_force_products():
     rng = random.Random(17)
     n = 4
@@ -736,7 +695,7 @@ def test_products_vanish_matches_brute_force_products():
     cases.append(([e12, Matrix([[0, 0], [1, 0]])], False))
     cases.append(([e12], True))
     for maps, expected in cases:
-        assert _all_products_vanish(maps) == expected
+        assert dense.products_vanish(maps) == expected
         assert products_vanish([m.columns for m in maps]) == expected
     assert {expected for _, expected in cases} == {True, False}
 
@@ -767,26 +726,6 @@ def test_strictly_lower_triangular_maps_skip_the_image_chain(monkeypatch):
     assert len(reached) == 2
 
 
-def _fraction_image_chain(maps, rows):
-    """The image chain on textbook dense Fraction RREF rows, independent of the kernel.
-
-    The oracle of the integer chain: the same W_k, in canonical form.
-    """
-    n = len(maps[0])
-    chain = [rows]
-    while chain[-1]:
-        nxt = gauss_jordan([sparse_apply(cols, w) for cols in maps for _, w in chain[-1]], n)
-        if len(nxt) == len(chain[-1]):
-            break
-        chain.append(nxt)
-    return chain
-
-
-def _fraction_products_vanish(maps):
-    rows = gauss_jordan([col for cols in maps for col in cols], len(maps[0]))
-    return not _fraction_image_chain(maps, rows)[-1]
-
-
 def _count_only_matrices(rng, n, entry):
     """(singular, nonsingular, strictly triangular, conjugated nilpotent) seeded sparse n x n maps."""
     def sparse(rows_of, density):
@@ -796,8 +735,8 @@ def _count_only_matrices(rng, n, entry):
     lower = add(sparse(lambda j: range(j + 1, n), 0.5), identity(n))
     upper = add(sparse(lambda j: range(j), 0.5), Matrix.diagonal([entry() for _ in range(n)]))
     strict = sparse(lambda j: range(j), 0.6)
-    dense = sparse(lambda j: range(n), 0.5)
-    cols = fraction_columns(dense)
+    filled = sparse(lambda j: range(n), 0.5)
+    cols = fraction_columns(filled)
     cols[-1] = sparse_apply(cols[:2], {0: entry(), 1: entry()}) if n > 1 else {}
     return [from_fraction_columns(cols), matmul(lower, upper), strict,
             matmul(matmul(lower, strict), invert(lower))]
@@ -815,12 +754,11 @@ def test_count_only_callers_match_full_reduction():
                 full = len(gauss_jordan(fraction_columns(m), n))
                 assert rank(m) == full
                 assert nonsingular(m) == (full == n)
-                assert is_nilpotent(m) == _fraction_products_vanish([fraction_columns(m)])
+                assert is_nilpotent(m) == dense.products_vanish([m])
                 seen.add((nonsingular(m), is_nilpotent(m)))
             for a in maps:
                 for b in maps:
-                    pair = [fraction_columns(a), fraction_columns(b)]
-                    assert products_vanish([a.columns, b.columns]) == _fraction_products_vanish(pair)
+                    assert products_vanish([a.columns, b.columns]) == dense.products_vanish([a, b])
     # singular and nonsingular maps, nilpotent ones among the singular
     assert seen == {(False, False), (True, False), (False, True)}
 
@@ -830,13 +768,13 @@ def test_products_vanish_matches_full_chain_on_der_g():
         n = alg.dim
         space = derivation_space(alg)
         maps = [_flat_columns(row.items(), n) for _, row in space.flat.rows]
-        assert products_vanish(maps) == _fraction_products_vanish(maps) == nil
+        assert products_vanish(maps) == dense.products_vanish(space.basis) == nil
         assert space.all_nilpotent == nil
         for m in space.basis:
             full = len(gauss_jordan(fraction_columns(m), n))
             assert rank(m) == full
             assert nonsingular(m) == (full == n)
-            assert is_nilpotent(m) == _fraction_products_vanish([fraction_columns(m)])
+            assert is_nilpotent(m) == dense.products_vanish([m])
 
 
 def _series_text(series):
@@ -851,11 +789,9 @@ def _series_text(series):
     (make_benoist(1), "dd7a9ae4b977964d72dee750d1f8f1dd52d765adeab9f5a93001948b7222022d"),
 ], ids=["L12", "Q10", "Benoist1"])
 def test_lower_central_series_rows_are_pinned(alg, digest):
-    n = alg.dim
     series = lower_central_series(alg)
-    oracle = _fraction_image_chain(bracket_table(alg), [(i, {i: F(1)}) for i in range(n)])
-    assert [(term.rows, term.den) for term in series] == [
-        (tuple(rows), den) for rows, den in map(integer_form, oracle)]
+    oracle = dense.lower_central_series(alg)
+    assert [(term.rows, term.den) for term in series] == [(term.rows, term.den) for term in oracle]
     assert all(type(x) is int for term in series for _, row in term.rows for x in row.values())
     assert hashlib.sha256(_series_text(series).encode()).hexdigest() == digest
 
@@ -902,13 +838,6 @@ def test_span_l4_bracket_images():
     assert s.basis == (unit_vector(4, 2), unit_vector(4, 3))
 
 
-def _fraction_coordinates(rows, v):
-    # the full Fraction residual over every column: the oracle of the non-pivot check
-    coords = {k: v[p] for k, (p, _) in enumerate(rows) if v.get(p)}
-    residual = sparse_apply([row for _, row in rows], {k: -c for k, c in coords.items()}, dict(v))
-    return None if any(residual.values()) else coords
-
-
 def test_coordinates_match_full_residual_oracle():
     rng = random.Random(41)
     inside = outside = 0
@@ -926,7 +855,7 @@ def test_coordinates_match_full_residual_oracle():
                 c = rng.randrange(ncols)
                 v[c] = v.get(c, F(0)) + F(rng.choice((-3, 1, 2)), rng.randint(1, 3))
             coords = _coordinates(space, v)
-            assert coords == _fraction_coordinates(reduced, v)
+            assert coords == dense.coordinates(reduced, v)
             if coords is None:
                 outside += 1
             else:
