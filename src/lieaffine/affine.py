@@ -12,7 +12,7 @@ exactly 0, so the cost grows as the nonzero products times n rather than
 as n^3; torsion is checked on the pairs that hold a product or a bracket,
 every other pair having residual exactly 0. It runs in Python ints, on
 the tensor and the brackets as they are held, and only a nonzero
-residual becomes Fractions.
+residual becomes Fractions, in ``linalg._violations``.
 
 Three constructors are provided:
 
@@ -114,10 +114,9 @@ from .linalg import (
     _nullspace,
     _set_fields,
     _transpose,
-    dense_vector,
+    _violations,
     nonsingular,
     sparse_apply,
-    unscaled,
 )
 
 NOT_A_PROOF = "search failure only; not a proof of non-existence"
@@ -208,8 +207,9 @@ class AffineStructure(_Frozen):
 class AffineReport(NamedTuple):
     """Exact residuals of the two affine axioms on basis tuples.
 
-    An immutable record; ``verify_affine`` fills a fresh list for each
-    field, and a report built with no arguments has none and passes.
+    An immutable record; ``verify_affine`` builds it in one expression,
+    each field a fresh list from ``linalg._violations``, and a report
+    built with no arguments has none and passes.
     """
 
     torsion_violations: Sequence[tuple] = ()
@@ -288,8 +288,9 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     The sums run in integers, on the tables as they are held: the
     products ``structure.gamma`` over their ``den``, D, and the brackets
     over theirs, D_c. A torsion residual is D * D_c times the rational one
-    and a left-symmetry residual, quadratic in the product, D^2 times; each
-    nonzero one is reported as the exact Fraction tuple.
+    and a left-symmetry residual, quadratic in the product, D^2 times. Both
+    are collected as integer sums keyed by tuple, and ``linalg._violations``
+    reports each nonzero one as its exact Fraction tuple.
     """
     n = alg.dim
     if structure.dim != n:
@@ -312,11 +313,8 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
     product_pairs = {(min(a, c), max(a, c)) for a, c in gamma if a != c}
     # D * D_c (e_i.e_j - e_j.e_i - [e_i, e_j]) from the three integer columns
     torsion = {0: dc, 1: -dc, 2: -d}
-    report = AffineReport([], [])
-    for i, j in sorted(product_pairs.union(brackets)):
-        residual = sparse_apply((left[i][j], left[j][i], brackets.get((i, j), empty)), torsion)
-        if any(residual.values()):
-            report.torsion_violations.append((i, j, dense_vector(unscaled(residual, d * dc), n)))
+    torsions = {(i, j): sparse_apply((left[i][j], left[j][i], brackets.get((i, j), empty)), torsion)
+                for i, j in product_pairs.union(brackets)}
     residuals: Dict[tuple, dict] = {}
     for (a, k), prod in gamma.items():
         minus = {c: -x for c, x in prod.items()}
@@ -328,11 +326,7 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
         if any(swapped.values()):
             for k in set().union(*(reaching[m] for m, x in swapped.items() if x)):
                 sparse_apply(right[k], swapped, residuals.setdefault((i, j, k), {}))
-    for key in sorted(residuals):
-        residual = residuals[key]
-        if any(residual.values()):
-            report.leftsym_violations.append((*key, dense_vector(unscaled(residual, d * d), n)))
-    return report
+    return AffineReport(_violations(torsions, d * dc, n), _violations(residuals, d * d, n))
 
 
 def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,

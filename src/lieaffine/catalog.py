@@ -227,7 +227,7 @@ def standard_torus(family: str, n: int) -> List[Matrix]:
     """The distinguished diagonal derivations of a family, as matrices.
 
     Ln carries the pair diag(0, 1, ..., 1) and diag(1, 2, ..., n);
-    the adapted Qn presentation carries diag(0, 1, ..., 1, 2) and
+    QnZ, the adapted Qn presentation, carries diag(0, 1, ..., 1, 2) and
     diag(1, 0, 1, ..., n-3, n-3); Cn carries the single map
     diag(0, 1, ..., 1, 2). Each is a derivation of the matching algebra.
     """
@@ -237,7 +237,7 @@ def standard_torus(family: str, n: int) -> List[Matrix]:
         f1 = [0] + [1] * (n - 1)
         f2 = list(range(1, n + 1))
         return [Matrix.diagonal(f1), Matrix.diagonal(f2)]
-    if family in ("QnAdapted", "QnZ", "Cn"):
+    if family in ("QnZ", "Cn"):
         if n < 6 or n % 2:
             raise BadDimension(f"{family[:2]} requires even n >= 6, got {n}")
         f1 = Matrix.diagonal([0] + [1] * (n - 2) + [2])

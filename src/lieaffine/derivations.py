@@ -93,12 +93,11 @@ from .linalg import (
     _nullspace,
     _set_fields,
     _solution_basis,
-    dense_vector,
+    _violations,
     is_nilpotent,
     nonsingular,
     products_vanish,
     sparse_apply,
-    unscaled,
 )
 
 NOT_CHAR_NILPOTENT = "NotCharNilpotent"
@@ -275,54 +274,38 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     is built from the sparse columns of m and of ad(e_i), ad(e_j), in
     integers: m's integer columns over its ``den``, d_m, and the ad table
     kept on alg over its ``den``, d_c, so every residual is d_m d_c times the
-    rational one, and a nonzero one is reported as its exact Fractions.
+    rational one; ``linalg._violations`` reports each nonzero one as its
+    exact Fractions, in ascending order.
 
     The residual of (i, j) is exactly 0 unless [e_i, e_j] != 0, or
     [e_j, e_q] != 0 for some q in the support of m e_i, or [e_i, e_q] != 0
-    for some q in that of m e_j, so only those pairs are visited, in
-    ascending order; the check stays exhaustive.
+    for some q in that of m e_j, so only those pairs are visited; the check
+    stays exhaustive.
 
     A diagonal m = diag(w) is decided in closed form: the residual of a
     stored pair is sum_k c_ij^k (w_k - w_i - w_j) e_k, and every other pair
-    has residual 0. So w_k is compared with w_i + w_j, over the integer
-    weights of the kept ``Matrix.diagonal_weights``, and a residual vector
-    is built only for a pair that violates it.
+    has residual 0. So only the stored pairs are summed, over the integer
+    weights of the kept ``Matrix.diagonal_weights``, with the same d_m d_c.
     """
     n = alg.dim
     if m.dim != n:
         raise DimensionMismatch("map shape does not match the algebra dimension")
     w = m.diagonal_weights
     if w is not None:
-        return _diagonal_violations(alg, w, m.den)
-    cols, dm = m.columns, m.den
-    ad, dc = alg.ad_columns, alg.den
-    partners = alg.partners
-    pairs = set(alg.structure)
-    for i, col in enumerate(cols):
-        pairs.update((min(i, j), max(i, j)) for q in col for j in partners[q] if j != i)
-    neg = [{r: -x for r, x in col.items()} for col in cols]
-    out = []
-    for i, j in sorted(pairs):
-        residual = sparse_apply(cols, ad[i][j])
-        sparse_apply(ad[j], cols[i], residual)
-        sparse_apply(ad[i], neg[j], residual)
-        if any(residual.values()):
-            out.append((i, j, dense_vector(unscaled(residual, dm * dc), n)))
-    return out
-
-
-def _diagonal_violations(alg: LieAlgebra, w: Sequence[int], dw: int) -> List[tuple]:
-    """``is_derivation`` of diag(w) / dw: each stored pair with some w_k != w_i + w_j."""
-    n = alg.dim
-    dc = alg.den
-    out = []
-    for (i, j), coeffs in alg.structure.items():
-        s = w[i] + w[j]
-        if any(w[k] != s for k in coeffs):
-            residual = {k: Fraction(c * (w[k] - s), dc * dw) for k, c in coeffs.items()
-                        if w[k] != s}
-            out.append((i, j, dense_vector(residual, n)))
-    return sorted(out)
+        sums = {(i, j): {k: c * (w[k] - w[i] - w[j]) for k, c in coeffs.items()}
+                for (i, j), coeffs in alg.structure.items()}
+    else:
+        cols, ad, partners = m.columns, alg.ad_columns, alg.partners
+        pairs = set(alg.structure)
+        for i, col in enumerate(cols):
+            pairs.update((min(i, j), max(i, j)) for q in col for j in partners[q] if j != i)
+        neg = [{r: -x for r, x in col.items()} for col in cols]
+        sums = {}
+        for i, j in pairs:
+            residual = sums[(i, j)] = sparse_apply(cols, ad[i][j])
+            sparse_apply(ad[j], cols[i], residual)
+            sparse_apply(ad[i], neg[j], residual)
+    return _violations(sums, m.den * alg.den, n)
 
 
 def _pinned_unknowns(alg: LieAlgebra) -> frozenset:

@@ -17,7 +17,8 @@ coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
 rational boundary, shared with ``affine.AffineStructure``: it validates a
 rational table and scales it once. There is no dense bracket: every
 check reads the integer table or the views below, and Fractions are
-formed only for a nonzero residual.
+formed only for a nonzero residual (``linalg._violations`` for the
+Jacobi report).
 
 An algebra computes on first use and keeps, as read-only attributes,
 its views ``ad_columns`` (the integer ad table over ``den``),
@@ -53,12 +54,11 @@ from .linalg import (
     _image_chain,
     _reduce,
     _set_fields,
-    dense_vector,
+    _violations,
     format_rational,
     integer_scaled,
     nonsingular,
     rat,
-    unscaled,
 )
 
 SparseCoeffs = Dict[int, int]
@@ -151,14 +151,13 @@ class LieAlgebra(_Frozen):
 
     @cached_property
     def _jacobi_report(self) -> Tuple[Tuple[int, int, int, tuple], ...]:
-        n, den, ad = self.dim, self.den, self.ad_columns
+        ad = self.ad_columns
         sums: Dict[tuple, dict] = {}
         for triple, a, m, c in cyclic_sum_terms(self.structure, self.partners):
             acc = sums.setdefault(triple, {})
             for p, d in ad[a][m].items():
                 acc[p] = acc.get(p, 0) + c * d
-        return tuple((*triple, dense_vector(unscaled(sums[triple], den * den), n))
-                     for triple in sorted(sums) if any(sums[triple].values()))
+        return tuple(_violations(sums, self.den * self.den, self.dim))
 
     @cached_property
     def _derived_subalgebra(self) -> Subspace:
@@ -261,9 +260,10 @@ def jacobi_report(alg: LieAlgebra) -> List[Tuple[int, int, int, tuple]]:
     the cyclic sum of X(e_a, e_m) = [e_a, e_m] over ``cyclic_sum_terms``,
     in ascending order. The sums run in ints over ``structure`` and its
     ad table (``ad_columns``), both den times the rational ones, so each
-    residual is den^2 times the rational one and is divided once. The
-    report is kept on ``alg`` as a tuple and each call returns a new list
-    of it; reading the kept views warms them for later checks.
+    residual is den^2 times the rational one, and ``linalg._violations``
+    divides each nonzero one once. The report is kept on ``alg`` as a
+    tuple and each call returns a new list of it; reading the kept views
+    warms them for later checks.
     """
     return list(alg._jacobi_report)
 

@@ -10,7 +10,11 @@ that form, ints over one den > 0 with gcd(den, every entry) = 1: a
 ``Matrix``'s columns, a ``Subspace``'s rows, a ``LieAlgebra``'s brackets
 and an ``AffineStructure``'s products. ``_lowest_terms`` puts built
 integer vectors in it, and ``format_rational`` writes an int over its den
-as "p/q" with no Fraction formed. Matrices act on column coordinate
+as "p/q" with no Fraction formed. ``_violations`` is the one residual
+reporter of the checks (the Jacobi report, ``is_derivation`` and both
+``verify_affine`` reports): each collects integer sums keyed by basis
+tuple over one denominator, and it turns the nonzero ones into dense
+Fraction tuples, keys ascending. Matrices act on column coordinate
 vectors, so column j of a map is the image of basis vector j.
 
 Every linear system goes through one elimination kernel,
@@ -444,6 +448,18 @@ def dense_vector(row: dict, n: int) -> Vector:
     for j, x in row.items():
         out[j] = x
     return tuple(out)
+
+
+def _violations(sums: dict, den: int, n: int) -> list:
+    """[(*key, residual)]: each nonzero sum / den as a length-n Fraction tuple, keys ascending.
+
+    ``sums`` maps a basis tuple to a sparse integer vector {k: int}; a sum
+    whose entries all cancel (``sparse_apply`` keeps them as zeros) is
+    dropped. The Jacobi, derivation and affine-axiom checks report their
+    residuals through it alone.
+    """
+    return [(*key, dense_vector(unscaled(sums[key], den), n)) for key in sorted(sums)
+            if any(sums[key].values())]
 
 
 def _coordinates(space: Subspace, v: dict) -> Optional[dict]:

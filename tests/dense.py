@@ -22,7 +22,7 @@ matrix). ``kernel_routes`` patches the package's shape views off, so its
 generic routes serve as oracles of the closed forms; ``integer_row``
 scales a rational row for the kernel. ``change_basis`` moves an algebra
 onto the basis P e_1, ..., P e_n, for the seeded P of the three
-``*_basis_change`` draws.
+``*_basis_change`` draws, and ``conjugated`` moves maps by one seeded P.
 """
 
 from fractions import Fraction
@@ -474,3 +474,13 @@ def rational_basis_change(n, rng):
                           if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)])
         if p is not None:
             return p
+
+
+def conjugated(maps, rng):
+    """P m P^-1 for each map: one seeded P with entries in -2..2, redrawn until invertible."""
+    n = maps[0].dim
+    while True:
+        p = _invertible([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if p is not None:
+            pinv = invert(p)
+            return [matmul(matmul(p, m), pinv) for m in maps]

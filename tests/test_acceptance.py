@@ -131,7 +131,7 @@ def test_criterion_03_torus_reproduction():
             assert diagonal_derivations(alg).dim == 2
         for n in (6, 8, 10, 12):
             alg = make_qn(n, adapted=True)
-            maps = standard_torus("QnAdapted", n)
+            maps = standard_torus("QnZ", n)
             for m in maps:
                 assert is_derivation(alg, m) == []
             assert verify_torus(alg, maps).passed

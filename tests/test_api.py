@@ -106,8 +106,25 @@ def _package_definitions(names):
 
 def test_no_module_defines_a_deleted_shape_or_series_helper():
     # a map's shape is read off Matrix.monomial and Matrix.diagonal_weights,
-    # and [g, g] off its own kept view: none of the helpers they replaced returns
-    assert _package_definitions({"_Drawn", "_monomial_rows", "_diagonal_weights"}) == []
+    # [g, g] off its own kept view, and a diagonal map's derivation residual
+    # is summed inside is_derivation: none of the helpers they replaced returns
+    assert _package_definitions({"_Drawn", "_monomial_rows", "_diagonal_weights",
+                                 "_diagonal_violations"}) == []
+
+
+def test_only_linalg_turns_residual_sums_into_fractions():
+    # every check hands its integer sums to linalg._violations, the one
+    # residual reporter, so no other module references dense_vector or unscaled
+    package = Path(lieaffine.__file__).parent
+    refs = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs += [(path.stem, node.lineno) for node in ast.walk(tree)
+                 if {getattr(node, field, None) for field in ("id", "attr", "name")}
+                 & {"dense_vector", "unscaled"}]
+    assert refs == []
 
 
 def test_every_matrix_is_square_with_one_dim():

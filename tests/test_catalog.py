@@ -249,7 +249,7 @@ def test_standard_torus_ln():
 
 
 def test_standard_torus_qn_adapted():
-    t = standard_torus("QnAdapted", 6)
+    t = standard_torus("QnZ", 6)
     assert t[0] == Matrix.diagonal([0, 1, 1, 1, 1, 2])
     assert t[1] == Matrix.diagonal([1, 0, 1, 2, 3, 3])
 
@@ -260,14 +260,15 @@ def test_standard_torus_cn():
 
 
 def test_standard_torus_unknown_family():
-    with pytest.raises(UnknownFamily):
-        standard_torus("Qn", 6)
+    for family in ("Qn", "QnAdapted"):
+        with pytest.raises(UnknownFamily):
+            standard_torus(family, 6)
 
 
 def test_standard_torus_maps_are_derivations():
     pairs = [
         ("Ln", 7, make_ln(7)),
-        ("QnAdapted", 8, make_qn(8, adapted=True)),
+        ("QnZ", 8, make_qn(8, adapted=True)),
         ("Cn", 8, make_cn(8, [1, 1])[0]),
     ]
     for family, n, alg in pairs:

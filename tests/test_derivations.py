@@ -74,6 +74,7 @@ from dense import (
     bracket,
     change_basis,
     column,
+    conjugated,
     contains,
     dense_basis_change,
     derivation_violations,
@@ -81,7 +82,6 @@ from dense import (
     from_fraction_columns,
     identity,
     integer_row,
-    invert,
     kernel_routes,
     matmul,
     nullspace,
@@ -1148,7 +1148,7 @@ def test_verify_torus_ln_pair():
 
 def test_verify_torus_qn_adapted_pair():
     q6z = make_qn(6, adapted=True)
-    assert verify_torus(q6z, standard_torus("QnAdapted", 6)).passed
+    assert verify_torus(q6z, standard_torus("QnZ", 6)).passed
 
 
 def test_verify_torus_rejects_nilpotent_map():
@@ -1206,34 +1206,25 @@ def test_verify_torus_decides_large_prime_eigenvalues():
     assert report.notes == []
 
 
-def _conjugate(rng, m):
-    """P m P^-1 for a seeded invertible integer P with entries in -2..2."""
-    n = m.dim
-    while True:
-        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if nonsingular(p):
-            return matmul(matmul(p, m), invert(p))
-
-
 def test_verify_torus_verdicts_known_by_construction():
     rng = random.Random(1103)
     eigenvalues = [F(1, 1000003), F(-7, 3), F(0), F(5), F(2, 9), F(1000003, 2)]
     for size in range(1, 7):
         d = Matrix.diagonal(rng.sample(eigenvalues, size))
         for _ in range(3):
-            m = _conjugate(rng, d)
+            m = conjugated([d], rng)[0]
             report = verify_torus(make_abelian(size), [m])
             assert report.passed, (size, m)
             assert report.notes == []
     # x^2 - 2 beside a rational eigenvalue: squarefree, does not split
     root2 = Matrix([[0, 2, 0], [1, 0, 0], [0, 0, F(1, 1000003)]])
-    report = verify_torus(make_abelian(3), [_conjugate(rng, root2)])
+    report = verify_torus(make_abelian(3), [conjugated([root2], rng)[0]])
     assert report.semisimplicity_failures == [
         (0, "minimal polynomial does not split over the rationals")]
     assert len(report.notes) == 1
     # a Jordan block at a rational eigenvalue
     jordan = Matrix([[F(-3, 5), 1, 0], [0, F(-3, 5), 0], [0, 0, 4]])
-    report = verify_torus(make_abelian(3), [_conjugate(rng, jordan)])
+    report = verify_torus(make_abelian(3), [conjugated([jordan], rng)[0]])
     assert report.semisimplicity_failures == [(0, "minimal polynomial has a repeated root")]
     assert report.notes == []
 
@@ -1388,7 +1379,7 @@ def _minimal_polynomial_case(rng, kind):
     for x in {x for x, _ in blocks}:
         for _ in range(max(size for y, size in blocks if y == x)):
             expected = _poly_mul(expected, [-x, F(1)])
-    return _conjugate(rng, Matrix(grid)), expected
+    return conjugated([Matrix(grid)], rng)[0], expected
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "jordan", "random"])

@@ -6,6 +6,7 @@ serve as oracles for rank/nullity claims used elsewhere.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -30,6 +31,7 @@ from lieaffine.linalg import (
     _integer_inverse,
     _nullspace,
     _reduce,
+    _violations,
     integer_scaled,
     is_nilpotent,
     nonsingular,
@@ -464,6 +466,45 @@ def test_integer_scaled_puts_vectors_over_the_lcm_of_their_denominators():
     assert half == {1: F(3, 2)} and type(half[1]) is Fraction
 
 
+def test_violations_drop_sums_that_cancel():
+    # sparse_apply keeps cancelled entries as explicit zeros
+    cancelled = sparse_apply([{0: 2, 2: 3}, {0: -1, 2: -1}], {0: 1, 1: 2})
+    assert cancelled == {0: 0, 2: 1}
+    cancelled = sparse_apply([{2: -1}], {0: 1}, cancelled)
+    assert cancelled == {0: 0, 2: 0}
+    assert _violations({(0, 1): cancelled, (1, 2): {}}, 5, 3) == []
+    assert _violations({(0, 1): cancelled, (1, 2): {1: 0, 2: -10}}, 4, 3) == [
+        (1, 2, (F(0), F(0), F(-5, 2)))]
+
+
+def test_violations_are_exact_residuals_in_ascending_key_order():
+    rng = random.Random(48)
+    n, den = 5, 12
+    sums = {}
+    for key in itertools.product(range(n), repeat=3):
+        sums[key] = {k: rng.choice((0, rng.randint(-40, 40))) for k in rng.sample(range(n), 3)}
+    expected = []
+    for key in sorted(sums):
+        residual = tuple(F(sums[key].get(k, 0), den) for k in range(n))
+        if any(residual):
+            expected.append((*key, residual))
+    assert 0 < len(expected) < len(sums)
+    items = list(sums.items())
+    for _ in range(3):
+        rng.shuffle(items)
+        report = _violations(dict(items), den, n)
+        assert report == expected
+        assert [entry[:3] for entry in report] == sorted(entry[:3] for entry in report)
+    for *_, residual in report:
+        assert len(residual) == n and all(type(x) is Fraction for x in residual)
+        assert all(math.gcd(x.numerator, x.denominator) == 1 for x in residual)
+
+
+def test_violations_of_no_sums_is_empty():
+    assert _violations({}, 1, 4) == []
+    assert _violations({}, 7, 0) == []
+
+
 def test_invert_diagonal():
     m = Matrix.diagonal([1, 2, 3, 4])
     assert _inverse(m) == Matrix.diagonal([F(1), F(1, 2), F(1, 3), F(1, 4)])
@@ -667,17 +708,6 @@ def test_is_nilpotent_matches_char_poly_oracle():
     assert {is_nilpotent(m) for m in cases} == {True, False}
 
 
-def _conjugated(maps, rng):
-    # t m t^-1 for one seeded invertible integer t shared by all maps
-    n = maps[0].dim
-    while True:
-        t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if nonsingular(t):
-            break
-    tinv = invert(t)
-    return [matmul(matmul(t, m), tinv) for m in maps]
-
-
 def test_products_vanish_matches_brute_force_products():
     rng = random.Random(17)
     n = 4
@@ -688,8 +718,8 @@ def test_products_vanish_matches_brute_force_products():
         eigen = Matrix([[rng.randint(-3, 3) if j < i else 0 for j in range(n)]
                         for i in range(n)])
         eigen = add(eigen, Matrix.diagonal([0, 0, rng.choice((-2, -1, 1, 2)), 0]))
-        cases.append((_conjugated(lower, rng), True))
-        cases.append((_conjugated(lower + [eigen], rng), False))
+        cases.append((dense.conjugated(lower, rng), True))
+        cases.append((dense.conjugated(lower + [eigen], rng), False))
     # each map is nilpotent, but E12 E21 is an idempotent
     e12 = Matrix([[0, 1], [0, 0]])
     cases.append(([e12, Matrix([[0, 0], [1, 0]])], False))
