@@ -59,8 +59,14 @@ symplectic search builds each 2-form it tries as integer Gram columns
 over its class space's den. So no construction, search or check forms a
 Fraction unless it reports a nonzero residual.
 
-``synthesize`` tries the strategies in a fixed order, re-verifies the
-winner exhaustively, and wraps the outcome in a self-contained certificate.
+Each strategy is one record of ``STRATEGIES``: its search, its
+construction, its witness's key and type, its check names, and
+``recheck``, which tests the paper's hypothesis on the witness alone (f
+an invertible derivation; f a derivation invertible on [g, g]; a closed
+nondegenerate 2-form). ``synthesize`` tries the strategies in a fixed
+order, re-verifies the winner exhaustively, and wraps the outcome in a
+self-contained certificate; ``reverify_certificate`` re-runs the
+record's ``recheck`` and one ``verify_affine`` of the stored product.
 """
 
 from __future__ import annotations
@@ -131,34 +137,68 @@ SYMPLECTIC_CURVE_POINTS = 3
 class _Strategy(NamedTuple):
     checks: Tuple[str, ...]
     witness: str
+    kind: type
     search: Callable
     construct: Callable
+    recheck: Callable
     failure: Callable
 
 
-# How ``synthesize`` tries each strategy, in the order ``auto`` tries them.
-# ``checks`` are the checks its certificate must pass, in the order
-# recorded; the verifier runs them itself and never trusts a document's
-# own list. ``search(alg, seed, trials)`` returns a ``witness`` or None,
+def _residual(test: Callable[[], int]) -> int:
+    """The residual count ``test()`` of one witness check (True counts 1), or 1 when it raises.
+
+    A LieToolError, such as a map that does not preserve [g, g], fails
+    the check it was raised in and leaves every other check to run.
+    """
+    try:
+        return int(test())
+    except LieToolError:
+        return 1
+
+
+def _recheck_derived_regular(alg: LieAlgebra, f: Matrix) -> Tuple[int, int]:
+    """The ``is_derivation`` and ``restriction_invertible`` counts of f, from one ``is_derivation``.
+
+    A map that is no derivation fails both; only a derivation has its
+    restriction to [g, g] tested.
+    """
+    violations = len(is_derivation(alg, f))
+    return violations, _residual(
+        lambda: violations > 0 or not _restriction_invertible(derived_subalgebra(alg), f))
+
+
+# The one record of each strategy, in the order ``auto`` tries them.
+# ``search(alg, seed, trials)`` returns a witness of type ``kind`` or None,
 # every search reading the Der(g) and weights kept on ``alg``, and
-# ``failure`` says why it came back empty. Searches and constructions are
-# called through the module's names, so a wrapper on those names sees them.
+# ``failure`` says why it came back empty; ``construct`` builds the
+# product from the witness, which the certificate stores under ``witness``.
+# ``checks`` are the checks its certificate must pass, in the order
+# recorded: the paper's hypothesis on the witness, then torsion and left
+# symmetry. ``recheck(alg, witness)`` returns the residual counts of the
+# first two from the witness alone, and ``verify_affine`` of the stored
+# product gives the last two; the verifier runs them itself and never
+# trusts a document's own list. Every call goes through the module's
+# names, so a wrapper on those names sees it.
 STRATEGIES = {
     "regular": _Strategy(
         checks=("is_derivation", "invertible", "torsion", "left_symmetry"),
         witness="derivation",
+        kind=Matrix,
         search=lambda alg, seed, trials: find_regular_derivation(
             alg, seed=seed, trials=trials),
         construct=lambda alg, f: from_regular_derivation(alg, f),
+        recheck=lambda alg, f: (len(is_derivation(alg, f)), _residual(lambda: not nonsingular(f))),
         failure=lambda alg, seed, trials: (
             f"no invertible derivation found (seed={seed}, trials={trials})"),
     ),
     "derived-regular": _Strategy(
         checks=("is_derivation", "restriction_invertible", "torsion", "left_symmetry"),
         witness="derivation",
+        kind=Matrix,
         search=lambda alg, seed, trials: find_derived_regular_derivation(
             alg, seed=seed, trials=trials),
         construct=lambda alg, f: from_derived_regular(alg, f),
+        recheck=_recheck_derived_regular,
         failure=lambda alg, seed, trials: (
             "no derivation with invertible restriction to the derived "
             f"subalgebra found (seed={seed}, trials={trials})"),
@@ -166,8 +206,11 @@ STRATEGIES = {
     "symplectic": _Strategy(
         checks=("closed", "nondegenerate", "torsion", "left_symmetry"),
         witness="two_form",
+        kind=TwoForm,
         search=lambda alg, seed, trials: find_symplectic(alg, seed=seed, trials=trials),
         construct=lambda alg, form: from_symplectic(alg, form),
+        recheck=lambda alg, form: (_residual(lambda: len(dtheta_residual(alg, form))),
+                                   _residual(lambda: not nondegenerate(form))),
         failure=lambda alg, seed, trials: (
             "odd dimension admits no nondegenerate 2-form" if alg.dim % 2 else
             f"no closed nondegenerate 2-form found (seed={seed}, trials={trials})"),
@@ -650,60 +693,35 @@ def synthesize(alg: LieAlgebra, strategy: str = "auto", seed: int = 0,
 def reverify_certificate(alg: LieAlgebra, cert: Certificate) -> ReverifyReport:
     """Re-run the checks the certificate's strategy requires, from its payloads alone.
 
-    The checks come from ``STRATEGIES``, never from the certificate's own
-    list, so a certificate that omits a check cannot pass; the recorded
-    list must match the recomputed one name for name and status for status.
-    A witness of the wrong type, or of a size other than ``alg.dim``,
-    leaves its checks "unknown" and is never computed on.
+    Everything is read off the strategy's one record in ``STRATEGIES``,
+    never off the certificate's own list: its ``recheck`` gives the counts
+    of the two checks on the stored witness, and one ``verify_affine`` of
+    the stored product gives torsion and left symmetry. So a certificate
+    that omits a check cannot pass; the recorded list must match the
+    recomputed one name for name and status for status. A witness of
+    another type than the record's ``kind`` (an ``AffineStructure`` for the
+    product), or whose ``dim`` is not ``alg.dim``, leaves its two checks
+    "unknown" and is never computed on.
     """
     entry = STRATEGIES.get(cert.strategy)
     if entry is None:
         raise SchemaError(f"unknown strategy {cert.strategy!r}")
     hash_match = algebra_hash(alg) == cert.algebra_hash
-    witnesses = {key: w for key, w in cert.witnesses.items() if getattr(w, "dim", None) == alg.dim}
-    structure = witnesses.get("affine_structure")
-    if isinstance(structure, AffineStructure):
-        witnesses["affine_structure"] = verify_affine(alg, structure)
-    f = witnesses.get("derivation")
-    if isinstance(f, Matrix):
-        witnesses["derivation"] = _CheckedMap(f, is_derivation(alg, f))
-    results: List[CheckResult] = []
-    for name in entry.checks:
-        key, kind, count = _CHECKS[name]
-        witness = witnesses.get(key)
-        if not isinstance(witness, kind):
-            results.append(CheckResult(name, "unknown", -1))
-            continue
-        try:
-            residuals = count(alg, witness)
-        except LieToolError:
-            residuals = 1
-        results.append(CheckResult(name, "pass" if residuals == 0 else "fail", residuals))
+
+    def checked(key, kind, counts):
+        witness = cert.witnesses.get(key)
+        if isinstance(witness, kind) and witness.dim == alg.dim:
+            return counts(alg, witness)
+        return None, None
+
+    # an AffineReport is its (torsion, left-symmetry) violation lists
+    counts = (*checked(entry.witness, entry.kind, entry.recheck),
+              *checked("affine_structure", AffineStructure,
+                       lambda alg, structure: map(len, verify_affine(alg, structure))))
+    results = [CheckResult(name, "unknown", -1) if count is None else
+               CheckResult(name, "fail" if count else "pass", count)
+               for name, count in zip(entry.checks, counts, strict=True)]
     matches = [(c.name, c.status) for c in cert.checks] == [
         (c.name, c.status) for c in results
     ]
     return ReverifyReport(hash_match=hash_match, checks=results, matches_recorded=matches)
-
-
-class _CheckedMap(NamedTuple):
-    """A derivation witness with its ``is_derivation`` violations, found once per certificate."""
-    matrix: Matrix
-    violations: List[tuple]
-
-
-# check name -> (witness key, witness type, residual count of alg and witness);
-# "affine_structure" is read as its verify_affine report, "derivation" as a _CheckedMap
-_CHECKS = {
-    "is_derivation": ("derivation", _CheckedMap, lambda alg, w: len(w.violations)),
-    "invertible": ("derivation", _CheckedMap, lambda alg, w: 0 if nonsingular(w.matrix) else 1),
-    "restriction_invertible": (
-        "derivation", _CheckedMap,
-        lambda alg, w: 0 if not w.violations and _restriction_invertible(
-            derived_subalgebra(alg), w.matrix) else 1),
-    "closed": ("two_form", TwoForm, lambda alg, form: len(dtheta_residual(alg, form))),
-    "nondegenerate": ("two_form", TwoForm, lambda alg, form: 0 if nondegenerate(form) else 1),
-    "torsion": ("affine_structure", AffineReport,
-                lambda alg, report: len(report.torsion_violations)),
-    "left_symmetry": ("affine_structure", AffineReport,
-                      lambda alg, report: len(report.leftsym_violations)),
-}

@@ -52,6 +52,7 @@ from .liealg import (
 from .serialize import (
     MAX_DIM,
     _echo,
+    _witness_codec,
     affine_from_json,
     algebra_from_json,
     algebra_to_json,
@@ -65,7 +66,6 @@ from .serialize import (
     matrix_to_json,
     parse_rational,
     twoform_from_json,
-    twoform_to_json,
     verdict_from_json,
     verdict_to_json,
 )
@@ -281,14 +281,18 @@ def _cmd_der_diag(args):
     }, 0
 
 
-def _cmd_search(key, codec, strategy, args):
-    """Payload of the seeded search of ``STRATEGIES[strategy]``: it finds ``key`` or None."""
+def _cmd_search(key, strategy, args):
+    """Payload of the seeded search of ``STRATEGIES[strategy]``: it finds ``key`` or None.
+
+    The witness is written as a certificate writes it, by the codec of the
+    strategy's ``witness`` kind.
+    """
     alg = _load_algebra(args)
     found = STRATEGIES[strategy].search(alg, args.seed, args.trials)
     payload = {
         "name": alg.name,
         "found": found is not None,
-        key: codec(found) if found is not None else None,
+        key: _witness_codec(STRATEGIES[strategy].witness)[0](found) if found is not None else None,
         "seed": args.seed,
         "trials": args.trials,
     }
@@ -438,10 +442,10 @@ _COMMANDS = (
     ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
     ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
     ("der", "regular", "search for an invertible derivation",
-     partial(_cmd_search, "witness", matrix_to_json, "regular"), _SEARCH),
+     partial(_cmd_search, "witness", "regular"), _SEARCH),
     ("der", "derived-regular",
      "search for a derivation invertible on the derived subalgebra",
-     partial(_cmd_search, "witness", matrix_to_json, "derived-regular"), _SEARCH),
+     partial(_cmd_search, "witness", "derived-regular"), _SEARCH),
     ("der", "char-nilp", "characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
     ("der", "torus", "verify the family's standard torus", _cmd_der_torus, (_add_family,)),
     ("der", "verify-witness", "re-check a char-nilp witness", _cmd_der_verify_witness,
@@ -451,7 +455,7 @@ _COMMANDS = (
     ("affine", "verify", "re-verify a synthesis certificate", _cmd_affine_verify,
      _SOURCE + (partial(_add_cert, "certificate JSON"),)),
     ("affine", "symplectic-find", "search for a symplectic form",
-     partial(_cmd_search, "two_form", twoform_to_json, "symplectic"), _SEARCH),
+     partial(_cmd_search, "two_form", "symplectic"), _SEARCH),
     ("io", "validate", "validate a JSON document", _cmd_io_validate, (_add_document,)),
 )
 

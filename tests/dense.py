@@ -13,7 +13,7 @@ one oracle, worked from its definition on every basis pair or triple:
 ``affine_violations``, ``derivation_violations``, ``derivation_equations``
 (the Der(g) rows in n^2 unknowns), ``jacobi_violations``,
 ``dtheta_violations``, ``product_tensor`` (O M_i V) and ``restrict`` (a
-map on [g, g]). One dense image chain gives ``lower_central_series``
+map on [g, g]). One lazy dense image chain gives ``lower_central_series``
 ([g, g] is its second term) and ``products_vanish`` (Engel's gate), and
 ``coordinates`` reads a vector off RREF rows. Vectors are tuples of
 Fractions and a ``Matrix`` acts on column vectors; rectangular data
@@ -21,8 +21,10 @@ stays in plain lists (``solve`` takes the columns of its coefficient
 matrix). ``kernel_routes`` patches the package's shape views off, so its
 generic routes serve as oracles of the closed forms; ``integer_row``
 scales a rational row for the kernel. ``change_basis`` moves an algebra
-onto the basis P e_1, ..., P e_n, for the seeded P of the three
-``*_basis_change`` draws, and ``conjugated`` moves maps by one seeded P.
+onto the basis P e_1, ..., P e_n, for the (P, P^-1) of the three
+``*_basis_change`` draws, and ``conjugated`` moves maps by one seeded P;
+``invertible`` gives each draw its P^-1 from the one dense ``inverse``
+that tests P.
 """
 
 from fractions import Fraction
@@ -376,25 +378,30 @@ def restrict(subspace, m):
 
 
 def _descending_spans(maps, vectors, n):
-    """W_0 = span(vectors), then W_(k+1) = span of m(W_k) over the maps, as dense spans.
+    """Yield W_0 = span(vectors), then W_(k+1) = span of m(W_k) over the maps, as dense spans.
 
     Each map is a list of sparse Fraction columns. Every m(W_0) lies in W_0
-    here, so the W_k are nested, and the list stops right before the first
-    term whose dimension does not fall: a 0, or a W_k the maps send onto
-    itself.
+    here, so the W_k are nested, and the terms stop right before the first
+    one whose dimension does not fall: a 0, or a W_k the maps send onto
+    itself. Each term is built only when it is asked for.
     """
-    chain = [span(vectors, n)]
-    while chain[-1].dim:
-        basis = [{q: x for q, x in enumerate(b) if x} for b in chain[-1].basis]
+    term = span(vectors, n)
+    yield term
+    while term.dim:
+        basis = [{q: x for q, x in enumerate(b) if x} for b in term.basis]
         nxt = span([_summed(n, (1, _image(m, b))) for m in maps for b in basis], n)
-        if nxt.dim == chain[-1].dim:
-            break
-        chain.append(nxt)
-    return chain
+        if nxt.dim == term.dim:
+            return
+        term = nxt
+        yield term
 
 
 def lower_central_series(alg):
-    """g, [g, g], [g, [g, g]], ...: W_(k+1) is the sum of the ad e_i (W_k), up to the first repeat."""
+    """Yield g, [g, g], [g, [g, g]], ...: W_(k+1) = sum of the ad e_i (W_k), up to the first repeat.
+
+    The terms come lazily, so a caller that reads [g, g] builds two terms;
+    one that needs the series takes ``list(...)``.
+    """
     n = alg.dim
     return _descending_spans(bracket_table(alg), [unit_vector(n, i) for i in range(n)], n)
 
@@ -408,7 +415,7 @@ def products_vanish(maps):
     n = maps[0].dim
     cols = [fraction_columns(m) for m in maps]
     images = [_summed(n, (1, col)) for m in cols for col in m]
-    return not _descending_spans(cols, images, n)[-1].dim
+    return not list(_descending_spans(cols, images, n))[-1].dim
 
 
 def coordinates(reduced, v):
@@ -425,9 +432,13 @@ def coordinates(reduced, v):
     return None if any(residual.values()) else coords
 
 
-def change_basis(alg, p):
-    """The same algebra on the basis P e_1, ..., P e_n: c' = P^-1 [P e_i, P e_j], of alg's type."""
-    pinv = invert(p)
+def change_basis(alg, move):
+    """The same algebra on the basis P e_1, ..., P e_n: c' = P^-1 [P e_i, P e_j], of alg's type.
+
+    ``move`` is the pair (P, P^-1) of ``invertible``, as the three
+    ``*_basis_change`` draws return it.
+    """
+    p, pinv = move
     cols = [column(p, i) for i in range(alg.dim)]
     structure = {}
     for i in range(alg.dim):
@@ -437,50 +448,55 @@ def change_basis(alg, p):
     return type(alg)(alg.dim, structure)
 
 
-def _invertible(grid):
-    """The ``Matrix`` of the dense rows, or None when the dense ``inverse`` finds it singular."""
-    return Matrix(grid) if inverse(grid) is not None else None
+def invertible(grid):
+    """(P, P^-1), the ``Matrix`` of the dense rows and its inverse, or None when P is singular.
+
+    One dense ``inverse`` decides it and gives P^-1, so a draw's P is
+    eliminated once.
+    """
+    rows = inverse(grid)
+    return None if rows is None else (Matrix(grid), Matrix(rows))
 
 
 def sparse_basis_change(n, rng):
-    """An invertible P = I + four seeded +-1 entries off the diagonal."""
+    """(P, P^-1) for an invertible P = I + four seeded +-1 entries off the diagonal."""
     while True:
         grid = [[int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(4):
             i, j = rng.sample(range(n), 2)
             grid[i][j] = rng.choice((-1, 1))
-        p = _invertible(grid)
-        if p is not None:
-            return p
+        move = invertible(grid)
+        if move is not None:
+            return move
 
 
 def dense_basis_change(n, rng):
-    """An invertible P with unit diagonal and a seeded +-1 everywhere off it."""
+    """(P, P^-1) for an invertible P with unit diagonal and a seeded +-1 everywhere off it."""
     while True:
-        p = _invertible([[1 if i == j else rng.choice((-1, 1)) for j in range(n)]
-                         for i in range(n)])
-        if p is not None:
-            return p
+        move = invertible([[1 if i == j else rng.choice((-1, 1)) for j in range(n)]
+                           for i in range(n)])
+        if move is not None:
+            return move
 
 
 def rational_basis_change(n, rng):
-    """An invertible P with unit diagonal and seeded p/q entries (q = 2, 3) off it.
+    """(P, P^-1) for an invertible P with unit diagonal and seeded p/q entries (q = 2, 3) off it.
 
     About 30% of the places off the diagonal are filled, so the RREF rows
     of [g, g] in the moved basis carry denominators.
     """
     while True:
-        p = _invertible([[1 if i == j else F(rng.choice((-2, -1, 1, 3)), rng.choice((2, 3)))
-                          if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)])
-        if p is not None:
-            return p
+        move = invertible([[1 if i == j else F(rng.choice((-2, -1, 1, 3)), rng.choice((2, 3)))
+                            if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)])
+        if move is not None:
+            return move
 
 
 def conjugated(maps, rng):
     """P m P^-1 for each map: one seeded P with entries in -2..2, redrawn until invertible."""
     n = maps[0].dim
     while True:
-        p = _invertible([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if p is not None:
-            pinv = invert(p)
+        move = invertible([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if move is not None:
+            p, pinv = move
             return [matmul(matmul(p, m), pinv) for m in maps]

@@ -972,6 +972,30 @@ def test_reverify_detects_wrong_algebra():
     assert not report.ok
 
 
+# the recorded check list, tampered alone: one check dropped, two swapped,
+# one status flipped to "fail", and a check no strategy runs appended
+_CHECK_TAMPERINGS = {
+    "drop": lambda checks: checks[1:],
+    "swap": lambda checks: [checks[1], checks[0], *checks[2:]],
+    "flip": lambda checks: [checks[0]._replace(status="fail"), *checks[1:]],
+    "append": lambda checks: [*checks, CheckResult("commutative", "pass", 0)],
+}
+
+
+@pytest.mark.parametrize("tamper", list(_CHECK_TAMPERINGS))
+@pytest.mark.parametrize("alg, strategy", [
+    (make_ln(6), "regular"), (make_cn(6, [1])[0], "derived-regular"), (make_ln(6), "symplectic"),
+], ids=["L6-regular", "C6-derived-regular", "L6-symplectic"])
+def test_reverify_rejects_a_tampered_check_list_with_sound_witnesses(alg, strategy, tamper):
+    # the witnesses are the real ones, so every recomputed check passes; only
+    # the recorded list disagrees with the strategy's, and that alone fails
+    _, cert = synthesize(alg, strategy=strategy, seed=0, trials=32)
+    report = reverify_certificate(alg, cert._replace(checks=_CHECK_TAMPERINGS[tamper](cert.checks)))
+    assert report.checks == [CheckResult(name, "pass", 0) for name in STRATEGIES[strategy].checks]
+    assert report.hash_match
+    assert not report.matches_recorded and not report.ok
+
+
 # --- the records are immutable tuples -------------------------------------
 
 def test_reports_built_with_no_arguments_pass():

@@ -94,13 +94,16 @@ def test_no_module_reads_a_second_subspace_form():
 
 
 def _package_definitions(names):
-    """The (module, name) of every function or class of the package named in ``names``."""
+    """The (module, name) of every function, class or assigned name of the package in ``names``."""
     package = Path(lieaffine.__file__).parent
     defined = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.stem, node.name) for node in ast.walk(tree)
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
+        defined += [(path.stem, node.id) for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in names]
     return defined
 
 
@@ -218,6 +221,32 @@ def test_no_module_defines_a_deleted_converter():
     # the kernel takes integer rows and the weights stay integers until a
     # witness is built: no converter from Fractions and back returns
     assert _package_definitions({"_integer_row", "_integer_form", "_matching_class"}) == []
+
+
+def test_no_module_keeps_a_second_check_table():
+    # each strategy's record in affine.STRATEGIES re-checks its own witness:
+    # the table from check name to witness and its wrapper type are gone
+    assert _package_definitions({"_CHECKS", "_CheckedMap"}) == []
+
+
+def test_check_names_are_spelled_only_in_the_strategy_records():
+    # reverify_certificate reads every check name off STRATEGIES, so no
+    # module spells one anywhere else (``__all__`` in __init__ lists the
+    # functions is_derivation and nondegenerate, not the checks)
+    checks = {name for entry in lieaffine.affine.STRATEGIES.values() for name in entry.checks}
+    package = Path(lieaffine.__file__).parent
+    spelled = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                 and any(getattr(t, "id", None) == "STRATEGIES" for t in top.targets)
+                 for node in ast.walk(top)}
+        spelled += [(path.stem, node.lineno, node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in checks
+                    and id(node) not in table]
+    assert len(checks) == 7 and spelled == []
 
 
 _NEW_MODULES = """

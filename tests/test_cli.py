@@ -17,6 +17,7 @@ import pytest
 from lieaffine import affine, catalog, cli, derivations, liealg, linalg
 from lieaffine.cli import MAX_TRIALS, main
 from lieaffine.derivations import is_derivation
+from lieaffine.errors import DimensionMismatch, NotInvariantError
 from lieaffine.linalg import Matrix, nonsingular
 from lieaffine.serialize import (
     MAX_DIM,
@@ -485,6 +486,36 @@ def test_affine_verify_runs_the_derivation_test_once_per_certificate(capsys, tmp
     assert [c["name"] for c in payload["checks"]] == [
         "is_derivation", "restriction_invertible", "torsion", "left_symmetry"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family, strategy, patched, check, error", [
+    (["--family", "Cn", "--n", "6", "--lambda", "1"], "derived-regular",
+     "_restriction_invertible", "restriction_invertible", NotInvariantError),
+    (["--family", "Ln", "--n", "6"], "symplectic", "nondegenerate", "nondegenerate",
+     DimensionMismatch),
+], ids=["restriction_invertible", "nondegenerate"])
+def test_affine_verify_fails_a_check_whose_recheck_raises(capsys, tmp_path, monkeypatch,
+                                                          family, strategy, patched, check,
+                                                          error):
+    # a re-check that raises a LieToolError fails its own check with
+    # residual 1, every other check still runs, and the verdict is exit 1,
+    # a failed certificate, not exit 2, an input error
+    code, doc, _ = run_cli(
+        capsys, ["affine", "synth", *family, "--strategy", strategy, "--reproducible"])
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+
+    def raises(*args):
+        raise error("raised by the re-check")
+
+    monkeypatch.setattr(affine, patched, raises)
+    code, payload, _ = run_cli(
+        capsys, ["affine", "verify", *family, "--cert", str(cert_path), "--reproducible"])
+    assert code == 1 and payload["ok"] is False
+    assert [(c["name"], c["status"], c["residuals"]) for c in payload["checks"]] == [
+        (name, "fail", 1) if name == check else (name, "pass", 0)
+        for name in affine.STRATEGIES[strategy].checks]
 
 
 def test_affine_verify_fails_left_symmetry_when_both_orders_shift(capsys, tmp_path):
