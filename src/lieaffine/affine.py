@@ -6,13 +6,13 @@ the left-symmetry identity x.(y.z) - y.(x.z) = (x.y).z - (y.x).z. Both
 axioms are bilinear, so checking them on all basis tuples is a complete,
 finite certificate; ``verify_affine`` does exactly that and reports every
 violating tuple with its exact residual. The check stays exhaustive over
-basis tuples, but sums each left-symmetry residual from the nonzero
-products alone: a triple that no nonzero product reaches has residual
-exactly 0, so the cost grows as the nonzero products times n rather than
-as n^3; torsion is checked on the pairs that hold a product or a bracket,
-every other pair having residual exactly 0. It runs in Python ints, on
-the tensor and the brackets as they are held, and only a nonzero
-residual becomes Fractions, in ``linalg._violations``.
+basis tuples, but sums every residual in one pass over the nonzero
+products, indexed by row and by column: a tuple that no nonzero product
+or bracket reaches has residual exactly 0, so the cost is that set-up
+plus work on the nonzero products, not n^3. It runs in Python ints, on
+the tensor and the brackets as they are held, builds no object but those
+indexes and the residual sums, and only a nonzero residual becomes
+Fractions, in ``linalg._violations``.
 
 Three constructors are provided:
 
@@ -71,6 +71,7 @@ record's ``recheck`` and one ``verify_affine`` of the stored product.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import islice
 from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -316,59 +317,64 @@ def verify_affine(alg: LieAlgebra, structure: AffineStructure) -> AffineReport:
 
     The left-symmetry residual of (i, j, k) is
     L_i(e_j.e_k) - L_j(e_i.e_k) + R_k(e_j.e_i - e_i.e_j), with L_b = e_b.(-)
-    and R_k = (-).e_k, so it is summed from the nonzero products alone:
-    each nonzero e_a.e_k adds L_b(e_a.e_k) to (b, a, k) for b < a and
-    subtracts it from (a, b, k) for b > a, and each nonzero
-    e_j.e_i - e_i.e_j adds its R_k image to (i, j, k). Only the b whose
-    L_b meets the product's support, and only the k whose R_k meets the
-    difference's, are visited. A triple that none of these touches has a
-    residual of exactly 0, so the check stays exhaustive while its cost
-    grows as the nonzero products times n rather than as n^3. Likewise the
-    torsion residual of a pair i < j that holds neither a product (e_i.e_j
-    or e_j.e_i) nor a bracket is exactly 0, so only the pairs that hold one
-    are visited, in ascending order.
+    and R_k = (-).e_k, so it is summed from the nonzero products alone, in
+    one pass over them: each coefficient x of e_a.e_k on e_c adds
+    x e_b.e_c to (b, a, k) for each b < a with e_b.e_c nonzero and
+    subtracts it from (a, b, k) for each such b > a, and each product off
+    the diagonal adds to the difference e_i.e_j - e_j.e_i of its pair
+    i < j. Then each nonzero coefficient y of a difference on e_m
+    subtracts y e_m.e_k from (i, j, k) for each k with e_m.e_k nonzero;
+    scaled by D_c, less D times the bracket, the difference is the torsion
+    residual of its pair. A tuple that none of these touches has a
+    residual of exactly 0, so the check stays exhaustive: its cost is the
+    set-up of the n row and n column indexes of the nonzero products, plus
+    work on the nonzero products alone, not n^3.
 
     The sums run in integers, on the tables as they are held: the
     products ``structure.gamma`` over their ``den``, D, and the brackets
     over theirs, D_c. A torsion residual is D * D_c times the rational one
     and a left-symmetry residual, quadratic in the product, D^2 times. Both
-    are collected as integer sums keyed by tuple, and ``linalg._violations``
-    reports each nonzero one as its exact Fraction tuple.
+    are collected as integer sums keyed by tuple, the only objects the pass
+    builds, and ``linalg._violations`` reports each nonzero one as its exact
+    Fraction tuple.
     """
     n = alg.dim
     if structure.dim != n:
         raise DimensionMismatch("structure dimension does not match the algebra")
     gamma, d = structure.gamma, structure.den
-    brackets, dc = alg.structure, alg.den
-    # left[i][j] = e_i.e_j and right[k][m] = e_m.e_k, both times D, their
-    # empty entries sharing one dict that is only read; acting[c]: the b
-    # with e_b.e_c != 0; reaching[m]: the k with e_m.e_k != 0
-    empty: dict = {}
-    left = [[empty] * n for _ in range(n)]
-    right = [[empty] * n for _ in range(n)]
-    acting = [set() for _ in range(n)]
-    reaching = [set() for _ in range(n)]
+    # rows[m]: {k: e_m.e_k} and cols[c]: {b: e_b.e_c}, the nonzero products times D
+    rows = [{} for _ in range(n)]
+    cols = [{} for _ in range(n)]
     for (a, c), prod in gamma.items():
-        left[a][c] = right[c][a] = prod
-        acting[c].add(a)
-        reaching[a].add(c)
-    # the pairs i < j with a nonzero e_i.e_j or e_j.e_i
-    product_pairs = {(min(a, c), max(a, c)) for a, c in gamma if a != c}
-    # D * D_c (e_i.e_j - e_j.e_i - [e_i, e_j]) from the three integer columns
-    torsion = {0: dc, 1: -dc, 2: -d}
-    torsions = {(i, j): sparse_apply((left[i][j], left[j][i], brackets.get((i, j), empty)), torsion)
-                for i, j in product_pairs.union(brackets)}
-    residuals: Dict[tuple, dict] = {}
+        rows[a][c] = cols[c][a] = prod
+    torsions: Dict[tuple, dict] = defaultdict(dict)
+    residuals: Dict[tuple, dict] = defaultdict(dict)
     for (a, k), prod in gamma.items():
-        minus = {c: -x for c, x in prod.items()}
-        for b in set().union(*(acting[c] for c in prod)) - {a}:
-            key, v = ((b, a, k), prod) if b < a else ((a, b, k), minus)
-            sparse_apply(left[b], v, residuals.setdefault(key, {}))
-    for i, j in product_pairs:
-        swapped = sparse_apply(left[i], {j: -1}, dict(left[j][i]))  # D (e_j.e_i - e_i.e_j)
-        if any(swapped.values()):
-            for k in set().union(*(reaching[m] for m, x in swapped.items() if x)):
-                sparse_apply(right[k], swapped, residuals.setdefault((i, j, k), {}))
+        if a != k:  # D (e_i.e_j - e_j.e_i), i < j
+            acc, s = (torsions[a, k], 1) if a < k else (torsions[k, a], -1)
+            for p, x in prod.items():
+                acc[p] = acc.get(p, 0) + s * x
+        for c, x in prod.items():
+            for b, product in cols[c].items():
+                if b != a:
+                    acc, y = (residuals[b, a, k], x) if b < a else (residuals[a, b, k], -x)
+                    for p, z in product.items():
+                        acc[p] = acc.get(p, 0) + y * z
+    # each difference adds -R_k(e_i.e_j - e_j.e_i) to (i, j, k), then is scaled
+    # by D_c; less D D_c [e_i, e_j], it is the pair's torsion residual
+    dc = alg.den
+    for (i, j), diff in torsions.items():
+        for m, y in diff.items():
+            if y:
+                for k, product in rows[m].items():
+                    acc = residuals[i, j, k]
+                    for p, z in product.items():
+                        acc[p] = acc.get(p, 0) - y * z
+            diff[m] = dc * y
+    for key, coeffs in alg.structure.items():
+        acc = torsions[key]
+        for p, x in coeffs.items():
+            acc[p] = acc.get(p, 0) - d * x
     return AffineReport(_violations(torsions, d * dc, n), _violations(residuals, d * d, n))
 
 

@@ -455,11 +455,12 @@ def _violations(sums: dict, den: int, n: int) -> list:
 
     ``sums`` maps a basis tuple to a sparse integer vector {k: int}; a sum
     whose entries all cancel (``sparse_apply`` keeps them as zeros) is
-    dropped. The Jacobi, derivation and affine-axiom checks report their
-    residuals through it alone.
+    dropped before the keys are sorted, so a passing check sorts nothing.
+    The Jacobi, derivation and affine-axiom checks report their residuals
+    through it alone.
     """
-    return [(*key, dense_vector(unscaled(sums[key], den), n)) for key in sorted(sums)
-            if any(sums[key].values())]
+    keys = sorted(key for key, v in sums.items() if any(v.values()))
+    return [(*key, dense_vector(unscaled(sums[key], den), n)) for key in keys]
 
 
 def _coordinates(space: Subspace, v: dict) -> Optional[dict]:

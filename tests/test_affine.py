@@ -42,6 +42,7 @@ from lieaffine.derivations import (
 )
 from lieaffine.errors import (
     DegenerateFormError,
+    DimensionMismatch,
     LieToolError,
     NoStrategySucceeded,
     NotADerivationError,
@@ -1012,6 +1013,14 @@ def test_verify_affine_builds_fresh_lists_for_each_report():
     assert first == second and first.torsion_violations
     first.torsion_violations.clear()
     assert second.torsion_violations and not AffineReport().torsion_violations
+
+
+@pytest.mark.parametrize("gamma", [{}, {(4, 4): {4: 1}}])
+def test_verify_affine_rejects_another_dimension_before_any_table(gamma):
+    # the pair (4, 4) has no row in a 4-dimensional algebra's tables, so a
+    # check that built one first would fail with IndexError instead
+    with pytest.raises(DimensionMismatch, match="^structure dimension does not match the algebra$"):
+        verify_affine(make_ln(4), AffineStructure(5, gamma))
 
 
 def test_certificate_replace_makes_a_changed_copy():

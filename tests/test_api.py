@@ -210,11 +210,12 @@ def _tool(name):
 def test_digest_sweep_is_deterministic_on_a_prefix():
     # the first 300 calls of the sweep (catalog list, Ln 3 to Ln 16, Qn 6
     # and most of Qn 8) and the re-checks of the certificates and verdicts
-    # they write, pinned: a change to the output bytes of any of them fails
-    # here, and the pin is re-recorded on purpose, from ``sweep(300)``
+    # they write, each certificate's tampered copy included, pinned: a
+    # change to the output bytes of any of them fails here, and the pin is
+    # re-recorded on purpose, from ``sweep(300)``
     count, codes, digest = _tool("digest_sweep").sweep(300)
-    assert (count, codes) == (470, {0: 443, 1: 26, 2: 1})
-    assert digest == "7ea18ea507749cf780526c2f7cefc11c39f76e5a527ea2c8da1cf8b928f272d8"
+    assert (count, codes) == (523, {0: 443, 1: 79, 2: 1})
+    assert digest == "9e1917dc66b2900578743a12c78c65f825e366ca377ade081ef58e4d5470c9b6"
 
 
 def test_no_module_defines_a_deleted_converter():

@@ -27,8 +27,12 @@ The calls, in order:
   are moved in Fractions, c' = P^-1 [P e_i, P e_j], and written to a
   temporary directory;
 * ``affine verify`` and ``io validate`` on every certificate that
-  ``affine synth --out`` wrote, and ``der verify-witness`` and
-  ``io validate`` on every verdict that ``der char-nilp --out`` wrote.
+  ``affine synth --out`` wrote, and ``affine verify`` on a tampered copy
+  of it, whose first coefficient of e_i.e_j with i != j is shifted by 1:
+  that shifts the torsion residual of {i, j} by 1, so every tampered
+  re-check fails and the digest covers its residual counts too; and
+  ``der verify-witness`` and ``io validate`` on every verdict that
+  ``der char-nilp --out`` wrote.
 
 The temporary directory and the repository root are replaced by fixed
 names before hashing, so the digest does not depend on where either lives.
@@ -175,10 +179,31 @@ def calls(tmp):
     return out
 
 
+def _tampered(path):
+    """Write a copy of the certificate at ``path`` with the first product e_i.e_j, i != j, moved.
+
+    Its coefficient on its lowest basis index is shifted by 1.
+    """
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    gamma = doc["witnesses"]["affine_structure"]["gamma"]
+    coeffs = next(entry["coeffs"] for entry in gamma if entry["i"] != entry["j"])
+    k = min(coeffs, key=int)
+    coeffs[k] = str(Fraction(coeffs[k]) + 1)
+    out = str(Path(path).with_suffix(".tampered.json"))
+    Path(out).write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
 def _recheck(source, kind, path):
-    """The calls that re-check a certificate or verdict written at ``path``."""
+    """The calls that re-check a certificate or verdict written at ``path``.
+
+    A certificate is re-checked once more as its ``_tampered`` copy.
+    """
     check = (["affine", "verify"] if kind == "certificate" else ["der", "verify-witness"])
-    return [check + source + ["--cert", path], ["io", "validate", "--kind", kind, "--in", path]]
+    out = [check + source + ["--cert", path], ["io", "validate", "--kind", kind, "--in", path]]
+    if kind == "certificate":
+        out.append(check + source + ["--cert", _tampered(path)])
+    return out
 
 
 def _run(argv):
