@@ -225,24 +225,17 @@ class AffineStructure(_Frozen):
     It is the canonical table of ``coefficient_table`` over all ordered
     pairs, as ``LieAlgebra.structure`` is over i < j: ints c over one
     ``den`` > 0 with gcd(den, every c) = 1, so equal products have equal
-    fields, and compare and hash equal. It validates caller and JSON
-    input; the constructions adopt their tables (``_adopted``).
+    ``_identity`` fields, ``dim``, ``den`` and ``gamma``, and compare and
+    hash equal. It validates caller and JSON input; the constructions
+    adopt their tables (``_adopted``).
     """
 
     __slots__ = ("dim", "gamma", "den")
+    _identity = ("dim", "den", "gamma")
 
     def __init__(self, dim: int, gamma):
         gamma, den = coefficient_table(dim, gamma, lambda i, j: True)
         _set_fields(self, dim=dim, gamma=gamma, den=den)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineStructure):
-            return NotImplemented
-        return (self.dim, self.den, self.gamma) == (other.dim, other.den, other.gamma)
-
-    def __hash__(self):
-        return hash((self.dim, self.den,
-                     frozenset((key, frozenset(c.items())) for key, c in self.gamma.items())))
 
     def __repr__(self) -> str:
         return f"AffineStructure(dim={self.dim}, pairs={len(self.gamma)})"
@@ -580,11 +573,12 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         return None
 
     def form(pairs, v, den):
+        # antisymmetric by construction, so adopted without TwoForm's scan
         cols = [{} for _ in range(n)]
         for s, x in v.items():
             i, j = pairs[s]
             cols[j][i], cols[i][j] = x, -x
-        return TwoForm(Matrix.from_sparse(cols, den))
+        return _set_fields(TwoForm.__new__(TwoForm), dim=n, gram=Matrix.from_sparse(cols, den))
 
     weights = diagonal_derivations(alg)
     for w in islice(_weight_candidates(weights), weights.dim + SYMPLECTIC_CURVE_POINTS):

@@ -35,7 +35,7 @@ warms it for the checks that follow; the Der(g) and weight solves,
 which need Jacobi to drop their redundant equations, the Lie gate of
 ``affine.synthesize`` and the command line's Lie check read the same
 report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
-``linalg._Frozen``.
+``linalg._Frozen``, and ``TwoForm`` its equality over its ``gram``.
 ``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
 """
 
@@ -188,6 +188,7 @@ class TwoForm(_Frozen):
     """Antisymmetric bilinear form on g given by its n x n Gram matrix; ``dim`` is n."""
 
     __slots__ = ("dim", "gram")
+    _identity = ("gram",)
 
     def __init__(self, gram: Matrix):
         # over Q, antisymmetry forces a zero diagonal; the entries share one den
@@ -208,14 +209,6 @@ class TwoForm(_Frozen):
             columns[i][j] = -val
         gram = Matrix.from_sparse(*integer_scaled(columns))
         return _set_fields(cls.__new__(cls), dim=dim, gram=gram)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
 
     def __repr__(self) -> str:
         return f"TwoForm(dim={self.dim})"

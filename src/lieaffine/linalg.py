@@ -73,7 +73,9 @@ derived-regular construction; ``basis``, its dense view, is where its
 Fractions are formed, for output. The package's value types share one
 immutable base, ``_Frozen``, and set their fields once with
 ``_set_fields``, which also adopts kernel output without re-validation
-(``Matrix.from_sparse``).
+(``Matrix.from_sparse``). Each type whose fields are canonical names
+them once, in ``_identity``, and ``_Frozen`` compares and hashes it over
+those fields alone; the others compare by object identity.
 A matrix's JSON form, read and written, belongs to ``serialize``.
 """
 
@@ -112,12 +114,39 @@ def vector(entries: Iterable) -> Vector:
 
 
 class _Frozen:
-    """Base of the immutable value types: each sets its fields once, through ``_set_fields``."""
+    """Base of the immutable types: each sets its fields once, through ``_set_fields``.
+
+    A value type names its canonical fields once, in ``_identity``: two
+    instances of that type are equal exactly when those fields are, and
+    hash over them, each dict read as the frozenset of its items
+    (``_hashable``). A type with no ``_identity`` compares and hashes by
+    object identity; across two types the comparison is NotImplemented.
+    """
 
     __slots__ = ()
+    _identity = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not self._identity or type(other) is not type(self):
+            return object.__eq__(self, other)
+        return all(getattr(self, name) == getattr(other, name) for name in self._identity)
+
+    def __hash__(self):
+        if not self._identity:
+            return object.__hash__(self)
+        return hash(_hashable(tuple(getattr(self, name) for name in self._identity)))
+
+
+def _hashable(value):
+    """value with every dict, at any depth of tuples and lists, read as the frozenset of its items."""
+    if isinstance(value, dict):
+        return frozenset((key, _hashable(x)) for key, x in value.items())
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_hashable, value))
+    return value
 
 
 def _set_fields(obj, **fields):
@@ -132,17 +161,19 @@ class Matrix(_Frozen):
 
     ``dim`` is n, ``columns[j]`` is {row: int} with its zeros dropped and
     ``den`` > 0 one int, so column j / ``den`` is the image of e_j, and
-    gcd(den, every entry) is 1: equal maps have equal fields. This is the
-    form that ``sparse_apply`` and the kernel read; ``data`` and
-    ``m[i, j]`` are the Fraction views, for output. ``Matrix(data)`` takes
-    n dense rows of n rationals and raises DimensionMismatch on any other
-    shape, the one squareness check of the package (``Matrix([])`` is the
-    0 x 0 map); ``from_sparse(columns, den)`` adopts the integer columns of
-    kernel output without re-validating them. The rank and the shape views
+    gcd(den, every entry) is 1: equal maps have equal ``_identity``
+    fields, ``den`` and ``columns``. This is the form that ``sparse_apply``
+    and the kernel read; ``data`` and ``m[i, j]`` are the Fraction views,
+    for output. ``Matrix(data)`` takes n dense rows of n rationals and
+    raises DimensionMismatch on any other shape, the one squareness check
+    of the package (``Matrix([])`` is the 0 x 0 map);
+    ``from_sparse(columns, den)`` adopts the integer columns of kernel
+    output without re-validating them. The rank and the shape views
     ``monomial`` and ``diagonal_weights`` are kept once computed, read-only.
     """
 
     __slots__ = ("dim", "columns", "den", "__dict__")
+    _identity = ("den", "columns")
 
     def __init__(self, data):
         grid = [[rat(x) for x in row] for row in data]
@@ -217,14 +248,6 @@ class Matrix(_Frozen):
         i, j = key
         return Fraction(self.columns[j].get(i, 0), self.den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.den, self.columns) == (other.den, other.columns)
-
-    def __hash__(self):
-        return hash((self.den, tuple(frozenset(c.items()) for c in self.columns)))
-
     def __repr__(self) -> str:
         return f"Matrix({self.dim}x{self.dim}, {[list(map(str, r)) for r in self.data]})"
 
@@ -234,11 +257,13 @@ class Subspace(_Frozen):
 
     ``rows`` are (pivot, {col: int}) pairs and ``den`` > 0 is one int, so
     row / den is the canonical RREF row and ``den`` the lcm of its
-    denominators: two subspaces are equal exactly when their rows and
-    ``den`` coincide. ``basis`` is their dense view, as Fractions.
+    denominators: two subspaces are equal exactly when their ``_identity``
+    fields, ``ambient_dim``, ``den`` and ``rows``, coincide. ``basis`` is
+    their dense view, as Fractions.
     """
 
     __slots__ = ("ambient_dim", "rows", "den")
+    _identity = ("ambient_dim", "den", "rows")
 
     def __init__(self, ambient_dim: int, rows: Sequence[tuple], den: int = 1):
         _set_fields(self, ambient_dim=ambient_dim, rows=tuple(rows), den=den)
@@ -254,15 +279,6 @@ class Subspace(_Frozen):
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim, self.den, self.rows) == (other.ambient_dim, other.den, other.rows)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.den,
-                     tuple(frozenset(row.items()) for _, row in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

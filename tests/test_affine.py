@@ -789,6 +789,26 @@ def test_find_symplectic_abelian():
     assert th is not None
 
 
+@pytest.mark.parametrize("build, found", [
+    (lambda: make_ln(8), True),        # a weight-pass hit
+    (lambda: make_abelian(4), True),
+    (lambda: make_qn(8), False),       # a miss: the seeded draws, then None
+], ids=["L8", "abelian4", "Q8"])
+def test_find_symplectic_adopts_the_forms_it_builds(monkeypatch, build, found):
+    # every Gram matrix the search builds is antisymmetric by construction,
+    # so no candidate goes through TwoForm's antisymmetry scan
+    expected = find_symplectic(build(), seed=3, trials=4)
+    assert (expected is not None) == found
+
+    def scan(self, gram):
+        raise AssertionError("TwoForm(gram) ran inside find_symplectic")
+
+    monkeypatch.setattr(TwoForm, "__init__", scan)
+    with pytest.raises(AssertionError):
+        TwoForm(Matrix([[0, 1], [-1, 0]]))
+    assert find_symplectic(build(), seed=3, trials=4) == expected
+
+
 def test_symplectic_weight_pass_is_bounded_on_a_miss(monkeypatch):
     # every curve point (1, s, ..., s^63) of abelian64 has distinct entries
     # and none is symmetric: the pass reads the 64 basis weights and

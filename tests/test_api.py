@@ -42,16 +42,28 @@ def test_dense_oracles_import_only_containers():
                        for name in ("Matrix", "Subspace")}
 
 
-def test_only_the_frozen_base_defines_setattr():
-    # a value type takes its immutability from linalg._Frozen, never its own copy
+def _owners(method):
+    """(module, class) of every definition of ``method`` in the package's modules."""
     package = Path(lieaffine.__file__).parent
     owners = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         owners += [(path.stem, getattr(parents[node], "name", None)) for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef) and node.name == "__setattr__"]
-    assert owners == [("linalg", "_Frozen")]
+                   if isinstance(node, ast.FunctionDef) and node.name == method]
+    return owners
+
+
+def test_only_the_frozen_base_defines_setattr():
+    # a value type takes its immutability from linalg._Frozen, never its own copy
+    assert _owners("__setattr__") == [("linalg", "_Frozen")]
+
+
+@pytest.mark.parametrize("method", ["__eq__", "__hash__"])
+def test_only_the_frozen_base_defines_equality_and_hash(method):
+    # a value type names its identity fields in ``_identity``, and
+    # linalg._Frozen compares and hashes every type over them
+    assert _owners(method) == [("linalg", "_Frozen")]
 
 
 _PRIVATE_VIEWS = {"_ad_columns", "_partners", "_tail_filtered",

@@ -20,7 +20,15 @@ from lieaffine.affine import AffineStructure, synthesize
 from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
 from lieaffine.derivations import char_nilpotent_verdict, derivation_space, find_regular_derivation
 from lieaffine.errors import DimensionMismatch
-from lieaffine.serialize import algebra_from_json
+from lieaffine.serialize import (
+    affine_from_json,
+    affine_to_json,
+    algebra_from_json,
+    matrix_from_json,
+    matrix_to_json,
+    twoform_from_json,
+    twoform_to_json,
+)
 from lieaffine.liealg import LieAlgebra, TwoForm, derived_subalgebra, lower_central_series
 from lieaffine.linalg import (
     Matrix,
@@ -31,6 +39,7 @@ from lieaffine.linalg import (
     _integer_inverse,
     _nullspace,
     _reduce,
+    _set_fields,
     _violations,
     integer_scaled,
     is_nilpotent,
@@ -935,6 +944,103 @@ def test_value_types_refuse_every_attribute(name):
         with pytest.raises(AttributeError) as caught:
             setattr(value, attr, None)
         assert str(caught.value) == f"{name} is immutable"
+
+
+# an antisymmetric grid, so a Gram matrix too
+_GRID = [[0, F(1, 2), 0], [F(-1, 2), 0, 3], [0, -3, 0]]
+
+
+def _round_trip(value, write, read):
+    return read(json.loads(json.dumps(write(value))))
+
+
+def _equal_values(name):
+    """One value of type ``name`` built every way the package builds one.
+
+    The validating constructor first, then the adopting routes, then a JSON
+    round trip where a codec exists.
+    """
+    if name == "Matrix":
+        m = Matrix(_GRID)
+        # its columns over den 6, not yet in lowest terms
+        return [m, Matrix.from_sparse([{1: -3}, {0: 3, 2: -18}, {1: 18}], 6),
+                _round_trip(m, matrix_to_json, matrix_from_json)]
+    if name == "Subspace":
+        # the span of e0 + e2 / 2 and e1 - e2 / 2, the kernel of (1, -1, -2)
+        return [Subspace(3, [(0, {0: 2, 2: 1}), (1, {1: 2, 2: -1})], 2),
+                _reduce([{1: -2, 2: 1}, {0: 4, 1: 2, 2: 1}], 3),
+                _nullspace([{0: 1, 1: -1, 2: -2}], 3)]
+    if name == "TwoForm":
+        th = TwoForm(Matrix(_GRID))
+        return [th, TwoForm.from_entries(3, {(0, 1): F(1, 2), (1, 2): 3}),
+                _round_trip(th, twoform_to_json, twoform_from_json)]
+    # a construction's adopted product, and its table given again as rationals
+    product = synthesize(make_ln(4), strategy="regular")[0]
+    gamma = {key: {k: F(c, product.den) for k, c in coeffs.items()}
+             for key, coeffs in product.gamma.items()}
+    unreduced = {key: {k: 5 * c for k, c in coeffs.items()} for key, coeffs in product.gamma.items()}
+    return [AffineStructure(4, gamma), product, affine._adopted(4, unreduced, 5 * product.den),
+            _round_trip(product, affine_to_json, affine_from_json)]
+
+
+def _one_field_changed(value):
+    """Copies of value, each with one identity field changed: den, one entry or the dimension."""
+    def changed(**fields):
+        kept = {name: getattr(value, name) for name in type(value).__slots__ if name != "__dict__"}
+        return _set_fields(type(value).__new__(type(value)), **{**kept, **fields})
+
+    def doubled(coeffs):
+        k = next(iter(coeffs))
+        return {**coeffs, k: 2 * coeffs[k]}
+
+    if isinstance(value, TwoForm):
+        return [changed(gram=gram) for gram in _one_field_changed(value.gram)]
+    if isinstance(value, Matrix):
+        first, *rest = value.columns
+        return [changed(den=2 * value.den), changed(columns=(doubled(first), *rest))]
+    if isinstance(value, Subspace):
+        (pivot, row), *rest = value.rows
+        return [changed(den=2 * value.den), changed(rows=((pivot, doubled(row)), *rest)),
+                changed(ambient_dim=value.ambient_dim + 1)]
+    key = next(iter(value.gamma))
+    return [changed(den=2 * value.den), changed(gamma={**value.gamma, key: doubled(value.gamma[key])}),
+            changed(dim=value.dim + 1)]
+
+
+@pytest.mark.parametrize("name, identity", [
+    ("Matrix", ("den", "columns")),
+    ("Subspace", ("ambient_dim", "den", "rows")),
+    ("TwoForm", ("gram",)),
+    ("AffineStructure", ("dim", "den", "gamma")),
+])
+def test_value_types_are_equal_exactly_when_their_identity_fields_are(name, identity):
+    values = _equal_values(name)
+    first = values[0]
+    assert {type(v).__name__ for v in values} == {name} and type(first)._identity == identity
+    for value in values:
+        assert value == first and first == value and not value != first
+        assert hash(value) == hash(first) and {first: name}[value] == name
+    for other in _one_field_changed(first):
+        assert all(other != value and not other == value for value in values)
+
+
+def test_a_matrix_never_equals_the_form_that_holds_it():
+    th = TwoForm(Matrix(_GRID))
+    assert th.gram != th and th != th.gram
+    assert th.gram.__eq__(th) is NotImplemented and th.__eq__(th.gram) is NotImplemented
+
+
+def test_algebras_and_derivation_spaces_compare_by_identity():
+    # LieAlgebra and DerivationSpace declare no identity fields
+    a, b = make_ln(4), make_ln(4)
+    assert a.structure == b.structure and a == a and a != b
+    spaces = derivation_space(a), derivation_space(b)
+    assert spaces[0] == spaces[0] and spaces[0] != spaces[1]
+    for value in (a, b, *spaces):
+        assert hash(value) == object.__hash__(value)
+    keys = {a: "a", b: "b", spaces[0]: "Der a", spaces[1]: "Der b"}
+    assert [keys[a], keys[b], keys[spaces[0]], keys[spaces[1]]] == ["a", "b", "Der a", "Der b"]
+    assert a.__eq__(spaces[0]) is NotImplemented and a != spaces[0]
 
 
 @pytest.mark.parametrize("space", [

@@ -18,7 +18,11 @@ The calls, in order:
   search at its defaults and at ``--seed 5 --trials 3``, ``affine synth``
   under every strategy), ``catalog show`` and ``der torus`` on Ln 3-16,
   Qn and QnZ 6-12, Cn 6-12 (two seeded draws of lambda from {1, -1,
-  2/3, 1/2} per size) and Benoist with t = 0, 1 and 7/5;
+  2/3, 1/2} per size), Benoist with t = 0, 1 and 7/5, then the paper's
+  A_n^k and B_n^k: Ank (n, k; lambda) = (7, 2; 1, 1/2), (9, 3; 1, 1),
+  (11, 3; 1, 1, 2/3) and (9, 2; 1, 1, 2/3), which is not Lie, and Bnk
+  (6, 2; 1), (8, 4; 1), (8, 5; no lambda) and (8, 2; 1, 1), which is not
+  Lie;
 * the same subcommands with ``--in`` on ``tests/half_weights.json`` and
   ``tests/half_form.json``, and on L8, Q8, C8 (1, -1) and Benoist(1)
   moved onto the basis P e_1, ..., P e_n: P is a seeded sparse +-1,
@@ -69,6 +73,12 @@ READERS = [
     *((["affine", "synth", "--strategy", s], (), "certificate")
       for s in ("auto", "regular", "derived-regular", "symplectic")),
 ]
+# (family, n, k, lambdas) of the Ank and Bnk members; A9^2 and B8^2 are not Lie
+ANK_BNK = [("Ank", 7, 2, ("1", "1/2")), ("Ank", 9, 3, ("1", "1")), ("Ank", 11, 3, ("1", "1", "2/3")),
+           ("Ank", 9, 2, ("1", "1", "2/3")), ("Bnk", 6, 2, ("1",)), ("Bnk", 8, 4, ("1",)),
+           ("Bnk", 8, 5, ()), ("Bnk", 8, 2, ("1", "1"))]
+
+
 def _families():
     """The --family argv of every catalog member the sweep reads."""
     out = [["--family", "Ln", "--n", str(n)] for n in range(3, 17)]
@@ -78,7 +88,11 @@ def _families():
         for _ in range(2):
             out.append(["--family", "Cn", "--n", str(n)]
                        + [f"--lambda={rng.choice(LAMBDAS)}" for _ in range(n // 2 - 2)])
-    return out + [["--family", "Benoist", f"--t={t}"] for t in ("0", "1", "7/5")]
+    out += [["--family", "Benoist", f"--t={t}"] for t in ("0", "1", "7/5")]
+    for family, n, k, lambdas in ANK_BNK:
+        out.append(["--family", family, "--n", str(n), "--k", str(k)]
+                   + [f"--lambda={x}" for x in lambdas])
+    return out
 
 
 def _sparse_change(n, rng):
