@@ -19,6 +19,14 @@ parameter option the family does not take all read it. Options that
 take one of a fixed set of values use argparse ``choices``; every usage
 error is one line on stderr, with any echoed argument value cut to 20
 characters.
+
+Each command is listed once, in ``_COMMANDS``, and one helper gives a
+parser its options. An argv that starts with a group and one of its
+commands is parsed by that command's parser alone, built on first use;
+the whole tree of ``build_parser`` is built only for help above command
+level and for the usage errors it reports. Either way every help text
+and usage error has the same bytes, since the tree holds the same
+command parsers under the same ``prog``.
 """
 
 from __future__ import annotations
@@ -429,35 +437,35 @@ _GROUPS = {
 _SOURCE = (_add_algebra_source,)
 _SEARCH = (_add_algebra_source, _add_search)
 
-# (group, command, help or None, handler, argument adders after _add_common)
-_COMMANDS = (
-    ("catalog", "list", "list families and parameters", _cmd_catalog_list, ()),
-    ("catalog", "show", "print a family member as algebra JSON", _cmd_catalog_show,
-     (_add_family,)),
-    ("verify", "jacobi", None, _cmd_verify_jacobi, _SOURCE),
-    ("verify", "filiform", None, partial(_cmd_verify_series, "filiform", is_filiform),
-     _SOURCE),
-    ("verify", "nilpotent", None,
-     partial(_cmd_verify_series, "nilpotent", is_nilpotent_algebra), _SOURCE),
-    ("der", "space", "basis of the derivation algebra", _cmd_der_space, _SOURCE),
-    ("der", "diag", "diagonal derivation weight space", _cmd_der_diag, _SOURCE),
-    ("der", "regular", "search for an invertible derivation",
-     partial(_cmd_search, "witness", "regular"), _SEARCH),
-    ("der", "derived-regular",
-     "search for a derivation invertible on the derived subalgebra",
-     partial(_cmd_search, "witness", "derived-regular"), _SEARCH),
-    ("der", "char-nilp", "characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
-    ("der", "torus", "verify the family's standard torus", _cmd_der_torus, (_add_family,)),
-    ("der", "verify-witness", "re-check a char-nilp witness", _cmd_der_verify_witness,
-     _SOURCE + (partial(_add_cert, "verdict JSON from 'der char-nilp'"),)),
-    ("affine", "synth", "construct and certify an affine structure", _cmd_affine_synth,
-     _SEARCH + (_add_strategy,)),
-    ("affine", "verify", "re-verify a synthesis certificate", _cmd_affine_verify,
-     _SOURCE + (partial(_add_cert, "certificate JSON"),)),
-    ("affine", "symplectic-find", "search for a symplectic form",
-     partial(_cmd_search, "two_form", "symplectic"), _SEARCH),
-    ("io", "validate", "validate a JSON document", _cmd_io_validate, (_add_document,)),
-)
+# (group, command) -> (help or None, handler, argument adders after _add_common)
+_COMMANDS = {
+    ("catalog", "list"): ("list families and parameters", _cmd_catalog_list, ()),
+    ("catalog", "show"): ("print a family member as algebra JSON", _cmd_catalog_show,
+                          (_add_family,)),
+    ("verify", "jacobi"): (None, _cmd_verify_jacobi, _SOURCE),
+    ("verify", "filiform"): (None, partial(_cmd_verify_series, "filiform", is_filiform),
+                             _SOURCE),
+    ("verify", "nilpotent"): (None, partial(_cmd_verify_series, "nilpotent",
+                                            is_nilpotent_algebra), _SOURCE),
+    ("der", "space"): ("basis of the derivation algebra", _cmd_der_space, _SOURCE),
+    ("der", "diag"): ("diagonal derivation weight space", _cmd_der_diag, _SOURCE),
+    ("der", "regular"): ("search for an invertible derivation",
+                         partial(_cmd_search, "witness", "regular"), _SEARCH),
+    ("der", "derived-regular"): ("search for a derivation invertible on the derived subalgebra",
+                                 partial(_cmd_search, "witness", "derived-regular"), _SEARCH),
+    ("der", "char-nilp"): ("characteristic nilpotency verdict", _cmd_der_char_nilp, _SEARCH),
+    ("der", "torus"): ("verify the family's standard torus", _cmd_der_torus, (_add_family,)),
+    ("der", "verify-witness"): ("re-check a char-nilp witness", _cmd_der_verify_witness,
+                                _SOURCE + (partial(_add_cert,
+                                                   "verdict JSON from 'der char-nilp'"),)),
+    ("affine", "synth"): ("construct and certify an affine structure", _cmd_affine_synth,
+                          _SEARCH + (_add_strategy,)),
+    ("affine", "verify"): ("re-verify a synthesis certificate", _cmd_affine_verify,
+                           _SOURCE + (partial(_add_cert, "certificate JSON"),)),
+    ("affine", "symplectic-find"): ("search for a symplectic form",
+                                    partial(_cmd_search, "two_form", "symplectic"), _SEARCH),
+    ("io", "validate"): ("validate a JSON document", _cmd_io_validate, (_add_document,)),
+}
 
 
 # the argument values argparse echoes in its own usage errors
@@ -478,12 +486,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
 
 
+def _add_command(group: str, name: str, parser: argparse.ArgumentParser):
+    """Give ``parser`` the options and the handler of command ``name`` of ``group``.
+
+    The tree's subparsers set ``group`` and ``cmd`` themselves; the same
+    defaults give a command parser used alone the namespace the tree gives.
+    """
+    _, handler, adders = _COMMANDS[group, name]
+    _add_common(parser)
+    for add in adders:
+        add(parser)
+    parser.set_defaults(handler=handler, group=group, cmd=name)
+    return parser
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on first use and shared by every ``main`` call.
+    """The parser of the whole command line, built on first use and kept.
 
-    ``parse_args`` keeps no state between calls: each returns a fresh
-    namespace, and an ``append`` option copies its default.
+    ``main`` parses with it only an argv that does not start with a group
+    and one of its commands (help above command level, a missing or
+    unknown name, a leading option or ``--``) and one that leaves arguments
+    its command does not read, which the tree reports as a top-level usage
+    error. ``parse_args`` keeps no state between calls: each returns a
+    fresh namespace, and an ``append`` option copies its default.
     """
     parser = _Parser(
         prog="lieaffine",
@@ -495,20 +521,46 @@ def build_parser() -> argparse.ArgumentParser:
         name: sub.add_parser(name, help=text).add_subparsers(dest="cmd", required=True)
         for name, text in _GROUPS.items()
     }
-    for group, name, text, handler, adders in _COMMANDS:
+    for (group, name), (text, _, _) in _COMMANDS.items():
         # help=None would still list the command with an empty help line
-        p = groups[group].add_parser(name, **({"help": text} if text else {}))
-        _add_common(p)
-        for add in adders:
-            add(p)
-        p.set_defaults(handler=handler)
+        leaf = groups[group].add_parser(name, **({"help": text} if text else {}))
+        _add_command(group, name, leaf)
     return parser
 
 
+@cache
+def _leaf_parser(group: str, name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` of ``group`` alone, built on first use and kept.
+
+    It is the tree's parser of that command: the same options, the same
+    ``prog`` and so the same help and in-command usage errors.
+    """
+    return _add_command(group, name, _Parser(prog=f"lieaffine {group} {name}"))
+
+
+def _command_parser(argv):
+    """The parser of the command the first two arguments of ``argv`` name, or None."""
+    key = tuple(argv[:2])
+    return _leaf_parser(*key) if key in _COMMANDS else None
+
+
+def _parse(argv):
+    """The namespace of ``argv``, parsed by its command's parser where it names one.
+
+    Any other argv, and one that leaves arguments its command does not
+    read, goes through ``build_parser``.
+    """
+    parser = _command_parser(argv)
+    if parser is not None:
+        args, left = parser.parse_known_args(argv[2:])
+        if not left:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -800,7 +800,7 @@ def test_family_dimension_is_bounded(capsys):
 _LONG = "x" * 5000
 
 
-@pytest.mark.parametrize("argv, expected", [
+_CUT_CASES = [
     (["catalog", "show", "--family", "Ln", "--n", _LONG], "argument --n"),
     (["catalog", "show", "--family", "Ln", "--n", "9" * 4000], "argument --n"),
     (["der", "regular", "--family", "Ln", "--n", "4", "--trials", _LONG], "argument --trials"),
@@ -820,9 +820,12 @@ _LONG = "x" * 5000
     (["catalog", _LONG], "invalid choice"),
     (["catalog", "show", f"--reproducible={_LONG}"], "ignored explicit argument"),
     (["catalog", "show", f"--={_LONG}"], "ambiguous option"),
-], ids=["n", "n-digits", "trials", "seed", "k", "family", "strategy", "kind",
-        "trials-max", "trials-digits", "extra-argument", "command", "subcommand",
-        "flag-value", "ambiguous"])
+]
+
+
+@pytest.mark.parametrize("argv, expected", _CUT_CASES, ids=[
+    "n", "n-digits", "trials", "seed", "k", "family", "strategy", "kind", "trials-max",
+    "trials-digits", "extra-argument", "command", "subcommand", "flag-value", "ambiguous"])
 def test_cli_cuts_long_argument_values(capsys, argv, expected):
     code, payload, err = run_cli(capsys, argv)
     assert code == 2
@@ -1587,6 +1590,7 @@ def test_main_reuses_one_parser_and_matches_fresh_processes(capsys, monkeypatch)
         ([*pinned_argv, "--reproducible"], 0),
     ]
     cli.build_parser.cache_clear()
+    cli._leaf_parser.cache_clear()
     for argv, expected_code in sequence:
         code = main(argv)
         captured = capsys.readouterr()
@@ -1596,8 +1600,82 @@ def test_main_reuses_one_parser_and_matches_fresh_processes(capsys, monkeypatch)
         assert (code, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert hashlib.sha256(captured.out.encode()).hexdigest() == pinned_digest
+    # each command's parser is built once, and the whole tree only for --help
+    commands = [tuple(argv[:2]) for argv, _ in sequence if tuple(argv[:2]) in cli._COMMANDS]
+    info = cli._leaf_parser.cache_info()
+    assert (info.misses, info.hits) == (len(set(commands)), len(commands) - len(set(commands)))
     info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(sequence) - 1)
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def _no_tree():
+    raise AssertionError("the whole parser tree was built")
+
+
+# one well-formed argv per command, before --reproducible; parsed, never run
+_COMMAND_ARGV = {
+    ("catalog", "list"): ["--out", "list.json"],
+    ("catalog", "show"): ["--family", "Ank", "--n", "7", "--k", "2", "--lambda", "1",
+                          "--lambda=1/2"],
+    ("verify", "jacobi"): ["--in", "alg.json"],
+    ("verify", "filiform"): ["--family", "Ln", "--n", "5"],
+    ("verify", "nilpotent"): ["--family", "Benoist", "--t=7/5"],
+    ("der", "space"): [],
+    ("der", "diag"): ["--family", "Cn", "--n", "8", "--lambda=1", "--lambda=-1"],
+    ("der", "regular"): ["--family", "Ln", "--n", "6", "--seed", "5", "--trials", "3"],
+    ("der", "derived-regular"): ["--in", "-", "--seed", "-2"],
+    ("der", "char-nilp"): ["--family", "Benoist", "--t=1", "--trials", "7"],
+    ("der", "torus"): ["--family", "QnZ", "--n", "8"],
+    ("der", "verify-witness"): ["--family", "Benoist", "--t=1", "--cert", "verdict.json"],
+    ("affine", "synth"): ["--family", "Ln", "--n", "12", "--strategy", "symplectic"],
+    ("affine", "verify"): ["--in", "alg.json", "--cert", "cert.json", "--out", "v.json"],
+    ("affine", "symplectic-find"): ["--family", "Qn", "--n", "8", "--seed", "3"],
+    ("io", "validate"): ["--kind", "certificate", "--in", "cert.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS), ids="-".join)
+def test_command_parser_gives_the_tree_namespace(monkeypatch, command):
+    argv = [*command, *_COMMAND_ARGV[command], "--reproducible"]
+    tree = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(cli, "build_parser", _no_tree)
+    assert vars(cli._parse(argv)) == vars(tree)
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["affine", "synth", "--family", "Ln", "--n", "6", "--reproducible"], 0),
+    (["der", "char-nilp", "--family", "Benoist", "--t=1", "--reproducible"], 1),
+], ids=["synth", "char-nilp"])
+def test_a_command_runs_without_the_parser_tree(capsys, monkeypatch, argv, expected_code):
+    with monkeypatch.context() as tree_only:
+        tree_only.setattr(cli, "_command_parser", lambda argv: None)
+        usual = main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", _no_tree)
+    assert (main(argv), capsys.readouterr()) == usual
+    assert usual[0] == expected_code
+
+
+def test_command_parsers_print_the_bytes_of_the_tree(capsys, monkeypatch):
+    # help at every level and usage errors, once as shipped and once through
+    # the whole tree alone: a command's own parser must print the same bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["--help"], *([group, "--help"] for group in cli._GROUPS),
+             *([*command, "--help"] for command in cli._COMMANDS),
+             *(argv for argv, _ in _CUT_CASES),
+             ["catalog", "list", "extra"], ["catalog", "list", "--"],
+             ["affine", "synth", "--family", "Ln", "--n", "5", "--bogus"],
+             ["affine", "synth", "--fam", "Ln", "--n", "5", "--reproducible"],
+             ["affine", "verify", "--family", "Ln", "--n", "4"],
+             ["--reproducible", "catalog", "list"], ["--", "catalog", "list"]]
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    shipped = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_command_parser", lambda argv: None)
+    for argv, expected in zip(argvs, shipped):
+        assert run(argv) == expected, argv
 
 
 def test_only_a_timestamped_run_imports_datetime(monkeypatch):

@@ -7,7 +7,9 @@ of every call. Two trees that print the same lines give the same
 bytes on every call of the sweep. Standard library only, plus
 ``lieaffine`` from ``PYTHONPATH``, through its public names; it has no
 options and imports nothing from ``tests/``, so one copy digests any
-tree. From the repository root:
+tree. Its two fixtures are read from the ``tests/`` of the checkout that
+``lieaffine`` is imported from, and the sweep stops with exit 1 when they
+are not there. From the repository root:
 
     PYTHONPATH=src python3 tools/digest_sweep.py
     PYTHONPATH=/path/to/other/tree/src python3 tools/digest_sweep.py
@@ -30,6 +32,12 @@ The calls, in order:
   until it is invertible, and the brackets of the algebra's JSON document
   are moved in Fractions, c' = P^-1 [P e_i, P e_j], and written to a
   temporary directory;
+* ``--help`` at the top, at each group and at each command, with
+  ``COLUMNS`` set to 80 because argparse wraps help at the terminal width;
+  the argvs of ``test_cli_cuts_long_argument_values``, each a usage error
+  with a long argument value; an unrecognized argument and an unknown
+  option after a command, a ``--`` after a command and before the group,
+  a missing required ``--cert`` and an abbreviated option (``--fam``);
 * ``affine verify`` and ``io validate`` on every certificate that
   ``affine synth --out`` wrote, and ``affine verify`` on a tampered copy
   of it, whose first coefficient of e_i.e_j with i != j is shifted by 1:
@@ -45,17 +53,21 @@ names before hashing, so the digest does not depend on where either lives.
 import hashlib
 import io
 import json
+import os
 import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import lieaffine
 from lieaffine import LieAlgebra, catalog, cli
 from lieaffine.serialize import algebra_to_json, json_text
 
-ROOT = Path(__file__).resolve().parent.parent
+# the checkout of the package under test: src/lieaffine/__init__.py -> its root
+ROOT = Path(lieaffine.__file__).resolve().parents[2]
 
 LAMBDAS = ("1", "-1", "2/3", "1/2")
 SEARCH = (["--seed", "5", "--trials", "3"],)
@@ -77,6 +89,18 @@ READERS = [
 ANK_BNK = [("Ank", 7, 2, ("1", "1/2")), ("Ank", 9, 3, ("1", "1")), ("Ank", 11, 3, ("1", "1", "2/3")),
            ("Ank", 9, 2, ("1", "1", "2/3")), ("Bnk", 6, 2, ("1",)), ("Bnk", 8, 4, ("1",)),
            ("Bnk", 8, 5, ()), ("Bnk", 8, 2, ("1", "1"))]
+
+
+# every command of each group, for the help calls
+COMMANDS = {
+    "catalog": ("list", "show"),
+    "verify": ("jacobi", "filiform", "nilpotent"),
+    "der": ("space", "diag", "regular", "derived-regular", "char-nilp", "torus",
+            "verify-witness"),
+    "affine": ("synth", "verify", "symplectic-find"),
+    "io": ("validate",),
+}
+LONG = "x" * 5000
 
 
 def _families():
@@ -178,11 +202,42 @@ def _moved_inputs(tmp):
     return out
 
 
+def _fixture(name):
+    """The --in argv of ``tests/<name>`` in the checkout under test; stops if it is not there."""
+    path = ROOT / "tests" / name
+    if not path.is_file():
+        raise SystemExit(f"digest_sweep: no fixture {path}; "
+                         "run it on a checkout's src through PYTHONPATH")
+    return ["--in", str(path)]
+
+
+def _usage_calls():
+    """--help at every level, then usage errors and an abbreviated option."""
+    out = [["--help"]]
+    for group, commands in COMMANDS.items():
+        out += [[group, "--help"], *([group, command, "--help"] for command in commands)]
+    ln4 = ["--family", "Ln", "--n", "4"]
+    trials = ["der", "regular", *ln4, "--trials"]
+    out += [["catalog", "show", "--family", "Ln", "--n", LONG],
+            ["catalog", "show", "--family", "Ln", "--n", "9" * 4000],
+            [*trials, LONG], ["der", "regular", *ln4, "--seed", LONG],
+            ["catalog", "show", "--family", "Ank", "--n", "5", "--k", LONG, "--lambda", "1"],
+            ["catalog", "show", "--family", LONG],
+            ["affine", "synth", *ln4, "--strategy", LONG], ["io", "validate", "--kind", LONG],
+            [*trials, str(cli.MAX_TRIALS + 1)], [*trials, "9" * 4000],
+            ["catalog", "list", LONG], [LONG], ["catalog", LONG],
+            ["catalog", "show", f"--reproducible={LONG}"], ["catalog", "show", f"--={LONG}"],
+            ["catalog", "list", "extra"],
+            ["affine", "synth", "--family", "Ln", "--n", "5", "--bogus"],
+            ["affine", "synth", "--fam", "Ln", "--n", "5"], ["affine", "verify", *ln4],
+            ["catalog", "list", "--"], ["--", "catalog", "list"]]
+    return out
+
+
 def calls(tmp):
     """The fixed (argv, source argv, --out kind) list, before the re-checks of the files written."""
     out = [(["catalog", "list"], None, None)]
-    fixtures = [["--in", str(ROOT / "tests" / name)]
-                for name in ("half_weights.json", "half_form.json")]
+    fixtures = [_fixture(name) for name in ("half_weights.json", "half_form.json")]
     for source in _families() + fixtures + _moved_inputs(tmp):
         for command, variants, kind in READERS:
             for extra in ([], *variants):
@@ -190,7 +245,7 @@ def calls(tmp):
         if source[0] == "--family":
             out += [(["catalog", "show", *source], None, None),
                     (["der", "torus", *source], None, None)]
-    return out
+    return out + [(argv, None, None) for argv in _usage_calls()]
 
 
 def _tampered(path):
@@ -230,7 +285,8 @@ def _run(argv):
 def sweep(limit=None):
     """(calls, exit-code counts, sha256) of the first ``limit`` calls and their re-checks."""
     digest, codes = hashlib.sha256(), Counter()
-    with tempfile.TemporaryDirectory() as tmp:
+    # argparse wraps help at the terminal width
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         names = {tmp: "<tmp>", str(ROOT): "<repo>"}
 
         def record(argv):
