@@ -13,13 +13,17 @@ constructions in ``affine``: a witness's shape is found once. When the
 table is in a basis adapted to its lower central series
 (``LieAlgebra.tail_filtered``, true for every catalog family), the
 n(n-1)/2 - 1 entries D[p, q] with q >= 2, p < q vanish in every
-derivation (``_pinned_unknowns``), and the builder never visits them. If the table also satisfies Jacobi, e_1 and e_2
-generate g, and a map is a derivation as soon as the identity holds on
-the pairs (i, j) with i <= 1 (0-based; ``_generator_pairs_suffice``), so
-only those equations are built, for Der(g) and for the diagonal weights
-alike. Any other table solves the full system; every path gives the
-same canonical basis. ``is_derivation`` and the certificate checks still
-test every pair. Every randomized search
+derivation (``_pinned_unknowns``), and the builder never visits them. If
+the table also satisfies Jacobi, e_1 and e_2 generate g, and a map is a
+derivation as soon as the identity holds on the pairs (i, j) with i <= 1
+(0-based; ``_generator_pairs_suffice``), so only those Der(g) equations
+are built. The diagonal weights of a ``tail_filtered`` table, Lie or
+not, need no elimination: its chain of step brackets fixes every weight
+by its values on e_1 and e_2, so they are solved in closed form on those
+two unknowns (``_filtered_weights``). Any other table solves the
+full systems; every path gives the same canonical basis.
+``is_derivation`` and the certificate checks still test every pair.
+Every randomized search
 (for invertible derivations, for derivations whose restriction to the
 derived subalgebra is invertible, for non-nilpotent derivations, and for
 symplectic forms) runs one loop, ``_first_hit``, over its fixed
@@ -39,7 +43,8 @@ a verdict that never reads it never pays for it. Every search takes the
 algebra, as ``(alg, seed, trials)``, and checks ``trials`` first. The
 regular and derived-regular searches then try their diagonal weight
 candidates (``_weight_candidates`` over the kept space's ``weights``,
-which needs only the weight equations and is solved once per algebra:
+which needs only the weight equations, in closed form on a
+``tail_filtered`` table, and is solved once per algebra:
 ``diagonal_derivations`` and every search read the same subspace), and a
 hit there never solves Der(g) and does not depend on the seed. The
 candidates are integer tuples over the weight rows' one denominator, and
@@ -143,18 +148,17 @@ class DerivationSpace(_Frozen):
         """The weights w with diag(w) a derivation, from the weight equations alone.
 
         diag(w) is a derivation exactly when w_i + w_j = w_k for every
-        nonzero structure constant on ((i, j), k); this is the RREF solution
-        space of those equations, given to the kernel as integer rows.
-        diag(w) is a linear map too, so where ``_generator_pairs_suffice``
-        the pairs with i <= 1 are enough, and only their equations are
-        built (Benoist: 23 rows instead of 42).
+        nonzero structure constant on ((i, j), k); this is the canonical
+        RREF solution space of those equations. A ``tail_filtered`` table
+        solves them on two unknowns in closed form (``_filtered_weights``),
+        with no elimination and no Jacobi report; any other table gives
+        them to the kernel as integer rows, one per constant.
         """
         alg = self.algebra
-        lead = 2 if _generator_pairs_suffice(alg) else alg.dim
+        if alg.tail_filtered:
+            return _filtered_weights(alg)
         rows = []
         for (i, j), coeffs in alg.structure.items():
-            if i >= lead:
-                continue
             for k in coeffs:
                 row = {i: 1, j: 1}
                 row[k] = row.get(k, 0) - 1
@@ -324,6 +328,55 @@ def _pinned_unknowns(alg: LieAlgebra) -> frozenset:
     return frozenset(p * n + q for q in range(2, n) for p in range(q))
 
 
+def _filtered_weights(alg: LieAlgebra) -> Subspace:
+    """The weights of a ``tail_filtered`` table in closed form, on two unknowns and no kernel.
+
+    Condition (b) of ``LieAlgebra.tail_filtered`` gives, for each m in
+    1..n-2, a stored [e_i, e_m], i < m, with a nonzero e_(m+1) coefficient,
+    so every weight has w_(m+1) = w_i + w_m: w = x a + y b, for the integer
+    vectors a and b that start at (1, 0) and (0, 1) on e_0, e_1 (0-based)
+    and follow those steps. Each constant's equation w_i + w_j - w_k = 0
+    then reads r x + s y = 0, with (r, s) = (a_i + a_j - a_k, b_i + b_j - b_k),
+    and with (r_0, s_0) the first nonzero pair the solutions are:
+
+    - every (x, y), when no pair is nonzero: the rows a and b over den 1,
+      already canonical (a_1 = b_0 = 0, each 1 at its pivot);
+    - the multiples of (s_0, -r_0), when every pair is a multiple of
+      (r_0, s_0) (its cross product with it is 0): one row, s_0 a - r_0 b
+      made primitive with its pivot entry positive, over that entry as den,
+      which is the lcm of the denominators of the RREF row;
+    - 0 otherwise.
+
+    Only bilinearity is used, so a table that fails Jacobi gets its exact
+    weights too, and its Jacobi report is not read.
+    """
+    n, structure = alg.dim, alg.structure
+    a, b = [0] * n, [0] * n
+    a[0] = 1
+    if n > 1:
+        b[1] = 1
+    step = {j: i for (i, j), coeffs in structure.items() if j + 1 in coeffs}
+    for m in range(1, n - 1):
+        i = step[m]
+        a[m + 1], b[m + 1] = a[i] + a[m], b[i] + b[m]
+    r0 = s0 = 0
+    for (i, j), coeffs in structure.items():
+        for k in coeffs:
+            r, s = a[i] + a[j] - a[k], b[i] + b[j] - b[k]
+            if not (r0 or s0):
+                r0, s0 = r, s
+            elif r0 * s != s0 * r:
+                return Subspace(n, ())
+    if not (r0 or s0):
+        rows = ({k: x for k, x in enumerate(v) if x} for v in (a, b))
+        return Subspace(n, [(p, row) for p, row in enumerate(rows) if row])
+    v = [s0 * x - r0 * y for x, y in zip(a, b)]
+    p = next(k for k, x in enumerate(v) if x)
+    g = gcd(*v) if v[p] > 0 else -gcd(*v)
+    row = {k: x // g for k, x in enumerate(v) if x}
+    return Subspace(n, [(p, row)], row[p])
+
+
 def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
     """Whether the identity on the pairs (i, j) with i <= 1 makes a map a derivation.
 
@@ -340,7 +393,10 @@ def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
     other pairs can cut the solutions further, so they are kept. The
     Jacobi report kept on ``alg`` is read, through ``jacobi_report``, only
     when some stored pair has i >= 2, since otherwise there is no equation
-    to drop; so Ln, with brackets [e_1, .] only, never reads it here.
+    to drop; so Ln, with brackets [e_1, .] only, never reads it here. Only
+    the Der(g) equations use this: the weights of a ``tail_filtered``
+    table are read off every stored constant in closed form
+    (``_filtered_weights``), which needs no Jacobi.
     """
     return (alg.tail_filtered and any(i > 1 for i, _ in alg.structure)
             and not jacobi_report(alg))
@@ -417,8 +473,9 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
 def diagonal_derivations(alg: LieAlgebra) -> Subspace:
     """Weight vectors w with diag(w) a derivation: ``DerivationSpace.weights`` of the kept space.
 
-    Solved once per algebra; both derivation searches, the symplectic
-    search and ``der diag`` read the same subspace.
+    Solved once per algebra, in closed form on a ``tail_filtered`` table
+    (every catalog family) and by the kernel on any other; both derivation
+    searches, the symplectic search and ``der diag`` read the same subspace.
     """
     return derivation_space(alg).weights
 

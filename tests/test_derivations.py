@@ -924,6 +924,154 @@ def test_generator_pair_systems_equal_the_full_ones(kind, name):
         assert weights == oracle and weights.rows == oracle.rows
 
 
+def _full_weight_space(alg):
+    # the kernel on the full weight system: one row w_i + w_j - w_k per
+    # stored constant, on every pair
+    rows = []
+    for (i, j), coeffs in alg.structure.items():
+        for k in coeffs:
+            row = {i: 1, j: 1}
+            row[k] = row.get(k, 0) - 1
+            rows.append(row)
+    return _nullspace(rows, alg.dim)
+
+
+def _no_weight_elimination(patch):
+    # the closed form runs neither kernel entry point nor the Jacobi report
+    def no_kernel(*args):
+        raise AssertionError("the weights of a tail_filtered table ran the kernel")
+
+    for module, name in ((derivations, "_nullspace"), (derivations, "_gauss_jordan"),
+                         (linalg, "_gauss_jordan"), (derivations, "jacobi_report"),
+                         (liealg, "jacobi_report")):
+        patch.setattr(module, name, no_kernel)
+
+
+def _assert_closed_form_weights(alg, monkeypatch):
+    # a fresh space's weights, read with no elimination, are the kernel's
+    # canonical rows, in the same order and with the same dict insertion order
+    assert alg.tail_filtered
+    with monkeypatch.context() as patch:
+        _no_weight_elimination(patch)
+        weights = derivations.DerivationSpace(alg).weights
+    oracle = _full_weight_space(alg)
+    assert weights == oracle
+    assert [(p, list(row.items())) for p, row in weights.rows] == [
+        (p, list(row.items())) for p, row in oracle.rows]
+    return weights
+
+
+def _seeded_cn(rng):
+    n = rng.choice(range(6, 17, 2))
+    return make_cn(n, [rng.choice((1, -1, F(2, 3), F(1, 2))) for _ in range((n - 4) // 2)])[0]
+
+
+_CLOSED_FORM_FAMILIES = {
+    **{f"L{n}": make_ln(n) for n in range(3, 41)},
+    **{f"Q{n}": make_qn(n) for n in range(6, 21, 2)},
+    **{f"Q{n}Z": make_qn(n, adapted=True) for n in range(6, 21, 2)},
+    **{f"Cn-draw{s}": _seeded_cn(random.Random(s)) for s in range(8)},
+    "A7^2(1,1/2)": make_ank(7, 2, [1, F(1, 2)])[0],
+    "A9^3(1,1)": make_ank(9, 3, [1, 1])[0],
+    "A11^3(1,1,2/3)": make_ank(11, 3, [1, 1, F(2, 3)])[0],
+    "A9^2(1,1,2/3)": make_ank(9, 2, [1, 1, F(2, 3)])[0],
+    "B6^2(1)": make_bnk(6, 2, [1])[0],
+    "B8^4(1)": make_bnk(8, 4, [1])[0],
+    "B8^5()": make_bnk(8, 5, [])[0],
+    "B8^2(1,1)": make_bnk(8, 2, [1, 1])[0],
+    **{f"Benoist({t})": make_benoist(F(t)) for t in ("0", "1", "7/5")},
+    "dim1": LieAlgebra(1, {}),
+    "dim2": LieAlgebra(2, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_FORM_FAMILIES))
+def test_closed_form_weights_match_the_full_weight_system(name, monkeypatch):
+    weights = _assert_closed_form_weights(_CLOSED_FORM_FAMILIES[name], monkeypatch)
+    if name.startswith("dim"):
+        assert weights.dim == _CLOSED_FORM_FAMILIES[name].dim and weights.den == 1
+
+
+def _fuzzed_filtered_table(rng):
+    # a seeded tail_filtered table: one step bracket [e_i, e_m] -> e_(m+1),
+    # i < m, for each m, then a few more constants [e_i, e_j] -> e_k with
+    # k > j; the coefficients are random, so most are not Lie
+    n = rng.randint(1, 10)
+    table = {}
+    for m in range(1, n - 1):
+        table.setdefault((rng.randrange(m), m), {})[m + 1] = rng.choice((1, -1, 2, -3))
+    for _ in range(rng.randint(0, 4) if n > 3 else 0):
+        j = rng.randrange(1, n - 2)
+        table.setdefault((rng.randrange(j), j), {})[rng.randrange(j + 1, n)] = rng.choice(
+            (1, -1, 3, F(1, 2)))
+    return LieAlgebra(n, table)
+
+
+def test_closed_form_weights_match_the_full_weight_system_on_fuzzed_tables(monkeypatch):
+    rng = random.Random(53)
+    ranks, lie, over_den = set(), 0, 0
+    for _ in range(4000):
+        alg = _fuzzed_filtered_table(rng)
+        weights = _assert_closed_form_weights(alg, monkeypatch)
+        if alg.dim >= 2:
+            ranks.add(2 - weights.dim)
+        lie += not jacobi_report(alg)
+        over_den += weights.den > 1
+    # every branch of the closed form is reached, Lie and not
+    assert ranks == {0, 1, 2} and over_den >= 50 and 100 <= lie <= 3900
+
+
+def test_weights_and_der_diag_run_no_kernel_on_any_family(monkeypatch, capsys):
+    families = [["--family", "Ln", "--n", "24"], ["--family", "Qn", "--n", "12"],
+                ["--family", "QnZ", "--n", "12"],
+                ["--family", "Cn", "--n", "12", "--lambda=1", "--lambda=-1", "--lambda=2/3",
+                 "--lambda=1/2"], ["--family", "Benoist", "--t=7/5"],
+                ["--family", "Ank", "--n", "9", "--k", "3", "--lambda=1", "--lambda=1"],
+                ["--family", "Bnk", "--n", "8", "--k", "4", "--lambda=1"]]
+    expected = []
+    for argv in families:
+        assert main(["der", "diag", *argv, "--reproducible"]) == 0
+        expected.append(capsys.readouterr().out)
+    oracles = {name: _full_weight_space(alg) for name, alg in _CLOSED_FORM_FAMILIES.items()}
+
+    def no_kernel(*args):
+        raise AssertionError("the weight solve ran the kernel")
+
+    monkeypatch.setattr(derivations, "_nullspace", no_kernel)
+    monkeypatch.setattr(derivations, "_gauss_jordan", no_kernel)
+    monkeypatch.setattr(linalg, "_gauss_jordan", no_kernel)
+    for name, alg in _CLOSED_FORM_FAMILIES.items():
+        # a fresh space too, in case another test already read the kept one
+        fresh = derivations.DerivationSpace(alg).weights
+        assert fresh == diagonal_derivations(alg) == oracles[name], name
+    for argv, out in zip(families, expected):
+        assert main(["der", "diag", *argv, "--reproducible"]) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_closed_form_weights_of_a_non_lie_table_skip_the_jacobi_report(monkeypatch):
+    # the chain [e1, ej] = e(j+1) with [e2, e3] = e5 and [e3, e4] = e6
+    # (1-based) fails Jacobi; its weights are 0 (rank 2), while the pairs
+    # with e1 or e2 alone would leave a line
+    alg = LieAlgebra(6, {**{(0, m): {m + 1: 1} for m in range(1, 5)},
+                         (1, 2): {4: 1}, (2, 3): {5: 1}})
+    generator_rows = LieAlgebra(6, {key: c for key, c in alg.structure.items() if key[0] <= 1})
+    assert _full_weight_space(generator_rows).dim == 1
+    tables = [alg, make_ank(9, 2, [1, 1, F(2, 3)])[0], make_bnk(8, 2, [1, 1])[0]]
+
+    def no_report(*args):
+        raise AssertionError("the weights read the Jacobi report")
+
+    for table in tables:
+        space = derivations.DerivationSpace(table)
+        with monkeypatch.context() as patch:
+            patch.setattr(derivations, "jacobi_report", no_report)
+            patch.setattr(liealg, "jacobi_report", no_report)
+            weights = space.weights
+        assert jacobi_report(table) and weights == _full_weight_space(table)
+    assert derivations.DerivationSpace(alg).weights.is_zero()
+
+
 def _nil_gate_tables():
     # every catalog member, Benoist(1) moved so that no Der(g) basis map is
     # lower triangular (the image chain decides), and the tampered tables
@@ -955,23 +1103,17 @@ def test_nil_gate_on_the_kernel_rows_matches_the_flat_decision():
 
 def test_benoist_operation_counts(monkeypatch):
     # the Der(g) system of Benoist(1) on the generator pairs: 81 rows (103
-    # on every pair, 434 with the pinned entries as unknowns too), 23 weight
-    # rows (42 on every pair), and at most 186 eliminations to decide that
-    # Der(g) is nil; a builder that brings back the redundant rows fails here
+    # on every pair, 434 with the pinned entries as unknowns too), and at
+    # most 186 eliminations to decide that Der(g) is nil; its weights, 0,
+    # are read off the filtration with no kernel call. A builder that brings
+    # back the redundant rows, or a weight solve that goes back to the
+    # kernel, fails here
     alg = make_benoist(1)
     rows, pinned = derivations._derivation_equations(alg)
     assert len(rows) == 81 and len(pinned) == 54
-    sizes = []
-    nullspace = derivations._nullspace
-
-    def counted(rows, n):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return nullspace(rows, n)
-
-    monkeypatch.setattr(derivations, "_nullspace", counted)
-    assert diagonal_derivations(alg).is_zero()
-    assert sizes == [23]
+    with monkeypatch.context() as patch:
+        _no_weight_elimination(patch)
+        assert diagonal_derivations(alg).is_zero()
     calls = []
     eliminate = linalg._eliminate
 
@@ -1033,10 +1175,9 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
     b1 = make_benoist(1)
     space = derivation_space(b1)
     with monkeypatch.context() as patch:
-        # char-nilp builds neither the weight space (its one solve is the
-        # ``_nullspace`` of ``DerivationSpace.weights``) nor [g, g], and its
+        # char-nilp reads neither the weight space nor [g, g], and its
         # basis only past the gate
-        patch.setattr(derivations, "_nullspace", no_build)
+        patch.setattr(derivations.DerivationSpace, "weights", property(no_build))
         patch.setattr(derivations, "derived_subalgebra", no_build)
         patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
         # and a bad budget is refused before Der(g) is solved
@@ -1049,11 +1190,14 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
             CHAR_NILPOTENT_LIKELY, None, 3, 10 ** 9)
     # regular and derived-regular try the diagonal weights before the gate;
     # on a nil Der(g) they span 0, so the gate still settles both without a
-    # draw, and they share one weight solve, that of the space kept on b1
+    # draw, and they share one weight solve, that of the space kept on b1:
+    # one closed form (``_filtered_weights``), since b1 is tail_filtered
+    filtered = derivations._filtered_weights
     with monkeypatch.context() as patch:
         solves = []
-        patch.setattr(derivations, "_nullspace",
-                      lambda rows, n: solves.append(n) or _nullspace(rows, n))
+        patch.setattr(derivations, "_filtered_weights",
+                      lambda alg: solves.append(alg.dim) or filtered(alg))
+        patch.setattr(derivations, "_nullspace", no_build)
         patch.setattr(derivations.DerivationSpace, "basis", property(no_build))
         with monkeypatch.context() as inner:
             inner.setattr(derivations, "derived_subalgebra", no_build)
@@ -1435,19 +1579,27 @@ def test_diagonal_derivations_with_self_cancelling_equation():
 
 
 def test_derivation_space_is_immutable_and_solves_each_view_once(monkeypatch):
-    # one weight solve (``_nullspace``) and one Der(g) kernel pass (the
-    # ``_gauss_jordan`` of ``_derivation_equations``) per space, each kept
+    # one weight solve and one Der(g) kernel pass (the ``_gauss_jordan`` of
+    # ``_derivation_equations``) per space, each kept: the weights are the
+    # closed form (``_filtered_weights``) on a tail_filtered table and the
+    # ``_nullspace`` of the weight equations on any other
     calls = []
+    filtered = derivations._filtered_weights
     nullspace, gauss_jordan = derivations._nullspace, derivations._gauss_jordan
 
+    def counted_filtered(alg):
+        calls.append(alg.dim)
+        return filtered(alg)
+
     def counted_weights(rows, n):
-        calls.append(n)
+        calls.append(f"kernel {n}")
         return nullspace(rows, n)
 
     def counted_kernel(rows):
         calls.append("Der")
         return gauss_jordan(rows)
 
+    monkeypatch.setattr(derivations, "_filtered_weights", counted_filtered)
     monkeypatch.setattr(derivations, "_nullspace", counted_weights)
     monkeypatch.setattr(derivations, "_gauss_jordan", counted_kernel)
     alg = make_ln(6)
@@ -1461,6 +1613,11 @@ def test_derivation_space_is_immutable_and_solves_each_view_once(monkeypatch):
     assert second.flat is not first.flat and second.flat.rows == first.flat.rows
     assert second.weights is not first.weights and second.weights == first.weights
     assert sorted(calls, key=str) == [6, 6, "Der", "Der"]
+    # a table that is not tail_filtered solves its weights in the kernel, once
+    tilted = derivations.DerivationSpace(LieAlgebra(2, {(0, 1): {0: 1}}))
+    assert not tilted.algebra.tail_filtered
+    assert tilted.weights is tilted.weights and tilted.weights.dim == 1
+    assert calls[4:] == ["kernel 2"]
     for name in ("algebra", "flat", "weights", "other"):
         with pytest.raises(AttributeError):
             setattr(first, name, None)

@@ -38,6 +38,13 @@ The calls, in order:
   with a long argument value; an unrecognized argument and an unknown
   option after a command, a ``--`` after a command and before the group,
   a missing required ``--cert`` and an abbreviated option (``--fam``);
+* ``der diag``, ``der regular``, ``der derived-regular`` and ``affine
+  synth`` with ``--in`` on two tables in a basis adapted to their lower
+  central series, written as JSON to the temporary directory, one for
+  each kind of closed-form weight space outside the catalog: a Lie table
+  whose one weight, (2, 1, 3, 4, 5), puts the weight space over
+  denominator 2, and a table that fails Jacobi and allows no nonzero
+  weight, on which every command stops at the Lie check with exit 1;
 * ``affine verify`` and ``io validate`` on every certificate that
   ``affine synth --out`` wrote, and ``affine verify`` on a tampered copy
   of it, whose first coefficient of e_i.e_j with i != j is shifted by 1:
@@ -89,6 +96,14 @@ READERS = [
 ANK_BNK = [("Ank", 7, 2, ("1", "1/2")), ("Ank", 9, 3, ("1", "1")), ("Ank", 11, 3, ("1", "1", "2/3")),
            ("Ank", 9, 2, ("1", "1", "2/3")), ("Bnk", 6, 2, ("1",)), ("Bnk", 8, 4, ("1",)),
            ("Bnk", 8, 5, ()), ("Bnk", 8, 2, ("1", "1"))]
+
+
+# (name, dim, brackets) of the two tail_filtered tables outside the catalog
+FILTERED = [("den2", 5, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 2): {3: 1}, (1, 3): {4: 1}}),
+            ("rank2", 6, {**{(0, m): {m + 1: 1} for m in range(1, 5)},
+                          (1, 2): {4: 1}, (2, 3): {5: 1}})]
+FILTERED_COMMANDS = (["der", "diag"], ["der", "regular"], ["der", "derived-regular"],
+                     ["affine", "synth"])
 
 
 # every command of each group, for the help calls
@@ -202,6 +217,17 @@ def _moved_inputs(tmp):
     return out
 
 
+def _filtered_inputs(tmp):
+    """Write the ``FILTERED`` tables to ``tmp`` and return their --in argv."""
+    out = []
+    for name, dim, brackets in FILTERED:
+        path = Path(tmp) / f"{name}.json"
+        alg = LieAlgebra(dim, brackets, name=name)
+        path.write_text(json_text(algebra_to_json(alg)) + "\n", encoding="utf-8")
+        out.append(["--in", str(path)])
+    return out
+
+
 def _fixture(name):
     """The --in argv of ``tests/<name>`` in the checkout under test; stops if it is not there."""
     path = ROOT / "tests" / name
@@ -245,7 +271,9 @@ def calls(tmp):
         if source[0] == "--family":
             out += [(["catalog", "show", *source], None, None),
                     (["der", "torus", *source], None, None)]
-    return out + [(argv, None, None) for argv in _usage_calls()]
+    out += [(argv, None, None) for argv in _usage_calls()]
+    return out + [(command + source, None, None)
+                  for source in _filtered_inputs(tmp) for command in FILTERED_COMMANDS]
 
 
 def _tampered(path):
