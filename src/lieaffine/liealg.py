@@ -14,8 +14,11 @@ The table holds one form, the kernel's, as a ``Matrix`` holds its
 columns: ``structure`` maps each stored pair to its sparse integer
 coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
 = 1, so equal tables have equal fields. ``coefficient_table`` is the one
-rational boundary, shared with ``affine.AffineStructure``: it validates a
-rational table and scales it once. There is no dense bracket: every
+rational boundary, for caller and JSON tables, shared with
+``affine.AffineStructure``: it validates a rational table and scales it
+once. The catalog writes its tables as ints over one den and ``_adopted``
+takes them as they are, with no Fraction and no second validation, the
+way ``affine._adopted`` takes a built product. There is no dense bracket: every
 check reads the integer table or the views below, and Fractions are
 formed only for a nonzero residual (``linalg._violations`` for the
 Jacobi report).
@@ -52,6 +55,7 @@ from .linalg import (
     _Frozen,
     _gauss_jordan,
     _image_chain,
+    _lowest_terms,
     _reduce,
     _set_fields,
     _violations,
@@ -182,6 +186,20 @@ class LieAlgebra(_Frozen):
         next(chain)  # [g, g] again, from its own reduced rows
         series += (_reduce(rows.values(), n) for rows in chain)
         return series
+
+
+def _adopted(dim: int, structure: dict, den: int, name: str,
+             basis_names: Sequence[str]) -> LieAlgebra:
+    """The algebra of a package-built table {(i, j): {k: int}} over den > 0, pairs i < j in range.
+
+    ``linalg._lowest_terms`` drops the zeros and divides out the gcd, and
+    the pairs left empty are dropped; the rest keep the table's order, as
+    ``coefficient_table`` keeps a caller's.
+    """
+    coeffs, den = _lowest_terms(structure.values(), den)
+    return _set_fields(LieAlgebra.__new__(LieAlgebra), dim=dim, name=name,
+                       basis_names=tuple(basis_names), den=den,
+                       structure={key: c for key, c in zip(structure, coeffs) if c})
 
 
 class TwoForm(_Frozen):

@@ -89,7 +89,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, LieToolError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Vector = tuple
 

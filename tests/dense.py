@@ -24,7 +24,10 @@ scales a rational row for the kernel. ``change_basis`` moves an algebra
 onto the basis P e_1, ..., P e_n, for the (P, P^-1) of the three
 ``*_basis_change`` draws, and ``conjugated`` moves maps by one seeded P;
 ``invertible`` gives each draw its P^-1 from the one dense ``inverse``
-that tests P.
+that tests P. The ``catalog_*`` functions write each catalog family as
+a 1-based Fraction table and return ``LieAlgebra``'s arguments for it,
+and ``fill_aij`` runs the lambda recurrence in Fractions: the oracles of
+the integer tables that ``catalog`` builds and adopts.
 """
 
 from fractions import Fraction
@@ -500,3 +503,113 @@ def conjugated(maps, rng):
         if move is not None:
             p, pinv = move
             return [matmul(matmul(p, m), pinv) for m in maps]
+
+
+# The catalog families as Fraction tables, written the way the package
+# wrote them before it built them in ints: each returns the arguments
+# (n, table, name, basis_names) of ``LieAlgebra``, whose public
+# constructor validates and scales the table through ``coefficient_table``.
+
+def _sign(i):
+    """(-1)^(i+1)."""
+    return F(1) if i % 2 else F(-1)
+
+
+def _chain(top):
+    """The chain [Y1, Yj] = Y_{j+1} for j = 2..top, 1-based."""
+    return {(1, j): {j + 1: F(1)} for j in range(2, top + 1)}
+
+
+def _pairing(n):
+    """The pairing [Y_i, Y_{n-i+1}] = (-1)^(i+1) Y_n for i = 2..n/2, 1-based."""
+    return {(i, n - i + 1): {n: _sign(i)} for i in range(2, n // 2 + 1)}
+
+
+def _display(n, table, name, letter="Y"):
+    """``LieAlgebra``'s arguments for a 1-based table, stored 0-based in the table's order."""
+    structure = {(i - 1, j - 1): {k - 1: c for k, c in coeffs.items()}
+                 for (i, j), coeffs in table.items()}
+    return n, structure, name, [f"{letter}{i}" for i in range(1, n + 1)]
+
+
+def catalog_ln(n):
+    return _display(n, _chain(n - 1), f"L{n}")
+
+
+def catalog_qn(n, adapted=False):
+    table = {**_chain(n - 2 if adapted else n - 1), **_pairing(n)}
+    if adapted:
+        return _display(n, table, f"Q{n}Z", "Z")
+    return _display(n, table, f"Q{n}")
+
+
+def fill_aij(n, k, lambdas):
+    """``catalog.fill_aij`` in Fractions: the band, then a_ij = a_{i,j-1} - a_{i+1,j-1} by gap."""
+    a = {}
+    for idx, lam in enumerate(lambdas):
+        if lam:
+            a[(idx + 2, idx + 3)] = F(lam)
+    for gap in range(2, n):
+        for i in range(2, n):
+            j = i + gap
+            if j > n or i + j + k - 2 > n:
+                break
+            val = a.get((i, j - 1), F(0)) - a.get((i + 1, j - 1), F(0))
+            if val:
+                a[(i, j)] = val
+    return a
+
+
+def catalog_ank(n, k, lambdas):
+    table = _chain(n - 1)
+    for (i, j), val in fill_aij(n, k, lambdas).items():
+        table[(i, j)] = {i + j + k - 2: val}
+    return _display(n, table, f"A{n}^{k}")
+
+
+def catalog_bnk(n, k, lambdas):
+    table = {**_chain(n - 2), **_pairing(n)}
+    for (i, j), val in fill_aij(n, k, lambdas).items():
+        if j == i + 1 or i + j + k - 2 <= n - 2:
+            table[(i, j)] = {i + j + k - 2: val}
+    return _display(n, table, f"B{n}^{k}")
+
+
+def catalog_cn(n, lambdas):
+    table = {**_chain(n - 2), **_pairing(n)}
+    for s, lam in enumerate(lambdas, 1):
+        if not lam:
+            continue
+        total = n - 2 * s + 1
+        for i in range(2, n):
+            j = total - i
+            if j <= i:
+                break
+            table[(i, j)] = {n: _sign(i) * F(lam)}
+    return _display(n, table, f"C{n}")
+
+
+def catalog_benoist(t):
+    t = F(t)
+    table = _chain(10)
+    table.update(
+        {
+            (2, 3): {5: F(1)},
+            (2, 4): {6: F(1)},
+            (2, 5): {7: F(-2), 8: F(1), 9: t},
+            (2, 6): {8: F(-5), 9: F(2), 10: 2 * t},
+            (2, 7): {9: F(-13, 5), 10: F(51, 25), 11: (448 + 2475 * t) / 2000},
+            (2, 8): {10: F(26, 5), 11: F(28, 25)},
+            (2, 9): {11: F(19, 16)},
+            (3, 4): {7: F(3), 8: F(-1), 9: -t},
+            (3, 5): {8: F(3), 9: F(-1), 10: -t},
+            (3, 6): {9: F(-12, 5), 10: F(-1, 25), 11: (-448 + 1525 * t) / 2000},
+            (3, 7): {10: F(-39, 5), 11: F(23, 25)},
+            (3, 8): {11: F(321, 80)},
+            (4, 5): {9: F(27, 5), 10: F(-24, 25), 11: (448 - 3525 * t) / 2000},
+            (4, 6): {10: F(27, 5), 11: F(-24, 25)},
+            (4, 7): {11: F(-189, 16)},
+            (5, 6): {11: F(1377, 80)},
+        }
+    )
+    return _display(11, table, f"Benoist(t={t})", "X")

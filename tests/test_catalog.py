@@ -1,9 +1,11 @@
 """Family constructors: exact bracket tables, parameter validation, tori."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from lieaffine import cli
 from lieaffine.catalog import (
     fill_aij,
     make_abelian,
@@ -17,9 +19,10 @@ from lieaffine.catalog import (
 )
 from lieaffine.derivations import is_derivation
 from lieaffine.errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
-from lieaffine.liealg import is_filiform, jacobi_report
+from lieaffine.liealg import LieAlgebra, is_filiform, jacobi_report
 from lieaffine.linalg import Matrix
 
+import dense
 from dense import rational_table, unit_vector
 
 F = Fraction
@@ -291,3 +294,126 @@ def test_catalog_outputs_jacobi_clean_and_filiform():
         assert is_filiform(alg)
     assert jacobi_report(make_abelian(4)) == []
     assert not is_filiform(make_abelian(4))
+
+
+# The catalog builds its tables in ints over one den and adopts them; the
+# oracle is the Fraction table of each member, read through the public
+# constructor. Equal means field for field, in the table's order.
+
+def _fields(alg):
+    return (alg.dim, alg.name, alg.basis_names, alg.den,
+            [(pair, list(coeffs.items())) for pair, coeffs in alg.structure.items()])
+
+
+def _lambdas(rng, count):
+    """count seeded lambda values p/q, q in 1..6, zeros among them, not all zero."""
+    while True:
+        lams = [F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(count)]
+        if not count or any(lams):
+            return lams
+
+
+# each makes a constant of Benoist's table vanish: t, 2t and -t at 0, and
+# the three constants (448 + 2475 t), (-448 + 1525 t) and (448 - 3525 t)
+BENOIST_ZEROS = [F(0), F(-448, 2475), F(448, 3525), F(448, 1525)]
+
+
+def test_ln_and_qn_tables_match_the_fraction_oracle():
+    for n in range(3, 41):
+        assert _fields(make_ln(n)) == _fields(LieAlgebra(*dense.catalog_ln(n)))
+    for n in range(6, 41, 2):
+        for adapted in (False, True):
+            assert (_fields(make_qn(n, adapted=adapted))
+                    == _fields(LieAlgebra(*dense.catalog_qn(n, adapted))))
+
+
+def test_cn_tables_match_the_fraction_oracle():
+    rng = random.Random(54)
+    for n in range(6, 25, 2):
+        for _ in range(6):
+            lams = _lambdas(rng, n // 2 - 2)
+            alg, report = make_cn(n, lams)
+            oracle = LieAlgebra(*dense.catalog_cn(n, lams))
+            assert _fields(alg) == _fields(oracle), lams
+            assert report == jacobi_report(oracle)
+    # a zero lambda drops its shift, and 1/2, 3/4 share the den 4
+    alg, _ = make_cn(10, [F(1, 2), F(0), F(3, 4)])
+    assert alg.den == 4
+    assert _fields(alg) == _fields(LieAlgebra(*dense.catalog_cn(10, [F(1, 2), F(0), F(3, 4)])))
+
+
+def test_ank_bnk_and_fill_aij_match_the_fraction_oracle():
+    rng = random.Random(541)
+    seen = {"Ank": [], "Bnk": []}
+    for n in range(6, 15):
+        for k in range(2, n - 2):
+            lams = _lambdas(rng, (n - k + 1) // 2 - 1)
+            if lams:
+                alg, report = make_ank(n, k, lams)
+                oracle = LieAlgebra(*dense.catalog_ank(n, k, lams))
+                assert _fields(alg) == _fields(oracle), (n, k, lams)
+                assert report == jacobi_report(oracle)
+                a = fill_aij(n, k, lams)  # Fractions read off the integer recurrence
+                assert list(a.items()) == list(dense.fill_aij(n, k, lams).items())
+                assert all(type(x) is Fraction for x in a.values())
+                seen["Ank"].append(bool(report))
+            if n % 2 == 0:
+                lams = _lambdas(rng, max((n - k) // 2 - 1, 0))
+                alg, report = make_bnk(n, k, lams)
+                oracle = LieAlgebra(*dense.catalog_bnk(n, k, lams))
+                assert _fields(alg) == _fields(oracle), (n, k, lams)
+                assert report == jacobi_report(oracle)
+                seen["Bnk"].append((bool(report), bool(lams)))
+    # the draws hold Lie and non-Lie members of both, and Bnk with no lambda
+    assert set(seen["Ank"]) == {False, True}
+    assert {lie for lie, _ in seen["Bnk"]} == {False, True}
+    assert (False, False) in seen["Bnk"]
+
+
+def test_benoist_tables_match_the_fraction_oracle():
+    rng = random.Random(543)
+    ts = BENOIST_ZEROS + [F(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(40)]
+    for t in ts:
+        assert _fields(make_benoist(t)) == _fields(LieAlgebra(*dense.catalog_benoist(t))), t
+    # a vanishing constant is dropped, as coefficient_table drops it: at t = 0
+    # the four constants t, 2t, -t and -t, at each other zero one constant
+    def entries(t):
+        return sum(map(len, make_benoist(t).structure.values()))
+
+    assert [entries(F(1)) - entries(t) for t in BENOIST_ZEROS] == [4, 1, 1, 1]
+
+
+@pytest.fixture
+def fractions_formed(monkeypatch):
+    """A one-entry list counting the calls of ``Fraction.__new__`` from here on."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return count
+
+
+# rational inputs, formed before any count starts
+C12_LAMBDAS = [F(1), F(-1), F(1), F(1)]
+T_7_5 = F(7, 5)
+
+
+def test_catalog_constructors_form_no_fraction(fractions_formed):
+    make_ln(24)
+    make_qn(16, adapted=True)
+    _, report = make_cn(12, C12_LAMBDAS)  # its Jacobi report included
+    make_benoist(T_7_5)
+    assert report == []
+    assert fractions_formed == [0]
+
+
+def test_benoist_char_nilp_forms_only_the_parsed_t(fractions_formed, capsys):
+    # the one Fraction of the command is its parsed --t
+    code = cli.main(["der", "char-nilp", "--family", "Benoist", "--t=7/5", "--reproducible"])
+    capsys.readouterr()
+    assert code == 1
+    assert fractions_formed == [1]

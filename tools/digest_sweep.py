@@ -45,6 +45,12 @@ The calls, in order:
   whose one weight, (2, 1, 3, 4, 5), puts the weight space over
   denominator 2, and a table that fails Jacobi and allows no nonzero
   weight, on which every command stops at the Lie check with exit 1;
+* ``catalog show``, ``verify jacobi`` and ``affine synth``, with no
+  ``--out``, on the members whose integer tables carry a den or drop a
+  constant: Benoist at t = 0, -448/2475, 448/3525 and 448/1525, each of
+  which zeroes a constant, Cn with a zero lambda and with lambdas over a
+  shared den, and Ank and Bnk with fractional lambda. They come after
+  every call above, so ``sweep(limit)`` within those calls is unchanged;
 * ``affine verify`` and ``io validate`` on every certificate that
   ``affine synth --out`` wrote, and ``affine verify`` on a tampered copy
   of it, whose first coefficient of e_i.e_j with i != j is shifted by 1:
@@ -105,6 +111,17 @@ FILTERED = [("den2", 5, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 2): {3: 1}, (1, 3):
 FILTERED_COMMANDS = (["der", "diag"], ["der", "regular"], ["der", "derived-regular"],
                      ["affine", "synth"])
 
+# the members whose integer tables carry a den or drop a constant: Benoist
+# at the t that each zero a constant, then (family, n, k, lambdas) of Cn
+# with a zero or fractional lambda and Ank and Bnk with fractional lambda
+ADOPTED_T = ("0", "-448/2475", "448/3525", "448/1525")
+ADOPTED_LAMBDAS = [("Cn", 10, None, ("1/2", "0", "3/4")), ("Cn", 8, None, ("0", "1/3")),
+                   ("Cn", 12, None, ("2/3", "0", "-5/6", "1/4")),
+                   ("Ank", 7, 2, ("2/3", "1/3")), ("Ank", 9, 3, ("1/2", "1/2")),
+                   ("Ank", 11, 3, ("1/3", "1/3", "2/9")), ("Bnk", 6, 2, ("1/2",)),
+                   ("Bnk", 8, 4, ("3/2",)), ("Bnk", 10, 2, ("1/2", "1/3", "1/4"))]
+ADOPTED_COMMANDS = (["catalog", "show"], ["verify", "jacobi"], ["affine", "synth"])
+
 
 # every command of each group, for the help calls
 COMMANDS = {
@@ -130,6 +147,15 @@ def _families():
     out += [["--family", "Benoist", f"--t={t}"] for t in ("0", "1", "7/5")]
     for family, n, k, lambdas in ANK_BNK:
         out.append(["--family", family, "--n", str(n), "--k", str(k)]
+                   + [f"--lambda={x}" for x in lambdas])
+    return out
+
+
+def _adopted_members():
+    """The --family argv of the ``ADOPTED_T`` and ``ADOPTED_LAMBDAS`` members."""
+    out = [["--family", "Benoist", f"--t={t}"] for t in ADOPTED_T]
+    for family, n, k, lambdas in ADOPTED_LAMBDAS:
+        out.append(["--family", family, "--n", str(n)] + (["--k", str(k)] if k else [])
                    + [f"--lambda={x}" for x in lambdas])
     return out
 
@@ -272,8 +298,10 @@ def calls(tmp):
             out += [(["catalog", "show", *source], None, None),
                     (["der", "torus", *source], None, None)]
     out += [(argv, None, None) for argv in _usage_calls()]
+    out += [(command + source, None, None)
+            for source in _filtered_inputs(tmp) for command in FILTERED_COMMANDS]
     return out + [(command + source, None, None)
-                  for source in _filtered_inputs(tmp) for command in FILTERED_COMMANDS]
+                  for source in _adopted_members() for command in ADOPTED_COMMANDS]
 
 
 def _tampered(path):
