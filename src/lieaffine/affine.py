@@ -104,6 +104,7 @@ from .errors import (
 from .liealg import (
     LieAlgebra,
     TwoForm,
+    _adopted_form,
     algebra_hash,
     coefficient_table,
     cyclic_sum_terms,
@@ -117,7 +118,7 @@ from .linalg import (
     Subspace,
     _Frozen,
     _integer_inverse,
-    _lowest_terms,
+    _lowest_table,
     _nullspace,
     _set_fields,
     _transpose,
@@ -414,13 +415,12 @@ def _product_tensor(outer: Tuple[list, int], maps: Sequence[list], d_maps: int,
 def _adopted(dim: int, gamma: dict, den: int) -> AffineStructure:
     """The structure of a built table of int coefficients over den > 0, put in canonical form.
 
-    ``linalg._lowest_terms`` drops the zeros and divides out the gcd, the
-    pairs left empty are dropped, and the rest are put in (i, j) order.
+    ``linalg._lowest_table`` puts it in lowest terms and drops the pairs
+    left empty; the rest are taken in (i, j) order.
     """
     keys = sorted(gamma)
-    coeffs, den = _lowest_terms((gamma[key] for key in keys), den)
-    return _set_fields(AffineStructure.__new__(AffineStructure), dim=dim, den=den,
-                       gamma={key: c for key, c in zip(keys, coeffs) if c})
+    gamma, den = _lowest_table(keys, map(gamma.get, keys), den)
+    return _set_fields(AffineStructure.__new__(AffineStructure), dim=dim, gamma=gamma, den=den)
 
 
 def from_regular_derivation(alg: LieAlgebra, f: Matrix) -> AffineStructure:
@@ -572,14 +572,6 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     if n % 2:
         return None
 
-    def form(pairs, v, den):
-        # antisymmetric by construction, so adopted without TwoForm's scan
-        cols = [{} for _ in range(n)]
-        for s, x in v.items():
-            i, j = pairs[s]
-            cols[j][i], cols[i][j] = x, -x
-        return _set_fields(TwoForm.__new__(TwoForm), dim=n, gram=Matrix.from_sparse(cols, den))
-
     weights = diagonal_derivations(alg)
     for w in islice(_weight_candidates(weights), weights.dim + SYMPLECTIC_CURVE_POINTS):
         partners = _matching(w)
@@ -591,12 +583,13 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
         # out, and otherwise some class candidate has no zero entry
         if len(set().union(*(row for _, row in space.rows))) < len(pairs):
             continue
-        hit = next(filter(nondegenerate, (form(pairs, dict(enumerate(v)), space.den)
+        hit = next(filter(nondegenerate, (_adopted_form(n, zip(pairs, v), space.den)
                                           for v in _weight_candidates(space) if all(v))), None)
         if hit is not None:
             return hit
     pairs, space = _closed_forms(alg, [[a for a in range(n) if a != m] for m in range(n)])
-    return _first_hit(space, lambda v: form(pairs, v, space.den), (), seed, trials, nondegenerate)
+    return _first_hit(space, lambda v: _adopted_form(n, ((pairs[s], x) for s, x in v.items()),
+                                                     space.den), (), seed, trials, nondegenerate)
 
 
 def _matching(w: Sequence[int]) -> Optional[List[List[int]]]:

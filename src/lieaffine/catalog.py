@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
 from .liealg import LieAlgebra, _adopted, jacobi_report
-from .linalg import Matrix, rat
+from .linalg import Matrix, integer_scaled, rat
 
 
 def _display_algebra(n: int, table: dict, den: int, name: str, letter: str = "Y") -> LieAlgebra:
@@ -67,19 +67,12 @@ def make_qn(n: int, adapted: bool = False) -> LieAlgebra:
     return _display_algebra(n, table, 1, f"Q{n}")
 
 
-def _integer_lambdas(lambdas: Sequence) -> Tuple[List[int], int]:
-    """(ints, den): the rational lambda values as ints over the lcm of their denominators."""
-    lams = [rat(x) for x in lambdas]
-    den = lcm(*(x.denominator for x in lams))
-    return [x.numerator * (den // x.denominator) for x in lams], den
+def _aij(n: int, k: int, lams: Dict[int, int]) -> Dict[Tuple[int, int], int]:
+    """``fill_aij``'s recurrence on the nonzero int lambda values {index: int} over one den.
 
-
-def _aij(n: int, k: int, lams: List[int]) -> Dict[Tuple[int, int], int]:
-    """``fill_aij``'s recurrence on int lambda values over one den; its entries share that den."""
-    a = {}
-    for idx, lam in enumerate(lams):
-        if lam:
-            a[(idx + 2, idx + 3)] = lam
+    Its entries share that den.
+    """
+    a = {(idx + 2, idx + 3): lam for idx, lam in lams.items()}
     for gap in range(2, n):
         for i in range(2, n):
             j = i + gap
@@ -107,20 +100,23 @@ def fill_aij(n: int, k: int, lambdas: Sequence) -> Dict[Tuple[int, int], Fractio
     """
     if not 2 <= k <= n - 3:
         raise BadRange(f"shift k must satisfy 2 <= k <= n - 3, got k={k}, n={n}")
-    lams, den = _integer_lambdas(lambdas)
+    lambdas = dict(enumerate(lambdas))
+    (lams,), den = integer_scaled([lambdas])
     t_cap = (n - k + 1) // 2
-    if len(lams) > t_cap - 1:
+    if len(lambdas) > t_cap - 1:
         raise BadRange(
-            f"at most {t_cap - 1} lambda values fit n={n}, k={k}; got {len(lams)}"
+            f"at most {t_cap - 1} lambda values fit n={n}, k={k}; got {len(lambdas)}"
         )
     return {key: Fraction(val, den) for key, val in _aij(n, k, lams).items()}
 
 
-def _check_lambdas(lambdas: Sequence, expected: int) -> Tuple[List[int], int]:
-    lams, den = _integer_lambdas(lambdas)
-    if len(lams) != expected:
-        raise WrongLambdaCount(f"expected {expected} lambda value(s), got {len(lams)}")
-    if expected and not any(lams):
+def _check_lambdas(lambdas: Sequence, expected: int) -> Tuple[Dict[int, int], int]:
+    """(lams, den): the nonzero lambda values {index: int} over den, by ``integer_scaled``."""
+    lambdas = dict(enumerate(lambdas))
+    (lams,), den = integer_scaled([lambdas])
+    if len(lambdas) != expected:
+        raise WrongLambdaCount(f"expected {expected} lambda value(s), got {len(lambdas)}")
+    if expected and not lams:
         raise WrongLambdaCount("lambda parameters must not all vanish")
     return lams, den
 
@@ -177,10 +173,8 @@ def make_cn(n: int, lambdas: Sequence):
     t = m - 1
     lams, den = _check_lambdas(lambdas, t)
     table = {**_chain(n - 2, den), **_pairing(n, den)}
-    for s, lam in enumerate(lams, 1):
-        if not lam:
-            continue
-        total = n - 2 * s + 1
+    for idx, lam in lams.items():  # the shift s = idx + 1
+        total = n - 2 * idx - 1
         for i in range(2, n):
             j = total - i
             if j <= i:

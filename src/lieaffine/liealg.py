@@ -15,13 +15,15 @@ columns: ``structure`` maps each stored pair to its sparse integer
 coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
 = 1, so equal tables have equal fields. ``coefficient_table`` is the one
 rational boundary, for caller and JSON tables, shared with
-``affine.AffineStructure``: it validates a rational table and scales it
-once. The catalog writes its tables as ints over one den and ``_adopted``
-takes them as they are, with no Fraction and no second validation, the
-way ``affine._adopted`` takes a built product. There is no dense bracket: every
-check reads the integer table or the views below, and Fractions are
-formed only for a nonzero residual (``linalg._violations`` for the
-Jacobi report).
+``affine.AffineStructure``: it checks a table's ranges and scales it
+once through ``linalg.integer_scaled``, the one scaler, which coerces
+and drops the zeros. The catalog writes its tables as ints over one den
+and ``_adopted`` takes them as they are, with no Fraction and no second
+validation, the way ``affine._adopted`` takes a built product; both put
+the table in lowest terms through ``linalg._lowest_table``. There is no
+dense bracket: every check reads the integer table or the views below,
+and Fractions are formed only for a nonzero residual
+(``linalg._violations`` for the Jacobi report).
 
 An algebra computes on first use and keeps, as read-only attributes,
 its views ``ad_columns`` (the integer ad table over ``den``),
@@ -39,7 +41,10 @@ Jacobi to drop its redundant equations, the Lie gate of
 ``affine.synthesize`` and the command line's Lie check read the same
 report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
 ``linalg._Frozen``, and ``TwoForm`` its equality over its ``gram``.
-``TwoForm.from_entries`` adopts its Gram columns; ``TwoForm(gram)`` checks.
+``_adopted_form`` is the one adopter of a form's int upper entries: it
+fills both triangles, for ``TwoForm.from_entries``, which checks the
+entries' range and scales them through ``integer_scaled``, and for
+``affine.find_symplectic``; ``TwoForm(gram)`` checks antisymmetry.
 """
 
 from __future__ import annotations
@@ -55,14 +60,13 @@ from .linalg import (
     _Frozen,
     _gauss_jordan,
     _image_chain,
-    _lowest_terms,
+    _lowest_table,
     _reduce,
     _set_fields,
     _violations,
     format_rational,
     integer_scaled,
     nonsingular,
-    rat,
 )
 
 SparseCoeffs = Dict[int, int]
@@ -71,27 +75,20 @@ SparseCoeffs = Dict[int, int]
 def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], SparseCoeffs], int]:
     """(table, den): the canonical {(i, j): {k: int}} basis values of a bilinear map, over den.
 
-    Pairs must lie in range and satisfy ``pair_ok(i, j)``, targets must lie
-    in range, and zero coefficients and empty pairs are dropped. The
-    rational values are put over one den > 0 by ``integer_scaled``, whose
-    output is already canonical, as ``Matrix(data)``'s is: gcd(den, every
-    entry) = 1, so equal tables mean equal maps.
+    Pairs must lie in range and satisfy ``pair_ok(i, j)``, and targets must
+    lie in range. The rational values are put over one den > 0 by
+    ``integer_scaled``, which coerces them, drops the zeros and gives a
+    canonical output, gcd(den, every entry) = 1, so equal tables mean equal
+    maps; the pairs left empty are dropped.
     """
-    clean = {}
     for (i, j), coeffs in table.items():
         if not (0 <= i < dim and 0 <= j < dim and pair_ok(i, j)):
             raise ValueError(f"pair ({i}, {j}) is out of range or not admitted")
-        kept = {}
-        for k, c in coeffs.items():
+        for k in coeffs:
             if not 0 <= k < dim:
                 raise ValueError(f"target {k} of pair ({i}, {j}) out of range")
-            c = rat(c)
-            if c:
-                kept[k] = c
-        if kept:
-            clean[(i, j)] = kept
-    consts, den = integer_scaled(clean.values())
-    return dict(zip(clean, consts)), den
+    consts, den = integer_scaled(table.values())
+    return {key: c for key, c in zip(table, consts) if c}, den
 
 
 class LieAlgebra(_Frozen):
@@ -192,14 +189,13 @@ def _adopted(dim: int, structure: dict, den: int, name: str,
              basis_names: Sequence[str]) -> LieAlgebra:
     """The algebra of a package-built table {(i, j): {k: int}} over den > 0, pairs i < j in range.
 
-    ``linalg._lowest_terms`` drops the zeros and divides out the gcd, and
-    the pairs left empty are dropped; the rest keep the table's order, as
-    ``coefficient_table`` keeps a caller's.
+    ``linalg._lowest_table`` puts it in lowest terms and drops the pairs
+    left empty; the rest keep the table's order, as ``coefficient_table``
+    keeps a caller's.
     """
-    coeffs, den = _lowest_terms(structure.values(), den)
+    structure, den = _lowest_table(structure, structure.values(), den)
     return _set_fields(LieAlgebra.__new__(LieAlgebra), dim=dim, name=name,
-                       basis_names=tuple(basis_names), den=den,
-                       structure={key: c for key, c in zip(structure, coeffs) if c})
+                       basis_names=tuple(basis_names), structure=structure, den=den)
 
 
 class TwoForm(_Frozen):
@@ -217,19 +213,28 @@ class TwoForm(_Frozen):
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TwoForm":
-        """Adopt upper-triangular entries {(i, j): value}, i < j: antisymmetric by construction."""
-        columns = [{} for _ in range(dim)]
-        for (i, j), val in entries.items():
+        """The form of rational upper entries {(i, j): value}, i < j, built by ``_adopted_form``."""
+        for i, j in entries:
             if not (0 <= i < j < dim):
                 raise ValueError(f"entry ({i}, {j}) must satisfy 0 <= i < j < dim")
-            val = rat(val)
-            columns[j][i] = val
-            columns[i][j] = -val
-        gram = Matrix.from_sparse(*integer_scaled(columns))
-        return _set_fields(cls.__new__(cls), dim=dim, gram=gram)
+        (upper,), den = integer_scaled([entries])
+        return _adopted_form(dim, upper.items(), den)
 
     def __repr__(self) -> str:
         return f"TwoForm(dim={self.dim})"
+
+
+def _adopted_form(dim: int, entries: Iterable[tuple], den: int) -> TwoForm:
+    """The form of int upper entries ((i, j), x), 0 <= i < j < dim, over den > 0.
+
+    Both triangles are filled from them, so the Gram matrix is
+    antisymmetric by construction and ``TwoForm``'s scan is skipped;
+    ``Matrix.from_sparse`` puts it in lowest terms.
+    """
+    columns = [{} for _ in range(dim)]
+    for (i, j), x in entries:
+        columns[j][i], columns[i][j] = x, -x
+    return _set_fields(TwoForm.__new__(TwoForm), dim=dim, gram=Matrix.from_sparse(columns, den))
 
 
 def _ad_table(structure: dict, n: int) -> List[List[dict]]:

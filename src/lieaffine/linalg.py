@@ -2,20 +2,24 @@
 
 Every scalar is exact: a ``Matrix`` or a ``Subspace`` holds Python ints
 over one denominator, and every dense view is ``fractions.Fraction``;
-nothing in this package touches floating point. ``integer_scaled`` puts
-a family of sparse rational vectors over one common denominator, the
-loops work on the integer numerators, and ``unscaled`` turns a result
-back into Fractions at the boundary. Every table of the package holds
-that form, ints over one den > 0 with gcd(den, every entry) = 1: a
-``Matrix``'s columns, a ``Subspace``'s rows, a ``LieAlgebra``'s brackets
-and an ``AffineStructure``'s products. ``_lowest_terms`` puts built
-integer vectors in it, and ``format_rational`` writes an int over its den
-as "p/q" with no Fraction formed. ``_violations`` is the one residual
-reporter of the checks (the Jacobi report, ``is_derivation`` and both
-``verify_affine`` reports): each collects integer sums keyed by basis
-tuple over one denominator, and it turns the nonzero ones into dense
-Fraction tuples, keys ascending. Matrices act on column coordinate
-vectors, so column j of a map is the image of basis vector j.
+nothing in this package touches floating point. ``integer_scaled`` is
+the one scaler of outside rationals: it coerces every value through
+``rat``, drops the zeros and puts a family of sparse rational vectors
+over one common denominator; the loops work on the integer numerators,
+and ``unscaled`` turns a result back into Fractions at the boundary.
+Every table of the package holds that form, ints over one den > 0 with
+gcd(den, every entry) = 1: a ``Matrix``'s columns, a ``Subspace``'s
+rows, a ``LieAlgebra``'s brackets and an ``AffineStructure``'s products.
+``_lowest_terms`` puts built integer vectors in it, and
+``_lowest_table`` a built {key: {k: int}} table, for the adopters
+``liealg._adopted`` and ``affine._adopted``; ``format_rational`` writes
+an int over its den as "p/q" with no Fraction formed. ``_violations`` is
+the one residual reporter of the checks (the Jacobi report,
+``is_derivation`` and both ``verify_affine`` reports): each collects
+integer sums keyed by basis tuple over one denominator, and it turns the
+nonzero ones into dense Fraction tuples, keys ascending. Matrices act on
+column coordinate vectors, so column j of a map is the image of basis
+vector j.
 
 Every linear system goes through one elimination kernel,
 ``_gauss_jordan``, on sparse integer rows ``{col: int}``, and every entry
@@ -163,9 +167,11 @@ class Matrix(_Frozen):
     gcd(den, every entry) is 1: equal maps have equal ``_identity``
     fields, ``den`` and ``columns``. This is the form that ``sparse_apply``
     and the kernel read; ``data`` and ``m[i, j]`` are the Fraction views,
-    for output. ``Matrix(data)`` takes n dense rows of n rationals and
-    raises DimensionMismatch on any other shape, the one squareness check
-    of the package (``Matrix([])`` is the 0 x 0 map);
+    for output. ``Matrix(data)`` takes n dense rows of n rationals,
+    raises DimensionMismatch on any other shape (``Matrix([])`` is the
+    0 x 0 map) and scales them through ``integer_scaled``. It checks the
+    shape of every caller's matrix; ``serialize.matrix_from_json`` checks a
+    document's shape itself, before it parses any entry.
     ``from_sparse(columns, den)`` adopts the integer columns of kernel
     output without re-validating them. The rank and the shape views
     ``monomial`` and ``diagonal_weights`` are kept once computed, read-only.
@@ -175,13 +181,11 @@ class Matrix(_Frozen):
     _identity = ("den", "columns")
 
     def __init__(self, data):
-        grid = [[rat(x) for x in row] for row in data]
-        n = len(grid)
-        if any(len(r) != n for r in grid):
+        rows = [dict(enumerate(row)) for row in data]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix data must be n rows of n entries")
-        # canonical already: p does not divide den / q for the entry whose
-        # denominator q carries the top power of p in den
-        columns, den = integer_scaled(_transpose(map(_sparse, grid), n))
+        columns, den = integer_scaled(_transpose(rows, n))
         _set_fields(self, dim=n, columns=tuple(columns), den=den)
 
     @classmethod
@@ -196,7 +200,7 @@ class Matrix(_Frozen):
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
-        return cls.from_sparse(*integer_scaled({i: x} for i, x in enumerate(vector(entries))))
+        return cls.from_sparse(*integer_scaled({i: x} for i, x in enumerate(entries)))
 
     @property
     def data(self) -> tuple:
@@ -375,10 +379,6 @@ def _reduce(rows: Iterable[dict], ncols: int) -> Subspace:
                             for p, row in sorted(reduced.items(), reverse=True)], den)
 
 
-def _sparse(v: Sequence) -> dict:
-    return {j: x for j, x in enumerate(v) if x}
-
-
 def _transpose(vectors: Iterable[dict], n: int) -> list:
     """The n sparse vectors out[i] = {j: vectors[j][i]}: rows of sparse columns, or back."""
     out = [{} for _ in range(n)]
@@ -414,13 +414,17 @@ def sparse_apply(columns: Sequence[dict], v: dict, out: Optional[dict] = None) -
 
 
 def integer_scaled(vectors: Iterable[dict]) -> Tuple[list, int]:
-    """(int_vectors, den): the sparse rational vectors times den, as ints.
+    """(int_vectors, den): the sparse rational vectors times den, as ints, zeros dropped.
 
-    den > 0 is the lcm of every denominator met, so v = int_v / den entry by
-    entry (``unscaled``), and an integer loop over the family computes the
-    rational one times a known power of den.
+    The one scaler of outside rationals: each value is coerced by ``rat``,
+    so a float or a bool raises TypeError, and a zero is dropped. den > 0
+    is the lcm of every denominator met, so v = int_v / den entry by entry
+    (``unscaled``), and an integer loop over the family computes the
+    rational one times a known power of den. The output is canonical
+    already: p does not divide den / q for the entry whose denominator q
+    carries the top power of p in den, so gcd(den, every entry) = 1.
     """
-    vectors = list(vectors)
+    vectors = [{k: q for k, x in v.items() if (q := rat(x))} for v in vectors]
     den = lcm(*(x.denominator for v in vectors for x in v.values()))
     return [{k: x.numerator * (den // x.denominator) for k, x in v.items()}
             for v in vectors], den
@@ -435,6 +439,16 @@ def _lowest_terms(vectors: Iterable[dict], den: int) -> Tuple[list, int]:
     vectors = list(vectors)
     g = gcd(den, *(x for v in vectors for x in v.values()))
     return [{k: x // g for k, x in v.items() if x} for v in vectors], den // g
+
+
+def _lowest_table(keys: Iterable, vectors: Iterable[dict], den: int) -> Tuple[dict, int]:
+    """(table, den) of a built table, keys and their {k: int} over den > 0, in ``_lowest_terms``.
+
+    The one adopter of package-built tables: the keys left empty are
+    dropped and the rest keep the order of ``keys``.
+    """
+    vectors, den = _lowest_terms(vectors, den)
+    return {key: v for key, v in zip(keys, vectors) if v}, den
 
 
 def format_rational(x, den: int = 1) -> str:

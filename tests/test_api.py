@@ -66,6 +66,24 @@ def test_only_the_frozen_base_defines_equality_and_hash(method):
     assert _owners(method) == [("linalg", "_Frozen")]
 
 
+def test_each_value_type_is_built_bare_only_by_its_own_module():
+    # an object made with X.__new__(X) skips X's checks, so only X's module
+    # builds one, through its adopter; every other module calls that adopter
+    package = Path(lieaffine.__file__).parent
+    calls, foreign = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {"cls"} | {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__"):
+                calls += 1
+                named = ast.unparse(node.func.value)
+                if named not in own or [ast.unparse(arg) for arg in node.args] != [named]:
+                    foreign.append((path.stem, node.lineno, ast.unparse(node)))
+    assert calls >= 4 and foreign == []
+
+
 _PRIVATE_VIEWS = {"_ad_columns", "_partners", "_tail_filtered",
                   "_jacobi_report", "_derived_subalgebra", "_lower_central_series"}
 

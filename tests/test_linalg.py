@@ -17,7 +17,7 @@ import pytest
 
 from lieaffine import affine, derivations, linalg
 from lieaffine.affine import AffineStructure, synthesize
-from lieaffine.catalog import make_benoist, make_cn, make_ln, make_qn
+from lieaffine.catalog import fill_aij, make_ank, make_benoist, make_bnk, make_cn, make_ln, make_qn
 from lieaffine.derivations import char_nilpotent_verdict, derivation_space, find_regular_derivation
 from lieaffine.errors import DimensionMismatch
 from lieaffine.serialize import (
@@ -844,9 +844,10 @@ def test_lower_central_series_rows_are_pinned(alg, digest):
     [[1], []],
 ], ids=["wide", "tall", "ragged", "staircase", "one-empty-row", "short-row"])
 def test_matrix_rejects_data_that_is_not_n_rows_of_n_entries(data):
-    # the one squareness check of the package: every Matrix is an n x n map,
-    # so nonsingular, is_nilpotent, the minimal polynomial and TwoForm never
-    # meet another shape
+    # the squareness check of every caller's matrix (the JSON reader checks a
+    # document's shape itself, before it parses any entry): every Matrix is
+    # an n x n map, so nonsingular, is_nilpotent, the minimal polynomial and
+    # TwoForm never meet another shape
     with pytest.raises(DimensionMismatch, match="^matrix data must be n rows of n entries$"):
         Matrix(data)
 
@@ -911,9 +912,57 @@ def test_subspace_coordinates_and_membership():
     assert _coordinates(space, {2: F(1)}) is None
 
 
-def test_rat_rejects_floats():
-    with pytest.raises(TypeError):
-        rat(0.5)
+# every entry point that reads an outside rational, as (name, build(x)), x
+# the one value it reads: each coerces through rat, by integer_scaled
+_RATIONAL_ENTRIES = {
+    "rat": rat,
+    "integer_scaled": lambda x: integer_scaled([{0: x, 1: 1}, {2: x}]),
+    "LieAlgebra": lambda x: LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: x}}),
+    "AffineStructure": lambda x: AffineStructure(2, {(0, 0): {1: 1}, (1, 0): {0: x, 1: x}}),
+    "Matrix": lambda x: Matrix([[1, x], [0, 1]]),
+    "Matrix.diagonal": lambda x: Matrix.diagonal([1, x, 3]),
+    "TwoForm.from_entries": lambda x: TwoForm.from_entries(3, {(0, 1): 1, (1, 2): x}),
+    "make_cn": lambda x: make_cn(8, [1, x]),
+    "make_ank": lambda x: make_ank(9, 3, [1, x]),
+    "make_bnk": lambda x: make_bnk(8, 2, [1, x]),
+    "fill_aij": lambda x: fill_aij(9, 3, [1, x]),
+}
+
+
+def _fields(value):
+    """value with each package object read as the (name, value) of its fields, at any depth."""
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_fields, value))
+    slots = getattr(type(value), "__slots__", ())
+    if slots:
+        return tuple((name, _fields(getattr(value, name))) for name in slots if name != "__dict__")
+    return value
+
+
+def _stored_zeros(value):
+    """The number of zero values held in the dicts of value, at any depth."""
+    if isinstance(value, dict):
+        return sum(x == 0 if isinstance(x, (int, Fraction)) else _stored_zeros(x)
+                   for x in value.values())
+    if isinstance(value, (tuple, list)):
+        return sum(map(_stored_zeros, value))
+    return 0
+
+
+@pytest.mark.parametrize("name", sorted(_RATIONAL_ENTRIES))
+def test_every_rational_entry_point_reads_values_alike(name):
+    build = _RATIONAL_ENTRIES[name]
+    # a float would smuggle binary rounding in, and a bool is no rational
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            build(bad)
+    # every spelling of zero is the int 0, and none is kept as an entry
+    zero = _fields(build(0))
+    for spelling in ("0", "0/7", Fraction(0)):
+        assert _fields(build(spelling)) == zero
+    assert _stored_zeros(zero) == 0
+    half = _fields(build(Fraction(1, 2)))
+    assert _fields(build("1/2")) == _fields(build("2/4")) == half != zero
 
 
 def test_matrix_immutable_and_exact_equality():

@@ -51,6 +51,13 @@ The calls, in order:
   which zeroes a constant, Cn with a zero lambda and with lambdas over a
   shared den, and Ank and Bnk with fractional lambda. They come after
   every call above, so ``sweep(limit)`` within those calls is unchanged;
+* last, ``--in`` documents that spell rationals out of lowest terms or
+  as zeros, written to the temporary directory, one through each reader
+  of outside rationals: ``verify jacobi`` and ``affine synth`` on an
+  algebra with a "0" and a "-3/6" coefficient, and ``io validate`` on a
+  twoform with "0" and "4/8" entries, an affine document whose gamma
+  holds "0/3" and a NotCharNilpotent verdict whose witness rows hold
+  "2/4" and "0/5";
 * ``affine verify`` and ``io validate`` on every certificate that
   ``affine synth --out`` wrote, and ``affine verify`` on a tampered copy
   of it, whose first coefficient of e_i.e_j with i != j is shifted by 1:
@@ -121,6 +128,26 @@ ADOPTED_LAMBDAS = [("Cn", 10, None, ("1/2", "0", "3/4")), ("Cn", 8, None, ("0", 
                    ("Ank", 11, 3, ("1/3", "1/3", "2/9")), ("Bnk", 6, 2, ("1/2",)),
                    ("Bnk", 8, 4, ("3/2",)), ("Bnk", 10, 2, ("1/2", "1/3", "1/4"))]
 ADOPTED_COMMANDS = (["catalog", "show"], ["verify", "jacobi"], ["affine", "synth"])
+
+# (file name, leading argv, JSON document) of the rationals spelled out of
+# lowest terms or as zeros; the algebra is L5 with [e1, e2] = -1/2 e3
+SPELLED = [
+    ("spelled-algebra", (["verify", "jacobi"], ["affine", "synth"]),
+     {"name": "spelled", "dim": 5, "basis": ["e1", "e2", "e3", "e4", "e5"],
+      "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "-3/6", "5": "0"}},
+                   {"i": 1, "j": 3, "coeffs": {"4": "1"}},
+                   {"i": 1, "j": 4, "coeffs": {"5": "1"}},
+                   {"i": 2, "j": 3, "coeffs": {"5": "0"}}]}),
+    ("spelled-twoform", (["io", "validate", "--kind", "twoform"],),
+     {"dim": 4, "entries": [{"i": 1, "j": 2, "value": "0"}, {"i": 1, "j": 4, "value": "4/8"},
+                            {"i": 2, "j": 3, "value": "1"}]}),
+    ("spelled-affine", (["io", "validate", "--kind", "affine"],),
+     {"dim": 2, "gamma": [{"i": 1, "j": 1, "coeffs": {"2": "0/3"}},
+                          {"i": 2, "j": 1, "coeffs": {"1": "1", "2": "0/3"}}]}),
+    ("spelled-verdict", (["io", "validate", "--kind", "verdict"],),
+     {"kind": "NotCharNilpotent", "witness": [["2/4", "0/5"], ["0/5", "1"]],
+      "seed": 0, "trials": 1}),
+]
 
 
 # every command of each group, for the help calls
@@ -254,6 +281,16 @@ def _filtered_inputs(tmp):
     return out
 
 
+def _spelled_calls(tmp):
+    """Write the ``SPELLED`` documents to ``tmp`` and return their calls."""
+    out = []
+    for name, commands, doc in SPELLED:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out += [command + ["--in", str(path)] for command in commands]
+    return out
+
+
 def _fixture(name):
     """The --in argv of ``tests/<name>`` in the checkout under test; stops if it is not there."""
     path = ROOT / "tests" / name
@@ -300,8 +337,9 @@ def calls(tmp):
     out += [(argv, None, None) for argv in _usage_calls()]
     out += [(command + source, None, None)
             for source in _filtered_inputs(tmp) for command in FILTERED_COMMANDS]
-    return out + [(command + source, None, None)
-                  for source in _adopted_members() for command in ADOPTED_COMMANDS]
+    out += [(command + source, None, None)
+            for source in _adopted_members() for command in ADOPTED_COMMANDS]
+    return out + [(argv, None, None) for argv in _spelled_calls(tmp)]
 
 
 def _tampered(path):
