@@ -1,28 +1,29 @@
 """Derivation algebras: exact computation, classification and searches.
 
 ``derivation_space`` solves the linear system expressing
-D[x, y] = [Dx, y] + [x, Dy] on the basis pairs, over the n^2 matrix
-entries of D, with its equations built by walking the nonzero structure
-constants, the integers over one denominator that ``LieAlgebra`` holds;
-``is_derivation`` checks the identity in integers the same way, and a
-diagonal map, the witness of every weight hit, by comparing weights on
-the stored brackets alone. Which route a map takes is read off its kept
-shape, ``Matrix.diagonal_weights``, which ``is_derivation``,
-``_restriction_invertible`` and ``verify_torus`` share with the
-constructions in ``affine``: a witness's shape is found once. When the
-table is in a basis adapted to its lower central series
-(``LieAlgebra.tail_filtered``, true for every catalog family), the
-n(n-1)/2 - 1 entries D[p, q] with q >= 2, p < q vanish in every
-derivation (``_pinned_unknowns``), and the builder never visits them. If
-the table also satisfies Jacobi, e_1 and e_2 generate g, and a map is a
-derivation as soon as the identity holds on the pairs (i, j) with i <= 1
-(0-based; ``_generator_pairs_suffice``), so only those Der(g) equations
-are built. The diagonal weights of a ``tail_filtered`` table, Lie or
-not, need no elimination: its chain of step brackets fixes every weight
+D[x, y] = [Dx, y] + [x, Dy], with its equations built in integers from
+the nonzero structure constants, the integers over one denominator that
+``LieAlgebra`` holds. When the table is in a basis adapted to its lower
+central series (``LieAlgebra.tail_filtered``, true for every catalog
+family) and satisfies Jacobi, e_1 and e_2 generate g, so a derivation is
+fixed by u = D e_1 and v = D e_2, and is one as soon as the identity
+holds on the pairs (e_1, .) and (e_2, .) (``_generators_decide``): the
+system is solved on those 2n unknowns, along the chain basis
+f_(m+1) = [e_i, f_m] of the step brackets (``_generator_system``), and
+Der(g) is read back onto the n^2 entries. Any other table, such as a
+moved basis or a table that fails Jacobi, solves the n^2 system on every
+pair (``_derivation_equations``); both routes give the same canonical
+basis. ``is_derivation`` checks the identity in integers on every pair,
+and a diagonal map, the witness of every weight hit, by comparing
+weights on the stored brackets alone. Which route a map takes is read
+off its kept shape, ``Matrix.diagonal_weights``, which
+``is_derivation``, ``_restriction_invertible`` and ``verify_torus``
+share with the constructions in ``affine``: a witness's shape is found
+once. The diagonal weights of a ``tail_filtered`` table, Lie or not,
+need no elimination: the same chain of step brackets fixes every weight
 by its values on e_1 and e_2, so they are solved in closed form on those
-two unknowns (``_filtered_weights``). Any other table solves the
-full systems; every path gives the same canonical basis.
-``is_derivation`` and the certificate checks still test every pair.
+two unknowns (``_filtered_weights``); any other table solves the full
+weight system. The certificate checks still test every pair.
 Every randomized search
 (for invertible derivations, for derivations whose restriction to the
 derived subalgebra is invertible, for non-nilpotent derivations, and for
@@ -63,8 +64,10 @@ on Ln its witness does not depend on the seed either.
 After that the three searches pass one nil gate,
 ``DerivationSpace.all_nilpotent``, which decides exactly whether every
 derivation is nilpotent: at once from the kept kernel rows when they set
-every entry on and above the diagonal to 0, without the Der(g) basis,
-and otherwise by Engel's theorem, on one image chain over that basis.
+every entry on and above the diagonal to 0 (on the 2n unknowns, the
+diagonal of D on the chain basis and the one entry above it that a
+derivation can hold), without the Der(g) basis, and otherwise by
+Engel's theorem, on one image chain over that basis.
 When it is, every candidate fails, so the outcome is fixed without
 drawing any, or building the char-nilp search's own candidates, and the
 cost does not grow with ``trials``; otherwise the searches draw as
@@ -83,7 +86,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvariantError
@@ -96,6 +99,8 @@ from .linalg import (
     _flat_columns,
     _gauss_jordan,
     _nullspace,
+    _reduce,
+    _remainder,
     _set_fields,
     _solution_basis,
     _violations,
@@ -116,12 +121,14 @@ class DerivationSpace(_Frozen):
     """Der(g) of ``algebra``, solved the first time ``flat`` or ``all_nilpotent`` is read.
 
     ``derivation_space`` keeps one instance on each algebra, so every
-    caller shares its views. The kernel rows of the system
-    (``_gauss_jordan`` of ``_derivation_equations``) are kept; ``flat``
-    reads Der(g) off them as the integer RREF rows, over one ``den``, of
-    flattened n^2-vectors, and ``basis`` and ``matrix`` adopt those rows,
-    and the seeded draws over them, as maps over the same ``den``, so no
-    Fraction of Der(g) is formed before output.
+    caller shares its views. The kernel rows of the system are kept
+    (``_system``: on the 2n unknowns D e_1, D e_2 of ``_generator_system``
+    for a Lie ``tail_filtered`` table, else on the n^2 of
+    ``_derivation_equations``); ``flat`` reads Der(g) off them as the
+    integer RREF rows, over one ``den``, of flattened n^2-vectors, and
+    ``basis`` and ``matrix`` adopt those rows, and the seeded draws over
+    them, as maps over the same ``den``, so no Fraction of Der(g) is
+    formed before output.
     ``all_nilpotent`` reads the kernel rows first, so a nil Der(g) whose
     maps are all strictly lower triangular is decided without ``flat``; a
     search that settles without either never solves the system.
@@ -166,25 +173,43 @@ class DerivationSpace(_Frozen):
         return _nullspace(rows, alg.dim)
 
     @cached_property
-    def _kernel(self) -> Tuple[dict, frozenset]:
-        """(reduced, pinned): the ``_gauss_jordan`` rows of ``_derivation_equations``."""
-        rows, pinned = _derivation_equations(self.algebra)
-        return _gauss_jordan(rows), pinned
+    def _system(self) -> Tuple[dict, List[dict], Optional[tuple]]:
+        """(reduced, upper, chain): the ``_gauss_jordan`` rows of Der(g) and how to read them.
+
+        On a Lie ``tail_filtered`` table (``_generators_decide``) the rows are
+        those of ``_generator_system``, on the 2n unknowns D e_1 and D e_2,
+        and ``chain`` is its chain basis with the forms of D on it; on any
+        other table they are the n^2 rows of ``_derivation_equations`` and
+        ``chain`` is None. ``upper`` holds linear forms that all vanish on
+        Der(g) exactly when every derivation is strictly lower triangular.
+        """
+        alg = self.algebra
+        if _generators_decide(alg):
+            rows, upper, chain = _generator_system(alg)
+        else:
+            n = alg.dim
+            rows, chain = _derivation_equations(alg), None
+            upper = [{r * n + j: 1} for j in range(n) for r in range(j + 1)]
+        return _gauss_jordan(rows), upper, chain
 
     @cached_property
     def flat(self) -> Subspace:
-        """Der(g) as the integer RREF rows of the solutions of ``_derivation_equations``.
+        """Der(g) as the canonical integer RREF rows of its flattened n^2-vectors.
 
-        Read off the kept kernel rows by ``linalg._solution_basis``, with no
-        second elimination. The equations leave out the ``_pinned_unknowns``,
-        which are 0 in every derivation, so the kernel would return each of
-        them as a free unit vector; those vectors are dropped, and the rest,
-        over the same den, are the canonical rows of the full system.
+        Read off the kept kernel rows by ``linalg._solution_basis``. On the
+        n^2 system that basis is already canonical. On the 2n unknowns of
+        ``_generator_system`` each basis vector goes through the unknown ->
+        entry columns of ``_chain_columns`` with one ``sparse_apply``, and
+        ``_reduce`` puts the images in canonical form, which is unique, so
+        both routes give the same rows, in the same order.
         """
         n = self.algebra.dim
-        reduced, pinned = self._kernel
-        solved = _solution_basis(reduced, n * n)
-        return Subspace(n * n, [row for row in solved.rows if row[0] not in pinned], solved.den)
+        reduced, _, chain = self._system
+        if chain is None:
+            return _solution_basis(reduced, n * n)
+        columns = _chain_columns(*chain)
+        kernel = _solution_basis(reduced, len(columns))
+        return _reduce([sparse_apply(columns, z) for _, z in kernel.rows], n * n)
 
     @property
     def dim(self) -> int:
@@ -203,24 +228,26 @@ class DerivationSpace(_Frozen):
     def all_nilpotent(self) -> bool:
         """Exactly whether every derivation is nilpotent (Der(g) is nil).
 
-        First the kept kernel rows: when every unknown D[r, j] with r <= j
-        that is not pinned is a pivot whose row holds only that unknown,
-        every solution has D[r, j] = 0 on and above the diagonal, so every
+        First the kept kernel rows: when every form of ``upper`` leaves no
+        ``linalg._remainder`` against them, each vanishes on Der(g), so every
         derivation is strictly lower triangular, hence nilpotent, and the
-        answer is True without building ``flat``. This is the same test as
-        every basis map being strictly lower triangular, and it holds for
-        Benoist(t) in the catalog basis. Otherwise a basis element with
-        nonzero trace, summed over the diagonal entries its sparse row
-        stores, settles False at once, and then ``products_vanish`` decides
-        on ``flat``: by Engel's theorem that is the same as every element
-        of the span being nilpotent, and in a basis where the shape test
-        fails, its image chain decides.
+        answer is True without building ``flat``. On the n^2 system the forms
+        are the unknowns D[r, j], r <= j. On the 2n unknowns they are the
+        entries of D e_1 and D e_2 on and above the diagonal and the e_k
+        coordinate of D f_k for k >= 3 (1-based), f the chain basis of
+        ``_generator_system``: a derivation keeps each C^(k-2) g = span(f_k,
+        ...), and the change of basis to f is lower triangular, so these are
+        the diagonal entries and the one entry above it that can be nonzero.
+        The test holds for Benoist(t) in the catalog basis. Otherwise a basis
+        element with nonzero trace, summed over the diagonal entries its
+        sparse row stores, settles False at once, and then
+        ``products_vanish`` decides on ``flat``: by Engel's theorem that is
+        the same as every element of the span being nilpotent, and in a basis
+        where the shape test fails, its image chain decides.
         """
         n = self.algebra.dim
-        reduced, pinned = self._kernel
-        # flat index r*n + j holds D[r, j]; a one-entry kernel row sets its pivot to 0
-        upper = (r * n + j for j in range(n) for r in range(j + 1))
-        if all(len(reduced.get(c, ())) == 1 for c in upper if c not in pinned):
+        reduced, upper, _ = self._system
+        if not any(_remainder(reduced, form) for form in upper):
             return True
         # flat index c < n^2 is diagonal entry (p, p) exactly when c = p * (n + 1)
         if any(sum(x for c, x in row.items() if not c % (n + 1)) for _, row in self.flat.rows):
@@ -312,20 +339,14 @@ def is_derivation(alg: LieAlgebra, m: Matrix) -> List[tuple]:
     return _violations(sums, m.den * alg.den, n)
 
 
-def _pinned_unknowns(alg: LieAlgebra) -> frozenset:
-    """The flat indices p*n + q (q >= 2, p < q) that vanish in every derivation, if known.
+def _steps(alg: LieAlgebra) -> dict:
+    """{m: i}: for each m in 1..n-2, a stored [e_i, e_m], i < m, with a nonzero e_(m+1) coefficient.
 
-    On a ``tail_filtered`` table C^k g = span(e_(k+1), ..., e_(n-1)) for
-    k >= 1, and a derivation D preserves every C^k g (D C^(k+1) lies in
-    [Dg, C^k g] + [g, D C^k g], by bilinearity alone), so D e_q lies in
-    span(e_q, ...) for q >= 2: the n(n-1)/2 - 1 entries above the diagonal
-    in those columns (n >= 2) are 0. On any other table nothing is known
-    and the set is empty.
+    Condition (b) of ``LieAlgebra.tail_filtered``, read on a table that
+    passes it; ``_filtered_weights`` and the chain basis of
+    ``_generator_system`` follow these steps.
     """
-    if not alg.tail_filtered:
-        return frozenset()
-    n = alg.dim
-    return frozenset(p * n + q for q in range(2, n) for p in range(q))
+    return {j: i for (i, j), coeffs in alg.structure.items() if j + 1 in coeffs}
 
 
 def _filtered_weights(alg: LieAlgebra) -> Subspace:
@@ -355,7 +376,7 @@ def _filtered_weights(alg: LieAlgebra) -> Subspace:
     a[0] = 1
     if n > 1:
         b[1] = 1
-    step = {j: i for (i, j), coeffs in structure.items() if j + 1 in coeffs}
+    step = _steps(alg)
     for m in range(1, n - 1):
         i = step[m]
         a[m + 1], b[m + 1] = a[i] + a[m], b[i] + b[m]
@@ -377,8 +398,8 @@ def _filtered_weights(alg: LieAlgebra) -> Subspace:
     return Subspace(n, [(p, row)], row[p])
 
 
-def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
-    """Whether the identity on the pairs (i, j) with i <= 1 makes a map a derivation.
+def _generators_decide(alg: LieAlgebra) -> bool:
+    """Whether Der(g) is solved on D e_1 and D e_2 (``_generator_system``): a Lie ``tail_filtered`` table.
 
     Let phi(x, y) = D[x, y] - [Dx, y] - [x, Dy] for a linear map D. If g is
     Lie and phi(s, .) = 0, three Jacobi identities give
@@ -388,58 +409,186 @@ def _generator_pairs_suffice(alg: LieAlgebra) -> bool:
     generates: a map is a derivation iff the identity holds on generators
     (Jacobson, Lie Algebras, Ch. I). On a ``tail_filtered`` table
     [g, g] = span(e_3, ..., e_n) (1-based) and g is nilpotent, so e_1 and
-    e_2 generate g, and the pairs (i, j), i < j, with i <= 1 (0-based)
-    suffice. The argument needs Jacobi: on a table that fails it, the
-    other pairs can cut the solutions further, so they are kept. The
-    Jacobi report kept on ``alg`` is read, through ``jacobi_report``, only
-    when some stored pair has i >= 2, since otherwise there is no equation
-    to drop; so Ln, with brackets [e_1, .] only, never reads it here. Only
-    the Der(g) equations use this: the weights of a ``tail_filtered``
-    table are read off every stored constant in closed form
-    (``_filtered_weights``), which needs no Jacobi.
+    e_2 generate g. The argument needs Jacobi: a table that fails it solves
+    the n^2 system on every pair. The Jacobi report kept on ``alg`` is read,
+    through ``jacobi_report``, only when some stored pair has i >= 1
+    (0-based): a ``tail_filtered`` table whose brackets are all [e_1, .],
+    such as Ln, satisfies Jacobi, since each cyclic sum on (e_1, e_j, e_k)
+    is a multiple of e_1 coordinates that condition (a) sets to 0.
     """
-    return (alg.tail_filtered and any(i > 1 for i, _ in alg.structure)
-            and not jacobi_report(alg))
+    return alg.tail_filtered and (all(i == 0 for i, _ in alg.structure) or not jacobi_report(alg))
 
 
-def _derivation_equations(alg: LieAlgebra) -> Tuple[List[dict], frozenset]:
-    """(rows, pinned): the equations of ``derivation_space`` as integer rows.
+def _leibniz(alg: LieAlgebra, a: int, x: dict, dx: dict) -> dict:
+    """[D e_a, x] + [e_a, D x] as integer linear forms {coordinate: {unknown: int}}, a <= 1.
+
+    x is an integer vector and dx the forms of D x; coordinate c of D e_a
+    is unknown a*n + c. [D e_a, x] = -sum_q x_q sum_c (D e_a)_c [e_q, e_c]
+    is read off the ad table over each bracket partner c of q, and
+    [e_a, D x] off ad(e_a) on each coordinate of dx. Sums that cancel stay
+    as 0 entries.
+    """
+    n, ad, partners = alg.dim, alg.ad_columns, alg.partners
+    out: dict = {}
+    for q, xq in x.items():
+        for c in partners[q]:
+            t = a * n + c
+            for s, y in ad[q][c].items():
+                form = out.setdefault(s, {})
+                form[t] = form.get(t, 0) - xq * y
+    for r in partners[a]:
+        form = dx.get(r)
+        if form:
+            for s, y in ad[a][r].items():
+                acc = out.setdefault(s, {})
+                for t, z in form.items():
+                    acc[t] = acc.get(t, 0) + y * z
+    return out
+
+
+def _chain_coordinates(f: List[dict], w: dict) -> Tuple[dict, int]:
+    """(c, s): s w = sum_k c[k] f_k in ints, s != 0, by forward substitution.
+
+    Each f_k holds e_k with a nonzero coefficient and no lower index, so
+    the least index k left in the remainder is taken off by f_k, the
+    remainder and the coordinates so far first scaled by f_k[k] over its
+    gcd with the remainder's entry.
+    """
+    rest, coords, s = {c: x for c, x in w.items() if x}, {}, 1
+    while rest:
+        k = min(rest)
+        x, pk = rest[k], f[k][k]
+        g = gcd(x, pk)
+        scale = pk // g
+        if scale != 1:
+            rest = {c: scale * y for c, y in rest.items()}
+            coords = {c: scale * y for c, y in coords.items()}
+            s *= scale
+        coords[k] = q = x // g
+        for c, y in f[k].items():
+            z = rest.get(c, 0) - q * y
+            if z:
+                rest[c] = z
+            else:
+                rest.pop(c, None)
+    return coords, s
+
+
+def _generator_system(alg: LieAlgebra) -> Tuple[List[dict], List[dict], List[dict]]:
+    """(rows, upper, (f, df)): Der(g) of a Lie ``tail_filtered`` table on u = D e_1 and v = D e_2.
+
+    The unknowns are the coordinates of u (0..n-1) and of v (n..2n-1)
+    (1-based e; 0-based indices). The chain basis is f_0 = e_0, f_1 = e_1
+    and f_(m+1) = [e_i, f_m] for the step i = ``_steps(alg)[m]``, in
+    integer brackets; on a Lie table each step is 0 or 1 (a stored
+    [e_i, e_m] with i >= 2 lies in [C^1 g, C^(m-1) g], inside
+    span(e_(m+2), ...)), so f_(m+1) is a nonzero multiple of e_(m+1) plus
+    later vectors, and on every catalog table it is that multiple alone.
+    D f_(m+1) = [D e_i, f_m] + [e_i, D f_m] (``_leibniz``) follows in
+    integer linear forms in (u, v), and each pair (f_k, D f_k) is divided
+    by its content, which keeps the entries small (Benoist's f_k would
+    otherwise grow by its den at each step).
+
+    By ``_generators_decide``, D is a derivation exactly when
+    phi(e_a, f_b) = 0 for a <= 1 and every b; the chain pairs (a, b),
+    a = step(b), hold by construction, and phi is antisymmetric, so the
+    rows are the coordinates of s phi(e_a, f_b) = sum_k c_k D f_k -
+    s [D e_a, f_b] - s [e_a, D f_b] for a < b off the chain, with
+    s [e_a, f_b] = sum_k c_k f_k from ``_chain_coordinates``: n - 1 pairs.
+    Benoist(1) solves 36 rows in 22 unknowns, where the n^2 system has 434
+    rows in 121.
+
+    ``upper`` holds the forms of the entries of u and v on and above the
+    diagonal and, for k >= 2, the e_k coordinate of D f_k (see
+    ``DerivationSpace.all_nilpotent``). f and df, the f_k and the forms of
+    the D f_k, are returned for ``_chain_columns``.
+    """
+    n, ad = alg.dim, alg.ad_columns
+    steps = _steps(alg)
+    gens = min(n, 2)
+    f = [{a: 1} for a in range(gens)]
+    df = [{r: {a * n + r: 1} for r in range(n)} for a in range(gens)]
+    for m in range(1, n - 1):
+        i = steps[m]
+        x = sparse_apply(ad[i], f[m])
+        dx = _leibniz(alg, i, f[m], df[m])
+        g = gcd(*x.values(), *(z for form in dx.values() for z in form.values()))
+        if g > 1:
+            x = {k: y // g for k, y in x.items()}
+            dx = {r: {t: z // g for t, z in form.items()} for r, form in dx.items()}
+        f.append(x)
+        df.append(dx)
+    rows = []
+    for a in range(gens):
+        for b in range(a + 1, n):
+            if steps.get(b) == a:
+                continue
+            coords, s = _chain_coordinates(f, sparse_apply(ad[a], f[b]))
+            acc = _leibniz(alg, a, f[b], df[b])
+            if s != 1:
+                acc = {r: {t: s * z for t, z in form.items()} for r, form in acc.items()}
+            for k, c in coords.items():
+                for r, form in df[k].items():
+                    row = acc.setdefault(r, {})
+                    for t, z in form.items():
+                        row[t] = row.get(t, 0) - c * z
+            rows += (form for form in acc.values() if any(form.values()))
+    upper = [{a * n + r: 1} for a in range(gens) for r in range(a + 1)]
+    upper += [df[k].get(k, {}) for k in range(2, n)]
+    return rows, upper, (f, df)
+
+
+def _chain_columns(f: List[dict], df: List[dict]) -> List[dict]:
+    """The unknown -> entry columns of ``_generator_system``'s chain (f_k, D f_k).
+
+    ``columns[t]`` is the flat n^2-vector {p*n + q: int} of the map whose
+    unknowns are the unit vector t, up to one common factor: column q of
+    D is D e_q, and s_q e_q = sum_k c_k f_k (``_chain_coordinates``) gives
+    it as a sum of the D f_k, all put over the lcm of the s_q.
+    """
+    n = len(f)
+    chains = [_chain_coordinates(f, {q: 1}) for q in range(n)]
+    den = lcm(*(abs(s) for _, s in chains))
+    columns: List[dict] = [{} for _ in range(n * min(n, 2))]
+    for q, (coords, s) in enumerate(chains):
+        for k, c in coords.items():
+            c *= den // s
+            for p, form in df[k].items():
+                for t, z in form.items():
+                    col = columns[t]
+                    col[p * n + q] = col.get(p * n + q, 0) + c * z
+    return columns
+
+
+def _derivation_equations(alg: LieAlgebra) -> List[dict]:
+    """The n^2 equations of ``derivation_space`` as integer rows, on every pair.
 
     The structure constants are read as the algebra holds them, ints over
     its ``den``, which leaves the solutions unchanged, and the rows are
     built by walking them: c of [e_i, e_j] on e_k adds c D[p, k] to row
     (i, j, p) for every p, and c of [e_q, e_x] on e_p adds -c D[q, y] to
-    row (y, x, p) for y < x and c D[q, y] to row (x, y, p) for y > x. On
-    a ``tail_filtered`` table the terms on the ``_pinned_unknowns`` are
-    never visited: D[p, k] is met
-    for p >= k only and D[q, y] for y <= max(q, 1). When, in addition,
-    ``_generator_pairs_suffice``, only the rows (a, b, p) with a <= 1 are
-    built: the others follow from them by Jacobi, and are never visited
-    (Benoist(1): 81 rows instead of 103). A row is made by its first term,
-    so none is empty; a sum that cancels stays as a 0 entry.
+    row (y, x, p) for y < x and c D[q, y] to row (x, y, p) for y > x. A
+    row is made by its first term, so none is empty; a sum that cancels
+    stays as a 0 entry. A Lie ``tail_filtered`` table never builds them
+    (``_generator_system``).
     """
     n = alg.dim
-    pinned = _pinned_unknowns(alg)
-    lead = 2 if _generator_pairs_suffice(alg) else n  # rows (a, b, p) with a < lead
     rows: dict = {}
     for (i, j), coeffs in alg.structure.items():
-        if i < lead:
-            for k, c in coeffs.items():
-                for p in range(k if pinned else 0, n):
-                    row = rows.setdefault((i, j, p), {})
-                    row[p * n + k] = row.get(p * n + k, 0) + c
+        for k, c in coeffs.items():
+            for p in range(n):
+                row = rows.setdefault((i, j, p), {})
+                row[p * n + k] = row.get(p * n + k, 0) + c
         for q, x, sign in ((i, j, 1), (j, i, -1)):
-            top = max(q, 1) + 1 if pinned else n  # D[q, y] is free for y < top
             for p, c in coeffs.items():
                 c *= sign
-                for y in range(min(x, top, lead)):
+                for y in range(x):
                     row = rows.setdefault((y, x, p), {})
                     row[q * n + y] = row.get(q * n + y, 0) - c
-                if x < lead:
-                    for y in range(x + 1, top):
-                        row = rows.setdefault((x, y, p), {})
-                        row[q * n + y] = row.get(q * n + y, 0) + c
-    return list(rows.values()), pinned
+                for y in range(x + 1, n):
+                    row = rows.setdefault((x, y, p), {})
+                    row[q * n + y] = row.get(q * n + y, 0) + c
+    return list(rows.values())
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
@@ -451,18 +600,18 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     its weight solve run at most once per algebra. Nothing is solved
     before a view is read: the system is built and solved the first time
     ``DerivationSpace.flat`` or ``all_nilpotent`` is read. Unknown (p, q)
-    of the map sits at flat index p*n + q (row-major). The equation of
-    pair i < j on coordinate p reads
+    of the map sits at flat index p*n + q (row-major). On a Lie
+    ``tail_filtered`` table the system is solved on the 2n unknowns
+    D e_1 and D e_2 (``_generator_system``): Benoist(1) solves 36 rows in
+    22 unknowns instead of 434 in 121, L24 21 rows in 48 unknowns instead
+    of 1034 in 576. Any other table, such as a catalog algebra in a moved
+    basis, solves the full system, in which the equation of pair i < j on
+    coordinate p reads
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
-    and ``_derivation_equations`` builds it in integers from the nonzero
-    structure constants alone. On a ``tail_filtered`` table the entries
-    that every derivation sets to 0 (``_pinned_unknowns``) are left out,
-    and on a Lie one only the pairs with i <= 1 are solved
-    (``_generator_pairs_suffice``): Benoist(1) solves 81 equations instead
-    of 434, L24 274 instead of 1034. Any other table, such as a catalog
-    algebra in a moved basis, solves the full system; the canonical RREF
-    of the solutions is the same either way. ``is_derivation`` and the
-    certificate checks still test every pair.
+    built by ``_derivation_equations`` in integers from the nonzero
+    structure constants alone. The canonical RREF of the solutions is the
+    same either way. ``is_derivation`` and the certificate checks still
+    test every pair.
     """
     kept = vars(alg)
     if "_derivation_space" not in kept:

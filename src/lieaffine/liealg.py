@@ -37,7 +37,7 @@ so a reader of [g, g] alone never builds it), its Jacobi report
 when first read): every caller shares them, so they are read-only. The
 report reads the ad table, so a catalog constructor's Jacobi check
 warms it for the checks that follow; the Der(g) solve, which needs
-Jacobi to drop its redundant equations, the Lie gate of
+Jacobi to solve on the generators e_1 and e_2 alone, the Lie gate of
 ``affine.synthesize`` and the command line's Lie check read the same
 report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
 ``linalg._Frozen``, and ``TwoForm`` its equality over its ``gram``.

@@ -37,7 +37,8 @@ column, each pivot the row's largest column. Its
 Every exit that is a subspace is a ``Subspace`` in integers too.
 ``_solution_basis`` reads the canonical basis of the solutions straight
 off those rows, and ``_nullspace``, the kernel and then that reading,
-solves the weight and closed-form equations; Der(g) keeps its rows and
+solves the weight and closed-form equations; Der(g) keeps its rows,
+asks ``_remainder`` whether a linear form vanishes on its solutions, and
 reads its basis off them only when it is asked for. ``_reduce(rows,
 ncols)`` runs the kernel on negated columns, so each pivot is the row's
 least column, and scales the rows over one denominator. Its result is
@@ -169,7 +170,9 @@ class Matrix(_Frozen):
     and the kernel read; ``data`` and ``m[i, j]`` are the Fraction views,
     for output. ``Matrix(data)`` takes n dense rows of n rationals,
     raises DimensionMismatch on any other shape (``Matrix([])`` is the
-    0 x 0 map) and scales them through ``integer_scaled``. It checks the
+    0 x 0 map) and TypeError on a row that is a string, whose characters
+    would otherwise pass for entries, and scales them through
+    ``integer_scaled``. It checks the
     shape of every caller's matrix; ``serialize.matrix_from_json`` checks a
     document's shape itself, before it parses any entry.
     ``from_sparse(columns, den)`` adopts the integer columns of kernel
@@ -181,7 +184,11 @@ class Matrix(_Frozen):
     _identity = ("den", "columns")
 
     def __init__(self, data):
-        rows = [dict(enumerate(row)) for row in data]
+        rows = []
+        for row in data:
+            if isinstance(row, str):
+                raise TypeError(f"matrix row {row!r} is a string, not a sequence of entries")
+            rows.append(dict(enumerate(row)))
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix data must be n rows of n entries")
@@ -319,8 +326,9 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
     caller with rational rows scales them at the boundary
     (``integer_scaled``). The rows are taken sparsest first, and every pivot
     row is kept free of the other pivot columns. A new row is therefore
-    reduced once against each pivot column it holds (a one-entry pivot row
-    just deletes its column), so a redundant row costs at most its length. A
+    reduced once against each pivot column it holds (``_remainder``; a
+    one-entry pivot row just deletes its column), so a redundant row costs
+    at most its length. A
     nonzero remainder is made primitive once (a division at every step would
     only scale it by a positive factor) and pivots on its largest column,
     which is then cleared from the rows that hold it, found through a
@@ -334,13 +342,7 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
     reduced = {}
     holders = {}
     for row in sorted(rows, key=len):
-        cur = {c: x for c, x in row.items() if x}
-        for q in [c for c in cur if c in reduced]:
-            prow = reduced[q]
-            if len(prow) == 1:
-                del cur[q]
-            else:
-                cur = _eliminate(prow[q], cur, cur[q], prow)
+        cur = _remainder(reduced, row)
         if not cur:
             continue
         cur = _primitive(cur)
@@ -360,6 +362,24 @@ def _gauss_jordan(rows: Iterable[dict]) -> dict:
                 holders.setdefault(c, []).append(p)
         reduced[p] = cur
     return reduced
+
+
+def _remainder(reduced: dict, row: dict) -> dict:
+    """The integer row, zeros dropped, reduced against each pivot column of ``reduced`` it holds.
+
+    ``reduced`` is ``_gauss_jordan`` output, each row holding its pivot and
+    free columns only, so the remainder holds no pivot column, and it is
+    empty exactly when the row lies in the span of ``reduced``: when its
+    linear form vanishes on every solution of those rows.
+    """
+    cur = {c: x for c, x in row.items() if x}
+    for q in [c for c in cur if c in reduced]:
+        prow = reduced[q]
+        if len(prow) == 1:
+            del cur[q]
+        else:
+            cur = _eliminate(prow[q], cur, cur[q], prow)
+    return cur
 
 
 def _reduce(rows: Iterable[dict], ncols: int) -> Subspace:
@@ -524,8 +544,8 @@ def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
     built in integers; zero rows and no rows are allowed. It is
     ``_gauss_jordan`` and then ``_solution_basis`` on the rows it leaves.
     Der(g) runs the same two steps apart: ``derivations.DerivationSpace``
-    keeps the rows and reads the basis off them only when it is asked for,
-    with no second elimination.
+    keeps the rows and reads the basis off them only when it is asked for;
+    on the n^2 system that needs no second elimination.
     """
     return _solution_basis(_gauss_jordan(rows), ncols)
 

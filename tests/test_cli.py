@@ -1252,7 +1252,7 @@ def test_one_jacobi_report_per_command(capsys, monkeypatch, argv, stdin_alg, cod
     kept.__set_name__(liealg.LieAlgebra, "_jacobi_report")
     monkeypatch.setattr(liealg.LieAlgebra, "_jacobi_report", kept)
     solves = []
-    for name in ("_nullspace", "_derivation_equations"):
+    for name in ("_nullspace", "_generator_system", "_derivation_equations"):
         monkeypatch.setattr(derivations, name, functools.partial(
             lambda name, solve, *args: solves.append(name) or solve(*args),
             name, getattr(derivations, name)))

@@ -188,6 +188,15 @@ def _tampered_algebra(alg, rng, changes, filtered=False):
     return LieAlgebra(alg.dim, structure)
 
 
+# the two Der(g) builders: the 2n system of a Lie tail_filtered table and
+# the n^2 system of any other
+_DER_BUILDERS = ("_generator_system", "_derivation_equations")
+
+
+def _no_full_system(*args):
+    raise AssertionError("the n^2 Der(g) builder ran")
+
+
 def _forced_zeros(n):
     # D[p][q] for q >= 2 and p < q, at flat index p * n + q
     return {p * n + q for q in range(2, n) for p in range(q)}
@@ -209,29 +218,20 @@ def _differential_tables(name):
     return tables + [moved]
 
 
-def _generator_lead(alg):
-    # on a tail-filtered Lie table e1 and e2 generate g, so the pairs (i, j)
-    # with i <= 1 (0-based) decide; on any other table every pair does
-    return 2 if alg.tail_filtered and not jacobi_report(alg) else None
-
-
 @pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
 def test_derivation_equations_match_fraction_oracle(name):
-    # the same rows as the pair-by-pair oracle on the pairs that decide, as
-    # a multiset: the builder walks the structure constants, so its row
-    # order is its own; test_generator_pair_systems_equal_the_full_ones
-    # checks the solutions against the oracle on every pair
+    # the n^2 builder gives the same rows as the pair-by-pair oracle on
+    # every pair, as a multiset: it walks the structure constants, so its
+    # row order is its own; test_generator_pair_systems_equal_the_full_ones
+    # checks the solutions of both routes against the oracle
     tables = _differential_tables(name)
     for alg in tables:
-        n = alg.dim
-        rows, pinned = derivations._derivation_equations(alg)
+        rows = derivations._derivation_equations(alg)
         view = rational_table(alg).values()
         den = math.lcm(*(c.denominator for col in view for c in col.values()))
-        assert pinned == (_forced_zeros(n) if alg.tail_filtered else set())
-        deciding = dense.derivation_equations(alg, _generator_lead(alg))
-        live = [{k: x * den for k, x in row.items() if k not in pinned} for row in deciding]
+        full = [{k: x * den for k, x in row.items()} for row in dense.derivation_equations(alg)]
         assert all(rows) and all(type(x) is int for row in rows for x in row.values())
-        assert _row_multiset(rows) == _row_multiset(filter(None, live))
+        assert _row_multiset(rows) == _row_multiset(full)
     base, moved = tables[0], tables[-1]
     assert all(t.tail_filtered for t in [base, *tables[-3:-1]]) and not moved.tail_filtered
 
@@ -403,7 +403,8 @@ def test_searches_reject_nonpositive_trials(monkeypatch, search, trials):
     def no_solve(*args):
         raise AssertionError("a search solved a system before it checked trials")
 
-    monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
+    for name in _DER_BUILDERS:
+        monkeypatch.setattr(derivations, name, no_solve)
     monkeypatch.setattr(derivations, "_nullspace", no_solve)
     monkeypatch.setattr(affine, "_nullspace", no_solve)
     with pytest.raises(ValueError, match="trials"):
@@ -826,19 +827,82 @@ def _assert_flat_matches_full_system(alg):
 
 @pytest.mark.parametrize("name", list(CATALOG_MEMBERS))
 def test_catalog_members_pin_the_forced_zeros_of_der_g(name):
+    # a Lie table in the adapted basis, or moved by a unitriangular change,
+    # is solved on D e1 and D e2, the others on n^2 unknowns; every
+    # derivation of a tail_filtered table, Lie or not, vanishes on the
+    # entries above the diagonal in columns 3..n
     alg = CATALOG_MEMBERS[name]
     rng = random.Random(alg.dim)
     kept = change_basis(alg, _unitriangular_basis_change(alg.dim, rng))
     tampered = [_tampered_algebra(alg, rng, changes, filtered=True) for changes in (1, 4)]
     for table in [alg, kept, *tampered]:
         assert table.tail_filtered
-        _, pinned = derivations._derivation_equations(table)
-        assert pinned == _forced_zeros(alg.dim)
+        assert derivations._generators_decide(table) is not bool(jacobi_report(table))
+        flat = derivation_space(table).flat
+        assert not _forced_zeros(alg.dim) & {c for _, row in flat.rows for c in row}
         _assert_flat_matches_full_system(table)
 
 
 def test_catalog_members_include_non_lie_tables():
     assert jacobi_report(CATALOG_MEMBERS["A9^2"]) and jacobi_report(CATALOG_MEMBERS["B10^3"])
+
+
+# the Lie members of CATALOG_MEMBERS, then Benoist at the seven t of the
+# obstruction workload
+_GENERATOR_ROUTE = {
+    **{name: alg for name, alg in CATALOG_MEMBERS.items() if not jacobi_report(alg)},
+    **{f"Benoist({t})": make_benoist(F(t)) for t in ("0", "1", "-1", "2", "1/3", "-1/2", "7/5")},
+}
+
+
+@pytest.mark.parametrize("name", list(_GENERATOR_ROUTE))
+def test_generator_route_matches_the_full_system(name, monkeypatch):
+    # Der(g) on D e1 and D e2 against the n^2 oracle, and its nil gate
+    # against products_vanish over flat, in the adapted basis and after a
+    # unitriangular move, whose chain basis vectors carry tails from n = 4 on
+    alg = _GENERATOR_ROUTE[name]
+    moved = change_basis(alg, _unitriangular_basis_change(alg.dim, random.Random(alg.dim)))
+    _, _, (chain, _) = derivations._generator_system(moved)
+    assert alg.dim == 3 or any(sum(1 for x in f_k.values() if x) > 1 for f_k in chain)
+    for table in (alg, moved):
+        assert table.tail_filtered and derivations._generators_decide(table)
+        with monkeypatch.context() as patch:
+            patch.setattr(derivations, "_derivation_equations", _no_full_system)
+            space = derivations.DerivationSpace(table)
+            nil = space.all_nilpotent
+            maps = [m.columns for m in space.basis]
+        assert nil is products_vanish(maps)
+        _assert_flat_matches_full_system(table)
+
+
+def test_cli_never_builds_the_full_system_of_a_lie_catalog_member(capsys, tmp_path, monkeypatch):
+    # der space, der char-nilp and affine synth print the same bytes with
+    # the n^2 builder made to raise, on every Lie member of CATALOG_MEMBERS;
+    # a table moved off its filtration by a dense change still builds it
+    members = [alg for alg in CATALOG_MEMBERS.values() if not jacobi_report(alg)]
+    moved = change_basis(make_ln(8), dense_basis_change(8, random.Random(8)))
+    paths = []
+    for k, alg in enumerate([*members, moved]):
+        paths.append(tmp_path / f"member-{k}.json")
+        paths[-1].write_text(json.dumps(algebra_to_json(alg)))
+    argvs = [[*command, "--in", str(path), "--reproducible"] for path in paths[:-1]
+             for command in (["der", "space"], ["der", "char-nilp"], ["affine", "synth"])]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    expected = [run(argv) for argv in argvs]
+    assert {code for code, _ in expected} == {0, 1}
+    built = []
+    full = derivations._derivation_equations
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "_derivation_equations", _no_full_system)
+        assert [run(argv) for argv in argvs] == expected
+        patch.setattr(derivations, "_derivation_equations",
+                      lambda alg: built.append(alg.dim) or full(alg))
+        assert run(["der", "space", "--in", str(paths[-1]), "--reproducible"])[0] == 0
+    assert built == [8]
 
 
 # (algebra, basis change): seeded moves off the adapted basis
@@ -854,9 +918,8 @@ def test_moved_tables_solve_the_full_system(name, move):
     alg = change_basis(base, _BASIS_CHANGES[move](base.dim, random.Random(base.dim)))
     rng = random.Random(3)
     for table in [alg, *(_tampered_algebra(alg, rng, changes) for changes in (1, 4))]:
-        assert not table.tail_filtered
-        rows, pinned = derivations._derivation_equations(table)
-        assert pinned == frozenset()
+        assert not table.tail_filtered and not derivations._generators_decide(table)
+        rows = derivations._derivation_equations(table)
         assert len(rows) == len(dense.derivation_equations(table))
         _assert_flat_matches_full_system(table)
 
@@ -872,7 +935,7 @@ def test_tables_that_miss_a_step_bracket_pin_nothing():
     assert is_derivation(alg, Matrix.from_sparse([{}, {}, {1: 1}, {}], 1)) == []
     assert contains(derivation_space(alg).flat, dense_vector({1 * 4 + 2: F(1)}, 16))
     for table in (alg, make_abelian(3)):
-        assert derivations._derivation_equations(table)[1] == frozenset()
+        assert not derivations._generators_decide(table)
         _assert_flat_matches_full_system(table)
 
 
@@ -1102,15 +1165,18 @@ def test_nil_gate_on_the_kernel_rows_matches_the_flat_decision():
 
 
 def test_benoist_operation_counts(monkeypatch):
-    # the Der(g) system of Benoist(1) on the generator pairs: 81 rows (103
-    # on every pair, 434 with the pinned entries as unknowns too), and at
-    # most 186 eliminations to decide that Der(g) is nil; its weights, 0,
-    # are read off the filtration with no kernel call. A builder that brings
+    # the Der(g) system of Benoist(1) on D e1 and D e2: 36 rows in 22
+    # unknowns (434 rows in 121 unknowns on every pair), and at most 23
+    # eliminations, the kernel's and the 12 nil-gate forms', to decide that
+    # Der(g) is nil; its weights, 0, are read off the filtration with no
+    # kernel call. A route back to the n^2 system, a builder that brings
     # back the redundant rows, or a weight solve that goes back to the
     # kernel, fails here
     alg = make_benoist(1)
-    rows, pinned = derivations._derivation_equations(alg)
-    assert len(rows) == 81 and len(pinned) == 54
+    rows, upper, _ = derivations._generator_system(alg)
+    assert len(rows) == 36 and len(upper) == 12
+    assert {c for row in rows for c in row} <= set(range(22))
+    assert len(derivations._derivation_equations(alg)) == 434
     with monkeypatch.context() as patch:
         _no_weight_elimination(patch)
         assert diagonal_derivations(alg).is_zero()
@@ -1122,9 +1188,10 @@ def test_benoist_operation_counts(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(derivations, "_derivation_equations", _no_full_system)
     space = derivations.DerivationSpace(alg)
     assert space.all_nilpotent
-    assert len(calls) <= 186 and "flat" not in vars(space)
+    assert len(calls) <= 23 and "flat" not in vars(space)
 
 
 def _dense_draws(space, seed, trials):
@@ -1216,7 +1283,8 @@ def test_diagonal_hit_never_solves_der_g(monkeypatch):
     def no_solve(*args):
         raise AssertionError("Der(g) was solved")
 
-    monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
+    for name in _DER_BUILDERS:
+        monkeypatch.setattr(derivations, name, no_solve)
     cases = [(make_cn(12, [1, -1, 1, 1])[0], "derived-regular")] + [
         (alg, strategy)
         for alg in (make_ln(12), make_qn(10), make_qn(12, adapted=True),
@@ -1245,7 +1313,8 @@ def test_derived_regular_hits_a_curve_point_when_no_basis_weight_passes(monkeypa
     def no_solve(*args):
         raise AssertionError("Der(g) was solved")
 
-    monkeypatch.setattr(derivations, "_derivation_equations", no_solve)
+    for name in _DER_BUILDERS:
+        monkeypatch.setattr(derivations, name, no_solve)
     expected = Matrix.diagonal([1, 1, 2, 1, 1, 2])
     for seed in (0, 7):
         assert find_derived_regular_derivation(alg, seed=seed) == expected
@@ -1580,7 +1649,7 @@ def test_diagonal_derivations_with_self_cancelling_equation():
 
 def test_derivation_space_is_immutable_and_solves_each_view_once(monkeypatch):
     # one weight solve and one Der(g) kernel pass (the ``_gauss_jordan`` of
-    # ``_derivation_equations``) per space, each kept: the weights are the
+    # the Der(g) rows) per space, each kept: the weights are the
     # closed form (``_filtered_weights``) on a tail_filtered table and the
     # ``_nullspace`` of the weight equations on any other
     calls = []

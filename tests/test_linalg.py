@@ -310,9 +310,10 @@ def test_kernel_subspaces_are_the_dense_rref_over_its_lcm_denominator():
 def _kernel_exits(alg):
     # the kernel on a table's integer systems: Der(g) and the weights by
     # _nullspace, [g, g] by _reduce, the coordinates of the brackets and of
-    # each e_j on [g, g], and the image chains of Der(g) and of ad
+    # each e_j on [g, g], the image chains of Der(g) and of ad, and Der(g)
+    # of a fresh space, on D e1 and D e2 where the table is Lie and filtered
     n = alg.dim
-    der_rows, _ = derivations._derivation_equations(alg)
+    der_rows = derivations._derivation_equations(alg)
     brackets = list(alg.structure.values())
     ad_columns = alg.ad_columns
     flat = _nullspace(der_rows, n * n)
@@ -320,7 +321,9 @@ def _kernel_exits(alg):
     derived = _reduce(brackets, n)
     coords = [_coordinates(derived, v) for v in brackets + [{j: 1} for j in range(n)]]
     maps = [_flat_columns(row.items(), n) for _, row in flat.rows]
-    return flat, weights, derived, coords, products_vanish(maps), products_vanish(ad_columns)
+    space = derivations.DerivationSpace(alg)
+    return (flat, weights, derived, coords, products_vanish(maps), products_vanish(ad_columns),
+            space.flat, space.all_nilpotent)
 
 
 def test_no_fraction_is_formed_inside_the_kernel(monkeypatch):
@@ -639,6 +642,18 @@ def test_matrix_holds_one_canonical_form():
     assert hash(cancelled) == hash(Matrix([[0] * 3] * 3))
     assert Matrix.from_sparse([], 4) == zeros(0) == Matrix([])
     assert Matrix([]).den == Matrix.from_sparse([], 4).den == 1
+
+
+@pytest.mark.parametrize("data", [["12", "34"], ("12", "34"), [[1, 2], "34"], ["1"]])
+def test_matrix_rejects_a_row_that_is_a_string(data):
+    # a string's characters would otherwise read as the row's entries
+    with pytest.raises(TypeError, match="string"):
+        Matrix(data)
+
+
+def test_matrix_reads_string_entries_inside_list_rows():
+    assert Matrix([["1", "2"], ["3/6", "0"]]) == Matrix([[1, 2], [F(1, 2), 0]])
+    assert Matrix((("1", "-2"), ("0", "4"))).data == ((1, -2), (0, 4))
 
 
 def test_is_nilpotent_strict_upper_triangular():

@@ -28,10 +28,13 @@ The calls, in order:
 * the same subcommands with ``--in`` on ``tests/half_weights.json`` and
   ``tests/half_form.json``, and on L8, Q8, C8 (1, -1) and Benoist(1)
   moved onto the basis P e_1, ..., P e_n: P is a seeded sparse +-1,
-  dense +-1 or rational change of basis, drawn from ``random.Random(n)``
-  until it is invertible, and the brackets of the algebra's JSON document
-  are moved in Fractions, c' = P^-1 [P e_i, P e_j], and written to a
-  temporary directory;
+  dense +-1, rational or lower unitriangular +-1 change of basis, drawn
+  from ``random.Random(n)`` until it is invertible, and the brackets of
+  the algebra's JSON document are moved in Fractions,
+  c' = P^-1 [P e_i, P e_j], and written to a temporary directory. The
+  unitriangular move keeps each span(e_m, ..., e_n), so its tables stay
+  in a basis adapted to the lower central series, with tails below each
+  leading bracket;
 * ``--help`` at the top, at each group and at each command, with
   ``COLUMNS`` set to 80 because argparse wraps help at the terminal width;
   the argvs of ``test_cli_cuts_long_argument_values``, each a usage error
@@ -207,7 +210,14 @@ def _rational_change(n, rng):
              if rng.random() < 0.3 else 0 for j in range(n)] for i in range(n)]
 
 
-MOVES = {"sparse": _sparse_change, "dense": _dense_change, "rational": _rational_change}
+def _unitriangular_change(n, rng):
+    """A unit diagonal, a seeded +-1 everywhere below it and 0 above: P e_j is e_j plus later vectors."""
+    return [[1 if i == j else rng.choice((-1, 1)) if i > j else 0 for j in range(n)]
+            for i in range(n)]
+
+
+MOVES = {"sparse": _sparse_change, "dense": _dense_change, "rational": _rational_change,
+         "unitriangular": _unitriangular_change}
 
 
 def _inverse(grid):
