@@ -84,6 +84,20 @@ def _aij(n: int, k: int, lams: Dict[int, int]) -> Dict[Tuple[int, int], int]:
     return a
 
 
+def _read_lambdas(lambdas: Sequence) -> Tuple[int, Dict[int, int], int]:
+    """(count, lams, den): how many lambda values, and the nonzero ones {index: int} over den.
+
+    The one reader of a lambda sequence, by ``integer_scaled``. A string
+    raises TypeError, as a ``Matrix`` row does: its characters would
+    otherwise pass for the values.
+    """
+    if isinstance(lambdas, str):
+        raise TypeError(f"lambda values {lambdas!r} are a string, not a sequence of values")
+    lambdas = dict(enumerate(lambdas))
+    (lams,), den = integer_scaled([lambdas])
+    return len(lambdas), lams, den
+
+
 def fill_aij(n: int, k: int, lambdas: Sequence) -> Dict[Tuple[int, int], Fraction]:
     """Solve the coefficient recurrence a_ij = a_{i,j+1} + a_{i+1,j}.
 
@@ -100,22 +114,18 @@ def fill_aij(n: int, k: int, lambdas: Sequence) -> Dict[Tuple[int, int], Fractio
     """
     if not 2 <= k <= n - 3:
         raise BadRange(f"shift k must satisfy 2 <= k <= n - 3, got k={k}, n={n}")
-    lambdas = dict(enumerate(lambdas))
-    (lams,), den = integer_scaled([lambdas])
+    count, lams, den = _read_lambdas(lambdas)
     t_cap = (n - k + 1) // 2
-    if len(lambdas) > t_cap - 1:
-        raise BadRange(
-            f"at most {t_cap - 1} lambda values fit n={n}, k={k}; got {len(lambdas)}"
-        )
+    if count > t_cap - 1:
+        raise BadRange(f"at most {t_cap - 1} lambda values fit n={n}, k={k}; got {count}")
     return {key: Fraction(val, den) for key, val in _aij(n, k, lams).items()}
 
 
 def _check_lambdas(lambdas: Sequence, expected: int) -> Tuple[Dict[int, int], int]:
-    """(lams, den): the nonzero lambda values {index: int} over den, by ``integer_scaled``."""
-    lambdas = dict(enumerate(lambdas))
-    (lams,), den = integer_scaled([lambdas])
-    if len(lambdas) != expected:
-        raise WrongLambdaCount(f"expected {expected} lambda value(s), got {len(lambdas)}")
+    """(lams, den): the nonzero lambda values {index: int} over den, ``_read_lambdas``'s."""
+    count, lams, den = _read_lambdas(lambdas)
+    if count != expected:
+        raise WrongLambdaCount(f"expected {expected} lambda value(s), got {count}")
     if expected and not lams:
         raise WrongLambdaCount("lambda parameters must not all vanish")
     return lams, den

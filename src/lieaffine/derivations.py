@@ -3,19 +3,20 @@
 ``derivation_space`` solves the linear system expressing
 D[x, y] = [Dx, y] + [x, Dy], with its equations built in integers from
 the nonzero structure constants, the integers over one denominator that
-``LieAlgebra`` holds. When the table is in a basis adapted to its lower
-central series (``LieAlgebra.tail_filtered``, true for every catalog
-family) and satisfies Jacobi, e_1 and e_2 generate g, so a derivation is
-fixed by u = D e_1 and v = D e_2, and is one as soon as the identity
-holds on the pairs (e_1, .) and (e_2, .) (``_generators_decide``): the
-system is solved on those 2n unknowns, along the chain basis
-f_(m+1) = [e_i, f_m] of the step brackets (``_generator_system``), and
-Der(g) is read back onto the n^2 entries. Any other table, such as a
-moved basis or a table that fails Jacobi, solves the n^2 system on every
-pair (``_derivation_equations``); both routes give the same canonical
-basis. ``is_derivation`` checks the identity in integers on every pair,
-and a diagonal map, the witness of every weight hit, by comparing
-weights on the stored brackets alone. Which route a map takes is read
+``LieAlgebra`` holds. A derivation is fixed by its values on a
+generating set, and is one as soon as the identity holds on the pairs
+(s, .) with s a generator, so one builder, ``_generator_system``, writes
+the system on the values D e_a of its generators. When the table is in a
+basis adapted to its lower central series (``LieAlgebra.tail_filtered``,
+true for every catalog family) and satisfies Jacobi, e_1 and e_2
+generate g (``_generators_decide``): the system has 2n unknowns, along
+the chain basis f_(m+1) = [e_i, f_m] of the step brackets. Any other
+table, such as a moved basis or a table that fails Jacobi, takes the
+whole basis as its generators, and its n^2 unknowns are the entries of
+D. Der(g) is read back onto the n^2 entries, in one canonical basis
+whatever the generators. ``is_derivation`` checks the identity in
+integers on every pair, and a diagonal map, the witness of every weight
+hit, by comparing weights on the stored brackets alone. Which route a map takes is read
 off its kept shape, ``Matrix.diagonal_weights``, which
 ``is_derivation``, ``_restriction_invertible`` and ``verify_torus``
 share with the constructions in ``affine``: a witness's shape is found
@@ -64,7 +65,7 @@ on Ln its witness does not depend on the seed either.
 After that the three searches pass one nil gate,
 ``DerivationSpace.all_nilpotent``, which decides exactly whether every
 derivation is nilpotent: at once from the kept kernel rows when they set
-every entry on and above the diagonal to 0 (on the 2n unknowns, the
+every entry on and above the diagonal to 0 (on e_1 and e_2, the
 diagonal of D on the chain basis and the one entry above it that a
 derivation can hold), without the Der(g) basis, and otherwise by
 Engel's theorem, on one image chain over that basis.
@@ -122,9 +123,9 @@ class DerivationSpace(_Frozen):
 
     ``derivation_space`` keeps one instance on each algebra, so every
     caller shares its views. The kernel rows of the system are kept
-    (``_system``: on the 2n unknowns D e_1, D e_2 of ``_generator_system``
-    for a Lie ``tail_filtered`` table, else on the n^2 of
-    ``_derivation_equations``); ``flat`` reads Der(g) off them as the
+    (``_system``: on the values D e_a of the generators of
+    ``_generator_system``, e_1 and e_2 of a Lie ``tail_filtered`` table and
+    the whole basis of any other); ``flat`` reads Der(g) off them as the
     integer RREF rows, over one ``den``, of flattened n^2-vectors, and
     ``basis`` and ``matrix`` adopt those rows, and the seeded draws over
     them, as maps over the same ``den``, so no Fraction of Der(g) is
@@ -173,40 +174,30 @@ class DerivationSpace(_Frozen):
         return _nullspace(rows, alg.dim)
 
     @cached_property
-    def _system(self) -> Tuple[dict, List[dict], Optional[tuple]]:
+    def _system(self) -> Tuple[dict, List[dict], tuple]:
         """(reduced, upper, chain): the ``_gauss_jordan`` rows of Der(g) and how to read them.
 
-        On a Lie ``tail_filtered`` table (``_generators_decide``) the rows are
-        those of ``_generator_system``, on the 2n unknowns D e_1 and D e_2,
-        and ``chain`` is its chain basis with the forms of D on it; on any
-        other table they are the n^2 rows of ``_derivation_equations`` and
-        ``chain`` is None. ``upper`` holds linear forms that all vanish on
-        Der(g) exactly when every derivation is strictly lower triangular.
+        The rows, ``upper`` and ``chain`` (f, df, gens) are those of
+        ``_generator_system``: ``chain`` is its chain basis with the forms of
+        D on it, and ``upper`` holds linear forms that all vanish on Der(g)
+        exactly when every derivation is strictly lower triangular.
         """
-        alg = self.algebra
-        if _generators_decide(alg):
-            rows, upper, chain = _generator_system(alg)
-        else:
-            n = alg.dim
-            rows, chain = _derivation_equations(alg), None
-            upper = [{r * n + j: 1} for j in range(n) for r in range(j + 1)]
+        rows, upper, chain = _generator_system(self.algebra)
         return _gauss_jordan(rows), upper, chain
 
     @cached_property
     def flat(self) -> Subspace:
         """Der(g) as the canonical integer RREF rows of its flattened n^2-vectors.
 
-        Read off the kept kernel rows by ``linalg._solution_basis``. On the
-        n^2 system that basis is already canonical. On the 2n unknowns of
-        ``_generator_system`` each basis vector goes through the unknown ->
-        entry columns of ``_chain_columns`` with one ``sparse_apply``, and
-        ``_reduce`` puts the images in canonical form, which is unique, so
-        both routes give the same rows, in the same order.
+        ``linalg._solution_basis`` reads the solutions off the kept kernel
+        rows, in the unknowns of ``_generator_system``; each goes through the
+        unknown -> entry columns of ``_chain_columns`` with one
+        ``sparse_apply`` (the identity on the whole basis), and ``_reduce``
+        puts the images in canonical form, which is unique, so any choice of
+        generators gives the same rows, in the same order.
         """
         n = self.algebra.dim
         reduced, _, chain = self._system
-        if chain is None:
-            return _solution_basis(reduced, n * n)
         columns = _chain_columns(*chain)
         kernel = _solution_basis(reduced, len(columns))
         return _reduce([sparse_apply(columns, z) for _, z in kernel.rows], n * n)
@@ -231,13 +222,14 @@ class DerivationSpace(_Frozen):
         First the kept kernel rows: when every form of ``upper`` leaves no
         ``linalg._remainder`` against them, each vanishes on Der(g), so every
         derivation is strictly lower triangular, hence nilpotent, and the
-        answer is True without building ``flat``. On the n^2 system the forms
-        are the unknowns D[r, j], r <= j. On the 2n unknowns they are the
-        entries of D e_1 and D e_2 on and above the diagonal and the e_k
-        coordinate of D f_k for k >= 3 (1-based), f the chain basis of
-        ``_generator_system``: a derivation keeps each C^(k-2) g = span(f_k,
-        ...), and the change of basis to f is lower triangular, so these are
-        the diagonal entries and the one entry above it that can be nonzero.
+        answer is True without building ``flat``. The forms are the entries
+        on and above the diagonal of each D e_a, a generator of
+        ``_generator_system``, and the e_k coordinate of D f_k for every
+        other k, f its chain basis. On the whole basis that is every entry
+        D[r, j], r <= j. On e_1 and e_2 a derivation keeps each
+        C^(k-2) g = span(f_k, ...) (1-based), and the change of basis to f
+        is lower triangular, so these are the diagonal entries and the one
+        entry above it that can be nonzero.
         The test holds for Benoist(t) in the catalog basis. Otherwise a basis
         element with nonzero trace, summed over the diagonal entries its
         sparse row stores, settles False at once, and then
@@ -399,7 +391,7 @@ def _filtered_weights(alg: LieAlgebra) -> Subspace:
 
 
 def _generators_decide(alg: LieAlgebra) -> bool:
-    """Whether Der(g) is solved on D e_1 and D e_2 (``_generator_system``): a Lie ``tail_filtered`` table.
+    """Whether e_1 and e_2 are ``_generator_system``'s generators: a Lie ``tail_filtered`` table.
 
     Let phi(x, y) = D[x, y] - [Dx, y] - [x, Dy] for a linear map D. If g is
     Lie and phi(s, .) = 0, three Jacobi identities give
@@ -409,30 +401,26 @@ def _generators_decide(alg: LieAlgebra) -> bool:
     generates: a map is a derivation iff the identity holds on generators
     (Jacobson, Lie Algebras, Ch. I). On a ``tail_filtered`` table
     [g, g] = span(e_3, ..., e_n) (1-based) and g is nilpotent, so e_1 and
-    e_2 generate g. The argument needs Jacobi: a table that fails it solves
-    the n^2 system on every pair. The Jacobi report kept on ``alg`` is read,
-    through ``jacobi_report``, only when some stored pair has i >= 1
-    (0-based): a ``tail_filtered`` table whose brackets are all [e_1, .],
-    such as Ln, satisfies Jacobi, since each cyclic sum on (e_1, e_j, e_k)
-    is a multiple of e_1 coordinates that condition (a) sets to 0.
+    e_2 generate g. The argument needs Jacobi, read off the report kept on
+    ``alg``: a table that fails it takes the whole basis as its generators.
     """
-    return alg.tail_filtered and (all(i == 0 for i, _ in alg.structure) or not jacobi_report(alg))
+    return alg.tail_filtered and not jacobi_report(alg)
 
 
-def _leibniz(alg: LieAlgebra, a: int, x: dict, dx: dict) -> dict:
-    """[D e_a, x] + [e_a, D x] as integer linear forms {coordinate: {unknown: int}}, a <= 1.
+def _leibniz(alg: LieAlgebra, gens: int, a: int, x: dict, dx: dict) -> dict:
+    """[D e_a, x] + [e_a, D x] as integer linear forms {coordinate: {unknown: int}}, a < gens.
 
     x is an integer vector and dx the forms of D x; coordinate c of D e_a
-    is unknown a*n + c. [D e_a, x] = -sum_q x_q sum_c (D e_a)_c [e_q, e_c]
+    is unknown c*gens + a. [D e_a, x] = -sum_q x_q sum_c (D e_a)_c [e_q, e_c]
     is read off the ad table over each bracket partner c of q, and
     [e_a, D x] off ad(e_a) on each coordinate of dx. Sums that cancel stay
     as 0 entries.
     """
-    n, ad, partners = alg.dim, alg.ad_columns, alg.partners
+    ad, partners = alg.ad_columns, alg.partners
     out: dict = {}
     for q, xq in x.items():
         for c in partners[q]:
-            t = a * n + c
+            t = c * gens + a
             for s, y in ad[q][c].items():
                 form = out.setdefault(s, {})
                 form[t] = form.get(t, 0) - xq * y
@@ -474,44 +462,51 @@ def _chain_coordinates(f: List[dict], w: dict) -> Tuple[dict, int]:
     return coords, s
 
 
-def _generator_system(alg: LieAlgebra) -> Tuple[List[dict], List[dict], List[dict]]:
-    """(rows, upper, (f, df)): Der(g) of a Lie ``tail_filtered`` table on u = D e_1 and v = D e_2.
+def _generator_system(alg: LieAlgebra) -> Tuple[List[dict], List[dict], tuple]:
+    """(rows, upper, (f, df, gens)): Der(g)'s integer equations on the D e_a of its generators.
 
-    The unknowns are the coordinates of u (0..n-1) and of v (n..2n-1)
-    (1-based e; 0-based indices). The chain basis is f_0 = e_0, f_1 = e_1
-    and f_(m+1) = [e_i, f_m] for the step i = ``_steps(alg)[m]``, in
-    integer brackets; on a Lie table each step is 0 or 1 (a stored
-    [e_i, e_m] with i >= 2 lies in [C^1 g, C^(m-1) g], inside
-    span(e_(m+2), ...)), so f_(m+1) is a nonzero multiple of e_(m+1) plus
-    later vectors, and on every catalog table it is that multiple alone.
-    D f_(m+1) = [D e_i, f_m] + [e_i, D f_m] (``_leibniz``) follows in
-    integer linear forms in (u, v), and each pair (f_k, D f_k) is divided
-    by its content, which keeps the entries small (Benoist's f_k would
-    otherwise grow by its den at each step).
+    The generators are e_1 and e_2 on a Lie ``tail_filtered`` table
+    (``_generators_decide``), and the whole basis on any other table, such
+    as a moved basis or a table that fails Jacobi. Coordinate c of D e_a
+    is unknown c*gens + a (1-based e; 0-based indices), so with the whole
+    basis unknown p*n + q is entry (p, q) of D, row-major. The chain basis
+    is f_a = e_a for a < gens, then f_(m+1) = [e_i, f_m] for the step
+    i = ``_steps(alg)[m]``, in integer brackets; on a Lie table each step is
+    0 or 1 (a stored [e_i, e_m] with i >= 2 lies in [C^1 g, C^(m-1) g],
+    inside span(e_(m+2), ...)), so f_(m+1) is a nonzero multiple of e_(m+1)
+    plus later vectors, and on every catalog table it is that multiple
+    alone. D f_(m+1) = [D e_i, f_m] + [e_i, D f_m] (``_leibniz``) follows in
+    integer linear forms in the unknowns, and each pair (f_k, D f_k) is
+    divided by its content, which keeps the entries small (Benoist's f_k
+    would otherwise grow by its den at each step).
 
-    By ``_generators_decide``, D is a derivation exactly when
-    phi(e_a, f_b) = 0 for a <= 1 and every b; the chain pairs (a, b),
-    a = step(b), hold by construction, and phi is antisymmetric, so the
-    rows are the coordinates of s phi(e_a, f_b) = sum_k c_k D f_k -
-    s [D e_a, f_b] - s [e_a, D f_b] for a < b off the chain, with
-    s [e_a, f_b] = sum_k c_k f_k from ``_chain_coordinates``: n - 1 pairs.
-    Benoist(1) solves 36 rows in 22 unknowns, where the n^2 system has 434
-    rows in 121.
+    A derivation is fixed by its values on generators, and D is one
+    exactly when phi(e_a, f_b) = 0 for a < gens and every b
+    (``_generators_decide``; on the whole basis, by definition); the chain
+    pairs (a, b), a = step(b), hold by construction, and phi is
+    antisymmetric, so the rows are the coordinates of
+    s phi(e_a, f_b) = sum_k c_k D f_k - s [D e_a, f_b] - s [e_a, D f_b] for
+    a < b off the chain, with s [e_a, f_b] = sum_k c_k f_k from
+    ``_chain_coordinates``, each row without its cancelled entries.
+    Benoist(1) solves 36 rows in 22 unknowns on two generators, where the
+    whole basis gives 434 rows in 121.
 
-    ``upper`` holds the forms of the entries of u and v on and above the
-    diagonal and, for k >= 2, the e_k coordinate of D f_k (see
+    ``upper`` holds the forms of the entries of each D e_a on and above the
+    diagonal and, for k >= gens, the e_k coordinate of D f_k (see
     ``DerivationSpace.all_nilpotent``). f and df, the f_k and the forms of
-    the D f_k, are returned for ``_chain_columns``.
+    the D f_k, go with ``gens`` to ``_chain_columns``.
     """
     n, ad = alg.dim, alg.ad_columns
-    steps = _steps(alg)
-    gens = min(n, 2)
+    if _generators_decide(alg):
+        gens, steps = min(n, 2), _steps(alg)
+    else:
+        gens, steps = n, {}
     f = [{a: 1} for a in range(gens)]
-    df = [{r: {a * n + r: 1} for r in range(n)} for a in range(gens)]
-    for m in range(1, n - 1):
+    df = [{r: {r * gens + a: 1} for r in range(n)} for a in range(gens)]
+    for m in range(gens - 1, n - 1):
         i = steps[m]
         x = sparse_apply(ad[i], f[m])
-        dx = _leibniz(alg, i, f[m], df[m])
+        dx = _leibniz(alg, gens, i, f[m], df[m])
         g = gcd(*x.values(), *(z for form in dx.values() for z in form.values()))
         if g > 1:
             x = {k: y // g for k, y in x.items()}
@@ -524,7 +519,7 @@ def _generator_system(alg: LieAlgebra) -> Tuple[List[dict], List[dict], List[dic
             if steps.get(b) == a:
                 continue
             coords, s = _chain_coordinates(f, sparse_apply(ad[a], f[b]))
-            acc = _leibniz(alg, a, f[b], df[b])
+            acc = _leibniz(alg, gens, a, f[b], df[b])
             if s != 1:
                 acc = {r: {t: s * z for t, z in form.items()} for r, form in acc.items()}
             for k, c in coords.items():
@@ -532,24 +527,28 @@ def _generator_system(alg: LieAlgebra) -> Tuple[List[dict], List[dict], List[dic
                     row = acc.setdefault(r, {})
                     for t, z in form.items():
                         row[t] = row.get(t, 0) - c * z
-            rows += (form for form in acc.values() if any(form.values()))
-    upper = [{a * n + r: 1} for a in range(gens) for r in range(a + 1)]
-    upper += [df[k].get(k, {}) for k in range(2, n)]
-    return rows, upper, (f, df)
+            for form in acc.values():
+                row = {t: z for t, z in form.items() if z}
+                if row:
+                    rows.append(row)
+    upper = [{r * gens + a: 1} for a in range(gens) for r in range(a + 1)]
+    upper += [df[k].get(k, {}) for k in range(gens, n)]
+    return rows, upper, (f, df, gens)
 
 
-def _chain_columns(f: List[dict], df: List[dict]) -> List[dict]:
+def _chain_columns(f: List[dict], df: List[dict], gens: int) -> List[dict]:
     """The unknown -> entry columns of ``_generator_system``'s chain (f_k, D f_k).
 
     ``columns[t]`` is the flat n^2-vector {p*n + q: int} of the map whose
     unknowns are the unit vector t, up to one common factor: column q of
     D is D e_q, and s_q e_q = sum_k c_k f_k (``_chain_coordinates``) gives
-    it as a sum of the D f_k, all put over the lcm of the s_q.
+    it as a sum of the D f_k, all put over the lcm of the s_q. On the whole
+    basis (gens = n) every f_k is e_k, and the columns are the identity.
     """
     n = len(f)
     chains = [_chain_coordinates(f, {q: 1}) for q in range(n)]
     den = lcm(*(abs(s) for _, s in chains))
-    columns: List[dict] = [{} for _ in range(n * min(n, 2))]
+    columns: List[dict] = [{} for _ in range(n * gens)]
     for q, (coords, s) in enumerate(chains):
         for k, c in coords.items():
             c *= den // s
@@ -558,37 +557,6 @@ def _chain_columns(f: List[dict], df: List[dict]) -> List[dict]:
                     col = columns[t]
                     col[p * n + q] = col.get(p * n + q, 0) + c * z
     return columns
-
-
-def _derivation_equations(alg: LieAlgebra) -> List[dict]:
-    """The n^2 equations of ``derivation_space`` as integer rows, on every pair.
-
-    The structure constants are read as the algebra holds them, ints over
-    its ``den``, which leaves the solutions unchanged, and the rows are
-    built by walking them: c of [e_i, e_j] on e_k adds c D[p, k] to row
-    (i, j, p) for every p, and c of [e_q, e_x] on e_p adds -c D[q, y] to
-    row (y, x, p) for y < x and c D[q, y] to row (x, y, p) for y > x. A
-    row is made by its first term, so none is empty; a sum that cancels
-    stays as a 0 entry. A Lie ``tail_filtered`` table never builds them
-    (``_generator_system``).
-    """
-    n = alg.dim
-    rows: dict = {}
-    for (i, j), coeffs in alg.structure.items():
-        for k, c in coeffs.items():
-            for p in range(n):
-                row = rows.setdefault((i, j, p), {})
-                row[p * n + k] = row.get(p * n + k, 0) + c
-        for q, x, sign in ((i, j, 1), (j, i, -1)):
-            for p, c in coeffs.items():
-                c *= sign
-                for y in range(x):
-                    row = rows.setdefault((y, x, p), {})
-                    row[q * n + y] = row.get(q * n + y, 0) - c
-                for y in range(x + 1, n):
-                    row = rows.setdefault((x, y, p), {})
-                    row[q * n + y] = row.get(q * n + y, 0) + c
-    return list(rows.values())
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
@@ -600,18 +568,17 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     its weight solve run at most once per algebra. Nothing is solved
     before a view is read: the system is built and solved the first time
     ``DerivationSpace.flat`` or ``all_nilpotent`` is read. Unknown (p, q)
-    of the map sits at flat index p*n + q (row-major). On a Lie
-    ``tail_filtered`` table the system is solved on the 2n unknowns
-    D e_1 and D e_2 (``_generator_system``): Benoist(1) solves 36 rows in
-    22 unknowns instead of 434 in 121, L24 21 rows in 48 unknowns instead
-    of 1034 in 576. Any other table, such as a catalog algebra in a moved
-    basis, solves the full system, in which the equation of pair i < j on
-    coordinate p reads
+    of the map sits at flat index p*n + q (row-major). The system is that
+    of ``_generator_system``, on the values of its generators: on a Lie
+    ``tail_filtered`` table the 2n unknowns D e_1 and D e_2, so Benoist(1)
+    solves 36 rows in 22 unknowns instead of 434 in 121, and L24 21 rows
+    in 48 unknowns instead of 1034 in 576. Any other table, such as a
+    catalog algebra in a moved basis, takes the whole basis as its
+    generators, and its equation of pair i < j on coordinate p reads
     sum_k c_ij^k D[p, k] - sum_q c_qj^p D[q, i] + sum_q c_qi^p D[q, j] = 0,
-    built by ``_derivation_equations`` in integers from the nonzero
-    structure constants alone. The canonical RREF of the solutions is the
-    same either way. ``is_derivation`` and the certificate checks still
-    test every pair.
+    up to sign, built in integers from the nonzero structure constants
+    alone. The canonical RREF of the solutions is the same either way.
+    ``is_derivation`` and the certificate checks still test every pair.
     """
     kept = vars(alg)
     if "_derivation_space" not in kept:

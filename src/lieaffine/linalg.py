@@ -113,10 +113,6 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(rat(x) for x in entries)
-
-
 class _Frozen:
     """Base of the immutable types: each sets its fields once, through ``_set_fields``.
 
@@ -544,8 +540,7 @@ def _nullspace(rows: Iterable[dict], ncols: int) -> Subspace:
     built in integers; zero rows and no rows are allowed. It is
     ``_gauss_jordan`` and then ``_solution_basis`` on the rows it leaves.
     Der(g) runs the same two steps apart: ``derivations.DerivationSpace``
-    keeps the rows and reads the basis off them only when it is asked for;
-    on the n^2 system that needs no second elimination.
+    keeps the rows and reads the basis off them only when it is asked for.
     """
     return _solution_basis(_gauss_jordan(rows), ncols)
 

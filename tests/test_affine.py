@@ -70,7 +70,6 @@ from lieaffine.linalg import (
     nonsingular,
     rank,
     sparse_apply,
-    vector,
 )
 from lieaffine.serialize import certificate_to_json, json_text, matrix_to_json
 
@@ -587,8 +586,8 @@ def test_from_regular_derivation_l4_hand_values():
     l4 = make_ln(4)
     f = Matrix.diagonal([1, 2, 3, 4])
     ns = from_regular_derivation(l4, f)
-    assert product(ns, unit_vector(4, 0), unit_vector(4, 1)) == vector((0, 0, F(2, 3), 0))
-    assert product(ns, unit_vector(4, 1), unit_vector(4, 0)) == vector((0, 0, F(-1, 3), 0))
+    assert product(ns, unit_vector(4, 0), unit_vector(4, 1)) == (0, 0, F(2, 3), 0)
+    assert product(ns, unit_vector(4, 1), unit_vector(4, 0)) == (0, 0, F(-1, 3), 0)
     # difference reproduces the bracket [Y1, Y2] = Y3
     diff = tuple(a - b for a, b in zip(product(ns, unit_vector(4, 0), unit_vector(4, 1)),
                                        product(ns, unit_vector(4, 1), unit_vector(4, 0))))
@@ -638,7 +637,7 @@ def test_from_derived_regular_c6_hand_values():
     c6 = make_cn(6, [1])[0]
     f = Matrix.diagonal([0, 1, 1, 1, 1, 2])
     ns = from_derived_regular(c6, f)
-    assert product(ns, unit_vector(6, 1), unit_vector(6, 4)) == vector((0, 0, 0, 0, 0, F(-1, 2)))
+    assert product(ns, unit_vector(6, 1), unit_vector(6, 4)) == (0, 0, 0, 0, 0, F(-1, 2))
     assert product(ns, unit_vector(6, 1), unit_vector(6, 0)) == (F(0),) * 6
     assert verify_affine(c6, ns).passed
 

@@ -254,6 +254,13 @@ def test_no_module_defines_a_deleted_converter():
     assert _package_definitions({"_integer_row", "_integer_form", "_matching_class"}) == []
 
 
+def test_no_module_defines_a_second_der_g_builder():
+    # Der(g) has one builder, derivations._generator_system, which takes the
+    # whole basis as its generators where e_1 and e_2 do not decide; the
+    # n^2 builder it replaced is gone, and so is linalg.vector, unread
+    assert _package_definitions({"_derivation_equations", "vector"}) == []
+
+
 def test_no_module_keeps_a_second_check_table():
     # each strategy's record in affine.STRATEGIES re-checks its own witness:
     # the table from check name to witness and its wrapper type are gone

@@ -121,6 +121,20 @@ def test_fill_aij_range_checks():
         fill_aij(6, 2, [1, 2, 3])  # too many band values for n, k
 
 
+@pytest.mark.parametrize("build, digits", [
+    (lambda lams: make_cn(8, lams), "12"),
+    (lambda lams: fill_aij(9, 3, lams), "11"),
+    (lambda lams: make_ank(9, 2, lams), "112"),
+    (lambda lams: make_bnk(10, 3, lams), "12"),
+], ids=["make_cn", "fill_aij", "make_ank", "make_bnk"])
+def test_lambda_string_is_refused(build, digits):
+    # a string of digits is not read as its characters, one value each, as
+    # a Matrix row is not; the same values as a list are taken
+    with pytest.raises(TypeError, match="string"):
+        build(digits)
+    assert build([int(c) for c in digits])
+
+
 def test_make_ank_5_2():
     alg, report = make_ank(5, 2, [1])
     assert report == []

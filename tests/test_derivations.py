@@ -188,13 +188,27 @@ def _tampered_algebra(alg, rng, changes, filtered=False):
     return LieAlgebra(alg.dim, structure)
 
 
-# the two Der(g) builders: the 2n system of a Lie tail_filtered table and
-# the n^2 system of any other
-_DER_BUILDERS = ("_generator_system", "_derivation_equations")
+def _whole_basis(patch):
+    # every table takes the whole basis as the builder's generators: the
+    # n^2 system on every pair
+    patch.setattr(derivations, "_generators_decide", lambda alg: False)
 
 
-def _no_full_system(*args):
-    raise AssertionError("the n^2 Der(g) builder ran")
+def _record_generators(patch, gens):
+    # wrap the one Der(g) builder, so that gens gets the generator count of
+    # each system it writes: 2 on a Lie tail_filtered table, n elsewhere
+    build = derivations._generator_system
+
+    def recorded(alg):
+        rows, upper, chain = build(alg)
+        gens.append(chain[2])
+        return rows, upper, chain
+
+    patch.setattr(derivations, "_generator_system", recorded)
+
+
+def _no_solve(*args):
+    raise AssertionError("Der(g) was solved")
 
 
 def _forced_zeros(n):
@@ -203,8 +217,28 @@ def _forced_zeros(n):
 
 
 def _row_multiset(rows):
-    # each row as its sorted nonzero entries, the rows sorted: the system up to row order
-    return sorted(sorted((k, x) for k, x in row.items() if x) for row in rows)
+    # each nonzero row as its sorted nonzero entries, negated when the first
+    # is negative, the rows sorted: the system up to row order and sign
+    out = []
+    for row in rows:
+        entries = sorted((k, x) for k, x in row.items() if x)
+        if entries:
+            out.append(entries if entries[0][1] > 0 else [(k, -x) for k, x in entries])
+    return sorted(out)
+
+
+def _assert_whole_basis_rows_match_oracle(alg, monkeypatch):
+    # the builder on the whole basis writes the rows of the pair-by-pair
+    # oracle on every pair, over the table's den, each one free of zeros
+    with monkeypatch.context() as patch:
+        _whole_basis(patch)
+        rows, _, (_, _, gens) = derivations._generator_system(alg)
+    view = rational_table(alg).values()
+    den = math.lcm(*(c.denominator for col in view for c in col.values()))
+    full = [{k: x * den for k, x in row.items()} for row in dense.derivation_equations(alg)]
+    assert gens == alg.dim
+    assert all(rows) and all(type(x) is int and x for row in rows for x in row.values())
+    assert _row_multiset(rows) == _row_multiset(full)
 
 
 def _differential_tables(name):
@@ -219,19 +253,15 @@ def _differential_tables(name):
 
 
 @pytest.mark.parametrize("name", list(_DIFFERENTIAL_ALGEBRAS))
-def test_derivation_equations_match_fraction_oracle(name):
-    # the n^2 builder gives the same rows as the pair-by-pair oracle on
-    # every pair, as a multiset: it walks the structure constants, so its
-    # row order is its own; test_generator_pair_systems_equal_the_full_ones
-    # checks the solutions of both routes against the oracle
+def test_derivation_equations_match_fraction_oracle(name, monkeypatch):
+    # with the whole basis as its generators the builder gives the rows of
+    # the pair-by-pair oracle on every pair, as a multiset up to each row's
+    # sign: its row order is its own, and the oracle's fully cancelled rows
+    # carry no equation; test_generator_pair_systems_equal_the_full_ones
+    # checks the solutions on either choice of generators against the oracle
     tables = _differential_tables(name)
     for alg in tables:
-        rows = derivations._derivation_equations(alg)
-        view = rational_table(alg).values()
-        den = math.lcm(*(c.denominator for col in view for c in col.values()))
-        full = [{k: x * den for k, x in row.items()} for row in dense.derivation_equations(alg)]
-        assert all(rows) and all(type(x) is int for row in rows for x in row.values())
-        assert _row_multiset(rows) == _row_multiset(full)
+        _assert_whole_basis_rows_match_oracle(alg, monkeypatch)
     base, moved = tables[0], tables[-1]
     assert all(t.tail_filtered for t in [base, *tables[-3:-1]]) and not moved.tail_filtered
 
@@ -403,8 +433,7 @@ def test_searches_reject_nonpositive_trials(monkeypatch, search, trials):
     def no_solve(*args):
         raise AssertionError("a search solved a system before it checked trials")
 
-    for name in _DER_BUILDERS:
-        monkeypatch.setattr(derivations, name, no_solve)
+    monkeypatch.setattr(derivations, "_generator_system", no_solve)
     monkeypatch.setattr(derivations, "_nullspace", no_solve)
     monkeypatch.setattr(affine, "_nullspace", no_solve)
     with pytest.raises(ValueError, match="trials"):
@@ -862,23 +891,24 @@ def test_generator_route_matches_the_full_system(name, monkeypatch):
     # unitriangular move, whose chain basis vectors carry tails from n = 4 on
     alg = _GENERATOR_ROUTE[name]
     moved = change_basis(alg, _unitriangular_basis_change(alg.dim, random.Random(alg.dim)))
-    _, _, (chain, _) = derivations._generator_system(moved)
+    _, _, (chain, _, _) = derivations._generator_system(moved)
     assert alg.dim == 3 or any(sum(1 for x in f_k.values() if x) > 1 for f_k in chain)
     for table in (alg, moved):
         assert table.tail_filtered and derivations._generators_decide(table)
+        gens = []
         with monkeypatch.context() as patch:
-            patch.setattr(derivations, "_derivation_equations", _no_full_system)
+            _record_generators(patch, gens)
             space = derivations.DerivationSpace(table)
             nil = space.all_nilpotent
             maps = [m.columns for m in space.basis]
-        assert nil is products_vanish(maps)
+        assert gens == [2] and nil is products_vanish(maps)
         _assert_flat_matches_full_system(table)
 
 
 def test_cli_never_builds_the_full_system_of_a_lie_catalog_member(capsys, tmp_path, monkeypatch):
-    # der space, der char-nilp and affine synth print the same bytes with
-    # the n^2 builder made to raise, on every Lie member of CATALOG_MEMBERS;
-    # a table moved off its filtration by a dense change still builds it
+    # der space, der char-nilp and affine synth solve Der(g) on two
+    # generators on every Lie member of CATALOG_MEMBERS; a table moved off
+    # its filtration by a dense change takes the whole basis
     members = [alg for alg in CATALOG_MEMBERS.values() if not jacobi_report(alg)]
     moved = change_basis(make_ln(8), dense_basis_change(8, random.Random(8)))
     paths = []
@@ -892,17 +922,14 @@ def test_cli_never_builds_the_full_system_of_a_lie_catalog_member(capsys, tmp_pa
         code = main(argv)
         return code, capsys.readouterr().out
 
-    expected = [run(argv) for argv in argvs]
-    assert {code for code, _ in expected} == {0, 1}
-    built = []
-    full = derivations._derivation_equations
+    gens = []
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "_derivation_equations", _no_full_system)
-        assert [run(argv) for argv in argvs] == expected
-        patch.setattr(derivations, "_derivation_equations",
-                      lambda alg: built.append(alg.dim) or full(alg))
+        _record_generators(patch, gens)
+        assert {run(argv)[0] for argv in argvs} == {0, 1}
+        assert len(gens) >= len(members) and set(gens) == {2}
+        gens.clear()
         assert run(["der", "space", "--in", str(paths[-1]), "--reproducible"])[0] == 0
-    assert built == [8]
+    assert gens == [8]
 
 
 # (algebra, basis change): seeded moves off the adapted basis
@@ -913,15 +940,38 @@ _BASIS_CHANGES = {"sparse": sparse_basis_change, "dense": dense_basis_change,
 
 
 @pytest.mark.parametrize("name, move", MOVED_CASES, ids=["-".join(c) for c in MOVED_CASES])
-def test_moved_tables_solve_the_full_system(name, move):
+def test_moved_tables_solve_the_full_system(name, move, monkeypatch):
+    # off the filtration the builder takes the whole basis as its generators
+    for table in _moved_tables(name, move):
+        assert not table.tail_filtered and not derivations._generators_decide(table)
+        assert derivations._generator_system(table)[2][2] == table.dim
+        _assert_whole_basis_rows_match_oracle(table, monkeypatch)
+        _assert_flat_matches_full_system(table)
+
+
+def _moved_tables(name, move):
+    # the member moved off its adapted basis, then tampered once and four times
     base = CATALOG_MEMBERS[name]
     alg = change_basis(base, _BASIS_CHANGES[move](base.dim, random.Random(base.dim)))
     rng = random.Random(3)
-    for table in [alg, *(_tampered_algebra(alg, rng, changes) for changes in (1, 4))]:
-        assert not table.tail_filtered and not derivations._generators_decide(table)
-        rows = derivations._derivation_equations(table)
-        assert len(rows) == len(dense.derivation_equations(table))
-        _assert_flat_matches_full_system(table)
+    return [alg, *(_tampered_algebra(alg, rng, changes) for changes in (1, 4))]
+
+
+def test_builder_rows_hold_no_zero_entry(monkeypatch):
+    # every row comes without its cancelled entries, on two generators and
+    # on the whole basis, so the kernel's sparsest-first sort reads true
+    # lengths
+    tables = [*CATALOG_MEMBERS.values(),
+              *(alg for name in _DIFFERENTIAL_ALGEBRAS for alg in _differential_tables(name)),
+              *(alg for case in MOVED_CASES for alg in _moved_tables(*case))]
+    for alg in tables:
+        for whole in (False, True):
+            with monkeypatch.context() as patch:
+                if whole:
+                    _whole_basis(patch)
+                rows = derivations._generator_system(alg)[0]
+            assert all(all(row.values()) for row in rows), alg.name
+            assert rows or not whole
 
 
 def test_tables_that_miss_a_step_bracket_pin_nothing():
@@ -1166,17 +1216,20 @@ def test_nil_gate_on_the_kernel_rows_matches_the_flat_decision():
 
 def test_benoist_operation_counts(monkeypatch):
     # the Der(g) system of Benoist(1) on D e1 and D e2: 36 rows in 22
-    # unknowns (434 rows in 121 unknowns on every pair), and at most 23
+    # unknowns (434 rows in 121 unknowns on the whole basis), and at most 23
     # eliminations, the kernel's and the 12 nil-gate forms', to decide that
     # Der(g) is nil; its weights, 0, are read off the filtration with no
-    # kernel call. A route back to the n^2 system, a builder that brings
+    # kernel call. A route back to the whole basis, a builder that brings
     # back the redundant rows, or a weight solve that goes back to the
     # kernel, fails here
     alg = make_benoist(1)
-    rows, upper, _ = derivations._generator_system(alg)
-    assert len(rows) == 36 and len(upper) == 12
+    rows, upper, (_, _, gens) = derivations._generator_system(alg)
+    assert gens == 2 and len(rows) == 36 and len(upper) == 12
     assert {c for row in rows for c in row} <= set(range(22))
-    assert len(derivations._derivation_equations(alg)) == 434
+    with monkeypatch.context() as patch:
+        _whole_basis(patch)
+        rows, upper, _ = derivations._generator_system(alg)
+        assert len(rows) == 434 and len(upper) == 66
     with monkeypatch.context() as patch:
         _no_weight_elimination(patch)
         assert diagonal_derivations(alg).is_zero()
@@ -1188,10 +1241,11 @@ def test_benoist_operation_counts(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
-    monkeypatch.setattr(derivations, "_derivation_equations", _no_full_system)
+    gens = []
+    _record_generators(monkeypatch, gens)
     space = derivations.DerivationSpace(alg)
     assert space.all_nilpotent
-    assert len(calls) <= 23 and "flat" not in vars(space)
+    assert gens == [2] and len(calls) <= 23 and "flat" not in vars(space)
 
 
 def _dense_draws(space, seed, trials):
@@ -1280,11 +1334,7 @@ def test_nil_derivation_algebra_settles_searches_without_drawing(monkeypatch):
 def test_diagonal_hit_never_solves_der_g(monkeypatch):
     # the witness is a diagonal weight, found before Der(g) is solved, so
     # it does not depend on the seed
-    def no_solve(*args):
-        raise AssertionError("Der(g) was solved")
-
-    for name in _DER_BUILDERS:
-        monkeypatch.setattr(derivations, name, no_solve)
+    monkeypatch.setattr(derivations, "_generator_system", _no_solve)
     cases = [(make_cn(12, [1, -1, 1, 1])[0], "derived-regular")] + [
         (alg, strategy)
         for alg in (make_ln(12), make_qn(10), make_qn(12, adapted=True),
@@ -1309,12 +1359,7 @@ def test_derived_regular_hits_a_curve_point_when_no_basis_weight_passes(monkeypa
     derived = derived_subalgebra(alg)
     assert not any(derivations._restriction_invertible(derived, Matrix.diagonal(w))
                    for w in diagonal_derivations(alg).basis)
-
-    def no_solve(*args):
-        raise AssertionError("Der(g) was solved")
-
-    for name in _DER_BUILDERS:
-        monkeypatch.setattr(derivations, name, no_solve)
+    monkeypatch.setattr(derivations, "_generator_system", _no_solve)
     expected = Matrix.diagonal([1, 1, 2, 1, 1, 2])
     for seed in (0, 7):
         assert find_derived_regular_derivation(alg, seed=seed) == expected

@@ -308,22 +308,23 @@ def test_kernel_subspaces_are_the_dense_rref_over_its_lcm_denominator():
 
 
 def _kernel_exits(alg):
-    # the kernel on a table's integer systems: Der(g) and the weights by
-    # _nullspace, [g, g] by _reduce, the coordinates of the brackets and of
-    # each e_j on [g, g], the image chains of Der(g) and of ad, and Der(g)
-    # of a fresh space, on D e1 and D e2 where the table is Lie and filtered
+    # the kernel on a table's integer systems: the Der(g) builder's rows, on
+    # D e1 and D e2 where the table is Lie and filtered and on the whole
+    # basis elsewhere, and the weights by _nullspace, [g, g] by _reduce, the
+    # coordinates of the brackets and of each e_j on [g, g], the image
+    # chains of Der(g) and of ad, and Der(g) of a fresh space
     n = alg.dim
-    der_rows = derivations._derivation_equations(alg)
+    der_rows, _, (_, _, gens) = derivations._generator_system(alg)
     brackets = list(alg.structure.values())
     ad_columns = alg.ad_columns
-    flat = _nullspace(der_rows, n * n)
+    solutions = _nullspace(der_rows, n * gens)
     weights = _nullspace(_weight_rows(alg), n)
     derived = _reduce(brackets, n)
     coords = [_coordinates(derived, v) for v in brackets + [{j: 1} for j in range(n)]]
-    maps = [_flat_columns(row.items(), n) for _, row in flat.rows]
     space = derivations.DerivationSpace(alg)
-    return (flat, weights, derived, coords, products_vanish(maps), products_vanish(ad_columns),
-            space.flat, space.all_nilpotent)
+    maps = [_flat_columns(row.items(), n) for _, row in space.flat.rows]
+    return (solutions, weights, derived, coords, products_vanish(maps),
+            products_vanish(ad_columns), space.flat, space.all_nilpotent)
 
 
 def test_no_fraction_is_formed_inside_the_kernel(monkeypatch):
