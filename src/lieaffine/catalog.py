@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
 from .liealg import LieAlgebra, _adopted, jacobi_report
-from .linalg import Matrix, integer_scaled, rat
+from .linalg import Matrix, _sequence, integer_scaled, rat
 
 
 def _display_algebra(n: int, table: dict, den: int, name: str, letter: str = "Y") -> LieAlgebra:
@@ -88,12 +88,9 @@ def _read_lambdas(lambdas: Sequence) -> Tuple[int, Dict[int, int], int]:
     """(count, lams, den): how many lambda values, and the nonzero ones {index: int} over den.
 
     The one reader of a lambda sequence, by ``integer_scaled``. A string
-    raises TypeError, as a ``Matrix`` row does: its characters would
-    otherwise pass for the values.
+    raises TypeError (``linalg._sequence``), as a ``Matrix`` row does.
     """
-    if isinstance(lambdas, str):
-        raise TypeError(f"lambda values {lambdas!r} are a string, not a sequence of values")
-    lambdas = dict(enumerate(lambdas))
+    lambdas = dict(enumerate(_sequence(lambdas, "lambda values")))
     (lams,), den = integer_scaled([lambdas])
     return len(lambdas), lams, den
 

@@ -103,7 +103,7 @@ def _add_family(parser: argparse.ArgumentParser, source=None) -> None:
     """--family, on the group ``source`` when given, and its parameter options."""
     (source or parser).add_argument("--family", help=f"family id: {', '.join(_FAMILIES)}; "
                                     "parameters via --n, --k, --lambda (repeatable), --t")
-    parser.add_argument("--n", type=_option_type(f"must lie between 1 and {MAX_DIM}", int,
+    parser.add_argument("--n", type=_option_type(f"must lie between 1 and {MAX_DIM}",
                                                  lambda n: 1 <= n <= MAX_DIM),
                         help=f"family dimension, 1..{MAX_DIM}")
     parser.add_argument("--k", type=_INTEGER, help="shift parameter for Ank/Bnk")
@@ -118,24 +118,27 @@ def _add_family(parser: argparse.ArgumentParser, source=None) -> None:
                         help="parameter t for the Benoist family (default 0)")
 
 
-def _option_type(rule: str, convert=str, admit=lambda value: True):
-    """An argparse ``type`` rejecting what ``convert`` cannot read or ``admit`` refuses.
+def _option_type(rule: str, admit=lambda value: True):
+    """An argparse ``type`` reading an integer, refused when misspelled or refused by ``admit``.
 
-    The diagnostic states ``rule`` and echoes at most 20 characters of the value.
+    The integer is spelled as the rational grammar's integer part, 'p'
+    alone in ASCII digits (``parse_rational`` on a text with no '/'), as
+    every rational option and document spells its numbers. The diagnostic
+    states ``rule`` and echoes at most 20 characters of the value.
     """
     def parse(text: str):
         try:
-            value = convert(text)
-        except ValueError:
+            value = parse_rational(text)
+        except SchemaError:
             pass
         else:
-            if admit(value):
-                return value
+            if "/" not in text and admit(value):
+                return int(value)
         raise argparse.ArgumentTypeError(f"{rule}, got {_echo(text)}")
     return parse
 
 
-_INTEGER = _option_type("must be an integer", int)
+_INTEGER = _option_type("must be an integer")
 
 
 # the largest --trials a search may be asked for, so its work stays bounded
@@ -144,7 +147,7 @@ MAX_TRIALS = 10_000
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_INTEGER, default=0, help="random seed (default 0)")
-    parser.add_argument("--trials", type=_option_type(f"must lie between 1 and {MAX_TRIALS}", int,
+    parser.add_argument("--trials", type=_option_type(f"must lie between 1 and {MAX_TRIALS}",
                                                       lambda t: 1 <= t <= MAX_TRIALS),
                         default=DEFAULT_TRIALS,
                         help=f"random trial count, 1..{MAX_TRIALS} (default {DEFAULT_TRIALS})")

@@ -15,12 +15,14 @@ columns: ``structure`` maps each stored pair to its sparse integer
 coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
 = 1, so equal tables have equal fields. ``coefficient_table`` is the one
 rational boundary, for caller and JSON tables, shared with
-``affine.AffineStructure``: it checks a table's ranges and scales it
-once through ``linalg.integer_scaled``, the one scaler, which coerces
-and drops the zeros. The catalog writes its tables as ints over one den
-and ``_adopted`` takes them as they are, with no Fraction and no second
-validation, the way ``affine._adopted`` takes a built product; both put
-the table in lowest terms through ``linalg._lowest_table``. There is no
+``affine.AffineStructure``: it checks that a table and each pair's
+coefficients are mappings (TypeError, naming the pair) and their
+ranges, and scales the table once through ``linalg.integer_scaled``,
+the one scaler, which coerces and drops the zeros. The catalog writes
+its tables as ints over one den and ``_adopted`` takes them as they
+are, with no Fraction and no second validation, the way
+``affine._adopted`` takes a built product; both put the table in
+lowest terms through ``linalg._lowest_table``. There is no
 dense bracket: every check reads the integer table or the views below,
 and Fractions are formed only for a nonzero residual
 (``linalg._violations`` for the Jacobi report).
@@ -42,13 +44,15 @@ Jacobi to solve on the generators e_1 and e_2 alone, the Lie gate of
 report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
 ``linalg._Frozen``, and ``TwoForm`` its equality over its ``gram``.
 ``_adopted_form`` is the one adopter of a form's int upper entries: it
-fills both triangles, for ``TwoForm.from_entries``, which checks the
-entries' range and scales them through ``integer_scaled``, and for
-``affine.find_symplectic``; ``TwoForm(gram)`` checks antisymmetry.
+fills both triangles, for ``TwoForm.from_entries``, which checks that
+the entries are a mapping and their range, and scales them through
+``integer_scaled``, and for ``affine.find_symplectic``;
+``TwoForm(gram)`` checks antisymmetry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -62,6 +66,7 @@ from .linalg import (
     _image_chain,
     _lowest_table,
     _reduce,
+    _sequence,
     _set_fields,
     _violations,
     format_rational,
@@ -79,11 +84,16 @@ def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], S
     lie in range. The rational values are put over one den > 0 by
     ``integer_scaled``, which coerces them, drops the zeros and gives a
     canonical output, gcd(den, every entry) = 1, so equal tables mean equal
-    maps; the pairs left empty are dropped.
+    maps; the pairs left empty are dropped. A table or a pair's
+    coefficients that are not a mapping raise TypeError, naming the pair.
     """
+    if not isinstance(table, Mapping):
+        raise TypeError("a table must be a mapping {(i, j): {k: value}}")
     for (i, j), coeffs in table.items():
         if not (0 <= i < dim and 0 <= j < dim and pair_ok(i, j)):
             raise ValueError(f"pair ({i}, {j}) is out of range or not admitted")
+        if not isinstance(coeffs, Mapping):
+            raise TypeError(f"the coefficients of pair ({i}, {j}) must be a mapping {{k: value}}")
         for k in coeffs:
             if not 0 <= k < dim:
                 raise ValueError(f"target {k} of pair ({i}, {j}) out of range")
@@ -102,7 +112,7 @@ class LieAlgebra(_Frozen):
             raise DimensionMismatch("algebra dimension must be at least 1")
         if basis_names is None:
             basis_names = [f"e{i + 1}" for i in range(dim)]
-        basis_names = tuple(str(s) for s in basis_names)
+        basis_names = tuple(str(s) for s in _sequence(basis_names, "basis names"))
         if len(basis_names) != dim:
             raise DimensionMismatch("basis name count does not match the dimension")
         structure, den = coefficient_table(dim, structure, lambda i, j: i < j)
@@ -213,7 +223,12 @@ class TwoForm(_Frozen):
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "TwoForm":
-        """The form of rational upper entries {(i, j): value}, i < j, built by ``_adopted_form``."""
+        """The form of rational upper entries {(i, j): value}, i < j, built by ``_adopted_form``.
+
+        Entries that are not a mapping raise TypeError.
+        """
+        if not isinstance(entries, Mapping):
+            raise TypeError("entries must be a mapping {(i, j): value}")
         for i, j in entries:
             if not (0 <= i < j < dim):
                 raise ValueError(f"entry ({i}, {j}) must satisfy 0 <= i < j < dim")

@@ -13,7 +13,14 @@ rows, a ``LieAlgebra``'s brackets and an ``AffineStructure``'s products.
 ``_lowest_terms`` puts built integer vectors in it, and
 ``_lowest_table`` a built {key: {k: int}} table, for the adopters
 ``liealg._adopted`` and ``affine._adopted``; ``format_rational`` writes
-an int over its den as "p/q" with no Fraction formed. ``_violations`` is
+an int over its den as "p/q" with no Fraction formed. Its grammar, 'p'
+or 'p/q' in ASCII digits, is the one that the package reads:
+``_read_rational`` reads a rational string for ``rat`` (so for every
+library constructor), for ``serialize.parse_rational`` (every document)
+and for the command line's options, and nothing else reads one. The
+entry points that read a sequence (matrix rows, a diagonal, lambda
+values, basis names) refuse a string in one helper, ``_sequence``, so
+'12' never passes for (1, 2). ``_violations`` is
 the one residual reporter of the checks (the Jacobi report,
 ``is_derivation`` and both ``verify_affine`` reports): each collects
 integer sums keyed by basis tuple over one denominator, and it turns the
@@ -86,6 +93,7 @@ A matrix's JSON form, read and written, belongs to ``serialize``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -95,22 +103,41 @@ from .errors import DimensionMismatch, LieToolError
 
 ZERO = Fraction(0)
 
-Vector = tuple
-
 
 def rat(value) -> Fraction:
-    """Coerce an int, string or Fraction to an exact Fraction.
+    """Coerce an int, a rational string or a Fraction to an exact Fraction.
 
-    Floats are rejected outright; accepting them would silently smuggle
-    binary rounding into what must stay exact arithmetic.
+    A string is read in the one grammar of the package, by
+    ``_read_rational``: 'p' or 'p/q' in ASCII digits, as every document
+    and option spells a rational and ``format_rational`` writes one, so
+    decimals, exponents, spaces, underscores and non-ASCII digits raise
+    ValueError. Floats and bools raise TypeError; accepting a float would
+    silently smuggle binary rounding into what must stay exact arithmetic.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        return _read_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _echo(value) -> str:
+    """The first 20 characters of a value, quoted, for a diagnostic."""
+    return repr(str(value)[:20])
+
+
+def _sequence(values, what: str):
+    """``values`` as given, or TypeError when they are a ``str``.
+
+    The one check of the entry points that read a sequence (a matrix row,
+    a diagonal, the lambda values, the basis names): a string's characters
+    would otherwise pass for its entries, '12' for (1, 2).
+    """
+    if isinstance(values, str):
+        raise TypeError(f"{what} {_echo(values)} is a string, not a sequence")
+    return values
 
 
 class _Frozen:
@@ -166,9 +193,9 @@ class Matrix(_Frozen):
     and the kernel read; ``data`` and ``m[i, j]`` are the Fraction views,
     for output. ``Matrix(data)`` takes n dense rows of n rationals,
     raises DimensionMismatch on any other shape (``Matrix([])`` is the
-    0 x 0 map) and TypeError on a row that is a string, whose characters
-    would otherwise pass for entries, and scales them through
-    ``integer_scaled``. It checks the
+    0 x 0 map) and TypeError on a row that is a string (``_sequence``),
+    and scales them through ``integer_scaled``, which reads a string entry
+    in the one rational grammar (``rat``). It checks the
     shape of every caller's matrix; ``serialize.matrix_from_json`` checks a
     document's shape itself, before it parses any entry.
     ``from_sparse(columns, den)`` adopts the integer columns of kernel
@@ -180,11 +207,7 @@ class Matrix(_Frozen):
     _identity = ("den", "columns")
 
     def __init__(self, data):
-        rows = []
-        for row in data:
-            if isinstance(row, str):
-                raise TypeError(f"matrix row {row!r} is a string, not a sequence of entries")
-            rows.append(dict(enumerate(row)))
+        rows = [dict(enumerate(_sequence(row, "matrix row"))) for row in data]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix data must be n rows of n entries")
@@ -203,7 +226,8 @@ class Matrix(_Frozen):
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
-        return cls.from_sparse(*integer_scaled({i: x} for i, x in enumerate(entries)))
+        entries = enumerate(_sequence(entries, "diagonal"))
+        return cls.from_sparse(*integer_scaled({i: x} for i, x in entries))
 
     @property
     def data(self) -> tuple:
@@ -482,12 +506,37 @@ def format_rational(x, den: int = 1) -> str:
         raise LieToolError("a result exceeds the integer digit limit") from exc
 
 
+# the one grammar of rational strings, read by _read_rational and written by
+# format_rational: an optional sign, ASCII digits, and an optional /digits
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+
+
+def _read_rational(text) -> Fraction:
+    """The Fraction that a string 'p' or 'p/q' in ASCII digits spells; ValueError on anything else.
+
+    A non-string, any other spelling, a part past Python's int-string
+    digit limit and a zero denominator each raise ValueError with a
+    one-line message that quotes at most 20 characters of the text. The
+    pattern is matched before any int is formed, so an exponent such as
+    '1e2000000' is refused at once instead of being expanded.
+    """
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {_echo(text)}; expected 'p' or 'p/q'")
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ValueError:  # Python's limit on digits in an int string
+        raise ValueError(f"rational of {len(text)} characters exceeds the integer digit limit")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {_echo(text)}")
+
+
 def unscaled(v: dict, den: int) -> dict:
     """The integer sparse vector v over den, as nonzero Fractions: ``integer_scaled`` undone."""
     return {k: Fraction(x, den) for k, x in v.items() if x}
 
 
-def dense_vector(row: dict, n: int) -> Vector:
+def dense_vector(row: dict, n: int) -> tuple:
     """The length-n coordinate tuple of a sparse vector {index: value}."""
     out = [ZERO] * n
     for j, x in row.items():

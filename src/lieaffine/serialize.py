@@ -1,10 +1,14 @@
 """JSON schemas for algebras, 2-forms, affine structures and certificates.
 
 All payloads use 1-based basis indices and rational strings "p/q" (or "p"
-when the denominator is 1). Parsers recanonicalize non-canonical fractions
-like "2/4" silently but reject anything that is not an integer fraction,
-along with unknown fields, bad index ranges and duplicate entries. A
-"dim" header outside 1..MAX_DIM is rejected before anything is allocated.
+when the denominator is 1). ``parse_rational`` reads them in the
+package's one grammar, 'p' or 'p/q' in ASCII digits, through
+``linalg._read_rational``, the reader behind ``rat`` and the command
+line's options too, so this module holds no pattern of its own. Parsers
+recanonicalize non-canonical fractions like "2/4" silently but reject
+anything that is not an integer fraction, along with unknown fields,
+bad index ranges and duplicate entries. A "dim" header outside
+1..MAX_DIM is rejected before anything is allocated.
 Brackets, affine products and 2-form entries share one {"i", "j", value}
 pair-entry codec; matrices have their one square reader and one writer
 here. A JSON object that repeats a key is rejected. Every document may
@@ -17,7 +21,6 @@ informational "name"/"note". Metadata, and an affine structure's legacy
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -25,9 +28,7 @@ from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
 from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
 from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm, jacobi_report
-from .linalg import Matrix, format_rational
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+from .linalg import Matrix, _echo, _read_rational, format_rational
 
 _META_FIELDS = {"generated_at"}
 
@@ -35,24 +36,17 @@ _META_FIELDS = {"generated_at"}
 MAX_DIM = 256
 
 
-def _echo(value) -> str:
-    """The first 20 characters of a document value, quoted, for a diagnostic."""
-    return repr(str(value)[:20])
-
-
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise SchemaError(f"malformed rational {_echo(text)}; expected 'p' or 'p/q'")
-    num, _, den = text.partition("/")
+    """The Fraction of a document's rational string, 'p' or 'p/q' in ASCII digits.
+
+    ``linalg._read_rational`` reads it, in the one grammar that ``rat`` and
+    every option read too; its ValueError on a non-string or any other
+    spelling becomes a SchemaError with the same message.
+    """
     try:
-        num, den = int(num), int(den or 1)
-    except ValueError as exc:  # Python's limit on digits in an int string
-        raise SchemaError(
-            f"rational of {len(text)} characters exceeds the integer digit limit"
-        ) from exc
-    if den == 0:
-        raise SchemaError(f"zero denominator in rational {_echo(text)}")
-    return Fraction(num, den)
+        return _read_rational(text)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _require_object(doc, required, optional=frozenset()):

@@ -261,6 +261,46 @@ def test_no_module_defines_a_second_der_g_builder():
     assert _package_definitions({"_derivation_equations", "vector"}) == []
 
 
+def _package_trees():
+    """(module name, parsed tree) of every module of the package."""
+    package = Path(lieaffine.__file__).parent
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(package.glob("*.py"))]
+
+
+def test_one_rational_grammar_is_compiled_in_linalg():
+    # rational strings are read by linalg._read_rational alone: rat, the
+    # documents and the options share its one pattern, and serialize, which
+    # held the documents' copy, imports no re
+    patterns = [(name, node.args[0].value) for name, tree in _package_trees()
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "re.compile"
+                and isinstance(node.args[0], ast.Constant) and "\\d" in node.args[0].value]
+    assert patterns == [("linalg", r"[+-]?\d+(?:/\d+)?")]
+    serialize = dict(_package_trees())["serialize"]
+    imported = {getattr(node, "module", None) or alias.name for node in ast.walk(serialize)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "json" in imported and "re" not in imported
+
+
+def test_one_helper_refuses_a_string_read_as_a_sequence():
+    # linalg._sequence holds the check; each entry point that reads a
+    # sequence calls it instead of spelling a check of its own
+    spelled, callers = [], set()
+    for name, tree in _package_trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Constant) and "not a sequence" in str(node.value):
+                    spelled.append((name, func.name))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_sequence":
+                    callers.add((name, func.name))
+    assert spelled == [("linalg", "_sequence")]
+    assert callers == {("linalg", "__init__"), ("linalg", "diagonal"),
+                       ("catalog", "_read_lambdas"), ("liealg", "__init__")}
+
+
 def test_no_module_keeps_a_second_check_table():
     # each strategy's record in affine.STRATEGIES re-checks its own witness:
     # the table from check name to witness and its wrapper type are gone

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON payloads, piping, determinism."""
 
+import collections
 import functools
 import hashlib
 import io
@@ -1767,3 +1768,95 @@ def test_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
             assert code in (0, 1, 2), (argv, data[:200])
             if code == 2:
                 assert captured.out == "" and captured.err.count("\n") == 1, (argv, data[:200])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["catalog", "show", "--family", "Ln", "--n", " 8 "], "argument --n: must lie between"),
+    (["catalog", "show", "--family", "Ln", "--n", "٨"], "argument --n: must lie between"),
+    (["der", "regular", "--family", "Ln", "--n", "8", "--seed", "1_0"],
+     "argument --seed: must be an integer, got '1_0'"),
+    (["catalog", "show", "--family", "Ln", "--n", "8/1"], "argument --n: must lie between"),
+    (["catalog", "show", "--family", "Ank", "--n", "9", "--k", "3.0", "--lambda", "1"],
+     "argument --k: must be an integer"),
+], ids=["n-spaces", "n-arabic-indic", "seed-underscore", "n-slash", "k-decimal"])
+def test_integer_options_read_ascii_digits_alone(capsys, argv, expected):
+    # an integer option is spelled as the rational grammar's integer part,
+    # 'p' in ASCII digits, as --lambda, --t and every document spell theirs
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 2 and payload is None
+    assert expected in err and err.count("\n") == 1
+
+
+def test_integer_options_take_a_sign_and_leading_zeros(capsys):
+    code, payload, _ = run_cli(capsys, ["catalog", "show", "--family", "Ln", "--n", "+08",
+                                        "--reproducible"])
+    assert code == 0 and payload["dim"] == 8
+    code, _, _ = run_cli(capsys, ["der", "regular", "--family", "Ln", "--n", "4",
+                                  "--seed=-3", "--trials", "0002", "--reproducible"])
+    assert code == 0
+
+
+# values of every JSON type, and ints out of every range, that the
+# structured fuzz puts in place of a field or a nested entry
+_WRONG_VALUES = [None, True, False, 0, -1, -(10 ** 30), 2 ** 64, 10 ** 300, 0.5, -1e308,
+                 "", "9" * 5000, [], [[]], [None, {}], {}, {"1": {"1": []}}]
+
+
+def _json_paths(doc, path=()):
+    """The path of every field and nested entry of a JSON value, depth first."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _json_paths(value, (*path, key))
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON value doc with the entry at ``path`` replaced by value."""
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+def test_structurally_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
+    # each field and nested entry of a valid algebra, 2-form, affine
+    # structure, two certificates and a verdict takes a value of a wrong
+    # type or range; io validate and the command that reads the document
+    # must each exit 0, 1 or 2, with no exception leaving cli.main
+    def output(argv):
+        assert main([*argv, "--reproducible"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    ln4 = ["--family", "Ln", "--n", "4"]
+    path = str(tmp_path / "doc.json")
+    certificate = output(["affine", "synth", *ln4])
+    verify = ["affine", "verify", *ln4, "--cert"]
+    docs = [  # (document, kind, the commands that read it beside io validate)
+        (output(["catalog", "show", *ln4]), "algebra",
+         (["verify", "jacobi", "--in"], ["affine", "synth", "--in"])),
+        (output(["affine", "symplectic-find", *ln4])["two_form"], "twoform", ()),
+        (certificate["witnesses"]["affine_structure"], "affine", ()),
+        (certificate, "certificate", (verify,)),
+        (output(["affine", "synth", *ln4, "--strategy", "symplectic"]), "certificate", (verify,)),
+        (output(["der", "char-nilp", *ln4]), "verdict",
+         (["der", "verify-witness", *ln4, "--cert"],)),
+    ]
+    rng = random.Random(58)
+    codes = collections.Counter()
+    for doc, kind, readers in docs:
+        argvs = [["io", "validate", "--kind", kind, "--in"], *readers]
+        for entry in _json_paths(doc):
+            for value in rng.sample(_WRONG_VALUES, 6):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(_replaced(doc, entry, value), fh)
+                for argv in argvs:
+                    code = main([*argv, path, "--reproducible"])
+                    capsys.readouterr()
+                    assert code in (0, 1, 2), (argv, entry, value)
+                    codes[code] += 1
+    # the values reach the readers (2) and the checks behind them (0 and 1)
+    assert set(codes) == {0, 1, 2} and sum(codes.values()) > 2000

@@ -492,6 +492,31 @@ def test_nondegenerate_pfaffian_condition():
     assert not nondegenerate(gram(1, 1, 1, 0))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: LieAlgebra(3, {(0, 1): [2]}), r"coefficients of pair \(0, 1\)"),
+    (lambda: LieAlgebra(3, {(0, 1): 2}), r"coefficients of pair \(0, 1\)"),
+    (lambda: LieAlgebra(3, [((0, 1), {2: 1})]), "table must be a mapping"),
+], ids=["coeffs-list", "coeffs-int", "table-list"])
+def test_algebra_table_that_is_not_a_mapping_is_a_type_error(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: affine.AffineStructure(2, {(0, 1): "1"}), r"coefficients of pair \(0, 1\)"),
+    (lambda: affine.AffineStructure(2, [((0, 1), {0: 1})]), "table must be a mapping"),
+], ids=["coeffs-string", "table-list"])
+def test_affine_table_that_is_not_a_mapping_is_a_type_error(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+def test_twoform_entries_that_are_not_a_mapping_are_a_type_error():
+    with pytest.raises(TypeError, match="entries must be a mapping"):
+        TwoForm.from_entries(3, [((0, 1), 1)])
+    assert TwoForm.from_entries(3, {(0, 1): 1}).gram[0, 1] == 1
+
+
 def test_twoform_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         TwoForm(Matrix([[0, 1], [1, 0]]))

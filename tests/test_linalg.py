@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,13 +20,14 @@ from lieaffine import affine, derivations, linalg
 from lieaffine.affine import AffineStructure, synthesize
 from lieaffine.catalog import fill_aij, make_ank, make_benoist, make_bnk, make_cn, make_ln, make_qn
 from lieaffine.derivations import char_nilpotent_verdict, derivation_space, find_regular_derivation
-from lieaffine.errors import DimensionMismatch
+from lieaffine.errors import DimensionMismatch, SchemaError
 from lieaffine.serialize import (
     affine_from_json,
     affine_to_json,
     algebra_from_json,
     matrix_from_json,
     matrix_to_json,
+    parse_rational,
     twoform_from_json,
     twoform_to_json,
 )
@@ -979,6 +981,82 @@ def test_every_rational_entry_point_reads_values_alike(name):
     assert _stored_zeros(zero) == 0
     half = _fields(build(Fraction(1, 2)))
     assert _fields(build("1/2")) == _fields(build("2/4")) == half != zero
+    # a string is read in the documents' grammar alone, 'p' or 'p/q' in ASCII digits
+    for bad in ("0.5", " 3 ", "1e3", "1_000", "\u0661\u0662", "1/0"):
+        with pytest.raises(ValueError, match="rational"):
+            build(bad)
+
+
+# pieces of rational spellings, in and out of the grammar: signs, ASCII
+# digits with leading zeros, zero, spaces, underscores, decimal points,
+# exponents, Arabic-Indic and fullwidth digits, and 4301 digits, one past
+# Python's int-string limit
+_SIGNS = ["", "", "+", "-", "--", " ", "+-"]
+_DIGITS = ["0", "1", "7", "12", "007", "450", "00", "1_000", "\u0661\u0662", "\uff15", "",
+           "9" * 4301, "1" + "0" * 4299]
+_TAILS = ["", "", "", "/", ".5", "e3", "E-2", "e2000000", " ", "\n", "_", "/0/1", "j"]
+
+
+def _spelling(rng):
+    """One seeded rational spelling: sign, digits, an optional /digits and a tail."""
+    text = rng.choice(_SIGNS) + rng.choice(_DIGITS)
+    if rng.random() < 0.5:
+        text += "/" + rng.choice(_SIGNS[:3]) + rng.choice(_DIGITS)
+    return text + rng.choice(_TAILS)
+
+
+def test_rat_and_parse_rational_read_one_grammar():
+    # the library's coercion and the documents' reader accept the same
+    # spellings with equal values, and refuse the same ones with the same
+    # message, ValueError against SchemaError
+    rng = random.Random(58)
+    accepted = refused = 0
+    for _ in range(3000):
+        text = _spelling(rng)
+        try:
+            value = parse_rational(text)
+        except SchemaError as exc:
+            with pytest.raises(ValueError) as info:
+                rat(text)
+            assert not isinstance(info.value, SchemaError)
+            assert str(info.value) == str(exc) and len(str(exc)) < 120
+            refused += 1
+        else:
+            assert rat(text) == value
+            num, _, den = text.partition("/")
+            assert value == Fraction(int(num), int(den or 1))
+            assert text.isascii() and not text.strip("+-0123456789/")
+            accepted += 1
+    assert accepted > 100 and refused > 2000
+
+
+def test_rat_reads_the_grammar_as_before():
+    # ints, Fractions and the grammar's spellings keep their values
+    for value, expected in [(7, 7), (F(2, 3), F(2, 3)), ("5", 5), ("+5", 5), ("-5", -5),
+                            ("3/6", F(1, 2)), ("007/10", F(7, 10)), ("-0/5", 0)]:
+        assert rat(value) == expected and type(rat(value)) is Fraction
+    with pytest.raises(ValueError, match="digit limit"):
+        rat("1" * 4301)
+    with pytest.raises(ValueError, match="zero denominator in rational '1/000'"):
+        rat("1/000")
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="malformed rational '1e2000000'"):
+        rat("1e2000000")
+    # the pattern is matched before any int is formed: no exponent is expanded
+    assert time.perf_counter() - started < 0.05
+
+
+@pytest.mark.parametrize("build", [
+    lambda seq: Matrix.diagonal(seq),
+    lambda seq: LieAlgebra(2, {(0, 1): {}}, basis_names=seq),
+], ids=["Matrix.diagonal", "basis_names"])
+def test_a_string_never_passes_for_a_sequence(build):
+    # '12' is not (1, 2), as a Matrix row or a lambda list is not: every
+    # entry point that reads a sequence refuses a str through one check,
+    # and takes the same characters as a list
+    with pytest.raises(TypeError, match="is a string, not a sequence"):
+        build("12")
+    assert build(["1", "2"])
 
 
 def test_matrix_immutable_and_exact_equality():
