@@ -83,7 +83,7 @@ from .derivations import (
     _integer_restrict,
     _restriction_invertible,
     _weight_candidates,
-    check_trials,
+    check_budget,
     diagonal_derivations,
     find_derived_regular_derivation,
     find_regular_derivation,
@@ -540,8 +540,8 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
                     trials: int = DEFAULT_TRIALS) -> Optional[TwoForm]:
     """Search for a closed nondegenerate 2-form: torus-homogeneous forms, then seeded draws.
 
-    Raises ValueError when ``trials`` < 1 and returns None in odd
-    dimension, before any other work. Then come the diagonal weight
+    Checks its budget first (``check_budget``: TypeError or ValueError)
+    and returns None in odd dimension, before any other work. Then come the diagonal weight
     candidates w of ``_weight_candidates`` over ``diagonal_derivations``,
     the weights the derivation searches read: the RREF basis and the first
     ``SYMPLECTIC_CURVE_POINTS`` moment-curve points, so the pass builds a
@@ -567,7 +567,7 @@ def find_symplectic(alg: LieAlgebra, seed: int = 0,
     the coefficients; its outcome is the one the weight pass never ran
     for, and None after ``trials`` misses is one-sided.
     """
-    check_trials(trials)
+    check_budget(seed, trials)
     n = alg.dim
     if n % 2:
         return None

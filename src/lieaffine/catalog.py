@@ -7,7 +7,10 @@ no pass re-keys it. Each family writes its table as ints over one den:
 C_n, and 2000 q for Benoist at t = p/q. ``liealg._adopted`` takes the
 table as it is, so no Fraction is formed past the rational parameters
 and the table is not validated a second time; ``liealg.coefficient_table``
-stays the one boundary for caller and JSON tables.
+stays the one boundary for caller and JSON tables. Each family's shape
+rule is stated once, ``_check_n`` for n (Ln, Qn, Cn) and ``_check_shift``
+for the shift k, and read both by the maker and by ``standard_torus`` or
+``fill_aij``, with the maker's error class and message.
 
 The families A_n^k, B_n^k (rank 1) and C_n carry parameters (lambda_1, ...)
 that are subject to polynomial constraints coming from the Jacobi
@@ -43,10 +46,30 @@ def _pairing(n: int, one: int = 1) -> dict:
     return {(i - 1, n - i): {n - 1: one if i % 2 else -one} for i in range(2, n // 2 + 1)}
 
 
+def _check_n(family: str, n: int) -> None:
+    """The one shape rule of Ln (n >= 3), Qn and Cn (even n >= 6), for the makers and the tori.
+
+    ``make_ln``, ``make_qn`` and ``make_cn`` check it, and ``standard_torus``
+    checks the same rule for its family. Ln and Qn raise BadDimension and
+    Cn raises BadRange, as ``make_cn`` always has.
+    """
+    if family == "Ln":
+        if n < 3:
+            raise BadDimension(f"Ln requires n >= 3, got {n}")
+    elif n < 6 or n % 2:
+        error = BadRange if family == "Cn" else BadDimension
+        raise error(f"{family} requires even n >= 6, got {n}")
+
+
+def _check_shift(n: int, k: int) -> None:
+    """The one rule of the shift k of A_n^k and of ``fill_aij``: 2 <= k <= n - 3 (BadRange)."""
+    if not 2 <= k <= n - 3:
+        raise BadRange(f"Ank requires 2 <= k <= n - 3, got k={k}, n={n}")
+
+
 def make_ln(n: int) -> LieAlgebra:
     """Filiform model algebra: [Y1, Yj] = Y_{j+1} for j = 2..n-1."""
-    if n < 3:
-        raise BadDimension(f"Ln requires n >= 3, got {n}")
+    _check_n("Ln", n)
     return _display_algebra(n, _chain(n - 1), 1, f"L{n}")
 
 
@@ -59,8 +82,7 @@ def make_qn(n: int, adapted: bool = False) -> LieAlgebra:
     keeps the same pair brackets; it is the basis in which the diagonal
     torus below is visible.
     """
-    if n < 6 or n % 2:
-        raise BadDimension(f"Qn requires even n >= 6, got {n}")
+    _check_n("Qn", n)
     table = {**_chain(n - 2 if adapted else n - 1), **_pairing(n)}
     if adapted:
         return _display_algebra(n, table, 1, f"Q{n}Z", "Z")
@@ -109,8 +131,7 @@ def fill_aij(n: int, k: int, lambdas: Sequence) -> Dict[Tuple[int, int], Fractio
 
     Keys are the 1-based pairs (i, j) with i >= 2; absent key means zero.
     """
-    if not 2 <= k <= n - 3:
-        raise BadRange(f"shift k must satisfy 2 <= k <= n - 3, got k={k}, n={n}")
+    _check_shift(n, k)
     count, lams, den = _read_lambdas(lambdas)
     t_cap = (n - k + 1) // 2
     if count > t_cap - 1:
@@ -134,8 +155,7 @@ def make_ank(n: int, k: int, lambdas: Sequence):
     Returns (algebra, jacobi_report(algebra)); a nonempty report means the
     lambda values violate the Jacobi constraints and is data, not an error.
     """
-    if not 2 <= k <= n - 3:
-        raise BadRange(f"Ank requires 2 <= k <= n - 3, got k={k}, n={n}")
+    _check_shift(n, k)
     t = (n - k + 1) // 2
     lams, den = _check_lambdas(lambdas, t - 1)
     table = _chain(n - 1, den)
@@ -174,8 +194,7 @@ def make_cn(n: int, lambdas: Sequence):
     s = 1..t the pairs [Y_i, Y_{n-i-2s+1}] = (-1)^(i+1) lambda_s Y_n with
     2 <= i < n-i-2s+1. Returns (algebra, jacobi_report(algebra)).
     """
-    if n < 6 or n % 2:
-        raise BadRange(f"Cn requires even n >= 6, got {n}")
+    _check_n("Cn", n)
     m = (n - 2) // 2
     t = m - 1
     lams, den = _check_lambdas(lambdas, t)
@@ -254,19 +273,17 @@ def standard_torus(family: str, n: int) -> List[Matrix]:
     Ln carries the pair diag(0, 1, ..., 1) and diag(1, 2, ..., n);
     QnZ, the adapted Qn presentation, carries diag(0, 1, ..., 1, 2) and
     diag(1, 0, 1, ..., n-3, n-3); Cn carries the single map
-    diag(0, 1, ..., 1, 2). Each is a derivation of the matching algebra.
+    diag(0, 1, ..., 1, 2). Each is a derivation of the matching algebra,
+    and n must fit the family's maker (``_check_n``).
     """
+    if family not in ("Ln", "QnZ", "Cn"):
+        raise UnknownFamily(f"no standard torus for family {family!r}")
+    _check_n(family[:2], n)
     if family == "Ln":
-        if n < 3:
-            raise BadDimension(f"Ln requires n >= 3, got {n}")
         f1 = [0] + [1] * (n - 1)
         f2 = list(range(1, n + 1))
         return [Matrix.diagonal(f1), Matrix.diagonal(f2)]
-    if family in ("QnZ", "Cn"):
-        if n < 6 or n % 2:
-            raise BadDimension(f"{family[:2]} requires even n >= 6, got {n}")
-        f1 = Matrix.diagonal([0] + [1] * (n - 2) + [2])
-        if family == "Cn":
-            return [f1]
-        return [f1, Matrix.diagonal([1] + [i - 2 for i in range(2, n)] + [n - 3])]
-    raise UnknownFamily(f"no standard torus for family {family!r}")
+    f1 = Matrix.diagonal([0] + [1] * (n - 2) + [2])
+    if family == "Cn":
+        return [f1]
+    return [f1, Matrix.diagonal([1] + [i - 2 for i in range(2, n)] + [n - 3])]

@@ -42,7 +42,9 @@ an n x n determinant): a bound that is vacuous from n = 21 on.
 ``_gauss_jordan`` pass on the integer equations whose rows the space
 keeps; ``flat`` reads its basis off them (``linalg._solution_basis``), so
 a verdict that never reads it never pays for it. Every search takes the
-algebra, as ``(alg, seed, trials)``, and checks ``trials`` first. The
+algebra, as ``(alg, seed, trials)``, and checks that budget first, by
+``check_budget``, the one rule of a seed and a ``trials`` that the
+certificate and verdict readers share. The
 regular and derived-regular searches then try their diagonal weight
 candidates (``_weight_candidates`` over the kept space's ``weights``,
 which needs only the weight equations, in closed form on a
@@ -97,6 +99,7 @@ from .linalg import (
     Subspace,
     _Frozen,
     _coordinates,
+    _integer,
     _flat_columns,
     _gauss_jordan,
     _nullspace,
@@ -596,9 +599,21 @@ def diagonal_derivations(alg: LieAlgebra) -> Subspace:
     return derivation_space(alg).weights
 
 
-def check_trials(trials: int) -> None:
-    """Reject a search budget below one trial, before any work is done."""
-    if trials < 1:
+def check_budget(seed: int, trials: int) -> None:
+    """The one rule of a search budget: an int ``seed`` and an int ``trials`` >= 1.
+
+    Bools are refused as ``linalg._integer`` refuses them: a seed or a
+    budget that is not an int raises TypeError ("seed must be an integer",
+    "trials must be an integer"), and ``trials`` < 1 raises ValueError
+    ("trials must be at least 1"). Every search checks it before any work
+    is done, and ``serialize`` reads a certificate's or a verdict's
+    ``seed`` and ``trials`` through it, so a budget a search takes is
+    exactly one a document takes. The command line caps ``--trials``
+    further, as a limit on work; a document's ``trials`` drives no
+    search, so it has no cap.
+    """
+    _integer(seed, "seed")
+    if _integer(trials, "trials") < 1:
         raise ValueError("trials must be at least 1")
 
 
@@ -627,7 +642,7 @@ def _first_hit(space: Subspace, build: Callable[[dict], object], fixed: Iterable
     """First candidate passing ``accept``: the fixed ones, then ``build`` of each seeded draw.
 
     The one candidate loop of every seeded search; each search checks
-    ``trials`` itself, before any other work.
+    its budget itself (``check_budget``), before any other work.
     """
     drawn = map(build, seeded_combinations(space, seed, trials))
     return next((cand for cand in chain(fixed, drawn) if accept(cand)), None)
@@ -672,7 +687,7 @@ def _derivation_search(alg: LieAlgebra, seed: int, trials: int, accept):
     search accepts only non-nilpotent derivations, so a nil Der(g)
     (``all_nilpotent``), whose weight space is 0, returns None before any
     draw; otherwise ``_first_hit`` runs the seeded draws over Der(g) through
-    ``accept``. Each search checks ``trials`` before it gets here.
+    ``accept``. Each search checks its budget before it gets here.
     """
     space = derivation_space(alg)
     den = space.weights.den
@@ -689,7 +704,7 @@ def find_regular_derivation(alg: LieAlgebra, seed: int = 0,
                             trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for an invertible derivation: diagonal weights, then seeded draws; None if all fail.
 
-    After the ``trials`` check, the diagonal weight candidates
+    After the budget check (``check_budget``), the diagonal weight candidates
     (``_weight_candidates``) decide exactly whether an invertible diagonal
     derivation exists in the given basis; the first is returned without
     solving Der(g), and it does not depend on ``seed``. Otherwise the nil
@@ -697,7 +712,7 @@ def find_regular_derivation(alg: LieAlgebra, seed: int = 0,
     singular, so None is returned without drawing; else the seeded draws
     over Der(g) are tried.
     """
-    check_trials(trials)
+    check_budget(seed, trials)
     return _derivation_search(alg, seed, trials, nonsingular)
 
 
@@ -741,7 +756,7 @@ def find_derived_regular_derivation(alg: LieAlgebra, seed: int = 0,
                                     trials: int = DEFAULT_TRIALS) -> Optional[Matrix]:
     """Search for a derivation whose derived-subalgebra restriction is invertible.
 
-    After the ``trials`` check comes a deterministic first pass over the
+    After the budget check (``check_budget``) comes a deterministic first pass over the
     diagonal weight candidates (``_weight_candidates``), which needs no
     Der(g): a hit there returns before the system is solved. Only then does
     the nil gate run, and then the seeded random combinations. The pass
@@ -760,7 +775,7 @@ def find_derived_regular_derivation(alg: LieAlgebra, seed: int = 0,
     witness is a curve point that does not depend on ``seed``, not a seeded
     draw over Der(g).
     """
-    check_trials(trials)
+    check_budget(seed, trials)
     derived = derived_subalgebra(alg)
     return _derivation_search(alg, seed, trials, lambda f: _restriction_invertible(derived, f))
 
@@ -775,7 +790,7 @@ def char_nilpotent_verdict(alg: LieAlgebra, seed: int = 0,
     is nil (``all_nilpotent``) no candidate can hit, so that verdict is
     returned without drawing; the kind stays CharNilpotentLikely.
     """
-    check_trials(trials)
+    check_budget(seed, trials)
     space = derivation_space(alg)
     witness = None if space.all_nilpotent else _first_hit(
         space.flat, space.matrix, space.basis, seed, trials, lambda f: not is_nilpotent(f))

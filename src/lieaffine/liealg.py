@@ -15,17 +15,22 @@ columns: ``structure`` maps each stored pair to its sparse integer
 coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
 = 1, so equal tables have equal fields. ``coefficient_table`` is the one
 rational boundary, for caller and JSON tables, shared with
-``affine.AffineStructure``: it checks that a table and each pair's
-coefficients are mappings (TypeError, naming the pair) and their
-ranges, and scales the table once through ``linalg.integer_scaled``,
-the one scaler, which coerces and drops the zeros. The catalog writes
+``affine.AffineStructure``: it checks that ``dim`` is an int and not a
+bool, that a table and each pair's coefficients are mappings
+(TypeError, naming the pair) and their ranges, and scales the table
+once through ``linalg.integer_scaled``, the one scaler, which coerces
+and drops the zeros. The catalog writes
 its tables as ints over one den and ``_adopted`` takes them as they
 are, with no Fraction and no second validation, the way
 ``affine._adopted`` takes a built product; both put the table in
 lowest terms through ``linalg._lowest_table``. There is no
 dense bracket: every check reads the integer table or the views below,
 and Fractions are formed only for a nonzero residual
-(``linalg._violations`` for the Jacobi report).
+(``linalg._violations`` for the Jacobi report). ``LieAlgebra`` takes
+its dimension, name and basis names by the rules its JSON reader takes
+them by, ``linalg._integer`` and ``linalg._string``: an int (never a
+bool) and strings, with no ``str()`` coercion, so every algebra the
+library builds writes a document that reads back.
 
 An algebra computes on first use and keeps, as read-only attributes,
 its views ``ad_columns`` (the integer ad table over ``den``),
@@ -45,8 +50,9 @@ report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
 ``linalg._Frozen``, and ``TwoForm`` its equality over its ``gram``.
 ``_adopted_form`` is the one adopter of a form's int upper entries: it
 fills both triangles, for ``TwoForm.from_entries``, which checks that
-the entries are a mapping and their range, and scales them through
-``integer_scaled``, and for ``affine.find_symplectic``;
+its ``dim`` is an int, that the entries are a mapping and their range,
+and scales them through ``integer_scaled``, and for
+``affine.find_symplectic``;
 ``TwoForm(gram)`` checks antisymmetry.
 """
 
@@ -64,10 +70,12 @@ from .linalg import (
     _Frozen,
     _gauss_jordan,
     _image_chain,
+    _integer,
     _lowest_table,
     _reduce,
     _sequence,
     _set_fields,
+    _string,
     _violations,
     format_rational,
     integer_scaled,
@@ -84,9 +92,11 @@ def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], S
     lie in range. The rational values are put over one den > 0 by
     ``integer_scaled``, which coerces them, drops the zeros and gives a
     canonical output, gcd(den, every entry) = 1, so equal tables mean equal
-    maps; the pairs left empty are dropped. A table or a pair's
-    coefficients that are not a mapping raise TypeError, naming the pair.
+    maps; the pairs left empty are dropped. A ``dim`` that is a bool or
+    not an int (``linalg._integer``), and a table or a pair's coefficients
+    that are not a mapping, raise TypeError, the latter naming the pair.
     """
+    _integer(dim, "dim")
     if not isinstance(table, Mapping):
         raise TypeError("a table must be a mapping {(i, j): {k: value}}")
     for (i, j), coeffs in table.items():
@@ -102,21 +112,27 @@ def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], S
 
 
 class LieAlgebra(_Frozen):
-    """A Lie algebra on a fixed basis: sparse int structure constants over ``den``, kept views."""
+    """A Lie algebra on a fixed basis: sparse int structure constants over ``den``, kept views.
+
+    ``dim`` is an int >= 1 (``linalg._integer``; a bool is refused), and
+    ``name`` and each basis name a ``str`` (``linalg._string``), the rules
+    ``serialize.algebra_from_json`` reads a document by: a value of
+    another type raises TypeError, never coerced with ``str()``.
+    """
 
     __slots__ = ("dim", "name", "basis_names", "structure", "den", "__dict__")
 
     def __init__(self, dim: int, structure, name: str = "g",
                  basis_names: Optional[Sequence[str]] = None):
-        if dim < 1:
+        if _integer(dim, "dim") < 1:
             raise DimensionMismatch("algebra dimension must be at least 1")
         if basis_names is None:
             basis_names = [f"e{i + 1}" for i in range(dim)]
-        basis_names = tuple(str(s) for s in _sequence(basis_names, "basis names"))
+        basis_names = tuple(_string(s, "basis name") for s in _sequence(basis_names, "basis names"))
         if len(basis_names) != dim:
             raise DimensionMismatch("basis name count does not match the dimension")
         structure, den = coefficient_table(dim, structure, lambda i, j: i < j)
-        _set_fields(self, dim=dim, name=str(name), basis_names=basis_names,
+        _set_fields(self, dim=dim, name=_string(name, "name"), basis_names=basis_names,
                     structure=structure, den=den)
 
     def __repr__(self) -> str:
@@ -225,8 +241,10 @@ class TwoForm(_Frozen):
     def from_entries(cls, dim: int, entries) -> "TwoForm":
         """The form of rational upper entries {(i, j): value}, i < j, built by ``_adopted_form``.
 
-        Entries that are not a mapping raise TypeError.
+        A ``dim`` that is a bool or not an int, and entries that are not a
+        mapping, raise TypeError.
         """
+        _integer(dim, "dim")
         if not isinstance(entries, Mapping):
             raise TypeError("entries must be a mapping {(i, j): value}")
         for i, j in entries:

@@ -20,7 +20,10 @@ library constructor), for ``serialize.parse_rational`` (every document)
 and for the command line's options, and nothing else reads one. The
 entry points that read a sequence (matrix rows, a diagonal, lambda
 values, basis names) refuse a string in one helper, ``_sequence``, so
-'12' never passes for (1, 2). ``_violations`` is
+'12' never passes for (1, 2); beside it, ``_integer`` and ``_string``
+hold the one type rule of a dimension, a seed or a budget and of a name,
+which the library's constructors and searches and the documents' readers
+all apply, so whatever the library writes reads back. ``_violations`` is
 the one residual reporter of the checks (the Jacobi report,
 ``is_derivation`` and both ``verify_affine`` reports): each collects
 integer sums keyed by basis tuple over one denominator, and it turns the
@@ -138,6 +141,20 @@ def _sequence(values, what: str):
     if isinstance(values, str):
         raise TypeError(f"{what} {_echo(values)} is a string, not a sequence")
     return values
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as given, or TypeError when it is a bool or not an int: a dim, a seed, a budget."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer")
+    return value
+
+
+def _string(value, what: str) -> str:
+    """``value`` as given, or TypeError when it is not a ``str``: a name, a label."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string")
+    return value
 
 
 class _Frozen:

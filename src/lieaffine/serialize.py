@@ -4,18 +4,28 @@ All payloads use 1-based basis indices and rational strings "p/q" (or "p"
 when the denominator is 1). ``parse_rational`` reads them in the
 package's one grammar, 'p' or 'p/q' in ASCII digits, through
 ``linalg._read_rational``, the reader behind ``rat`` and the command
-line's options too, so this module holds no pattern of its own. Parsers
-recanonicalize non-canonical fractions like "2/4" silently but reject
-anything that is not an integer fraction, along with unknown fields,
-bad index ranges and duplicate entries. A "dim" header outside
+line's options too, so this module holds no pattern of its own. Every
+other value is read by the library's own rule too, its TypeError or
+ValueError re-raised by ``_schema`` as a SchemaError with the same text:
+an integer field by ``linalg._integer`` (an int, never a bool), a string
+field by ``linalg._string``, and a certificate's or verdict's "seed" and
+"trials" by ``derivations.check_budget``, the rule of every search (an
+int seed and an int trials >= 1, with no cap: a document's trials drives
+no search, and only the command line's --trials caps the work). So
+whatever the library writes reads back, and a value one of these rules
+refuses is refused in a library call and in a document with the same
+message. Parsers recanonicalize non-canonical fractions like "2/4"
+silently but reject anything that is not an integer fraction, along
+with unknown fields, bad index ranges and duplicate entries. A "dim" header outside
 1..MAX_DIM is rejected before anything is allocated.
 Brackets, affine products and 2-form entries share one {"i", "j", value}
 pair-entry codec; matrices have their one square reader and one writer
 here. A JSON object that repeats a key is rejected. Every document may
 carry one optional metadata field "generated_at" (emitted by the CLI
 unless --reproducible is set); certificates and verdicts also admit an
-informational "name"/"note". Metadata, and an affine structure's legacy
-"provenance" once checked to be an object, are ignored on input.
+informational "name"/"note", which must be strings. Metadata, and an
+affine structure's legacy "provenance" once checked to be an object, are
+ignored on input.
 """
 
 from __future__ import annotations
@@ -25,15 +35,27 @@ from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from .affine import STRATEGIES, AffineStructure, Certificate, CheckResult
-from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict
+from .derivations import CHAR_NILPOTENT_LIKELY, NOT_CHAR_NILPOTENT, CharNilpVerdict, check_budget
 from .errors import SchemaError
 from .liealg import LieAlgebra, TwoForm, jacobi_report
-from .linalg import Matrix, _echo, _read_rational, format_rational
+from .linalg import Matrix, _echo, _integer, _read_rational, _string, format_rational
 
 _META_FIELDS = {"generated_at"}
 
 # Largest document "dim"; a 2-form parser allocates dim x dim from the header.
 MAX_DIM = 256
+
+
+def _schema(rule, *args):
+    """``rule(*args)``, a library rule, with its TypeError or ValueError re-raised as a SchemaError.
+
+    The message is kept, so a document and a library call refused by one
+    rule say the same; no reader here restates a rule of its own.
+    """
+    try:
+        return rule(*args)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def parse_rational(text) -> Fraction:
@@ -43,10 +65,7 @@ def parse_rational(text) -> Fraction:
     every option read too; its ValueError on a non-string or any other
     spelling becomes a SchemaError with the same message.
     """
-    try:
-        return _read_rational(text)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _schema(_read_rational, text)
 
 
 def _require_object(doc, required, optional=frozenset()):
@@ -62,15 +81,11 @@ def _require_object(doc, required, optional=frozenset()):
 
 
 def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer")
-    return value
+    return _schema(_integer, value, what)
 
 
 def _require_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{what} must be a string")
-    return value
+    return _schema(_string, value, what)
 
 
 def _require_dim(value) -> int:
@@ -250,6 +265,21 @@ def _witness_codec(key):
     return codec
 
 
+def _shared_fields(doc) -> tuple:
+    """(seed, trials) of a certificate or a verdict, read by the searches' rule ``check_budget``.
+
+    So a document takes exactly the budgets a search takes: an int seed and
+    an int ``trials`` >= 1, bools refused, with no cap, since a document's
+    ``trials`` drives no search. Its optional "name" and "note" must be
+    strings.
+    """
+    for key in ("name", "note"):
+        if key in doc:
+            _require_str(doc[key], key)
+    _schema(check_budget, doc["seed"], doc["trials"])
+    return doc["seed"], doc["trials"]
+
+
 def checks_to_json(checks) -> list:
     """The {"name", "status", "residuals"} entries of a list of CheckResult."""
     return [{"name": c.name, "status": c.status, "residuals": c.residuals} for c in checks]
@@ -294,15 +324,11 @@ def certificate_from_json(doc) -> Certificate:
     if not isinstance(raw, dict):
         raise SchemaError("witnesses must be an object")
     witnesses = {key: _witness_codec(key)[1](value) for key, value in raw.items()}
-    return Certificate(
-        algebra_hash=_require_str(doc["algebra_hash"], "algebra_hash"),
-        strategy=strategy,
-        seed=_require_int(doc["seed"], "seed"),
-        trials=_require_int(doc["trials"], "trials"),
-        version=_require_str(doc["version"], "version"),
-        checks=checks,
-        witnesses=witnesses,
-    )
+    algebra_hash = _require_str(doc["algebra_hash"], "algebra_hash")
+    seed, trials = _shared_fields(doc)
+    return Certificate(algebra_hash=algebra_hash, strategy=strategy, seed=seed, trials=trials,
+                       version=_require_str(doc["version"], "version"), checks=checks,
+                       witnesses=witnesses)
 
 
 # --- characteristic-nilpotency verdicts --------------------------------------
@@ -329,12 +355,8 @@ def verdict_from_json(doc) -> CharNilpVerdict:
         raise SchemaError("NotCharNilpotent verdict requires a witness")
     if kind == CHAR_NILPOTENT_LIKELY and witness is not None:
         raise SchemaError("CharNilpotentLikely verdict must not carry a witness")
-    return CharNilpVerdict(
-        kind=kind,
-        witness=witness,
-        seed=_require_int(doc["seed"], "seed"),
-        trials=_require_int(doc["trials"], "trials"),
-    )
+    seed, trials = _shared_fields(doc)
+    return CharNilpVerdict(kind=kind, witness=witness, seed=seed, trials=trials)
 
 
 def json_text(value) -> str:

@@ -301,6 +301,34 @@ def test_one_helper_refuses_a_string_read_as_a_sequence():
                        ("catalog", "_read_lambdas"), ("liealg", "__init__")}
 
 
+def test_check_budget_holds_the_only_budget_rule():
+    # derivations.check_budget is the one rule of a seed and a trials count:
+    # every "trials must ..." message and every integer check of a value
+    # named "seed" or "trials" is spelled there, and the searches and the
+    # document readers call it instead of a copy of their own
+    spelled, callers = set(), set()
+    for name, tree in _package_trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            body = func.body[1:] if ast.get_docstring(func) else func.body
+            for node in (inner for stmt in body for inner in ast.walk(stmt)):
+                if isinstance(node, ast.Constant) and "trials must" in str(node.value):
+                    spelled.add((name, func.name))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                        "_integer", "_require_int") and any(
+                        isinstance(arg, ast.Constant) and arg.value in ("seed", "trials")
+                        for arg in node.args):
+                    spelled.add((name, func.name))
+                if isinstance(node, ast.Name) and node.id == "check_budget":
+                    callers.add((name, func.name))
+    assert spelled == {("derivations", "check_budget")}
+    assert callers == {("derivations", "find_regular_derivation"),
+                       ("derivations", "find_derived_regular_derivation"),
+                       ("derivations", "char_nilpotent_verdict"),
+                       ("affine", "find_symplectic"), ("serialize", "_shared_fields")}
+
+
 def test_no_module_keeps_a_second_check_table():
     # each strategy's record in affine.STRATEGIES re-checks its own witness:
     # the table from check name to witness and its wrapper type are gone

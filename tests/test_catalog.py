@@ -282,6 +282,25 @@ def test_standard_torus_unknown_family():
             standard_torus(family, 6)
 
 
+@pytest.mark.parametrize("maker, reader, error", [
+    (lambda: make_ln(2), lambda: standard_torus("Ln", 2), BadDimension),
+    (lambda: make_qn(7, adapted=True), lambda: standard_torus("QnZ", 7), BadDimension),
+    (lambda: make_cn(7, [1, 1]), lambda: standard_torus("Cn", 7), BadRange),
+    (lambda: make_cn(4, []), lambda: standard_torus("Cn", 4), BadRange),
+    (lambda: make_ank(8, 6, [1]), lambda: fill_aij(8, 6, [1]), BadRange),
+    (lambda: make_ank(8, 1, [1]), lambda: fill_aij(8, 1, [1]), BadRange),
+], ids=["Ln", "QnZ", "Cn-odd", "Cn-small", "k-high", "k-low"])
+def test_a_shape_rule_is_read_alike_by_the_maker_and_its_second_reader(maker, reader, error):
+    # each family's shape rule is stated once: standard_torus and fill_aij
+    # refuse what the maker refuses, with the maker's class and message
+    messages = []
+    for call in (maker, reader):
+        with pytest.raises(error) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_standard_torus_maps_are_derivations():
     pairs = [
         ("Ln", 7, make_ln(7)),

@@ -1822,11 +1822,25 @@ def _replaced(doc, path, value):
     return copy
 
 
+def _refused(field, value):
+    """Whether a certificate's or verdict's ``field`` refuses value: the rule of each, restated.
+
+    A name or note is a string; a seed is an int, never a bool; trials is
+    such an int of at least 1, with no cap.
+    """
+    if field in ("name", "note"):
+        return not isinstance(value, str)
+    return isinstance(value, bool) or not isinstance(value, int) or (
+        field == "trials" and value < 1)
+
+
 def test_structurally_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
     # each field and nested entry of a valid algebra, 2-form, affine
     # structure, two certificates and a verdict takes a value of a wrong
     # type or range; io validate and the command that reads the document
-    # must each exit 0, 1 or 2, with no exception leaving cli.main
+    # must each exit 0, 1 or 2, with no exception leaving cli.main. A
+    # certificate's or verdict's seed, trials, name and note take every
+    # value, and each reader exits 2 exactly on those their rule refuses
     def output(argv):
         assert main([*argv, "--reproducible"]) == 0
         return json.loads(capsys.readouterr().out)
@@ -1840,9 +1854,10 @@ def test_structurally_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
          (["verify", "jacobi", "--in"], ["affine", "synth", "--in"])),
         (output(["affine", "symplectic-find", *ln4])["two_form"], "twoform", ()),
         (certificate["witnesses"]["affine_structure"], "affine", ()),
-        (certificate, "certificate", (verify,)),
-        (output(["affine", "synth", *ln4, "--strategy", "symplectic"]), "certificate", (verify,)),
-        (output(["der", "char-nilp", *ln4]), "verdict",
+        (dict(certificate, note="n"), "certificate", (verify,)),
+        (dict(output(["affine", "synth", *ln4, "--strategy", "symplectic"]), note="n"),
+         "certificate", (verify,)),
+        (dict(output(["der", "char-nilp", *ln4]), note="n"), "verdict",
          (["der", "verify-witness", *ln4, "--cert"],)),
     ]
     rng = random.Random(58)
@@ -1850,13 +1865,17 @@ def test_structurally_fuzzed_documents_exit_0_1_or_2(capsys, tmp_path):
     for doc, kind, readers in docs:
         argvs = [["io", "validate", "--kind", kind, "--in"], *readers]
         for entry in _json_paths(doc):
-            for value in rng.sample(_WRONG_VALUES, 6):
+            ruled = kind in ("certificate", "verdict") and entry in (
+                ("seed",), ("trials",), ("name",), ("note",))
+            for value in _WRONG_VALUES if ruled else rng.sample(_WRONG_VALUES, 6):
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(_replaced(doc, entry, value), fh)
                 for argv in argvs:
                     code = main([*argv, path, "--reproducible"])
                     capsys.readouterr()
                     assert code in (0, 1, 2), (argv, entry, value)
+                    assert not ruled or (code == 2) == _refused(entry[0], value), (
+                        argv, entry, value, code)
                     codes[code] += 1
     # the values reach the readers (2) and the checks behind them (0 and 1)
     assert set(codes) == {0, 1, 2} and sum(codes.values()) > 2000

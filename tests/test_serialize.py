@@ -1,17 +1,29 @@
 """JSON schema round trips and strictness."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from lieaffine import serialize
-from lieaffine.affine import reverify_certificate, synthesize
-from lieaffine.catalog import make_cn, make_ln, make_qn
+from lieaffine.affine import (
+    AffineStructure,
+    Certificate,
+    find_symplectic,
+    reverify_certificate,
+    synthesize,
+)
+from lieaffine.catalog import make_abelian, make_ank, make_benoist, make_cn, make_ln, make_qn
 from lieaffine.cli import main
-from lieaffine.derivations import CharNilpVerdict, char_nilpotent_verdict
+from lieaffine.derivations import (
+    CharNilpVerdict,
+    char_nilpotent_verdict,
+    find_derived_regular_derivation,
+    find_regular_derivation,
+)
 from lieaffine.errors import SchemaError
-from lieaffine.liealg import TwoForm, algebra_hash
+from lieaffine.liealg import LieAlgebra, TwoForm, algebra_hash
 from lieaffine.linalg import Matrix
 from lieaffine.serialize import (
     MAX_DIM,
@@ -355,3 +367,135 @@ def test_hash_is_stable_across_runs():
     b = algebra_hash(make_ln(9))
     assert a == b
     assert len(a) == 64
+
+
+def _read_back(to_json, from_json, value):
+    """What a reader makes of the document the library writes for value, as the CLI prints it."""
+    return from_json(json.loads(json_text(to_json(value))))
+
+
+def _algebra_fields(alg):
+    return alg.dim, alg.name, alg.basis_names, alg.structure, alg.den
+
+
+def _seeded_pairs(rng, dim, ordered):
+    """Up to a dozen seeded basis pairs (i, j) of dim, with i < j when ``ordered``."""
+    pairs = {(rng.randrange(dim), rng.randrange(dim)) for _ in range(12)}
+    return sorted((min(p), max(p)) for p in pairs if p[0] != p[1]) if ordered else sorted(pairs)
+
+
+def _seeded_coeffs(rng, dim):
+    return {rng.randrange(dim): F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)}
+
+
+def test_seeded_values_read_back_as_the_library_built_them():
+    # whatever the library builds, with 1 <= dim <= MAX_DIM, is written and
+    # read back unchanged: names of any string, any rationals, any budget
+    rng = random.Random(59)
+    names = ["", "3", "x\u2081", 'q"uo\\te', " spaced ", "\u00e9t\u00e9"]
+    for dim in (1, 2, 3, 7, 16, rng.randint(17, MAX_DIM - 1), MAX_DIM):
+        table = {p: _seeded_coeffs(rng, dim) for p in _seeded_pairs(rng, dim, True)}
+        alg = LieAlgebra(dim, table, name=rng.choice(names),
+                         basis_names=[rng.choice(names) + str(k) for k in range(dim)])
+        assert _algebra_fields(_read_back(algebra_to_json, algebra_from_json, alg)) \
+            == _algebra_fields(alg), dim
+        form = TwoForm.from_entries(dim, {p: F(rng.randint(-9, 9), rng.randint(1, 5))
+                                          for p in _seeded_pairs(rng, dim, True)})
+        assert _read_back(twoform_to_json, twoform_from_json, form) == form, dim
+        structure = AffineStructure(dim, {p: _seeded_coeffs(rng, dim)
+                                          for p in _seeded_pairs(rng, dim, False)})
+        assert _read_back(affine_to_json, affine_from_json, structure) == structure, dim
+    for alg in (make_abelian(1), make_ln(3), make_qn(8, adapted=True), make_benoist(F(7, 5)),
+                make_ank(7, 2, [1, F(1, 2)])[0], make_cn(10, [F(2, 3), -1, F(1, 2)])[0]):
+        assert _algebra_fields(_read_back(algebra_to_json, algebra_from_json, alg)) \
+            == _algebra_fields(alg), alg.name
+    cases = [(make_ln(6), "regular", -5, 10 ** 9),
+             (make_cn(8, [F(2, 3), F(1, 2)])[0], "derived-regular", 2 ** 70, 1),
+             (make_ln(8), "symplectic", -(10 ** 30), 10 ** 9)]
+    for alg, strategy, seed, trials in cases:
+        _, cert = synthesize(alg, strategy=strategy, seed=seed, trials=trials)
+        back = _read_back(certificate_to_json, certificate_from_json, cert)
+        for field in Certificate._fields:
+            assert getattr(back, field) == getattr(cert, field), (strategy, field)
+        assert reverify_certificate(alg, back).ok, strategy
+    for alg, seed in ((make_ln(5), -3), (make_benoist(1), 10 ** 20)):
+        verdict = char_nilpotent_verdict(alg, seed=seed, trials=10 ** 9)
+        back = _read_back(verdict_to_json, verdict_from_json, verdict)
+        for field in CharNilpVerdict._fields:
+            assert getattr(back, field) == getattr(verdict, field), (alg.name, field)
+
+
+_L4 = make_ln(4)
+_L4_DOCS = {kind: json.loads(json_text(doc)) for kind, doc in (
+    ("algebra", algebra_to_json(_L4)),
+    ("certificate", certificate_to_json(synthesize(_L4)[1])),
+    ("verdict", verdict_to_json(char_nilpotent_verdict(_L4))),
+    ("twoform", twoform_to_json(TwoForm.from_entries(4, {(0, 3): 1}))),
+    ("affine", affine_to_json(AffineStructure(4, {(0, 1): {2: 1}}))),
+)}
+
+
+def _with(kind, **fields):
+    return dict(_L4_DOCS[kind], **fields)
+
+
+# value -> (the library entry points, the document readers) that read it
+_ENTRY_POINTS = {
+    "dim": ([lambda v: LieAlgebra(v, {}), lambda v: AffineStructure(v, {}),
+             lambda v: TwoForm.from_entries(v, {})],
+            [lambda v: algebra_from_json(_with("algebra", dim=v)),
+             lambda v: affine_from_json(_with("affine", dim=v)),
+             lambda v: twoform_from_json(_with("twoform", dim=v))]),
+    "seed": ([lambda v: find_regular_derivation(_L4, seed=v),
+              lambda v: find_derived_regular_derivation(_L4, seed=v),
+              lambda v: find_symplectic(_L4, seed=v), lambda v: char_nilpotent_verdict(_L4, seed=v),
+              lambda v: synthesize(_L4, seed=v)],
+             [lambda v: certificate_from_json(_with("certificate", seed=v)),
+              lambda v: verdict_from_json(_with("verdict", seed=v))]),
+    "trials": ([lambda v: find_regular_derivation(_L4, trials=v),
+                lambda v: find_derived_regular_derivation(_L4, trials=v),
+                lambda v: find_symplectic(_L4, trials=v),
+                lambda v: char_nilpotent_verdict(_L4, trials=v),
+                lambda v: synthesize(_L4, trials=v)],
+               [lambda v: certificate_from_json(_with("certificate", trials=v)),
+                lambda v: verdict_from_json(_with("verdict", trials=v))]),
+    "name": ([lambda v: LieAlgebra(2, {}, name=v)],
+             [lambda v: algebra_from_json(_with("algebra", name=v)),
+              lambda v: certificate_from_json(_with("certificate", name=v)),
+              lambda v: verdict_from_json(_with("verdict", name=v))]),
+    "basis name": ([lambda v: LieAlgebra(2, {}, basis_names=[v, "b"])],
+                   [lambda v: algebra_from_json(_with("algebra", basis=[v, "b", "c", "d"]))]),
+}
+
+_WRONG = [True, 2.5, "3", None]
+# (value, what is read, the one message that refuses it, or None where it is accepted)
+_REFUSALS = [
+    *(("dim", v, "dim must be an integer") for v in _WRONG),
+    *(("seed", v, "seed must be an integer") for v in _WRONG),
+    *(("trials", v, "trials must be an integer") for v in _WRONG),
+    ("trials", 0, "trials must be at least 1"), ("trials", -1, "trials must be at least 1"),
+    *((what, v, None if v == "3" else f"{what} must be a string")
+      for what in ("name", "basis name") for v in [*_WRONG, 5]),
+]
+
+
+@pytest.mark.parametrize("what, value, message", _REFUSALS)
+def test_library_and_documents_refuse_a_value_alike(what, value, message):
+    # each value has one rule: the library entry point and the document
+    # reader refuse the same values with the same text, and accept the rest
+    library, readers = _ENTRY_POINTS[what]
+    for call in library:
+        if message is None:
+            call(value)
+            continue
+        with pytest.raises((TypeError, ValueError)) as info:
+            call(value)
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError) == message.endswith("at least 1")
+    for read in readers:
+        if message is None:
+            read(value)
+            continue
+        with pytest.raises(SchemaError) as info:
+            read(value)
+        assert str(info.value) == message
