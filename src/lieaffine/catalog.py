@@ -9,8 +9,10 @@ table as it is, so no Fraction is formed past the rational parameters
 and the table is not validated a second time; ``liealg.coefficient_table``
 stays the one boundary for caller and JSON tables. Each family's shape
 rule is stated once, ``_check_n`` for n (Ln, Qn, Cn) and ``_check_shift``
-for the shift k, and read both by the maker and by ``standard_torus`` or
-``fill_aij``, with the maker's error class and message.
+for the shift k (Ank, Bnk), and read both by the maker and by
+``standard_torus`` or ``fill_aij``, with the maker's error class and
+message; both read n and k by ``linalg._integer``, as a document's
+integers are read.
 
 The families A_n^k, B_n^k (rank 1) and C_n carry parameters (lambda_1, ...)
 that are subject to polynomial constraints coming from the Jacobi
@@ -28,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadDimension, BadRange, UnknownFamily, WrongLambdaCount
 from .liealg import LieAlgebra, _adopted, jacobi_report
-from .linalg import Matrix, _sequence, integer_scaled, rat
+from .linalg import Matrix, _integer, _sequence, integer_scaled, rat
 
 
 def _display_algebra(n: int, table: dict, den: int, name: str, letter: str = "Y") -> LieAlgebra:
@@ -50,9 +52,11 @@ def _check_n(family: str, n: int) -> None:
     """The one shape rule of Ln (n >= 3), Qn and Cn (even n >= 6), for the makers and the tori.
 
     ``make_ln``, ``make_qn`` and ``make_cn`` check it, and ``standard_torus``
-    checks the same rule for its family. Ln and Qn raise BadDimension and
+    checks the same rule for its family. n is read by ``linalg._integer``
+    (TypeError for a bool or a non-int); Ln and Qn raise BadDimension and
     Cn raises BadRange, as ``make_cn`` always has.
     """
+    _integer(n, "n")
     if family == "Ln":
         if n < 3:
             raise BadDimension(f"Ln requires n >= 3, got {n}")
@@ -61,9 +65,18 @@ def _check_n(family: str, n: int) -> None:
         raise error(f"{family} requires even n >= 6, got {n}")
 
 
-def _check_shift(n: int, k: int) -> None:
-    """The one rule of the shift k of A_n^k and of ``fill_aij``: 2 <= k <= n - 3 (BadRange)."""
-    if not 2 <= k <= n - 3:
+def _check_shift(family: str, n: int, k: int) -> None:
+    """The one rule of the shift k of A_n^k, ``fill_aij`` and B_n^k: 2 <= k <= n - 3 (BadRange).
+
+    Bnk also requires an even n. n and k are read by ``linalg._integer``
+    (TypeError for a bool or a non-int).
+    """
+    _integer(n, "n")
+    _integer(k, "k")
+    if family == "Bnk":
+        if n % 2 or not 2 <= k <= n - 3:
+            raise BadRange(f"Bnk requires even n and 2 <= k <= n - 3, got n={n}, k={k}")
+    elif not 2 <= k <= n - 3:
         raise BadRange(f"Ank requires 2 <= k <= n - 3, got k={k}, n={n}")
 
 
@@ -131,7 +144,7 @@ def fill_aij(n: int, k: int, lambdas: Sequence) -> Dict[Tuple[int, int], Fractio
 
     Keys are the 1-based pairs (i, j) with i >= 2; absent key means zero.
     """
-    _check_shift(n, k)
+    _check_shift("Ank", n, k)
     count, lams, den = _read_lambdas(lambdas)
     t_cap = (n - k + 1) // 2
     if count > t_cap - 1:
@@ -155,7 +168,7 @@ def make_ank(n: int, k: int, lambdas: Sequence):
     Returns (algebra, jacobi_report(algebra)); a nonempty report means the
     lambda values violate the Jacobi constraints and is data, not an error.
     """
-    _check_shift(n, k)
+    _check_shift("Ank", n, k)
     t = (n - k + 1) // 2
     lams, den = _check_lambdas(lambdas, t - 1)
     table = _chain(n - 1, den)
@@ -174,8 +187,7 @@ def make_bnk(n: int, k: int, lambdas: Sequence):
     [Y_i, Y_j] = a_ij Y_{i+j+k-2} for the remaining pairs whose target
     stays at or below n-2. Returns (algebra, jacobi_report(algebra)).
     """
-    if n % 2 or not 2 <= k <= n - 3:
-        raise BadRange(f"Bnk requires even n and 2 <= k <= n - 3, got n={n}, k={k}")
+    _check_shift("Bnk", n, k)
     t = (n - k) // 2
     lams, den = _check_lambdas(lambdas, max(t - 1, 0))
     table = {**_chain(n - 2, den), **_pairing(n, den)}

@@ -35,6 +35,7 @@ import argparse
 import os
 import re
 import sys
+import time
 from functools import cache, partial
 
 from . import catalog
@@ -561,6 +562,19 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
+def _utc_stamp(ns: int) -> str:
+    """The UTC instant ``ns`` nanoseconds after the epoch, to the microsecond, as ISO 8601.
+
+    The shape of ``datetime.isoformat()`` on an aware UTC datetime,
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00`` with the fraction left out when
+    it is 0, built with ``time`` alone: importing ``datetime`` costs a
+    process about 1.3 ms and 0.5 MB.
+    """
+    seconds, us = divmod(ns // 1000, 10**6)
+    fraction = f".{us:06d}" if us else ""
+    return f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}{fraction}+00:00"
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
@@ -574,11 +588,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.reproducible:
-        # imported here only: the timestamp is its one use, and a
-        # --reproducible run then never loads the module
-        from datetime import datetime, timezone
-        payload = {**payload,
-                   "generated_at": datetime.now(timezone.utc).isoformat()}
+        payload = {**payload, "generated_at": _utc_stamp(time.time_ns())}
     text = json_text(payload) + "\n"
     if args.out:
         # written before stdout, so a failed write prints no verdict

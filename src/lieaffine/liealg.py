@@ -15,8 +15,9 @@ columns: ``structure`` maps each stored pair to its sparse integer
 coefficients {k: int} over one ``den`` > 0, with gcd(den, every entry)
 = 1, so equal tables have equal fields. ``coefficient_table`` is the one
 rational boundary, for caller and JSON tables, shared with
-``affine.AffineStructure``: it checks that ``dim`` is an int and not a
-bool, that a table and each pair's coefficients are mappings
+``affine.AffineStructure``: it checks ``dim`` by ``_dimension``, the one
+dimension rule (an int, never a bool, of at least 1), that a table and
+each pair's coefficients are mappings
 (TypeError, naming the pair) and their ranges, and scales the table
 once through ``linalg.integer_scaled``, the one scaler, which coerces
 and drops the zeros. The catalog writes
@@ -28,9 +29,10 @@ dense bracket: every check reads the integer table or the views below,
 and Fractions are formed only for a nonzero residual
 (``linalg._violations`` for the Jacobi report). ``LieAlgebra`` takes
 its dimension, name and basis names by the rules its JSON reader takes
-them by, ``linalg._integer`` and ``linalg._string``: an int (never a
-bool) and strings, with no ``str()`` coercion, so every algebra the
-library builds writes a document that reads back.
+them by, ``_dimension`` and ``linalg._string``: an int (never a bool) of
+at least 1 and strings, with no ``str()`` coercion, so every algebra the
+library builds up to ``serialize.MAX_DIM`` writes a document that reads
+back.
 
 An algebra computes on first use and keeps, as read-only attributes,
 its views ``ad_columns`` (the integer ad table over ``den``),
@@ -49,8 +51,8 @@ Jacobi to solve on the generators e_1 and e_2 alone, the Lie gate of
 report. ``LieAlgebra`` and ``TwoForm`` take their immutability from
 ``linalg._Frozen``, and ``TwoForm`` its equality over its ``gram``.
 ``_adopted_form`` is the one adopter of a form's int upper entries: it
-fills both triangles, for ``TwoForm.from_entries``, which checks that
-its ``dim`` is an int, that the entries are a mapping and their range,
+fills both triangles, for ``TwoForm.from_entries``, which checks its
+``dim`` by ``_dimension``, that the entries are a mapping and their range,
 and scales them through ``integer_scaled``, and for
 ``affine.find_symplectic``;
 ``TwoForm(gram)`` checks antisymmetry.
@@ -82,7 +84,30 @@ from .linalg import (
     nonsingular,
 )
 
+# CPython's builtin SHA-256 (``_sha2`` from 3.12 on, ``_sha256`` before):
+# ``hashlib`` would load OpenSSL, about 3.6 MB and 3 ms per process, for the
+# same digest, so it is only the fallback of an interpreter built without them
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 SparseCoeffs = Dict[int, int]
+
+
+def _dimension(dim) -> None:
+    """TypeError when ``dim`` is a bool or not an int, DimensionMismatch when it is below 1.
+
+    The one dimension rule of the value types: ``LieAlgebra``,
+    ``affine.AffineStructure`` (through ``coefficient_table``) and
+    ``TwoForm.from_entries``. The documents cap it at ``serialize.MAX_DIM``
+    besides.
+    """
+    if _integer(dim, "dim") < 1:
+        raise DimensionMismatch("algebra dimension must be at least 1")
 
 
 def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], SparseCoeffs], int]:
@@ -92,11 +117,11 @@ def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], S
     lie in range. The rational values are put over one den > 0 by
     ``integer_scaled``, which coerces them, drops the zeros and gives a
     canonical output, gcd(den, every entry) = 1, so equal tables mean equal
-    maps; the pairs left empty are dropped. A ``dim`` that is a bool or
-    not an int (``linalg._integer``), and a table or a pair's coefficients
-    that are not a mapping, raise TypeError, the latter naming the pair.
+    maps; the pairs left empty are dropped. ``dim`` is read by
+    ``_dimension``, and a table or a pair's coefficients that are not a
+    mapping raise TypeError, the latter naming the pair.
     """
-    _integer(dim, "dim")
+    _dimension(dim)
     if not isinstance(table, Mapping):
         raise TypeError("a table must be a mapping {(i, j): {k: value}}")
     for (i, j), coeffs in table.items():
@@ -114,7 +139,7 @@ def coefficient_table(dim: int, table, pair_ok) -> Tuple[Dict[Tuple[int, int], S
 class LieAlgebra(_Frozen):
     """A Lie algebra on a fixed basis: sparse int structure constants over ``den``, kept views.
 
-    ``dim`` is an int >= 1 (``linalg._integer``; a bool is refused), and
+    ``dim`` is an int >= 1 (``_dimension``; a bool is refused), and
     ``name`` and each basis name a ``str`` (``linalg._string``), the rules
     ``serialize.algebra_from_json`` reads a document by: a value of
     another type raises TypeError, never coerced with ``str()``.
@@ -124,8 +149,7 @@ class LieAlgebra(_Frozen):
 
     def __init__(self, dim: int, structure, name: str = "g",
                  basis_names: Optional[Sequence[str]] = None):
-        if _integer(dim, "dim") < 1:
-            raise DimensionMismatch("algebra dimension must be at least 1")
+        _dimension(dim)
         if basis_names is None:
             basis_names = [f"e{i + 1}" for i in range(dim)]
         basis_names = tuple(_string(s, "basis name") for s in _sequence(basis_names, "basis names"))
@@ -241,10 +265,10 @@ class TwoForm(_Frozen):
     def from_entries(cls, dim: int, entries) -> "TwoForm":
         """The form of rational upper entries {(i, j): value}, i < j, built by ``_adopted_form``.
 
-        A ``dim`` that is a bool or not an int, and entries that are not a
-        mapping, raise TypeError.
+        ``dim`` is read by ``_dimension``, and entries that are not a
+        mapping raise TypeError.
         """
-        _integer(dim, "dim")
+        _dimension(dim)
         if not isinstance(entries, Mapping):
             raise TypeError("entries must be a mapping {(i, j): value}")
         for i, j in entries:
@@ -394,7 +418,4 @@ def algebra_hash(alg: LieAlgebra) -> str:
         coeffs = alg.structure[(i, j)]
         body = ",".join(f"{k}:{format_rational(coeffs[k], alg.den)}" for k in sorted(coeffs))
         parts.append(f"[{i},{j}]={body}")
-    # imported here only: the digest is its one use, and a command that
-    # never hashes (a failing synth, ``der char-nilp``) never loads it
-    import hashlib
-    return hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()
+    return _sha256("|".join(parts).encode("ascii")).hexdigest()

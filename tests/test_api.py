@@ -355,21 +355,26 @@ def test_check_names_are_spelled_only_in_the_strategy_records():
     assert len(checks) == 7 and spelled == []
 
 
+# the payloads go to stdout, the new modules to stderr
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)
 import lieaffine.cli
-print("\\n".join(sorted(set(sys.modules) - before)))
+codes = [lieaffine.cli.main(argv) for argv in %r]
+print("\\n".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(max(codes, default=0))
 """
 
 
-def _modules_loaded_by_cli_import(*flags):
+def _modules_loaded_by_cli_import(*flags, argvs=(), cwd=None):
+    """The modules a fresh interpreter loads importing lieaffine.cli and running each argv (exit 0)."""
     src = str(Path(lieaffine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, *flags, "-c", _NEW_MODULES], env=env,
+    script = _NEW_MODULES % ([list(argv) for argv in argvs],)
+    run = subprocess.run([sys.executable, *flags, "-c", script], env=env, cwd=cwd,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    loaded = run.stdout.split()
+    loaded = run.stderr.split()
     assert "lieaffine.cli" in loaded
     return loaded
 
@@ -390,10 +395,45 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_cli_import_loads_no_hashlib():
-    # algebra_hash imports it when it first hashes, so a command that never
-    # hashes (a failing synth, der char-nilp) never loads OpenSSL
+    # algebra_hash takes CPython's builtin SHA-256, so importing the command
+    # line never loads OpenSSL (hashlib and _hashlib, about 3.6 MB)
     loaded = _modules_loaded_by_cli_import()
     assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+
+def test_certifying_and_reverifying_load_no_hashlib(tmp_path):
+    # a successful synth hashes its algebra into the certificate and the
+    # verify hashes it again, both through the builtin SHA-256
+    family = ["--family", "Ln", "--n", "12"]
+    loaded = _modules_loaded_by_cli_import(
+        argvs=[["affine", "synth", *family, "--out", "cert.json"],
+               ["affine", "verify", *family, "--cert", "cert.json"]], cwd=tmp_path)
+    assert (tmp_path / "cert.json").is_file()
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+
+_SYNTH_C8 = ["affine", "synth", "--family", "Cn", "--n", "8", "--lambda", "1/2", "--lambda", "3",
+             "--reproducible"]
+_WITHOUT_BUILTIN_SHA256 = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from lieaffine import cli
+code = cli.main({_SYNTH_C8!r})
+print("hashlib" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_hashlib_fallback_prints_the_same_certificate(capsys):
+    # an interpreter without the builtin module hashes through hashlib, to
+    # the same digest and so the same certificate bytes
+    src = str(Path(lieaffine.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_BUILTIN_SHA256],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "True\n")
+    assert cli.main(_SYNTH_C8) == 0
+    assert run.stdout == capsys.readouterr().out
 
 
 def test_readme_library_example_runs():

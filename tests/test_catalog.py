@@ -301,6 +301,37 @@ def test_a_shape_rule_is_read_alike_by_the_maker_and_its_second_reader(maker, re
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_ln(2), BadDimension, "Ln requires n >= 3, got 2"),
+    (lambda: make_qn(7), BadDimension, "Qn requires even n >= 6, got 7"),
+    (lambda: make_cn(4, []), BadRange, "Cn requires even n >= 6, got 4"),
+    (lambda: make_ank(8, 6, [1]), BadRange, "Ank requires 2 <= k <= n - 3, got k=6, n=8"),
+    (lambda: make_bnk(7, 2, [1]), BadRange,
+     "Bnk requires even n and 2 <= k <= n - 3, got n=7, k=2"),
+    (lambda: make_bnk(8, 6, []), BadRange,
+     "Bnk requires even n and 2 <= k <= n - 3, got n=8, k=6"),
+    (lambda: make_bnk(8, 1, [1]), BadRange,
+     "Bnk requires even n and 2 <= k <= n - 3, got n=8, k=1"),
+    (lambda: make_ln(True), TypeError, "n must be an integer"),
+    (lambda: make_qn(8.0), TypeError, "n must be an integer"),
+    (lambda: make_cn(8.0, [1, 1]), TypeError, "n must be an integer"),
+    (lambda: standard_torus("QnZ", "8"), TypeError, "n must be an integer"),
+    (lambda: make_ank(10.0, 3, [1, 1, 1]), TypeError, "n must be an integer"),
+    (lambda: make_ank(10, 3.0, [1, 1, 1]), TypeError, "k must be an integer"),
+    (lambda: fill_aij(10, True, [1]), TypeError, "k must be an integer"),
+    (lambda: make_bnk(10.0, 2, [1, 1, 1]), TypeError, "n must be an integer"),
+    (lambda: make_bnk(10, None, [1, 1, 1]), TypeError, "k must be an integer"),
+], ids=["Ln", "Qn", "Cn", "Ank", "Bnk-odd", "Bnk-k-high", "Bnk-k-low", "Ln-bool", "Qn-float",
+        "Cn-float", "torus-str", "Ank-n-float", "Ank-k-float", "fill_aij-k-bool",
+        "Bnk-n-float", "Bnk-k-None"])
+def test_makers_read_n_and_k_by_one_rule(call, error, message):
+    # an int outside a family's shape keeps its maker's class and message; an
+    # n or k that is a bool or not an int is refused by linalg._integer
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_standard_torus_maps_are_derivations():
     pairs = [
         ("Ln", 7, make_ln(7)),

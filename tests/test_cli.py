@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -1679,9 +1680,9 @@ def test_command_parsers_print_the_bytes_of_the_tree(capsys, monkeypatch):
         assert run(argv) == expected, argv
 
 
-def test_only_a_timestamped_run_imports_datetime(monkeypatch):
-    # importing the command line and a --reproducible run leave datetime
-    # unloaded; a run without the flag still stamps its payload
+def test_no_run_imports_datetime_and_the_stamp_reads_back(monkeypatch):
+    # importing the command line, a --reproducible run and a stamped run all
+    # leave datetime unloaded; the stamp reads back as the UTC instant of the run
     monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
     script = ("import json, sys\n"
               "from lieaffine import cli\n"
@@ -1689,16 +1690,30 @@ def test_only_a_timestamped_run_imports_datetime(monkeypatch):
               "cli.main(['catalog', 'list', '--reproducible'])\n"
               "loaded.append('datetime' in sys.modules)\n"
               "cli.main(['catalog', 'list'])\n"
+              "loaded.append('datetime' in sys.modules)\n"
               "print(json.dumps(loaded), file=sys.stderr)\n")
+    before = datetime.now(timezone.utc)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
+    after = datetime.now(timezone.utc)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == [False, False]
+    assert json.loads(done.stderr) == [False, False, False]
     decoder = json.JSONDecoder()
     plain, end = decoder.raw_decode(done.stdout)
     stamped, _ = decoder.raw_decode(done.stdout[end:].lstrip())
     assert "generated_at" not in plain
     assert stamped == {**plain, "generated_at": stamped["generated_at"]}
+    instant = datetime.fromisoformat(stamped["generated_at"])
+    assert instant.utcoffset() == timedelta(0)
+    assert before - timedelta(seconds=2) <= instant <= after + timedelta(seconds=2)
+
+
+@pytest.mark.parametrize("us", [0, 1, 999_999, 1_761_168_000_000_000, 1_761_168_000_123_456,
+                                253_402_300_799_999_999, -1])
+def test_the_stamp_has_the_shape_of_isoformat(us):
+    # the fraction is left out exactly when the microseconds are 0
+    expected = (datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=us)).isoformat()
+    assert cli._utc_stamp(us * 1000 + 999) == expected
 
 
 def test_package_runs_as_a_module(monkeypatch):

@@ -1,5 +1,6 @@
 """Lie algebra core: brackets, Jacobi certification, series, 2-forms."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -553,6 +554,44 @@ def test_structure_validation():
     # zero coefficients are dropped, empty pairs removed
     alg = LieAlgebra(3, {(0, 1): {2: 0}})
     assert alg.structure == {}
+
+
+def _catalog_to_24():
+    """Every catalog family at every n up to 24 it takes, Ank and Bnk at k = 2 and 3."""
+    for n in range(1, 25):
+        yield make_abelian(n)
+    for n in range(3, 25):
+        yield make_ln(n)
+    for n in range(6, 25, 2):
+        yield make_qn(n)
+        yield make_qn(n, adapted=True)
+        yield make_cn(n, [F(i + 1, 3) for i in range((n - 2) // 2 - 1)])[0]
+    for n in range(5, 25):
+        for k in (2, 3):
+            if k <= n - 3:
+                yield make_ank(n, k, [F(i + 2, 5) for i in range((n - k + 1) // 2 - 1)])[0]
+            if k <= n - 3 and n % 2 == 0:
+                yield make_bnk(n, k, [F(i - 1, 2) for i in range(max((n - k) // 2 - 1, 0))])[0]
+
+
+def _hashed_text(alg):
+    # "dim=n", then "[i,j]=k:c,..." for each stored pair i < j, 0-based, in
+    # order, each constant a Fraction in lowest terms; joined by "|"
+    table = rational_table(alg)
+    return "|".join([f"dim={alg.dim}", *(
+        f"[{i},{j}]=" + ",".join(f"{k}:{c}" for k, c in sorted(table[i, j].items()))
+        for i, j in sorted(table))])
+
+
+def test_algebra_hash_is_hashlib_sha256_of_the_canonical_text():
+    # the builtin SHA-256 that algebra_hash takes gives hashlib's digest of
+    # the same text, on the catalog, on Benoist and on a moved table
+    moved = dense.change_basis(make_qn(10), dense.rational_basis_change(10, random.Random(3)))
+    algebras = [*_catalog_to_24(), *(make_benoist(t) for t in (0, 1, F(-1, 2), F(7, 3))), moved]
+    assert moved.den > 1 and not moved.tail_filtered
+    for alg in algebras:
+        text = _hashed_text(alg).encode("ascii")
+        assert algebra_hash(alg) == hashlib.sha256(text).hexdigest(), alg.name
 
 
 def test_algebra_hash_ignores_labels():

@@ -22,7 +22,7 @@ from lieaffine.derivations import (
     find_derived_regular_derivation,
     find_regular_derivation,
 )
-from lieaffine.errors import SchemaError
+from lieaffine.errors import DimensionMismatch, SchemaError
 from lieaffine.liealg import LieAlgebra, TwoForm, algebra_hash
 from lieaffine.linalg import Matrix
 from lieaffine.serialize import (
@@ -499,3 +499,16 @@ def test_library_and_documents_refuse_a_value_alike(what, value, message):
         with pytest.raises(SchemaError) as info:
             read(value)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_every_value_type_refuses_a_dimension_below_one(dim):
+    # the value types share LieAlgebra's rule, so none of them builds a value
+    # whose document every reader refuses
+    library, readers = _ENTRY_POINTS["dim"]
+    for call in library:
+        with pytest.raises(DimensionMismatch, match="^algebra dimension must be at least 1$"):
+            call(dim)
+    for read in readers:
+        with pytest.raises(SchemaError, match=f"^dim must lie between 1 and {MAX_DIM}$"):
+            read(dim)
