@@ -8,10 +8,10 @@ C_n, and 2000 q for Benoist at t = p/q. ``liealg._adopted`` takes the
 table as it is, so no Fraction is formed past the rational parameters
 and the table is not validated a second time; ``liealg.coefficient_table``
 stays the one boundary for caller and JSON tables. Each family's shape
-rule is stated once, ``_check_n`` for n (Ln, Qn, Cn) and ``_check_shift``
-for the shift k (Ank, Bnk), and read both by the maker and by
-``standard_torus`` or ``fill_aij``, with the maker's error class and
-message; both read n and k by ``linalg._integer``, as a document's
+rule is stated once, ``_check_n`` for n (abelian, Ln, Qn, Cn) and
+``_check_shift`` for the shift k (Ank, Bnk), and read both by the maker
+and by ``standard_torus`` or ``fill_aij``, with the maker's error class
+and message; both read n and k by ``linalg._integer``, as a document's
 integers are read.
 
 The families A_n^k, B_n^k (rank 1) and C_n carry parameters (lambda_1, ...)
@@ -49,15 +49,19 @@ def _pairing(n: int, one: int = 1) -> dict:
 
 
 def _check_n(family: str, n: int) -> None:
-    """The one shape rule of Ln (n >= 3), Qn and Cn (even n >= 6), for the makers and the tori.
+    """The one shape rule of abelian (n >= 1), Ln (n >= 3), Qn and Cn (even n >= 6).
 
-    ``make_ln``, ``make_qn`` and ``make_cn`` check it, and ``standard_torus``
-    checks the same rule for its family. n is read by ``linalg._integer``
-    (TypeError for a bool or a non-int); Ln and Qn raise BadDimension and
-    Cn raises BadRange, as ``make_cn`` always has.
+    ``make_abelian``, ``make_ln``, ``make_qn`` and ``make_cn`` check it,
+    and ``standard_torus`` checks the same rule for its family. n is read
+    by ``linalg._integer`` (TypeError for a bool or a non-int); abelian,
+    Ln and Qn raise BadDimension and Cn raises BadRange, as ``make_cn``
+    always has.
     """
     _integer(n, "n")
-    if family == "Ln":
+    if family == "abelian":
+        if n < 1:
+            raise BadDimension(f"abelian algebra needs n >= 1, got {n}")
+    elif family == "Ln":
         if n < 3:
             raise BadDimension(f"Ln requires n >= 3, got {n}")
     elif n < 6 or n % 2:
@@ -274,8 +278,7 @@ def make_benoist(t) -> LieAlgebra:
 
 def make_abelian(n: int) -> LieAlgebra:
     """Abelian algebra of dimension n; every bracket vanishes."""
-    if n < 1:
-        raise BadDimension(f"abelian algebra needs n >= 1, got {n}")
+    _check_n("abelian", n)
     return LieAlgebra(n, {}, name=f"abelian{n}")
 
 

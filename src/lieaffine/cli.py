@@ -22,11 +22,16 @@ characters.
 
 Each command is listed once, in ``_COMMANDS``, and one helper gives a
 parser its options. An argv that starts with a group and one of its
-commands is parsed by that command's parser alone, built on first use;
-the whole tree of ``build_parser`` is built only for help above command
-level and for the usage errors it reports. Either way every help text
-and usage error has the same bytes, since the tree holds the same
-command parsers under the same ``prog``.
+commands is parsed by that command's parser alone, built on first use.
+When the rest is a plain line (exact long options, each value in its
+own token or joined by '=', see ``_plain_namespace``) its namespace is
+read straight off that parser's actions, and argparse does not run;
+help, abbreviations, negative values in their own token and every
+usage error go to that parser's argparse. The whole tree of
+``build_parser`` is built only for help above command level and for
+the usage errors it reports. Either way every help text and usage
+error has the same bytes, since the tree holds the same command parsers
+under the same ``prog``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .liealg import (
     jacobi_report,
     lower_central_series,
 )
+from .linalg import _RATIONAL
 from .serialize import (
     MAX_DIM,
     _echo,
@@ -123,18 +129,21 @@ def _option_type(rule: str, admit=lambda value: True):
     """An argparse ``type`` reading an integer, refused when misspelled or refused by ``admit``.
 
     The integer is spelled as the rational grammar's integer part, 'p'
-    alone in ASCII digits (``parse_rational`` on a text with no '/'), as
-    every rational option and document spells its numbers. The diagnostic
-    states ``rule`` and echoes at most 20 characters of the value.
+    alone in ASCII digits (a full match of ``linalg._RATIONAL`` with no
+    '/'), as every rational option and document spells its numbers, and
+    is read by ``int``, so it forms no Fraction; a text past Python's
+    int-string digit limit is refused too. The diagnostic states ``rule``
+    and echoes at most 20 characters of the value.
     """
     def parse(text: str):
-        try:
-            value = parse_rational(text)
-        except SchemaError:
-            pass
-        else:
-            if "/" not in text and admit(value):
-                return int(value)
+        if "/" not in text and _RATIONAL.fullmatch(text):
+            try:
+                value = int(text)
+            except ValueError:  # Python's limit on digits in an int string
+                pass
+            else:
+                if admit(value):
+                    return value
         raise argparse.ArgumentTypeError(f"{rule}, got {_echo(text)}")
     return parse
 
@@ -548,14 +557,87 @@ def _command_parser(argv):
     return _leaf_parser(*key) if key in _COMMANDS else None
 
 
+# the argparse actions a plain line may give: an option with one value,
+# a flag and a repeatable option; help and every other action go to argparse
+_PLAIN_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+def _plain_namespace(parser: argparse.ArgumentParser, tokens):
+    """The namespace of ``parser.parse_args(tokens)`` when ``tokens`` is a plain line, else None.
+
+    A plain line gives each option by its exact long name, as ``--name
+    value`` or ``--name=value`` (a flag alone): no value is empty or
+    '--', none starts with '-' unless joined by '=', only an appended
+    option repeats, no two options share an exclusive group, every
+    required option is there and every value passes its action's ``type``
+    and ``choices``. Anything else (help, an abbreviation, '--', a
+    negative value in its own token, a bad value) is None, and argparse
+    parses it. The options are read off the parser's own actions, so the
+    table is the one ``_add_command`` builds; nothing is printed and
+    nothing exits. A default is taken as it is: no string default has a
+    ``type`` and no appended option has a default (a test checks both).
+    """
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        action = parser._option_string_actions.get(name) if name.startswith("--") else None
+        if type(action) not in _PLAIN_ACTIONS or action.nargs not in (None, 0):
+            return None
+        append = type(action) is argparse._AppendAction
+        if action in given and not append:
+            return None
+        if action.nargs == 0:  # a flag takes no value
+            if joined:
+                return None
+            given[action] = True
+            continue
+        if not joined:
+            value = next(tokens, "-")  # a missing value reads as '-'
+            if value.startswith("-"):
+                return None
+        if value in ("", "--"):
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if append:
+            given.setdefault(action, []).append(value)
+        else:
+            given[action] = value
+    for group in parser._mutually_exclusive_groups:
+        if sum(action in given for action in group._group_actions) > 1:
+            return None
+    namespace = argparse.Namespace()
+    for action in parser._actions:
+        if action in given:
+            setattr(namespace, action.dest, given[action])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            setattr(namespace, action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        vars(namespace).setdefault(dest, value)
+    return namespace
+
+
 def _parse(argv):
     """The namespace of ``argv``, parsed by its command's parser where it names one.
 
-    Any other argv, and one that leaves arguments its command does not
-    read, goes through ``build_parser``.
+    A plain line after the command (``_plain_namespace``) is read off the
+    command parser's actions without running argparse; any other line
+    after a command goes to that parser's ``parse_known_args``. Any other
+    argv, and one that leaves arguments its command does not read, goes
+    through ``build_parser``.
     """
     parser = _command_parser(argv)
     if parser is not None:
+        args = _plain_namespace(parser, argv[2:])
+        if args is not None:
+            return args
         args, left = parser.parse_known_args(argv[2:])
         if not left:
             return args

@@ -321,9 +321,12 @@ def test_a_shape_rule_is_read_alike_by_the_maker_and_its_second_reader(maker, re
     (lambda: fill_aij(10, True, [1]), TypeError, "k must be an integer"),
     (lambda: make_bnk(10.0, 2, [1, 1, 1]), TypeError, "n must be an integer"),
     (lambda: make_bnk(10, None, [1, 1, 1]), TypeError, "k must be an integer"),
+    (lambda: make_abelian(0), BadDimension, "abelian algebra needs n >= 1, got 0"),
+    (lambda: make_abelian(True), TypeError, "n must be an integer"),
+    (lambda: make_abelian(2.0), TypeError, "n must be an integer"),
 ], ids=["Ln", "Qn", "Cn", "Ank", "Bnk-odd", "Bnk-k-high", "Bnk-k-low", "Ln-bool", "Qn-float",
         "Cn-float", "torus-str", "Ank-n-float", "Ank-k-float", "fill_aij-k-bool",
-        "Bnk-n-float", "Bnk-k-None"])
+        "Bnk-n-float", "Bnk-k-None", "abelian", "abelian-bool", "abelian-float"])
 def test_makers_read_n_and_k_by_one_rule(call, error, message):
     # an int outside a family's shape keeps its maker's class and message; an
     # n or k that is a bool or not an int is refused by linalg._integer
@@ -476,8 +479,10 @@ def test_catalog_constructors_form_no_fraction(fractions_formed):
 
 
 def test_benoist_char_nilp_forms_only_the_parsed_t(fractions_formed, capsys):
-    # the one Fraction of the command is its parsed --t
-    code = cli.main(["der", "char-nilp", "--family", "Benoist", "--t=7/5", "--reproducible"])
+    # the one Fraction of the command is its parsed --t: the integer options
+    # are read as ints
+    code = cli.main(["der", "char-nilp", "--family", "Benoist", "--t=7/5", "--seed", "5",
+                     "--trials", "7", "--reproducible"])
     capsys.readouterr()
     assert code == 1
     assert fractions_formed == [1]

@@ -1,8 +1,10 @@
 """CLI surface: exit codes, JSON payloads, piping, determinism."""
 
+import argparse
 import collections
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -1678,6 +1680,98 @@ def test_command_parsers_print_the_bytes_of_the_tree(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_command_parser", lambda argv: None)
     for argv, expected in zip(argvs, shipped):
         assert run(argv) == expected, argv
+
+
+# values a generated line gives an option: valid and invalid for some
+# option's type or choices, empty, negative, '-' and '--'
+_LINE_VALUES = ["8", "+08", "0", "257", "7/5", "1_0", "x", "Ln", "Benoist", "auto", "symplectic",
+                "certificate", "alg.json", "", "-2", "-1/2", "-", "--"]
+_LINE_EXTRAS = ["-h", "--help", "--bogus", "--", "-x", "extra"]
+
+
+def _valid_value(rng, action):
+    if action.choices is not None:
+        return rng.choice(list(action.choices))
+    return rng.choice(["8", "12", "+08", "3"] if action.type else ["Ln", "7/5", "1", "alg.json"])
+
+
+def _generated_line(rng, parser):
+    """A seeded line of options for ``parser``: mostly plain, often not.
+
+    Names are exact, abbreviated or '='-joined, options repeat (an
+    appended one too), both members of an exclusive group can appear, and
+    values range over ``_LINE_VALUES``; help, unknown options and '--'
+    are put in now and then.
+    """
+    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
+    picks = [a for a in actions if a.required and rng.random() < 0.8]
+    picks += [rng.choice(actions) for _ in range(rng.randrange(5))]
+    tokens = []
+    for action in picks:
+        name = action.option_strings[0]
+        if rng.random() < 0.2 and len(name) > 3:
+            name = name[:rng.choice((3, rng.randrange(3, len(name))))]
+        if action.nargs == 0:
+            tokens.append(name if rng.random() < 0.9 else f"{name}=x")
+            continue
+        value = _valid_value(rng, action) if rng.random() < 0.7 else rng.choice(_LINE_VALUES)
+        tokens += [f"{name}={value}"] if rng.random() < 0.3 else [name, value]
+        if rng.random() < 0.05:
+            tokens.pop()  # the value is missing
+    if rng.random() < 0.15:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_LINE_EXTRAS))
+    return tokens
+
+
+def _argparse_namespace(argv):
+    """``build_parser().parse_args(argv)``, or None where argparse exits."""
+    try:
+        return cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS), ids="-".join)
+def test_plain_lines_parse_as_argparse_parses_them(capsys, command):
+    # a line read off the actions gives argparse's namespace, and one that
+    # argparse refuses or answers with help is left to argparse
+    parser = cli._leaf_parser(*command)
+    for action in parser._actions:
+        # _plain_namespace takes defaults as they are, where argparse would
+        # convert a string default by its type and copy an appended default
+        assert not (isinstance(action.default, str) and action.type), action.dest
+        assert not (type(action) is argparse._AppendAction and action.default is not None)
+    rng = random.Random("-".join(command))
+    outcomes = collections.Counter()
+    for _ in range(120):
+        tokens = _generated_line(rng, parser)
+        plain = cli._plain_namespace(parser, tokens)
+        expected = _argparse_namespace([*command, *tokens])
+        if plain is not None:
+            assert expected is not None and vars(plain) == vars(expected), tokens
+        outcomes[plain is not None, expected is not None] += 1
+    capsys.readouterr()
+    # plain lines, lines only argparse reads, and lines argparse refuses
+    assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) >= 5, outcomes
+
+
+def _job_argvs(tmp_path, seed):
+    """Every job argv that the benchmark's ``write_jobs`` writes for ``seed``, at 45 s."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_jobs(str(tmp_path), seed, 45)
+    return [job["argv"] for name in ("synth-sweep", "obstruction")
+            for job in json.loads((tmp_path / "jobs" / f"{name}.json").read_text())]
+
+
+def test_pinned_and_benchmark_argvs_take_the_plain_path(tmp_path):
+    argvs = [[*argv, "--reproducible"] for argv, _, _ in PINNED_STDOUT]
+    argvs += _job_argvs(tmp_path, 1) + _job_argvs(tmp_path, 2)
+    for argv in argvs:
+        plain = cli._plain_namespace(cli._command_parser(argv), argv[2:])
+        assert plain is not None and vars(plain) == vars(cli.build_parser().parse_args(argv)), argv
 
 
 def test_no_run_imports_datetime_and_the_stamp_reads_back(monkeypatch):

@@ -54,13 +54,16 @@ The calls, in order:
   which zeroes a constant, Cn with a zero lambda and with lambdas over a
   shared den, and Ank and Bnk with fractional lambda. They come after
   every call above, so ``sweep(limit)`` within those calls is unchanged;
-* last, ``--in`` documents that spell rationals out of lowest terms or
+* ``--in`` documents that spell rationals out of lowest terms or
   as zeros, written to the temporary directory, one through each reader
   of outside rationals: ``verify jacobi`` and ``affine synth`` on an
   algebra with a "0" and a "-3/6" coefficient, and ``io validate`` on a
   twoform with "0" and "4/8" entries, an affine document whose gamma
   holds "0/3" and a NotCharNilpotent verdict whose witness rows hold
   "2/4" and "0/5";
+* last, the ``SPELLINGS``: ``--t 1`` as two tokens, ``--family=Ln``,
+  ``--seed -2`` as its own token, a repeated ``--n`` and ``--lambda
+  -1/2``, a usage error;
 * ``affine verify`` and ``io validate`` on every certificate that
   ``affine synth --out`` wrote, and ``affine verify`` on a tampered copy
   of it, whose first coefficient of e_i.e_j with i != j is shifted by 1:
@@ -151,6 +154,17 @@ SPELLED = [
      {"kind": "NotCharNilpotent", "witness": [["2/4", "0/5"], ["0/5", "1"]],
       "seed": 0, "trials": 1}),
 ]
+
+
+# argv spellings past the ones above, last in the sweep: a separate --t
+# value and an '='-joined --family, then a negative --seed in its own
+# token, a repeated --n and a negative --lambda in its own token, which
+# only argparse reads (the last is a usage error)
+SPELLINGS = [["der", "char-nilp", "--family", "Benoist", "--t", "1"],
+             ["affine", "synth", "--family=Ln", "--n", "6"],
+             ["der", "regular", "--family", "Ln", "--n", "6", "--seed", "-2"],
+             ["catalog", "show", "--family", "Ln", "--n", "5", "--n", "7"],
+             ["catalog", "show", "--family", "Cn", "--n", "8", "--lambda", "-1/2"]]
 
 
 # every command of each group, for the help calls
@@ -349,7 +363,8 @@ def calls(tmp):
             for source in _filtered_inputs(tmp) for command in FILTERED_COMMANDS]
     out += [(command + source, None, None)
             for source in _adopted_members() for command in ADOPTED_COMMANDS]
-    return out + [(argv, None, None) for argv in _spelled_calls(tmp)]
+    out += [(argv, None, None) for argv in _spelled_calls(tmp)]
+    return out + [(argv, None, None) for argv in SPELLINGS]
 
 
 def _tampered(path):
